@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -10,17 +11,22 @@ import (
 	"repro/internal/nn"
 )
 
-// Allocation ceilings for the three hot paths. These are regression guards,
-// not targets: the capture path measures 2 allocs (the returned image's
-// header + pixel buffer when the pool is cold), the recycled codec
-// roundtrip 0, and int8 inference 27. The ceilings leave slack only for
-// pool-refill noise under concurrent GC, so any new per-op allocation —
-// a dropped Into-variant, a fresh rand.Rand, an un-pooled scratch buffer —
-// trips the guard immediately.
+// Allocation ceilings for the hot paths. These are regression guards, not
+// targets: the capture path measures 2 allocs (the returned image's header
+// + pixel buffer when the pool is cold), the recycled codec roundtrip 0,
+// int8 inference 27, and float32/pruned inference through nn's fused plan 8
+// and 14 objects (under 8 KB) whatever the batch, where the training forward
+// allocates three batch-sized tensors per layer. The ceilings leave slack
+// only for pool-refill noise under concurrent GC, so any new per-op
+// allocation — a dropped Into-variant, a fresh rand.Rand, an un-pooled
+// scratch buffer — trips the guard immediately.
 const (
 	captureAllocCeiling   = 8
 	roundtripAllocCeiling = 8
 	int8InferAllocCeiling = 27
+
+	planInferAllocCeiling = 40       // objects per 8-image float32/pruned Infer
+	planInferBytesCeiling = 64 << 10 // bytes per 8-image float32/pruned Infer
 )
 
 // TestCaptureAllocCeiling pins the steady-state allocation count of one
@@ -103,6 +109,46 @@ func TestInt8InferAllocCeiling(t *testing.T) {
 	backend.Infer(x)
 	if avg := testing.AllocsPerRun(50, func() { backend.Infer(x) }); avg > int8InferAllocCeiling {
 		t.Fatalf("int8 Infer allocates %.1f/op, ceiling %d", avg, int8InferAllocCeiling)
+	}
+}
+
+// TestFloat32InferAllocCeiling pins the float32 reference arm to its fused
+// inference plan: after warm-up an 8-image Infer allocates the output
+// buffers and nothing per layer.
+func TestFloat32InferAllocCeiling(t *testing.T) { planInferAllocCeilingTest(t, nn.RuntimeFloat32) }
+
+// TestPrunedInferAllocCeiling is the same guard for the pruned runtime,
+// whose backbone shares the plan.
+func TestPrunedInferAllocCeiling(t *testing.T) { planInferAllocCeilingTest(t, nn.RuntimePruned) }
+
+func planInferAllocCeilingTest(t *testing.T, runtimeName string) {
+	if raceEnabled {
+		t.Skip("alloc counts are not steady-state under -race")
+	}
+	backend := testFactory()(runtimeName)
+	in := backend.InputSize()
+	rng := rand.New(rand.NewSource(9))
+	imgs := make([]*imaging.Image, 8)
+	for i := range imgs {
+		imgs[i] = imaging.New(in, in)
+		for j := range imgs[i].Pix {
+			imgs[i].Pix[j] = rng.Float32()
+		}
+	}
+	x := imaging.BatchTensor(imgs)
+	backend.Infer(x)
+	if avg := testing.AllocsPerRun(50, func() { backend.Infer(x) }); avg > planInferAllocCeiling {
+		t.Fatalf("%s Infer allocates %.1f objects/op, ceiling %d", runtimeName, avg, planInferAllocCeiling)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		backend.Infer(x)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > planInferBytesCeiling {
+		t.Fatalf("%s Infer allocates %d B/op, ceiling %d", runtimeName, perOp, planInferBytesCeiling)
 	}
 }
 

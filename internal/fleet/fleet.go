@@ -40,9 +40,10 @@ func cellRNG(seed int64, vals ...int64) *rand.Rand {
 }
 
 // BackendFactory builds one private inference backend for the named runtime
-// variant (one of nn.Runtimes()). Backends cache forward scratch even in
-// eval mode, so concurrent workers cannot share one; the pool calls the
-// factory per (worker, runtime) and LRU-caches the replicas. Factories
+// variant (one of nn.Runtimes()). Every backend owns inference scratch that
+// Infer overwrites (see nn.Backend), so concurrent workers cannot share one;
+// the pool calls the factory per (worker, runtime) and LRU-caches the
+// replicas, each of which retains its weights and that scratch. Factories
 // typically rebuild the architecture, restore a snapshot of the trained
 // weights, and compile it into the requested runtime.
 type BackendFactory func(runtime string) nn.Backend

@@ -351,7 +351,7 @@ func (s *Server) countServe(class string, code int) {
 }
 
 // serveWorker executes admitted requests. Each worker owns a backend LRU (a
-// backend caches forward scratch and cannot be shared), and picks work in
+// backend owns inference scratch and cannot be shared), and picks work in
 // class priority order: one wake token is consumed per batch-forming pass,
 // then the earliest-configured class with a queued job wins the pass and
 // may drain up to its MaxBatch of followers.

@@ -16,11 +16,15 @@ import (
 // returns softmax class probabilities as a flat row-major (N × NumClasses)
 // slice. The returned slice is freshly allocated and owned by the caller —
 // implementations must not recycle it across calls (callers retain
-// sub-slices of it; internal forward scratch is fine, the output buffer is
-// not). Implementations are deterministic: the same input yields the same
-// bytes on every call and at any worker count. Like *Model, backends may
-// keep internal forward scratch and are NOT safe for concurrent Infer
-// calls; the fleet keeps one replica per worker.
+// sub-slices of it; internal scratch is fine, the output buffer is not).
+// Implementations are deterministic: the same input yields the same bytes on
+// every call and at any worker count. Every backend owns inference scratch
+// that Infer overwrites — *Model and PrunedBackend a one-image activation
+// arena (about 0.7 MB at the default width), Int8Backend its quantized
+// panels and per-op outputs — so none is safe for concurrent Infer calls;
+// the fleet keeps one replica per worker. Infer never fills the layers'
+// training caches (im2col panels, cached inputs, activation masks): a
+// replica that is only inferred on retains its weights and that scratch.
 type Backend interface {
 	// Name identifies the runtime variant (e.g. "float32", "int8").
 	Name() string
@@ -32,8 +36,9 @@ type Backend interface {
 	InputSize() int
 }
 
-// Runtime variant names. RuntimeFloat32 is the reference stack (the *Model
-// forward pass); the others are derived compilations of the same weights.
+// Runtime variant names. RuntimeFloat32 is the reference stack (*Model's
+// inference plan, bit-identical to its eval-mode Forward); the others are
+// derived compilations of the same weights.
 const (
 	RuntimeFloat32 = "float32"
 	RuntimeInt8    = "int8"
@@ -91,10 +96,22 @@ func (m *Model) NumClasses() int { return m.Classes }
 // InputSize implements Backend.
 func (m *Model) InputSize() int { return m.InputHW }
 
-// Infer implements Backend: the standard eval-mode forward pass plus
-// softmax, flattened row-major.
+// Infer implements Backend: the fused inference plan of the backbone, the
+// embedding and head without their training caches, and softmax, flattened
+// row-major. It is bit-identical to Predict.
 func (m *Model) Infer(x *tensor.Tensor) []float64 {
-	return flatProbs(m.Predict(x))
+	p := m.inferPlan()
+	p.embed = denseInfer(p.embed, p.features(x), m.Embed, true)
+	p.logits = denseInfer(p.logits, p.embed, m.Head, false)
+	return flatProbs(Softmax(p.logits))
+}
+
+// inferPlan returns the backbone's inference plan, compiled on first use.
+func (m *Model) inferPlan() *inferPlan {
+	if m.plan == nil {
+		m.plan = newInferPlan(m.Backbone.Layers)
+	}
+	return m.plan
 }
 
 // flatProbs converts an (N, classes) probability tensor to the Backend wire

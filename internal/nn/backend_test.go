@@ -13,7 +13,7 @@ import (
 // BatchNorm running statistics (a few train-mode forwards), so int8 BN
 // folding is exercised on realistic values rather than the mean-0/var-1
 // initial state.
-func backendTestModel(t *testing.T) *Model {
+func backendTestModel(t testing.TB) *Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	m := NewMobileNetV2Micro(rng, DefaultConfig(5))

@@ -1,0 +1,66 @@
+package nn
+
+import "fmt"
+
+// fusedGraph receives the inference-time ops walkFused recognises in a layer
+// graph. Both compiled runtimes — the int8 backend and the float32/pruned
+// inference plan — are built through it, so they agree on what fuses.
+type fusedGraph interface {
+	conv(c *Conv2D, bn *BatchNorm, relu6 bool)
+	depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool)
+	// residual is handed the body of an identity-skip block; the
+	// implementation walks it with whatever nesting it needs.
+	residual(body []Layer)
+	pool()
+}
+
+// walkFused pattern-matches the float layer graph into fused ops:
+// Conv2D/DepthwiseConv2D followed by BatchNorm (and optionally ReLU6) become
+// one op, Residual hands over its body, nested Sequentials are flattened and
+// GlobalAvgPool stands alone.
+func walkFused(layers []Layer, g fusedGraph) {
+	for i := 0; i < len(layers); i++ {
+		switch l := layers[i].(type) {
+		case *Conv2D:
+			bn, relu6, n := followingBNReLU6(layers, i)
+			g.conv(l, bn, relu6)
+			i += n
+		case *DepthwiseConv2D:
+			bn, relu6, n := followingBNReLU6(layers, i)
+			g.depthwise(l, bn, relu6)
+			i += n
+		case *Residual:
+			body, ok := l.Body.(*Sequential)
+			if !ok {
+				panic(fmt.Sprintf("nn: compile: residual body %T is not *Sequential", l.Body))
+			}
+			g.residual(body.Layers)
+		case *Sequential:
+			walkFused(l.Layers, g)
+		case *GlobalAvgPool:
+			g.pool()
+		default:
+			panic(fmt.Sprintf("nn: compile: unsupported layer %T", l))
+		}
+	}
+}
+
+// followingBNReLU6 returns the BatchNorm directly after the convolution at
+// index i, which the micro model guarantees (convolutions carry no bias; BN
+// supplies the shift a fused kernel needs), whether a ReLU6 follows that, and
+// how many layers the pair consumed.
+func followingBNReLU6(layers []Layer, i int) (*BatchNorm, bool, int) {
+	var bn *BatchNorm
+	if i+1 < len(layers) {
+		bn, _ = layers[i+1].(*BatchNorm)
+	}
+	if bn == nil {
+		panic(fmt.Sprintf("nn: compile: convolution at %d not followed by BatchNorm", i))
+	}
+	if i+2 < len(layers) {
+		if _, ok := layers[i+2].(*ReLU6); ok {
+			return bn, true, 2
+		}
+	}
+	return bn, false, 1
+}

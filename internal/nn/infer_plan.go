@@ -1,0 +1,447 @@
+package nn
+
+import (
+	"repro/internal/tensor"
+)
+
+// inferPlan is the inference-only execution plan of a float32 backbone: the
+// fused Conv→BN→[ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run
+// one image at a time over a small arena of ping-pong buffers sized for the
+// largest single-image activation. Nothing is allocated per layer and no
+// layer's training cache (im2col panels, inputs, ReLU masks) is touched, so
+// an inference-only replica holds its weights, the arena and nothing else.
+//
+// Every output element sees exactly the float32 operations Model.Forward
+// applies to it, in the same order: each accumulator is the ordered sum the
+// training kernels compute, the epilogue is BatchNorm's v*scale+shift and
+// ReLU6's clamp, and the residual add is the same y+x. Results are therefore
+// bit-identical to the eval-mode Forward, which float32_ref_test.go keeps as
+// the reference. Weights and BatchNorm statistics are read from the live
+// layers on every call, so training between two calls is never stale.
+type inferPlan struct {
+	steps   []planStep
+	affines []*bnAffine // every step's BatchNorm transform, refreshed per call
+	bufs    [][]float32 // activation arena, one image deep
+	held    []bool      // compile time only: buffers pinned as a residual's skip input
+	cur     int         // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
+	col     []float32   // im2col panel of the non-pointwise convolutions
+
+	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
+	embed, logits *tensor.Tensor // dense-head outputs of Model.Infer, reused across calls
+}
+
+// planStep is one op with its arena wiring. src -1 reads the input image;
+// an in-place op has src == dst.
+type planStep struct {
+	op       planOp
+	src, dst int
+
+	// geometry at the current input resolution, set by features
+	c, h, w int // input shape
+	outLen  int
+}
+
+// planOp computes one image's output for an input of shape (c, h, w).
+type planOp interface {
+	outShape(c, h, w int) (int, int, int)
+	run(p *inferPlan, dst, src []float32, c, h, w int)
+}
+
+// newInferPlan compiles a backbone layer graph.
+func newInferPlan(layers []Layer) *inferPlan {
+	p := &inferPlan{cur: -1}
+	walkFused(layers, p)
+	if p.cur < 0 {
+		panic("nn: compile: empty layer graph")
+	}
+	p.held = nil
+	return p
+}
+
+// emit appends an op reading the current buffer and writing a free one.
+func (p *inferPlan) emit(op planOp) {
+	dst := 0
+	for dst < len(p.bufs) && (dst == p.cur || p.held[dst]) {
+		dst++
+	}
+	if dst == len(p.bufs) {
+		p.bufs = append(p.bufs, nil)
+		p.held = append(p.held, false)
+	}
+	p.steps = append(p.steps, planStep{op: op, src: p.cur, dst: dst})
+	p.cur = dst
+}
+
+func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+	op := &planConv{l: c, bnAffine: newBNAffine(bn, relu6)}
+	p.affines = append(p.affines, &op.bnAffine)
+	p.emit(op)
+}
+
+func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+	op := &planDepthwise{l: l, bnAffine: newBNAffine(bn, relu6)}
+	p.affines = append(p.affines, &op.bnAffine)
+	p.emit(op)
+}
+
+// residual pins the block's input while the body runs, then adds it into the
+// body's output in place.
+func (p *inferPlan) residual(body []Layer) {
+	skip := p.cur
+	if skip < 0 {
+		panic("nn: compile: residual block directly on the input image")
+	}
+	p.held[skip] = true
+	walkFused(body, p)
+	p.held[skip] = false
+	p.steps = append(p.steps, planStep{op: planAdd{skip: skip}, src: p.cur, dst: p.cur})
+}
+
+func (p *inferPlan) pool() { p.emit(planPool{}) }
+
+// features runs the backbone over a batch (N, C, H, W) and returns its
+// per-image outputs as an (N, features) tensor owned by the plan.
+func (p *inferPlan) features(x *tensor.Tensor) *tensor.Tensor {
+	checkRank(x, 4, "Infer")
+	n, inC, inH, inW := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	for _, a := range p.affines {
+		a.refresh()
+	}
+
+	// Size the arena for this input resolution. Every kernel writes its full
+	// output, so buffers carried over from another resolution cannot leak.
+	maxLen := 0
+	c, h, w := inC, inH, inW
+	for i := range p.steps {
+		s := &p.steps[i]
+		s.c, s.h, s.w = c, h, w
+		c, h, w = s.op.outShape(c, h, w)
+		s.outLen = c * h * w
+		if s.outLen > maxLen {
+			maxLen = s.outLen
+		}
+	}
+	outLen := c * h * w
+	for i, b := range p.bufs {
+		if cap(b) < maxLen {
+			p.bufs[i] = make([]float32, maxLen)
+		}
+	}
+	p.feat = reuseTensor(p.feat, n, outLen)
+
+	imgLen := inC * inH * inW
+	for i := 0; i < n; i++ {
+		img := x.Data()[i*imgLen : (i+1)*imgLen]
+		for _, s := range p.steps {
+			src := img
+			if s.src >= 0 {
+				src = p.bufs[s.src][:s.c*s.h*s.w]
+			}
+			s.op.run(p, p.bufs[s.dst][:s.outLen], src, s.c, s.h, s.w)
+		}
+		copy(p.feat.Data()[i*outLen:(i+1)*outLen], p.bufs[p.cur])
+	}
+	return p.feat
+}
+
+// colBuf returns the im2col scratch, grown to hold n values.
+func (p *inferPlan) colBuf(n int) []float32 {
+	if cap(p.col) < n {
+		p.col = make([]float32, n)
+	}
+	return p.col[:n]
+}
+
+// bnAffine is the fused epilogue of a convolution: the following BatchNorm's
+// eval-mode transform and the optional ReLU6.
+type bnAffine struct {
+	bn           *BatchNorm
+	relu6        bool
+	scale, shift []float32
+}
+
+func newBNAffine(bn *BatchNorm, relu6 bool) bnAffine {
+	return bnAffine{bn: bn, relu6: relu6, scale: make([]float32, bn.ch), shift: make([]float32, bn.ch)}
+}
+
+// refresh re-derives the per-channel transform from the live layer.
+func (a *bnAffine) refresh() {
+	for c := range a.scale {
+		a.scale[c], a.shift[c] = a.bn.evalAffine(c)
+	}
+}
+
+// bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then
+// ReLU6.Forward's clamp.
+func bnAct(s, scale, shift float32, relu6 bool) float32 {
+	v := s*scale + shift
+	if relu6 {
+		v = min(max(v, 0), 6)
+	}
+	return v
+}
+
+// planConv is a fused Conv2D+BatchNorm(+ReLU6).
+type planConv struct {
+	l *Conv2D
+	bnAffine
+}
+
+func (o *planConv) dims(h, w int) tensor.ConvDims {
+	d := o.l.dims
+	d.InH, d.InW = h, w
+	return d
+}
+
+func (o *planConv) outShape(_, h, w int) (int, int, int) {
+	d := o.dims(h, w)
+	return o.l.outC, d.OutH(), d.OutW()
+}
+
+func (o *planConv) run(p *inferPlan, dst, src []float32, c, h, w int) {
+	d := o.dims(h, w)
+	if c != d.InC {
+		panic("nn: Infer: " + o.l.Weight.Name + ": input channel mismatch")
+	}
+	np := d.OutH() * d.OutW()
+	k := d.InC * d.KH * d.KW
+	wt := o.l.Weight.W.Data()
+	if d.KH == 1 && d.KW == 1 && d.StrideH == 1 && d.StrideW == 1 && d.PadH == 0 && d.PadW == 0 {
+		// A 1×1 stride-1 im2col is only a transpose: read the channel-major
+		// planes in place, pixel pi of channel j at src[pi + j*np].
+		gemmBN(dst, wt, src, o.l.outC, np, k, 1, np, o.scale, o.shift, o.relu6)
+		return
+	}
+	col := p.colBuf(np * k)
+	tensor.Im2Col(col, src, d)
+	gemmBN(dst, wt, col, o.l.outC, np, k, k, 1, o.scale, o.shift, o.relu6)
+}
+
+// gemmBN computes dst[c*p+pi] = bnAct(Σ_j w[c*k+j]·a[pi*ps+j*js], scale[c],
+// shift[c]) for outC output channels over p pixels: ps and js are the pixel
+// and reduction strides of the activation panel, so one kernel serves both
+// the im2col layout (ps=k, js=1) and channel-major planes (ps=1, js=p).
+//
+// The micro-kernel tiles 4 output channels × 2 pixels. Its eight float32
+// accumulators live in registers and break the one-accumulator add-latency
+// chain of tensor.MatMulTB, but each is still the plain sum over j = 0..k-1
+// in order, so every output matches MatMulTB bit for bit.
+func gemmBN(dst, w, a []float32, outC, p, k, ps, js int, scale, shift []float32, relu6 bool) {
+	var c int
+	for c = 0; c+4 <= outC; c += 4 {
+		w0 := w[(c+0)*k : (c+1)*k]
+		w1 := w[(c+1)*k : (c+2)*k]
+		w2 := w[(c+2)*k : (c+3)*k]
+		w3 := w[(c+3)*k : (c+4)*k]
+		d0 := dst[(c+0)*p : (c+1)*p]
+		d1 := dst[(c+1)*p : (c+2)*p]
+		d2 := dst[(c+2)*p : (c+3)*p]
+		d3 := dst[(c+3)*p : (c+4)*p]
+		sc0, sc1, sc2, sc3 := scale[c], scale[c+1], scale[c+2], scale[c+3]
+		sh0, sh1, sh2, sh3 := shift[c], shift[c+1], shift[c+2], shift[c+3]
+		var pi int
+		for pi = 0; pi+2 <= p; pi += 2 {
+			a0 := a[pi*ps:]
+			a1 := a[(pi+1)*ps:]
+			var s00, s10, s20, s30, s01, s11, s21, s31 float32
+			o := 0
+			for j, wv := range w0 {
+				x0, x1 := a0[o], a1[o]
+				o += js
+				s00 += wv * x0
+				s01 += wv * x1
+				wv = w1[j]
+				s10 += wv * x0
+				s11 += wv * x1
+				wv = w2[j]
+				s20 += wv * x0
+				s21 += wv * x1
+				wv = w3[j]
+				s30 += wv * x0
+				s31 += wv * x1
+			}
+			d0[pi] = bnAct(s00, sc0, sh0, relu6)
+			d1[pi] = bnAct(s10, sc1, sh1, relu6)
+			d2[pi] = bnAct(s20, sc2, sh2, relu6)
+			d3[pi] = bnAct(s30, sc3, sh3, relu6)
+			d0[pi+1] = bnAct(s01, sc0, sh0, relu6)
+			d1[pi+1] = bnAct(s11, sc1, sh1, relu6)
+			d2[pi+1] = bnAct(s21, sc2, sh2, relu6)
+			d3[pi+1] = bnAct(s31, sc3, sh3, relu6)
+		}
+		if pi < p { // odd trailing pixel
+			a0 := a[pi*ps:]
+			var s0, s1, s2, s3 float32
+			o := 0
+			for j, wv := range w0 {
+				xv := a0[o]
+				o += js
+				s0 += wv * xv
+				s1 += w1[j] * xv
+				s2 += w2[j] * xv
+				s3 += w3[j] * xv
+			}
+			d0[pi] = bnAct(s0, sc0, sh0, relu6)
+			d1[pi] = bnAct(s1, sc1, sh1, relu6)
+			d2[pi] = bnAct(s2, sc2, sh2, relu6)
+			d3[pi] = bnAct(s3, sc3, sh3, relu6)
+		}
+	}
+	// Channel remainder (outC % 4): the scalar loop.
+	for ; c < outC; c++ {
+		wrow := w[c*k : (c+1)*k]
+		out := dst[c*p : (c+1)*p]
+		for pi := range out {
+			ap := a[pi*ps:]
+			var s float32
+			o := 0
+			for _, wv := range wrow {
+				s += wv * ap[o]
+				o += js
+			}
+			out[pi] = bnAct(s, scale[c], shift[c], relu6)
+		}
+	}
+}
+
+// planDepthwise is a fused DepthwiseConv2D+BatchNorm(+ReLU6).
+type planDepthwise struct {
+	l *DepthwiseConv2D
+	bnAffine
+}
+
+func (o *planDepthwise) outShape(c, h, w int) (int, int, int) {
+	l := o.l
+	return c, (h+2*l.pad-l.kh)/l.stride + 1, (w+2*l.pad-l.kw)/l.stride + 1
+}
+
+// dwPixel is DepthwiseConv2D.convPlane's loop for one output pixel: taps
+// outside the input are skipped, the rest are added in ky,kx order.
+func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) float32 {
+	iy0 := oy*stride - pad
+	ix0 := ox*stride - pad
+	var s float32
+	for ky := 0; ky < kh; ky++ {
+		iy := iy0 + ky
+		if iy < 0 || iy >= inH {
+			continue
+		}
+		row := plane[iy*inW:]
+		kr := ker[ky*kw:]
+		for kx := 0; kx < kw; kx++ {
+			ix := ix0 + kx
+			if ix >= 0 && ix < inW {
+				s += row[ix] * kr[kx]
+			}
+		}
+	}
+	return s
+}
+
+func (o *planDepthwise) run(_ *inferPlan, dst, src []float32, ch, inH, inW int) {
+	l := o.l
+	if ch != l.ch {
+		panic("nn: Infer: " + l.Weight.Name + ": input channel mismatch")
+	}
+	_, outH, outW := o.outShape(ch, inH, inW)
+	wt := l.Weight.W.Data()
+
+	// Inside the interior every 3×3 tap is in bounds and the unrolled loop
+	// runs; outside it, the generic border path.
+	oyLo, oyHi := interior3x3(inH, outH, l.stride, l.pad)
+	oxLo, oxHi := interior3x3(inW, outW, l.stride, l.pad)
+	if l.kh != 3 || l.kw != 3 || oxLo > oxHi {
+		oyLo, oyHi = 0, -1 // every row takes the generic path
+	}
+
+	for c := 0; c < ch; c++ {
+		plane := src[c*inH*inW : (c+1)*inH*inW]
+		out := dst[c*outH*outW : (c+1)*outH*outW]
+		ker := wt[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
+		scale, shift := o.scale[c], o.shift[c]
+		border := func(oy, lo, hi int) {
+			for ox := lo; ox < hi; ox++ {
+				s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, oy, ox)
+				out[oy*outW+ox] = bnAct(s, scale, shift, o.relu6)
+			}
+		}
+		for oy := 0; oy < outH; oy++ {
+			if oy < oyLo || oy > oyHi {
+				border(oy, 0, outW)
+				continue
+			}
+			k0, k1, k2, k3, k4, k5, k6, k7, k8 := ker[0], ker[1], ker[2], ker[3], ker[4], ker[5], ker[6], ker[7], ker[8]
+			iy0 := oy*l.stride - l.pad
+			r0 := plane[iy0*inW : (iy0+1)*inW]
+			r1 := plane[(iy0+1)*inW : (iy0+2)*inW]
+			r2 := plane[(iy0+2)*inW : (iy0+3)*inW]
+			orow := out[oy*outW : (oy+1)*outW]
+			border(oy, 0, oxLo)
+			for ox := oxLo; ox <= oxHi; ox++ {
+				ix := ox*l.stride - l.pad
+				var s float32
+				s += r0[ix] * k0
+				s += r0[ix+1] * k1
+				s += r0[ix+2] * k2
+				s += r1[ix] * k3
+				s += r1[ix+1] * k4
+				s += r1[ix+2] * k5
+				s += r2[ix] * k6
+				s += r2[ix+1] * k7
+				s += r2[ix+2] * k8
+				orow[ox] = bnAct(s, scale, shift, o.relu6)
+			}
+			border(oy, oxHi+1, outW)
+		}
+	}
+}
+
+// planAdd is the identity skip of a Residual: dst += skip, in place.
+type planAdd struct{ skip int }
+
+func (planAdd) outShape(c, h, w int) (int, int, int) { return c, h, w }
+
+func (o planAdd) run(p *inferPlan, dst, _ []float32, _, _, _ int) {
+	for i, v := range p.bufs[o.skip][:len(dst)] {
+		dst[i] += v
+	}
+}
+
+// planPool is GlobalAvgPool for one image.
+type planPool struct{}
+
+func (planPool) outShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
+
+func (planPool) run(_ *inferPlan, dst, src []float32, _, h, w int) {
+	avgPoolImage(dst, src, h*w)
+}
+
+// denseInfer is Dense.Forward (and ReLU.Forward when relu is set) without the
+// training caches: y = x·Wᵀ + b over an (N, in) batch, each output the same
+// ordered sum tensor.MatMulTB computes. The output tensor is reused when it
+// already has the right shape.
+func denseInfer(y, x *tensor.Tensor, d *Dense, relu bool) *tensor.Tensor {
+	n := x.Dim(0)
+	if x.Dim(1) != d.in {
+		panic("nn: Infer: " + d.Weight.Name + ": input width mismatch")
+	}
+	y = reuseTensor(y, n, d.out)
+	wt, b := d.Weight.W.Data(), d.Bias.W.Data()
+	for i := 0; i < n; i++ {
+		xi := x.Data()[i*d.in : (i+1)*d.in]
+		out := y.Data()[i*d.out : (i+1)*d.out]
+		for j := range out {
+			wj := wt[j*d.in : (j+1)*d.in]
+			var s float32
+			for q, xv := range xi {
+				s += xv * wj[q]
+			}
+			v := s + b[j]
+			if relu && !(v > 0) {
+				v = 0
+			}
+			out[j] = v
+		}
+	}
+	return y
+}

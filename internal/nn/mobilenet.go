@@ -47,6 +47,8 @@ type Model struct {
 	Classes  int
 	EmbedDim int
 	InputHW  int
+
+	plan *inferPlan // inference-only execution plan of Backbone, see Infer
 }
 
 // ModelConfig selects the micro-architecture size.

@@ -63,7 +63,7 @@ func (b *PrunedBackend) Keep() float64 { return b.keep }
 // Infer implements Backend: pruned-dense backbone, then the sparse-packed
 // embedding and head.
 func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 {
-	f := b.m.Backbone.Forward(x, false)
+	f := b.m.inferPlan().features(x)
 	e := b.embed.apply(f)
 	z := b.head.apply(e)
 	return flatProbs(Softmax(z))

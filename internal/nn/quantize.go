@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -151,60 +150,31 @@ func quantizeRows(w []float32, rows, k int, fold []float32) (q []int8, scales []
 	return q, scales
 }
 
-// convertLayers pattern-matches the float layer graph into quantized ops:
-// Conv2D/DepthwiseConv2D followed by BatchNorm (and optionally ReLU6) fuse
-// into one integer kernel; Residual recurses; GlobalAvgPool stays float.
+// qgraph collects the quantized ops of one walkFused pass.
+type qgraph struct{ ops []qop }
+
+// convertLayers compiles the float layer graph into quantized ops: each
+// fused convolution becomes one integer kernel, Residual recurses and
+// GlobalAvgPool stays float.
 func convertLayers(layers []Layer) []qop {
-	var ops []qop
-	for i := 0; i < len(layers); i++ {
-		switch l := layers[i].(type) {
-		case *Conv2D:
-			bn, n := followingBN(layers, i)
-			relu, n2 := followingReLU6(layers, i+n)
-			ops = append(ops, newQConv(l, bn, relu))
-			i += n + n2
-		case *DepthwiseConv2D:
-			bn, n := followingBN(layers, i)
-			relu, n2 := followingReLU6(layers, i+n)
-			ops = append(ops, newQDepthwise(l, bn, relu))
-			i += n + n2
-		case *Residual:
-			body, ok := l.Body.(*Sequential)
-			if !ok {
-				panic(fmt.Sprintf("nn: int8 convert: residual body %T is not *Sequential", l.Body))
-			}
-			ops = append(ops, &qresidual{body: convertLayers(body.Layers)})
-		case *Sequential:
-			ops = append(ops, convertLayers(l.Layers)...)
-		case *GlobalAvgPool:
-			ops = append(ops, &qpool{})
-		default:
-			panic(fmt.Sprintf("nn: int8 convert: unsupported layer %T", l))
-		}
-	}
-	return ops
+	var g qgraph
+	walkFused(layers, &g)
+	return g.ops
 }
 
-// followingBN returns the BatchNorm directly after index i, which the micro
-// model guarantees for every convolution (convolutions carry no bias; BN
-// supplies the shift the folded kernel needs).
-func followingBN(layers []Layer, i int) (*BatchNorm, int) {
-	if i+1 < len(layers) {
-		if bn, ok := layers[i+1].(*BatchNorm); ok {
-			return bn, 1
-		}
-	}
-	panic(fmt.Sprintf("nn: int8 convert: convolution at %d not followed by BatchNorm", i))
+func (g *qgraph) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+	g.ops = append(g.ops, newQConv(c, bn, relu6))
 }
 
-func followingReLU6(layers []Layer, i int) (bool, int) {
-	if i+1 < len(layers) {
-		if _, ok := layers[i+1].(*ReLU6); ok {
-			return true, 1
-		}
-	}
-	return false, 0
+func (g *qgraph) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+	g.ops = append(g.ops, newQDepthwise(l, bn, relu6))
 }
+
+func (g *qgraph) residual(body []Layer) {
+	g.ops = append(g.ops, &qresidual{body: convertLayers(body)})
+}
+
+func (g *qgraph) pool() { g.ops = append(g.ops, &qpool{}) }
 
 // colBufs returns the shared im2col scratch, grown to hold n values.
 func (b *Int8Backend) colBufs(n int) ([]float32, []int8) {
@@ -463,6 +433,17 @@ func qdwPixel(qplane, ker []int8, inH, inW, kh, kw, stride, pad, oy, ox int) int
 	return acc
 }
 
+// interior3x3 returns the inclusive range of output positions along one
+// axis whose three taps all fall inside an input of length in; lo > hi when
+// there is none. Both depthwise kernels (int8 and the float32 plan) unroll
+// exactly this range.
+func interior3x3(in, out, stride, pad int) (lo, hi int) {
+	if in+pad < 3 {
+		return 0, -1
+	}
+	return (pad + stride - 1) / stride, min((in-3+pad)/stride, out-1)
+}
+
 func (l *qdepthwise) forward(b *Int8Backend, x *tensor.Tensor) *tensor.Tensor {
 	n, inH, inW := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH := (inH+2*l.pad-l.kh)/l.stride + 1
@@ -473,18 +454,10 @@ func (l *qdepthwise) forward(b *Int8Backend, x *tensor.Tensor) *tensor.Tensor {
 	imgOut := l.ch * outH * outW
 	_, qplane := b.colBufs(inH * inW)
 
-	// Interior output range where every 3×3 tap is in bounds; outside it the
-	// generic border path runs. Empty when the plane is too small.
-	oyLo := (l.pad + l.stride - 1) / l.stride
-	oyHi := (inH - 3 + l.pad) / l.stride
-	oxLo := oyLo
-	oxHi := (inW - 3 + l.pad) / l.stride
-	if oyHi > outH-1 {
-		oyHi = outH - 1
-	}
-	if oxHi > outW-1 {
-		oxHi = outW - 1
-	}
+	// Inside the interior every 3×3 tap is in bounds and the unrolled loop
+	// runs; outside it, the generic border path.
+	oyLo, oyHi := interior3x3(inH, outH, l.stride, l.pad)
+	oxLo, oxHi := interior3x3(inW, outW, l.stride, l.pad)
 	unrolled := l.kh == 3 && l.kw == 3 && oyLo <= oyHi && oxLo <= oxHi
 
 	for i := 0; i < n; i++ {
@@ -576,18 +549,23 @@ func (l *qpool) forward(_ *Int8Backend, x *tensor.Tensor) *tensor.Tensor {
 	l.out = reuseTensor(l.out, n, c)
 	y := l.out
 	hw := h * w
-	inv := 1 / float32(hw)
 	for i := 0; i < n; i++ {
-		for j := 0; j < c; j++ {
-			src := x.Data()[(i*c+j)*hw : (i*c+j+1)*hw]
-			var s float32
-			for _, v := range src {
-				s += v
-			}
-			y.Data()[i*c+j] = s * inv
-		}
+		avgPoolImage(y.Data()[i*c:(i+1)*c], x.Data()[i*c*hw:(i+1)*c*hw], hw)
 	}
 	return y
+}
+
+// avgPoolImage is GlobalAvgPool.Forward for one image: dst[j] is the mean of
+// plane j of src, summed in order and scaled by 1/hw.
+func avgPoolImage(dst, src []float32, hw int) {
+	inv := 1 / float32(hw)
+	for j := range dst {
+		var s float32
+		for _, v := range src[j*hw : (j+1)*hw] {
+			s += v
+		}
+		dst[j] = s * inv
+	}
 }
 
 // qdense is an int8 dense layer with float bias and optional ReLU.

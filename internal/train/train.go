@@ -9,10 +9,10 @@ package train
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/imaging"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // Config holds the shared optimization hyperparameters.
@@ -163,15 +163,25 @@ func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int
 	return preds, scores, probs
 }
 
-// TopKOf extracts per-example top-k class lists from probability rows.
+// TopKOf extracts per-example top-k class lists from probability rows, in
+// descending order of value with ties going to the lower class index — the
+// selection nn.TopK makes on the float32 tensor the rows were widened from
+// (widening is exact, so order and ties carry over), without rebuilding that
+// tensor for every cell.
 func TopKOf(probs [][]float64, k int) [][]int {
 	out := make([][]int, len(probs))
 	for i, row := range probs {
-		t := tensor.New(1, len(row))
-		for j, v := range row {
-			t.Data()[j] = float32(v)
+		idx := make([]int, 0, min(k, len(row)))
+		for len(idx) < cap(idx) {
+			best := -1
+			for j, v := range row {
+				if (best < 0 || v > row[best]) && !slices.Contains(idx, j) {
+					best = j
+				}
+			}
+			idx = append(idx, best)
 		}
-		out[i] = nn.TopK(t, 0, k)
+		out[i] = idx
 	}
 	return out
 }

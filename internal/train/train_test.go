@@ -3,10 +3,12 @@ package train
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/imaging"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // tinyModel returns a small, fast model for training tests.
@@ -150,6 +152,32 @@ func TestTopKOf(t *testing.T) {
 	top := TopKOf(probs, 2)
 	if len(top) != 1 || top[0][0] != 1 || top[0][1] != 2 {
 		t.Fatalf("TopKOf = %v", top)
+	}
+}
+
+// TestTopKOfMatchesTensorTopK pins TopKOf to the path it replaced — copy the
+// row into a float32 tensor, call nn.TopK — on rows as backends produce them
+// (float32 values widened to float64), with exact ties and k up to and past
+// the row width.
+func TestTopKOfMatchesTensorTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		width := 1 + rng.Intn(12)
+		row := make([]float64, width)
+		ref := tensor.New(1, width)
+		for j := range row {
+			v := float32(rng.Intn(6)) / 8 // few distinct values: ties on most rows
+			if trial%2 == 0 {
+				v = rng.Float32()
+			}
+			row[j], ref.Data()[j] = float64(v), v
+		}
+		for k := 0; k <= width+1; k++ {
+			got := TopKOf([][]float64{row}, k)[0]
+			if want := nn.TopK(ref, 0, k); !slices.Equal(got, want) {
+				t.Fatalf("row %v k=%d: TopKOf %v, nn.TopK %v", row, k, got, want)
+			}
+		}
 	}
 }
 
