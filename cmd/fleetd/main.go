@@ -8,7 +8,7 @@
 //
 // The service logic lives in internal/fleetd; this binary adds flags,
 // model bootstrap and graceful shutdown. The HTTP surface is the versioned
-// /v1 resource API plus legacy adapters:
+// /v1 resource API; any other path is the JSON not_found envelope:
 //
 //	GET    /healthz              liveness + model info
 //	POST   /v1/runs              create an async run resource (JSON RunSpec)
@@ -33,8 +33,6 @@
 //	GET    /v1/fleets/{id}/windows  per-window stability stats document
 //	GET    /v1/fleets/{id}/drift    drift-detector report: flip-rate series, flags, attribution
 //	POST   /v1/fleetshards       execute one device-range fleet shard, return its state
-//	POST   /run                  legacy: create from query params (stream=1 to hold)
-//	GET    /stats /runs /runs/{id}  legacy reads
 //	GET    /metrics              Prometheus text exposition
 //	GET    /v1/runs/{id}/trace   run spans as NDJSON (cross-process when sharded)
 //	GET    /v1/traces/{trace}    locally recorded spans of one trace
@@ -76,7 +74,7 @@ func main() {
 	trainItems := flag.Int("train-items", 300, "base-model training items")
 	epochs := flag.Int("epochs", 6, "base-model training epochs")
 	seed := flag.Int64("train-seed", 7, "base-model training seed")
-	history := flag.Int("history", 32, "finished runs kept for GET /runs")
+	history := flag.Int("history", 32, "runs, experiments and fleets remembered per kind (GET /v1/runs, /v1/experiments, /v1/fleets)")
 	peers := flag.String("peers", "", "comma-separated peer instances; when set, runs are split across them as device-range shards")
 	peerWait := flag.Duration("peer-wait", 60*time.Second, "how long a coordinator waits for its peers to become healthy at startup")
 	serveMaxBatch := flag.Int("serve-max-batch", 0, "cap on requests one serve worker drains into a single batched inference, applied to every SLO class (0 keeps the class default of 1)")

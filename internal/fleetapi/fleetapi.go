@@ -1,9 +1,9 @@
 // Package fleetapi defines the wire contract of fleetd's versioned /v1 API:
 // the resource specs and statuses, the JSON error envelope every endpoint
-// (v1 and legacy) speaks, the request-admission caps, and a Go client used
-// by the shard coordinator, tests and examples. Keeping the contract in one
-// package means a fleetd instance, its peers and its clients can never
-// drift on what a run or a shard is.
+// speaks, the request-admission caps, and a Go client used by the shard
+// coordinator, tests and examples. Keeping the contract in one package means
+// a fleetd instance, its peers and its clients can never drift on what a run
+// or a shard is.
 package fleetapi
 
 import (
@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 
 	"repro/internal/dataset"
@@ -112,53 +110,6 @@ func (s RunSpec) validateFields() error {
 		seen[a] = true
 	}
 	return nil
-}
-
-// SpecFromQuery parses a RunSpec from legacy query parameters (the /run
-// contract: devices, items, seed, topk, scale, workers, runtime,
-// angles=0,2,4). Unknown parameters are ignored, matching the legacy
-// endpoint's behavior.
-func SpecFromQuery(q url.Values) (RunSpec, error) {
-	var s RunSpec
-	for name, dst := range map[string]*int{
-		"devices": &s.Devices,
-		"items":   &s.Items,
-		"topk":    &s.TopK,
-		"scale":   &s.Scale,
-		"workers": &s.Workers,
-	} {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return s, fmt.Errorf("bad %s: %v", name, err)
-			}
-			if n < 0 {
-				// The legacy contract accepted negatives as "use the
-				// default" (fleet.Config treats <=0 that way); only the
-				// stricter v1 JSON spec rejects them.
-				n = 0
-			}
-			*dst = n
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("bad seed: %v", err)
-		}
-		s.Seed = n
-	}
-	s.Runtime = q.Get("runtime")
-	if v := q.Get("angles"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			a, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return s, fmt.Errorf("bad angle %q (want 0..%d)", part, dataset.NumAngles-1)
-			}
-			s.Angles = append(s.Angles, a)
-		}
-	}
-	return s, nil
 }
 
 // ShardSpec asks an instance to execute one device-range shard [DeviceLo,

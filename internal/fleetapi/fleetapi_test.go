@@ -3,7 +3,6 @@ package fleetapi
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -68,29 +67,6 @@ func TestShardSpecValidate(t *testing.T) {
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("bad shard %+v accepted", s)
-		}
-	}
-}
-
-func TestSpecFromQuery(t *testing.T) {
-	q, err := url.ParseQuery("devices=40&items=2&seed=-9&topk=5&scale=4&workers=3&runtime=pruned&angles=0,%202,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := SpecFromQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := RunSpec{Devices: 40, Items: 2, Seed: -9, TopK: 5, Scale: 4, Workers: 3,
-		Runtime: "pruned", Angles: []int{0, 2, 4}}
-	if spec.Devices != want.Devices || spec.Seed != want.Seed || spec.Runtime != want.Runtime ||
-		len(spec.Angles) != 3 || spec.Angles[1] != 2 {
-		t.Fatalf("parsed %+v, want %+v", spec, want)
-	}
-	for _, bad := range []string{"devices=x", "seed=1.5", "angles=0,two"} {
-		q, _ := url.ParseQuery(bad)
-		if _, err := SpecFromQuery(q); err == nil {
-			t.Fatalf("query %q accepted", bad)
 		}
 	}
 }

@@ -39,8 +39,7 @@ func (s FleetSpec) ContinuousConfig() fleet.ContinuousConfig {
 
 // Validate checks the base run fields, the window cap, the whole-run capture
 // budget (windows × cells — a coordinator materializes every window's
-// accumulator), the churn rates, the injected events (via schedule
-// expansion), and the drift tuning.
+// accumulator), the churn rates, the injected events, and the drift tuning.
 func (s FleetSpec) Validate() error {
 	if err := s.RunSpec.validateFields(); err != nil {
 		return err
@@ -55,7 +54,7 @@ func (s FleetSpec) Validate() error {
 	if captures := cfg.Captures(); captures > MaxCaptures {
 		return fmt.Errorf("windows×devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
 	}
-	if _, err := cfg.LifecycleSpec().Expand(); err != nil {
+	if err := cfg.LifecycleSpec().Validate(); err != nil {
 		return err
 	}
 	if s.Drift.Baseline < 0 || s.Drift.MinZ < 0 || s.Drift.MinDelta < 0 {
@@ -104,7 +103,7 @@ func (s FleetShardSpec) Validate() error {
 	if captures := cfg.Captures(); captures > MaxCaptures {
 		return fmt.Errorf("shard windows×devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
 	}
-	if _, err := cfg.LifecycleSpec().Expand(); err != nil {
+	if err := cfg.LifecycleSpec().Validate(); err != nil {
 		return err
 	}
 	if s.Drift.Baseline < 0 || s.Drift.MinZ < 0 || s.Drift.MinDelta < 0 {

@@ -102,3 +102,30 @@ func TestFleetSpecConfigRoundTrip(t *testing.T) {
 		t.Fatalf("lifecycle spec %+v", ls)
 	}
 }
+
+// TestFleetSpecValidateDoesNotExpandChurn: validation runs in the request
+// path on fleets of up to MaxDevices, so it must check the lifecycle spec
+// without drawing every device's churn (a 90-byte million-device body cost
+// 12 s of CPU when it did). Expansion allocates per device; validation must
+// not.
+func TestFleetSpecValidateDoesNotExpandChurn(t *testing.T) {
+	spec := FleetShardSpec{
+		FleetSpec: FleetSpec{
+			RunSpec: RunSpec{Devices: 100_000, Items: 1, Angles: []int{0}},
+			Windows: 2,
+			Churn:   lifecycle.Churn{JoinRate: 0.2},
+		},
+		DeviceLo: 0, DeviceHi: 100_000,
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.FleetSpec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("validating a 100k-device fleet allocated %.0f objects; it expands the schedule", allocs)
+	}
+}

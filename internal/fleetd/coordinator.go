@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/fleet"
@@ -12,22 +13,29 @@ import (
 	"repro/internal/obs"
 )
 
-// coordExec executes one run by splitting its device range into contiguous
-// shards, one per peer instance, collecting each shard's fleet.RunState and
-// merging them. Because device i's profile and runtime depend only on
-// (seed, i), and fleet.MergedStats replays the exact device-ID-ordered
-// aggregation a single process would run, the merged stats are
-// byte-identical to an unsharded run of the same spec.
-type coordExec struct {
-	spec   fleetapi.RunSpec
-	cfg    fleet.Config
+// fanOut executes one device sweep by splitting its device range into
+// contiguous shards, one per peer instance, collecting each shard's State
+// and merging them into Out. Because device i's profile, runtime and
+// lifecycle depend only on (seed, i), and the merges replay the exact
+// device-ID-ordered aggregation a single process would run, the merged
+// result is byte-identical to an unsharded execution of the same spec.
+type fanOut[State, Out any] struct {
+	kind   string // "run" or "fleet": names the probe and merge spans
+	shard  string // "shard" or "fleet shard": names dispatch spans and peer errors
+	total  int    // devices in the whole sweep
 	peers  []*fleetapi.Client
-	shards []fleetapi.ShardSpec
+	ranges [][2]int // ranges[i] is the [lo, hi) dispatched to peers[i]
 
-	// tracer/trace/parent record the coordinator-side lifecycle spans
-	// (run.probe, shard.dispatch, run.merge) under the run's trace; peers
-	// join it via the ShardSpec trace fields. An empty trace (experiment
-	// arms) disables span recording. logf is never nil.
+	// dispatch runs one shard on a peer; trace and parent go into its spec so
+	// the peer's execute span joins the coordinator's trace.
+	dispatch func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (State, error)
+	// count reports one collected state's finished devices and captures.
+	count func(State) (devices, captures int)
+	merge func([]State) (Out, error)
+
+	// tracer/trace/parent record the coordinator-side lifecycle spans under
+	// the resource's trace. An empty trace (experiment arms) disables span
+	// recording. logf gets the per-dispatch re-probe lines.
 	tracer *obs.Tracer
 	trace  string
 	parent string
@@ -37,85 +45,68 @@ type coordExec struct {
 	stop context.CancelFunc
 
 	mu     sync.Mutex
-	states []*fleet.RunState
-	// cached is the merged snapshot computed from the first cachedN
-	// states; states only ever append, so snapshot polling (streams tick
-	// twice a second) re-merges only when a new shard has landed.
-	cached  *fleet.Stats
-	cachedN int
+	states []State
 }
 
-// newCoordExec plans the shard split: the range [0, Devices) divided into
-// len(peers) near-equal contiguous chunks, skipping peers left empty when
-// the fleet is smaller than the peer set. trace may be empty (no span
-// recording); logf may be nil (silenced).
-func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordExec {
-	ctx, stop := context.WithCancel(context.Background())
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	c := &coordExec{
-		spec: spec, cfg: cfg, ctx: ctx, stop: stop,
-		tracer: tracer, trace: trace, parent: obs.SpanID(trace, "run"), logf: logf,
-	}
+// plan splits [0, total) into len(peers) near-equal contiguous chunks,
+// skipping peers left empty when the fleet is smaller than the peer set.
+func (f *fanOut[State, Out]) plan(peers []*fleetapi.Client) {
+	f.ctx, f.stop = context.WithCancel(context.Background())
+	f.parent = obs.SpanID(f.trace, f.kind)
 	n := len(peers)
 	for i, peer := range peers {
-		lo, hi := cfg.Devices*i/n, cfg.Devices*(i+1)/n
+		lo, hi := f.total*i/n, f.total*(i+1)/n
 		if lo == hi {
 			continue
 		}
-		c.peers = append(c.peers, peer)
-		c.shards = append(c.shards, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi})
+		f.peers = append(f.peers, peer)
+		f.ranges = append(f.ranges, [2]int{lo, hi})
 	}
-	return c
 }
-
-func (c *coordExec) shardCount() int { return len(c.shards) }
 
 // execute probes every peer, fans the shards out concurrently and merges
 // the returned states. The first peer failure cancels the remaining shard
 // requests (workers observe the hung-up request and cancel their runners)
-// and fails the run.
-func (c *coordExec) execute() (fleet.Stats, error) {
-	defer c.stop()
-	// Health-probe before dispatch: a dead peer fails the run immediately
+// and fails the sweep.
+func (f *fanOut[State, Out]) execute() (Out, error) {
+	defer f.stop()
+	var none Out
+	// Health-probe before dispatch: a dead peer fails the sweep immediately
 	// with its name attached, instead of minutes into a sharded fleet with
 	// a connection error buried inside a shard failure. The probe covers
-	// exactly the peers this run would dispatch to.
-	probe := c.tracer.Start(c.trace, c.parent, "run.probe")
-	if err := probePeers(c.ctx, c.peers, c.logf); err != nil {
-		probe.End()
-		return fleet.Stats{}, err
-	}
+	// exactly the peers this sweep would dispatch to.
+	probe := f.tracer.Start(f.trace, f.parent, f.kind+".probe")
+	err := probePeers(f.ctx, f.peers, f.logf)
 	probe.End()
-	errs := make(chan error, len(c.shards))
-	for i := range c.shards {
-		go func(peer *fleetapi.Client, shard fleetapi.ShardSpec) {
+	if err != nil {
+		return none, err
+	}
+	errs := make(chan error, len(f.ranges))
+	for i := range f.ranges {
+		go func(peer *fleetapi.Client, lo, hi int) {
 			// The dispatch span covers the whole shard round trip; the peer
-			// records its shard.execute span under the same trace, parented
-			// here, so the cross-process trace nests dispatch → execute.
-			span := c.tracer.Start(c.trace, c.parent, "shard.dispatch",
-				fmt.Sprintf("%d..%d", shard.DeviceLo, shard.DeviceHi)).
+			// records its execute span under the same trace, parented here,
+			// so the cross-process trace nests dispatch → execute.
+			span := f.tracer.Start(f.trace, f.parent, spanName(f.shard)+".dispatch", fmt.Sprintf("%d..%d", lo, hi)).
 				SetAttr("peer", peer.BaseURL)
-			shard.Trace, shard.Parent = c.trace, span.SpanID()
-			state, err := peer.RunShard(c.ctx, shard)
+			state, err := f.dispatch(f.ctx, peer, lo, hi, f.trace, span.SpanID())
 			span.End()
 			if err != nil {
-				c.stop()
-				errs <- fmt.Errorf("peer %s shard %d..%d: %w", peer.BaseURL, shard.DeviceLo, shard.DeviceHi, err)
+				f.stop()
+				errs <- fmt.Errorf("peer %s %s %d..%d: %w", peer.BaseURL, f.shard, lo, hi, err)
 				return
 			}
-			c.mu.Lock()
-			c.states = append(c.states, state)
-			c.mu.Unlock()
+			f.mu.Lock()
+			f.states = append(f.states, state)
+			f.mu.Unlock()
 			errs <- nil
-		}(c.peers[i], c.shards[i])
+		}(f.peers[i], f.ranges[i][0], f.ranges[i][1])
 	}
 	// The failing peer's error must win over its siblings': once one shard
 	// fails, the cancel unblocks the others with context-cancellation
 	// errors that can race ahead of the root cause on the channel.
 	var firstErr error
-	for range c.shards {
+	for range f.ranges {
 		err := <-errs
 		if err == nil {
 			continue
@@ -125,21 +116,64 @@ func (c *coordExec) execute() (fleet.Stats, error) {
 		}
 	}
 	if firstErr != nil {
-		return fleet.Stats{}, firstErr
+		return none, firstErr
 	}
-	c.mu.Lock()
-	states := append([]*fleet.RunState(nil), c.states...)
-	c.mu.Unlock()
-	merge := c.tracer.Start(c.trace, c.parent, "run.merge")
-	st, err := fleet.MergedStats(c.cfg, states...)
-	merge.End()
-	return st, err
+	span := f.tracer.Start(f.trace, f.parent, f.kind+".merge")
+	defer span.End()
+	return f.merge(f.collected())
+}
+
+// spanName turns a shard label into its span-name prefix.
+func spanName(shard string) string { return strings.ReplaceAll(shard, " ", "") }
+
+// collected copies the states gathered so far; states only ever append.
+func (f *fanOut[State, Out]) collected() []State {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]State(nil), f.states...)
+}
+
+// cancel aborts the in-flight shard requests.
+func (f *fanOut[State, Out]) cancel() { f.stop() }
+
+func (f *fanOut[State, Out]) progress() (done, total, captures int) {
+	for _, st := range f.collected() {
+		d, c := f.count(st)
+		done, captures = done+d, captures+c
+	}
+	return done, f.total, captures
+}
+
+// coordExec is a run's fan-out, plus the two things only runs ask of one:
+// partial stats while in flight and the shards' accumulator states after.
+type coordExec struct {
+	*fanOut[*fleet.RunState, fleet.Stats]
+	cfg fleet.Config
+
+	// cached is the merged snapshot computed from the first cachedN
+	// states, so snapshot polling (streams tick twice a second) re-merges
+	// only when a new shard has landed. Guarded by fanOut.mu.
+	cached  *fleet.Stats
+	cachedN int
+}
+
+// newCoordExec plans one run's shard split. trace may be empty (no span
+// recording).
+func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordExec {
+	f := &fanOut[*fleet.RunState, fleet.Stats]{
+		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, logf: logf,
+		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.RunState, error) {
+			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
+		},
+		count: func(st *fleet.RunState) (int, int) { return len(st.Devices), st.Captures },
+		merge: func(states []*fleet.RunState) (fleet.Stats, error) { return fleet.MergedStats(cfg, states...) },
+	}
+	f.plan(peers)
+	return &coordExec{fanOut: f, cfg: cfg}
 }
 
 // stats merges the shard states collected so far — the same kind of partial
-// snapshot an in-flight local runner serves, at shard granularity. The
-// merge is recomputed only when a new shard state has arrived since the
-// last call.
+// snapshot an in-flight local runner serves, at shard granularity.
 func (c *coordExec) stats() fleet.Stats {
 	c.mu.Lock()
 	if c.cached != nil && c.cachedN == len(c.states) {
@@ -147,9 +181,9 @@ func (c *coordExec) stats() fleet.Stats {
 		c.mu.Unlock()
 		return st
 	}
-	states := append([]*fleet.RunState(nil), c.states...)
 	c.mu.Unlock()
-	st, err := fleet.MergedStats(c.cfg, states...)
+	states := c.collected()
+	st, err := c.merge(states)
 	if err != nil {
 		return fleet.Stats{Config: c.cfg}
 	}
@@ -161,28 +195,32 @@ func (c *coordExec) stats() fleet.Stats {
 	return st
 }
 
-// cancel aborts the in-flight shard requests.
-func (c *coordExec) cancel() { c.stop() }
-
 // accumStates returns the collected shards' accumulator wire states. The
 // fold over them is order-independent, so shard arrival order never leaks
 // into a report built from the result.
 func (c *coordExec) accumStates() ([]json.RawMessage, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]json.RawMessage, len(c.states))
-	for i, st := range c.states {
+	states := c.collected()
+	out := make([]json.RawMessage, len(states))
+	for i, st := range states {
 		out[i] = st.Accumulator
 	}
 	return out, nil
 }
 
-func (c *coordExec) progress() (done, total, captures int) {
-	c.mu.Lock()
-	for _, st := range c.states {
-		done += len(st.Devices)
-		captures += st.Captures
+// newCoordFleetExec plans one continuous fleet's shard split. Devices
+// recompute their lifecycle schedules locally from the spec's seed, so the
+// merged report — windows and drift included — needs nothing but the states.
+func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *fanOut[*fleet.ContinuousState, fleet.FleetReport] {
+	f := &fanOut[*fleet.ContinuousState, fleet.FleetReport]{
+		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, tracer: tracer, trace: trace, logf: logf,
+		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
+			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
+		},
+		count: func(st *fleet.ContinuousState) (int, int) { return len(st.Devices), st.Captures },
+		merge: func(states []*fleet.ContinuousState) (fleet.FleetReport, error) {
+			return fleet.MergedFleetReport(cfg, states...)
+		},
 	}
-	c.mu.Unlock()
-	return done, c.cfg.Devices, captures
+	f.plan(peers)
+	return f
 }

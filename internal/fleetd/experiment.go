@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
-	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
@@ -21,9 +18,8 @@ type armRun struct {
 	spec fleetapi.RunSpec
 	cfg  fleet.Config // spec.FleetConfig().WithDefaults()
 
-	state    string    // pending → running → done/cancelled/failed
-	exec     execution // non-nil while the arm executes
-	done     int       // devices completed, recorded at arm completion
+	state    string // pending → running → done/cancelled/failed
+	done     int    // devices completed, recorded at arm completion
 	captures int
 	errMsg   string
 }
@@ -33,53 +29,73 @@ type armRun struct {
 // instance transparently shards every arm across its peers. Arms run
 // sequentially in expansion order, so an experiment occupies the same
 // single admission slot a run does, never multiplying the instance's peak
-// memory by the arm count.
+// memory by the arm count. Its one artifact is the "report".
 type experiment struct {
-	id       int
+	core     // live is the running arm's execution
 	spec     fleetapi.ExperimentSpec
 	baseline string
 	shards   int // peer fan-out per arm (0 = local execution)
-	newExec  func(spec fleetapi.RunSpec, cfg fleet.Config) execution
-	done     chan struct{}
+	arms     []*armRun
+}
 
-	mu        sync.Mutex
-	arms      []*armRun
-	cancelled bool
-	final     string // terminal state; "" while executing
-	failure   string // non-empty once the experiment failed
-	report    []byte // recorded deterministic report bytes (state done only)
+// holdsSlot keeps the admission slot for the experiment's whole life: an arm
+// whose last device just finished is followed by the next arm, not by free
+// capacity.
+func (e *experiment) holdsSlot() bool { return !e.terminal() }
+
+// createExperiment launches a sweep.
+func (s *Server) createExperiment(spec fleetapi.ExperimentSpec) (*experiment, *fleetapi.Error) {
+	var arms []*armRun
+	for _, a := range spec.Arms() {
+		arms = append(arms, &armRun{
+			name:  a.Name,
+			spec:  a.Spec,
+			cfg:   a.Spec.FleetConfig().WithDefaults(),
+			state: fleetapi.StatePending,
+		})
+	}
+	baseline := spec.BaselineArm()
+	e, apiErr := s.experiments.admit(func(id int) (*experiment, *fleetapi.Error) {
+		return &experiment{core: newCore("experiment", id), spec: spec, baseline: baseline, shards: len(s.peers), arms: arms}, nil
+	})
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	go e.execute(s)
+	s.reg.Counter(metricExpsStarted).Inc()
+	s.log.Infof("experiment %d started: %d arms, baseline %q, shards=%d", e.id, len(e.arms), e.baseline, e.shards)
+	return e, nil
 }
 
 // execute drives the arms to completion in order and records the outcome:
 // the report bytes when every arm completed, the first failure otherwise.
-// The done channel closes only after the outcome is recorded. It takes the
-// server for the observability sinks (logger, lifecycle counters).
 func (e *experiment) execute(s *Server) {
 	logf := s.log.Infof
-	defer close(e.done)
 	stats := make([]fleet.Stats, len(e.arms))
 	accs := make([]*stability.Accumulator, len(e.arms))
-	failed := false
+	failure := ""
+	complete := true
 	for i, arm := range e.arms {
-		e.mu.Lock()
-		if e.cancelled || failed {
-			arm.state = fleetapi.StateCancelled
-			e.mu.Unlock()
-			continue
-		}
-		e.mu.Unlock()
 		// Building the execution (a local runner pays synchronous dataset
 		// generation) happens outside the lock; status polls must not block
-		// on it.
-		exec := e.newExec(arm.spec, arm.cfg)
+		// on it. Arms carry no trace of their own, and a coordinator's
+		// re-probe logging stays at debug so a many-armed sweep doesn't
+		// flood the log.
+		var exec execution
+		if failure == "" && !e.isCancelled() {
+			exec, _ = s.newExecution(arm.spec, arm.cfg, "")
+		}
 		e.mu.Lock()
-		if e.cancelled {
+		if exec == nil || e.cancelled {
 			arm.state = fleetapi.StateCancelled
 			e.mu.Unlock()
-			exec.cancel() // built but never run; release its context
+			if exec != nil {
+				exec.cancel() // built but never run; release its context
+			}
+			complete = false
 			continue
 		}
-		arm.exec, arm.state = exec, fleetapi.StateRunning
+		e.live, arm.state = exec, fleetapi.StateRunning
 		e.mu.Unlock()
 		logf("experiment %d arm %q started: devices=%d", e.id, arm.name, arm.cfg.Devices)
 
@@ -95,22 +111,19 @@ func (e *experiment) execute(s *Server) {
 		}
 		done, _, captures := exec.progress()
 		e.mu.Lock()
-		arm.exec = nil
+		e.live = nil
 		arm.done, arm.captures = done, captures
-		switch {
-		case err != nil:
-			arm.state = fleetapi.StateFailed
+		arm.state = sweepState(err, done, arm.cfg.Devices)
+		switch arm.state {
+		case fleetapi.StateFailed:
 			arm.errMsg = err.Error()
-			e.failure = fmt.Sprintf("arm %s: %v", arm.name, err)
-			failed = true
-		case done < arm.cfg.Devices:
-			arm.state = fleetapi.StateCancelled // cancelled mid-arm
-		default:
-			arm.state = fleetapi.StateDone
+			failure = fmt.Sprintf("arm %s: %v", arm.name, err)
+		case fleetapi.StateDone:
 			stats[i], accs[i] = st, acc
 		}
 		state := arm.state
 		e.mu.Unlock()
+		complete = complete && state == fleetapi.StateDone
 		logf("experiment %d arm %q %s: %d/%d devices, %d captures",
 			e.id, arm.name, state, done, arm.cfg.Devices, captures)
 	}
@@ -118,16 +131,10 @@ func (e *experiment) execute(s *Server) {
 	// Outcome: done (with a recorded report) only when every arm ran to
 	// completion; the report's paired stats are meaningless with arms
 	// missing.
-	complete := true
-	e.mu.Lock()
-	for _, arm := range e.arms {
-		complete = complete && arm.state == fleetapi.StateDone
-	}
-	e.mu.Unlock()
 	final := fleetapi.StateDone
-	var report []byte
+	var docs map[string][]byte
 	switch {
-	case failed:
+	case failure != "":
 		final = fleetapi.StateFailed
 	case !complete:
 		final = fleetapi.StateCancelled
@@ -135,17 +142,12 @@ func (e *experiment) execute(s *Server) {
 		// Built outside the lock: the report is O(arms × cells).
 		b, err := buildReport(e.id, e.baseline, e.arms, stats, accs)
 		if err != nil {
-			final = fleetapi.StateFailed
-			e.mu.Lock()
-			e.failure = fmt.Sprintf("report: %v", err)
-			e.mu.Unlock()
+			final, failure = fleetapi.StateFailed, fmt.Sprintf("report: %v", err)
 		} else {
-			report = b
+			docs = map[string][]byte{"report": b}
 		}
 	}
-	e.mu.Lock()
-	e.final, e.report = final, report
-	e.mu.Unlock()
+	e.finish(final, failure, 0, 0, docs)
 	s.reg.Counter(metricExpsFinished, "state", final).Inc()
 	logf("experiment %d %s", e.id, final)
 }
@@ -210,54 +212,17 @@ func buildReport(id int, baseline string, arms []*armRun, stats []fleet.Stats, a
 	return json.Marshal(&rep)
 }
 
-// inFlight reports whether the experiment is still executing. Once false,
-// the outcome (report bytes or failure) is durable.
-func (e *experiment) inFlight() bool {
-	select {
-	case <-e.done:
-		return false
-	default:
-		return true
-	}
-}
-
-// isCancelled reports whether cancel has been requested.
-func (e *experiment) isCancelled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cancelled
-}
-
-// cancel stops the experiment: the executing arm is cancelled and every arm
-// not yet started will be skipped. Idempotent, harmless after completion.
-func (e *experiment) cancel() {
-	e.mu.Lock()
-	e.cancelled = true
-	var exec execution
-	for _, arm := range e.arms {
-		if arm.exec != nil {
-			exec = arm.exec
-		}
-	}
-	e.mu.Unlock()
-	if exec != nil {
-		exec.cancel()
-	}
-}
-
 // status renders the /v1 resource representation.
-func (e *experiment) status() fleetapi.ExperimentStatus {
+func (e *experiment) status() any {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := fleetapi.ExperimentStatus{
 		ID:       e.id,
+		State:    e.stateLocked(),
 		Spec:     e.spec,
 		Baseline: e.baseline,
 		Shards:   e.shards,
 		Error:    e.failure,
-	}
-	if st.State = e.final; st.State == "" {
-		st.State = fleetapi.StateRunning
 	}
 	for _, arm := range e.arms {
 		as := fleetapi.ArmStatus{
@@ -269,196 +234,10 @@ func (e *experiment) status() fleetapi.ExperimentStatus {
 			Captures:    arm.captures,
 			Error:       arm.errMsg,
 		}
-		if arm.exec != nil {
-			// Live progress; exec.progress takes no experiment-level locks.
-			as.DevicesDone, _, as.Captures = arm.exec.progress()
+		if arm.state == fleetapi.StateRunning {
+			as.DevicesDone, as.Captures = e.progressLocked()
 		}
 		st.Arms = append(st.Arms, as)
 	}
 	return st
-}
-
-// reportJSON returns the recorded report bytes, or the API error explaining
-// why there are none.
-func (e *experiment) reportJSON() ([]byte, *fleetapi.Error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch {
-	case e.final == "":
-		return nil, fleetapi.Errorf(fleetapi.CodeConflict, "experiment %d is still running", e.id)
-	case e.report != nil:
-		return e.report, nil
-	case e.failure != "":
-		return nil, fleetapi.Errorf(fleetapi.CodeRunFailed, "%s", e.failure)
-	default:
-		return nil, fleetapi.Errorf(fleetapi.CodeRunFailed, "experiment %d cancelled before completion", e.id)
-	}
-}
-
-// createExperiment validates a spec, takes the shared admission slot, and
-// launches the sweep. Single creation path for POST /v1/experiments.
-func (s *Server) createExperiment(spec fleetapi.ExperimentSpec) (*experiment, *fleetapi.Error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
-	}
-	arms := spec.Arms()
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down")
-	}
-	if s.busyLocked() {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeConflict, "a fleet run or experiment is already in flight")
-	}
-	e := &experiment{
-		id:       s.nextExpID,
-		spec:     spec,
-		baseline: spec.BaselineArm(),
-		shards:   len(s.peers),
-		done:     make(chan struct{}),
-	}
-	if len(s.peers) > 0 {
-		peers := s.peers
-		e.newExec = func(rs fleetapi.RunSpec, cfg fleet.Config) execution {
-			// Arms carry no trace of their own; re-probe logging stays at
-			// debug so a many-armed sweep doesn't flood the log.
-			return newCoordExec(rs, cfg, peers, s.tracer, "", s.log.Debugf)
-		}
-	} else {
-		e.newExec = func(_ fleetapi.RunSpec, cfg fleet.Config) execution {
-			runner := fleet.NewRunner(cfg, s.factory)
-			runner.SetTelemetry(s.tele)
-			return &localExec{runner: runner}
-		}
-	}
-	for _, a := range arms {
-		e.arms = append(e.arms, &armRun{
-			name:  a.Name,
-			spec:  a.Spec,
-			cfg:   a.Spec.FleetConfig().WithDefaults(),
-			state: fleetapi.StatePending,
-		})
-	}
-	s.nextExpID++
-	s.experiments = append(s.experiments, e)
-	if len(s.experiments) > s.history {
-		s.experiments = s.experiments[len(s.experiments)-s.history:]
-	}
-	s.mu.Unlock()
-
-	go e.execute(s)
-	s.reg.Counter(metricExpsStarted).Inc()
-	s.log.Infof("experiment %d started: %d arms, baseline %q, shards=%d", e.id, len(arms), e.baseline, e.shards)
-	return e, nil
-}
-
-func (s *Server) findExperiment(id int) *experiment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.experiments {
-		if e.id == id {
-			return e
-		}
-	}
-	return nil
-}
-
-// experimentFromPath resolves the {id} path value, writing the error reply
-// itself when it can't.
-func (s *Server) experimentFromPath(w http.ResponseWriter, req *http.Request) *experiment {
-	idStr := req.PathValue("id")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad experiment id %q", idStr))
-		return nil
-	}
-	e := s.findExperiment(id)
-	if e == nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeNotFound, "experiment %d not in history", id))
-	}
-	return e
-}
-
-func (s *Server) handleExperimentsCollection(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodPost:
-		var spec fleetapi.ExperimentSpec
-		// Strict decoding, like POST /v1/runs: a misspelled axis must not
-		// silently run a smaller sweep.
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad experiment spec: %v", err))
-			return
-		}
-		e, apiErr := s.createExperiment(spec)
-		if apiErr != nil {
-			fleetapi.WriteError(w, apiErr)
-			return
-		}
-		fleetapi.WriteJSON(w, http.StatusCreated, e.status())
-	case http.MethodGet:
-		s.mu.Lock()
-		exps := append([]*experiment(nil), s.experiments...)
-		s.mu.Unlock()
-		out := make([]fleetapi.ExperimentStatus, 0, len(exps))
-		for _, e := range exps {
-			out = append(out, e.status())
-		}
-		fleetapi.WriteJSON(w, http.StatusOK, map[string]any{"experiments": out})
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or POST"))
-	}
-}
-
-func (s *Server) handleExperimentResource(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodGet:
-		if e := s.experimentFromPath(w, req); e != nil {
-			fleetapi.WriteJSON(w, http.StatusOK, e.status())
-		}
-	case http.MethodDelete:
-		e := s.experimentFromPath(w, req)
-		if e == nil {
-			return
-		}
-		if e.inFlight() {
-			e.cancel()
-			s.log.Infof("experiment %d cancelled", e.id)
-			fleetapi.WriteJSON(w, http.StatusAccepted, e.status())
-			return
-		}
-		s.mu.Lock()
-		for i, x := range s.experiments {
-			if x == e {
-				s.experiments = append(s.experiments[:i], s.experiments[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or DELETE"))
-	}
-}
-
-func (s *Server) handleExperimentReport(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
-		return
-	}
-	e := s.experimentFromPath(w, req)
-	if e == nil {
-		return
-	}
-	b, apiErr := e.reportJSON()
-	if apiErr != nil {
-		fleetapi.WriteError(w, apiErr)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
 }

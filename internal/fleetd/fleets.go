@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
+	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
@@ -16,16 +14,13 @@ import (
 
 // fleetExec is one way of carrying a continuous fleet out: on this
 // instance's own ContinuousRunner (localFleetExec) or fanned out to shard
-// peers (coordFleetExec). Unlike run executions there is no mid-flight stats
-// snapshot contract — the report is only deterministic once complete, so
-// in-flight reads get progress counts, not partial reports.
+// peers (newCoordFleetExec). Unlike run executions there is no mid-flight
+// stats snapshot contract — the report is only deterministic once complete,
+// so in-flight reads get progress counts, not partial reports.
 type fleetExec interface {
+	liveExec
 	// execute blocks until the fleet completes and returns its report.
 	execute() (fleet.FleetReport, error)
-	// progress reports device timelines done, total, and captures so far.
-	progress() (done, total, captures int)
-	// cancel asks the execution to stop early; execute still returns.
-	cancel()
 }
 
 // localFleetExec runs the continuous fleet in-process.
@@ -41,570 +36,123 @@ func (e *localFleetExec) execute() (fleet.FleetReport, error) {
 func (e *localFleetExec) progress() (done, total, captures int) { return e.runner.Progress() }
 func (e *localFleetExec) cancel()                               { e.runner.Cancel() }
 
-// coordFleetExec executes one continuous fleet by splitting its device range
-// into contiguous shards, one per peer, collecting each shard's
-// ContinuousState and merging. Devices recompute their lifecycle schedules
-// locally from the spec's seed and MergedFleetReport replays the exact
-// device-ID-ordered aggregation of a single process, so the merged report —
-// windows and drift included — is byte-identical to an unsharded run.
-type coordFleetExec struct {
-	spec   fleetapi.FleetSpec
-	cfg    fleet.ContinuousConfig
-	peers  []*fleetapi.Client
-	shards []fleetapi.FleetShardSpec
-
-	tracer *obs.Tracer
-	trace  string
-	parent string
-	logf   func(string, ...any)
-
-	ctx  context.Context
-	stop context.CancelFunc
-
-	mu     sync.Mutex
-	states []*fleet.ContinuousState
-}
-
-// newCoordFleetExec plans the shard split — the device range divided into
-// near-equal contiguous chunks, skipping peers left empty by small fleets.
-func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordFleetExec {
-	ctx, stop := context.WithCancel(context.Background())
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	c := &coordFleetExec{
-		spec: spec, cfg: cfg, ctx: ctx, stop: stop,
-		tracer: tracer, trace: trace, parent: obs.SpanID(trace, "fleet"), logf: logf,
-	}
-	n := len(peers)
-	devices := cfg.Fleet.Devices
-	for i, peer := range peers {
-		lo, hi := devices*i/n, devices*(i+1)/n
-		if lo == hi {
-			continue
-		}
-		c.peers = append(c.peers, peer)
-		c.shards = append(c.shards, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi})
-	}
-	return c
-}
-
-func (c *coordFleetExec) shardCount() int { return len(c.shards) }
-
-// execute probes every peer, fans the fleet shards out concurrently, and
-// merges the returned states. The first peer failure cancels the remaining
-// shard requests and fails the fleet, preferring root causes over
-// cancellation artifacts — same triage as coordExec.
-func (c *coordFleetExec) execute() (fleet.FleetReport, error) {
-	defer c.stop()
-	probe := c.tracer.Start(c.trace, c.parent, "fleet.probe")
-	if err := probePeers(c.ctx, c.peers, c.logf); err != nil {
-		probe.End()
-		return fleet.FleetReport{}, err
-	}
-	probe.End()
-	errs := make(chan error, len(c.shards))
-	for i := range c.shards {
-		go func(peer *fleetapi.Client, shard fleetapi.FleetShardSpec) {
-			span := c.tracer.Start(c.trace, c.parent, "fleetshard.dispatch",
-				fmt.Sprintf("%d..%d", shard.DeviceLo, shard.DeviceHi)).
-				SetAttr("peer", peer.BaseURL)
-			shard.Trace, shard.Parent = c.trace, span.SpanID()
-			state, err := peer.RunFleetShard(c.ctx, shard)
-			span.End()
-			if err != nil {
-				c.stop()
-				errs <- fmt.Errorf("peer %s fleet shard %d..%d: %w", peer.BaseURL, shard.DeviceLo, shard.DeviceHi, err)
-				return
-			}
-			c.mu.Lock()
-			c.states = append(c.states, state)
-			c.mu.Unlock()
-			errs <- nil
-		}(c.peers[i], c.shards[i])
-	}
-	var firstErr error
-	for range c.shards {
-		err := <-errs
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return fleet.FleetReport{}, firstErr
-	}
-	c.mu.Lock()
-	states := append([]*fleet.ContinuousState(nil), c.states...)
-	c.mu.Unlock()
-	merge := c.tracer.Start(c.trace, c.parent, "fleet.merge")
-	rep, err := fleet.MergedFleetReport(c.cfg, states...)
-	merge.End()
-	return rep, err
-}
-
-func (c *coordFleetExec) cancel() { c.stop() }
-
-func (c *coordFleetExec) progress() (done, total, captures int) {
-	c.mu.Lock()
-	for _, st := range c.states {
-		done += len(st.Devices)
-		captures += st.Captures
-	}
-	c.mu.Unlock()
-	return done, c.cfg.Fleet.Devices, captures
-}
-
-// contFleet is one continuous fleet resource: spec, execution, and — once
-// finished — the recorded deterministic report bytes plus the windows and
-// drift documents sliced out of it, which every later read serves verbatim.
+// contFleet is one continuous fleet resource. Once complete it records the
+// deterministic report bytes plus the windows and drift documents sliced out
+// of it as its "report", "windows" and "drift" artifacts.
 type contFleet struct {
-	id     int
+	core
 	spec   fleetapi.FleetSpec
 	cfg    fleet.ContinuousConfig // spec.ContinuousConfig().WithDefaults()
 	shards int                    // peer fan-out (0 = local execution)
 	trace  string                 // deterministic: obs.TraceID("fleet", id, seed)
-	done   chan struct{}
-
-	mu      sync.Mutex
-	exec    fleetExec // nil once the fleet finished
-	report  []byte    // full FleetReport JSON (nil for failed fleets)
-	windows []byte    // {"windows": [...]} document
-	drift   []byte    // DriftReport JSON
-	failure string    // non-empty once the fleet failed
-	// lastDone/lastCaptures preserve progress at completion or failure time;
-	// the execution is dropped afterwards.
-	lastDone     int
-	lastCaptures int
-	cancelled    bool
 }
 
-// execute drives the fleet to completion and records the outcome. The done
-// channel closes only after the outcome is recorded.
-func (f *contFleet) execute(s *Server) {
-	defer close(f.done)
+// createFleet launches a continuous fleet, locally or across peers.
+func (s *Server) createFleet(spec fleetapi.FleetSpec) (*contFleet, *fleetapi.Error) {
+	cfg := spec.ContinuousConfig().WithDefaults()
+	var exec fleetExec
+	f, apiErr := s.fleets.admit(func(id int) (*contFleet, *fleetapi.Error) {
+		f := &contFleet{core: newCore("fleet", id), spec: spec, cfg: cfg, trace: obs.TraceID("fleet", id, cfg.Fleet.Seed)}
+		admit := s.tracer.Start(f.trace, obs.SpanID(f.trace, "fleet"), "fleet.admit").
+			SetAttr("fleet", strconv.Itoa(id))
+		defer admit.End()
+		if len(s.peers) > 0 {
+			coord := newCoordFleetExec(spec, cfg, s.peers, s.tracer, f.trace, s.log.Debugf)
+			exec, f.shards = coord, len(coord.ranges)
+		} else {
+			runner, err := fleet.NewContinuousRunner(cfg, s.factory)
+			if err != nil {
+				return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
+			}
+			runner.SetTelemetry(s.tele)
+			exec = &localFleetExec{runner: runner}
+		}
+		f.live = exec
+		return f, nil
+	})
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	s.reg.Counter(metricFleetsStarted).Inc()
+	go f.execute(s, exec)
+	s.log.Infof("fleet %d started: devices=%d windows=%d items=%d seed=%d shards=%d trace=%s",
+		f.id, cfg.Fleet.Devices, cfg.Windows, cfg.Fleet.Items, cfg.Fleet.Seed, f.shards, f.trace)
+	return f, nil
+}
+
+// execute drives the fleet to completion and records the outcome.
+func (f *contFleet) execute(s *Server, exec fleetExec) {
 	root := s.tracer.Start(f.trace, "", "fleet").
 		SetAttr("fleet", strconv.Itoa(f.id)).
 		SetAttr("devices", strconv.Itoa(f.cfg.Fleet.Devices)).
 		SetAttr("windows", strconv.Itoa(f.cfg.Windows))
-	exec := f.currentExec()
 	rep, err := exec.execute()
 	if err != nil && f.isCancelled() && errors.Is(err, context.Canceled) {
-		// Cancel propagation, not a root-cause failure — record the partial
-		// report like a cancelled local fleet would. Genuine peer failures
-		// (coordFleetExec prefers those) still fail the fleet.
-		rep, err = fleet.FleetReport{Config: f.cfg}, nil
-	}
-	// All three documents marshal outside f.mu; a full fleet report is
-	// O(windows × cells) and status polls must not block on it.
-	var report, windows, drift []byte
-	if err == nil {
-		report = rep.JSON()
-		windows, _ = json.Marshal(map[string]any{"windows": rep.Windows})
-		drift, _ = json.Marshal(rep.Drift)
+		// Cancel propagation, not a root-cause failure — same triage as
+		// run.execute; the partial report is discarded either way.
+		err = nil
 	}
 	done, _, captures := exec.progress()
-	f.mu.Lock()
-	if err != nil {
-		f.failure = err.Error()
-	} else {
-		f.report, f.windows, f.drift = report, windows, drift
+	state := sweepState(err, done, f.cfg.Fleet.Devices)
+	// All three documents marshal outside f.mu; a full fleet report is
+	// O(windows × cells) and status polls must not block on it.
+	var docs map[string][]byte
+	failure := ""
+	switch state {
+	case fleetapi.StateFailed:
+		failure = err.Error()
+	case fleetapi.StateDone:
+		docs = map[string][]byte{"report": rep.JSON()}
+		docs["windows"], _ = json.Marshal(map[string]any{"windows": rep.Windows})
+		docs["drift"], _ = json.Marshal(rep.Drift)
 	}
-	f.lastDone, f.lastCaptures = done, captures
-	f.exec = nil
-	f.mu.Unlock()
-	state := fleetapi.StateDone
-	switch {
-	case err != nil:
-		state = fleetapi.StateFailed
-	case done < f.cfg.Fleet.Devices:
-		state = fleetapi.StateCancelled
-	}
+	f.finish(state, failure, done, captures, docs)
 	root.SetAttr("state", state).End()
 	s.reg.Counter(metricFleetsFinished, "state", state).Inc()
 	if err != nil {
 		s.log.Errorf("fleet %d failed: %v", f.id, err)
 		return
 	}
-	// Export the final flip-rate series: one gauge point per window, the
-	// drift detector's input made scrapeable. Window count is bounded by
-	// fleetapi.MaxWindows, so the label cardinality is too.
-	for w, rate := range rep.Drift.Rates {
-		s.reg.Gauge(metricFleetFlipRate, "window", strconv.Itoa(w)).Set(rate)
+	if state == fleetapi.StateDone {
+		s.exportFlipRates(rep.Drift.Rates)
 	}
 	s.log.Infof("fleet %d %s: %d/%d devices, %d windows, %d captures, %d drift flags",
 		f.id, state, done, f.cfg.Fleet.Devices, f.cfg.Windows, captures, len(rep.Drift.Flags))
 }
 
-func (f *contFleet) isCancelled() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cancelled
-}
-
-func (f *contFleet) currentExec() fleetExec {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.exec
-}
-
-// inFlight reports whether the fleet is still executing. Once false, the
-// outcome (report bytes or failure) is durable.
-func (f *contFleet) inFlight() bool {
-	select {
-	case <-f.done:
-		return false
-	default:
-		return true
+// exportFlipRates exports a completed fleet's flip-rate series: one gauge
+// point per window, the drift detector's input made scrapeable. Window count
+// is bounded by fleetapi.MaxWindows, so the label cardinality is too. Windows
+// the previous export had and this one lacks are set to NaN, so the family
+// never mixes two fleets' series.
+func (s *Server) exportFlipRates(rates []float64) {
+	s.mu.Lock()
+	prev := s.flipRateWindows
+	s.flipRateWindows = len(rates)
+	s.mu.Unlock()
+	for w := 0; w < max(prev, len(rates)); w++ {
+		rate := math.NaN()
+		if w < len(rates) {
+			rate = rates[w]
+		}
+		s.reg.Gauge(metricFleetFlipRate, "window", strconv.Itoa(w)).Set(rate)
 	}
-}
-
-// cancel asks the execution to stop; idempotent, harmless after completion.
-func (f *contFleet) cancel() {
-	f.mu.Lock()
-	f.cancelled = true
-	exec := f.exec
-	f.mu.Unlock()
-	if exec != nil {
-		exec.cancel()
-	}
-}
-
-// progressNow reports current progress from whichever source is live.
-func (f *contFleet) progressNow() (done, total, captures int) {
-	f.mu.Lock()
-	exec := f.exec
-	done, captures = f.lastDone, f.lastCaptures
-	f.mu.Unlock()
-	if exec != nil {
-		done, _, captures = exec.progress()
-	}
-	return done, f.cfg.Fleet.Devices, captures
 }
 
 // status renders the /v1 resource representation.
-func (f *contFleet) status() fleetapi.FleetStatus {
-	f.mu.Lock()
-	failure, cancelled, report, exec := f.failure, f.cancelled, f.report, f.exec
-	done, captures := f.lastDone, f.lastCaptures
-	f.mu.Unlock()
-	if exec != nil {
-		done, _, captures = exec.progress()
-	}
-	st := fleetapi.FleetStatus{
-		ID:          f.id,
-		Spec:        f.spec,
-		Devices:     f.cfg.Fleet.Devices,
-		Windows:     f.cfg.Windows,
-		DevicesDone: done,
-		Captures:    captures,
-		Shards:      f.shards,
-		Trace:       f.trace,
-	}
-	// Monotonic states, judged like runs: "running" until the outcome is
-	// recorded, then exactly one immutable terminal state, with
-	// cancelled-after-completion reporting done.
-	switch {
-	case failure != "":
-		st.State = fleetapi.StateFailed
-		st.Error = failure
-	case report == nil:
-		st.State = fleetapi.StateRunning
-	case cancelled && done < f.cfg.Fleet.Devices:
-		st.State = fleetapi.StateCancelled
-	default:
-		st.State = fleetapi.StateDone
-	}
-	return st
-}
-
-// artifact returns one of the fleet's recorded report documents, or the API
-// error explaining why there is none. Only complete fleets have
-// deterministic artifacts; cancelled partial reports are refused like failed
-// ones so nobody diffs a partial drift report against a complete one.
-func (f *contFleet) artifact(doc func(*contFleet) []byte) ([]byte, *fleetapi.Error) {
-	if f.inFlight() {
-		return nil, fleetapi.Errorf(fleetapi.CodeConflict, "fleet %d is still running", f.id)
-	}
+func (f *contFleet) status() any {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch {
-	case f.failure != "":
-		return nil, fleetapi.Errorf(fleetapi.CodeRunFailed, "%s", f.failure)
-	case f.lastDone < f.cfg.Fleet.Devices:
-		return nil, fleetapi.Errorf(fleetapi.CodeRunFailed, "fleet %d cancelled before completion", f.id)
-	default:
-		return doc(f), nil
+	st := fleetapi.FleetStatus{
+		ID:      f.id,
+		State:   f.stateLocked(),
+		Spec:    f.spec,
+		Devices: f.cfg.Fleet.Devices,
+		Windows: f.cfg.Windows,
+		Shards:  f.shards,
+		Trace:   f.trace,
+		Error:   f.failure,
 	}
-}
-
-// createFleet validates a spec, takes the shared admission slot, and
-// launches the continuous fleet. Single creation path for POST /v1/fleets.
-func (s *Server) createFleet(spec fleetapi.FleetSpec) (*contFleet, *fleetapi.Error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
-	}
-	cfg := spec.ContinuousConfig().WithDefaults()
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down")
-	}
-	if s.busyLocked() {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeConflict, "a fleet run or experiment is already in flight")
-	}
-	f := &contFleet{id: s.nextFleetID, spec: spec, cfg: cfg, done: make(chan struct{})}
-	f.trace = obs.TraceID("fleet", f.id, cfg.Fleet.Seed)
-	admit := s.tracer.Start(f.trace, obs.SpanID(f.trace, "fleet"), "fleet.admit").
-		SetAttr("fleet", strconv.Itoa(f.id))
-	if len(s.peers) > 0 {
-		coord := newCoordFleetExec(spec, cfg, s.peers, s.tracer, f.trace, s.log.Debugf)
-		f.exec = coord
-		f.shards = coord.shardCount()
-	} else {
-		runner, err := fleet.NewContinuousRunner(cfg, s.factory)
-		if err != nil {
-			s.mu.Unlock()
-			admit.End()
-			return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
-		}
-		runner.SetTelemetry(s.tele)
-		f.exec = &localFleetExec{runner: runner}
-	}
-	s.nextFleetID++
-	s.fleets = append(s.fleets, f)
-	if len(s.fleets) > s.history {
-		s.fleets = s.fleets[len(s.fleets)-s.history:]
-	}
-	s.mu.Unlock()
-	admit.End()
-	s.reg.Counter(metricFleetsStarted).Inc()
-
-	go f.execute(s)
-	s.log.Infof("fleet %d started: devices=%d windows=%d items=%d seed=%d shards=%d trace=%s",
-		f.id, cfg.Fleet.Devices, cfg.Windows, cfg.Fleet.Items, cfg.Fleet.Seed, f.shards, f.trace)
-	return f, nil
-}
-
-func (s *Server) findFleet(id int) *contFleet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.fleets {
-		if f.id == id {
-			return f
-		}
-	}
-	return nil
-}
-
-// fleetFromPath resolves the {id} path value, writing the error reply itself
-// when it can't.
-func (s *Server) fleetFromPath(w http.ResponseWriter, req *http.Request) *contFleet {
-	idStr := req.PathValue("id")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad fleet id %q", idStr))
-		return nil
-	}
-	f := s.findFleet(id)
-	if f == nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeNotFound, "fleet %d not in history", id))
-	}
-	return f
-}
-
-func (s *Server) handleFleetsCollection(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodPost:
-		var spec fleetapi.FleetSpec
-		// Strict decoding, like POST /v1/runs: a misspelled churn field must
-		// not silently run a churn-free fleet.
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad fleet spec: %v", err))
-			return
-		}
-		f, apiErr := s.createFleet(spec)
-		if apiErr != nil {
-			fleetapi.WriteError(w, apiErr)
-			return
-		}
-		fleetapi.WriteJSON(w, http.StatusCreated, f.status())
-	case http.MethodGet:
-		s.mu.Lock()
-		fleets := append([]*contFleet(nil), s.fleets...)
-		s.mu.Unlock()
-		out := make([]fleetapi.FleetStatus, 0, len(fleets))
-		for _, f := range fleets {
-			out = append(out, f.status())
-		}
-		fleetapi.WriteJSON(w, http.StatusOK, map[string]any{"fleets": out})
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or POST"))
-	}
-}
-
-func (s *Server) handleFleetResource(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodGet:
-		if f := s.fleetFromPath(w, req); f != nil {
-			fleetapi.WriteJSON(w, http.StatusOK, f.status())
-		}
-	case http.MethodDelete:
-		f := s.fleetFromPath(w, req)
-		if f == nil {
-			return
-		}
-		if f.inFlight() {
-			f.cancel()
-			s.log.Infof("fleet %d cancelled", f.id)
-			fleetapi.WriteJSON(w, http.StatusAccepted, f.status())
-			return
-		}
-		s.mu.Lock()
-		for i, x := range s.fleets {
-			if x == f {
-				s.fleets = append(s.fleets[:i], s.fleets[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or DELETE"))
-	}
-}
-
-// handleFleetArtifact is the shared GET handler behind /report, /windows and
-// /drift.
-func (s *Server) handleFleetArtifact(w http.ResponseWriter, req *http.Request, doc func(*contFleet) []byte) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
-		return
-	}
-	f := s.fleetFromPath(w, req)
-	if f == nil {
-		return
-	}
-	b, apiErr := f.artifact(doc)
-	if apiErr != nil {
-		fleetapi.WriteError(w, apiErr)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-}
-
-func (s *Server) handleFleetReport(w http.ResponseWriter, req *http.Request) {
-	s.handleFleetArtifact(w, req, func(f *contFleet) []byte { return f.report })
-}
-
-func (s *Server) handleFleetWindows(w http.ResponseWriter, req *http.Request) {
-	s.handleFleetArtifact(w, req, func(f *contFleet) []byte { return f.windows })
-}
-
-func (s *Server) handleFleetDrift(w http.ResponseWriter, req *http.Request) {
-	s.handleFleetArtifact(w, req, func(f *contFleet) []byte { return f.drift })
-}
-
-// handleFleetShard executes one device-range fleet shard synchronously and
-// returns its ContinuousState. Fleet shards share the shard admission slots
-// with run shards — both are the inside of some coordinator's single
-// resource — but are tracked in their own runner set for CancelRuns.
-func (s *Server) handleFleetShard(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use POST"))
-		return
-	}
-	var spec fleetapi.FleetShardSpec
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad fleet shard spec: %v", err))
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err))
-		return
-	}
-	// Reserve the slot before the runner build, which pays synchronous
-	// dataset generation — same admission shape as handleShard.
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down"))
-		return
-	}
-	if s.shardCount >= s.shardSlots {
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeConflict, "%d shard executions already in flight", s.shardSlots))
-		return
-	}
-	s.shardCount++
-	s.mu.Unlock()
-	runner, err := fleet.NewContinuousRunner(spec.ContinuousConfig(), s.factory)
-	if err != nil {
-		s.mu.Lock()
-		s.shardCount--
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err))
-		return
-	}
-	runner.SetTelemetry(s.tele)
-	s.mu.Lock()
-	// Re-check closing: CancelRuns may have snapshotted the runner sets
-	// while this one was being built.
-	if s.closing {
-		s.shardCount--
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down"))
-		return
-	}
-	s.fleetShardRunners[runner] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.fleetShardRunners, runner)
-		s.shardCount--
-		s.mu.Unlock()
-	}()
-
-	s.log.Infof("fleet shard started: devices=%d..%d windows=%d seed=%d",
-		spec.DeviceLo, spec.DeviceHi, runner.Config().Windows, spec.Seed)
-	s.reg.Counter(metricShardsStarted).Inc()
-	shardRange := fmt.Sprintf("%d..%d", spec.DeviceLo, spec.DeviceHi)
-	span := s.tracer.Start(spec.Trace, spec.Parent, "fleetshard.execute", shardRange).
-		SetAttr("range", shardRange)
-	done := runner.Start()
-	select {
-	case <-done:
-	case <-req.Context().Done():
-		runner.Cancel()
-		<-done
-	}
-	// Judge by actual completeness, not the cancel flag, like handleShard.
-	if done, total, _ := runner.Progress(); done < total {
-		span.SetAttr("state", fleetapi.StateCancelled).End()
-		s.reg.Counter(metricShardsFinished, "state", fleetapi.StateCancelled).Inc()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeRunFailed, "fleet shard cancelled before completion"))
-		return
-	}
-	span.SetAttr("state", fleetapi.StateDone).End()
-	s.reg.Counter(metricShardsFinished, "state", fleetapi.StateDone).Inc()
-	data, err := runner.MarshalState()
-	if err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeInternal, "marshal fleet shard state: %v", err))
-		return
-	}
-	_, _, captures := runner.Progress()
-	s.log.Infof("fleet shard finished: devices=%d..%d %d captures", spec.DeviceLo, spec.DeviceHi, captures)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	st.DevicesDone, st.Captures = f.progressLocked()
+	return st
 }

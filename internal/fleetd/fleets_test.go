@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,5 +260,46 @@ func TestFleetShardEndpoint(t *testing.T) {
 	}
 	if got := merged.JSON(); !bytes.Equal(got, full) {
 		t.Fatalf("merged fleet shard report diverged:\n%s\nvs\n%s", got, full)
+	}
+}
+
+// TestFlipRateGaugeBlanksSurplusWindows: the flip-rate family describes the
+// last completed fleet only — a 2-window fleet after a 4-window one must not
+// leave windows 2 and 3 exporting the earlier fleet's rates.
+func TestFlipRateGaugeBlanksSurplusWindows(t *testing.T) {
+	_, c := v1Fixture(t, 4)
+	ctx := context.Background()
+	for _, windows := range []int{4, 2} {
+		spec := testFleetSpec
+		spec.Windows, spec.Events = windows, nil
+		st, err := c.CreateFleet(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.WaitFleet(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != fleetapi.StateDone {
+			t.Fatalf("fleet of %d windows: %+v (%v)", windows, st, err)
+		}
+	}
+	// The gauges are set after the outcome is recorded; poll the scrape.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points := map[string]string{}
+		for _, line := range strings.Split(string(body), "\n") {
+			if rest, ok := strings.CutPrefix(line, metricFleetFlipRate+`{window="`); ok {
+				w, value, _ := strings.Cut(rest, `"} `)
+				points[w] = value
+			}
+		}
+		if len(points) == 4 && points["0"] != "NaN" && points["1"] != "NaN" && points["2"] == "NaN" && points["3"] == "NaN" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flip-rate points after a 4- then a 2-window fleet: %v", points)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -4,24 +4,24 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"strconv"
-	"sync"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
+	"repro/internal/obs"
 )
 
 // execution is one way of carrying a run out: on this instance's own
 // runner (localExec) or fanned out to shard peers (coordExec).
 type execution interface {
+	liveExec
 	// execute blocks until the run completes and returns its final stats.
 	execute() (fleet.Stats, error)
 	// stats snapshots in-flight progress.
 	stats() fleet.Stats
-	// progress reports devices done, total devices, and captures so far.
-	progress() (done, total, captures int)
-	// cancel asks the execution to stop early; execute still returns.
-	cancel()
 	// accumStates returns the execution's stability accumulator wire states
 	// after execute returns — one per shard, a single element for local
 	// runs. The experiment report layer folds them back into a per-arm
@@ -51,78 +51,86 @@ func (e *localExec) accumStates() ([]json.RawMessage, error) {
 	return []json.RawMessage{st}, nil
 }
 
-// run is one run resource: its spec, its execution, and — once finished —
-// the deterministic stats bytes every later read serves. Finished runs drop
-// their execution (worker backend replicas, scene caches, slots), so a
-// history ring full of them costs only their JSON.
+// newExecution builds the execution of one run spec — a run's own, or one
+// experiment arm's: fanned out when the instance has peers, local otherwise.
+// trace may be empty (no span recording). shards is the peer fan-out, 0 for
+// a local execution.
+func (s *Server) newExecution(spec fleetapi.RunSpec, cfg fleet.Config, trace string) (exec execution, shards int) {
+	if len(s.peers) > 0 {
+		coord := newCoordExec(spec, cfg, s.peers, s.tracer, trace, s.log.Debugf)
+		return coord, len(coord.ranges)
+	}
+	runner := fleet.NewRunner(cfg, s.factory)
+	runner.SetTelemetry(s.tele)
+	return &localExec{runner: runner}, 0
+}
+
+// run is one run resource. Its one artifact, "stats", is unlike the other
+// kinds' in that it is served at every stage: a live snapshot while running,
+// the recorded bytes (partial for a cancelled run) after.
 type run struct {
-	id     int
+	core
 	spec   fleetapi.RunSpec
 	cfg    fleet.Config // spec.FleetConfig().WithDefaults()
 	shards int          // peer fan-out (0 = local execution)
 	trace  string       // deterministic trace ID: obs.TraceID("run", id, seed)
-	done   chan struct{}
-
-	mu         sync.Mutex
-	exec       execution    // nil once the run finished
-	final      []byte       // final stats JSON (nil for failed runs)
-	finalStats *fleet.Stats // decoded form of final, for summaries
-	failure    string       // non-empty once the run failed
-	cancelled  bool
-	// lastDone/lastCaptures preserve a failed run's progress at failure
-	// time (a failed run has no finalStats and no exec; progress must not
-	// regress to zero).
-	lastDone     int
-	lastCaptures int
 }
 
-// execute drives the run to completion and records the outcome. The done
-// channel closes only after the outcome is recorded, so any observer
-// released by it reads final state. It takes the server (same package) for
-// the observability sinks: logger, tracer, and lifecycle counters.
-func (r *run) execute(s *Server) {
-	defer close(r.done)
+// createRun launches a run, locally or across peers.
+func (s *Server) createRun(spec fleetapi.RunSpec) (*run, *fleetapi.Error) {
+	cfg := spec.FleetConfig().WithDefaults()
+	var exec execution
+	r, apiErr := s.runs.admit(func(id int) (*run, *fleetapi.Error) {
+		r := &run{core: newCore("run", id), spec: spec, cfg: cfg, trace: obs.TraceID("run", id, cfg.Seed)}
+		// The admit span parents onto the root "run" span's deterministic ID;
+		// the root itself is recorded by execute when the run completes.
+		admit := s.tracer.Start(r.trace, obs.SpanID(r.trace, "run"), "run.admit").
+			SetAttr("run", strconv.Itoa(id))
+		defer admit.End()
+		exec, r.shards = s.newExecution(spec, cfg, r.trace)
+		r.live = exec
+		return r, nil
+	})
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	s.reg.Counter(metricRunsStarted).Inc()
+	go r.execute(s, exec)
+	s.log.Infof("run %d started: devices=%d items=%d seed=%d runtime=%q shards=%d trace=%s",
+		r.id, cfg.Devices, cfg.Items, cfg.Seed, cfg.Runtime, r.shards, r.trace)
+	return r, nil
+}
+
+// execute drives the run to completion and records the outcome.
+func (r *run) execute(s *Server, exec execution) {
 	// The root span's ID is deterministic in (trace, "run"), which is how
 	// the admit span and the coordinator's dispatch/merge spans could parent
 	// onto it before it exists.
 	root := s.tracer.Start(r.trace, "", "run").
 		SetAttr("run", strconv.Itoa(r.id)).
 		SetAttr("devices", strconv.Itoa(r.cfg.Devices))
-	exec := r.currentExec()
 	st, err := exec.execute()
 	if err != nil && r.isCancelled() && errors.Is(err, context.Canceled) {
 		// A cancelled run's context-cancellation errors are just the
 		// cancel propagating (peers observing hung-up shard requests):
 		// record the partial snapshot, the same outcome a cancelled local
-		// run gets. A genuine peer failure (coordExec prefers those over
+		// run gets. A genuine peer failure (the fan-out prefers those over
 		// cancellation artifacts) still lands the run in state failed even
 		// when a cancel raced it — the root cause must surface.
 		st, err = exec.stats(), nil
 	}
 	// The merge above and this marshal stay outside r.mu: a coordinator's
 	// stats can be large, and status polls block on the lock.
-	var final []byte
-	if err == nil {
-		final = st.JSON()
+	var docs map[string][]byte
+	failure := ""
+	if err != nil {
+		failure = err.Error()
+	} else {
+		docs = map[string][]byte{"stats": st.JSON()}
 	}
 	done, _, captures := exec.progress()
-	r.mu.Lock()
-	if err != nil {
-		r.failure = err.Error()
-		r.lastDone, r.lastCaptures = done, captures
-	} else {
-		r.final = final
-		r.finalStats = &st
-	}
-	r.exec = nil
-	r.mu.Unlock()
-	state := fleetapi.StateDone
-	switch {
-	case err != nil:
-		state = fleetapi.StateFailed
-	case done < r.cfg.Devices:
-		state = fleetapi.StateCancelled
-	}
+	state := sweepState(err, done, r.cfg.Devices)
+	r.finish(state, failure, done, captures, docs)
 	root.SetAttr("state", state).End()
 	s.reg.Counter(metricRunsFinished, "state", state).Inc()
 	if err != nil {
@@ -132,134 +140,96 @@ func (r *run) execute(s *Server) {
 	}
 }
 
-// isCancelled reports whether cancel has been requested. Cancellation is
-// monotonic (false → true only), and any context-cancellation error implies
-// the flag was already set before the contexts were stopped.
-func (r *run) isCancelled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cancelled
-}
-
-// currentExec reads the execution under the lock; execute clears the field
-// on completion.
-func (r *run) currentExec() execution {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.exec
-}
-
-// inFlight reports whether the run is still executing. Once false, the
-// run's outcome (final bytes or failure) is durable.
-func (r *run) inFlight() bool {
-	select {
-	case <-r.done:
-		return false
-	default:
-		return true
-	}
-}
-
-// cancel asks the execution to stop; idempotent, harmless after completion.
-func (r *run) cancel() {
-	r.mu.Lock()
-	r.cancelled = true
-	exec := r.exec
-	r.mu.Unlock()
-	if exec != nil {
-		exec.cancel()
-	}
-}
-
-// outcome is one coherent view of a run's recorded state plus progress,
-// copied under a single lock acquisition so no reader can pair a stale
-// state with fresh progress (e.g. "running" with every device done). It is
-// the one triage point for "which stats source is live": final/finalStats
-// once recorded, exec while executing.
-type outcome struct {
-	final      []byte
-	finalStats *fleet.Stats
-	failure    string
-	cancelled  bool
-	exec       execution
-	done       int // devices completed
-	captures   int
-}
-
-// snapshot copies the outcome fields and reads progress under one lock.
-// exec.progress() takes no run-level locks (atomics for local runs, the
-// coordExec-internal mutex for coordinated ones).
-func (r *run) snapshot() outcome {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	o := outcome{final: r.final, finalStats: r.finalStats, failure: r.failure, cancelled: r.cancelled, exec: r.exec}
-	switch {
-	case o.finalStats != nil:
-		o.done, o.captures = o.finalStats.DevicesDone, o.finalStats.Captures
-	case o.exec != nil:
-		o.done, _, o.captures = o.exec.progress()
-	default:
-		o.done, o.captures = r.lastDone, r.lastCaptures // failed run
-	}
-	return o
-}
-
-// statsJSON returns the run's stats: the recorded bytes once finished, a
-// live snapshot while in flight, or the failure as an API error. terminal
-// reports whether the result is the run's immutable outcome (recorded
-// final bytes or a failure) rather than an in-flight snapshot — streaming
-// consumers stop after a terminal write so the outcome is never emitted
-// twice.
-func (r *run) statsJSON() (b []byte, terminal bool, apiErr *fleetapi.Error) {
-	o := r.snapshot()
-	switch {
-	case o.failure != "":
-		return nil, true, fleetapi.Errorf(fleetapi.CodeRunFailed, "%s", o.failure)
-	case o.final != nil:
-		return o.final, true, nil
-	case o.exec != nil:
-		return o.exec.stats().JSON(), false, nil
-	default:
-		// Between outcome recording and done-channel close; the zero
-		// config snapshot is never observable through the handlers, which
-		// reach the run via the registry after creation.
-		return fleet.Stats{Config: r.cfg}.JSON(), false, nil
-	}
-}
-
-// progressNow reports current progress from whichever source is live.
-func (r *run) progressNow() (done, total, captures int) {
-	o := r.snapshot()
-	return o.done, r.cfg.Devices, o.captures
-}
-
 // status renders the /v1 resource representation.
-func (r *run) status() fleetapi.RunStatus {
-	o := r.snapshot()
-	failure, cancelled, final := o.failure, o.cancelled, o.final
+func (r *run) status() any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	st := fleetapi.RunStatus{
 		ID:      r.id,
+		State:   r.stateLocked(),
 		Spec:    r.spec,
 		Devices: r.cfg.Devices,
 		Shards:  r.shards,
 		Trace:   r.trace,
+		Error:   r.failure,
 	}
-	st.DevicesDone, st.Captures = o.done, o.captures
-	// States are monotonic: "running" until the outcome is recorded, then
-	// exactly one immutable terminal state. A cancel therefore shows
-	// "running" while the run drains (it still is), and a cancel that
-	// landed after the last device finished reports "done", not
-	// "cancelled" — judged by completeness, like the shard handler.
+	st.DevicesDone, st.Captures = r.progressLocked()
+	return st
+}
+
+// statsJSON returns the run's stats: the recorded bytes once finished, a
+// live snapshot while in flight, or the failure as an API error. terminal
+// reports whether the result is the run's immutable outcome rather than an
+// in-flight snapshot — streaming consumers stop after a terminal write so
+// the outcome is never emitted twice.
+func (r *run) statsJSON() (b []byte, terminal bool, apiErr *fleetapi.Error) {
+	r.mu.Lock()
+	failure, final, live := r.failure, r.docs["stats"], r.live
+	r.mu.Unlock()
 	switch {
 	case failure != "":
-		st.State = fleetapi.StateFailed
-		st.Error = failure
-	case final == nil:
-		st.State = fleetapi.StateRunning
-	case cancelled && st.DevicesDone < r.cfg.Devices:
-		st.State = fleetapi.StateCancelled
+		return nil, true, fleetapi.Errorf(fleetapi.CodeRunFailed, "%s", failure)
+	case final != nil:
+		return final, true, nil
 	default:
-		st.State = fleetapi.StateDone
+		// The snapshot is taken outside r.mu: a coordinator's merge can be
+		// slow and must not block status polls. A run's live execution is
+		// always an execution (createRun sets nothing else).
+		return live.(execution).stats().JSON(), false, nil
 	}
-	return st
+}
+
+func (r *run) artifact(string) ([]byte, *fleetapi.Error) {
+	b, _, apiErr := r.statsJSON()
+	return b, apiErr
+}
+
+// handleRunStream holds the connection and writes NDJSON stats snapshots
+// until the run completes (one final deterministic snapshot), the run fails
+// (one error-envelope line), or the client goes away.
+func (s *Server) handleRunStream(w http.ResponseWriter, req *http.Request) {
+	if !allow(w, req, http.MethodGet) {
+		return
+	}
+	r, ok := s.runs.fromPath(w, req)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	// write emits one snapshot line and reports whether the stream should
+	// continue: a terminal line (the recorded outcome or a failure
+	// envelope) ends it, so a ticker firing in the same select round the
+	// done channel closes can't emit the outcome twice.
+	write := func() (more bool) {
+		b, terminal, apiErr := r.statsJSON()
+		if apiErr != nil {
+			b = apiErr.MarshalEnvelope()
+		}
+		// Two writes, not append(b, '\n'): for finished runs b is the
+		// shared recorded slice, and an in-place append would race
+		// concurrent streams on its backing array.
+		w.Write(b)
+		io.WriteString(w, "\n")
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return !terminal
+	}
+	ticker := time.NewTicker(500 * time.Millisecond)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-ticker.C:
+			if !write() {
+				return
+			}
+		case <-r.done:
+			write()
+			return
+		case <-req.Context().Done():
+			return // client went away; the run keeps going
+		}
+	}
 }

@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -236,22 +235,14 @@ func itemsOrDefault(n int) int {
 // a Retry-After header and a typed envelope distinguishing rate-limit sheds
 // from queue-full sheds.
 func (s *Server) handleServe(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
+	if !allow(w, req, http.MethodPost) {
 		s.countServe("", http.StatusMethodNotAllowed)
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use POST"))
 		return
 	}
-	var sr fleetapi.ServeRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		s.countServe("", http.StatusBadRequest)
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad serve request: %v", err))
-		return
-	}
-	if err := sr.Validate(); err != nil {
-		s.countServe("", http.StatusBadRequest)
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err))
+	sr, apiErr := decodeStrict[fleetapi.ServeRequest](w, req, "serve request")
+	if apiErr != nil {
+		s.countServe("", apiErr.Status)
+		fleetapi.WriteError(w, apiErr)
 		return
 	}
 	class, apiErr := s.resolveClass(sr.Class)
@@ -605,8 +596,7 @@ func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string,
 // process started. Attainment is exact when the class target sits on a
 // bucket bound (the default classes do).
 func (s *Server) handleSLO(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
+	if !allow(w, req, http.MethodGet) {
 		return
 	}
 	rep := fleetapi.SLOReport{Classes: make([]fleetapi.SLOClassReport, 0, len(s.serve.classes))}

@@ -1,21 +1,21 @@
 // Package fleetd implements the fleet-monitoring service behind cmd/fleetd:
-// a resource-oriented /v1 HTTP API over internal/fleet, with runs as
-// addressable resources, device-range shard execution for distributed
-// fleets, an optional coordinator mode that splits one run across peer
-// instances, and thin adapters that keep the original flat endpoints
-// (/run, /stats, /runs) working. It lives under internal/ rather than in
-// package main so tests and examples can embed instances in-process.
+// a resource-oriented /v1 HTTP API over internal/fleet. Runs, experiments and
+// continuous fleets are three instantiations of one resource kernel
+// (kernel.go: history ring, shared admission slot, strict decode, the
+// collection/resource/artifact handlers, one terminal predicate); an
+// instance with peers is a coordinator that splits each of them across the
+// peers through one shard fan-out (coordinator.go) onto one shard handler
+// (shard.go); and /v1/serve answers single capture requests under SLO
+// classes (serve.go). It lives under internal/ rather than in package main
+// so tests and examples can embed instances in-process.
 package fleetd
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -31,9 +31,9 @@ type Options struct {
 	Factory fleet.BackendFactory
 	// ModelParams is reported by /healthz.
 	ModelParams int
-	// History is how many finished runs GET /runs and /v1/runs remember:
-	// 0 selects the default of 32, anything else clamps to at least 1
-	// (the ring logic assumes a positive capacity).
+	// History is how many resources of each kind (runs, experiments, fleets)
+	// the instance remembers: 0 selects the default of 32, anything else
+	// clamps to at least 1 (the ring logic assumes a positive capacity).
 	History int
 	// Peers switches the instance into coordinator mode: POST /v1/runs
 	// splits each run's device range across these instances (base URLs or
@@ -55,10 +55,11 @@ type Options struct {
 	Serve ServeOptions
 }
 
-// Server owns the run registry and the HTTP surface. At most one run
-// resource executes at a time (run creation 409s while one is in flight);
-// shard executions are independent of that admission rule — they are the
-// *inside* of some coordinator's single run, not runs of their own.
+// Server owns the resource kinds and the HTTP surface. At most one run,
+// experiment or fleet executes at a time (creation 409s while one is in
+// flight); shard executions are independent of that admission rule — they
+// are the *inside* of some coordinator's single resource, not resources of
+// their own.
 type Server struct {
 	factory fleet.BackendFactory
 	params  int
@@ -75,31 +76,23 @@ type Server struct {
 	goVersion   string
 	vcsRevision string
 
-	mu     sync.Mutex
-	latest *run
-	runs   []*run // ring of remembered runs, oldest first
-	nextID int
-	// experiments is the ring of remembered experiments, oldest first, with
-	// its own id space; experiments share the run admission slot (see
-	// busyLocked) but are separate resources.
-	experiments []*experiment
-	nextExpID   int
-	// fleets is the ring of remembered continuous fleets, oldest first, with
-	// its own id space; fleets also share the run admission slot.
-	fleets      []*contFleet
-	nextFleetID int
+	// mu guards the kinds' rings and everything below it.
+	mu          sync.Mutex
+	runs        *kind[fleetapi.RunSpec, *run]
+	experiments *kind[fleetapi.ExperimentSpec, *experiment]
+	fleets      *kind[fleetapi.FleetSpec, *contFleet]
 	// shardRunners tracks in-flight shard executions so CancelRuns can
 	// reach them at shutdown; its size is capped by shardSlots, the
 	// admission bound that keeps N concurrent coordinators (or a retrying
 	// client) from building N capture-cap-sized runners at once — the
-	// shard-side analogue of the one-run-at-a-time rule.
-	shardRunners map[*fleet.Runner]struct{}
-	// fleetShardRunners is the continuous-fleet analogue of shardRunners;
-	// both kinds draw from the same shardCount/shardSlots budget.
-	fleetShardRunners map[*fleet.ContinuousRunner]struct{}
-	shardCount        int // reserved shard slots (covers the pre-runner build window)
-	shardSlots        int
-	closing           bool // set by CancelRuns; new work is refused
+	// shard-side analogue of the one-resource-at-a-time rule.
+	shardRunners map[shardRunner]struct{}
+	shardCount   int // reserved shard slots (covers the pre-runner build window)
+	shardSlots   int
+	closing      bool // set by CancelRuns; new work is refused
+	// flipRateWindows is how many window points the last flip-rate export
+	// set, so the next one can blank the surplus.
+	flipRateWindows int
 
 	// serve is the request-serving leg: SLO-classed admission, bounded
 	// queues and the worker pool behind POST /v1/serve. Built by New.
@@ -120,18 +113,20 @@ func New(o Options) *Server {
 		o.Tracer = obs.NewTracer(0)
 	}
 	s := &Server{
-		factory:           o.Factory,
-		params:            o.ModelParams,
-		history:           o.History,
-		log:               o.Log,
-		reg:               o.Registry,
-		tracer:            o.Tracer,
-		tele:              fleet.NewTelemetry(o.Registry),
-		started:           time.Now(),
-		shardRunners:      map[*fleet.Runner]struct{}{},
-		fleetShardRunners: map[*fleet.ContinuousRunner]struct{}{},
-		shardSlots:        4,
+		factory:      o.Factory,
+		params:       o.ModelParams,
+		history:      o.History,
+		log:          o.Log,
+		reg:          o.Registry,
+		tracer:       o.Tracer,
+		tele:         fleet.NewTelemetry(o.Registry),
+		started:      time.Now(),
+		shardRunners: map[shardRunner]struct{}{},
+		shardSlots:   4,
 	}
+	s.runs = &kind[fleetapi.RunSpec, *run]{s: s, name: "run", create: s.createRun}
+	s.experiments = &kind[fleetapi.ExperimentSpec, *experiment]{s: s, name: "experiment", create: s.createExperiment}
+	s.fleets = &kind[fleetapi.FleetSpec, *contFleet]{s: s, name: "fleet", create: s.createFleet}
 	s.goVersion = runtime.Version()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, kv := range bi.Settings {
@@ -162,8 +157,8 @@ func New(o Options) *Server {
 // Coordinator reports whether the instance fans runs out to peers.
 func (s *Server) Coordinator() bool { return len(s.peers) > 0 }
 
-// Handler mounts the v1 API and the legacy adapters. Every route is wrapped
-// in the metrics middleware (request count/latency/in-flight labeled by the
+// Handler mounts the v1 API. Every route is wrapped in the metrics
+// middleware (request count/latency/in-flight labeled by the
 // registration-time pattern, so label cardinality is bounded by the route
 // table, never by request paths).
 func (s *Server) Handler() http.Handler {
@@ -173,31 +168,24 @@ func (s *Server) Handler() http.Handler {
 	}
 	handle("/healthz", s.handleHealthz)
 	handle("/metrics", s.handleMetrics)
-	handle("/v1/runs", s.handleRunsCollection)
-	handle("/v1/runs/{id}", s.handleRunResource)
-	handle("/v1/runs/{id}/stats", s.handleRunStats)
+	handle("/v1/runs", s.runs.handleCollection)
+	handle("/v1/runs/{id}", s.runs.handleResource)
+	handle("/v1/runs/{id}/stats", s.runs.artifact("stats"))
 	handle("/v1/runs/{id}/stream", s.handleRunStream)
 	handle("/v1/runs/{id}/trace", s.handleRunTrace)
 	handle("/v1/traces/{trace}", s.handleTraceResource)
 	handle("/v1/serve", s.handleServe)
 	handle("/v1/slo", s.handleSLO)
 	handle("/v1/shards", s.handleShard)
-	handle("/v1/experiments", s.handleExperimentsCollection)
-	handle("/v1/experiments/{id}", s.handleExperimentResource)
-	handle("/v1/experiments/{id}/report", s.handleExperimentReport)
-	handle("/v1/fleets", s.handleFleetsCollection)
-	handle("/v1/fleets/{id}", s.handleFleetResource)
-	handle("/v1/fleets/{id}/report", s.handleFleetReport)
-	handle("/v1/fleets/{id}/windows", s.handleFleetWindows)
-	handle("/v1/fleets/{id}/drift", s.handleFleetDrift)
+	handle("/v1/experiments", s.experiments.handleCollection)
+	handle("/v1/experiments/{id}", s.experiments.handleResource)
+	handle("/v1/experiments/{id}/report", s.experiments.artifact("report"))
+	handle("/v1/fleets", s.fleets.handleCollection)
+	handle("/v1/fleets/{id}", s.fleets.handleResource)
+	for _, leaf := range []string{"report", "windows", "drift"} {
+		handle("/v1/fleets/{id}/"+leaf, s.fleets.artifact(leaf))
+	}
 	handle("/v1/fleetshards", s.handleFleetShard)
-	handle("/run", s.handleLegacyRun)
-	handle("/stats", s.handleLegacyStats)
-	handle("/runs", s.handleLegacyRuns)
-	// Trailing-slash prefix, not "/runs/{id}": the legacy contract replies
-	// 400 to any garbage after /runs/ (including /runs/ itself and extra
-	// segments), where a {id} pattern would fall through to a 404.
-	handle("/runs/", s.handleLegacyRunByID)
 	// Catch-all so unmatched paths get the JSON envelope instead of the
 	// mux's text/plain 404 — every error this server emits is parseable.
 	handle("/", func(w http.ResponseWriter, req *http.Request) {
@@ -206,46 +194,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// CancelRuns cancels every in-flight run and shard execution and refuses
-// new ones. It is the graceful-shutdown hook: cancelled runs drain quickly
-// (devices not yet started are skipped), which in turn lets streaming
-// handlers and shard requests finish so http.Server.Shutdown can complete —
-// and a run created by a handler racing the shutdown would be silently
-// killed at process exit, so creation is barred first.
+// CancelRuns cancels every in-flight resource and shard execution and
+// refuses new ones. It is the graceful-shutdown hook: cancelled jobs drain
+// quickly (devices not yet started are skipped), which in turn lets
+// streaming handlers and shard requests finish so http.Server.Shutdown can
+// complete — and a job created by a handler racing the shutdown would be
+// silently killed at process exit, so creation is barred first.
 func (s *Server) CancelRuns() {
 	s.mu.Lock()
 	s.closing = true
-	runs := append([]*run(nil), s.runs...)
-	exps := append([]*experiment(nil), s.experiments...)
-	fleets := append([]*contFleet(nil), s.fleets...)
-	shards := make([]*fleet.Runner, 0, len(s.shardRunners))
+	shards := make([]shardRunner, 0, len(s.shardRunners))
 	for r := range s.shardRunners {
 		shards = append(shards, r)
 	}
-	fleetShards := make([]*fleet.ContinuousRunner, 0, len(s.fleetShardRunners))
-	for r := range s.fleetShardRunners {
-		fleetShards = append(fleetShards, r)
-	}
 	s.mu.Unlock()
-	for _, r := range runs {
-		if r.inFlight() {
-			r.cancel()
-		}
-	}
-	for _, e := range exps {
-		if e.inFlight() {
-			e.cancel()
-		}
-	}
-	for _, f := range fleets {
-		if f.inFlight() {
-			f.cancel()
-		}
-	}
+	s.runs.cancelAll()
+	s.experiments.cancelAll()
+	s.fleets.cancelAll()
 	for _, r := range shards {
-		r.Cancel()
-	}
-	for _, r := range fleetShards {
 		r.Cancel()
 	}
 	s.stopServe()
@@ -277,37 +243,17 @@ func probePeers(ctx context.Context, peers []*fleetapi.Client, logf func(string,
 	return nil
 }
 
-// busyLocked reports whether a run or an experiment is currently executing;
-// callers hold s.mu. Runs and experiments share one admission slot: both
-// are bounded by the captures cap precisely because only one of them holds
-// capture-scale state at a time.
+// busyLocked reports whether a run, experiment or fleet holds the admission
+// slot; callers hold s.mu. The kinds share one slot: each is bounded by the
+// captures cap precisely because only one of them holds capture-scale state
+// at a time.
 func (s *Server) busyLocked() bool {
-	// In flight = the latest run's devices are not all done. Judging by
-	// progress rather than the done channel avoids a spurious conflict in
-	// the window between the last device finishing and the goroutine
-	// recording the final stats (which for capture-cap-sized runs takes a
-	// while).
-	if s.latest != nil && s.latest.inFlight() {
-		if done, total, _ := s.latest.progressNow(); done < total {
-			return true
-		}
-	}
-	if n := len(s.experiments); n > 0 && s.experiments[n-1].inFlight() {
-		return true
-	}
-	// Fleets get the same progress-based judgment as runs: report rendering
-	// after the last device finishes must not hold the admission slot.
-	if n := len(s.fleets); n > 0 && s.fleets[n-1].inFlight() {
-		if done, total, _ := s.fleets[n-1].progressNow(); done < total {
-			return true
-		}
-	}
-	return false
+	return s.runs.busyLocked() || s.experiments.busyLocked() || s.fleets.busyLocked()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	runs, exps, fleets := len(s.runs), len(s.experiments), len(s.fleets)
+	runs, exps, fleets := len(s.runs.ring), len(s.experiments.ring), len(s.fleets.ring)
 	s.mu.Unlock()
 	body := map[string]any{
 		"status":       "ok",
@@ -324,326 +270,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		body["vcs_revision"] = s.vcsRevision
 	}
 	fleetapi.WriteJSON(w, http.StatusOK, body)
-}
-
-// createRun validates a spec, enforces the one-run-in-flight rule, and
-// launches the run (locally or across peers). It is the single creation
-// path for POST /v1/runs and the legacy POST /run.
-func (s *Server) createRun(spec fleetapi.RunSpec) (*run, *fleetapi.Error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
-	}
-	cfg := spec.FleetConfig().WithDefaults()
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down")
-	}
-	if s.busyLocked() {
-		s.mu.Unlock()
-		return nil, fleetapi.Errorf(fleetapi.CodeConflict, "a fleet run or experiment is already in flight")
-	}
-	r := &run{id: s.nextID, spec: spec, cfg: cfg, done: make(chan struct{})}
-	r.trace = obs.TraceID("run", r.id, cfg.Seed)
-	// The admit span parents onto the root "run" span's deterministic ID;
-	// the root itself is recorded by run.execute when the run completes.
-	admit := s.tracer.Start(r.trace, obs.SpanID(r.trace, "run"), "run.admit").
-		SetAttr("run", strconv.Itoa(r.id))
-	if len(s.peers) > 0 {
-		coord := newCoordExec(spec, cfg, s.peers, s.tracer, r.trace, s.log.Debugf)
-		r.exec = coord
-		r.shards = coord.shardCount()
-	} else {
-		runner := fleet.NewRunner(cfg, s.factory)
-		runner.SetTelemetry(s.tele)
-		r.exec = &localExec{runner: runner}
-	}
-	s.nextID++
-	s.latest = r
-	s.runs = append(s.runs, r)
-	if len(s.runs) > s.history {
-		s.runs = s.runs[len(s.runs)-s.history:]
-	}
-	s.mu.Unlock()
-	admit.End()
-	s.reg.Counter(metricRunsStarted).Inc()
-
-	go r.execute(s)
-	s.log.Infof("run %d started: devices=%d items=%d seed=%d runtime=%q shards=%d trace=%s",
-		r.id, cfg.Devices, cfg.Items, cfg.Seed, cfg.Runtime, r.shards, r.trace)
-	return r, nil
-}
-
-func (s *Server) findRun(id int) *run {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.runs {
-		if r.id == id {
-			return r
-		}
-	}
-	return nil
-}
-
-// runFromPath resolves the {id} path value into a run, writing the error
-// reply itself when it can't.
-func (s *Server) runFromPath(w http.ResponseWriter, req *http.Request) *run {
-	idStr := req.PathValue("id")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad run id %q", idStr))
-		return nil
-	}
-	r := s.findRun(id)
-	if r == nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeNotFound, "run %d not in history", id))
-	}
-	return r
-}
-
-func (s *Server) handleRunsCollection(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodPost:
-		var spec fleetapi.RunSpec
-		// Strict decoding, unlike the legacy query parser: a misspelled
-		// field — or no body at all — must not silently launch a default
-		// run. An all-defaults run is an explicit `{}`.
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad run spec: %v", err))
-			return
-		}
-		r, apiErr := s.createRun(spec)
-		if apiErr != nil {
-			fleetapi.WriteError(w, apiErr)
-			return
-		}
-		fleetapi.WriteJSON(w, http.StatusCreated, r.status())
-	case http.MethodGet:
-		s.mu.Lock()
-		runs := append([]*run(nil), s.runs...)
-		s.mu.Unlock()
-		out := make([]fleetapi.RunStatus, 0, len(runs))
-		for _, r := range runs {
-			out = append(out, r.status())
-		}
-		fleetapi.WriteJSON(w, http.StatusOK, map[string]any{"runs": out})
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or POST"))
-	}
-}
-
-func (s *Server) handleRunResource(w http.ResponseWriter, req *http.Request) {
-	switch req.Method {
-	case http.MethodGet:
-		if r := s.runFromPath(w, req); r != nil {
-			fleetapi.WriteJSON(w, http.StatusOK, r.status())
-		}
-	case http.MethodDelete:
-		r := s.runFromPath(w, req)
-		if r == nil {
-			return
-		}
-		if r.inFlight() {
-			r.cancel()
-			s.log.Infof("run %d cancelled", r.id)
-			fleetapi.WriteJSON(w, http.StatusAccepted, r.status())
-			return
-		}
-		s.mu.Lock()
-		for i, e := range s.runs {
-			if e == r {
-				s.runs = append(s.runs[:i], s.runs[i+1:]...)
-				break
-			}
-		}
-		if s.latest == r {
-			// Fall back to the newest remembered run so legacy /stats
-			// keeps serving while history is non-empty.
-			s.latest = nil
-			if n := len(s.runs); n > 0 {
-				s.latest = s.runs[n-1]
-			}
-		}
-		s.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET or DELETE"))
-	}
-}
-
-func (s *Server) handleRunStats(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
-		return
-	}
-	r := s.runFromPath(w, req)
-	if r == nil {
-		return
-	}
-	s.writeStats(w, r)
-}
-
-func (s *Server) writeStats(w http.ResponseWriter, r *run) {
-	b, _, apiErr := r.statsJSON()
-	if apiErr != nil {
-		fleetapi.WriteError(w, apiErr)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-}
-
-func (s *Server) handleRunStream(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
-		return
-	}
-	r := s.runFromPath(w, req)
-	if r == nil {
-		return
-	}
-	s.streamRun(w, req, r)
-}
-
-// streamRun holds the connection and writes NDJSON stats snapshots until
-// the run completes (one final deterministic snapshot), the run fails (one
-// error-envelope line), or the client goes away.
-func (s *Server) streamRun(w http.ResponseWriter, req *http.Request, r *run) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	// write emits one snapshot line and reports whether the stream should
-	// continue: a terminal line (the recorded outcome or a failure
-	// envelope) ends it, so a ticker firing in the same select round the
-	// done channel closes can't emit the outcome twice.
-	write := func() (more bool) {
-		b, terminal, apiErr := r.statsJSON()
-		if apiErr != nil {
-			b = apiErr.MarshalEnvelope()
-		}
-		// Two writes, not append(b, '\n'): for finished runs b is the
-		// shared cached final slice, and an in-place append would race
-		// concurrent streams on its backing array.
-		w.Write(b)
-		io.WriteString(w, "\n")
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return !terminal
-	}
-	ticker := time.NewTicker(500 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			if !write() {
-				return
-			}
-		case <-r.done:
-			write()
-			return
-		case <-req.Context().Done():
-			return // client went away; the run keeps going
-		}
-	}
-}
-
-// handleShard executes one device-range shard synchronously and returns
-// its fleet.RunState. Shards deliberately bypass the run registry: they
-// are subordinate work owned by a coordinator's run resource.
-func (s *Server) handleShard(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use POST"))
-		return
-	}
-	var spec fleetapi.ShardSpec
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad shard spec: %v", err))
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err))
-		return
-	}
-	// Reserve the slot before NewRunner: admission must precede the
-	// synchronous dataset generation a runner build pays.
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down"))
-		return
-	}
-	if s.shardCount >= s.shardSlots {
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeConflict, "%d shard executions already in flight", s.shardSlots))
-		return
-	}
-	s.shardCount++
-	s.mu.Unlock()
-	runner := fleet.NewRunner(spec.FleetConfig(), s.factory)
-	runner.SetTelemetry(s.tele)
-	s.mu.Lock()
-	// Re-check closing: CancelRuns may have snapshotted shardRunners while
-	// this runner was being built, in which case nothing would ever cancel
-	// it and it would stall the server shutdown for its whole execution.
-	if s.closing {
-		s.shardCount--
-		s.mu.Unlock()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeUnavailable, "server is shutting down"))
-		return
-	}
-	s.shardRunners[runner] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.shardRunners, runner)
-		s.shardCount--
-		s.mu.Unlock()
-	}()
-
-	s.log.Infof("shard started: devices=%d..%d seed=%d", spec.DeviceLo, spec.DeviceHi, spec.Seed)
-	s.reg.Counter(metricShardsStarted).Inc()
-	// The shard.execute span joins the coordinator's trace: spec.Trace and
-	// spec.Parent carry its trace context across the process boundary, and
-	// the device range qualifies the span ID so sibling shards of one run
-	// don't collide.
-	shardRange := fmt.Sprintf("%d..%d", spec.DeviceLo, spec.DeviceHi)
-	span := s.tracer.Start(spec.Trace, spec.Parent, "shard.execute", shardRange).
-		SetAttr("range", shardRange)
-	done := runner.Start()
-	select {
-	case <-done:
-	case <-req.Context().Done():
-		// The coordinator hung up (its run was cancelled, or it lost a
-		// sibling shard); stop burning captures and drain.
-		runner.Cancel()
-		<-done
-	}
-	// Judge by actual completeness, not the cancel flag: a cancel landing
-	// after the last device finished (shutdown racing a completed shard)
-	// must not discard a fully computed state.
-	if done, total, _ := runner.Progress(); done < total {
-		span.SetAttr("state", fleetapi.StateCancelled).End()
-		s.reg.Counter(metricShardsFinished, "state", fleetapi.StateCancelled).Inc()
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeRunFailed, "shard cancelled before completion"))
-		return
-	}
-	span.SetAttr("state", fleetapi.StateDone).End()
-	s.reg.Counter(metricShardsFinished, "state", fleetapi.StateDone).Inc()
-	data, err := runner.MarshalRunState()
-	if err != nil {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeInternal, "marshal shard state: %v", err))
-		return
-	}
-	_, _, captures := runner.Progress()
-	s.log.Infof("shard finished: devices=%d..%d %d captures", spec.DeviceLo, spec.DeviceHi, captures)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
 }

@@ -4,16 +4,45 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
+	"repro/internal/nn"
 )
+
+// testServer builds a server around a tiny untrained model; endpoint tests
+// care about the HTTP contract, not accuracy.
+func testServer(history int) *Server {
+	arch := func() *nn.Model {
+		cfg := nn.DefaultConfig(int(dataset.NumClasses))
+		cfg.Width = 0.4
+		return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(5)), cfg)
+	}
+	m := arch()
+	return New(Options{Factory: fleet.BackendReplicator(arch, m), ModelParams: m.NumParams(), History: history})
+}
+
+func getJSON(t *testing.T, url string, out any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+	}
+	return resp.StatusCode
+}
 
 // v1Fixture is one in-process instance plus a client on it.
 func v1Fixture(t *testing.T, history int) (*Server, *fleetapi.Client) {
@@ -327,16 +356,6 @@ func TestCoordinatorPeerFailure(t *testing.T) {
 		t.Fatalf("failed run stats error %+v", e)
 	}
 
-	// Legacy pollers watch done; a terminated-by-failure run must report it.
-	var runs struct {
-		Runs []legacySummary `json:"runs"`
-	}
-	if code := getJSON(t, ts.URL+"/runs", &runs); code != http.StatusOK {
-		t.Fatalf("/runs: %d", code)
-	}
-	if len(runs.Runs) != 1 || !runs.Runs[0].Done {
-		t.Fatalf("failed run legacy summary %+v", runs.Runs)
-	}
 }
 
 // TestCoordinatorCancel checks cancellation parity between execution modes:
@@ -385,40 +404,6 @@ func TestShardConcurrencyCap(t *testing.T) {
 	}
 }
 
-// TestDeleteLatestFallsBack: evicting the newest finished run must leave
-// legacy /stats serving the next-newest remembered run, not 404.
-func TestDeleteLatestFallsBack(t *testing.T) {
-	s, c := v1Fixture(t, 4)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		st, err := c.CreateRun(ctx, testSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.WaitRun(ctx, st.ID, 5*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := c.RunStats(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeleteRun(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(want)) {
-		t.Fatalf("/stats after deleting latest: %d %s", resp.StatusCode, body)
-	}
-}
-
 // TestCancelRunsDrains is the shutdown hook: CancelRuns on a server with an
 // in-flight run must let the run finish promptly as cancelled.
 func TestCancelRunsDrains(t *testing.T) {
@@ -449,40 +434,5 @@ func TestCancelRunsDrains(t *testing.T) {
 	if _, err := c.RunShard(ctx, fleetapi.ShardSpec{
 		RunSpec: fleetapi.RunSpec{Devices: 4, Items: 1, Angles: []int{0}}, DeviceLo: 0, DeviceHi: 4}); err == nil {
 		t.Fatal("shard accepted after CancelRuns")
-	}
-}
-
-// TestLegacyAndV1ServeSameBytes pins the adapter property: /stats,
-// /runs/{id} and /v1/runs/{id}/stats all serve the same recorded bytes.
-func TestLegacyAndV1ServeSameBytes(t *testing.T) {
-	s, c := v1Fixture(t, 4)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	ctx := context.Background()
-
-	st, err := c.CreateRun(ctx, testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WaitRun(ctx, st.ID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := c.RunStats(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{"/stats", "/runs/0"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(v1)) {
-			t.Fatalf("%s diverged from v1 stats:\n%s\nvs\n%s", path, body, v1)
-		}
 	}
 }

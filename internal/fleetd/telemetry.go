@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/fleetapi"
 	"repro/internal/obs"
 )
 
@@ -89,8 +88,7 @@ func (w *statusWriter) code() int {
 // HTTP metrics, run/experiment/shard lifecycle counters, the fleet capture
 // histograms, and (when cmd/fleetd started them) runtime gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
+	if !allow(w, req, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
@@ -103,12 +101,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 // shard.execute legs) into the reply, so the caller gets the whole
 // cross-process trace from one request.
 func (s *Server) handleRunTrace(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
+	if !allow(w, req, http.MethodGet) {
 		return
 	}
-	r := s.runFromPath(w, req)
-	if r == nil {
+	r, ok := s.runs.fromPath(w, req)
+	if !ok {
 		return
 	}
 	spans := s.tracer.Spans(r.trace)
@@ -132,8 +129,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, req *http.Request) {
 // body, not a 404, since "no spans recorded here" is a valid answer for a
 // peer that executed no shard of the run.
 func (s *Server) handleTraceResource(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeMethodNotAllowed, "use GET"))
+	if !allow(w, req, http.MethodGet) {
 		return
 	}
 	writeSpansNDJSON(w, s.tracer.Spans(req.PathValue("trace")))

@@ -156,11 +156,17 @@ func mix(seed int64, vals ...int64) int64 {
 // capture, items) under the same seed; lifecycle draws live far away.
 const lifecycleStream = 0x11FEC1C1E
 
-// Expand generates the deterministic schedule: per-device churn draws from a
-// per-device RNG (device i's events depend on (Seed, i) alone, so any shard
-// recomputes them), plus the validated explicit events, all sorted by
-// (window, device, kind).
-func (s Spec) Expand() (*Schedule, error) {
+// Validate reports whether Expand would accept the spec, without paying for
+// the per-device churn draws — request validation runs it on specs of up to
+// a million devices.
+func (s Spec) Validate() error {
+	_, err := s.explicitEvents()
+	return err
+}
+
+// explicitEvents validates the spec and returns its injected events with
+// their defaults filled in.
+func (s Spec) explicitEvents() ([]Event, error) {
 	if s.Devices <= 0 {
 		return nil, fmt.Errorf("lifecycle: devices=%d, want > 0", s.Devices)
 	}
@@ -171,15 +177,27 @@ func (s Spec) Expand() (*Schedule, error) {
 		return nil, err
 	}
 	var events []Event
-	for i := 0; i < s.Devices; i++ {
-		events = append(events, churnEvents(s, i)...)
-	}
 	for _, ev := range s.Events {
 		ev, err := normalizeEvent(ev, s)
 		if err != nil {
 			return nil, err
 		}
 		events = append(events, ev)
+	}
+	return events, nil
+}
+
+// Expand generates the deterministic schedule: per-device churn draws from a
+// per-device RNG (device i's events depend on (Seed, i) alone, so any shard
+// recomputes them), plus the validated explicit events, all sorted by
+// (window, device, kind).
+func (s Spec) Expand() (*Schedule, error) {
+	events, err := s.explicitEvents()
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < s.Devices; i++ {
+		events = append(events, churnEvents(s, i)...)
 	}
 	sortEvents(events)
 	sched := &Schedule{

@@ -132,9 +132,15 @@ func TestExpandValidation(t *testing.T) {
 		if _, err := spec.Expand(); err == nil {
 			t.Errorf("%s: Expand accepted invalid spec", tc.name)
 		}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted invalid spec", tc.name)
+		}
 	}
 	if _, err := base.Expand(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("valid spec rejected by Validate: %v", err)
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Smoke-test the fleetd /v1 API end to end: boot one worker and one
 # coordinator (sharing a model snapshot so the worker trains it once),
-# create a run through the coordinator, wait for it, check the stats and
-# legacy endpoints answer, drive a 2-arm experiment (runtime sweep) through
-# the coordinator and check its paired report, run a continuous fleet
-# (churn + injected OS upgrade) twice and check the drift report recomputes
-# byte-identically, then fire a seeded loadgen burst at the worker's serving
+# create a run through the coordinator, wait for it, check the stats answer
+# and the removed pre-/v1 /stats is a plain JSON 404, drive a 2-arm
+# experiment (runtime sweep) through the coordinator and check its paired
+# report, run a continuous fleet (churn + injected OS upgrade) twice and
+# check the drift report recomputes byte-identically, then fire a seeded
+# loadgen burst at the worker's serving
 # path (micro-batching enabled via -serve-max-batch) and check admission
 # sheds with 429, batches actually form (mean executed batch > 1), and the
 # per-class serve metrics pass the exposition lint. Used by CI and runnable
@@ -100,11 +101,13 @@ assert env["error"]["code"] == "not_found", env
 print("envelope ok")
 '
 
-echo "== legacy endpoints"
-curl -fsS "$BASE/stats" >/dev/null
-curl -fsS "$BASE/runs" >/dev/null
-curl -fsS "$BASE/runs/$RUN_ID" >/dev/null
-echo "legacy ok"
+echo "== pre-/v1 surface is gone"
+curl -sS "$BASE/stats" | python3 -c '
+import json, sys
+env = json.load(sys.stdin)
+assert env["error"]["code"] == "not_found", env
+print("GET /stats is not_found")
+'
 
 echo "== metrics exposition"
 # Captures run on the worker (the coordinator only dispatches shards), so the
