@@ -27,7 +27,7 @@ func dctBasisValue(n, k, i int) float32 {
 	if k == 0 {
 		c = math.Sqrt(1 / float64(n))
 	}
-	return float32(c * math.Cos(float64(2*i+1) * float64(k) * math.Pi / float64(2*n)))
+	return float32(c * math.Cos(float64(2*i+1)*float64(k)*math.Pi/float64(2*n)))
 }
 
 // Basis rows (basisN[k][i]) and their transposes (basisTN[i][k]). The

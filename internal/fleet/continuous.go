@@ -1,19 +1,8 @@
 package fleet
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/device"
-	"repro/internal/imaging"
 	"repro/internal/lifecycle"
-	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/sensor"
 	"repro/internal/stability"
-	"repro/internal/train"
 )
 
 // ContinuousConfig parameterizes a continuous fleet run: the base fleet
@@ -68,55 +57,12 @@ func (c ContinuousConfig) Captures() int {
 	return c.Fleet.Captures() * c.Windows
 }
 
-// contWindowSlot is one (device, window) observation's deterministic
-// aggregates, written by the single worker that ran the device's timeline.
-type contWindowSlot struct {
-	ran     bool
-	runtime string
-	score   metrics.Online
-	bytes   metrics.Online
-}
-
-// contSlot is one device's whole-timeline aggregates.
-type contSlot struct {
-	done    atomic.Bool
-	cohort  string
-	windows []contWindowSlot
-}
-
-// ContinuousRunner executes a continuous fleet run: each device's full
-// virtual-time timeline (profile transitions applied at window starts,
-// captures re-drawn per window from the epoch-qualified seed stream) runs
-// as one unit of work on one pool worker, and records land in per-window
-// stability accumulators. Every observation is a pure function of
-// (ContinuousConfig, device id, window), so reports are byte-identical for
-// any worker count, and device-range shards merge back losslessly.
-type ContinuousRunner struct {
-	cfg     ContinuousConfig
-	sched   *lifecycle.Schedule
-	factory BackendFactory
-	gen     *Generator
-	engine  *Engine
-	pool    *Pool
-	// backends holds one runtime→backend LRU per pool worker, exactly like
-	// Runner: worker ids are a dense range of single goroutines.
-	backends []*LRU[string, nn.Backend]
-	items    []*dataset.Item
-
-	windowed *stability.Windowed
-	// slots[i] belongs to device Fleet.DeviceLo+i.
-	slots []*contSlot
-
-	devicesDone  atomic.Int64
-	capturesDone atomic.Int64
-	cancelled    atomic.Bool
-
-	tele    *Telemetry
-	started time.Time
-
-	startOnce sync.Once
-	done      chan struct{}
-}
+// ContinuousRunner executes a continuous fleet run: the package's one sweep
+// over Windows windows under the expanded lifecycle schedule, with captures
+// re-drawn per window from the epoch-qualified seed stream. Start, Cancel,
+// Cancelled, Progress and SetTelemetry are the sweep's; Report and State
+// read every window.
+type ContinuousRunner struct{ *sweep }
 
 // NewContinuousRunner prepares a continuous run; no work happens until
 // Start or Run. It fails only if the lifecycle spec is invalid.
@@ -126,57 +72,8 @@ func NewContinuousRunner(cfg ContinuousConfig, factory BackendFactory) (*Continu
 	if err != nil {
 		return nil, err
 	}
-	fc := cfg.Fleet
-	pool := NewPool(fc.Workers)
-	r := &ContinuousRunner{
-		cfg:      cfg,
-		sched:    sched,
-		factory:  factory,
-		gen:      NewGenerator(fc.Seed, fc.Scale, fc.DeviceCache),
-		engine:   NewEngine(fc.Seed, fc.Scale, fc.SceneCache),
-		pool:     pool,
-		backends: make([]*LRU[string, nn.Backend], pool.WorkersFor(fc.rangeSize())),
-		items:    Items(fc.Seed, fc.Items),
-		windowed: stability.NewWindowed(),
-		slots:    make([]*contSlot, fc.rangeSize()),
-		done:     make(chan struct{}),
-	}
-	for i := range r.slots {
-		r.slots[i] = &contSlot{windows: make([]contWindowSlot, cfg.Windows)}
-	}
-	return r, nil
+	return &ContinuousRunner{newSweep(cfg, sched, true, factory)}, nil
 }
-
-// SetTelemetry attaches instruments (must be called before Start; nil
-// disables recording). Telemetry never influences results.
-func (r *ContinuousRunner) SetTelemetry(t *Telemetry) {
-	r.tele = t
-	r.engine.SetTelemetry(t)
-}
-
-// Start launches the run in the background, returning a channel closed on
-// completion.
-func (r *ContinuousRunner) Start() <-chan struct{} {
-	r.startOnce.Do(func() {
-		r.started = time.Now()
-		go func() {
-			defer close(r.done)
-			r.pool.RunWorker(r.cfg.Fleet.rangeSize(), func(worker, i int) {
-				r.runDevice(worker, r.cfg.Fleet.DeviceLo+i)
-			})
-		}()
-	})
-	return r.done
-}
-
-// Cancel asks the run to stop: device timelines not yet started are skipped
-// (a timeline runs whole or not at all, so partial reports never contain a
-// half-observed device), and done still closes once in-flight timelines
-// drain.
-func (r *ContinuousRunner) Cancel() { r.cancelled.Store(true) }
-
-// Cancelled reports whether Cancel has been called.
-func (r *ContinuousRunner) Cancelled() bool { return r.cancelled.Load() }
 
 // Run executes the continuous fleet synchronously and returns the report.
 func (r *ContinuousRunner) Run() FleetReport {
@@ -184,147 +81,11 @@ func (r *ContinuousRunner) Run() FleetReport {
 	return r.Report()
 }
 
-// Progress reports device timelines completed, total in this runner's
-// range, and captures taken.
-func (r *ContinuousRunner) Progress() (done, total, captures int) {
-	return int(r.devicesDone.Load()), r.cfg.Fleet.rangeSize(), int(r.capturesDone.Load())
+// Report snapshots the run's report. Safe while in flight; after completion
+// it is final and deterministic.
+func (r *ContinuousRunner) Report() FleetReport {
+	return renderFleetReport(r.cfg, r.sched, int(r.capturesDone.Load()), r.windowed, r.views())
 }
 
 // Config returns the (defaulted) configuration.
 func (r *ContinuousRunner) Config() ContinuousConfig { return r.cfg }
-
-// Schedule returns the expanded lifecycle schedule.
-func (r *ContinuousRunner) Schedule() *lifecycle.Schedule { return r.sched }
-
-// runDevice executes one device's whole virtual-time timeline: fold
-// lifecycle events at each window start, capture the scene matrix when
-// present, evaluate, and file records into that window's accumulator.
-func (r *ContinuousRunner) runDevice(worker, id int) {
-	if r.cancelled.Load() {
-		return
-	}
-	if r.tele != nil {
-		r.tele.QueueWait.ObserveSince(r.started)
-		r.tele.Active.Add(1)
-		defer r.tele.Active.Add(-1)
-	}
-	d := r.gen.Device(id)
-	cache := r.backends[worker]
-	if cache == nil {
-		cache = NewLRU[string, nn.Backend](backendCacheCap)
-		r.backends[worker] = cache
-	}
-
-	slot := r.slots[id-r.cfg.Fleet.DeviceLo]
-	slot.cohort = d.Cohort
-
-	// The device starts each run from its synthesized profile; lifecycle
-	// events transform it window by window. The fused ISP never changes
-	// (no transition touches ISP stages); the capture-resolution sensor is
-	// rebuilt only after a thermal event.
-	profile := d.Profile
-	capSensor := d.Sensor
-	evs := r.sched.DeviceEvents(id)
-	evIdx := 0
-	present := true
-	for _, ev := range evs {
-		if ev.Kind == lifecycle.KindJoin {
-			present = false // joins late; absent until its join window
-			break
-		}
-	}
-
-	cells := len(r.items) * len(r.cfg.Fleet.Angles)
-	images := make([]*imaging.Image, 0, cells)
-	sizes := make([]int, 0, cells)
-	for w := 0; w < r.cfg.Windows; w++ {
-		for evIdx < len(evs) && evs[evIdx].Window <= w {
-			ev := evs[evIdx]
-			evIdx++
-			switch ev.Kind {
-			case lifecycle.KindJoin:
-				present = true
-			case lifecycle.KindLeave:
-				present = false
-			case lifecycle.KindOSUpgrade:
-				profile = device.UpgradeOS(profile)
-			case lifecycle.KindRuntimeUpgrade:
-				profile = device.UpgradeRuntime(profile, ev.Runtime)
-			case lifecycle.KindThermalDrift:
-				// The throttle jitter seed is (run seed, stream 6, device,
-				// event window): deterministic, and distinct per event.
-				profile = device.Throttle(profile, ev.Severity, mix(r.gen.Seed, 6, int64(id), int64(ev.Window)))
-				params := profile.Sensor.Params
-				params.BlurSigma /= float64(r.gen.Scale)
-				params.ChromaticShift /= float64(r.gen.Scale)
-				capSensor = sensor.New(params)
-			}
-		}
-		if !present {
-			continue
-		}
-
-		// The per-window device view: same identity (ID, name, cohort, fused
-		// ISP), current profile + adapted sensor. The constant Env name is
-		// what lets consecutive windows pair cell-for-cell in ComparePair.
-		wDev := &Device{ID: id, Cohort: d.Cohort, Profile: profile, ISP: d.ISP, Sensor: capSensor}
-		runtime := profile.RuntimeName()
-		if r.cfg.Fleet.Runtime != "" {
-			runtime = r.cfg.Fleet.Runtime
-		}
-		backend := cache.GetOrCompute(runtime, func() nn.Backend { return r.factory(runtime) })
-
-		images = images[:0]
-		sizes = sizes[:0]
-		for _, it := range r.items {
-			for _, a := range r.cfg.Fleet.Angles {
-				img, size := r.engine.CaptureEpoch(wDev, it, a, w)
-				images = append(images, img)
-				sizes = append(sizes, size)
-				r.capturesDone.Add(1)
-			}
-		}
-
-		var inferStart time.Time
-		if r.tele != nil {
-			inferStart = time.Now()
-		}
-		preds, scores, probs := train.Evaluate(backend, images, r.cfg.Fleet.BatchSize)
-		if r.tele != nil {
-			r.tele.Inference.ObserveSince(inferStart)
-		}
-		for _, img := range images {
-			imaging.PutImage(img)
-		}
-		topks := train.TopKOf(probs, r.cfg.Fleet.TopK)
-
-		ws := &slot.windows[w]
-		ws.ran = true
-		ws.runtime = runtime
-		records := make([]*stability.Record, len(images))
-		i := 0
-		for _, it := range r.items {
-			for _, a := range r.cfg.Fleet.Angles {
-				records[i] = &stability.Record{
-					ItemID:    it.ID,
-					Angle:     a,
-					TrueClass: int(it.Class),
-					Env:       profile.Name,
-					Runtime:   runtime,
-					Pred:      preds[i],
-					Score:     scores[i],
-					TopK:      topks[i],
-				}
-				ws.score.Observe(scores[i])
-				ws.bytes.Observe(float64(sizes[i]))
-				i++
-			}
-		}
-		r.windowed.AddAll(w, records)
-		if r.tele != nil {
-			r.tele.Windows.Inc()
-		}
-	}
-	slot.done.Store(true)
-	r.devicesDone.Add(1)
-}

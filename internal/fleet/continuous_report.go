@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -77,23 +76,7 @@ type FleetReport struct {
 }
 
 // JSON marshals the report with stable formatting.
-func (r FleetReport) JSON() []byte {
-	b, err := json.Marshal(r)
-	if err != nil { // struct of plain values; cannot fail
-		panic(err)
-	}
-	return b
-}
-
-// contDeviceView is one finished device timeline's contribution to the
-// report aggregates. Live runners build views from slots; MergedFleetReport
-// builds them from shard-shipped ContDeviceStates. Views must be in
-// ascending device-ID order.
-type contDeviceView struct {
-	id      int
-	cohort  string
-	windows []contWindowSlot // indexed by window; !ran windows are absent
-}
+func (r FleetReport) JSON() []byte { return mustJSON(r) }
 
 // cohortOfEnv extracts the cohort (base phone name) from a record Env like
 // "samsung-galaxy-s10/fleet-00005".
@@ -110,8 +93,8 @@ func cohortOfEnv(env string) string {
 // 0..Windows-1 render even when empty (a fully churned-out window is a
 // meaningful data point).
 func renderFleetReport(cfg ContinuousConfig, sched *lifecycle.Schedule,
-	devicesDone, captures int, windowed *stability.Windowed, views []contDeviceView) FleetReport {
-	rep := FleetReport{Config: cfg, DevicesDone: devicesDone, Captures: captures}
+	captures int, windowed *stability.Windowed, views []deviceView) FleetReport {
+	rep := FleetReport{Config: cfg, DevicesDone: len(views), Captures: captures}
 	cohorts := NewGenerator(cfg.Fleet.Seed, cfg.Fleet.Scale, 1).Cohorts()
 
 	// Per-window outcomes, fleet-wide and split by cohort (a record's cohort
@@ -120,21 +103,15 @@ func renderFleetReport(cfg ContinuousConfig, sched *lifecycle.Schedule,
 	byCohort := make([]map[string]map[stability.Cell]stability.Outcome, cfg.Windows)
 	for w := 0; w < cfg.Windows; w++ {
 		outcomes[w] = windowed.Outcomes(w)
-		split := map[string]map[stability.Cell]stability.Outcome{}
-		for _, c := range cohorts {
-			split[c] = map[stability.Cell]stability.Outcome{}
-		}
+		byCohort[w] = map[string]map[stability.Cell]stability.Outcome{}
 		for cell, out := range outcomes[w] {
 			co := cohortOfEnv(cell.Env)
-			if split[co] == nil {
-				split[co] = map[stability.Cell]stability.Outcome{}
+			if byCohort[w][co] == nil {
+				byCohort[w][co] = map[stability.Cell]stability.Outcome{}
 			}
-			split[co][cell] = out
+			byCohort[w][co][cell] = out
 		}
-		byCohort[w] = split
-	}
 
-	for w := 0; w < cfg.Windows; w++ {
 		snap := windowed.Snapshot(w)
 		wr := WindowReport{
 			Window:       w,
@@ -153,7 +130,7 @@ func renderFleetReport(cfg ContinuousConfig, sched *lifecycle.Schedule,
 		// sorted.
 		var score, bytes metrics.Online
 		for _, v := range views {
-			if w >= len(v.windows) || !v.windows[w].ran {
+			if !v.windows[w].ran {
 				continue
 			}
 			wr.Devices++
@@ -258,24 +235,6 @@ func renderDrift(cfg ContinuousConfig, sched *lifecycle.Schedule, cohorts []stri
 	return dr
 }
 
-// Report snapshots the run's report. Safe while in flight; after completion
-// it is final and deterministic.
-func (r *ContinuousRunner) Report() FleetReport {
-	views := make([]contDeviceView, 0, len(r.slots))
-	for i, slot := range r.slots {
-		if !slot.done.Load() {
-			continue
-		}
-		views = append(views, contDeviceView{
-			id:      r.cfg.Fleet.DeviceLo + i,
-			cohort:  slot.cohort,
-			windows: slot.windows,
-		})
-	}
-	return renderFleetReport(r.cfg, r.sched, int(r.devicesDone.Load()),
-		int(r.capturesDone.Load()), r.windowed, views)
-}
-
 // MergedFleetReport reconstructs the full continuous run's report from
 // shard states. For a complete, non-overlapping set of shards of cfg's
 // device range, the result is byte-identical (as JSON) to the report of one
@@ -288,7 +247,7 @@ func MergedFleetReport(cfg ContinuousConfig, states ...*ContinuousState) (FleetR
 		return FleetReport{}, err
 	}
 	windowed := stability.NewWindowed()
-	var views []contDeviceView
+	var views []deviceView
 	captures := 0
 	for _, st := range states {
 		if st == nil {
@@ -299,26 +258,24 @@ func MergedFleetReport(cfg ContinuousConfig, states ...*ContinuousState) (FleetR
 		}
 		captures += st.Captures
 		for _, ds := range st.Devices {
-			v := contDeviceView{id: ds.ID, cohort: ds.Cohort, windows: make([]contWindowSlot, cfg.Windows)}
+			v, err := shardView(ds.ID, st.DeviceLo, st.DeviceHi, ds.Cohort, make([]windowSlot, cfg.Windows))
+			if err != nil {
+				return FleetReport{}, err
+			}
 			for _, ws := range ds.Windows {
 				if ws.Window < 0 || ws.Window >= cfg.Windows {
 					return FleetReport{}, fmt.Errorf("fleet: device %d reports window %d outside [0, %d)", ds.ID, ws.Window, cfg.Windows)
 				}
-				v.windows[ws.Window] = contWindowSlot{
-					ran:     true,
-					runtime: ws.Runtime,
-					score:   metrics.FromState(ws.Score),
-					bytes:   metrics.FromState(ws.Bytes),
+				if v.windows[ws.Window].ran {
+					return FleetReport{}, fmt.Errorf("fleet: device %d reports window %d twice", ds.ID, ws.Window)
 				}
+				v.windows[ws.Window] = shardSlot(ws.Runtime, ws.Score, ws.Bytes)
 			}
 			views = append(views, v)
 		}
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].id < views[j].id })
-	for i := 1; i < len(views); i++ {
-		if views[i-1].id == views[i].id {
-			return FleetReport{}, fmt.Errorf("fleet: merged shards overlap at device %d", views[i].id)
-		}
+	if err := orderViews(views); err != nil {
+		return FleetReport{}, err
 	}
-	return renderFleetReport(cfg, sched, len(views), captures, windowed, views), nil
+	return renderFleetReport(cfg, sched, captures, windowed, views), nil
 }

@@ -58,13 +58,10 @@ func (r *ContinuousRunner) State() (*ContinuousState, error) {
 		Captures: int(r.capturesDone.Load()),
 		Windowed: winState,
 	}
-	for i, slot := range r.slots {
-		if !slot.done.Load() {
-			continue
-		}
-		ds := ContDeviceState{ID: r.cfg.Fleet.DeviceLo + i, Cohort: slot.cohort}
-		for w := range slot.windows {
-			ws := &slot.windows[w]
+	for _, v := range r.views() {
+		ds := ContDeviceState{ID: v.id, Cohort: v.cohort}
+		for w := range v.windows {
+			ws := &v.windows[w]
 			if !ws.ran {
 				continue
 			}

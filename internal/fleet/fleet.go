@@ -7,6 +7,16 @@
 // offline) and the scaffolding later scaling work — distributed shards,
 // multiple inference backends — plugs into.
 //
+// There is one executor, the unexported sweep: each device's whole
+// virtual-time timeline (lifecycle events folded at window starts, the
+// scene matrix captured, evaluated and filed per window) is one unit of pool
+// work. Runner and ContinuousRunner are snapshot views over it — the
+// paper's one-shot characterization is a sweep of a single window under an
+// empty lifecycle schedule, read back as Stats; a continuous fleet is the
+// same sweep over many windows under churn and upgrades, read back as a
+// FleetReport. Both render through one device view in device-ID order and
+// ship their state to a coordinator in the same shape.
+//
 // Determinism is the load-bearing property: every stochastic choice (device
 // synthesis, screen flicker, sensor noise) draws from an RNG seeded by a
 // hash of the fleet seed and the cell's coordinates, never from shared

@@ -1,17 +1,6 @@
 package fleet
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/imaging"
-	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/stability"
-	"repro/internal/train"
-)
+import "repro/internal/lifecycle"
 
 // Config parameterizes one fleet run. The zero value of any field selects a
 // sensible default; Seed and Devices are what callers usually set.
@@ -125,111 +114,17 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// deviceSlot is one device's deterministic per-device aggregates, written
-// only by the worker that ran the device and merged in ID order at snapshot
-// time (so float accumulation order never depends on scheduling).
-type deviceSlot struct {
-	done    atomic.Bool
-	cohort  string
-	runtime string
-	score   metrics.Online
-	bytes   metrics.Online
-}
-
-// backendCacheCap bounds each worker's backend LRU. Three variants exist
-// today; the headroom keeps a future longer variant list from thrashing.
-const backendCacheCap = 8
-
-// Runner executes a fleet run: it owns the generator, capture engine,
-// worker pool, per-worker backend replicas and the streaming aggregators.
-type Runner struct {
-	cfg     Config
-	factory BackendFactory
-	gen     *Generator
-	engine  *Engine
-	pool    *Pool
-	// backends holds one LRU of runtime→backend per pool worker; worker
-	// ids are a dense range and each id is a single goroutine, so the
-	// outer slice needs no locking. Compiling a backend (restore +
-	// quantize/prune) is paid once per (worker, variant).
-	backends []*LRU[string, nn.Backend]
-	items    []*dataset.Item
-
-	acc        *stability.Accumulator
-	cohortAccs map[string]*stability.Accumulator
-	// slots[i] belongs to device cfg.DeviceLo+i.
-	slots []*deviceSlot
-
-	devicesDone  atomic.Int64
-	capturesDone atomic.Int64
-	cancelled    atomic.Bool
-
-	tele    *Telemetry // nil → no recording
-	started time.Time  // set by Start, read by workers for queue-wait
-
-	startOnce sync.Once
-	done      chan struct{}
-}
+// Runner executes a one-shot fleet run — the paper's snapshot of a phone
+// population. It is a view over the package's one sweep, built with a single
+// window and an empty lifecycle schedule: Start, Cancel, Cancelled, Progress
+// and SetTelemetry are the sweep's, and Stats / RunState read its window 0.
+type Runner struct{ *sweep }
 
 // NewRunner prepares a run; no work happens until Start or Run.
 func NewRunner(cfg Config, factory BackendFactory) *Runner {
-	cfg = cfg.WithDefaults()
-	gen := NewGenerator(cfg.Seed, cfg.Scale, cfg.DeviceCache)
-	pool := NewPool(cfg.Workers)
-	r := &Runner{
-		cfg:        cfg,
-		factory:    factory,
-		gen:        gen,
-		engine:     NewEngine(cfg.Seed, cfg.Scale, cfg.SceneCache),
-		pool:       pool,
-		backends:   make([]*LRU[string, nn.Backend], pool.WorkersFor(cfg.rangeSize())),
-		items:      Items(cfg.Seed, cfg.Items),
-		acc:        stability.NewAccumulator(),
-		cohortAccs: map[string]*stability.Accumulator{},
-		slots:      make([]*deviceSlot, cfg.rangeSize()),
-		done:       make(chan struct{}),
-	}
-	for _, cohort := range gen.Cohorts() {
-		r.cohortAccs[cohort] = stability.NewAccumulator()
-	}
-	for i := range r.slots {
-		r.slots[i] = &deviceSlot{}
-	}
-	return r
+	one := ContinuousConfig{Fleet: cfg.WithDefaults(), Windows: 1}
+	return &Runner{newSweep(one, &lifecycle.Schedule{}, false, factory)}
 }
-
-// SetTelemetry attaches capture instruments to the runner (and its engine).
-// Must be called before Start; nil (the default) disables all recording.
-// Telemetry never influences results — it only reads the clock — so
-// instrumented and uninstrumented runs are byte-identical.
-func (r *Runner) SetTelemetry(t *Telemetry) {
-	r.tele = t
-	r.engine.SetTelemetry(t)
-}
-
-// Start launches the run in the background, returning a channel closed on
-// completion. Stats may be called at any time for an in-flight snapshot.
-func (r *Runner) Start() <-chan struct{} {
-	r.startOnce.Do(func() {
-		r.started = time.Now()
-		go func() {
-			defer close(r.done)
-			r.pool.RunWorker(r.cfg.rangeSize(), func(worker, i int) {
-				r.runDevice(worker, r.cfg.DeviceLo+i)
-			})
-		}()
-	})
-	return r.done
-}
-
-// Cancel asks the run to stop: devices not yet started are skipped (their
-// slots never complete), and the done channel still closes once in-flight
-// devices drain. After a cancelled run, Progress reports done < total and
-// Stats is a valid partial snapshot. Safe to call at any time, repeatedly.
-func (r *Runner) Cancel() { r.cancelled.Store(true) }
-
-// Cancelled reports whether Cancel has been called.
-func (r *Runner) Cancelled() bool { return r.cancelled.Load() }
 
 // Run executes the fleet synchronously and returns the final stats.
 func (r *Runner) Run() Stats {
@@ -237,10 +132,10 @@ func (r *Runner) Run() Stats {
 	return r.Stats()
 }
 
-// Progress reports devices completed, total devices in this runner's range,
-// and captures taken.
-func (r *Runner) Progress() (done, total, captures int) {
-	return int(r.devicesDone.Load()), r.cfg.rangeSize(), int(r.capturesDone.Load())
+// Stats snapshots the run's aggregates. Safe to call while the run is in
+// flight; after completion the result is final and deterministic.
+func (r *Runner) Stats() Stats {
+	return renderStats(r.cfg.Fleet, int(r.capturesDone.Load()), r.windowed.Window(0), r.views())
 }
 
 // AccumulatorState serializes the run's stability accumulator in the wire
@@ -249,92 +144,8 @@ func (r *Runner) Progress() (done, total, captures int) {
 // the same fleet) into one accumulator with UnmarshalState — the
 // building block for distributed fleetd shards.
 func (r *Runner) AccumulatorState() ([]byte, error) {
-	return r.acc.MarshalState()
+	return r.windowed.Window(0).MarshalState()
 }
 
 // Config returns the (defaulted) run configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
-// runtimeFor resolves the inference runtime one device runs: the forced
-// Config.Runtime when set, otherwise the variant synthesized into the
-// device's profile.
-func (r *Runner) runtimeFor(d *Device) string {
-	if r.cfg.Runtime != "" {
-		return r.cfg.Runtime
-	}
-	return d.Profile.RuntimeName()
-}
-
-// runDevice simulates one fleet member end-to-end on one worker.
-func (r *Runner) runDevice(worker, id int) {
-	if r.cancelled.Load() {
-		return
-	}
-	if r.tele != nil {
-		// Queue wait: how long this device sat behind others before a pool
-		// worker picked it up.
-		r.tele.QueueWait.ObserveSince(r.started)
-	}
-	d := r.gen.Device(id)
-	runtime := r.runtimeFor(d)
-	cache := r.backends[worker]
-	if cache == nil {
-		cache = NewLRU[string, nn.Backend](backendCacheCap)
-		r.backends[worker] = cache
-	}
-	backend := cache.GetOrCompute(runtime, func() nn.Backend { return r.factory(runtime) })
-
-	cells := len(r.items) * len(r.cfg.Angles)
-	images := make([]*imaging.Image, 0, cells)
-	sizes := make([]int, 0, cells)
-	for _, it := range r.items {
-		for _, a := range r.cfg.Angles {
-			img, size := r.engine.Capture(d, it, a)
-			images = append(images, img)
-			sizes = append(sizes, size)
-			r.capturesDone.Add(1)
-		}
-	}
-
-	var inferStart time.Time
-	if r.tele != nil {
-		inferStart = time.Now()
-	}
-	preds, scores, probs := train.Evaluate(backend, images, r.cfg.BatchSize)
-	if r.tele != nil {
-		r.tele.Inference.ObserveSince(inferStart)
-	}
-	// Evaluate copied every pixel into its input tensors; the capture images
-	// came from the image pool and can recycle for the next device.
-	for _, img := range images {
-		imaging.PutImage(img)
-	}
-	topks := train.TopKOf(probs, r.cfg.TopK)
-
-	slot := r.slots[id-r.cfg.DeviceLo]
-	slot.cohort = d.Cohort
-	slot.runtime = runtime
-	records := make([]*stability.Record, len(images))
-	i := 0
-	for _, it := range r.items {
-		for _, a := range r.cfg.Angles {
-			records[i] = &stability.Record{
-				ItemID:    it.ID,
-				Angle:     a,
-				TrueClass: int(it.Class),
-				Env:       d.Profile.Name,
-				Runtime:   runtime,
-				Pred:      preds[i],
-				Score:     scores[i],
-				TopK:      topks[i],
-			}
-			slot.score.Observe(scores[i])
-			slot.bytes.Observe(float64(sizes[i]))
-			i++
-		}
-	}
-	r.acc.AddAll(records)
-	r.cohortAccs[d.Cohort].AddAll(records)
-	slot.done.Store(true)
-	r.devicesDone.Add(1)
-}
+func (r *Runner) Config() Config { return r.cfg.Fleet }

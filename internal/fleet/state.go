@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/stability"
@@ -12,11 +11,12 @@ import (
 // RunState is the portable final state of one Runner — the payload a
 // device-range shard ships its coordinator. It carries everything needed to
 // reconstruct the exact Stats a single-instance run would have produced:
-// the stability accumulator (integer counters, order-independent), the
-// per-cohort accumulators, and per-device value summaries with their exact
-// Welford state, so the coordinator can replay the same device-ID-ordered
-// float merges a single process would run. Shards of one fleet, merged with
-// MergedStats, are byte-identical to the unsharded run.
+// the stability accumulator (integer counters, order-independent; the
+// per-cohort split is derived from it at render time, not shipped) and
+// per-device value summaries with their exact Welford state, so the
+// coordinator can replay the same device-ID-ordered float merges a single
+// process would run. Shards of one fleet, merged with MergedStats, are
+// byte-identical to the unsharded run.
 type RunState struct {
 	Version int `json:"version"`
 	// DeviceLo and DeviceHi are the device-id range this state covers.
@@ -28,17 +28,8 @@ type RunState struct {
 	// Accumulator is the stability wire state
 	// (stability.(*Accumulator).MarshalState).
 	Accumulator json.RawMessage `json:"accumulator"`
-	// Cohorts holds one accumulator state per fleet cohort, including
-	// cohorts this shard's range never touched (their states are empty).
-	Cohorts []CohortState `json:"cohorts"`
 	// Devices lists the shard's finished devices in ascending ID order.
 	Devices []DeviceState `json:"devices"`
-}
-
-// CohortState is one cohort's stability accumulator state.
-type CohortState struct {
-	Cohort      string          `json:"cohort"`
-	Accumulator json.RawMessage `json:"accumulator"`
 }
 
 // DeviceState is one finished device's aggregates.
@@ -50,42 +41,34 @@ type DeviceState struct {
 	Bytes   metrics.OnlineState `json:"bytes"`
 }
 
-const runStateVersion = 1
+// runStateVersion 2 dropped the per-cohort accumulator states of version 1.
+// Shards and coordinator are one build, so other versions are rejected, not
+// translated.
+const runStateVersion = 2
 
 // RunState exports the runner's state for coordinator-side merging. Call it
 // after the run completes (or after cancellation — only finished devices
 // are included).
 func (r *Runner) RunState() (*RunState, error) {
-	accState, err := r.acc.MarshalState()
+	accState, err := r.AccumulatorState()
 	if err != nil {
 		return nil, err
 	}
 	st := &RunState{
 		Version:     runStateVersion,
-		DeviceLo:    r.cfg.DeviceLo,
-		DeviceHi:    r.cfg.DeviceHi,
+		DeviceLo:    r.cfg.Fleet.DeviceLo,
+		DeviceHi:    r.cfg.Fleet.DeviceHi,
 		Captures:    int(r.capturesDone.Load()),
 		Accumulator: accState,
 	}
-	cohorts := r.gen.Cohorts()
-	sort.Strings(cohorts)
-	for _, cohort := range cohorts {
-		cs, err := r.cohortAccs[cohort].MarshalState()
-		if err != nil {
-			return nil, err
-		}
-		st.Cohorts = append(st.Cohorts, CohortState{Cohort: cohort, Accumulator: cs})
-	}
-	for i, slot := range r.slots {
-		if !slot.done.Load() {
-			continue
-		}
+	for _, v := range r.views() {
+		w := &v.windows[0]
 		st.Devices = append(st.Devices, DeviceState{
-			ID:      r.cfg.DeviceLo + i,
-			Cohort:  slot.cohort,
-			Runtime: slot.runtime,
-			Score:   slot.score.State(),
-			Bytes:   slot.bytes.State(),
+			ID:      v.id,
+			Cohort:  v.cohort,
+			Runtime: w.runtime,
+			Score:   w.score.State(),
+			Bytes:   w.bytes.State(),
 		})
 	}
 	return st, nil
@@ -120,8 +103,7 @@ func UnmarshalRunState(data []byte) (*RunState, error) {
 func MergedStats(cfg Config, states ...*RunState) (Stats, error) {
 	cfg = cfg.WithDefaults()
 	acc := stability.NewAccumulator()
-	cohortAccs := map[string]*stability.Accumulator{}
-	var devices []DeviceState
+	var views []deviceView
 	captures := 0
 	for _, st := range states {
 		if st == nil {
@@ -130,29 +112,18 @@ func MergedStats(cfg Config, states ...*RunState) (Stats, error) {
 		if err := acc.UnmarshalState(st.Accumulator); err != nil {
 			return Stats{}, err
 		}
-		for _, cs := range st.Cohorts {
-			ca := cohortAccs[cs.Cohort]
-			if ca == nil {
-				ca = stability.NewAccumulator()
-				cohortAccs[cs.Cohort] = ca
-			}
-			if err := ca.UnmarshalState(cs.Accumulator); err != nil {
+		captures += st.Captures
+		for _, d := range st.Devices {
+			window := []windowSlot{shardSlot(d.Runtime, d.Score, d.Bytes)}
+			v, err := shardView(d.ID, st.DeviceLo, st.DeviceHi, d.Cohort, window)
+			if err != nil {
 				return Stats{}, err
 			}
+			views = append(views, v)
 		}
-		captures += st.Captures
-		devices = append(devices, st.Devices...)
 	}
-	// Device-ID order is the float accumulation order of a single-instance
-	// run; shard arrival order must not leak into the merged stats.
-	sort.Slice(devices, func(i, j int) bool { return devices[i].ID < devices[j].ID })
-	slots := make([]slotView, len(devices))
-	for i, d := range devices {
-		if i > 0 && devices[i-1].ID == d.ID {
-			return Stats{}, fmt.Errorf("fleet: merged shards overlap at device %d", d.ID)
-		}
-		slots[i] = slotView{cohort: d.Cohort, runtime: d.Runtime, score: metrics.FromState(d.Score), bytes: metrics.FromState(d.Bytes)}
+	if err := orderViews(views); err != nil {
+		return Stats{}, err
 	}
-	cohorts := NewGenerator(cfg.Seed, cfg.Scale, 1).Cohorts()
-	return renderStats(cfg, len(devices), captures, acc, cohortAccs, cohorts, slots), nil
+	return renderStats(cfg, captures, acc, views), nil
 }

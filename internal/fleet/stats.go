@@ -92,35 +92,29 @@ type Stats struct {
 }
 
 // JSON marshals the stats with stable formatting.
-func (s Stats) JSON() []byte {
-	b, err := json.Marshal(s)
+func (s Stats) JSON() []byte { return mustJSON(s) }
+
+// mustJSON marshals a snapshot document.
+func mustJSON(doc any) []byte {
+	b, err := json.Marshal(doc)
 	if err != nil { // struct of plain values; cannot fail
 		panic(err)
 	}
 	return b
 }
 
-// slotView is one finished device's contribution to the run-level
-// aggregates: its cohort and runtime membership plus its streaming value
-// summaries. Live runners build views from their slots; MergedStats builds
-// them from shard-shipped DeviceStates.
-type slotView struct {
-	cohort, runtime string
-	score, bytes    metrics.Online
-}
-
-// renderStats assembles a Stats snapshot from a run's parts. It is the
-// single rendering path for live runner snapshots and coordinator-merged
-// shard states, which is what makes the two byte-identical: callers must
-// pass slot views in ascending device-ID order (float accumulation order
-// must never depend on scheduling or shard arrival), and cohorts lists
-// every cohort of the fleet, rendered even when empty.
-func renderStats(cfg Config, devicesDone, captures int, acc *stability.Accumulator,
-	cohortAccs map[string]*stability.Accumulator, cohorts []string, slots []slotView) Stats {
+// renderStats assembles a Stats snapshot from a one-shot run's parts: its
+// captures so far, window 0's accumulator and the finished devices' views.
+// It is the single rendering path for live runner snapshots and
+// coordinator-merged shard states, which is what makes the two
+// byte-identical: callers must pass views in ascending device-ID order
+// (float accumulation order must never depend on scheduling or shard
+// arrival).
+func renderStats(cfg Config, captures int, acc *stability.Accumulator, views []deviceView) Stats {
 	snap := acc.Snapshot()
 	s := Stats{
 		Config:       cfg,
-		DevicesDone:  devicesDone,
+		DevicesDone:  len(views),
 		Captures:     captures,
 		Records:      snap.Records,
 		Accuracy:     snap.Accuracy,
@@ -143,11 +137,12 @@ func renderStats(cfg Config, devicesDone, captures int, acc *stability.Accumulat
 	var score, bytes metrics.Online
 	cohortDevices := map[string]int{}
 	runtimeDevices := map[string]int{}
-	for _, slot := range slots {
-		score.Merge(slot.score)
-		bytes.Merge(slot.bytes)
-		cohortDevices[slot.cohort]++
-		runtimeDevices[slot.runtime]++
+	for _, v := range views {
+		w := &v.windows[0] // a one-shot device is present in its only window
+		score.Merge(w.score)
+		bytes.Merge(w.bytes)
+		cohortDevices[v.cohort]++
+		runtimeDevices[w.runtime]++
 	}
 	s.Score = onlineStats(score)
 	s.CaptureBytes = onlineStats(bytes)
@@ -163,13 +158,14 @@ func renderStats(cfg Config, devicesDone, captures int, acc *stability.Accumulat
 		})
 	}
 
-	sorted := append([]string(nil), cohorts...)
-	sort.Strings(sorted)
-	for _, cohort := range sorted {
-		var cs stability.AccumulatorSnapshot
-		if acc := cohortAccs[cohort]; acc != nil {
-			cs = acc.Snapshot()
-		}
+	// The cohort split is derived from the run's one accumulator (a
+	// record's cohort is its Env prefix). Every cohort of the fleet renders,
+	// even one no finished device belongs to yet.
+	byCohort := acc.ByPartition(cohortOfEnv)
+	cohorts := NewGenerator(cfg.Seed, cfg.Scale, 1).Cohorts()
+	sort.Strings(cohorts)
+	for _, cohort := range cohorts {
+		cs := byCohort[cohort]
 		s.ByCohort = append(s.ByCohort, CohortStats{
 			Cohort:       cohort,
 			Devices:      cohortDevices[cohort],
@@ -180,20 +176,4 @@ func renderStats(cfg Config, devicesDone, captures int, acc *stability.Accumulat
 		})
 	}
 	return s
-}
-
-// Stats snapshots the run's aggregates. Safe to call while the run is in
-// flight; after completion the result is final and deterministic.
-func (r *Runner) Stats() Stats {
-	// Slot views assemble in device-ID order; only finished slots
-	// contribute.
-	slots := make([]slotView, 0, len(r.slots))
-	for _, slot := range r.slots {
-		if !slot.done.Load() {
-			continue
-		}
-		slots = append(slots, slotView{cohort: slot.cohort, runtime: slot.runtime, score: slot.score, bytes: slot.bytes})
-	}
-	return renderStats(r.cfg, int(r.devicesDone.Load()), int(r.capturesDone.Load()),
-		r.acc, r.cohortAccs, r.gen.Cohorts(), slots)
 }

@@ -1,0 +1,228 @@
+package fleet
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/stability"
+)
+
+// TestRenderStatsCohortsDisagree hands renderStats an accumulator whose
+// cohorts genuinely differ. The runner tests use an untrained model that no
+// group is ever unstable under, so they cannot tell a right by_cohort split
+// from a wrong one; this one can.
+func TestRenderStatsCohortsDisagree(t *testing.T) {
+	cfg := Config{Devices: 6, Items: 2, Angles: []int{0}, Seed: 1}.WithDefaults()
+	cohorts := NewGenerator(cfg.Seed, cfg.Scale, 1).Cohorts()
+	acc := stability.NewAccumulator()
+	var views []deviceView
+	// observe files device id's two records (items 1 and 2, classes 1 and
+	// 2) and its view; ok1/ok2 say whether each item was classified right.
+	observe := func(id int, ok1, ok2 bool) {
+		cohort := cohorts[id%len(cohorts)]
+		for item, ok := range map[int]bool{1: ok1, 2: ok2} {
+			pred := item
+			if !ok {
+				pred = 0
+			}
+			acc.Add(&stability.Record{
+				ItemID: item, TrueClass: item, Pred: pred, TopK: []int{pred},
+				Env: fmt.Sprintf("%s/fleet-%05d", cohort, id), Runtime: "float32",
+			})
+		}
+		views = append(views, deviceView{id: id, cohort: cohort, windows: []windowSlot{{ran: true, runtime: "float32"}}})
+	}
+	observe(0, true, true)   // cohort 0: item 1 flips inside the cohort
+	observe(5, false, true)  // cohort 0 again (5 bases, round-robin)
+	observe(1, true, false)  // cohort 1: one device, consistent with itself
+	observe(2, false, false) // cohort 2: wrong throughout — stable
+	// cohorts 3 and 4: no finished device.
+
+	s := renderStats(cfg, 8, acc, views)
+	if s.Top1 != (InstabilityStats{Groups: 2, Unstable: 2, Percent: 100}) {
+		t.Fatalf("overall top1 = %+v, want both groups unstable", s.Top1)
+	}
+	want := map[string]CohortStats{
+		cohorts[0]: {Devices: 2, Records: 4, Accuracy: 0.75, TopKAccuracy: 0.75, Top1: InstabilityStats{Groups: 2, Unstable: 1, Percent: 50}},
+		cohorts[1]: {Devices: 1, Records: 2, Accuracy: 0.5, TopKAccuracy: 0.5, Top1: InstabilityStats{Groups: 2}},
+		cohorts[2]: {Devices: 1, Records: 2, Top1: InstabilityStats{Groups: 2}},
+		cohorts[3]: {},
+		cohorts[4]: {},
+	}
+	if len(s.ByCohort) != len(cohorts) {
+		t.Fatalf("by_cohort lists %d cohorts, want all %d", len(s.ByCohort), len(cohorts))
+	}
+	for i, got := range s.ByCohort {
+		if i > 0 && s.ByCohort[i-1].Cohort >= got.Cohort {
+			t.Fatalf("by_cohort not sorted: %q before %q", s.ByCohort[i-1].Cohort, got.Cohort)
+		}
+		w := want[got.Cohort]
+		w.Cohort = got.Cohort
+		if got != w {
+			t.Errorf("cohort %s = %+v, want %+v", got.Cohort, got, w)
+		}
+	}
+}
+
+// TestOneShotIsWindowZeroOfTheSweep pins what making the one-shot run a
+// 1-window sweep must not move: its accumulator state is window 0's wire
+// state, and the "continuous fleet" instruments stay untouched while the
+// shared ones still record.
+func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
+	tele := NewTelemetry(obs.NewRegistry())
+	r := NewRunner(Config{Devices: 5, Items: 1, Angles: []int{0, 2}, Seed: 13, Workers: 2}, testFactory())
+	r.SetTelemetry(tele)
+	r.Run()
+
+	if a, w := tele.Active.Value(), tele.Windows.Value(); a != 0 || w != 0 {
+		t.Fatalf("one-shot run moved fleet_active_devices=%v fleet_windows_total=%d, want 0 and 0", a, w)
+	}
+	for name, h := range map[string]*obs.Histogram{
+		"queue-wait": tele.QueueWait, "sensor": tele.Sensor, "isp": tele.ISP, "codec": tele.Codec, "inference": tele.Inference,
+	} {
+		if h.Count() == 0 {
+			t.Errorf("one-shot run recorded no %s observations", name)
+		}
+	}
+
+	accState, err := r.AccumulatorState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	winState, err := r.windowed.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Windows []struct {
+			Window int             `json:"window"`
+			State  json.RawMessage `json:"state"`
+		} `json:"windows"`
+	}
+	if err := json.Unmarshal(winState, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Windows) != 1 || wire.Windows[0].Window != 0 || !bytes.Equal(wire.Windows[0].State, accState) {
+		t.Fatalf("AccumulatorState is not window 0's wire state:\n%s\nvs windowed\n%s", accState, winState)
+	}
+
+	// A continuous run of the same fleet does count its device-windows.
+	c, err := NewContinuousRunner(ContinuousConfig{Fleet: r.Config(), Windows: 2}, testFactory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTelemetry(tele)
+	c.Run()
+	if a, w := tele.Active.Value(), tele.Windows.Value(); a != 0 || w != 10 {
+		t.Fatalf("continuous run left fleet_active_devices=%v fleet_windows_total=%d, want 0 and 10", a, w)
+	}
+}
+
+// TestUnmarshalRunStateRejectsVersion1 pins the version bump: a payload of
+// the version that still carried per-cohort accumulators is refused by the
+// version check, not half-read.
+func TestUnmarshalRunStateRejectsVersion1(t *testing.T) {
+	r := NewRunner(Config{Devices: 2, Items: 1, Angles: []int{0}, Seed: 3}, testFactory())
+	r.Run()
+	data, err := r.MarshalRunState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"cohorts"`)) {
+		t.Fatalf("run state still ships cohort states: %s", data)
+	}
+	old := bytes.Replace(data, []byte(`{"version":2,`), []byte(`{"version":1,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("run state does not open with version 2: %.40s", data)
+	}
+	if _, err := UnmarshalRunState(old); err == nil || !strings.Contains(err.Error(), "run state version 1, want 2") {
+		t.Fatalf("version 1 payload: err = %v, want the version error", err)
+	}
+}
+
+// TestMergedRejectsHostileShardState covers shard states no honest runner
+// produces but a peer's bytes can spell: a device outside the range its own
+// state declares, and a device listing one window twice (the later entry
+// used to overwrite the earlier silently).
+func TestMergedRejectsHostileShardState(t *testing.T) {
+	cfg := contTestConfig(2)
+	cfg.Churn.JoinRate, cfg.Churn.LeaveRate = 0, 0
+	fleetState := func(t *testing.T) *ContinuousState {
+		shardCfg := cfg
+		shardCfg.Fleet.DeviceLo, shardCfg.Fleet.DeviceHi = 2, 5
+		st, err := runContinuous(t, shardCfg).State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	runState := func(t *testing.T) *RunState {
+		shardCfg := cfg.Fleet
+		shardCfg.DeviceLo, shardCfg.DeviceHi = 2, 5
+		r := NewRunner(shardCfg, testFactory())
+		r.Run()
+		st, err := r.RunState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, tc := range []struct {
+		name  string
+		merge func(t *testing.T) error
+		want  string // "" accepts
+	}{
+		{"fleet honest", func(t *testing.T) error {
+			_, err := MergedFleetReport(cfg, fleetState(t))
+			return err
+		}, ""},
+		{"fleet window twice", func(t *testing.T) error {
+			st := fleetState(t)
+			st.Devices[1].Windows = append(st.Devices[1].Windows, st.Devices[1].Windows[0])
+			_, err := MergedFleetReport(cfg, st)
+			return err
+		}, "device 3 reports window 0 twice"},
+		{"fleet id below range", func(t *testing.T) error {
+			st := fleetState(t)
+			st.Devices[0].ID = 1
+			_, err := MergedFleetReport(cfg, st)
+			return err
+		}, "[2, 5) lists device 1"},
+		{"fleet id at range end", func(t *testing.T) error {
+			st := fleetState(t)
+			st.Devices[2].ID = 5
+			_, err := MergedFleetReport(cfg, st)
+			return err
+		}, "[2, 5) lists device 5"},
+		{"run honest", func(t *testing.T) error {
+			_, err := MergedStats(cfg.Fleet, runState(t))
+			return err
+		}, ""},
+		{"run id below range", func(t *testing.T) error {
+			st := runState(t)
+			st.Devices[0].ID = -4
+			_, err := MergedStats(cfg.Fleet, st)
+			return err
+		}, "[2, 5) lists device -4"},
+		{"run id past range", func(t *testing.T) error {
+			st := runState(t)
+			st.Devices[2].ID = 9
+			_, err := MergedStats(cfg.Fleet, st)
+			return err
+		}, "[2, 5) lists device 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.merge(t)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("honest state rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+}

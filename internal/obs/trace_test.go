@@ -116,7 +116,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0] .Name != "run" || spans[0].Trace != trace {
+	if len(spans) != 1 || spans[0].Name != "run" || spans[0].Trace != trace {
 		t.Fatalf("round trip %+v", spans)
 	}
 	if spans[0].Duration() < time.Millisecond {

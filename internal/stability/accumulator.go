@@ -193,9 +193,19 @@ var mergeMu sync.Mutex
 
 // Merge folds another accumulator's state into this one: the result equals
 // one accumulator fed both record streams, in any order. The other
-// accumulator is only read. It panics when the shards disagree on a group's
-// true class, the same contract Add enforces record by record.
+// accumulator is only read. It panics, as Add does record by record, when
+// the shards disagree on a group's true class or exhaust the lane space.
 func (a *Accumulator) Merge(other *Accumulator) {
+	if err := a.merge(other); err != nil {
+		panic(err.Error())
+	}
+}
+
+// merge is Merge with the Add-path contracts reported as an error instead of
+// a panic — what UnmarshalState needs, since its other side is built from
+// peer bytes. Both contracts are checked under the locks before anything is
+// written, so a rejected merge leaves a untouched.
+func (a *Accumulator) merge(other *Accumulator) error {
 	if a == other {
 		panic("stability: Accumulator.Merge with itself")
 	}
@@ -206,13 +216,24 @@ func (a *Accumulator) Merge(other *Accumulator) {
 	other.mu.Lock()
 	defer other.mu.Unlock()
 	for k, og := range other.groups {
+		if g, ok := a.groups[k]; ok && g.class != og.class {
+			return fmt.Errorf("stability: merge: item %d has conflicting labels %d and %d", k.ItemID, g.class, og.class)
+		}
+	}
+	free := maxCellLanes - len(a.laneNames)
+	for _, rt := range other.laneNames {
+		if _, ok := a.laneOf[rt]; !ok {
+			free--
+		}
+	}
+	if free < 0 {
+		return fmt.Errorf("stability: merge: more than %d distinct runtimes", maxCellLanes)
+	}
+	for k, og := range other.groups {
 		g, ok := a.groups[k]
 		if !ok {
 			g = &groupCounts{class: og.class, byRuntime: map[string]*runtimeTally{}}
 			a.groups[k] = g
-		}
-		if og.class != g.class {
-			panic(fmt.Sprintf("stability: merge: item %d has conflicting labels %d and %d", k.ItemID, g.class, og.class))
 		}
 		g.correct += og.correct
 		g.incorrect += og.incorrect
@@ -256,6 +277,7 @@ func (a *Accumulator) Merge(other *Accumulator) {
 		}
 		a.cells[ck] |= w
 	}
+	return nil
 }
 
 // EnvAccuracy is the accuracy pair for one environment.

@@ -239,23 +239,10 @@ func (a *Accumulator) UnmarshalState(data []byte) error {
 		}
 		shard.cells[ck] = word
 	}
-	// Merge panics when the combined runtime set exhausts the lane space
-	// (the Add-path contract); a wire decoder must return an error instead,
-	// so check the union first. A concurrent Add interning a brand-new
-	// runtime between this check and the Merge could still panic, but that
-	// needs >32 distinct runtimes in flight — far beyond the three that
-	// exist.
-	a.mu.Lock()
-	free := maxCellLanes - len(a.laneNames)
-	for _, rt := range shard.laneNames {
-		if _, ok := a.laneOf[rt]; !ok {
-			free--
-		}
+	// Merge panics on a class conflict or an exhausted lane space (the
+	// Add-path contracts); a decoder of peer bytes must return an error.
+	if err := a.merge(shard); err != nil {
+		return fmt.Errorf("stability: accumulator state: %w", err)
 	}
-	a.mu.Unlock()
-	if free < 0 {
-		return fmt.Errorf("stability: accumulator state: merging would exceed %d distinct cell runtimes", maxCellLanes)
-	}
-	a.Merge(shard)
 	return nil
 }
