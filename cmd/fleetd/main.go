@@ -145,7 +145,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := newHTTPServer(*addr, s.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -201,6 +201,22 @@ func main() {
 	// the Shutdown call itself returns.
 	<-shutdownDone
 	logger.Infof("fleetd stopped")
+}
+
+// Edge timeouts of the API listener. A client gets readHeaderTimeout to
+// finish its request headers and a kept-alive connection idleTimeout between
+// requests, so a socket that is opened and abandoned does not hold a
+// goroutine and a descriptor for ever. Neither bounds a handler: bodies are
+// size-limited by the handlers themselves, and a stream or a shard reply runs
+// for as long as its run does.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the API server with the edge timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // fatalf logs the error and exits. Flag validation failures happen before a

@@ -19,10 +19,9 @@ import (
 // sub-slices of it; internal scratch is fine, the output buffer is not).
 // Implementations are deterministic: the same input yields the same bytes on
 // every call and at any worker count. Every backend owns inference scratch
-// that Infer overwrites — *Model and PrunedBackend a one-image activation
-// arena (about 0.7 MB at the default width), Int8Backend its quantized
-// panels and per-op outputs — so none is safe for concurrent Infer calls;
-// the fleet keeps one replica per worker. Infer never fills the layers'
+// that Infer overwrites — a one-image activation arena (about 0.7 MB at the
+// default width), to which Int8Backend adds one quantized panel — so none is
+// safe for concurrent Infer calls; the fleet keeps one replica per worker. Infer never fills the layers'
 // training caches (im2col panels, cached inputs, activation masks): a
 // replica that is only inferred on retains its weights and that scratch.
 type Backend interface {
@@ -109,7 +108,7 @@ func (m *Model) Infer(x *tensor.Tensor) []float64 {
 // inferPlan returns the backbone's inference plan, compiled on first use.
 func (m *Model) inferPlan() *inferPlan {
 	if m.plan == nil {
-		m.plan = newInferPlan(m.Backbone.Layers)
+		m.plan = newInferPlan(m.Backbone.Layers, false)
 	}
 	return m.plan
 }

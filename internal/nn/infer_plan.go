@@ -4,30 +4,36 @@ import (
 	"repro/internal/tensor"
 )
 
-// inferPlan is the inference-only execution plan of a float32 backbone: the
-// fused Conv→BN→[ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run
-// one image at a time over a small arena of ping-pong buffers sized for the
+// inferPlan is the inference-only execution plan of a backbone: the fused
+// Conv→BN→[ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run one
+// image at a time over a small arena of ping-pong buffers sized for the
 // largest single-image activation. Nothing is allocated per layer and no
 // layer's training cache (im2col panels, inputs, ReLU masks) is touched, so
 // an inference-only replica holds its weights, the arena and nothing else.
+// A quantized plan runs the int8 kernels of quantize.go in place of the
+// float32 convolutions, dequantizing into the same float32 arena, and shares
+// the executor, the residual add and the pool.
 //
-// Every output element sees exactly the float32 operations Model.Forward
-// applies to it, in the same order: each accumulator is the ordered sum the
-// training kernels compute, the epilogue is BatchNorm's v*scale+shift and
-// ReLU6's clamp, and the residual add is the same y+x. Results are therefore
-// bit-identical to the eval-mode Forward, which float32_ref_test.go keeps as
-// the reference. Weights and BatchNorm statistics are read from the live
-// layers on every call, so training between two calls is never stale.
+// In a float32 plan every output element sees exactly the operations
+// Model.Forward applies to it, in the same order: each accumulator is the
+// ordered sum the training kernels compute, the epilogue is BatchNorm's
+// v*scale+shift and ReLU6's clamp, and the residual add is the same y+x.
+// Results are therefore bit-identical to the eval-mode Forward, which
+// float32_ref_test.go keeps as the reference. Weights and BatchNorm
+// statistics are read from the live layers on every call, so training
+// between two calls is never stale.
 type inferPlan struct {
-	steps   []planStep
-	affines []*bnAffine // every step's BatchNorm transform, refreshed per call
-	bufs    [][]float32 // activation arena, one image deep
-	held    []bool      // compile time only: buffers pinned as a residual's skip input
-	cur     int         // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
-	col     []float32   // im2col panel of the non-pointwise convolutions
+	quantized bool // convolutions compile to the int8 ops of quantize.go
+	steps     []planStep
+	affines   []*bnAffine // every float32 step's BatchNorm transform, refreshed per call
+	bufs      [][]float32 // activation arena, one image deep
+	held      []bool      // compile time only: buffers pinned as a residual's skip input
+	cur       int         // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
+	col       []float32   // im2col panel of the non-pointwise convolutions
+	qpanel    []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
 
 	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
-	embed, logits *tensor.Tensor // dense-head outputs of Model.Infer, reused across calls
+	embed, logits *tensor.Tensor // dense-head outputs of Model.Infer and Int8Backend.Infer, reused across calls
 }
 
 // planStep is one op with its arena wiring. src -1 reads the input image;
@@ -47,9 +53,10 @@ type planOp interface {
 	run(p *inferPlan, dst, src []float32, c, h, w int)
 }
 
-// newInferPlan compiles a backbone layer graph.
-func newInferPlan(layers []Layer) *inferPlan {
-	p := &inferPlan{cur: -1}
+// newInferPlan compiles a backbone layer graph, to the int8 kernels when
+// quantized is set.
+func newInferPlan(layers []Layer, quantized bool) *inferPlan {
+	p := &inferPlan{quantized: quantized, cur: -1}
 	walkFused(layers, p)
 	if p.cur < 0 {
 		panic("nn: compile: empty layer graph")
@@ -73,12 +80,20 @@ func (p *inferPlan) emit(op planOp) {
 }
 
 func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+	if p.quantized {
+		p.emit(newQConv(c, bn, relu6))
+		return
+	}
 	op := &planConv{l: c, bnAffine: newBNAffine(bn, relu6)}
 	p.affines = append(p.affines, &op.bnAffine)
 	p.emit(op)
 }
 
 func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+	if p.quantized {
+		p.emit(newQDepthwise(l, bn, relu6))
+		return
+	}
 	op := &planDepthwise{l: l, bnAffine: newBNAffine(bn, relu6)}
 	p.affines = append(p.affines, &op.bnAffine)
 	p.emit(op)
@@ -152,6 +167,45 @@ func (p *inferPlan) colBuf(n int) []float32 {
 	return p.col[:n]
 }
 
+// panel returns the quantized scratch, grown to hold n values.
+func (p *inferPlan) panel(n int) []int8 {
+	if cap(p.qpanel) < n {
+		p.qpanel = make([]int8, n)
+	}
+	return p.qpanel[:n]
+}
+
+// reuseTensor returns t when it already has exactly the requested shape,
+// otherwise a freshly allocated tensor: the (N, width) head tensors are
+// rewritten in full on every call, so the previous call's can be reused.
+func reuseTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if t != nil && t.Rank() == len(shape) {
+		match := true
+		for i, d := range shape {
+			if t.Dim(i) != d {
+				match = false
+				break
+			}
+		}
+		if match {
+			return t
+		}
+	}
+	return tensor.New(shape...)
+}
+
+// convDimsAt is a convolution's geometry at input resolution (h, w).
+func convDimsAt(d tensor.ConvDims, h, w int) tensor.ConvDims {
+	d.InH, d.InW = h, w
+	return d
+}
+
+// pointwise reports a 1×1 stride-1 unpadded convolution, whose im2col is
+// only a transpose of the channel-major planes.
+func pointwise(d tensor.ConvDims) bool {
+	return d.KH == 1 && d.KW == 1 && d.StrideH == 1 && d.StrideW == 1 && d.PadH == 0 && d.PadW == 0
+}
+
 // bnAffine is the fused epilogue of a convolution: the following BatchNorm's
 // eval-mode transform and the optional ReLU6.
 type bnAffine struct {
@@ -187,28 +241,22 @@ type planConv struct {
 	bnAffine
 }
 
-func (o *planConv) dims(h, w int) tensor.ConvDims {
-	d := o.l.dims
-	d.InH, d.InW = h, w
-	return d
-}
-
 func (o *planConv) outShape(_, h, w int) (int, int, int) {
-	d := o.dims(h, w)
+	d := convDimsAt(o.l.dims, h, w)
 	return o.l.outC, d.OutH(), d.OutW()
 }
 
 func (o *planConv) run(p *inferPlan, dst, src []float32, c, h, w int) {
-	d := o.dims(h, w)
+	d := convDimsAt(o.l.dims, h, w)
 	if c != d.InC {
 		panic("nn: Infer: " + o.l.Weight.Name + ": input channel mismatch")
 	}
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
 	wt := o.l.Weight.W.Data()
-	if d.KH == 1 && d.KW == 1 && d.StrideH == 1 && d.StrideW == 1 && d.PadH == 0 && d.PadW == 0 {
-		// A 1×1 stride-1 im2col is only a transpose: read the channel-major
-		// planes in place, pixel pi of channel j at src[pi + j*np].
+	if pointwise(d) {
+		// Read the channel-major planes in place, pixel pi of channel j at
+		// src[pi + j*np].
 		gemmBN(dst, wt, src, o.l.outC, np, k, 1, np, o.scale, o.shift, o.relu6)
 		return
 	}
@@ -315,6 +363,16 @@ func (o *planDepthwise) outShape(c, h, w int) (int, int, int) {
 	return c, (h+2*l.pad-l.kh)/l.stride + 1, (w+2*l.pad-l.kw)/l.stride + 1
 }
 
+// interior3x3 returns the inclusive range of output positions along one
+// axis whose three taps all fall inside an input of length in; lo > hi when
+// there is none.
+func interior3x3(in, out, stride, pad int) (lo, hi int) {
+	if in+pad < 3 {
+		return 0, -1
+	}
+	return (pad + stride - 1) / stride, min((in-3+pad)/stride, out-1)
+}
+
 // dwPixel is DepthwiseConv2D.convPlane's loop for one output pixel: taps
 // outside the input are skipped, the rest are added in ky,kx order.
 func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) float32 {
@@ -407,13 +465,24 @@ func (o planAdd) run(p *inferPlan, dst, _ []float32, _, _, _ int) {
 	}
 }
 
-// planPool is GlobalAvgPool for one image.
+// planPool is GlobalAvgPool.Forward for one image: dst[j] is the mean of
+// plane j of src, summed in order and scaled by 1/hw. The quantized plan pools
+// in float32 too: a handful of adds per channel is not worth a quantization
+// error.
 type planPool struct{}
 
 func (planPool) outShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
 
 func (planPool) run(_ *inferPlan, dst, src []float32, _, h, w int) {
-	avgPoolImage(dst, src, h*w)
+	hw := h * w
+	inv := 1 / float32(hw)
+	for j := range dst {
+		var s float32
+		for _, v := range src[j*hw : (j+1)*hw] {
+			s += v
+		}
+		dst[j] = s * inv
+	}
 }
 
 // denseInfer is Dense.Forward (and ReLU.Forward when relu is set) without the

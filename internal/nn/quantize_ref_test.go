@@ -1,19 +1,163 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// This file keeps the pre-blocking scalar int8 kernels as references: the
-// register-blocked qgemm/qgemv/depthwise kernels must reproduce them bit for
-// bit (int32 accumulation is exact, so any difference is a bug, not noise).
+// This file keeps everything the packed, per-image int8 runtime replaced, as
+// references it must reproduce bit for bit (integer accumulation is exact, so
+// any difference is a bug, not noise):
+//
+//   - refQround / refQuantizeTo / refAbsMaxScale / refQfinish: the branchy
+//     per-element passes. Nothing below calls the production helpers, so a
+//     rewrite of those is never checked against itself.
+//   - refInt8: the retired whole-batch graph — one tensor per op and batch,
+//     scalar per-output-pixel loops, border-checked depthwise taps.
+//   - refQgemm4x2 / refQgemv4: the retired register-blocked int32 kernels,
+//     also the baseline of BenchmarkQGemm.
 
-// refQConvForward is the original per-output-pixel scalar loop of
-// qconv.forward.
-func refQConvForward(l *qconv, x *tensor.Tensor) *tensor.Tensor {
+func refQround(v float32) int32 {
+	if v >= 0 {
+		return int32(v + 0.5)
+	}
+	return int32(v - 0.5)
+}
+
+func refQuantizeTo(dst []int8, src []float32, scale float32) {
+	inv := 1 / scale
+	for i, v := range src {
+		q := refQround(v * inv)
+		if q > 127 {
+			q = 127
+		} else if q < -127 {
+			q = -127
+		}
+		dst[i] = int8(q)
+	}
+}
+
+func refAbsMaxScale(src []float32) float32 {
+	var m float32
+	for _, v := range src {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	if m == 0 {
+		return 1
+	}
+	return m / 127
+}
+
+// refQfinish is the retired qfinish (relu6) and denseFinish (relu) in one.
+func refQfinish(acc int32, deq, bias float32, relu, relu6 bool) float32 {
+	v := float32(acc)*deq + bias
+	if relu6 {
+		if v < 0 {
+			v = 0
+		} else if v > 6 {
+			v = 6
+		}
+	}
+	if relu && v < 0 {
+		v = 0
+	}
+	return v
+}
+
+func refQuantizeRows(w []float32, rows, k int, fold []float32) (q []int8, scales []float32) {
+	q = make([]int8, rows*k)
+	scales = make([]float32, rows)
+	row := make([]float32, k)
+	for c := 0; c < rows; c++ {
+		copy(row, w[c*k:(c+1)*k])
+		if fold != nil {
+			for j := range row {
+				row[j] *= fold[c]
+			}
+		}
+		scales[c] = refAbsMaxScale(row)
+		refQuantizeTo(q[c*k:(c+1)*k], row, scales[c])
+	}
+	return q, scales
+}
+
+// refInt8 is the whole-batch quantized graph: every op maps an (N, …) tensor
+// to a fresh (N, …) tensor. trace, when set, sees every convolution's input
+// and output in execution order.
+type refInt8 struct {
+	ops         []refQOp
+	embed, head *refQDense
+	trace       func(op refQOp, in, out *tensor.Tensor)
+}
+
+type refQOp interface {
+	forward(g *refInt8, x *tensor.Tensor) *tensor.Tensor
+}
+
+func newRefInt8(m *Model) *refInt8 {
+	g := &refInt8{embed: newRefQDense(m.Embed, true), head: newRefQDense(m.Head, false)}
+	walkFused(m.Backbone.Layers, g)
+	return g
+}
+
+func (g *refInt8) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+	outC, k := c.Weight.W.Dim(0), c.Weight.W.Dim(1)
+	fold, bias := foldBN(bn)
+	q, ws := refQuantizeRows(c.Weight.W.Data(), outC, k, fold)
+	g.ops = append(g.ops, &refQConv{w: q, ws: ws, bias: bias, outC: outC, dims: c.dims, relu6: relu6})
+}
+
+func (g *refInt8) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+	fold, bias := foldBN(bn)
+	q, ws := refQuantizeRows(l.Weight.W.Data(), l.ch, l.kh*l.kw, fold)
+	g.ops = append(g.ops, &refQDepthwise{w: q, ws: ws, bias: bias, ch: l.ch, kh: l.kh, kw: l.kw, stride: l.stride, pad: l.pad, relu6: relu6})
+}
+
+func (g *refInt8) residual(body []Layer) {
+	inner := &refInt8{}
+	walkFused(body, inner)
+	g.ops = append(g.ops, &refQResidual{body: inner.ops})
+}
+
+func (g *refInt8) pool() { g.ops = append(g.ops, refQPool{}) }
+
+func (g *refInt8) run(ops []refQOp, x *tensor.Tensor) *tensor.Tensor {
+	for _, op := range ops {
+		y := op.forward(g, x)
+		if _, isRes := op.(*refQResidual); g.trace != nil && !isRes {
+			g.trace(op, x, y)
+		}
+		x = y
+	}
+	return x
+}
+
+// infer is the retired Int8Backend.Infer.
+func (g *refInt8) infer(x *tensor.Tensor) []float64 {
+	f := g.run(g.ops, x)
+	return flatProbs(Softmax(g.head.apply(g.embed.apply(f))))
+}
+
+type refQConv struct {
+	w     []int8
+	ws    []float32
+	bias  []float32
+	outC  int
+	dims  tensor.ConvDims
+	relu6 bool
+}
+
+// forward is the original per-output-pixel scalar loop of qconv.forward.
+func (l *refQConv) forward(_ *refInt8, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	d := l.dims
 	d.InH, d.InW = x.Dim(2), x.Dim(3)
@@ -26,8 +170,8 @@ func refQConvForward(l *qconv, x *tensor.Tensor) *tensor.Tensor {
 	colQ := make([]int8, p*k)
 	for i := 0; i < n; i++ {
 		tensor.Im2Col(colF, x.Data()[i*imgIn:(i+1)*imgIn], d)
-		ax := absMaxScale(colF)
-		quantizeTo(colQ, colF, ax)
+		ax := refAbsMaxScale(colF)
+		refQuantizeTo(colQ, colF, ax)
 		dst := y.Data()[i*l.outC*p:]
 		for c := 0; c < l.outC; c++ {
 			wrow := l.w[c*k : (c+1)*k]
@@ -40,24 +184,27 @@ func refQConvForward(l *qconv, x *tensor.Tensor) *tensor.Tensor {
 				for j, wv := range wrow {
 					acc += int32(wv) * int32(crow[j])
 				}
-				v := float32(acc)*deq + bias
-				if l.relu6 {
-					if v < 0 {
-						v = 0
-					} else if v > 6 {
-						v = 6
-					}
-				}
-				out[pi] = v
+				out[pi] = refQfinish(acc, deq, bias, false, l.relu6)
 			}
 		}
 	}
 	return y
 }
 
-// refQDepthwiseForward is the original bounds-checked per-pixel depthwise
-// loop of qdepthwise.forward.
-func refQDepthwiseForward(l *qdepthwise, x *tensor.Tensor) *tensor.Tensor {
+type refQDepthwise struct {
+	w      []int8
+	ws     []float32
+	bias   []float32
+	ch     int
+	kh, kw int
+	stride int
+	pad    int
+	relu6  bool
+}
+
+// forward is the original bounds-checked per-pixel depthwise loop of
+// qdepthwise.forward.
+func (l *refQDepthwise) forward(_ *refInt8, x *tensor.Tensor) *tensor.Tensor {
 	n, inH, inW := x.Dim(0), x.Dim(2), x.Dim(3)
 	outH := (inH+2*l.pad-l.kh)/l.stride + 1
 	outW := (inW+2*l.pad-l.kw)/l.stride + 1
@@ -70,8 +217,8 @@ func refQDepthwiseForward(l *qdepthwise, x *tensor.Tensor) *tensor.Tensor {
 		dst := y.Data()[i*imgOut:]
 		for c := 0; c < l.ch; c++ {
 			plane := src[c*inH*inW : (c+1)*inH*inW]
-			ax := absMaxScale(plane)
-			quantizeTo(qplane, plane, ax)
+			ax := refAbsMaxScale(plane)
+			refQuantizeTo(qplane, plane, ax)
 			ker := l.w[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
 			deq := l.ws[c] * ax
 			bias := l.bias[c]
@@ -96,15 +243,7 @@ func refQDepthwiseForward(l *qdepthwise, x *tensor.Tensor) *tensor.Tensor {
 							}
 						}
 					}
-					v := float32(acc)*deq + bias
-					if l.relu6 {
-						if v < 0 {
-							v = 0
-						} else if v > 6 {
-							v = 6
-						}
-					}
-					out[idx] = v
+					out[idx] = refQfinish(acc, deq, bias, false, l.relu6)
 					idx++
 				}
 			}
@@ -113,15 +252,42 @@ func refQDepthwiseForward(l *qdepthwise, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// refQDenseApply is the original scalar dense loop of qdense.apply.
-func refQDenseApply(l *qdense, x *tensor.Tensor) *tensor.Tensor {
+type refQResidual struct{ body []refQOp }
+
+func (l *refQResidual) forward(g *refInt8, x *tensor.Tensor) *tensor.Tensor {
+	y := g.run(l.body, x).Clone()
+	y.AddScaled(1, x)
+	return y
+}
+
+type refQPool struct{}
+
+func (refQPool) forward(_ *refInt8, x *tensor.Tensor) *tensor.Tensor {
+	return NewGlobalAvgPool().Forward(x, false)
+}
+
+type refQDense struct {
+	w       []int8
+	ws      []float32
+	bias    []float32
+	in, out int
+	relu    bool
+}
+
+func newRefQDense(d *Dense, relu bool) *refQDense {
+	q, ws := refQuantizeRows(d.Weight.W.Data(), d.out, d.in, nil)
+	return &refQDense{w: q, ws: ws, bias: append([]float32(nil), d.Bias.W.Data()...), in: d.in, out: d.out, relu: relu}
+}
+
+// apply is the original scalar dense loop of qdense.apply.
+func (l *refQDense) apply(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	y := tensor.New(n, l.out)
 	qrow := make([]int8, l.in)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*l.in : (i+1)*l.in]
-		ax := absMaxScale(row)
-		quantizeTo(qrow, row, ax)
+		ax := refAbsMaxScale(row)
+		refQuantizeTo(qrow, row, ax)
 		out := y.Data()[i*l.out : (i+1)*l.out]
 		for o := 0; o < l.out; o++ {
 			wrow := l.w[o*l.in : (o+1)*l.in]
@@ -129,14 +295,120 @@ func refQDenseApply(l *qdense, x *tensor.Tensor) *tensor.Tensor {
 			for j, wv := range wrow {
 				acc += int32(wv) * int32(qrow[j])
 			}
-			v := float32(acc)*(l.ws[o]*ax) + l.bias[o]
-			if l.relu && v < 0 {
-				v = 0
-			}
-			out[o] = v
+			out[o] = refQfinish(acc, l.ws[o]*ax, l.bias[o], l.relu, false)
 		}
 	}
 	return y
+}
+
+// refQgemm4x2 is the retired qgemm: a 4 output channel × 2 pixel tile of
+// int32 accumulators over unpacked int8 weights, scalar remainders.
+func refQgemm4x2(dst []float32, w, col []int8, outC, p, k int, ws []float32, ax float32, bias []float32, relu6 bool) {
+	var c int
+	for c = 0; c+4 <= outC; c += 4 {
+		w0 := w[(c+0)*k : (c+1)*k]
+		w1 := w[(c+1)*k : (c+2)*k]
+		w2 := w[(c+2)*k : (c+3)*k]
+		w3 := w[(c+3)*k : (c+4)*k]
+		d0 := dst[(c+0)*p : (c+1)*p]
+		d1 := dst[(c+1)*p : (c+2)*p]
+		d2 := dst[(c+2)*p : (c+3)*p]
+		d3 := dst[(c+3)*p : (c+4)*p]
+		q0, q1, q2, q3 := ws[c]*ax, ws[c+1]*ax, ws[c+2]*ax, ws[c+3]*ax
+		b0, b1, b2, b3 := bias[c], bias[c+1], bias[c+2], bias[c+3]
+		var pi int
+		for pi = 0; pi+2 <= p; pi += 2 {
+			a0 := col[pi*k : (pi+1)*k]
+			a1 := col[(pi+1)*k : (pi+2)*k : (pi+2)*k]
+			var s00, s10, s20, s30, s01, s11, s21, s31 int32
+			for j, xq := range a0 {
+				x0 := int32(xq)
+				x1 := int32(a1[j])
+				wv := int32(w0[j])
+				s00 += wv * x0
+				s01 += wv * x1
+				wv = int32(w1[j])
+				s10 += wv * x0
+				s11 += wv * x1
+				wv = int32(w2[j])
+				s20 += wv * x0
+				s21 += wv * x1
+				wv = int32(w3[j])
+				s30 += wv * x0
+				s31 += wv * x1
+			}
+			d0[pi] = refQfinish(s00, q0, b0, false, relu6)
+			d1[pi] = refQfinish(s10, q1, b1, false, relu6)
+			d2[pi] = refQfinish(s20, q2, b2, false, relu6)
+			d3[pi] = refQfinish(s30, q3, b3, false, relu6)
+			d0[pi+1] = refQfinish(s01, q0, b0, false, relu6)
+			d1[pi+1] = refQfinish(s11, q1, b1, false, relu6)
+			d2[pi+1] = refQfinish(s21, q2, b2, false, relu6)
+			d3[pi+1] = refQfinish(s31, q3, b3, false, relu6)
+		}
+		if pi < p { // odd trailing pixel
+			a0 := col[pi*k : (pi+1)*k]
+			var s0, s1, s2, s3 int32
+			for j, xq := range a0 {
+				xv := int32(xq)
+				s0 += int32(w0[j]) * xv
+				s1 += int32(w1[j]) * xv
+				s2 += int32(w2[j]) * xv
+				s3 += int32(w3[j]) * xv
+			}
+			d0[pi] = refQfinish(s0, q0, b0, false, relu6)
+			d1[pi] = refQfinish(s1, q1, b1, false, relu6)
+			d2[pi] = refQfinish(s2, q2, b2, false, relu6)
+			d3[pi] = refQfinish(s3, q3, b3, false, relu6)
+		}
+	}
+	// Channel remainder (outC % 4): the scalar loop.
+	for ; c < outC; c++ {
+		wrow := w[c*k : (c+1)*k]
+		deq := ws[c] * ax
+		bc := bias[c]
+		out := dst[c*p : (c+1)*p]
+		for pi := 0; pi < p; pi++ {
+			crow := col[pi*k : (pi+1)*k]
+			var acc int32
+			for j, wv := range wrow {
+				acc += int32(wv) * int32(crow[j])
+			}
+			out[pi] = refQfinish(acc, deq, bc, false, relu6)
+		}
+	}
+}
+
+// refQgemv4 is the retired qgemv: 4 output rows share each loaded activation
+// byte.
+func refQgemv4(dst []float32, w, qrow []int8, rows, k int, ws []float32, ax float32, bias []float32, relu bool) {
+	var o int
+	for o = 0; o+4 <= rows; o += 4 {
+		w0 := w[(o+0)*k : (o+1)*k]
+		w1 := w[(o+1)*k : (o+2)*k]
+		w2 := w[(o+2)*k : (o+3)*k]
+		w3 := w[(o+3)*k : (o+4)*k]
+		var s0, s1, s2, s3 int32
+		for j, xq := range qrow {
+			xv := int32(xq)
+			s0 += int32(w0[j]) * xv
+			s1 += int32(w1[j]) * xv
+			s2 += int32(w2[j]) * xv
+			s3 += int32(w3[j]) * xv
+		}
+		dst[o] = refQfinish(s0, ws[o]*ax, bias[o], relu, false)
+		dst[o+1] = refQfinish(s1, ws[o+1]*ax, bias[o+1], relu, false)
+		dst[o+2] = refQfinish(s2, ws[o+2]*ax, bias[o+2], relu, false)
+		dst[o+3] = refQfinish(s3, ws[o+3]*ax, bias[o+3], relu, false)
+	}
+	for ; o < rows; o++ {
+		wrow := w[o*k : (o+1)*k]
+		var acc int32
+		for j, wv := range wrow {
+			acc += int32(wv) * int32(qrow[j])
+		}
+		dst[o] = refQfinish(acc, ws[o]*ax, bias[o], relu, false)
+	}
 }
 
 // quantTestModel builds a weight-deterministic micro model with non-trivial
@@ -174,88 +446,122 @@ func sameBits(t *testing.T, name string, got, want *tensor.Tensor) {
 	}
 }
 
+// runPlanOp runs one op of a plan over a whole batch, one image at a time as
+// the executor does.
+func runPlanOp(p *inferPlan, op planOp, x *tensor.Tensor) *tensor.Tensor {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	oc, oh, ow := op.outShape(c, h, w)
+	y := tensor.New(n, oc, oh, ow)
+	in, out := c*h*w, oc*oh*ow
+	for i := 0; i < n; i++ {
+		op.run(p, y.Data()[i*out:(i+1)*out], x.Data()[i*in:(i+1)*in], c, h, w)
+	}
+	return y
+}
+
 // TestBlockedKernelsMatchScalarReference walks the full quantized graph op
-// by op, running the blocked kernel and the pre-blocking scalar reference on
+// by op, running the packed kernel and the pre-blocking scalar reference on
 // identical inputs: every output element must match bit for bit. Odd batch
-// and channel counts exercise the remainder paths of the 4×2 tile.
+// and channel counts exercise the remainder paths of the tile.
 func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 	for _, hw := range []int{15, 32} {
 		m := quantTestModel(11, hw)
 		b := NewInt8Backend(m)
+		var convs []planOp
+		for _, s := range b.plan.steps {
+			switch s.op.(type) {
+			case *qconv, *qdepthwise:
+				convs = append(convs, s.op)
+			}
+		}
+		ref := newRefInt8(m)
 		rng := rand.New(rand.NewSource(13))
 		for _, n := range []int{1, 3} {
-			x := randInput(rng, n, 3, hw)
-			var walk func(ops []qop, x *tensor.Tensor) *tensor.Tensor
-			walk = func(ops []qop, x *tensor.Tensor) *tensor.Tensor {
-				for oi, op := range ops {
-					var want *tensor.Tensor
-					switch l := op.(type) {
-					case *qconv:
-						want = refQConvForward(l, x)
-					case *qdepthwise:
-						want = refQDepthwiseForward(l, x)
-					case *qresidual:
-						inner := walk(l.body, x)
-						want = inner.Clone()
-						want.AddScaled(1, x)
-					case *qpool:
-						want = nil // float op, unchanged
-					}
-					got := op.forward(b, x)
-					if want != nil {
-						sameBits(t, nameOf(op, oi), got, want)
-					}
-					x = got
+			next := 0
+			ref.trace = func(op refQOp, in, want *tensor.Tensor) {
+				if _, isPool := op.(refQPool); isPool {
+					return // float op, shared with the float32 plan
 				}
-				return x
+				name := fmt.Sprintf("input %d batch %d conv %d (%T)", hw, n, next, convs[next])
+				sameBits(t, name, runPlanOp(b.plan, convs[next], in), want)
+				next++
 			}
-			x = walk(b.ops, x)
-			e := b.embed.apply(b, x)
-			sameBits(t, "embed", e, refQDenseApply(b.embed, x))
-			z := b.head.apply(b, e)
-			sameBits(t, "head", z, refQDenseApply(b.head, e))
+			f := ref.run(ref.ops, randInput(rng, n, 3, hw))
+			if next != len(convs) {
+				t.Fatalf("reference ran %d convolutions, the plan has %d", next, len(convs))
+			}
+			e := b.embed.apply(b.plan, nil, f)
+			sameBits(t, "embed", e, ref.embed.apply(f))
+			sameBits(t, "head", b.head.apply(b.plan, nil, e), ref.head.apply(e))
 		}
 	}
 }
 
-func nameOf(op qop, i int) string {
-	switch op.(type) {
-	case *qconv:
-		return "qconv"
-	case *qdepthwise:
-		return "qdepthwise"
-	case *qresidual:
-		return "qresidual"
-	default:
-		return "qop"
+// TestInt8PlanMatchesWholeBatchGraph is the end-to-end invariance check of
+// the per-image plan: one backend is reused across batch sizes and input
+// resolutions, interleaved and each twice (arena reuse, odd planes whose
+// depthwise borders dominate), and every photo's probabilities must equal,
+// on the bit pattern, both its batch-1 result and the retired whole-batch
+// graph's.
+func TestInt8PlanMatchesWholeBatchGraph(t *testing.T) {
+	for _, width := range []float64{0.4, 1.0} {
+		m := refTestModel(71, width)
+		b := NewInt8Backend(m)
+		ref := newRefInt8(m)
+		rng := rand.New(rand.NewSource(73))
+		type shape struct{ n, hw int }
+		shapes := []shape{{5, 31}, {24, 32}, {1, 17}, {5, 32}, {1, 31}, {24, 17}, {1, 32}, {5, 17}, {24, 31}}
+		if testing.Short() {
+			shapes = shapes[:5]
+		}
+		for _, s := range shapes {
+			x := tensor.New(s.n, 3, s.hw, s.hw)
+			x.RandUniform(rng, 0, 1)
+			name := fmt.Sprintf("width %.1f batch %d input %d", width, s.n, s.hw)
+			want := ref.infer(x)
+			for rep := 0; rep < 2; rep++ {
+				sameBits64(t, name, b.Infer(x), want)
+			}
+			per := 3 * s.hw * s.hw
+			for i := 0; i < s.n; i += 4 {
+				one := tensor.NewFrom(x.Data()[i*per:(i+1)*per], 1, 3, s.hw, s.hw)
+				sameBits64(t, fmt.Sprintf("%s image %d alone", name, i), b.Infer(one), want[i*m.Classes:(i+1)*m.Classes])
+			}
+		}
 	}
 }
 
+// randQGemm draws a random int8 GEMM problem.
+func randQGemm(rng *rand.Rand, outC, p, k int) (w, col []int8, ws, bias []float32) {
+	w = make([]int8, outC*k)
+	col = make([]int8, p*k)
+	for i := range w {
+		w[i] = int8(rng.Intn(255) - 127)
+	}
+	for i := range col {
+		col[i] = int8(rng.Intn(255) - 127)
+	}
+	ws = make([]float32, outC)
+	bias = make([]float32, outC)
+	for i := range ws {
+		ws[i] = float32(rng.Float64()*0.01 + 1e-4)
+		bias[i] = float32(rng.NormFloat64())
+	}
+	return w, col, ws, bias
+}
+
 // TestQGemmRemainderPaths hits the kernel's edge tiles directly: channel
-// counts 1..5 over odd pixel counts, against the scalar triple loop.
+// counts 1..8 over odd pixel counts, against the scalar triple loop.
 func TestQGemmRemainderPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, outC := range []int{1, 2, 3, 4, 5, 8} {
+	for _, outC := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
 		for _, p := range []int{1, 2, 3, 7, 16} {
 			for _, k := range []int{1, 5, 27} {
-				w := make([]int8, outC*k)
-				col := make([]int8, p*k)
-				for i := range w {
-					w[i] = int8(rng.Intn(255) - 127)
-				}
-				for i := range col {
-					col[i] = int8(rng.Intn(255) - 127)
-				}
-				ws := make([]float32, outC)
-				bias := make([]float32, outC)
-				for i := range ws {
-					ws[i] = float32(rng.Float64()*0.01 + 1e-4)
-					bias[i] = float32(rng.NormFloat64())
-				}
+				w, col, ws, bias := randQGemm(rng, outC, p, k)
 				ax := float32(0.003)
 				got := make([]float32, outC*p)
 				want := make([]float32, outC*p)
-				qgemm(got, w, col, outC, p, k, ws, ax, bias, true)
+				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, ax, bias, 6)
 				for c := 0; c < outC; c++ {
 					for pi := 0; pi < p; pi++ {
 						var acc int32
@@ -281,6 +587,222 @@ func TestQGemmRemainderPaths(t *testing.T) {
 	}
 }
 
+// modelGemmShapes are the 13 (outC, pixels, k) GEMMs of one default-width
+// image: the stem, each block's 1×1 expansion and projection, the head conv.
+var modelGemmShapes = [][3]int{
+	{12, 1024, 27}, {12, 1024, 12}, {48, 1024, 12}, {16, 256, 48}, {64, 256, 16}, {16, 256, 64}, {64, 256, 16},
+	{24, 64, 64}, {96, 64, 24}, {24, 64, 96}, {96, 64, 24}, {32, 16, 96}, {64, 16, 32},
+}
+
+// TestPackedKernelsMatchRetiredBlockedKernels runs the packed qgemm beside
+// the int32 4×2 qgemm and 4-row qgemv it replaced, on the model's own GEMM
+// shapes with random and ±127-saturated operands.
+func TestPackedKernelsMatchRetiredBlockedKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, saturate := range []bool{false, true} {
+		for _, s := range modelGemmShapes {
+			outC, p, k := s[0], s[1], s[2]
+			w, col, ws, bias := randQGemm(rng, outC, p, k)
+			if saturate {
+				for i := range w {
+					w[i] = int8(127 - 254*(i/k%2))
+				}
+				for i := range col {
+					col[i] = -127
+				}
+			}
+			for _, relu6 := range []bool{false, true} {
+				got, want := make([]float32, outC*p), make([]float32, outC*p)
+				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, 0.003, bias, reluClamp(relu6))
+				refQgemm4x2(want, w, col, outC, p, k, ws, 0.003, bias, relu6)
+				sameBits32(t, fmt.Sprintf("gemm %v saturate=%v relu6=%v", s, saturate, relu6), got, want)
+			}
+			for _, relu := range []bool{false, true} {
+				clamp := float32(0)
+				if relu {
+					clamp = float32(math.Inf(1))
+				}
+				got, want := make([]float32, outC), make([]float32, outC)
+				qgemm(got, packRows(w, outC, k), col[:k], outC, 1, k, ws, 0.003, bias, clamp)
+				refQgemv4(want, w, col[:k], outC, k, ws, 0.003, bias, relu)
+				sameBits32(t, fmt.Sprintf("gemv %v saturate=%v relu=%v", s, saturate, relu), got, want)
+			}
+		}
+	}
+}
+
+// TestPackedLaneExactness pins the two-lane packing at its limits. A packed
+// accumulator must split back into exactly the two channels' own int32 sums
+// when both lanes sit at ±k·127² for the deepest k checkReduction admits,
+// when the lanes have opposite signs (the low lane's borrow must be given
+// back to the high one) and at k = 1; and qgemm must route every lane to its
+// own output for odd channel and pixel counts.
+func TestPackedLaneExactness(t *testing.T) {
+	fill := func(n int, v int8) []int8 {
+		s := make([]int8, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	// Straight through the inner loop and the unpacking, in integers.
+	for _, k := range []int{1, 2, 1000, maxReduction} {
+		for _, rows := range [][4]int8{{127, 127, 127, 127}, {-127, -127, -127, -127}, {127, -127, -127, 127}, {-1, 1, 0, -127}, {1, -1, 127, 0}} {
+			for _, px := range [][2]int8{{127, -127}, {-127, 127}, {1, -1}, {0, 127}} {
+				var w []int8
+				for _, v := range rows {
+					w = append(w, fill(k, v)...)
+				}
+				a := append(fill(k, px[0]), fill(k, px[1])...)
+				wp := packRows(w, 4, k)
+				s00, s01, s10, s11 := dot2x2(wp, a, k)
+				for i, s := range []int64{s00, s01, s10, s11} {
+					lo, hi := unpackLanes(s)
+					x := int64(px[i%2])
+					wantLo, wantHi := int64(k)*int64(rows[i/2*2])*x, int64(k)*int64(rows[i/2*2+1])*x
+					if int64(lo) != wantLo || int64(hi) != wantHi {
+						t.Fatalf("k=%d rows=%v px=%v acc %d: lanes (%d, %d), want (%d, %d)", k, rows, px, i, lo, hi, wantLo, wantHi)
+					}
+				}
+			}
+		}
+	}
+	if maxReduction*127*127 >= 1<<31 || (maxReduction+1)*127*127 < 1<<31 {
+		t.Fatalf("maxReduction %d is not the largest k with k·127² < 2³¹", maxReduction)
+	}
+	// Through qgemm, with every accumulator small enough that float32 holds
+	// it exactly: channel c against pixel pi sums to k·sign(c)·sign(pi)·127·127.
+	sign := func(i int) int { return 1 - 2*(i%3%2) }
+	for _, outC := range []int{1, 2, 3, 5, 6, 7} {
+		for _, p := range []int{1, 2, 3, 5} {
+			for _, k := range []int{1, 2, 1000} {
+				var w, col []int8
+				ws, bias := make([]float32, outC), make([]float32, outC)
+				for c := 0; c < outC; c++ {
+					w = append(w, fill(k, int8(127*sign(c)))...)
+					ws[c] = 1
+				}
+				for pi := 0; pi < p; pi++ {
+					col = append(col, fill(k, int8(127*sign(pi+1)))...)
+				}
+				got := make([]float32, outC*p)
+				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, 1, bias, 0)
+				for c := 0; c < outC; c++ {
+					for pi := 0; pi < p; pi++ {
+						if want := float32(k * 127 * 127 * sign(c) * sign(pi+1)); got[c*p+pi] != want {
+							t.Fatalf("outC=%d p=%d k=%d: channel %d pixel %d = %v want %v", outC, p, k, c, pi, got[c*p+pi], want)
+						}
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a reduction deeper than maxReduction compiled")
+		}
+	}()
+	checkReduction("too deep", maxReduction+1)
+}
+
+// edgeFloats are the inputs where a re-expressed rounding, clamp or abs-max
+// could differ from the branchy one: signed zeros, the rounding ties and the
+// values one ulp either side of them, the ±127 clamp edges, subnormals, huge
+// values and infinities.
+func edgeFloats() []float32 {
+	var out []float32
+	for _, v := range []float32{0, 0.25, 0.5, 1, 1.5, 2.5, 63.5, 126.5, 127, 127.5, 128, 1e-45, 1e-39, 1.1754944e-38, 8388607.5, 8388608, 2147483520, 2147483648, 3e38, float32(math.Inf(1))} {
+		for _, n := range []float32{math.Nextafter32(v, -1), v, math.Nextafter32(v, float32(math.Inf(1)))} {
+			out = append(out, n, -n)
+		}
+	}
+	return out
+}
+
+// TestQuantizeHelpersMatchBranchyReference byte-diffs the branch-free qround,
+// quantizeTo, transposeQuantize and absMaxScale against the branchy bodies
+// they replaced, over edgeFloats and a random sweep. NaN policy: a NaN input
+// is outside the backend's contract (images and weights are finite).
+// quantizeTo still maps a NaN element to whatever the reference maps it to
+// (both convert the same NaN to int32), but absMaxScale returns NaN where the
+// reference skipped the element — a poisoned tensor is scaled by NaN instead
+// of by its finite neighbours.
+func TestQuantizeHelpersMatchBranchyReference(t *testing.T) {
+	vals := edgeFloats()
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, float32(rng.NormFloat64()*100), math.Float32frombits(rng.Uint32()&^(0xff<<23)|uint32(rng.Intn(255))<<23))
+	}
+	nan := float32(math.NaN())
+	for _, v := range append(vals, nan, -nan) {
+		if got, want := qround(v), refQround(v); got != want {
+			t.Fatalf("qround(%v / %#x) = %d, reference %d", v, math.Float32bits(v), got, want)
+		}
+	}
+	withNaN := append(append([]float32(nil), vals...), nan, -nan)
+	for _, scale := range []float32{1, 0.5, 1.0 / 127, 0.0123, 3e38, 1e-45, float32(math.Inf(1))} {
+		got, want := make([]int8, len(withNaN)), make([]int8, len(withNaN))
+		quantizeTo(got, withNaN, scale)
+		refQuantizeTo(want, withNaN, scale)
+		transposed := make([]int8, len(withNaN))
+		transposeQuantize(transposed, withNaN, len(withNaN), 1, scale)
+		for i := range want {
+			if got[i] != want[i] || transposed[i] != want[i] {
+				t.Fatalf("scale %v: quantize(%v) = %d (transposed %d), reference %d", scale, withNaN[i], got[i], transposed[i], want[i])
+			}
+		}
+	}
+	if got := absMaxScale(nil); got != 1 || refAbsMaxScale(nil) != 1 {
+		t.Fatalf("absMaxScale of nothing = %v", got)
+	}
+	for i := range vals {
+		for _, window := range [][]float32{vals[i : i+1], vals[i:min(i+7, len(vals))], {0, vals[i], float32(math.Copysign(0, -1))}} {
+			got, want := absMaxScale(window), refAbsMaxScale(window)
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("absMaxScale(%v) = %v (%#x), reference %v (%#x)", window, got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	}
+	if got := absMaxScale([]float32{1, nan, 3}); got == got {
+		t.Fatalf("absMaxScale over a NaN = %v, want NaN", got)
+	}
+	if got := refAbsMaxScale([]float32{1, nan, 3}); got != 3.0/127 {
+		t.Fatalf("reference absMaxScale over a NaN = %v, want it skipped", got)
+	}
+}
+
+// TestQFinishMatchesBranchyReference sweeps the dequantizing epilogue. The
+// branch-free clamp equals the branchy one on the bit pattern except at
+// v = -0, which the branchy `v < 0` let through and max(v, 0) turns into +0.
+// That needs an underflowed product and a -0 bias, and it cannot reach a
+// probability: a clamped activation is only ever read by abs-max, by qround
+// (both zeros round to 0) and by sums that start from +0, and the head's
+// logits have no activation. A NaN stays a NaN, though not the same one.
+func TestQFinishMatchesBranchyReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	accs := []int32{0, 1, -1, 127, -127, 16129, -16129, 1 << 24, -(1 << 24), 1<<24 + 1, math.MaxInt32, math.MinInt32}
+	deqs := []float32{1, 1e-3, 3.7e-5, 6.0 / 16129, 1e-45, 1e-39, 3e38, 0, inf}
+	biases := []float32{0, negZero, 0.5, -0.5, 6, -6, 5.9999995, 6.0000005, 1e-45, -1e-45, inf, -inf}
+	for _, acc := range accs {
+		for _, deq := range deqs {
+			for _, bias := range biases {
+				for mode, clamp := range []float32{0, 6, inf} {
+					got := qfinish(acc, deq, bias, clamp)
+					want := refQfinish(acc, deq, bias, mode == 2, mode == 1)
+					if clamp > 0 && math.Float32bits(want) == math.Float32bits(negZero) {
+						want = 0
+					}
+					if math.Float32bits(got) != math.Float32bits(want) && (got == got || want == want) {
+						t.Fatalf("qfinish(%d, %v, %v, clamp %v) = %v (%#x), reference %v (%#x)", acc, deq, bias, clamp,
+							got, math.Float32bits(got), want, math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTransposeQuantizeMatchesIm2ColQuantize pins the fused 1×1 panel
 // quantization to the im2col + quantizeTo pair it replaces.
 func TestTransposeQuantizeMatchesIm2ColQuantize(t *testing.T) {
@@ -294,13 +816,13 @@ func TestTransposeQuantizeMatchesIm2ColQuantize(t *testing.T) {
 	d := tensor.ConvDims{InC: k, InH: h, InW: w, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	colF := make([]float32, p*k)
 	tensor.Im2Col(colF, src, d)
-	axRef := absMaxScale(colF)
+	axRef := refAbsMaxScale(colF)
 	ax := absMaxScale(src)
 	if ax != axRef {
 		t.Fatalf("activation scale diverged: %v vs %v", ax, axRef)
 	}
 	want := make([]int8, p*k)
-	quantizeTo(want, colF, axRef)
+	refQuantizeTo(want, colF, axRef)
 	got := make([]int8, p*k)
 	transposeQuantize(got, src, p, k, ax)
 	for i := range want {
@@ -308,4 +830,64 @@ func TestTransposeQuantizeMatchesIm2ColQuantize(t *testing.T) {
 			t.Fatalf("panel byte %d = %d want %d", i, got[i], want[i])
 		}
 	}
+}
+
+// TestQDepthwiseGeometries sweeps the padded-plane depthwise kernel over
+// planes from 1×1 up, both strides, and a 5×5 kernel and pad-0 layer for the
+// non-unrolled path, against the border-checked reference loop.
+func TestQDepthwiseGeometries(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	p := &inferPlan{}
+	for _, geo := range [][3]int{{3, 1, 1}, {3, 2, 1}, {3, 1, 0}, {5, 1, 2}, {5, 2, 1}, {2, 1, 1}} {
+		k, stride, pad := geo[0], geo[1], geo[2]
+		for h := 1; h <= 9; h++ {
+			for w := 1; w <= 9; w += 2 {
+				if h+2*pad < k || w+2*pad < k {
+					continue
+				}
+				l := NewDepthwiseConv2D(rng, "dw", 3, k, stride, pad)
+				bn := NewBatchNorm("bn", 3)
+				randomizeBN(rng, bn)
+				relu6 := (h+w)%2 == 0
+				x := tensor.New(2, 3, h, w)
+				x.RandNormal(rng, 3)
+				ref := &refInt8{}
+				ref.depthwise(l, bn, relu6)
+				name := fmt.Sprintf("depthwise %dx%d kernel %d stride %d pad %d relu6 %v", h, w, k, stride, pad, relu6)
+				sameBits(t, name, runPlanOp(p, newQDepthwise(l, bn, relu6), x), ref.ops[0].forward(ref, x))
+			}
+		}
+	}
+}
+
+// BenchmarkQGemm times one image's worth of GEMMs — the model's 13 shapes —
+// through the packed kernel and through the int32 4×2 kernel it replaced.
+func BenchmarkQGemm(b *testing.B) {
+	type problem struct {
+		outC, p, k int
+		w, col     []int8
+		wp         []int64
+		ws, bias   []float32
+		dst        []float32
+	}
+	rng := rand.New(rand.NewSource(1))
+	var ps []problem
+	for _, s := range modelGemmShapes {
+		w, col, ws, bias := randQGemm(rng, s[0], s[1], s[2])
+		ps = append(ps, problem{s[0], s[1], s[2], w, col, packRows(w, s[0], s[2]), ws, bias, make([]float32, s[0]*s[1])})
+	}
+	b.Run("retired4x2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, q := range ps {
+				refQgemm4x2(q.dst, q.w, q.col, q.outC, q.p, q.k, q.ws, 0.003, q.bias, true)
+			}
+		}
+	})
+	b.Run("packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, q := range ps {
+				qgemm(q.dst, q.wp, q.col, q.outC, q.p, q.k, q.ws, 0.003, q.bias, 6)
+			}
+		}
+	})
 }

@@ -9,8 +9,11 @@
 #   - BenchmarkCodecRoundtrip — the codec leg end to end
 #   - BenchmarkEncode / BenchmarkDecode — the codec leg split per format
 #     (jpeg/webp/heif quant+DCT) and per chroma-upsample decoder variant
-#   - BenchmarkBackendInfer — per-runtime inference (int8 vs float32 is the
-#     blocked-GEMM acceptance number)
+#   - BenchmarkBackendInfer — per-runtime inference at the fleet tests' small
+#     model (width 0.4, batch 8)
+#   - BenchmarkInferFloat32 / Int8 / Pruned — the three runtimes at the shape a
+#     fleet worker infers (default width, batch 24) on one core: us/image, and
+#     the int8:float32 ratio the README quotes
 #   - BenchmarkObsOverhead — capture loop with telemetry off vs on (the
 #     off/on delta is the observability-tax acceptance number, target <2%)
 #   - BenchmarkSensorCapture — the mosaic loop per parameter combination
@@ -35,6 +38,8 @@ RAW="$(mktemp)"
 go test -run='^$' \
   -bench='^(BenchmarkFleetCapture|BenchmarkSequentialRigCapture|BenchmarkCodecRoundtrip|BenchmarkBackendInfer|BenchmarkObsOverhead)$' \
   -benchmem -count "$COUNT" ./internal/fleet | tee "$RAW"
+go test -run='^$' -bench='^BenchmarkInfer(Float32|Int8|Pruned)$' -cpu 1 \
+  -benchmem -count "$COUNT" ./internal/nn | tee -a "$RAW"
 go test -run='^$' -bench='^(BenchmarkEncode|BenchmarkDecode)$' \
   -benchmem -count "$COUNT" ./internal/codec | tee -a "$RAW"
 go test -run='^$' -bench='^BenchmarkSensorCapture$' \
