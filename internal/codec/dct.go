@@ -305,11 +305,12 @@ func quantizeScan(out []int32, freq, quant []float32, zz []int) {
 	}
 }
 
+// quantRound rounds half away from zero by adding 0.5 with q's sign bit
+// copied onto it and truncating. AC quotients change sign unpredictably, so
+// choosing between q+0.5 and q−0.5 with a branch mispredicts on most of them.
 func quantRound(q float32) int32 {
-	if q >= 0 {
-		return int32(q + 0.5)
-	}
-	return int32(q - 0.5)
+	const signBit, half = 1 << 31, 0x3f000000
+	return int32(q + math.Float32frombits(half|math.Float32bits(q)&signBit))
 }
 
 // dequantizeScan scatters zigzag-ordered coefficients back to the frequency

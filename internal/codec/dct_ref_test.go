@@ -593,3 +593,40 @@ func TestCodecRoundtripBitIdenticalToReference(t *testing.T) {
 		}
 	}
 }
+
+// refQuantRound is the retired rounding: half away from zero through a
+// branch on the sign.
+func refQuantRound(q float32) int32 {
+	if q >= 0 {
+		return int32(q + 0.5)
+	}
+	return int32(q - 0.5)
+}
+
+// TestQuantRoundMatchesReference sweeps the sign-copy rounding against the
+// branch over the values where they could part: both zeros, the halves and
+// their float32 neighbours (where q±0.5 rounds), the last magnitudes with a
+// fractional part and the first without (±2²³), the edge of int32, and a
+// million random quotients of the size a quantizer sees.
+func TestQuantRoundMatchesReference(t *testing.T) {
+	check := func(q float32) {
+		t.Helper()
+		if got, want := quantRound(q), refQuantRound(q); got != want {
+			t.Fatalf("quantRound(%v [%#x]) = %d, reference %d", q, math.Float32bits(q), got, want)
+		}
+	}
+	for _, v := range []float32{0, 0.25, 0.5, 1, 1.5, 2.5, 1 << 22, 1 << 23, 1 << 24, 1<<31 - 128, math.SmallestNonzeroFloat32} {
+		for _, q := range []float32{v, math.Nextafter32(v, 0), math.Nextafter32(v, 2*v+1)} {
+			check(q)
+			check(-q)
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 1_000_000; i++ {
+		check(float32(rng.NormFloat64()) * []float32{0.6, 8, 300}[i%3])
+	}
+	// Every multiple of 1/8 in [-64, 64]: each exact tie and both its sides.
+	for i := -512; i <= 512; i++ {
+		check(float32(i) / 8)
+	}
+}

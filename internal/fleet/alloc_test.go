@@ -10,6 +10,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // Allocation ceilings for the hot paths. These are regression guards, not
@@ -146,6 +147,45 @@ func planInferAllocCeilingTest(t *testing.T, runtimeName string) {
 		if perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs / calls; perOp > planInferBytesCeiling {
 			t.Fatalf("%s Infer at batches %v allocates %.0f B/op, ceiling %d", runtimeName, sizes, perOp, planInferBytesCeiling)
 		}
+	}
+}
+
+// TestEvaluateAllocCeiling pins the model-input leg of a full-resolution
+// cell: a warm 12-image train.Evaluate over 64×64 captures allocates its
+// three result slices, the input tensor's header and what Infer itself does
+// (1.4 KB measured) — a third of a single resized 32×32 image (12 KB) at
+// most, where it used to allocate twelve of those and a 147 KB tensor.
+func TestEvaluateAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; alloc counts are not steady-state")
+	}
+	const (
+		evaluateAllocCeiling = planInferAllocCeiling + 8
+		evaluateBytesCeiling = 4 << 10
+	)
+	backend := testFactory()(nn.RuntimeInt8)
+	rng := rand.New(rand.NewSource(9))
+	imgs := make([]*imaging.Image, 12)
+	for i := range imgs {
+		imgs[i] = imaging.New(2*backend.InputSize(), 2*backend.InputSize())
+		for j := range imgs[i].Pix {
+			imgs[i].Pix[j] = rng.Float32()
+		}
+	}
+	evaluate := func() { train.Evaluate(backend, imgs, 24) }
+	evaluate()
+	if avg := testing.AllocsPerRun(20, evaluate); avg > evaluateAllocCeiling {
+		t.Fatalf("Evaluate allocates %.1f objects/op, ceiling %d", avg, evaluateAllocCeiling)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		evaluate()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs; perOp > evaluateBytesCeiling {
+		t.Fatalf("Evaluate allocates %.0f B/op, ceiling %d", perOp, evaluateBytesCeiling)
 	}
 }
 

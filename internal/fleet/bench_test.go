@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
@@ -216,5 +217,42 @@ func BenchmarkBackendInfer(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*len(imgs))/b.Elapsed().Seconds(), "inferences/sec")
 		})
+	}
+}
+
+// BenchmarkFleetCaptureByCohort times one warm capture per lab-phone cohort
+// at both capture scales. The cohorts' pipelines differ (median or box
+// denoise, sharpen sigma, codec block size) and so do their costs — an
+// iphone-xr capture was 2.3× a moto-g5 one while the median filter branched
+// on pixel data — which a fleet-wide mean or a median across cohorts hides;
+// this is the table capture optimisations are picked from.
+func BenchmarkFleetCaptureByCohort(b *testing.B) {
+	items := dataset.GenerateHard(benchItems, 3).Items
+	for _, scale := range []int{1, 2} {
+		gen := NewGenerator(7, scale, 256)
+		engine := NewEngine(7, scale, 0)
+		for _, it := range items {
+			for a := 0; a < benchAngles; a++ {
+				engine.Displayed(it, a)
+			}
+		}
+		for i, base := range device.LabPhones() {
+			d := gen.Device(i)
+			b.Run("scale"+strconv.Itoa(scale)+"/"+base.Name, func(b *testing.B) {
+				if d.Cohort != base.Name {
+					b.Fatalf("device %d is a %s, want %s", i, d.Cohort, base.Name)
+				}
+				capture := func(i int) {
+					img, _ := engine.Capture(d, items[i%benchItems], i%benchAngles)
+					imaging.PutImage(img)
+				}
+				capture(0) // this pipeline's pooled scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					capture(i)
+				}
+			})
+		}
 	}
 }

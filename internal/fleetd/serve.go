@@ -482,7 +482,7 @@ type cellKey struct {
 // capture is still its own arena'd, cell-seeded capture — batching changes
 // when cells are computed, never their bytes — and inference is issued once
 // per runtime represented in the batch: the captured images pack into a
-// single imaging.BatchTensor (inside train.Evaluate) and one Infer call
+// single pooled input tensor (inside train.Evaluate) and one Infer call
 // serves the whole group.
 //
 // Within the batch, jobs naming the same cell coalesce: a response is a pure

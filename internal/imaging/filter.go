@@ -75,10 +75,17 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 			for ; x < radius && x < w; x++ {
 				drow[x] = blurTapClamped(row, kernel, x, radius, w)
 			}
-			// The fleet's lens PSFs and unsharp sigmas land on radius 2 or
-			// 3; unrolling those taps with the kernel in registers keeps
+			// The fleet draws radii 1 to 4: lens PSFs are sigma 0.47–0.92
+			// pixels at full resolution (radius 2 or 3) and half that at
+			// scale 2 (radius 1 or 2), unsharp sigmas 0.63–1.1 (radius 2 to
+			// 4). Unrolling those taps with the kernel in registers keeps
 			// the exact left-to-right accumulation order of the loop.
 			switch kn {
+			case 3:
+				k0, k1, k2 := kernel[0], kernel[1], kernel[2]
+				for ; x < w-radius; x++ {
+					drow[x] = row[x-1]*k0 + row[x]*k1 + row[x+1]*k2
+				}
 			case 5:
 				k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
 				for ; x < w-radius; x++ {
@@ -91,6 +98,13 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 					b := x - 3
 					drow[x] = row[b]*k0 + row[b+1]*k1 + row[b+2]*k2 + row[b+3]*k3 +
 						row[b+4]*k4 + row[b+5]*k5 + row[b+6]*k6
+				}
+			case 9:
+				k0, k1, k2, k3, k4, k5, k6, k7, k8 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6], kernel[7], kernel[8]
+				for ; x < w-radius; x++ {
+					b := x - 4
+					drow[x] = row[b]*k0 + row[b+1]*k1 + row[b+2]*k2 + row[b+3]*k3 + row[b+4]*k4 +
+						row[b+5]*k5 + row[b+6]*k6 + row[b+7]*k7 + row[b+8]*k8
 				}
 			default:
 				for ; x < w-radius; x++ {
@@ -119,6 +133,12 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 			drow := dst[y*w : (y+1)*w]
 			base := (y - radius) * w
 			switch kn {
+			case 3:
+				k0, k1, k2 := kernel[0], kernel[1], kernel[2]
+				r0, r1, r2 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w]
+				for x := 0; x < w; x++ {
+					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2
+				}
 			case 5:
 				k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
 				r0, r1, r2, r3, r4 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w], src[base+3*w:base+4*w], src[base+4*w:base+5*w]
@@ -132,6 +152,14 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 				for x := 0; x < w; x++ {
 					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2 + r3[x]*k3 +
 						r4[x]*k4 + r5[x]*k5 + r6[x]*k6
+				}
+			case 9:
+				k0, k1, k2, k3, k4, k5, k6, k7, k8 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6], kernel[7], kernel[8]
+				r0, r1, r2, r3, r4 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w], src[base+3*w:base+4*w], src[base+4*w:base+5*w]
+				r5, r6, r7, r8 := src[base+5*w:base+6*w], src[base+6*w:base+7*w], src[base+7*w:base+8*w], src[base+8*w:base+9*w]
+				for x := 0; x < w; x++ {
+					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2 + r3[x]*k3 + r4[x]*k4 +
+						r5[x]*k5 + r6[x]*k6 + r7[x]*k7 + r8[x]*k8
 				}
 			default:
 				for x := 0; x < w; x++ {
@@ -184,39 +212,70 @@ func BoxBlur(im *Image, r int) *Image {
 
 // BoxBlurInto box-filters im into dst (same dimensions, every sample
 // overwritten) and returns dst. dst must not alias im. r <= 0 copies.
+//
+// Radius 1 is the only one a vendor pipeline uses, and there every interior
+// sample is the nine taps summed in the generic loop's order (rows top to
+// bottom, left to right within a row, starting from zero) over 9 — the same
+// adds in the same order without the four bounds tests and the tap counter.
+// Border samples and other radii take the generic clipped window.
 func BoxBlurInto(dst, im *Image, r int) *Image {
 	if r <= 0 {
 		copy(dst.Pix, im.Pix)
 		return dst
 	}
-	n := im.W * im.H
-	out := dst
+	w, h := im.W, im.H
+	n := w * h
 	for p := 0; p < 3; p++ {
-		src := im.Pix[p*n:]
-		dst := out.Pix[p*n:]
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				var s float32
-				cnt := 0
-				for dy := -r; dy <= r; dy++ {
-					yy := y + dy
-					if yy < 0 || yy >= im.H {
-						continue
-					}
-					for dx := -r; dx <= r; dx++ {
-						xx := x + dx
-						if xx < 0 || xx >= im.W {
-							continue
-						}
-						s += src[yy*im.W+xx]
-						cnt++
-					}
+		src := im.Pix[p*n : (p+1)*n]
+		out := dst.Pix[p*n : (p+1)*n]
+		for y := 0; y < h; y++ {
+			drow := out[y*w : (y+1)*w]
+			x := 0
+			if r == 1 && y >= 1 && y < h-1 && w >= 3 {
+				drow[0] = boxTapClipped(src, 0, y, 1, w, h)
+				r0, r1, r2 := src[(y-1)*w:y*w], src[y*w:(y+1)*w], src[(y+1)*w:(y+2)*w]
+				for x = 1; x < w-1; x++ {
+					var s float32 // 0 + v is not v for v = −0; the generic loop starts here too
+					s += r0[x-1]
+					s += r0[x]
+					s += r0[x+1]
+					s += r1[x-1]
+					s += r1[x]
+					s += r1[x+1]
+					s += r2[x-1]
+					s += r2[x]
+					s += r2[x+1]
+					drow[x] = s / 9
 				}
-				dst[y*im.W+x] = s / float32(cnt)
+			}
+			for ; x < w; x++ {
+				drow[x] = boxTapClipped(src, x, y, r, w, h)
 			}
 		}
 	}
-	return out
+	return dst
+}
+
+// boxTapClipped is the generic box window for one output sample: the mean of
+// the taps that fall inside the plane.
+func boxTapClipped(src []float32, x, y, r, w, h int) float32 {
+	var s float32
+	cnt := 0
+	for dy := -r; dy <= r; dy++ {
+		yy := y + dy
+		if yy < 0 || yy >= h {
+			continue
+		}
+		for dx := -r; dx <= r; dx++ {
+			xx := x + dx
+			if xx < 0 || xx >= w {
+				continue
+			}
+			s += src[yy*w+xx]
+			cnt++
+		}
+	}
+	return s / float32(cnt)
 }
 
 // UnsharpMask sharpens with amount a: out = src + a*(src - blur(src)).
@@ -237,106 +296,77 @@ func MedianDenoise3(im *Image) *Image {
 
 // MedianDenoise3Into median-filters im into dst (same dimensions, every
 // sample overwritten) and returns dst. dst must not alias im.
+//
+// A 3×3 window is three 3-tall columns, and each column is shared by three
+// horizontally adjacent windows: sort a column once as it slides in, then
+// the window's median is med3(max of the column minima, med3 of the column
+// medians, min of the column maxima) — 18 min/max a sample, none a branch on
+// pixel data. Edge clamping repeats the outermost row or column, so a border
+// window is the same expression with a repeated row or column and there is no
+// separate border path. Samples are compared through orderKey so that every
+// exchange is an integer compare and conditional move.
+//
+// A median is one of its inputs, so the output is bit-identical to a
+// comparison sort's for every window except one holding both −0 and +0 whose
+// median is zero: orderKey puts −0 below +0 where the float comparison calls
+// them equal, so which zero comes out may differ (TestMedianDenoise3
+// SignedZeros pins this order). NaNs sort as their bit patterns do, above
+// +Inf or below −Inf by sign. The fleet produces neither: the filter's input
+// is a positive white-balance gain times a curve output ≥ +0.
 func MedianDenoise3Into(dst, im *Image) *Image {
-	n := im.W * im.H
-	w := im.W
-	out := dst
-	var window [9]float32
+	w, h := im.W, im.H
+	n := w * h
 	for p := 0; p < 3; p++ {
-		src := im.Pix[p*n:]
-		dst := out.Pix[p*n:]
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < w; x++ {
-				if x >= 1 && x < w-1 && y >= 1 && y < im.H-1 {
-					i := y*w + x
-					window = [9]float32{
-						src[i-w-1], src[i-w], src[i-w+1],
-						src[i-1], src[i], src[i+1],
-						src[i+w-1], src[i+w], src[i+w+1],
-					}
-				} else {
-					k := 0
-					for dy := -1; dy <= 1; dy++ {
-						yy := clampInt(y+dy, 0, im.H-1)
-						for dx := -1; dx <= 1; dx++ {
-							xx := clampInt(x+dx, 0, w-1)
-							window[k] = src[yy*w+xx]
-							k++
-						}
-					}
-				}
-				dst[y*w+x] = median9(window)
+		src := im.Pix[p*n : (p+1)*n]
+		out := dst.Pix[p*n : (p+1)*n]
+		for y := 0; y < h; y++ {
+			r1 := src[y*w : (y+1)*w]
+			r0, r2 := r1, r1
+			if y > 0 {
+				r0 = src[(y-1)*w : y*w]
+			}
+			if y < h-1 {
+				r2 = src[(y+1)*w : (y+2)*w]
+			}
+			drow := out[y*w : (y+1)*w]
+			// (lo0,mid0,hi0), (lo1,…), (lo2,…) are the sorted columns x-1, x
+			// and x+1; column 0 is its own left neighbour and column w-1 its
+			// own right one.
+			lo1, mid1, hi1 := sort3(orderKey(r0[0]), orderKey(r1[0]), orderKey(r2[0]))
+			lo0, mid0, hi0 := lo1, mid1, hi1
+			for x := 1; x <= w; x++ {
+				c := min(x, w-1)
+				lo2, mid2, hi2 := sort3(orderKey(r0[c]), orderKey(r1[c]), orderKey(r2[c]))
+				drow[x-1] = fromOrderKey(med3(max(lo0, lo1, lo2), med3(mid0, mid1, mid2), min(hi0, hi1, hi2)))
+				lo0, mid0, hi0, lo1, mid1, hi1 = lo1, mid1, hi1, lo2, mid2, hi2
 			}
 		}
 	}
-	return out
+	return dst
 }
 
-// median9 returns the median of 9 values with a branch-light sorting
-// network (Paeth's 19-exchange network; Graphics Gems). The exchanges
-// operate on locals so the whole window lives in registers; the network —
-// and therefore the selected median — is identical to the pointer-based
-// original.
-func median9(p [9]float32) float32 {
-	p0, p1, p2, p3, p4, p5, p6, p7, p8 := p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7], p[8]
-	if p1 > p2 {
-		p1, p2 = p2, p1
-	}
-	if p4 > p5 {
-		p4, p5 = p5, p4
-	}
-	if p7 > p8 {
-		p7, p8 = p8, p7
-	}
-	if p0 > p1 {
-		p0, p1 = p1, p0
-	}
-	if p3 > p4 {
-		p3, p4 = p4, p3
-	}
-	if p6 > p7 {
-		p6, p7 = p7, p6
-	}
-	if p1 > p2 {
-		p1, p2 = p2, p1
-	}
-	if p4 > p5 {
-		p4, p5 = p5, p4
-	}
-	if p7 > p8 {
-		p7, p8 = p8, p7
-	}
-	if p0 > p3 {
-		p0, p3 = p3, p0
-	}
-	if p5 > p8 {
-		p5, p8 = p8, p5
-	}
-	if p4 > p7 {
-		p4, p7 = p7, p4
-	}
-	if p3 > p6 {
-		p3, p6 = p6, p3
-	}
-	if p1 > p4 {
-		p1, p4 = p4, p1
-	}
-	if p2 > p5 {
-		p2, p5 = p5, p2
-	}
-	if p4 > p7 {
-		p4, p7 = p7, p4
-	}
-	if p4 > p2 {
-		p4, p2 = p2, p4
-	}
-	if p6 > p4 {
-		p6, p4 = p4, p6
-	}
-	if p4 > p2 {
-		p4, p2 = p2, p4
-	}
-	return p4
+// orderKey maps a float32 to an int32 that orders as the float does: the bit
+// pattern as it is for a clear sign bit, with the magnitude bits flipped for
+// a set one. The map is its own inverse (fromOrderKey).
+func orderKey(v float32) int32 {
+	b := int32(math.Float32bits(v))
+	return b ^ b>>31&0x7fffffff
+}
+
+func fromOrderKey(k int32) float32 {
+	return math.Float32frombits(uint32(k ^ k>>31&0x7fffffff))
+}
+
+// sort3 returns a, b, c in ascending order.
+func sort3(a, b, c int32) (lo, mid, hi int32) {
+	a, b = min(a, b), max(a, b)
+	b, c = min(b, c), max(b, c)
+	return min(a, b), max(a, b), c
+}
+
+// med3 returns the median of a, b, c.
+func med3(a, b, c int32) int32 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 func clampInt(v, lo, hi int) int {

@@ -66,12 +66,15 @@ func refGaussianBlur(im *Image, sigma float64) *Image {
 }
 
 // TestGaussianBlurMatchesReference pins the split blur to the clamped
-// original across sigmas (radii 1..4), odd/even sizes, and frames smaller
-// than the kernel itself.
+// original across sigmas — radii 1 to 4, which have unrolled taps, and 5,
+// which takes the generic loop — odd/even sizes, and frames smaller than the
+// kernel itself. Samples are non-negative, as every blurred plane in the
+// pipeline is: the unrolled sums start from their first product where the
+// reference starts from +0, which differs only if that product is −0.
 func TestGaussianBlurMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	sizes := [][2]int{{32, 32}, {17, 13}, {5, 7}, {3, 3}, {2, 9}, {1, 1}}
-	sigmas := []float64{0.3, 0.55, 0.8, 1.0, 1.3}
+	sizes := [][2]int{{64, 64}, {32, 32}, {17, 13}, {5, 7}, {3, 3}, {2, 9}, {1, 1}}
+	sigmas := []float64{0.23, 0.3, 0.55, 0.8, 1.0, 1.1, 1.3, 1.5} // radii 1 1 2 3 3 4 4 5
 	for _, sz := range sizes {
 		im := New(sz[0], sz[1])
 		for i := range im.Pix {
@@ -81,8 +84,71 @@ func TestGaussianBlurMatchesReference(t *testing.T) {
 			got := GaussianBlur(im, sigma)
 			want := refGaussianBlur(im, sigma)
 			for i, v := range got.Pix {
-				if v != want.Pix[i] {
+				if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
 					t.Fatalf("%dx%d sigma %v: pixel %d = %v, reference %v", sz[0], sz[1], sigma, i, v, want.Pix[i])
+				}
+			}
+		}
+	}
+}
+
+// refBoxBlurInto is the retired box filter, verbatim: four bounds tests and
+// a tap counter per tap, for every sample and radius.
+func refBoxBlurInto(dst, im *Image, r int) *Image {
+	if r <= 0 {
+		copy(dst.Pix, im.Pix)
+		return dst
+	}
+	n := im.W * im.H
+	out := dst
+	for p := 0; p < 3; p++ {
+		src := im.Pix[p*n:]
+		dst := out.Pix[p*n:]
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				var s float32
+				cnt := 0
+				for dy := -r; dy <= r; dy++ {
+					yy := y + dy
+					if yy < 0 || yy >= im.H {
+						continue
+					}
+					for dx := -r; dx <= r; dx++ {
+						xx := x + dx
+						if xx < 0 || xx >= im.W {
+							continue
+						}
+						s += src[yy*im.W+xx]
+						cnt++
+					}
+				}
+				dst[y*im.W+x] = s / float32(cnt)
+			}
+		}
+	}
+	return out
+}
+
+// TestBoxBlurMatchesReference pins the clamp-free radius-1 interior (and the
+// shared border body) to the retired loop, on frames down to smaller than
+// the window and on zeros of both signs: the sum starts from +0, so nine −0
+// taps average to +0 in both.
+func TestBoxBlurMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, sz := range [][2]int{{64, 64}, {17, 13}, {5, 7}, {3, 3}, {2, 9}, {9, 2}, {1, 1}} {
+		noisy, zeros := New(sz[0], sz[1]), New(sz[0], sz[1])
+		for i := range noisy.Pix {
+			noisy.Pix[i] = rng.Float32()*2 - 0.5
+			zeros.Pix[i] = []float32{0, negZero, negZero}[rng.Intn(3)]
+		}
+		for _, im := range []*Image{noisy, zeros} {
+			for r := 0; r <= 3; r++ {
+				got := BoxBlur(im, r)
+				want := refBoxBlurInto(New(im.W, im.H), im, r)
+				for i, v := range got.Pix {
+					if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
+						t.Fatalf("%dx%d r=%d: sample %d = %v, reference %v", sz[0], sz[1], r, i, v, want.Pix[i])
+					}
 				}
 			}
 		}

@@ -92,15 +92,34 @@ func BatchTensor(images []*Image) *tensor.Tensor {
 		panic("imaging: BatchTensor on empty slice")
 	}
 	w, h := images[0].W, images[0].H
-	t := tensor.New(len(images), 3, h, w)
-	stride := 3 * w * h
-	for i, im := range images {
+	for _, im := range images {
 		if im.W != w || im.H != h {
 			panic(fmt.Sprintf("imaging: BatchTensor size mismatch %dx%d vs %dx%d", im.W, im.H, w, h))
 		}
-		dst := t.Data()[i*stride : (i+1)*stride]
-		for j, v := range im.Pix {
-			dst[j] = v*2 - 1
+	}
+	return BatchTensorInto(tensor.New(len(images), 3, h, w), images)
+}
+
+// BatchTensorInto fills t, an (N,3,H,W) tensor for N = len(images) whose
+// contents may be dirty, with the images resized to W×H as Resize does and
+// normalized to [-1,1], and returns it. Each image is resampled straight into
+// its slot of the tensor — no intermediate image — so a model fed captures
+// of another resolution pays one pass per image and allocates nothing.
+func BatchTensorInto(t *tensor.Tensor, images []*Image) *tensor.Tensor {
+	if t.Rank() != 4 || t.Dim(0) != len(images) || t.Dim(1) != 3 {
+		panic(fmt.Sprintf("imaging: BatchTensorInto tensor %v for %d images", t.Shape(), len(images)))
+	}
+	h, w := t.Dim(2), t.Dim(3)
+	stride := 3 * w * h
+	for i, im := range images {
+		slot := t.Data()[i*stride : (i+1)*stride]
+		src := im.Pix
+		if im.W != w || im.H != h {
+			resizeInto(slot, im, w, h)
+			src = slot
+		}
+		for j, v := range src {
+			slot[j] = v*2 - 1
 		}
 	}
 	return t

@@ -1,0 +1,19 @@
+package isp
+
+import (
+	"repro/internal/imaging"
+	"repro/internal/sensor"
+)
+
+// MedianInput runs f on a raw frame up to its first median denoise and
+// returns the image that filter would read, or nil when f has none. For the
+// external test that checks what a fleet feeds imaging.MedianDenoise3Into.
+func (f *Fused) MedianInput(raw *sensor.RawImage) *imaging.Image {
+	for i, op := range f.ops {
+		if op.denoise != nil && op.denoise.Median {
+			head := Fused{Demosaic: f.Demosaic, ops: f.ops[:i]}
+			return head.Process(raw)
+		}
+	}
+	return nil
+}

@@ -17,6 +17,9 @@ import (
 // slice. The returned slice is freshly allocated and owned by the caller —
 // implementations must not recycle it across calls (callers retain
 // sub-slices of it; internal scratch is fine, the output buffer is not).
+// The input goes the other way: x is the caller's and may be recycled as soon
+// as Infer returns (train.Evaluate pools it), so implementations must not
+// retain it or return views of it.
 // Implementations are deterministic: the same input yields the same bytes on
 // every call and at any worker count. Every backend owns inference scratch
 // that Infer overwrites — a one-image activation arena (about 0.7 MB at the

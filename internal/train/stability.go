@@ -75,11 +75,11 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 			for bi, i := range idx[start:end] {
 				clean := images[i]
 				noisy := cfg.Scheme.Companion(i, clean, rng)
-				both[bi] = resizeToModel(m, clean)
-				both[n+bi] = resizeToModel(m, noisy)
+				both[bi] = clean
+				both[n+bi] = noisy
 				batchLabels[bi] = labels[i]
 			}
-			x := imaging.BatchTensor(both)
+			x := modelInput(m, both)
 			m.ZeroGrad()
 			logits, embed := m.Forward(x, true)
 			zClean, zNoisy := splitRows(logits, n)

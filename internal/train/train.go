@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/imaging"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Config holds the shared optimization hyperparameters.
@@ -50,11 +52,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resizeToModel scales an image to the model's input resolution (the
-// training-side alias of resizeToBackend, so train- and eval-time
-// preprocessing cannot diverge).
-func resizeToModel(m *nn.Model, im *imaging.Image) *imaging.Image {
-	return resizeToBackend(m, im)
+// modelInput resizes and normalizes a training batch into a fresh input
+// tensor through imaging.BatchTensorInto, the call Evaluate makes, so train-
+// and eval-time preprocessing cannot diverge. Fresh, not pooled: a training
+// Forward caches its input for the backward pass.
+func modelInput(m *nn.Model, images []*imaging.Image) *tensor.Tensor {
+	in := m.InputSize()
+	return imaging.BatchTensorInto(tensor.New(len(images), 3, in, in), images)
 }
 
 // Classifier trains the model with plain cross-entropy on the given images,
@@ -84,10 +88,10 @@ func Classifier(m *nn.Model, images []*imaging.Image, labels []int, cfg Config) 
 			batchImages := make([]*imaging.Image, 0, end-start)
 			batchLabels := make([]int, 0, end-start)
 			for _, i := range idx[start:end] {
-				batchImages = append(batchImages, resizeToModel(m, images[i]))
+				batchImages = append(batchImages, images[i])
 				batchLabels = append(batchLabels, labels[i])
 			}
-			x := imaging.BatchTensor(batchImages)
+			x := modelInput(m, batchImages)
 			m.ZeroGrad()
 			logits, _ := m.Forward(x, true)
 			loss, grad := nn.CrossEntropy(logits, batchLabels)
@@ -105,17 +109,22 @@ func Classifier(m *nn.Model, images []*imaging.Image, labels []int, cfg Config) 
 	return lastLoss
 }
 
-// resizeToBackend scales an image to the backend's input resolution.
-func resizeToBackend(b nn.Backend, im *imaging.Image) *imaging.Image {
-	if im.W == b.InputSize() && im.H == b.InputSize() {
-		return im
-	}
-	return imaging.Resize(im, b.InputSize(), b.InputSize())
-}
+// inputBuf is a recycled model-input buffer. Evaluate draws one from a pool
+// rather than keeping it on the backend: a worker's cached backend would hold
+// 150 KB at fleet batch sizes for as long as it lives, a pool gives it up at
+// the next collection.
+type inputBuf struct{ data []float32 }
+
+var inputPool = sync.Pool{New: func() any { return new(inputBuf) }}
 
 // Evaluate runs an inference backend over images (resized as needed) and
 // returns top-1 predictions, their confidences, and full probability rows.
 // Any nn.Backend works here; *nn.Model is the float32 reference.
+//
+// Each batch is resampled and normalized straight into a pooled input tensor
+// (imaging.BatchTensorInto), so images of another resolution cost no
+// intermediate image and no batch a fresh tensor; the buffer goes back once
+// the last Infer has returned, which is why backends must not retain x.
 func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int, scores []float64, probs [][]float64) {
 	if batchSize <= 0 {
 		batchSize = 64
@@ -125,28 +134,16 @@ func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int
 	scores = make([]float64, len(images))
 	probs = make([][]float64, len(images))
 	in := b.InputSize()
+	buf := inputPool.Get().(*inputBuf)
+	defer inputPool.Put(buf)
 	for start := 0; start < len(images); start += batchSize {
-		end := start + batchSize
-		if end > len(images) {
-			end = len(images)
+		end := min(start+batchSize, len(images))
+		n := (end - start) * 3 * in * in
+		if cap(buf.data) < n {
+			buf.data = make([]float32, n)
 		}
-		// Size-matched batches (the serve hot path: captures land at model
-		// resolution) skip both the per-batch slice copy and resizeToBackend;
-		// the subslice feeds BatchTensor directly.
-		batch := images[start:end]
-		for i, im := range batch {
-			if im.W == in && im.H == in {
-				continue
-			}
-			resized := make([]*imaging.Image, end-start)
-			copy(resized, batch[:i])
-			for j := i; j < len(batch); j++ {
-				resized[j] = resizeToBackend(b, batch[j])
-			}
-			batch = resized
-			break
-		}
-		p := b.Infer(imaging.BatchTensor(batch))
+		x := tensor.NewFrom(buf.data[:n], end-start, 3, in, in)
+		p := b.Infer(imaging.BatchTensorInto(x, images[start:end]))
 		for i := start; i < end; i++ {
 			row := p[(i-start)*classes : (i-start+1)*classes]
 			pred := 0
