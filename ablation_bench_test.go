@@ -11,7 +11,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/imaging"
 	"repro/internal/isp"
 	"repro/internal/lab"
 	"repro/internal/nn"
@@ -25,12 +24,12 @@ import (
 // quantizes more differently and should flip more predictions.
 func BenchmarkAblationQuantSteepness(b *testing.B) {
 	benchSetup(b)
-	caps := compressionCaptures()
+	caps := benchRig.CodecCaptures(benchItems, []int{1, 3})
 	var narrow, wide float64
 	for i := 0; i < b.N; i++ {
-		n, _, _ := codecMatrix(caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(85), codec.NewJPEG(75)})
-		w, _, _ := codecMatrix(caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(60), codec.NewJPEG(25)})
-		narrow, wide = n.Percent(), w.Percent()
+		_, n := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(85), codec.NewJPEG(75)})
+		_, w := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(60), codec.NewJPEG(25)})
+		narrow, wide = stability.Compute(n).Percent(), stability.Compute(w).Percent()
 	}
 	b.ReportMetric(narrow, "narrow_spread_instability_pct")
 	b.ReportMetric(wide, "wide_spread_instability_pct")
@@ -44,19 +43,9 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 	results := make([]float64, len(levels))
 	for i := 0; i < b.N; i++ {
 		for li, scale := range levels {
-			phone := device0WithNoiseScale(scale)
-			var recs []*stability.Record
-			for _, it := range benchItems[:15] {
-				scene := it.Render(2)
-				var shots []*lab.Capture
-				for rep := 0; rep < 6; rep++ {
-					rng := rand.New(rand.NewSource(int64(31000 + it.ID*100 + rep)))
-					displayed := benchRig.Screen.Display(scene, rng)
-					photo := phone.Capture(displayed, rng)
-					shots = append(shots, &lab.Capture{Item: it, Angle: 2, Phone: fmt.Sprintf("rep-%d", rep), Image: photo.Image})
-				}
-				recs = append(recs, lab.Classify(benchModel, shots, 1)...)
-			}
+			rig := lab.NewRig(42)
+			rig.Phones[0] = device0WithNoiseScale(scale)
+			_, recs := lab.RepeatShots(benchModel, rig, 0, benchItems[:15], 2, 6)
 			results[li] = stability.Compute(recs).Percent()
 		}
 	}
@@ -80,7 +69,7 @@ func device0WithNoiseScale(scale float64) *device.Profile {
 // algorithm alone — two pipelines identical except for the interpolator.
 func BenchmarkAblationDemosaic(b *testing.B) {
 	benchSetup(b)
-	raws, ids, angles, labels := ispShots()
+	shots := benchRig.CaptureRaw(benchItems[:20], []int{2})
 	mk := func(algo isp.DemosaicAlgorithm) *isp.Pipeline {
 		return &isp.Pipeline{
 			Name:     fmt.Sprintf("demosaic-%d", algo),
@@ -95,15 +84,8 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 	}
 	var inst float64
 	for i := 0; i < b.N; i++ {
-		var all []*stability.Record
-		for _, p := range []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)} {
-			images := make([]*imaging.Image, len(raws))
-			for j, raw := range raws {
-				images[j] = p.Process(raw).Quantize8()
-			}
-			all = append(all, lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)...)
-		}
-		inst = stability.Compute(all).Percent()
+		_, recs := lab.ISPConversion(benchModel, shots, []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)})
+		inst = stability.Compute(recs).Percent()
 	}
 	b.ReportMetric(inst, "demosaic_only_instability_pct")
 }

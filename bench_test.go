@@ -7,46 +7,44 @@
 //
 // prints the rows the paper reports. The shared base model is trained once
 // per process; experiment sizes are scaled down so the full suite completes
-// in minutes on one core (the cmd/ binaries run the full-scale versions).
+// in minutes on one core (cmd/paper runs the full-scale versions). Every
+// measurement is an internal/lab call shared with that binary; this file
+// only reduces what comes back to metrics.
 package repro
 
 import (
-	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
-	"repro/internal/device"
 	"repro/internal/imaging"
 	"repro/internal/isp"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/sensor"
 	"repro/internal/stability"
 	"repro/internal/train"
 )
 
 var (
-	benchOnce     sync.Once
-	benchModel    *nn.Model
-	benchRig      *lab.Rig
-	benchItems    []*dataset.Item
-	benchCaptures []*lab.Capture
-	benchRecords  []*stability.Record
+	benchOnce    sync.Once
+	benchModel   *nn.Model
+	benchRig     *lab.Rig
+	benchItems   []*dataset.Item
+	benchRecords []*stability.Record
 )
 
 // benchSetup trains the shared model and captures the shared end-to-end
 // photo matrix once per process.
-func benchSetup(b *testing.B) {
-	b.Helper()
+func benchSetup(tb testing.TB) {
+	tb.Helper()
 	benchOnce.Do(func() {
 		benchModel = lab.TrainBaseModel(lab.BaseModelConfig{Seed: 7, TrainItems: 220, Epochs: 5, Width: 1})
 		benchRig = lab.NewRig(42)
 		benchItems = dataset.GenerateHard(30, 142).Items
-		benchCaptures = benchRig.CaptureAll(benchItems, []int{1, 2, 3})
-		benchRecords = lab.Classify(benchModel, benchCaptures, 3)
+		benchRecords = lab.Classify(benchModel, benchRig.CaptureAll(benchItems, []int{1, 2, 3}), 3)
 	})
 }
 
@@ -57,20 +55,17 @@ func BenchmarkFig1RepeatShot(b *testing.B) {
 	benchSetup(b)
 	var flipRate, diffFrac float64
 	for i := 0; i < b.N; i++ {
-		flips, total := 0, 0
-		var fracSum float64
-		for _, it := range benchItems {
-			shots := benchRig.CaptureRepeats(benchRig.Phones[0], 0, it, 2, 2)
-			recs := lab.Classify(benchModel, shots, 1)
-			if recs[0].Pred != recs[1].Pred {
+		shots, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems, 2, 2)
+		flips, fracSum := 0, 0.0
+		for j := 0; j < len(shots); j += 2 {
+			if recs[j].Pred != recs[j+1].Pred {
 				flips++
 			}
-			_, f := imaging.DiffMask(shots[0].Image, shots[1].Image, 0.05)
+			_, f := imaging.DiffMask(shots[j].Image, shots[j+1].Image, 0.05)
 			fracSum += f
-			total++
 		}
-		flipRate = float64(flips) / float64(total)
-		diffFrac = fracSum / float64(total)
+		flipRate = float64(flips) / float64(len(benchItems))
+		diffFrac = fracSum / float64(len(benchItems))
 	}
 	b.ReportMetric(flipRate*100, "flip_pct")
 	b.ReportMetric(diffFrac*100, "pixels_diff_pct")
@@ -145,15 +140,7 @@ func BenchmarkFig3dWithinPhone(b *testing.B) {
 	benchSetup(b)
 	var within float64
 	for i := 0; i < b.N; i++ {
-		var recs []*stability.Record
-		for _, it := range benchItems[:15] {
-			shots := benchRig.CaptureRepeats(benchRig.Phones[0], 0, it, 2, 6)
-			rr := lab.Classify(benchModel, shots, 1)
-			for ri, r := range rr {
-				r.Env = string(rune('a' + ri))
-			}
-			recs = append(recs, rr...)
-		}
+		_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 6)
 		within = stability.Compute(recs).Percent()
 	}
 	b.ReportMetric(within, "within_phone_instability_pct")
@@ -174,129 +161,57 @@ func BenchmarkFig4ScoreDensities(b *testing.B) {
 	b.ReportMetric(metrics.Mean(split.UnstableIncorrect), "unstable_incorrect_mean")
 }
 
-// compressionCaptures returns samsung+iphone ISP-processed photos for the
-// codec experiments.
-func compressionCaptures() []*lab.Capture {
-	var caps []*lab.Capture
-	for pi, phone := range benchRig.Phones {
-		if !phone.RawCapable {
-			continue
+// benchCodecMatrix reports one of Tables 2–3 over the samsung+iphone
+// ISP-processed photos: cross-codec instability, mean accuracy, mean size.
+func benchCodecMatrix(b *testing.B, codecs ...codec.Codec) {
+	benchSetup(b)
+	caps := benchRig.CodecCaptures(benchItems, []int{1, 3})
+	var inst stability.Summary
+	var acc, kb float64
+	for i := 0; i < b.N; i++ {
+		rows, recs := lab.CodecMatrix(benchModel, caps, codecs)
+		inst, acc, kb = stability.Compute(recs), 0, 0
+		for _, r := range rows {
+			acc += r.Accuracy / float64(len(rows))
+			kb += r.AvgKB / float64(len(rows))
 		}
-		caps = append(caps, benchRig.CaptureProcessed(phone, pi, benchItems, []int{1, 3})...)
 	}
-	return caps
-}
-
-// codecMatrix compresses captures with each codec and measures cross-codec
-// instability plus per-codec mean accuracy and size.
-func codecMatrix(caps []*lab.Capture, codecs []codec.Codec) (inst stability.Summary, acc, kb float64) {
-	var all []*stability.Record
-	var accSum, sizeSum float64
-	for _, c := range codecs {
-		images := make([]*imaging.Image, len(caps))
-		ids := make([]int, len(caps))
-		angles := make([]int, len(caps))
-		labels := make([]int, len(caps))
-		for i, cap := range caps {
-			enc := c.Encode(cap.Image)
-			images[i] = enc.Decode(codec.DecodeOptions{})
-			sizeSum += float64(enc.Size)
-			pid := 0
-			if cap.Phone != "samsung-galaxy-s10" {
-				pid = 1
-			}
-			ids[i] = cap.Item.ID*8 + pid
-			angles[i] = cap.Angle
-			labels[i] = int(cap.Item.Class)
-		}
-		recs := lab.ClassifyImages(benchModel, images, ids, angles, labels, c.Name(), 3)
-		accSum += stability.Accuracy(recs, c.Name())
-		all = append(all, recs...)
-	}
-	n := float64(len(codecs))
-	return stability.Compute(all), accSum / n, sizeSum / float64(len(caps)) / n / 1024
+	b.ReportMetric(inst.Percent(), "instability_pct")
+	b.ReportMetric(acc*100, "accuracy_pct")
+	b.ReportMetric(kb, "avg_size_kb")
 }
 
 // BenchmarkTable2CompressionQuality: JPEG q100/85/50 (paper: instability
 // 7.6%, accuracy flat).
 func BenchmarkTable2CompressionQuality(b *testing.B) {
-	benchSetup(b)
-	caps := compressionCaptures()
-	var inst stability.Summary
-	var acc, kb float64
-	for i := 0; i < b.N; i++ {
-		inst, acc, kb = codecMatrix(caps, []codec.Codec{codec.NewJPEG(100), codec.NewJPEG(85), codec.NewJPEG(50)})
-	}
-	b.ReportMetric(inst.Percent(), "instability_pct")
-	b.ReportMetric(acc*100, "accuracy_pct")
-	b.ReportMetric(kb, "avg_size_kb")
+	benchCodecMatrix(b, codec.NewJPEG(100), codec.NewJPEG(85), codec.NewJPEG(50))
 }
 
 // BenchmarkTable3CompressionFormats: JPEG/PNG/WebP/HEIF (paper: instability
 // 9.66% — more than quality alone).
 func BenchmarkTable3CompressionFormats(b *testing.B) {
-	benchSetup(b)
-	caps := compressionCaptures()
-	var inst stability.Summary
-	var acc, kb float64
-	for i := 0; i < b.N; i++ {
-		inst, acc, kb = codecMatrix(caps, []codec.Codec{codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75)})
-	}
-	b.ReportMetric(inst.Percent(), "instability_pct")
-	b.ReportMetric(acc*100, "accuracy_pct")
-	b.ReportMetric(kb, "avg_size_kb")
+	benchCodecMatrix(b, formatCodecs()...)
 }
 
-// ispShots captures raw frames from the two raw-capable phones.
-func ispShots() (raws []*sensor.RawImage, ids, angles, labels []int) {
-	for pi, phone := range benchRig.Phones {
-		if !phone.RawCapable {
-			continue
-		}
-		for _, it := range benchItems[:20] {
-			scene := it.Render(2)
-			rng := rand.New(rand.NewSource(int64(9000 + it.ID*10 + pi)))
-			displayed := benchRig.Screen.Display(scene, rng)
-			raw, err := phone.CaptureRaw(displayed, rng)
-			if err != nil {
-				panic(err)
-			}
-			raws = append(raws, raw)
-			ids = append(ids, it.ID*8+pi)
-			angles = append(angles, 2)
-			labels = append(labels, int(it.Class))
-		}
-	}
-	return raws, ids, angles, labels
+func formatCodecs() []codec.Codec {
+	return []codec.Codec{codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75)}
 }
 
 // BenchmarkTable4ISP: ImageMagick-like vs Adobe-like software ISP (paper:
 // 14.11% instability, Adobe less accurate).
 func BenchmarkTable4ISP(b *testing.B) {
 	benchSetup(b)
-	raws, ids, angles, labels := ispShots()
+	shots := benchRig.CaptureRaw(benchItems[:20], []int{2})
 	var inst stability.Summary
-	var magickAcc, adobeAcc float64
+	var accs []float64
 	for i := 0; i < b.N; i++ {
-		var all []*stability.Record
-		for _, p := range []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()} {
-			images := make([]*imaging.Image, len(raws))
-			for j, raw := range raws {
-				images[j] = p.Process(raw).Quantize8()
-			}
-			recs := lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)
-			if p.Name == "imagemagick" {
-				magickAcc = stability.Accuracy(recs, p.Name)
-			} else {
-				adobeAcc = stability.Accuracy(recs, p.Name)
-			}
-			all = append(all, recs...)
-		}
-		inst = stability.Compute(all)
+		var recs []*stability.Record
+		accs, recs = lab.ISPConversion(benchModel, shots, []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()})
+		inst = stability.Compute(recs)
 	}
 	b.ReportMetric(inst.Percent(), "instability_pct")
-	b.ReportMetric(magickAcc*100, "imagemagick_accuracy_pct")
-	b.ReportMetric(adobeAcc*100, "adobe_accuracy_pct")
+	b.ReportMetric(accs[0]*100, "imagemagick_accuracy_pct")
+	b.ReportMetric(accs[1]*100, "adobe_accuracy_pct")
 }
 
 // BenchmarkTable5ProcessorOS: byte-identical files decoded by five SoC
@@ -305,29 +220,18 @@ func BenchmarkTable5ProcessorOS(b *testing.B) {
 	benchSetup(b)
 	var jpegInst, pngInst float64
 	for i := 0; i < b.N; i++ {
-		jpegInst = osExperiment(codec.NewJPEG(90))
-		pngInst = osExperiment(codec.NewPNG())
+		jpegInst = osInstability(codec.NewJPEG(90))
+		pngInst = osInstability(codec.NewPNG())
 	}
 	b.ReportMetric(jpegInst, "jpeg_instability_pct")
 	b.ReportMetric(pngInst, "png_instability_pct")
 }
 
-func osExperiment(c codec.Codec) float64 {
-	files := dataset.FixedSet(60, 242, c)
-	var all []*stability.Record
-	for _, ph := range device.FirebasePhones() {
-		images := make([]*imaging.Image, len(files))
-		ids := make([]int, len(files))
-		angles := make([]int, len(files))
-		labels := make([]int, len(files))
-		for i, f := range files {
-			images[i] = f.Encoded.Decode(ph.Decode)
-			ids[i] = f.Item.ID
-			labels[i] = int(f.Item.Class)
-		}
-		all = append(all, lab.ClassifyImages(benchModel, images, ids, angles, labels, ph.Name, 3)...)
-	}
-	return stability.Compute(all).Percent()
+// osInstability is the §7 cross-device instability, in percent, on 60 fixed
+// files stored with c.
+func osInstability(c codec.Codec) float64 {
+	_, recs := lab.OSDecode(benchModel, dataset.FixedSet(60, 242, c))
+	return stability.Compute(recs).Percent()
 }
 
 // BenchmarkTable6aEmbeddingLoss: stability fine-tuning with the embedding
@@ -342,24 +246,21 @@ func BenchmarkTable6bKLLoss(b *testing.B) {
 	benchTable6(b, train.LossKL)
 }
 
+// table6Cfg is the reduced-scale §9.1 run of the Table 6 and Figure 7
+// benchmarks.
+var table6Cfg = lab.StabilityExpConfig{
+	Seed: 42, TrainItems: 20, TestItems: 30, Angles: []int{2},
+	Epochs: 1, BatchSize: 8, LR: 0.012, PerClass: 4,
+}
+
 func benchTable6(b *testing.B, loss train.StabilityLoss) {
 	benchSetup(b)
-	cfg := lab.StabilityExpConfig{
-		Seed: 42, TrainItems: 20, TestItems: 30, Angles: []int{2},
-		Epochs: 1, BatchSize: 8, LR: 0.012, PerClass: 4,
-	}
 	var results []lab.SchemeResult
 	for i := 0; i < b.N; i++ {
-		results = lab.RunStabilityExperiment(benchModel, loss, cfg, nil)
+		results = lab.RunStabilityExperiment(benchModel, loss, table6Cfg, nil)
 	}
 	for _, r := range results {
-		name := r.Label
-		if name == "two images" {
-			name = "two_images"
-		} else if name == "no noise" {
-			name = "no_noise"
-		}
-		b.ReportMetric(r.Instability.Percent(), name+"_instability_pct")
+		b.ReportMetric(r.Instability.Percent(), strings.ReplaceAll(r.Label, " ", "_")+"_instability_pct")
 	}
 }
 
@@ -367,13 +268,9 @@ func benchTable6(b *testing.B, loss train.StabilityLoss) {
 // stability training slightly improves accuracy too).
 func BenchmarkFig7PrecisionRecall(b *testing.B) {
 	benchSetup(b)
-	cfg := lab.StabilityExpConfig{
-		Seed: 42, TrainItems: 20, TestItems: 30, Angles: []int{2},
-		Epochs: 1, BatchSize: 8, LR: 0.012, PerClass: 4,
-	}
 	var twoImagesP, noNoiseP float64
 	for i := 0; i < b.N; i++ {
-		results := lab.RunStabilityExperiment(benchModel, train.LossEmbedding, cfg, nil)
+		results := lab.RunStabilityExperiment(benchModel, train.LossEmbedding, table6Cfg, nil)
 		for _, r := range results {
 			// precision at the 0.6-threshold operating point
 			var p float64
@@ -399,32 +296,10 @@ func BenchmarkFig7PrecisionRecall(b *testing.B) {
 // conversion (paper: modest instability reduction, accuracy unchanged).
 func BenchmarkFig8RawImages(b *testing.B) {
 	benchSetup(b)
-	converter := isp.SoftwareDNG()
 	var jpegInst, pngInst float64
 	for i := 0; i < b.N; i++ {
-		var jpegRecs, pngRecs []*stability.Record
-		for pi, phone := range benchRig.Phones {
-			if !phone.RawCapable {
-				continue
-			}
-			var jpegImgs, pngImgs []*imaging.Image
-			var ids, angles, labels []int
-			for _, it := range benchItems[:20] {
-				scene := it.Render(2)
-				rng := rand.New(rand.NewSource(int64(7000 + it.ID*10 + pi)))
-				displayed := benchRig.Screen.Display(scene, rng)
-				raw := phone.Sensor.Capture(displayed, rng)
-				jpegImgs = append(jpegImgs, phone.Codec.Encode(phone.ISP.Process(raw).Clamp()).Decode(phone.Decode))
-				pngImgs = append(pngImgs, converter.Process(phone.DevelopRaw(raw)).Quantize8())
-				ids = append(ids, it.ID)
-				angles = append(angles, 2)
-				labels = append(labels, int(it.Class))
-			}
-			jpegRecs = append(jpegRecs, lab.ClassifyImages(benchModel, jpegImgs, ids, angles, labels, phone.Name, 3)...)
-			pngRecs = append(pngRecs, lab.ClassifyImages(benchModel, pngImgs, ids, angles, labels, phone.Name, 3)...)
-		}
-		jpegInst = stability.Compute(jpegRecs).Percent()
-		pngInst = stability.Compute(pngRecs).Percent()
+		jpeg, png := lab.RawVsJPEG(benchModel, benchRig, benchItems[:20], []int{2})
+		jpegInst, pngInst = stability.Compute(jpeg).Percent(), stability.Compute(png).Percent()
 	}
 	b.ReportMetric(jpegInst, "jpeg_instability_pct")
 	b.ReportMetric(pngInst, "raw_png_instability_pct")

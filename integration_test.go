@@ -9,8 +9,8 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/imaging"
 	"repro/internal/lab"
+	"repro/internal/metrics"
 	"repro/internal/stability"
 )
 
@@ -18,7 +18,7 @@ func TestIntegrationEndToEndShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the base model")
 	}
-	benchSetup(&testing.B{})
+	benchSetup(t)
 
 	// 1. Accuracy must be in a useful regime — neither chance nor
 	//    saturated — on every phone (paper: 59-64%).
@@ -52,7 +52,7 @@ func TestIntegrationEndToEndShape(t *testing.T) {
 	//    ones on average (paper Fig 4).
 	split := stability.SplitScores(benchRecords)
 	if len(split.UnstableCorrect) > 0 && len(split.StableCorrect) > 0 {
-		if mean(split.UnstableCorrect) >= mean(split.StableCorrect) {
+		if metrics.Mean(split.UnstableCorrect) >= metrics.Mean(split.StableCorrect) {
 			t.Error("unstable predictions not less confident than stable ones")
 		}
 	}
@@ -62,14 +62,14 @@ func TestIntegrationOSExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the base model")
 	}
-	benchSetup(&testing.B{})
+	benchSetup(t)
 
 	// PNG decodes identically everywhere → zero instability (paper §7).
-	if png := osExperiment(codec.NewPNG()); png != 0 {
+	if png := osInstability(codec.NewPNG()); png != 0 {
 		t.Errorf("PNG OS instability %.2f%%, want exactly 0", png)
 	}
 	// JPEG decoder divergence is real but tiny compared to end-to-end.
-	jpeg := osExperiment(codec.NewJPEG(90))
+	jpeg := osInstability(codec.NewJPEG(90))
 	e2e := stability.Compute(benchRecords).Percent()
 	if jpeg >= e2e {
 		t.Errorf("OS-only instability %.2f%% not ≪ end-to-end %.2f%%", jpeg, e2e)
@@ -96,19 +96,11 @@ func TestIntegrationWithinPhoneBelowCrossPhone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the base model")
 	}
-	benchSetup(&testing.B{})
+	benchSetup(t)
 
 	// Paper Fig 3(d): repeat-shot instability on one phone is much lower
 	// than cross-phone instability.
-	var recs []*stability.Record
-	for _, it := range benchItems[:15] {
-		shots := benchRig.CaptureRepeats(benchRig.Phones[0], 0, it, 2, 4)
-		rr := lab.Classify(benchModel, shots, 1)
-		for ri, r := range rr {
-			r.Env = string(rune('a' + ri))
-		}
-		recs = append(recs, rr...)
-	}
+	_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 4)
 	within := stability.Compute(recs).Rate()
 	cross := stability.Compute(benchRecords).Rate()
 	if within >= cross {
@@ -120,51 +112,24 @@ func TestIntegrationCompressionAccuracyFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the base model")
 	}
-	benchSetup(&testing.B{})
+	benchSetup(t)
 
 	// Paper Tables 2-3: codec choice barely moves accuracy yet creates
 	// instability. Compare per-codec accuracies and the joint instability.
-	caps := compressionCaptures()
-	inst, _, _ := codecMatrix(caps, []codec.Codec{codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75)})
-	if inst.Unstable == 0 {
+	rows, recs := lab.CodecMatrix(benchModel, benchRig.CodecCaptures(benchItems, []int{1, 3}), formatCodecs())
+	if stability.Compute(recs).Unstable == 0 {
 		t.Error("format instability is zero — codecs too benign")
 	}
-
-	accs := map[string]float64{}
-	for _, c := range []codec.Codec{codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75)} {
-		images := make([]*imaging.Image, len(caps))
-		labels := make([]int, len(caps))
-		ids := make([]int, len(caps))
-		angles := make([]int, len(caps))
-		for i, cap := range caps {
-			images[i] = c.Encode(cap.Image).Decode(codec.DecodeOptions{})
-			labels[i] = int(cap.Item.Class)
-			ids[i] = i
-		}
-		recs := lab.ClassifyImages(benchModel, images, ids, angles, labels, c.Name(), 1)
-		accs[c.Name()] = stability.Accuracy(recs, c.Name())
-	}
 	var min, max float64 = 1, 0
-	for _, a := range accs {
-		if a < min {
-			min = a
+	for _, r := range rows {
+		if r.Accuracy < min {
+			min = r.Accuracy
 		}
-		if a > max {
-			max = a
+		if r.Accuracy > max {
+			max = r.Accuracy
 		}
 	}
 	if max-min > 0.10 {
 		t.Errorf("accuracy spread across codecs %.1f%% — paper finds it nearly flat", (max-min)*100)
 	}
-}
-
-func mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }

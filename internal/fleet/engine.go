@@ -77,7 +77,8 @@ func (e *Engine) Displayed(it *dataset.Item, angle int) *imaging.Image {
 // hot path hand it back with imaging.PutImage when done, other callers may
 // simply keep it.
 func (e *Engine) Capture(d *Device, it *dataset.Item, angle int) (*imaging.Image, int) {
-	return e.captureSeeded(d, it, angle, mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
+	img, size, _ := e.CaptureTimed(d, it, angle)
+	return img, size
 }
 
 // CaptureEpoch is Capture in virtual time: the same cell photographed in a
@@ -88,26 +89,7 @@ func (e *Engine) Capture(d *Device, it *dataset.Item, angle int) (*imaging.Image
 // epoch 0 of a continuous run is a distinct observation, not a replay of
 // the one-shot capture.
 func (e *Engine) CaptureEpoch(d *Device, it *dataset.Item, angle, epoch int) (*imaging.Image, int) {
-	return e.captureSeeded(d, it, angle, mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)))
-}
-
-// captureSeeded is the shared capture body: cell seed in, decoded image out.
-func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int) {
-	if e.tele != nil {
-		img, size, _ := e.captureSeededTimed(d, it, angle, seed)
-		return img, size
-	}
-	displayed := e.Displayed(it, angle)
-	a := arenaPool.Get().(*captureArena)
-	rng := a.seed(seed)
-	raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
-	processed := d.ISP.Process(raw) // pool-owned by this frame; Clamp in place is safe
-	enc := d.Profile.Codec.Encode(processed.Clamp())
-	imaging.PutImage(processed)
-	size := enc.Size
-	img := enc.DecodeInto(d.Profile.Decode, imaging.GetImage(enc.W, enc.H))
-	codec.Release(enc)
-	arenaPool.Put(a)
+	img, size, _ := e.captureSeeded(d, it, angle, mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)))
 	return img, size
 }
 
@@ -120,24 +102,24 @@ type StageTimes struct {
 	CodecNanos  int64 `json:"codec"` // encode + decode
 }
 
-// CaptureTimed is Capture with a clock read between stages, returning the
-// per-stage wall times alongside the decoded image. When telemetry is
-// attached the times also land in the stage histograms. The pixel math and
-// the RNG stream are identical to Capture — timing reads the clock and
-// nothing else.
+// CaptureTimed is Capture that also returns the per-stage wall times it
+// reads the clock for either way. When telemetry is attached the times also
+// land in the stage histograms.
 func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.Image, int, StageTimes) {
-	return e.captureSeededTimed(d, it, angle, mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
+	return e.captureSeeded(d, it, angle, mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
 }
 
-// captureSeededTimed is the shared timed capture body.
-func (e *Engine) captureSeededTimed(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
+// captureSeeded is the one capture body: cell seed in, decoded image, size
+// and stage times out. Capture and CaptureEpoch discard the times; the four
+// clock reads are noise against a 130–800 µs capture.
+func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
 	displayed := e.Displayed(it, angle)
 	a := arenaPool.Get().(*captureArena)
 	rng := a.seed(seed)
 	t0 := time.Now()
 	raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
 	t1 := time.Now()
-	processed := d.ISP.Process(raw)
+	processed := d.ISP.Process(raw) // pool-owned by this frame; Clamp in place is safe
 	t2 := time.Now()
 	enc := d.Profile.Codec.Encode(processed.Clamp())
 	imaging.PutImage(processed)
@@ -161,6 +143,6 @@ func (e *Engine) captureSeededTimed(d *Device, it *dataset.Item, angle int, seed
 }
 
 // SetTelemetry attaches capture instruments to the engine; nil disables
-// recording. Telemetry only reads the clock, so instrumented captures stay
-// byte-identical to uninstrumented ones.
+// recording. Telemetry only records the stage times, so instrumented captures
+// stay byte-identical to uninstrumented ones.
 func (e *Engine) SetTelemetry(t *Telemetry) { e.tele = t }

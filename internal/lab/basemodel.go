@@ -2,7 +2,6 @@ package lab
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -32,13 +31,15 @@ func DefaultBaseModel() BaseModelConfig {
 // architecture factory for the base model must use this — a hand-rolled
 // copy that drifts from it silently stops matching trained snapshots.
 func (cfg BaseModelConfig) Arch() *nn.Model {
-	width := cfg.Width
-	if width == 0 {
-		width = 1.0
-	}
+	return cfg.arch(rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// arch is the package's one architecture constructor. The caller owns rng:
+// training keeps drawing augmentation from the same stream after init.
+func (cfg BaseModelConfig) arch(rng *rand.Rand) *nn.Model {
 	mcfg := nn.DefaultConfig(int(dataset.NumClasses))
-	mcfg.Width = width
-	return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(cfg.Seed)), mcfg)
+	mcfg.Width = cfg.Width // nn reads 0 as 1.0
+	return nn.NewMobileNetV2Micro(rng, mcfg)
 }
 
 // TrainBaseModel trains the stand-in for "MobileNetV2 pre-trained on
@@ -51,9 +52,7 @@ func (cfg BaseModelConfig) Arch() *nn.Model {
 // restore needs.
 func TrainBaseModel(cfg BaseModelConfig) *nn.Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	mcfg := nn.DefaultConfig(int(dataset.NumClasses))
-	mcfg.Width = cfg.Width
-	m := nn.NewMobileNetV2Micro(rng, mcfg)
+	m := cfg.arch(rng)
 
 	set := dataset.Generate(cfg.TrainItems, cfg.Seed+1)
 	images, labels := dataset.TrainingImages(set, []int{0, 2, 4}, rng, true)
@@ -65,17 +64,4 @@ func TrainBaseModel(cfg BaseModelConfig) *nn.Model {
 		Seed:      cfg.Seed + 2,
 	})
 	return m
-}
-
-var (
-	sharedOnce  sync.Once
-	sharedModel *nn.Model
-)
-
-// SharedBaseModel trains the default base model once per process and
-// returns it. Experiment binaries and benchmarks all reuse this instance;
-// callers that fine-tune must TakeSnapshot/Restore around their changes.
-func SharedBaseModel() *nn.Model {
-	sharedOnce.Do(func() { sharedModel = TrainBaseModel(DefaultBaseModel()) })
-	return sharedModel
 }

@@ -41,11 +41,12 @@ func (r *Rig) pool() *fleet.Pool { return fleet.NewPool(r.Workers) }
 
 // Capture is one photo taken during an experiment.
 type Capture struct {
-	Item  *dataset.Item
-	Angle int
-	Phone string
-	Image *imaging.Image
-	Bytes int // compressed size of the stored photo
+	Item     *dataset.Item
+	Angle    int
+	Phone    string
+	PhoneIdx int // index of Phone in Rig.Phones
+	Image    *imaging.Image
+	Bytes    int // compressed size of the stored photo
 }
 
 // CaptureAll photographs every item at every angle with every phone: the
@@ -64,7 +65,7 @@ func (r *Rig) CaptureAll(items []*dataset.Item, angles []int) []*Capture {
 			rng := rand.New(rand.NewSource(r.captureSeed(it.ID, a, pi, 0)))
 			displayed := r.Screen.Display(scene, rng)
 			photo := phone.Capture(displayed, rng)
-			out[cell*len(r.Phones)+pi] = &Capture{Item: it, Angle: a, Phone: phone.Name, Image: photo.Image, Bytes: photo.Encoded.Size}
+			out[cell*len(r.Phones)+pi] = &Capture{Item: it, Angle: a, Phone: phone.Name, PhoneIdx: pi, Image: photo.Image, Bytes: photo.Encoded.Size}
 		}
 	})
 	return out
@@ -82,7 +83,7 @@ func (r *Rig) CaptureProcessed(phone *device.Profile, phoneIdx int, items []*dat
 		rng := rand.New(rand.NewSource(r.captureSeed(it.ID, a, phoneIdx, 0)))
 		displayed := r.Screen.Display(scene, rng)
 		img := phone.CaptureProcessed(displayed, rng)
-		out[cell] = &Capture{Item: it, Angle: a, Phone: phone.Name, Image: img}
+		out[cell] = &Capture{Item: it, Angle: a, Phone: phone.Name, PhoneIdx: phoneIdx, Image: img}
 	})
 	return out
 }
@@ -98,7 +99,7 @@ func (r *Rig) CaptureRepeats(phone *device.Profile, phoneIdx int, item *dataset.
 		rng := rand.New(rand.NewSource(r.captureSeed(item.ID, angle, phoneIdx, rep+1)))
 		displayed := r.Screen.Display(scene, rng)
 		photo := phone.Capture(displayed, rng)
-		out[rep] = &Capture{Item: item, Angle: angle, Phone: phone.Name, Image: photo.Image, Bytes: photo.Encoded.Size}
+		out[rep] = &Capture{Item: item, Angle: angle, Phone: phone.Name, PhoneIdx: phoneIdx, Image: photo.Image, Bytes: photo.Encoded.Size}
 	})
 	return out
 }
@@ -111,6 +112,18 @@ func (r *Rig) captureSeed(item, angle, phone, repeat int) int64 {
 		h = h*1000003 + v + 12345
 	}
 	return h
+}
+
+// rawSeed is the per-shot seed of the §6 raw captures (CaptureRaw) and
+// dualSeed that of the §9.2 dual JPEG + raw captures (RawVsJPEG). With
+// captureSeed they are the rig's only seed formulas; the published tables
+// were produced with exactly these.
+func (r *Rig) rawSeed(item, angle, phone int) int64 {
+	return r.Seed*7919 + int64(item)*31 + int64(angle)*7 + int64(phone)
+}
+
+func (r *Rig) dualSeed(item, angle, phone int) int64 {
+	return r.Seed*104729 + int64(item)*59 + int64(angle)*11 + int64(phone)
 }
 
 // Classify runs an inference backend over captures and emits stability

@@ -2,14 +2,18 @@ package lab
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/device"
 	"repro/internal/imaging"
+	"repro/internal/isp"
 	"repro/internal/nn"
 	"repro/internal/stability"
 )
@@ -252,30 +256,43 @@ func TestClassifyConsistentWithStability(t *testing.T) {
 	}
 }
 
-// TestRigCaptureAllWorkerInvariant checks that delegating the sweep to the
-// fleet pool never changes results: captures are bit-identical and in the
-// same order for 1, 3 and 8 workers.
+// TestRigCaptureAllWorkerInvariant checks that delegating a sweep to the
+// fleet pool never changes results: every pooled sweep is bit-identical and
+// in the same order for 1, 3 and 8 workers.
 func TestRigCaptureAllWorkerInvariant(t *testing.T) {
 	items := dataset.Generate(3, 5).Items
 	angles := []int{0, 2}
-	var ref []*Capture
-	for _, workers := range []int{1, 3, 8} {
-		rig := NewRig(21)
-		rig.Workers = workers
-		caps := rig.CaptureAll(items, angles)
-		if ref == nil {
-			ref = caps
-			continue
-		}
-		if len(caps) != len(ref) {
-			t.Fatalf("workers=%d: %d captures, want %d", workers, len(caps), len(ref))
-		}
-		for i := range caps {
-			if caps[i].Phone != ref[i].Phone || caps[i].Angle != ref[i].Angle || caps[i].Item.ID != ref[i].Item.ID {
-				t.Fatalf("workers=%d: capture %d reordered", workers, i)
+	sweeps := map[string]func(*Rig) [][]byte{
+		"CaptureAll": func(rig *Rig) (out [][]byte) {
+			for _, c := range rig.CaptureAll(items, angles) {
+				out = append(out, fmt.Append(c.Image.ToBytes(), c.Phone, c.Angle, c.Item.ID))
 			}
-			if !bytes.Equal(caps[i].Image.ToBytes(), ref[i].Image.ToBytes()) {
-				t.Fatalf("workers=%d: capture %d pixels diverged", workers, i)
+			return out
+		},
+		"CaptureRaw": func(rig *Rig) (out [][]byte) {
+			for _, s := range rig.CaptureRaw(items, angles) {
+				out = append(out, fmt.Append(nil, s.Phone, s.Angle, s.Item.ID, s.Frame.Plane, s.DNG.Plane))
+			}
+			return out
+		},
+	}
+	for name, sweep := range sweeps {
+		var ref [][]byte
+		for _, workers := range []int{1, 3, 8} {
+			rig := NewRig(21)
+			rig.Workers = workers
+			got := sweep(rig)
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("%s workers=%d: %d shots, want %d", name, workers, len(got), len(ref))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], ref[i]) {
+					t.Fatalf("%s workers=%d: shot %d reordered or diverged", name, workers, i)
+				}
 			}
 		}
 	}
@@ -295,4 +312,92 @@ func TestRigCaptureRepeatsWorkerInvariant(t *testing.T) {
 			t.Fatalf("repeat %d diverged between worker counts", i)
 		}
 	}
+}
+
+// TestStageExperimentShapes checks what the single-stage experiments return
+// against what their front ends index into.
+func TestStageExperimentShapes(t *testing.T) {
+	m := tinyModel(22)
+	rig := NewRig(23)
+	items := dataset.Generate(3, 24).Items
+	angles := []int{1, 3}
+	shots := len(items) * len(angles) * 2 // two raw-capable phones
+
+	t.Run("CodecMatrix", func(t *testing.T) {
+		caps := rig.CodecCaptures(items, angles)
+		codecs := []codec.Codec{codec.NewJPEG(90), codec.NewPNG(), codec.NewWebP(75)}
+		rows, recs := CodecMatrix(m, caps, codecs)
+		if len(caps) != shots || len(rows) != len(codecs) || len(recs) != len(caps)*len(codecs) {
+			t.Fatalf("%d captures, %d rows, %d records", len(caps), len(rows), len(recs))
+		}
+		for i, r := range rows {
+			if r.Codec != codecs[i].Name() || r.AvgKB <= 0 {
+				t.Fatalf("row %d: %+v", i, r)
+			}
+		}
+		// One group per stored photo, each seen once by every codec.
+		if s := stability.Compute(recs); s.Groups != len(caps) {
+			t.Fatalf("%d groups, want %d", s.Groups, len(caps))
+		}
+	})
+
+	t.Run("ISPConversion", func(t *testing.T) {
+		pipelines := []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()}
+		accs, recs := ISPConversion(m, rig.CaptureRaw(items, angles), pipelines)
+		if len(accs) != len(pipelines) || len(recs) != shots*len(pipelines) {
+			t.Fatalf("%d accuracies, %d records", len(accs), len(recs))
+		}
+		if s := stability.Compute(recs); s.Groups != shots {
+			t.Fatalf("%d groups, want %d", s.Groups, shots)
+		}
+	})
+
+	t.Run("RawVsJPEG", func(t *testing.T) {
+		jpeg, png := RawVsJPEG(m, rig, items, angles)
+		if len(jpeg) != shots || len(png) != shots {
+			t.Fatalf("%d jpeg, %d png records, want %d each", len(jpeg), len(png), shots)
+		}
+		for i := range jpeg {
+			j, p := jpeg[i], png[i]
+			if j.ItemID != p.ItemID || j.Angle != p.Angle || j.Env != p.Env || j.TrueClass != p.TrueClass {
+				t.Fatalf("record %d: jpeg %+v and png %+v are different shots", i, j, p)
+			}
+		}
+		if envs := stability.Envs(jpeg); len(envs) != 2 {
+			t.Fatalf("environments %v, want the two raw-capable phones", envs)
+		}
+	})
+
+	t.Run("RepeatShots", func(t *testing.T) {
+		caps, recs := RepeatShots(m, rig, 1, items, 2, 4)
+		if len(caps) != len(items)*4 || len(recs) != len(caps) {
+			t.Fatalf("%d captures, %d records", len(caps), len(recs))
+		}
+		if s := stability.Compute(recs); s.Groups != len(items) {
+			t.Fatalf("%d groups, want one per item", s.Groups)
+		}
+	})
+
+	t.Run("OSDecode", func(t *testing.T) {
+		for _, tc := range []struct {
+			codec     codec.Codec
+			identical bool // every device decodes the same pixels
+		}{{codec.NewPNG(), true}, {codec.NewJPEG(90), false}} {
+			files := dataset.FixedSet(4, 25, tc.codec)
+			rows, recs := OSDecode(m, files)
+			if len(rows) != len(device.FirebasePhones()) || len(recs) != len(rows)*len(files) {
+				t.Fatalf("%s: %d rows, %d records", tc.codec.Name(), len(rows), len(recs))
+			}
+			identical := true
+			for _, r := range rows {
+				identical = identical && r.HashMatches == len(files)
+			}
+			if identical != tc.identical {
+				t.Fatalf("%s: decodes identical everywhere = %v, want %v", tc.codec.Name(), identical, tc.identical)
+			}
+			if s := stability.Compute(recs); tc.identical && s.Unstable != 0 {
+				t.Fatalf("%s: identical pixels yet %s", tc.codec.Name(), s)
+			}
+		}
+	})
 }

@@ -2,10 +2,8 @@ package lab
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 
-	"repro/internal/dataset"
 	"repro/internal/nn"
 )
 
@@ -14,9 +12,6 @@ import (
 // binaries share one snapshot so the (CPU-trained) baseline is paid for
 // once. An empty path always trains.
 func LoadOrTrainBaseModel(cfg BaseModelConfig, path string, logf func(string, ...any)) (*nn.Model, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	mcfg := nn.DefaultConfig(int(dataset.NumClasses))
-	mcfg.Width = cfg.Width
 	if path != "" {
 		if f, err := os.Open(path); err == nil {
 			defer f.Close()
@@ -24,7 +19,7 @@ func LoadOrTrainBaseModel(cfg BaseModelConfig, path string, logf func(string, ..
 			if err != nil {
 				return nil, fmt.Errorf("lab: reading model snapshot %s: %w", path, err)
 			}
-			m := nn.NewMobileNetV2Micro(rng, mcfg)
+			m := cfg.Arch()
 			m.Restore(snap)
 			if logf != nil {
 				logf("loaded base model from %s (%d params)", path, m.NumParams())

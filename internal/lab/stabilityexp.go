@@ -54,7 +54,7 @@ type SchemeSpec struct {
 // Table6Specs returns the paper's five noise schemes with per-loss α
 // values. The paper found its α by grid search over its Keras loss scale;
 // these values come from the same procedure run against this repo's loss
-// scale (cmd/stabilitytrain -grid reruns it).
+// scale (cmd/paper -grid <α,...> stability reruns it).
 func Table6Specs(loss train.StabilityLoss) []SchemeSpec {
 	gaussianSigma := 0.2 // σ² = 0.04
 	if loss == train.LossKL {
@@ -148,26 +148,32 @@ type SchemeResult struct {
 	PRIPhone    []metrics.PRPoint
 }
 
-// RunStabilityExperiment fine-tunes the base model once per scheme and
-// measures cross-phone instability on held-out objects, regenerating one
-// panel of Table 6. The base model is restored from a snapshot between
-// schemes so every row starts from identical weights.
+// RunStabilityExperiment fine-tunes the base model once per scheme, at the
+// scheme's own α, and measures cross-phone instability on held-out objects,
+// regenerating one panel of Table 6.
 func RunStabilityExperiment(model *nn.Model, loss train.StabilityLoss, cfg StabilityExpConfig, logf func(string, ...any)) []SchemeResult {
+	return GridSearchAlpha(model, loss, cfg, nil, logf)
+}
+
+// GridSearchAlpha runs each Table 6 scheme over a set of candidate
+// stability-loss weights and keeps, per scheme, the α with the lowest
+// measured instability — the paper's stated hyperparameter procedure ("we
+// found our hyper parameters for the models using grid search"). Without
+// candidates every scheme runs at its Table6Specs α. The base model is
+// restored from a snapshot before every fine-tune, so each row starts from
+// identical weights, and once more before returning.
+func GridSearchAlpha(model *nn.Model, loss train.StabilityLoss, cfg StabilityExpConfig, alphas []float64, logf func(string, ...any)) []SchemeResult {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	rig := NewRig(cfg.Seed)
 	trainSet := dataset.GenerateHard(cfg.TrainItems, cfg.Seed+300)
 	testSet := dataset.GenerateHard(cfg.TestItems, cfg.Seed+400)
-
-	if logf != nil {
-		logf("collecting paired training captures (%d objects x %d angles)...", cfg.TrainItems, len(cfg.Angles))
-	}
+	logf("collecting paired training captures (%d objects x %d angles)...", cfg.TrainItems, len(cfg.Angles))
 	pairs := CollectPairs(rig, trainSet.Items, cfg.Angles)
-
-	if logf != nil {
-		logf("collecting held-out evaluation captures (%d objects)...", cfg.TestItems)
-	}
+	logf("collecting held-out evaluation captures (%d objects)...", cfg.TestItems)
 	evalPairs := CollectPairs(rig, testSet.Items, cfg.Angles)
-	evalIDs := make([]int, 0, len(testSet.Items)*len(cfg.Angles))
-	evalAngles := make([]int, 0, len(evalIDs))
+	var evalIDs, evalAngles []int
 	for _, it := range testSet.Items {
 		for _, a := range cfg.Angles {
 			evalIDs = append(evalIDs, it.ID)
@@ -176,37 +182,44 @@ func RunStabilityExperiment(model *nn.Model, loss train.StabilityLoss, cfg Stabi
 	}
 
 	base := model.TakeSnapshot()
+	defer model.Restore(base)
 	var results []SchemeResult
 	for _, spec := range Table6Specs(loss) {
-		model.Restore(base)
-		var scheme train.NoiseScheme
-		if spec.Build != nil {
-			scheme = spec.Build(pairs, cfg)
+		cands := alphas
+		if len(cands) == 0 || spec.Build == nil { // the no-noise baseline has no α to search
+			cands = []float64{spec.Alpha}
 		}
-		if logf != nil {
-			logf("fine-tuning: %s loss, %s noise (α=%g)...", loss, spec.Label, spec.Alpha)
-		}
-		train.FinetuneStability(model, pairs.Clean, pairs.Labels, train.StabilityConfig{
-			Config: train.Config{
-				Epochs:    cfg.Epochs,
-				BatchSize: cfg.BatchSize,
-				LR:        cfg.LR,
-				Momentum:  0.9,
-				ClipNorm:  5,
-				Seed:      cfg.Seed + 500,
-			},
-			Alpha:  spec.Alpha,
-			Loss:   loss,
-			Scheme: scheme,
-		})
-		res := evaluateScheme(model, spec, loss, evalPairs, evalIDs, evalAngles)
-		if logf != nil {
+		var best SchemeResult
+		for i, a := range cands {
+			model.Restore(base)
+			var scheme train.NoiseScheme
+			if spec.Build != nil {
+				scheme = spec.Build(pairs, cfg)
+			}
+			spec.Alpha = a
+			logf("fine-tuning: %s loss, %s noise (α=%g)...", loss, spec.Label, a)
+			train.FinetuneStability(model, pairs.Clean, pairs.Labels, train.StabilityConfig{
+				Config: train.Config{
+					Epochs:    cfg.Epochs,
+					BatchSize: cfg.BatchSize,
+					LR:        cfg.LR,
+					Momentum:  0.9,
+					ClipNorm:  5,
+					Seed:      cfg.Seed + 500,
+				},
+				Alpha:  a,
+				Loss:   loss,
+				Scheme: scheme,
+			})
+			res := evaluateScheme(model, spec, loss, evalPairs, evalIDs, evalAngles)
 			logf("  instability %.2f%%, samsung acc %.1f%%, iphone acc %.1f%%",
 				res.Instability.Percent(), res.SamsungAcc*100, res.IPhoneAcc*100)
+			if i == 0 || res.Instability.Rate() < best.Instability.Rate() {
+				best = res
+			}
 		}
-		results = append(results, res)
+		results = append(results, best)
 	}
-	model.Restore(base)
 	return results
 }
 
@@ -227,63 +240,6 @@ func evaluateScheme(model *nn.Model, spec SchemeSpec, loss train.StabilityLoss, 
 		PRSamsung:   metrics.PrecisionRecallCurve(sProbs, labels, classes, nil),
 		PRIPhone:    metrics.PrecisionRecallCurve(iProbs, labels, classes, nil),
 	}
-}
-
-// GridSearchAlpha reruns each Table 6 scheme over a set of candidate
-// stability-loss weights and keeps, per scheme, the α with the lowest
-// measured instability — the paper's stated hyperparameter procedure ("we
-// found our hyper parameters for the models using grid search").
-func GridSearchAlpha(model *nn.Model, loss train.StabilityLoss, cfg StabilityExpConfig, alphas []float64, logf func(string, ...any)) []SchemeResult {
-	rig := NewRig(cfg.Seed)
-	trainSet := dataset.GenerateHard(cfg.TrainItems, cfg.Seed+300)
-	testSet := dataset.GenerateHard(cfg.TestItems, cfg.Seed+400)
-	pairs := CollectPairs(rig, trainSet.Items, cfg.Angles)
-	evalPairs := CollectPairs(rig, testSet.Items, cfg.Angles)
-	var evalIDs, evalAngles []int
-	for _, it := range testSet.Items {
-		for _, a := range cfg.Angles {
-			evalIDs = append(evalIDs, it.ID)
-			evalAngles = append(evalAngles, a)
-		}
-	}
-
-	base := model.TakeSnapshot()
-	defer model.Restore(base)
-	var results []SchemeResult
-	for _, spec := range Table6Specs(loss) {
-		cands := alphas
-		if spec.Build == nil {
-			cands = []float64{0} // no-noise baseline has no α
-		}
-		var best *SchemeResult
-		for _, a := range cands {
-			model.Restore(base)
-			var scheme train.NoiseScheme
-			if spec.Build != nil {
-				scheme = spec.Build(pairs, cfg)
-			}
-			s := spec
-			s.Alpha = a
-			train.FinetuneStability(model, pairs.Clean, pairs.Labels, train.StabilityConfig{
-				Config: train.Config{
-					Epochs: cfg.Epochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
-					Momentum: 0.9, ClipNorm: 5, Seed: cfg.Seed + 500,
-				},
-				Alpha: a, Loss: loss, Scheme: scheme,
-			})
-			res := evaluateScheme(model, s, loss, evalPairs, evalIDs, evalAngles)
-			if logf != nil {
-				logf("grid %s %s α=%g → instability %.2f%% (acc %.1f/%.1f)",
-					loss, spec.Label, a, res.Instability.Percent(), res.SamsungAcc*100, res.IPhoneAcc*100)
-			}
-			if best == nil || res.Instability.Rate() < best.Instability.Rate() {
-				cp := res
-				best = &cp
-			}
-		}
-		results = append(results, *best)
-	}
-	return results
 }
 
 // classifyWithProbs evaluates once and returns both stability records and
