@@ -1,9 +1,7 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
 	"sync"
 
 	"repro/internal/imaging"
@@ -107,29 +105,6 @@ func Release(e *Encoded) {
 		return
 	}
 	encodedPool.Put(e)
-}
-
-// HashInto writes a canonical serialization of the encoded image into h, so
-// callers can compare "file" identity across decoders the way the paper
-// compared MD5 hashes of loaded images.
-func (e *Encoded) HashInto(h hash.Hash) {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(e.W))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(e.H))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(e.planes)))
-	h.Write([]byte(e.Format))
-	h.Write(hdr[:])
-	if e.raw != nil {
-		h.Write(e.raw)
-		return
-	}
-	var buf [4]byte
-	for _, p := range e.planes {
-		for _, c := range p.coeffs {
-			binary.LittleEndian.PutUint32(buf[:], uint32(c))
-			h.Write(buf[:])
-		}
-	}
 }
 
 // encodePlaneInto transforms and quantizes one channel with the given block

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/fmath"
 	"repro/internal/imaging"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -196,9 +197,9 @@ func TestEvaluateAllocCeiling(t *testing.T) {
 func TestArenaRNGMatchesCellRNG(t *testing.T) {
 	a := arenaPool.Get().(*captureArena)
 	defer arenaPool.Put(a)
-	for _, seed := range []int64{0, 1, -7, 1 << 40, mix(11, 2, 3, 4, 5)} {
+	for _, seed := range []int64{0, 1, -7, 1 << 40, fmath.Mix(11, 2, 3, 4, 5)} {
 		fresh := cellRNG(seed)
-		reused := a.seed(mix(seed))
+		reused := a.seed(fmath.Mix(seed))
 		for i := 0; i < 1000; i++ {
 			if f, r := fresh.NormFloat64(), reused.NormFloat64(); f != r {
 				t.Fatalf("seed %d draw %d: fresh NormFloat64 %v, arena %v", seed, i, f, r)

@@ -60,8 +60,8 @@ func (c ContinuousConfig) Captures() int {
 // ContinuousRunner executes a continuous fleet run: the package's one sweep
 // over Windows windows under the expanded lifecycle schedule, with captures
 // re-drawn per window from the epoch-qualified seed stream. Start, Cancel,
-// Cancelled, Progress and SetTelemetry are the sweep's; Report and State
-// read every window.
+// Cancelled, Progress, SetTelemetry, State and MarshalState are the sweep's;
+// Report reads every window.
 type ContinuousRunner struct{ *sweep }
 
 // NewContinuousRunner prepares a continuous run; no work happens until

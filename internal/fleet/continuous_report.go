@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -233,49 +232,4 @@ func renderDrift(cfg ContinuousConfig, sched *lifecycle.Schedule, cohorts []stri
 		return dr.Flags[i].Cohort < dr.Flags[j].Cohort
 	})
 	return dr
-}
-
-// MergedFleetReport reconstructs the full continuous run's report from
-// shard states. For a complete, non-overlapping set of shards of cfg's
-// device range, the result is byte-identical (as JSON) to the report of one
-// ContinuousRunner executing the whole run. Overlapping shards are
-// rejected.
-func MergedFleetReport(cfg ContinuousConfig, states ...*ContinuousState) (FleetReport, error) {
-	cfg = cfg.WithDefaults()
-	sched, err := cfg.LifecycleSpec().Expand()
-	if err != nil {
-		return FleetReport{}, err
-	}
-	windowed := stability.NewWindowed()
-	var views []deviceView
-	captures := 0
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if err := windowed.UnmarshalState(st.Windowed); err != nil {
-			return FleetReport{}, err
-		}
-		captures += st.Captures
-		for _, ds := range st.Devices {
-			v, err := shardView(ds.ID, st.DeviceLo, st.DeviceHi, ds.Cohort, make([]windowSlot, cfg.Windows))
-			if err != nil {
-				return FleetReport{}, err
-			}
-			for _, ws := range ds.Windows {
-				if ws.Window < 0 || ws.Window >= cfg.Windows {
-					return FleetReport{}, fmt.Errorf("fleet: device %d reports window %d outside [0, %d)", ds.ID, ws.Window, cfg.Windows)
-				}
-				if v.windows[ws.Window].ran {
-					return FleetReport{}, fmt.Errorf("fleet: device %d reports window %d twice", ds.ID, ws.Window)
-				}
-				v.windows[ws.Window] = shardSlot(ws.Runtime, ws.Score, ws.Bytes)
-			}
-			views = append(views, v)
-		}
-	}
-	if err := orderViews(views); err != nil {
-		return FleetReport{}, err
-	}
-	return renderFleetReport(cfg, sched, captures, windowed, views), nil
 }

@@ -42,7 +42,7 @@ func contTestConfig(workers int) ContinuousConfig {
 	}
 }
 
-func runContinuous(t *testing.T, cfg ContinuousConfig) *ContinuousRunner {
+func runContinuous(t testing.TB, cfg ContinuousConfig) *ContinuousRunner {
 	t.Helper()
 	r, err := NewContinuousRunner(cfg, testFactory())
 	if err != nil {
@@ -61,56 +61,6 @@ func TestContinuousWorkerCountByteIdentical(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d report diverged from workers=1:\n%s\nvs\n%s", workers, got, want)
 		}
-	}
-}
-
-// TestContinuousShardMergeByteIdentical splits the device range into shards,
-// runs each independently, and merges: the report must be byte-identical to
-// the unsharded run — for both a 2-way and an uneven 3-way split.
-func TestContinuousShardMergeByteIdentical(t *testing.T) {
-	cfg := contTestConfig(2)
-	want := runContinuous(t, cfg).Report().JSON()
-	for _, split := range [][][2]int{
-		{{0, 3}, {3, 6}},
-		{{0, 1}, {1, 5}, {5, 6}},
-	} {
-		var states []*ContinuousState
-		for _, rng := range split {
-			shardCfg := cfg
-			shardCfg.Fleet.DeviceLo, shardCfg.Fleet.DeviceHi = rng[0], rng[1]
-			shard := runContinuous(t, shardCfg)
-			b, err := shard.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := UnmarshalContinuousState(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			states = append(states, st)
-		}
-		merged, err := MergedFleetReport(cfg, states...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := merged.JSON(); !bytes.Equal(got, want) {
-			t.Fatalf("split %v merged report diverged:\n%s\nvs\n%s", split, got, want)
-		}
-	}
-}
-
-// TestContinuousMergeRejectsOverlap guards the double-count footgun.
-func TestContinuousMergeRejectsOverlap(t *testing.T) {
-	cfg := contTestConfig(2)
-	shardCfg := cfg
-	shardCfg.Fleet.DeviceLo, shardCfg.Fleet.DeviceHi = 0, 3
-	shard := runContinuous(t, shardCfg)
-	st, err := shard.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergedFleetReport(cfg, st, st); err == nil {
-		t.Fatal("overlapping shards accepted")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/fmath"
 	"repro/internal/imaging"
 )
 
@@ -89,7 +90,7 @@ func (e *Engine) Capture(d *Device, it *dataset.Item, angle int) (*imaging.Image
 // epoch 0 of a continuous run is a distinct observation, not a replay of
 // the one-shot capture.
 func (e *Engine) CaptureEpoch(d *Device, it *dataset.Item, angle, epoch int) (*imaging.Image, int) {
-	img, size, _ := e.captureSeeded(d, it, angle, mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)))
+	img, size, _ := e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)))
 	return img, size
 }
 
@@ -106,7 +107,7 @@ type StageTimes struct {
 // reads the clock for either way. When telemetry is attached the times also
 // land in the stage histograms.
 func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.Image, int, StageTimes) {
-	return e.captureSeeded(d, it, angle, mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
+	return e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
 }
 
 // captureSeeded is the one capture body: cell seed in, decoded image, size

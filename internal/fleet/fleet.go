@@ -26,27 +26,13 @@ package fleet
 import (
 	"math/rand"
 
+	"repro/internal/fmath"
 	"repro/internal/nn"
 )
 
-// mix derives a well-distributed sub-seed from a base seed and coordinate
-// values (splitmix64 finalizer per value). Sub-streams for different
-// coordinates are statistically independent, which per-cell rand.Rand
-// instances need: adjacent plain seeds produce correlated first draws.
-func mix(seed int64, vals ...int64) int64 {
-	z := uint64(seed)
-	for _, v := range vals {
-		z += uint64(v)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-	}
-	return int64(z)
-}
-
 // cellRNG returns the dedicated RNG for one simulation cell.
 func cellRNG(seed int64, vals ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(mix(seed, vals...)))
+	return rand.New(rand.NewSource(fmath.Mix(seed, vals...)))
 }
 
 // BackendFactory builds one private inference backend for the named runtime

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/device"
+	"repro/internal/fmath"
 	"repro/internal/isp"
 	"repro/internal/sensor"
 )
@@ -76,7 +77,7 @@ func (g *Generator) Device(i int) *Device {
 // serving path, which materializes items per request stream rather than per
 // run.
 func Items(seed int64, n int) []*dataset.Item {
-	return dataset.GenerateHard(n, mix(seed, 3)).Items
+	return dataset.GenerateHard(n, fmath.Mix(seed, 3)).Items
 }
 
 // Cohorts returns the base phone names in fleet order.

@@ -41,9 +41,6 @@ type Config struct {
 	Workers int `json:"-"`
 	// BatchSize is the inference batch (default 64).
 	BatchSize int `json:"-"`
-	// DeviceCache and SceneCache bound the LRU sizes (defaults 4096/512).
-	DeviceCache int `json:"-"`
-	SceneCache  int `json:"-"`
 }
 
 // Captures returns the total capture-cell count of the run this (possibly
@@ -116,8 +113,9 @@ func (c Config) WithDefaults() Config {
 
 // Runner executes a one-shot fleet run — the paper's snapshot of a phone
 // population. It is a view over the package's one sweep, built with a single
-// window and an empty lifecycle schedule: Start, Cancel, Cancelled, Progress
-// and SetTelemetry are the sweep's, and Stats / RunState read its window 0.
+// window and an empty lifecycle schedule: Start, Cancel, Cancelled, Progress,
+// SetTelemetry, State and MarshalState are the sweep's, and Stats reads its
+// window 0.
 type Runner struct{ *sweep }
 
 // NewRunner prepares a run; no work happens until Start or Run.

@@ -8,91 +8,150 @@ import (
 	"repro/internal/stability"
 )
 
-// RunState is the portable final state of one Runner — the payload a
-// device-range shard ships its coordinator. It carries everything needed to
-// reconstruct the exact Stats a single-instance run would have produced:
-// the stability accumulator (integer counters, order-independent; the
-// per-cohort split is derived from it at render time, not shipped) and
-// per-device value summaries with their exact Welford state, so the
-// coordinator can replay the same device-ID-ordered float merges a single
-// process would run. Shards of one fleet, merged with MergedStats, are
-// byte-identical to the unsharded run.
-type RunState struct {
+// ContinuousState is the portable final state of one sweep — the payload a
+// device-range shard ships its coordinator, for a continuous fleet and (with
+// a single window) for a one-shot run alike. It carries everything needed to
+// reconstruct the exact snapshot a single-instance execution would have
+// produced: the windowed stability wire state (integer counters,
+// order-independent; per-cohort splits are derived from it at render time,
+// not shipped) plus per-(device, window) value summaries with their exact
+// Welford state, so MergedStats and MergedFleetReport can replay the same
+// device-ID-ordered float merges a single process runs.
+type ContinuousState struct {
 	Version int `json:"version"`
 	// DeviceLo and DeviceHi are the device-id range this state covers.
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
-	// Captures is the shard's capture count (its contribution to the full
-	// run's Captures total).
+	// Captures is the shard's realized capture count (absent windows skip).
 	Captures int `json:"captures"`
-	// Accumulator is the stability wire state
-	// (stability.(*Accumulator).MarshalState).
-	Accumulator json.RawMessage `json:"accumulator"`
-	// Devices lists the shard's finished devices in ascending ID order.
-	Devices []DeviceState `json:"devices"`
+	// Windowed is the stability windowed wire state
+	// (stability.(*Windowed).MarshalState).
+	Windowed json.RawMessage `json:"windowed"`
+	// Devices lists finished device timelines in ascending ID order, each
+	// with its observed windows in ascending window order.
+	Devices []ContDeviceState `json:"devices"`
 }
 
-// DeviceState is one finished device's aggregates.
-type DeviceState struct {
-	ID      int                 `json:"id"`
-	Cohort  string              `json:"cohort"`
+// ContDeviceState is one finished device timeline's aggregates.
+type ContDeviceState struct {
+	ID      int               `json:"id"`
+	Cohort  string            `json:"cohort"`
+	Windows []ContWindowState `json:"windows"`
+}
+
+// ContWindowState is one observed (device, window) cell.
+type ContWindowState struct {
+	Window  int                 `json:"window"`
 	Runtime string              `json:"runtime"`
 	Score   metrics.OnlineState `json:"score"`
 	Bytes   metrics.OnlineState `json:"bytes"`
 }
 
-// runStateVersion 2 dropped the per-cohort accumulator states of version 1.
-// Shards and coordinator are one build, so other versions are rejected, not
-// translated.
-const runStateVersion = 2
+// continuousStateVersion: shards and coordinator are one build, so other
+// versions are rejected, not translated.
+const continuousStateVersion = 1
 
-// RunState exports the runner's state for coordinator-side merging. Call it
-// after the run completes (or after cancellation — only finished devices
-// are included).
-func (r *Runner) RunState() (*RunState, error) {
-	accState, err := r.AccumulatorState()
+// State exports the sweep's state for coordinator-side merging. Call after
+// the run completes (or after cancellation — only finished timelines are
+// included).
+func (s *sweep) State() (*ContinuousState, error) {
+	winState, err := s.windowed.MarshalState()
 	if err != nil {
 		return nil, err
 	}
-	st := &RunState{
-		Version:     runStateVersion,
-		DeviceLo:    r.cfg.Fleet.DeviceLo,
-		DeviceHi:    r.cfg.Fleet.DeviceHi,
-		Captures:    int(r.capturesDone.Load()),
-		Accumulator: accState,
+	st := &ContinuousState{
+		Version:  continuousStateVersion,
+		DeviceLo: s.cfg.Fleet.DeviceLo,
+		DeviceHi: s.cfg.Fleet.DeviceHi,
+		Captures: int(s.capturesDone.Load()),
+		Windowed: winState,
 	}
-	for _, v := range r.views() {
-		w := &v.windows[0]
-		st.Devices = append(st.Devices, DeviceState{
-			ID:      v.id,
-			Cohort:  v.cohort,
-			Runtime: w.runtime,
-			Score:   w.score.State(),
-			Bytes:   w.bytes.State(),
-		})
+	for _, v := range s.views() {
+		ds := ContDeviceState{ID: v.id, Cohort: v.cohort}
+		for w := range v.windows {
+			ws := &v.windows[w]
+			if !ws.ran {
+				continue
+			}
+			ds.Windows = append(ds.Windows, ContWindowState{
+				Window:  w,
+				Runtime: ws.runtime,
+				Score:   ws.score.State(),
+				Bytes:   ws.bytes.State(),
+			})
+		}
+		st.Devices = append(st.Devices, ds)
 	}
 	return st, nil
 }
 
-// MarshalRunState is RunState serialized to JSON.
-func (r *Runner) MarshalRunState() ([]byte, error) {
-	st, err := r.RunState()
+// MarshalState is State serialized to JSON.
+func (s *sweep) MarshalState() ([]byte, error) {
+	st, err := s.State()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(st)
 }
 
-// UnmarshalRunState parses bytes produced by MarshalRunState.
-func UnmarshalRunState(data []byte) (*RunState, error) {
-	var st RunState
+// UnmarshalContinuousState parses bytes produced by MarshalState.
+func UnmarshalContinuousState(data []byte) (*ContinuousState, error) {
+	var st ContinuousState
 	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("fleet: run state: %w", err)
+		return nil, fmt.Errorf("fleet: continuous state: %w", err)
 	}
-	if st.Version != runStateVersion {
-		return nil, fmt.Errorf("fleet: run state version %d, want %d", st.Version, runStateVersion)
+	if st.Version != continuousStateVersion {
+		return nil, fmt.Errorf("fleet: continuous state version %d, want %d", st.Version, continuousStateVersion)
 	}
 	return &st, nil
+}
+
+// mergeStates folds the shard states of one sweep of the given window count
+// back into the parts a live sweep renders from: the windowed accumulator,
+// the device views in ascending ID order and the capture total. It is the
+// one decoder of peer bytes, so it refuses what no honest runner ships — a
+// device outside the range its own state declares or listed by two shards,
+// a window outside [0, windows) or listed twice — instead of rendering a
+// snapshot whose counts and records disagree.
+func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, []deviceView, int, error) {
+	windowed := stability.NewWindowed()
+	var views []deviceView
+	captures := 0
+	for _, st := range states {
+		if st == nil {
+			continue
+		}
+		if err := windowed.UnmarshalState(st.Windowed); err != nil {
+			return nil, nil, 0, err
+		}
+		// Windows() ascends and UnmarshalState refuses negative indices, so
+		// the last entry decides.
+		if ws := windowed.Windows(); len(ws) > 0 && ws[len(ws)-1] >= windows {
+			return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) carries records of window %d outside [0, %d)",
+				st.DeviceLo, st.DeviceHi, ws[len(ws)-1], windows)
+		}
+		captures += st.Captures
+		for _, ds := range st.Devices {
+			v, err := shardView(ds.ID, st.DeviceLo, st.DeviceHi, ds.Cohort, make([]windowSlot, windows))
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			for _, ws := range ds.Windows {
+				if ws.Window < 0 || ws.Window >= windows {
+					return nil, nil, 0, fmt.Errorf("fleet: device %d reports window %d outside [0, %d)", ds.ID, ws.Window, windows)
+				}
+				if v.windows[ws.Window].ran {
+					return nil, nil, 0, fmt.Errorf("fleet: device %d reports window %d twice", ds.ID, ws.Window)
+				}
+				v.windows[ws.Window] = shardSlot(ws.Runtime, ws.Score, ws.Bytes)
+			}
+			views = append(views, v)
+		}
+	}
+	if err := orderViews(views); err != nil {
+		return nil, nil, 0, err
+	}
+	return windowed, views, captures, nil
 }
 
 // MergedStats reconstructs the full run's Stats from shard states. For a
@@ -100,30 +159,29 @@ func UnmarshalRunState(data []byte) (*RunState, error) {
 // is byte-identical (as JSON) to the Stats of a single Runner executing the
 // whole run; with a partial set it is the same kind of valid snapshot an
 // in-flight runner serves. Shards whose device sets overlap are rejected.
-func MergedStats(cfg Config, states ...*RunState) (Stats, error) {
+func MergedStats(cfg Config, states ...*ContinuousState) (Stats, error) {
 	cfg = cfg.WithDefaults()
-	acc := stability.NewAccumulator()
-	var views []deviceView
-	captures := 0
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if err := acc.UnmarshalState(st.Accumulator); err != nil {
-			return Stats{}, err
-		}
-		captures += st.Captures
-		for _, d := range st.Devices {
-			window := []windowSlot{shardSlot(d.Runtime, d.Score, d.Bytes)}
-			v, err := shardView(d.ID, st.DeviceLo, st.DeviceHi, d.Cohort, window)
-			if err != nil {
-				return Stats{}, err
-			}
-			views = append(views, v)
-		}
-	}
-	if err := orderViews(views); err != nil {
+	windowed, views, captures, err := mergeStates(1, states)
+	if err != nil {
 		return Stats{}, err
 	}
-	return renderStats(cfg, captures, acc, views), nil
+	return renderStats(cfg, captures, windowed.Window(0), views), nil
+}
+
+// MergedFleetReport reconstructs the full continuous run's report from
+// shard states. For a complete, non-overlapping set of shards of cfg's
+// device range, the result is byte-identical (as JSON) to the report of one
+// ContinuousRunner executing the whole run. Overlapping shards are
+// rejected.
+func MergedFleetReport(cfg ContinuousConfig, states ...*ContinuousState) (FleetReport, error) {
+	cfg = cfg.WithDefaults()
+	sched, err := cfg.LifecycleSpec().Expand()
+	if err != nil {
+		return FleetReport{}, err
+	}
+	windowed, views, captures, err := mergeStates(cfg.Windows, states)
+	if err != nil {
+		return FleetReport{}, err
+	}
+	return renderFleetReport(cfg, sched, captures, windowed, views), nil
 }

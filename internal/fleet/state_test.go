@@ -5,41 +5,100 @@ import (
 	"testing"
 )
 
-// TestShardedRunMatchesSingle is the distributed-shard property at the
-// fleet layer: split one run's device range into shards, execute each with
-// its own Runner, merge the shipped states — the merged Stats JSON must be
-// byte-identical to a single runner executing the whole range.
-func TestShardedRunMatchesSingle(t *testing.T) {
-	cfg := Config{Devices: 30, Items: 2, Angles: []int{0, 2}, Seed: 19, TopK: 3, Workers: 4}
-	full := NewRunner(cfg, testFactory()).Run().JSON()
+// shardKind is one of the sweep's two views as the shard-state tests drive
+// it: execute a device range, ship its state through the wire, merge states,
+// and compare snapshot JSON.
+type shardKind struct {
+	name    string
+	devices int
+	windows int
+	// run executes devices [lo, hi) and returns the runner's own snapshot
+	// JSON and its shard state after a wire round trip.
+	run func(t *testing.T, lo, hi int) (snapshot []byte, st *ContinuousState)
+	// merged renders the snapshot JSON of merged shard states.
+	merged func(states ...*ContinuousState) ([]byte, error)
+}
 
-	for _, cuts := range [][2]int{{11, 30}, {1, 29}, {15, 15}} {
-		var states []*RunState
-		for _, rng := range [][2]int{{0, cuts[0]}, {cuts[0], cuts[1]}, {cuts[1], 30}} {
-			shardCfg := cfg
-			shardCfg.DeviceLo, shardCfg.DeviceHi = rng[0], rng[1]
-			r := NewRunner(shardCfg, testFactory())
-			r.Run()
-			data, err := r.MarshalRunState()
-			if err != nil {
-				t.Fatal(err)
+// shipped round-trips a finished runner's state through its wire bytes.
+func shipped(t *testing.T, r interface{ MarshalState() ([]byte, error) }) *ContinuousState {
+	t.Helper()
+	data, err := r.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := UnmarshalContinuousState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// shardKinds builds both kinds: the one-shot run of runCfg and the
+// continuous fleet fleetCfg.
+func shardKinds(runCfg Config, fleetCfg ContinuousConfig) []shardKind {
+	runCfg, fleetCfg = runCfg.WithDefaults(), fleetCfg.WithDefaults()
+	return []shardKind{
+		{
+			name: "run", devices: runCfg.Devices, windows: 1,
+			run: func(t *testing.T, lo, hi int) ([]byte, *ContinuousState) {
+				c := runCfg
+				c.DeviceLo, c.DeviceHi = lo, hi
+				r := NewRunner(c, testFactory())
+				return r.Run().JSON(), shipped(t, r)
+			},
+			merged: func(states ...*ContinuousState) ([]byte, error) {
+				s, err := MergedStats(runCfg, states...)
+				return s.JSON(), err
+			},
+		},
+		{
+			name: "fleet", devices: fleetCfg.Fleet.Devices, windows: fleetCfg.Windows,
+			run: func(t *testing.T, lo, hi int) ([]byte, *ContinuousState) {
+				c := fleetCfg
+				c.Fleet.DeviceLo, c.Fleet.DeviceHi = lo, hi
+				r := runContinuous(t, c)
+				return r.Report().JSON(), shipped(t, r)
+			},
+			merged: func(states ...*ContinuousState) ([]byte, error) {
+				rep, err := MergedFleetReport(fleetCfg, states...)
+				return rep.JSON(), err
+			},
+		},
+	}
+}
+
+// TestShardedRunMatchesSingle is the distributed-shard property at the
+// fleet layer, for both kinds of sweep: split the device range into shards
+// (even, uneven and empty ones), execute each with its own runner, merge the
+// shipped states — the merged snapshot JSON must be byte-identical to a
+// single runner executing the whole range.
+func TestShardedRunMatchesSingle(t *testing.T) {
+	splits := map[string][][][2]int{
+		"run":   {{{0, 11}, {11, 30}, {30, 30}}, {{0, 1}, {1, 29}, {29, 30}}, {{0, 15}, {15, 15}, {15, 30}}},
+		"fleet": {{{0, 3}, {3, 6}}, {{0, 1}, {1, 5}, {5, 6}}},
+	}
+	runCfg := Config{Devices: 30, Items: 2, Angles: []int{0, 2}, Seed: 19, TopK: 3, Workers: 4}
+	for _, k := range shardKinds(runCfg, contTestConfig(2)) {
+		t.Run(k.name, func(t *testing.T) {
+			full, _ := k.run(t, 0, k.devices)
+			for _, split := range splits[k.name] {
+				var states []*ContinuousState
+				for _, rng := range split {
+					_, st := k.run(t, rng[0], rng[1])
+					if st.DeviceLo != rng[0] || st.DeviceHi != rng[1] {
+						t.Fatalf("state range %d..%d, want %d..%d", st.DeviceLo, st.DeviceHi, rng[0], rng[1])
+					}
+					states = append(states, st)
+				}
+				got, err := k.merged(states...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, full) {
+					t.Fatalf("split %v: merged snapshot diverged from single run:\n%s\nvs\n%s", split, got, full)
+				}
 			}
-			st, err := UnmarshalRunState(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.DeviceLo != rng[0] || st.DeviceHi != rng[1] {
-				t.Fatalf("state range %d..%d, want %d..%d", st.DeviceLo, st.DeviceHi, rng[0], rng[1])
-			}
-			states = append(states, st)
-		}
-		merged, err := MergedStats(cfg, states...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := merged.JSON(); !bytes.Equal(got, full) {
-			t.Fatalf("cuts %v: merged stats diverged from single run:\n%s\nvs\n%s", cuts, got, full)
-		}
+		})
 	}
 }
 
@@ -59,7 +118,7 @@ func TestShardRunnerRangeScoping(t *testing.T) {
 	if s.Config.Devices != 20 {
 		t.Fatalf("shard stats config devices %d, want the full fleet's 20", s.Config.Devices)
 	}
-	st, err := r.RunState()
+	st, err := r.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,26 +148,6 @@ func TestConfigRangeDefaults(t *testing.T) {
 	}
 }
 
-// TestMergedStatsRejectsOverlap guards the coordinator against double
-// counting a device.
-func TestMergedStatsRejectsOverlap(t *testing.T) {
-	cfg := Config{Devices: 10, Items: 1, Angles: []int{0}, Seed: 3, Workers: 2}
-	shard := func(lo, hi int) *RunState {
-		c := cfg
-		c.DeviceLo, c.DeviceHi = lo, hi
-		r := NewRunner(c, testFactory())
-		r.Run()
-		st, err := r.RunState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	if _, err := MergedStats(cfg, shard(0, 6), shard(5, 10)); err == nil {
-		t.Fatal("overlapping shards accepted")
-	}
-}
-
 // TestRunnerCancel checks cancellation semantics: a cancelled run still
 // closes its done channel, skips unstarted devices, and serves a valid
 // partial snapshot.
@@ -126,7 +165,7 @@ func TestRunnerCancel(t *testing.T) {
 	if s.DevicesDone != 0 || s.Records != 0 {
 		t.Fatalf("cancelled run produced records: %+v", s)
 	}
-	if _, err := r.RunState(); err != nil {
+	if _, err := r.State(); err != nil {
 		t.Fatalf("cancelled run state: %v", err)
 	}
 }

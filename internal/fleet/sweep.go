@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/device"
+	"repro/internal/fmath"
 	"repro/internal/imaging"
 	"repro/internal/lifecycle"
 	"repro/internal/metrics"
@@ -102,8 +103,8 @@ func newSweep(cfg ContinuousConfig, sched *lifecycle.Schedule, continuous bool, 
 		continuous: continuous,
 		sched:      sched,
 		factory:    factory,
-		gen:        NewGenerator(fc.Seed, fc.Scale, fc.DeviceCache),
-		engine:     NewEngine(fc.Seed, fc.Scale, fc.SceneCache),
+		gen:        NewGenerator(fc.Seed, fc.Scale, 0),
+		engine:     NewEngine(fc.Seed, fc.Scale, 0),
 		pool:       pool,
 		backends:   make([]*LRU[string, nn.Backend], pool.WorkersFor(fc.rangeSize())),
 		items:      Items(fc.Seed, fc.Items),
@@ -230,7 +231,7 @@ func (s *sweep) runDevice(worker, id int) {
 			case lifecycle.KindThermalDrift:
 				// The throttle jitter seed is (run seed, stream 6, device,
 				// event window): deterministic, and distinct per event.
-				dev.Profile = device.Throttle(dev.Profile, ev.Severity, mix(s.gen.Seed, 6, int64(id), int64(ev.Window)))
+				dev.Profile = device.Throttle(dev.Profile, ev.Severity, fmath.Mix(s.gen.Seed, 6, int64(id), int64(ev.Window)))
 				params := dev.Profile.Sensor.Params
 				params.BlurSigma /= float64(s.gen.Scale)
 				params.ChromaticShift /= float64(s.gen.Scale)

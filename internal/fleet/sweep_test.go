@@ -70,8 +70,8 @@ func TestRenderStatsCohortsDisagree(t *testing.T) {
 
 // TestOneShotIsWindowZeroOfTheSweep pins what making the one-shot run a
 // 1-window sweep must not move: its accumulator state is window 0's wire
-// state, and the "continuous fleet" instruments stay untouched while the
-// shared ones still record.
+// state, its shard state is the continuous one, and the "continuous fleet"
+// instruments stay untouched while the shared ones still record.
 func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 	tele := NewTelemetry(obs.NewRegistry())
 	r := NewRunner(Config{Devices: 5, Items: 1, Angles: []int{0, 2}, Seed: 13, Workers: 2}, testFactory())
@@ -97,17 +97,16 @@ func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire struct {
-		Windows []struct {
-			Window int             `json:"window"`
-			State  json.RawMessage `json:"state"`
-		} `json:"windows"`
-	}
+	var wire windowedWire
 	if err := json.Unmarshal(winState, &wire); err != nil {
 		t.Fatal(err)
 	}
 	if len(wire.Windows) != 1 || wire.Windows[0].Window != 0 || !bytes.Equal(wire.Windows[0].State, accState) {
 		t.Fatalf("AccumulatorState is not window 0's wire state:\n%s\nvs windowed\n%s", accState, winState)
+	}
+	// The shard state a run ships is the one-window ContinuousState.
+	if data, err := r.MarshalState(); err != nil || !bytes.HasPrefix(data, []byte(`{"version":1,`)) || bytes.Contains(data, []byte(`"accumulator"`)) {
+		t.Fatalf("run shard state is not a version 1 ContinuousState (err %v): %.80s", err, data)
 	}
 
 	// A continuous run of the same fleet does count its device-windows.
@@ -122,107 +121,93 @@ func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRunStateRejectsVersion1 pins the version bump: a payload of
-// the version that still carried per-cohort accumulators is refused by the
-// version check, not half-read.
-func TestUnmarshalRunStateRejectsVersion1(t *testing.T) {
-	r := NewRunner(Config{Devices: 2, Items: 1, Angles: []int{0}, Seed: 3}, testFactory())
-	r.Run()
-	data, err := r.MarshalRunState()
+// windowedWire reads and rewrites stability's windowed wire state.
+type windowedWire struct {
+	Version int `json:"version"`
+	Windows []struct {
+		Window int             `json:"window"`
+		State  json.RawMessage `json:"state"`
+	} `json:"windows"`
+}
+
+// rewindow moves the last entry of a shard state's windowed wire state to
+// window w — bytes no honest runner ships but a peer can spell.
+func rewindow(t *testing.T, st *ContinuousState, w int) {
+	t.Helper()
+	var wire windowedWire
+	if err := json.Unmarshal(st.Windowed, &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire.Windows[len(wire.Windows)-1].Window = w
+	b, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte(`"cohorts"`)) {
-		t.Fatalf("run state still ships cohort states: %s", data)
-	}
-	old := bytes.Replace(data, []byte(`{"version":2,`), []byte(`{"version":1,`), 1)
-	if bytes.Equal(old, data) {
-		t.Fatalf("run state does not open with version 2: %.40s", data)
-	}
-	if _, err := UnmarshalRunState(old); err == nil || !strings.Contains(err.Error(), "run state version 1, want 2") {
-		t.Fatalf("version 1 payload: err = %v, want the version error", err)
-	}
+	st.Windowed = b
 }
 
-// TestMergedRejectsHostileShardState covers shard states no honest runner
-// produces but a peer's bytes can spell: a device outside the range its own
-// state declares, and a device listing one window twice (the later entry
-// used to overwrite the earlier silently).
+// TestMergedRejectsHostileShardState covers, for both kinds of sweep, shard
+// states no honest runner produces but a peer's bytes can spell: a device
+// outside the range its own state declares, a device listing one window
+// twice (the later entry used to overwrite the earlier silently) or a window
+// the sweep does not have, stability records filed under such a window (they
+// used to be dropped from the snapshot while captures and devices still
+// counted them), and two shards listing the same device.
 func TestMergedRejectsHostileShardState(t *testing.T) {
 	cfg := contTestConfig(2)
 	cfg.Churn.JoinRate, cfg.Churn.LeaveRate = 0, 0
-	fleetState := func(t *testing.T) *ContinuousState {
-		shardCfg := cfg
-		shardCfg.Fleet.DeviceLo, shardCfg.Fleet.DeviceHi = 2, 5
-		st, err := runContinuous(t, shardCfg).State()
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range shardKinds(cfg.Fleet, cfg) {
+		outside := fmt.Sprintf("outside [0, %d)", k.windows)
+		for _, tc := range []struct {
+			name string
+			// hostile edits the honest state of shard [2, 5) and may return
+			// more states to merge beside it.
+			hostile func(t *testing.T, st *ContinuousState) []*ContinuousState
+			want    string // "" accepts
+		}{
+			{"honest", func(*testing.T, *ContinuousState) []*ContinuousState { return nil }, ""},
+			{"window twice", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows = append(st.Devices[1].Windows, st.Devices[1].Windows[0])
+				return nil
+			}, "device 3 reports window 0 twice"},
+			{"window past the last", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[k.windows-1].Window = k.windows
+				return nil
+			}, fmt.Sprintf("device 3 reports window %d %s", k.windows, outside)},
+			{"windowed entry past the last window", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				rewindow(t, st, k.windows+5)
+				return nil
+			}, fmt.Sprintf("[2, 5) carries records of window %d %s", k.windows+5, outside)},
+			{"id below range", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[0].ID = -4
+				return nil
+			}, "[2, 5) lists device -4"},
+			{"id at range end", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[2].ID = 5
+				return nil
+			}, "[2, 5) lists device 5"},
+			{"id past range", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[2].ID = 9
+				return nil
+			}, "[2, 5) lists device 9"},
+			{"overlapping shards", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				_, other := k.run(t, 4, 6)
+				return []*ContinuousState{other}
+			}, "overlap at device 4"},
+			{"same shard twice", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				return []*ContinuousState{st}
+			}, "overlap at device 2"},
+		} {
+			t.Run(k.name+" "+tc.name, func(t *testing.T) {
+				_, st := k.run(t, 2, 5)
+				_, err := k.merged(append([]*ContinuousState{st}, tc.hostile(t, st)...)...)
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("honest state rejected: %v", err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+				}
+			})
 		}
-		return st
-	}
-	runState := func(t *testing.T) *RunState {
-		shardCfg := cfg.Fleet
-		shardCfg.DeviceLo, shardCfg.DeviceHi = 2, 5
-		r := NewRunner(shardCfg, testFactory())
-		r.Run()
-		st, err := r.RunState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	for _, tc := range []struct {
-		name  string
-		merge func(t *testing.T) error
-		want  string // "" accepts
-	}{
-		{"fleet honest", func(t *testing.T) error {
-			_, err := MergedFleetReport(cfg, fleetState(t))
-			return err
-		}, ""},
-		{"fleet window twice", func(t *testing.T) error {
-			st := fleetState(t)
-			st.Devices[1].Windows = append(st.Devices[1].Windows, st.Devices[1].Windows[0])
-			_, err := MergedFleetReport(cfg, st)
-			return err
-		}, "device 3 reports window 0 twice"},
-		{"fleet id below range", func(t *testing.T) error {
-			st := fleetState(t)
-			st.Devices[0].ID = 1
-			_, err := MergedFleetReport(cfg, st)
-			return err
-		}, "[2, 5) lists device 1"},
-		{"fleet id at range end", func(t *testing.T) error {
-			st := fleetState(t)
-			st.Devices[2].ID = 5
-			_, err := MergedFleetReport(cfg, st)
-			return err
-		}, "[2, 5) lists device 5"},
-		{"run honest", func(t *testing.T) error {
-			_, err := MergedStats(cfg.Fleet, runState(t))
-			return err
-		}, ""},
-		{"run id below range", func(t *testing.T) error {
-			st := runState(t)
-			st.Devices[0].ID = -4
-			_, err := MergedStats(cfg.Fleet, st)
-			return err
-		}, "[2, 5) lists device -4"},
-		{"run id past range", func(t *testing.T) error {
-			st := runState(t)
-			st.Devices[2].ID = 9
-			_, err := MergedStats(cfg.Fleet, st)
-			return err
-		}, "[2, 5) lists device 9"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.merge(t)
-			switch {
-			case tc.want == "" && err != nil:
-				t.Fatalf("honest state rejected: %v", err)
-			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -25,23 +25,10 @@ type Client struct {
 	// BaseURL is the instance root, e.g. "http://host:8470".
 	BaseURL    string
 	HTTPClient *http.Client
-	// PollInterval is the default wait-polling cadence WaitRun and
-	// WaitExperiment fall back to when their poll argument is <= 0
-	// (itself defaulting to 100ms). Set it — usually via WithPollInterval —
-	// when a caller owns many waits and wants one knob, or when tests need
-	// waits that react at test speed instead of sleeping the hardcoded
-	// default.
-	PollInterval time.Duration
 }
 
 // Option configures a Client at construction.
 type Option func(*Client)
-
-// WithPollInterval sets the default poll cadence for WaitRun and
-// WaitExperiment (used when their poll argument is <= 0).
-func WithPollInterval(d time.Duration) Option {
-	return func(c *Client) { c.PollInterval = d }
-}
 
 // WithHTTPClient sets the underlying *http.Client.
 func WithHTTPClient(h *http.Client) Option {
@@ -97,6 +84,18 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 	return resp, nil
 }
 
+// raw is do plus reading the whole response body. The deterministic
+// artifacts are fetched this way — their bytes, not a decoded view, are what
+// is byte-identical across worker counts and shard topologies.
+func (c *Client) raw(ctx context.Context, method, path string, body any) ([]byte, error) {
+	resp, err := c.do(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
+}
+
 // doJSON is do plus decoding the response body into out (skipped when nil).
 func (c *Client) doJSON(ctx context.Context, method, path string, body, out any) error {
 	resp, err := c.do(ctx, method, path, body)
@@ -143,12 +142,7 @@ func (c *Client) ListRuns(ctx context.Context) ([]RunStatus, error) {
 // bytes themselves are the deterministic artifact (a finished run's stats
 // are byte-identical across worker counts and shard topologies).
 func (c *Client) RunStats(ctx context.Context, id int) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/runs/%d/stats", id), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/runs/%d/stats", id), nil)
 }
 
 // DeleteRun cancels an in-flight run or evicts a finished one from history.
@@ -157,20 +151,21 @@ func (c *Client) DeleteRun(ctx context.Context, id int) error {
 }
 
 // RunShard executes one device-range shard synchronously on the instance
-// and returns its run state for merging. This is the coordinator's worker
-// call; it blocks for the shard's whole execution, so bound it with the
-// context.
-func (c *Client) RunShard(ctx context.Context, spec ShardSpec) (*fleet.RunState, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/shards", spec)
+// and returns its (one-window) state for merging. This is the coordinator's
+// worker call; it blocks for the shard's whole execution, so bound it with
+// the context.
+func (c *Client) RunShard(ctx context.Context, spec ShardSpec) (*fleet.ContinuousState, error) {
+	return c.shardState(ctx, "/v1/shards", spec)
+}
+
+// shardState posts one shard spec and decodes the state the instance ships
+// back once the shard has run.
+func (c *Client) shardState(ctx context.Context, path string, spec any) (*fleet.ContinuousState, error) {
+	data, err := c.raw(ctx, http.MethodPost, path, spec)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.UnmarshalRunState(data)
+	return fleet.UnmarshalContinuousState(data)
 }
 
 // Serve runs one capture→classify request through the instance's serving
@@ -193,12 +188,7 @@ func (c *Client) SLO(ctx context.Context) (SLOReport, error) {
 
 // Metrics fetches the instance's Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.raw(ctx, http.MethodGet, "/metrics", nil)
 }
 
 // RunTrace fetches one run's spans. On a coordinator the reply already
@@ -215,12 +205,7 @@ func (c *Client) TraceSpans(ctx context.Context, trace string) ([]obs.Span, erro
 }
 
 func (c *Client) traceNDJSON(ctx context.Context, path string) ([]obs.Span, error) {
-	resp, err := c.do(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := c.raw(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -246,12 +231,8 @@ func (c *Client) WaitRun(ctx context.Context, id int, poll time.Duration) (RunSt
 // waitTerminal is the shared polling loop behind WaitRun and
 // WaitExperiment: poll get until the resource leaves StateRunning,
 // retrying transient failures, aborting on authoritative 4xx or context
-// end. A poll of <= 0 falls back to the client's PollInterval, then to
-// 100ms.
+// end. A poll of <= 0 falls back to 100ms.
 func (c *Client) waitTerminal(ctx context.Context, poll time.Duration, get func() (string, error)) error {
-	if poll <= 0 {
-		poll = c.PollInterval
-	}
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
@@ -331,12 +312,7 @@ func (c *Client) WaitExperiment(ctx context.Context, id int, poll time.Duration)
 // shard topologies and worker counts). Decode into ExperimentReport for the
 // structured view.
 func (c *Client) ExperimentReport(ctx context.Context, id int) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/experiments/%d/report", id), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/experiments/%d/report", id), nil)
 }
 
 // CreateFleet starts an async continuous fleet resource.
@@ -385,12 +361,7 @@ func (c *Client) WaitFleet(ctx context.Context, id int, poll time.Duration) (Fle
 // JSON — raw because the bytes are the deterministic artifact
 // (byte-identical across worker counts and shard topologies).
 func (c *Client) fleetArtifact(ctx context.Context, id int, leaf string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/fleets/%d/%s", id, leaf), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/fleets/%d/%s", id, leaf), nil)
 }
 
 // FleetReport fetches a finished fleet's full report. Decode into
@@ -413,16 +384,7 @@ func (c *Client) FleetDrift(ctx context.Context, id int) ([]byte, error) {
 // synchronously on the instance and returns its state for merging — the
 // coordinator's worker call; bound it with the context.
 func (c *Client) RunFleetShard(ctx context.Context, spec FleetShardSpec) (*fleet.ContinuousState, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/fleetshards", spec)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.UnmarshalContinuousState(data)
+	return c.shardState(ctx, "/v1/fleetshards", spec)
 }
 
 // StreamStats follows a run's NDJSON stats stream, invoking fn per

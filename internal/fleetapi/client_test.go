@@ -135,46 +135,6 @@ func TestWaitRunRetriesTransientFailures(t *testing.T) {
 	}
 }
 
-// TestWaitRunPollIntervalOption: a client constructed with WithPollInterval
-// polls at that cadence when the per-call poll argument is zero — the knob
-// loadgen's open-loop timing tests turn so waits react at test speed instead
-// of sleeping the hardcoded 100ms default.
-func TestWaitRunPollIntervalOption(t *testing.T) {
-	var polls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if polls.Add(1) >= 5 {
-			WriteJSON(w, http.StatusOK, RunStatus{ID: 0, State: StateDone})
-			return
-		}
-		WriteJSON(w, http.StatusOK, RunStatus{ID: 0, State: StateRunning})
-	}))
-	t.Cleanup(ts.Close)
-
-	c := NewClient(ts.URL, WithPollInterval(time.Millisecond))
-	if c.PollInterval != time.Millisecond {
-		t.Fatalf("PollInterval = %v", c.PollInterval)
-	}
-	start := time.Now()
-	st, err := c.WaitRun(context.Background(), 0, 0) // poll<=0 → client default
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateDone || polls.Load() < 5 {
-		t.Fatalf("final %+v after %d polls", st, polls.Load())
-	}
-	// Five polls at 1ms each must come in far under the 400ms the hardcoded
-	// 100ms fallback would have taken; generous bound for slow CI boxes.
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Fatalf("wait took %v; PollInterval option not applied", elapsed)
-	}
-
-	// The per-call argument still wins over the client default.
-	polls.Store(0)
-	if _, err := c.WaitRun(context.Background(), 0, 2*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestWaitRunContextDeadline: a context deadline shorter than the poll
 // interval unblocks the wait with context.DeadlineExceeded — the wait never
 // sleeps past its context, even between polls.
@@ -183,12 +143,12 @@ func TestWaitRunContextDeadline(t *testing.T) {
 		WriteJSON(w, http.StatusOK, RunStatus{ID: 0, State: StateRunning})
 	}))
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL, WithPollInterval(10*time.Second))
+	c := NewClient(ts.URL)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.WaitRun(ctx, 0, 0)
+	_, err := c.WaitRun(ctx, 0, 10*time.Second)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait error %v, want context.DeadlineExceeded", err)
 	}
@@ -203,7 +163,7 @@ func TestWaitRunContextDeadline(t *testing.T) {
 	t.Cleanup(expServer.Close)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	_, err = NewClient(expServer.URL, WithPollInterval(10*time.Second)).WaitExperiment(ctx2, 0, 0)
+	_, err = NewClient(expServer.URL).WaitExperiment(ctx2, 0, 10*time.Second)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("experiment wait error %v, want context.DeadlineExceeded", err)
 	}

@@ -70,8 +70,27 @@ func (s RunSpec) Validate() error {
 	if err := s.validateFields(); err != nil {
 		return err
 	}
-	if captures := s.FleetConfig().Captures(); captures > MaxCaptures {
-		return fmt.Errorf("devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
+	return capturesCap("devices×items×angles", s.FleetConfig().Captures())
+}
+
+// capturesCap bounds a capture budget; what spells the product it came from.
+func capturesCap(what string, captures int) error {
+	if captures > MaxCaptures {
+		return fmt.Errorf("%s = %d captures exceeds the cap of %d", what, captures, MaxCaptures)
+	}
+	return nil
+}
+
+// validateShard checks the run fields of a shard spec of either kind and
+// requires a non-empty in-bounds range: 0 ≤ lo < hi ≤ devices (after
+// defaulting).
+func (s RunSpec) validateShard(lo, hi int) error {
+	if err := s.validateFields(); err != nil {
+		return err
+	}
+	devices := s.FleetConfig().WithDefaults().Devices
+	if lo < 0 || lo >= hi || hi > devices {
+		return fmt.Errorf("bad device range %d..%d (want 0 <= lo < hi <= %d)", lo, hi, devices)
 	}
 	return nil
 }
@@ -136,25 +155,17 @@ func (s ShardSpec) FleetConfig() fleet.Config {
 	return cfg
 }
 
-// Validate checks the run spec fields and requires a non-empty in-bounds
-// range: 0 ≤ lo < hi ≤ devices (after defaulting). The captures cap is
-// applied to the shard's own range, not the full run's — an instance only
-// materializes its shard. (The shipped coordinator still validates the
+// Validate checks the run spec fields and the device range. The captures
+// cap is applied to the shard's own range, not the full run's — an instance
+// only materializes its shard. (The shipped coordinator still validates the
 // full RunSpec at run creation, since it merges every shard's state into
 // one accumulator; the per-shard cap serves external orchestrators that
 // fan out over /v1/shards and merge elsewhere.)
 func (s ShardSpec) Validate() error {
-	if err := s.RunSpec.validateFields(); err != nil {
+	if err := s.validateShard(s.DeviceLo, s.DeviceHi); err != nil {
 		return err
 	}
-	devices := s.RunSpec.FleetConfig().WithDefaults().Devices
-	if s.DeviceLo < 0 || s.DeviceLo >= s.DeviceHi || s.DeviceHi > devices {
-		return fmt.Errorf("bad device range %d..%d (want 0 <= lo < hi <= %d)", s.DeviceLo, s.DeviceHi, devices)
-	}
-	if captures := s.FleetConfig().Captures(); captures > MaxCaptures {
-		return fmt.Errorf("shard devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
-	}
-	return nil
+	return capturesCap("shard devices×items×angles", s.FleetConfig().Captures())
 }
 
 // Run states. Experiment arms additionally start in StatePending, since

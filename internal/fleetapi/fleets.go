@@ -44,15 +44,21 @@ func (s FleetSpec) Validate() error {
 	if err := s.RunSpec.validateFields(); err != nil {
 		return err
 	}
+	return s.validateFleet(s.ContinuousConfig(), "")
+}
+
+// validateFleet checks the continuous fields against cfg — the whole
+// fleet's config, or a shard's range-scoped one, whose capture budget is
+// then the shard's own (budget names it in the message).
+func (s FleetSpec) validateFleet(cfg fleet.ContinuousConfig, budget string) error {
 	if s.Windows < 0 {
 		return fmt.Errorf("windows=%d is negative", s.Windows)
 	}
 	if s.Windows > MaxWindows {
 		return fmt.Errorf("windows=%d exceeds the cap of %d", s.Windows, MaxWindows)
 	}
-	cfg := s.ContinuousConfig()
-	if captures := cfg.Captures(); captures > MaxCaptures {
-		return fmt.Errorf("windows×devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
+	if err := capturesCap(budget+"windows×devices×items×angles", cfg.Captures()); err != nil {
+		return err
 	}
 	if err := cfg.LifecycleSpec().Validate(); err != nil {
 		return err
@@ -89,27 +95,10 @@ func (s FleetShardSpec) ContinuousConfig() fleet.ContinuousConfig {
 // device range; the capture cap applies to the shard's own range across all
 // its windows.
 func (s FleetShardSpec) Validate() error {
-	if err := s.FleetSpec.RunSpec.validateFields(); err != nil {
+	if err := s.validateShard(s.DeviceLo, s.DeviceHi); err != nil {
 		return err
 	}
-	if s.Windows < 0 || s.Windows > MaxWindows {
-		return fmt.Errorf("windows=%d outside 0..%d", s.Windows, MaxWindows)
-	}
-	cfg := s.ContinuousConfig()
-	devices := cfg.Fleet.WithDefaults().Devices
-	if s.DeviceLo < 0 || s.DeviceLo >= s.DeviceHi || s.DeviceHi > devices {
-		return fmt.Errorf("bad device range %d..%d (want 0 <= lo < hi <= %d)", s.DeviceLo, s.DeviceHi, devices)
-	}
-	if captures := cfg.Captures(); captures > MaxCaptures {
-		return fmt.Errorf("shard windows×devices×items×angles = %d captures exceeds the cap of %d", captures, MaxCaptures)
-	}
-	if err := cfg.LifecycleSpec().Validate(); err != nil {
-		return err
-	}
-	if s.Drift.Baseline < 0 || s.Drift.MinZ < 0 || s.Drift.MinDelta < 0 {
-		return fmt.Errorf("drift config fields must be non-negative: %+v", s.Drift)
-	}
-	return nil
+	return s.validateFleet(s.ContinuousConfig(), "shard ")
 }
 
 // FleetStatus is the /v1 representation of a continuous fleet resource.

@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -14,12 +13,13 @@ import (
 )
 
 // fanOut executes one device sweep by splitting its device range into
-// contiguous shards, one per peer instance, collecting each shard's State
-// and merging them into Out. Because device i's profile, runtime and
-// lifecycle depend only on (seed, i), and the merges replay the exact
-// device-ID-ordered aggregation a single process would run, the merged
-// result is byte-identical to an unsharded execution of the same spec.
-type fanOut[State, Out any] struct {
+// contiguous shards, one per peer instance, collecting each shard's state
+// and merging them into Out (a run's Stats, a fleet's FleetReport). Because
+// device i's profile, runtime and lifecycle depend only on (seed, i), and
+// the merges replay the exact device-ID-ordered aggregation a single process
+// would run, the merged result is byte-identical to an unsharded execution
+// of the same spec.
+type fanOut[Out any] struct {
 	kind   string // "run" or "fleet": names the probe and merge spans
 	shard  string // "shard" or "fleet shard": names dispatch spans and peer errors
 	total  int    // devices in the whole sweep
@@ -28,10 +28,8 @@ type fanOut[State, Out any] struct {
 
 	// dispatch runs one shard on a peer; trace and parent go into its spec so
 	// the peer's execute span joins the coordinator's trace.
-	dispatch func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (State, error)
-	// count reports one collected state's finished devices and captures.
-	count func(State) (devices, captures int)
-	merge func([]State) (Out, error)
+	dispatch func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error)
+	merge    func([]*fleet.ContinuousState) (Out, error)
 
 	// tracer/trace/parent record the coordinator-side lifecycle spans under
 	// the resource's trace. An empty trace (experiment arms) disables span
@@ -45,12 +43,12 @@ type fanOut[State, Out any] struct {
 	stop context.CancelFunc
 
 	mu     sync.Mutex
-	states []State
+	states []*fleet.ContinuousState
 }
 
 // plan splits [0, total) into len(peers) near-equal contiguous chunks,
 // skipping peers left empty when the fleet is smaller than the peer set.
-func (f *fanOut[State, Out]) plan(peers []*fleetapi.Client) {
+func (f *fanOut[Out]) plan(peers []*fleetapi.Client) {
 	f.ctx, f.stop = context.WithCancel(context.Background())
 	f.parent = obs.SpanID(f.trace, f.kind)
 	n := len(peers)
@@ -68,7 +66,7 @@ func (f *fanOut[State, Out]) plan(peers []*fleetapi.Client) {
 // the returned states. The first peer failure cancels the remaining shard
 // requests (workers observe the hung-up request and cancel their runners)
 // and fails the sweep.
-func (f *fanOut[State, Out]) execute() (Out, error) {
+func (f *fanOut[Out]) execute() (Out, error) {
 	defer f.stop()
 	var none Out
 	// Health-probe before dispatch: a dead peer fails the sweep immediately
@@ -127,27 +125,26 @@ func (f *fanOut[State, Out]) execute() (Out, error) {
 func spanName(shard string) string { return strings.ReplaceAll(shard, " ", "") }
 
 // collected copies the states gathered so far; states only ever append.
-func (f *fanOut[State, Out]) collected() []State {
+func (f *fanOut[Out]) collected() []*fleet.ContinuousState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]State(nil), f.states...)
+	return append([]*fleet.ContinuousState(nil), f.states...)
 }
 
 // cancel aborts the in-flight shard requests.
-func (f *fanOut[State, Out]) cancel() { f.stop() }
+func (f *fanOut[Out]) cancel() { f.stop() }
 
-func (f *fanOut[State, Out]) progress() (done, total, captures int) {
+func (f *fanOut[Out]) progress() (done, total, captures int) {
 	for _, st := range f.collected() {
-		d, c := f.count(st)
-		done, captures = done+d, captures+c
+		done, captures = done+len(st.Devices), captures+st.Captures
 	}
 	return done, f.total, captures
 }
 
 // coordExec is a run's fan-out, plus the two things only runs ask of one:
-// partial stats while in flight and the shards' accumulator states after.
+// partial stats while in flight and the shards' states after.
 type coordExec struct {
-	*fanOut[*fleet.RunState, fleet.Stats]
+	*fanOut[fleet.Stats]
 	cfg fleet.Config
 
 	// cached is the merged snapshot computed from the first cachedN
@@ -160,13 +157,12 @@ type coordExec struct {
 // newCoordExec plans one run's shard split. trace may be empty (no span
 // recording).
 func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordExec {
-	f := &fanOut[*fleet.RunState, fleet.Stats]{
+	f := &fanOut[fleet.Stats]{
 		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, logf: logf,
-		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.RunState, error) {
+		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
 		},
-		count: func(st *fleet.RunState) (int, int) { return len(st.Devices), st.Captures },
-		merge: func(states []*fleet.RunState) (fleet.Stats, error) { return fleet.MergedStats(cfg, states...) },
+		merge: func(states []*fleet.ContinuousState) (fleet.Stats, error) { return fleet.MergedStats(cfg, states...) },
 	}
 	f.plan(peers)
 	return &coordExec{fanOut: f, cfg: cfg}
@@ -195,28 +191,17 @@ func (c *coordExec) stats() fleet.Stats {
 	return st
 }
 
-// accumStates returns the collected shards' accumulator wire states. The
-// fold over them is order-independent, so shard arrival order never leaks
-// into a report built from the result.
-func (c *coordExec) accumStates() ([]json.RawMessage, error) {
-	states := c.collected()
-	out := make([]json.RawMessage, len(states))
-	for i, st := range states {
-		out[i] = st.Accumulator
-	}
-	return out, nil
-}
+func (c *coordExec) shardStates() ([]*fleet.ContinuousState, error) { return c.collected(), nil }
 
 // newCoordFleetExec plans one continuous fleet's shard split. Devices
 // recompute their lifecycle schedules locally from the spec's seed, so the
 // merged report — windows and drift included — needs nothing but the states.
-func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *fanOut[*fleet.ContinuousState, fleet.FleetReport] {
-	f := &fanOut[*fleet.ContinuousState, fleet.FleetReport]{
+func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *fanOut[fleet.FleetReport] {
+	f := &fanOut[fleet.FleetReport]{
 		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, tracer: tracer, trace: trace, logf: logf,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
 		},
-		count: func(st *fleet.ContinuousState) (int, int) { return len(st.Devices), st.Captures },
 		merge: func(states []*fleet.ContinuousState) (fleet.FleetReport, error) {
 			return fleet.MergedFleetReport(cfg, states...)
 		},

@@ -1,9 +1,7 @@
 package fleetd
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/fleet"
@@ -100,9 +98,7 @@ func (e *experiment) execute(s *Server) {
 		logf("experiment %d arm %q started: devices=%d", e.id, arm.name, arm.cfg.Devices)
 
 		st, err := exec.execute()
-		if err != nil && e.isCancelled() && errors.Is(err, context.Canceled) {
-			// Cancel propagation, not a root-cause failure — same triage as
-			// run.execute.
+		if e.cancelOnly(err) {
 			st, err = exec.stats(), nil
 		}
 		var acc *stability.Accumulator
@@ -157,17 +153,17 @@ func (e *experiment) execute(s *Server) {
 // wire path, and the fold is order-independent, so the result — and every
 // report stat derived from it — is identical however the arm was sharded.
 func foldAccumStates(exec execution) (*stability.Accumulator, error) {
-	states, err := exec.accumStates()
+	states, err := exec.shardStates()
 	if err != nil {
 		return nil, err
 	}
-	acc := stability.NewAccumulator()
+	windowed := stability.NewWindowed()
 	for _, st := range states {
-		if err := acc.UnmarshalState(st); err != nil {
+		if err := windowed.UnmarshalState(st.Windowed); err != nil {
 			return nil, err
 		}
 	}
-	return acc, nil
+	return windowed.Window(0), nil
 }
 
 // buildReport assembles and marshals the deterministic experiment report:

@@ -1,9 +1,7 @@
 package fleetd
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"strconv"
 
@@ -87,10 +85,8 @@ func (f *contFleet) execute(s *Server, exec fleetExec) {
 		SetAttr("devices", strconv.Itoa(f.cfg.Fleet.Devices)).
 		SetAttr("windows", strconv.Itoa(f.cfg.Windows))
 	rep, err := exec.execute()
-	if err != nil && f.isCancelled() && errors.Is(err, context.Canceled) {
-		// Cancel propagation, not a root-cause failure — same triage as
-		// run.execute; the partial report is discarded either way.
-		err = nil
+	if f.cancelOnly(err) {
+		err = nil // the partial report is discarded either way
 	}
 	done, _, captures := exec.progress()
 	state := sweepState(err, done, f.cfg.Fleet.Devices)

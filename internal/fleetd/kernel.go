@@ -1,7 +1,9 @@
 package fleetd
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
@@ -141,6 +143,16 @@ func (c *core) isCancelled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.cancelled
+}
+
+// cancelOnly reports whether err, out of the resource's execution, is just
+// its own cancel propagating (peers observing hung-up shard requests) rather
+// than a root-cause failure: the resource then ends cancelled, the outcome a
+// cancelled local execution gets. A genuine peer failure (the fan-out
+// prefers those over cancellation artifacts) still fails the resource even
+// when a cancel raced it — the root cause must surface.
+func (c *core) cancelOnly(err error) bool {
+	return err != nil && c.isCancelled() && errors.Is(err, context.Canceled)
 }
 
 // terminal reports whether the outcome is recorded. Everything that asks

@@ -1,9 +1,6 @@
 package fleetd
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -22,11 +19,11 @@ type execution interface {
 	execute() (fleet.Stats, error)
 	// stats snapshots in-flight progress.
 	stats() fleet.Stats
-	// accumStates returns the execution's stability accumulator wire states
-	// after execute returns — one per shard, a single element for local
-	// runs. The experiment report layer folds them back into a per-arm
-	// accumulator for paired cross-arm comparison.
-	accumStates() ([]json.RawMessage, error)
+	// shardStates returns the execution's shard states after execute
+	// returns — one per shard, a single element for local runs. The
+	// experiment report layer folds their stability states back into a
+	// per-arm accumulator for paired cross-arm comparison.
+	shardStates() ([]*fleet.ContinuousState, error)
 }
 
 // localExec runs the fleet in-process.
@@ -43,12 +40,9 @@ func (e *localExec) stats() fleet.Stats                    { return e.runner.Sta
 func (e *localExec) progress() (done, total, captures int) { return e.runner.Progress() }
 func (e *localExec) cancel()                               { e.runner.Cancel() }
 
-func (e *localExec) accumStates() ([]json.RawMessage, error) {
-	st, err := e.runner.AccumulatorState()
-	if err != nil {
-		return nil, err
-	}
-	return []json.RawMessage{st}, nil
+func (e *localExec) shardStates() ([]*fleet.ContinuousState, error) {
+	st, err := e.runner.State()
+	return []*fleet.ContinuousState{st}, err
 }
 
 // newExecution builds the execution of one run spec — a run's own, or one
@@ -110,14 +104,8 @@ func (r *run) execute(s *Server, exec execution) {
 		SetAttr("run", strconv.Itoa(r.id)).
 		SetAttr("devices", strconv.Itoa(r.cfg.Devices))
 	st, err := exec.execute()
-	if err != nil && r.isCancelled() && errors.Is(err, context.Canceled) {
-		// A cancelled run's context-cancellation errors are just the
-		// cancel propagating (peers observing hung-up shard requests):
-		// record the partial snapshot, the same outcome a cancelled local
-		// run gets. A genuine peer failure (the fan-out prefers those over
-		// cancellation artifacts) still lands the run in state failed even
-		// when a cancel raced it — the root cause must surface.
-		st, err = exec.stats(), nil
+	if r.cancelOnly(err) {
+		st, err = exec.stats(), nil // the partial snapshot is the outcome
 	}
 	// The merge above and this marshal stay outside r.mu: a coordinator's
 	// stats can be large, and status polls block on the lock.

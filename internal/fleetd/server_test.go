@@ -224,7 +224,7 @@ func TestShardEndpoint(t *testing.T) {
 
 	// Two shards merged == the full run, byte for byte.
 	full := fleet.NewRunner(spec.FleetConfig(), testServer(1).factory).Run().JSON()
-	var states []*fleet.RunState
+	var states []*fleet.ContinuousState
 	for _, rng := range [][2]int{{0, 4}, {4, 10}} {
 		st, err := c.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: rng[0], DeviceHi: rng[1]})
 		if err != nil {

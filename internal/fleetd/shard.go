@@ -8,8 +8,8 @@ import (
 	"repro/internal/fleetapi"
 )
 
-// shardRunner is what the shard handler drives: a fleet.Runner (through
-// runShard) for /v1/shards, a fleet.ContinuousRunner for /v1/fleetshards.
+// shardRunner is what the shard handler drives: a fleet.Runner for
+// /v1/shards, a fleet.ContinuousRunner for /v1/fleetshards.
 type shardRunner interface {
 	Start() <-chan struct{}
 	Cancel()
@@ -18,11 +18,6 @@ type shardRunner interface {
 	// MarshalState renders the finished shard's wire state.
 	MarshalState() ([]byte, error)
 }
-
-// runShard gives fleet.Runner the shardRunner marshal name.
-type runShard struct{ *fleet.Runner }
-
-func (r runShard) MarshalState() ([]byte, error) { return r.MarshalRunState() }
 
 // shardJob is one decoded shard request as the handler sees it: the device
 // range and trace context both shard specs carry, and the runner build that
@@ -38,7 +33,7 @@ func (s *Server) handleShard(w http.ResponseWriter, req *http.Request) {
 	serveShard(s, w, req, "shard", func(spec fleetapi.ShardSpec) shardJob {
 		return shardJob{lo: spec.DeviceLo, hi: spec.DeviceHi, seed: spec.Seed, trace: spec.Trace, parent: spec.Parent,
 			build: func() (shardRunner, error) {
-				return runShard{fleet.NewRunner(spec.FleetConfig(), s.factory)}, nil
+				return fleet.NewRunner(spec.FleetConfig(), s.factory), nil
 			}}
 	})
 }

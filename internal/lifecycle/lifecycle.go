@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/fmath"
 	"repro/internal/nn"
 )
 
@@ -134,23 +135,6 @@ type Schedule struct {
 	byWindow map[int][]Event
 }
 
-// mix derives a well-distributed sub-seed from a base seed and coordinate
-// values (splitmix64 finalizer per value) — the same construction the fleet
-// package uses for capture cells, duplicated here so this leaf package stays
-// import-free of it. The lifecycle stream uses its own leading namespace
-// values, so it can never collide with the fleet's synthesis/capture
-// streams even under the same seed.
-func mix(seed int64, vals ...int64) int64 {
-	z := uint64(seed)
-	for _, v := range vals {
-		z += uint64(v)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-	}
-	return int64(z)
-}
-
 // lifecycleStream is the leading namespace value of every lifecycle RNG
 // stream. The fleet package reserves 0..3 (device synthesis, display,
 // capture, items) under the same seed; lifecycle draws live far away.
@@ -223,7 +207,7 @@ func churnEvents(s Spec, i int) []Event {
 		// an event to land in).
 		return nil
 	}
-	rng := rand.New(rand.NewSource(mix(s.Seed, lifecycleStream, int64(i))))
+	rng := rand.New(rand.NewSource(fmath.Mix(s.Seed, lifecycleStream, int64(i))))
 	lateWindow := func() int { return 1 + rng.Intn(s.Windows-1) }
 	var out []Event
 	joinW := 0

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/fleetapi"
+	"repro/internal/fmath"
 	"repro/internal/nn"
 )
 
@@ -147,28 +148,13 @@ func (c Cohort) duration() time.Duration {
 	return time.Duration(c.DurationSec * float64(time.Second))
 }
 
-// mix derives a well-distributed sub-seed from a base seed and coordinate
-// values — the same splitmix64 finalizer construction internal/fleet uses
-// for cell seeding, so loadgen's streams are independent per (seed, cohort,
-// purpose) the way fleet's are per cell.
-func mix(seed int64, vals ...int64) int64 {
-	z := uint64(seed)
-	for _, v := range vals {
-		z += uint64(v)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-	}
-	return int64(z)
-}
-
 // cohortRNGs returns the cohort's two deterministic streams: gaps (arrival
 // process) and cells (device/item/angle sampling). They are separate so the
 // arrival timing of cohort i is a function of (seed, i, distribution) alone
 // — changing how cells are sampled can never perturb when requests fire.
 func cohortRNGs(seed int64, cohortIdx int) (gaps, cells *rand.Rand) {
-	return rand.New(rand.NewSource(mix(seed, int64(cohortIdx), 1))),
-		rand.New(rand.NewSource(mix(seed, int64(cohortIdx), 2)))
+	return rand.New(rand.NewSource(fmath.Mix(seed, int64(cohortIdx), 1))),
+		rand.New(rand.NewSource(fmath.Mix(seed, int64(cohortIdx), 2)))
 }
 
 // sampleCell draws one (device, item, angle) uniformly from the cohort's

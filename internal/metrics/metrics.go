@@ -1,52 +1,13 @@
 // Package metrics provides the classical evaluation metrics the paper
-// contrasts instability against: accuracy, top-k accuracy, per-class
-// precision/recall curves, and the histogram/density estimates behind the
-// score-distribution figures.
+// contrasts instability against: per-class precision/recall curves, the
+// histogram/density estimates behind the score-distribution figures, and
+// one-pass value summaries.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Accuracy returns the fraction of predictions equal to their labels.
-func Accuracy(preds, labels []int) float64 {
-	if len(preds) != len(labels) {
-		panic("metrics: Accuracy length mismatch")
-	}
-	if len(preds) == 0 {
-		return 0
-	}
-	c := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			c++
-		}
-	}
-	return float64(c) / float64(len(preds))
-}
-
-// TopKAccuracy returns the fraction of examples whose label appears in the
-// per-example top-k list.
-func TopKAccuracy(topk [][]int, labels []int) float64 {
-	if len(topk) != len(labels) {
-		panic("metrics: TopKAccuracy length mismatch")
-	}
-	if len(topk) == 0 {
-		return 0
-	}
-	c := 0
-	for i, ks := range topk {
-		for _, k := range ks {
-			if k == labels[i] {
-				c++
-				break
-			}
-		}
-	}
-	return float64(c) / float64(len(topk))
-}
 
 // PRPoint is one precision/recall operating point.
 type PRPoint struct {
@@ -195,6 +156,3 @@ func Stddev(values []float64) float64 {
 	}
 	return math.Sqrt(s / float64(len(values)))
 }
-
-// FormatPct formats a fraction as a fixed-width percentage for report rows.
-func FormatPct(frac float64) string { return fmt.Sprintf("%6.2f%%", frac*100) }

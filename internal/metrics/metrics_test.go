@@ -3,36 +3,9 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestAccuracy(t *testing.T) {
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy must be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	Accuracy([]int{1}, []int{1, 2})
-}
-
-func TestTopKAccuracy(t *testing.T) {
-	topk := [][]int{{0, 1}, {2, 3}, {4}}
-	labels := []int{1, 0, 4}
-	if got := TopKAccuracy(topk, labels); math.Abs(got-2.0/3) > 1e-9 {
-		t.Fatalf("TopKAccuracy = %v", got)
-	}
-	if TopKAccuracy(nil, nil) != 0 {
-		t.Fatal("empty top-k accuracy must be 0")
-	}
-}
 
 func TestPrecisionRecallPerfectClassifier(t *testing.T) {
 	probs := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {0.8, 0.2}}
@@ -156,11 +129,5 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	Median(vals)
 	if vals[0] != 3 || vals[1] != 1 || vals[2] != 2 {
 		t.Fatal("Median mutated its input")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(0.1234); !strings.Contains(got, "12.34%") {
-		t.Fatalf("FormatPct = %q", got)
 	}
 }

@@ -31,13 +31,6 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, kh, kw, stride, pad int) 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight} }
 
-// OutShape returns the output (C,H,W) for an input (C,H,W).
-func (c *Conv2D) OutShape(h, w int) (int, int, int) {
-	d := c.dims
-	d.InH, d.InW = h, w
-	return c.outC, d.OutH(), d.OutW()
-}
-
 // Forward implements Layer for input (N, inC, H, W).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "Conv2D")

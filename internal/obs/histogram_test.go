@@ -10,7 +10,7 @@ import (
 // the same observation stream split across N histograms ("shards") and
 // merged as snapshots must equal one histogram accumulating everything —
 // exactly, counts and sum, for any split and any merge order. This is the
-// same discipline fleet.RunState merging is held to.
+// same discipline fleet.ContinuousState merging is held to.
 func TestHistogramMergeEqualsSingleProcess(t *testing.T) {
 	bounds := DurationBuckets()
 	rng := rand.New(rand.NewSource(42))

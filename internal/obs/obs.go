@@ -11,7 +11,7 @@
 //
 //   - Histogram bucket counts and sums are exact integers, so snapshots
 //     from N shards merged in any order equal single-process accumulation —
-//     the same property fleet.RunState has for stability accumulators.
+//     the same property fleet.ContinuousState has for stability accumulators.
 //   - Telemetry only ever *reads* clocks; nothing in this package draws
 //     from an RNG or touches the data it observes, so instrumented code
 //     paths stay byte-identical to uninstrumented ones.

@@ -61,10 +61,6 @@ type Group struct {
 	Records []*Record
 }
 
-// Stable reports whether all environments agree on correctness (all correct
-// or all incorrect) under top-1.
-func (g *Group) Stable() bool { return !g.Unstable(false) }
-
 // Unstable reports the paper's instability predicate: at least one correct
 // and at least one incorrect prediction. topK selects top-k correctness.
 func (g *Group) Unstable(topK bool) bool {
