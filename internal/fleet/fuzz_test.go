@@ -12,7 +12,8 @@ import (
 // coordinator receives from /v1/shards and /v1/fleetshards — with mutants of
 // honest states: whatever UnmarshalContinuousState accepts must re-encode to
 // a fixed point and must merge, under a run's and a fleet's config alike,
-// into a snapshot or an error, never a panic.
+// into an error or into a snapshot that renders — JSON and all, which a
+// non-finite float would panic in — never a panic.
 func FuzzShardState(f *testing.F) {
 	runCfg := Config{Devices: 4, Items: 1, Angles: []int{0, 2}, Seed: 3, Workers: 1}
 	fleetCfg := ContinuousConfig{
@@ -43,6 +44,15 @@ func FuzzShardState(f *testing.F) {
 		flipped[len(flipped)/2] ^= 1
 		f.Add(data)
 		f.Add(flipped)
+		// The mutant that used to reach the render: one device's mean at the
+		// edge of float64, so that merging it with its neighbours overflows.
+		st.Devices[0].Windows[0].Score.Mean = 1e308
+		st.Devices[1].Windows[0].Score.Mean = -1e308
+		huge, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(huge)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -62,8 +72,12 @@ func FuzzShardState(f *testing.F) {
 			t.Fatalf("encode∘decode is not a fixed point (err %v):\n%s\nvs\n%s", err, enc2, enc)
 		}
 		// Most mutants are refused; the property is that refusal is an
-		// error.
-		MergedStats(runCfg, st)
-		MergedFleetReport(fleetCfg, st)
+		// error and that whatever is not refused renders.
+		if stats, err := MergedStats(runCfg, st); err == nil {
+			stats.JSON()
+		}
+		if rep, err := MergedFleetReport(fleetCfg, st); err == nil {
+			rep.JSON()
+		}
 	})
 }

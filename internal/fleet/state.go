@@ -106,13 +106,42 @@ func UnmarshalContinuousState(data []byte) (*ContinuousState, error) {
 	return &st, nil
 }
 
+// What an honest (device, window) summary can hold: a score is a softmax
+// probability, a size a capture's compressed bytes, and a cell observes
+// items × angles of each.
+const (
+	maxSummarySamples = 1 << 30
+	maxScore          = 1
+	maxCaptureBytes   = 1 << 32
+)
+
+// checkSummary refuses a Welford summary of values in [0, hi] that no honest
+// runner ships: a sample count that is not positive or could overflow a sum
+// of counts, or a moment that is not finite (a NaN fails every comparison),
+// not ordered or outside what values in that range can produce. Merging
+// summaries that pass stays finite whatever a peer spelled — a mean of 1e308
+// used to drive the merged mean to ±Inf, which Stats.JSON cannot render. The
+// mean is held to the range, not to [min, max]: a running mean may round an
+// ulp past either.
+func checkSummary(s metrics.OnlineState, hi float64) error {
+	if s.N >= 1 && s.N <= maxSummarySamples &&
+		s.Min >= 0 && s.Min <= s.Max && s.Max <= hi &&
+		s.Mean >= 0 && s.Mean <= hi &&
+		s.M2 >= 0 && s.M2 <= float64(s.N)*hi*hi {
+		return nil
+	}
+	return fmt.Errorf("summary %+v is not one of 1 to %d values in [0, %g]", s, maxSummarySamples, hi)
+}
+
 // mergeStates folds the shard states of one sweep of the given window count
 // back into the parts a live sweep renders from: the windowed accumulator,
 // the device views in ascending ID order and the capture total. It is the
 // one decoder of peer bytes, so it refuses what no honest runner ships — a
-// device outside the range its own state declares or listed by two shards,
-// a window outside [0, windows) or listed twice — instead of rendering a
-// snapshot whose counts and records disagree.
+// device outside the range its own state declares, out of ascending order
+// within it (so none twice, and none costs a slot array before it is
+// refused) or listed by two shards, a window outside [0, windows) or listed
+// twice, a summary checkSummary refuses — instead of rendering a snapshot
+// whose counts and records disagree or cannot be rendered at all.
 func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, []deviceView, int, error) {
 	windowed := stability.NewWindowed()
 	var views []deviceView
@@ -131,7 +160,10 @@ func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, [
 				st.DeviceLo, st.DeviceHi, ws[len(ws)-1], windows)
 		}
 		captures += st.Captures
-		for _, ds := range st.Devices {
+		for i, ds := range st.Devices {
+			if i > 0 && ds.ID <= st.Devices[i-1].ID {
+				return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) lists device %d out of ascending order", st.DeviceLo, st.DeviceHi, ds.ID)
+			}
 			v, err := shardView(ds.ID, st.DeviceLo, st.DeviceHi, ds.Cohort, make([]windowSlot, windows))
 			if err != nil {
 				return nil, nil, 0, err
@@ -142,6 +174,12 @@ func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, [
 				}
 				if v.windows[ws.Window].ran {
 					return nil, nil, 0, fmt.Errorf("fleet: device %d reports window %d twice", ds.ID, ws.Window)
+				}
+				if err := checkSummary(ws.Score, maxScore); err != nil {
+					return nil, nil, 0, fmt.Errorf("fleet: device %d window %d: score %w", ds.ID, ws.Window, err)
+				}
+				if err := checkSummary(ws.Bytes, maxCaptureBytes); err != nil {
+					return nil, nil, 0, fmt.Errorf("fleet: device %d window %d: capture size %w", ds.ID, ws.Window, err)
 				}
 				v.windows[ws.Window] = shardSlot(ws.Runtime, ws.Score, ws.Bytes)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -190,6 +191,51 @@ func TestMergedRejectsHostileShardState(t *testing.T) {
 				st.Devices[2].ID = 9
 				return nil
 			}, "[2, 5) lists device 9"},
+			{"device twice in one state", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1] = st.Devices[0]
+				return nil
+			}, "[2, 5) lists device 2 out of ascending order"},
+			{"devices out of order", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[0], st.Devices[1] = st.Devices[1], st.Devices[0]
+				return nil
+			}, "[2, 5) lists device 2 out of ascending order"},
+			{"score mean of 1e308", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Score.Mean = 1e308
+				return nil
+			}, "device 3 window 0: score summary"},
+			{"score mean of -1e308", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Score.Mean = -1e308
+				return nil
+			}, "device 3 window 0: score summary"},
+			{"score above 1", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Score.Max = 1.5
+				return nil
+			}, "device 3 window 0: score summary"},
+			{"min above max", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				w := &st.Devices[1].Windows[0]
+				w.Score.Min, w.Score.Max = w.Score.Max, w.Score.Min/2
+				return nil
+			}, "device 3 window 0: score summary"},
+			{"no samples", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Score.N = 0
+				return nil
+			}, "device 3 window 0: score summary"},
+			{"sample count that overflows a sum", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Bytes.N = math.MaxInt
+				return nil
+			}, "device 3 window 0: capture size summary"},
+			{"negative second moment", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Bytes.M2 = -1
+				return nil
+			}, "device 3 window 0: capture size summary"},
+			{"second moment of 1e300", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Bytes.M2 = 1e300
+				return nil
+			}, "device 3 window 0: capture size summary"},
+			{"capture of 1e300 bytes", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Devices[1].Windows[0].Bytes.Max = 1e300
+				return nil
+			}, "device 3 window 0: capture size summary"},
 			{"overlapping shards", func(t *testing.T, st *ContinuousState) []*ContinuousState {
 				_, other := k.run(t, 4, 6)
 				return []*ContinuousState{other}

@@ -223,3 +223,18 @@ func TestRuntimeRegistry(t *testing.T) {
 	}()
 	NewRuntimeBackend("tpu", backendTestModel(t))
 }
+
+// TestInferAllocCeilings pins what one Infer call may allocate on every
+// runtime once its scratch is warm: the probabilities it returns and
+// Softmax's tensor, nothing that grows with the layers or the batch's images.
+func TestInferAllocCeilings(t *testing.T) {
+	const ceiling = 8 // allocations per call, at any batch size
+	x := fixedBatch(24, 3)
+	for _, runtime := range Runtimes() {
+		b := NewRuntimeBackend(runtime, backendTestModel(t))
+		b.Infer(x)
+		if got := testing.AllocsPerRun(5, func() { b.Infer(x) }); got > ceiling {
+			t.Errorf("%s: %v allocations per Infer, ceiling %d", runtime, got, ceiling)
+		}
+	}
+}

@@ -77,7 +77,7 @@ func refModelInfer(m *Model, x *tensor.Tensor) []float64 {
 // refPrunedInfer is PrunedBackend.Infer before the plan.
 func refPrunedInfer(b *PrunedBackend, x *tensor.Tensor) []float64 {
 	f := b.m.Backbone.Forward(x, false)
-	return flatProbs(Softmax(b.head.apply(b.embed.apply(f))))
+	return flatProbs(Softmax(b.head.apply(nil, b.embed.apply(nil, f))))
 }
 
 // TestInferPlanMatchesForward sweeps widths (1.0, and 0.4 whose channel

@@ -33,7 +33,7 @@ type inferPlan struct {
 	qpanel    []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
 
 	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
-	embed, logits *tensor.Tensor // dense-head outputs of Model.Infer and Int8Backend.Infer, reused across calls
+	embed, logits *tensor.Tensor // dense-head outputs of every backend's Infer, reused across calls
 }
 
 // planStep is one op with its arena wiring. src -1 reads the input image;
@@ -253,30 +253,92 @@ func (o *planConv) run(p *inferPlan, dst, src []float32, c, h, w int) {
 	}
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
-	wt := o.l.Weight.W.Data()
-	if pointwise(d) {
-		// Read the channel-major planes in place, pixel pi of channel j at
-		// src[pi + j*np].
-		gemmBN(dst, wt, src, o.l.outC, np, k, 1, np, o.scale, o.shift, o.relu6)
-		return
-	}
-	col := p.colBuf(np * k)
-	tensor.Im2Col(col, src, d)
-	gemmBN(dst, wt, col, o.l.outC, np, k, k, 1, o.scale, o.shift, o.relu6)
+	gemmBN(dst, o.l.Weight.W.Data(), p.planes(src, d), o.l.outC, np, k, o.scale, o.shift, o.relu6)
 }
 
-// gemmBN computes dst[c*p+pi] = bnAct(Σ_j w[c*k+j]·a[pi*ps+j*js], scale[c],
-// shift[c]) for outC output channels over p pixels: ps and js are the pixel
-// and reduction strides of the activation panel, so one kernel serves both
-// the im2col layout (ps=k, js=1) and channel-major planes (ps=1, js=p).
+// planes returns a convolution's input as the GEMM kernels read it, one
+// channel-major plane of output pixels per tap: a 1×1 convolution's input as
+// it stands, any other's im2colPlanar panel in the plan's scratch.
+func (p *inferPlan) planes(src []float32, d tensor.ConvDims) []float32 {
+	if pointwise(d) {
+		return src
+	}
+	col := p.colBuf(d.InC * d.KH * d.KW * d.OutH() * d.OutW())
+	im2colPlanar(col, src, d)
+	return col
+}
+
+// im2colPlanar is tensor.Im2Col transposed: dst[j*np+pi] is tap j = (c, ky, kx)
+// of output pixel pi, zero where the tap falls in the padding — np-long planes
+// in the layout a 1×1 convolution's input already has, so gemmBN reads every
+// convolution the same way. Row j of the weight matrix is the same tap.
+func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
+	outH, outW := d.OutH(), d.OutW()
+	dst = dst[:d.InC*d.KH*d.KW*outH*outW]
+	for c := 0; c < d.InC; c++ {
+		plane := src[c*d.InH*d.InW : (c+1)*d.InH*d.InW]
+		for ky := 0; ky < d.KH; ky++ {
+			for kx := 0; kx < d.KW; kx++ {
+				// Output columns [lo, hi) read inside the input row.
+				lo, hi := 0, outW
+				for lo < hi && lo*d.StrideW-d.PadW+kx < 0 {
+					lo++
+				}
+				for hi > lo && (hi-1)*d.StrideW-d.PadW+kx >= d.InW {
+					hi--
+				}
+				for oy := 0; oy < outH; oy++ {
+					orow := dst[oy*outW : (oy+1)*outW]
+					iy := oy*d.StrideH - d.PadH + ky
+					if iy < 0 || iy >= d.InH {
+						clear(orow)
+						continue
+					}
+					clear(orow[:lo])
+					clear(orow[hi:])
+					row := plane[iy*d.InW : (iy+1)*d.InW]
+					ix := lo*d.StrideW - d.PadW + kx
+					if d.StrideW == 1 {
+						copy(orow[lo:hi], row[ix:])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						orow[ox] = row[ix]
+						ix += d.StrideW
+					}
+				}
+				dst = dst[outH*outW:]
+			}
+		}
+	}
+}
+
+// gemmBN computes dst[c*p+pi] = bnAct(Σ_j w[c*k+j]·a[j*p+pi], scale[c],
+// shift[c]) for outC output channels over p pixels, the activations in k
+// channel-major planes: a 1×1 convolution's input as it stands, any other
+// convolution's im2colPlanar panel.
+//
+// Every output is the plain sum over j = 0..k-1 in order, multiply and add
+// rounded separately, so it matches tensor.MatMulTB bit for bit whichever
+// kernel computes it: the vector kernel takes the whole 4-channel × 16-pixel
+// tiles, one output pixel to a lane, and the Go kernel the pixels and
+// channels it leaves.
+func gemmBN(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 bool) {
+	cs, ps := gemmBNVector(dst, w, a, outC, p, k, scale, shift, relu6)
+	gemmBNGo(dst, w, a, 0, cs, ps, p, k, scale, shift, relu6)
+	gemmBNGo(dst, w, a, cs, outC, 0, p, k, scale, shift, relu6)
+}
+
+// gemmBNGo is the portable kernel of gemmBN, over channels [c0, c1) and
+// pixels [p0, p) of it.
 //
 // The micro-kernel tiles 4 output channels × 2 pixels. Its eight float32
 // accumulators live in registers and break the one-accumulator add-latency
 // chain of tensor.MatMulTB, but each is still the plain sum over j = 0..k-1
-// in order, so every output matches MatMulTB bit for bit.
-func gemmBN(dst, w, a []float32, outC, p, k, ps, js int, scale, shift []float32, relu6 bool) {
-	var c int
-	for c = 0; c+4 <= outC; c += 4 {
+// in order.
+func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32, relu6 bool) {
+	c := c0
+	for ; c+4 <= c1; c += 4 {
 		w0 := w[(c+0)*k : (c+1)*k]
 		w1 := w[(c+1)*k : (c+2)*k]
 		w2 := w[(c+2)*k : (c+3)*k]
@@ -287,15 +349,13 @@ func gemmBN(dst, w, a []float32, outC, p, k, ps, js int, scale, shift []float32,
 		d3 := dst[(c+3)*p : (c+4)*p]
 		sc0, sc1, sc2, sc3 := scale[c], scale[c+1], scale[c+2], scale[c+3]
 		sh0, sh1, sh2, sh3 := shift[c], shift[c+1], shift[c+2], shift[c+3]
-		var pi int
-		for pi = 0; pi+2 <= p; pi += 2 {
-			a0 := a[pi*ps:]
-			a1 := a[(pi+1)*ps:]
+		pi := p0
+		for ; pi+2 <= p; pi += 2 {
 			var s00, s10, s20, s30, s01, s11, s21, s31 float32
-			o := 0
+			o := pi
 			for j, wv := range w0 {
-				x0, x1 := a0[o], a1[o]
-				o += js
+				x0, x1 := a[o], a[o+1]
+				o += p
 				s00 += wv * x0
 				s01 += wv * x1
 				wv = w1[j]
@@ -318,12 +378,11 @@ func gemmBN(dst, w, a []float32, outC, p, k, ps, js int, scale, shift []float32,
 			d3[pi+1] = bnAct(s31, sc3, sh3, relu6)
 		}
 		if pi < p { // odd trailing pixel
-			a0 := a[pi*ps:]
 			var s0, s1, s2, s3 float32
-			o := 0
+			o := pi
 			for j, wv := range w0 {
-				xv := a0[o]
-				o += js
+				xv := a[o]
+				o += p
 				s0 += wv * xv
 				s1 += w1[j] * xv
 				s2 += w2[j] * xv
@@ -335,17 +394,16 @@ func gemmBN(dst, w, a []float32, outC, p, k, ps, js int, scale, shift []float32,
 			d3[pi] = bnAct(s3, sc3, sh3, relu6)
 		}
 	}
-	// Channel remainder (outC % 4): the scalar loop.
-	for ; c < outC; c++ {
+	// Channel remainder ((c1-c0) % 4): the scalar loop.
+	for ; c < c1; c++ {
 		wrow := w[c*k : (c+1)*k]
 		out := dst[c*p : (c+1)*p]
-		for pi := range out {
-			ap := a[pi*ps:]
+		for pi := p0; pi < p; pi++ {
 			var s float32
-			o := 0
+			o := pi
 			for _, wv := range wrow {
-				s += wv * ap[o]
-				o += js
+				s += wv * a[o]
+				o += p
 			}
 			out[pi] = bnAct(s, scale[c], shift[c], relu6)
 		}
@@ -396,7 +454,7 @@ func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) fl
 	return s
 }
 
-func (o *planDepthwise) run(_ *inferPlan, dst, src []float32, ch, inH, inW int) {
+func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 	l := o.l
 	if ch != l.ch {
 		panic("nn: Infer: " + l.Weight.Name + ": input channel mismatch")
@@ -417,6 +475,9 @@ func (o *planDepthwise) run(_ *inferPlan, dst, src []float32, ch, inH, inW int) 
 		out := dst[c*outH*outW : (c+1)*outH*outW]
 		ker := wt[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
 		scale, shift := o.scale[c], o.shift[c]
+		if l.kh == 3 && l.kw == 3 && dw3x3Vector(p, out, plane, ker, inH, inW, outW, l.stride, l.pad, scale, shift, o.relu6) {
+			continue
+		}
 		border := func(oy, lo, hi int) {
 			for ox := lo; ox < hi; ox++ {
 				s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, oy, ox)

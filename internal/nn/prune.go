@@ -63,10 +63,10 @@ func (b *PrunedBackend) Keep() float64 { return b.keep }
 // Infer implements Backend: pruned-dense backbone, then the sparse-packed
 // embedding and head.
 func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 {
-	f := b.m.inferPlan().features(x)
-	e := b.embed.apply(f)
-	z := b.head.apply(e)
-	return flatProbs(Softmax(z))
+	p := b.m.inferPlan()
+	p.embed = b.embed.apply(p.embed, p.features(x))
+	p.logits = b.head.apply(p.logits, p.embed)
+	return flatProbs(Softmax(p.logits))
 }
 
 // pruneToKeep zeroes every entry whose magnitude falls below the value at
@@ -125,9 +125,11 @@ func newSparseDense(d *Dense, relu bool) *sparseDense {
 	return s
 }
 
-func (s *sparseDense) apply(x *tensor.Tensor) *tensor.Tensor {
+// apply runs the layer over an (N, in) batch into y, reused when it already
+// has the right shape.
+func (s *sparseDense) apply(y, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
-	y := tensor.New(n, s.out)
+	y = reuseTensor(y, n, s.out)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*s.in : (i+1)*s.in]
 		out := y.Data()[i*s.out : (i+1)*s.out]

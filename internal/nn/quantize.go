@@ -22,19 +22,22 @@ import (
 // reference only through the quantization itself, which is exactly the
 // runtime-stack instability the fleet measures.
 //
-// The integer GEMM packs two output channels into the 32-bit lanes of one
-// int64 (see packRows), so one 64-bit multiply does two int8 MACs. Both lanes
-// stay exact while k·127² < 2³¹ for reduction depth k — the bound an int32
-// accumulator needs anyway; newQConv and newQDense panic on a layer deeper
-// than maxReduction. Integer addition is exact, so every accumulator is the
+// The integer GEMM reads its activations from a pair-interleaved panel (see
+// quantizePanel) and has two kernels over it. The vector kernel multiplies
+// int16 weight pairs into 32-bit lanes, one output pixel to a lane. The Go
+// kernel packs two output channels into the 32-bit lanes of one int64 (see
+// qmatrix), so one 64-bit multiply does two int8 MACs. Every lane of either
+// stays exact while k·127² < 2³¹ for reduction depth k — the bound an int32
+// accumulator needs anyway; newQMatrix panics on a layer deeper than
+// maxReduction. Integer addition is exact, so every accumulator is the
 // integer the scalar reference loops in quantize_ref_test.go compute and every
-// logit has the same bits.
+// logit has the same bits, whichever kernel ran.
 //
-// A replica owns its packed weights (8 bytes per channel pair and tap) and the
-// plan's scratch: a one-image float32 activation arena, the stem's im2col
-// panel and one quantized panel, about 0.8 MB at the default width whatever
-// the batch size. Infer overwrites all of it, so a replica serves one call at
-// a time.
+// A replica owns its weights in its kernel's encoding (2 bytes a weight for
+// the vector kernel, 4 for the Go one) and the plan's scratch: a one-image
+// float32 activation arena, the stem's im2col panel and one quantized panel,
+// about 0.8 MB at the default width whatever the batch size. Infer overwrites
+// all of it, so a replica serves one call at a time.
 type Int8Backend struct {
 	plan        *inferPlan
 	embed, head *qdense
@@ -71,8 +74,8 @@ func (b *Int8Backend) Infer(x *tensor.Tensor) []float64 {
 	return flatProbs(Softmax(p.logits))
 }
 
-// maxReduction is the deepest reduction the packed kernels take:
-// k·127² < 2³¹ keeps each 32-bit lane of a packed accumulator inside int32.
+// maxReduction is the deepest reduction the GEMM kernels take: k·127² < 2³¹
+// keeps each 32-bit lane of an accumulator inside int32.
 const maxReduction = (1<<31 - 1) / (127 * 127)
 
 func checkReduction(name string, k int) {
@@ -109,8 +112,8 @@ func quantizeTo(dst []int8, src []float32, scale float32) {
 // bit patterns order as their values do — so a NaN, which the float
 // comparison would skip, is the largest value and becomes the scale.
 func absMaxScale(src []float32) float32 {
-	var m uint32
-	for _, v := range src {
+	m, n := absMaxVector(src)
+	for _, v := range src[n:] {
 		m = max(m, math.Float32bits(v)&^(1<<31))
 	}
 	if m == 0 {
@@ -156,19 +159,53 @@ func quantizeRows(w []float32, rows, k int, fold []float32) (q []int8, scales []
 	return q, scales
 }
 
-// packRows pairs the rows of a (rows, k) int8 matrix into the 32-bit lanes of
-// int64s: packed row r holds row 2r in its low lane and row 2r+1 (zeros past
-// an odd last row) in its high lane, wp[r*k+j] = w[2r][j] + w[2r+1][j]<<32.
-// A sum Σ_j wp[j]·x[j] over int8 x is then lo + hi<<32 with lo and hi the two
-// rows' own dot products, which unpackLanes separates again.
-func packRows(w []int8, rows, k int) []int64 {
-	wp := make([]int64, (rows+1)/2*k)
+// qmatrix is a quantized (rows, k) weight matrix with its per-row scales, in
+// the encoding of the GEMM kernel this machine runs — one of the two, chosen
+// when the matrix is built, so a replica holds its weights once. Both pad a
+// row with a zero tap to the even length k2, the panel's pairs.
+type qmatrix struct {
+	rows, k2 int
+	scale    []float32 // per-row weight scale
+	// packed is the Go kernel's: two rows in the 32-bit lanes of one int64,
+	// w[c][j] + w[c+1][j]<<32 for even c (zeros past an odd last row), and
+	// the two such pairs of a 4-channel tile interleaved tap by tap, so the
+	// micro-kernel walks one cursor: the pair of rows c, c+1 at tap j is
+	// packed[(c/4*k2+j)*2+c/2%2]. A sum Σ_j pair[j]·x[j] over int8 x is then
+	// lo + hi<<32 with lo and hi the two rows' own dot products, which
+	// unpackLanes separates again.
+	packed []int64
+	// wide is the vector kernel's: the rows as int16, so that taps 2j and
+	// 2j+1 of a row are the pair one 32-bit broadcast multiplies a panel
+	// pair by.
+	wide []int16
+}
+
+// newQMatrix quantizes a (rows, k) float32 weight matrix, row c scaled by
+// fold[c] first when fold != nil.
+func newQMatrix(name string, w []float32, rows, k int, fold []float32) *qmatrix {
+	checkReduction(name, k)
+	q, scale := quantizeRows(w, rows, k, fold)
+	return packQMatrix(q, scale, rows, k)
+}
+
+func packQMatrix(q []int8, scale []float32, rows, k int) *qmatrix {
+	k2 := (k + 1) &^ 1
+	m := &qmatrix{rows: rows, k2: k2, scale: scale}
+	if useVector {
+		m.wide = make([]int16, rows*k2)
+	} else {
+		m.packed = make([]int64, (rows+3)/4*2*k2)
+	}
 	for c := 0; c < rows; c++ {
-		for j, v := range w[c*k : (c+1)*k] {
-			wp[c/2*k+j] += int64(v) << (c % 2 * 32)
+		for j, v := range q[c*k : (c+1)*k] {
+			if m.wide != nil {
+				m.wide[c*k2+j] = int16(v)
+			} else {
+				m.packed[(c/4*k2+j)*2+c/2%2] += int64(v) << (c % 2 * 32)
+			}
 		}
 	}
-	return wp
+	return m
 }
 
 // unpackLanes splits a packed accumulator into its two int32 sums. The low
@@ -197,21 +234,56 @@ func reluClamp(relu6 bool) float32 {
 	return 0
 }
 
-// dot2x2 is the inner loop of qgemm: two packed weight rows (w, 2k long)
-// against two adjacent pixels of the panel (a, 2k long), four packed
-// accumulators. It is kept out of line because its four sums, four operands
-// and four cursors are all the registers amd64 has: inlined into qgemm's
-// loop nest the compiler keeps the accumulators on the stack instead.
+// quantizePanel quantizes a (k, p) channel-major activation image — a 1×1
+// convolution's input, any other's im2colPlanar panel, a dense layer's row at
+// p = 1 — into the pair-interleaved panel qgemm reads: taps 2j and 2j+1 of
+// pixel pi are the adjacent bytes at (j·p + pi)·2, the partner of an odd last
+// tap is zero, and so one 16-byte load is eight pixels' pair.
+func quantizePanel(dst []int8, src []float32, p, k int, scale float32) {
+	inv := 1 / scale
+	dst = dst[:(k+1)&^1*p]
+	ps := quantizePanelVector(dst, src, p, k, inv) // the vector kernel's pixels
+	for j := 0; j < k; j++ {
+		out := dst[j/2*2*p+j%2:]
+		row := src[j*p : (j+1)*p]
+		for pi := ps; pi < p; pi++ {
+			out[2*pi] = quantize(row[pi], inv)
+		}
+	}
+	if k%2 == 1 {
+		out := dst[(k-1)*p:]
+		for pi := ps; pi < p; pi++ {
+			out[2*pi+1] = 0
+		}
+	}
+}
+
+// dot2x2 is the inner loop of qgemmGo: the two packed row pairs of a
+// 4-channel tile (w, interleaved tap by tap) against two adjacent pixels of
+// the panel (a starts at the first one's pair 0, pair rows stride bytes
+// apart), four packed accumulators. It is kept out of line because its four
+// sums, its operands and its cursors are all the registers amd64 has: inlined
+// into qgemmGo's loop nest the compiler keeps the accumulators on the stack
+// instead.
 //
 //go:noinline
-func dot2x2(w []int64, a []int8, k int) (s00, s01, s10, s11 int64) {
-	w0, w1 := w[:k], w[k:2*k]
-	a0, a1 := a[:k], a[k:2*k]
-	for j, wv := range w0 {
-		x0, x1 := int64(a0[j]), int64(a1[j])
+func dot2x2(w []int64, a []int8, stride int) (s00, s01, s10, s11 int64) {
+	o := 0
+	for j := 0; j+3 < len(w); j += 4 {
+		x := a[o : o+4] // taps j, j+1 of the first pixel, then of the second
+		o += stride
+		x0, x1 := int64(x[0]), int64(x[2])
+		wv := w[j]
 		s00 += wv * x0
 		s01 += wv * x1
-		wv = w1[j]
+		wv = w[j+1]
+		s10 += wv * x0
+		s11 += wv * x1
+		x0, x1 = int64(x[1]), int64(x[3])
+		wv = w[j+2]
+		s00 += wv * x0
+		s01 += wv * x1
+		wv = w[j+3]
 		s10 += wv * x0
 		s11 += wv * x1
 	}
@@ -219,25 +291,55 @@ func dot2x2(w []int64, a []int8, k int) (s00, s01, s10, s11 int64) {
 }
 
 // qgemm computes the dequantized int8 GEMM dst[c*p+pi] =
-// qfinish(Σ_j w[c][j]·col[pi*k+j], ws[c]·ax, bias[c], clamp) for outC output
-// channels over p pixels with a shared reduction depth k, from the packed
-// weights packRows makes.
+// qfinish(Σ_j w[c][j]·x[j][pi], w.scale[c]·ax, bias[c], clamp) over p pixels
+// of a quantizePanel panel, with the kernel w was built for. Every sum is
+// exact in integers, so which one ran shows in no bit.
+func qgemm(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) {
+	if w.wide == nil {
+		qgemmGo(dst, w, panel, p, ax, bias, clamp)
+		return
+	}
+	// The vector kernel takes the whole 4-channel × 16-pixel tiles.
+	cs, ps := qgemmTiles(dst, w, panel, p, ax, bias, clamp)
+	qgemmEdge(dst, w, panel, 0, cs, ps, p, ax, bias, clamp)
+	qgemmEdge(dst, w, panel, cs, w.rows, 0, p, ax, bias, clamp)
+}
+
+// qgemmEdge is the plain loop over channels [c0, c1) and pixels [p0, p) that
+// finishes what the vector tiles leave: a pixel count's remainder of 16, a
+// channel count's of 4, a dense layer's single pixel.
+func qgemmEdge(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax float32, bias []float32, clamp float32) {
+	for c := c0; c < c1; c++ {
+		row := w.wide[c*w.k2 : (c+1)*w.k2]
+		deq := w.scale[c] * ax
+		for pi := p0; pi < p; pi++ {
+			var acc int32
+			o := 2 * pi
+			for j := 0; j+1 < len(row); j += 2 {
+				acc += int32(row[j])*int32(panel[o]) + int32(row[j+1])*int32(panel[o+1])
+				o += 2 * p
+			}
+			dst[c*p+pi] = qfinish(acc, deq, bias[c], clamp)
+		}
+	}
+}
+
+// qgemmGo is the portable kernel of qgemm.
 //
 // The micro-kernel tiles 4 output channels × 2 pixels: four 64-bit multiplies
 // per reduction step do eight MACs. Channels past the last whole tile and an
-// odd last pixel run one packed accumulator at a time. Every lane is the
-// plain sum over j of one channel against one pixel, exact in integers, so
-// the result is bit-identical to the per-output-pixel reference.
-func qgemm(dst []float32, wp []int64, col []int8, outC, p, k int, ws []float32, ax float32, bias []float32, clamp float32) {
+// odd last pixel run one packed accumulator at a time.
+func qgemmGo(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) {
+	outC, k2, ws := w.rows, w.k2, w.scale
 	tiled, even := outC&^3, p&^1
 	for c := 0; c < tiled; c += 4 {
-		w := wp[c/2*k : (c/2+2)*k]
+		tile := w.packed[c/2*k2 : (c/2+2)*k2]
 		d0, d1 := dst[c*p:(c+1)*p], dst[(c+1)*p:(c+2)*p]
 		d2, d3 := dst[(c+2)*p:(c+3)*p], dst[(c+3)*p:(c+4)*p]
 		q0, q1, q2, q3 := ws[c]*ax, ws[c+1]*ax, ws[c+2]*ax, ws[c+3]*ax
 		b0, b1, b2, b3 := bias[c], bias[c+1], bias[c+2], bias[c+3]
 		for pi := 0; pi < even; pi += 2 {
-			s00, s01, s10, s11 := dot2x2(w, col[pi*k:(pi+2)*k], k)
+			s00, s01, s10, s11 := dot2x2(tile, panel[2*pi:], 2*p)
 			lo, hi := unpackLanes(s00)
 			d0[pi], d1[pi] = qfinish(lo, q0, b0, clamp), qfinish(hi, q1, b1, clamp)
 			lo, hi = unpackLanes(s10)
@@ -248,16 +350,17 @@ func qgemm(dst []float32, wp []int64, col []int8, outC, p, k int, ws []float32, 
 			d2[pi+1], d3[pi+1] = qfinish(lo, q2, b2, clamp), qfinish(hi, q3, b3, clamp)
 		}
 	}
-	// edge runs packed rows [r0, r1) over pixels [p0, p1).
-	edge := func(r0, r1, p0, p1 int) {
-		for r := r0; r < r1; r++ {
-			w := wp[r*k : (r+1)*k]
-			c := 2 * r
+	// edge runs the row pairs starting at the even channels of [c0, c1) over
+	// pixels [p0, p1), one packed accumulator at a time.
+	edge := func(c0, c1, p0, p1 int) {
+		for c := c0; c < c1; c += 2 {
+			pair := w.packed[c/4*2*k2+c/2%2:]
 			for pi := p0; pi < p1; pi++ {
-				a := col[pi*k : (pi+1)*k]
 				var s int64
-				for j, wv := range w {
-					s += wv * int64(a[j])
+				o := 2 * pi
+				for j := 0; j < k2; j += 2 {
+					s += pair[2*j]*int64(panel[o]) + pair[2*j+2]*int64(panel[o+1])
+					o += 2 * p
 				}
 				lo, hi := unpackLanes(s)
 				dst[c*p+pi] = qfinish(lo, ws[c]*ax, bias[c], clamp)
@@ -267,67 +370,38 @@ func qgemm(dst []float32, wp []int64, col []int8, outC, p, k int, ws []float32, 
 			}
 		}
 	}
-	edge(0, tiled/2, even, p)
-	edge(tiled/2, (outC+1)/2, 0, p)
-}
-
-// transposeQuantize quantizes a (k, p) channel-major activation image
-// directly into the (p, k) pixel-major panel qgemm consumes — the 1×1
-// stride-1 im2col is exactly a transpose, so fusing it with quantization
-// skips a full float32 copy of the panel.
-func transposeQuantize(dst []int8, src []float32, p, k int, scale float32) {
-	inv := 1 / scale
-	for j := 0; j < k; j++ {
-		out := dst[j:]
-		for pi, v := range src[j*p : (j+1)*p] {
-			out[pi*k] = quantize(v, inv)
-		}
-	}
+	edge(0, tiled, even, p)
+	edge(tiled, outC, 0, p)
 }
 
 // qconv is a fused Conv2D+BatchNorm(+ReLU6) with int8 weights.
 type qconv struct {
-	wp    []int64   // (outC, k) quantized folded weights, packed by packRows
-	ws    []float32 // per-output-channel weight scale
+	w     *qmatrix  // (outC, k) quantized folded weights
 	bias  []float32 // folded BatchNorm shift
-	outC  int
 	dims  tensor.ConvDims
 	clamp float32
 }
 
 func newQConv(c *Conv2D, bn *BatchNorm, relu6 bool) *qconv {
-	outC := c.Weight.W.Dim(0)
-	k := c.Weight.W.Dim(1)
-	checkReduction(c.Weight.Name, k)
 	fold, bias := foldBN(bn)
-	q, ws := quantizeRows(c.Weight.W.Data(), outC, k, fold)
-	return &qconv{wp: packRows(q, outC, k), ws: ws, bias: bias, outC: outC, dims: c.dims, clamp: reluClamp(relu6)}
+	w := newQMatrix(c.Weight.Name, c.Weight.W.Data(), c.Weight.W.Dim(0), c.Weight.W.Dim(1), fold)
+	return &qconv{w: w, bias: bias, dims: c.dims, clamp: reluClamp(relu6)}
 }
 
 func (o *qconv) outShape(_, h, w int) (int, int, int) {
 	d := convDimsAt(o.dims, h, w)
-	return o.outC, d.OutH(), d.OutW()
+	return o.w.rows, d.OutH(), d.OutW()
 }
 
 func (o *qconv) run(p *inferPlan, dst, src []float32, _, h, w int) {
 	d := convDimsAt(o.dims, h, w)
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
-	colQ := p.panel(np * k)
-	var ax float32
-	if pointwise(d) {
-		// absMaxScale is order-independent and the per-element rounding
-		// is identical, so the fused transpose quantization matches the
-		// im2col + quantizeTo pair bit for bit.
-		ax = absMaxScale(src)
-		transposeQuantize(colQ, src, np, k, ax)
-	} else {
-		colF := p.colBuf(np * k)
-		tensor.Im2Col(colF, src, d)
-		ax = absMaxScale(colF)
-		quantizeTo(colQ, colF, ax)
-	}
-	qgemm(dst, o.wp, colQ, o.outC, np, k, o.ws, ax, o.bias, o.clamp)
+	src = p.planes(src, d)[:k*np]
+	ax := absMaxScale(src)
+	panel := p.panel(o.w.k2 * np)
+	quantizePanel(panel, src, np, k, ax)
+	qgemm(dst, o.w, panel, np, ax, o.bias, o.clamp)
 }
 
 // qdepthwise is a fused DepthwiseConv2D+BatchNorm(+ReLU6) with int8 weights.
@@ -363,13 +437,17 @@ func (o *qdepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 	for c := 0; c < ch; c++ {
 		plane := src[c*inH*inW : (c+1)*inH*inW]
 		ax := absMaxScale(plane)
-		for y := 0; y < inH; y++ {
-			quantizeTo(padded[(y+o.pad)*pw+o.pad:], plane[y*inW:(y+1)*inW], ax)
-		}
 		ker := o.w[c*o.kh*o.kw : (c+1)*o.kh*o.kw]
 		deq, bias := o.ws[c]*ax, o.bias[c]
 		out := dst[c*outH*outW : (c+1)*outH*outW]
-		if o.kh == 3 && o.kw == 3 {
+		unrolled := o.kh == 3 && o.kw == 3
+		if unrolled && qdw3x3Vector(p, out, plane, ker, inH, inW, outW, o.stride, o.pad, ax, deq, bias, o.clamp != 0) {
+			continue
+		}
+		for y := 0; y < inH; y++ {
+			quantizeTo(padded[(y+o.pad)*pw+o.pad:], plane[y*inW:(y+1)*inW], ax)
+		}
+		if unrolled {
 			qdw3x3(out, padded, ker, outW, pw, o.stride, deq, bias, o.clamp)
 			continue
 		}
@@ -405,32 +483,29 @@ func qdw3x3(out []float32, padded, ker []int8, outW, pw, stride int, deq, bias, 
 
 // qdense is an int8 dense layer with float bias and optional ReLU.
 type qdense struct {
-	wp      []int64   // (out, in) quantized weights, packed by packRows
-	ws      []float32 // per-output-row weight scale
-	bias    []float32
-	in, out int
-	clamp   float32
+	w     *qmatrix // (out, in) quantized weights
+	bias  []float32
+	in    int
+	clamp float32
 }
 
 func newQDense(d *Dense, clamp float32) *qdense {
-	checkReduction(d.Weight.Name, d.in)
-	q, ws := quantizeRows(d.Weight.W.Data(), d.out, d.in, nil)
 	bias := make([]float32, d.out)
 	copy(bias, d.Bias.W.Data())
-	return &qdense{wp: packRows(q, d.out, d.in), ws: ws, bias: bias, in: d.in, out: d.out, clamp: clamp}
+	return &qdense{w: newQMatrix(d.Weight.Name, d.Weight.W.Data(), d.out, d.in, nil), bias: bias, in: d.in, clamp: clamp}
 }
 
 // apply runs the layer over an (N, in) batch one row at a time — a row is a
 // one-pixel GEMM — into y, reused when it already has the right shape.
 func (l *qdense) apply(p *inferPlan, y, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	y = reuseTensor(y, n, l.out)
-	qrow := p.panel(l.in)
+	n, out := x.Dim(0), l.w.rows
+	y = reuseTensor(y, n, out)
+	qrow := p.panel(l.w.k2)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*l.in : (i+1)*l.in]
 		ax := absMaxScale(row)
-		quantizeTo(qrow, row, ax)
-		qgemm(y.Data()[i*l.out:(i+1)*l.out], l.wp, qrow, l.out, 1, l.in, l.ws, ax, l.bias, l.clamp)
+		quantizePanel(qrow, row, 1, l.in, ax)
+		qgemm(y.Data()[i*out:(i+1)*out], l.w, qrow, 1, ax, l.bias, l.clamp)
 	}
 	return y
 }

@@ -550,6 +550,24 @@ func randQGemm(rng *rand.Rand, outC, p, k int) (w, col []int8, ws, bias []float3
 	return w, col, ws, bias
 }
 
+// panelOf interleaves a pixel-major (p, k) int8 panel — the retired kernels'
+// layout — into the pair-interleaved one qgemm reads.
+func panelOf(col []int8, p, k int) []int8 {
+	panel := make([]int8, (k+1)&^1*p)
+	for pi := 0; pi < p; pi++ {
+		for j := 0; j < k; j++ {
+			panel[(j/2*p+pi)*2+j%2] = col[pi*k+j]
+		}
+	}
+	return panel
+}
+
+// qgemmOf runs qgemm on an unpacked (outC, k) weight matrix and a pixel-major
+// (p, k) panel.
+func qgemmOf(dst []float32, w, col []int8, outC, p, k int, ws []float32, ax float32, bias []float32, clamp float32) {
+	qgemm(dst, packQMatrix(w, ws, outC, k), panelOf(col, p, k), p, ax, bias, clamp)
+}
+
 // TestQGemmRemainderPaths hits the kernel's edge tiles directly: channel
 // counts 1..8 over odd pixel counts, against the scalar triple loop.
 func TestQGemmRemainderPaths(t *testing.T) {
@@ -561,7 +579,7 @@ func TestQGemmRemainderPaths(t *testing.T) {
 				ax := float32(0.003)
 				got := make([]float32, outC*p)
 				want := make([]float32, outC*p)
-				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, ax, bias, 6)
+				qgemmOf(got, w, col, outC, p, k, ws, ax, bias, 6)
 				for c := 0; c < outC; c++ {
 					for pi := 0; pi < p; pi++ {
 						var acc int32
@@ -613,7 +631,7 @@ func TestPackedKernelsMatchRetiredBlockedKernels(t *testing.T) {
 			}
 			for _, relu6 := range []bool{false, true} {
 				got, want := make([]float32, outC*p), make([]float32, outC*p)
-				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, 0.003, bias, reluClamp(relu6))
+				qgemmOf(got, w, col, outC, p, k, ws, 0.003, bias, reluClamp(relu6))
 				refQgemm4x2(want, w, col, outC, p, k, ws, 0.003, bias, relu6)
 				sameBits32(t, fmt.Sprintf("gemm %v saturate=%v relu6=%v", s, saturate, relu6), got, want)
 			}
@@ -623,7 +641,7 @@ func TestPackedKernelsMatchRetiredBlockedKernels(t *testing.T) {
 					clamp = float32(math.Inf(1))
 				}
 				got, want := make([]float32, outC), make([]float32, outC)
-				qgemm(got, packRows(w, outC, k), col[:k], outC, 1, k, ws, 0.003, bias, clamp)
+				qgemmOf(got, w, col[:k], outC, 1, k, ws, 0.003, bias, clamp)
 				refQgemv4(want, w, col[:k], outC, k, ws, 0.003, bias, relu)
 				sameBits32(t, fmt.Sprintf("gemv %v saturate=%v relu=%v", s, saturate, relu), got, want)
 			}
@@ -654,8 +672,9 @@ func TestPackedLaneExactness(t *testing.T) {
 					w = append(w, fill(k, v)...)
 				}
 				a := append(fill(k, px[0]), fill(k, px[1])...)
-				wp := packRows(w, 4, k)
-				s00, s01, s10, s11 := dot2x2(wp, a, k)
+				var m *qmatrix
+				portable(func() { m = packQMatrix(w, nil, 4, k) })
+				s00, s01, s10, s11 := dot2x2(m.packed, panelOf(a, 2, k), 4)
 				for i, s := range []int64{s00, s01, s10, s11} {
 					lo, hi := unpackLanes(s)
 					x := int64(px[i%2])
@@ -686,7 +705,7 @@ func TestPackedLaneExactness(t *testing.T) {
 					col = append(col, fill(k, int8(127*sign(pi+1)))...)
 				}
 				got := make([]float32, outC*p)
-				qgemm(got, packRows(w, outC, k), col, outC, p, k, ws, 1, bias, 0)
+				qgemmOf(got, w, col, outC, p, k, ws, 1, bias, 0)
 				for c := 0; c < outC; c++ {
 					for pi := 0; pi < p; pi++ {
 						if want := float32(k * 127 * 127 * sign(c) * sign(pi+1)); got[c*p+pi] != want {
@@ -720,7 +739,7 @@ func edgeFloats() []float32 {
 }
 
 // TestQuantizeHelpersMatchBranchyReference byte-diffs the branch-free qround,
-// quantizeTo, transposeQuantize and absMaxScale against the branchy bodies
+// quantizeTo, quantizePanel and absMaxScale against the branchy bodies
 // they replaced, over edgeFloats and a random sweep. NaN policy: a NaN input
 // is outside the backend's contract (images and weights are finite).
 // quantizeTo still maps a NaN element to whatever the reference maps it to
@@ -744,11 +763,11 @@ func TestQuantizeHelpersMatchBranchyReference(t *testing.T) {
 		got, want := make([]int8, len(withNaN)), make([]int8, len(withNaN))
 		quantizeTo(got, withNaN, scale)
 		refQuantizeTo(want, withNaN, scale)
-		transposed := make([]int8, len(withNaN))
-		transposeQuantize(transposed, withNaN, len(withNaN), 1, scale)
+		panel := make([]int8, 2*len(withNaN)) // one tap: every pixel's pair is (value, 0)
+		quantizePanel(panel, withNaN, len(withNaN), 1, scale)
 		for i := range want {
-			if got[i] != want[i] || transposed[i] != want[i] {
-				t.Fatalf("scale %v: quantize(%v) = %d (transposed %d), reference %d", scale, withNaN[i], got[i], transposed[i], want[i])
+			if got[i] != want[i] || panel[2*i] != want[i] || panel[2*i+1] != 0 {
+				t.Fatalf("scale %v: quantize(%v) = %d (panel pair %d, %d), reference %d", scale, withNaN[i], got[i], panel[2*i], panel[2*i+1], want[i])
 			}
 		}
 	}
@@ -803,31 +822,47 @@ func TestQFinishMatchesBranchyReference(t *testing.T) {
 	}
 }
 
-// TestTransposeQuantizeMatchesIm2ColQuantize pins the fused 1×1 panel
-// quantization to the im2col + quantizeTo pair it replaces.
-func TestTransposeQuantizeMatchesIm2ColQuantize(t *testing.T) {
+// TestQuantizePanelMatchesIm2ColQuantize pins the panel quantization of both
+// convolution kinds — the 1×1 input as it stands, the im2colPlanar panel of a
+// padded strided 3×3 — to the im2col + quantizeTo pair it replaces, for an odd
+// and an even reduction depth.
+func TestQuantizePanelMatchesIm2ColQuantize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	k, h, w := 5, 6, 7
-	p := h * w
-	src := make([]float32, k*p)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
-	d := tensor.ConvDims{InC: k, InH: h, InW: w, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
-	colF := make([]float32, p*k)
-	tensor.Im2Col(colF, src, d)
-	axRef := refAbsMaxScale(colF)
-	ax := absMaxScale(src)
-	if ax != axRef {
-		t.Fatalf("activation scale diverged: %v vs %v", ax, axRef)
-	}
-	want := make([]int8, p*k)
-	refQuantizeTo(want, colF, axRef)
-	got := make([]int8, p*k)
-	transposeQuantize(got, src, p, k, ax)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("panel byte %d = %d want %d", i, got[i], want[i])
+	for _, d := range []tensor.ConvDims{
+		{InC: 5, InH: 6, InW: 7, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+		{InC: 4, InH: 6, InW: 7, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+		{InC: 3, InH: 6, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{InC: 2, InH: 7, InW: 5, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+	} {
+		k, p := d.InC*d.KH*d.KW, d.OutH()*d.OutW()
+		src := make([]float32, d.InC*d.InH*d.InW)
+		for i := range src {
+			src[i] = float32(rng.NormFloat64())
+		}
+		colF := make([]float32, p*k)
+		tensor.Im2Col(colF, src, d)
+		axRef := refAbsMaxScale(colF)
+		want := make([]int8, p*k)
+		refQuantizeTo(want, colF, axRef)
+
+		planar := src
+		if !pointwise(d) {
+			planar = make([]float32, k*p)
+			im2colPlanar(planar, src, d)
+		}
+		ax := absMaxScale(planar)
+		if ax != axRef {
+			t.Fatalf("%+v: activation scale diverged: %v vs %v", d, ax, axRef)
+		}
+		got := make([]int8, (k+1)&^1*p)
+		for i := range got {
+			got[i] = 99 // the zero partner of an odd last tap must be written
+		}
+		quantizePanel(got, planar, p, k, ax)
+		for i, b := range panelOf(want, p, k) {
+			if got[i] != b {
+				t.Fatalf("%+v: panel byte %d = %d want %d", d, i, got[i], b)
+			}
 		}
 	}
 }
@@ -861,12 +896,14 @@ func TestQDepthwiseGeometries(t *testing.T) {
 }
 
 // BenchmarkQGemm times one image's worth of GEMMs — the model's 13 shapes —
-// through the packed kernel and through the int32 4×2 kernel it replaced.
+// through qgemm as this machine dispatches it, through its Go kernel and
+// through the int32 4×2 kernel that one replaced.
 func BenchmarkQGemm(b *testing.B) {
 	type problem struct {
 		outC, p, k int
 		w, col     []int8
-		wp         []int64
+		m, packed  *qmatrix
+		panel      []int8
 		ws, bias   []float32
 		dst        []float32
 	}
@@ -874,7 +911,10 @@ func BenchmarkQGemm(b *testing.B) {
 	var ps []problem
 	for _, s := range modelGemmShapes {
 		w, col, ws, bias := randQGemm(rng, s[0], s[1], s[2])
-		ps = append(ps, problem{s[0], s[1], s[2], w, col, packRows(w, s[0], s[2]), ws, bias, make([]float32, s[0]*s[1])})
+		q := problem{outC: s[0], p: s[1], k: s[2], w: w, col: col, panel: panelOf(col, s[1], s[2]), ws: ws, bias: bias, dst: make([]float32, s[0]*s[1])}
+		q.m = packQMatrix(w, ws, q.outC, q.k)
+		portable(func() { q.packed = packQMatrix(w, ws, q.outC, q.k) })
+		ps = append(ps, q)
 	}
 	b.Run("retired4x2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -886,7 +926,14 @@ func BenchmarkQGemm(b *testing.B) {
 	b.Run("packed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range ps {
-				qgemm(q.dst, q.wp, q.col, q.outC, q.p, q.k, q.ws, 0.003, q.bias, 6)
+				qgemm(q.dst, q.packed, q.panel, q.p, 0.003, q.bias, 6)
+			}
+		}
+	})
+	b.Run("qgemm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, q := range ps {
+				qgemm(q.dst, q.m, q.panel, q.p, 0.003, q.bias, 6)
 			}
 		}
 	})

@@ -1,0 +1,28 @@
+//go:build !amd64
+
+package nn
+
+// The portable build has no vector kernels: the Go kernels compute
+// everything. useVector exists so that the tests that clear it build on every
+// architecture.
+var useVector = false
+
+func gemmBNVector(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 bool) (cs, ps int) {
+	return 0, 0
+}
+
+func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) (cs, ps int) {
+	return 0, 0
+}
+
+func dw3x3Vector(p *inferPlan, out, plane, ker []float32, inH, inW, outW, stride, pad int, scale, shift float32, relu6 bool) bool {
+	return false
+}
+
+func qdw3x3Vector(p *inferPlan, out, plane []float32, ker []int8, inH, inW, outW, stride, pad int, ax, deq, bias float32, relu6 bool) bool {
+	return false
+}
+
+func absMaxVector(src []float32) (m uint32, n int) { return 0, 0 }
+
+func quantizePanelVector(dst []int8, src []float32, p, k int, inv float32) (ps int) { return 0 }

@@ -31,13 +31,14 @@ func (s Span) Duration() time.Duration { return time.Duration(s.End - s.Start) }
 
 // Tracer keeps completed spans in a fixed-capacity ring: recording never
 // blocks on consumers and memory is bounded no matter how many runs a
-// long-lived instance serves; old traces simply age out. A nil *Tracer is
-// valid and drops everything, so instrumented code never branches.
+// long-lived instance serves; old traces simply age out. The ring is grown
+// as spans arrive, so an instance that has recorded few holds few. A nil
+// *Tracer is valid and drops everything, so instrumented code never branches.
 type Tracer struct {
-	mu    sync.Mutex
-	ring  []Span
-	next  int // ring write cursor
-	total int // spans ever recorded
+	mu       sync.Mutex
+	ring     []Span // grows to capacity, then wraps
+	capacity int
+	next     int // ring write cursor once full: the oldest span
 }
 
 // NewTracer returns a tracer remembering the last capacity spans (0 →
@@ -46,7 +47,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Tracer{ring: make([]Span, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Record stores one completed span.
@@ -55,9 +56,12 @@ func (t *Tracer) Record(sp Span) {
 		return
 	}
 	t.mu.Lock()
-	t.ring[t.next] = sp
-	t.next = (t.next + 1) % len(t.ring)
-	t.total++
+	if len(t.ring) < t.capacity {
+		t.ring = append(t.ring, sp)
+	} else {
+		t.ring[t.next] = sp
+		t.next = (t.next + 1) % t.capacity
+	}
 	t.mu.Unlock()
 }
 
@@ -68,18 +72,10 @@ func (t *Tracer) Spans(trace string) []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.total
-	if n > len(t.ring) {
-		n = len(t.ring)
-	}
-	// Oldest-first: the ring's logical start is t.next when full, 0 before.
-	start := 0
-	if t.total > len(t.ring) {
-		start = t.next
-	}
+	// Oldest-first: the ring's logical start is t.next, 0 until it is full.
 	var out []Span
-	for i := 0; i < n; i++ {
-		sp := t.ring[(start+i)%len(t.ring)]
+	for i := range t.ring {
+		sp := t.ring[(t.next+i)%len(t.ring)]
 		if sp.Trace == trace {
 			out = append(out, sp)
 		}

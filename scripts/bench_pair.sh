@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Paired comparison of the working tree against a parent commit on one
-# workload of the repository benchmark — the protocol of bench/README.md
+# Paired comparison of the working tree against a parent commit on one or
+# more workloads of the repository benchmark — the protocol of bench/README.md
 # ("Comparing two commits") as one command instead of a hand-typed loop.
 #
-#   ./scripts/bench_pair.sh <parent-ref> <workload> [pairs=10]
+#   ./scripts/bench_pair.sh <parent-ref> <workload>... [pairs=10]
+#
+# A last argument that is a number is the pair count. Both sides are built
+# once; the workloads then run one after the other, each with its own table.
 #
 # The parent is exported with `git archive` under .bench_build/pair/ (removed
 # on exit; nothing is registered in .git), each side is built once by a short
@@ -23,11 +26,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-	echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+usage="usage: $0 <parent-ref> <workload>... [pairs=10]"
+if [ $# -lt 2 ]; then
+	echo "$usage" >&2
 	exit 2
 fi
-parent_ref="$1" workload="$2" pairs="${3:-10}"
+parent_ref="$1"
+shift
+pairs=10
+if [[ "${!#}" =~ ^[0-9]+$ ]]; then
+	pairs="${!#}"
+	set -- "${@:1:$#-1}"
+fi
+if [ $# -lt 1 ]; then
+	echo "$usage" >&2
+	exit 2
+fi
+workloads=("$@")
 seed="${SEED:-$(($(date +%s) % 9000 + 1000))}"
 seconds="${SECONDS_PER_RUN:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
 parent_commit="$(git rev-parse --short "$parent_ref^{commit}")"
@@ -39,28 +54,34 @@ mkdir -p "$work/parent"
 trap 'rm -rf "$work"' EXIT
 git archive "$parent_commit" | tar -x -C "$work/parent"
 
-# run <dir> <seconds> prints the result object, the last line of a run.
+# run <dir> <workload> <seconds> prints the result object, the last line of a
+# run.
 run() {
-	(cd "$1" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$2" --trace 0) | tail -n 1
+	(cd "$1" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$3" --trace 0) | tail -n 1
 }
 
-echo "bench_pair: $workload, parent $parent_commit vs working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)), seed $seed, $pairs pairs of ${seconds}s"
+echo "bench_pair: ${workloads[*]}, parent $parent_commit vs working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)), seed $seed, $pairs pairs of ${seconds}s a workload"
 echo "bench_pair: building both sides"
-run "$work/parent" 1 >/dev/null
-run "$root" 1 >/dev/null
+run "$work/parent" "${workloads[0]}" 1 >/dev/null
+run "$root" "${workloads[0]}" 1 >/dev/null
 
-for ((i = 1; i <= pairs; i++)); do
-	if ((i % 2)); then order="parent change"; else order="change parent"; fi
-	for side in $order; do
-		dir="$root"
-		[ "$side" = parent ] && dir="$work/parent"
-		run "$dir" "$seconds" >>"$work/$side.ndjson"
+for workload in "${workloads[@]}"; do
+	for ((i = 1; i <= pairs; i++)); do
+		if ((i % 2)); then order="parent change"; else order="change parent"; fi
+		for side in $order; do
+			dir="$root"
+			[ "$side" = parent ] && dir="$work/parent"
+			run "$dir" "$workload" "$seconds" >>"$work/$workload.$side.ndjson"
+		done
+		echo "bench_pair: $workload pair $i/$pairs ($order): $(tail -qn 1 "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" |
+			python3 -c 'import json,sys; print(" vs ".join("%.1f" % json.loads(l)["metrics"]["ops_per_s"]["value"] for l in sys.stdin), "ops/s")')"
 	done
-	echo "bench_pair: pair $i/$pairs ($order): $(tail -qn 1 "$work/parent.ndjson" "$work/change.ndjson" |
-		python3 -c 'import json,sys; print(" vs ".join("%.1f" % json.loads(l)["metrics"]["ops_per_s"]["value"] for l in sys.stdin), "ops/s")')"
 done
 
-python3 - "$work/parent.ndjson" "$work/change.ndjson" <<'PY'
+for workload in "${workloads[@]}"; do
+	echo
+	echo "== $workload"
+	python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" <<'PY'
 import json, math, sys
 
 def load(path):
@@ -101,3 +122,4 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
     rel = "%+.1f%%" % (100 * (cm - pm) / pm) if pm else "n/a"
     print("%-16s %-30s %-30s %8s %3d/%-2d  %s" % (name, spread % (pm, pq1, pq3), spread % (cm, cq1, cq3), rel, wins, len(p), verdict))
 PY
+done
