@@ -25,29 +25,38 @@ func benchImage(w, h int) *imaging.Image {
 }
 
 // BenchmarkEncode covers the quant/DCT hot path per format; the pooled
-// block scratch this package uses shows up directly in allocs/op.
+// block scratch this package uses shows up directly in allocs/op. ref runs
+// the Go transforms, which new does too on a machine without the vector ones
+// (and for WebP's 4×4 blocks everywhere).
 func BenchmarkEncode(b *testing.B) {
 	im := benchImage(112, 112)
 	for _, c := range []Codec{NewJPEG(85), NewWebP(75), NewHEIF(85)} {
-		b.Run(c.Name(), func(b *testing.B) {
+		run := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = c.Encode(im)
 			}
-		})
+		}
+		b.Run(c.Name()+"/new", run)
+		b.Run(c.Name()+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
 	}
 }
 
 // BenchmarkDecode covers the dequant/IDCT + chroma upsampling path for both
-// decoder variants (the paper's §7 divergence source).
+// decoder variants (the paper's §7 divergence source), new and ref as above.
 func BenchmarkDecode(b *testing.B) {
 	enc := NewJPEG(85).Encode(benchImage(112, 112))
-	for name, mode := range map[string]UpsampleMode{"bilinear": UpsampleBilinear, "nearest": UpsampleNearest} {
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mode UpsampleMode
+	}{{"bilinear", UpsampleBilinear}, {"nearest", UpsampleNearest}} {
+		run := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = enc.Decode(DecodeOptions{ChromaUpsample: mode})
+				_ = enc.Decode(DecodeOptions{ChromaUpsample: c.mode})
 			}
-		})
+		}
+		b.Run(c.name+"/new", run)
+		b.Run(c.name+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
 	}
 }

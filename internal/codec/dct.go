@@ -157,6 +157,9 @@ func forward4(dst, src []float32) {
 }
 
 func forward8(dst, src []float32) {
+	if forward8Vector(dst, src) {
+		return
+	}
 	var tmp [64]float32
 	b := &basis8
 	for y := 0; y < 8; y++ {
@@ -188,6 +191,9 @@ func forward8(dst, src []float32) {
 }
 
 func forward16(dst, src []float32) {
+	if forward16Vector(dst, src) {
+		return
+	}
 	var tmp [256]float32
 	b := &basis16
 	for y := 0; y < 16; y++ {
@@ -234,6 +240,9 @@ func inverse4(dst, src []float32) {
 }
 
 func inverse8(dst, src []float32) {
+	if inverse8Vector(dst, src) {
+		return
+	}
 	var tmp [64]float32
 	bt := &basisT8
 	for x := 0; x < 8; x++ {
@@ -265,6 +274,9 @@ func inverse8(dst, src []float32) {
 }
 
 func inverse16(dst, src []float32) {
+	if inverse16Vector(dst, src) {
+		return
+	}
 	var tmp [256]float32
 	bt := &basisT16
 	for x := 0; x < 16; x++ {

@@ -1,11 +1,11 @@
-package nn
+package cpu
 
 import "testing"
 
 // TestDetectVector drives the dispatch decision with made-up CPUID and XCR0
-// values: the vector kernels are on only when the processor has AVX2 and the
-// operating system saves the YMM state, and XGETBV — which faults without
-// OSXSAVE — is executed only when CPUID allows it.
+// values: AVX2 is reported only when the processor has it and the operating
+// system saves the YMM state, and XGETBV — which faults without OSXSAVE — is
+// executed only when CPUID allows it.
 func TestDetectVector(t *testing.T) {
 	const (
 		osxsave = 1 << 27
@@ -46,11 +46,11 @@ func TestDetectVector(t *testing.T) {
 			}
 			return c.xcr0, 0
 		}
-		if got := detectVector(cpuid, xgetbv); got != c.want {
-			t.Errorf("%s: detectVector = %v, want %v", c.name, got, c.want)
+		if got := detect(cpuid, xgetbv); got != c.want {
+			t.Errorf("%s: detect = %v, want %v", c.name, got, c.want)
 		}
 	}
-	if want := detectVector(cpuid, xgetbv); useVector != want {
-		t.Errorf("useVector = %v on a machine where detection says %v", useVector, want)
+	if want := detect(cpuid, xgetbv); AVX2 != want {
+		t.Errorf("AVX2 = %v on a machine where detection says %v", AVX2, want)
 	}
 }

@@ -17,15 +17,25 @@ import (
 	"repro/internal/obs"
 )
 
-// Client drives one fleetd instance's /v1 API. The zero HTTPClient uses
-// http.DefaultClient; pass a dedicated one to set timeouts or transports.
-// Shard execution and stats streaming are long-lived requests, so per-call
-// deadlines belong in the context, not the HTTP client.
+// Client drives one fleetd instance's /v1 API. With a nil HTTPClient every
+// call that only asks or tells the instance something is bounded by
+// defaultTimeout, headers and body together, so a peer that accepts a
+// connection and never answers fails the call instead of holding it; the
+// Wait* loops treat that like any dropped poll and keep polling under their
+// context. Shard execution and stats streaming stay open for as long as the
+// work runs and are bounded by the context alone. A caller's own HTTPClient
+// is used for every call as it is.
 type Client struct {
 	// BaseURL is the instance root, e.g. "http://host:8470".
 	BaseURL    string
 	HTTPClient *http.Client
 }
+
+// defaultTimeout bounds one short exchange: no reply of the API but a shard's
+// or a stream's takes longer than a capture batch to produce.
+const defaultTimeout = 30 * time.Second
+
+var boundedClient = &http.Client{Timeout: defaultTimeout}
 
 // Option configures a Client at construction.
 type Option func(*Client)
@@ -48,16 +58,26 @@ func NewClient(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
+// httpClient returns the client for a short exchange or for one that stays
+// open while the instance works (longLived).
+func (c *Client) httpClient(longLived bool) *http.Client {
+	switch {
+	case c.HTTPClient != nil:
 		return c.HTTPClient
+	case longLived:
+		return http.DefaultClient
 	}
-	return http.DefaultClient
+	return boundedClient
 }
 
-// do issues one request with a JSON body (nil for none) and returns the
-// response, translating non-2xx statuses into *Error.
+// do issues one short request with a JSON body (nil for none) and returns
+// the response, translating non-2xx statuses into *Error.
 func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {
+	return c.send(ctx, c.httpClient(false), method, path, body)
+}
+
+// send is do on the given client.
+func (c *Client) send(ctx context.Context, h *http.Client, method, path string, body any) (*http.Response, error) {
 	var reader io.Reader
 	if body != nil {
 		data, err := json.Marshal(body)
@@ -73,7 +93,7 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := h.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +108,11 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 // artifacts are fetched this way — their bytes, not a decoded view, are what
 // is byte-identical across worker counts and shard topologies.
 func (c *Client) raw(ctx context.Context, method, path string, body any) ([]byte, error) {
-	resp, err := c.do(ctx, method, path, body)
+	return readAll(c.do(ctx, method, path, body))
+}
+
+// readAll drains and closes the response of a do or send that succeeded.
+func readAll(resp *http.Response, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +185,7 @@ func (c *Client) RunShard(ctx context.Context, spec ShardSpec) (*fleet.Continuou
 // shardState posts one shard spec and decodes the state the instance ships
 // back once the shard has run.
 func (c *Client) shardState(ctx context.Context, path string, spec any) (*fleet.ContinuousState, error) {
-	data, err := c.raw(ctx, http.MethodPost, path, spec)
+	data, err := readAll(c.send(ctx, c.httpClient(true), http.MethodPost, path, spec))
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +417,7 @@ func (c *Client) RunFleetShard(ctx context.Context, spec FleetShardSpec) (*fleet
 // that line is returned as the *Error instead of being passed to fn, so
 // consumers can't mistake a failure for a snapshot.
 func (c *Client) StreamStats(ctx context.Context, id int, fn func(snapshot []byte) error) error {
-	resp, err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/runs/%d/stream", id), nil)
+	resp, err := c.send(ctx, c.httpClient(true), http.MethodGet, fmt.Sprintf("/v1/runs/%d/stream", id), nil)
 	if err != nil {
 		return err
 	}

@@ -168,3 +168,55 @@ func TestWaitRunContextDeadline(t *testing.T) {
 		t.Fatalf("experiment wait error %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// TestDefaultTimeoutAgainstSilentPeer: a peer that accepts the request and
+// never answers fails a short call after the client's default timeout — with
+// no deadline in the context — while WaitRun takes the same silence for one
+// dropped poll and carries on until the peer answers, and a shard call, which
+// stays open for as long as the shard runs, is bounded by its context alone.
+func TestDefaultTimeoutAgainstSilentPeer(t *testing.T) {
+	defer func(d time.Duration) { boundedClient.Timeout = d }(boundedClient.Timeout)
+	boundedClient.Timeout = 40 * time.Millisecond
+
+	release := make(chan struct{})
+	var polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/runs/0" && polls.Add(1) > 2 {
+			WriteJSON(w, http.StatusOK, RunStatus{ID: 0, State: StateDone})
+			return
+		}
+		select { // never answers while the test runs
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(release) })
+	c := NewClient(ts.URL)
+
+	start := time.Now()
+	err := c.Healthz(context.Background())
+	var netErr interface{ Timeout() bool }
+	if !errors.As(err, &netErr) || !netErr.Timeout() {
+		t.Fatalf("Healthz against a silent peer: %v, want a timeout", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("Healthz took %v to give up", elapsed)
+	}
+
+	st, err := c.WaitRun(context.Background(), 0, time.Millisecond)
+	if err != nil || st.State != StateDone || polls.Load() < 3 {
+		t.Fatalf("WaitRun through two silent polls: %+v, %v after %d polls", st, err, polls.Load())
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	_, err = c.RunShard(ctx, ShardSpec{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunShard against a silent peer: %v, want its context's deadline", err)
+	}
+	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
+		t.Fatalf("RunShard gave up after %v: the short calls' timeout cut a shard call", elapsed)
+	}
+}

@@ -50,20 +50,45 @@ func BenchmarkBoxBlur(b *testing.B) {
 	})
 }
 
-// BenchmarkGaussianBlur covers the four kernel widths a fleet draws: lens
+// BenchmarkGaussianBlur covers the four kernel widths a fleet draws — lens
 // PSFs at half resolution reach radius 1, the jittered Apple unsharp sigma
-// radius 4.
+// radius 4 — and one that takes the generic loop; ref is the Go path, which
+// new is too on a machine without the vector kernel.
 func BenchmarkGaussianBlur(b *testing.B) {
 	im, dst := benchImage(64, 64), New(64, 64)
 	for _, c := range []struct {
 		name  string
 		sigma float64
 	}{{"r1", 0.3}, {"r2", 0.6}, {"r3", 0.9}, {"r4", 1.1}, {"r5", 1.5}} {
-		b.Run(c.name, func(b *testing.B) {
+		run := func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				GaussianBlurInto(dst, im, c.sigma)
 			}
-		})
+		}
+		b.Run(c.name+"/new", run)
+		b.Run(c.name+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
+	}
+}
+
+// BenchmarkColourConversion times the codec's two conversions on a 64×64
+// frame, the vector path beside the Go one.
+func BenchmarkColourConversion(b *testing.B) {
+	im, dst := benchImage(64, 64), New(64, 64)
+	yc := RGBToYCbCr(im)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"RGBToYCbCr", func() { RGBToYCbCrInto(im, yc.Y, yc.Cb, yc.Cr) }},
+		{"ToRGBQuant8", func() { yc.ToRGBQuant8Into(dst) }},
+	} {
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run()
+			}
+		}
+		b.Run(c.name+"/new", run)
+		b.Run(c.name+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
 	}
 }
 

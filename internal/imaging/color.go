@@ -20,6 +20,24 @@ func RGBToYCbCr(im *Image) *YCbCr {
 	return out
 }
 
+// The BT.601 weights, as float32 constants so that the Go loops and the
+// tables the vector kernels broadcast from hold the same bits. Each is the
+// magnitude its expression multiplies by; cbR alone carries its sign, since
+// its product opens the Cb expression.
+const (
+	yR, yG, yB float32 = 0.299, 0.587, 0.114
+	cbR, cbG   float32 = -0.168736, 0.331264
+	crG, crB   float32 = 0.418688, 0.081312
+	rCr, bCb   float32 = 1.402, 1.772
+	gCb, gCr   float32 = 0.344136, 0.714136
+	halfChroma float32 = 0.5 // the weight of B in Cb and of R in Cr
+)
+
+var (
+	yccFromRGB = [8]float32{yR, yG, yB, cbR, cbG, halfChroma, crG, crB}
+	rgbFromYCC = [4]float32{rCr, gCb, gCr, bCb}
+)
+
 // RGBToYCbCrInto converts an RGB image into caller-provided planes (each of
 // length W·H, fully overwritten) — the allocation-free form the codec's
 // scratch buffers use.
@@ -29,10 +47,10 @@ func RGBToYCbCrInto(im *Image, yp, cbp, crp []float32) {
 	r := im.Pix[:n]
 	g := im.Pix[n : 2*n]
 	b := im.Pix[2*n : 3*n]
-	for i := 0; i < n; i++ {
-		yp[i] = 0.299*r[i] + 0.587*g[i] + 0.114*b[i]
-		cbp[i] = -0.168736*r[i] - 0.331264*g[i] + 0.5*b[i]
-		crp[i] = 0.5*r[i] - 0.418688*g[i] - 0.081312*b[i]
+	for i := rgbToYCbCrVector(yp, cbp, crp, r, g, b); i < n; i++ {
+		yp[i] = yR*r[i] + yG*g[i] + yB*b[i]
+		cbp[i] = cbR*r[i] - cbG*g[i] + halfChroma*b[i]
+		crp[i] = halfChroma*r[i] - crG*g[i] - crB*b[i]
 	}
 }
 
@@ -50,9 +68,9 @@ func (yc *YCbCr) ToRGBInto(dst *Image) *Image {
 	b := dst.Pix[2*n : 3*n]
 	for i := 0; i < n; i++ {
 		y, cb, cr := yc.Y[i], yc.Cb[i], yc.Cr[i]
-		r[i] = y + 1.402*cr
-		g[i] = y - 0.344136*cb - 0.714136*cr
-		b[i] = y + 1.772*cb
+		r[i] = y + rCr*cr
+		g[i] = y - gCb*cb - gCr*cr
+		b[i] = y + bCb*cb
 	}
 	return dst
 }
@@ -67,11 +85,11 @@ func (yc *YCbCr) ToRGBQuant8Into(dst *Image) *Image {
 	r := dst.Pix[:n]
 	g := dst.Pix[n : 2*n]
 	b := dst.Pix[2*n : 3*n]
-	for i := 0; i < n; i++ {
+	for i := rgbQuant8Vector(r, g, b, yc.Y[:n], yc.Cb[:n], yc.Cr[:n]); i < n; i++ {
 		y, cb, cr := yc.Y[i], yc.Cb[i], yc.Cr[i]
-		r[i] = float32(quant8(y+1.402*cr)) / 255
-		g[i] = float32(quant8(y-0.344136*cb-0.714136*cr)) / 255
-		b[i] = float32(quant8(y+1.772*cb)) / 255
+		r[i] = float32(quant8(y+rCr*cr)) / 255
+		g[i] = float32(quant8(y-gCb*cb-gCr*cr)) / 255
+		b[i] = float32(quant8(y+bCb*cb)) / 255
 	}
 	return dst
 }

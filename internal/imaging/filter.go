@@ -50,13 +50,16 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 		kernel[i] *= inv
 	}
 
+	defer blurScratch.Put(bufs)
+	if gaussianBlurVector(dst, im, kernel, radius, bufs) {
+		return dst
+	}
 	n := im.W * im.H
 	w, h := im.W, im.H
 	if cap(bufs.tmp) < 3*n {
 		bufs.tmp = make([]float32, 3*n)
 	}
 	tmpPix := bufs.tmp[:3*n]
-	defer blurScratch.Put(bufs)
 	out := dst
 	// Both passes split a clamp-free interior from the clamped borders: the
 	// taps accumulate in the same ascending-k order either way, so the split

@@ -55,11 +55,12 @@ func (im *Image) Set(x, y int, r, g, b float32) {
 
 // Clamp clips every sample into [0,1] in place and returns the image.
 func (im *Image) Clamp() *Image {
-	for i, v := range im.Pix {
+	pix := im.Pix[clamp01Vector(im.Pix):]
+	for i, v := range pix {
 		if v < 0 {
-			im.Pix[i] = 0
+			pix[i] = 0
 		} else if v > 1 {
-			im.Pix[i] = 1
+			pix[i] = 1
 		}
 	}
 	return im

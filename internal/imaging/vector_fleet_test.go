@@ -1,0 +1,14 @@
+package imaging_test
+
+import (
+	"testing"
+
+	"repro/internal/fleet/fleettest"
+	"repro/internal/imaging"
+)
+
+// TestFleetIdenticalOnBothKernelPaths runs the fleet-level comparison with
+// this package's vector kernels on and off.
+func TestFleetIdenticalOnBothKernelPaths(t *testing.T) {
+	fleettest.IdenticalOnBothKernelPaths(t, imaging.ForcePortableKernels)
+}

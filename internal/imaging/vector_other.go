@@ -1,0 +1,18 @@
+//go:build !amd64
+
+package imaging
+
+// The portable build has no vector kernels: the Go loops compute everything.
+// useVector exists so that the tests that clear it build on every
+// architecture.
+var useVector = false
+
+func gaussianBlurVector(dst, im *Image, kernel []float32, radius int, bufs *blurBuffers) bool {
+	return false
+}
+
+func clamp01Vector(pix []float32) int { return 0 }
+
+func rgbToYCbCrVector(yp, cbp, crp, r, g, b []float32) int { return 0 }
+
+func rgbQuant8Vector(r, g, b, y, cb, cr []float32) int { return 0 }

@@ -1,0 +1,182 @@
+package imaging
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Every vector kernel has a Go twin it must match bit for bit. The tests
+// here run one computation on both — the kernels as this machine dispatches
+// them, then with useVector forced off — over the frame shapes where a lane
+// mask, a padded border or a vector tail could go wrong and over the values
+// where a re-expressed clamp, rounding or conversion could. On a build or
+// machine without vector kernels both runs take the Go path and the tests
+// pass trivially; the GOARCH=386 CI leg runs them to keep that build
+// compiling.
+
+// portable runs f with the vector kernels forced off.
+func portable(f func()) {
+	defer ForcePortableKernels()()
+	f()
+}
+
+// TestReferenceSuitesOnPortableKernels re-runs the blur's reference diff on
+// the Go loops of a machine whose first run of it took the vector kernel.
+func TestReferenceSuitesOnPortableKernels(t *testing.T) {
+	if !useVector {
+		t.Skip("no vector kernels here: every other test already ran the Go loops")
+	}
+	portable(func() { t.Run("GaussianBlurMatchesReference", TestGaussianBlurMatchesReference) })
+}
+
+var (
+	negZero32 = math.Float32frombits(1 << 31)
+	posInf    = float32(math.Inf(1))
+	// cpuNaN is the NaN the processor makes of Inf-Inf or 0·Inf; math.NaN
+	// has the sign bit clear. Where a kernel adds or multiplies two samples,
+	// its test feeds this NaN alone: which of two different NaN operands an
+	// operation returns depends on the operand order the compiler chose,
+	// which no twin can promise to match.
+	cpuNaN = math.Float32frombits(0xffc00000)
+)
+
+// oddSamples are the values where a re-expressed comparison, conversion or
+// rounding could differ from Go's: zeros of both signs, denormals, the clamp
+// edges and their neighbours, magnitudes past every integer conversion,
+// infinities and the processor's NaN.
+func oddSamples() []float32 {
+	return []float32{0, negZero32, 1e-45, -1e-45, 1e-39, -1e-39, 0.5, 1, 1.0000001, 0.99999994, -0.25, 3.9, 4, 4.1,
+		8.4e6, 1e9, 2.2e9, -2.2e9, 1e19, 1e30, -1e30, math.MaxFloat32, -math.MaxFloat32, posInf, -posInf, cpuNaN}
+}
+
+// unaligned returns an n-element slice that starts off elements into its
+// allocation, so that no kernel can lean on 32-byte alignment.
+func unaligned(n, off int) []float32 { return make([]float32, n+off)[off:] }
+
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: sample %d = %v (%#x), the Go loop gives %v (%#x)", what, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// randomImage fills a w×h image with samples in [-0.25, 1.25) and, when odd
+// is set, about one odd sample in eight.
+func randomImage(rng *rand.Rand, w, h int, odd bool) *Image {
+	im := &Image{W: w, H: h, Pix: unaligned(3*w*h, 1+rng.Intn(7))}
+	specials := oddSamples()
+	for i := range im.Pix {
+		im.Pix[i] = rng.Float32()*1.5 - 0.25
+		if odd && rng.Intn(8) == 0 {
+			im.Pix[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return im
+}
+
+// TestVectorGaussianBlurMatchesGo sweeps the blur over every width from 1 to
+// 67 and height from 1 to 19 at radii 1 to 6: row tails of every length,
+// frames narrower than a vector and narrower or shorter than the kernel, the
+// four unrolled kernel widths and two that take the generic loop. The second
+// image of each size holds odd samples, zeros of both signs among them: a
+// window of -0 alone is where a sum started from +0 and one started from its
+// first product part.
+func TestVectorGaussianBlurMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(201))
+	sigmas := []float64{0.3, 0.6, 0.9, 1.2, 1.5, 1.9} // radii 1 to 6
+	for w := 1; w <= 67; w++ {
+		for h := 1; h <= 19; h += 1 + w%3 {
+			for _, odd := range []bool{false, true} {
+				im := randomImage(rng, w, h, odd)
+				if odd {
+					for i := range im.Pix[:w*h] { // one plane of zeros, mostly negative
+						im.Pix[i] = []float32{negZero32, negZero32, negZero32, 0}[rng.Intn(4)]
+					}
+				}
+				sigma := sigmas[rng.Intn(len(sigmas))]
+				got := GaussianBlurInto(&Image{W: w, H: h, Pix: unaligned(3*w*h, 3)}, im, sigma)
+				want := New(w, h)
+				portable(func() { GaussianBlurInto(want, im, sigma) })
+				sameBits(t, fmt.Sprintf("%dx%d sigma %v odd=%v", w, h, sigma, odd), got.Pix, want.Pix)
+			}
+		}
+	}
+}
+
+// TestVectorClampMatchesGo runs Image.Clamp in place over lengths with every
+// vector remainder, on random and on odd samples; a NaN of either sign and a
+// -0 must come through untouched.
+func TestVectorClampMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(202))
+	for w := 1; w <= 67; w++ {
+		im := randomImage(rng, w, 1+w%5, w%2 == 0)
+		im.Pix[rng.Intn(len(im.Pix))] = float32(math.NaN())
+		want := im.Clone()
+		portable(func() { want.Clamp() })
+		sameBits(t, fmt.Sprintf("%dx%d", im.W, im.H), im.Clamp().Pix, want.Pix)
+	}
+}
+
+// TestVectorColourConversionsMatchGo converts random and odd images to YCbCr
+// and back through the 8-bit snap on both paths. The odd ones hold sums the
+// vector conversion hands back to the Go loop — 2³¹ and beyond, which Go's
+// 64-bit truncation turns into level 255 and a 32-bit one would turn into 0 —
+// at every position of a vector and in the tail.
+func TestVectorColourConversionsMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(203))
+	for w := 1; w <= 67; w++ {
+		h := 1 + w%7
+		n := w * h
+		for _, odd := range []bool{false, true} {
+			what := fmt.Sprintf("%dx%d odd=%v", w, h, odd)
+			im := randomImage(rng, w, h, odd)
+			var got, want [3][]float32
+			for p := range got {
+				got[p], want[p] = unaligned(n, p+2), make([]float32, n)
+			}
+			RGBToYCbCrInto(im, got[0], got[1], got[2])
+			portable(func() { RGBToYCbCrInto(im, want[0], want[1], want[2]) })
+			for p := range got {
+				sameBits(t, fmt.Sprintf("RGBToYCbCrInto %s plane %d", what, p), got[p], want[p])
+			}
+
+			yc := &YCbCr{W: w, H: h, Y: im.Pix[:n], Cb: im.Pix[n : 2*n], Cr: im.Pix[2*n:]}
+			back := yc.ToRGBQuant8Into(&Image{W: w, H: h, Pix: unaligned(3*n, 5)})
+			wantBack := New(w, h)
+			portable(func() { yc.ToRGBQuant8Into(wantBack) })
+			sameBits(t, "ToRGBQuant8Into "+what, back.Pix, wantBack.Pix)
+		}
+	}
+}
+
+// TestVectorQuant8HandBack pins the one input class the colour kernel must
+// not convert itself: a luma whose scaled sum is 2³¹ or more, in one lane of
+// an otherwise ordinary plane. Go's 64-bit truncation makes level 255 of it
+// up to 2⁶³ and level 0 beyond; the samples before that vector come from the
+// kernel, the rest from the Go loop, and all of them match.
+func TestVectorQuant8HandBack(t *testing.T) {
+	const w, h = 40, 1
+	for _, c := range []struct{ luma, level float32 }{{8.5e6, 1}, {1e9, 1}, {3e16, 1}, {1e19, 0}, {1e30, 0}, {posInf, 0}} {
+		for at := 0; at < w; at++ {
+			yc := &YCbCr{W: w, H: h, Y: make([]float32, w), Cb: make([]float32, w), Cr: make([]float32, w)}
+			for i := range yc.Y {
+				yc.Y[i] = float32(i) / w
+			}
+			yc.Y[at] = c.luma
+			got, want := yc.ToRGBQuant8Into(New(w, h)), New(w, h)
+			portable(func() { yc.ToRGBQuant8Into(want) })
+			sameBits(t, fmt.Sprintf("luma %v at %d", c.luma, at), got.Pix, want.Pix)
+			if math.MaxInt == math.MaxInt64 && got.Pix[at] != c.level { // quant8 truncates to int
+				t.Fatalf("luma %v at %d converts to %v, want %v", c.luma, at, got.Pix[at], c.level)
+			}
+		}
+	}
+}

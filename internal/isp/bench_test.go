@@ -39,3 +39,22 @@ func BenchmarkDemosaic(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFusedProcess runs each vendor's fused pipeline on a 64×64 raw
+// frame, the fleet's full-resolution capture: new takes the vector passes
+// where the machine has them, ref the Go loops (the spatial filters are
+// imaging's and take its dispatch on both sides).
+func BenchmarkFusedProcess(b *testing.B) {
+	raw := noisyRaw(2, 64, 64)
+	for _, p := range []*Pipeline{VendorSamsung(), VendorApple(), VendorHTC(), VendorLG(), VendorMotorola()} {
+		f := Fuse(p)
+		run := func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				imaging.PutImage(f.Process(raw))
+			}
+		}
+		b.Run(p.Name+"/new", run)
+		b.Run(p.Name+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
+	}
+}

@@ -227,10 +227,7 @@ func (f *Fused) run(im *imaging.Image) *imaging.Image {
 			// same arithmetic as imaging.UnsharpMask without the output
 			// allocation. The blur lives in a pooled image for the pass.
 			blur := imaging.GaussianBlurInto(imaging.GetImage(im.W, im.H), im, op.sharpen.Sigma)
-			amount := op.sharpen.Amount
-			for i, v := range im.Pix {
-				im.Pix[i] = v + amount*(v-blur.Pix[i])
-			}
+			unsharp(im.Pix, blur.Pix, op.sharpen.Amount)
 			imaging.PutImage(blur)
 		case op.denoise != nil:
 			// The spatial denoisers cannot write in place (each output
@@ -252,9 +249,7 @@ func (f *Fused) run(im *imaging.Image) *imaging.Image {
 		case op.matrix != nil:
 			applyMatrix(im, op.matrix)
 		case op.clamp:
-			for i, v := range im.Pix {
-				im.Pix[i] = fmath.Clamp01(v)
-			}
+			im.Clamp()
 		default:
 			applyLUT(im.Pix, op.lut)
 		}
@@ -283,10 +278,19 @@ func applyAutoWB(im *imaging.Image, s *WhiteBalance, next *[9]float32) {
 	applyMatrix(im, &gains)
 }
 
+// unsharp adds amount times the difference from the blurred frame to every
+// sample, in place.
+func unsharp(pix, blur []float32, amount float32) {
+	for i := unsharpVector(pix, blur, amount); i < len(pix); i++ {
+		v := pix[i]
+		pix[i] = v + amount*(v-blur[i])
+	}
+}
+
 // applyMatrix mixes channels in place.
 func applyMatrix(im *imaging.Image, m *[9]float32) {
 	n := im.W * im.H
-	for i := 0; i < n; i++ {
+	for i := applyMatrixVector(im.Pix, n, m); i < n; i++ {
 		r, g, b := im.Pix[i], im.Pix[n+i], im.Pix[2*n+i]
 		im.Pix[i] = m[0]*r + m[1]*g + m[2]*b
 		im.Pix[n+i] = m[3]*r + m[4]*g + m[5]*b
@@ -300,6 +304,7 @@ func applyMatrix(im *imaging.Image, m *[9]float32) {
 // values.
 func applyLUT(pix []float32, lut []float32) {
 	const scale = float32(lutSize-1) / lutMaxU
+	pix = pix[applyLUTVector(pix, lut, scale):]
 	for i, v := range pix {
 		if v < 0 {
 			v = 0

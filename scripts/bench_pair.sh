@@ -20,6 +20,12 @@
 #   worse       the same test, mirrored
 #   unresolved  anything else: say so, do not claim it
 #
+# Each table is also appended to BENCH_pairs.ndjson, one JSON object a line:
+# both commits, seed, workload, pairs, seconds, and per metric both sides'
+# median and quartiles, the wins and the verdict, plus the box-speed yardstick
+# (box.calib_mops) each side's runs read — the trajectory of the repository's
+# paired claims. PAIRS_FILE names another file; an empty PAIRS_FILE none.
+#
 # SEED picks the seed (default: a fresh one from the clock, printed, so a
 # table can be re-run); SECONDS_PER_RUN the timed section (default: the
 # run_seconds of BENCHMARK.json).
@@ -46,6 +52,8 @@ workloads=("$@")
 seed="${SEED:-$(($(date +%s) % 9000 + 1000))}"
 seconds="${SECONDS_PER_RUN:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
 parent_commit="$(git rev-parse --short "$parent_ref^{commit}")"
+change_commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)"
+pairs_file="${PAIRS_FILE-BENCH_pairs.ndjson}"
 
 root="$PWD"
 work="$root/.bench_build/pair"
@@ -55,12 +63,16 @@ trap 'rm -rf "$work"' EXIT
 git archive "$parent_commit" | tar -x -C "$work/parent"
 
 # run <dir> <workload> <seconds> prints the result object, the last line of a
-# run.
+# run, with the yardstick reading the run printed above it added as
+# "calib_mops".
 run() {
-	(cd "$1" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$3" --trace 0) | tail -n 1
+	(cd "$1" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$3" --trace 0) >"$work/run.out"
+	local calib
+	calib="$(sed -n 's/^(not reported) metric box\.calib_mops = \([0-9.e+-]*\) Mops$/\1/p' "$work/run.out" | tail -n 1)"
+	tail -n 1 "$work/run.out" | sed "s/}\$/,\"calib_mops\":${calib:-null}}/"
 }
 
-echo "bench_pair: ${workloads[*]}, parent $parent_commit vs working tree ($(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)), seed $seed, $pairs pairs of ${seconds}s a workload"
+echo "bench_pair: ${workloads[*]}, parent $parent_commit vs working tree ($change_commit), seed $seed, $pairs pairs of ${seconds}s a workload"
 echo "bench_pair: building both sides"
 run "$work/parent" "${workloads[0]}" 1 >/dev/null
 run "$root" "${workloads[0]}" 1 >/dev/null
@@ -81,8 +93,9 @@ done
 for workload in "${workloads[@]}"; do
 	echo
 	echo "== $workload"
-	python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" <<'PY'
-import json, math, sys
+	python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" \
+		"$pairs_file" "$parent_commit" "$change_commit" "$seed" "$workload" "$seconds" <<'PY'
+import datetime, json, math, sys
 
 def load(path):
     runs = [json.loads(line) for line in open(path)]
@@ -102,6 +115,12 @@ def summary(values):
     return quantile(s, 0.5), quantile(s, 0.25), quantile(s, 0.75)
 
 parent, change = load(sys.argv[1]), load(sys.argv[2])
+pairs_file, parent_commit, change_commit, seed, workload, seconds = sys.argv[3:9]
+record = {
+    "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "parent": parent_commit, "change": change_commit, "seed": int(seed), "workload": workload,
+    "pairs": len(parent), "seconds": float(seconds), "metrics": {},
+}
 need = math.ceil(0.9 * len(parent))
 spread = "%.4g [%.4g–%.4g]"
 print("%-16s %-30s %-30s %8s %6s  %s" % ("metric", "parent median [q1–q3]", "change median [q1–q3]", "gap", "wins", "verdict"))
@@ -121,5 +140,21 @@ for metric in json.load(open("BENCHMARK.json"))["end_to_end"]:
         verdict = "worse"
     rel = "%+.1f%%" % (100 * (cm - pm) / pm) if pm else "n/a"
     print("%-16s %-30s %-30s %8s %3d/%-2d  %s" % (name, spread % (pm, pq1, pq3), spread % (cm, cq1, cq3), rel, wins, len(p), verdict))
+    record["metrics"][name] = {
+        "parent": {"median": pm, "q1": pq1, "q3": pq3}, "change": {"median": cm, "q1": cq1, "q3": cq3},
+        "wins": wins, "losses": losses, "verdict": verdict,
+    }
+calib = {}
+for side, runs in (("parent", parent), ("change", change)):
+    readings = [r["calib_mops"] for r in runs if r.get("calib_mops") is not None]
+    if readings:
+        m, q1, q3 = summary(readings)
+        calib[side] = {"median": m, "q1": q1, "q3": q3}
+record["box.calib_mops"] = calib
+if calib:
+    print("box.calib_mops   " + "   ".join("%s %s" % (side, spread % (c["median"], c["q1"], c["q3"])) for side, c in calib.items()))
+if pairs_file:
+    with open(pairs_file, "a") as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
 PY
 done
