@@ -37,7 +37,7 @@ type Codec interface {
 
 // planeData holds one channel's quantized coefficients (lossy formats).
 type planeData struct {
-	w, h      int       // plane dimensions (chroma may be half-size)
+	w, h      int       // plane dimensions (chroma is half-size)
 	blockSize int       // transform support
 	quant     []float32 // quant table, blockSize² entries
 	coeffs    []int32   // quantized coefficients, block-major, zigzag order within block
@@ -45,16 +45,15 @@ type planeData struct {
 }
 
 // Encoded is a compressed image. Lossy formats store quantized transform
-// coefficients; PNG stores the exact 8-bit samples. Size is the compressed
-// size in bytes (an entropy-model estimate for the lossy formats, the real
-// zlib size for PNG).
+// coefficients, chroma at half resolution; PNG stores the exact 8-bit
+// samples. Size is the compressed size in bytes (an entropy-model estimate
+// for the lossy formats, the real zlib size for PNG).
 type Encoded struct {
-	Format     string
-	W, H       int
-	Size       int
-	subsampled bool // chroma stored at half resolution
-	planes     []planeData
-	raw        []byte // PNG only: interleaved 8-bit RGB
+	Format string
+	W, H   int
+	Size   int
+	planes []planeData
+	raw    []byte // PNG only: interleaved 8-bit RGB
 }
 
 // Decode reconstructs the image. For lossy formats the result depends on
@@ -78,10 +77,8 @@ func (e *Encoded) DecodeInto(opts DecodeOptions, dst *imaging.Image) *imaging.Im
 	y := decodePlane(&e.planes[0], grow(&s.planes[0], e.planes[0].w*e.planes[0].h), s)
 	cb := decodePlane(&e.planes[1], grow(&s.planes[1], e.planes[1].w*e.planes[1].h), s)
 	cr := decodePlane(&e.planes[2], grow(&s.planes[2], e.planes[2].w*e.planes[2].h), s)
-	if e.subsampled {
-		cb = upsample2x(grow(&s.up[0], e.W*e.H), cb, e.planes[1].w, e.planes[1].h, e.W, e.H, opts.ChromaUpsample, s)
-		cr = upsample2x(grow(&s.up[1], e.W*e.H), cr, e.planes[2].w, e.planes[2].h, e.W, e.H, opts.ChromaUpsample, s)
-	}
+	cb = upsample2x(grow(&s.up[0], e.W*e.H), cb, e.planes[1].w, e.planes[1].h, e.W, e.H, opts.ChromaUpsample, s)
+	cr = upsample2x(grow(&s.up[1], e.W*e.H), cr, e.planes[2].w, e.planes[2].h, e.W, e.H, opts.ChromaUpsample, s)
 	yc := imaging.YCbCr{W: e.W, H: e.H, Y: y, Cb: cb, Cr: cr}
 	// Decoders emit 8-bit pixels; the fused conversion quantizes in the
 	// same pass so downstream hashing matches what a real gallery file

@@ -40,7 +40,7 @@ func (c *JPEGLike) Encode(im *imaging.Image) *Encoded {
 		c.tables.luma, c.tables.chroma = jpegTables(c.Quality)
 		c.tables.name = c.Name()
 	})
-	return encodeTransform(im, "jpeg", c.tables.name, 8, c.tables.luma, c.tables.chroma, true, 600)
+	return encodeTransform(im, c.tables.name, 8, c.tables.luma, c.tables.chroma, 600)
 }
 
 // WebPLike is a 4×4 transform codec with per-block DC prediction and a
@@ -80,7 +80,7 @@ func (c *WebPLike) Encode(im *imaging.Image) *Encoded {
 		c.tables.luma, c.tables.chroma = luma, chroma
 		c.tables.name = c.Name()
 	})
-	e := encodeTransform(im, "webp", c.tables.name, 4, c.tables.luma, c.tables.chroma, true, 300)
+	e := encodeTransform(im, c.tables.name, 4, c.tables.luma, c.tables.chroma, 300)
 	// VP8 couples the transform with spatial intra prediction and
 	// arithmetic coding; our 4×4 codec reproduces the quantization
 	// behaviour but not the predictive coding gain, so the size model
@@ -121,16 +121,17 @@ func (c *HEIFLike) Encode(im *imaging.Image) *Encoded {
 		c.tables.luma, c.tables.chroma = luma, chroma
 		c.tables.name = c.Name()
 	})
-	e := encodeTransform(im, "heif", c.tables.name, 16, c.tables.luma, c.tables.chroma, true, 400)
+	e := encodeTransform(im, c.tables.name, 16, c.tables.luma, c.tables.chroma, 400)
 	// CABAC-style coding: ~35% below the Huffman estimate.
 	e.Size = e.Size * 65 / 100
 	return e
 }
 
-// encodeTransform is the shared lossy encode path. The returned frame comes
-// from the codec pool: callers that drop all references may hand it back
-// with Release to make the next capture's encode allocation-free.
-func encodeTransform(im *imaging.Image, format, name string, blockSize int, luma, chroma []float32, subsample bool, headerBytes int) *Encoded {
+// encodeTransform is the shared lossy encode path: full-resolution luma,
+// chroma at half resolution (4:2:0). The returned frame comes from the codec
+// pool: callers that drop all references may hand it back with Release to
+// make the next capture's encode allocation-free.
+func encodeTransform(im *imaging.Image, name string, blockSize int, luma, chroma []float32, headerBytes int) *Encoded {
 	s := scratchPool.Get().(*scratch)
 	n := im.W * im.H
 	y := grow(&s.ycc[0], n)
@@ -138,22 +139,16 @@ func encodeTransform(im *imaging.Image, format, name string, blockSize int, luma
 	crFull := grow(&s.ycc[2], n)
 	imaging.RGBToYCbCrInto(im, y, cbFull, crFull)
 	e := encodedPool.Get().(*Encoded)
-	e.Format, e.W, e.H, e.subsampled, e.raw = name, im.W, im.H, subsample, nil
+	e.Format, e.W, e.H, e.raw = name, im.W, im.H, nil
 	encodePlaneInto(&e.planes[0], y, im.W, im.H, blockSize, luma, 0.5, s)
-	if subsample {
-		halfLen := ((im.W + 1) / 2) * ((im.H + 1) / 2)
-		cb, cw, ch := downsample2x(grow(&s.planes[0], halfLen), cbFull, im.W, im.H)
-		cr, _, _ := downsample2x(grow(&s.planes[1], halfLen), crFull, im.W, im.H)
-		encodePlaneInto(&e.planes[1], cb, cw, ch, blockSize, chroma, 0, s)
-		encodePlaneInto(&e.planes[2], cr, cw, ch, blockSize, chroma, 0, s)
-	} else {
-		encodePlaneInto(&e.planes[1], cbFull, im.W, im.H, blockSize, chroma, 0, s)
-		encodePlaneInto(&e.planes[2], crFull, im.W, im.H, blockSize, chroma, 0, s)
-	}
+	halfLen := ((im.W + 1) / 2) * ((im.H + 1) / 2)
+	cb, cw, ch := downsample2x(grow(&s.planes[0], halfLen), cbFull, im.W, im.H)
+	cr, _, _ := downsample2x(grow(&s.planes[1], halfLen), crFull, im.W, im.H)
+	encodePlaneInto(&e.planes[1], cb, cw, ch, blockSize, chroma, 0, s)
+	encodePlaneInto(&e.planes[2], cr, cw, ch, blockSize, chroma, 0, s)
 	scratchPool.Put(s)
 	bits := entropyBits(&e.planes[0]) + entropyBits(&e.planes[1]) + entropyBits(&e.planes[2])
 	e.Size = headerBytes + (bits+7)/8
-	_ = format
 	return e
 }
 

@@ -139,39 +139,109 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
+// The three async resource kinds share one lifecycle — POST the collection,
+// GET/DELETE {collection}/{id}, GET the collection, poll until terminal — so
+// the five exchanges exist once, over (collection path, Spec, Status), and
+// every exported method below names its kind and calls them.
+const (
+	runsPath        = "/v1/runs"
+	experimentsPath = "/v1/experiments"
+	fleetsPath      = "/v1/fleets"
+)
+
+func createResource[Status, Spec any](ctx context.Context, c *Client, path string, spec Spec) (Status, error) {
+	var st Status
+	err := c.doJSON(ctx, http.MethodPost, path, spec, &st)
+	return st, err
+}
+
+func getResource[Status any](ctx context.Context, c *Client, path string, id int) (Status, error) {
+	var st Status
+	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("%s/%d", path, id), nil, &st)
+	return st, err
+}
+
+// listResources decodes a collection document, {"<kind>": [...]} keyed by the
+// last element of the collection's path.
+func listResources[Status any](ctx context.Context, c *Client, path string) ([]Status, error) {
+	var out map[string][]Status
+	err := c.doJSON(ctx, http.MethodGet, path, nil, &out)
+	return out[path[strings.LastIndexByte(path, '/')+1:]], err
+}
+
+func deleteResource(ctx context.Context, c *Client, path string, id int) error {
+	return c.doJSON(ctx, http.MethodDelete, fmt.Sprintf("%s/%d", path, id), nil, nil)
+}
+
+// waitResource polls until the resource leaves StateRunning (or the context
+// ends) and returns its final status. Transient failures — dropped
+// connections between polls, 5xx replies from a proxy or restarting front
+// end — are retried, since the resource is still executing server-side; only
+// an authoritative 4xx (e.g. a 404 for an evicted run) or the context ending
+// aborts the wait. A poll of <= 0 falls back to 100ms.
+func waitResource[Status any](ctx context.Context, c *Client, path string, id int, poll time.Duration, state func(Status) string) (Status, error) {
+	if poll <= 0 {
+		poll = 100 * time.Millisecond
+	}
+	ticker := time.NewTicker(poll)
+	defer ticker.Stop()
+	for {
+		st, err := getResource[Status](ctx, c, path, id)
+		var apiErr *Error
+		if err == nil {
+			if state(st) != StateRunning {
+				return st, nil
+			}
+		} else if (errors.As(err, &apiErr) && authoritative4xx(apiErr.Status)) || ctx.Err() != nil {
+			return st, err
+		}
+		select {
+		case <-ticker.C:
+		case <-ctx.Done():
+			return st, ctx.Err()
+		}
+	}
+}
+
+// authoritative4xx reports whether a status is a client error that makes
+// further polling pointless. 408 and 429 are transient proxy/rate-limit
+// replies, not verdicts about the resource.
+func authoritative4xx(status int) bool {
+	return status >= 400 && status < 500 &&
+		status != http.StatusRequestTimeout && status != http.StatusTooManyRequests
+}
+
 // CreateRun starts an async run resource.
 func (c *Client) CreateRun(ctx context.Context, spec RunSpec) (RunStatus, error) {
-	var st RunStatus
-	err := c.doJSON(ctx, http.MethodPost, "/v1/runs", spec, &st)
-	return st, err
+	return createResource[RunStatus](ctx, c, runsPath, spec)
 }
 
 // GetRun fetches one run's status.
 func (c *Client) GetRun(ctx context.Context, id int) (RunStatus, error) {
-	var st RunStatus
-	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/runs/%d", id), nil, &st)
-	return st, err
+	return getResource[RunStatus](ctx, c, runsPath, id)
 }
 
 // ListRuns fetches the remembered runs, oldest first.
 func (c *Client) ListRuns(ctx context.Context) ([]RunStatus, error) {
-	var out struct {
-		Runs []RunStatus `json:"runs"`
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/v1/runs", nil, &out)
-	return out.Runs, err
+	return listResources[RunStatus](ctx, c, runsPath)
+}
+
+// DeleteRun cancels an in-flight run or evicts a finished one from history.
+func (c *Client) DeleteRun(ctx context.Context, id int) error {
+	return deleteResource(ctx, c, runsPath, id)
+}
+
+// WaitRun polls until the run leaves StateRunning (or the context ends) and
+// returns its final status; see waitResource for what is retried.
+func (c *Client) WaitRun(ctx context.Context, id int, poll time.Duration) (RunStatus, error) {
+	return waitResource(ctx, c, runsPath, id, poll, func(st RunStatus) string { return st.State })
 }
 
 // RunStats fetches one run's stats snapshot as raw JSON — raw because the
 // bytes themselves are the deterministic artifact (a finished run's stats
 // are byte-identical across worker counts and shard topologies).
 func (c *Client) RunStats(ctx context.Context, id int) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/runs/%d/stats", id), nil)
-}
-
-// DeleteRun cancels an in-flight run or evicts a finished one from history.
-func (c *Client) DeleteRun(ctx context.Context, id int) error {
-	return c.doJSON(ctx, http.MethodDelete, fmt.Sprintf("/v1/runs/%d", id), nil, nil)
+	return c.artifact(ctx, runsPath, id, "stats")
 }
 
 // RunShard executes one device-range shard synchronously on the instance
@@ -236,99 +306,33 @@ func (c *Client) traceNDJSON(ctx context.Context, path string) ([]obs.Span, erro
 	return obs.ParseNDJSON(data)
 }
 
-// WaitRun polls until the run leaves StateRunning (or the context ends) and
-// returns its final status. Transient failures — dropped connections
-// between polls, 5xx replies from a proxy or restarting front end — are
-// retried, since the run is still executing server-side; only an
-// authoritative 4xx (e.g. a 404 for an evicted run) or the context ending
-// aborts the wait.
-func (c *Client) WaitRun(ctx context.Context, id int, poll time.Duration) (RunStatus, error) {
-	var st RunStatus
-	err := c.waitTerminal(ctx, poll, func() (string, error) {
-		var err error
-		st, err = c.GetRun(ctx, id)
-		return st.State, err
-	})
-	return st, err
-}
-
-// waitTerminal is the shared polling loop behind WaitRun and
-// WaitExperiment: poll get until the resource leaves StateRunning,
-// retrying transient failures, aborting on authoritative 4xx or context
-// end. A poll of <= 0 falls back to 100ms.
-func (c *Client) waitTerminal(ctx context.Context, poll time.Duration, get func() (string, error)) error {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		state, err := get()
-		var apiErr *Error
-		if err == nil {
-			if state != StateRunning {
-				return nil
-			}
-		} else if (errors.As(err, &apiErr) && authoritative4xx(apiErr.Status)) || ctx.Err() != nil {
-			return err
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// authoritative4xx reports whether a status is a client error that makes
-// further polling pointless. 408 and 429 are transient proxy/rate-limit
-// replies, not verdicts about the resource.
-func authoritative4xx(status int) bool {
-	return status >= 400 && status < 500 &&
-		status != http.StatusRequestTimeout && status != http.StatusTooManyRequests
-}
-
 // CreateExperiment starts an async experiment resource: a declarative
 // multi-arm sweep executed arm by arm through the run machinery.
 func (c *Client) CreateExperiment(ctx context.Context, spec ExperimentSpec) (ExperimentStatus, error) {
-	var st ExperimentStatus
-	err := c.doJSON(ctx, http.MethodPost, "/v1/experiments", spec, &st)
-	return st, err
+	return createResource[ExperimentStatus](ctx, c, experimentsPath, spec)
 }
 
 // GetExperiment fetches one experiment's status.
 func (c *Client) GetExperiment(ctx context.Context, id int) (ExperimentStatus, error) {
-	var st ExperimentStatus
-	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/experiments/%d", id), nil, &st)
-	return st, err
+	return getResource[ExperimentStatus](ctx, c, experimentsPath, id)
 }
 
 // ListExperiments fetches the remembered experiments, oldest first.
 func (c *Client) ListExperiments(ctx context.Context) ([]ExperimentStatus, error) {
-	var out struct {
-		Experiments []ExperimentStatus `json:"experiments"`
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/v1/experiments", nil, &out)
-	return out.Experiments, err
+	return listResources[ExperimentStatus](ctx, c, experimentsPath)
 }
 
 // DeleteExperiment cancels an in-flight experiment or evicts a finished one
 // from history.
 func (c *Client) DeleteExperiment(ctx context.Context, id int) error {
-	return c.doJSON(ctx, http.MethodDelete, fmt.Sprintf("/v1/experiments/%d", id), nil, nil)
+	return deleteResource(ctx, c, experimentsPath, id)
 }
 
 // WaitExperiment polls until the experiment leaves StateRunning (or the
 // context ends) and returns its final status, with the same transient-retry
 // behavior as WaitRun.
 func (c *Client) WaitExperiment(ctx context.Context, id int, poll time.Duration) (ExperimentStatus, error) {
-	var st ExperimentStatus
-	err := c.waitTerminal(ctx, poll, func() (string, error) {
-		var err error
-		st, err = c.GetExperiment(ctx, id)
-		return st.State, err
-	})
-	return st, err
+	return waitResource(ctx, c, experimentsPath, id, poll, func(st ExperimentStatus) string { return st.State })
 }
 
 // ExperimentReport fetches a finished experiment's report as raw JSON — raw
@@ -336,72 +340,58 @@ func (c *Client) WaitExperiment(ctx context.Context, id int, poll time.Duration)
 // shard topologies and worker counts). Decode into ExperimentReport for the
 // structured view.
 func (c *Client) ExperimentReport(ctx context.Context, id int) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/experiments/%d/report", id), nil)
+	return c.artifact(ctx, experimentsPath, id, "report")
 }
 
 // CreateFleet starts an async continuous fleet resource.
 func (c *Client) CreateFleet(ctx context.Context, spec FleetSpec) (FleetStatus, error) {
-	var st FleetStatus
-	err := c.doJSON(ctx, http.MethodPost, "/v1/fleets", spec, &st)
-	return st, err
+	return createResource[FleetStatus](ctx, c, fleetsPath, spec)
 }
 
 // GetFleet fetches one continuous fleet's status.
 func (c *Client) GetFleet(ctx context.Context, id int) (FleetStatus, error) {
-	var st FleetStatus
-	err := c.doJSON(ctx, http.MethodGet, fmt.Sprintf("/v1/fleets/%d", id), nil, &st)
-	return st, err
+	return getResource[FleetStatus](ctx, c, fleetsPath, id)
 }
 
 // ListFleets fetches the remembered continuous fleets, oldest first.
 func (c *Client) ListFleets(ctx context.Context) ([]FleetStatus, error) {
-	var out struct {
-		Fleets []FleetStatus `json:"fleets"`
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/v1/fleets", nil, &out)
-	return out.Fleets, err
+	return listResources[FleetStatus](ctx, c, fleetsPath)
 }
 
 // DeleteFleet cancels an in-flight continuous fleet or evicts a finished
 // one from history.
 func (c *Client) DeleteFleet(ctx context.Context, id int) error {
-	return c.doJSON(ctx, http.MethodDelete, fmt.Sprintf("/v1/fleets/%d", id), nil, nil)
+	return deleteResource(ctx, c, fleetsPath, id)
 }
 
 // WaitFleet polls until the fleet leaves StateRunning (or the context ends)
 // and returns its final status, with the same transient-retry behavior as
 // WaitRun.
 func (c *Client) WaitFleet(ctx context.Context, id int, poll time.Duration) (FleetStatus, error) {
-	var st FleetStatus
-	err := c.waitTerminal(ctx, poll, func() (string, error) {
-		var err error
-		st, err = c.GetFleet(ctx, id)
-		return st.State, err
-	})
-	return st, err
+	return waitResource(ctx, c, fleetsPath, id, poll, func(st FleetStatus) string { return st.State })
 }
 
-// fleetArtifact fetches one of a finished fleet's report documents as raw
-// JSON — raw because the bytes are the deterministic artifact
-// (byte-identical across worker counts and shard topologies).
-func (c *Client) fleetArtifact(ctx context.Context, id int, leaf string) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, fmt.Sprintf("/v1/fleets/%d/%s", id, leaf), nil)
+// artifact fetches one of a resource's documents as raw JSON — raw because
+// the bytes are the deterministic artifact (byte-identical across worker
+// counts and shard topologies).
+func (c *Client) artifact(ctx context.Context, path string, id int, leaf string) ([]byte, error) {
+	return c.raw(ctx, http.MethodGet, fmt.Sprintf("%s/%d/%s", path, id, leaf), nil)
 }
 
 // FleetReport fetches a finished fleet's full report. Decode into
 // fleet.FleetReport for the structured view.
 func (c *Client) FleetReport(ctx context.Context, id int) ([]byte, error) {
-	return c.fleetArtifact(ctx, id, "report")
+	return c.artifact(ctx, fleetsPath, id, "report")
 }
 
 // FleetWindows fetches a finished fleet's per-window stats document.
 func (c *Client) FleetWindows(ctx context.Context, id int) ([]byte, error) {
-	return c.fleetArtifact(ctx, id, "windows")
+	return c.artifact(ctx, fleetsPath, id, "windows")
 }
 
 // FleetDrift fetches a finished fleet's drift report.
 func (c *Client) FleetDrift(ctx context.Context, id int) ([]byte, error) {
-	return c.fleetArtifact(ctx, id, "drift")
+	return c.artifact(ctx, fleetsPath, id, "drift")
 }
 
 // RunFleetShard executes one device-range shard of a continuous fleet

@@ -23,21 +23,17 @@ import (
 // runtime-stack instability the fleet measures.
 //
 // The integer GEMM reads its activations from a pair-interleaved panel (see
-// quantizePanel) and has two kernels over it. The vector kernel multiplies
-// int16 weight pairs into 32-bit lanes, one output pixel to a lane. The Go
-// kernel packs two output channels into the 32-bit lanes of one int64 (see
-// qmatrix), so one 64-bit multiply does two int8 MACs. Every lane of either
-// stays exact while k·127² < 2³¹ for reduction depth k — the bound an int32
-// accumulator needs anyway; newQMatrix panics on a layer deeper than
-// maxReduction. Integer addition is exact, so every accumulator is the
-// integer the scalar reference loops in quantize_ref_test.go compute and every
-// logit has the same bits, whichever kernel ran.
+// quantizePanel) and its weights as int16 rows (see qmatrix). Every int32
+// accumulator stays exact while k·127² < 2³¹ for reduction depth k;
+// newQMatrix panics on a layer deeper than maxReduction. Integer addition is
+// exact, so every accumulator is the integer the scalar reference loops in
+// quantize_ref_test.go compute and every logit has the same bits, whether the
+// vector tiles or the Go kernel produced it.
 //
-// A replica owns its weights in its kernel's encoding (2 bytes a weight for
-// the vector kernel, 4 for the Go one) and the plan's scratch: a one-image
-// float32 activation arena, the stem's im2col panel and one quantized panel,
-// about 0.8 MB at the default width whatever the batch size. Infer overwrites
-// all of it, so a replica serves one call at a time.
+// A replica owns its weights (2 bytes a weight) and the plan's scratch: a
+// one-image float32 activation arena, the stem's im2col panel and one
+// quantized panel, about 0.8 MB at the default width whatever the batch size.
+// Infer overwrites all of it, so a replica serves one call at a time.
 type Int8Backend struct {
 	plan        *inferPlan
 	embed, head *qdense
@@ -75,12 +71,12 @@ func (b *Int8Backend) Infer(x *tensor.Tensor) []float64 {
 }
 
 // maxReduction is the deepest reduction the GEMM kernels take: k·127² < 2³¹
-// keeps each 32-bit lane of an accumulator inside int32.
+// keeps an accumulator inside int32.
 const maxReduction = (1<<31 - 1) / (127 * 127)
 
 func checkReduction(name string, k int) {
 	if k > maxReduction {
-		panic(fmt.Sprintf("nn: int8: %s reduces over %d values, the int32 accumulator lanes hold %d", name, k, maxReduction))
+		panic(fmt.Sprintf("nn: int8: %s reduces over %d values, the int32 accumulators hold %d", name, k, maxReduction))
 	}
 }
 
@@ -159,25 +155,14 @@ func quantizeRows(w []float32, rows, k int, fold []float32) (q []int8, scales []
 	return q, scales
 }
 
-// qmatrix is a quantized (rows, k) weight matrix with its per-row scales, in
-// the encoding of the GEMM kernel this machine runs — one of the two, chosen
-// when the matrix is built, so a replica holds its weights once. Both pad a
-// row with a zero tap to the even length k2, the panel's pairs.
+// qmatrix is a quantized (rows, k) weight matrix with its per-row scales. The
+// rows are held as int16, padded with a zero tap to the even length k2, so
+// that taps 2j and 2j+1 of a row are the pair one panel pair multiplies — in
+// the vector kernel, by one 32-bit broadcast.
 type qmatrix struct {
 	rows, k2 int
 	scale    []float32 // per-row weight scale
-	// packed is the Go kernel's: two rows in the 32-bit lanes of one int64,
-	// w[c][j] + w[c+1][j]<<32 for even c (zeros past an odd last row), and
-	// the two such pairs of a 4-channel tile interleaved tap by tap, so the
-	// micro-kernel walks one cursor: the pair of rows c, c+1 at tap j is
-	// packed[(c/4*k2+j)*2+c/2%2]. A sum Σ_j pair[j]·x[j] over int8 x is then
-	// lo + hi<<32 with lo and hi the two rows' own dot products, which
-	// unpackLanes separates again.
-	packed []int64
-	// wide is the vector kernel's: the rows as int16, so that taps 2j and
-	// 2j+1 of a row are the pair one 32-bit broadcast multiplies a panel
-	// pair by.
-	wide []int16
+	wide     []int16
 }
 
 // newQMatrix quantizes a (rows, k) float32 weight matrix, row c scaled by
@@ -190,30 +175,13 @@ func newQMatrix(name string, w []float32, rows, k int, fold []float32) *qmatrix 
 
 func packQMatrix(q []int8, scale []float32, rows, k int) *qmatrix {
 	k2 := (k + 1) &^ 1
-	m := &qmatrix{rows: rows, k2: k2, scale: scale}
-	if useVector {
-		m.wide = make([]int16, rows*k2)
-	} else {
-		m.packed = make([]int64, (rows+3)/4*2*k2)
-	}
+	m := &qmatrix{rows: rows, k2: k2, scale: scale, wide: make([]int16, rows*k2)}
 	for c := 0; c < rows; c++ {
 		for j, v := range q[c*k : (c+1)*k] {
-			if m.wide != nil {
-				m.wide[c*k2+j] = int16(v)
-			} else {
-				m.packed[(c/4*k2+j)*2+c/2%2] += int64(v) << (c % 2 * 32)
-			}
+			m.wide[c*k2+j] = int16(v)
 		}
 	}
 	return m
-}
-
-// unpackLanes splits a packed accumulator into its two int32 sums. The low
-// lane is the sum's low 32 bits as they stand; subtracting it borrows back
-// what a negative low lane took from the high one.
-func unpackLanes(acc int64) (lo, hi int32) {
-	lo = int32(acc)
-	return lo, int32((acc - int64(lo)) >> 32)
 }
 
 // qfinish dequantizes one int32 accumulator, v = acc·deq + bias, and applies
@@ -258,56 +226,65 @@ func quantizePanel(dst []int8, src []float32, p, k int, scale float32) {
 	}
 }
 
-// dot2x2 is the inner loop of qgemmGo: the two packed row pairs of a
-// 4-channel tile (w, interleaved tap by tap) against two adjacent pixels of
-// the panel (a starts at the first one's pair 0, pair rows stride bytes
-// apart), four packed accumulators. It is kept out of line because its four
-// sums, its operands and its cursors are all the registers amd64 has: inlined
-// into qgemmGo's loop nest the compiler keeps the accumulators on the stack
-// instead.
-//
-//go:noinline
-func dot2x2(w []int64, a []int8, stride int) (s00, s01, s10, s11 int64) {
-	o := 0
-	for j := 0; j+3 < len(w); j += 4 {
-		x := a[o : o+4] // taps j, j+1 of the first pixel, then of the second
-		o += stride
-		x0, x1 := int64(x[0]), int64(x[2])
-		wv := w[j]
-		s00 += wv * x0
-		s01 += wv * x1
-		wv = w[j+1]
-		s10 += wv * x0
-		s11 += wv * x1
-		x0, x1 = int64(x[1]), int64(x[3])
-		wv = w[j+2]
-		s00 += wv * x0
-		s01 += wv * x1
-		wv = w[j+3]
-		s10 += wv * x0
-		s11 += wv * x1
-	}
-	return
-}
-
 // qgemm computes the dequantized int8 GEMM dst[c*p+pi] =
 // qfinish(Σ_j w[c][j]·x[j][pi], w.scale[c]·ax, bias[c], clamp) over p pixels
-// of a quantizePanel panel, with the kernel w was built for. Every sum is
-// exact in integers, so which one ran shows in no bit.
+// of a quantizePanel panel: the vector kernel takes the whole 4-channel ×
+// 16-pixel tiles and the Go kernel the pixels and channels it leaves. Every
+// sum is exact in integers, so which one ran shows in no bit.
 func qgemm(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) {
-	if w.wide == nil {
-		qgemmGo(dst, w, panel, p, ax, bias, clamp)
-		return
-	}
-	// The vector kernel takes the whole 4-channel × 16-pixel tiles.
 	cs, ps := qgemmTiles(dst, w, panel, p, ax, bias, clamp)
-	qgemmEdge(dst, w, panel, 0, cs, ps, p, ax, bias, clamp)
-	qgemmEdge(dst, w, panel, cs, w.rows, 0, p, ax, bias, clamp)
+	qgemmBlock(dst, w, panel, 0, cs, ps, p, ax, bias, clamp)
+	qgemmBlock(dst, w, panel, cs, w.rows, 0, p, ax, bias, clamp)
 }
 
-// qgemmEdge is the plain loop over channels [c0, c1) and pixels [p0, p) that
-// finishes what the vector tiles leave: a pixel count's remainder of 16, a
-// channel count's of 4, a dense layer's single pixel.
+// qgemmBlock is the portable kernel of qgemm, over channels [c0, c1) and
+// pixels [p0, p) of it.
+//
+// The micro-kernel tiles 4 output channels × 2 pixels, eight int32
+// accumulators a panel pair at a time. Channels past the last whole tile, an
+// odd last pixel and a dense layer's single pixel are qgemmEdge's.
+func qgemmBlock(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax float32, bias []float32, clamp float32) {
+	k2 := w.k2
+	even := p0 + (p-p0)&^1
+	c := c0
+	for ; c+4 <= c1 && p0 < even; c += 4 {
+		w0, w1 := w.wide[c*k2:(c+1)*k2], w.wide[(c+1)*k2:(c+2)*k2]
+		w2, w3 := w.wide[(c+2)*k2:(c+3)*k2], w.wide[(c+3)*k2:(c+4)*k2]
+		d := dst[c*p : (c+4)*p]
+		q0, q1, q2, q3 := w.scale[c]*ax, w.scale[c+1]*ax, w.scale[c+2]*ax, w.scale[c+3]*ax
+		b0, b1, b2, b3 := bias[c], bias[c+1], bias[c+2], bias[c+3]
+		for pi := p0; pi < even; pi += 2 {
+			var s00, s10, s20, s30, s01, s11, s21, s31 int32
+			o := 2 * pi
+			for j := 0; j+1 < len(w0); j += 2 {
+				x := panel[o : o+4] // taps j, j+1 of the first pixel, then of the second
+				o += 2 * p
+				x0, x1 := int32(x[0]), int32(x[2])
+				y0, y1 := int32(x[1]), int32(x[3])
+				u, v := int32(w0[j]), int32(w0[j+1])
+				s00 += u*x0 + v*y0
+				s01 += u*x1 + v*y1
+				u, v = int32(w1[j]), int32(w1[j+1])
+				s10 += u*x0 + v*y0
+				s11 += u*x1 + v*y1
+				u, v = int32(w2[j]), int32(w2[j+1])
+				s20 += u*x0 + v*y0
+				s21 += u*x1 + v*y1
+				u, v = int32(w3[j]), int32(w3[j+1])
+				s30 += u*x0 + v*y0
+				s31 += u*x1 + v*y1
+			}
+			d[pi], d[pi+1] = qfinish(s00, q0, b0, clamp), qfinish(s01, q0, b0, clamp)
+			d[p+pi], d[p+pi+1] = qfinish(s10, q1, b1, clamp), qfinish(s11, q1, b1, clamp)
+			d[2*p+pi], d[2*p+pi+1] = qfinish(s20, q2, b2, clamp), qfinish(s21, q2, b2, clamp)
+			d[3*p+pi], d[3*p+pi+1] = qfinish(s30, q3, b3, clamp), qfinish(s31, q3, b3, clamp)
+		}
+	}
+	qgemmEdge(dst, w, panel, c0, c, even, p, ax, bias, clamp)
+	qgemmEdge(dst, w, panel, c, c1, p0, p, ax, bias, clamp)
+}
+
+// qgemmEdge is the plain loop over channels [c0, c1) and pixels [p0, p).
 func qgemmEdge(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax float32, bias []float32, clamp float32) {
 	for c := c0; c < c1; c++ {
 		row := w.wide[c*w.k2 : (c+1)*w.k2]
@@ -322,56 +299,6 @@ func qgemmEdge(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax fl
 			dst[c*p+pi] = qfinish(acc, deq, bias[c], clamp)
 		}
 	}
-}
-
-// qgemmGo is the portable kernel of qgemm.
-//
-// The micro-kernel tiles 4 output channels × 2 pixels: four 64-bit multiplies
-// per reduction step do eight MACs. Channels past the last whole tile and an
-// odd last pixel run one packed accumulator at a time.
-func qgemmGo(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) {
-	outC, k2, ws := w.rows, w.k2, w.scale
-	tiled, even := outC&^3, p&^1
-	for c := 0; c < tiled; c += 4 {
-		tile := w.packed[c/2*k2 : (c/2+2)*k2]
-		d0, d1 := dst[c*p:(c+1)*p], dst[(c+1)*p:(c+2)*p]
-		d2, d3 := dst[(c+2)*p:(c+3)*p], dst[(c+3)*p:(c+4)*p]
-		q0, q1, q2, q3 := ws[c]*ax, ws[c+1]*ax, ws[c+2]*ax, ws[c+3]*ax
-		b0, b1, b2, b3 := bias[c], bias[c+1], bias[c+2], bias[c+3]
-		for pi := 0; pi < even; pi += 2 {
-			s00, s01, s10, s11 := dot2x2(tile, panel[2*pi:], 2*p)
-			lo, hi := unpackLanes(s00)
-			d0[pi], d1[pi] = qfinish(lo, q0, b0, clamp), qfinish(hi, q1, b1, clamp)
-			lo, hi = unpackLanes(s10)
-			d2[pi], d3[pi] = qfinish(lo, q2, b2, clamp), qfinish(hi, q3, b3, clamp)
-			lo, hi = unpackLanes(s01)
-			d0[pi+1], d1[pi+1] = qfinish(lo, q0, b0, clamp), qfinish(hi, q1, b1, clamp)
-			lo, hi = unpackLanes(s11)
-			d2[pi+1], d3[pi+1] = qfinish(lo, q2, b2, clamp), qfinish(hi, q3, b3, clamp)
-		}
-	}
-	// edge runs the row pairs starting at the even channels of [c0, c1) over
-	// pixels [p0, p1), one packed accumulator at a time.
-	edge := func(c0, c1, p0, p1 int) {
-		for c := c0; c < c1; c += 2 {
-			pair := w.packed[c/4*2*k2+c/2%2:]
-			for pi := p0; pi < p1; pi++ {
-				var s int64
-				o := 2 * pi
-				for j := 0; j < k2; j += 2 {
-					s += pair[2*j]*int64(panel[o]) + pair[2*j+2]*int64(panel[o+1])
-					o += 2 * p
-				}
-				lo, hi := unpackLanes(s)
-				dst[c*p+pi] = qfinish(lo, ws[c]*ax, bias[c], clamp)
-				if c+1 < outC {
-					dst[(c+1)*p+pi] = qfinish(hi, ws[c+1]*ax, bias[c+1], clamp)
-				}
-			}
-		}
-	}
-	edge(0, tiled, even, p)
-	edge(tiled, outC, 0, p)
 }
 
 // qconv is a fused Conv2D+BatchNorm(+ReLU6) with int8 weights.

@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file keeps everything the packed, per-image int8 runtime replaced, as
+// This file keeps everything the per-image int8 runtime replaced, as
 // references it must reproduce bit for bit (integer accumulation is exact, so
 // any difference is a bug, not noise):
 //
@@ -18,8 +18,7 @@ import (
 //     rewrite of those is never checked against itself.
 //   - refInt8: the retired whole-batch graph — one tensor per op and batch,
 //     scalar per-output-pixel loops, border-checked depthwise taps.
-//   - refQgemm4x2 / refQgemv4: the retired register-blocked int32 kernels,
-//     also the baseline of BenchmarkQGemm.
+//   - refQgemm: the scalar triple loop every qgemm kernel is diffed against.
 
 func refQround(v float32) int32 {
 	if v >= 0 {
@@ -301,116 +300,6 @@ func (l *refQDense) apply(x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// refQgemm4x2 is the retired qgemm: a 4 output channel × 2 pixel tile of
-// int32 accumulators over unpacked int8 weights, scalar remainders.
-func refQgemm4x2(dst []float32, w, col []int8, outC, p, k int, ws []float32, ax float32, bias []float32, relu6 bool) {
-	var c int
-	for c = 0; c+4 <= outC; c += 4 {
-		w0 := w[(c+0)*k : (c+1)*k]
-		w1 := w[(c+1)*k : (c+2)*k]
-		w2 := w[(c+2)*k : (c+3)*k]
-		w3 := w[(c+3)*k : (c+4)*k]
-		d0 := dst[(c+0)*p : (c+1)*p]
-		d1 := dst[(c+1)*p : (c+2)*p]
-		d2 := dst[(c+2)*p : (c+3)*p]
-		d3 := dst[(c+3)*p : (c+4)*p]
-		q0, q1, q2, q3 := ws[c]*ax, ws[c+1]*ax, ws[c+2]*ax, ws[c+3]*ax
-		b0, b1, b2, b3 := bias[c], bias[c+1], bias[c+2], bias[c+3]
-		var pi int
-		for pi = 0; pi+2 <= p; pi += 2 {
-			a0 := col[pi*k : (pi+1)*k]
-			a1 := col[(pi+1)*k : (pi+2)*k : (pi+2)*k]
-			var s00, s10, s20, s30, s01, s11, s21, s31 int32
-			for j, xq := range a0 {
-				x0 := int32(xq)
-				x1 := int32(a1[j])
-				wv := int32(w0[j])
-				s00 += wv * x0
-				s01 += wv * x1
-				wv = int32(w1[j])
-				s10 += wv * x0
-				s11 += wv * x1
-				wv = int32(w2[j])
-				s20 += wv * x0
-				s21 += wv * x1
-				wv = int32(w3[j])
-				s30 += wv * x0
-				s31 += wv * x1
-			}
-			d0[pi] = refQfinish(s00, q0, b0, false, relu6)
-			d1[pi] = refQfinish(s10, q1, b1, false, relu6)
-			d2[pi] = refQfinish(s20, q2, b2, false, relu6)
-			d3[pi] = refQfinish(s30, q3, b3, false, relu6)
-			d0[pi+1] = refQfinish(s01, q0, b0, false, relu6)
-			d1[pi+1] = refQfinish(s11, q1, b1, false, relu6)
-			d2[pi+1] = refQfinish(s21, q2, b2, false, relu6)
-			d3[pi+1] = refQfinish(s31, q3, b3, false, relu6)
-		}
-		if pi < p { // odd trailing pixel
-			a0 := col[pi*k : (pi+1)*k]
-			var s0, s1, s2, s3 int32
-			for j, xq := range a0 {
-				xv := int32(xq)
-				s0 += int32(w0[j]) * xv
-				s1 += int32(w1[j]) * xv
-				s2 += int32(w2[j]) * xv
-				s3 += int32(w3[j]) * xv
-			}
-			d0[pi] = refQfinish(s0, q0, b0, false, relu6)
-			d1[pi] = refQfinish(s1, q1, b1, false, relu6)
-			d2[pi] = refQfinish(s2, q2, b2, false, relu6)
-			d3[pi] = refQfinish(s3, q3, b3, false, relu6)
-		}
-	}
-	// Channel remainder (outC % 4): the scalar loop.
-	for ; c < outC; c++ {
-		wrow := w[c*k : (c+1)*k]
-		deq := ws[c] * ax
-		bc := bias[c]
-		out := dst[c*p : (c+1)*p]
-		for pi := 0; pi < p; pi++ {
-			crow := col[pi*k : (pi+1)*k]
-			var acc int32
-			for j, wv := range wrow {
-				acc += int32(wv) * int32(crow[j])
-			}
-			out[pi] = refQfinish(acc, deq, bc, false, relu6)
-		}
-	}
-}
-
-// refQgemv4 is the retired qgemv: 4 output rows share each loaded activation
-// byte.
-func refQgemv4(dst []float32, w, qrow []int8, rows, k int, ws []float32, ax float32, bias []float32, relu bool) {
-	var o int
-	for o = 0; o+4 <= rows; o += 4 {
-		w0 := w[(o+0)*k : (o+1)*k]
-		w1 := w[(o+1)*k : (o+2)*k]
-		w2 := w[(o+2)*k : (o+3)*k]
-		w3 := w[(o+3)*k : (o+4)*k]
-		var s0, s1, s2, s3 int32
-		for j, xq := range qrow {
-			xv := int32(xq)
-			s0 += int32(w0[j]) * xv
-			s1 += int32(w1[j]) * xv
-			s2 += int32(w2[j]) * xv
-			s3 += int32(w3[j]) * xv
-		}
-		dst[o] = refQfinish(s0, ws[o]*ax, bias[o], relu, false)
-		dst[o+1] = refQfinish(s1, ws[o+1]*ax, bias[o+1], relu, false)
-		dst[o+2] = refQfinish(s2, ws[o+2]*ax, bias[o+2], relu, false)
-		dst[o+3] = refQfinish(s3, ws[o+3]*ax, bias[o+3], relu, false)
-	}
-	for ; o < rows; o++ {
-		wrow := w[o*k : (o+1)*k]
-		var acc int32
-		for j, wv := range wrow {
-			acc += int32(wv) * int32(qrow[j])
-		}
-		dst[o] = refQfinish(acc, ws[o]*ax, bias[o], relu, false)
-	}
-}
-
 // quantTestModel builds a weight-deterministic micro model with non-trivial
 // BatchNorm statistics so folding paths are exercised.
 func quantTestModel(seed int64, inputHW int) *Model {
@@ -460,7 +349,7 @@ func runPlanOp(p *inferPlan, op planOp, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // TestBlockedKernelsMatchScalarReference walks the full quantized graph op
-// by op, running the packed kernel and the pre-blocking scalar reference on
+// by op, running the plan's kernels and the pre-blocking scalar reference on
 // identical inputs: every output element must match bit for bit. Odd batch
 // and channel counts exercise the remainder paths of the tile.
 func TestBlockedKernelsMatchScalarReference(t *testing.T) {
@@ -568,39 +457,16 @@ func qgemmOf(dst []float32, w, col []int8, outC, p, k int, ws []float32, ax floa
 	qgemm(dst, packQMatrix(w, ws, outC, k), panelOf(col, p, k), p, ax, bias, clamp)
 }
 
-// TestQGemmRemainderPaths hits the kernel's edge tiles directly: channel
-// counts 1..8 over odd pixel counts, against the scalar triple loop.
-func TestQGemmRemainderPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, outC := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-		for _, p := range []int{1, 2, 3, 7, 16} {
-			for _, k := range []int{1, 5, 27} {
-				w, col, ws, bias := randQGemm(rng, outC, p, k)
-				ax := float32(0.003)
-				got := make([]float32, outC*p)
-				want := make([]float32, outC*p)
-				qgemmOf(got, w, col, outC, p, k, ws, ax, bias, 6)
-				for c := 0; c < outC; c++ {
-					for pi := 0; pi < p; pi++ {
-						var acc int32
-						for j := 0; j < k; j++ {
-							acc += int32(w[c*k+j]) * int32(col[pi*k+j])
-						}
-						v := float32(acc)*(ws[c]*ax) + bias[c]
-						if v < 0 {
-							v = 0
-						} else if v > 6 {
-							v = 6
-						}
-						want[c*p+pi] = v
-					}
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("outC=%d p=%d k=%d: element %d = %v want %v", outC, p, k, i, got[i], want[i])
-					}
-				}
+// refQgemm is the scalar triple loop over an unpacked (outC, k) weight matrix
+// and a pixel-major (p, k) panel, finished by the branchy epilogue.
+func refQgemm(dst []float32, w, col []int8, outC, p, k int, ws []float32, ax float32, bias []float32, relu, relu6 bool) {
+	for c := 0; c < outC; c++ {
+		for pi := 0; pi < p; pi++ {
+			var acc int32
+			for j := 0; j < k; j++ {
+				acc += int32(w[c*k+j]) * int32(col[pi*k+j])
 			}
+			dst[c*p+pi] = refQfinish(acc, ws[c]*ax, bias[c], relu, relu6)
 		}
 	}
 }
@@ -612,14 +478,28 @@ var modelGemmShapes = [][3]int{
 	{24, 64, 64}, {96, 64, 24}, {24, 64, 96}, {96, 64, 24}, {32, 16, 96}, {64, 16, 32},
 }
 
-// TestPackedKernelsMatchRetiredBlockedKernels runs the packed qgemm beside
-// the int32 4×2 qgemm and 4-row qgemv it replaced, on the model's own GEMM
-// shapes with random and ±127-saturated operands.
-func TestPackedKernelsMatchRetiredBlockedKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, saturate := range []bool{false, true} {
-		for _, s := range modelGemmShapes {
-			outC, p, k := s[0], s[1], s[2]
+// TestQGemmRemainderPaths runs qgemm beside the scalar triple loop with random
+// and ±127-saturated operands under all three epilogues: on channel counts
+// 1..8 over pixel counts either side of the Go kernel's 2-pixel tile and of
+// the vector kernel's 16-pixel one, where every edge of both is hit, and on
+// the model's own GEMM shapes, as a convolution and as a dense layer's single
+// pixel.
+func TestQGemmRemainderPaths(t *testing.T) {
+	var shapes [][3]int
+	for _, outC := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+		for _, p := range []int{1, 2, 3, 4, 5, 7, 16, 17, 18, 19, 35} {
+			for _, k := range []int{1, 5, 27} {
+				shapes = append(shapes, [3]int{outC, p, k})
+			}
+		}
+	}
+	for _, s := range modelGemmShapes {
+		shapes = append(shapes, s, [3]int{s[0], 1, s[2]})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range shapes {
+		outC, p, k := s[0], s[1], s[2]
+		for _, saturate := range []bool{false, true} {
 			w, col, ws, bias := randQGemm(rng, outC, p, k)
 			if saturate {
 				for i := range w {
@@ -629,33 +509,22 @@ func TestPackedKernelsMatchRetiredBlockedKernels(t *testing.T) {
 					col[i] = -127
 				}
 			}
-			for _, relu6 := range []bool{false, true} {
+			for mode, clamp := range []float32{0, 6, float32(math.Inf(1))} {
 				got, want := make([]float32, outC*p), make([]float32, outC*p)
-				qgemmOf(got, w, col, outC, p, k, ws, 0.003, bias, reluClamp(relu6))
-				refQgemm4x2(want, w, col, outC, p, k, ws, 0.003, bias, relu6)
-				sameBits32(t, fmt.Sprintf("gemm %v saturate=%v relu6=%v", s, saturate, relu6), got, want)
-			}
-			for _, relu := range []bool{false, true} {
-				clamp := float32(0)
-				if relu {
-					clamp = float32(math.Inf(1))
-				}
-				got, want := make([]float32, outC), make([]float32, outC)
-				qgemmOf(got, w, col[:k], outC, 1, k, ws, 0.003, bias, clamp)
-				refQgemv4(want, w, col[:k], outC, k, ws, 0.003, bias, relu)
-				sameBits32(t, fmt.Sprintf("gemv %v saturate=%v relu=%v", s, saturate, relu), got, want)
+				qgemmOf(got, w, col, outC, p, k, ws, 0.003, bias, clamp)
+				refQgemm(want, w, col, outC, p, k, ws, 0.003, bias, mode == 2, mode == 1)
+				sameBits32(t, fmt.Sprintf("outC=%d p=%d k=%d saturate=%v clamp=%v", outC, p, k, saturate, clamp), got, want)
 			}
 		}
 	}
 }
 
-// TestPackedLaneExactness pins the two-lane packing at its limits. A packed
-// accumulator must split back into exactly the two channels' own int32 sums
-// when both lanes sit at ±k·127² for the deepest k checkReduction admits,
-// when the lanes have opposite signs (the low lane's borrow must be given
-// back to the high one) and at k = 1; and qgemm must route every lane to its
-// own output for odd channel and pixel counts.
-func TestPackedLaneExactness(t *testing.T) {
+// TestQGemmAccumulatorLimits pins the int32 accumulators at their limits:
+// qgemm must deliver k·(±127)² for every sign pairing of channel and pixel,
+// over odd channel and pixel counts, with every sum small enough that float32
+// holds it exactly; maxReduction must be the deepest k whose sum fits an
+// int32; and a deeper layer must not compile.
+func TestQGemmAccumulatorLimits(t *testing.T) {
 	fill := func(n int, v int8) []int8 {
 		s := make([]int8, n)
 		for i := range s {
@@ -663,34 +532,7 @@ func TestPackedLaneExactness(t *testing.T) {
 		}
 		return s
 	}
-	// Straight through the inner loop and the unpacking, in integers.
-	for _, k := range []int{1, 2, 1000, maxReduction} {
-		for _, rows := range [][4]int8{{127, 127, 127, 127}, {-127, -127, -127, -127}, {127, -127, -127, 127}, {-1, 1, 0, -127}, {1, -1, 127, 0}} {
-			for _, px := range [][2]int8{{127, -127}, {-127, 127}, {1, -1}, {0, 127}} {
-				var w []int8
-				for _, v := range rows {
-					w = append(w, fill(k, v)...)
-				}
-				a := append(fill(k, px[0]), fill(k, px[1])...)
-				var m *qmatrix
-				portable(func() { m = packQMatrix(w, nil, 4, k) })
-				s00, s01, s10, s11 := dot2x2(m.packed, panelOf(a, 2, k), 4)
-				for i, s := range []int64{s00, s01, s10, s11} {
-					lo, hi := unpackLanes(s)
-					x := int64(px[i%2])
-					wantLo, wantHi := int64(k)*int64(rows[i/2*2])*x, int64(k)*int64(rows[i/2*2+1])*x
-					if int64(lo) != wantLo || int64(hi) != wantHi {
-						t.Fatalf("k=%d rows=%v px=%v acc %d: lanes (%d, %d), want (%d, %d)", k, rows, px, i, lo, hi, wantLo, wantHi)
-					}
-				}
-			}
-		}
-	}
-	if maxReduction*127*127 >= 1<<31 || (maxReduction+1)*127*127 < 1<<31 {
-		t.Fatalf("maxReduction %d is not the largest k with k·127² < 2³¹", maxReduction)
-	}
-	// Through qgemm, with every accumulator small enough that float32 holds
-	// it exactly: channel c against pixel pi sums to k·sign(c)·sign(pi)·127·127.
+	// Channel c against pixel pi sums to k·sign(c)·sign(pi)·127·127.
 	sign := func(i int) int { return 1 - 2*(i%3%2) }
 	for _, outC := range []int{1, 2, 3, 5, 6, 7} {
 		for _, p := range []int{1, 2, 3, 5} {
@@ -715,6 +557,9 @@ func TestPackedLaneExactness(t *testing.T) {
 				}
 			}
 		}
+	}
+	if maxReduction*127*127 >= 1<<31 || (maxReduction+1)*127*127 < 1<<31 {
+		t.Fatalf("maxReduction %d is not the largest k with k·127² < 2³¹", maxReduction)
 	}
 	defer func() {
 		if recover() == nil {
@@ -896,45 +741,28 @@ func TestQDepthwiseGeometries(t *testing.T) {
 }
 
 // BenchmarkQGemm times one image's worth of GEMMs — the model's 13 shapes —
-// through qgemm as this machine dispatches it, through its Go kernel and
-// through the int32 4×2 kernel that one replaced.
+// through qgemm as this machine dispatches it and through its Go kernel.
 func BenchmarkQGemm(b *testing.B) {
 	type problem struct {
-		outC, p, k int
-		w, col     []int8
-		m, packed  *qmatrix
-		panel      []int8
-		ws, bias   []float32
-		dst        []float32
+		p     int
+		m     *qmatrix
+		panel []int8
+		bias  []float32
+		dst   []float32
 	}
 	rng := rand.New(rand.NewSource(1))
 	var ps []problem
 	for _, s := range modelGemmShapes {
 		w, col, ws, bias := randQGemm(rng, s[0], s[1], s[2])
-		q := problem{outC: s[0], p: s[1], k: s[2], w: w, col: col, panel: panelOf(col, s[1], s[2]), ws: ws, bias: bias, dst: make([]float32, s[0]*s[1])}
-		q.m = packQMatrix(w, ws, q.outC, q.k)
-		portable(func() { q.packed = packQMatrix(w, ws, q.outC, q.k) })
-		ps = append(ps, q)
+		ps = append(ps, problem{p: s[1], m: packQMatrix(w, ws, s[0], s[2]), panel: panelOf(col, s[1], s[2]), bias: bias, dst: make([]float32, s[0]*s[1])})
 	}
-	b.Run("retired4x2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range ps {
-				refQgemm4x2(q.dst, q.w, q.col, q.outC, q.p, q.k, q.ws, 0.003, q.bias, true)
-			}
-		}
-	})
-	b.Run("packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range ps {
-				qgemm(q.dst, q.packed, q.panel, q.p, 0.003, q.bias, 6)
-			}
-		}
-	})
-	b.Run("qgemm", func(b *testing.B) {
+	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range ps {
 				qgemm(q.dst, q.m, q.panel, q.p, 0.003, q.bias, 6)
 			}
 		}
-	})
+	}
+	b.Run("dispatched", run)
+	b.Run("go", func(b *testing.B) { portable(func() { run(b) }) })
 }

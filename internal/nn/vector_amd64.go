@@ -3,7 +3,7 @@ package nn
 import "repro/internal/cpu"
 
 // The amd64 build of the inference kernels' vector half: assembly twins of
-// gemmBNGo, of the 3×3 depthwise loops, of qgemmGo and of the quantization
+// gemmBNGo, of the 3×3 depthwise loops, of qgemmBlock and of the quantization
 // passes, behind wrappers that decide what the assembly takes and
 // bounds-check every element it will touch. vector_other.go is the portable
 // build.
@@ -46,10 +46,10 @@ func gemmBNVector(dst, w, a []float32, outC, p, k int, scale, shift []float32, r
 	return cs, ps
 }
 
-// qgemmTiles is gemmBNVector for a qgemm on the wide encoding.
+// qgemmTiles is gemmBNVector for qgemm.
 func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) (cs, ps int) {
 	cs, ps = w.rows&^3, p&^15
-	if cs == 0 || ps == 0 || w.k2 == 0 {
+	if !useVector || cs == 0 || ps == 0 || w.k2 == 0 {
 		return 0, 0
 	}
 	_, _, _, _, _ = dst[cs*p-1], w.wide[cs*w.k2-1], panel[w.k2*p-1], w.scale[cs-1], bias[cs-1]

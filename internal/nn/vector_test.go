@@ -44,8 +44,7 @@ func TestReferenceSuitesOnPortableKernels(t *testing.T) {
 		{"BlockedKernelsMatchScalarReference", TestBlockedKernelsMatchScalarReference},
 		{"Int8PlanMatchesWholeBatchGraph", TestInt8PlanMatchesWholeBatchGraph},
 		{"QGemmRemainderPaths", TestQGemmRemainderPaths},
-		{"PackedKernelsMatchRetiredBlockedKernels", TestPackedKernelsMatchRetiredBlockedKernels},
-		{"PackedLaneExactness", TestPackedLaneExactness},
+		{"QGemmAccumulatorLimits", TestQGemmAccumulatorLimits},
 		{"QuantizeHelpersMatchBranchyReference", TestQuantizeHelpersMatchBranchyReference},
 		{"QuantizePanelMatchesIm2ColQuantize", TestQuantizePanelMatchesIm2ColQuantize},
 		{"QDepthwiseGeometries", TestQDepthwiseGeometries},
@@ -56,6 +55,51 @@ func TestReferenceSuitesOnPortableKernels(t *testing.T) {
 			t.Run(s.name, s.run)
 		}
 	})
+}
+
+// TestPortableClaimsNothing holds every vector wrapper of the package to the
+// one switch: on inputs of which the vector dispatch takes a whole tile, each
+// must claim no channel, pixel or element once portable has cleared
+// useVector. A wrapper that leaned on anything else for the decision would
+// leave the portable runs above comparing the assembly with itself.
+func TestPortableClaimsNothing(t *testing.T) {
+	const outC, p, k = 4, 16, 2
+	f := make([]float32, outC*p)
+	q := make([]int8, k*p)
+	m := packQMatrix(make([]int8, outC*k), f[:outC], outC, k)
+	plan := &inferPlan{}
+	count := func(done bool) int {
+		if done {
+			return 1
+		}
+		return 0
+	}
+	for _, w := range []struct {
+		name    string
+		claimed func() int
+	}{
+		{"gemmBNVector", func() int {
+			cs, ps := gemmBNVector(f, f[:outC*k], f[:k*p], outC, p, k, f[:outC], f[:outC], false)
+			return cs * ps
+		}},
+		{"qgemmTiles", func() int {
+			cs, ps := qgemmTiles(f, m, q, p, 1, f[:outC], 0)
+			return cs * ps
+		}},
+		{"dw3x3Vector", func() int { return count(dw3x3Vector(plan, f[:16], f[16:32], f[32:41], 4, 4, 4, 1, 1, 1, 0, false)) }},
+		{"qdw3x3Vector", func() int { return count(qdw3x3Vector(plan, f[:16], f[16:32], q[:9], 4, 4, 4, 1, 1, 1, 1, 0, false)) }},
+		{"absMaxVector", func() int { _, n := absMaxVector(f); return n }},
+		{"quantizePanelVector", func() int { return quantizePanelVector(q, f[:k*p], p, k, 1) }},
+	} {
+		if useVector && w.claimed() == 0 {
+			t.Errorf("%s claims nothing of a whole tile on the vector dispatch", w.name)
+		}
+		portable(func() {
+			if n := w.claimed(); n != 0 {
+				t.Errorf("%s claims %d with the vector kernels forced off", w.name, n)
+			}
+		})
+	}
 }
 
 // unaligned returns an n-element slice that starts off elements into its
@@ -254,12 +298,10 @@ func TestVectorQGemmMatchesGo(t *testing.T) {
 						}
 					}
 					m, panel := packQMatrix(w, ws, outC, k), panelOf(col, p, k)
-					var packed *qmatrix
-					portable(func() { packed = packQMatrix(w, ws, outC, k) })
 					for _, clamp := range []float32{0, 6, posInf} {
 						got, want := unaligned(outC*p, 3), make([]float32, outC*p)
 						qgemm(got, m, panel, p, 0.003, bias, clamp)
-						qgemm(want, packed, panel, p, 0.003, bias, clamp)
+						portable(func() { qgemm(want, m, panel, p, 0.003, bias, clamp) })
 						sameBits32(t, fmt.Sprintf("p=%d outC=%d k=%d saturate=%v clamp=%v", p, outC, k, saturate, clamp), got, want)
 					}
 				}
