@@ -54,7 +54,7 @@ func (c ContinuousConfig) LifecycleSpec() lifecycle.Spec {
 // upper bound.
 func (c ContinuousConfig) Captures() int {
 	c = c.WithDefaults()
-	return c.Fleet.Captures() * c.Windows
+	return mulSat(c.Fleet.Captures(), c.Windows)
 }
 
 // ContinuousRunner executes a continuous fleet run: the package's one sweep

@@ -1,6 +1,10 @@
 package fleet
 
-import "repro/internal/lifecycle"
+import (
+	"math"
+
+	"repro/internal/lifecycle"
+)
 
 // Config parameterizes one fleet run. The zero value of any field selects a
 // sensible default; Seed and Devices are what callers usually set.
@@ -48,9 +52,21 @@ type Config struct {
 // angles. Admission control sizes requests with this instead of
 // re-deriving the defaults by hand; for a range shard it counts only the
 // shard's own devices.
+//
+// The product saturates at math.MaxInt instead of wrapping: on a 32-bit
+// build a million devices × a thousand items × three angles does not fit an
+// int, and a wrapped (negative) budget would pass every cap.
 func (c Config) Captures() int {
 	c = c.WithDefaults()
-	return c.rangeSize() * c.Items * len(c.Angles)
+	return mulSat(mulSat(c.rangeSize(), c.Items), len(c.Angles))
+}
+
+// mulSat is a·b for non-negative counts, math.MaxInt when that overflows.
+func mulSat(a, b int) int {
+	if a > 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // rangeSize is the device count of the (defaulted) range.

@@ -2,6 +2,7 @@ package fleetapi
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -179,7 +180,13 @@ func (s ExperimentSpec) Validate() error {
 		if err := arm.Spec.validateFields(); err != nil {
 			return fmt.Errorf("arm %s: %v", arm.Name, err)
 		}
-		captures += arm.Spec.FleetConfig().Captures()
+		// The sum saturates like each term (fleet.Config.Captures): a
+		// wrapped total would pass the cap on a 32-bit build.
+		if c := arm.Spec.FleetConfig().Captures(); c > math.MaxInt-captures {
+			captures = math.MaxInt
+		} else {
+			captures += c
+		}
 		baselineFound = baselineFound || arm.Name == s.Baseline
 	}
 	if captures > MaxCaptures {

@@ -95,6 +95,10 @@ func TestExperimentSpecValidate(t *testing.T) {
 			Base: RunSpec{Items: 1, Angles: []int{0}},
 			Axes: SweepAxes{Devices: []int{900_000, 900_000, 900_000}},
 		}},
+		{"captures sum of 2³²", ExperimentSpec{
+			Base: RunSpec{Devices: 1 << 19, Items: 1 << 12, Angles: []int{0}},
+			Axes: SweepAxes{Seed: []int64{1, 2}},
+		}},
 	}
 	for _, tc := range bad {
 		if err := tc.spec.Validate(); err == nil {

@@ -31,6 +31,7 @@ func TestRunSpecValidate(t *testing.T) {
 		{Angles: []int{9}},
 		{Angles: []int{0, 0}},
 		{Devices: 1_000_000, Items: 1000, Angles: []int{0, 1, 2}}, // composite captures cap
+		{Devices: 1 << 19, Items: 1 << 13, Angles: []int{0}},      // 2³² captures: zero in a 32-bit int that wraps
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -63,6 +64,8 @@ func TestShardSpecValidate(t *testing.T) {
 		{RunSpec: RunSpec{Devices: -2}, DeviceHi: 10}, // bad run spec
 		// A single shard over the captures cap is still rejected.
 		{RunSpec: RunSpec{Devices: MaxDevices, Items: 10, Angles: []int{0, 1, 2}}, DeviceLo: 0, DeviceHi: MaxDevices},
+		// And one of 2³² captures, which a wrapping 32-bit int counts as none.
+		{RunSpec: RunSpec{Devices: 1 << 19, Items: 1 << 13, Angles: []int{0}}, DeviceLo: 0, DeviceHi: 1 << 19},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -30,6 +30,7 @@ func TestFleetSpecValidate(t *testing.T) {
 		{"negative windows", func(s *FleetSpec) { s.Windows = -1 }, "negative"},
 		{"windows cap", func(s *FleetSpec) { s.Windows = MaxWindows + 1 }, "cap"},
 		{"capture budget", func(s *FleetSpec) { s.Devices, s.Items, s.Windows = 100_000, 100, 64 }, "captures"},
+		{"capture budget of 2³²", func(s *FleetSpec) { s.Devices, s.Items, s.Angles, s.Windows = 1<<19, 1<<7, []int{0}, 64 }, "captures"},
 		{"bad runtime", func(s *FleetSpec) { s.Runtime = "fp64" }, "runtime"},
 		{"churn rate", func(s *FleetSpec) { s.Churn.LeaveRate = 1.5 }, "[0, 1]"},
 		{"event window", func(s *FleetSpec) { s.Events = []lifecycle.Event{{Window: 99, Device: 0, Kind: lifecycle.KindLeave}} }, "window"},

@@ -82,11 +82,13 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 		b.level--
 		return true, 0
 	}
-	retry := time.Duration((1 - b.level) / b.rate * float64(time.Second))
-	if retry > maxRetryAfter || retry < 0 { // <0: rate small enough to overflow the conversion
-		retry = maxRetryAfter
+	// Clamped as a float64: converting a wait too long for a Duration is
+	// implementation-defined (negative on amd64, zero on 386).
+	wait := (1 - b.level) / b.rate
+	if !(wait < maxRetryAfter.Seconds()) {
+		return false, maxRetryAfter
 	}
-	return false, retry
+	return false, time.Duration(wait * float64(time.Second))
 }
 
 // serveJob is one admitted request waiting for (or being executed by) a

@@ -1,6 +1,9 @@
 package nn
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The inference benchmarks run the default-width model at batch 24 — the
 // shape a fleet worker actually infers. (internal/fleet's BenchmarkBackendInfer
@@ -32,4 +35,52 @@ func BenchmarkInferInt8(b *testing.B) { benchmarkInfer(b, NewInt8Backend(backend
 
 func BenchmarkInferPruned(b *testing.B) {
 	benchmarkInfer(b, NewPrunedBackend(backendTestModel(b), DefaultPruneKeep))
+}
+
+// BenchmarkPlanSteps is the per-step table of one image: a sub-benchmark for
+// each step of the float32 and of the int8 plan, named
+// <plan>/<idx>/<op>/<c>x<h>x<w> by the step's input shape. Each first runs the
+// steps before it, so it reads what its predecessor wrote.
+func BenchmarkPlanSteps(b *testing.B) {
+	m := backendTestModel(b)
+	x := fixedBatch(1, 3)
+	for _, plan := range []struct {
+		name string
+		p    *inferPlan
+	}{{"float32", m.inferPlan()}, {"int8", NewInt8Backend(m).plan}} {
+		p := plan.p
+		p.features(x) // sizes the arena and sets every step's geometry
+		run := func(s planStep) {
+			src := x.Data()
+			if s.src >= 0 {
+				src = p.bufs[s.src][:s.c*s.h*s.w]
+			}
+			s.op.run(p, p.bufs[s.dst][:s.outLen], src, s.c, s.h, s.w)
+		}
+		for i, s := range p.steps {
+			b.Run(fmt.Sprintf("%s/%02d/%s/%dx%dx%d", plan.name, i, stepName(s.op), s.c, s.h, s.w), func(b *testing.B) {
+				for _, before := range p.steps[:i] {
+					run(before)
+				}
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					run(s)
+				}
+			})
+		}
+	}
+}
+
+func stepName(op planOp) string {
+	switch op.(type) {
+	case *planConv, *qconv:
+		return "conv"
+	case *planDepthwise, *qdepthwise:
+		return "depthwise"
+	case planAdd:
+		return "add"
+	case planPool:
+		return "pool"
+	}
+	return fmt.Sprintf("%T", op)
 }

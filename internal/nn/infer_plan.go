@@ -29,7 +29,9 @@ type inferPlan struct {
 	bufs      [][]float32 // activation arena, one image deep
 	held      []bool      // compile time only: buffers pinned as a residual's skip input
 	cur       int         // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
-	col       []float32   // im2col panel of the non-pointwise convolutions
+	col       []float32   // im2col panel of the non-pointwise convolutions; a quantized plan's depthwise planes
+	dwMasks   []uint32    // lane masks of the vector depthwise kernel's loads,
+	dwGeom    [4]int      // for rows of this geometry (dwLoadMasks)
 	qpanel    []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
 
 	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
@@ -471,13 +473,18 @@ func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) 
 	}
 
 	for c := 0; c < ch; c++ {
+		if l.kh == 3 && l.kw == 3 {
+			// The vector kernel takes the channels from c on that it can;
+			// the one it stopped at, if any, is the Go loop's.
+			c += dw3x3Vector(p, dst[c*outH*outW:], src[c*inH*inW:], wt[c*9:], o.scale[c:], o.shift[c:], ch-c, inH, inW, outH, outW, l.stride, l.pad, o.relu6)
+			if c == ch {
+				break
+			}
+		}
 		plane := src[c*inH*inW : (c+1)*inH*inW]
 		out := dst[c*outH*outW : (c+1)*outH*outW]
 		ker := wt[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
 		scale, shift := o.scale[c], o.shift[c]
-		if l.kh == 3 && l.kw == 3 && dw3x3Vector(p, out, plane, ker, inH, inW, outW, l.stride, l.pad, scale, shift, o.relu6) {
-			continue
-		}
 		border := func(oy, lo, hi int) {
 			for ox := lo; ox < hi; ox++ {
 				s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, oy, ox)

@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"sort"
+	"math"
 	"strings"
 
 	"repro/internal/tensor"
@@ -81,20 +81,34 @@ func pruneToKeep(w []float32, keep float64) {
 	if k < 1 {
 		k = 1
 	}
-	abs := make([]float32, n)
-	for i, v := range w {
-		if v < 0 {
-			v = -v
-		}
-		abs[i] = v
-	}
-	sort.Slice(abs, func(i, j int) bool { return abs[i] > abs[j] })
-	threshold := abs[k-1]
+	threshold := kthLargestMagnitude(w, k)
 	for i, v := range w {
 		if v < threshold && -v < threshold {
 			w[i] = 0
 		}
 	}
+}
+
+// kthLargestMagnitude returns the k-th largest |v| of w, 1 ≤ k ≤ len(w),
+// without sorting: with the sign bit cleared a float32's bit pattern orders
+// as its magnitude does, so the value is found a byte at a time from the top,
+// by counting the magnitudes that share the bytes already chosen.
+func kthLargestMagnitude(w []float32, k int) float32 {
+	var found uint32
+	for shift := 24; shift >= 0; shift -= 8 {
+		var count [256]int
+		for _, v := range w {
+			if b := math.Float32bits(v) &^ (1 << 31); b>>(shift+8) == found>>(shift+8) {
+				count[b>>shift&0xff]++
+			}
+		}
+		digit := 255
+		for ; count[digit] < k; digit-- {
+			k -= count[digit] // all of these are larger
+		}
+		found |= uint32(digit) << shift
+	}
+	return math.Float32frombits(found)
 }
 
 // sparseDense is a CSR-packed dense layer: only surviving weights are

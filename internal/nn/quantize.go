@@ -31,8 +31,10 @@ import (
 // vector tiles or the Go kernel produced it.
 //
 // A replica owns its weights (2 bytes a weight) and the plan's scratch: a
-// one-image float32 activation arena, the stem's im2col panel and one
-// quantized panel, about 0.8 MB at the default width whatever the batch size.
+// one-image float32 activation arena, the stem's im2col panel (in which the
+// depthwise layers also quantize their planes, a run of channels at a time)
+// and one quantized panel, about 0.8 MB at the default width whatever the
+// batch size.
 // Infer overwrites all of it, so a replica serves one call at a time.
 type Int8Backend struct {
 	plan        *inferPlan
@@ -334,6 +336,7 @@ func (o *qconv) run(p *inferPlan, dst, src []float32, _, h, w int) {
 // qdepthwise is a fused DepthwiseConv2D+BatchNorm(+ReLU6) with int8 weights.
 type qdepthwise struct {
 	w      []int8    // (ch, kh*kw)
+	taps   []float32 // w as the vector kernel reads it
 	ws     []float32 // per-channel weight scale
 	bias   []float32
 	kh, kw int
@@ -345,19 +348,28 @@ type qdepthwise struct {
 func newQDepthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) *qdepthwise {
 	fold, bias := foldBN(bn)
 	q, ws := quantizeRows(l.Weight.W.Data(), l.ch, l.kh*l.kw, fold)
-	return &qdepthwise{w: q, ws: ws, bias: bias, kh: l.kh, kw: l.kw, stride: l.stride, pad: l.pad, clamp: reluClamp(relu6)}
+	taps := make([]float32, len(q))
+	for i, v := range q {
+		taps[i] = float32(v)
+	}
+	return &qdepthwise{w: q, taps: taps, ws: ws, bias: bias, kh: l.kh, kw: l.kw, stride: l.stride, pad: l.pad, clamp: reluClamp(relu6)}
 }
 
 func (o *qdepthwise) outShape(c, h, w int) (int, int, int) {
 	return c, (h+2*o.pad-o.kh)/o.stride + 1, (w+2*o.pad-o.kw)/o.stride + 1
 }
 
-// run quantizes each channel plane into a zero-padded copy, so that no tap
-// of any output pixel is out of bounds: a padding tap adds an exact integer
-// zero where the reference loop skips it, and the 3×3 kernel the model uses
-// runs unrolled over the whole plane.
+// run hands a 3×3 layer to the vector kernel where there is one. The Go loop
+// quantizes each channel plane into a zero-padded copy, so that no tap of any
+// output pixel is out of bounds: a padding tap adds an exact integer zero
+// where the reference loop skips it, and the 3×3 kernel the model uses runs
+// unrolled over the whole plane.
 func (o *qdepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 	_, outH, outW := o.outShape(ch, inH, inW)
+	unrolled := o.kh == 3 && o.kw == 3
+	if unrolled && qdw3x3Vector(p, o, dst, src, ch, inH, inW, outH, outW) {
+		return
+	}
 	pw := inW + 2*o.pad
 	padded := p.panel((inH + 2*o.pad) * pw)
 	clear(padded) // the border stays zero; every channel rewrites the interior
@@ -367,10 +379,6 @@ func (o *qdepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 		ker := o.w[c*o.kh*o.kw : (c+1)*o.kh*o.kw]
 		deq, bias := o.ws[c]*ax, o.bias[c]
 		out := dst[c*outH*outW : (c+1)*outH*outW]
-		unrolled := o.kh == 3 && o.kw == 3
-		if unrolled && qdw3x3Vector(p, out, plane, ker, inH, inW, outW, o.stride, o.pad, ax, deq, bias, o.clamp != 0) {
-			continue
-		}
 		for y := 0; y < inH; y++ {
 			quantizeTo(padded[(y+o.pad)*pw+o.pad:], plane[y*inW:(y+1)*inW], ax)
 		}

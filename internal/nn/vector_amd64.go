@@ -16,10 +16,7 @@ var useVector = cpu.AVX2
 func gemmBNTilesAVX2(dst, w, a *float32, outC, p, ps, k int, scale, shift *float32, relu6 bool)
 
 //go:noescape
-func dw3x3s1AVX2(dst, src *float32, rows, n, dstStride, srcStride int, ker *float32, scale, shift float32, relu6 bool)
-
-//go:noescape
-func dw3x3s2AVX2(dst, src *float32, rows, n, dstStride, srcStride int, ker *float32, scale, shift float32, relu6 bool)
+func dw3x3AVX2(dst, src *float32, ch, inH, inW, outH, outW, stride, pad int, ker, scale, shift *float32, masks *uint32, relu6 bool) int
 
 //go:noescape
 func qgemmTilesAVX2(dst *float32, w *int16, panel *int8, outC, p, ps, kp int, ws, bias *float32, ax, clamp float32)
@@ -28,7 +25,7 @@ func qgemmTilesAVX2(dst *float32, w *int16, panel *int8, outC, p, ps, kp int, ws
 func absMaxAVX2(src *float32, n int) uint32
 
 //go:noescape
-func quantizePlaneAVX2(dst, src *float32, rows, n, dstStride int, inv float32)
+func quantizePlanesAVX2(dst, src *float32, planes, n int, inv *float32)
 
 //go:noescape
 func quantizePanelAVX2(dst *int8, src *float32, p, ps, k int, inv float32)
@@ -57,70 +54,84 @@ func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias
 	return cs, ps
 }
 
-// dwSlack is how far past a row's last window the depthwise kernels read.
-const dwSlack = 16
-
-// dwPadded returns a zeroed scratch plane pw wide that holds an inH × inW
-// plane inside a border of pad zeros, so that no 3×3 tap of any output is out
-// of bounds, and dwSlack elements more.
-func dwPadded(p *inferPlan, inH, inW, pad int) (padded []float32, pw int) {
-	pw = inW + 2*pad
-	padded = p.colBuf((inH+2*pad)*pw + dwSlack)
-	clear(padded)
-	return padded, pw
-}
-
-// dw3x3Padded runs the depthwise kernel of the stride, 1 or 2, over a
-// dwPadded plane.
-func dw3x3Padded(out, padded []float32, outW, pw, stride int, ker *[9]float32, scale, shift float32, relu6 bool) {
-	rows := len(out) / outW
-	_, _ = out[rows*outW-1], padded[((rows-1)*stride+2)*pw+(outW-1)*stride+2+dwSlack]
-	if stride == 1 {
-		dw3x3s1AVX2(&out[0], &padded[0], rows, outW, outW, pw, &ker[0], scale, shift, relu6)
-	} else {
-		dw3x3s2AVX2(&out[0], &padded[0], rows, outW, outW, pw, &ker[0], scale, shift, relu6)
-	}
-}
-
-// dw3x3Vector computes one 3×3 depthwise plane at stride 1 or 2 and reports
-// whether it did. Where dwPixel skips a padding tap the kernel adds ker·0, an
-// exact ±0 for a finite tap (a plane with any other is left to the Go loop),
-// and a sum that started from +0 is never -0, so adding ±0 to it changes
-// nothing.
-func dw3x3Vector(p *inferPlan, out, plane, ker []float32, inH, inW, outW, stride, pad int, scale, shift float32, relu6 bool) bool {
-	if !useVector || stride > 2 {
-		return false
-	}
-	taps := (*[9]float32)(ker)
-	for _, k := range taps {
-		if k-k != 0 {
-			return false
+// dwLoadMasks returns what the depthwise kernel needs to read a row in place:
+// for each vector of eight outputs along it, the lanes of the vector's loads
+// that fall inside the row. A load starts at input column v·8·stride - pad
+// plus its offset (0, 1, 2 at stride 1; 0, 8, 2, 10 at stride 2) and lane i
+// of it is the element i further on; a lane left or right of the row is the
+// zero padding. The plan keeps the masks of the last geometry asked for, which
+// a quantized layer asks for once a run of channels.
+func (p *inferPlan) dwLoadMasks(inW, outW, stride, pad int) []uint32 {
+	if geom := [4]int{inW, outW, stride, pad}; geom != p.dwGeom {
+		p.dwGeom = geom
+		offsets := [4]int{0, 1, 2, 2}
+		if stride == 2 {
+			offsets = [4]int{0, 8, 2, 10}
+		}
+		p.dwMasks = p.dwMasks[:0]
+		for i := 0; i < (outW+7)/8*32; i++ {
+			ix := i/32*8*stride - pad + offsets[i/8%4] + i%8
+			mask := uint32(0)
+			if 0 <= ix && ix < inW {
+				mask = ^uint32(0)
+			}
+			p.dwMasks = append(p.dwMasks, mask)
 		}
 	}
-	padded, pw := dwPadded(p, inH, inW, pad)
-	for y := 0; y < inH; y++ {
-		copy(padded[(y+pad)*pw+pad:], plane[y*inW:(y+1)*inW])
-	}
-	dw3x3Padded(out, padded, outW, pw, stride, taps, scale, shift, relu6)
-	return true
+	return p.dwMasks
 }
 
-// qdw3x3Vector is dw3x3Vector for qdepthwise: the plane is quantized into the
-// padded scratch as float32, where every int8 tap product and every sum of
-// nine (at most 9·127² < 2²⁴) is exact, so the float32 kernel's sums are the
-// integers qdw3x3 accumulates and its epilogue is qfinish with ReLU6's clamp.
-func qdw3x3Vector(p *inferPlan, out, plane []float32, ker []int8, inH, inW, outW, stride, pad int, ax, deq, bias float32, relu6 bool) bool {
-	if !useVector || stride > 2 {
+// dwVectorTakes reports a geometry the depthwise kernel computes: stride 1 or
+// 2, at most one row and column of padding, and at least one output.
+func dwVectorTakes(inH, inW, stride, pad int) bool {
+	return useVector && stride <= 2 && pad <= 1 && inH+2*pad >= 3 && inW+2*pad >= 3
+}
+
+// dw3x3Vector runs the 3×3 depthwise kernel over the first channels of a layer
+// whose planes lie one after the other in src, and returns how many it
+// computed: all ch, or the channels before the first one with a tap that is
+// not finite; none of a geometry the kernel does not take. Where dwPixel
+// skips a padding tap the kernel adds ker·0, an exact ±0 for a finite tap,
+// and a sum that started from +0 is never -0, so adding ±0 to it changes
+// nothing.
+func dw3x3Vector(p *inferPlan, dst, src, ker, scale, shift []float32, ch, inH, inW, outH, outW, stride, pad int, relu6 bool) int {
+	if !dwVectorTakes(inH, inW, stride, pad) {
+		return 0
+	}
+	masks := p.dwLoadMasks(inW, outW, stride, pad)
+	_, _, _, _, _ = dst[ch*outH*outW-1], src[ch*inH*inW-1], ker[ch*9-1], scale[ch-1], shift[ch-1]
+	return dw3x3AVX2(&dst[0], &src[0], ch, inH, inW, outH, outW, stride, pad, &ker[0], &scale[0], &shift[0], &masks[0], relu6)
+}
+
+// qdwRun is how many activations qdw3x3Vector quantizes before the kernel
+// consumes them, a run of whole channels: few enough that the planes, their
+// quantized copies and the outputs pass through the first-level cache, and
+// that a replica's scratch stays the size the stem's im2col panel made it.
+const qdwRun = 1 << 12
+
+// qdw3x3Vector is dw3x3Vector for qdepthwise, and takes a whole layer or
+// nothing. A run of channels is quantized into scratch as float32, where
+// every int8 tap product and every sum of nine (at most 9·127² < 2²⁴) is
+// exact, so the float32 kernel's sums are the integers qdw3x3 accumulates and
+// its epilogue is qfinish with ReLU6's clamp.
+func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
+	if !dwVectorTakes(inH, inW, o.stride, o.pad) {
 		return false
 	}
-	var taps [9]float32
-	for i, k := range ker[:9] {
-		taps[i] = float32(k)
+	hw, outHW := inH*inW, outH*outW
+	run := max(1, qdwRun/hw)
+	for c := 0; c < ch; c += run {
+		n := min(run, ch-c)
+		scratch := p.colBuf(n*hw + 2*n)
+		q, inv, deq := scratch[:n*hw], scratch[n*hw:n*hw+n], scratch[n*hw+n:]
+		planes := src[c*hw : (c+n)*hw]
+		for i := range inv {
+			ax := absMaxScale(planes[i*hw : (i+1)*hw])
+			inv[i], deq[i] = 1/ax, o.ws[c+i]*ax
+		}
+		quantizePlanesAVX2(&q[0], &planes[0], n, hw, &inv[0])
+		dw3x3Vector(p, dst[c*outHW:], q, o.taps[c*9:], deq, o.bias[c:], n, inH, inW, outH, outW, o.stride, o.pad, o.clamp != 0)
 	}
-	padded, pw := dwPadded(p, inH, inW, pad)
-	_, _ = plane[inH*inW-1], padded[(inH-1+pad)*pw+pad+inW-1]
-	quantizePlaneAVX2(&padded[pad*pw+pad], &plane[0], inH, inW, pw, 1/ax)
-	dw3x3Padded(out, padded, outW, pw, stride, &taps, deq, bias, relu6)
 	return true
 }
 

@@ -273,136 +273,299 @@ qgemmStore:
 	VZEROUPPER
 	RET
 
-// The depthwise kernels keep the nine taps in Y0–Y8, scale in Y9, shift in
-// Y10 and the accumulator in Y11; Y12 and Y13 are scratch. AX, BX and DX walk
-// the three input rows of the output row at R12.
+// dwZeros stands in for an input row above or below the plane: 72 bytes are
+// read from it.
+GLOBL dwZeros<>(SB), RODATA|NOPTR, $96
 
-// TAPS1 adds one input row's three taps of eight adjacent outputs.
-#define TAPS1(row, t0, t1, t2) \
-	VMULPS 0(row), t0, Y12; \
-	VADDPS Y12, Y11, Y11; \
-	VMULPS 4(row), t1, Y12; \
-	VADDPS Y12, Y11, Y11; \
-	VMULPS 8(row), t2, Y12; \
-	VADDPS Y12, Y11, Y11
+// The depthwise kernel takes a whole layer a call and reads the planes where
+// they lie: there is no padded copy, so a padding tap must read a zero some
+// other way. A row above or below the plane is dwZeros; a column left or right
+// of it is a lane its load masks off (VMASKMOVPS loads +0 there and does not
+// touch the memory), under the masks the caller made for each vector of eight
+// outputs along a row. Either way the tap adds ker·0, as it did over a padded
+// plane.
+//
+// Per channel the nine taps, scale and shift are broadcast into the frame, 32
+// bytes each. Four output rows are computed at a time, in Y0, Y1, Y12 and Y13,
+// so that an input row several of them read is loaded once; Y2–Y5 hold a
+// row's loads, of which Y4, Y5 and Y2 end up as its vectors for kx = 0, 1 and
+// 2; Y6 is scratch, Y7–Y10 the load masks of the vector's column, Y11 its
+// store mask, Y14 is 6 and Y15 +0.
 
-// TAPS2 is TAPS1 at stride 2: the even and odd elements of row[0:16] and the
-// even ones of row[2:18], each in the lane order 0 1 4 5 2 3 6 7 that
-// VSHUFPS leaves and DWPERM2 undoes once.
-#define TAPS2(row, t0, t1, t2) \
-	VMOVUPS 0(row), Y12; \
-	VSHUFPS $0x88, 32(row), Y12, Y13; \
-	VMULPS Y13, t0, Y13; \
-	VADDPS Y13, Y11, Y11; \
-	VSHUFPS $0xdd, 32(row), Y12, Y12; \
-	VMULPS Y12, t1, Y12; \
-	VADDPS Y12, Y11, Y11; \
-	VMOVUPS 8(row), Y12; \
-	VSHUFPS $0x88, 40(row), Y12, Y12; \
-	VMULPS Y12, t2, Y12; \
-	VADDPS Y12, Y11, Y11
+// DWNEXT points AX at the next input row, BX, whose index is DX: at dwZeros
+// when the row is above or below the plane, R9 rows high.
+#define DWNEXT \
+	MOVQ BX, AX; \
+	CMPQ DX, R9; \
+	CMOVQCC CX, AX; \
+	ADDQ R10, BX; \
+	INCQ DX
 
-#define DWPERM1
-#define DWPERM2 VPERMPD $0xd8, Y11, Y11
+// DWROW1 loads the next input row's vectors for eight adjacent outputs; the
+// loads start at elements 0, 1 and 2 of the row.
+#define DWROW1 \
+	DWNEXT; \
+	VMASKMOVPS 0(AX), Y7, Y4; \
+	VMASKMOVPS 4(AX), Y8, Y5; \
+	VMASKMOVPS 8(AX), Y9, Y2
 
-// DWPLANE is the body of both depthwise kernels once the arguments are in
-// DI, SI, R8–R11 (dst, src, rows, n and the two strides), AX (ker), R13
-// (relu6), Y9 and Y10: TAPS and PERM are those of the stride, step the bytes
-// eight outputs advance an input row by and rowStep the register holding the
-// bytes between the first input rows of two output rows. A full vector is stored whole, the last n%8 outputs of a row
-// under a lane mask; the loads past them stay inside the caller's slack.
-#define DWPLANE(TAPS, PERM, step, rowStep) \
-	SHLQ $2, R10; \
-	SHLQ $2, R11; \
-	LEAQ (R11)(R11*1), R14; \
-	VBROADCASTSS 0(AX), Y0; \
-	VBROADCASTSS 4(AX), Y1; \
-	VBROADCASTSS 8(AX), Y2; \
-	VBROADCASTSS 12(AX), Y3; \
-	VBROADCASTSS 16(AX), Y4; \
-	VBROADCASTSS 20(AX), Y5; \
-	VBROADCASTSS 24(AX), Y6; \
-	VBROADCASTSS 28(AX), Y7; \
-	VBROADCASTSS 32(AX), Y8; \
-	VBROADCASTSS six<>(SB), Y14; \
-	VMOVUPS absMask<>(SB), Y15; \
-row: \
-	MOVQ SI, AX; \
-	LEAQ (SI)(R11*1), BX; \
-	LEAQ (SI)(R11*2), DX; \
-	MOVQ DI, R12; \
-	MOVQ R9, CX; \
-vector: \
-	VXORPS Y11, Y11, Y11; \
-	TAPS(AX, Y0, Y1, Y2); \
-	TAPS(BX, Y3, Y4, Y5); \
-	TAPS(DX, Y6, Y7, Y8); \
-	PERM; \
-	VMULPS Y9, Y11, Y11; \
-	VADDPS Y10, Y11, Y11; \
-	TESTQ R13, R13; \
-	JEQ  store; \
-	VXORPS Y13, Y13, Y13; \
-	CLAMP(Y11); \
-store: \
-	CMPQ CX, $8; \
-	JLT  tail; \
-	VMOVUPS Y11, (R12); \
-	ADDQ $step, AX; \
-	ADDQ $step, BX; \
-	ADDQ $step, DX; \
-	ADDQ $32, R12; \
-	SUBQ $8, CX; \
-	JNE  vector; \
-	JMP  nextRow; \
-tail: \
-	NEGQ CX; \
-	LEAQ tailMask<>+32(SB), AX; \
-	VMOVDQU (AX)(CX*4), Y12; \
-	VMASKMOVPS Y11, Y12, (R12); \
-nextRow: \
-	ADDQ rowStep, SI; \
-	ADDQ R10, DI; \
-	DECQ R8; \
-	JNE  row; \
-	VZEROUPPER; \
+// DWROW2 is DWROW1 at stride 2: the even and odd elements of row[0:16] and
+// the even ones of row[2:18], from loads that start at elements 0, 8, 2 and
+// 10, each in the lane order 0 1 4 5 2 3 6 7 that VSHUFPS leaves and one
+// VPERMPD of the sum undoes.
+#define DWROW2 \
+	DWNEXT; \
+	VMASKMOVPS 0(AX), Y7, Y2; \
+	VMASKMOVPS 32(AX), Y8, Y3; \
+	VSHUFPS $0x88, Y3, Y2, Y4; \
+	VSHUFPS $0xdd, Y3, Y2, Y5; \
+	VMASKMOVPS 8(AX), Y9, Y2; \
+	VMASKMOVPS 40(AX), Y10, Y3; \
+	VSHUFPS $0x88, Y3, Y2, Y2
+
+// DWACC adds the row's three vectors times tap row ky to acc.
+#define DWACC(acc, ky) \
+	VMULPS (96*ky+0)(SP), Y4, Y6; \
+	VADDPS Y6, acc, acc; \
+	VMULPS (96*ky+32)(SP), Y5, Y6; \
+	VADDPS Y6, acc, acc; \
+	VMULPS (96*ky+64)(SP), Y2, Y6; \
+	VADDPS Y6, acc, acc
+
+// DWBCAST broadcasts the float at p into the frame at offset k.
+#define DWBCAST(p, k) \
+	VBROADCASTSS p, Y6; \
+	VMOVUPS Y6, (k)(SP)
+
+// DWBN is v·scale + shift.
+#define DWBN(v) \
+	VMULPS (288)(SP), v, v; \
+	VADDPS (320)(SP), v, v
+
+// DWCLAMP is CLAMP with the registers the kernel has left.
+#define DWCLAMP(v) \
+	VMAXPS v, Y15, v; \
+	VMINPS v, Y14, v; \
+	VANDPS absMask<>(SB), v, v
+
+// func dw3x3AVX2(dst, src *float32, ch, inH, inW, outH, outW, stride, pad int, ker, scale, shift *float32, masks *uint32, relu6 bool) int
+//
+// A 3×3 depthwise layer at stride 1 or 2 over ch planes of inH × inW, pad 0
+// or 1: dst[c][y][x] = bnAct(Σ ker[c][ky][kx]·src[c][y·stride-pad+ky][x·stride-pad+kx],
+// scale[c], shift[c]), the nine taps added in ky,kx order from +0 with a tap
+// outside the plane read as 0. masks holds 32 lanes for each vector of eight
+// outputs along a row: the lanes inside the row of its loads at elements 0, 1
+// and 2 (stride 1) or 0, 8, 2 and 10 (stride 2) from the vector's first tap.
+// It returns the channels done: ch, or the index of the first channel with a
+// tap that is not finite, where ker·0 would be NaN and the Go loop skips the
+// tap.
+//
+// Channels are the outer loop, then the vectors of eight outputs along a row,
+// then the output rows four at a time, so a column's masks are loaded once a
+// channel. R15 is iy, the input row of the first taps of the four, R14 that
+// row and R8 the first of the output rows.
+TEXT ·dw3x3AVX2(SB), NOSPLIT, $384-120
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ inH+24(FP), R9
+	MOVQ inW+32(FP), R10
+	SHLQ $2, R10               // input row in bytes
+	MOVQ outW+48(FP), R11
+	SHLQ $2, R11               // output row in bytes
+	MOVQ outH+40(FP), AX
+	IMULQ stride+56(FP), AX
+	SUBQ pad+64(FP), AX
+	MOVQ AX, 352(SP)           // iy of the row after the last
+	MOVQ stride+56(FP), AX
+	IMULQ R10, AX
+	SHLQ $2, AX
+	MOVQ AX, 360(SP)           // bytes between the first input rows of two fours
+	MOVQ $0, 368(SP)           // channel
+	LEAQ dwZeros<>(SB), CX
+	VBROADCASTSS six<>(SB), Y14
+	VXORPS Y15, Y15, Y15
+
+dwChannel:
+	MOVQ 368(SP), DX
+	LEAQ (DX)(DX*8), AX
+	MOVQ ker+72(FP), BX
+	LEAQ (BX)(AX*4), BX        // ker[c]
+	VMOVUPS (BX), Y1
+	VSUBPS Y1, Y1, Y1          // k-k is +0, or NaN when k is not finite
+	VBROADCASTSS 32(BX), Y2
+	VSUBPS Y2, Y2, Y2
+	VORPS Y2, Y1, Y1
+	VPTEST Y1, Y1
+	JNZ  dwDone
+	DWBCAST(0(BX), 0)
+	DWBCAST(4(BX), 32)
+	DWBCAST(8(BX), 64)
+	DWBCAST(12(BX), 96)
+	DWBCAST(16(BX), 128)
+	DWBCAST(20(BX), 160)
+	DWBCAST(24(BX), 192)
+	DWBCAST(28(BX), 224)
+	DWBCAST(32(BX), 256)
+	MOVQ scale+80(FP), AX
+	DWBCAST((AX)(DX*4), 288)
+	MOVQ shift+88(FP), AX
+	DWBCAST((AX)(DX*4), 320)
+	MOVQ outW+48(FP), R13      // outputs left in a row
+
+dwColumn:
+	MOVQ outW+48(FP), AX
+	SUBQ R13, AX               // the column's first output x
+	LEAQ (DI)(AX*4), R8        // dst[c][0][x]
+	MOVQ AX, BX
+	SHLQ $4, BX
+	ADDQ masks+96(FP), BX
+	VMOVDQU 0(BX), Y7
+	VMOVDQU 32(BX), Y8
+	VMOVDQU 64(BX), Y9
+	VMOVDQU 96(BX), Y10
+	IMULQ stride+56(FP), AX
+	LEAQ (SI)(AX*4), R14       // src[c][0][x·stride]
+	MOVQ pad+64(FP), R15
+	LEAQ 4(R10), AX
+	IMULQ R15, AX
+	SUBQ AX, R14               // src[c][-pad][x·stride-pad]
+	NEGQ R15
+	MOVQ $8, AX
+	CMPQ R13, AX
+	CMOVQLT R13, AX
+	NEGQ AX
+	LEAQ tailMask<>+32(SB), BX
+	VMOVDQU (BX)(AX*4), Y11    // first min(8, left) lanes
+
+dwRows:
+	MOVQ R14, BX
+	MOVQ R15, DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	CMPQ stride+56(FP), $1
+	JNE  dwStride2
+	DWROW1
+	DWACC(Y0, 0)
+	DWROW1
+	DWACC(Y0, 1)
+	DWACC(Y1, 0)
+	DWROW1
+	DWACC(Y0, 2)
+	DWACC(Y1, 1)
+	DWACC(Y12, 0)
+	DWROW1
+	DWACC(Y1, 2)
+	DWACC(Y12, 1)
+	DWACC(Y13, 0)
+	DWROW1
+	DWACC(Y12, 2)
+	DWACC(Y13, 1)
+	DWROW1
+	DWACC(Y13, 2)
+	JMP  dwFinish
+
+dwStride2:
+	DWROW2
+	DWACC(Y0, 0)
+	DWROW2
+	DWACC(Y0, 1)
+	DWROW2
+	DWACC(Y0, 2)
+	DWACC(Y1, 0)
+	DWROW2
+	DWACC(Y1, 1)
+	DWROW2
+	DWACC(Y1, 2)
+	DWACC(Y12, 0)
+	DWROW2
+	DWACC(Y12, 1)
+	DWROW2
+	DWACC(Y12, 2)
+	DWACC(Y13, 0)
+	DWROW2
+	DWACC(Y13, 1)
+	DWROW2
+	DWACC(Y13, 2)
+	VPERMPD $0xd8, Y0, Y0
+	VPERMPD $0xd8, Y1, Y1
+	VPERMPD $0xd8, Y12, Y12
+	VPERMPD $0xd8, Y13, Y13
+
+dwFinish:
+	DWBN(Y0)
+	DWBN(Y1)
+	DWBN(Y12)
+	DWBN(Y13)
+	CMPB relu6+104(FP), $0
+	JEQ  dwStore
+	DWCLAMP(Y0)
+	DWCLAMP(Y1)
+	DWCLAMP(Y12)
+	DWCLAMP(Y13)
+
+dwStore:                       // the rows of the four that there are
+	MOVQ stride+56(FP), BX
+	LEAQ (R15)(BX*1), AX       // iy of the second
+	LEAQ (R11)(R11*2), DX
+	CMPQ R13, $8
+	JLT  dwTail
+	VMOVUPS Y0, (R8)
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMOVUPS Y1, (R8)(R11*1)
+	ADDQ BX, AX
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMOVUPS Y12, (R8)(R11*2)
+	ADDQ BX, AX
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMOVUPS Y13, (R8)(DX*1)
+	JMP  dwNextRows
+
+dwTail:
+	VMASKMOVPS Y0, Y11, (R8)
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMASKMOVPS Y1, Y11, (R8)(R11*1)
+	ADDQ BX, AX
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMASKMOVPS Y12, Y11, (R8)(R11*2)
+	ADDQ BX, AX
+	CMPQ AX, 352(SP)
+	JGE  dwNextColumn
+	VMASKMOVPS Y13, Y11, (R8)(DX*1)
+
+dwNextRows:
+	ADDQ 360(SP), R14
+	LEAQ (AX)(BX*1), R15
+	LEAQ (R8)(R11*4), R8
+	CMPQ R15, 352(SP)
+	JLT  dwRows
+
+dwNextColumn:
+	SUBQ $8, R13
+	JGT  dwColumn
+	MOVQ R9, AX
+	IMULQ R10, AX
+	ADDQ AX, SI
+	MOVQ outH+40(FP), AX
+	IMULQ R11, AX
+	ADDQ AX, DI
+	MOVQ 368(SP), AX
+	INCQ AX
+	MOVQ AX, 368(SP)
+	CMPQ AX, ch+16(FP)
+	JLT  dwChannel
+
+dwDone:
+	MOVQ 368(SP), AX
+	MOVQ AX, ret+112(FP)
+	VZEROUPPER
 	RET
-
-// func dw3x3s1AVX2(dst, src *float32, rows, n, dstStride, srcStride int, ker *float32, scale, shift float32, relu6 bool)
-//
-// A 3×3 depthwise plane at stride 1 whose every tap is in bounds: rows × n
-// outputs, dst[y][x] = bnAct(Σ ker[ky][kx]·src[y+ky][x+kx]), the nine taps
-// added in ky,kx order from +0. It reads up to 7 elements past a row's last
-// window.
-TEXT ·dw3x3s1AVX2(SB), NOSPLIT, $0-65
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), R9
-	MOVQ dstStride+32(FP), R10
-	MOVQ srcStride+40(FP), R11
-	MOVQ ker+48(FP), AX
-	MOVBQZX relu6+64(FP), R13
-	VBROADCASTSS scale+56(FP), Y9
-	VBROADCASTSS shift+60(FP), Y10
-	DWPLANE(TAPS1, DWPERM1, 32, R11)
-
-// func dw3x3s2AVX2(dst, src *float32, rows, n, dstStride, srcStride int, ker *float32, scale, shift float32, relu6 bool)
-//
-// The same at stride 2, dst[y][x] = bnAct(Σ ker[ky][kx]·src[2y+ky][2x+kx]).
-// It reads up to 14 elements past a row's last window.
-TEXT ·dw3x3s2AVX2(SB), NOSPLIT, $0-65
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), R9
-	MOVQ dstStride+32(FP), R10
-	MOVQ srcStride+40(FP), R11
-	MOVQ ker+48(FP), AX
-	MOVBQZX relu6+64(FP), R13
-	VBROADCASTSS scale+56(FP), Y9
-	VBROADCASTSS shift+60(FP), Y10
-	DWPLANE(TAPS2, DWPERM2, 64, R14)
 
 // func absMaxAVX2(src *float32, n int) uint32
 //
@@ -451,29 +614,26 @@ absMaxLoop:
 	VPBROADCASTD qmin<>(SB), Y13; \
 	VPBROADCASTD qmax<>(SB), Y14
 
-// func quantizePlaneAVX2(dst, src *float32, rows, n, dstStride int, inv float32)
+// func quantizePlanesAVX2(dst, src *float32, planes, n int, inv *float32)
 //
-// dst[y][x] = float32(quantize(src[y·n+x], inv)) for rows rows of n values,
-// dst rows dstStride apart: a quantized plane kept in float32, which holds
-// every int8 exactly. The last n%8 values of a row load and store under a
-// lane mask.
-TEXT ·quantizePlaneAVX2(SB), NOSPLIT, $0-44
+// dst[c][i] = float32(quantize(src[c][i], inv[c])) for planes planes of n
+// values: quantized planes kept in float32, which holds every int8 exactly.
+// The last n%8 values of a plane load and store under a lane mask.
+TEXT ·quantizePlanesAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	MOVQ rows+16(FP), R8
+	MOVQ planes+16(FP), R8
 	MOVQ n+24(FP), R9
-	MOVQ dstStride+32(FP), R10
-	VBROADCASTSS inv+40(FP), Y10
+	MOVQ inv+32(FP), R10
 	QUANTCONSTS
-	SHLQ $2, R10
 	MOVQ R9, CX
 	ANDQ $7, CX
 	NEGQ CX
 	LEAQ tailMask<>+32(SB), AX
 	VMOVDQU (AX)(CX*4), Y15    // first n%8 lanes
 
-qplaneRow:
-	MOVQ DI, AX
+qplane:
+	VBROADCASTSS (R10), Y10
 	MOVQ R9, CX
 	SHRQ $3, CX
 	JEQ  qplaneTail
@@ -482,9 +642,9 @@ qplaneVector:
 	VMOVUPS (SI), Y0
 	QUANT(Y0, Y1)
 	VCVTDQ2PS Y0, Y0
-	VMOVUPS Y0, (AX)
+	VMOVUPS Y0, (DI)
 	ADDQ $32, SI
-	ADDQ $32, AX
+	ADDQ $32, DI
 	DECQ CX
 	JNE  qplaneVector
 
@@ -495,13 +655,14 @@ qplaneTail:
 	VMASKMOVPS (SI), Y15, Y0
 	QUANT(Y0, Y1)
 	VCVTDQ2PS Y0, Y0
-	VMASKMOVPS Y0, Y15, (AX)
+	VMASKMOVPS Y0, Y15, (DI)
 	LEAQ (SI)(CX*4), SI
+	LEAQ (DI)(CX*4), DI
 
 qplaneNext:
-	ADDQ R10, DI
+	ADDQ $4, R10
 	DECQ R8
-	JNE  qplaneRow
+	JNE  qplane
 	VZEROUPPER
 	RET
 

@@ -68,6 +68,7 @@ func TestPortableClaimsNothing(t *testing.T) {
 	q := make([]int8, k*p)
 	m := packQMatrix(make([]int8, outC*k), f[:outC], outC, k)
 	plan := &inferPlan{}
+	qdw := &qdepthwise{taps: f[:9], ws: f[:1], bias: f[:1], kh: 3, kw: 3, stride: 1, pad: 1}
 	count := func(done bool) int {
 		if done {
 			return 1
@@ -86,8 +87,10 @@ func TestPortableClaimsNothing(t *testing.T) {
 			cs, ps := qgemmTiles(f, m, q, p, 1, f[:outC], 0)
 			return cs * ps
 		}},
-		{"dw3x3Vector", func() int { return count(dw3x3Vector(plan, f[:16], f[16:32], f[32:41], 4, 4, 4, 1, 1, 1, 0, false)) }},
-		{"qdw3x3Vector", func() int { return count(qdw3x3Vector(plan, f[:16], f[16:32], q[:9], 4, 4, 4, 1, 1, 1, 1, 0, false)) }},
+		{"dw3x3Vector", func() int {
+			return dw3x3Vector(plan, f[:16], f[16:32], f[32:41], f[41:42], f[42:43], 1, 4, 4, 4, 4, 1, 1, false)
+		}},
+		{"qdw3x3Vector", func() int { return count(qdw3x3Vector(plan, qdw, f[:16], f[16:32], 1, 4, 4, 4, 4)) }},
 		{"absMaxVector", func() int { _, n := absMaxVector(f); return n }},
 		{"quantizePanelVector", func() int { return quantizePanelVector(q, f[:k*p], p, k, 1) }},
 	} {
@@ -274,6 +277,60 @@ func TestVectorDepthwiseMatchesGo(t *testing.T) {
 					got = runPlanOp(plan, q, x)
 					portable(func() { want = runPlanOp(plan, q, x) })
 					sameBits32(t, "int8 depthwise "+name, got.Data(), want.Data())
+				}
+			}
+		}
+	}
+}
+
+// TestVectorDepthwiseChannelRuns is what a kernel that takes a whole layer a
+// call can get wrong and one that took a plane could not: a single channel,
+// a channel count that no unrolling divides, and a tap that is not finite in
+// the first, a middle or the last channel, around which the call must split
+// and hand only that channel to the Go loop.
+func TestVectorDepthwiseChannelRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	for _, ch := range []int{1, 5} {
+		for _, bad := range []int{-1, 0, ch / 2, ch - 1} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1} {
+					l := NewDepthwiseConv2D(rng, "dw", ch, 3, stride, pad)
+					if bad >= 0 {
+						l.Weight.W.Data()[bad*9+rng.Intn(9)] = []float32{posInf, -posInf, negNaN}[rng.Intn(3)]
+					}
+					bn := NewBatchNorm("bn", ch)
+					randomizeBN(rng, bn)
+					for _, hw := range [][2]int{{3, 3}, {4, 9}, {8, 8}, {9, 17}, {16, 16}, {5, 33}} {
+						h, w := hw[0], hw[1]
+						x := tensor.New(2, ch, h, w)
+						x.RandNormal(rng, 3)
+						name := fmt.Sprintf("%d channels, tap of channel %d not finite, %dx%d stride %d pad %d", ch, bad, h, w, stride, pad)
+						plan := &inferPlan{}
+
+						f := &planDepthwise{l: l, bnAffine: newBNAffine(bn, true)}
+						f.refresh()
+						got := runPlanOp(plan, f, x)
+						var want *tensor.Tensor
+						portable(func() { want = runPlanOp(plan, f, x) })
+						sameBits32(t, "float32 depthwise, "+name, got.Data(), want.Data())
+						if useVector {
+							_, outH, outW := f.outShape(ch, h, w)
+							stop := ch
+							if bad >= 0 {
+								stop = bad
+							}
+							if took := dw3x3Vector(plan, got.Data(), x.Data(), l.Weight.W.Data(), f.scale, f.shift, ch, h, w, outH, outW, stride, pad, true); took != stop {
+								t.Fatalf("%s: the vector kernel took %d channels, want %d", name, took, stop)
+							}
+						}
+
+						if bad < 0 {
+							q := newQDepthwise(l, bn, true)
+							got = runPlanOp(plan, q, x)
+							portable(func() { want = runPlanOp(plan, q, x) })
+							sameBits32(t, "int8 depthwise, "+name, got.Data(), want.Data())
+						}
+					}
 				}
 			}
 		}

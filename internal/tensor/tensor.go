@@ -277,9 +277,9 @@ func mmDims(a, b *Tensor) (m, k, n int) {
 }
 
 // matmulInto is the workhorse: c (m×n) = a (m×k) · b (k×n). It uses an
-// i-k-j loop order so the inner loop streams rows of b and c, which the
-// compiler vectorizes well, and splits rows across goroutines for large
-// problems.
+// i-k-j loop order so the inner loop streams rows of b and c at unit stride
+// (scalar all the same: the Go compiler does not vectorize), and splits rows
+// across goroutines for large problems.
 func matmulInto(c, a, b []float32, m, k, n int) {
 	for i := range c[:m*n] {
 		c[i] = 0
