@@ -297,7 +297,7 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 		wxs = make([]float32, w)
 	}
 	for x := 0; x < w; x++ {
-		fx := (float32(x)+0.5)/2 - 0.5
+		fx := float32((float32(x)+0.5)/2) - 0.5
 		x0 := int(fx)
 		if fx < 0 {
 			x0 = 0
@@ -313,7 +313,7 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 		x0s[x], x1s[x], wxs[x] = x0, x1, wx
 	}
 	for y := 0; y < h; y++ {
-		fy := (float32(y)+0.5)/2 - 0.5
+		fy := float32((float32(y)+0.5)/2) - 0.5
 		y0 := int(fy)
 		if fy < 0 {
 			y0 = 0
@@ -335,9 +335,9 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 			v01 := rowT[x1]
 			v10 := rowB[x0]
 			v11 := rowB[x1]
-			top := v00 + (v01-v00)*wx
-			bot := v10 + (v11-v10)*wx
-			out[x] = top + (bot-top)*wy
+			top := v00 + float32((v01-v00)*wx)
+			bot := v10 + float32((v11-v10)*wx)
+			out[x] = top + float32((bot-top)*wy)
 		}
 	}
 	return dst

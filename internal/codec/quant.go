@@ -97,7 +97,7 @@ func flattenTable(base []int, t float64) []int {
 	mean := float64(sum) / float64(len(base))
 	out := make([]int, len(base))
 	for i, v := range base {
-		out[i] = int(float64(v)*(1-t) + mean*t + 0.5)
+		out[i] = int(float64(float64(v)*(1-t)) + float64(mean*t) + 0.5)
 		if out[i] < 1 {
 			out[i] = 1
 		}

@@ -48,9 +48,9 @@ func RGBToYCbCrInto(im *Image, yp, cbp, crp []float32) {
 	g := im.Pix[n : 2*n]
 	b := im.Pix[2*n : 3*n]
 	for i := rgbToYCbCrVector(yp, cbp, crp, r, g, b); i < n; i++ {
-		yp[i] = yR*r[i] + yG*g[i] + yB*b[i]
-		cbp[i] = cbR*r[i] - cbG*g[i] + halfChroma*b[i]
-		crp[i] = halfChroma*r[i] - crG*g[i] - crB*b[i]
+		yp[i] = float32(yR*r[i]) + float32(yG*g[i]) + float32(yB*b[i])
+		cbp[i] = float32(cbR*r[i]) - float32(cbG*g[i]) + float32(halfChroma*b[i])
+		crp[i] = float32(halfChroma*r[i]) - float32(crG*g[i]) - float32(crB*b[i])
 	}
 }
 
@@ -68,9 +68,9 @@ func (yc *YCbCr) ToRGBInto(dst *Image) *Image {
 	b := dst.Pix[2*n : 3*n]
 	for i := 0; i < n; i++ {
 		y, cb, cr := yc.Y[i], yc.Cb[i], yc.Cr[i]
-		r[i] = y + rCr*cr
-		g[i] = y - gCb*cb - gCr*cr
-		b[i] = y + bCb*cb
+		r[i] = y + float32(rCr*cr)
+		g[i] = y - float32(gCb*cb) - float32(gCr*cr)
+		b[i] = y + float32(bCb*cb)
 	}
 	return dst
 }
@@ -87,9 +87,9 @@ func (yc *YCbCr) ToRGBQuant8Into(dst *Image) *Image {
 	b := dst.Pix[2*n : 3*n]
 	for i := rgbQuant8Vector(r, g, b, yc.Y[:n], yc.Cb[:n], yc.Cr[:n]); i < n; i++ {
 		y, cb, cr := yc.Y[i], yc.Cb[i], yc.Cr[i]
-		r[i] = float32(quant8(y+rCr*cr)) / 255
-		g[i] = float32(quant8(y-gCb*cb-gCr*cr)) / 255
-		b[i] = float32(quant8(y+bCb*cb)) / 255
+		r[i] = float32(quant8(y+float32(rCr*cr))) / 255
+		g[i] = float32(quant8(y-float32(gCb*cb)-float32(gCr*cr))) / 255
+		b[i] = float32(quant8(y+float32(bCb*cb))) / 255
 	}
 	return dst
 }
@@ -121,11 +121,11 @@ func RGBToHSV(r, g, b float32) (h, s, v float32) {
 	}
 	switch maxc {
 	case r:
-		h = 60 * float32(math.Mod(float64((g-b)/d), 6))
+		h = float32(60 * float32(math.Mod(float64((g-b)/d), 6)))
 	case g:
-		h = 60 * ((b-r)/d + 2)
+		h = float32(60 * ((b-r)/d + 2))
 	default:
-		h = 60 * ((r-g)/d + 4)
+		h = float32(60 * ((r-g)/d + 4))
 	}
 	if h < 0 {
 		h += 360
@@ -139,8 +139,8 @@ func HSVToRGB(h, s, v float32) (r, g, b float32) {
 	if h < 0 {
 		h += 360
 	}
-	c := v * s
-	x := c * float32(1-math.Abs(math.Mod(float64(h)/60, 2)-1))
+	c := float32(v * s)
+	x := float32(c * float32(1-math.Abs(math.Mod(float64(h)/60, 2)-1)))
 	m := v - c
 	switch {
 	case h < 60:
@@ -201,7 +201,7 @@ func AdjustBrightness(im *Image, delta float32) *Image {
 func AdjustContrast(im *Image, factor float32) *Image {
 	out := im.Clone()
 	for i, v := range out.Pix {
-		out.Pix[i] = (v-0.5)*factor + 0.5
+		out.Pix[i] = float32((v-0.5)*factor) + 0.5
 	}
 	return out
 }

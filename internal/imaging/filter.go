@@ -5,16 +5,18 @@ import (
 	"sync"
 )
 
-// blurScratch recycles the intermediate plane buffer and kernel of the
-// separable blur; the fleet hot path blurs every capture (lens PSF and
-// unsharp masking) and these temporaries otherwise dominate its allocation
-// profile.
+// blurBuffers is the scratch of one separable blur, recycled through
+// blurScratch: the fleet hot path blurs every capture (lens PSF and unsharp
+// masking) and these temporaries otherwise dominate its allocation profile.
 type blurBuffers struct {
 	tmp    []float32
 	kernel []float32
 }
 
 var blurScratch = sync.Pool{New: func() any { return new(blurBuffers) }}
+
+// blurSlack is how far past a row's last output the vector row kernel loads.
+const blurSlack = 8
 
 // GaussianBlur applies a separable Gaussian blur with the given sigma (in
 // pixels). Sigma <= 0 returns a copy.
@@ -25,6 +27,20 @@ func GaussianBlur(im *Image, sigma float64) *Image {
 // GaussianBlurInto blurs im into dst (same dimensions, every sample
 // overwritten) and returns dst — the allocation-free form for pooled
 // destinations. dst must not alias im. Sigma <= 0 copies.
+//
+// Each plane is copied into scratch with every row's end samples repeated
+// radius times on either side, so that no horizontal tap is clamped; the
+// horizontal pass writes the intermediate plane radius rows into its scratch
+// and the first and last of those rows are repeated above and below, so that
+// no vertical tap is either. Both passes are then the one row kernel
+// (blurRows) with a tap stride of 1 or of a row, every sum adding its taps in
+// ascending order as the edge-clamped loop of refGaussianBlur does.
+//
+// A sum whose window lies inside the frame starts from its first product at
+// radii 1 to 4 — every radius the fleet draws — and from +0 otherwise, as does
+// any sum at a clamped border; the two differ only when every product is -0.
+// The init row carries that to the kernel as the value a sum starts from: +0,
+// or -0, which leaves a first product as it is.
 func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 	if sigma <= 0 {
 		copy(dst.Pix, im.Pix)
@@ -35,6 +51,7 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 		radius = 1
 	}
 	bufs := blurScratch.Get().(*blurBuffers)
+	defer blurScratch.Put(bufs)
 	if cap(bufs.kernel) < 2*radius+1 {
 		bufs.kernel = make([]float32, 2*radius+1)
 	}
@@ -50,160 +67,75 @@ func GaussianBlurInto(dst, im *Image, sigma float64) *Image {
 		kernel[i] *= inv
 	}
 
-	defer blurScratch.Put(bufs)
-	if gaussianBlurVector(dst, im, kernel, radius, bufs) {
-		return dst
-	}
-	n := im.W * im.H
 	w, h := im.W, im.H
-	if cap(bufs.tmp) < 3*n {
-		bufs.tmp = make([]float32, 3*n)
+	n := w * h
+	pw := w + 2*radius // row stride of the padded plane
+	padN, midN := h*pw, (h+2*radius)*w
+	// At fleet sizes the scratch fits in 3·W·H floats whatever the radius, so
+	// a pooled buffer grows once; only a frame smaller than its kernel needs
+	// more.
+	if need := max(padN+midN+3*w+blurSlack, 3*n); cap(bufs.tmp) < need {
+		bufs.tmp = make([]float32, need)
 	}
-	tmpPix := bufs.tmp[:3*n]
-	out := dst
-	// Both passes split a clamp-free interior from the clamped borders: the
-	// taps accumulate in the same ascending-k order either way, so the split
-	// is invisible in the output. The interior drops the per-tap clamp (and
-	// the vertical pass's per-tap row multiply), which is most of the work
-	// at fleet capture sizes.
-	kn := len(kernel)
-	// horizontal pass
+	scratch := bufs.tmp[:cap(bufs.tmp)]
+	padded, mid, inits := scratch[:padN], scratch[padN:padN+midN], scratch[padN+midN:]
+	rowInit, fromZero, fromProduct := inits[:w], inits[w:2*w], inits[2*w:3*w]
+	negZero := math.Float32frombits(1 << 31)
+	clear(rowInit)
+	clear(fromZero)
+	if radius <= 4 {
+		for x := range fromProduct {
+			fromProduct[x] = negZero
+		}
+		for x := radius; x < w-radius; x++ {
+			rowInit[x] = negZero
+		}
+	} else {
+		fromProduct = fromZero
+	}
+	top := min(radius, h)        // rows [0, top) clamp upwards
+	bottom := max(top, h-radius) // rows [bottom, h) clamp downwards
 	for p := 0; p < 3; p++ {
-		src := im.Pix[p*n:]
-		dst := tmpPix[p*n:]
+		src := im.Pix[p*n : (p+1)*n]
 		for y := 0; y < h; y++ {
-			row := src[y*w : (y+1)*w]
-			drow := dst[y*w : (y+1)*w]
-			x := 0
-			for ; x < radius && x < w; x++ {
-				drow[x] = blurTapClamped(row, kernel, x, radius, w)
+			row, prow := src[y*w:(y+1)*w], padded[y*pw:(y+1)*pw]
+			for i := 0; i < radius; i++ {
+				prow[i], prow[radius+w+i] = row[0], row[w-1]
 			}
-			// The fleet draws radii 1 to 4: lens PSFs are sigma 0.47–0.92
-			// pixels at full resolution (radius 2 or 3) and half that at
-			// scale 2 (radius 1 or 2), unsharp sigmas 0.63–1.1 (radius 2 to
-			// 4). Unrolling those taps with the kernel in registers keeps
-			// the exact left-to-right accumulation order of the loop.
-			switch kn {
-			case 3:
-				k0, k1, k2 := kernel[0], kernel[1], kernel[2]
-				for ; x < w-radius; x++ {
-					drow[x] = row[x-1]*k0 + row[x]*k1 + row[x+1]*k2
-				}
-			case 5:
-				k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
-				for ; x < w-radius; x++ {
-					b := x - 2
-					drow[x] = row[b]*k0 + row[b+1]*k1 + row[b+2]*k2 + row[b+3]*k3 + row[b+4]*k4
-				}
-			case 7:
-				k0, k1, k2, k3, k4, k5, k6 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6]
-				for ; x < w-radius; x++ {
-					b := x - 3
-					drow[x] = row[b]*k0 + row[b+1]*k1 + row[b+2]*k2 + row[b+3]*k3 +
-						row[b+4]*k4 + row[b+5]*k5 + row[b+6]*k6
-				}
-			case 9:
-				k0, k1, k2, k3, k4, k5, k6, k7, k8 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6], kernel[7], kernel[8]
-				for ; x < w-radius; x++ {
-					b := x - 4
-					drow[x] = row[b]*k0 + row[b+1]*k1 + row[b+2]*k2 + row[b+3]*k3 + row[b+4]*k4 +
-						row[b+5]*k5 + row[b+6]*k6 + row[b+7]*k7 + row[b+8]*k8
-				}
-			default:
-				for ; x < w-radius; x++ {
-					var s float32
-					base := x - radius
-					for k := 0; k < kn; k++ {
-						s += row[base+k] * kernel[k]
-					}
-					drow[x] = s
-				}
-			}
-			for ; x < w; x++ {
-				drow[x] = blurTapClamped(row, kernel, x, radius, w)
-			}
+			copy(prow[radius:], row)
 		}
+		blurRows(mid[radius*w:], padded, h, w, w, pw, 1, kernel, rowInit)
+		for i := 0; i < radius; i++ {
+			copy(mid[i*w:(i+1)*w], mid[radius*w:(radius+1)*w])
+			copy(mid[(radius+h+i)*w:(radius+h+i+1)*w], mid[(radius+h-1)*w:(radius+h)*w])
+		}
+		out := dst.Pix[p*n : (p+1)*n]
+		blurRows(out, mid, top, w, w, w, w, kernel, fromZero)
+		blurRows(out[top*w:], mid[top*w:], bottom-top, w, w, w, w, kernel, fromProduct)
+		blurRows(out[bottom*w:], mid[bottom*w:], h-bottom, w, w, w, w, kernel, fromZero)
 	}
-	// vertical pass
-	for p := 0; p < 3; p++ {
-		src := tmpPix[p*n:]
-		dst := out.Pix[p*n:]
-		y := 0
-		for ; y < radius && y < h; y++ {
-			blurRowClamped(dst[y*w:(y+1)*w], src, kernel, y, radius, w, h)
-		}
-		for ; y < h-radius; y++ {
-			drow := dst[y*w : (y+1)*w]
-			base := (y - radius) * w
-			switch kn {
-			case 3:
-				k0, k1, k2 := kernel[0], kernel[1], kernel[2]
-				r0, r1, r2 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w]
-				for x := 0; x < w; x++ {
-					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2
-				}
-			case 5:
-				k0, k1, k2, k3, k4 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4]
-				r0, r1, r2, r3, r4 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w], src[base+3*w:base+4*w], src[base+4*w:base+5*w]
-				for x := 0; x < w; x++ {
-					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2 + r3[x]*k3 + r4[x]*k4
-				}
-			case 7:
-				k0, k1, k2, k3, k4, k5, k6 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6]
-				r0, r1, r2, r3 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w], src[base+3*w:base+4*w]
-				r4, r5, r6 := src[base+4*w:base+5*w], src[base+5*w:base+6*w], src[base+6*w:base+7*w]
-				for x := 0; x < w; x++ {
-					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2 + r3[x]*k3 +
-						r4[x]*k4 + r5[x]*k5 + r6[x]*k6
-				}
-			case 9:
-				k0, k1, k2, k3, k4, k5, k6, k7, k8 := kernel[0], kernel[1], kernel[2], kernel[3], kernel[4], kernel[5], kernel[6], kernel[7], kernel[8]
-				r0, r1, r2, r3, r4 := src[base:base+w], src[base+w:base+2*w], src[base+2*w:base+3*w], src[base+3*w:base+4*w], src[base+4*w:base+5*w]
-				r5, r6, r7, r8 := src[base+5*w:base+6*w], src[base+6*w:base+7*w], src[base+7*w:base+8*w], src[base+8*w:base+9*w]
-				for x := 0; x < w; x++ {
-					drow[x] = r0[x]*k0 + r1[x]*k1 + r2[x]*k2 + r3[x]*k3 + r4[x]*k4 +
-						r5[x]*k5 + r6[x]*k6 + r7[x]*k7 + r8[x]*k8
-				}
-			default:
-				for x := 0; x < w; x++ {
-					var s float32
-					idx := base + x
-					for k := 0; k < kn; k++ {
-						s += src[idx] * kernel[k]
-						idx += w
-					}
-					drow[x] = s
-				}
-			}
-		}
-		for ; y < h; y++ {
-			blurRowClamped(dst[y*w:(y+1)*w], src, kernel, y, radius, w, h)
-		}
-	}
-	return out
+	return dst
 }
 
-// blurTapClamped is the original edge-clamped horizontal tap loop for one
-// output sample.
-func blurTapClamped(row, kernel []float32, x, radius, w int) float32 {
-	var s float32
-	for k := -radius; k <= radius; k++ {
-		xx := clampInt(x+k, 0, w-1)
-		s += row[xx] * kernel[k+radius]
+// blurRows is one pass of the separable blur over rows rows of n outputs, no
+// tap clamped: dst[y·dstStride+x] = init[x] + Σₖ src[y·srcStride+x+k·tapStride]·kernel[k].
+// The Go loop adds one tap at a time across a row, so every output takes its
+// taps in ascending k, each product rounded before it is added. The vector
+// kernel computes the same sums where there is one; it loads whole vectors,
+// so src and init reach up to blurSlack elements past a row's last output,
+// inside the scratch they are cut from. dst overlaps neither.
+func blurRows(dst, src []float32, rows, n, dstStride, srcStride, tapStride int, kernel, init []float32) {
+	if rows <= 0 || blurRowsVector(dst, src, rows, n, dstStride, srcStride, tapStride, kernel, init) {
+		return
 	}
-	return s
-}
-
-// blurRowClamped is the original edge-clamped vertical tap loop for one
-// output row.
-func blurRowClamped(drow, src, kernel []float32, y, radius, w, h int) {
-	for x := 0; x < w; x++ {
-		var s float32
-		for k := -radius; k <= radius; k++ {
-			yy := clampInt(y+k, 0, h-1)
-			s += src[yy*w+x] * kernel[k+radius]
+	for y := 0; y < rows; y++ {
+		out := dst[y*dstStride:][:n]
+		copy(out, init)
+		for k, kv := range kernel {
+			for x, v := range src[y*srcStride+k*tapStride:][:n] {
+				out[x] += float32(v * kv)
+			}
 		}
-		drow[x] = s
 	}
 }
 
@@ -286,7 +218,7 @@ func UnsharpMask(im *Image, sigma float64, amount float32) *Image {
 	blur := GaussianBlur(im, sigma)
 	out := New(im.W, im.H)
 	for i := range im.Pix {
-		out.Pix[i] = im.Pix[i] + amount*(im.Pix[i]-blur.Pix[i])
+		out.Pix[i] = im.Pix[i] + float32(amount*(im.Pix[i]-blur.Pix[i]))
 	}
 	return out
 }
@@ -370,14 +302,4 @@ func sort3(a, b, c int32) (lo, mid, hi int32) {
 // med3 returns the median of a, b, c.
 func med3(a, b, c int32) int32 {
 	return max(min(a, b), min(max(a, b), c))
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

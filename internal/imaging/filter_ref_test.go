@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// clampInt is the edge clamp of the reference filters.
+func clampInt(v, lo, hi int) int {
+	return min(max(v, lo), hi)
+}
+
 // refGaussianBlur is the pre-split blur: edge clamping on every tap of both
 // passes. The interior/border split in GaussianBlur must match it bit for
 // bit (identical kernel, identical ascending-k accumulation order).
@@ -153,4 +158,67 @@ func TestBoxBlurMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// onBothKernelPaths runs f as this machine dispatches the blur and again on
+// the Go loop.
+func onBothKernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("dispatched", f)
+	t.Run("portable", func(t *testing.T) { portable(func() { f(t) }) })
+}
+
+// TestGaussianBlurFramesSmallerThanKernel is what end-repeated padding can get
+// wrong where per-tap clamping cannot: frames narrower or shorter than the
+// radius, down to one sample, in which a padded row is mostly padding and the
+// rows repeated above and below outnumber the frame's own.
+func TestGaussianBlurFramesSmallerThanKernel(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6))
+		for _, sz := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 3}, {3, 2}, {4, 40}, {40, 4}} {
+			im := New(sz[0], sz[1])
+			for i := range im.Pix {
+				im.Pix[i] = rng.Float32()
+			}
+			for _, sigma := range []float64{0.3, 0.9, 1.3, 1.9, 2.5} { // radii 1 3 4 6 8
+				got, want := GaussianBlur(im, sigma), refGaussianBlur(im, sigma)
+				for i, v := range got.Pix {
+					if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
+						t.Fatalf("%dx%d sigma %v: pixel %d = %v, reference %v", sz[0], sz[1], sigma, i, v, want.Pix[i])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGaussianBlurNegativeZeroWindows pins the one input on which the start
+// of a sum shows. Over a frame of -0 every product is -0: at kernel width 3
+// a sum whose window lies inside the frame starts from its first product and
+// stays -0, one at a clamped border starts from +0 and comes out +0; at
+// kernel width 11 every sum starts from +0.
+func TestGaussianBlurNegativeZeroWindows(t *testing.T) {
+	onBothKernelPaths(t, func(t *testing.T) {
+		const w, h = 21, 15
+		im := New(w, h)
+		for i := range im.Pix {
+			im.Pix[i] = negZero
+		}
+		for _, c := range []struct {
+			sigma  float64
+			radius int
+			inside float32 // a sum whose window lies inside the frame
+		}{{0.3, 1, negZero}, {1.5, 5, 0}} {
+			got := GaussianBlur(im, c.sigma)
+			for i, v := range got.Pix {
+				x, y := i%w, i/w%h
+				want := float32(0)
+				if x >= c.radius && x < w-c.radius && y >= c.radius && y < h-c.radius {
+					want = c.inside
+				}
+				if math.Float32bits(v) != math.Float32bits(want) {
+					t.Fatalf("kernel width %d: sample (%d,%d) has bits %#x, want %#x", 2*c.radius+1, x, y, math.Float32bits(v), math.Float32bits(want))
+				}
+			}
+		}
+	})
 }

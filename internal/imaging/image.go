@@ -81,7 +81,7 @@ func (im *Image) Fill(r, g, b float32) {
 func (im *Image) ToTensor() *tensor.Tensor {
 	t := tensor.New(1, 3, im.H, im.W)
 	for i, v := range im.Pix {
-		t.Data()[i] = v*2 - 1
+		t.Data()[i] = float32(v*2) - 1
 	}
 	return t
 }
@@ -120,7 +120,7 @@ func BatchTensorInto(t *tensor.Tensor, images []*Image) *tensor.Tensor {
 			src = slot
 		}
 		for j, v := range src {
-			slot[j] = v*2 - 1
+			slot[j] = float32(v*2) - 1
 		}
 	}
 	return t
@@ -160,7 +160,7 @@ func FromBytesInto(dst *Image, data []byte, w, h int) (*Image, error) {
 }
 
 func quant8(v float32) byte {
-	x := int(v*255 + 0.5)
+	x := int(float32(v*255) + 0.5)
 	if x < 0 {
 		x = 0
 	} else if x > 255 {
@@ -186,7 +186,7 @@ func MSE(a, b *Image) float64 {
 	var s float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i] - b.Pix[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a.Pix))
 }

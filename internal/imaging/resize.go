@@ -91,7 +91,7 @@ func bilinear(dst []float32, src *Image, w, h int) {
 	xr := float64(src.W) / float64(w)
 	yr := float64(src.H) / float64(h)
 	for y := 0; y < h; y++ {
-		fy := (float64(y)+0.5)*yr - 0.5
+		fy := float64((float64(y)+0.5)*yr) - 0.5
 		y0 := int(fy)
 		if fy < 0 {
 			y0 = 0
@@ -105,7 +105,7 @@ func bilinear(dst []float32, src *Image, w, h int) {
 			wy = 0
 		}
 		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*xr - 0.5
+			fx := float64((float64(x)+0.5)*xr) - 0.5
 			x0 := int(fx)
 			if fx < 0 {
 				x0 = 0
@@ -124,9 +124,9 @@ func bilinear(dst []float32, src *Image, w, h int) {
 				v01 := pl[y0*src.W+x1]
 				v10 := pl[y1*src.W+x0]
 				v11 := pl[y1*src.W+x1]
-				top := v00 + (v01-v00)*wx
-				bot := v10 + (v11-v10)*wx
-				dst[p*dn+y*w+x] = top + (bot-top)*wy
+				top := v00 + float32((v01-v00)*wx)
+				bot := v10 + float32((v11-v10)*wx)
+				dst[p*dn+y*w+x] = top + float32((bot-top)*wy)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ package imaging
 // architecture.
 var useVector = false
 
-func gaussianBlurVector(dst, im *Image, kernel []float32, radius int, bufs *blurBuffers) bool {
+func blurRowsVector(dst, src []float32, rows, n, dstStride, srcStride, tapStride int, kernel, init []float32) bool {
 	return false
 }
 

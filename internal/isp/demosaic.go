@@ -297,8 +297,8 @@ func demosaicEdgeAware(raw *sensor.RawImage) *imaging.Image {
 		for ; x < w-2; x += 2 {
 			i := rowOff + x
 			left, right, up, down := plane[i-1], plane[i+1], plane[i-w], plane[i+w]
-			gh := fmath.Abs(left-right) + fmath.Abs(2*plane[i]-plane[i-2]-plane[i+2])
-			gv := fmath.Abs(up-down) + fmath.Abs(2*plane[i]-plane[i-2*w]-plane[i+2*w])
+			gh := fmath.Abs(left-right) + fmath.Abs(float32(2*plane[i])-plane[i-2]-plane[i+2])
+			gv := fmath.Abs(up-down) + fmath.Abs(float32(2*plane[i])-plane[i-2*w]-plane[i+2*w])
 			switch {
 			case gh < gv:
 				green[i] = (left + right) / 2
@@ -376,8 +376,8 @@ func edgeGreenGeneric(raw *sensor.RawImage, green []float32, x, y int) {
 	i := y*w + x
 	left, right := rawAt(raw, x-1, y), rawAt(raw, x+1, y)
 	up, down := rawAt(raw, x, y-1), rawAt(raw, x, y+1)
-	gh := fmath.Abs(left-right) + fmath.Abs(2*rawAt(raw, x, y)-rawAt(raw, x-2, y)-rawAt(raw, x+2, y))
-	gv := fmath.Abs(up-down) + fmath.Abs(2*rawAt(raw, x, y)-rawAt(raw, x, y-2)-rawAt(raw, x, y+2))
+	gh := fmath.Abs(left-right) + fmath.Abs(float32(2*rawAt(raw, x, y))-rawAt(raw, x-2, y)-rawAt(raw, x+2, y))
+	gv := fmath.Abs(up-down) + fmath.Abs(float32(2*rawAt(raw, x, y))-rawAt(raw, x, y-2)-rawAt(raw, x, y+2))
 	switch {
 	case gh < gv:
 		green[i] = (left + right) / 2

@@ -123,10 +123,7 @@ func Fuse(p *Pipeline) *Fused {
 				continue
 			}
 			k := s.Strength
-			pushCurve(func(v float32) float32 {
-				x := float64(fmath.Clamp01(v))
-				return float32(x + k*(x*x*(3-2*x)-x))
-			})
+			pushCurve(func(v float32) float32 { return toneCurve(v, k) })
 		case ClampStage:
 			pushCurve(func(v float32) float32 { return fmath.Clamp01(v) })
 		case Sharpen:
@@ -199,7 +196,7 @@ func matmul3(a, b [9]float32) [9]float32 {
 	var out [9]float32
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
-			out[r*3+c] = a[r*3]*b[c] + a[r*3+1]*b[3+c] + a[r*3+2]*b[6+c]
+			out[r*3+c] = float32(a[r*3]*b[c]) + float32(a[r*3+1]*b[3+c]) + float32(a[r*3+2]*b[6+c])
 		}
 	}
 	return out
@@ -268,8 +265,8 @@ func applyAutoWB(im *imaging.Image, s *WhiteBalance, next *[9]float32) {
 		if strength == 0 {
 			strength = 1
 		}
-		gr = 1 + (float32(mg/mr)-1)*strength
-		gb = 1 + (float32(mg/mb)-1)*strength
+		gr = 1 + float32((float32(mg/mr)-1)*strength)
+		gb = 1 + float32((float32(mg/mb)-1)*strength)
 	}
 	gains := [9]float32{gr, 0, 0, 0, gg, 0, 0, 0, gb}
 	if next != nil {
@@ -283,7 +280,7 @@ func applyAutoWB(im *imaging.Image, s *WhiteBalance, next *[9]float32) {
 func unsharp(pix, blur []float32, amount float32) {
 	for i := unsharpVector(pix, blur, amount); i < len(pix); i++ {
 		v := pix[i]
-		pix[i] = v + amount*(v-blur[i])
+		pix[i] = v + float32(amount*(v-blur[i]))
 	}
 }
 
@@ -292,9 +289,9 @@ func applyMatrix(im *imaging.Image, m *[9]float32) {
 	n := im.W * im.H
 	for i := applyMatrixVector(im.Pix, n, m); i < n; i++ {
 		r, g, b := im.Pix[i], im.Pix[n+i], im.Pix[2*n+i]
-		im.Pix[i] = m[0]*r + m[1]*g + m[2]*b
-		im.Pix[n+i] = m[3]*r + m[4]*g + m[5]*b
-		im.Pix[2*n+i] = m[6]*r + m[7]*g + m[8]*b
+		im.Pix[i] = float32(m[0]*r) + float32(m[1]*g) + float32(m[2]*b)
+		im.Pix[n+i] = float32(m[3]*r) + float32(m[4]*g) + float32(m[5]*b)
+		im.Pix[2*n+i] = float32(m[6]*r) + float32(m[7]*g) + float32(m[8]*b)
 	}
 }
 
@@ -309,13 +306,13 @@ func applyLUT(pix []float32, lut []float32) {
 		if v < 0 {
 			v = 0
 		}
-		u := float32(math.Sqrt(float64(v))) * scale
+		u := float32(float32(math.Sqrt(float64(v))) * scale)
 		j := int(u)
 		if j >= lutSize-1 {
 			pix[i] = lut[lutSize-1]
 			continue
 		}
 		frac := u - float32(j)
-		pix[i] = lut[j] + (lut[j+1]-lut[j])*frac
+		pix[i] = lut[j] + float32((lut[j+1]-lut[j])*frac)
 	}
 }

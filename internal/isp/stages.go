@@ -63,8 +63,8 @@ func (s WhiteBalance) Apply(im *imaging.Image) *imaging.Image {
 			if strength == 0 {
 				strength = 1
 			}
-			gr = 1 + (float32(mg/mr)-1)*strength
-			gb = 1 + (float32(mg/mb)-1)*strength
+			gr = 1 + float32((float32(mg/mr)-1)*strength)
+			gb = 1 + float32((float32(mg/mb)-1)*strength)
 			gg = 1
 		} else {
 			gr, gg, gb = 1, 1, 1
@@ -93,9 +93,9 @@ func (s ColorMatrix) Apply(im *imaging.Image) *imaging.Image {
 	m := s.M
 	for i := 0; i < n; i++ {
 		r, g, b := im.Pix[i], im.Pix[n+i], im.Pix[2*n+i]
-		out.Pix[i] = m[0]*r + m[1]*g + m[2]*b
-		out.Pix[n+i] = m[3]*r + m[4]*g + m[5]*b
-		out.Pix[2*n+i] = m[6]*r + m[7]*g + m[8]*b
+		out.Pix[i] = float32(m[0]*r) + float32(m[1]*g) + float32(m[2]*b)
+		out.Pix[n+i] = float32(m[3]*r) + float32(m[4]*g) + float32(m[5]*b)
+		out.Pix[2*n+i] = float32(m[6]*r) + float32(m[7]*g) + float32(m[8]*b)
 	}
 	return out
 }
@@ -110,9 +110,9 @@ func IdentityMatrix() ColorMatrix {
 func SaturationMatrix(s float32) ColorMatrix {
 	const lr, lg, lb = 0.299, 0.587, 0.114
 	return ColorMatrix{M: [9]float32{
-		lr*(1-s) + s, lg * (1 - s), lb * (1 - s),
-		lr * (1 - s), lg*(1-s) + s, lb * (1 - s),
-		lr * (1 - s), lg * (1 - s), lb*(1-s) + s,
+		float32(lr*(1-s)) + s, lg * (1 - s), lb * (1 - s),
+		lr * (1 - s), float32(lg*(1-s)) + s, lb * (1 - s),
+		lr * (1 - s), lg * (1 - s), float32(lb*(1-s)) + s,
 	}}
 }
 
@@ -148,7 +148,7 @@ func srgbEncode(v float32) float32 {
 	if v <= 0.0031308 {
 		return 12.92 * v
 	}
-	return float32(1.055*math.Pow(float64(v), 1/2.4) - 0.055)
+	return float32(float64(1.055*math.Pow(float64(v), 1/2.4)) - 0.055)
 }
 
 // ToneCurve applies a smooth S-curve of the given strength around mid-gray,
@@ -164,14 +164,18 @@ func (s ToneCurve) Apply(im *imaging.Image) *imaging.Image {
 	if s.Strength == 0 {
 		return out
 	}
-	k := s.Strength
 	for i, v := range out.Pix {
-		x := float64(fmath.Clamp01(v))
-		// Blend x with a smoothstep-style sigmoid.
-		sig := x + k*(x*x*(3-2*x)-x)
-		out.Pix[i] = float32(sig)
+		out.Pix[i] = toneCurve(v, s.Strength)
 	}
 	return out
+}
+
+// toneCurve blends the clamped sample x with the smoothstep x²(3-2x) at
+// strength k, every product rounded before it is added to or subtracted from.
+func toneCurve(v float32, k float64) float32 {
+	x := float64(fmath.Clamp01(v))
+	smooth := float64(x * x * (3 - float64(2*x)))
+	return float32(x + float64(k*(smooth-x)))
 }
 
 // Denoise selects a spatial denoiser.

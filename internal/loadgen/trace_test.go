@@ -11,7 +11,7 @@ import (
 
 // syntheticEvents pairs a schedule with deterministic fake outcomes — trace
 // and report tests need outcomes but not a live server.
-func syntheticEvents(t *testing.T, spec WorkloadSpec) []Event {
+func syntheticEvents(t testing.TB, spec WorkloadSpec) []Event {
 	t.Helper()
 	arrivals, err := Schedule(spec)
 	if err != nil {

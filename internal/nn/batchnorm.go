@@ -50,16 +50,6 @@ func NewBatchNorm(name string, ch int) *BatchNorm {
 // Params implements Layer.
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-// evalAffine returns channel c's eval-mode transform y = x*scale + shift
-// from the running statistics. The inference plan derives its fused epilogue
-// from the same expression, so the two paths cannot round differently.
-func (bn *BatchNorm) evalAffine(c int) (scale, shift float32) {
-	g, b := bn.Gamma.W.Data()[c], bn.Beta.W.Data()[c]
-	inv := float32(1 / math.Sqrt(float64(bn.RunningVar[c])+float64(bn.Eps)))
-	mean := bn.RunningMean[c]
-	return g * inv, b - g*inv*mean
-}
-
 // Forward implements Layer for input (N, C, H, W).
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "BatchNorm")

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/tensor"
 )
 
@@ -220,6 +222,16 @@ func newBNAffine(bn *BatchNorm, relu6 bool) bnAffine {
 	return bnAffine{bn: bn, relu6: relu6, scale: make([]float32, bn.ch), shift: make([]float32, bn.ch)}
 }
 
+// evalAffine returns channel c's eval-mode transform y = x*scale + shift
+// from the running statistics. BatchNorm.Forward and the inference plan's
+// fused epilogue both take it from here, so the two cannot round differently.
+func (bn *BatchNorm) evalAffine(c int) (scale, shift float32) {
+	g, b := bn.Gamma.W.Data()[c], bn.Beta.W.Data()[c]
+	inv := float32(1 / math.Sqrt(float64(bn.RunningVar[c])+float64(bn.Eps)))
+	mean := bn.RunningMean[c]
+	return g * inv, b - float32(g*inv*mean)
+}
+
 // refresh re-derives the per-channel transform from the live layer.
 func (a *bnAffine) refresh() {
 	for c := range a.scale {
@@ -230,7 +242,7 @@ func (a *bnAffine) refresh() {
 // bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then
 // ReLU6.Forward's clamp.
 func bnAct(s, scale, shift float32, relu6 bool) float32 {
-	v := s*scale + shift
+	v := float32(s*scale) + shift
 	if relu6 {
 		v = min(max(v, 0), 6)
 	}
@@ -358,17 +370,17 @@ func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32,
 			for j, wv := range w0 {
 				x0, x1 := a[o], a[o+1]
 				o += p
-				s00 += wv * x0
-				s01 += wv * x1
+				s00 += float32(wv * x0)
+				s01 += float32(wv * x1)
 				wv = w1[j]
-				s10 += wv * x0
-				s11 += wv * x1
+				s10 += float32(wv * x0)
+				s11 += float32(wv * x1)
 				wv = w2[j]
-				s20 += wv * x0
-				s21 += wv * x1
+				s20 += float32(wv * x0)
+				s21 += float32(wv * x1)
 				wv = w3[j]
-				s30 += wv * x0
-				s31 += wv * x1
+				s30 += float32(wv * x0)
+				s31 += float32(wv * x1)
 			}
 			d0[pi] = bnAct(s00, sc0, sh0, relu6)
 			d1[pi] = bnAct(s10, sc1, sh1, relu6)
@@ -385,10 +397,10 @@ func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32,
 			for j, wv := range w0 {
 				xv := a[o]
 				o += p
-				s0 += wv * xv
-				s1 += w1[j] * xv
-				s2 += w2[j] * xv
-				s3 += w3[j] * xv
+				s0 += float32(wv * xv)
+				s1 += float32(w1[j] * xv)
+				s2 += float32(w2[j] * xv)
+				s3 += float32(w3[j] * xv)
 			}
 			d0[pi] = bnAct(s0, sc0, sh0, relu6)
 			d1[pi] = bnAct(s1, sc1, sh1, relu6)
@@ -404,7 +416,7 @@ func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32,
 			var s float32
 			o := pi
 			for _, wv := range wrow {
-				s += wv * a[o]
+				s += float32(wv * a[o])
 				o += p
 			}
 			out[pi] = bnAct(s, scale[c], shift[c], relu6)
@@ -423,39 +435,22 @@ func (o *planDepthwise) outShape(c, h, w int) (int, int, int) {
 	return c, (h+2*l.pad-l.kh)/l.stride + 1, (w+2*l.pad-l.kw)/l.stride + 1
 }
 
-// interior3x3 returns the inclusive range of output positions along one
-// axis whose three taps all fall inside an input of length in; lo > hi when
-// there is none.
-func interior3x3(in, out, stride, pad int) (lo, hi int) {
-	if in+pad < 3 {
-		return 0, -1
-	}
-	return (pad + stride - 1) / stride, min((in-3+pad)/stride, out-1)
-}
-
-// dwPixel is DepthwiseConv2D.convPlane's loop for one output pixel: taps
-// outside the input are skipped, the rest are added in ky,kx order.
+// dwPixel is DepthwiseConv2D.convPlane's sum for one output pixel: the taps
+// that fall inside the input, added in ky,kx order from +0.
 func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) float32 {
-	iy0 := oy*stride - pad
-	ix0 := ox*stride - pad
+	iy0, ix0 := oy*stride-pad, ox*stride-pad
 	var s float32
-	for ky := 0; ky < kh; ky++ {
-		iy := iy0 + ky
-		if iy < 0 || iy >= inH {
-			continue
-		}
-		row := plane[iy*inW:]
-		kr := ker[ky*kw:]
-		for kx := 0; kx < kw; kx++ {
-			ix := ix0 + kx
-			if ix >= 0 && ix < inW {
-				s += row[ix] * kr[kx]
-			}
+	for ky := max(0, -iy0); ky < min(kh, inH-iy0); ky++ {
+		row, kr := plane[(iy0+ky)*inW:], ker[ky*kw:]
+		for kx := max(0, -ix0); kx < min(kw, inW-ix0); kx++ {
+			s += float32(row[ix0+kx] * kr[kx])
 		}
 	}
 	return s
 }
 
+// run hands a 3×3 layer to the vector kernel where there is one; the Go loop
+// is dwPixel over every output.
 func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 	l := o.l
 	if ch != l.ch {
@@ -463,15 +458,6 @@ func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) 
 	}
 	_, outH, outW := o.outShape(ch, inH, inW)
 	wt := l.Weight.W.Data()
-
-	// Inside the interior every 3×3 tap is in bounds and the unrolled loop
-	// runs; outside it, the generic border path.
-	oyLo, oyHi := interior3x3(inH, outH, l.stride, l.pad)
-	oxLo, oxHi := interior3x3(inW, outW, l.stride, l.pad)
-	if l.kh != 3 || l.kw != 3 || oxLo > oxHi {
-		oyLo, oyHi = 0, -1 // every row takes the generic path
-	}
-
 	for c := 0; c < ch; c++ {
 		if l.kh == 3 && l.kw == 3 {
 			// The vector kernel takes the channels from c on that it can;
@@ -484,40 +470,9 @@ func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) 
 		plane := src[c*inH*inW : (c+1)*inH*inW]
 		out := dst[c*outH*outW : (c+1)*outH*outW]
 		ker := wt[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
-		scale, shift := o.scale[c], o.shift[c]
-		border := func(oy, lo, hi int) {
-			for ox := lo; ox < hi; ox++ {
-				s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, oy, ox)
-				out[oy*outW+ox] = bnAct(s, scale, shift, o.relu6)
-			}
-		}
-		for oy := 0; oy < outH; oy++ {
-			if oy < oyLo || oy > oyHi {
-				border(oy, 0, outW)
-				continue
-			}
-			k0, k1, k2, k3, k4, k5, k6, k7, k8 := ker[0], ker[1], ker[2], ker[3], ker[4], ker[5], ker[6], ker[7], ker[8]
-			iy0 := oy*l.stride - l.pad
-			r0 := plane[iy0*inW : (iy0+1)*inW]
-			r1 := plane[(iy0+1)*inW : (iy0+2)*inW]
-			r2 := plane[(iy0+2)*inW : (iy0+3)*inW]
-			orow := out[oy*outW : (oy+1)*outW]
-			border(oy, 0, oxLo)
-			for ox := oxLo; ox <= oxHi; ox++ {
-				ix := ox*l.stride - l.pad
-				var s float32
-				s += r0[ix] * k0
-				s += r0[ix+1] * k1
-				s += r0[ix+2] * k2
-				s += r1[ix] * k3
-				s += r1[ix+1] * k4
-				s += r1[ix+2] * k5
-				s += r2[ix] * k6
-				s += r2[ix+1] * k7
-				s += r2[ix+2] * k8
-				orow[ox] = bnAct(s, scale, shift, o.relu6)
-			}
-			border(oy, oxHi+1, outW)
+		for i := range out {
+			s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, i/outW, i%outW)
+			out[i] = bnAct(s, o.scale[c], o.shift[c], o.relu6)
 		}
 	}
 }
@@ -571,7 +526,7 @@ func denseInfer(y, x *tensor.Tensor, d *Dense, relu bool) *tensor.Tensor {
 			wj := wt[j*d.in : (j+1)*d.in]
 			var s float32
 			for q, xv := range xi {
-				s += xv * wj[q]
+				s += float32(xv * wj[q])
 			}
 			v := s + b[j]
 			if relu && !(v > 0) {

@@ -280,19 +280,6 @@ func TestSGDMomentumConverges(t *testing.T) {
 	}
 }
 
-func TestAdamConverges(t *testing.T) {
-	p := &Param{Name: "w", W: tensor.New(1), G: tensor.New(1)}
-	p.W.Data()[0] = -5
-	opt := NewAdam(0.2, 0)
-	for i := 0; i < 300; i++ {
-		p.G.Data()[0] = 2 * (p.W.Data()[0] - 3)
-		opt.Step([]*Param{p})
-	}
-	if math.Abs(float64(p.W.Data()[0])-3) > 1e-2 {
-		t.Fatalf("Adam converged to %v, want 3", p.W.Data()[0])
-	}
-}
-
 func TestWeightDecayShrinksWeights(t *testing.T) {
 	p := &Param{Name: "w", W: tensor.New(1), G: tensor.New(1)}
 	p.W.Data()[0] = 1

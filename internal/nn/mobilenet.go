@@ -67,7 +67,7 @@ func DefaultConfig(classes int) ModelConfig {
 }
 
 func scaleCh(base int, width float64) int {
-	c := int(float64(base)*width + 0.5)
+	c := int(float64(float64(base)*width) + 0.5)
 	if c < 4 {
 		c = 4
 	}

@@ -2,13 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	// Step updates every parameter from its gradient and clears nothing;
-	// callers decide when to ZeroGrad.
-	Step(params []*Param)
-}
-
 // SGD is stochastic gradient descent with classical momentum and decoupled
 // L2 weight decay.
 type SGD struct {
@@ -24,7 +17,8 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay, velocity: map[*Param][]float32{}}
 }
 
-// Step implements Optimizer.
+// Step updates every parameter from its gradient and clears nothing; callers
+// decide when to ZeroGrad.
 func (s *SGD) Step(params []*Param) {
 	lr := float32(s.LR)
 	mu := float32(s.Momentum)
@@ -41,55 +35,6 @@ func (s *SGD) Step(params []*Param) {
 			grad := g[i] + wd*w[i]
 			v[i] = mu*v[i] + grad
 			w[i] -= lr * v[i]
-		}
-	}
-}
-
-// Adam implements the Adam optimizer with bias correction.
-type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
-
-	t int
-	m map[*Param][]float32
-	v map[*Param][]float32
-}
-
-// NewAdam creates an Adam optimizer with the standard betas.
-func NewAdam(lr, weightDecay float64) *Adam {
-	return &Adam{
-		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
-		m: map[*Param][]float32{}, v: map[*Param][]float32{},
-	}
-}
-
-// Step implements Optimizer.
-func (a *Adam) Step(params []*Param) {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	lr := a.LR * math.Sqrt(bc2) / bc1
-	b1 := float32(a.Beta1)
-	b2 := float32(a.Beta2)
-	wd := float32(a.WeightDecay)
-	for _, p := range params {
-		m, ok := a.m[p]
-		if !ok {
-			m = make([]float32, p.W.Len())
-			a.m[p] = m
-			a.v[p] = make([]float32, p.W.Len())
-		}
-		v := a.v[p]
-		w := p.W.Data()
-		g := p.G.Data()
-		for i := range w {
-			grad := g[i] + wd*w[i]
-			m[i] = b1*m[i] + (1-b1)*grad
-			v[i] = b2*v[i] + (1-b2)*grad*grad
-			w[i] -= float32(lr * float64(m[i]) / (math.Sqrt(float64(v[i])) + a.Eps))
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 {
 // keep·len entries may remain; the choice is deterministic either way.
 func pruneToKeep(w []float32, keep float64) {
 	n := len(w)
-	k := int(float64(n)*keep + 0.5)
+	k := int(float64(float64(n)*keep) + 0.5)
 	if k >= n {
 		return
 	}
@@ -150,7 +150,7 @@ func (s *sparseDense) apply(y, x *tensor.Tensor) *tensor.Tensor {
 		for o := 0; o < s.out; o++ {
 			var acc float32
 			for p := s.rowPtr[o]; p < s.rowPtr[o+1]; p++ {
-				acc += s.val[p] * row[s.colIdx[p]]
+				acc += float32(s.val[p] * row[s.colIdx[p]])
 			}
 			v := acc + s.bias[o]
 			if s.relu && v < 0 {

@@ -92,7 +92,7 @@ func qround(v float32) int32 {
 
 // quantize is qround(v·inv) clamped to [-127, 127].
 func quantize(v, inv float32) int8 {
-	return int8(min(max(qround(v*inv), -127), 127))
+	return int8(min(max(qround(float32(v*inv)), -127), 127))
 }
 
 // quantizeTo fills dst with round(src/scale) clamped to [-127, 127].
@@ -132,7 +132,7 @@ func foldBN(bn *BatchNorm) (scale, shift []float32) {
 	for c := 0; c < n; c++ {
 		a := g[c] / float32(math.Sqrt(float64(bn.RunningVar[c])+float64(bn.Eps)))
 		scale[c] = a
-		shift[c] = beta[c] - bn.RunningMean[c]*a
+		shift[c] = beta[c] - float32(bn.RunningMean[c]*a)
 	}
 	return scale, shift
 }
@@ -190,7 +190,7 @@ func packQMatrix(q []int8, scale []float32, rows, k int) *qmatrix {
 // the fused activation: clamp is its upper bound — 6 for ReLU6, +Inf for
 // ReLU — and 0 when there is none.
 func qfinish(acc int32, deq, bias, clamp float32) float32 {
-	v := float32(acc)*deq + bias
+	v := float32(float32(acc)*deq) + bias
 	if clamp > 0 {
 		v = min(max(v, 0), clamp)
 	}
@@ -360,58 +360,31 @@ func (o *qdepthwise) outShape(c, h, w int) (int, int, int) {
 }
 
 // run hands a 3×3 layer to the vector kernel where there is one. The Go loop
-// quantizes each channel plane into a zero-padded copy, so that no tap of any
-// output pixel is out of bounds: a padding tap adds an exact integer zero
-// where the reference loop skips it, and the 3×3 kernel the model uses runs
-// unrolled over the whole plane.
+// quantizes a channel's plane once and sums each output's taps in int32,
+// skipping those that fall in the padding.
 func (o *qdepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
 	_, outH, outW := o.outShape(ch, inH, inW)
-	unrolled := o.kh == 3 && o.kw == 3
-	if unrolled && qdw3x3Vector(p, o, dst, src, ch, inH, inW, outH, outW) {
+	if o.kh == 3 && o.kw == 3 && qdw3x3Vector(p, o, dst, src, ch, inH, inW, outH, outW) {
 		return
 	}
-	pw := inW + 2*o.pad
-	padded := p.panel((inH + 2*o.pad) * pw)
-	clear(padded) // the border stays zero; every channel rewrites the interior
+	q := p.panel(inH * inW)
 	for c := 0; c < ch; c++ {
 		plane := src[c*inH*inW : (c+1)*inH*inW]
 		ax := absMaxScale(plane)
+		quantizeTo(q, plane, ax)
 		ker := o.w[c*o.kh*o.kw : (c+1)*o.kh*o.kw]
 		deq, bias := o.ws[c]*ax, o.bias[c]
 		out := dst[c*outH*outW : (c+1)*outH*outW]
-		for y := 0; y < inH; y++ {
-			quantizeTo(padded[(y+o.pad)*pw+o.pad:], plane[y*inW:(y+1)*inW], ax)
-		}
-		if unrolled {
-			qdw3x3(out, padded, ker, outW, pw, o.stride, deq, bias, o.clamp)
-			continue
-		}
 		for i := range out {
-			taps := padded[i/outW*o.stride*pw+i%outW*o.stride:]
+			iy0, ix0 := i/outW*o.stride-o.pad, i%outW*o.stride-o.pad
 			var acc int32
-			for t, kv := range ker {
-				acc += int32(kv) * int32(taps[t/o.kw*pw+t%o.kw])
+			for ky := max(0, -iy0); ky < min(o.kh, inH-iy0); ky++ {
+				row, kr := q[(iy0+ky)*inW:], ker[ky*o.kw:]
+				for kx := max(0, -ix0); kx < min(o.kw, inW-ix0); kx++ {
+					acc += int32(kr[kx]) * int32(row[ix0+kx])
+				}
 			}
 			out[i] = qfinish(acc, deq, bias, o.clamp)
-		}
-	}
-}
-
-// qdw3x3 is the unrolled 3×3 depthwise kernel over a zero-padded quantized
-// plane pw wide: output (oy, ox) reads the window at (oy·stride, ox·stride).
-func qdw3x3(out []float32, padded, ker []int8, outW, pw, stride int, deq, bias, clamp float32) {
-	k0, k1, k2 := int32(ker[0]), int32(ker[1]), int32(ker[2])
-	k3, k4, k5 := int32(ker[3]), int32(ker[4]), int32(ker[5])
-	k6, k7, k8 := int32(ker[6]), int32(ker[7]), int32(ker[8])
-	for oy := 0; oy*outW < len(out); oy++ {
-		rows := padded[oy*stride*pw : (oy*stride+3)*pw]
-		r0, r1, r2 := rows[:pw], rows[pw:2*pw], rows[2*pw:]
-		for ox := range out[oy*outW : (oy+1)*outW] {
-			ix := ox * stride
-			acc := k0*int32(r0[ix]) + k1*int32(r0[ix+1]) + k2*int32(r0[ix+2]) +
-				k3*int32(r1[ix]) + k4*int32(r1[ix+1]) + k5*int32(r1[ix+2]) +
-				k6*int32(r2[ix]) + k7*int32(r2[ix+1]) + k8*int32(r2[ix+2])
-			out[oy*outW+ox] = qfinish(acc, deq, bias, clamp)
 		}
 	}
 }

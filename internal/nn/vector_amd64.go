@@ -112,8 +112,8 @@ const qdwRun = 1 << 12
 // qdw3x3Vector is dw3x3Vector for qdepthwise, and takes a whole layer or
 // nothing. A run of channels is quantized into scratch as float32, where
 // every int8 tap product and every sum of nine (at most 9·127² < 2²⁴) is
-// exact, so the float32 kernel's sums are the integers qdw3x3 accumulates and
-// its epilogue is qfinish with ReLU6's clamp.
+// exact, so the float32 kernel's sums are the integers the Go loop
+// accumulates and its epilogue is qfinish with ReLU6's clamp.
 func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
 	if !dwVectorTakes(inH, inW, o.stride, o.pad) {
 		return false

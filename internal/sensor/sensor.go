@@ -162,9 +162,9 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 		}
 	}
 	shift := float32(p.ChromaticShift)
-	cx := float64(w-1) / 2
-	cy := float64(h-1) / 2
-	maxR2 := cx*cx + cy*cy
+	cx := float64(float64(w-1) / 2)
+	cy := float64(float64(h-1) / 2)
+	maxR2 := float64(cx*cx) + float64(cy*cy)
 
 	sc := scratchPool.Get().(*captureScratch)
 	sc.grow(w)
@@ -174,7 +174,7 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 	dx2 := sc.dx2
 	for x := 0; x < w; x++ {
 		dx := float64(x) - cx
-		dx2[x] = dx * dx
+		dx2[x] = float64(dx * dx)
 	}
 	noiseless := p.ShotNoise == 0 && p.ReadNoise == 0
 	shot, read := p.ShotNoise, p.ReadNoise
@@ -192,7 +192,7 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 		rowOff := y * w
 		dst := raw.Plane[rowOff : rowOff+w]
 		dy := float64(y) - cy
-		dy2 := dy * dy
+		dy2 := float64(dy * dy)
 		for x := 0; x < w; x++ {
 			c := crow[x&1]
 			var sample float32
@@ -209,7 +209,7 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 				// expression is otherwise untouched.
 				sample *= float32(1 - vig*(dx2[x]+dy2)/maxR2)
 			}
-			v := float64(sample) * gains[c]
+			v := float64(float64(sample) * gains[c])
 			if v < 0 {
 				v = 0
 			}
@@ -219,7 +219,7 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 				// Poisson and thermal processes. The two draws stay inline
 				// and in order — every capture consumes the same rng
 				// stream whatever the parameters.
-				v += rng.NormFloat64()*shot*math.Sqrt(v) + rng.NormFloat64()*read
+				v += float64(rng.NormFloat64()*shot*math.Sqrt(v)) + float64(rng.NormFloat64()*read)
 				if v < 0 {
 					v = 0
 				} else if v > 1 {
@@ -274,7 +274,7 @@ func caSampleFast(row []float32, x, w int, s float32, lo, hi int) float32 {
 		fx := float32(x) - s
 		x0 := int(fx)
 		frac := fx - float32(x0)
-		return row[x0]*(1-frac) + row[x0+1]*frac
+		return float32(row[x0]*(1-frac)) + float32(row[x0+1]*frac)
 	}
 	return caSample(row, x, w, s)
 }
@@ -296,5 +296,5 @@ func caSample(row []float32, x, w int, s float32) float32 {
 	} else if x1 >= w {
 		x1 = w - 1
 	}
-	return row[x0]*(1-frac) + row[x1]*frac
+	return float32(row[x0]*(1-frac)) + float32(row[x1]*frac)
 }

@@ -1,0 +1,59 @@
+#!/usr/bin/env bash
+# Fused multiply-add lint of the portable (!amd64) build. On arm64 the Go
+# compiler may fuse x*y + z into one instruction that rounds once; amd64 and
+# 386 never do, so a fused cell would not have the bits the goldens pin. The
+# Go kernels of the capture→infer path therefore round every product
+# explicitly, float32(x*y) + z, which forbids the fusion. Nothing here can
+# execute arm64; what it can do is read the compiler's listing and fail on
+# any fused instruction attributed to a line of that path.
+#
+#   ./scripts/lint_fma.sh              # build the arm64 listing and lint it
+#   ./scripts/lint_fma.sh --selftest   # lint the linter (CI runs this too)
+set -euo pipefail
+
+# The cell path: every file of the four capture packages, and in nn the files
+# that build and run an inference plan. nn's layers (Forward/Backward) only
+# train and are left fused.
+PATH_RE='internal/(imaging|isp|codec|sensor)/[a-z0-9_]+\.go|internal/nn/(infer_plan|quantize|prune|backend|fuse|mobilenet)\.go'
+
+# fused prints the fused multiply-adds of the listing on stdin that lie on the
+# cell path, and fails if there is one.
+fused() {
+  ! grep -E "\((/[^():]*/)?(${PATH_RE}):[0-9]+\)[[:space:]]+(FMADD|FMSUB|FNMADD|FNMSUB)"
+}
+
+if [ "${1:-}" = "--selftest" ]; then
+  clean='	0x0010 00016 (/src/internal/imaging/filter.go:70)	FMULS	F1, F0, F0
+	0x0014 00020 (/src/internal/imaging/filter.go:70)	FADDS	F0, F2, F2
+	0x0020 00032 (/src/internal/nn/conv.go:88)	FMADDS	F4, F0, F2, F0
+	0x0024 00036 (/src/internal/tensor/matmul.go:31)	FMADDS	F4, F0, F2, F0'
+  if ! printf '%s\n' "$clean" | fused >/dev/null; then
+    echo "lint_fma selftest: flagged a listing whose only fused lines are in training code" >&2
+    exit 1
+  fi
+  for line in \
+    '	0x0014 00020 (/src/internal/imaging/filter.go:70)	FMADDS	F4, F0, F2, F0' \
+    '	0x0018 00024 (/src/internal/nn/infer_plan.go:233)	FNMSUBS	F4, F0, F2, F0' \
+    '	0x001c 00028 (internal/sensor/sensor.go:120)	FMSUBD	F4, F0, F2, F0'; do
+    if printf '%s\n%s\n' "$clean" "$line" | fused >/dev/null; then
+      echo "lint_fma selftest: missed$line" >&2
+      exit 1
+    fi
+  done
+  echo "lint_fma selftest: ok"
+  exit 0
+fi
+
+cd "$(dirname "$0")/.."
+listing=$(mktemp)
+trap 'rm -f "$listing"' EXIT
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/nn >"$listing" 2>&1; then
+  grep -v '^	0x' "$listing" | tail -n 20 >&2
+  echo "lint_fma: the arm64 build failed" >&2
+  exit 1
+fi
+if ! fused <"$listing"; then
+  echo "lint_fma: the arm64 build fuses the multiply-adds above; round the product, float32(x*y) + z" >&2
+  exit 1
+fi
+echo "lint_fma: no fused multiply-add on the cell path of the arm64 build"
