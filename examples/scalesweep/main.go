@@ -7,12 +7,14 @@
 // cell by cell against the full-resolution baseline.
 //
 // Before the experiments API this comparison took hand-written glue (run
-// per condition, marshal accumulators, merge, diff — see what
-// examples/backendsweep does for the runtime axis). Here it is one POST:
+// per condition, marshal accumulators, merge, diff). Here it is one POST:
 // an ExperimentSpec with a scale axis, served by an in-process fleetd. A
-// second experiment then replays backendsweep's runtime comparison
-// (float32 vs int8) the same way, and its paired flip count reproduces the
-// cross-runtime attribution backendsweep measures by hand.
+// second experiment then compares the runtime stacks (float32 vs int8) the
+// same way — identical devices, scenes and noise draws, only the inference
+// stack changes — and its paired flip count is the cross-runtime
+// attribution: cells whose correctness flips with each stack internally
+// consistent, the paper's §7 instability that no sensor or ISP control can
+// remove.
 //
 // Everything is deterministic for any -workers value.
 //
@@ -143,9 +145,9 @@ func main() {
 		half.Paired.Flips, half.Paired.Cells, half.Paired.FlipRate*100, half.Paired.Agreement*100)
 	fmt.Printf("measured cost of the 4x capture speedup, no longer an assumption.\n")
 
-	// Experiment 2: backendsweep's runtime comparison as one spec — the
-	// paired flip count below is the same cross-runtime attribution
-	// examples/backendsweep assembles by hand from merged accumulators.
+	// Experiment 2: the runtime comparison as one spec — the paired flip
+	// count below is the cross-runtime attribution of the two arms' merged
+	// accumulators (TestComparePairMatchesCrossRuntime).
 	log.Printf("\nexperiment 2: runtime sweep {float32,int8} over the same fleet...")
 	rtRep, err := runExperiment(c, fleetapi.ExperimentSpec{
 		Base: base,
@@ -155,12 +157,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\n=== Runtime sweep via the experiments API (backendsweep, declaratively) ===\n")
+	fmt.Printf("\n=== Runtime sweep via the experiments API ===\n")
 	for _, a := range rtRep.Arms {
 		printArm(a)
 	}
 	int8Arm := rtRep.Arms[len(rtRep.Arms)-1]
-	fmt.Printf("\nint8 vs float32: %d/%d cells flip — the same paired cross-arm stat\n",
+	fmt.Printf("\nint8 vs float32: %d/%d cells flip with optics, noise, ISP and codec\n",
 		int8Arm.Paired.Flips, int8Arm.Paired.Cells)
-	fmt.Printf("backendsweep derives from hand-merged accumulator states.\n")
+	fmt.Printf("held fixed: the runtime stack's own contribution to instability.\n")
 }

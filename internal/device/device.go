@@ -116,7 +116,7 @@ func (p *Profile) DevelopRaw(raw *sensor.RawImage) *sensor.RawImage {
 			}
 			v := raw.Plane[y*raw.W+x]
 			if cnt > 0 && k > 0 {
-				v = (1-k)*v + k*(sum/cnt)
+				v = float32((1-k)*v) + float32(k*(sum/cnt))
 			}
 			v *= gain
 			if v > 1 {

@@ -22,7 +22,7 @@ import (
 // observation that the same app on the same phone model can decode through a
 // different chroma path after an OS update.
 func Synthesize(base *Profile, name string, rng *rand.Rand) *Profile {
-	jfac := func(frac float64) float64 { return 1 + (rng.Float64()*2-1)*frac }
+	jfac := func(frac float64) float64 { return jitter(rng, frac) }
 	jfac32 := func(frac float64) float32 { return float32(jfac(frac)) }
 
 	sp := base.Sensor.Params
@@ -67,6 +67,15 @@ func Synthesize(base *Profile, name string, rng *rand.Rand) *Profile {
 	return out
 }
 
+// jitter draws a factor around 1 with ±frac spread. Every product is rounded
+// before it is added to or subtracted from, here and in the rest of the
+// package: a compiler that may fuse the two (arm64's) would otherwise
+// synthesize a different fleet from the same seed (scripts/lint_fma.sh).
+func jitter(rng *rand.Rand, frac float64) float64 {
+	u := float64(rng.Float64()) // once inlined, the draw is itself a product
+	return 1 + float64((float64(u*2)-1)*frac)
+}
+
 // pickRuntime draws the device's inference stack: roughly half the fleet on
 // the float32 reference, a third on the int8 quantized build, the rest on
 // the pruned build — the TinyMLOps-style mix of per-device model variants.
@@ -84,7 +93,7 @@ func pickRuntime(rng *rand.Rand) string {
 // jitterPipeline rebuilds an ISP with perturbed stage parameters. Stage
 // types the jitterer does not recognize are carried over unchanged.
 func jitterPipeline(p *isp.Pipeline, rng *rand.Rand) *isp.Pipeline {
-	jfac := func(frac float64) float64 { return 1 + (rng.Float64()*2-1)*frac }
+	jfac := func(frac float64) float64 { return jitter(rng, frac) }
 	out := &isp.Pipeline{Name: p.Name, Demosaic: p.Demosaic, Stages: make([]isp.Stage, len(p.Stages))}
 	for i, s := range p.Stages {
 		switch s := s.(type) {
@@ -106,7 +115,7 @@ func jitterPipeline(p *isp.Pipeline, rng *rand.Rand) *isp.Pipeline {
 			f := float32(jfac(0.08))
 			id := isp.IdentityMatrix().M
 			for j := range s.M {
-				s.M[j] = id[j] + (s.M[j]-id[j])*f
+				s.M[j] = id[j] + float32((s.M[j]-id[j])*f)
 			}
 			out.Stages[i] = s
 		case isp.Gamma:

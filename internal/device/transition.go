@@ -57,14 +57,14 @@ func Throttle(p *Profile, severity float64, seed int64) *Profile {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// jit draws a per-unit factor around 1 with ±frac spread.
-	jit := func(frac float64) float64 { return 1 + (rng.Float64()*2-1)*frac }
+	jit := func(frac float64) float64 { return jitter(rng, frac) }
 	sp := p.Sensor.Params
 	// A fully throttled sensor roughly doubles its noise floor and loses a
 	// few percent exposure (longer integration clipped by the thermal
 	// governor).
-	sp.ShotNoise *= 1 + severity*jit(0.25)
-	sp.ReadNoise *= 1 + severity*jit(0.25)
-	sp.Exposure *= 1 - 0.05*severity*jit(0.30)
+	sp.ShotNoise *= 1 + float64(severity*jit(0.25))
+	sp.ReadNoise *= 1 + float64(severity*jit(0.25))
+	sp.Exposure *= 1 - float64(0.05*severity*jit(0.30))
 	out.Sensor = sensor.New(sp)
 	return &out
 }

@@ -287,7 +287,7 @@ func TestFleetForcedRuntime(t *testing.T) {
 	}
 }
 
-// TestRunnerMergedForcedSweeps reproduces the backendsweep attribution in
+// TestRunnerMergedForcedSweeps reproduces the runtime attribution in
 // miniature: the same fleet forced through float32 and int8, accumulator
 // states merged — every (scene, device) cell is then observed by both
 // stacks, so the cross-runtime denominator must cover all cells.
@@ -299,7 +299,7 @@ func TestRunnerMergedForcedSweeps(t *testing.T) {
 		cfg.Runtime = rt
 		r := NewRunner(cfg, testFactory())
 		r.Run()
-		state, err := r.AccumulatorState()
+		state, err := r.windowed.Window(0).MarshalState()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ type Device struct {
 	ID      int
 	Cohort  string // base lab phone this device was synthesized from
 	Profile *device.Profile
-	ISP     *isp.Fused
+	ISP     *isp.Pipeline
 	// Sensor is the capture-resolution sensor: optical lengths (blur
 	// sigma, chromatic shift) are expressed in pixels, so capturing at
 	// SceneSize/scale requires dividing them by scale to keep the same

@@ -152,14 +152,5 @@ func (r *Runner) Stats() Stats {
 	return renderStats(r.cfg.Fleet, int(r.capturesDone.Load()), r.windowed.Window(0), r.views())
 }
 
-// AccumulatorState serializes the run's stability accumulator in the wire
-// format of stability.(*Accumulator).MarshalState. A coordinator merges
-// several runners' states (shards of one fleet, or forced-runtime sweeps of
-// the same fleet) into one accumulator with UnmarshalState — the
-// building block for distributed fleetd shards.
-func (r *Runner) AccumulatorState() ([]byte, error) {
-	return r.windowed.Window(0).MarshalState()
-}
-
 // Config returns the (defaulted) run configuration.
 func (r *Runner) Config() Config { return r.cfg.Fleet }

@@ -216,7 +216,7 @@ func (s *Server) stopServe() {
 // cache miss pays device-set-independent dataset generation synchronously —
 // bounded by fleetapi.MaxServeItems.
 func (s *Server) serveBundleFor(req fleetapi.ServeRequest) *serveBundle {
-	key := bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: req.Scale}
+	key := bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale)}
 	return s.serve.bundles.GetOrCompute(key, func() *serveBundle {
 		gen := fleet.NewGenerator(key.seed, key.scale, 0)
 		engine := fleet.NewEngine(key.seed, key.scale, 0)
@@ -228,6 +228,16 @@ func (s *Server) serveBundleFor(req fleetapi.ServeRequest) *serveBundle {
 func itemsOrDefault(n int) int {
 	if n <= 0 {
 		return 8
+	}
+	return n
+}
+
+// scaleOrDefault spells an omitted scale as fleet.NewGenerator and
+// fleet.NewEngine read it, so that the two spellings of one universe share a
+// bundle and coalesce.
+func scaleOrDefault(n int) int {
+	if n <= 0 {
+		return 2
 	}
 	return n
 }
@@ -517,7 +527,7 @@ func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string,
 			rt = bundle.gen.Device(req.Device).Profile.RuntimeName()
 		}
 		key := cellKey{
-			seed: req.Seed, items: itemsOrDefault(req.Items), scale: req.Scale,
+			seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale),
 			device: req.Device, item: req.Item, angle: req.Angle, rt: rt,
 		}
 		if cell := byCell[key]; cell != nil {

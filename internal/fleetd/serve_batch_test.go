@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -214,6 +215,8 @@ func TestCollectBatchPriority(t *testing.T) {
 // TestServeBatchCoalescing: jobs in one formed batch naming the same cell
 // are captured and inferred once, and every coalesced job receives the
 // identical payload — responses are pure functions of the cell coordinate.
+// The last job spells cell A's default scale out (2, where the others omit
+// it): one universe, so it coalesces too.
 func TestServeBatchCoalescing(t *testing.T) {
 	s := serveTestServer(ServeOptions{Workers: 1})
 	defer s.CancelRuns()
@@ -224,8 +227,10 @@ func TestServeBatchCoalescing(t *testing.T) {
 	backends := fleet.NewLRU[string, nn.Backend](8)
 	cellA := fleetapi.ServeRequest{Device: 1, Item: 2, Angle: 0, Seed: 42, Runtime: nn.RuntimeInt8}
 	cellB := fleetapi.ServeRequest{Device: 3, Item: 4, Angle: 1, Seed: 42, Runtime: nn.RuntimeInt8}
-	jobs := make([]*serveJob, 0, 4)
-	for _, req := range []fleetapi.ServeRequest{cellA, cellB, cellA, cellB} {
+	cellAScale2 := cellA
+	cellAScale2.Scale = 2
+	jobs := make([]*serveJob, 0, 5)
+	for _, req := range []fleetapi.ServeRequest{cellA, cellB, cellA, cellB, cellAScale2} {
 		jobs = append(jobs, &serveJob{
 			req: req, class: class, enq: time.Now(),
 			ctx: context.Background(), done: make(chan serveResult, 1),
@@ -240,18 +245,28 @@ func TestServeBatchCoalescing(t *testing.T) {
 		}
 		results[i] = res.resp
 	}
-	for _, pair := range [][2]int{{0, 2}, {1, 3}} {
-		a, b := results[pair[0]], results[pair[1]]
-		if a.Pred != b.Pred || a.Score != b.Score || a.Bytes != b.Bytes || a.TrueClass != b.TrueClass {
-			t.Fatalf("coalesced jobs %v diverge:\n  %+v\n  %+v", pair, a, b)
-		}
-		if a.StageNanos.Sensor != b.StageNanos.Sensor || a.StageNanos.Codec != b.StageNanos.Codec {
-			t.Fatalf("coalesced jobs %v report different captures", pair)
+	if got := s.tele.Captures.Value(); got != 2 {
+		t.Fatalf("batch of 5 jobs over 2 cells made %d captures, want 2", got)
+	}
+	if got := s.serve.bundles.Len(); got != 1 {
+		t.Fatalf("scale 0 and scale 2 built %d bundles, want 1", got)
+	}
+	// payload is a response less the two times that are the job's own: the
+	// prediction, the compressed size and the stage times of the one capture
+	// and the one inference share the coalesced jobs were given.
+	payload := func(r fleetapi.ServeResponse) string {
+		r.QueueNanos, r.TotalNanos = 0, 0
+		b, _ := json.Marshal(r)
+		return string(b)
+	}
+	for _, pair := range [][2]int{{0, 2}, {1, 3}, {0, 4}} {
+		if a, b := payload(results[pair[0]]), payload(results[pair[1]]); a != b {
+			t.Fatalf("coalesced jobs %v answer with different bytes:\n  %s\n  %s", pair, a, b)
 		}
 	}
 	for i, r := range results {
-		if r.BatchSize != 4 {
-			t.Fatalf("job %d rode batch %d, want 4 (all jobs share one int8 pass)", i, r.BatchSize)
+		if r.BatchSize != 5 {
+			t.Fatalf("job %d rode batch %d, want 5 (all jobs share one int8 pass)", i, r.BatchSize)
 		}
 	}
 }

@@ -213,16 +213,6 @@ func boxTapClipped(src []float32, x, y, r, w, h int) float32 {
 	return s / float32(cnt)
 }
 
-// UnsharpMask sharpens with amount a: out = src + a*(src - blur(src)).
-func UnsharpMask(im *Image, sigma float64, amount float32) *Image {
-	blur := GaussianBlur(im, sigma)
-	out := New(im.W, im.H)
-	for i := range im.Pix {
-		out.Pix[i] = im.Pix[i] + float32(amount*(im.Pix[i]-blur.Pix[i]))
-	}
-	return out
-}
-
 // MedianDenoise3 applies a 3×3 median filter per channel, an edge-preserving
 // denoiser used by the higher-end ISP profiles.
 func MedianDenoise3(im *Image) *Image {

@@ -71,11 +71,12 @@ func refGaussianBlur(im *Image, sigma float64) *Image {
 }
 
 // TestGaussianBlurMatchesReference pins the split blur to the clamped
-// original across sigmas — radii 1 to 4, which have unrolled taps, and 5,
-// which takes the generic loop — odd/even sizes, and frames smaller than the
-// kernel itself. Samples are non-negative, as every blurred plane in the
-// pipeline is: the unrolled sums start from their first product where the
-// reference starts from +0, which differs only if that product is −0.
+// original across sigmas — radii 1 to 4, whose interior sums start from
+// their first product, and 5, whose sums start from +0 — odd/even sizes, and
+// frames smaller than the kernel itself. Samples are non-negative, as every
+// blurred plane in the pipeline is: a sum that starts from its first product
+// differs from the reference's, which starts from +0, only if that product
+// is −0.
 func TestGaussianBlurMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sizes := [][2]int{{64, 64}, {32, 32}, {17, 13}, {5, 7}, {3, 3}, {2, 9}, {1, 1}}

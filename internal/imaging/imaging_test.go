@@ -347,37 +347,6 @@ func TestMedianRemovesSaltNoise(t *testing.T) {
 	}
 }
 
-func TestUnsharpMaskZeroAmountIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	im := randImage(rng, 8, 8)
-	out := UnsharpMask(im, 1, 0)
-	for i := range im.Pix {
-		if math.Abs(float64(im.Pix[i]-out.Pix[i])) > 1e-6 {
-			t.Fatal("amount=0 unsharp must be identity")
-		}
-	}
-}
-
-func TestUnsharpMaskIncreasesEdgeContrast(t *testing.T) {
-	im := New(8, 8)
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			v := float32(0.2)
-			if x >= 4 {
-				v = 0.8
-			}
-			im.Set(x, y, v, v, v)
-		}
-	}
-	out := UnsharpMask(im, 1, 1)
-	// sample across the edge
-	lo, _, _ := out.At(3, 4)
-	hi, _, _ := out.At(4, 4)
-	if hi-lo <= 0.6 {
-		t.Fatalf("edge contrast %v not amplified", hi-lo)
-	}
-}
-
 func variance(v []float32) float64 {
 	var sum, sumSq float64
 	for _, x := range v {

@@ -85,10 +85,10 @@ func randomImage(rng *rand.Rand, w, h int, odd bool) *Image {
 // TestVectorGaussianBlurMatchesGo sweeps the blur over every width from 1 to
 // 67 and height from 1 to 19 at radii 1 to 6: row tails of every length,
 // frames narrower than a vector and narrower or shorter than the kernel, the
-// four unrolled kernel widths and two that take the generic loop. The second
-// image of each size holds odd samples, zeros of both signs among them: a
-// window of -0 alone is where a sum started from +0 and one started from its
-// first product part.
+// four kernel widths whose interior sums start from their first product and
+// two whose sums start from +0. The second image of each size holds odd
+// samples, zeros of both signs among them: a window of -0 alone is where a
+// sum started from +0 and one started from its first product part.
 func TestVectorGaussianBlurMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	sigmas := []float64{0.3, 0.6, 0.9, 1.2, 1.5, 1.9} // radii 1 to 6

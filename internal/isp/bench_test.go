@@ -40,6 +40,22 @@ func BenchmarkDemosaic(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineProcess runs each vendor's pipeline as written — what
+// cmd/paper and internal/lab execute — on the same 64×64 raw frame, so the
+// cost of the lab path shows beside the fleet's. As there, the result is kept
+// rather than handed back to the pool.
+func BenchmarkPipelineProcess(b *testing.B) {
+	raw := noisyRaw(2, 64, 64)
+	for _, p := range []*Pipeline{VendorSamsung(), VendorApple(), VendorHTC(), VendorLG(), VendorMotorola()} {
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = p.Process(raw)
+			}
+		})
+	}
+}
+
 // BenchmarkFusedProcess runs each vendor's fused pipeline on a 64×64 raw
 // frame, the fleet's full-resolution capture: new takes the vector passes
 // where the machine has them, ref the Go loops (the spatial filters are

@@ -4,6 +4,12 @@
 // pipelines. The paper treats phone ISPs as opaque, divergent black boxes;
 // here each vendor is an explicit parameterization of the same stage set, so
 // the divergence is reproducible and controllable.
+//
+// A Pipeline is a demosaic algorithm and a list of stages, run in place by
+// one executor; each stage's arithmetic is written once (stages.go). Fuse
+// compiles a pipeline into a shorter one of the same type for the fleet's hot
+// path (fused.go), so what the lab runs and what the fleet runs differ in
+// their stage lists only.
 package isp
 
 import (

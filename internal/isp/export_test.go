@@ -8,10 +8,10 @@ import (
 // MedianInput runs f on a raw frame up to its first median denoise and
 // returns the image that filter would read, or nil when f has none. For the
 // external test that checks what a fleet feeds imaging.MedianDenoise3Into.
-func (f *Fused) MedianInput(raw *sensor.RawImage) *imaging.Image {
-	for i, op := range f.ops {
-		if op.denoise != nil && op.denoise.Median {
-			head := Fused{Demosaic: f.Demosaic, ops: f.ops[:i]}
+func (f *Pipeline) MedianInput(raw *sensor.RawImage) *imaging.Image {
+	for i, s := range f.Stages {
+		if d, ok := s.(Denoise); ok && d.Median {
+			head := Pipeline{Demosaic: f.Demosaic, Stages: f.Stages[:i]}
 			return head.Process(raw)
 		}
 	}

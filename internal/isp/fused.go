@@ -5,39 +5,7 @@ import (
 
 	"repro/internal/fmath"
 	"repro/internal/imaging"
-	"repro/internal/sensor"
 )
-
-// Fused is a compiled Pipeline for high-throughput fleet simulation. The
-// interpreted Pipeline allocates a fresh image per stage and evaluates
-// transcendental curves (gamma, tone) per pixel; Fuse collapses every run of
-// pointwise stages into at most one channel-mixing matrix pass and one
-// scalar-curve pass backed by a lookup table, executed in place. Stages that
-// cannot be precompiled — auto white balance (data-dependent gains) and the
-// spatial denoise/sharpen filters — run unchanged, so a fused pipeline stays
-// within LUT interpolation error (<1e-3) of its source pipeline while doing
-// a small fraction of the work.
-type Fused struct {
-	Name     string
-	Demosaic DemosaicAlgorithm
-	ops      []fusedOp
-}
-
-// fusedOp is one executable step; exactly one field is active (awbNext
-// optionally rides along with awb).
-type fusedOp struct {
-	stage   Stage // run as-is (unknown stages)
-	sharpen *Sharpen
-	denoise *Denoise
-	awb     *WhiteBalance
-	// awbNext is a constant matrix immediately following the auto white
-	// balance; the runtime folds it into the data-dependent gain matrix so
-	// both apply in a single pass.
-	awbNext *[9]float32
-	matrix  *[9]float32 // one in-place channel-mixing pass
-	lut     []float32   // one in-place scalar-curve pass
-	clamp   bool        // the curve is a plain clamp01; skip the table
-}
 
 // The LUT is indexed by u = sqrt(v) so that the steep dark region of
 // power-law curves gets quadratically more entries; a 2k-entry table keeps
@@ -50,139 +18,133 @@ const (
 	lutMaxU = 2.0
 )
 
-// curveFn is a scalar per-sample transfer function.
-type curveFn func(float32) float32
-
-// Fuse compiles a pipeline. The source pipeline is not retained.
-func Fuse(p *Pipeline) *Fused {
-	f := &Fused{Name: p.Name, Demosaic: p.Demosaic}
-	var curves []curveFn // pending run of scalar curves
+// Fuse compiles a pipeline for high-throughput fleet simulation into another
+// pipeline. The stages of the source evaluate transcendental curves (gamma,
+// tone) per sample and make one pass a stage; Fuse collapses every run of
+// pointwise stages into at most one channel-mixing matrix pass (a composed
+// ColorMatrix) and one scalar-curve pass backed by a lookup table (lut).
+// Stages that cannot be precompiled — auto white balance (data-dependent
+// gains) and the spatial denoise/sharpen filters — are carried over
+// unchanged, so a fused pipeline stays within LUT interpolation error (<1e-3)
+// of its source pipeline while doing a small fraction of the work. The source
+// pipeline is not retained.
+func Fuse(p *Pipeline) *Pipeline {
+	f := &Pipeline{Name: p.Name, Demosaic: p.Demosaic}
+	// At most one of the two is pending: a curve flushes the matrix before it
+	// and a matrix the curves before it, which preserves stage order.
+	var curves []curveFn
 	var matrix *[9]float32
 
-	flushMatrix := func() {
+	flush := func() {
 		if matrix != nil {
-			f.ops = append(f.ops, fusedOp{matrix: matrix})
+			// A constant matrix that directly follows an auto white balance
+			// (the only kind carried over) is folded into it: the stage
+			// composes the data-dependent gain diagonal with the constant and
+			// applies both in one pass.
+			var prev Stage
+			if n := len(f.Stages); n > 0 {
+				prev = f.Stages[n-1]
+			}
+			if wb, ok := prev.(WhiteBalance); ok {
+				f.Stages[len(f.Stages)-1] = autoWBMatrix{wb: wb, next: *matrix}
+			} else {
+				f.Stages = append(f.Stages, ColorMatrix{M: *matrix})
+			}
 			matrix = nil
 		}
-	}
-	flushCurves := func() {
 		if len(curves) > 0 {
-			f.ops = append(f.ops, bakeCurves(curves))
+			f.Stages = append(f.Stages, bakeCurves(curves))
 			curves = nil
 		}
 	}
-	flushAll := func() { flushMatrix(); flushCurves() }
-	pushCurve := func(fn curveFn) {
-		flushMatrix() // preserve stage order: matrices before this curve run first
-		curves = append(curves, fn)
-	}
-	pushMatrix := func(m [9]float32) {
-		flushCurves()
-		if matrix == nil {
-			matrix = &m
-		} else {
-			composed := matmul3(m, *matrix)
-			matrix = &composed
-		}
-	}
-
 	for _, s := range p.Stages {
-		switch s := s.(type) {
-		case BlackLevel:
-			if s.Level <= 0 || s.Level >= 1 {
-				continue
-			}
-			level, inv := s.Level, 1/(1-s.Level)
-			pushCurve(func(v float32) float32 {
-				v -= level
-				if v < 0 {
-					v = 0
+		if c, ok := s.(curver); ok {
+			if fn := c.curve(); fn != nil {
+				if matrix != nil {
+					flush()
 				}
-				return v * inv
-			})
-		case WhiteBalance:
-			if s.Auto {
-				flushAll()
-				f.ops = append(f.ops, fusedOp{awb: &s})
+				curves = append(curves, fn)
+			}
+			continue
+		}
+		if mx, ok := s.(mixer); ok {
+			if m, constant := mx.matrix(); constant {
+				if len(curves) > 0 {
+					flush()
+				}
+				if matrix != nil {
+					m = matmul3(m, *matrix)
+				}
+				matrix = &m
 				continue
 			}
-			pushMatrix([9]float32{s.GainR, 0, 0, 0, s.GainG, 0, 0, 0, s.GainB})
-		case ColorMatrix:
-			pushMatrix(s.M)
-		case Gamma:
-			if s.SRGB {
-				pushCurve(func(v float32) float32 { return srgbEncode(fmath.Clamp01(v)) })
-			} else {
-				invG := 1 / s.G
-				pushCurve(func(v float32) float32 {
-					return float32(math.Pow(float64(fmath.Clamp01(v)), invG))
-				})
-			}
-		case ToneCurve:
-			if s.Strength == 0 {
-				continue
-			}
-			k := s.Strength
-			pushCurve(func(v float32) float32 { return toneCurve(v, k) })
-		case ClampStage:
-			pushCurve(func(v float32) float32 { return fmath.Clamp01(v) })
-		case Sharpen:
-			flushAll()
-			f.ops = append(f.ops, fusedOp{sharpen: &s})
-		case Denoise:
-			flushAll()
-			f.ops = append(f.ops, fusedOp{denoise: &s})
-		default:
-			flushAll()
-			f.ops = append(f.ops, fusedOp{stage: s})
 		}
+		flush()
+		f.Stages = append(f.Stages, s)
 	}
-	flushAll()
-
-	// A trailing (or lone) curve run that is exactly clamp01 is common —
-	// vendors end every pipeline with a clamp. Detect it so execution can
-	// skip the table lookup.
-	for i := range f.ops {
-		if f.ops[i].lut != nil && lutIsClamp(f.ops[i].lut) {
-			f.ops[i].clamp = true
-		}
-	}
-
-	// Fold a constant matrix that directly follows an auto white balance
-	// into it: the runtime composes the data-dependent gain diagonal with
-	// the constant and applies both in one pass.
-	folded := f.ops[:0]
-	for i := 0; i < len(f.ops); i++ {
-		op := f.ops[i]
-		if op.awb != nil && i+1 < len(f.ops) && f.ops[i+1].matrix != nil {
-			op.awbNext = f.ops[i+1].matrix
-			i++
-		}
-		folded = append(folded, op)
-	}
-	f.ops = folded
+	flush()
 	return f
 }
 
-// bakeCurves samples the composition of a curve run into one LUT op.
-func bakeCurves(curves []curveFn) fusedOp {
-	lut := make([]float32, lutSize)
+// lut is a compiled run of curves: one in-place scalar-curve pass.
+type lut struct{ table []float32 }
+
+func (lut) Name() string { return "lut" }
+
+func (s lut) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s lut) run(im *imaging.Image) *imaging.Image {
+	applyLUT(im.Pix, s.table)
+	return im
+}
+
+// autoWBMatrix is an auto white balance and the constant matrix that
+// followed it, applied in a single pass.
+type autoWBMatrix struct {
+	wb   WhiteBalance
+	next [9]float32
+}
+
+func (autoWBMatrix) Name() string { return "white_balance+color_matrix" }
+
+func (s autoWBMatrix) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s autoWBMatrix) run(im *imaging.Image) *imaging.Image {
+	m := matmul3(s.next, s.wb.gains(im))
+	applyMatrix(im, &m)
+	return im
+}
+
+// bakeCurves compiles a curve run into one stage: a table pass, or the plain
+// clamp where the run is exactly clamp01 — common, since vendors end every
+// pipeline with one — so that execution skips the table lookup.
+func bakeCurves(curves []curveFn) Stage {
+	table := bakeTable(curves)
+	if lutIsClamp(table) {
+		return ClampStage{}
+	}
+	return lut{table}
+}
+
+// bakeTable samples the composition of a curve run into one table.
+func bakeTable(curves []curveFn) []float32 {
+	table := make([]float32, lutSize)
 	step := lutMaxU / float64(lutSize-1)
-	for j := range lut {
+	for j := range table {
 		u := float64(j) * step
 		v := float32(u * u)
 		for _, fn := range curves {
 			v = fn(v)
 		}
-		lut[j] = v
+		table[j] = v
 	}
-	return fusedOp{lut: lut}
+	return table
 }
 
-// lutIsClamp reports whether a baked LUT is the identity-with-clamp curve.
-func lutIsClamp(lut []float32) bool {
+// lutIsClamp reports whether a baked table is the identity-with-clamp curve.
+func lutIsClamp(table []float32) bool {
 	step := lutMaxU / float64(lutSize-1)
-	for j, got := range lut {
+	for j, got := range table {
 		u := float64(j) * step
 		if got != fmath.Clamp01(float32(u*u)) {
 			return false
@@ -200,79 +162,6 @@ func matmul3(a, b [9]float32) [9]float32 {
 		}
 	}
 	return out
-}
-
-// Process runs the fused pipeline on a raw Bayer frame.
-func (f *Fused) Process(raw *sensor.RawImage) *imaging.Image {
-	return f.run(Demosaic(raw, f.Demosaic))
-}
-
-// ProcessRGB runs only the (fused) RGB stages; the input is not mutated.
-func (f *Fused) ProcessRGB(im *imaging.Image) *imaging.Image {
-	return f.run(im.Clone())
-}
-
-// run executes the op list, mutating im in place where possible. im must be
-// owned by the caller (freshly allocated).
-func (f *Fused) run(im *imaging.Image) *imaging.Image {
-	for _, op := range f.ops {
-		switch {
-		case op.stage != nil:
-			im = op.stage.Apply(im)
-		case op.sharpen != nil:
-			// Unsharp masking with the result written back in place: the
-			// same arithmetic as imaging.UnsharpMask without the output
-			// allocation. The blur lives in a pooled image for the pass.
-			blur := imaging.GaussianBlurInto(imaging.GetImage(im.W, im.H), im, op.sharpen.Sigma)
-			unsharp(im.Pix, blur.Pix, op.sharpen.Amount)
-			imaging.PutImage(blur)
-		case op.denoise != nil:
-			// The spatial denoisers cannot write in place (each output
-			// sample reads a neighbourhood of inputs), so they ping-pong
-			// through a pooled image instead of allocating one per frame.
-			// A box radius ≤ 0 is a plain copy in the interpreted stage;
-			// since run owns im, skipping it yields the same pixels.
-			if op.denoise.Median {
-				tmp := imaging.MedianDenoise3Into(imaging.GetImage(im.W, im.H), im)
-				imaging.PutImage(im)
-				im = tmp
-			} else if op.denoise.Radius > 0 {
-				tmp := imaging.BoxBlurInto(imaging.GetImage(im.W, im.H), im, op.denoise.Radius)
-				imaging.PutImage(im)
-				im = tmp
-			}
-		case op.awb != nil:
-			applyAutoWB(im, op.awb, op.awbNext)
-		case op.matrix != nil:
-			applyMatrix(im, op.matrix)
-		case op.clamp:
-			im.Clamp()
-		default:
-			applyLUT(im.Pix, op.lut)
-		}
-	}
-	return im
-}
-
-// applyAutoWB estimates gray-world gains exactly as WhiteBalance.Apply
-// does, then applies them in place in a single pass — composed with the
-// following constant matrix when the compiler folded one in.
-func applyAutoWB(im *imaging.Image, s *WhiteBalance, next *[9]float32) {
-	gr, gg, gb := float32(1), float32(1), float32(1)
-	mr, mg, mb := im.Mean()
-	if mr > 1e-6 && mg > 1e-6 && mb > 1e-6 {
-		strength := s.Strength
-		if strength == 0 {
-			strength = 1
-		}
-		gr = 1 + float32((float32(mg/mr)-1)*strength)
-		gb = 1 + float32((float32(mg/mb)-1)*strength)
-	}
-	gains := [9]float32{gr, 0, 0, 0, gg, 0, 0, 0, gb}
-	if next != nil {
-		gains = matmul3(*next, gains)
-	}
-	applyMatrix(im, &gains)
 }
 
 // unsharp adds amount times the difference from the blurred frame to every

@@ -1,6 +1,7 @@
 package isp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,7 +54,8 @@ func TestFusedMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestFusedProcessRGBDoesNotMutateInput guards the in-place execution.
+// TestFusedProcessRGBDoesNotMutateInput guards the in-place execution: the
+// stages of every built-in pipeline, as written and fused, run on a copy.
 func TestFusedProcessRGBDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	im := imaging.New(16, 16)
@@ -61,11 +63,50 @@ func TestFusedProcessRGBDoesNotMutateInput(t *testing.T) {
 		im.Pix[i] = rng.Float32()
 	}
 	before := append([]float32(nil), im.Pix...)
-	_ = Fuse(VendorSamsung()).ProcessRGB(im)
-	for i := range before {
-		if im.Pix[i] != before[i] {
-			t.Fatalf("ProcessRGB mutated input at %d", i)
+	for _, p := range allPipelines() {
+		for _, run := range []*Pipeline{p, Fuse(p)} {
+			_ = run.ProcessRGB(im)
+			for i := range before {
+				if im.Pix[i] != before[i] {
+					t.Fatalf("%s (%d stages): ProcessRGB mutated input at %d", run.Name, len(run.Stages), i)
+				}
+			}
 		}
+	}
+}
+
+// TestPipelineProcessMatchesAfterPoolReuse guards the ownership of pooled
+// images: a result handed back to the pool, and whatever the stages of two
+// other frames then took from and gave to it, must leave nothing that a later
+// run reads before writing. Every pipeline with a Denoise or a Sharpen — the
+// stages that borrow from the pool — as written and fused.
+func TestPipelineProcessMatchesAfterPoolReuse(t *testing.T) {
+	first, others := noisyRaw(21, 32, 32), []*sensor.RawImage{noisyRaw(22, 32, 32), noisyRaw(23, 24, 40)}
+	checked := 0
+	for _, p := range allPipelines() {
+		borrows := false
+		for _, s := range p.Stages {
+			switch s.(type) {
+			case Denoise, Sharpen:
+				borrows = true
+			}
+		}
+		if !borrows {
+			continue
+		}
+		checked++
+		for _, run := range []*Pipeline{p, Fuse(p)} {
+			out := run.Process(first)
+			want := append([]float32(nil), out.Pix...)
+			imaging.PutImage(out)
+			for _, raw := range others {
+				imaging.PutImage(run.Process(raw))
+			}
+			sameBits(t, fmt.Sprintf("%s (%d stages)", run.Name, len(run.Stages)), run.Process(first).Pix, want)
+		}
+	}
+	if checked < 6 {
+		t.Fatalf("only %d built-in pipelines denoise or sharpen; the test expects at least 6", checked)
 	}
 }
 
@@ -90,18 +131,18 @@ func TestFusedCollapsesPointwiseRuns(t *testing.T) {
 	// htc: black_level, wb(fixed), saturation, gamma, sharpen, clamp
 	f := Fuse(VendorHTC())
 	var stages, sharpens, matrices, luts, clamps int
-	for _, op := range f.ops {
-		switch {
-		case op.stage != nil:
-			stages++
-		case op.sharpen != nil:
+	for _, s := range f.Stages {
+		switch s.(type) {
+		case Sharpen:
 			sharpens++
-		case op.matrix != nil:
+		case ColorMatrix:
 			matrices++
-		case op.clamp:
+		case ClampStage:
 			clamps++
-		default:
+		case lut:
 			luts++
+		default:
+			stages++
 		}
 	}
 	if stages != 0 || sharpens != 1 { // fixed WB folds into the matrix
@@ -115,8 +156,8 @@ func TestFusedCollapsesPointwiseRuns(t *testing.T) {
 // TestFusedClampDetection: a clamp-only curve run skips the LUT.
 func TestFusedClampDetection(t *testing.T) {
 	f := Fuse(&Pipeline{Name: "clamp", Demosaic: DemosaicBilinear, Stages: []Stage{ClampStage{}}})
-	if len(f.ops) != 1 || !f.ops[0].clamp {
-		t.Fatalf("clamp-only pipeline compiled to %+v", f.ops)
+	if len(f.Stages) != 1 || f.Stages[0] != (ClampStage{}) {
+		t.Fatalf("clamp-only pipeline compiled to %+v", f.Stages)
 	}
 	im := imaging.New(4, 4)
 	im.Pix[0], im.Pix[1] = -0.5, 1.5

@@ -208,6 +208,40 @@ func TestToneCurveSCurveShape(t *testing.T) {
 	}
 }
 
+func TestSharpenZeroAmountIsIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	im := imaging.New(8, 8)
+	for i := range im.Pix {
+		im.Pix[i] = float32(rng.Float64())
+	}
+	out := Sharpen{Sigma: 1, Amount: 0}.Apply(im)
+	for i := range im.Pix {
+		if math.Abs(float64(im.Pix[i]-out.Pix[i])) > 1e-6 {
+			t.Fatal("amount=0 unsharp must be identity")
+		}
+	}
+}
+
+func TestSharpenIncreasesEdgeContrast(t *testing.T) {
+	im := imaging.New(8, 8)
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			v := float32(0.2)
+			if x >= 4 {
+				v = 0.8
+			}
+			im.Set(x, y, v, v, v)
+		}
+	}
+	out := Sharpen{Sigma: 1, Amount: 1}.Apply(im)
+	// sample across the edge
+	lo, _, _ := out.At(3, 4)
+	hi, _, _ := out.At(4, 4)
+	if hi-lo <= 0.6 {
+		t.Fatalf("edge contrast %v not amplified", hi-lo)
+	}
+}
+
 func TestStagesDoNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	im := imaging.New(4, 4)

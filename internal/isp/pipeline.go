@@ -14,17 +14,24 @@ type Pipeline struct {
 	Stages   []Stage
 }
 
-// Process runs the full pipeline on a raw Bayer frame.
+// Process runs the full pipeline on a raw Bayer frame. The result is the
+// caller's: a pooled image it may hand to imaging.PutImage when done.
 func (p *Pipeline) Process(raw *sensor.RawImage) *imaging.Image {
-	im := Demosaic(raw, p.Demosaic)
-	return p.ProcessRGB(im)
+	return p.run(Demosaic(raw, p.Demosaic))
 }
 
 // ProcessRGB runs only the RGB stages, for inputs that are already
-// demosaiced (e.g. the software-ISP raw-conversion experiment).
+// demosaiced (e.g. the software-ISP raw-conversion experiment). The input is
+// not mutated.
 func (p *Pipeline) ProcessRGB(im *imaging.Image) *imaging.Image {
+	return p.run(im.Clone())
+}
+
+// run executes the stage list on im, which the caller must own: stages
+// mutate it in place or trade it for a pooled image.
+func (p *Pipeline) run(im *imaging.Image) *imaging.Image {
 	for _, s := range p.Stages {
-		im = s.Apply(im)
+		im = s.run(im)
 	}
 	return im
 }

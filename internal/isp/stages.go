@@ -7,11 +7,40 @@ import (
 	"repro/internal/imaging"
 )
 
-// Stage transforms an RGB image in place in the pipeline; implementations
-// return a new image and must not mutate the input.
+// Stage is one RGB step of a pipeline. Apply returns a new image and does not
+// mutate its input. run is the stage's one body, and what a pipeline
+// executes: it works on an image the caller owns, in place where the stage
+// can, and returns the image that now holds the result — the same one, or a
+// pooled one taken in exchange for it. Being unexported, it also says that
+// every Stage is one of this package's types.
 type Stage interface {
 	Name() string
 	Apply(*imaging.Image) *imaging.Image
+	run(*imaging.Image) *imaging.Image
+}
+
+// curveFn is a scalar per-sample transfer function.
+type curveFn func(float32) float32
+
+// curver is a stage that maps every sample through one curve, whatever the
+// image; nil is the identity. Fuse bakes runs of them into one table.
+type curver interface{ curve() curveFn }
+
+// mixer is a stage that mixes the channels of every pixel through a 3×3
+// matrix; constant reports that the matrix does not depend on the image, so
+// Fuse may compose it with its neighbours.
+type mixer interface {
+	matrix() (m [9]float32, constant bool)
+}
+
+// mapCurve runs a curver's body: fn over every sample, in place.
+func mapCurve(im *imaging.Image, fn curveFn) *imaging.Image {
+	if fn != nil {
+		for i, v := range im.Pix {
+			im.Pix[i] = fn(v)
+		}
+	}
+	return im
 }
 
 // BlackLevel subtracts a pedestal and rescales so the remaining range maps
@@ -22,20 +51,22 @@ type BlackLevel struct{ Level float32 }
 func (s BlackLevel) Name() string { return "black_level" }
 
 // Apply implements Stage.
-func (s BlackLevel) Apply(im *imaging.Image) *imaging.Image {
-	out := im.Clone()
+func (s BlackLevel) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s BlackLevel) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
+
+func (s BlackLevel) curve() curveFn {
 	if s.Level <= 0 || s.Level >= 1 {
-		return out
+		return nil
 	}
-	inv := 1 / (1 - s.Level)
-	for i, v := range out.Pix {
-		v -= s.Level
+	level, inv := s.Level, 1/(1-s.Level)
+	return func(v float32) float32 {
+		v -= level
 		if v < 0 {
 			v = 0
 		}
-		out.Pix[i] = v * inv
+		return v * inv
 	}
-	return out
 }
 
 // WhiteBalance scales each channel. Mode Auto estimates gains gray-world
@@ -54,31 +85,39 @@ type WhiteBalance struct {
 func (s WhiteBalance) Name() string { return "white_balance" }
 
 // Apply implements Stage.
-func (s WhiteBalance) Apply(im *imaging.Image) *imaging.Image {
-	gr, gg, gb := s.GainR, s.GainG, s.GainB
-	if s.Auto {
-		mr, mg, mb := im.Mean()
-		if mr > 1e-6 && mg > 1e-6 && mb > 1e-6 {
-			strength := s.Strength
-			if strength == 0 {
-				strength = 1
-			}
-			gr = 1 + float32((float32(mg/mr)-1)*strength)
-			gb = 1 + float32((float32(mg/mb)-1)*strength)
-			gg = 1
-		} else {
-			gr, gg, gb = 1, 1, 1
-		}
-	}
-	out := im.Clone()
-	n := im.W * im.H
-	for i := 0; i < n; i++ {
-		out.Pix[i] *= gr
-		out.Pix[n+i] *= gg
-		out.Pix[2*n+i] *= gb
-	}
-	return out
+func (s WhiteBalance) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s WhiteBalance) run(im *imaging.Image) *imaging.Image {
+	m := s.gains(im)
+	applyMatrix(im, &m)
+	return im
 }
+
+func (s WhiteBalance) matrix() ([9]float32, bool) {
+	return diagonal(s.GainR, s.GainG, s.GainB), !s.Auto
+}
+
+// gains returns the stage's channel gains for im as a diagonal matrix: the
+// preset ones, or in mode Auto the gray-world estimate (unit gains for a
+// frame with a channel too dark to divide by).
+func (s WhiteBalance) gains(im *imaging.Image) [9]float32 {
+	if m, constant := s.matrix(); constant {
+		return m
+	}
+	gr, gb := float32(1), float32(1)
+	mr, mg, mb := im.Mean()
+	if mr > 1e-6 && mg > 1e-6 && mb > 1e-6 {
+		strength := s.Strength
+		if strength == 0 {
+			strength = 1
+		}
+		gr = 1 + float32((float32(mg/mr)-1)*strength)
+		gb = 1 + float32((float32(mg/mb)-1)*strength)
+	}
+	return diagonal(gr, 1, gb)
+}
+
+func diagonal(r, g, b float32) [9]float32 { return [9]float32{r, 0, 0, 0, g, 0, 0, 0, b} }
 
 // ColorMatrix applies a 3×3 color-correction matrix (row-major).
 type ColorMatrix struct{ M [9]float32 }
@@ -87,23 +126,17 @@ type ColorMatrix struct{ M [9]float32 }
 func (s ColorMatrix) Name() string { return "color_matrix" }
 
 // Apply implements Stage.
-func (s ColorMatrix) Apply(im *imaging.Image) *imaging.Image {
-	out := imaging.New(im.W, im.H)
-	n := im.W * im.H
-	m := s.M
-	for i := 0; i < n; i++ {
-		r, g, b := im.Pix[i], im.Pix[n+i], im.Pix[2*n+i]
-		out.Pix[i] = float32(m[0]*r) + float32(m[1]*g) + float32(m[2]*b)
-		out.Pix[n+i] = float32(m[3]*r) + float32(m[4]*g) + float32(m[5]*b)
-		out.Pix[2*n+i] = float32(m[6]*r) + float32(m[7]*g) + float32(m[8]*b)
-	}
-	return out
+func (s ColorMatrix) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s ColorMatrix) run(im *imaging.Image) *imaging.Image {
+	applyMatrix(im, &s.M)
+	return im
 }
 
+func (s ColorMatrix) matrix() ([9]float32, bool) { return s.M, true }
+
 // IdentityMatrix is the no-op color matrix.
-func IdentityMatrix() ColorMatrix {
-	return ColorMatrix{M: [9]float32{1, 0, 0, 0, 1, 0, 0, 0, 1}}
-}
+func IdentityMatrix() ColorMatrix { return ColorMatrix{M: diagonal(1, 1, 1)} }
 
 // SaturationMatrix returns a color matrix that scales saturation by s
 // around the luma axis.
@@ -127,21 +160,16 @@ type Gamma struct {
 func (s Gamma) Name() string { return "gamma" }
 
 // Apply implements Stage.
-func (s Gamma) Apply(im *imaging.Image) *imaging.Image {
-	out := im.Clone()
-	for i, v := range out.Pix {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		if s.SRGB {
-			out.Pix[i] = srgbEncode(v)
-		} else {
-			out.Pix[i] = float32(math.Pow(float64(v), 1/s.G))
-		}
+func (s Gamma) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s Gamma) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
+
+func (s Gamma) curve() curveFn {
+	if s.SRGB {
+		return func(v float32) float32 { return srgbEncode(fmath.Clamp01(v)) }
 	}
-	return out
+	invG := 1 / s.G
+	return func(v float32) float32 { return float32(math.Pow(float64(fmath.Clamp01(v)), invG)) }
 }
 
 func srgbEncode(v float32) float32 {
@@ -159,15 +187,15 @@ type ToneCurve struct{ Strength float64 }
 func (s ToneCurve) Name() string { return "tone_curve" }
 
 // Apply implements Stage.
-func (s ToneCurve) Apply(im *imaging.Image) *imaging.Image {
-	out := im.Clone()
+func (s ToneCurve) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (s ToneCurve) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
+
+func (s ToneCurve) curve() curveFn {
 	if s.Strength == 0 {
-		return out
+		return nil
 	}
-	for i, v := range out.Pix {
-		out.Pix[i] = toneCurve(v, s.Strength)
-	}
-	return out
+	return func(v float32) float32 { return toneCurve(v, s.Strength) }
 }
 
 // toneCurve blends the clamped sample x with the smoothstep x²(3-2x) at
@@ -188,14 +216,26 @@ type Denoise struct {
 func (s Denoise) Name() string { return "denoise" }
 
 // Apply implements Stage.
-func (s Denoise) Apply(im *imaging.Image) *imaging.Image {
-	if s.Median {
-		return imaging.MedianDenoise3(im)
+func (s Denoise) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+// run cannot write in place (each output sample reads a neighbourhood of
+// inputs), so it filters into a pooled image and gives im to the pool in
+// exchange. A box radius ≤ 0 is the identity.
+func (s Denoise) run(im *imaging.Image) *imaging.Image {
+	if !s.Median && s.Radius <= 0 {
+		return im
 	}
-	return imaging.BoxBlur(im, s.Radius)
+	out := imaging.GetImage(im.W, im.H)
+	if s.Median {
+		imaging.MedianDenoise3Into(out, im)
+	} else {
+		imaging.BoxBlurInto(out, im, s.Radius)
+	}
+	imaging.PutImage(im)
+	return out
 }
 
-// Sharpen applies unsharp masking.
+// Sharpen applies unsharp masking: out = src + Amount·(src − blur(src)).
 type Sharpen struct {
 	Sigma  float64
 	Amount float32
@@ -205,8 +245,14 @@ type Sharpen struct {
 func (s Sharpen) Name() string { return "sharpen" }
 
 // Apply implements Stage.
-func (s Sharpen) Apply(im *imaging.Image) *imaging.Image {
-	return imaging.UnsharpMask(im, s.Sigma, s.Amount)
+func (s Sharpen) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+// run keeps the blurred frame in a pooled image for the pass.
+func (s Sharpen) run(im *imaging.Image) *imaging.Image {
+	blur := imaging.GaussianBlurInto(imaging.GetImage(im.W, im.H), im, s.Sigma)
+	unsharp(im.Pix, blur.Pix, s.Amount)
+	imaging.PutImage(blur)
+	return im
 }
 
 // ClampStage clips samples to [0,1]; vendors place it at pipeline end.
@@ -216,4 +262,8 @@ type ClampStage struct{}
 func (ClampStage) Name() string { return "clamp" }
 
 // Apply implements Stage.
-func (ClampStage) Apply(im *imaging.Image) *imaging.Image { return im.Clone().Clamp() }
+func (s ClampStage) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
+
+func (ClampStage) run(im *imaging.Image) *imaging.Image { return im.Clamp() }
+
+func (ClampStage) curve() curveFn { return fmath.Clamp01 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fmath"
 	"repro/internal/imaging"
 )
 
@@ -70,11 +71,11 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 // plain clamp among them, and one of noise, whose neighbouring entries differ
 // in sign and size.
 func bakedLUTs() [][]float32 {
-	var luts [][]float32
+	luts := [][]float32{bakeTable([]curveFn{fmath.Clamp01})}
 	for _, p := range allPipelines() {
-		for _, op := range Fuse(p).ops {
-			if op.lut != nil {
-				luts = append(luts, op.lut)
+		for _, s := range Fuse(p).Stages {
+			if s, ok := s.(lut); ok {
+				luts = append(luts, s.table)
 			}
 		}
 	}

@@ -194,7 +194,8 @@ func ByRuntime(records []*Record) map[string]Summary {
 // In a mixed fleet each device runs one runtime, so no cell sees two stacks
 // and the summary is 0/0; the number becomes meaningful when the same
 // devices are swept under forced runtimes and the record sets (or
-// accumulator states) are merged — see examples/backendsweep.
+// accumulator states) are merged — as the runtime axis of an experiment does
+// (examples/scalesweep).
 func CrossRuntime(records []*Record) Summary {
 	type cellKey struct {
 		item, angle int
