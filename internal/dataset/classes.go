@@ -65,17 +65,17 @@ func drawParams(rng *rand.Rand, hard bool) sceneParams {
 	p := sceneParams{
 		bgStyle:    rng.Intn(3),
 		objHue:     rng.NormFloat64() * 14,
-		objScale:   0.85 + rng.Float64()*0.3,
-		xJitter:    (rng.Float64() - 0.5) * 0.10,
-		yJitter:    (rng.Float64() - 0.5) * 0.06,
-		light:      0.75 + float32(rng.Float64())*0.45,
+		objScale:   0.85 + float64(rng.Float64()*0.3),
+		xJitter:    (float64(rng.Float64()) - 0.5) * 0.10,
+		yJitter:    (float64(rng.Float64()) - 0.5) * 0.06,
+		light:      0.75 + float32(float32(rng.Float64())*0.45),
 		lightSlope: float32(rng.Float64()) * 0.35,
 		variant:    rng.Intn(3),
-		labelTint:  color{0.75 + float32(rng.Float64())*0.25, 0.75 + float32(rng.Float64())*0.25, 0.7 + float32(rng.Float64())*0.25},
+		labelTint:  color{0.75 + float32(float32(rng.Float64())*0.25), 0.75 + float32(float32(rng.Float64())*0.25), 0.7 + float32(float32(rng.Float64())*0.25)},
 	}
-	base := 0.25 + float32(rng.Float64())*0.5
-	p.bgA = color{base + float32(rng.Float64())*0.2, base + float32(rng.Float64())*0.2, base + float32(rng.Float64())*0.2}
-	p.bgB = p.bgA.scale(0.55 + float32(rng.Float64())*0.3)
+	base := 0.25 + float32(float32(rng.Float64())*0.5)
+	p.bgA = color{base + float32(float32(rng.Float64())*0.2), base + float32(float32(rng.Float64())*0.2), base + float32(float32(rng.Float64())*0.2)}
+	p.bgB = p.bgA.scale(0.55 + float32(float32(rng.Float64())*0.3))
 	if hard {
 		// Per-item difficulty is bimodal: most real photos are clearly
 		// easy or clearly hard for the model, and only a thin band sits
@@ -86,22 +86,22 @@ func drawParams(rng *rand.Rand, hard bool) sceneParams {
 		if rng.Float64() < 0.48 {
 			d = rng.Float64() * 0.35
 		} else {
-			d = 0.55 + rng.Float64()*0.45
+			d = 0.55 + float64(rng.Float64()*0.45)
 		}
-		lerp := func(easy, extreme float64) float64 { return easy + (extreme-easy)*d }
+		lerp := func(easy, extreme float64) float64 { return easy + float64((extreme-easy)*d) }
 		p.objHue = rng.NormFloat64() * lerp(10, 30)
-		p.objScale = lerp(1.0, 0.62) * (0.92 + rng.Float64()*0.16)
-		p.xJitter = (rng.Float64() - 0.5) * lerp(0.08, 0.2)
-		p.yJitter = (rng.Float64() - 0.5) * lerp(0.05, 0.14)
-		p.light = float32(lerp(1.0, 0.5) * (0.9 + rng.Float64()*0.2))
+		p.objScale = lerp(1.0, 0.62) * (0.92 + float64(rng.Float64()*0.16))
+		p.xJitter = (float64(rng.Float64()) - 0.5) * lerp(0.08, 0.2)
+		p.yJitter = (float64(rng.Float64()) - 0.5) * lerp(0.05, 0.14)
+		p.light = float32(lerp(1.0, 0.5) * (0.9 + float64(rng.Float64()*0.2)))
 		p.lightSlope = float32(rng.Float64() * lerp(0.2, 0.65))
 		// Colored, sometimes object-hued backgrounds at high difficulty.
 		spread := float32(lerp(0.2, 0.65))
-		base := float32(0.2 + rng.Float64()*0.45)
-		p.bgA = color{base + float32(rng.Float64())*spread - spread/2, base + float32(rng.Float64())*spread - spread/2, base + float32(rng.Float64())*spread - spread/2}
-		p.bgB = color{base + float32(rng.Float64())*spread - spread/2, base + float32(rng.Float64())*spread - spread/2, base + float32(rng.Float64())*spread - spread/2}
+		base := float32(0.2 + float64(rng.Float64()*0.45))
+		p.bgA = color{base + float32(float32(rng.Float64())*spread) - float32(spread/2), base + float32(float32(rng.Float64())*spread) - float32(spread/2), base + float32(float32(rng.Float64())*spread) - float32(spread/2)}
+		p.bgB = color{base + float32(float32(rng.Float64())*spread) - float32(spread/2), base + float32(float32(rng.Float64())*spread) - float32(spread/2), base + float32(float32(rng.Float64())*spread) - float32(spread/2)}
 		p.occlude = rng.Float64() < lerp(0, 0.5)
-		p.occludeX = 0.25 + rng.Float64()*0.5
+		p.occludeX = 0.25 + float64(rng.Float64()*0.5)
 		p.noiseTex = float32(rng.Float64() * lerp(0.01, 0.07))
 	}
 	return p
@@ -118,7 +118,7 @@ func hueShift(c color, deg float64) color {
 // and width squeeze a change of viewpoint produces.
 func angleGeometry(angle int) (dx, squeeze float64) {
 	a := float64(angle - 2) // -2..2, 0 = center
-	return a * 0.07, 1 - 0.055*absFloat(a)
+	return float64(a * 0.07), 1 - float64(0.055*absFloat(a))
 }
 
 func absFloat(v float64) float64 {
@@ -171,7 +171,7 @@ func renderScene(class Class, angle int, p sceneParams) *imaging.Image {
 	}
 
 	// Directional lighting over the object region, then global level.
-	cv.shadeVertical(cx-0.3*s, cx+0.3*s, 1-p.lightSlope, 1)
+	cv.shadeVertical(cx-float64(0.3*s), cx+float64(0.3*s), 1-p.lightSlope, 1)
 	for i := range cv.im.Pix {
 		cv.im.Pix[i] *= p.light
 	}
@@ -186,7 +186,7 @@ func applyNoiseTexture(cv *canvas, amp float32, variant int) {
 		for x := 0; x < cv.im.W; x++ {
 			h := uint32(x*374761393 + y*668265263 + variant*362437) //nolint:gosec // coordinate hash, not crypto
 			h = (h ^ (h >> 13)) * 1274126177
-			v := (float32(h&0xFFFF)/65535 - 0.5) * 2 * amp
+			v := float32((float32(h&0xFFFF)/65535 - 0.5) * 2 * amp)
 			i := y*cv.im.W + x
 			cv.im.Pix[i] += v
 			cv.im.Pix[n+i] += v
@@ -200,19 +200,19 @@ func drawWaterBottle(cv *canvas, cx, cy, s, squeeze float64, p sceneParams) {
 	body := hueShift(color{0.55, 0.72, 0.86}, p.objHue)
 	capC := hueShift(color{0.85, 0.88, 0.92}, p.objHue/2)
 	w := 0.20 * s * squeeze
-	top := cy - 0.33*s
-	bot := cy + 0.33*s
+	top := cy - float64(0.33*s)
+	bot := cy + float64(0.33*s)
 	// body
-	cv.fillRect(cx-w/2, top+0.06*s, cx+w/2, bot, body)
+	cv.fillRect(cx-float64(w/2), top+float64(0.06*s), cx+float64(w/2), bot, body)
 	cv.fillEllipse(cx, bot, w/2, 0.03*s, body.scale(0.9))
-	cv.fillEllipse(cx, top+0.06*s, w/2, 0.03*s, body.scale(1.05))
+	cv.fillEllipse(cx, top+float64(0.06*s), w/2, 0.03*s, body.scale(1.05))
 	// neck + cap
-	cv.fillRect(cx-w*0.22, top-0.02*s, cx+w*0.22, top+0.07*s, body.scale(1.05))
-	cv.fillRect(cx-w*0.28, top-0.07*s, cx+w*0.28, top-0.01*s, capC)
+	cv.fillRect(cx-float64(w*0.22), top-float64(0.02*s), cx+float64(w*0.22), top+float64(0.07*s), body.scale(1.05))
+	cv.fillRect(cx-float64(w*0.28), top-float64(0.07*s), cx+float64(w*0.28), top-float64(0.01*s), capC)
 	// highlight stripe (translucency cue)
-	cv.fillRect(cx-w*0.32, top+0.10*s, cx-w*0.18, bot-0.05*s, body.scale(1.25))
+	cv.fillRect(cx-float64(w*0.32), top+float64(0.10*s), cx-float64(w*0.18), bot-float64(0.05*s), body.scale(1.25))
 	if p.variant != 0 {
-		cv.fillRect(cx-w/2, cy, cx+w/2, cy+0.12*s, p.labelTint)
+		cv.fillRect(cx-float64(w/2), cy, cx+float64(w/2), cy+float64(0.12*s), p.labelTint)
 	}
 }
 
@@ -224,20 +224,20 @@ func drawBeerBottle(cv *canvas, cx, cy, s, squeeze float64, p sceneParams) {
 	}
 	body := hueShift(base, p.objHue)
 	w := 0.17 * s * squeeze
-	top := cy - 0.36*s
-	bot := cy + 0.34*s
-	shoulder := cy - 0.12*s
+	top := cy - float64(0.36*s)
+	bot := cy + float64(0.34*s)
+	shoulder := cy - float64(0.12*s)
 	// body
-	cv.fillRect(cx-w/2, shoulder, cx+w/2, bot, body)
+	cv.fillRect(cx-float64(w/2), shoulder, cx+float64(w/2), bot, body)
 	cv.fillEllipse(cx, bot, w/2, 0.025*s, body.scale(0.85))
 	// shoulder taper into neck
-	cv.fillTrapezoid(cx, top+0.10*s, shoulder, w*0.36, w, body)
+	cv.fillTrapezoid(cx, top+float64(0.10*s), shoulder, w*0.36, w, body)
 	// neck
-	cv.fillRect(cx-w*0.18, top, cx+w*0.18, top+0.12*s, body)
+	cv.fillRect(cx-float64(w*0.18), top, cx+float64(w*0.18), top+float64(0.12*s), body)
 	// crown cap
-	cv.fillRect(cx-w*0.24, top-0.035*s, cx+w*0.24, top+0.005*s, color{0.75, 0.72, 0.55})
+	cv.fillRect(cx-float64(w*0.24), top-float64(0.035*s), cx+float64(w*0.24), top+float64(0.005*s), color{0.75, 0.72, 0.55})
 	// label
-	cv.fillRect(cx-w/2, cy+0.02*s, cx+w/2, cy+0.18*s, p.labelTint)
+	cv.fillRect(cx-float64(w/2), cy+float64(0.02*s), cx+float64(w/2), cy+float64(0.18*s), p.labelTint)
 }
 
 // drawWineBottle renders a dark bottle with a gentle shoulder and foil top.
@@ -248,18 +248,18 @@ func drawWineBottle(cv *canvas, cx, cy, s, squeeze float64, p sceneParams) {
 	}
 	body := hueShift(base, p.objHue)
 	w := 0.21 * s * squeeze
-	top := cy - 0.38*s
-	bot := cy + 0.34*s
-	shoulder := cy - 0.16*s
-	cv.fillRect(cx-w/2, shoulder, cx+w/2, bot, body)
+	top := cy - float64(0.38*s)
+	bot := cy + float64(0.34*s)
+	shoulder := cy - float64(0.16*s)
+	cv.fillRect(cx-float64(w/2), shoulder, cx+float64(w/2), bot, body)
 	cv.fillEllipse(cx, bot, w/2, 0.025*s, body.scale(0.8))
-	cv.fillTrapezoid(cx, top+0.08*s, shoulder, w*0.30, w, body)
-	cv.fillRect(cx-w*0.15, top, cx+w*0.15, top+0.10*s, body)
+	cv.fillTrapezoid(cx, top+float64(0.08*s), shoulder, w*0.30, w, body)
+	cv.fillRect(cx-float64(w*0.15), top, cx+float64(w*0.15), top+float64(0.10*s), body)
 	// foil capsule
 	foil := hueShift(color{0.55, 0.12, 0.14}, p.objHue)
-	cv.fillRect(cx-w*0.17, top-0.02*s, cx+w*0.17, top+0.05*s, foil)
+	cv.fillRect(cx-float64(w*0.17), top-float64(0.02*s), cx+float64(w*0.17), top+float64(0.05*s), foil)
 	// label
-	cv.fillRect(cx-w*0.42, cy+0.00*s, cx+w*0.42, cy+0.2*s, p.labelTint)
+	cv.fillRect(cx-float64(w*0.42), cy+float64(0.00*s), cx+float64(w*0.42), cy+float64(0.2*s), p.labelTint)
 }
 
 // drawPurse renders a trapezoid bag with a handle arc and clasp.
@@ -271,17 +271,17 @@ func drawPurse(cv *canvas, cx, cy, s, squeeze float64, p sceneParams) {
 		base = color{0.62, 0.44, 0.28} // tan
 	}
 	body := hueShift(base, p.objHue)
-	topY := cy - 0.06*s
-	botY := cy + 0.26*s
+	topY := cy - float64(0.06*s)
+	botY := cy + float64(0.26*s)
 	topW := 0.34 * s * squeeze
 	botW := 0.48 * s * squeeze
 	cv.fillTrapezoid(cx, topY, botY, topW, botW, body)
 	// flap
-	cv.fillTrapezoid(cx, topY, topY+0.10*s, topW, topW*1.06, body.scale(1.15))
+	cv.fillTrapezoid(cx, topY, topY+float64(0.10*s), topW, topW*1.06, body.scale(1.15))
 	// handle
-	cv.strokeArc(cx, topY+0.013*s, 0.16*s, 0.35, 2.79, 0.030*s, body.scale(0.8))
+	cv.strokeArc(cx, topY+float64(0.013*s), 0.16*s, 0.35, 2.79, 0.030*s, body.scale(0.8))
 	// clasp
-	cv.fillEllipse(cx, topY+0.10*s, 0.022*s, 0.022*s, color{0.85, 0.78, 0.45})
+	cv.fillEllipse(cx, topY+float64(0.10*s), 0.022*s, 0.022*s, color{0.85, 0.78, 0.45})
 }
 
 // drawBackpack renders a rounded pack with straps and a front pocket.
@@ -294,19 +294,19 @@ func drawBackpack(cv *canvas, cx, cy, s, squeeze float64, p sceneParams) {
 	}
 	body := hueShift(base, p.objHue)
 	w := 0.42 * s * squeeze
-	topY := cy - 0.26*s
-	botY := cy + 0.26*s
+	topY := cy - float64(0.26*s)
+	botY := cy + float64(0.26*s)
 	// main body: rectangle with elliptical top
-	cv.fillRect(cx-w/2, topY+0.06*s, cx+w/2, botY, body)
-	cv.fillEllipse(cx, topY+0.07*s, w/2, 0.08*s, body)
+	cv.fillRect(cx-float64(w/2), topY+float64(0.06*s), cx+float64(w/2), botY, body)
+	cv.fillEllipse(cx, topY+float64(0.07*s), w/2, 0.08*s, body)
 	// front pocket
-	cv.fillRect(cx-w*0.32, cy+0.02*s, cx+w*0.32, botY-0.03*s, body.scale(1.2))
+	cv.fillRect(cx-float64(w*0.32), cy+float64(0.02*s), cx+float64(w*0.32), botY-float64(0.03*s), body.scale(1.2))
 	// straps
 	strap := body.scale(0.65)
-	cv.fillRect(cx-w*0.38, topY+0.05*s, cx-w*0.24, botY-0.01*s, strap)
-	cv.fillRect(cx+w*0.24, topY+0.05*s, cx+w*0.38, botY-0.01*s, strap)
+	cv.fillRect(cx-float64(w*0.38), topY+float64(0.05*s), cx-float64(w*0.24), botY-float64(0.01*s), strap)
+	cv.fillRect(cx+float64(w*0.24), topY+float64(0.05*s), cx+float64(w*0.38), botY-float64(0.01*s), strap)
 	// top handle
-	cv.strokeArc(cx, topY+0.045*s, 0.07*s, 0.45, 2.69, 0.025*s, strap)
+	cv.strokeArc(cx, topY+float64(0.045*s), 0.07*s, 0.45, 2.69, 0.025*s, strap)
 	// zipper line
-	cv.fillRect(cx-w*0.32, cy-0.015*s, cx+w*0.32, cy+0.00*s, color{0.8, 0.8, 0.8})
+	cv.fillRect(cx-float64(w*0.32), cy-float64(0.015*s), cx+float64(w*0.32), cy+float64(0.00*s), color{0.8, 0.8, 0.8})
 }

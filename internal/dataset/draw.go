@@ -4,6 +4,9 @@
 // the screen-display simulation of the lab rig and the fixed image set used
 // by the processor/OS experiment. Every render is deterministic in its seed,
 // so "the same image on the monitor" is exactly reproducible across phones.
+// Every product that is added to or subtracted from is rounded first,
+// float64(x*y) + z: a compiler that may fuse the two (arm64's) would
+// otherwise draw a different scene from the same seed (scripts/lint_fma.sh).
 package dataset
 
 import (
@@ -71,8 +74,8 @@ func (cv *canvas) fillTrapezoid(cx, y0, y1, topW, botW float64, c color) {
 		return
 	}
 	for y := iy0; y < iy1; y++ {
-		t := (float64(y) + 0.5 - y0*h) / (y1*h - y0*h)
-		half := (topW + (botW-topW)*t) / 2
+		t := (float64(y) + 0.5 - float64(y0*h)) / (float64(y1*h) - float64(y0*h))
+		half := float64((topW + float64((botW-topW)*t)) / 2)
 		x0, x1 := int((cx-half)*w), int((cx+half)*w)
 		for x := x0; x < x1; x++ {
 			cv.set(x, y, c)
@@ -88,11 +91,11 @@ func (cv *canvas) strokeArc(cx, cy, radius, a0, a1, thickness float64, c color) 
 	if steps < 8 {
 		steps = 8
 	}
-	halfT := thickness / 2
+	halfT := float64(thickness / 2)
 	for i := 0; i <= steps; i++ {
-		a := a0 + (a1-a0)*float64(i)/float64(steps)
-		px := cx + radius*math.Cos(a)
-		py := cy - radius*math.Sin(a)
+		a := a0 + float64((a1-a0)*float64(i)/float64(steps))
+		px := cx + float64(radius*math.Cos(a))
+		py := cy - float64(radius*math.Sin(a))
 		// stamp a small disc
 		r0 := int((py - halfT) * h)
 		r1 := int((py+halfT)*h) + 1
@@ -102,7 +105,7 @@ func (cv *canvas) strokeArc(cx, cy, radius, a0, a1, thickness float64, c color) 
 			fy := (float64(y)+0.5)/h - py
 			for x := c0; x < c1; x++ {
 				fx := (float64(x)+0.5)/w - px
-				if fx*fx+fy*fy <= halfT*halfT {
+				if float64(fx*fx)+float64(fy*fy) <= halfT*halfT {
 					cv.set(x, y, c)
 				}
 			}
@@ -115,9 +118,9 @@ func (cv *canvas) vGradient(top, bottom color) {
 	for y := 0; y < cv.im.H; y++ {
 		t := float32(y) / float32(cv.im.H-1)
 		c := color{
-			top.r + (bottom.r-top.r)*t,
-			top.g + (bottom.g-top.g)*t,
-			top.b + (bottom.b-top.b)*t,
+			top.r + float32((bottom.r-top.r)*t),
+			top.g + float32((bottom.g-top.g)*t),
+			top.b + float32((bottom.b-top.b)*t),
 		}
 		for x := 0; x < cv.im.W; x++ {
 			cv.set(x, y, c)
@@ -159,7 +162,7 @@ func (cv *canvas) shadeVertical(x0, x1 float64, lo, hi float32) {
 	n := cv.im.W * cv.im.H
 	for x := ix0; x < ix1; x++ {
 		t := float32(x-ix0) / float32(ix1-ix0)
-		f := lo + (hi-lo)*t
+		f := lo + float32((hi-lo)*t)
 		for y := 0; y < cv.im.H; y++ {
 			i := y*cv.im.W + x
 			cv.im.Pix[i] *= f

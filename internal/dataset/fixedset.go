@@ -45,7 +45,7 @@ func TrainingImages(s *Set, angles []int, rng *rand.Rand, augment bool) ([]*imag
 			im := it.Render(a)
 			if augment {
 				if rng.Float64() < 0.5 {
-					im = imaging.GaussianBlur(im, 0.3+rng.Float64()*0.5)
+					im = imaging.GaussianBlur(im, 0.3+float64(rng.Float64()*0.5))
 				}
 				im = imaging.AdjustHue(im, float32(rng.NormFloat64()*5))
 				im = imaging.AdjustSaturation(im, 1+float32(rng.NormFloat64()*0.11))
@@ -53,7 +53,7 @@ func TrainingImages(s *Set, angles []int, rng *rand.Rand, augment bool) ([]*imag
 				im = imaging.AdjustContrast(im, 1+float32(rng.NormFloat64()*0.14))
 				// Random tone exponent: stands in for the variety of
 				// processing pipelines behind a web-scraped corpus.
-				g := 1 + rng.NormFloat64()*0.15
+				g := 1 + float64(rng.NormFloat64()*0.15)
 				if g < 0.7 {
 					g = 0.7
 				}

@@ -94,7 +94,7 @@ func DefaultScreen() ScreenParams {
 // states models photos taken at different moments.
 func (sp ScreenParams) Display(im *imaging.Image, rng *rand.Rand) *imaging.Image {
 	out := im.Clone()
-	flicker := float32(1 + rng.NormFloat64()*sp.FlickerStd)
+	flicker := float32(1 + float64(rng.NormFloat64()*sp.FlickerStd))
 	n := im.W * im.H
 	for y := 0; y < im.H; y++ {
 		rowScale := float32(1)
@@ -108,7 +108,7 @@ func (sp ScreenParams) Display(im *imaging.Image, rng *rand.Rand) *imaging.Image
 				// The stored image is display-referred; the monitor
 				// linearizes it through its gamma into emitted light.
 				v = powf(v, sp.Gamma)
-				v = v*sp.Backlight*rowScale*flicker + sp.AmbientGlow
+				v = float32(v*sp.Backlight*rowScale*flicker) + sp.AmbientGlow
 				out.Pix[p*n+i] = v
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -78,19 +79,27 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 
 // send is do on the given client.
 func (c *Client) send(ctx context.Context, h *http.Client, method, path string, body any) (*http.Response, error) {
-	var reader io.Reader
+	var data []byte
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
 			return nil, err
 		}
+	}
+	return c.sendBytes(ctx, h, method, path, data)
+}
+
+// sendBytes is send with the JSON body already encoded (nil for none).
+func (c *Client) sendBytes(ctx context.Context, h *http.Client, method, path string, data []byte) (*http.Response, error) {
+	var reader io.Reader
+	if data != nil {
 		reader = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, reader)
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
+	if data != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := h.Do(req)
@@ -266,10 +275,45 @@ func (c *Client) shardState(ctx context.Context, path string, spec any) (*fleet.
 // path. A shed surfaces as an *Error with code CodeRateLimited or
 // CodeQueueFull (HTTP 429); the Retry-After header the server sets is the
 // transport's concern — open-loop generators ignore it by design.
+//
+// The request is appended into a pooled buffer and the reply read into
+// another and decoded into a pooled value. The request buffer is recycled
+// only once the reply has been read, by when a transport has long written a
+// body this small.
 func (c *Client) Serve(ctx context.Context, req ServeRequest) (ServeResponse, error) {
-	var resp ServeResponse
-	err := c.doJSON(ctx, http.MethodPost, "/v1/serve", req, &resp)
-	return resp, err
+	call := servePool.Get().(*serveCall)
+	defer call.recycle()
+	call.body.Write(appendServeRequest(call.body.AvailableBuffer(), req))
+	resp, err := c.sendBytes(ctx, c.httpClient(false), http.MethodPost, "/v1/serve", call.body.Bytes())
+	if err != nil {
+		return ServeResponse{}, err
+	}
+	defer resp.Body.Close()
+	if _, err := call.reply.ReadFrom(resp.Body); err != nil {
+		return ServeResponse{}, err
+	}
+	err = json.Unmarshal(call.reply.Bytes(), &call.resp)
+	return call.resp, err
+}
+
+// serveCall is the scratch of one Serve: the encoded request, the reply's
+// bytes and the value they decode into.
+type serveCall struct {
+	body, reply bytes.Buffer
+	resp        ServeResponse
+}
+
+var servePool = sync.Pool{New: func() any { return new(serveCall) }}
+
+// recycle returns the call to the pool, unless a rare large reply grew it.
+func (call *serveCall) recycle() {
+	if call.reply.Cap() > 64<<10 {
+		return
+	}
+	call.body.Reset()
+	call.reply.Reset()
+	call.resp = ServeResponse{}
+	servePool.Put(call)
 }
 
 // SLO fetches the instance's serving-path SLO report: per-class attainment,

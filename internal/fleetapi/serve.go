@@ -3,6 +3,7 @@ package fleetapi
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/dataset"
@@ -64,6 +65,53 @@ func (r ServeRequest) Validate() error {
 		return fmt.Errorf("bad runtime %q (want one of %v)", r.Runtime, nn.Runtimes())
 	}
 	return nil
+}
+
+// appendServeRequest appends r as json.Marshal encodes it: fields in
+// declaration order, the omitempty ones left out when zero.
+func appendServeRequest(b []byte, r ServeRequest) []byte {
+	b = append(b, `{"device":`...)
+	b = strconv.AppendInt(b, int64(r.Device), 10)
+	b = append(b, `,"item":`...)
+	b = strconv.AppendInt(b, int64(r.Item), 10)
+	b = append(b, `,"angle":`...)
+	b = strconv.AppendInt(b, int64(r.Angle), 10)
+	if r.Seed != 0 {
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendInt(b, r.Seed, 10)
+	}
+	if r.Items != 0 {
+		b = append(b, `,"items":`...)
+		b = strconv.AppendInt(b, int64(r.Items), 10)
+	}
+	if r.Scale != 0 {
+		b = append(b, `,"scale":`...)
+		b = strconv.AppendInt(b, int64(r.Scale), 10)
+	}
+	if r.Runtime != "" {
+		b = append(b, `,"runtime":`...)
+		b = appendString(b, r.Runtime)
+	}
+	if r.Class != "" {
+		b = append(b, `,"class":`...)
+		b = appendString(b, r.Class)
+	}
+	return append(b, '}')
+}
+
+// appendString appends s quoted as encoding/json quotes it, HTML escapes
+// included: printable ASCII that needs no escape as it is, any other string
+// through json.Marshal itself.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ServeResponse is the reply of POST /v1/serve: the prediction plus where

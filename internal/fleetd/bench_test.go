@@ -3,6 +3,7 @@ package fleetd
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -59,5 +60,34 @@ func BenchmarkServeBatch(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N*stream)/b.Elapsed().Seconds(), "jobs/sec")
 		})
+	}
+}
+
+// BenchmarkServeHTTP measures one batch-1 request over the whole HTTP path:
+// fleetapi.Client.Serve encodes it and sends it over a loopback socket to an
+// httptest server, fleetd decodes, admits, captures, infers and replies, and
+// the client decodes the reply. B/op and allocs/op count both ends, net/http's
+// share included — the serve path's per-request cost beside
+// BenchmarkServeBatch, which skips HTTP.
+func BenchmarkServeHTTP(b *testing.B) {
+	s := serveTestServer(ServeOptions{Workers: 1, Classes: []fleetapi.SLOClass{
+		{Name: "open", TargetNanos: 1_000_000_000, RatePerSec: 1e9, Burst: 1 << 20, QueueDepth: 64},
+	}})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := fleetapi.NewClient(ts.URL)
+	req := fleetapi.ServeRequest{Device: 3, Item: 1, Angle: 2, Seed: 42, Runtime: nn.RuntimeInt8}
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		if _, err := c.Serve(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.Serve(ctx, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,16 +34,28 @@ type validator interface{ Validate() error }
 // all-defaults job (that is an explicit `{}`). what names the body in the
 // decode error.
 func decodeStrict[T validator](w http.ResponseWriter, req *http.Request, what string) (T, *fleetapi.Error) {
+	return decodeFrom[T](http.MaxBytesReader(w, req.Body, maxBodyBytes), what)
+}
+
+// decodeFrom is decodeStrict's decoder on a body reader that is already
+// bounded.
+func decodeFrom[T validator](r io.Reader, what string) (T, *fleetapi.Error) {
 	var v T
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
 		return v, fleetapi.Errorf(fleetapi.CodeBadRequest, "bad %s: %v", what, err)
 	}
+	return v, validate(v)
+}
+
+// validate is the refusal of a decoded body that fails its Validate; generic,
+// so that a struct body is not boxed into an interface to be asked.
+func validate[T validator](v T) *fleetapi.Error {
 	if err := v.Validate(); err != nil {
-		return v, fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
+		return fleetapi.Errorf(fleetapi.CodeBadRequest, "%v", err)
 	}
-	return v, nil
+	return nil
 }
 
 // allow reports whether the request's method is one of methods, writing the

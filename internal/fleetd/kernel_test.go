@@ -206,11 +206,18 @@ var fuzzBodies = []func(http.ResponseWriter, *http.Request) (validator, *fleetap
 // FuzzStrictDecode feeds arbitrary bytes through the one body decoder and
 // Validate for every request type: it must never panic, a refusal must be a
 // 400, and an accepted body must re-marshal into a body that is accepted
-// again. The seed corpus under testdata/fuzz is the README's and the smoke
-// script's request bodies; plain `go test` replays it.
+// again. The serve route's own parser must answer every input as decodeStrict
+// does: the same ServeRequest and the same refusal. The seed corpus under
+// testdata/fuzz is the README's and the smoke script's request bodies, plus
+// one serve body for each case the serve parser reads or leaves to
+// decodeStrict; plain `go test` replays it.
 func FuzzStrictDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
+	for _, body := range serveBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkServeDecode(t, func() io.Reader { return bytes.NewReader(data) })
 		for _, decode := range fuzzBodies {
 			post := func(body []byte) (validator, *fleetapi.Error) {
 				return decode(httptest.NewRecorder(), httptest.NewRequest("POST", "/", bytes.NewReader(body)))

@@ -92,7 +92,8 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 }
 
 // serveJob is one admitted request waiting for (or being executed by) a
-// serve worker.
+// serve worker. Exactly one result is sent on done, after which the worker
+// holds no reference to the job.
 type serveJob struct {
 	req   fleetapi.ServeRequest
 	class *serveClass
@@ -100,6 +101,18 @@ type serveJob struct {
 	wait  time.Duration // queue wait, stamped when batch execution starts
 	ctx   context.Context
 	done  chan serveResult
+}
+
+// jobPool recycles jobs with their reply channels. A handler returns a job
+// only once it has received the job's result; a handler that stops waiting
+// (client gone, shutdown) leaves it to the collector, since a worker may
+// still send on done.
+var jobPool = sync.Pool{New: func() any { return &serveJob{done: make(chan serveResult, 1)} }}
+
+// recycle returns a job whose result has been received.
+func (job *serveJob) recycle() {
+	job.req, job.class, job.ctx = fleetapi.ServeRequest{}, nil, nil
+	jobPool.Put(job)
 }
 
 type serveResult struct {
@@ -116,6 +129,10 @@ type serveClass struct {
 	latency   *obs.Histogram
 	queueWait *obs.Histogram
 	batch     *obs.Histogram // jobs per executed batch
+	// errors counts the requests of the class answered with neither a 200
+	// nor a 429 — /v1/slo's errors column. It is not a /metrics series: the
+	// requests counter already carries every code.
+	errors obs.Counter
 }
 
 // serveState is the Server's request-serving leg: the classes, the shared
@@ -123,6 +140,7 @@ type serveClass struct {
 // serving bundles.
 type serveState struct {
 	classes []*serveClass
+	names   []string // the classes' names, in priority order
 	byName  map[string]*serveClass
 	bundles *fleet.LRU[bundleKey, *serveBundle]
 	// wake carries one token per enqueued job; workers drain it and then
@@ -195,6 +213,7 @@ func (s *Server) initServe(o ServeOptions) {
 			batch:     s.reg.Histogram(metricServeBatch, batchSizeBounds(), 1, "class", spec.Name),
 		}
 		st.classes = append(st.classes, c)
+		st.names = append(st.names, spec.Name)
 		st.byName[spec.Name] = c
 		depthCap += spec.QueueDepth
 	}
@@ -212,11 +231,10 @@ func (s *Server) stopServe() {
 	s.serve.stopOnce.Do(func() { close(s.serve.stop) })
 }
 
-// serveBundle resolves (or builds) the serving universe for a request. A
-// cache miss pays device-set-independent dataset generation synchronously —
-// bounded by fleetapi.MaxServeItems.
-func (s *Server) serveBundleFor(req fleetapi.ServeRequest) *serveBundle {
-	key := bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale)}
+// serveBundleFor resolves (or builds) a serving universe. A cache miss pays
+// device-set-independent dataset generation synchronously — bounded by
+// fleetapi.MaxServeItems.
+func (s *Server) serveBundleFor(key bundleKey) *serveBundle {
 	return s.serve.bundles.GetOrCompute(key, func() *serveBundle {
 		gen := fleet.NewGenerator(key.seed, key.scale, 0)
 		engine := fleet.NewEngine(key.seed, key.scale, 0)
@@ -251,7 +269,7 @@ func (s *Server) handleServe(w http.ResponseWriter, req *http.Request) {
 		s.countServe("", http.StatusMethodNotAllowed)
 		return
 	}
-	sr, apiErr := decodeStrict[fleetapi.ServeRequest](w, req, "serve request")
+	sr, apiErr := decodeServe(w, req, s.serve.names)
 	if apiErr != nil {
 		s.countServe("", apiErr.Status)
 		fleetapi.WriteError(w, apiErr)
@@ -284,12 +302,14 @@ func (s *Server) handleServe(w http.ResponseWriter, req *http.Request) {
 	// Admission leg 2: the bounded queue. Full queue = the class is past
 	// its latency budget already; queuing deeper only converts overload
 	// into worse tail latency.
-	job := &serveJob{req: sr, class: class, enq: time.Now(), ctx: req.Context(), done: make(chan serveResult, 1)}
+	job := jobPool.Get().(*serveJob)
+	job.req, job.class, job.enq, job.ctx = sr, class, time.Now(), req.Context()
 	select {
 	case class.queue <- job:
 		class.depth.Add(1)
 		s.serve.wake <- struct{}{}
 	default:
+		job.recycle()
 		s.shedServe(w, class, "queue", time.Second,
 			fleetapi.Errorf(fleetapi.CodeQueueFull, "class %q queue full (%d deep)", class.spec.Name, class.spec.QueueDepth))
 		return
@@ -297,13 +317,14 @@ func (s *Server) handleServe(w http.ResponseWriter, req *http.Request) {
 
 	select {
 	case res := <-job.done:
+		job.recycle()
 		if res.err != nil {
 			s.countServe(class.spec.Name, res.err.Status)
 			fleetapi.WriteError(w, res.err)
 			return
 		}
 		s.countServe(class.spec.Name, http.StatusOK)
-		fleetapi.WriteJSON(w, http.StatusOK, res.resp)
+		writeServeResponse(w, &res.resp)
 	case <-req.Context().Done():
 		// Client went away; the worker will notice job.ctx and skip or
 		// finish into the buffered done channel. Nothing to write.
@@ -324,11 +345,7 @@ func (s *Server) resolveClass(name string) (*serveClass, *fleetapi.Error) {
 	if c := s.serve.byName[name]; c != nil {
 		return c, nil
 	}
-	known := make([]string, 0, len(s.serve.classes))
-	for _, c := range s.serve.classes {
-		known = append(known, c.spec.Name)
-	}
-	return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "unknown SLO class %q (configured: %v)", name, known)
+	return nil, fleetapi.Errorf(fleetapi.CodeBadRequest, "unknown SLO class %q (configured: %v)", name, s.serve.names)
 }
 
 // shedServe records and writes one shed reply: 429, Retry-After, typed
@@ -344,13 +361,17 @@ func (s *Server) shedServe(w http.ResponseWriter, class *serveClass, reason stri
 	fleetapi.WriteError(w, apiErr)
 }
 
-// countServe increments the per-class, per-code request counter. An empty
-// class labels requests rejected before class resolution.
+// countServe increments the per-class, per-code request counter, and a
+// configured class's errors for a code that is neither served nor shed. An
+// empty class labels requests rejected before class resolution.
 func (s *Server) countServe(class string, code int) {
+	if c := s.serve.byName[class]; c != nil && code != http.StatusOK && code != http.StatusTooManyRequests {
+		c.errors.Inc()
+	}
 	if class == "" {
 		class = "unresolved"
 	}
-	s.reg.Counter(metricServeRequests, "class", class, "code", strconv.Itoa(code)).Inc()
+	s.reg.Counter(metricServeRequests, "class", class, "code", codeLabel(code)).Inc()
 }
 
 // serveWorker executes admitted requests. Each worker owns a backend LRU (a
@@ -470,22 +491,26 @@ func (s *Server) drainServe() {
 }
 
 // batchItem is one distinct cell's in-flight state while its batch executes:
-// the capture output, the runtime group it joins for inference, and every
-// coalesced job waiting on it.
+// its coordinate, the capture output, and how many coalesced jobs wait on it.
 type batchItem struct {
-	jobs   []*serveJob // live jobs asking for this exact cell, in batch order
-	img    *imaging.Image
+	key    cellKey
+	jobs   int
+	img    *imaging.Image // nil once inferred
 	size   int
 	stages fleet.StageTimes
-	rt     string
 	it     *dataset.Item
+}
+
+// batchJob is one live job of a batch and the index of its cell.
+type batchJob struct {
+	job  *serveJob
+	cell int
 }
 
 // cellKey identifies one deterministic serving cell — the full coordinate a
 // response is a pure function of. Jobs in a batch with equal keys coalesce.
 type cellKey struct {
-	seed                int64
-	items, scale        int
+	bundleKey
 	device, item, angle int
 	rt                  string
 }
@@ -506,11 +531,16 @@ type cellKey struct {
 // bit-deterministic, which the golden identity test pins. The batched
 // inference wall time is split across the group's jobs pro rata (equal
 // shares), so per-request stage accounting still sums sensibly.
+//
+// A batch holds at most MaxServeBatch jobs, so cells and runtime groups are
+// found by scanning slices, which stay on the stack for up to eight jobs; a
+// job is not touched after its result is sent.
 func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string, nn.Backend]) {
 	class := jobs[0].class
-	live := 0
-	byCell := map[cellKey]*batchItem{}
-	cells := make([]*batchItem, 0, len(jobs))
+	var liveBuf [8]batchJob
+	var cellBuf [8]batchItem
+	var imgBuf [8]*imaging.Image
+	live, cells, imgs := liveBuf[:0], cellBuf[:0], imgBuf[:0]
 	for _, job := range jobs {
 		job.wait = time.Since(job.enq)
 		job.class.queueWait.Observe(job.wait.Nanoseconds())
@@ -519,72 +549,80 @@ func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string,
 			job.done <- serveResult{err: fleetapi.Errorf(fleetapi.CodeUnavailable, "client went away")}
 			continue
 		}
-		live++
 		req := job.req
-		bundle := s.serveBundleFor(req)
-		rt := req.Runtime
-		if rt == "" {
-			rt = bundle.gen.Device(req.Device).Profile.RuntimeName()
-		}
 		key := cellKey{
-			seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale),
-			device: req.Device, item: req.Item, angle: req.Angle, rt: rt,
+			bundleKey: bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale)},
+			device:    req.Device,
+			item:      req.Item,
+			angle:     req.Angle,
+			rt:        req.Runtime,
 		}
-		if cell := byCell[key]; cell != nil {
-			cell.jobs = append(cell.jobs, job)
-			continue
+		if key.rt == "" {
+			key.rt = s.serveBundleFor(key.bundleKey).gen.Device(req.Device).Profile.RuntimeName()
 		}
-		cell := &batchItem{jobs: []*serveJob{job}, rt: rt}
-		byCell[key] = cell
-		cells = append(cells, cell)
+		c := 0
+		for c < len(cells) && cells[c].key != key {
+			c++
+		}
+		if c == len(cells) {
+			cells = append(cells, batchItem{key: key})
+		}
+		cells[c].jobs++
+		live = append(live, batchJob{job, c})
 	}
-	if live == 0 {
+	if len(live) == 0 {
 		return
 	}
-	class.batch.Observe(int64(live))
-	for _, cell := range cells {
-		req := cell.jobs[0].req
-		bundle := s.serveBundleFor(req)
-		d := bundle.gen.Device(req.Device)
-		cell.it = bundle.items[req.Item]
-		cell.img, cell.size, cell.stages = bundle.engine.CaptureTimed(d, cell.it, req.Angle)
+	class.batch.Observe(int64(len(live)))
+	for i := range cells {
+		cell := &cells[i]
+		bundle := s.serveBundleFor(cell.key.bundleKey)
+		cell.it = bundle.items[cell.key.item]
+		cell.img, cell.size, cell.stages = bundle.engine.CaptureTimed(bundle.gen.Device(cell.key.device), cell.it, cell.key.angle)
 	}
 	// Group cells by runtime: requests pinning different runtimes can share
-	// a formed batch, but each backend sees one contiguous sub-batch. Group
-	// order follows first appearance, so execution is deterministic in the
+	// a formed batch, but each backend sees one contiguous sub-batch. A group
+	// is led by its runtime's first cell, so execution is deterministic in the
 	// batch's job order.
-	byRuntime := map[string][]*batchItem{}
-	var order []string
-	for _, cell := range cells {
-		if _, ok := byRuntime[cell.rt]; !ok {
-			order = append(order, cell.rt)
+	for g := range cells {
+		if cells[g].img == nil {
+			continue // inferred in an earlier cell's group
 		}
-		byRuntime[cell.rt] = append(byRuntime[cell.rt], cell)
-	}
-	for _, rt := range order {
-		group := byRuntime[rt]
-		backend := backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
-		imgs := make([]*imaging.Image, len(group))
+		rt := cells[g].key.rt
+		imgs = imgs[:0]
 		groupJobs := 0
-		for i, cell := range group {
-			imgs[i] = cell.img
-			groupJobs += len(cell.jobs)
+		for i := g; i < len(cells); i++ {
+			if cells[i].key.rt == rt {
+				imgs = append(imgs, cells[i].img)
+				groupJobs += cells[i].jobs
+			}
 		}
+		backend := backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
 		t0 := time.Now()
 		preds, scores, _ := train.Evaluate(backend, imgs, len(imgs))
 		share := time.Since(t0).Nanoseconds() / int64(groupJobs)
-		for i, cell := range group {
+		k := 0 // index of the cell in the group
+		for i := g; i < len(cells); i++ {
+			cell := &cells[i]
+			if cell.key.rt != rt {
+				continue
+			}
 			imaging.PutImage(cell.img)
-			for _, job := range cell.jobs {
+			cell.img = nil
+			for _, lj := range live {
+				if lj.cell != i {
+					continue
+				}
+				job := lj.job
 				if s.tele != nil {
 					s.tele.Inference.Observe(share)
 				}
 				total := time.Since(job.enq)
 				job.class.latency.Observe(total.Nanoseconds())
 				job.done <- serveResult{resp: fleetapi.ServeResponse{
-					Pred:       preds[i],
+					Pred:       preds[k],
 					TrueClass:  int(cell.it.Class),
-					Score:      scores[i],
+					Score:      scores[k],
 					Runtime:    rt,
 					Class:      job.class.spec.Name,
 					Bytes:      cell.size,
@@ -599,6 +637,7 @@ func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string,
 					TotalNanos: total.Nanoseconds(),
 				}}
 			}
+			k++
 		}
 	}
 }
@@ -620,13 +659,15 @@ func (s *Server) handleSLO(w http.ResponseWriter, req *http.Request) {
 		served := lat.Total()
 		shedRate := s.reg.Counter(metricServeShed, "class", c.spec.Name, "reason", "rate").Value()
 		shedQueue := s.reg.Counter(metricServeShed, "class", c.spec.Name, "reason", "queue").Value()
+		errs := c.errors.Value()
 		row := fleetapi.SLOClassReport{
 			Class:       c.spec.Name,
 			TargetNanos: c.spec.TargetNanos,
-			Requests:    served + shedRate + shedQueue,
+			Requests:    served + shedRate + shedQueue + errs,
 			Served:      served,
 			ShedRate:    shedRate,
 			ShedQueue:   shedQueue,
+			Errors:      errs,
 			LatencyNanos: fleetapi.QuantileSet{
 				P50: lat.Quantile(0.50) * 1e9,
 				P95: lat.Quantile(0.95) * 1e9,

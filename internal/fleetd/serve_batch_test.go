@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -317,10 +318,10 @@ func TestTokenBucketRetryAfterClamp(t *testing.T) {
 // TestServeBatchAllocCeiling pins the allocation count of one batched serve
 // execute (8 int8 jobs: captures, one grouped inference, replies) so the
 // batch path cannot quietly grow per-job allocations. Steady state measures
-// 57/op — dominated by the shared int8 forward pass (27) plus per-cell
-// batchItem headers and the coalescing map; the ceiling leaves slack only
-// for pool-refill noise.
-const serveBatchAllocCeiling = 72
+// 14/op — the shared int8 forward pass and its result slices; the batch's
+// own bookkeeping stays on the stack. The ceiling leaves slack only for
+// pool-refill noise.
+const serveBatchAllocCeiling = 29
 
 func TestServeBatchAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -355,5 +356,61 @@ func TestServeBatchAllocCeiling(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, execute); avg > serveBatchAllocCeiling {
 		t.Fatalf("batched serve execute allocates %.1f/op, ceiling %d", avg, serveBatchAllocCeiling)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing and reuses its header
+// map, so that a request's allocations are the server's alone.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// rewindBody is a request body that can be read again.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// TestServeRequestAllocCeiling pins the allocations of one POST /v1/serve
+// through Server.Handler() in process — route, decode, admission, worker,
+// reply — on a reused request and ResponseWriter. Steady state measures
+// 18/op: the batch-1 execute (capture, inference), the batch the worker
+// collects, and on the handler's side the status recorder, the body bound and
+// the Content-Type header; the ceiling leaves slack only for pool-refill
+// noise.
+const serveRequestAllocCeiling = 24
+
+func TestServeRequestAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; alloc counts are not steady-state")
+	}
+	s := serveTestServer(ServeOptions{Workers: 1, Classes: []fleetapi.SLOClass{
+		{Name: "open", TargetNanos: 1_000_000_000, RatePerSec: 1e9, Burst: 1 << 20, QueueDepth: 64},
+	}})
+	defer s.CancelRuns()
+	h := s.Handler()
+	body, _ := json.Marshal(fleetapi.ServeRequest{Device: 3, Item: 1, Angle: 2, Seed: 42, Runtime: nn.RuntimeInt8})
+	req := httptest.NewRequest(http.MethodPost, "/v1/serve", nil)
+	rb := &rewindBody{}
+	w := &discardWriter{header: http.Header{}}
+	serve := func() {
+		rb.Reset(body)
+		req.Body = rb
+		clear(w.header)
+		w.code = 0
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d", w.code)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		serve()
+	}
+	if avg := testing.AllocsPerRun(50, serve); avg > serveRequestAllocCeiling {
+		t.Fatalf("one served request allocates %.1f/op, ceiling %d", avg, serveRequestAllocCeiling)
 	}
 }

@@ -220,6 +220,36 @@ func TestSLOReport(t *testing.T) {
 	}
 }
 
+// TestSLOReportCountsErrors: a request failed by shutdown is one of /v1/slo's
+// errors, and requests = served + shed_rate + shed_queue + errors still holds
+// — the accounting loadgen's offline report of the same traffic keeps.
+func TestSLOReportCountsErrors(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 1, Classes: []fleetapi.SLOClass{
+		{Name: "gold", TargetNanos: 10_000_000_000, RatePerSec: 1000, Burst: 100, QueueDepth: 4},
+	}})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Stop the workers: the request is admitted and queued, and the handler
+	// answers it with the shutdown's 503.
+	s.stopServe()
+	s.serve.wg.Wait()
+	resp := postServe(t, ts, fleetapi.ServeRequest{Device: 0, Item: 0})
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	rep, err := fleetapi.NewClient(ts.URL).SLO(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rep.Classes[0]
+	if row.Errors != 1 || row.Requests != 1 || row.Served != 0 || row.ShedRate+row.ShedQueue != 0 {
+		t.Fatalf("report row %+v, want the one request counted as an error", row)
+	}
+}
+
 // TestServeAfterShutdown: once CancelRuns has run, serve requests are
 // refused with 503 instead of queueing into a dead worker pool.
 func TestServeAfterShutdown(t *testing.T) {

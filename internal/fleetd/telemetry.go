@@ -45,8 +45,25 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		t0 := time.Now()
 		h(sw, req)
 		latency.ObserveSince(t0)
-		s.reg.Counter(metricHTTPRequests, "route", route, "code", strconv.Itoa(sw.code())).Inc()
+		s.reg.Counter(metricHTTPRequests, "route", route, "code", codeLabel(sw.code())).Inc()
 	}
+}
+
+// codeLabels spells the status codes: strconv.Itoa allocates a three-digit
+// string on every call, and a request's two counter lookups would too.
+var codeLabels = func() (t [600]string) {
+	for code := range t {
+		t[code] = strconv.Itoa(code)
+	}
+	return t
+}()
+
+// codeLabel is strconv.Itoa(code), without allocating for an HTTP status.
+func codeLabel(code int) string {
+	if code >= 0 && code < len(codeLabels) {
+		return codeLabels[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // statusWriter captures the response status code for the request counter.

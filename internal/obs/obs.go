@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -133,15 +132,18 @@ func (r *Registry) familyLocked(name, kind string) *family {
 }
 
 // seriesFor resolves (name, labels) to its series, creating it with make
-// when absent.
+// when absent. The canonical key is built in a stack buffer, so resolving a
+// series that exists allocates nothing.
 func (r *Registry) seriesFor(name, kind string, labels []string, make func() any) *series {
-	canon := canonicalLabels(labels)
+	var buf [256]byte
+	key := appendCanonicalLabels(buf[:0], labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.familyLocked(name, kind)
-	if s := f.index[canon]; s != nil {
+	if s := f.index[string(key)]; s != nil {
 		return s
 	}
+	canon := string(key)
 	s := &series{labels: canon, metric: make()}
 	f.index[canon] = s
 	f.series = append(f.series, s)
@@ -179,35 +181,37 @@ func (r *Registry) DurationHistogram(name string, labels ...string) *Histogram {
 	return r.Histogram(name, DurationBuckets(), 1e-9, labels...)
 }
 
-// canonicalLabels renders label pairs sorted by key into the exposition
-// form `k1="v1",k2="v2"`. Pairs must be complete and keys valid names.
-func canonicalLabels(labels []string) string {
-	if len(labels) == 0 {
-		return ""
-	}
+// appendCanonicalLabels appends the label pairs, sorted by key, in the
+// exposition form `k1="v1",k2="v2"`. Pairs must be complete and keys valid
+// names. The pairs are ordered by a stable insertion sort over their indices,
+// in place on the stack for up to eight pairs.
+func appendCanonicalLabels(b []byte, labels []string) []byte {
 	if len(labels)%2 != 0 {
 		panic("obs: odd label list")
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	var stack [8]int
+	order := stack[:0]
 	for i := 0; i < len(labels); i += 2 {
 		if !validName(labels[i]) {
 			panic(fmt.Sprintf("obs: invalid label name %q", labels[i]))
 		}
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+		order = append(order, i)
+		j := len(order) - 1
+		for ; j > 0 && labels[order[j-1]] > labels[i]; j-- {
+			order[j] = order[j-1]
 		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.v))
-		b.WriteByte('"')
+		order[j] = i
 	}
-	return b.String()
+	for n, i := range order {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, labels[i]...)
+		b = append(b, `="`...)
+		b = appendLabelValue(b, labels[i+1])
+		b = append(b, '"')
+	}
+	return b
 }
 
 // validName reports whether s is a legal Prometheus metric/label name.
@@ -224,11 +228,19 @@ func validName(s string) bool {
 	return true
 }
 
-// escapeLabelValue applies the exposition-format escapes.
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+// appendLabelValue appends v with the exposition-format escapes.
+func appendLabelValue(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '"':
+			b = append(b, `\"`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, c)
+		}
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return b
 }

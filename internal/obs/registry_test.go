@@ -99,3 +99,20 @@ func TestLabelEscaping(t *testing.T) {
 		t.Fatalf("exposition missing escaped label:\n%s", sb.String())
 	}
 }
+
+// TestSeriesLookupAllocFree: resolving a series that exists — any label
+// order, escapes included — allocates nothing, so a per-request counter
+// lookup costs no garbage.
+func TestSeriesLookupAllocFree(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("requests_total", "route", "/v1/serve", "code", "200")
+	h := reg.DurationHistogram("latency_seconds", "q", "a\"b\\c\nd")
+	if avg := testing.AllocsPerRun(100, func() {
+		if reg.Counter("requests_total", "code", "200", "route", "/v1/serve") != c ||
+			reg.DurationHistogram("latency_seconds", "q", "a\"b\\c\nd") != h {
+			t.Fatal("lookup resolved another series")
+		}
+	}); avg != 0 {
+		t.Fatalf("series lookup allocates %.1f/op", avg)
+	}
+}

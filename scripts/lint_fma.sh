@@ -11,11 +11,12 @@
 #   ./scripts/lint_fma.sh --selftest   # lint the linter (CI runs this too)
 set -euo pipefail
 
-# The cell path: every file of the four capture packages and of device, which
-# draws each fleet member's parameters from its seed, and in nn the files that
-# build and run an inference plan. nn's layers (Forward/Backward) only train
-# and are left fused.
-PATH_RE='internal/(imaging|isp|codec|sensor|device)/[a-z0-9_]+\.go|internal/nn/(infer_plan|quantize|prune|backend|fuse|mobilenet)\.go'
+# The cell path: every file of the four capture packages, of device, which
+# draws each fleet member's parameters from its seed, and of dataset, which
+# draws the scene a cell photographs, and in nn the files that build and run
+# an inference plan. nn's layers (Forward/Backward) only train and are left
+# fused.
+PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset)/[a-z0-9_]+\.go|internal/nn/(infer_plan|quantize|prune|backend|fuse|mobilenet)\.go'
 
 # fused prints the fused multiply-adds of the listing on stdin that lie on the
 # cell path, and fails if there is one.
@@ -36,7 +37,8 @@ if [ "${1:-}" = "--selftest" ]; then
     '	0x0014 00020 (/src/internal/imaging/filter.go:70)	FMADDS	F4, F0, F2, F0' \
     '	0x0018 00024 (/src/internal/nn/infer_plan.go:233)	FNMSUBS	F4, F0, F2, F0' \
     '	0x001c 00028 (internal/sensor/sensor.go:120)	FMSUBD	F4, F0, F2, F0' \
-    '	0x0054 00084 (/src/internal/device/synth.go:75)	FMADDD	F1, F2, F0, F1'; do
+    '	0x0054 00084 (/src/internal/device/synth.go:75)	FMADDD	F1, F2, F0, F1' \
+    '	0x0060 00096 (/src/internal/dataset/classes.go:206)	FNMSUBD	F3, F2, F1, F0'; do
     if printf '%s\n%s\n' "$clean" "$line" | fused >/dev/null; then
       echo "lint_fma selftest: missed$line" >&2
       exit 1
@@ -49,7 +51,7 @@ fi
 cd "$(dirname "$0")/.."
 listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/nn >"$listing" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn >"$listing" 2>&1; then
   grep -v '^	0x' "$listing" | tail -n 20 >&2
   echo "lint_fma: the arm64 build failed" >&2
   exit 1
