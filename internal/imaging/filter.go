@@ -139,13 +139,8 @@ func blurRows(dst, src []float32, rows, n, dstStride, srcStride, tapStride int, 
 	}
 }
 
-// BoxBlur applies an r-radius box filter, the cheap denoiser used by some
-// ISP profiles.
-func BoxBlur(im *Image, r int) *Image {
-	return BoxBlurInto(New(im.W, im.H), im, r)
-}
-
-// BoxBlurInto box-filters im into dst (same dimensions, every sample
+// BoxBlurInto applies an r-radius box filter, the cheap denoiser used by some
+// ISP profiles: it box-filters im into dst (same dimensions, every sample
 // overwritten) and returns dst. dst must not alias im. r <= 0 copies.
 //
 // Radius 1 is the only one a vendor pipeline uses, and there every interior
@@ -213,13 +208,9 @@ func boxTapClipped(src []float32, x, y, r, w, h int) float32 {
 	return s / float32(cnt)
 }
 
-// MedianDenoise3 applies a 3×3 median filter per channel, an edge-preserving
-// denoiser used by the higher-end ISP profiles.
-func MedianDenoise3(im *Image) *Image {
-	return MedianDenoise3Into(New(im.W, im.H), im)
-}
-
-// MedianDenoise3Into median-filters im into dst (same dimensions, every
+// MedianDenoise3Into applies a 3×3 median filter per channel, an
+// edge-preserving denoiser used by the higher-end ISP profiles: it
+// median-filters im into dst (same dimensions, every
 // sample overwritten) and returns dst. dst must not alias im.
 //
 // A 3×3 window is three 3-tall columns, and each column is shared by three

@@ -38,7 +38,7 @@ func TestMedianDenoiseBorders(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = rng.Float32()
 	}
-	out := MedianDenoise3(im)
+	out := MedianDenoise3Into(New(im.W, im.H), im)
 	n := im.W * im.H
 	for p := 0; p < 3; p++ {
 		for y := 0; y < im.H; y++ {
@@ -198,7 +198,7 @@ func medianTestImages() map[string]*Image {
 // the retired one bit for bit.
 func TestMedianDenoise3MatchesReference(t *testing.T) {
 	for name, im := range medianTestImages() {
-		got := MedianDenoise3(im)
+		got := MedianDenoise3Into(New(im.W, im.H), im)
 		want := refMedianDenoise3Into(New(im.W, im.H), im)
 		for i, v := range got.Pix {
 			if math.Float32bits(v) != math.Float32bits(want.Pix[i]) {
@@ -219,7 +219,7 @@ func TestMedianDenoise3SignedZeros(t *testing.T) {
 	for i := range im.Pix {
 		im.Pix[i] = []float32{-1, negZero, 0, 1}[rng.Intn(4)]
 	}
-	got := MedianDenoise3(im)
+	got := MedianDenoise3Into(New(im.W, im.H), im)
 	ref := refMedianDenoise3Into(New(im.W, im.H), im)
 	n := im.W * im.H
 	for i, v := range got.Pix {

@@ -100,7 +100,7 @@ func (m *Model) InputSize() int { return m.InputHW }
 
 // Infer implements Backend: the fused inference plan of the backbone, the
 // embedding and head without their training caches, and softmax, flattened
-// row-major. It is bit-identical to Predict.
+// row-major. It is bit-identical to the softmax of the eval-mode Forward.
 func (m *Model) Infer(x *tensor.Tensor) []float64 {
 	p := m.inferPlan()
 	p.embed = denseInfer(p.embed, p.features(x), m.Embed, true)

@@ -43,7 +43,7 @@ func argmaxRow(row []float64) int {
 }
 
 // TestModelImplementsBackend pins *Model as the float32 reference backend:
-// its Infer must match Predict exactly.
+// its Infer must match the softmax of its eval-mode Forward exactly.
 func TestModelImplementsBackend(t *testing.T) {
 	m := backendTestModel(t)
 	var b Backend = m
@@ -52,13 +52,14 @@ func TestModelImplementsBackend(t *testing.T) {
 	}
 	x := fixedBatch(4, 11)
 	probs := b.Infer(x)
-	want := m.Predict(x)
+	logits, _ := m.Forward(x, false)
+	want := Softmax(logits)
 	if len(probs) != 4*5 {
 		t.Fatalf("probs length %d, want %d", len(probs), 4*5)
 	}
 	for i, v := range want.Data() {
 		if probs[i] != float64(v) {
-			t.Fatalf("Infer[%d] = %v, Predict = %v", i, probs[i], v)
+			t.Fatalf("Infer[%d] = %v, Forward = %v", i, probs[i], v)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				src := x.Data()[off : off+hw]
 				dst := y.Data()[off : off+hw]
 				for j, v := range src {
-					dst[j] = v*scale + shift
+					dst[j] = bnAct(v, scale, shift, false)
 				}
 			}
 		})
@@ -88,11 +88,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			off := (i*bn.ch + c) * hw
 			for _, v := range x.Data()[off : off+hw] {
 				sum += float64(v)
-				sumSq += float64(v) * float64(v)
+				sumSq += float64(float64(v) * float64(v))
 			}
 		}
 		mean := sum / count
-		variance := sumSq/count - mean*mean
+		variance := sumSq/count - float64(mean*mean)
 		if variance < 0 {
 			variance = 0
 		}
@@ -107,11 +107,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for j, v := range src {
 				h := (v - m32) * bn.invStd[c]
 				xh[j] = h
-				dst[j] = h*g[c] + b[c]
+				dst[j] = bnAct(h, g[c], b[c], false)
 			}
 		}
-		bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*m32
-		bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*float32(variance)
+		bn.RunningMean[c] = float32((1-bn.Momentum)*bn.RunningMean[c]) + float32(bn.Momentum*m32)
+		bn.RunningVar[c] = float32((1-bn.Momentum)*bn.RunningVar[c]) + float32(bn.Momentum*float32(variance))
 	})
 	bn.trained = true
 	return y
@@ -138,7 +138,7 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			xhp := bn.xhat.Data()[off : off+hw]
 			for j, v := range dyp {
 				sumDy += float64(v)
-				sumDyXhat += float64(v) * float64(xhp[j])
+				sumDyXhat += float64(float64(v) * float64(xhp[j]))
 			}
 		}
 		dg[c] += float32(sumDyXhat)
@@ -152,7 +152,7 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			xhp := bn.xhat.Data()[off : off+hw]
 			dxp := dx.Data()[off : off+hw]
 			for j, v := range dyp {
-				dxp[j] = k * (m*v - sDy - xhp[j]*sDyX)
+				dxp[j] = k * (float32(m*v) - sDy - float32(xhp[j]*sDyX))
 			}
 		}
 	})

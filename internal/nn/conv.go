@@ -16,8 +16,8 @@ type Conv2D struct {
 	outC   int
 
 	// forward caches
-	x    *tensor.Tensor
-	cols []*tensor.Tensor // per-image im2col buffers, reused across steps
+	x     *tensor.Tensor
+	panel []float32 // the batch's im2colPlanar panels, one an image; unused by a pointwise layer
 }
 
 // NewConv2D creates a convolution layer. Weights are He-initialized from rng.
@@ -46,24 +46,34 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	c.x = x
 	c.dims = d
-	if len(c.cols) < n || c.cols[0].Dim(0) != p || c.cols[0].Dim(1) != k {
-		c.cols = make([]*tensor.Tensor, n)
-		for i := range c.cols {
-			c.cols[i] = tensor.New(p, k)
-		}
+	if !pointwise(d) && len(c.panel) < n*k*p {
+		c.panel = make([]float32, n*k*p)
 	}
 
 	y := tensor.New(n, c.outC, outH, outW)
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
+	id := identityAffine(c.outC)
 	parallelFor(n, func(i int) {
-		col := c.cols[i]
-		tensor.Im2Col(col.Data(), x.Data()[i*imgIn:(i+1)*imgIn], d)
-		// (outC, p) = W (outC,k) · colᵀ (k,p)
-		out := tensor.MatMulTB(c.Weight.W, col)
-		copy(y.Data()[i*imgOut:(i+1)*imgOut], out.Data())
+		a := c.planes(i)
+		if !pointwise(d) {
+			im2colPlanar(a, x.Data()[i*imgIn:(i+1)*imgIn], d)
+		}
+		gemmBN(y.Data()[i*imgOut:(i+1)*imgOut], c.Weight.W.Data(), a, c.outC, p, k, id.scale, id.shift, false)
 	})
 	return y
+}
+
+// planes is image i's input as gemmBN reads it: a pointwise layer's input
+// image in place, any other's im2colPlanar panel, (k, p) row-major.
+func (c *Conv2D) planes(i int) []float32 {
+	d := c.dims
+	if pointwise(d) {
+		n := d.InC * d.InH * d.InW
+		return c.x.Data()[i*n : (i+1)*n]
+	}
+	n := d.InC * d.KH * d.KW * d.OutH() * d.OutW()
+	return c.panel[i*n : (i+1)*n]
 }
 
 // Backward implements Layer. dy has shape (N, outC, outH, outW).
@@ -76,6 +86,7 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	d := c.dims
 	outH, outW := d.OutH(), d.OutW()
 	p := outH * outW
+	k := d.InC * d.KH * d.KW
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
 
@@ -83,9 +94,8 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dws := make([]*tensor.Tensor, n)
 	parallelFor(n, func(i int) {
 		dyi := tensor.NewFrom(dy.Data()[i*imgOut:(i+1)*imgOut], c.outC, p)
-		col := c.cols[i]
-		// dW_i (outC,k) = dY (outC,p) · col (p,k)
-		dws[i] = tensor.MatMul(dyi, col)
+		// dW_i (outC,k) = dY (outC,p) · panelᵀ (p,k)
+		dws[i] = tensor.MatMulTB(dyi, tensor.NewFrom(c.planes(i), k, p))
 		// dcol (p,k) = dYᵀ (p,outC) · W (outC,k)
 		dcol := tensor.MatMulTA(dyi, c.Weight.W)
 		tensor.Col2Im(dx.Data()[i*imgIn:(i+1)*imgIn], dcol.Data(), d)
@@ -137,45 +147,13 @@ func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(n, l.ch, l.outH, l.outW)
 	imgIn := l.ch * l.inH * l.inW
 	imgOut := l.ch * l.outH * l.outW
-	w := l.Weight.W.Data()
+	op := &planDepthwise{l: l, bnAffine: identityAffine(l.ch)}
 	parallelFor(n, func(i int) {
-		src := x.Data()[i*imgIn:]
-		dst := y.Data()[i*imgOut:]
-		for c := 0; c < l.ch; c++ {
-			plane := src[c*l.inH*l.inW : (c+1)*l.inH*l.inW]
-			out := dst[c*l.outH*l.outW : (c+1)*l.outH*l.outW]
-			ker := w[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
-			l.convPlane(out, plane, ker)
-		}
+		// A plan of its own per image: the vector kernel's load masks are
+		// the only scratch it keeps.
+		op.run(new(inferPlan), y.Data()[i*imgOut:(i+1)*imgOut], x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
 	return y
-}
-
-func (l *DepthwiseConv2D) convPlane(dst, src, ker []float32) {
-	idx := 0
-	for oy := 0; oy < l.outH; oy++ {
-		iy0 := oy*l.stride - l.pad
-		for ox := 0; ox < l.outW; ox++ {
-			ix0 := ox*l.stride - l.pad
-			var s float32
-			for ky := 0; ky < l.kh; ky++ {
-				iy := iy0 + ky
-				if iy < 0 || iy >= l.inH {
-					continue
-				}
-				row := src[iy*l.inW:]
-				kr := ker[ky*l.kw:]
-				for kx := 0; kx < l.kw; kx++ {
-					ix := ix0 + kx
-					if ix >= 0 && ix < l.inW {
-						s += row[ix] * kr[kx]
-					}
-				}
-			}
-			dst[idx] = s
-			idx++
-		}
-	}
 }
 
 // Backward implements Layer.
@@ -220,8 +198,8 @@ func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= l.inW {
 								continue
 							}
-							dker[ky*l.kw+kx] += gv * plane[iy*l.inW+ix]
-							dplane[iy*l.inW+ix] += gv * ker[ky*l.kw+kx]
+							dker[ky*l.kw+kx] += float32(gv * plane[iy*l.inW+ix])
+							dplane[iy*l.inW+ix] += float32(gv * ker[ky*l.kw+kx])
 						}
 					}
 				}

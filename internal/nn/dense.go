@@ -38,17 +38,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense %s: input width %d want %d", d.Weight.Name, x.Dim(1), d.in))
 	}
 	d.x = x
-	// (N,out) = X (N,in) · Wᵀ (in,out)
-	y := tensor.MatMulTB(x, d.Weight.W)
-	b := d.Bias.W.Data()
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		row := y.Data()[i*d.out : (i+1)*d.out]
-		for j := range row {
-			row[j] += b[j]
-		}
-	}
-	return y
+	return denseInfer(nil, x, d, false)
 }
 
 // Backward implements Layer.

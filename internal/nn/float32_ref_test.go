@@ -9,11 +9,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// The float32 inference plan (infer_plan.go) must reproduce the training
-// forward bit for bit: Model.Forward in eval mode stays in the tree as the
-// reference, as the scalar int8 kernels do in quantize_ref_test.go. Every
-// comparison here is on the bit pattern, so a -0/+0 or NaN-payload drift is
-// a failure too.
+// The float32 inference plan (infer_plan.go) must reproduce the scalar
+// reference forward of layer_ref_test.go bit for bit, as the int8 plan does
+// the scalar int8 kernels of quantize_ref_test.go. Every comparison here is
+// on the bit pattern, so a -0/+0 or NaN-payload drift is a failure too.
 
 func sameBits32(t *testing.T, name string, got, want []float32) {
 	t.Helper()
@@ -67,16 +66,17 @@ func refTestModel(seed int64, width float64) *Model {
 	return m
 }
 
-// refModelInfer is Model.Infer before the plan: the training forward in eval
-// mode, softmax, flattened.
+// refModelInfer is Model.Infer on the reference loops: the eval-mode
+// forward, softmax, flattened.
 func refModelInfer(m *Model, x *tensor.Tensor) []float64 {
-	logits, _ := m.Forward(x, false)
-	return flatProbs(Softmax(logits))
+	e := m.EmbedAct.Forward(refDense(m.Embed, refForward(m.Backbone, x)), false)
+	return flatProbs(Softmax(refDense(m.Head, e)))
 }
 
-// refPrunedInfer is PrunedBackend.Infer before the plan.
+// refPrunedInfer is PrunedBackend.Infer with the backbone on the reference
+// loops.
 func refPrunedInfer(b *PrunedBackend, x *tensor.Tensor) []float64 {
-	f := b.m.Backbone.Forward(x, false)
+	f := refForward(b.m.Backbone, x)
 	return flatProbs(Softmax(b.head.apply(nil, b.embed.apply(nil, f))))
 }
 
@@ -123,11 +123,11 @@ func TestInferIsBatchInvariant(t *testing.T) {
 	}
 }
 
-// planVsForward runs a layer stack through the plan and through the layers'
-// own eval-mode Forward on the same input.
+// planVsForward runs a layer stack through the plan and through the
+// reference eval-mode forward on the same input.
 func planVsForward(t *testing.T, name string, x *tensor.Tensor, layers ...Layer) {
 	t.Helper()
-	want := NewSequential(layers...).Forward(x, false)
+	want := refForward(NewSequential(layers...), x)
 	got := newInferPlan(layers, false).features(x)
 	sameBits32(t, name, got.Data(), want.Data())
 }
@@ -255,7 +255,7 @@ func TestInferLeavesTrainingCachesEmpty(t *testing.T) {
 			case *Residual:
 				walk(v.Body)
 			case *Conv2D:
-				if v.x != nil || v.cols != nil {
+				if v.x != nil || v.panel != nil {
 					t.Errorf("%s: Conv2D %s holds forward caches after Infer", name, v.Weight.Name)
 				}
 			case *DepthwiseConv2D:

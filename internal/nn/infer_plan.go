@@ -16,14 +16,13 @@ import (
 // float32 convolutions, dequantizing into the same float32 arena, and shares
 // the executor, the residual add and the pool.
 //
-// In a float32 plan every output element sees exactly the operations
-// Model.Forward applies to it, in the same order: each accumulator is the
-// ordered sum the training kernels compute, the epilogue is BatchNorm's
-// v*scale+shift and ReLU6's clamp, and the residual add is the same y+x.
-// Results are therefore bit-identical to the eval-mode Forward, which
-// float32_ref_test.go keeps as the reference. Weights and BatchNorm
-// statistics are read from the live layers on every call, so training
-// between two calls is never stale.
+// The plan's kernels are the only float32 forward arithmetic there is: the
+// layers' own Forward runs gemmBN, im2colPlanar, the depthwise op and
+// denseInfer too, with an identity epilogue, and eval-mode BatchNorm finishes
+// through bnAct. A fused op therefore computes bit for bit what the eval-mode
+// Forward of its layers does; layer_ref_test.go keeps the scalar reference
+// both are diffed against. Weights and BatchNorm statistics are read from the
+// live layers on every call, so training between two calls is never stale.
 type inferPlan struct {
 	quantized bool // convolutions compile to the int8 ops of quantize.go
 	steps     []planStep
@@ -239,6 +238,17 @@ func (a *bnAffine) refresh() {
 	}
 }
 
+// identityAffine is the epilogue of a bare layer's Forward: bnAct(s, 1, 0,
+// false) is s for every sum a kernel produces, because a sum started from +0
+// is never -0.
+func identityAffine(ch int) bnAffine {
+	a := bnAffine{scale: make([]float32, ch), shift: make([]float32, ch)}
+	for c := range a.scale {
+		a.scale[c] = 1
+	}
+	return a
+}
+
 // bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then
 // ReLU6.Forward's clamp.
 func bnAct(s, scale, shift float32, relu6 bool) float32 {
@@ -282,10 +292,12 @@ func (p *inferPlan) planes(src []float32, d tensor.ConvDims) []float32 {
 	return col
 }
 
-// im2colPlanar is tensor.Im2Col transposed: dst[j*np+pi] is tap j = (c, ky, kx)
-// of output pixel pi, zero where the tap falls in the padding — np-long planes
-// in the layout a 1×1 convolution's input already has, so gemmBN reads every
-// convolution the same way. Row j of the weight matrix is the same tap.
+// im2colPlanar lays one image out as a convolution's taps: dst[j*np+pi] is
+// tap j = (c, ky, kx) of output pixel pi, zero where the tap falls in the
+// padding — np-long planes in the layout a 1×1 convolution's input already
+// has, so gemmBN reads every convolution the same way. Row j of the weight
+// matrix is the same tap, and Conv2D.Backward's weight gradient reads the
+// panel back.
 func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
 	outH, outW := d.OutH(), d.OutW()
 	dst = dst[:d.InC*d.KH*d.KW*outH*outW]
@@ -332,11 +344,11 @@ func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
 // channel-major planes: a 1×1 convolution's input as it stands, any other
 // convolution's im2colPlanar panel.
 //
-// Every output is the plain sum over j = 0..k-1 in order, multiply and add
-// rounded separately, so it matches tensor.MatMulTB bit for bit whichever
-// kernel computes it: the vector kernel takes the whole 4-channel × 16-pixel
-// tiles, one output pixel to a lane, and the Go kernel the pixels and
-// channels it leaves.
+// Every output is the plain sum over j = 0..k-1 in order from +0, multiply
+// and add rounded separately, so it is the same bits whichever kernel
+// computes it: the vector kernel takes the whole 4-channel × 16-pixel tiles,
+// one output pixel to a lane, and the Go kernel the pixels and channels it
+// leaves. Conv2D.Forward is this with the identity epilogue.
 func gemmBN(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 bool) {
 	cs, ps := gemmBNVector(dst, w, a, outC, p, k, scale, shift, relu6)
 	gemmBNGo(dst, w, a, 0, cs, ps, p, k, scale, shift, relu6)
@@ -348,8 +360,8 @@ func gemmBN(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 b
 //
 // The micro-kernel tiles 4 output channels × 2 pixels. Its eight float32
 // accumulators live in registers and break the one-accumulator add-latency
-// chain of tensor.MatMulTB, but each is still the plain sum over j = 0..k-1
-// in order.
+// chain of a dot product, but each is still the plain sum over j = 0..k-1 in
+// order.
 func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32, relu6 bool) {
 	c := c0
 	for ; c+4 <= c1; c += 4 {
@@ -435,7 +447,7 @@ func (o *planDepthwise) outShape(c, h, w int) (int, int, int) {
 	return c, (h+2*l.pad-l.kh)/l.stride + 1, (w+2*l.pad-l.kw)/l.stride + 1
 }
 
-// dwPixel is DepthwiseConv2D.convPlane's sum for one output pixel: the taps
+// dwPixel is a depthwise convolution's sum for one output pixel: the taps
 // that fall inside the input, added in ky,kx order from +0.
 func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) float32 {
 	iy0, ix0 := oy*stride-pad, ox*stride-pad
@@ -509,9 +521,9 @@ func (planPool) run(_ *inferPlan, dst, src []float32, _, h, w int) {
 }
 
 // denseInfer is Dense.Forward (and ReLU.Forward when relu is set) without the
-// training caches: y = x·Wᵀ + b over an (N, in) batch, each output the same
-// ordered sum tensor.MatMulTB computes. The output tensor is reused when it
-// already has the right shape.
+// training cache: y = x·Wᵀ + b over an (N, in) batch, each output the sum
+// over the inputs in order from +0, then the bias. The output tensor is
+// reused when it already has the right shape.
 func denseInfer(y, x *tensor.Tensor, d *Dense, relu bool) *tensor.Tensor {
 	n := x.Dim(0)
 	if x.Dim(1) != d.in {

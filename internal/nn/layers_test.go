@@ -326,13 +326,13 @@ func TestModelShapesAndParams(t *testing.T) {
 	if n := m.NumParams(); n < 10000 || n > 100000 {
 		t.Fatalf("unexpected parameter count %d", n)
 	}
-	p := m.Predict(x)
+	p := Softmax(logits)
 	var sum float64
 	for j := 0; j < 5; j++ {
 		sum += float64(p.At(0, j))
 	}
 	if math.Abs(sum-1) > 1e-4 {
-		t.Fatalf("Predict row sums to %v", sum)
+		t.Fatalf("softmax row sums to %v", sum)
 	}
 }
 

@@ -97,7 +97,7 @@ func KLStability(z, zp *tensor.Tensor) (loss float64, dz, dzp *tensor.Tensor) {
 			qj := math.Max(float64(qr[j]), 1e-12)
 			l := math.Log(pj) - math.Log(qj)
 			lr[j] = float32(l)
-			rowLoss += float64(pr[j]) * l
+			rowLoss += float64(float64(pr[j]) * l)
 		}
 		loss += rowLoss
 		// dL/dzp_j = (q_j − p_j)/N
@@ -107,7 +107,7 @@ func KLStability(z, zp *tensor.Tensor) (loss float64, dz, dzp *tensor.Tensor) {
 		// dL/dz_j = p_j (lr_j − Σ_i p_i lr_i)/N
 		var mean float32
 		for j := range pr {
-			mean += pr[j] * lr[j]
+			mean += float32(pr[j] * lr[j])
 		}
 		for j := range gz {
 			gz[j] = pr[j] * (lr[j] - mean) * invN
@@ -131,7 +131,7 @@ func EmbeddingL2(e, ep *tensor.Tensor) (loss float64, de, dep *tensor.Tensor) {
 	invN := 1 / float32(n)
 	for i := 0; i < n*d; i++ {
 		diff := e.Data()[i] - ep.Data()[i]
-		loss += float64(diff) * float64(diff)
+		loss += float64(float64(diff) * float64(diff))
 		de.Data()[i] = 2 * diff * invN
 		dep.Data()[i] = -2 * diff * invN
 	}

@@ -159,10 +159,3 @@ func (m *Model) NumParams() int {
 	}
 	return n
 }
-
-// Predict runs the model in eval mode on a batch and returns softmax
-// probabilities (N, classes).
-func (m *Model) Predict(x *tensor.Tensor) *tensor.Tensor {
-	logits, _ := m.Forward(x, false)
-	return Softmax(logits)
-}

@@ -32,9 +32,9 @@ func (s *SGD) Step(params []*Param) {
 		w := p.W.Data()
 		g := p.G.Data()
 		for i := range w {
-			grad := g[i] + wd*w[i]
-			v[i] = mu*v[i] + grad
-			w[i] -= lr * v[i]
+			grad := g[i] + float32(wd*w[i])
+			v[i] = float32(mu*v[i]) + grad
+			w[i] -= float32(lr * v[i])
 		}
 	}
 }

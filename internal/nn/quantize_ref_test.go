@@ -168,7 +168,7 @@ func (l *refQConv) forward(_ *refInt8, x *tensor.Tensor) *tensor.Tensor {
 	colF := make([]float32, p*k)
 	colQ := make([]int8, p*k)
 	for i := 0; i < n; i++ {
-		tensor.Im2Col(colF, x.Data()[i*imgIn:(i+1)*imgIn], d)
+		refIm2Col(colF, x.Data()[i*imgIn:(i+1)*imgIn], d)
 		ax := refAbsMaxScale(colF)
 		refQuantizeTo(colQ, colF, ax)
 		dst := y.Data()[i*l.outC*p:]
@@ -685,7 +685,7 @@ func TestQuantizePanelMatchesIm2ColQuantize(t *testing.T) {
 			src[i] = float32(rng.NormFloat64())
 		}
 		colF := make([]float32, p*k)
-		tensor.Im2Col(colF, src, d)
+		refIm2Col(colF, src, d)
 		axRef := refAbsMaxScale(colF)
 		want := make([]int8, p*k)
 		refQuantizeTo(want, colF, axRef)

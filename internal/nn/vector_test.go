@@ -25,8 +25,8 @@ func portable(f func()) {
 }
 
 // TestReferenceSuitesOnPortableKernels re-runs the bit-identity suites — the
-// float32 plan against Model.Forward, the int8 plan against the scalar
-// references — on the Go kernels of a machine whose first run of them took
+// float32 plan and the int8 plan against their scalar references — on the Go
+// kernels of a machine whose first run of them took
 // the vector ones.
 func TestReferenceSuitesOnPortableKernels(t *testing.T) {
 	if !useVector {

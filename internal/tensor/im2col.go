@@ -36,52 +36,8 @@ func (d ConvDims) Validate() error {
 	return nil
 }
 
-// Im2Col expands one image (C,H,W) laid out in src into a matrix of shape
-// (outH*outW, C*KH*KW) written into dst. Each output row holds the receptive
-// field for one output pixel, so convolution becomes dst · Wᵀ.
-// dst must have length outH*outW*C*KH*KW.
-func Im2Col(dst, src []float32, d ConvDims) {
-	outH, outW := d.OutH(), d.OutW()
-	cols := d.InC * d.KH * d.KW
-	if len(dst) != outH*outW*cols {
-		panic(fmt.Sprintf("tensor: Im2Col dst length %d want %d", len(dst), outH*outW*cols))
-	}
-	if len(src) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2Col src length %d want %d", len(src), d.InC*d.InH*d.InW))
-	}
-	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*d.StrideH - d.PadH
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*d.StrideW - d.PadW
-			for c := 0; c < d.InC; c++ {
-				plane := src[c*d.InH*d.InW:]
-				for ky := 0; ky < d.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= d.InH {
-						for kx := 0; kx < d.KW; kx++ {
-							dst[idx] = 0
-							idx++
-						}
-						continue
-					}
-					row := plane[iy*d.InW : iy*d.InW+d.InW]
-					for kx := 0; kx < d.KW; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= d.InW {
-							dst[idx] = 0
-						} else {
-							dst[idx] = row[ix]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2Im scatters a column matrix (outH*outW, C*KH*KW) back into an image
+// Col2Im scatters a column matrix (outH*outW, C*KH*KW), one row per output
+// pixel holding its receptive field in (c, ky, kx) order, back into an image
 // gradient (C,H,W), accumulating overlapping contributions. dst is not
 // zeroed; callers typically pass a fresh buffer.
 func Col2Im(dst, src []float32, d ConvDims) {

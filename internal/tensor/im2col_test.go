@@ -1,10 +1,42 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// im2col is the row-major im2col Col2Im is the adjoint of: one image (C,H,W)
+// in src becomes the (outH*outW, C*KH*KW) matrix dst whose row for an output
+// pixel holds its receptive field, zero in the padding.
+func im2col(dst, src []float32, d ConvDims) {
+	outH, outW := d.OutH(), d.OutW()
+	cols := d.InC * d.KH * d.KW
+	if len(dst) != outH*outW*cols {
+		panic(fmt.Sprintf("tensor: im2col dst length %d want %d", len(dst), outH*outW*cols))
+	}
+	if len(src) != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: im2col src length %d want %d", len(src), d.InC*d.InH*d.InW))
+	}
+	idx := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			for c := 0; c < d.InC; c++ {
+				for ky := 0; ky < d.KH; ky++ {
+					for kx := 0; kx < d.KW; kx++ {
+						iy, ix := oy*d.StrideH-d.PadH+ky, ox*d.StrideW-d.PadW+kx
+						dst[idx] = 0
+						if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
+							dst[idx] = src[(c*d.InH+iy)*d.InW+ix]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestConvDimsOutputSize(t *testing.T) {
 	d := ConvDims{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -43,7 +75,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		src[i] = float32(i)
 	}
 	dst := make([]float32, 9*2)
-	Im2Col(dst, src, d)
+	im2col(dst, src, d)
 	// Row p holds (c0[p], c1[p]).
 	for p := 0; p < 9; p++ {
 		if dst[p*2] != float32(p) || dst[p*2+1] != float32(9+p) {
@@ -56,7 +88,7 @@ func TestIm2ColPaddingIsZero(t *testing.T) {
 	d := ConvDims{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	src := []float32{1, 2, 3, 4}
 	dst := make([]float32, d.OutH()*d.OutW()*9)
-	Im2Col(dst, src, d)
+	im2col(dst, src, d)
 	// First output pixel (0,0): top-left receptive field rows include
 	// padding. Kernel center samples src[0].
 	first := dst[:9]
@@ -70,15 +102,15 @@ func TestIm2ColPaddingIsZero(t *testing.T) {
 
 func TestIm2ColLengthPanics(t *testing.T) {
 	d := ConvDims{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	assertPanics(t, func() { Im2Col(make([]float32, 3), make([]float32, 16), d) })
-	assertPanics(t, func() { Im2Col(make([]float32, 16*9), make([]float32, 15), d) })
+	assertPanics(t, func() { im2col(make([]float32, 3), make([]float32, 16), d) })
+	assertPanics(t, func() { im2col(make([]float32, 16*9), make([]float32, 15), d) })
 	assertPanics(t, func() { Col2Im(make([]float32, 16), make([]float32, 3), d) })
 	assertPanics(t, func() { Col2Im(make([]float32, 15), make([]float32, 16*9), d) })
 }
 
 // TestCol2ImIsAdjoint checks the defining property of the pair: for all x, y
-// ⟨Im2Col(x), y⟩ == ⟨x, Col2Im(y)⟩, i.e. Col2Im is the transpose of the
-// linear map Im2Col. This single property catches nearly every indexing bug.
+// ⟨im2col(x), y⟩ == ⟨x, Col2Im(y)⟩, i.e. Col2Im is the transpose of the
+// linear map im2col. This single property catches nearly every indexing bug.
 func TestCol2ImIsAdjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -102,7 +134,7 @@ func TestCol2ImIsAdjoint(t *testing.T) {
 			y[i] = float32(rng.NormFloat64())
 		}
 		colX := make([]float32, nCol)
-		Im2Col(colX, x, d)
+		im2col(colX, x, d)
 		backY := make([]float32, nIn)
 		Col2Im(backY, y, d)
 		var lhs, rhs float64
@@ -137,15 +169,5 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MatMul(a, c)
-	}
-}
-
-func BenchmarkIm2Col32(b *testing.B) {
-	d := ConvDims{InC: 16, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	src := make([]float32, d.InC*d.InH*d.InW)
-	dst := make([]float32, d.OutH()*d.OutW()*d.InC*9)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Im2Col(dst, src, d)
 	}
 }

@@ -1,8 +1,8 @@
 // Package tensor implements dense float32 tensors and the linear-algebra
-// kernels (matrix multiplication, im2col) that the neural-network package is
-// built on. Tensors are row-major and carry an explicit shape; all operations
-// are deterministic and allocation behaviour is documented per function so
-// training loops can reuse buffers.
+// kernels (matrix multiplication, col2im) that the neural-network package's
+// backward passes are built on. Tensors are row-major and carry an explicit
+// shape; all operations are deterministic and allocation behaviour is
+// documented per function so training loops can reuse buffers.
 package tensor
 
 import (
@@ -137,7 +137,7 @@ func (t *Tensor) AddScaled(alpha float32, src *Tensor) {
 		panic("tensor: AddScaled length mismatch")
 	}
 	for i, v := range src.data {
-		t.data[i] += alpha * v
+		t.data[i] += float32(alpha * v)
 	}
 }
 
@@ -152,7 +152,7 @@ func (t *Tensor) Scale(alpha float32) {
 func (t *Tensor) SumSquares() float64 {
 	var s float64
 	for _, v := range t.data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return s
 }
@@ -182,7 +182,7 @@ func (t *Tensor) RandNormal(rng *rand.Rand, std float64) {
 // RandUniform fills the tensor with uniform samples in [lo, hi).
 func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.data {
-		t.data[i] = float32(lo + rng.Float64()*(hi-lo))
+		t.data[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 }
 
@@ -255,15 +255,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulInto computes C = A·B into an existing (m,n) tensor, overwriting it.
-func MatMulInto(c, a, b *Tensor) {
-	m, k, n := mmDims(a, b)
-	if c.Dim(0) != m || c.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v want (%d,%d)", c.shape, m, n))
-	}
-	matmulInto(c.data, a.data, b.data, m, k, n)
-}
-
 func mmDims(a, b *Tensor) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -294,7 +285,7 @@ func matmulInto(c, a, b []float32, m, k, n int) {
 				}
 				bp := b[p*n : p*n+n]
 				for j, bv := range bp {
-					ci[j] += av * bv
+					ci[j] += float32(av * bv)
 				}
 			}
 		}
@@ -331,7 +322,7 @@ func MatMulTA(a, b *Tensor) *Tensor {
 				}
 				ci := cd[i*n : i*n+n]
 				for j, bv := range bp {
-					ci[j] += av * bv
+					ci[j] += float32(av * bv)
 				}
 			}
 		}
@@ -365,7 +356,7 @@ func MatMulTB(a, b *Tensor) *Tensor {
 				bj := bd[j*k : j*k+k]
 				var s float32
 				for p, av := range ai {
-					s += av * bj[p]
+					s += float32(av * bj[p])
 				}
 				ci[j] = s
 			}

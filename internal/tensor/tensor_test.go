@@ -170,19 +170,6 @@ func TestMatMulLargeParallelPath(t *testing.T) {
 	}
 }
 
-func TestMatMulInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randTensor(rng, 4, 5)
-	b := randTensor(rng, 5, 6)
-	c := New(4, 6)
-	c.Fill(123) // must be overwritten
-	MatMulInto(c, a, b)
-	if !Equal(c, naiveMatMul(a, b), 1e-4) {
-		t.Fatal("MatMulInto mismatch")
-	}
-	assertPanics(t, func() { MatMulInto(New(3, 6), a, b) })
-}
-
 func TestMatMulShapePanics(t *testing.T) {
 	assertPanics(t, func() { MatMul(New(2, 3), New(4, 2)) })
 	assertPanics(t, func() { MatMul(New(2), New(2, 2)) })

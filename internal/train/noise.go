@@ -60,16 +60,16 @@ func (d Distortion) Name() string { return "distortion" }
 func (d Distortion) Companion(_ int, x *imaging.Image, rng *rand.Rand) *imaging.Image {
 	out := x
 	if d.HueDeg > 0 {
-		out = imaging.AdjustHue(out, float32((rng.Float64()*2-1)*d.HueDeg))
+		out = imaging.AdjustHue(out, float32(symmetric(rng)*d.HueDeg))
 	}
 	if d.Contrast > 0 {
-		out = imaging.AdjustContrast(out, float32(1+(rng.Float64()*2-1)*d.Contrast))
+		out = imaging.AdjustContrast(out, float32(1+float64(symmetric(rng)*d.Contrast)))
 	}
 	if d.Brightness > 0 {
-		out = imaging.AdjustBrightness(out, float32((rng.Float64()*2-1)*d.Brightness))
+		out = imaging.AdjustBrightness(out, float32(symmetric(rng)*d.Brightness))
 	}
 	if d.Saturation > 0 {
-		out = imaging.AdjustSaturation(out, float32(1+(rng.Float64()*2-1)*d.Saturation))
+		out = imaging.AdjustSaturation(out, float32(1+float64(symmetric(rng)*d.Saturation)))
 	}
 	out = out.Clone().Clamp()
 	if d.JPEGHigh > d.JPEGLow {
@@ -78,6 +78,13 @@ func (d Distortion) Companion(_ int, x *imaging.Image, rng *rand.Rand) *imaging.
 		out = enc.Decode(codec.DecodeOptions{})
 	}
 	return out
+}
+
+// symmetric draws uniformly from [-1, 1). The product is rounded before the
+// subtraction, and the inlined draw's own product before that, so no target
+// fuses them.
+func symmetric(rng *rand.Rand) float64 {
+	return float64(float64(rng.Float64())*2) - 1
 }
 
 // TwoImages supplies the paired capture from a second device: for training

@@ -114,7 +114,7 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
 			}
 			opt.Step(m.Params())
-			epochLoss += ceLoss + cfg.Alpha*sLoss
+			epochLoss += ceLoss + float64(cfg.Alpha*sLoss)
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)

@@ -2,8 +2,8 @@
 # Fused multiply-add lint of the portable (!amd64) build. On arm64 the Go
 # compiler may fuse x*y + z into one instruction that rounds once; amd64 and
 # 386 never do, so a fused cell would not have the bits the goldens pin. The
-# Go kernels of the capture→infer path therefore round every product
-# explicitly, float32(x*y) + z, which forbids the fusion. Nothing here can
+# Go kernels of the capture→infer path and of training therefore round every
+# product explicitly, float32(x*y) + z, which forbids the fusion. Nothing here can
 # execute arm64; what it can do is read the compiler's listing and fail on
 # any fused instruction attributed to a line of that path.
 #
@@ -12,11 +12,11 @@
 set -euo pipefail
 
 # The cell path: every file of the four capture packages, of device, which
-# draws each fleet member's parameters from its seed, and of dataset, which
-# draws the scene a cell photographs, and in nn the files that build and run
-# an inference plan. nn's layers (Forward/Backward) only train and are left
-# fused.
-PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset)/[a-z0-9_]+\.go|internal/nn/(infer_plan|quantize|prune|backend|fuse|mobilenet)\.go'
+# draws each fleet member's parameters from its seed, of dataset, which draws
+# the scene a cell photographs, of nn, which runs the inference plan and
+# trains the model on the same kernels, and of tensor and train, which finish
+# the training that produces the weights a cell runs.
+PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train)/[a-z0-9_]+\.go'
 
 # fused prints the fused multiply-adds of the listing on stdin that lie on the
 # cell path, and fails if there is one.
@@ -27,10 +27,9 @@ fused() {
 if [ "${1:-}" = "--selftest" ]; then
   clean='	0x0010 00016 (/src/internal/imaging/filter.go:70)	FMULS	F1, F0, F0
 	0x0014 00020 (/src/internal/imaging/filter.go:70)	FADDS	F0, F2, F2
-	0x0020 00032 (/src/internal/nn/conv.go:88)	FMADDS	F4, F0, F2, F0
-	0x0024 00036 (/src/internal/tensor/matmul.go:31)	FMADDS	F4, F0, F2, F0'
+	0x0020 00032 (/src/internal/fleet/engine.go:88)	FMADDS	F4, F0, F2, F0'
   if ! printf '%s\n' "$clean" | fused >/dev/null; then
-    echo "lint_fma selftest: flagged a listing whose only fused lines are in training code" >&2
+    echo "lint_fma selftest: flagged a listing whose only fused line is off the cell path" >&2
     exit 1
   fi
   for line in \
@@ -38,7 +37,10 @@ if [ "${1:-}" = "--selftest" ]; then
     '	0x0018 00024 (/src/internal/nn/infer_plan.go:233)	FNMSUBS	F4, F0, F2, F0' \
     '	0x001c 00028 (internal/sensor/sensor.go:120)	FMSUBD	F4, F0, F2, F0' \
     '	0x0054 00084 (/src/internal/device/synth.go:75)	FMADDD	F1, F2, F0, F1' \
-    '	0x0060 00096 (/src/internal/dataset/classes.go:206)	FNMSUBD	F3, F2, F1, F0'; do
+    '	0x0060 00096 (/src/internal/dataset/classes.go:206)	FNMSUBD	F3, F2, F1, F0' \
+    '	0x0020 00032 (/src/internal/nn/conv.go:88)	FMADDS	F4, F0, F2, F0' \
+    '	0x0024 00036 (/src/internal/tensor/matmul.go:31)	FMADDS	F4, F0, F2, F0' \
+    '	0x0028 00040 (/src/internal/train/noise.go:87)	FMSUBD	F1, F2, F0, F1'; do
     if printf '%s\n%s\n' "$clean" "$line" | fused >/dev/null; then
       echo "lint_fma selftest: missed$line" >&2
       exit 1
@@ -51,7 +53,7 @@ fi
 cd "$(dirname "$0")/.."
 listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn >"$listing" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train >"$listing" 2>&1; then
   grep -v '^	0x' "$listing" | tail -n 20 >&2
   echo "lint_fma: the arm64 build failed" >&2
   exit 1
