@@ -257,7 +257,7 @@ func benchTable6(b *testing.B, loss train.StabilityLoss) {
 	benchSetup(b)
 	var results []lab.SchemeResult
 	for i := 0; i < b.N; i++ {
-		results = lab.RunStabilityExperiment(benchModel, loss, table6Cfg, nil)
+		results = lab.GridSearchAlpha(benchModel, loss, table6Cfg, nil, nil)
 	}
 	for _, r := range results {
 		b.ReportMetric(r.Instability.Percent(), strings.ReplaceAll(r.Label, " ", "_")+"_instability_pct")
@@ -270,7 +270,7 @@ func BenchmarkFig7PrecisionRecall(b *testing.B) {
 	benchSetup(b)
 	var twoImagesP, noNoiseP float64
 	for i := 0; i < b.N; i++ {
-		results := lab.RunStabilityExperiment(benchModel, train.LossEmbedding, table6Cfg, nil)
+		results := lab.GridSearchAlpha(benchModel, train.LossEmbedding, table6Cfg, nil, nil)
 		for _, r := range results {
 			// precision at the 0.6-threshold operating point
 			var p float64

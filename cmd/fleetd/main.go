@@ -37,10 +37,10 @@
 //	GET    /v1/runs/{id}/trace   run spans as NDJSON (cross-process when sharded)
 //	GET    /v1/traces/{trace}    locally recorded spans of one trace
 //
-// Example (one worker, one coordinator):
+// Example (one worker, one coordinator, both on the committed model):
 //
-//	fleetd -addr :8471 -train-items 150 -epochs 4 -model /tmp/base.model &
-//	fleetd -addr :8470 -model /tmp/base.model -peers localhost:8471 &
+//	fleetd -addr :8471 -model bench/testdata/base.model &
+//	fleetd -addr :8470 -model bench/testdata/base.model -peers localhost:8471 &
 //	curl -X POST localhost:8470/v1/runs -d '{"devices":1000,"items":8,"seed":7}'
 //	curl localhost:8470/v1/runs/0/stats
 //
@@ -70,10 +70,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8470", "listen address")
-	modelPath := flag.String("model", "", "base-model snapshot path (trains if missing)")
-	trainItems := flag.Int("train-items", 300, "base-model training items")
-	epochs := flag.Int("epochs", 6, "base-model training epochs")
-	seed := flag.Int64("train-seed", 7, "base-model training seed")
+	modelPath := flag.String("model", "", "base-model snapshot path, e.g. bench/testdata/base.model (trains the model, and writes it there, if missing)")
 	history := flag.Int("history", 32, "runs, experiments and fleets remembered per kind (GET /v1/runs, /v1/experiments, /v1/fleets)")
 	peers := flag.String("peers", "", "comma-separated peer instances; when set, runs are split across them as device-range shards")
 	peerWait := flag.Duration("peer-wait", 60*time.Second, "how long a coordinator waits for its peers to become healthy at startup")
@@ -96,7 +93,6 @@ func main() {
 	}
 
 	cfg := lab.DefaultBaseModel()
-	cfg.Seed, cfg.TrainItems, cfg.Epochs = *seed, *trainItems, *epochs
 	model, err := lab.LoadOrTrainBaseModel(cfg, *modelPath, logger.Infof)
 	if err != nil {
 		fatalf(logger, "%v", err)

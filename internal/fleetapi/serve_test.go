@@ -3,6 +3,7 @@ package fleetapi
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -53,5 +54,63 @@ func TestServeRequestBytes(t *testing.T) {
 			Seed: rng.Int63() >> rng.Intn(64) * int64(rng.Intn(3)-1), Items: rng.Intn(3) * rng.Intn(5000),
 			Scale: rng.Intn(3), Runtime: randomString(rng), Class: randomString(rng),
 		})
+	}
+}
+
+// TestServeReplyBytes: AppendServeResponse appends encoding/json's bytes —
+// scores on both sides of the 1e-6 and 1e21 switches between its 'f' and 'e'
+// forms, signed zero, the extremes, nothing at all for a non-finite score, and
+// every awkward string — in a table and over random responses.
+func TestServeReplyBytes(t *testing.T) {
+	check := func(r ServeResponse) {
+		t.Helper()
+		var want bytes.Buffer
+		encodable := json.NewEncoder(&want).Encode(r) == nil
+		got, ok := AppendServeResponse(nil, &r)
+		if ok != encodable || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%+v:\n got %v %q\nwant %v %q", r, ok, got, encodable, want.Bytes())
+		}
+	}
+	base := ServeResponse{
+		Pred: 3, TrueClass: 1, Score: 0.8125, Runtime: "int8", Class: "interactive", Bytes: 1234, BatchSize: 4,
+		QueueNanos: 5678, StageNanos: ServeStageNanos{Sensor: 1, ISP: 2, Codec: 3, Inference: 4}, TotalNanos: 9999,
+	}
+	check(base)
+	for _, score := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, math.Nextafter(1e-6, 0), 9.99e-7, 1e-7, -1e-7, 1.5e-10, 1e-100,
+		1e20, math.Nextafter(1e21, 0), 1e21, -1e21, 1.2345e22, 1e100, 5e-324, math.SmallestNonzeroFloat64 * 3,
+		math.MaxFloat64, -math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		r := base
+		r.Score = score
+		check(r)
+	}
+	for _, s := range awkwardStrings {
+		r := base
+		r.Runtime, r.Class = s, s
+		check(r)
+	}
+	r := base
+	r.Pred, r.TrueClass, r.Bytes, r.BatchSize = -1, math.MinInt32, math.MaxInt32, 0
+	r.QueueNanos, r.TotalNanos, r.StageNanos.Inference = math.MinInt64, math.MaxInt64, -1
+	check(r)
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		r := ServeResponse{
+			Pred: rng.Intn(5), TrueClass: rng.Intn(5), Runtime: randomString(rng), Class: randomString(rng),
+			Bytes: rng.Intn(1 << 20), BatchSize: rng.Intn(65), QueueNanos: rng.Int63() >> rng.Intn(63),
+			StageNanos: ServeStageNanos{Sensor: rng.Int63n(1e9), ISP: rng.Int63n(1e9), Codec: rng.Int63n(1e9), Inference: rng.Int63n(1e9)},
+			TotalNanos: rng.Int63(),
+		}
+		switch i % 3 {
+		case 0:
+			r.Score = rng.Float64()
+		case 1:
+			r.Score = math.Float64frombits(rng.Uint64()) // any exponent, NaN and ±Inf included
+		default:
+			r.Score = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+		check(r)
 	}
 }

@@ -2,9 +2,7 @@ package fleetd
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -15,9 +13,10 @@ import (
 
 // The wire side of POST /v1/serve: the body a client sends is read once into
 // a pooled buffer and parsed without reflection, and the 200 reply is appended
-// into a pooled buffer. Both are held to encoding/json byte for byte: a body
-// the parser does not recognise is answered by decodeStrict itself, and the
-// reply's bytes are the ones json.NewEncoder(w).Encode would write.
+// into a pooled buffer by fleetapi.AppendServeResponse. Both are held to
+// encoding/json byte for byte: a body the parser does not recognise is
+// answered by decodeStrict itself, and the reply's bytes are the ones
+// json.NewEncoder(w).Encode would write.
 
 // bufferPool holds the buffers request bodies are read into and replies
 // appended into.
@@ -209,79 +208,8 @@ func writeServeResponse(w http.ResponseWriter, resp *fleetapi.ServeResponse) {
 	w.WriteHeader(http.StatusOK)
 	buf := getBuffer()
 	defer putBuffer(buf)
-	if b, ok := appendServeResponse(buf.AvailableBuffer(), resp); ok {
+	if b, ok := fleetapi.AppendServeResponse(buf.AvailableBuffer(), resp); ok {
 		buf.Write(b) // so that a buffer the reply grew is the one the pool keeps
 		w.Write(buf.Bytes())
 	}
-}
-
-// appendServeResponse appends r as json.NewEncoder(w).Encode(r) writes it:
-// fields in declaration order, strings HTML-escaped, the score in
-// encoding/json's float format, a trailing newline. A non-finite score is
-// refused, as the Encoder refuses it, before a byte is written.
-func appendServeResponse(b []byte, r *fleetapi.ServeResponse) ([]byte, bool) {
-	if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
-		return b, false
-	}
-	b = append(b, `{"pred":`...)
-	b = strconv.AppendInt(b, int64(r.Pred), 10)
-	b = append(b, `,"true_class":`...)
-	b = strconv.AppendInt(b, int64(r.TrueClass), 10)
-	b = append(b, `,"score":`...)
-	b = appendFloat(b, r.Score)
-	b = append(b, `,"runtime":`...)
-	b = appendString(b, r.Runtime)
-	b = append(b, `,"class":`...)
-	b = appendString(b, r.Class)
-	b = append(b, `,"bytes":`...)
-	b = strconv.AppendInt(b, int64(r.Bytes), 10)
-	b = append(b, `,"batch":`...)
-	b = strconv.AppendInt(b, int64(r.BatchSize), 10)
-	b = append(b, `,"queue_ns":`...)
-	b = strconv.AppendInt(b, r.QueueNanos, 10)
-	b = append(b, `,"stage_ns":{"sensor":`...)
-	b = strconv.AppendInt(b, r.StageNanos.Sensor, 10)
-	b = append(b, `,"isp":`...)
-	b = strconv.AppendInt(b, r.StageNanos.ISP, 10)
-	b = append(b, `,"codec":`...)
-	b = strconv.AppendInt(b, r.StageNanos.Codec, 10)
-	b = append(b, `,"inference":`...)
-	b = strconv.AppendInt(b, r.StageNanos.Inference, 10)
-	b = append(b, `},"total_ns":`...)
-	b = strconv.AppendInt(b, r.TotalNanos, 10)
-	return append(b, "}\n"...), true
-}
-
-// appendFloat formats a finite float64 as encoding/json does: 'f' form, but
-// 'e' form below 1e-6 and from 1e21 on, with a one-digit negative exponent
-// written e-7, not e-07.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendString appends s quoted as encoding/json quotes it, HTML escapes
-// included: printable ASCII that needs no escape as it is, any other string
-// through json.Marshal itself. fleetapi quotes a request's strings the same
-// way.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }

@@ -1,11 +1,8 @@
 package fleetd
 
 import (
-	"bytes"
 	"errors"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -90,83 +87,4 @@ func TestServeDecodeMatchesStrict(t *testing.T) {
 		})
 	}
 	checkServeDecode(t, func() io.Reader { return &replay{nil, errors.New("connection reset")} })
-}
-
-// awkwardNames are class and runtime strings whose JSON spelling is not the
-// string itself: HTML-escaped characters, a quote and a backslash, the line
-// separators encoding/json escapes, control bytes, non-ASCII and invalid
-// UTF-8.
-var awkwardNames = []string{
-	"", "int8", "interactive", "<b>&amp;", `say "hi"`, `back\slash`, "line\u2028sep\u2029",
-	"tab\there\n", "\x00\x1f", "del\x7f", "héllo", "bad\xffutf8", "\xc3", "emoji 😀",
-}
-
-// checkReply writes resp through writeServeResponse and through
-// fleetapi.WriteJSON — the encoding/json reply it replaces — and fails unless
-// status, headers and body are the same bytes.
-func checkReply(t *testing.T, resp fleetapi.ServeResponse) {
-	t.Helper()
-	got, want := httptest.NewRecorder(), httptest.NewRecorder()
-	writeServeResponse(got, &resp)
-	fleetapi.WriteJSON(want, http.StatusOK, resp)
-	if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Fatalf("%+v:\n got %d %v %q\nwant %d %v %q", resp, got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
-	}
-}
-
-// TestServeReplyBytes: the 200 reply is encoding/json's bytes — scores on
-// both sides of the 1e-6 and 1e21 switches between its 'f' and 'e' forms,
-// signed zero, the extremes, the empty body of a non-finite score, and every
-// awkward name — in a table and over random responses.
-func TestServeReplyBytes(t *testing.T) {
-	base := fleetapi.ServeResponse{
-		Pred: 3, TrueClass: 1, Score: 0.8125, Runtime: "int8", Class: "interactive", Bytes: 1234, BatchSize: 4,
-		QueueNanos: 5678, StageNanos: fleetapi.ServeStageNanos{Sensor: 1, ISP: 2, Codec: 3, Inference: 4}, TotalNanos: 9999,
-	}
-	checkReply(t, base)
-	for _, score := range []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, math.Nextafter(1e-6, 0), 9.99e-7, 1e-7, -1e-7, 1.5e-10, 1e-100,
-		1e20, math.Nextafter(1e21, 0), 1e21, -1e21, 1.2345e22, 1e100, 5e-324, math.SmallestNonzeroFloat64 * 3,
-		math.MaxFloat64, -math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
-	} {
-		r := base
-		r.Score = score
-		checkReply(t, r)
-	}
-	for _, name := range awkwardNames {
-		r := base
-		r.Runtime, r.Class = name, name
-		checkReply(t, r)
-	}
-	r := base
-	r.Pred, r.TrueClass, r.Bytes, r.BatchSize = -1, math.MinInt32, math.MaxInt32, 0
-	r.QueueNanos, r.TotalNanos, r.StageNanos.Inference = math.MinInt64, math.MaxInt64, -1
-	checkReply(t, r)
-
-	rng := rand.New(rand.NewSource(1))
-	alphabet := []string{"a", "Z", "0", " ", "<", ">", "&", `"`, `\`, "\u2028", "\u2029", "\n", "\x01", "\x7f", "é", "\xff", "😀"}
-	name := func() string {
-		var b []byte
-		for n := rng.Intn(6); n > 0; n-- {
-			b = append(b, alphabet[rng.Intn(len(alphabet))]...)
-		}
-		return string(b)
-	}
-	for i := 0; i < 5000; i++ {
-		r := fleetapi.ServeResponse{
-			Pred: rng.Intn(5), TrueClass: rng.Intn(5), Runtime: name(), Class: name(),
-			Bytes: rng.Intn(1 << 20), BatchSize: rng.Intn(65), QueueNanos: rng.Int63() >> rng.Intn(63),
-			StageNanos: fleetapi.ServeStageNanos{Sensor: rng.Int63n(1e9), ISP: rng.Int63n(1e9), Codec: rng.Int63n(1e9), Inference: rng.Int63n(1e9)},
-			TotalNanos: rng.Int63(),
-		}
-		switch i % 3 {
-		case 0:
-			r.Score = rng.Float64()
-		case 1:
-			r.Score = math.Float64frombits(rng.Uint64()) // any exponent, NaN and ±Inf included
-		default:
-			r.Score = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
-		}
-		checkReply(t, r)
-	}
 }

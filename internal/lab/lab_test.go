@@ -222,7 +222,7 @@ func TestStabilityExperimentTiny(t *testing.T) {
 		Seed: 15, TrainItems: 6, TestItems: 6, Angles: []int{2},
 		Epochs: 1, BatchSize: 4, LR: 0.01, PerClass: 2,
 	}
-	results := RunStabilityExperiment(m, 1 /* LossEmbedding */, cfg, nil)
+	results := GridSearchAlpha(m, 1 /* LossEmbedding */, cfg, nil, nil)
 	if len(results) != 5 {
 		t.Fatalf("got %d scheme results", len(results))
 	}

@@ -2,7 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/tensor"
 
@@ -103,36 +102,23 @@ type PairedCaptures struct {
 	Labels    []int
 }
 
-// CollectPairs captures the paired training corpus with the rig.
+// CollectPairs captures the paired training corpus: CaptureAll on a copy of
+// the rig holding its first two phones, the Samsung and the iPhone, which
+// keep their indices and so their capture seeds. CaptureAll's item-major
+// order interleaves them, the Samsung photo of each scene first.
 func CollectPairs(rig *Rig, items []*dataset.Item, angles []int) *PairedCaptures {
-	var samsungIdx, iphoneIdx int
-	for i, p := range rig.Phones {
-		switch p.Name {
-		case "samsung-galaxy-s10":
-			samsungIdx = i
-		case "iphone-xr":
-			iphoneIdx = i
-		}
-	}
+	pair := *rig
+	pair.Phones = rig.Phones[:2]
 	p := &PairedCaptures{}
-	for _, it := range items {
-		for _, a := range angles {
-			scene := it.Render(a)
-			sRng := newCaptureRand(rig, it.ID, a, samsungIdx)
-			iRng := newCaptureRand(rig, it.ID, a, iphoneIdx)
-			sPhoto := rig.Phones[samsungIdx].Capture(rig.Screen.Display(scene, sRng), sRng)
-			iPhoto := rig.Phones[iphoneIdx].Capture(rig.Screen.Display(scene, iRng), iRng)
-			p.Clean = append(p.Clean, sPhoto.Image)
-			p.Companion = append(p.Companion, iPhoto.Image)
-			p.Labels = append(p.Labels, int(it.Class))
+	for i, c := range pair.CaptureAll(items, angles) {
+		if i%2 == 0 {
+			p.Clean = append(p.Clean, c.Image)
+			p.Labels = append(p.Labels, int(c.Item.Class))
+		} else {
+			p.Companion = append(p.Companion, c.Image)
 		}
 	}
 	return p
-}
-
-// newCaptureRand derives the deterministic capture RNG for one shutter press.
-func newCaptureRand(rig *Rig, item, angle, phone int) *rand.Rand {
-	return rand.New(rand.NewSource(rig.captureSeed(item, angle, phone, 0)))
 }
 
 // SchemeResult is one Table 6 row as measured.
@@ -146,13 +132,6 @@ type SchemeResult struct {
 	IPhoneAcc   float64
 	PRSamsung   []metrics.PRPoint
 	PRIPhone    []metrics.PRPoint
-}
-
-// RunStabilityExperiment fine-tunes the base model once per scheme, at the
-// scheme's own α, and measures cross-phone instability on held-out objects,
-// regenerating one panel of Table 6.
-func RunStabilityExperiment(model *nn.Model, loss train.StabilityLoss, cfg StabilityExpConfig, logf func(string, ...any)) []SchemeResult {
-	return GridSearchAlpha(model, loss, cfg, nil, logf)
 }
 
 // GridSearchAlpha runs each Table 6 scheme over a set of candidate

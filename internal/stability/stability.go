@@ -195,7 +195,7 @@ func ByRuntime(records []*Record) map[string]Summary {
 // and the summary is 0/0; the number becomes meaningful when the same
 // devices are swept under forced runtimes and the record sets (or
 // accumulator states) are merged — as the runtime axis of an experiment does
-// (examples/scalesweep).
+// (examples/specs/runtime.experiment.json).
 func CrossRuntime(records []*Record) Summary {
 	type cellKey struct {
 		item, angle int
@@ -251,34 +251,6 @@ func ByAngle(records []*Record) map[int]Summary {
 	out := map[int]Summary{}
 	for a, recs := range byAngle {
 		out[a] = Compute(recs)
-	}
-	return out
-}
-
-// ByEnvPair computes pairwise instability between every pair of
-// environments, useful for attributing instability to particular devices.
-// Keys are "envA|envB" with envA < envB lexically.
-func ByEnvPair(records []*Record) map[string]Summary {
-	envs := map[string]bool{}
-	for _, r := range records {
-		envs[r.Env] = true
-	}
-	names := make([]string, 0, len(envs))
-	for e := range envs {
-		names = append(names, e)
-	}
-	sort.Strings(names)
-	out := map[string]Summary{}
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			var subset []*Record
-			for _, r := range records {
-				if r.Env == names[i] || r.Env == names[j] {
-					subset = append(subset, r)
-				}
-			}
-			out[names[i]+"|"+names[j]] = Compute(subset)
-		}
 	}
 	return out
 }

@@ -165,27 +165,6 @@ func TestByAngle(t *testing.T) {
 	}
 }
 
-func TestByEnvPair(t *testing.T) {
-	records := []*Record{
-		rec(1, 0, 0, "A", 0, 0.9),
-		rec(1, 0, 0, "B", 1, 0.9),
-		rec(1, 0, 0, "C", 0, 0.9),
-	}
-	pairs := ByEnvPair(records)
-	if len(pairs) != 3 {
-		t.Fatalf("want 3 pairs, got %d", len(pairs))
-	}
-	if pairs["A|B"].Unstable != 1 {
-		t.Fatalf("A|B: %+v", pairs["A|B"])
-	}
-	if pairs["A|C"].Unstable != 0 {
-		t.Fatalf("A|C: %+v", pairs["A|C"])
-	}
-	if pairs["B|C"].Unstable != 1 {
-		t.Fatalf("B|C: %+v", pairs["B|C"])
-	}
-}
-
 func TestAccuracyPerEnv(t *testing.T) {
 	records := []*Record{
 		rec(1, 0, 0, "A", 0, 0.9),

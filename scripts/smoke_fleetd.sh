@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Smoke-test the fleetd /v1 API end to end: boot one worker and one
-# coordinator (sharing a model snapshot so the worker trains it once),
+# coordinator, both on the committed model snapshot (nothing trains),
 # create a run through the coordinator, wait for it, check the stats answer
-# and the removed pre-/v1 /stats is a plain JSON 404, drive a 2-arm
-# experiment (runtime sweep) through the coordinator and check its paired
-# report, run a continuous fleet (churn + injected OS upgrade) twice and
-# check the drift report recomputes byte-identically, then fire a seeded
+# and the removed pre-/v1 /stats is a plain JSON 404, post the checked-in
+# runtime spec (examples/specs/runtime.experiment.json, the README's own
+# curl line) to the coordinator and check its paired report, run a
+# continuous fleet (churn + injected OS upgrade) twice and check the drift
+# report recomputes byte-identically, then fire a seeded
 # loadgen burst at the worker's serving
 # path (micro-batching enabled via -serve-max-batch) and check admission
 # sheds with 429, batches actually form (mean executed batch > 1), and the
@@ -16,6 +17,7 @@
 set -euo pipefail
 
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+REPO_DIR="$(dirname "$SCRIPT_DIR")"
 BIN="${1:-}"
 if [ -z "$BIN" ]; then
   BIN="$(mktemp -d)/fleetd"
@@ -24,7 +26,8 @@ fi
 LOADGEN_BIN="$(dirname "$BIN")/loadgen"
 go build -o "$LOADGEN_BIN" ./cmd/loadgen
 WORKDIR="$(mktemp -d)"
-MODEL="$WORKDIR/base.model"
+MODEL="$REPO_DIR/bench/testdata/base.model"
+[ -f "$MODEL" ] || { echo "missing $MODEL: the smoke runs the committed model, it does not train one" >&2; exit 1; }
 WORKER_PORT=8471
 COORD_PORT=8472
 
@@ -43,12 +46,10 @@ wait_healthz() {
   return 1
 }
 
-# Worker first: it trains and snapshots the model; the coordinator then
-# loads the snapshot instead of retraining. Serve micro-batching is on
-# (batches of up to 8 per class) so the loadgen burst below exercises batch
+# Worker first, then the coordinator that probes it. Serve micro-batching is
+# on (batches of up to 8 per class) so the loadgen burst below exercises batch
 # formation, not just admission.
-"$BIN" -addr ":$WORKER_PORT" -train-items 60 -epochs 1 -model "$MODEL" \
-  -serve-max-batch 8 \
+"$BIN" -addr ":$WORKER_PORT" -model "$MODEL" -serve-max-batch 8 \
   >"$WORKDIR/worker.log" 2>&1 &
 WORKER_PID=$!
 wait_healthz "$WORKER_PORT"
@@ -154,9 +155,8 @@ for s in spans:
 print("trace ok: %d spans %s" % (len(spans), names))
 PY
 
-echo "== experiment (2-arm runtime sweep through the coordinator)"
-curl -fsS -X POST "$BASE/v1/experiments" \
-  -d '{"base":{"devices":20,"items":1,"angles":[0],"seed":3,"workers":2},"axes":{"runtime":["float32","int8"]}}' \
+echo "== experiment (the checked-in runtime spec through the coordinator)"
+curl -fsS -d @"$REPO_DIR/examples/specs/runtime.experiment.json" "$BASE/v1/experiments" \
   | tee "$WORKDIR/experiment.json"
 EXP_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/experiment.json")
 
@@ -183,14 +183,16 @@ curl -fsS "$BASE/v1/experiments/$EXP_ID/report" | python3 -c '
 import json, sys
 rep = json.load(sys.stdin)
 arms = rep["arms"]
-assert len(arms) == 2, arms
+assert len(arms) == 3, arms
 assert arms[0]["baseline"] and arms[0]["name"] == "runtime=float32", arms[0]
-paired = arms[1]["paired"]
-assert paired["cells"] == 20, paired
-assert paired["flips"] == paired["regressions"] + paired["improvements"], paired
+for arm in arms[1:]:
+    paired = arm["paired"]
+    assert paired["cells"] == 6000, (arm["name"], paired)
+    assert paired["flips"] == paired["regressions"] + paired["improvements"], paired
+    print("report ok: %d/%d cells flip float32->%s" % (paired["flips"], paired["cells"], arm["spec"]["runtime"]))
 rates = rep["agreement"]["rates"]
-assert len(rates) == 2 and len(rates[0]) == 2 and rates[0][1] == rates[1][0], rates
-print("report ok: %d/%d cells flip float32->int8" % (paired["flips"], paired["cells"]))
+assert len(rates) == 3 and all(len(r) == 3 for r in rates), rates
+assert all(rates[i][j] == rates[j][i] for i in range(3) for j in range(3)), rates
 '
 
 echo "== continuous fleet (churn + cohort OS upgrade through the coordinator)"
