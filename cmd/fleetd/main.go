@@ -74,7 +74,7 @@ func main() {
 	history := flag.Int("history", 32, "runs, experiments and fleets remembered per kind (GET /v1/runs, /v1/experiments, /v1/fleets)")
 	peers := flag.String("peers", "", "comma-separated peer instances; when set, runs are split across them as device-range shards")
 	peerWait := flag.Duration("peer-wait", 60*time.Second, "how long a coordinator waits for its peers to become healthy at startup")
-	serveMaxBatch := flag.Int("serve-max-batch", 0, "cap on requests one serve worker drains into a single batched inference, applied to every SLO class (0 keeps the class default of 1)")
+	serveMaxBatch := flag.Int("serve-max-batch", 0, "cap on queued requests one serve worker forms into a batch and registers at once, applied to every SLO class (0 keeps the class default of 1); requests for a cell already pending or computing share its computation at any cap")
 	serveLinger := flag.Int64("serve-linger-ms", 0, "how long a serve worker holds a partial batch open for the queue to top it up (0 derives target/20; needs -serve-max-batch > 1)")
 	logFormat := flag.String("log-format", obs.FormatText, "log line format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")

@@ -1,16 +1,17 @@
-// Trafficsweep: what traffic shape and micro-batching do to tail latency and
-// shedding. This demo fires the same request volume under three arrival
+// Trafficsweep: what traffic shape and batch formation do to tail latency
+// and shedding. This demo fires the same request volume under three arrival
 // shapes — smooth (Gamma k=4), Poisson, and bursty (Weibull k=0.7) — at
 // fleetd instances with tight serving admission and a serve batch bound
 // swept over {1, 4, 16}, each workload a seeded open-loop recording. The
 // per-shape SLO reports show the paper-adjacent point at serving scale: mean
 // rate is the same everywhere, but burstier arrivals push more requests over
 // the token bucket and deepen queue waits, so attainment degrades with shape
-// alone — while a larger batch bound lets queued bursts drain in shared
-// inference passes (duplicate cells coalesce), lifting served throughput
-// without changing a single answered byte. It closes by replaying one
-// recorded trace and checking the replayed schedule and the recomputed
-// report are exactly reproducible.
+// alone. Coalescing needs no batch bound: at every bound, requests for a
+// cell that is already pending or being computed share its one computation
+// (the mbatch column), without changing a single answered byte; the bound
+// only sets how many queued requests a worker registers at once. It closes
+// by replaying one recorded trace and checking the replayed schedule and the
+// recomputed report are exactly reproducible.
 //
 // Run with:
 //

@@ -180,12 +180,16 @@ type ServeResponse struct {
 	Runtime   string  `json:"runtime"`
 	Class     string  `json:"class"`
 	Bytes     int     `json:"bytes"` // compressed capture size
-	// BatchSize is how many requests shared the inference pass that served
-	// this one (1 = unbatched).
+	// BatchSize is how many requests the one computation of this request's
+	// cell answered, this one included (1 = computed for it alone). Requests
+	// for the same cell of the same class share a computation whenever one
+	// arrives while the cell is pending or being computed, whatever batches
+	// they were formed into; the inference time is split evenly among them.
 	BatchSize int `json:"batch"`
-	// QueueNanos is how long the request waited for a serve worker after
-	// admission; StageNanos the capture/inference breakdown; TotalNanos the
-	// whole admitted-to-replied time.
+	// QueueNanos is how long the request waited after admission: until its
+	// cell's computation started, or until it joined one already running.
+	// StageNanos is the capture/inference breakdown; TotalNanos the whole
+	// admitted-to-replied time.
 	QueueNanos int64           `json:"queue_ns"`
 	StageNanos ServeStageNanos `json:"stage_ns"`
 	TotalNanos int64           `json:"total_ns"`
@@ -218,10 +222,10 @@ type SLOClass struct {
 	// worker; a full queue sheds.
 	QueueDepth int `json:"queue_depth"`
 	// MaxBatch caps how many queued requests one serve worker drains into a
-	// single batched capture+inference pass. 0 and 1 both mean unbatched
-	// (one job per wake — the pre-batching behavior); larger values let the
-	// int8 GEMM amortize weight traffic across the batch at the cost of
-	// per-request latency while the batch forms.
+	// batch and registers in the in-flight table at once. 0 and 1 both mean
+	// one job per wake. It does not bound coalescing: requests for a cell
+	// that is pending or being computed share that computation at any
+	// bound.
 	MaxBatch int `json:"max_batch,omitempty"`
 	// LingerMillis bounds how long a worker holding a partial batch waits
 	// for the queue to top it up to MaxBatch. 0 derives a default from the
@@ -230,8 +234,8 @@ type SLOClass struct {
 	LingerMillis int64 `json:"linger_ms,omitempty"`
 }
 
-// MaxServeBatch caps max_batch: past this the batch's own service time
-// dominates any weight-traffic amortization and only builds tail latency.
+// MaxServeBatch caps max_batch: a worker registering a batch is not
+// computing, so past this a batch only builds tail latency.
 const MaxServeBatch = 64
 
 // EffectiveBatch returns the batch cap with the unbatched default applied.
@@ -322,10 +326,10 @@ type SLOClassReport struct {
 	// Latency and queue-wait quantiles in nanoseconds (bucket-interpolated).
 	LatencyNanos   QuantileSet `json:"latency_ns"`
 	QueueWaitNanos QuantileSet `json:"queue_wait_ns"`
-	// MeanBatch is the observed mean batch size. fleetd reports the mean
-	// over executed batches; loadgen reports the request-weighted mean over
-	// served events (each request names the batch it rode in), which is
-	// size-biased upward of the former. 0 when nothing was served.
+	// MeanBatch is the observed mean batch size, in two senses. fleetd
+	// reports the mean number of requests per formed batch; loadgen reports
+	// the mean over served events of each reply's batch, the requests its
+	// cell's one computation answered. 0 when nothing was served.
 	MeanBatch float64 `json:"mean_batch"`
 }
 

@@ -7,19 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/nn"
 )
 
-// BenchmarkServeBatch measures the real serve execute path — capture, batch
-// tensor pack, int8 inference, reply fan-out — at formed-batch sizes 1, 8
-// and 16. Every variant serves the identical hot-cell stream of 16 jobs over
-// 4 distinct cells per iteration (the flash-crowd shape batching exists
-// for), split into batches of the variant's size. Batch-1 execution pays a
-// full capture+infer per job; a formed batch coalesces its duplicate cells
-// and computes each once, so throughput climbs with the batch bound while
-// every answered byte stays identical.
+// BenchmarkServeBatch measures the real serve execute path — registration in
+// the in-flight table, capture, int8 inference, reply fan-out — at
+// formed-batch sizes 1, 8 and 16. Every variant serves the identical
+// hot-cell stream of 16 jobs over 4 distinct cells per iteration (the
+// flash-crowd shape coalescing exists for), split into batches of the
+// variant's size and served one after another. Batch-1 execution pays a full
+// capture+infer per job; the jobs of a larger batch that share a cell share
+// its one computation, so throughput climbs with the batch size while every
+// answered byte stays identical.
 func BenchmarkServeBatch(b *testing.B) {
 	const stream = 16
 	for _, size := range []int{1, 8, 16} {
@@ -30,7 +30,7 @@ func BenchmarkServeBatch(b *testing.B) {
 			s.serve.wg.Wait()
 
 			class := s.serve.classes[0]
-			backends := fleet.NewLRU[string, nn.Backend](8)
+			w := newCellWorker()
 			jobs := make([]*serveJob, stream)
 			for i := range jobs {
 				jobs[i] = &serveJob{
@@ -44,7 +44,7 @@ func BenchmarkServeBatch(b *testing.B) {
 					for _, job := range batch {
 						job.enq = time.Now()
 					}
-					s.executeServeBatch(batch, backends)
+					executeBatch(s, batch, w)
 					for _, job := range batch {
 						<-job.done
 					}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -26,7 +27,7 @@ const (
 	metricServeLatency   = "fleetd_serve_seconds"            // class (queue wait + service)
 	metricServeQueueWait = "fleetd_serve_queue_wait_seconds" // class
 	metricServeDepth     = "fleetd_serve_queue_depth"        // class
-	metricServeBatch     = "fleetd_serve_batch_size"         // class (jobs per executed batch)
+	metricServeBatch     = "fleetd_serve_batch_size"         // class (jobs per formed batch)
 )
 
 // batchSizeBounds buckets the per-class batch-size histogram: powers of two
@@ -91,14 +92,15 @@ func (b *tokenBucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(wait * float64(time.Second))
 }
 
-// serveJob is one admitted request waiting for (or being executed by) a
+// serveJob is one admitted request waiting for (or being answered by) a
 // serve worker. Exactly one result is sent on done, after which the worker
 // holds no reference to the job.
 type serveJob struct {
 	req   fleetapi.ServeRequest
 	class *serveClass
+	cell  cellKey // set when the job is registered
 	enq   time.Time
-	wait  time.Duration // queue wait, stamped when batch execution starts
+	wait  time.Duration // queue wait, stamped when its cell's computation starts or it joins a running one
 	ctx   context.Context
 	done  chan serveResult
 }
@@ -128,25 +130,33 @@ type serveClass struct {
 	depth     *obs.Gauge
 	latency   *obs.Histogram
 	queueWait *obs.Histogram
-	batch     *obs.Histogram // jobs per executed batch
+	batch     *obs.Histogram // jobs per formed batch
+	pending   flightList     // cells waiting for a worker; guarded by serveState.mu
 	// errors counts the requests of the class answered with neither a 200
 	// nor a 429 — /v1/slo's errors column. It is not a /metrics series: the
 	// requests counter already carries every code.
 	errors obs.Counter
 }
 
-// serveState is the Server's request-serving leg: the classes, the shared
-// wake channel workers block on, and the LRU of (seed, items, scale)
-// serving bundles.
+// serveState is the Server's request-serving leg: the classes, the
+// channels workers block on, the in-flight table of cells and the LRU of
+// (seed, items, scale) serving bundles.
 type serveState struct {
 	classes []*serveClass
 	names   []string // the classes' names, in priority order
 	byName  map[string]*serveClass
 	bundles *fleet.LRU[bundleKey, *serveBundle]
-	// wake carries one token per enqueued job; workers drain it and then
-	// scan class queues in priority order, so "which queue" is decided at
-	// dequeue time, not enqueue time.
-	wake     chan struct{}
+	// wake wakes idle workers: a handler posts to it after queueing a job,
+	// and a worker after registering cells it wants help with. A token is a
+	// hint, not a count — it holds at most one a worker, and a worker looks
+	// for pending cells and queued jobs after every cell it computes and
+	// every wake-up, so work is never stranded behind a lost token.
+	wake chan struct{}
+	// mu guards flights, the in-flight table — every cell a registered job
+	// waits on, from registration until its answer is sent — and the
+	// classes' pending lists.
+	mu       sync.Mutex
+	flights  map[flightKey]*flight
 	stop     chan struct{}
 	stopOnce sync.Once
 	workers  int
@@ -192,6 +202,8 @@ func (s *Server) initServe(o ServeOptions) {
 	st := &serveState{
 		byName:  map[string]*serveClass{},
 		bundles: fleet.NewLRU[bundleKey, *serveBundle](4),
+		wake:    make(chan struct{}, workers),
+		flights: map[flightKey]*flight{},
 		stop:    make(chan struct{}),
 		workers: workers,
 	}
@@ -200,8 +212,7 @@ func (s *Server) initServe(o ServeOptions) {
 	s.reg.Describe(metricServeLatency, "Serve request latency (queue wait + service) by SLO class.")
 	s.reg.Describe(metricServeQueueWait, "Time an admitted serve request waited for a worker, by SLO class.")
 	s.reg.Describe(metricServeDepth, "Admitted serve requests currently queued, by SLO class.")
-	s.reg.Describe(metricServeBatch, "Jobs per executed serve batch, by SLO class.")
-	depthCap := 0
+	s.reg.Describe(metricServeBatch, "Jobs per formed serve batch, by SLO class.")
 	for _, spec := range classes {
 		c := &serveClass{
 			spec:      spec,
@@ -215,9 +226,7 @@ func (s *Server) initServe(o ServeOptions) {
 		st.classes = append(st.classes, c)
 		st.names = append(st.names, spec.Name)
 		st.byName[spec.Name] = c
-		depthCap += spec.QueueDepth
 	}
-	st.wake = make(chan struct{}, depthCap)
 	s.serve = st
 	st.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -307,7 +316,7 @@ func (s *Server) handleServe(w http.ResponseWriter, req *http.Request) {
 	select {
 	case class.queue <- job:
 		class.depth.Add(1)
-		s.serve.wake <- struct{}{}
+		s.serve.hint()
 	default:
 		job.recycle()
 		s.shedServe(w, class, "queue", time.Second,
@@ -374,46 +383,61 @@ func (s *Server) countServe(class string, code int) {
 	s.reg.Counter(metricServeRequests, "class", class, "code", codeLabel(code)).Inc()
 }
 
-// serveWorker executes admitted requests. Each worker owns a backend LRU (a
-// backend owns inference scratch and cannot be shared), and picks work in
-// class priority order: one wake token is consumed per batch-forming pass,
-// then the earliest-configured class with a queued job wins the pass and
-// may drain up to its MaxBatch of followers.
+// serveWorker executes admitted requests. A worker computes pending cells
+// while there are any. Otherwise it forms a batch from the earliest-configured
+// class with a queued job (collectBatch) and registers it in the in-flight
+// table, and with nothing queued either it sleeps until woken.
 func (s *Server) serveWorker() {
 	defer s.serve.wg.Done()
-	backends := fleet.NewLRU[string, nn.Backend](8)
+	w := newCellWorker()
 	for {
+		select {
+		case <-s.serve.stop:
+			s.drainServe()
+			return
+		default:
+		}
+		if f := s.takeFlight(); f != nil {
+			s.computeFlight(f, w)
+			continue
+		}
+		batch, stopping := s.collectBatch()
+		if stopping {
+			// Shutdown landed while the batch was forming: jobs already
+			// pulled off their queue must still be answered, exactly as
+			// drainServe answers the ones left queued.
+			failServe(batch)
+			s.drainServe()
+			return
+		}
+		if len(batch) > 0 {
+			s.register(batch)
+			continue
+		}
 		select {
 		case <-s.serve.stop:
 			s.drainServe()
 			return
 		case <-s.serve.wake:
 		}
-		batch, stopping := s.collectBatch()
-		if len(batch) > 0 {
-			if stopping {
-				// Shutdown landed while the batch was forming: jobs already
-				// pulled off their queue must still be answered, exactly as
-				// drainServe answers the ones left queued.
-				failServe(batch)
-			} else {
-				s.executeServeBatch(batch, backends)
-			}
-		}
-		if stopping {
-			s.drainServe()
-			return
-		}
+	}
+}
+
+// hint wakes one idle worker, unless every worker already has a wake-up
+// waiting.
+func (st *serveState) hint() {
+	select {
+	case st.wake <- struct{}{}:
+	default:
 	}
 }
 
 // collectBatch is one batch-forming pass: the earliest-configured class with
 // a queued job wins, then up to its MaxBatch jobs are drained non-blocking.
 // If the batch is still short and the class lingers, the worker holds it
-// open up to the linger deadline for the queue to top it up. Every job
-// drained beyond the first eats one wake token (each enqueue posted one), so
-// tokens keep tracking queued jobs instead of waking workers into empty
-// scans. stopping reports that shutdown interrupted the linger wait.
+// open up to the linger deadline for the queue to top it up. It returns no
+// batch when every queue is empty; stopping reports that shutdown
+// interrupted the linger wait.
 func (s *Server) collectBatch() (batch []*serveJob, stopping bool) {
 	for _, class := range s.serve.classes {
 		select {
@@ -430,7 +454,6 @@ func (s *Server) collectBatch() (batch []*serveJob, stopping bool) {
 			case job := <-class.queue:
 				class.depth.Add(-1)
 				batch = append(batch, job)
-				s.eatWakeToken()
 			default:
 				break drain
 			}
@@ -442,7 +465,6 @@ func (s *Server) collectBatch() (batch []*serveJob, stopping bool) {
 				case job := <-class.queue:
 					class.depth.Add(-1)
 					batch = append(batch, job)
-					s.eatWakeToken()
 				case <-timer.C:
 					return batch, false
 				case <-s.serve.stop:
@@ -457,15 +479,6 @@ func (s *Server) collectBatch() (batch []*serveJob, stopping bool) {
 	return nil, false
 }
 
-// eatWakeToken consumes one pending wake token if there is one — the token
-// posted by a job this worker just drained as a batch follower.
-func (s *Server) eatWakeToken() {
-	select {
-	case <-s.serve.wake:
-	default:
-	}
-}
-
 // failServe answers every job in the slice with the shutdown envelope.
 func failServe(jobs []*serveJob) {
 	for _, job := range jobs {
@@ -473,10 +486,12 @@ func failServe(jobs []*serveJob) {
 	}
 }
 
-// drainServe fails every queued job with 503 once the workers are stopping;
-// their handlers are (or soon will be) unblocked by the replies.
+// drainServe fails every queued job and every job of a pending cell with 503
+// once the workers are stopping; their handlers are (or soon will be)
+// unblocked by the replies. A cell a worker is computing is still answered.
 func (s *Server) drainServe() {
-	for _, class := range s.serve.classes {
+	st := s.serve
+	for _, class := range st.classes {
 	drain:
 		for {
 			select {
@@ -488,158 +503,239 @@ func (s *Server) drainServe() {
 			}
 		}
 	}
-}
-
-// batchItem is one distinct cell's in-flight state while its batch executes:
-// its coordinate, the capture output, and how many coalesced jobs wait on it.
-type batchItem struct {
-	key    cellKey
-	jobs   int
-	img    *imaging.Image // nil once inferred
-	size   int
-	stages fleet.StageTimes
-	it     *dataset.Item
-}
-
-// batchJob is one live job of a batch and the index of its cell.
-type batchJob struct {
-	job  *serveJob
-	cell int
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, class := range st.classes {
+		for f := class.pending.pop(); f != nil; f = class.pending.pop() {
+			delete(st.flights, f.key)
+			failServe(f.jobs)
+			f.recycle()
+		}
+	}
 }
 
 // cellKey identifies one deterministic serving cell — the full coordinate a
-// response is a pure function of. Jobs in a batch with equal keys coalesce.
+// response is a pure function of.
 type cellKey struct {
 	bundleKey
 	device, item, angle int
 	rt                  string
 }
 
-// executeServeBatch runs one formed batch end to end. Every distinct cell's
-// capture is still its own arena'd, cell-seeded capture — batching changes
-// when cells are computed, never their bytes — and inference is issued once
-// per runtime represented in the batch: the captured images pack into a
-// single pooled input tensor (inside train.Evaluate) and one Infer call
-// serves the whole group.
-//
-// Within the batch, jobs naming the same cell coalesce: a response is a pure
-// function of (seed, items, scale, device, item, angle, runtime), so the
-// cell is captured and inferred once and the identical result fans out to
-// every coalesced job. This is where batching buys real throughput — under
-// hot-cell traffic a formed batch of n duplicates costs one capture+infer
-// where batch-1 execution pays n — and it is sound only because cells are
-// bit-deterministic, which the golden identity test pins. The batched
-// inference wall time is split across the group's jobs pro rata (equal
-// shares), so per-request stage accounting still sums sensibly.
-//
-// A batch holds at most MaxServeBatch jobs, so cells and runtime groups are
-// found by scanning slices, which stay on the stack for up to eight jobs; a
-// job is not touched after its result is sent.
-func (s *Server) executeServeBatch(jobs []*serveJob, backends *fleet.LRU[string, nn.Backend]) {
-	class := jobs[0].class
-	var liveBuf [8]batchJob
-	var cellBuf [8]batchItem
-	var imgBuf [8]*imaging.Image
-	live, cells, imgs := liveBuf[:0], cellBuf[:0], imgBuf[:0]
-	for _, job := range jobs {
-		job.wait = time.Since(job.enq)
-		job.class.queueWait.Observe(job.wait.Nanoseconds())
-		if job.ctx.Err() != nil {
-			// Client hung up while the job queued; don't burn a capture on it.
-			job.done <- serveResult{err: fleetapi.Errorf(fleetapi.CodeUnavailable, "client went away")}
-			continue
-		}
-		req := job.req
-		key := cellKey{
-			bundleKey: bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale)},
-			device:    req.Device,
-			item:      req.Item,
-			angle:     req.Angle,
-			rt:        req.Runtime,
-		}
-		if key.rt == "" {
-			key.rt = s.serveBundleFor(key.bundleKey).gen.Device(req.Device).Profile.RuntimeName()
-		}
-		c := 0
-		for c < len(cells) && cells[c].key != key {
-			c++
-		}
-		if c == len(cells) {
-			cells = append(cells, batchItem{key: key})
-		}
-		cells[c].jobs++
-		live = append(live, batchJob{job, c})
+// cellOf resolves a request's cell with the defaults spelled out and the
+// device's own runtime filled in, so that every spelling of one cell has one
+// key.
+func (s *Server) cellOf(req *fleetapi.ServeRequest) cellKey {
+	key := cellKey{
+		bundleKey: bundleKey{seed: req.Seed, items: itemsOrDefault(req.Items), scale: scaleOrDefault(req.Scale)},
+		device:    req.Device,
+		item:      req.Item,
+		angle:     req.Angle,
+		rt:        req.Runtime,
 	}
-	if len(live) == 0 {
-		return
+	if key.rt == "" {
+		key.rt = s.serveBundleFor(key.bundleKey).gen.Device(req.Device).Profile.RuntimeName()
 	}
-	class.batch.Observe(int64(len(live)))
-	for i := range cells {
-		cell := &cells[i]
-		bundle := s.serveBundleFor(cell.key.bundleKey)
-		cell.it = bundle.items[cell.key.item]
-		cell.img, cell.size, cell.stages = bundle.engine.CaptureTimed(bundle.gen.Device(cell.key.device), cell.it, cell.key.angle)
+	return key
+}
+
+// flightKey addresses a flight in the in-flight table. The class is part of
+// it, so that a cell asked for under two classes is computed at each class's
+// own priority.
+type flightKey struct {
+	class *serveClass
+	cell  cellKey
+}
+
+// flight is one cell computation in the server's in-flight table: every job
+// that asked for the cell while it was pending or computing, all answered by
+// the one capture and inference of the worker that takes it. A response is a
+// pure function of the cell, so sharing the computation is sound only
+// because cells are bit-deterministic, which the golden identity test pins.
+type flight struct {
+	key     flightKey
+	jobs    []*serveJob
+	started bool    // a worker has taken it
+	next    *flight // the class's pending list
+}
+
+// flightPool recycles flights with their job lists.
+var flightPool = sync.Pool{New: func() any { return new(flight) }}
+
+// recycle returns a flight that has left the table.
+func (f *flight) recycle() {
+	clear(f.jobs[:cap(f.jobs)])
+	f.key, f.jobs, f.started, f.next = flightKey{}, f.jobs[:0], false, nil
+	flightPool.Put(f)
+}
+
+// flightList is a class's pending cells in arrival order, linked through
+// flight.next so that queueing a cell allocates nothing.
+type flightList struct{ head, tail *flight }
+
+func (l *flightList) push(f *flight) {
+	if l.tail == nil {
+		l.head = f
+	} else {
+		l.tail.next = f
 	}
-	// Group cells by runtime: requests pinning different runtimes can share
-	// a formed batch, but each backend sees one contiguous sub-batch. A group
-	// is led by its runtime's first cell, so execution is deterministic in the
-	// batch's job order.
-	for g := range cells {
-		if cells[g].img == nil {
-			continue // inferred in an earlier cell's group
+	l.tail = f
+}
+
+func (l *flightList) pop() *flight {
+	f := l.head
+	if f != nil {
+		l.head, f.next = f.next, nil
+		if l.head == nil {
+			l.tail = nil
 		}
-		rt := cells[g].key.rt
-		imgs = imgs[:0]
-		groupJobs := 0
-		for i := g; i < len(cells); i++ {
-			if cells[i].key.rt == rt {
-				imgs = append(imgs, cells[i].img)
-				groupJobs += cells[i].jobs
-			}
+	}
+	return f
+}
+
+// stampWait ends a job's queue wait at the given instant.
+func (job *serveJob) stampWait(at time.Time) {
+	job.wait = at.Sub(job.enq)
+	job.class.queueWait.Observe(job.wait.Nanoseconds())
+}
+
+// register enters a formed batch into the in-flight table. A job whose cell
+// is pending or computing joins that flight; a job joining a computation
+// already running ends its queue wait at the join. Every other job starts a
+// flight at the tail of its class's pending list. The registering worker
+// goes on to take pending cells itself, so an idle worker is woken for each
+// new cell beyond the first.
+func (s *Server) register(batch []*serveJob) {
+	class := batch[0].class
+	class.batch.Observe(int64(len(batch)))
+	for _, job := range batch {
+		job.cell = s.cellOf(&job.req)
+	}
+	st := s.serve
+	fresh := 0
+	st.mu.Lock()
+	for _, job := range batch {
+		key := flightKey{class, job.cell}
+		f := st.flights[key]
+		if f == nil {
+			f = flightPool.Get().(*flight)
+			f.key = key
+			st.flights[key] = f
+			class.pending.push(f)
+			fresh++
+		} else if f.started {
+			job.stampWait(time.Now())
 		}
-		backend := backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
-		t0 := time.Now()
-		preds, scores, _ := train.Evaluate(backend, imgs, len(imgs))
-		share := time.Since(t0).Nanoseconds() / int64(groupJobs)
-		k := 0 // index of the cell in the group
-		for i := g; i < len(cells); i++ {
-			cell := &cells[i]
-			if cell.key.rt != rt {
-				continue
-			}
-			imaging.PutImage(cell.img)
-			cell.img = nil
-			for _, lj := range live {
-				if lj.cell != i {
+		f.jobs = append(f.jobs, job)
+	}
+	st.mu.Unlock()
+	for ; fresh > 1; fresh-- {
+		st.hint()
+	}
+}
+
+// takeFlight takes the oldest pending cell of the earliest class that has
+// one and marks it computing: the queue waits of its jobs end now. Jobs whose
+// clients hung up while it was pending are answered and dropped, and a cell
+// with no job left leaves the table without a capture. It returns nil when
+// nothing is pending.
+func (s *Server) takeFlight() *flight {
+	st := s.serve
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, class := range st.classes {
+		for f := class.pending.pop(); f != nil; f = class.pending.pop() {
+			now := time.Now()
+			live := f.jobs[:0]
+			for _, job := range f.jobs {
+				job.stampWait(now)
+				if job.ctx.Err() != nil {
+					job.done <- serveResult{err: fleetapi.Errorf(fleetapi.CodeUnavailable, "client went away")}
 					continue
 				}
-				job := lj.job
-				if s.tele != nil {
-					s.tele.Inference.Observe(share)
-				}
-				total := time.Since(job.enq)
-				job.class.latency.Observe(total.Nanoseconds())
-				job.done <- serveResult{resp: fleetapi.ServeResponse{
-					Pred:       preds[k],
-					TrueClass:  int(cell.it.Class),
-					Score:      scores[k],
-					Runtime:    rt,
-					Class:      job.class.spec.Name,
-					Bytes:      cell.size,
-					BatchSize:  groupJobs,
-					QueueNanos: job.wait.Nanoseconds(),
-					StageNanos: fleetapi.ServeStageNanos{
-						Sensor:    cell.stages.SensorNanos,
-						ISP:       cell.stages.ISPNanos,
-						Codec:     cell.stages.CodecNanos,
-						Inference: share,
-					},
-					TotalNanos: total.Nanoseconds(),
-				}}
+				live = append(live, job)
 			}
-			k++
+			clear(f.jobs[len(live):])
+			if f.jobs = live; len(live) > 0 {
+				f.started = true
+				return f
+			}
+			delete(st.flights, f.key)
+			f.recycle()
 		}
 	}
+	return nil
+}
+
+// computeFlight captures and infers a taken cell, takes it out of the table
+// and answers every job that joined it, those that joined while it computed
+// included. The capture is the cell's own arena'd, cell-seeded capture and
+// the inference one image on the worker's backend, so a reply's bytes never
+// depend on how many jobs shared it. The inference time is split evenly
+// among them, so per-request stage accounting still sums sensibly.
+func (s *Server) computeFlight(f *flight, w *cellWorker) {
+	cell := f.key.cell
+	bundle := s.serveBundleFor(cell.bundleKey)
+	it := bundle.items[cell.item]
+	img, size, stages := bundle.engine.CaptureTimed(bundle.gen.Device(cell.device), it, cell.angle)
+	t0 := time.Now()
+	pred, score := w.infer(s, cell.rt, img)
+	inference := time.Since(t0)
+	imaging.PutImage(img)
+
+	st := s.serve
+	st.mu.Lock()
+	delete(st.flights, f.key)
+	st.mu.Unlock()
+	share := inference.Nanoseconds() / int64(len(f.jobs))
+	for _, job := range f.jobs {
+		if s.tele != nil {
+			s.tele.Inference.Observe(share)
+		}
+		total := time.Since(job.enq)
+		job.class.latency.Observe(total.Nanoseconds())
+		job.done <- serveResult{resp: fleetapi.ServeResponse{
+			Pred:       pred,
+			TrueClass:  int(it.Class),
+			Score:      score,
+			Runtime:    cell.rt,
+			Class:      job.class.spec.Name,
+			Bytes:      size,
+			BatchSize:  len(f.jobs),
+			QueueNanos: job.wait.Nanoseconds(),
+			StageNanos: fleetapi.ServeStageNanos{
+				Sensor:    stages.SensorNanos,
+				ISP:       stages.ISPNanos,
+				Codec:     stages.CodecNanos,
+				Inference: share,
+			},
+			TotalNanos: total.Nanoseconds(),
+		}}
+	}
+	f.recycle()
+}
+
+// cellWorker is what one serve worker owns: a backend LRU (a backend owns its
+// inference scratch and cannot be shared) and the one-image model input every
+// cell it computes is packed into.
+type cellWorker struct {
+	backends *fleet.LRU[string, nn.Backend]
+	input    *tensor.Tensor
+}
+
+func newCellWorker() *cellWorker {
+	return &cellWorker{backends: fleet.NewLRU[string, nn.Backend](8)}
+}
+
+// infer runs one captured image through the runtime's backend and returns
+// its top-1 class and confidence: what train.Evaluate reports for the image
+// in any batch, since activations quantize per sample.
+func (w *cellWorker) infer(s *Server, rt string, img *imaging.Image) (pred int, score float64) {
+	backend := w.backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
+	if in := backend.InputSize(); w.input == nil || w.input.Dim(2) != in {
+		w.input = tensor.New(1, 3, in, in)
+	}
+	return train.Top1(backend.Infer(imaging.BatchTensorInto(w.input, []*imaging.Image{img})))
 }
 
 // handleSLO serves GET /v1/slo: the serving path's live SLO report, built
@@ -683,7 +779,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, req *http.Request) {
 			row.Attainment = float64(lat.CountLE(c.spec.TargetNanos)) / float64(served)
 			attainments = append(attainments, row.Attainment)
 		}
-		// Mean over executed batches: the histogram's sum is total batched
+		// Mean over formed batches: the histogram's sum is total batched
 		// jobs, its count the number of batches.
 		if batches := batch.Total(); batches > 0 {
 			row.MeanBatch = float64(batch.Sum) / float64(batches)

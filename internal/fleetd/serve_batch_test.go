@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/nn"
 )
@@ -224,52 +224,288 @@ func TestServeBatchCoalescing(t *testing.T) {
 	s.stopServe()
 	s.serve.wg.Wait()
 
-	class := s.serve.classes[0]
-	backends := fleet.NewLRU[string, nn.Backend](8)
 	cellA := fleetapi.ServeRequest{Device: 1, Item: 2, Angle: 0, Seed: 42, Runtime: nn.RuntimeInt8}
 	cellB := fleetapi.ServeRequest{Device: 3, Item: 4, Angle: 1, Seed: 42, Runtime: nn.RuntimeInt8}
 	cellAScale2 := cellA
 	cellAScale2.Scale = 2
-	jobs := make([]*serveJob, 0, 5)
-	for _, req := range []fleetapi.ServeRequest{cellA, cellB, cellA, cellB, cellAScale2} {
-		jobs = append(jobs, &serveJob{
-			req: req, class: class, enq: time.Now(),
-			ctx: context.Background(), done: make(chan serveResult, 1),
-		})
-	}
-	s.executeServeBatch(jobs, backends)
-	results := make([]fleetapi.ServeResponse, len(jobs))
-	for i, job := range jobs {
-		res := <-job.done
-		if res.err != nil {
-			t.Fatalf("job %d: %v", i, res.err)
-		}
-		results[i] = res.resp
-	}
+	jobs := testJobs(s.serve.classes[0], context.Background(), cellA, cellB, cellA, cellB, cellAScale2)
+	executeBatch(s, jobs, newCellWorker())
+	results := answers(t, jobs)
 	if got := s.tele.Captures.Value(); got != 2 {
 		t.Fatalf("batch of 5 jobs over 2 cells made %d captures, want 2", got)
 	}
 	if got := s.serve.bundles.Len(); got != 1 {
 		t.Fatalf("scale 0 and scale 2 built %d bundles, want 1", got)
 	}
-	// payload is a response less the two times that are the job's own: the
-	// prediction, the compressed size and the stage times of the one capture
-	// and the one inference share the coalesced jobs were given.
-	payload := func(r fleetapi.ServeResponse) string {
-		r.QueueNanos, r.TotalNanos = 0, 0
-		b, _ := json.Marshal(r)
-		return string(b)
-	}
 	for _, pair := range [][2]int{{0, 2}, {1, 3}, {0, 4}} {
 		if a, b := payload(results[pair[0]]), payload(results[pair[1]]); a != b {
 			t.Fatalf("coalesced jobs %v answer with different bytes:\n  %s\n  %s", pair, a, b)
 		}
 	}
-	for i, r := range results {
-		if r.BatchSize != 5 {
-			t.Fatalf("job %d rode batch %d, want 5 (all jobs share one int8 pass)", i, r.BatchSize)
+	for i, want := range []int{3, 2, 3, 2, 3} {
+		if got := results[i].BatchSize; got != want {
+			t.Fatalf("job %d rode batch %d, want %d (the jobs its cell's one computation answered)", i, got, want)
 		}
 	}
+}
+
+// executeBatch is a worker's part in serving a formed batch while no other
+// worker runs: register it, then compute pending cells until none is left.
+func executeBatch(s *Server, jobs []*serveJob, w *cellWorker) {
+	s.register(jobs)
+	for f := s.takeFlight(); f != nil; f = s.takeFlight() {
+		s.computeFlight(f, w)
+	}
+}
+
+// testJobs builds one admitted job of the class for each request.
+func testJobs(class *serveClass, ctx context.Context, reqs ...fleetapi.ServeRequest) []*serveJob {
+	jobs := make([]*serveJob, len(reqs))
+	for i, req := range reqs {
+		jobs[i] = &serveJob{req: req, class: class, enq: time.Now(), ctx: ctx, done: make(chan serveResult, 1)}
+	}
+	return jobs
+}
+
+// answers receives every job's result and fails the test on an error reply.
+func answers(t *testing.T, jobs []*serveJob) []fleetapi.ServeResponse {
+	t.Helper()
+	out := make([]fleetapi.ServeResponse, len(jobs))
+	for i, job := range jobs {
+		res := <-job.done
+		if res.err != nil {
+			t.Fatalf("job %d: %v", i, res.err)
+		}
+		out[i] = res.resp
+	}
+	return out
+}
+
+// payload is a response less the two times that are the job's own: the
+// prediction, the compressed size and the stage times of the one capture and
+// the one inference share the coalesced jobs were given.
+func payload(r fleetapi.ServeResponse) string {
+	r.QueueNanos, r.TotalNanos = 0, 0
+	b, _ := json.Marshal(r)
+	return string(b)
+}
+
+// TestServeCoalescesAcrossWorkers: one worker registers a batch and starts
+// computing its cell; a second worker then forms a batch naming the same cell
+// twice. The later jobs join the running computation instead of queueing the
+// cell again, so the cell is captured exactly once and all three jobs get the
+// same payload, each reporting the three jobs the computation answered.
+func TestServeCoalescesAcrossWorkers(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 2})
+	defer s.CancelRuns()
+	s.stopServe()
+	s.serve.wg.Wait()
+
+	class := s.serve.classes[0]
+	cell := fleetapi.ServeRequest{Device: 1, Item: 2, Angle: 0, Seed: 42, Runtime: nn.RuntimeInt8}
+	first := testJobs(class, context.Background(), cell)
+	second := testJobs(class, context.Background(), cell, cell)
+	const queued = 20 * time.Millisecond
+	for _, job := range second {
+		job.enq = job.enq.Add(-queued)
+	}
+
+	s.register(first)
+	running := s.takeFlight()
+	s.register(second)
+	if again := s.takeFlight(); again != nil {
+		t.Fatalf("the running cell was queued again with %d jobs", len(again.jobs))
+	}
+	s.computeFlight(running, newCellWorker())
+
+	results := answers(t, append(first, second...))
+	if got := s.tele.Captures.Value(); got != 1 {
+		t.Fatalf("two batches naming one cell made %d captures, want 1", got)
+	}
+	for i, r := range results {
+		if payload(r) != payload(results[0]) {
+			t.Fatalf("job %d answers with different bytes:\n  %s\n  %s", i, payload(r), payload(results[0]))
+		}
+		if r.BatchSize != len(results) {
+			t.Fatalf("job %d rode batch %d, want %d", i, r.BatchSize, len(results))
+		}
+	}
+	// A joiner's queue wait runs from admission to the join, before the
+	// capture it shares.
+	for i, r := range results[len(first):] {
+		stages := r.StageNanos.Sensor + r.StageNanos.ISP + r.StageNanos.Codec
+		if r.QueueNanos < queued.Nanoseconds() || r.QueueNanos+stages > r.TotalNanos {
+			t.Fatalf("joiner %d: queue %d ns, capture %d ns, total %d ns", i, r.QueueNanos, stages, r.TotalNanos)
+		}
+	}
+	if n := len(s.serve.flights); n != 0 {
+		t.Fatalf("%d flights left in the table after the answer", n)
+	}
+}
+
+// TestServeDrainFailsPendingCells: on shutdown, a job waiting on a pending
+// cell — the one that started the flight and the one that joined it — is
+// answered 503 like a queued job, none is left waiting and no cell is
+// captured.
+func TestServeDrainFailsPendingCells(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 1})
+	defer s.CancelRuns()
+	s.stopServe()
+	s.serve.wg.Wait()
+
+	cellA := fleetapi.ServeRequest{Device: 1, Item: 2, Seed: 42, Runtime: nn.RuntimeInt8}
+	cellB := fleetapi.ServeRequest{Device: 3, Item: 4, Seed: 42, Runtime: nn.RuntimeInt8}
+	jobs := testJobs(s.serve.classes[0], context.Background(), cellA, cellB, cellA)
+	s.register(jobs)
+	s.drainServe()
+	for i, job := range jobs {
+		select {
+		case res := <-job.done:
+			if res.err == nil || res.err.Status != http.StatusServiceUnavailable {
+				t.Fatalf("job %d: got %+v, want a 503", i, res)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %d was never answered", i)
+		}
+	}
+	if got := s.tele.Captures.Value(); got != 0 {
+		t.Fatalf("drained cells made %d captures", got)
+	}
+	if n := len(s.serve.flights); n != 0 {
+		t.Fatalf("%d flights left in the table after the drain", n)
+	}
+}
+
+// TestServeQueuedJobNeedsNoWakeToken: a wake-up is a hint, so a job left in
+// a queue without one is still served — a worker looks for queued jobs after
+// every cell it computes. Here a job is queued by hand with no wake-up, and a
+// request behind it posts the only one. On a max_batch 1 class the worker
+// serves the hand-queued job first, then must come back for the request.
+func TestServeQueuedJobNeedsNoWakeToken(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 1, Classes: []fleetapi.SLOClass{
+		{Name: "solo", TargetNanos: 10_000_000_000, RatePerSec: 1000, Burst: 100, QueueDepth: 16},
+	}})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	class := s.serve.classes[0]
+	queued := testJobs(class, context.Background(), fleetapi.ServeRequest{Device: 1, Item: 2, Seed: 42, Runtime: nn.RuntimeInt8})
+	class.queue <- queued[0]
+	class.depth.Add(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := fleetapi.NewClient(ts.URL).Serve(ctx, fleetapi.ServeRequest{Device: 3, Item: 4, Seed: 42, Runtime: nn.RuntimeInt8}); err != nil {
+		t.Fatalf("request behind a hand-queued job: %v", err)
+	}
+	answers(t, queued)
+}
+
+// TestServeClientGoneCostsNoCapture: a cell whose clients all hung up while
+// it was pending leaves the table without a capture and its jobs are
+// answered 503; the live cell beside it is still computed.
+func TestServeClientGoneCostsNoCapture(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 1})
+	defer s.CancelRuns()
+	s.stopServe()
+	s.serve.wg.Wait()
+
+	class := s.serve.classes[0]
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	cellA := fleetapi.ServeRequest{Device: 1, Item: 2, Seed: 42, Runtime: nn.RuntimeInt8}
+	cellB := fleetapi.ServeRequest{Device: 3, Item: 4, Seed: 42, Runtime: nn.RuntimeInt8}
+	dead := testJobs(class, gone, cellA, cellA)
+	live := testJobs(class, context.Background(), cellB)
+	executeBatch(s, append(dead, live...), newCellWorker())
+	for i, job := range dead {
+		if res := <-job.done; res.err == nil || res.err.Status != http.StatusServiceUnavailable {
+			t.Fatalf("hung-up job %d: got %+v, want a 503", i, res)
+		}
+	}
+	if r := answers(t, live)[0]; r.BatchSize != 1 {
+		t.Fatalf("live job rode batch %d, want 1", r.BatchSize)
+	}
+	if got := s.tele.Captures.Value(); got != 1 {
+		t.Fatalf("made %d captures, want 1 (the live cell only)", got)
+	}
+}
+
+// TestServeCoalescingStress fires 32 concurrent clients over 4 cells at 2
+// workers; it is meant for -race. Every reply must equal the cell served
+// alone through a max_batch 1 class, fewer cells must be captured than
+// requests answered, and each job must be answered exactly once: a
+// computation answers the batch its replies report, so the replies' 1/batch
+// add up to the captures.
+func TestServeCoalescingStress(t *testing.T) {
+	open := fleetapi.SLOClass{TargetNanos: 10_000_000_000, RatePerSec: 1e6, Burst: 1 << 20, QueueDepth: 256}
+	hot, solo := open, open
+	hot.Name, hot.MaxBatch, hot.LingerMillis = "hot", 4, 1
+	solo.Name = "solo"
+	s := serveTestServer(ServeOptions{Workers: 2, Classes: []fleetapi.SLOClass{hot, solo}})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := fleetapi.NewClient(ts.URL)
+	ctx := context.Background()
+
+	cells := make([]fleetapi.ServeRequest, 4)
+	want := make([]string, len(cells))
+	for i := range cells {
+		cells[i] = fleetapi.ServeRequest{Device: i, Item: i, Angle: i % 3, Seed: 42, Runtime: nn.Runtimes()[i%3], Class: "solo"}
+		r, err := c.Serve(ctx, cells[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BatchSize != 1 {
+			t.Fatalf("cell %d served alone rode batch %d", i, r.BatchSize)
+		}
+		r.Class = "hot"
+		want[i] = payloadLessTimes(r)
+		cells[i].Class = "hot"
+	}
+
+	const callers, rounds = 32, 3
+	replies := make([]fleetapi.ServeResponse, callers*rounds)
+	errs := make([]error, len(replies))
+	before := s.tele.Captures.Value()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := g*rounds + r
+				replies[i], errs[i] = c.Serve(ctx, cells[i%len(cells)])
+			}
+		}()
+	}
+	wg.Wait()
+	captures := s.tele.Captures.Value() - before
+
+	computations := 0.0
+	for i, r := range replies {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if got := payloadLessTimes(r); got != want[i%len(cells)] {
+			t.Fatalf("request %d diverges from the cell served alone:\n  %s\n  %s", i, got, want[i%len(cells)])
+		}
+		computations += 1 / float64(r.BatchSize)
+	}
+	if captures >= int64(len(replies)) {
+		t.Fatalf("%d captures for %d requests: nothing coalesced", captures, len(replies))
+	}
+	if math.Abs(computations-float64(captures)) > 1e-9 {
+		t.Fatalf("replies account for %.3f computations, %d captures were made", computations, captures)
+	}
+}
+
+// payloadLessTimes is a reply less everything measured: what must be equal
+// however the cell's computation was shared.
+func payloadLessTimes(r fleetapi.ServeResponse) string {
+	r.BatchSize, r.StageNanos = 0, fleetapi.ServeStageNanos{}
+	return payload(r)
 }
 
 // TestTokenBucketFirstCallBurst pins the bucket's cold-start semantics: the
@@ -316,11 +552,11 @@ func TestTokenBucketRetryAfterClamp(t *testing.T) {
 }
 
 // TestServeBatchAllocCeiling pins the allocation count of one batched serve
-// execute (8 int8 jobs: captures, one grouped inference, replies) so the
-// batch path cannot quietly grow per-job allocations. Steady state measures
-// 14/op — the shared int8 forward pass and its result slices; the batch's
-// own bookkeeping stays on the stack. The ceiling leaves slack only for
-// pool-refill noise.
+// execute (8 int8 jobs on 8 cells: registration, captures, one inference a
+// cell, replies) so the batch path cannot quietly grow per-job allocations.
+// Steady state measures 8/op — each inference's probability row; flights and
+// their job lists are pooled. The ceiling leaves slack only for pool-refill
+// noise.
 const serveBatchAllocCeiling = 29
 
 func TestServeBatchAllocCeiling(t *testing.T) {
@@ -333,7 +569,7 @@ func TestServeBatchAllocCeiling(t *testing.T) {
 	s.serve.wg.Wait()
 
 	class := s.serve.classes[0]
-	backends := fleet.NewLRU[string, nn.Backend](8)
+	w := newCellWorker()
 	jobs := make([]*serveJob, 8)
 	for i := range jobs {
 		jobs[i] = &serveJob{
@@ -345,7 +581,7 @@ func TestServeBatchAllocCeiling(t *testing.T) {
 		for _, job := range jobs {
 			job.enq = time.Now()
 		}
-		s.executeServeBatch(jobs, backends)
+		executeBatch(s, jobs, w)
 		for _, job := range jobs {
 			<-job.done
 		}
@@ -378,10 +614,9 @@ func (*rewindBody) Close() error { return nil }
 // TestServeRequestAllocCeiling pins the allocations of one POST /v1/serve
 // through Server.Handler() in process — route, decode, admission, worker,
 // reply — on a reused request and ResponseWriter. Steady state measures
-// 18/op: the batch-1 execute (capture, inference), the batch the worker
-// collects, and on the handler's side the status recorder, the body bound and
-// the Content-Type header; the ceiling leaves slack only for pool-refill
-// noise.
+// 5/op: the inference's probability row, the batch the worker collects, and
+// on the handler's side the status recorder, the body bound and the
+// Content-Type header; the ceiling leaves slack only for pool-refill noise.
 const serveRequestAllocCeiling = 24
 
 func TestServeRequestAllocCeiling(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/fleet"
@@ -108,5 +109,22 @@ func TestRecordReplayLive(t *testing.T) {
 		if got := Report(h2.Classes, again).JSON(); !bytes.Equal(got, first) {
 			t.Fatalf("report recomputation %d differs", i)
 		}
+	}
+}
+
+// TestFireLatencyFromDue: latency runs from the arrival's due instant, not
+// from the send, so a request handed over 50 ms late reports at least 50 ms
+// however fast the server answers it.
+func TestFireLatencyFromDue(t *testing.T) {
+	ts, _ := liveServer(t)
+	client := fleetapi.NewClient(ts.URL)
+	a := Arrival{Cohort: "late", Class: "easy", Device: 1, Item: 1, Items: 4}
+	const late = 50 * time.Millisecond
+	e := fireOne(context.Background(), client, 42, a, time.Now().Add(-late), time.Second)
+	if e.Status != 200 {
+		t.Fatalf("status %d (%s), want 200", e.Status, e.Code)
+	}
+	if e.LatencyNanos < late.Nanoseconds() {
+		t.Fatalf("latency %v for a request due %v ago", time.Duration(e.LatencyNanos), late)
 	}
 }

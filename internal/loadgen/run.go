@@ -24,9 +24,11 @@ const CodeTransport = "transport"
 // Fire executes a schedule open-loop against a fleetd instance: each arrival
 // fires at start+Offset on its own goroutine, never waiting on an earlier
 // response — a slow or shedding server changes outcomes, not the offered
-// load. Returns one event per arrival in canonical order. A cancelled
-// context stops the remaining schedule; unfired arrivals are recorded with
-// the context's code so the trace still carries the whole schedule.
+// load. Latency runs from that due instant, so a generator that falls behind
+// its schedule is charged for its own lateness. Returns one event per
+// arrival in canonical order. A cancelled context stops the remaining
+// schedule; unfired arrivals are recorded with the context's code so the
+// trace still carries the whole schedule.
 func Fire(ctx context.Context, client *fleetapi.Client, seed int64, arrivals []Arrival, opts FireOptions) []Event {
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -58,7 +60,7 @@ func Fire(ctx context.Context, client *fleetapi.Client, seed int64, arrivals []A
 		wg.Add(1)
 		go func(i int, a Arrival) {
 			defer wg.Done()
-			events[i] = fireOne(ctx, client, seed, a, timeout)
+			events[i] = fireOne(ctx, client, seed, a, start.Add(time.Duration(a.OffsetNanos)), timeout)
 		}(i, a)
 	}
 	wg.Wait()
@@ -82,12 +84,12 @@ func scheduleHalf(a Arrival) Event {
 	}
 }
 
-// fireOne sends one request and records its outcome.
-func fireOne(ctx context.Context, client *fleetapi.Client, seed int64, a Arrival, timeout time.Duration) Event {
+// fireOne sends one request that was due at the given instant and records
+// its outcome, with latency measured from due rather than from the send.
+func fireOne(ctx context.Context, client *fleetapi.Client, seed int64, a Arrival, due time.Time, timeout time.Duration) Event {
 	e := scheduleHalf(a)
 	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	t0 := time.Now()
 	resp, err := client.Serve(rctx, a.ServeRequest(seed))
 	if err != nil {
 		var apiErr *fleetapi.Error
@@ -99,7 +101,7 @@ func fireOne(ctx context.Context, client *fleetapi.Client, seed int64, a Arrival
 		return e
 	}
 	e.Status = 200
-	e.LatencyNanos = time.Since(t0).Nanoseconds()
+	e.LatencyNanos = time.Since(due).Nanoseconds()
 	e.QueueNanos = resp.QueueNanos
 	e.Pred = resp.Pred
 	e.Batch = resp.BatchSize

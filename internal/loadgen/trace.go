@@ -43,9 +43,10 @@ type Event struct {
 	// error code on non-2xx replies.
 	Status int    `json:"status"`
 	Code   string `json:"code,omitempty"`
-	// LatencyNanos is the client-observed request latency; QueueNanos the
-	// server-reported queue wait; Pred the prediction; Batch the size of
-	// the inference batch the request rode in — all zero for sheds and
+	// LatencyNanos is the client-observed request latency, from the
+	// arrival's due instant to the reply; QueueNanos the server-reported
+	// queue wait; Pred the prediction; Batch how many requests the one
+	// computation of the request's cell answered — all zero for sheds and
 	// failures. Batch is also 0 in traces recorded before batched serving.
 	LatencyNanos int64 `json:"latency_ns,omitempty"`
 	QueueNanos   int64 `json:"queue_ns,omitempty"`

@@ -105,7 +105,7 @@ func (m *Model) Infer(x *tensor.Tensor) []float64 {
 	p := m.inferPlan()
 	p.embed = denseInfer(p.embed, p.features(x), m.Embed, true)
 	p.logits = denseInfer(p.logits, p.embed, m.Head, false)
-	return flatProbs(Softmax(p.logits))
+	return p.probs()
 }
 
 // inferPlan returns the backbone's inference plan, compiled on first use.

@@ -37,6 +37,7 @@ type inferPlan struct {
 
 	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
 	embed, logits *tensor.Tensor // dense-head outputs of every backend's Infer, reused across calls
+	prob          *tensor.Tensor // softmax of logits, reused across calls
 }
 
 // planStep is one op with its arena wiring. src -1 reads the input image;
@@ -178,23 +179,21 @@ func (p *inferPlan) panel(n int) []int8 {
 	return p.qpanel[:n]
 }
 
-// reuseTensor returns t when it already has exactly the requested shape,
-// otherwise a freshly allocated tensor: the (N, width) head tensors are
-// rewritten in full on every call, so the previous call's can be reused.
-func reuseTensor(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if t != nil && t.Rank() == len(shape) {
-		match := true
-		for i, d := range shape {
-			if t.Dim(i) != d {
-				match = false
-				break
-			}
-		}
-		if match {
-			return t
-		}
+// reuseTensor returns t when it already has shape (n, width), otherwise a
+// freshly allocated tensor: the (N, width) head tensors are rewritten in full
+// on every call, so the previous call's can be reused.
+func reuseTensor(t *tensor.Tensor, n, width int) *tensor.Tensor {
+	if t != nil && t.Rank() == 2 && t.Dim(0) == n && t.Dim(1) == width {
+		return t
 	}
-	return tensor.New(shape...)
+	return tensor.New(n, width)
+}
+
+// probs returns the softmax of the plan's logits in the Backend wire shape,
+// the one slice an Infer call allocates.
+func (p *inferPlan) probs() []float64 {
+	p.prob = softmaxInto(reuseTensor(p.prob, p.logits.Dim(0), p.logits.Dim(1)), p.logits)
+	return flatProbs(p.prob)
 }
 
 // convDimsAt is a convolution's geometry at input resolution (h, w).

@@ -10,8 +10,12 @@ import (
 // stabilized by subtracting the row max.
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	checkRank(logits, 2, "Softmax")
+	return softmaxInto(tensor.New(logits.Dim(0), logits.Dim(1)), logits)
+}
+
+// softmaxInto is Softmax written into p, a tensor of the logits' shape.
+func softmaxInto(p, logits *tensor.Tensor) *tensor.Tensor {
 	n, k := logits.Dim(0), logits.Dim(1)
-	p := tensor.New(n, k)
 	for i := 0; i < n; i++ {
 		row := logits.Data()[i*k : (i+1)*k]
 		out := p.Data()[i*k : (i+1)*k]

@@ -66,7 +66,7 @@ func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 {
 	p := b.m.inferPlan()
 	p.embed = b.embed.apply(p.embed, p.features(x))
 	p.logits = b.head.apply(p.logits, p.embed)
-	return flatProbs(Softmax(p.logits))
+	return p.probs()
 }
 
 // pruneToKeep zeroes every entry whose magnitude falls below the value at

@@ -69,7 +69,7 @@ func (b *Int8Backend) Infer(x *tensor.Tensor) []float64 {
 	p := b.plan
 	p.embed = b.embed.apply(p, p.embed, p.features(x))
 	p.logits = b.head.apply(p, p.logits, p.embed)
-	return flatProbs(Softmax(p.logits))
+	return p.probs()
 }
 
 // maxReduction is the deepest reduction the GEMM kernels take: k·127² < 2³¹

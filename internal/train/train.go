@@ -146,18 +146,22 @@ func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int
 		p := b.Infer(imaging.BatchTensorInto(x, images[start:end]))
 		for i := start; i < end; i++ {
 			row := p[(i-start)*classes : (i-start+1)*classes]
-			pred := 0
-			for c, v := range row {
-				if v > row[pred] {
-					pred = c
-				}
-			}
-			preds[i] = pred
+			preds[i], scores[i] = Top1(row)
 			probs[i] = row
-			scores[i] = row[pred]
 		}
 	}
 	return preds, scores, probs
+}
+
+// Top1 returns the index and value of a probability row's largest entry,
+// ties going to the lower class index.
+func Top1(row []float64) (pred int, score float64) {
+	for c, v := range row {
+		if v > row[pred] {
+			pred = c
+		}
+	}
+	return pred, row[pred]
 }
 
 // TopKOf extracts per-example top-k class lists from probability rows, in

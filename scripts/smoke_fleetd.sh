@@ -320,7 +320,7 @@ bsum = re.search(r'^fleetd_serve_batch_size_sum\{class="interactive"\} (\d+)$', 
 bcount = re.search(r'^fleetd_serve_batch_size_count\{class="interactive"\} (\d+)$', m, re.M)
 assert bsum and bcount and int(bcount.group(1)) > 0, "batch-size histogram empty:\n" + m
 mean = int(bsum.group(1)) / int(bcount.group(1))
-assert mean > 1, "burst never batched: mean executed batch %.2f" % mean
+assert mean > 1, "burst never batched: mean formed batch %.2f" % mean
 print("serve metrics ok: rate sheds=%s mean batch=%.2f" % (shed.group(1), mean))
 PY
 
