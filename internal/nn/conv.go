@@ -53,13 +53,12 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(n, c.outC, outH, outW)
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
-	id := identityAffine(c.outC)
 	parallelFor(n, func(i int) {
 		a := c.planes(i)
 		if !pointwise(d) {
 			im2colPlanar(a, x.Data()[i*imgIn:(i+1)*imgIn], d)
 		}
-		gemmBN(y.Data()[i*imgOut:(i+1)*imgOut], c.Weight.W.Data(), a, c.outC, p, k, id.scale, id.shift, false)
+		gemm(y.Data()[i*imgOut:(i+1)*imgOut], c.Weight.W.Data(), a, c.outC, p, k)
 	})
 	return y
 }
@@ -91,14 +90,26 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	imgOut := c.outC * p
 
 	dx := tensor.New(n, d.InC, d.InH, d.InW)
+	wt := make([]float32, k*c.outC)
+	transpose(wt, c.Weight.W.Data(), c.outC, k)
 	dws := make([]*tensor.Tensor, n)
 	parallelFor(n, func(i int) {
-		dyi := tensor.NewFrom(dy.Data()[i*imgOut:(i+1)*imgOut], c.outC, p)
+		dyi := dy.Data()[i*imgOut : (i+1)*imgOut]
 		// dW_i (outC,k) = dY (outC,p) · panelᵀ (p,k)
-		dws[i] = tensor.MatMulTB(dyi, tensor.NewFrom(c.planes(i), k, p))
-		// dcol (p,k) = dYᵀ (p,outC) · W (outC,k)
-		dcol := tensor.MatMulTA(dyi, c.Weight.W)
-		tensor.Col2Im(dx.Data()[i*imgIn:(i+1)*imgIn], dcol.Data(), d)
+		buf := make([]float32, p*k)
+		transpose(buf, c.planes(i), k, p)
+		dws[i] = tensor.New(c.outC, k)
+		gemm(dws[i].Data(), dyi, buf, c.outC, k, p)
+		// dcol (k,p) = Wᵀ (k,outC) · dY (outC,p), in im2colPlanar's layout:
+		// a pointwise layer's input gradient as it stands, any other's
+		// scattered back through Col2Im from buf, whose panelᵀ is spent.
+		dxi := dx.Data()[i*imgIn : (i+1)*imgIn]
+		if pointwise(d) {
+			gemm(dxi, wt, dyi, k, p, c.outC)
+			return
+		}
+		gemm(buf, wt, dyi, k, p, c.outC)
+		tensor.Col2Im(dxi, buf, d)
 	})
 	for _, dw := range dws {
 		c.Weight.G.AddScaled(1, dw)

@@ -47,10 +47,14 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Dense.Backward before Forward")
 	}
 	checkRank(dy, 2, "Dense.Backward")
-	// dW (out,in) = dYᵀ (out,N) · X (N,in)
-	d.Weight.G.AddScaled(1, tensor.MatMulTA(dy, d.x))
-	// db = column sums of dY
 	n := dy.Dim(0)
+	// dW (out,in) = dYᵀ (out,N) · X (N,in)
+	dyT := make([]float32, d.out*n)
+	transpose(dyT, dy.Data(), n, d.out)
+	dw := tensor.New(d.out, d.in)
+	gemm(dw.Data(), dyT, d.x.Data(), d.out, d.in, n)
+	d.Weight.G.AddScaled(1, dw)
+	// db = column sums of dY
 	db := d.Bias.G.Data()
 	for i := 0; i < n; i++ {
 		row := dy.Data()[i*d.out : (i+1)*d.out]
@@ -59,5 +63,7 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dX (N,in) = dY (N,out) · W (out,in)
-	return tensor.MatMul(dy, d.Weight.W)
+	dx := tensor.New(n, d.in)
+	gemm(dx.Data(), dy.Data(), d.Weight.W.Data(), n, d.in, d.out)
+	return dx
 }

@@ -347,11 +347,33 @@ func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
 // and add rounded separately, so it is the same bits whichever kernel
 // computes it: the vector kernel takes the whole 4-channel × 16-pixel tiles,
 // one output pixel to a lane, and the Go kernel the pixels and channels it
-// leaves. Conv2D.Forward is this with the identity epilogue.
+// leaves. Training's products are this with the identity epilogue (gemm).
 func gemmBN(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 bool) {
 	cs, ps := gemmBNVector(dst, w, a, outC, p, k, scale, shift, relu6)
 	gemmBNGo(dst, w, a, 0, cs, ps, p, k, scale, shift, relu6)
 	gemmBNGo(dst, w, a, cs, outC, 0, p, k, scale, shift, relu6)
+}
+
+// gemm is gemmBN with the identity epilogue: dst (m, p) = w (m, k) · a (k, p),
+// each output the ordered sum over k from +0. It is every matrix product of
+// training: Conv2D's forward, and the weight and input gradients of Conv2D
+// and Dense, whose operands are laid out for it by exact transposes. Such a
+// sum is never -0, so a ±0 product leaves it unchanged: skipping zero
+// operands could not change a bit, and gemm does not.
+func gemm(dst, w, a []float32, m, p, k int) {
+	id := identityAffine(m)
+	gemmBN(dst, w, a, m, p, k, id.scale, id.shift, false)
+}
+
+// transpose writes the (cols, rows) transpose of the row-major (rows, cols)
+// matrix src into dst.
+func transpose(dst, src []float32, rows, cols int) {
+	dst = dst[:rows*cols]
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
 }
 
 // gemmBNGo is the portable kernel of gemmBN, over channels [c0, c1) and

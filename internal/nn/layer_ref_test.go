@@ -9,14 +9,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// The scalar reference of the float32 forward arithmetic. The layers'
-// Forward and the inference plan run the same kernels (gemmBN, im2colPlanar,
-// the depthwise op, denseInfer), so neither can check the other; this file
-// keeps the loops they replaced — a row-major im2col with an ordered dot per
-// output, the per-plane depthwise loop, a dot-product dense layer and
-// BatchNorm's eval expression — as the independent definition both are
-// diffed against. Every product is rounded before it is added, as the
-// kernels round theirs.
+// The scalar reference of the float32 forward arithmetic and of the matrix
+// products of backward. The layers' Forward and the inference plan run the
+// same kernels (gemmBN, im2colPlanar, the depthwise op, denseInfer), and
+// Conv2D's and Dense's Backward run gemmBN too, so none can check another;
+// this file keeps the loops they replaced — a row-major im2col with an
+// ordered dot per output, the per-plane depthwise loop, a dot-product dense
+// layer, BatchNorm's eval expression and one ordered sum per gradient entry —
+// as the independent definition all are diffed against. Every product is
+// rounded before it is added, as the kernels round theirs.
 
 // refIm2Col expands one image (C,H,W) into the (outH*outW, C*KH*KW) matrix
 // whose row pi holds output pixel pi's receptive field in (c, ky, kx) order,
@@ -91,6 +92,44 @@ func refConvGrad(c *Conv2D, cols [][]float32, dy *tensor.Tensor) []float32 {
 	return g
 }
 
+// refConvInputGrad is Conv2D's input gradient: per image, output pixel and
+// tap, the column gradient Σ_o dY·W ordered over output channels from +0,
+// scattered into the image in (oy, ox, c, ky, kx) order.
+func refConvInputGrad(c *Conv2D, x, dy *tensor.Tensor) []float32 {
+	d := c.dims
+	d.InH, d.InW = x.Dim(2), x.Dim(3)
+	outH, outW := d.OutH(), d.OutW()
+	p, k := outH*outW, d.InC*d.KH*d.KW
+	imgIn := d.InC * d.InH * d.InW
+	dx := make([]float32, x.Len())
+	w := c.Weight.W.Data()
+	for i := 0; i < x.Dim(0); i++ {
+		dyi := dy.Data()[i*c.outC*p:]
+		img := dx[i*imgIn : (i+1)*imgIn]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				pi, j := oy*outW+ox, 0
+				for ch := 0; ch < d.InC; ch++ {
+					for ky := 0; ky < d.KH; ky++ {
+						for kx := 0; kx < d.KW; kx++ {
+							var s float32
+							for o := 0; o < c.outC; o++ {
+								s += float32(dyi[o*p+pi] * w[o*k+j])
+							}
+							j++
+							iy, ix := oy*d.StrideH-d.PadH+ky, ox*d.StrideW-d.PadW+kx
+							if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
+								img[(ch*d.InH+iy)*d.InW+ix] += s
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
 // refDepthwise is DepthwiseConv2D.Forward as the per-plane loop: each output
 // the taps inside the input, added in ky,kx order from +0.
 func refDepthwise(l *DepthwiseConv2D, x *tensor.Tensor) *tensor.Tensor {
@@ -137,6 +176,35 @@ func refDense(d *Dense, x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return y
+}
+
+// refDenseGrads is Dense's weight gradient from zero, Σ_n dY·X ordered over
+// the batch from +0, and its input gradient, Σ_o dY·W ordered over the
+// outputs from +0.
+func refDenseGrads(d *Dense, x, dy *tensor.Tensor) (dw, dx []float32) {
+	n := x.Dim(0)
+	w, xs, g := d.Weight.W.Data(), x.Data(), dy.Data()
+	dw = make([]float32, d.out*d.in)
+	for o := 0; o < d.out; o++ {
+		for q := 0; q < d.in; q++ {
+			var s float32
+			for i := 0; i < n; i++ {
+				s += float32(g[i*d.out+o] * xs[i*d.in+q])
+			}
+			dw[o*d.in+q] = s
+		}
+	}
+	dx = make([]float32, n*d.in)
+	for i := 0; i < n; i++ {
+		for q := 0; q < d.in; q++ {
+			var s float32
+			for o := 0; o < d.out; o++ {
+				s += float32(g[i*d.out+o] * w[o*d.in+q])
+			}
+			dx[i*d.in+q] = s
+		}
+	}
+	return dw, dx
 }
 
 // refBatchNormEval is BatchNorm's eval-mode expression v*scale + shift.
@@ -197,11 +265,12 @@ func refLayerInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 // TestLayerForwardMatchesReference diffs the forward of Conv2D,
-// DepthwiseConv2D and Dense in both modes, and Conv2D's weight gradient,
-// against the scalar reference bit for bit, on the vector kernels this
-// machine dispatches and on the Go kernels. The shapes cover 1×1 and 3×3
-// kernels at stride 1 and 2 with and without padding, odd planes, a 4×16
-// vector tile with remainders on both sides, and batches of one and three.
+// DepthwiseConv2D and Dense in both modes, and the weight and input gradients
+// of Conv2D and Dense, against the scalar reference bit for bit, on the
+// vector kernels this machine dispatches and on the Go kernels. The shapes
+// cover 1×1 and 3×3 kernels at stride 1 and 2 with and without padding, odd
+// planes, 4×16 vector tiles with remainders on both sides in each of the four
+// products, and batches of one, three and five.
 func TestLayerForwardMatchesReference(t *testing.T) {
 	for _, path := range []string{"dispatched", "portable"} {
 		run := func(f func()) { f() }
@@ -222,8 +291,9 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 							sameBits32(t, fmt.Sprintf("conv %s train %v", name, train), c.Forward(x, train).Data(), want.Data())
 							dy := refLayerInput(rng, want.Shape()...)
 							c.Weight.G.Zero()
-							c.Backward(dy)
+							dx := c.Backward(dy)
 							sameBits32(t, fmt.Sprintf("conv dW %s train %v", name, train), c.Weight.G.Data(), refConvGrad(c, cols, dy))
+							sameBits32(t, fmt.Sprintf("conv dx %s train %v", name, train), dx.Data(), refConvInputGrad(c, x, dy))
 
 							dw := NewDepthwiseConv2D(rng, "dw", 5, k, stride, pad)
 							xd := refLayerInput(rng, n, 5, hw[0], hw[1])
@@ -232,12 +302,12 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 					}
 				}
 				for _, train := range []bool{false, true} {
-					d := NewDense(rng, "d", 7, 5)
-					d.Bias.W.RandNormal(rng, 0.5)
-					x := refLayerInput(rng, n, 7)
-					sameBits32(t, fmt.Sprintf("%s dense n %d train %v", path, n, train), d.Forward(x, train).Data(), refDense(d, x).Data())
+					checkDense(t, fmt.Sprintf("%s dense n %d train %v", path, n, train), rng, n, 7, 5, train)
 				}
 			}
+			// 9 outputs over 20 inputs on a batch of 5: whole vector tiles
+			// and remainders in both of Dense's gradients.
+			checkDense(t, path+" dense tiles", rng, 5, 20, 9, true)
 			// Wide enough for whole vector tiles: 9 output channels over
 			// 6×6 = 36 pixels leave a channel and a pixel remainder.
 			x := refLayerInput(rng, 2, 4, 6, 6)
@@ -247,9 +317,26 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 				sameBits32(t, fmt.Sprintf("%s conv tiles %dx%d", path, k, k), c.Forward(x, true).Data(), want.Data())
 				dy := refLayerInput(rng, want.Shape()...)
 				c.Weight.G.Zero()
-				c.Backward(dy)
+				dx := c.Backward(dy)
 				sameBits32(t, fmt.Sprintf("%s conv tiles dW %dx%d", path, k, k), c.Weight.G.Data(), refConvGrad(c, cols, dy))
+				sameBits32(t, fmt.Sprintf("%s conv tiles dx %dx%d", path, k, k), dx.Data(), refConvInputGrad(c, x, dy))
 			}
 		})
 	}
+}
+
+// checkDense diffs a fresh in→out Dense layer's Forward on a batch of n, and
+// the weight and input gradients of its Backward, against the reference.
+func checkDense(t *testing.T, name string, rng *rand.Rand, n, in, out int, train bool) {
+	t.Helper()
+	d := NewDense(rng, "d", in, out)
+	d.Bias.W.RandNormal(rng, 0.5)
+	x := refLayerInput(rng, n, in)
+	sameBits32(t, name, d.Forward(x, train).Data(), refDense(d, x).Data())
+	dy := refLayerInput(rng, n, out)
+	wantDW, wantDX := refDenseGrads(d, x, dy)
+	d.Weight.G.Zero()
+	dx := d.Backward(dy)
+	sameBits32(t, name+" dW", d.Weight.G.Data(), wantDW)
+	sameBits32(t, name+" dx", dx.Data(), wantDX)
 }

@@ -36,30 +36,33 @@ func (d ConvDims) Validate() error {
 	return nil
 }
 
-// Col2Im scatters a column matrix (outH*outW, C*KH*KW), one row per output
-// pixel holding its receptive field in (c, ky, kx) order, back into an image
-// gradient (C,H,W), accumulating overlapping contributions. dst is not
-// zeroed; callers typically pass a fresh buffer.
+// Col2Im scatters a column gradient back into an image gradient (C,H,W),
+// accumulating overlapping contributions. src is in the planar layout of the
+// forward's im2col: (C*KH*KW, outH*outW), one plane of output pixels per tap
+// (c, ky, kx), so src[j*outH*outW+pi] is tap j of output pixel pi. The adds
+// run in (oy, ox, c, ky, kx) order. dst is not zeroed; callers typically
+// pass a fresh buffer.
 func Col2Im(dst, src []float32, d ConvDims) {
 	outH, outW := d.OutH(), d.OutW()
+	np := outH * outW
 	cols := d.InC * d.KH * d.KW
-	if len(src) != outH*outW*cols {
-		panic(fmt.Sprintf("tensor: Col2Im src length %d want %d", len(src), outH*outW*cols))
+	if len(src) != np*cols {
+		panic(fmt.Sprintf("tensor: Col2Im src length %d want %d", len(src), np*cols))
 	}
 	if len(dst) != d.InC*d.InH*d.InW {
 		panic(fmt.Sprintf("tensor: Col2Im dst length %d want %d", len(dst), d.InC*d.InH*d.InW))
 	}
-	idx := 0
 	for oy := 0; oy < outH; oy++ {
 		iy0 := oy*d.StrideH - d.PadH
 		for ox := 0; ox < outW; ox++ {
 			ix0 := ox*d.StrideW - d.PadW
+			idx := oy*outW + ox // tap 0 of this pixel; tap j is np further on
 			for c := 0; c < d.InC; c++ {
 				plane := dst[c*d.InH*d.InW:]
 				for ky := 0; ky < d.KH; ky++ {
 					iy := iy0 + ky
 					if iy < 0 || iy >= d.InH {
-						idx += d.KW
+						idx += d.KW * np
 						continue
 					}
 					row := plane[iy*d.InW : iy*d.InW+d.InW]
@@ -68,7 +71,7 @@ func Col2Im(dst, src []float32, d ConvDims) {
 						if ix >= 0 && ix < d.InW {
 							row[ix] += src[idx]
 						}
-						idx++
+						idx += np
 					}
 				}
 			}

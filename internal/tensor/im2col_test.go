@@ -7,24 +7,24 @@ import (
 	"testing/quick"
 )
 
-// im2col is the row-major im2col Col2Im is the adjoint of: one image (C,H,W)
-// in src becomes the (outH*outW, C*KH*KW) matrix dst whose row for an output
-// pixel holds its receptive field, zero in the padding.
+// im2col is the planar im2col Col2Im is the adjoint of: one image (C,H,W)
+// in src becomes the (C*KH*KW, outH*outW) matrix dst whose row for a tap
+// (c, ky, kx) holds that tap of every output pixel, zero in the padding.
 func im2col(dst, src []float32, d ConvDims) {
-	outH, outW := d.OutH(), d.OutW()
+	np := d.OutH() * d.OutW()
 	cols := d.InC * d.KH * d.KW
-	if len(dst) != outH*outW*cols {
-		panic(fmt.Sprintf("tensor: im2col dst length %d want %d", len(dst), outH*outW*cols))
+	if len(dst) != np*cols {
+		panic(fmt.Sprintf("tensor: im2col dst length %d want %d", len(dst), np*cols))
 	}
 	if len(src) != d.InC*d.InH*d.InW {
 		panic(fmt.Sprintf("tensor: im2col src length %d want %d", len(src), d.InC*d.InH*d.InW))
 	}
 	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			for c := 0; c < d.InC; c++ {
-				for ky := 0; ky < d.KH; ky++ {
-					for kx := 0; kx < d.KW; kx++ {
+	for c := 0; c < d.InC; c++ {
+		for ky := 0; ky < d.KH; ky++ {
+			for kx := 0; kx < d.KW; kx++ {
+				for oy := 0; oy < d.OutH(); oy++ {
+					for ox := 0; ox < d.OutW(); ox++ {
 						iy, ix := oy*d.StrideH-d.PadH+ky, ox*d.StrideW-d.PadW+kx
 						dst[idx] = 0
 						if iy >= 0 && iy < d.InH && ix >= 0 && ix < d.InW {
@@ -76,10 +76,10 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	}
 	dst := make([]float32, 9*2)
 	im2col(dst, src, d)
-	// Row p holds (c0[p], c1[p]).
-	for p := 0; p < 9; p++ {
-		if dst[p*2] != float32(p) || dst[p*2+1] != float32(9+p) {
-			t.Fatalf("row %d = (%v,%v)", p, dst[p*2], dst[p*2+1])
+	// Row c is channel c's plane as it stands.
+	for i := range dst {
+		if dst[i] != src[i] {
+			t.Fatalf("dst = %v, want %v", dst, src)
 		}
 	}
 }
@@ -89,9 +89,12 @@ func TestIm2ColPaddingIsZero(t *testing.T) {
 	src := []float32{1, 2, 3, 4}
 	dst := make([]float32, d.OutH()*d.OutW()*9)
 	im2col(dst, src, d)
-	// First output pixel (0,0): top-left receptive field rows include
-	// padding. Kernel center samples src[0].
-	first := dst[:9]
+	// First output pixel (0,0), tap j at dst[j*4]: the top-left receptive
+	// field rows include padding. Kernel center samples src[0].
+	var first []float32
+	for j := 0; j < 9; j++ {
+		first = append(first, dst[j*4])
+	}
 	want := []float32{0, 0, 0, 0, 1, 2, 0, 3, 4}
 	for i := range want {
 		if first[i] != want[i] {
@@ -159,15 +162,5 @@ func TestCol2ImIsAdjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randTensor(rng, 64, 64)
-	c := randTensor(rng, 64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(a, c)
 	}
 }

@@ -1,16 +1,15 @@
-// Package tensor implements dense float32 tensors and the linear-algebra
-// kernels (matrix multiplication, col2im) that the neural-network package's
-// backward passes are built on. Tensors are row-major and carry an explicit
-// shape; all operations are deterministic and allocation behaviour is
-// documented per function so training loops can reuse buffers.
+// Package tensor implements dense float32 tensors, their elementwise
+// operations, and the convolution geometry (ConvDims, Col2Im) the
+// neural-network package's layers are built on. Tensors are row-major and
+// carry an explicit shape; all operations are deterministic and allocation
+// behaviour is documented per function so training loops can reuse buffers.
+// The matrix products live in nn, on the inference plan's GEMM.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Tensor is a dense row-major float32 tensor. The zero value is an empty
@@ -217,155 +216,4 @@ func (t *Tensor) IsFinite() bool {
 		}
 	}
 	return true
-}
-
-// parallelRows runs fn over row ranges [lo,hi) split across workers. Small
-// jobs run inline to avoid goroutine overhead.
-func parallelRows(rows, minRowsPerWorker int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows/minRowsPerWorker {
-		workers = rows / minRowsPerWorker
-	}
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// MatMul computes C = A·B where A is (m,k) and B is (k,n), writing into a new
-// (m,n) tensor. Panics on shape mismatch.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := mmDims(a, b)
-	c := New(m, n)
-	matmulInto(c.data, a.data, b.data, m, k, n)
-	return c
-}
-
-func mmDims(a, b *Tensor) (m, k, n int) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k = a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, b.Dim(0)))
-	}
-	n = b.Dim(1)
-	return m, k, n
-}
-
-// matmulInto is the workhorse: c (m×n) = a (m×k) · b (k×n). It uses an
-// i-k-j loop order so the inner loop streams rows of b and c at unit stride
-// (scalar all the same: the Go compiler does not vectorize), and splits rows
-// across goroutines for large problems.
-func matmulInto(c, a, b []float32, m, k, n int) {
-	for i := range c[:m*n] {
-		c[i] = 0
-	}
-	work := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a[i*k : i*k+k]
-			ci := c[i*n : i*n+n]
-			for p, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bp := b[p*n : p*n+n]
-				for j, bv := range bp {
-					ci[j] += float32(av * bv)
-				}
-			}
-		}
-	}
-	// Only parallelize when the per-row work is worth a goroutine.
-	if m*k*n >= 1<<16 {
-		parallelRows(m, 4, work)
-	} else {
-		work(0, m)
-	}
-}
-
-// MatMulTA computes C = Aᵀ·B where A is (k,m) and B is (k,n) → C (m,n).
-// Used for weight gradients.
-func MatMulTA(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTA requires rank-2 tensors")
-	}
-	k, m := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic(fmt.Sprintf("tensor: MatMulTA inner dims %d vs %d", k, b.Dim(0)))
-	}
-	n := b.Dim(1)
-	c := New(m, n)
-	ad, bd, cd := a.data, b.data, c.data
-	work := func(lo, hi int) {
-		for p := 0; p < k; p++ {
-			ap := ad[p*m : p*m+m]
-			bp := bd[p*n : p*n+n]
-			for i := lo; i < hi; i++ {
-				av := ap[i]
-				if av == 0 {
-					continue
-				}
-				ci := cd[i*n : i*n+n]
-				for j, bv := range bp {
-					ci[j] += float32(av * bv)
-				}
-			}
-		}
-	}
-	if m*k*n >= 1<<16 && m >= 8 {
-		parallelRows(m, 4, work)
-	} else {
-		work(0, m)
-	}
-	return c
-}
-
-// MatMulTB computes C = A·Bᵀ where A is (m,k) and B is (n,k) → C (m,n).
-// Used for input gradients.
-func MatMulTB(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTB requires rank-2 tensors")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	if b.Dim(1) != k {
-		panic(fmt.Sprintf("tensor: MatMulTB inner dims %d vs %d", k, b.Dim(1)))
-	}
-	n := b.Dim(0)
-	c := New(m, n)
-	ad, bd, cd := a.data, b.data, c.data
-	work := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := ad[i*k : i*k+k]
-			ci := cd[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				bj := bd[j*k : j*k+k]
-				var s float32
-				for p, av := range ai {
-					s += float32(av * bj[p])
-				}
-				ci[j] = s
-			}
-		}
-	}
-	if m*k*n >= 1<<16 {
-		parallelRows(m, 4, work)
-	} else {
-		work(0, m)
-	}
-	return c
 }

@@ -3,7 +3,6 @@ package tensor
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewShapeAndLen(t *testing.T) {
@@ -123,135 +122,6 @@ func TestEqual(t *testing.T) {
 	}
 	if Equal(a, NewFrom([]float32{1, 2}, 2, 1), 1) {
 		t.Fatal("Equal must compare shapes")
-	}
-}
-
-// naiveMatMul is the reference implementation tests compare against.
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for p := 0; p < k; p++ {
-				s += float64(a.At(i, p)) * float64(b.At(p, j))
-			}
-			c.Set(float32(s), i, j)
-		}
-	}
-	return c
-}
-
-func randTensor(rng *rand.Rand, shape ...int) *Tensor {
-	t := New(shape...)
-	t.RandNormal(rng, 1)
-	return t
-}
-
-func TestMatMulMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {16, 16, 16}, {33, 9, 65}} {
-		a := randTensor(rng, dims[0], dims[1])
-		b := randTensor(rng, dims[1], dims[2])
-		got := MatMul(a, b)
-		want := naiveMatMul(a, b)
-		if !Equal(got, want, 1e-4) {
-			t.Fatalf("MatMul mismatch for dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulLargeParallelPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randTensor(rng, 64, 48)
-	b := randTensor(rng, 48, 40)
-	if !Equal(MatMul(a, b), naiveMatMul(a, b), 1e-3) {
-		t.Fatal("parallel MatMul mismatch")
-	}
-}
-
-func TestMatMulShapePanics(t *testing.T) {
-	assertPanics(t, func() { MatMul(New(2, 3), New(4, 2)) })
-	assertPanics(t, func() { MatMul(New(2), New(2, 2)) })
-	assertPanics(t, func() { MatMulTA(New(2, 3), New(3, 2)) })
-	assertPanics(t, func() { MatMulTB(New(2, 3), New(2, 2)) })
-}
-
-// transpose returns a new transposed rank-2 tensor.
-func transpose(a *Tensor) *Tensor {
-	m, n := a.Dim(0), a.Dim(1)
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Set(a.At(i, j), j, i)
-		}
-	}
-	return out
-}
-
-func TestMatMulTAMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dims := range [][3]int{{3, 4, 5}, {8, 2, 9}, {20, 30, 10}} {
-		k, m, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, k, m)
-		b := randTensor(rng, k, n)
-		got := MatMulTA(a, b)
-		want := naiveMatMul(transpose(a), b)
-		if !Equal(got, want, 1e-3) {
-			t.Fatalf("MatMulTA mismatch for dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulTBMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, dims := range [][3]int{{3, 4, 5}, {8, 2, 9}, {20, 30, 10}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, n, k)
-		got := MatMulTB(a, b)
-		want := naiveMatMul(a, transpose(b))
-		if !Equal(got, want, 1e-3) {
-			t.Fatalf("MatMulTB mismatch for dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulIdentityProperty(t *testing.T) {
-	// A·I == A for random A (property-based).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(8)
-		n := 1 + rng.Intn(8)
-		a := randTensor(rng, m, n)
-		id := New(n, n)
-		for i := 0; i < n; i++ {
-			id.Set(1, i, i)
-		}
-		return Equal(MatMul(a, id), a, 1e-5)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatMulLinearityProperty(t *testing.T) {
-	// (A+B)·C == A·C + B·C (property-based).
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, m, k)
-		c := randTensor(rng, k, n)
-		sum := a.Clone()
-		sum.AddScaled(1, b)
-		left := MatMul(sum, c)
-		right := MatMul(a, c)
-		right.AddScaled(1, MatMul(b, c))
-		return Equal(left, right, 1e-3)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 
