@@ -33,15 +33,17 @@ const modelPath = "../bench/testdata/base.model"
 
 // specKind is what a spec file's suffix, <name>.<kind>.json, selects: the
 // collection it is POSTed to, the artifact compared with its golden, and the
-// strict decode fleetd applies to the body.
+// strict decode fleetd applies to the body. A sharded kind is run a second
+// time through a coordinator over two peers, against the same golden.
 type specKind struct {
 	collection, artifact string
 	decode               func([]byte) error
+	sharded              bool
 }
 
 var specKinds = map[string]specKind{
-	"experiment": {"/v1/experiments", "report", strictDecode[fleetapi.ExperimentSpec]},
-	"run":        {"/v1/runs", "stats", strictDecode[fleetapi.RunSpec]},
+	"experiment": {"/v1/experiments", "report", strictDecode[fleetapi.ExperimentSpec], false},
+	"run":        {"/v1/runs", "stats", strictDecode[fleetapi.RunSpec], true},
 }
 
 // strictDecode decodes a body as fleetd does: unknown fields refused, then
@@ -60,8 +62,10 @@ func strictDecode[T interface{ Validate() error }](body []byte) error {
 // serving the committed model and compares its artifact with
 // testdata/<name>.golden. A golden is what curl prints for
 // /v1/<collection>/0/<artifact> once the spec has run on a freshly started
-// fleetd -model bench/testdata/base.model. Under -short each file is only
-// decoded and validated.
+// fleetd -model bench/testdata/base.model; a sharded kind's must also be what
+// a coordinator over two peers prints, since a device's cells do not depend on
+// the instance that computes them. Under -short each file is only decoded and
+// validated.
 func TestSpecs(t *testing.T) {
 	files, err := filepath.Glob("specs/*.json")
 	if err != nil || len(files) == 0 {
@@ -92,14 +96,27 @@ func TestSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(fleetd.New(fleetd.Options{Factory: factory}).Handler())
-			defer ts.Close()
-			got := runSpec(t, ts.URL+kind.collection, kind.artifact, body)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: artifact differs from its golden:\n got %s\nwant %s", path, got, want)
+			topologies := map[string][]string{"single instance": nil}
+			if kind.sharded {
+				topologies["coordinator over two peers"] = []string{serve(t, fleetd.Options{Factory: factory}), serve(t, fleetd.Options{Factory: factory})}
+			}
+			for topology, peers := range topologies {
+				url := serve(t, fleetd.Options{Factory: factory, Peers: peers})
+				got := runSpec(t, url+kind.collection, kind.artifact, body)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s on a %s: artifact differs from its golden:\n got %s\nwant %s", path, topology, got, want)
+				}
 			}
 		})
 	}
+}
+
+// serve starts a fleetd instance for the rest of the test and returns its URL.
+func serve(t *testing.T, opts fleetd.Options) string {
+	t.Helper()
+	ts := httptest.NewServer(fleetd.New(opts).Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 // loadModel reads the committed snapshot; it never trains.

@@ -281,7 +281,8 @@ func (c SLOClass) Validate() error {
 	if c.LingerMillis < 0 {
 		return fmt.Errorf("SLO class %q: linger_ms=%d must be non-negative", c.Name, c.LingerMillis)
 	}
-	if lingerNanos := c.LingerMillis * int64(time.Millisecond); lingerNanos > c.TargetNanos {
+	// In milliseconds: linger_ms·10⁶ would wrap around for a large linger_ms.
+	if c.LingerMillis > c.TargetNanos/int64(time.Millisecond) {
 		return fmt.Errorf("SLO class %q: linger_ms=%d exceeds the class's own latency target", c.Name, c.LingerMillis)
 	}
 	return nil

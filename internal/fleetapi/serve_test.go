@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // awkwardStrings are the strings whose JSON spelling is not the string
@@ -112,5 +113,32 @@ func TestServeReplyBytes(t *testing.T) {
 			r.Score = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
 		}
 		check(r)
+	}
+}
+
+// TestSLOClassValidate holds linger_ms to the class's own latency target,
+// including values whose nanoseconds do not fit an int64: 18446744073710 ms
+// is 2⁶⁴ ns plus 448 µs, and 9223372036855 ms just over 2⁶³ ns.
+func TestSLOClassValidate(t *testing.T) {
+	for _, tc := range []struct {
+		linger int64
+		ok     bool
+	}{
+		{0, true},
+		{1, true},
+		{250, true},
+		{251, false},
+		{-1, false},
+		{18446744073710, false},
+		{9223372036855, false},
+	} {
+		c := SLOClass{Name: "c", TargetNanos: 250 * time.Millisecond.Nanoseconds(), RatePerSec: 1, Burst: 1, QueueDepth: 1, MaxBatch: 8, LingerMillis: tc.linger}
+		err := c.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("linger_ms=%d: Validate() = %v, want ok %v", tc.linger, err, tc.ok)
+		}
+		if err == nil && (c.Linger() < 0 || c.Linger().Nanoseconds() > c.TargetNanos) {
+			t.Errorf("linger_ms=%d: accepted with Linger() = %v outside [0, target]", tc.linger, c.Linger())
+		}
 	}
 }

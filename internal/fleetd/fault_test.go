@@ -17,10 +17,10 @@ import (
 )
 
 // The fan-out's contract under peer faults, pinned through a coordinator
-// whose peers sit behind faultyPeer: what a fleet does when a shard reply is
-// cut short, refused, slow or never comes, and what a client's poll loop does
-// when a status poll is lost. faultyPeer is a test-side handler wrapper, so
-// fleetd itself has no fault option.
+// whose peers sit behind faultyPeer: what a run or a fleet does when a shard
+// reply is cut short, refused, slow or never comes, and what a client's poll
+// loop does when a status poll is lost. faultyPeer is a test-side handler
+// wrapper, so fleetd itself has no fault option.
 
 // fault is what faultyPeer does to one request. The zero fault passes it
 // through.
@@ -128,16 +128,77 @@ func faultyCoordinator(t *testing.T, scripts []map[string][]fault) (*fleetapi.Cl
 	return fleetapi.NewClient(ts.URL), peers, urls
 }
 
-// runFleet creates testFleetSpec on c and waits for its final status.
-func runFleet(t *testing.T, c *fleetapi.Client) fleetapi.FleetStatus {
+// faultKind is what the fault tests drive of one fanned-out resource kind,
+// runs or fleets: the peer path its shards go to, how a peer error names a
+// shard, its spec's device count and the client calls on it (as method
+// expressions, the client first), the statuses reduced to kindStatus.
+type faultKind struct {
+	shardPath, shard string
+	devices          int
+	create           func(*fleetapi.Client, context.Context) (kindStatus, error)
+	get, wait        func(*fleetapi.Client, context.Context, int) (kindStatus, error)
+	del              func(*fleetapi.Client, context.Context, int) error
+	docs             []func(*fleetapi.Client, context.Context, int) ([]byte, error) // what must not move a byte
+}
+
+// kindStatus is the part of a RunStatus or FleetStatus the tests read.
+type kindStatus struct {
+	ID           int
+	State, Error string
+	DevicesDone  int
+}
+
+func runStatus(st fleetapi.RunStatus, err error) (kindStatus, error) {
+	return kindStatus{st.ID, st.State, st.Error, st.DevicesDone}, err
+}
+
+func fleetStatus(st fleetapi.FleetStatus, err error) (kindStatus, error) {
+	return kindStatus{st.ID, st.State, st.Error, st.DevicesDone}, err
+}
+
+// runKind is testSpec through /v1/runs, fleetKind testFleetSpec through
+// /v1/fleets.
+var (
+	runKind = faultKind{
+		shardPath: "/v1/shards", shard: "shard", devices: testSpec.Devices,
+		create: func(c *fleetapi.Client, ctx context.Context) (kindStatus, error) {
+			return runStatus(c.CreateRun(ctx, testSpec))
+		},
+		get: func(c *fleetapi.Client, ctx context.Context, id int) (kindStatus, error) {
+			return runStatus(c.GetRun(ctx, id))
+		},
+		wait: func(c *fleetapi.Client, ctx context.Context, id int) (kindStatus, error) {
+			return runStatus(c.WaitRun(ctx, id, 5*time.Millisecond))
+		},
+		del:  (*fleetapi.Client).DeleteRun,
+		docs: []func(*fleetapi.Client, context.Context, int) ([]byte, error){(*fleetapi.Client).RunStats},
+	}
+	fleetKind = faultKind{
+		shardPath: "/v1/fleetshards", shard: "fleet shard", devices: testFleetSpec.Devices,
+		create: func(c *fleetapi.Client, ctx context.Context) (kindStatus, error) {
+			return fleetStatus(c.CreateFleet(ctx, testFleetSpec))
+		},
+		get: func(c *fleetapi.Client, ctx context.Context, id int) (kindStatus, error) {
+			return fleetStatus(c.GetFleet(ctx, id))
+		},
+		wait: func(c *fleetapi.Client, ctx context.Context, id int) (kindStatus, error) {
+			return fleetStatus(c.WaitFleet(ctx, id, 5*time.Millisecond))
+		},
+		del:  (*fleetapi.Client).DeleteFleet,
+		docs: []func(*fleetapi.Client, context.Context, int) ([]byte, error){(*fleetapi.Client).FleetReport, (*fleetapi.Client).FleetWindows, (*fleetapi.Client).FleetDrift},
+	}
+)
+
+// run creates the kind's spec on c and waits for its final status.
+func (k faultKind) run(t *testing.T, c *fleetapi.Client) kindStatus {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := c.CreateFleet(ctx, testFleetSpec)
+	st, err := k.create(c, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = c.WaitFleet(ctx, st.ID, 5*time.Millisecond); err != nil {
+	if st, err = k.wait(c, ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -145,14 +206,21 @@ func runFleet(t *testing.T, c *fleetapi.Client) fleetapi.FleetStatus {
 
 // TestFleetFailsOnBrokenShardReply: a shard reply cut short mid-body or
 // refused with a 503 fails the whole fleet, and the failure names the peer
-// and the device range it held. testFleetSpec's 6 devices over 3 peers put
-// devices 2..4 on the middle one.
-func TestFleetFailsOnBrokenShardReply(t *testing.T) {
+// and the device range it held.
+func TestFleetFailsOnBrokenShardReply(t *testing.T) { failsOnBrokenShardReply(t, fleetKind) }
+
+// TestRunFailsOnBrokenShardReply is TestFleetFailsOnBrokenShardReply for a
+// run.
+func TestRunFailsOnBrokenShardReply(t *testing.T) { failsOnBrokenShardReply(t, runKind) }
+
+// failsOnBrokenShardReply: 6 devices over 3 peers put devices 2..4 on the
+// middle one.
+func failsOnBrokenShardReply(t *testing.T, k faultKind) {
 	for name, f := range map[string]fault{"truncated": {truncate: 10}, "503": {status: http.StatusServiceUnavailable}} {
 		t.Run(name, func(t *testing.T) {
-			c, _, urls := faultyCoordinator(t, []map[string][]fault{nil, {"/v1/fleetshards": {f}}, nil})
-			st := runFleet(t, c)
-			want := fmt.Sprintf("peer %s fleet shard 2..4: ", urls[1])
+			c, _, urls := faultyCoordinator(t, []map[string][]fault{nil, {k.shardPath: {f}}, nil})
+			st := k.run(t, c)
+			want := fmt.Sprintf("peer %s %s 2..4: ", urls[1], k.shard)
 			if st.State != fleetapi.StateFailed || !strings.Contains(st.Error, want) {
 				t.Fatalf("status %+v, want failed with %q", st, want)
 			}
@@ -162,55 +230,66 @@ func TestFleetFailsOnBrokenShardReply(t *testing.T) {
 
 // TestFleetHungPeerEndsOnDelete: a peer that never answers its shard holds
 // the fleet running; DELETE then ends it cancelled, promptly.
-func TestFleetHungPeerEndsOnDelete(t *testing.T) {
-	c, peers, _ := faultyCoordinator(t, []map[string][]fault{nil, {"/v1/fleetshards": {{hang: true}}}})
+func TestFleetHungPeerEndsOnDelete(t *testing.T) { hungPeerEndsOnDelete(t, fleetKind) }
+
+// TestRunHungPeerEndsOnDelete is TestFleetHungPeerEndsOnDelete for a run.
+func TestRunHungPeerEndsOnDelete(t *testing.T) { hungPeerEndsOnDelete(t, runKind) }
+
+func hungPeerEndsOnDelete(t *testing.T, k faultKind) {
+	c, peers, _ := faultyCoordinator(t, []map[string][]fault{nil, {k.shardPath: {{hang: true}}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	st, err := c.CreateFleet(ctx, testFleetSpec)
+	st, err := k.create(c, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for peers[1].count("/v1/fleetshards") == 0 {
+	for peers[1].count(k.shardPath) == 0 {
 		if ctx.Err() != nil {
-			t.Fatal("the fleet never dispatched to the hung peer")
+			t.Fatal("nothing was dispatched to the hung peer")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Long enough for the healthy peer's shard to land: the fleet still
+	// Long enough for the healthy peer's shard to land: the resource still
 	// waits on the hung one.
 	time.Sleep(200 * time.Millisecond)
-	if st, err = c.GetFleet(ctx, st.ID); err != nil || st.State != fleetapi.StateRunning {
+	if st, err = k.get(c, ctx, st.ID); err != nil || st.State != fleetapi.StateRunning {
 		t.Fatalf("status before DELETE %+v (%v), want running", st, err)
 	}
 	t0 := time.Now()
-	if err := c.DeleteFleet(ctx, st.ID); err != nil {
+	if err := k.del(c, ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = c.WaitFleet(ctx, st.ID, 5*time.Millisecond); err != nil {
+	if st, err = k.wait(c, ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if st.State != fleetapi.StateCancelled {
 		t.Fatalf("status after DELETE %+v, want cancelled", st)
 	}
-	if d := time.Since(t0); d > 5*time.Second {
-		t.Fatalf("DELETE took %v to end the fleet", d)
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("DELETE took %v to end it", d)
 	}
 }
 
 // TestFleetDelayedPeerIsByteIdentical: a slow peer (and a slow probe) only
 // delays the fleet; its report, windows and drift are still the unsharded
 // instance's bytes.
-func TestFleetDelayedPeerIsByteIdentical(t *testing.T) {
+func TestFleetDelayedPeerIsByteIdentical(t *testing.T) { delayedPeerIsByteIdentical(t, fleetKind) }
+
+// TestRunDelayedPeerIsByteIdentical is TestFleetDelayedPeerIsByteIdentical
+// for a run's stats.
+func TestRunDelayedPeerIsByteIdentical(t *testing.T) { delayedPeerIsByteIdentical(t, runKind) }
+
+func delayedPeerIsByteIdentical(t *testing.T, k faultKind) {
 	ctx := context.Background()
 	fetch := func(c *fleetapi.Client) [][]byte {
 		t.Helper()
-		st := runFleet(t, c)
+		st := k.run(t, c)
 		if st.State != fleetapi.StateDone {
-			t.Fatalf("fleet state %+v", st)
+			t.Fatalf("state %+v", st)
 		}
 		var docs [][]byte
-		for _, get := range []func(context.Context, int) ([]byte, error){c.FleetReport, c.FleetWindows, c.FleetDrift} {
-			data, err := get(ctx, st.ID)
+		for _, get := range k.docs {
+			data, err := get(c, ctx, st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +300,7 @@ func TestFleetDelayedPeerIsByteIdentical(t *testing.T) {
 	_, local := v1Fixture(t, 4)
 	want := fetch(local)
 	slow := []fault{{delay: 150 * time.Millisecond}}
-	c, _, _ := faultyCoordinator(t, []map[string][]fault{{"/v1/fleetshards": slow, "/healthz": slow}, nil, nil})
+	c, _, _ := faultyCoordinator(t, []map[string][]fault{{k.shardPath: slow, "/healthz": slow}, nil, nil})
 	for i, got := range fetch(c) {
 		if !bytes.Equal(got, want[i]) {
 			t.Errorf("document %d diverged with a delayed peer:\n%s\nvs\n%s", i, got, want[i])
@@ -233,14 +312,24 @@ func TestFleetDelayedPeerIsByteIdentical(t *testing.T) {
 // closed before any header, and one answered 503, do not end WaitFleet; it
 // polls on to the fleet's final status.
 func TestWaitFleetPollsThroughDroppedPoll(t *testing.T) {
+	pollsThroughDroppedPoll(t, fleetKind, "/v1/fleets/0")
+}
+
+// TestWaitRunPollsThroughDroppedPoll is TestWaitFleetPollsThroughDroppedPoll
+// for WaitRun.
+func TestWaitRunPollsThroughDroppedPoll(t *testing.T) {
+	pollsThroughDroppedPoll(t, runKind, "/v1/runs/0")
+}
+
+func pollsThroughDroppedPoll(t *testing.T, k faultKind, statusPath string) {
 	front, url := newFaultyPeer(t, testServer(4).Handler(), map[string][]fault{
-		"/v1/fleets/0": {{drop: true}, {status: http.StatusServiceUnavailable}, {}},
+		statusPath: {{drop: true}, {status: http.StatusServiceUnavailable}, {}},
 	})
-	st := runFleet(t, fleetapi.NewClient(url))
-	if st.State != fleetapi.StateDone || st.DevicesDone != testFleetSpec.Devices {
+	st := k.run(t, fleetapi.NewClient(url))
+	if st.State != fleetapi.StateDone || st.DevicesDone != k.devices {
 		t.Fatalf("final status %+v", st)
 	}
-	if n := front.count("/v1/fleets/0"); n < 3 {
+	if n := front.count(statusPath); n < 3 {
 		t.Fatalf("%d status polls, want the two faulted ones and one more", n)
 	}
 }

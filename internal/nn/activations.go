@@ -106,24 +106,14 @@ func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 // Params implements Layer.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: the plan's pool over the batch's n·c planes,
+// which lie one after the other as one image's do.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "GlobalAvgPool")
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.h, g.w = h, w
 	y := tensor.New(n, c)
-	hw := h * w
-	inv := 1 / float32(hw)
-	for i := 0; i < n; i++ {
-		for j := 0; j < c; j++ {
-			src := x.Data()[(i*c+j)*hw : (i*c+j+1)*hw]
-			var s float32
-			for _, v := range src {
-				s += v
-			}
-			y.Data()[i*c+j] = s * inv
-		}
-	}
+	planPool{}.run(nil, y.Data(), x.Data(), n*c, h, w)
 	return y
 }
 

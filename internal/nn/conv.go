@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -167,59 +168,56 @@ func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Both gradients are depthwise correlations, so
+// they run on the forward's op with the identity epilogue. dy is stuffed with
+// zeros onto the input's pixel pitch: one (inH+2·pad-kh+1) × (inW+2·pad-kw+1)
+// grid a channel, output (oy, ox) at (oy·stride, ox·stride). dx is the grid
+// correlated at stride 1 with each kernel turned 180°, at padding kh-1-pad
+// (negative when the padding is wider than the kernel, which only crops); dW
+// is the cached input at the layer's own padding correlated with the grid as
+// the kernel. Either sum visits its terms in the output order a per-output
+// scatter adds them, and a stuffed zero times a finite operand adds ±0 to a
+// sum that started from +0, which changes nothing.
 func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if l.x == nil {
 		panic("nn: DepthwiseConv2D.Backward before Forward")
 	}
 	n := dy.Dim(0)
-	imgIn := l.ch * l.inH * l.inW
-	imgOut := l.ch * l.outH * l.outW
+	gh, gw := l.inH+2*l.pad-l.kh+1, l.inW+2*l.pad-l.kw+1
+	imgIn, imgOut, imgGrid := l.ch*l.inH*l.inW, l.ch*l.outH*l.outW, l.ch*gh*gw
+	kk := l.kh * l.kw
+	turned := l.Weight.W.Clone()
+	for c := 0; c < l.ch; c++ {
+		slices.Reverse(turned.Data()[c*kk : (c+1)*kk])
+	}
+	dxOp := correlation(turned, l.kh, l.kw, l.kh-1-l.pad)
 	dx := tensor.New(n, l.ch, l.inH, l.inW)
-	w := l.Weight.W.Data()
+	grids := make([]float32, n*imgGrid)
 	dws := make([]*tensor.Tensor, n)
 	parallelFor(n, func(i int) {
-		dwi := tensor.New(l.ch, l.kh*l.kw)
-		src := l.x.Data()[i*imgIn:]
+		grid := grids[i*imgGrid : (i+1)*imgGrid]
 		g := dy.Data()[i*imgOut:]
-		dsrc := dx.Data()[i*imgIn:]
-		for c := 0; c < l.ch; c++ {
-			plane := src[c*l.inH*l.inW : (c+1)*l.inH*l.inW]
-			gplane := g[c*l.outH*l.outW : (c+1)*l.outH*l.outW]
-			dplane := dsrc[c*l.inH*l.inW : (c+1)*l.inH*l.inW]
-			ker := w[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
-			dker := dwi.Data()[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
-			idx := 0
-			for oy := 0; oy < l.outH; oy++ {
-				iy0 := oy*l.stride - l.pad
-				for ox := 0; ox < l.outW; ox++ {
-					ix0 := ox*l.stride - l.pad
-					gv := gplane[idx]
-					idx++
-					if gv == 0 {
-						continue
-					}
-					for ky := 0; ky < l.kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= l.inH {
-							continue
-						}
-						for kx := 0; kx < l.kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= l.inW {
-								continue
-							}
-							dker[ky*l.kw+kx] += float32(gv * plane[iy*l.inW+ix])
-							dplane[iy*l.inW+ix] += float32(gv * ker[ky*l.kw+kx])
-						}
-					}
-				}
+		for row := 0; row < l.ch*l.outH; row++ {
+			dst := grid[(row/l.outH*gh+row%l.outH*l.stride)*gw:]
+			for ox, v := range g[row*l.outW : (row+1)*l.outW] {
+				dst[ox*l.stride] = v
 			}
 		}
-		dws[i] = dwi
+		p := new(inferPlan)
+		dxOp.run(p, dx.Data()[i*imgIn:(i+1)*imgIn], grid, l.ch, gh, gw)
+		dws[i] = tensor.New(l.ch, kk)
+		dwOp := correlation(tensor.NewFrom(grid, l.ch, gh*gw), gh, gw, l.pad)
+		dwOp.run(p, dws[i].Data(), l.x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
 	for _, dw := range dws {
 		l.Weight.G.AddScaled(1, dw)
 	}
 	return dx
+}
+
+// correlation is the depthwise op at stride 1 with the identity epilogue over
+// the kernels w, (ch, kh·kw): Backward's two gradients.
+func correlation(w *tensor.Tensor, kh, kw, pad int) *planDepthwise {
+	ch := w.Dim(0)
+	return &planDepthwise{l: &DepthwiseConv2D{Weight: &Param{W: w}, ch: ch, kh: kh, kw: kw, stride: 1, pad: pad}, bnAffine: identityAffine(ch)}
 }

@@ -17,8 +17,8 @@ import (
 // the executor, the residual add and the pool.
 //
 // The plan's kernels are the only float32 forward arithmetic there is: the
-// layers' own Forward runs gemmBN, im2colPlanar, the depthwise op and
-// denseInfer too, with an identity epilogue, and eval-mode BatchNorm finishes
+// layers' own Forward runs gemmBN, im2colPlanar, the depthwise op, the pool
+// and denseInfer too, with an identity epilogue, and eval-mode BatchNorm finishes
 // through bnAct. A fused op therefore computes bit for bit what the eval-mode
 // Forward of its layers does; layer_ref_test.go keeps the scalar reference
 // both are diffed against. Weights and BatchNorm statistics are read from the

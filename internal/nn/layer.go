@@ -7,10 +7,12 @@
 // Layers operate on batched NCHW tensors, cache their forward activations
 // internally, and expose explicit Backward passes; there is no tape-based
 // autograd. Training is single-model, with batch-level parallelism inside
-// the heavy layers. There is one set of float32 forward kernels: the layers'
-// Forward and the inference plan (infer_plan.go) both run gemmBN,
-// im2colPlanar, the depthwise op and denseInfer, whose Go bodies round every
-// product before adding it so that no architecture fuses the two.
+// the heavy layers. There is one set of float32 kernels: the layers' Forward
+// and the inference plan (infer_plan.go) both run gemmBN, im2colPlanar, the
+// depthwise op, the pool and denseInfer, and every convolution and pooling
+// product of backward runs on them too (gemmBN for Conv2D and Dense, the
+// depthwise op for DepthwiseConv2D). Their Go bodies round every product
+// before adding it so that no architecture fuses the two.
 package nn
 
 import (

@@ -9,14 +9,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// The scalar reference of the float32 forward arithmetic and of the matrix
-// products of backward. The layers' Forward and the inference plan run the
-// same kernels (gemmBN, im2colPlanar, the depthwise op, denseInfer), and
-// Conv2D's and Dense's Backward run gemmBN too, so none can check another;
-// this file keeps the loops they replaced — a row-major im2col with an
-// ordered dot per output, the per-plane depthwise loop, a dot-product dense
-// layer, BatchNorm's eval expression and one ordered sum per gradient entry —
-// as the independent definition all are diffed against. Every product is
+// The scalar reference of the float32 forward arithmetic and of the
+// convolution and matrix products of backward. The layers' Forward and the
+// inference plan run the same kernels (gemmBN, im2colPlanar, the depthwise
+// op, denseInfer), Conv2D's and Dense's Backward run gemmBN too and
+// DepthwiseConv2D's the depthwise op, so none can check another; this file
+// keeps the loops they replaced — a row-major im2col with an ordered dot per
+// output, the per-plane depthwise loop, a dot-product dense layer,
+// BatchNorm's eval expression, one ordered sum per gradient entry and the
+// depthwise per-output scatter — as the independent definition all are
+// diffed against. Every product is
 // rounded before it is added, as the kernels round theirs.
 
 // refIm2Col expands one image (C,H,W) into the (outH*outW, C*KH*KW) matrix
@@ -160,6 +162,46 @@ func refDepthwise(l *DepthwiseConv2D, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
+// refDepthwiseGrads is DepthwiseConv2D's gradients as the per-output
+// scatter: for each image, channel and output pixel in order, dy times each
+// tap inside the input added to that tap's weight gradient and to the input
+// gradient under it. The weight gradient is summed per image from +0, then
+// the images added in order.
+func refDepthwiseGrads(l *DepthwiseConv2D, x, dy *tensor.Tensor) (dw, dx []float32) {
+	n, inH, inW := x.Dim(0), x.Dim(2), x.Dim(3)
+	outH, outW := dy.Dim(2), dy.Dim(3)
+	kk := l.kh * l.kw
+	w := l.Weight.W.Data()
+	dw = make([]float32, l.ch*kk)
+	dx = make([]float32, x.Len())
+	for i := 0; i < n; i++ {
+		dwi := make([]float32, l.ch*kk)
+		for c := 0; c < l.ch; c++ {
+			plane := x.Data()[(i*l.ch+c)*inH*inW:]
+			dplane := dx[(i*l.ch+c)*inH*inW:]
+			g := dy.Data()[(i*l.ch+c)*outH*outW:]
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					gv := g[oy*outW+ox]
+					for ky := 0; ky < l.kh; ky++ {
+						for kx := 0; kx < l.kw; kx++ {
+							iy, ix := oy*l.stride-l.pad+ky, ox*l.stride-l.pad+kx
+							if iy >= 0 && iy < inH && ix >= 0 && ix < inW {
+								dwi[c*kk+ky*l.kw+kx] += float32(gv * plane[iy*inW+ix])
+								dplane[iy*inW+ix] += float32(gv * w[c*kk+ky*l.kw+kx])
+							}
+						}
+					}
+				}
+			}
+		}
+		for j, v := range dwi {
+			dw[j] += v
+		}
+	}
+	return dw, dx
+}
+
 // refDense is Dense.Forward as x·Wᵀ, one ordered dot per output, then the
 // bias.
 func refDense(d *Dense, x *tensor.Tensor) *tensor.Tensor {
@@ -266,11 +308,13 @@ func refLayerInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 
 // TestLayerForwardMatchesReference diffs the forward of Conv2D,
 // DepthwiseConv2D and Dense in both modes, and the weight and input gradients
-// of Conv2D and Dense, against the scalar reference bit for bit, on the
-// vector kernels this machine dispatches and on the Go kernels. The shapes
-// cover 1×1 and 3×3 kernels at stride 1 and 2 with and without padding, odd
-// planes, 4×16 vector tiles with remainders on both sides in each of the four
-// products, and batches of one, three and five.
+// of all three, against the scalar reference bit for bit, on the vector
+// kernels this machine dispatches and on the Go kernels. The shapes cover
+// 1×1 and 3×3 kernels at stride 1 and 2 with and without padding (and a
+// padding wider than the kernel), odd and even planes, so that at stride 2
+// inH+2·pad-k takes both parities, 4×16 vector tiles with remainders on both
+// sides in each of the four products, and batches of one, three and five;
+// every input and output gradient holds signed zeros.
 func TestLayerForwardMatchesReference(t *testing.T) {
 	for _, path := range []string{"dispatched", "portable"} {
 		run := func(f func()) { f() }
@@ -280,9 +324,9 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 		run(func() {
 			rng := rand.New(rand.NewSource(71))
 			for _, n := range []int{1, 3} {
-				for _, g := range [][3]int{{1, 1, 0}, {1, 2, 0}, {3, 1, 0}, {3, 1, 1}, {3, 2, 0}, {3, 2, 1}} {
+				for _, g := range [][3]int{{1, 1, 0}, {1, 1, 1}, {1, 2, 0}, {1, 2, 1}, {3, 1, 0}, {3, 1, 1}, {3, 2, 0}, {3, 2, 1}, {3, 1, 3}} {
 					k, stride, pad := g[0], g[1], g[2]
-					for _, hw := range [][2]int{{7, 5}, {5, 9}, {3, 3}} {
+					for _, hw := range [][2]int{{7, 5}, {5, 9}, {3, 3}, {6, 4}} {
 						name := fmt.Sprintf("%s n %d %dx%d stride %d pad %d input %dx%d", path, n, k, k, stride, pad, hw[0], hw[1])
 						for _, train := range []bool{false, true} {
 							x := refLayerInput(rng, n, 3, hw[0], hw[1])
@@ -297,7 +341,14 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 
 							dw := NewDepthwiseConv2D(rng, "dw", 5, k, stride, pad)
 							xd := refLayerInput(rng, n, 5, hw[0], hw[1])
-							sameBits32(t, fmt.Sprintf("depthwise %s train %v", name, train), dw.Forward(xd, train).Data(), refDepthwise(dw, xd).Data())
+							yd := refDepthwise(dw, xd)
+							sameBits32(t, fmt.Sprintf("depthwise %s train %v", name, train), dw.Forward(xd, train).Data(), yd.Data())
+							dyd := refLayerInput(rng, yd.Shape()...)
+							wantDW, wantDX := refDepthwiseGrads(dw, xd, dyd)
+							dw.Weight.G.Zero()
+							dxd := dw.Backward(dyd)
+							sameBits32(t, fmt.Sprintf("depthwise dW %s train %v", name, train), dw.Weight.G.Data(), wantDW)
+							sameBits32(t, fmt.Sprintf("depthwise dx %s train %v", name, train), dxd.Data(), wantDX)
 						}
 					}
 				}

@@ -39,12 +39,14 @@ func guarded(t *testing.T, n int, atEnd bool) []float32 {
 // begin at offset 0 of their backing memory and on layers that end at its
 // last element, input and output both, with unmapped pages around them: the
 // kernel reads the planes in place, so it must touch no element before the
-// first plane, none after the last, and no more of the output.
+// first plane, none after the last, and no more of the output. Padding -1 is
+// the crop DepthwiseConv2D.Backward asks for when a layer's padding is wider
+// than its kernel.
 func TestVectorDepthwiseStaysInsidePlanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for _, ch := range []int{1, 5} {
 		for _, stride := range []int{1, 2} {
-			for _, pad := range []int{0, 1} {
+			for _, pad := range []int{-1, 0, 1} {
 				l := NewDepthwiseConv2D(rng, "dw", ch, 3, stride, pad)
 				bn := NewBatchNorm("bn", ch)
 				randomizeBN(rng, bn)

@@ -43,13 +43,11 @@ type StabilityConfig struct {
 // FinetuneStability fine-tunes the model with the augmented loss
 // L = L0(x) + α·Ls(x, x'). Each batch concatenates the clean images and
 // their noisy companions so both branches share one forward pass and one set
-// of batch statistics, as in the Keras two-input implementation. It returns
-// the final epoch's mean combined loss.
+// of batch statistics, as in the Keras two-input implementation. Without a
+// scheme a batch is its clean images and L is L0. It returns the final
+// epoch's mean combined loss.
 func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg StabilityConfig) float64 {
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Scheme == nil {
-		return Classifier(m, images, labels, cfg.Config)
-	}
 	if len(images) != len(labels) {
 		panic("train: images/labels length mismatch")
 	}
@@ -65,62 +63,75 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 		var epochLoss float64
 		batches := 0
 		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
+			batch := idx[start:min(start+cfg.BatchSize, len(idx))]
+			batchImages, batchLabels := make([]*imaging.Image, 0, 2*len(batch)), make([]int, 0, len(batch))
+			for _, i := range batch {
+				batchImages = append(batchImages, images[i])
+				batchLabels = append(batchLabels, labels[i])
 			}
-			n := end - start
-			both := make([]*imaging.Image, 2*n)
-			batchLabels := make([]int, n)
-			for bi, i := range idx[start:end] {
-				clean := images[i]
-				noisy := cfg.Scheme.Companion(i, clean, rng)
-				both[bi] = clean
-				both[n+bi] = noisy
-				batchLabels[bi] = labels[i]
+			if cfg.Scheme != nil {
+				for _, i := range batch {
+					batchImages = append(batchImages, cfg.Scheme.Companion(i, images[i], rng))
+				}
 			}
-			x := modelInput(m, both)
 			m.ZeroGrad()
-			logits, embed := m.Forward(x, true)
-			zClean, zNoisy := splitRows(logits, n)
-			eClean, eNoisy := splitRows(embed, n)
-
-			ceLoss, ceGrad := nn.CrossEntropy(zClean, batchLabels)
-			dLogits := tensor.New(2*n, m.Classes)
-			copyRows(dLogits, ceGrad, 0)
-
-			var sLoss float64
-			var dEmbed *tensor.Tensor
-			switch cfg.Loss {
-			case LossEmbedding:
-				loss, de, dep := nn.EmbeddingL2(eClean, eNoisy)
-				sLoss = loss
-				de.Scale(float32(cfg.Alpha))
-				dep.Scale(float32(cfg.Alpha))
-				dEmbed = tensor.New(2*n, m.EmbedDim)
-				copyRows(dEmbed, de, 0)
-				copyRows(dEmbed, dep, n)
-			default:
-				loss, dz, dzp := nn.KLStability(zClean, zNoisy)
-				sLoss = loss
-				dz.Scale(float32(cfg.Alpha))
-				dzp.Scale(float32(cfg.Alpha))
-				addRows(dLogits, dz, 0)
-				addRows(dLogits, dzp, n)
-			}
-
+			logits, embed := m.Forward(modelInput(m, batchImages), true)
+			loss, dLogits, dEmbed := cfg.objective(m, logits, embed, batchLabels)
 			m.Backward(dLogits, dEmbed)
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
 			}
 			opt.Step(m.Params())
-			epochLoss += ceLoss + float64(cfg.Alpha*sLoss)
+			epochLoss += loss
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)
-		cfg.logf("stability epoch %d/%d (%s, α=%g): loss %.4f", epoch+1, cfg.Epochs, cfg.Scheme.Name(), cfg.Alpha, lastLoss)
+		if cfg.Scheme == nil {
+			cfg.logf("epoch %d/%d: loss %.4f", epoch+1, cfg.Epochs, lastLoss)
+		} else {
+			cfg.logf("stability epoch %d/%d (%s, α=%g): loss %.4f", epoch+1, cfg.Epochs, cfg.Scheme.Name(), cfg.Alpha, lastLoss)
+		}
 	}
 	return lastLoss
+}
+
+// objective returns a batch's loss and its gradients with respect to the
+// logits and the embedding (nil when Ls does not read it). The first
+// len(labels) rows are the clean images; with a scheme, as many noisy
+// companions follow.
+func (cfg StabilityConfig) objective(m *nn.Model, logits, embed *tensor.Tensor, labels []int) (float64, *tensor.Tensor, *tensor.Tensor) {
+	n := len(labels)
+	if cfg.Scheme == nil {
+		loss, grad := nn.CrossEntropy(logits, labels)
+		return loss, grad, nil
+	}
+	zClean, zNoisy := splitRows(logits, n)
+	eClean, eNoisy := splitRows(embed, n)
+
+	ceLoss, ceGrad := nn.CrossEntropy(zClean, labels)
+	dLogits := tensor.New(2*n, m.Classes)
+	copyRows(dLogits, ceGrad, 0)
+
+	var sLoss float64
+	var dEmbed *tensor.Tensor
+	switch cfg.Loss {
+	case LossEmbedding:
+		loss, de, dep := nn.EmbeddingL2(eClean, eNoisy)
+		sLoss = loss
+		de.Scale(float32(cfg.Alpha))
+		dep.Scale(float32(cfg.Alpha))
+		dEmbed = tensor.New(2*n, m.EmbedDim)
+		copyRows(dEmbed, de, 0)
+		copyRows(dEmbed, dep, n)
+	default:
+		loss, dz, dzp := nn.KLStability(zClean, zNoisy)
+		sLoss = loss
+		dz.Scale(float32(cfg.Alpha))
+		dzp.Scale(float32(cfg.Alpha))
+		addRows(dLogits, dz, 0)
+		addRows(dLogits, dzp, n)
+	}
+	return ceLoss + float64(cfg.Alpha*sLoss), dLogits, dEmbed
 }
 
 // splitRows views a (2n, k) tensor as two (n, k) tensors without copying.

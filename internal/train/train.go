@@ -8,7 +8,6 @@ package train
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -63,50 +62,10 @@ func modelInput(m *nn.Model, images []*imaging.Image) *tensor.Tensor {
 
 // Classifier trains the model with plain cross-entropy on the given images,
 // returning the final training loss. This is the repo's stand-in for
-// ImageNet pre-training and for the paper's "no noise" fine-tuning baseline.
+// ImageNet pre-training and for the paper's "no noise" fine-tuning baseline:
+// FinetuneStability without a scheme.
 func Classifier(m *nn.Model, images []*imaging.Image, labels []int, cfg Config) float64 {
-	cfg = cfg.withDefaults()
-	if len(images) != len(labels) {
-		panic("train: images/labels length mismatch")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	idx := make([]int, len(images))
-	for i := range idx {
-		idx[i] = i
-	}
-	var lastLoss float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		var epochLoss float64
-		batches := 0
-		for start := 0; start < len(idx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			batchImages := make([]*imaging.Image, 0, end-start)
-			batchLabels := make([]int, 0, end-start)
-			for _, i := range idx[start:end] {
-				batchImages = append(batchImages, images[i])
-				batchLabels = append(batchLabels, labels[i])
-			}
-			x := modelInput(m, batchImages)
-			m.ZeroGrad()
-			logits, _ := m.Forward(x, true)
-			loss, grad := nn.CrossEntropy(logits, batchLabels)
-			m.Backward(grad, nil)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
-			}
-			opt.Step(m.Params())
-			epochLoss += loss
-			batches++
-		}
-		lastLoss = epochLoss / float64(batches)
-		cfg.logf("epoch %d/%d: loss %.4f", epoch+1, cfg.Epochs, lastLoss)
-	}
-	return lastLoss
+	return FinetuneStability(m, images, labels, StabilityConfig{Config: cfg})
 }
 
 // inputBuf is a recycled model-input buffer. Evaluate draws one from a pool

@@ -4,7 +4,9 @@
 # create a run through the coordinator, wait for it, check the stats answer
 # and the removed pre-/v1 /stats is a plain JSON 404, post the checked-in
 # runtime spec (examples/specs/runtime.experiment.json, the README's own
-# curl line) to the coordinator and check its paired report, run a
+# curl line) to the coordinator and check its paired report, post the
+# checked-in run spec too, and cmp both artifacts with their goldens in
+# examples/testdata (the two-process form of TestSpecs' sharded leg), run a
 # continuous fleet (churn + injected OS upgrade) twice and check the drift
 # report recomputes byte-identically, then fire a seeded
 # loadgen burst at the worker's serving
@@ -60,29 +62,36 @@ COORD_PID=$!
 wait_healthz "$COORD_PORT"
 
 BASE="localhost:$COORD_PORT"
+
+# wait_done polls the resource at $BASE/$1 until it is neither pending nor
+# running (at most $2 seconds, default 120) and fails unless it ended done.
+wait_done() {
+  local state=running
+  for _ in $(seq 1 "${2:-120}"); do
+    # Guarded so a crashed server yields the log dump below, not a bare
+    # curl error swallowed by set -e.
+    state=$(curl -fsS "$BASE/$1" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])') || {
+      echo "$1: status poll failed" >&2
+      tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
+      exit 1
+    }
+    case "$state" in running | pending) sleep 1 ;; *) break ;; esac
+  done
+  if [ "$state" != done ]; then
+    echo "$1 ended in state $state" >&2
+    curl -sS "$BASE/$1" >&2 || true
+    tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
+    exit 1
+  fi
+}
+
 echo "== create run"
 curl -fsS -X POST "$BASE/v1/runs" \
   -d '{"devices":20,"items":1,"angles":[0],"seed":3,"workers":2}' | tee "$WORKDIR/create.json"
 RUN_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/create.json")
 
 echo "== wait for run $RUN_ID"
-STATE=running
-for _ in $(seq 1 120); do
-  # Guarded so a crashed server yields the log dump below, not a bare
-  # curl error swallowed by set -e.
-  STATE=$(curl -fsS "$BASE/v1/runs/$RUN_ID" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])') || {
-    echo "status poll failed" >&2
-    tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-    exit 1
-  }
-  [ "$STATE" != running ] && break
-  sleep 1
-done
-if [ "$STATE" != done ]; then
-  echo "run ended in state $STATE" >&2
-  tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-  exit 1
-fi
+wait_done "v1/runs/$RUN_ID"
 
 echo "== stats"
 curl -fsS "$BASE/v1/runs/$RUN_ID/stats" | python3 -c '
@@ -161,25 +170,11 @@ curl -fsS -d @"$REPO_DIR/examples/specs/runtime.experiment.json" "$BASE/v1/exper
 EXP_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/experiment.json")
 
 echo "== wait for experiment $EXP_ID"
-STATE=running
-for _ in $(seq 1 180); do
-  STATE=$(curl -fsS "$BASE/v1/experiments/$EXP_ID" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])') || {
-    echo "experiment status poll failed" >&2
-    tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-    exit 1
-  }
-  [ "$STATE" != running ] && break
-  sleep 1
-done
-if [ "$STATE" != done ]; then
-  echo "experiment ended in state $STATE" >&2
-  curl -sS "$BASE/v1/experiments/$EXP_ID" >&2 || true
-  tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-  exit 1
-fi
+wait_done "v1/experiments/$EXP_ID" 180
 
 echo "== experiment report"
-curl -fsS "$BASE/v1/experiments/$EXP_ID/report" | python3 -c '
+curl -fsS "$BASE/v1/experiments/$EXP_ID/report" >"$WORKDIR/experiment.report"
+python3 -c '
 import json, sys
 rep = json.load(sys.stdin)
 arms = rep["arms"]
@@ -193,7 +188,17 @@ for arm in arms[1:]:
 rates = rep["agreement"]["rates"]
 assert len(rates) == 3 and all(len(r) == 3 for r in rates), rates
 assert all(rates[i][j] == rates[j][i] for i in range(3) for j in range(3)), rates
-'
+' <"$WORKDIR/experiment.report"
+cmp "$WORKDIR/experiment.report" "$REPO_DIR/examples/testdata/runtime.experiment.golden"
+echo "report is runtime.experiment.golden byte for byte"
+
+echo "== the checked-in run spec through the coordinator"
+curl -fsS -d @"$REPO_DIR/examples/specs/fleet.run.json" "$BASE/v1/runs" | tee "$WORKDIR/spec-run.json"
+SPEC_RUN_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/spec-run.json")
+wait_done "v1/runs/$SPEC_RUN_ID"
+curl -fsS "$BASE/v1/runs/$SPEC_RUN_ID/stats" >"$WORKDIR/spec-run.stats"
+cmp "$WORKDIR/spec-run.stats" "$REPO_DIR/examples/testdata/fleet.run.golden"
+echo "stats are fleet.run.golden byte for byte"
 
 echo "== continuous fleet (churn + cohort OS upgrade through the coordinator)"
 FLEET_SPEC='{"devices":12,"items":1,"angles":[0],"seed":3,"workers":2,"windows":4,"churn":{"join_rate":0.2,"leave_rate":0.2},"events":[{"window":2,"device":0,"kind":"os_upgrade"}]}'
@@ -201,21 +206,7 @@ run_fleet() {
   # POSTs the fleet spec, waits for completion, leaves the id in FLEET_ID.
   curl -fsS -X POST "$BASE/v1/fleets" -d "$FLEET_SPEC" >"$WORKDIR/fleet.json"
   FLEET_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/fleet.json")
-  local state=running
-  for _ in $(seq 1 120); do
-    state=$(curl -fsS "$BASE/v1/fleets/$FLEET_ID" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])') || {
-      echo "fleet status poll failed" >&2
-      tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-      exit 1
-    }
-    [ "$state" != running ] && break
-    sleep 1
-  done
-  if [ "$state" != done ]; then
-    echo "fleet ended in state $state" >&2
-    tail -40 "$WORKDIR/worker.log" "$WORKDIR/coord.log" >&2
-    exit 1
-  fi
+  wait_done "v1/fleets/$FLEET_ID"
 }
 run_fleet
 curl -fsS "$BASE/v1/fleets/$FLEET_ID/report" | python3 -c '
