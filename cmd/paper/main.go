@@ -94,6 +94,14 @@ func run(args []string, out io.Writer) error {
 	if fs.NArg() == 0 {
 		return errors.New(usage)
 	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"items", s.items}, {"repeats", s.repeats}, {"repeat-items", s.repeatItems}, {"train-items", s.trainItems}, {"test-items", s.testItems}, {"epochs", s.epochs}} {
+		if f.n < 0 {
+			return fmt.Errorf("-%s %d: a count cannot be negative\n%s", f.name, f.n, usage)
+		}
+	}
 	for _, name := range fs.Args() {
 		if experiments[name] == nil {
 			return fmt.Errorf("unknown experiment %q\n%s", name, usage)

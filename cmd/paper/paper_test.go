@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -61,5 +63,28 @@ func TestGolden(t *testing.T) {
 	// topk after endtoend re-scores the same capture matrix.
 	if got, want := report(append(endtoend, "topk")...), golden("endtoend")+golden("topk"); got != want {
 		t.Errorf("paper endtoend topk differs from the two reports run apart:\n%s", got)
+	}
+}
+
+// TestNegativeCountIsUsageError: a negative count flag is a usage error
+// returned before the model is loaded or trained (the snapshot path is left
+// unwritten), not a panic in the first make or slice to read it.
+func TestNegativeCountIsUsageError(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "never.snap")
+	for _, args := range [][]string{
+		{"-items", "-1", "endtoend"},
+		{"-repeat-items", "-2", "endtoend"},
+		{"-repeats", "-1", "endtoend"},
+		{"-train-items", "-3", "stability"},
+		{"-test-items", "-1", "stability"},
+		{"-epochs", "-1", "stability"},
+	} {
+		err := run(append([]string{"-model", model}, args...), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) || !strings.Contains(err.Error(), usage) {
+			t.Errorf("paper %s: error %v, want a usage error naming %s %s", strings.Join(args, " "), err, args[0], args[1])
+		}
+		if _, err := os.Stat(model); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("paper %s: a model was trained (stat: %v)", strings.Join(args, " "), err)
+		}
 	}
 }

@@ -175,6 +175,55 @@ func TestServeShedsOverRate(t *testing.T) {
 	}
 }
 
+// TestServeShedsOnFullQueue: with the workers parked and the class's queue
+// filled to its depth, the next admitted request sheds at the queue with
+// 429, Retry-After 1 and the queue_full code, counted as a queue shed in
+// /metrics and /v1/slo.
+func TestServeShedsOnFullQueue(t *testing.T) {
+	s := serveTestServer(ServeOptions{Workers: 1, Classes: []fleetapi.SLOClass{
+		{Name: "gold", TargetNanos: 10_000_000_000, RatePerSec: 1000, Burst: 100, QueueDepth: 4},
+	}})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.stopServe()
+	s.serve.wg.Wait()
+	class := s.serve.classes[0]
+	for i := 0; i < class.spec.QueueDepth; i++ {
+		class.queue <- new(serveJob)
+	}
+
+	shed := postServe(t, ts, fleetapi.ServeRequest{Device: 0, Item: 0})
+	defer shed.Body.Close()
+	if shed.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request on a full queue: status %d, want 429", shed.StatusCode)
+	}
+	if got := shed.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want 1", got)
+	}
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(shed.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != fleetapi.CodeQueueFull {
+		t.Fatalf("shed code %q, want %q", env.Error.Code, fleetapi.CodeQueueFull)
+	}
+	if metrics, want := getBody(t, ts, "/metrics"), `fleetd_serve_shed_total{class="gold",reason="queue"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("metrics missing %q", want)
+	}
+	rep, err := fleetapi.NewClient(ts.URL).SLO(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := rep.Classes[0]; row.ShedQueue != 1 || row.Requests != 1 || row.ShedRate != 0 || row.Served != 0 || row.Errors != 0 {
+		t.Fatalf("report row %+v, want the one request counted as a queue shed", row)
+	}
+}
+
 // TestSLOReport: /v1/slo reports per-class served/shed counts and exact
 // attainment over what this process served.
 func TestSLOReport(t *testing.T) {

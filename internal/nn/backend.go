@@ -25,7 +25,7 @@ import (
 // that Infer overwrites — a one-image activation arena (about 0.7 MB at the
 // default width), to which Int8Backend adds one quantized panel — so none is
 // safe for concurrent Infer calls; the fleet keeps one replica per worker. Infer never fills the layers'
-// training caches (im2col panels, cached inputs, activation masks): a
+// training caches (im2col panels, cached inputs and outputs): a
 // replica that is only inferred on retains its weights and that scratch.
 type Backend interface {
 	// Name identifies the runtime variant (e.g. "float32", "int8").
@@ -103,8 +103,8 @@ func (m *Model) InputSize() int { return m.InputHW }
 // row-major. It is bit-identical to the softmax of the eval-mode Forward.
 func (m *Model) Infer(x *tensor.Tensor) []float64 {
 	p := m.inferPlan()
-	p.embed = denseInfer(p.embed, p.features(x), m.Embed, true)
-	p.logits = denseInfer(p.logits, p.embed, m.Head, false)
+	p.embed = denseInfer(p.embed, p.features(x), m.Embed)
+	p.logits = denseInfer(p.logits, p.embed, m.Head)
 	return p.probs()
 }
 

@@ -9,9 +9,11 @@ import (
 
 // BatchNorm normalizes each channel over the batch and spatial dimensions of
 // an NCHW tensor, with learned scale (gamma) and shift (beta) and running
-// statistics for inference.
+// statistics for inference. With ReLU6 set it ends in MobileNetV2's clipped
+// rectifier min(max(y,0),6), as the fused inference op does.
 type BatchNorm struct {
 	Gamma, Beta *Param
+	ReLU6       bool
 
 	// Running statistics used in eval mode.
 	RunningMean []float32
@@ -23,6 +25,7 @@ type BatchNorm struct {
 
 	// forward caches (train mode)
 	xhat    *tensor.Tensor
+	y       *tensor.Tensor // the output, whose clamped entries stop the gradient
 	invStd  []float32
 	n       int
 	hw      int
@@ -70,7 +73,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				src := x.Data()[off : off+hw]
 				dst := y.Data()[off : off+hw]
 				for j, v := range src {
-					dst[j] = bnAct(v, scale, shift, false)
+					dst[j] = bnAct(v, scale, shift, bn.ReLU6)
 				}
 			}
 		})
@@ -79,6 +82,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	bn.n, bn.hw = n, hw
+	bn.y = y
 	bn.xhat = tensor.New(n, bn.ch, h, w)
 	bn.invStd = make([]float32, bn.ch)
 	count := float64(n * hw)
@@ -107,7 +111,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			for j, v := range src {
 				h := (v - m32) * bn.invStd[c]
 				xh[j] = h
-				dst[j] = bnAct(h, g[c], b[c], false)
+				dst[j] = bnAct(h, g[c], b[c], bn.ReLU6)
 			}
 		}
 		bn.RunningMean[c] = float32((1-bn.Momentum)*bn.RunningMean[c]) + float32(bn.Momentum*m32)
@@ -120,6 +124,9 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer using the standard batch-norm gradient:
 //
 //	dx = (gamma*invStd/m) * (m*dy − sum(dy) − xhat*sum(dy*xhat))
+//
+// With ReLU6 set, dy is first zeroed wherever the output sits on a bound of
+// the clamp (a NaN output passes it through); both loops read it that way.
 func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if bn.xhat == nil || !bn.trained {
 		panic("nn: BatchNorm.Backward requires a train-mode Forward")
@@ -136,7 +143,9 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			off := (i*bn.ch + c) * hw
 			dyp := dy.Data()[off : off+hw]
 			xhp := bn.xhat.Data()[off : off+hw]
+			yp := bn.y.Data()[off : off+hw]
 			for j, v := range dyp {
+				v = bn.clampGrad(v, yp[j])
 				sumDy += float64(v)
 				sumDyXhat += float64(float64(v) * float64(xhp[j]))
 			}
@@ -151,10 +160,21 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			dyp := dy.Data()[off : off+hw]
 			xhp := bn.xhat.Data()[off : off+hw]
 			dxp := dx.Data()[off : off+hw]
+			yp := bn.y.Data()[off : off+hw]
 			for j, v := range dyp {
+				v = bn.clampGrad(v, yp[j])
 				dxp[j] = k * (float32(m*v) - sDy - float32(xhp[j]*sDyX))
 			}
 		}
 	})
 	return dx
+}
+
+// clampGrad is the gradient g of output o through the optional ReLU6: +0
+// where o is clamped to 0 or 6, g elsewhere.
+func (bn *BatchNorm) clampGrad(g, o float32) float32 {
+	if bn.ReLU6 && (o <= 0 || o >= 6) {
+		return 0
+	}
+	return g
 }

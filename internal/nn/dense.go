@@ -7,13 +7,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense is a fully-connected layer over (N, in) batches: y = x·Wᵀ + b.
-// Weights have shape (out, in).
+// Dense is a fully-connected layer over (N, in) batches: y = x·Wᵀ + b, then
+// max(y,0) when ReLU is set. Weights have shape (out, in).
 type Dense struct {
 	Weight, Bias *Param
+	ReLU         bool
 	in, out      int
 
-	x *tensor.Tensor
+	x, y *tensor.Tensor // forward caches: the input, and the output the rectifier masks by
 }
 
 // NewDense creates a dense layer with He-initialized weights and zero bias.
@@ -38,7 +39,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense %s: input width %d want %d", d.Weight.Name, x.Dim(1), d.in))
 	}
 	d.x = x
-	return denseInfer(nil, x, d, false)
+	d.y = denseInfer(nil, x, d)
+	return d.y
 }
 
 // Backward implements Layer.
@@ -48,6 +50,16 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	checkRank(dy, 2, "Dense.Backward")
 	n := dy.Dim(0)
+	if d.ReLU {
+		// The rectifier passes the gradient only where the output is
+		// positive.
+		dy = dy.Clone()
+		for i, o := range d.y.Data() {
+			if o <= 0 {
+				dy.Data()[i] = 0
+			}
+		}
+	}
 	// dW (out,in) = dYᵀ (out,N) · X (N,in)
 	dyT := make([]float32, d.out*n)
 	transpose(dyT, dy.Data(), n, d.out)

@@ -69,7 +69,7 @@ func refTestModel(seed int64, width float64) *Model {
 // refModelInfer is Model.Infer on the reference loops: the eval-mode
 // forward, softmax, flattened.
 func refModelInfer(m *Model, x *tensor.Tensor) []float64 {
-	e := m.EmbedAct.Forward(refDense(m.Embed, refForward(m.Backbone, x)), false)
+	e := refDense(m.Embed, refForward(m.Backbone, x))
 	return flatProbs(Softmax(refDense(m.Head, e)))
 }
 
@@ -144,11 +144,10 @@ func TestPlanKernelRemainderPaths(t *testing.T) {
 		return x
 	}
 	convBlock := func(inC, outC, k, stride, pad int, relu6 bool) []Layer {
-		ls := []Layer{NewConv2D(rng, "c", inC, outC, k, k, stride, pad), NewBatchNorm("bn", outC)}
-		if relu6 {
-			ls = append(ls, NewReLU6())
-		}
-		randomizeBN(rng, NewSequential(ls...))
+		bn := NewBatchNorm("bn", outC)
+		bn.ReLU6 = relu6
+		ls := []Layer{NewConv2D(rng, "c", inC, outC, k, k, stride, pad), bn}
+		randomizeBN(rng, bn)
 		return ls
 	}
 	for outC := 1; outC <= 9; outC++ {
@@ -167,11 +166,10 @@ func TestPlanKernelRemainderPaths(t *testing.T) {
 		for w := 1; w <= 9; w += 2 {
 			for _, stride := range []int{1, 2} {
 				for _, relu6 := range []bool{false, true} {
-					ls := []Layer{NewDepthwiseConv2D(rng, "dw", 3, 3, stride, 1), NewBatchNorm("bn", 3)}
-					if relu6 {
-						ls = append(ls, NewReLU6())
-					}
-					randomizeBN(rng, NewSequential(ls...))
+					bn := NewBatchNorm("bn", 3)
+					bn.ReLU6 = relu6
+					ls := []Layer{NewDepthwiseConv2D(rng, "dw", 3, 3, stride, 1), bn}
+					randomizeBN(rng, bn)
 					name := fmt.Sprintf("depthwise %dx%d stride %d relu6 %v", h, w, stride, relu6)
 					planVsForward(t, name, input(2, 3, h, w), ls...)
 				}
@@ -188,19 +186,18 @@ func TestPlanKernelRemainderPaths(t *testing.T) {
 }
 
 // TestBNActMatchesLayers feeds the fused epilogue the values where a
-// re-expressed clamp could differ: signed zeros, the clamp edges, infinities
-// and NaN.
+// re-expressed clamp could differ from the branches of refReLU6: signed
+// zeros, the clamp edges, infinities and NaN.
 func TestBNActMatchesLayers(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
 	specials := []float32{0, negZero, 1e-30, -1e-30, 3, 6, 6.0000005, 5.9999995, -7, 9, inf, -inf, nan}
-	relu := NewReLU6()
 	for _, s := range specials {
 		for _, scale := range []float32{1, -1, 0.5} {
 			for _, shift := range []float32{0, negZero, 6, -6} {
 				v := s*scale + shift
-				want := relu.Forward(tensor.NewFrom([]float32{v}, 1), false).Data()[0]
+				want := refReLU6(v)
 				got := bnAct(s, scale, shift, true)
 				if math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("bnAct(%v,%v,%v) = %v (%#x), ReLU6 gives %v (%#x)", s, scale, shift,
@@ -242,7 +239,7 @@ func TestInferNeverStale(t *testing.T) {
 
 // TestInferLeavesTrainingCachesEmpty pins the memory side of the plan: an
 // inference-only replica never fills a layer's training cache, so it pins no
-// im2col panels, input batches or activation masks.
+// im2col panels, input batches or cached outputs.
 func TestInferLeavesTrainingCachesEmpty(t *testing.T) {
 	check := func(name string, m *Model) {
 		var walk func(l Layer)
@@ -263,17 +260,13 @@ func TestInferLeavesTrainingCachesEmpty(t *testing.T) {
 					t.Errorf("%s: DepthwiseConv2D %s holds its input after Infer", name, v.Weight.Name)
 				}
 			case *BatchNorm:
-				if v.xhat != nil || v.invStd != nil {
+				if v.xhat != nil || v.invStd != nil || v.y != nil {
 					t.Errorf("%s: BatchNorm %s holds train caches after Infer", name, v.Gamma.Name)
-				}
-			case *ReLU6:
-				if v.mask != nil {
-					t.Errorf("%s: ReLU6 holds a mask after Infer", name)
 				}
 			}
 		}
 		walk(m.Backbone)
-		if m.Embed.x != nil || m.Head.x != nil || m.EmbedAct.mask != nil {
+		if m.Embed.x != nil || m.Embed.y != nil || m.Head.x != nil || m.Head.y != nil {
 			t.Errorf("%s: dense head holds forward caches after Infer", name)
 		}
 	}

@@ -3,11 +3,13 @@ package nn
 import "fmt"
 
 // fusedGraph receives the inference-time ops walkFused recognises in a layer
-// graph. Both compiled runtimes — the int8 backend and the float32/pruned
-// inference plan — are built through it, so they agree on what fuses.
+// graph: a convolution with the BatchNorm it ends in, and that BatchNorm's
+// ReLU6 when it has one. Both compiled runtimes — the int8 backend and the
+// float32/pruned inference plan — are built through it, so they agree on what
+// fuses.
 type fusedGraph interface {
-	conv(c *Conv2D, bn *BatchNorm, relu6 bool)
-	depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool)
+	conv(c *Conv2D, bn *BatchNorm)
+	depthwise(l *DepthwiseConv2D, bn *BatchNorm)
 	// residual is handed the body of an identity-skip block; the
 	// implementation walks it with whatever nesting it needs.
 	residual(body []Layer)
@@ -15,20 +17,18 @@ type fusedGraph interface {
 }
 
 // walkFused pattern-matches the float layer graph into fused ops:
-// Conv2D/DepthwiseConv2D followed by BatchNorm (and optionally ReLU6) become
-// one op, Residual hands over its body, nested Sequentials are flattened and
-// GlobalAvgPool stands alone.
+// Conv2D/DepthwiseConv2D followed by BatchNorm become one op, which ends in
+// the BatchNorm's ReLU6 when it has one; Residual hands over its body, nested
+// Sequentials are flattened and GlobalAvgPool stands alone.
 func walkFused(layers []Layer, g fusedGraph) {
 	for i := 0; i < len(layers); i++ {
 		switch l := layers[i].(type) {
 		case *Conv2D:
-			bn, relu6, n := followingBNReLU6(layers, i)
-			g.conv(l, bn, relu6)
-			i += n
+			g.conv(l, followingBN(layers, i))
+			i++
 		case *DepthwiseConv2D:
-			bn, relu6, n := followingBNReLU6(layers, i)
-			g.depthwise(l, bn, relu6)
-			i += n
+			g.depthwise(l, followingBN(layers, i))
+			i++
 		case *Residual:
 			body, ok := l.Body.(*Sequential)
 			if !ok {
@@ -45,11 +45,10 @@ func walkFused(layers []Layer, g fusedGraph) {
 	}
 }
 
-// followingBNReLU6 returns the BatchNorm directly after the convolution at
-// index i, which the micro model guarantees (convolutions carry no bias; BN
-// supplies the shift a fused kernel needs), whether a ReLU6 follows that, and
-// how many layers the pair consumed.
-func followingBNReLU6(layers []Layer, i int) (*BatchNorm, bool, int) {
+// followingBN returns the BatchNorm directly after the convolution at index
+// i, which the micro model guarantees (convolutions carry no bias; BN
+// supplies the shift a fused kernel needs).
+func followingBN(layers []Layer, i int) *BatchNorm {
 	var bn *BatchNorm
 	if i+1 < len(layers) {
 		bn, _ = layers[i+1].(*BatchNorm)
@@ -57,10 +56,5 @@ func followingBNReLU6(layers []Layer, i int) (*BatchNorm, bool, int) {
 	if bn == nil {
 		panic(fmt.Sprintf("nn: compile: convolution at %d not followed by BatchNorm", i))
 	}
-	if i+2 < len(layers) {
-		if _, ok := layers[i+2].(*ReLU6); ok {
-			return bn, true, 2
-		}
-	}
-	return bn, false, 1
+	return bn
 }

@@ -149,19 +149,27 @@ func TestBatchNormGradient(t *testing.T) {
 	checkLayerGrad(t, "BatchNorm", layer, x, 0.08)
 }
 
+// TestReLU6Gradient gradchecks a BatchNorm ending in ReLU6, on a batch whose
+// outputs reach both bounds of the clamp but stay clear of its kinks, where
+// central differences lie.
 func TestReLU6Gradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	layer := NewReLU6()
+	layer := NewBatchNorm("bn", 3)
+	layer.Gamma.W.Fill(3)
+	layer.Beta.W.Fill(3)
 	x := tensor.New(2, 3, 2, 2)
-	// keep values away from the 0 and 6 kinks where central differences lie
-	for i := range x.Data() {
-		v := float32(rng.NormFloat64() * 3)
-		for absf32(v) < 0.1 || absf32(v-6) < 0.1 {
-			v = float32(rng.NormFloat64() * 3)
+	for clear := false; !clear; {
+		x.RandNormal(rng, 1)
+		var low, high bool
+		clear = true
+		for _, v := range layer.Forward(x, true).Data() { // ReLU6 still off
+			low, high = low || v < 0, high || v > 6
+			clear = clear && absf32(v) > 0.2 && absf32(v-6) > 0.2
 		}
-		x.Data()[i] = v
+		clear = clear && low && high
 	}
-	checkLayerGrad(t, "ReLU6", layer, x, 0.05)
+	layer.ReLU6 = true
+	checkLayerGrad(t, "BatchNorm+ReLU6", layer, x, 0.05)
 }
 
 func TestGlobalAvgPoolGradient(t *testing.T) {

@@ -7,10 +7,10 @@ import (
 )
 
 // inferPlan is the inference-only execution plan of a backbone: the fused
-// Conv→BN→[ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run one
+// Conv→BN[+ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run one
 // image at a time over a small arena of ping-pong buffers sized for the
 // largest single-image activation. Nothing is allocated per layer and no
-// layer's training cache (im2col panels, inputs, ReLU masks) is touched, so
+// layer's training cache (im2col panels, inputs, cached outputs) is touched, so
 // an inference-only replica holds its weights, the arena and nothing else.
 // A quantized plan runs the int8 kernels of quantize.go in place of the
 // float32 convolutions, dequantizing into the same float32 arena, and shares
@@ -83,22 +83,22 @@ func (p *inferPlan) emit(op planOp) {
 	p.cur = dst
 }
 
-func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm) {
 	if p.quantized {
-		p.emit(newQConv(c, bn, relu6))
+		p.emit(newQConv(c, bn, bn.ReLU6))
 		return
 	}
-	op := &planConv{l: c, bnAffine: newBNAffine(bn, relu6)}
+	op := &planConv{l: c, bnAffine: newBNAffine(bn, bn.ReLU6)}
 	p.affines = append(p.affines, &op.bnAffine)
 	p.emit(op)
 }
 
-func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm) {
 	if p.quantized {
-		p.emit(newQDepthwise(l, bn, relu6))
+		p.emit(newQDepthwise(l, bn, bn.ReLU6))
 		return
 	}
-	op := &planDepthwise{l: l, bnAffine: newBNAffine(bn, relu6)}
+	op := &planDepthwise{l: l, bnAffine: newBNAffine(bn, bn.ReLU6)}
 	p.affines = append(p.affines, &op.bnAffine)
 	p.emit(op)
 }
@@ -209,7 +209,7 @@ func pointwise(d tensor.ConvDims) bool {
 }
 
 // bnAffine is the fused epilogue of a convolution: the following BatchNorm's
-// eval-mode transform and the optional ReLU6.
+// eval-mode transform and its ReLU6, if it has one.
 type bnAffine struct {
 	bn           *BatchNorm
 	relu6        bool
@@ -248,8 +248,8 @@ func identityAffine(ch int) bnAffine {
 	return a
 }
 
-// bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then
-// ReLU6.Forward's clamp.
+// bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then,
+// when relu6 is set, its clamp to [0, 6] (+0 for -0, NaN kept).
 func bnAct(s, scale, shift float32, relu6 bool) float32 {
 	v := float32(s*scale) + shift
 	if relu6 {
@@ -541,11 +541,11 @@ func (planPool) run(_ *inferPlan, dst, src []float32, _, h, w int) {
 	}
 }
 
-// denseInfer is Dense.Forward (and ReLU.Forward when relu is set) without the
-// training cache: y = x·Wᵀ + b over an (N, in) batch, each output the sum
-// over the inputs in order from +0, then the bias. The output tensor is
-// reused when it already has the right shape.
-func denseInfer(y, x *tensor.Tensor, d *Dense, relu bool) *tensor.Tensor {
+// denseInfer is Dense.Forward without the training cache: y = x·Wᵀ + b over
+// an (N, in) batch, each output the sum over the inputs in order from +0,
+// then the bias, then +0 in place of anything not above 0 when d.ReLU is set.
+// The output tensor is reused when it already has the right shape.
+func denseInfer(y, x *tensor.Tensor, d *Dense) *tensor.Tensor {
 	n := x.Dim(0)
 	if x.Dim(1) != d.in {
 		panic("nn: Infer: " + d.Weight.Name + ": input width mismatch")
@@ -562,7 +562,7 @@ func denseInfer(y, x *tensor.Tensor, d *Dense, relu bool) *tensor.Tensor {
 				s += float32(xv * wj[q])
 			}
 			v := s + b[j]
-			if relu && !(v > 0) {
+			if d.ReLU && !(v > 0) {
 				v = 0
 			}
 			out[j] = v

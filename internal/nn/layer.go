@@ -6,7 +6,9 @@
 //
 // Layers operate on batched NCHW tensors, cache their forward activations
 // internally, and expose explicit Backward passes; there is no tape-based
-// autograd. Training is single-model, with batch-level parallelism inside
+// autograd. No layer is an activation on its own: a BatchNorm ends in ReLU6
+// and a Dense in ReLU when its flag is set, in training as in the fused
+// inference ops. Training is single-model, with batch-level parallelism inside
 // the heavy layers. There is one set of float32 kernels: the layers' Forward
 // and the inference plan (infer_plan.go) both run gemmBN, im2colPlanar, the
 // depthwise op, the pool and denseInfer, and every convolution and pooling

@@ -12,13 +12,13 @@ import (
 // The scalar reference of the float32 forward arithmetic and of the
 // convolution and matrix products of backward. The layers' Forward and the
 // inference plan run the same kernels (gemmBN, im2colPlanar, the depthwise
-// op, denseInfer), Conv2D's and Dense's Backward run gemmBN too and
+// op, denseInfer, bnAct), Conv2D's and Dense's Backward run gemmBN too and
 // DepthwiseConv2D's the depthwise op, so none can check another; this file
 // keeps the loops they replaced — a row-major im2col with an ordered dot per
 // output, the per-plane depthwise loop, a dot-product dense layer,
-// BatchNorm's eval expression, one ordered sum per gradient entry and the
-// depthwise per-output scatter — as the independent definition all are
-// diffed against. Every product is
+// BatchNorm's eval and train expressions, the rectifiers written as branches,
+// one ordered sum per gradient entry and the depthwise per-output scatter —
+// as the independent definition all are diffed against. Every product is
 // rounded before it is added, as the kernels round theirs.
 
 // refIm2Col expands one image (C,H,W) into the (outH*outW, C*KH*KW) matrix
@@ -202,8 +202,32 @@ func refDepthwiseGrads(l *DepthwiseConv2D, x, dy *tensor.Tensor) (dw, dx []float
 	return dw, dx
 }
 
+// refReLU6 is the clipped rectifier as branches: +0 at or below 0, 6 at or
+// above 6, anything else (NaN too) as it is.
+func refReLU6(v float32) float32 {
+	switch {
+	case v <= 0:
+		return 0
+	case v >= 6:
+		return 6
+	}
+	return v
+}
+
+// refReLU6Passes reports whether the clipped rectifier passes the gradient at
+// input v: strictly inside (0, 6), or NaN.
+func refReLU6Passes(v float32) bool { return !(v <= 0) && !(v >= 6) }
+
+// refReLU is the rectifier as a branch: v above 0, +0 otherwise (NaN too).
+func refReLU(v float32) float32 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
 // refDense is Dense.Forward as x·Wᵀ, one ordered dot per output, then the
-// bias.
+// bias, then refReLU when the layer has one.
 func refDense(d *Dense, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	y := tensor.New(n, d.out)
@@ -214,7 +238,11 @@ func refDense(d *Dense, x *tensor.Tensor) *tensor.Tensor {
 			for q := 0; q < d.in; q++ {
 				s += float32(x.Data()[i*d.in+q] * w[j*d.in+q])
 			}
-			y.Data()[i*d.out+j] = s + b[j]
+			v := s + b[j]
+			if d.ReLU {
+				v = refReLU(v)
+			}
+			y.Data()[i*d.out+j] = v
 		}
 	}
 	return y
@@ -222,10 +250,21 @@ func refDense(d *Dense, x *tensor.Tensor) *tensor.Tensor {
 
 // refDenseGrads is Dense's weight gradient from zero, Σ_n dY·X ordered over
 // the batch from +0, and its input gradient, Σ_o dY·W ordered over the
-// outputs from +0.
+// outputs from +0; with a rectifier, dY is first +0 wherever the
+// pre-activation is not above 0.
 func refDenseGrads(d *Dense, x, dy *tensor.Tensor) (dw, dx []float32) {
 	n := x.Dim(0)
 	w, xs, g := d.Weight.W.Data(), x.Data(), dy.Data()
+	if d.ReLU {
+		pre := *d
+		pre.ReLU = false
+		g = append([]float32(nil), g...)
+		for i, v := range refDense(&pre, x).Data() {
+			if !(v > 0) {
+				g[i] = 0
+			}
+		}
+	}
 	dw = make([]float32, d.out*d.in)
 	for o := 0; o < d.out; o++ {
 		for q := 0; q < d.in; q++ {
@@ -249,20 +288,77 @@ func refDenseGrads(d *Dense, x, dy *tensor.Tensor) (dw, dx []float32) {
 	return dw, dx
 }
 
-// refBatchNormEval is BatchNorm's eval-mode expression v*scale + shift.
+// refBatchNormEval is BatchNorm's eval-mode expression v*scale + shift, then
+// refReLU6 when the layer has one.
 func refBatchNormEval(bn *BatchNorm, x *tensor.Tensor) *tensor.Tensor {
 	y := x.Clone()
 	hw := x.Dim(2) * x.Dim(3)
 	for i := range y.Data() {
 		scale, shift := bn.evalAffine(i / hw % bn.ch)
 		y.Data()[i] = float32(y.Data()[i]*scale) + shift
+		if bn.ReLU6 {
+			y.Data()[i] = refReLU6(y.Data()[i])
+		}
 	}
 	return y
 }
 
+// refBatchNormTrain is a train-mode BatchNorm layer followed by the clipped
+// rectifier as a layer of its own when bn.ReLU6 is set: the forward output y,
+// and, for the output gradient dy, the input gradient dx and the gradients
+// of gamma and beta from zero. The batch statistics are float64 sums over
+// the images and then the pixels in order; the rectifier's gradient is dy
+// where its input passes (refReLU6Passes), +0 elsewhere, and the batch-norm
+// gradient reads that.
+func refBatchNormTrain(bn *BatchNorm, x, dy *tensor.Tensor) (y, dx, dg, db []float32) {
+	n, ch, hw := x.Dim(0), x.Dim(1), x.Dim(2)*x.Dim(3)
+	g, b := bn.Gamma.W.Data(), bn.Beta.W.Data()
+	y, dx = make([]float32, x.Len()), make([]float32, x.Len())
+	dg, db = make([]float32, ch), make([]float32, ch)
+	xhat, gy := make([]float32, x.Len()), make([]float32, x.Len())
+	count := float64(n * hw)
+	m := float32(n * hw)
+	for c := 0; c < ch; c++ {
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			for _, v := range x.Data()[(i*ch+c)*hw : (i*ch+c+1)*hw] {
+				sum += float64(v)
+				sumSq += float64(float64(v) * float64(v))
+			}
+		}
+		mean := sum / count
+		variance := max(sumSq/count-float64(mean*mean), 0)
+		inv := float32(1 / math.Sqrt(variance+float64(bn.Eps)))
+		var sumDy, sumDyXhat float64
+		for i := 0; i < n; i++ {
+			for j := (i*ch + c) * hw; j < (i*ch+c+1)*hw; j++ {
+				xhat[j] = (x.Data()[j] - float32(mean)) * inv
+				pre := float32(xhat[j]*g[c]) + b[c]
+				y[j], gy[j] = pre, dy.Data()[j]
+				if bn.ReLU6 {
+					y[j] = refReLU6(pre)
+					if !refReLU6Passes(pre) {
+						gy[j] = 0
+					}
+				}
+				sumDy += float64(gy[j])
+				sumDyXhat += float64(float64(gy[j]) * float64(xhat[j]))
+			}
+		}
+		dg[c] += float32(sumDyXhat)
+		db[c] += float32(sumDy)
+		k := g[c] * inv / m
+		for i := 0; i < n; i++ {
+			for j := (i*ch + c) * hw; j < (i*ch+c+1)*hw; j++ {
+				dx[j] = k * (float32(m*gy[j]) - float32(sumDy) - float32(xhat[j]*float32(sumDyXhat)))
+			}
+		}
+	}
+	return y, dx, dg, db
+}
+
 // refForward is the eval-mode forward of a layer graph on the reference
-// loops; the layers with no sum of their own (ReLU6, pooling) run as they
-// are.
+// loops; pooling, which has no sum of its own to check, runs as it is.
 func refForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	switch v := l.(type) {
 	case *Sequential:
@@ -377,10 +473,19 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 }
 
 // checkDense diffs a fresh in→out Dense layer's Forward on a batch of n, and
-// the weight and input gradients of its Backward, against the reference.
+// the weight and input gradients of its Backward, against the reference,
+// with the rectifier and without.
 func checkDense(t *testing.T, name string, rng *rand.Rand, n, in, out int, train bool) {
 	t.Helper()
+	for _, relu := range []bool{false, true} {
+		checkDenseLayer(t, fmt.Sprintf("%s relu %v", name, relu), rng, n, in, out, train, relu)
+	}
+}
+
+func checkDenseLayer(t *testing.T, name string, rng *rand.Rand, n, in, out int, train, relu bool) {
+	t.Helper()
 	d := NewDense(rng, "d", in, out)
+	d.ReLU = relu
 	d.Bias.W.RandNormal(rng, 0.5)
 	x := refLayerInput(rng, n, in)
 	sameBits32(t, name, d.Forward(x, train).Data(), refDense(d, x).Data())
@@ -390,4 +495,71 @@ func checkDense(t *testing.T, name string, rng *rand.Rand, n, in, out int, train
 	dx := d.Backward(dy)
 	sameBits32(t, name+" dW", d.Weight.G.Data(), wantDW)
 	sameBits32(t, name+" dx", dx.Data(), wantDX)
+}
+
+// TestBatchNormTrainMatchesReference diffs a train-mode BatchNorm, with the
+// clamp and without, against refBatchNormTrain bit for bit: the forward
+// output, dx, dγ and dβ, on both kernel paths. Besides normal and wide
+// channels (both bounds of the clamp fire) the batch has constant channels,
+// whose outputs are exactly beta: 6, +0 and -0 land on the clamp's bounds; a
+// channel holding signed zeros, and one holding a NaN, which the clamp and
+// its gradient pass through. The output gradient holds signed zeros too.
+func TestBatchNormTrainMatchesReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, path := range []string{"dispatched", "portable"} {
+		run := func(f func()) { f() }
+		if path == "portable" {
+			run = portable
+		}
+		run(func() {
+			rng := rand.New(rand.NewSource(73))
+			for _, relu6 := range []bool{false, true} {
+				for _, shape := range [][3]int{{1, 3, 3}, {3, 5, 4}, {5, 1, 1}} {
+					n, h, w := shape[0], shape[1], shape[2]
+					name := fmt.Sprintf("%s relu6 %v batch %d plane %dx%d", path, relu6, n, h, w)
+					const ch = 7
+					x := refLayerInput(rng, n, ch, h, w)
+					bn := NewBatchNorm("bn", ch)
+					bn.ReLU6 = relu6
+					g, b := bn.Gamma.W.Data(), bn.Beta.W.Data()
+					hw := h * w
+					fill := func(c int, f func() float32) {
+						for i := 0; i < n; i++ {
+							for j := 0; j < hw; j++ {
+								x.Data()[(i*ch+c)*hw+j] = f()
+							}
+						}
+					}
+					// 0: normal; 1: wide, so that both bounds fire.
+					fill(0, func() float32 { return float32(rng.NormFloat64()) })
+					g[0], b[0] = 1.5, 2
+					fill(1, func() float32 { return float32(rng.NormFloat64() * 4) })
+					g[1], b[1] = -4, 3
+					// 2–4: constant, so xhat is +0 and the output is beta.
+					fill(2, func() float32 { return 2.5 })
+					g[2], b[2] = -1.5, 6
+					fill(3, func() float32 { return -1 })
+					g[3], b[3] = 2, 0
+					fill(4, func() float32 { return 0.75 })
+					g[4], b[4] = -1, negZero
+					// 5: signed zeros among normal values; 6: one NaN.
+					fill(5, func() float32 {
+						return []float32{0, negZero, float32(rng.NormFloat64())}[rng.Intn(3)]
+					})
+					g[5], b[5] = 0.5, negZero
+					x.Data()[6*hw+hw/2] = float32(math.NaN())
+					g[6], b[6] = 1, 1
+
+					dy := refLayerInput(rng, n, ch, h, w)
+					wantY, wantDX, wantDG, wantDB := refBatchNormTrain(bn, x, dy)
+					sameBits32(t, name+" forward", bn.Forward(x, true).Data(), wantY)
+					bn.Gamma.ZeroGrad()
+					bn.Beta.ZeroGrad()
+					sameBits32(t, name+" dx", bn.Backward(dy).Data(), wantDX)
+					sameBits32(t, name+" dgamma", bn.Gamma.G.Data(), wantDG)
+					sameBits32(t, name+" dbeta", bn.Beta.G.Data(), wantDB)
+				}
+			}
+		})
+	}
 }

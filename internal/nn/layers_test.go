@@ -10,37 +10,56 @@ import (
 	"repro/internal/tensor"
 )
 
+// TestReLU6Clipping pins the clamp a BatchNorm ends in: in eval mode with
+// unit statistics and no epsilon the layer is the identity, so the clamp's
+// values show as they are; in train mode the gradient passes only where the
+// output is strictly inside (0, 6), which dβ (the sum of the passed output
+// gradient) counts.
 func TestReLU6Clipping(t *testing.T) {
-	r := NewReLU6()
-	x := tensor.NewFrom([]float32{-1, 0, 3, 6, 9}, 1, 5)
-	y := r.Forward(x, true)
-	want := []float32{0, 0, 3, 6, 6}
-	for i, v := range want {
-		if y.Data()[i] != v {
+	bn := NewBatchNorm("bn", 1)
+	bn.ReLU6 = true
+	bn.Eps = 0
+	x := tensor.NewFrom([]float32{-1, 0, 3, 6, 9}, 5, 1, 1, 1)
+	y := bn.Forward(x, false)
+	for i, v := range []float32{0, 0, 3, 6, 6} {
+		if math.Float32bits(y.Data()[i]) != math.Float32bits(v) {
 			t.Fatalf("ReLU6(%v) = %v, want %v", x.Data()[i], y.Data()[i], v)
 		}
 	}
-	// Gradient passes only in the linear region.
-	dy := tensor.NewFrom([]float32{1, 1, 1, 1, 1}, 1, 5)
-	dx := r.Backward(dy)
-	wantG := []float32{0, 0, 1, 0, 0}
-	for i, v := range wantG {
-		if dx.Data()[i] != v {
-			t.Fatalf("ReLU6 grad[%d] = %v, want %v", i, dx.Data()[i], v)
-		}
+	// Normalized, x is about {-1.2, -0.9, -0.1, 0.7, 1.5}: 4x+3 clamps the
+	// first two to 0 and the last to 6.
+	bn.Gamma.W.Data()[0], bn.Beta.W.Data()[0] = 4, 3
+	y = bn.Forward(x, true)
+	if y.Data()[0] != 0 || y.Data()[1] != 0 || y.Data()[4] != 6 || !(y.Data()[2] > 0 && y.Data()[3] < 6) {
+		t.Fatalf("train-mode output %v: want 0, 0, two inside (0, 6), then 6", y.Data())
+	}
+	bn.Beta.ZeroGrad()
+	bn.Backward(tensor.NewFrom([]float32{1, 1, 1, 1, 1}, 5, 1, 1, 1))
+	if db := bn.Beta.G.Data()[0]; db != 2 {
+		t.Fatalf("dbeta = %v, want 2: the gradient passes at the two unclamped outputs only", db)
 	}
 }
 
+// TestReLUBasic pins the rectifier a Dense ends in: outputs -2, 0 and 5 come
+// out as 0, 0 and 5, and the gradient passes only at the positive one.
 func TestReLUBasic(t *testing.T) {
-	r := NewReLU()
-	x := tensor.NewFrom([]float32{-2, 0, 5}, 1, 3)
-	y := r.Forward(x, true)
+	d := NewDense(rand.New(rand.NewSource(1)), "fc", 1, 3)
+	d.ReLU = true
+	copy(d.Weight.W.Data(), []float32{-2, 0, 5})
+	y := d.Forward(tensor.NewFrom([]float32{1}, 1, 1), true)
 	if y.Data()[0] != 0 || y.Data()[1] != 0 || y.Data()[2] != 5 {
 		t.Fatalf("ReLU output %v", y.Data())
 	}
-	dx := r.Backward(tensor.NewFrom([]float32{1, 1, 1}, 1, 3))
-	if dx.Data()[0] != 0 || dx.Data()[2] != 1 {
-		t.Fatalf("ReLU grad %v", dx.Data())
+	d.Weight.ZeroGrad()
+	d.Bias.ZeroGrad()
+	dx := d.Backward(tensor.NewFrom([]float32{1, 1, 1}, 1, 3))
+	if dx.Data()[0] != 5 {
+		t.Fatalf("ReLU input grad %v, want 5 (the one passing output's weight)", dx.Data())
+	}
+	for i, want := range []float32{0, 0, 1} {
+		if d.Weight.G.Data()[i] != want || d.Bias.G.Data()[i] != want {
+			t.Fatalf("ReLU grad %d: weight %v bias %v, want %v", i, d.Weight.G.Data()[i], d.Bias.G.Data()[i], want)
+		}
 	}
 }
 
@@ -52,11 +71,10 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 		"conv":  NewConv2D(rng, "c", 2, 2, 3, 3, 1, 1),
 		"dw":    NewDepthwiseConv2D(rng, "d", 2, 3, 1, 1),
 		"dense": NewDense(rng, "fc", 2, 2),
-		"relu6": NewReLU6(),
 		"bn":    NewBatchNorm("bn", 2),
 	} {
 		dy := dy4
-		if name == "dense" || name == "relu6" {
+		if name == "dense" {
 			dy = dy2
 		}
 		func() {

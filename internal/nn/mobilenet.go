@@ -8,23 +8,21 @@ import (
 
 // InvertedResidual builds a MobileNetV2 inverted-residual block: a 1×1
 // expansion convolution, a 3×3 depthwise convolution, and a 1×1 linear
-// projection, each followed by BatchNorm (the projection has no activation,
-// i.e. a "linear bottleneck"). When stride==1 and inC==outC the block gets an
-// identity skip connection.
+// projection, each followed by BatchNorm, which ends in ReLU6 except after the
+// projection (a "linear bottleneck"). When stride==1 and inC==outC the block
+// gets an identity skip connection.
 func InvertedResidual(rng *rand.Rand, name string, inC, outC, expand, stride int) Layer {
 	mid := inC * expand
 	var body Sequential
 	if expand != 1 {
 		body.Append(
 			NewConv2D(rng, name+".expand", inC, mid, 1, 1, 1, 0),
-			NewBatchNorm(name+".expand_bn", mid),
-			NewReLU6(),
+			newBatchNormReLU6(name+".expand_bn", mid),
 		)
 	}
 	body.Append(
 		NewDepthwiseConv2D(rng, name+".dw", mid, 3, stride, 1),
-		NewBatchNorm(name+".dw_bn", mid),
-		NewReLU6(),
+		newBatchNormReLU6(name+".dw_bn", mid),
 		NewConv2D(rng, name+".project", mid, outC, 1, 1, 1, 0),
 		NewBatchNorm(name+".project_bn", outC),
 	)
@@ -34,15 +32,21 @@ func InvertedResidual(rng *rand.Rand, name string, inC, outC, expand, stride int
 	return &body
 }
 
+// newBatchNormReLU6 is a BatchNorm ending in ReLU6.
+func newBatchNormReLU6(name string, ch int) *BatchNorm {
+	bn := NewBatchNorm(name, ch)
+	bn.ReLU6 = true
+	return bn
+}
+
 // Model is a classifier with an embedding tap: the backbone ends in global
-// average pooling, the embedding Dense+ReLU is the paper's "extra
+// average pooling, the embedding Dense (with ReLU) is the paper's "extra
 // fully-connected layer" used by the embedding-distance stability loss, and
 // the head produces class logits.
 type Model struct {
 	Backbone *Sequential // (N,3,H,W) → (N, feat)
 	Embed    *Dense      // (N, feat) → (N, embedDim)
-	EmbedAct *ReLU
-	Head     *Dense // (N, embedDim) → (N, classes)
+	Head     *Dense      // (N, embedDim) → (N, classes)
 
 	Classes  int
 	EmbedDim int
@@ -90,8 +94,7 @@ func NewMobileNetV2Micro(rng *rand.Rand, cfg ModelConfig) *Model {
 
 	backbone := NewSequential(
 		NewConv2D(rng, "stem", 3, c0, 3, 3, 1, 1),
-		NewBatchNorm("stem_bn", c0),
-		NewReLU6(),
+		newBatchNormReLU6("stem_bn", c0),
 		InvertedResidual(rng, "ir1", c0, c0, 1, 1),
 		InvertedResidual(rng, "ir2", c0, c1, 4, 2),
 		InvertedResidual(rng, "ir3", c1, c1, 4, 1),
@@ -99,14 +102,14 @@ func NewMobileNetV2Micro(rng *rand.Rand, cfg ModelConfig) *Model {
 		InvertedResidual(rng, "ir5", c2, c2, 4, 1),
 		InvertedResidual(rng, "ir6", c2, c3, 4, 2),
 		NewConv2D(rng, "head_conv", c3, feat, 1, 1, 1, 0),
-		NewBatchNorm("head_bn", feat),
-		NewReLU6(),
+		newBatchNormReLU6("head_bn", feat),
 		NewGlobalAvgPool(),
 	)
+	embed := NewDense(rng, "embed", feat, cfg.EmbedDim)
+	embed.ReLU = true
 	return &Model{
 		Backbone: backbone,
-		Embed:    NewDense(rng, "embed", feat, cfg.EmbedDim),
-		EmbedAct: NewReLU(),
+		Embed:    embed,
 		Head:     NewDense(rng, "head", cfg.EmbedDim, cfg.Classes),
 		Classes:  cfg.Classes,
 		EmbedDim: cfg.EmbedDim,
@@ -118,7 +121,7 @@ func NewMobileNetV2Micro(rng *rand.Rand, cfg ModelConfig) *Model {
 // the embedding activations (N,embedDim) that the stability loss consumes.
 func (m *Model) Forward(x *tensor.Tensor, train bool) (logits, embedding *tensor.Tensor) {
 	f := m.Backbone.Forward(x, train)
-	e := m.EmbedAct.Forward(m.Embed.Forward(f, train), train)
+	e := m.Embed.Forward(f, train)
 	z := m.Head.Forward(e, train)
 	return z, e
 }
@@ -131,7 +134,7 @@ func (m *Model) Backward(dLogits, dEmbed *tensor.Tensor) {
 	if dEmbed != nil {
 		de.AddScaled(1, dEmbed)
 	}
-	df := m.Embed.Backward(m.EmbedAct.Backward(de))
+	df := m.Embed.Backward(de)
 	m.Backbone.Backward(df)
 }
 
@@ -139,7 +142,6 @@ func (m *Model) Backward(dLogits, dEmbed *tensor.Tensor) {
 func (m *Model) Params() []*Param {
 	ps := m.Backbone.Params()
 	ps = append(ps, m.Embed.Params()...)
-	ps = append(ps, m.EmbedAct.Params()...)
 	ps = append(ps, m.Head.Params()...)
 	return ps
 }

@@ -42,8 +42,8 @@ func NewPrunedBackend(m *Model, keep float64) *PrunedBackend {
 	}
 	return &PrunedBackend{
 		m:     m,
-		embed: newSparseDense(m.Embed, true),
-		head:  newSparseDense(m.Head, false),
+		embed: newSparseDense(m.Embed),
+		head:  newSparseDense(m.Head),
 		keep:  keep,
 	}
 }
@@ -122,9 +122,9 @@ type sparseDense struct {
 	relu    bool
 }
 
-func newSparseDense(d *Dense, relu bool) *sparseDense {
+func newSparseDense(d *Dense) *sparseDense {
 	w := d.Weight.W.Data()
-	s := &sparseDense{in: d.in, out: d.out, relu: relu, rowPtr: make([]int32, d.out+1)}
+	s := &sparseDense{in: d.in, out: d.out, relu: d.ReLU, rowPtr: make([]int32, d.out+1)}
 	s.bias = make([]float32, d.out)
 	copy(s.bias, d.Bias.W.Data())
 	for o := 0; o < d.out; o++ {

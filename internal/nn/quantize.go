@@ -48,8 +48,8 @@ type Int8Backend struct {
 func NewInt8Backend(m *Model) *Int8Backend {
 	return &Int8Backend{
 		plan:    newInferPlan(m.Backbone.Layers, true),
-		embed:   newQDense(m.Embed, float32(math.Inf(1))),
-		head:    newQDense(m.Head, 0),
+		embed:   newQDense(m.Embed),
+		head:    newQDense(m.Head),
 		classes: m.Classes,
 		inputHW: m.InputHW,
 	}
@@ -397,9 +397,13 @@ type qdense struct {
 	clamp float32
 }
 
-func newQDense(d *Dense, clamp float32) *qdense {
+func newQDense(d *Dense) *qdense {
 	bias := make([]float32, d.out)
 	copy(bias, d.Bias.W.Data())
+	var clamp float32
+	if d.ReLU {
+		clamp = float32(math.Inf(1))
+	}
 	return &qdense{w: newQMatrix(d.Weight.Name, d.Weight.W.Data(), d.out, d.in, nil), bias: bias, in: d.in, clamp: clamp}
 }
 

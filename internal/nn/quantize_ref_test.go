@@ -108,17 +108,17 @@ func newRefInt8(m *Model) *refInt8 {
 	return g
 }
 
-func (g *refInt8) conv(c *Conv2D, bn *BatchNorm, relu6 bool) {
+func (g *refInt8) conv(c *Conv2D, bn *BatchNorm) {
 	outC, k := c.Weight.W.Dim(0), c.Weight.W.Dim(1)
 	fold, bias := foldBN(bn)
 	q, ws := refQuantizeRows(c.Weight.W.Data(), outC, k, fold)
-	g.ops = append(g.ops, &refQConv{w: q, ws: ws, bias: bias, outC: outC, dims: c.dims, relu6: relu6})
+	g.ops = append(g.ops, &refQConv{w: q, ws: ws, bias: bias, outC: outC, dims: c.dims, relu6: bn.ReLU6})
 }
 
-func (g *refInt8) depthwise(l *DepthwiseConv2D, bn *BatchNorm, relu6 bool) {
+func (g *refInt8) depthwise(l *DepthwiseConv2D, bn *BatchNorm) {
 	fold, bias := foldBN(bn)
 	q, ws := refQuantizeRows(l.Weight.W.Data(), l.ch, l.kh*l.kw, fold)
-	g.ops = append(g.ops, &refQDepthwise{w: q, ws: ws, bias: bias, ch: l.ch, kh: l.kh, kw: l.kw, stride: l.stride, pad: l.pad, relu6: relu6})
+	g.ops = append(g.ops, &refQDepthwise{w: q, ws: ws, bias: bias, ch: l.ch, kh: l.kh, kw: l.kw, stride: l.stride, pad: l.pad, relu6: bn.ReLU6})
 }
 
 func (g *refInt8) residual(body []Layer) {
@@ -728,13 +728,13 @@ func TestQDepthwiseGeometries(t *testing.T) {
 				l := NewDepthwiseConv2D(rng, "dw", 3, k, stride, pad)
 				bn := NewBatchNorm("bn", 3)
 				randomizeBN(rng, bn)
-				relu6 := (h+w)%2 == 0
+				bn.ReLU6 = (h+w)%2 == 0
 				x := tensor.New(2, 3, h, w)
 				x.RandNormal(rng, 3)
 				ref := &refInt8{}
-				ref.depthwise(l, bn, relu6)
-				name := fmt.Sprintf("depthwise %dx%d kernel %d stride %d pad %d relu6 %v", h, w, k, stride, pad, relu6)
-				sameBits(t, name, runPlanOp(p, newQDepthwise(l, bn, relu6), x), ref.ops[0].forward(ref, x))
+				ref.depthwise(l, bn)
+				name := fmt.Sprintf("depthwise %dx%d kernel %d stride %d pad %d relu6 %v", h, w, k, stride, pad, bn.ReLU6)
+				sameBits(t, name, runPlanOp(p, newQDepthwise(l, bn, bn.ReLU6), x), ref.ops[0].forward(ref, x))
 			}
 		}
 	}
