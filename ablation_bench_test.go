@@ -15,7 +15,6 @@ import (
 	"repro/internal/lab"
 	"repro/internal/nn"
 	"repro/internal/sensor"
-	"repro/internal/stability"
 	"repro/internal/train"
 )
 
@@ -29,7 +28,7 @@ func BenchmarkAblationQuantSteepness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, n := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(85), codec.NewJPEG(75)})
 		_, w := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(60), codec.NewJPEG(25)})
-		narrow, wide = stability.Compute(n).Percent(), stability.Compute(w).Percent()
+		narrow, wide = instability(n).Percent(), instability(w).Percent()
 	}
 	b.ReportMetric(narrow, "narrow_spread_instability_pct")
 	b.ReportMetric(wide, "wide_spread_instability_pct")
@@ -46,7 +45,7 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 			rig := lab.NewRig(42)
 			rig.Phones[0] = device0WithNoiseScale(scale)
 			_, recs := lab.RepeatShots(benchModel, rig, 0, benchItems[:15], 2, 6)
-			results[li] = stability.Compute(recs).Percent()
+			results[li] = instability(recs).Percent()
 		}
 	}
 	b.ReportMetric(results[0], "noise_x0.5_instability_pct")
@@ -85,7 +84,7 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 	var inst float64
 	for i := 0; i < b.N; i++ {
 		_, recs := lab.ISPConversion(benchModel, shots, []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)})
-		inst = stability.Compute(recs).Percent()
+		inst = instability(recs).Percent()
 	}
 	b.ReportMetric(inst, "demosaic_only_instability_pct")
 }
@@ -118,9 +117,9 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 				Loss:   train.LossEmbedding,
 				Scheme: train.TwoImages{Companions: pairs.Companion},
 			})
-			s := lab.ClassifyImages(benchModel, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
-			ip := lab.ClassifyImages(benchModel, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
-			results[ai] = stability.Compute(append(s, ip...)).Percent()
+			s, _ := lab.ClassifyImages(benchModel, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
+			ip, _ := lab.ClassifyImages(benchModel, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
+			results[ai] = instability(append(s, ip...)).Percent()
 		}
 	}
 	b.ReportMetric(results[0], "alpha_0_instability_pct")
@@ -151,9 +150,9 @@ func BenchmarkAblationEmbeddingWidth(b *testing.B) {
 			Loss:   train.LossEmbedding,
 			Scheme: train.TwoImages{Companions: pairs.Companion},
 		})
-		s := lab.ClassifyImages(m, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
-		ip := lab.ClassifyImages(m, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
-		return stability.Compute(append(s, ip...)).Percent()
+		s, _ := lab.ClassifyImages(m, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
+		ip, _ := lab.ClassifyImages(m, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
+		return instability(append(s, ip...)).Percent()
 	}
 	var wide, narrow float64
 	base := benchModel.TakeSnapshot()

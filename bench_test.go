@@ -48,6 +48,11 @@ func benchSetup(tb testing.TB) {
 	})
 }
 
+// instability is the top-1 instability of the records.
+func instability(recs []*stability.Record) stability.Summary {
+	return stability.NewAccumulator(recs...).Snapshot().Top1
+}
+
 // BenchmarkFig1RepeatShot: two shots of the same object with the same phone,
 // seconds apart. Reports how many pixels differ (>5%) and how often the
 // prediction flips.
@@ -77,10 +82,10 @@ func BenchmarkFig3aAccuracyByPhone(b *testing.B) {
 	benchSetup(b)
 	var avg, spread float64
 	for i := 0; i < b.N; i++ {
-		envs := stability.Envs(benchRecords)
+		envs := stability.NewAccumulator(benchRecords...).Snapshot().ByEnv
 		min, max, sum := 1.0, 0.0, 0.0
-		for _, env := range envs {
-			a := stability.Accuracy(benchRecords, env)
+		for _, e := range envs {
+			a := e.Accuracy
 			sum += a
 			if a < min {
 				min = a
@@ -102,9 +107,10 @@ func BenchmarkFig3bInstabilityByClass(b *testing.B) {
 	benchSetup(b)
 	var total, maxClass float64
 	for i := 0; i < b.N; i++ {
-		total = stability.Compute(benchRecords).Percent()
+		snap := stability.NewAccumulator(benchRecords...).Snapshot()
+		total = snap.Top1.Percent()
 		maxClass = 0
-		for _, s := range stability.ByClass(benchRecords) {
+		for _, s := range snap.ByClass {
 			if s.Percent() > maxClass {
 				maxClass = s.Percent()
 			}
@@ -119,9 +125,16 @@ func BenchmarkFig3cInstabilityByAngle(b *testing.B) {
 	benchSetup(b)
 	var min, max float64
 	for i := 0; i < b.N; i++ {
+		byAngle := map[int]*stability.Accumulator{}
+		for _, r := range benchRecords {
+			if byAngle[r.Angle] == nil {
+				byAngle[r.Angle] = stability.NewAccumulator()
+			}
+			byAngle[r.Angle].Add(r)
+		}
 		min, max = 100, 0
-		for _, s := range stability.ByAngle(benchRecords) {
-			p := s.Percent()
+		for _, acc := range byAngle {
+			p := acc.Snapshot().Top1.Percent()
 			if p < min {
 				min = p
 			}
@@ -141,10 +154,10 @@ func BenchmarkFig3dWithinPhone(b *testing.B) {
 	var within float64
 	for i := 0; i < b.N; i++ {
 		_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 6)
-		within = stability.Compute(recs).Percent()
+		within = instability(recs).Percent()
 	}
 	b.ReportMetric(within, "within_phone_instability_pct")
-	b.ReportMetric(stability.Compute(benchRecords).Percent(), "cross_phone_instability_pct")
+	b.ReportMetric(instability(benchRecords).Percent(), "cross_phone_instability_pct")
 }
 
 // BenchmarkFig4ScoreDensities: mean prediction score of the four Figure 4
@@ -170,7 +183,7 @@ func benchCodecMatrix(b *testing.B, codecs ...codec.Codec) {
 	var acc, kb float64
 	for i := 0; i < b.N; i++ {
 		rows, recs := lab.CodecMatrix(benchModel, caps, codecs)
-		inst, acc, kb = stability.Compute(recs), 0, 0
+		inst, acc, kb = instability(recs), 0, 0
 		for _, r := range rows {
 			acc += r.Accuracy / float64(len(rows))
 			kb += r.AvgKB / float64(len(rows))
@@ -207,7 +220,7 @@ func BenchmarkTable4ISP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var recs []*stability.Record
 		accs, recs = lab.ISPConversion(benchModel, shots, []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()})
-		inst = stability.Compute(recs)
+		inst = instability(recs)
 	}
 	b.ReportMetric(inst.Percent(), "instability_pct")
 	b.ReportMetric(accs[0]*100, "imagemagick_accuracy_pct")
@@ -231,7 +244,7 @@ func BenchmarkTable5ProcessorOS(b *testing.B) {
 // files stored with c.
 func osInstability(c codec.Codec) float64 {
 	_, recs := lab.OSDecode(benchModel, dataset.FixedSet(60, 242, c))
-	return stability.Compute(recs).Percent()
+	return instability(recs).Percent()
 }
 
 // BenchmarkTable6aEmbeddingLoss: stability fine-tuning with the embedding
@@ -299,7 +312,7 @@ func BenchmarkFig8RawImages(b *testing.B) {
 	var jpegInst, pngInst float64
 	for i := 0; i < b.N; i++ {
 		jpeg, png := lab.RawVsJPEG(benchModel, benchRig, benchItems[:20], []int{2})
-		jpegInst, pngInst = stability.Compute(jpeg).Percent(), stability.Compute(png).Percent()
+		jpegInst, pngInst = instability(jpeg).Percent(), instability(png).Percent()
 	}
 	b.ReportMetric(jpegInst, "jpeg_instability_pct")
 	b.ReportMetric(pngInst, "raw_png_instability_pct")
@@ -311,10 +324,11 @@ func BenchmarkFig9TopK(b *testing.B) {
 	benchSetup(b)
 	var acc1, acc3, inst1, inst3 float64
 	for i := 0; i < b.N; i++ {
-		acc1 = stability.Accuracy(benchRecords, "") * 100
-		acc3 = stability.TopKAccuracy(benchRecords, "") * 100
-		inst1 = stability.Compute(benchRecords).Percent()
-		inst3 = stability.ComputeTopK(benchRecords).Percent()
+		snap := stability.NewAccumulator(benchRecords...).Snapshot()
+		acc1 = snap.Accuracy * 100
+		acc3 = snap.TopKAccuracy * 100
+		inst1 = snap.Top1.Percent()
+		inst3 = snap.TopK.Percent()
 	}
 	b.ReportMetric(acc1, "top1_accuracy_pct")
 	b.ReportMetric(acc3, "top3_accuracy_pct")

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -112,6 +113,11 @@ func run(args []string, out io.Writer) error {
 			a, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
 				return fmt.Errorf("bad -grid value %q: %v", part, err)
+			}
+			// A NaN α collapses the fine-tune to one class, whose all-wrong
+			// groups are never unstable, so it would win the search.
+			if math.IsNaN(a) || math.IsInf(a, 0) || a < 0 {
+				return fmt.Errorf("-grid %s: α must be a finite number ≥ 0\n%s", strings.TrimSpace(part), usage)
 			}
 			s.alphas = append(s.alphas, a)
 		}

@@ -68,7 +68,9 @@ func TestGolden(t *testing.T) {
 
 // TestNegativeCountIsUsageError: a negative count flag is a usage error
 // returned before the model is loaded or trained (the snapshot path is left
-// unwritten), not a panic in the first make or slice to read it.
+// unwritten), not a panic in the first make or slice to read it. So is a
+// -grid α that is not a finite number ≥ 0: a NaN α collapses the fine-tune
+// to one class and would win the search at 0% instability.
 func TestNegativeCountIsUsageError(t *testing.T) {
 	model := filepath.Join(t.TempDir(), "never.snap")
 	for _, args := range [][]string{
@@ -78,6 +80,10 @@ func TestNegativeCountIsUsageError(t *testing.T) {
 		{"-train-items", "-3", "stability"},
 		{"-test-items", "-1", "stability"},
 		{"-epochs", "-1", "stability"},
+		{"-grid", "NaN", "stability"},
+		{"-grid", "-1", "stability"},
+		{"-grid", "+Inf", "stability"},
+		{"-grid", "-inf", "stability"},
 	} {
 		err := run(append([]string{"-model", model}, args...), io.Discard)
 		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) || !strings.Contains(err.Error(), usage) {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -26,29 +28,32 @@ func (s *session) bar(label string, value, max float64) {
 // stable vs unstable photos).
 func (s *session) endtoend() {
 	records := s.endToEndRecords()
+	snap := stability.NewAccumulator(records...).Snapshot()
 
 	fmt.Fprintln(s.out, "\nFigure 3(a) — accuracy by phone")
 	var accSum float64
-	envs := stability.Envs(records)
-	for _, env := range envs {
-		acc := stability.Accuracy(records, env)
-		accSum += acc
-		s.bar(env, acc*100, 100)
+	for _, e := range snap.ByEnv {
+		accSum += e.Accuracy
+		s.bar(e.Env, e.Accuracy*100, 100)
 	}
-	s.bar("avg all phones", accSum/float64(len(envs))*100, 100)
+	s.bar("avg all phones", accSum/float64(len(snap.ByEnv))*100, 100)
 
 	fmt.Fprintln(s.out, "\nFigure 3(b) — instability by class (%)")
-	byClass := stability.ByClass(records)
 	for c := 0; c < int(dataset.NumClasses); c++ {
-		s.bar(dataset.Class(c).String(), byClass[c].Percent(), 25)
+		s.bar(dataset.Class(c).String(), snap.ByClass[c].Percent(), 25)
 	}
-	total := stability.Compute(records)
-	s.bar("total", total.Percent(), 25)
+	s.bar("total", snap.Top1.Percent(), 25)
 
 	fmt.Fprintln(s.out, "\nFigure 3(c) — instability by experiment angle (%)")
-	byAngle := stability.ByAngle(records)
-	for a := 0; a < dataset.NumAngles; a++ {
-		s.bar(fmt.Sprintf("angle %d", a+1), byAngle[a].Percent(), 25)
+	byAngle := make([]*stability.Accumulator, dataset.NumAngles)
+	for a := range byAngle {
+		byAngle[a] = stability.NewAccumulator()
+	}
+	for _, r := range records {
+		byAngle[r.Angle].Add(r)
+	}
+	for a, acc := range byAngle {
+		s.bar(fmt.Sprintf("angle %d", a+1), acc.Snapshot().Top1.Percent(), 25)
 	}
 
 	fmt.Fprintln(s.out, "\nFigure 3(d) — instability over repeat photos, same phone (%)")
@@ -56,7 +61,7 @@ func (s *session) endtoend() {
 	items = items[:min(s.repeatItems, len(items))]
 	for pi, phone := range s.rig.Phones {
 		_, recs := lab.RepeatShots(s.model, s.rig, pi, items, 2, s.repeats)
-		s.bar(phone.Name, stability.Compute(recs).Percent(), 25)
+		s.bar(phone.Name, stability.NewAccumulator(recs...).Snapshot().Top1.Percent(), 25)
 	}
 
 	split := stability.SplitScores(records)
@@ -77,7 +82,7 @@ func (s *session) endtoend() {
 		"incorrect": density(split.UnstableIncorrect),
 	}, 30)
 
-	fmt.Fprintf(s.out, "\nSummary: total end-to-end instability %s (paper: 14-17%%)\n", total)
+	fmt.Fprintf(s.out, "\nSummary: total end-to-end instability %s (paper: 14-17%%)\n", snap.Top1)
 	fmt.Fprintf(s.out, "Mean score (unstable correct)   = %.3f\n", metrics.Mean(split.UnstableCorrect))
 	fmt.Fprintf(s.out, "Mean score (unstable incorrect) = %.3f\n", metrics.Mean(split.UnstableIncorrect))
 	fmt.Fprintf(s.out, "Mean score (stable correct)     = %.3f\n", metrics.Mean(split.StableCorrect))
@@ -102,7 +107,7 @@ func (s *session) compress() {
 		}
 		t.AddRow(sizes...)
 		t.AddRow(accs...)
-		inst := stability.Compute(records)
+		inst := stability.NewAccumulator(records...).Snapshot().Top1
 		t.AddRow("instability", fmt.Sprintf("%.2f%% (%d/%d)", inst.Percent(), inst.Unstable, inst.Groups))
 		t.Render(s.out)
 		return records
@@ -116,22 +121,33 @@ func (s *session) compress() {
 	}
 
 	fmt.Fprintln(s.out, "\nFigure 5 — images with format-divergent labels")
+	acc := stability.NewAccumulator(formats...)
+	byGroup := func(a, b *stability.Record) int {
+		return cmp.Or(cmp.Compare(a.ItemID, b.ItemID), cmp.Compare(a.Angle, b.Angle))
+	}
+	rest := slices.Clone(formats)
+	slices.SortStableFunc(rest, byGroup)
 	shown := 0
-	for _, g := range stability.GroupRecords(formats) {
-		if !g.Unstable(false) {
+	for len(rest) > 0 && shown < 12 {
+		n := 1
+		for n < len(rest) && byGroup(rest[0], rest[n]) == 0 {
+			n++
+		}
+		group := rest[:n]
+		rest = rest[n:]
+		k := stability.GroupKey{ItemID: group[0].ItemID, Angle: group[0].Angle}
+		if !acc.Unstable(k) {
 			continue
 		}
-		fmt.Fprintf(s.out, "  object %d angle %d (true: %s):\n", g.Key.ItemID/lab.SourceStride, g.Key.Angle, dataset.Class(g.Class))
-		for _, r := range g.Records {
+		fmt.Fprintf(s.out, "  object %d angle %d (true: %s):\n", k.ItemID/lab.SourceStride, k.Angle, dataset.Class(group[0].TrueClass))
+		for _, r := range group {
 			mark := "✗"
 			if r.Correct() {
 				mark = "✓"
 			}
 			fmt.Fprintf(s.out, "    %-10s → %-14s %s (score %.2f)\n", r.Env, dataset.Class(r.Pred), mark, r.Score)
 		}
-		if shown++; shown >= 12 {
-			break
-		}
+		shown++
 	}
 	if shown == 0 {
 		fmt.Fprintln(s.out, "  (no unstable groups found at this sample size)")
@@ -150,7 +166,7 @@ func (s *session) isp() {
 	for i, p := range pipelines {
 		t.AddRow(p.Name+" accuracy", fmt.Sprintf("%.2f%%", accs[i]*100))
 	}
-	inst := stability.Compute(records)
+	inst := stability.NewAccumulator(records...).Snapshot().Top1
 	t.AddRow("instability", fmt.Sprintf("%.2f%% (%d/%d)", inst.Percent(), inst.Unstable, inst.Groups))
 	t.Render(s.out)
 
@@ -185,7 +201,7 @@ func (s *session) os() {
 			t.AddRow(r.Phone.Name, r.Phone.SoC, fmt.Sprintf("%.1f%%", r.Accuracy*100), fmt.Sprintf("%d/%d", r.HashMatches, n))
 		}
 		t.Render(s.out)
-		fmt.Fprintf(s.out, "  %s instability across devices: %s\n", name, stability.Compute(records))
+		fmt.Fprintf(s.out, "  %s instability across devices: %s\n", name, stability.NewAccumulator(records...).Snapshot().Top1)
 	}
 }
 
@@ -196,22 +212,22 @@ func (s *session) raw() {
 	log.Printf("capturing dual JPEG + raw photos on samsung and iphone...")
 	jpeg, png := lab.RawVsJPEG(s.model, s.rig, s.objects(), stageAngles)
 
-	jpegInst, pngInst := stability.Compute(jpeg), stability.Compute(png)
+	jpegSnap, pngSnap := stability.NewAccumulator(jpeg...).Snapshot(), stability.NewAccumulator(png...).Snapshot()
+	jpegInst, pngInst := jpegSnap.Top1, pngSnap.Top1
 	fmt.Fprintln(s.out, "\nFigure 8(a) — cross-phone instability by file type (%)")
 	s.bar("JPEG", jpegInst.Percent(), 20)
 	s.bar("Converted PNG", pngInst.Percent(), 20)
 
 	fmt.Fprintln(s.out, "\nFigure 8(b) — instability by class (%)")
-	jpegByClass, pngByClass := stability.ByClass(jpeg), stability.ByClass(png)
 	for c := 0; c < int(dataset.NumClasses); c++ {
-		s.bar(dataset.Class(c).String()+" (JPEG)", jpegByClass[c].Percent(), 25)
-		s.bar(dataset.Class(c).String()+" (PNG)", pngByClass[c].Percent(), 25)
+		s.bar(dataset.Class(c).String()+" (JPEG)", jpegSnap.ByClass[c].Percent(), 25)
+		s.bar(dataset.Class(c).String()+" (PNG)", pngSnap.ByClass[c].Percent(), 25)
 	}
 
 	fmt.Fprintln(s.out, "\nFigure 8(c) — accuracy by phone and file type (%)")
-	for _, env := range stability.Envs(jpeg) {
-		s.bar(env+" (JPEG)", stability.Accuracy(jpeg, env)*100, 100)
-		s.bar(env+" (PNG)", stability.Accuracy(png, env)*100, 100)
+	for i, e := range jpegSnap.ByEnv { // the slices are aligned, so the phones are too
+		s.bar(e.Env+" (JPEG)", e.Accuracy*100, 100)
+		s.bar(e.Env+" (PNG)", pngSnap.ByEnv[i].Accuracy*100, 100)
 	}
 
 	improvement := 0.0
@@ -225,20 +241,21 @@ func (s *session) raw() {
 // topk regenerates Figure 9: the end-to-end experiment re-scored with top-3
 // classification instead of top-1, for both accuracy and instability.
 func (s *session) topk() {
-	records := s.endToEndRecords()
+	snap := stability.NewAccumulator(s.endToEndRecords()...).Snapshot()
 
 	fmt.Fprintln(s.out, "\nFigure 9(a) — accuracy, top-3 vs top-1 (%)")
 	for _, env := range []string{"samsung-galaxy-s10", "iphone-xr"} {
-		s.bar(env+" top-3", stability.TopKAccuracy(records, env)*100, 100)
-		s.bar(env+" top-1", stability.Accuracy(records, env)*100, 100)
+		i := slices.IndexFunc(snap.ByEnv, func(e stability.EnvAccuracy) bool { return e.Env == env })
+		s.bar(env+" top-3", snap.ByEnv[i].TopKAccuracy*100, 100)
+		s.bar(env+" top-1", snap.ByEnv[i].Accuracy*100, 100)
 	}
 
-	top1, top3 := stability.Compute(records), stability.ComputeTopK(records)
+	top1, top3 := snap.Top1, snap.TopK
 	fmt.Fprintln(s.out, "\nFigure 9(b) — instability, top-3 vs top-1 (%)")
 	s.bar("top-3", top3.Percent(), 20)
 	s.bar("top-1", top1.Percent(), 20)
 
-	accImp := (stability.TopKAccuracy(records, "") - stability.Accuracy(records, "")) / stability.Accuracy(records, "") * 100
+	accImp := (snap.TopKAccuracy - snap.Accuracy) / snap.Accuracy * 100
 	instImp := 0.0
 	if top1.Rate() > 0 {
 		instImp = (top1.Rate() - top3.Rate()) / top1.Rate() * 100

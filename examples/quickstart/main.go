@@ -49,10 +49,15 @@ func main() {
 		}
 	}
 
+	snap := stability.NewAccumulator(pair...).Snapshot()
+	accuracy := map[string]float64{}
+	for _, e := range snap.ByEnv {
+		accuracy[e.Env] = e.Accuracy
+	}
 	fmt.Println("\n=== Cross-device instability (samsung vs iphone) ===")
-	fmt.Printf("samsung accuracy: %.1f%%\n", stability.Accuracy(pair, samsung.Name)*100)
-	fmt.Printf("iphone accuracy:  %.1f%%\n", stability.Accuracy(pair, iphone.Name)*100)
-	fmt.Printf("instability:      %s\n", stability.Compute(pair))
+	fmt.Printf("samsung accuracy: %.1f%%\n", accuracy[samsung.Name]*100)
+	fmt.Printf("iphone accuracy:  %.1f%%\n", accuracy[iphone.Name]*100)
+	fmt.Printf("instability:      %s\n", snap.Top1)
 
 	// 4. The Figure 1 experiment: two shots with the same phone, one
 	//    second apart. The images are nearly identical; the predictions

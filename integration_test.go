@@ -22,16 +22,16 @@ func TestIntegrationEndToEndShape(t *testing.T) {
 
 	// 1. Accuracy must be in a useful regime — neither chance nor
 	//    saturated — on every phone (paper: 59-64%).
-	for _, env := range stability.Envs(benchRecords) {
-		acc := stability.Accuracy(benchRecords, env)
-		if acc < 0.4 || acc > 0.95 {
-			t.Errorf("%s accuracy %.2f outside the paper's regime", env, acc)
+	snap := stability.NewAccumulator(benchRecords...).Snapshot()
+	for _, e := range snap.ByEnv {
+		if e.Accuracy < 0.4 || e.Accuracy > 0.95 {
+			t.Errorf("%s accuracy %.2f outside the paper's regime", e.Env, e.Accuracy)
 		}
 	}
 
 	// 2. Cross-phone instability must be substantial (paper: 14-17%)
 	//    despite flat accuracy.
-	inst := stability.Compute(benchRecords)
+	inst := snap.Top1
 	if inst.Percent() < 5 {
 		t.Errorf("cross-phone instability %.2f%% implausibly low", inst.Percent())
 	}
@@ -41,10 +41,10 @@ func TestIntegrationEndToEndShape(t *testing.T) {
 
 	// 3. Top-3 classification must improve both accuracy and instability
 	//    (paper Fig 9).
-	if stability.TopKAccuracy(benchRecords, "") <= stability.Accuracy(benchRecords, "") {
+	if snap.TopKAccuracy <= snap.Accuracy {
 		t.Error("top-3 accuracy not above top-1")
 	}
-	if stability.ComputeTopK(benchRecords).Rate() >= inst.Rate() {
+	if snap.TopK.Rate() >= inst.Rate() {
 		t.Error("top-3 instability not below top-1")
 	}
 
@@ -70,7 +70,7 @@ func TestIntegrationOSExperimentShape(t *testing.T) {
 	}
 	// JPEG decoder divergence is real but tiny compared to end-to-end.
 	jpeg := osInstability(codec.NewJPEG(90))
-	e2e := stability.Compute(benchRecords).Percent()
+	e2e := instability(benchRecords).Percent()
 	if jpeg >= e2e {
 		t.Errorf("OS-only instability %.2f%% not ≪ end-to-end %.2f%%", jpeg, e2e)
 	}
@@ -101,8 +101,8 @@ func TestIntegrationWithinPhoneBelowCrossPhone(t *testing.T) {
 	// Paper Fig 3(d): repeat-shot instability on one phone is much lower
 	// than cross-phone instability.
 	_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 4)
-	within := stability.Compute(recs).Rate()
-	cross := stability.Compute(benchRecords).Rate()
+	within := instability(recs).Rate()
+	cross := instability(benchRecords).Rate()
 	if within >= cross {
 		t.Errorf("within-phone instability %.2f not below cross-phone %.2f", within*100, cross*100)
 	}
@@ -117,7 +117,7 @@ func TestIntegrationCompressionAccuracyFlat(t *testing.T) {
 	// Paper Tables 2-3: codec choice barely moves accuracy yet creates
 	// instability. Compare per-codec accuracies and the joint instability.
 	rows, recs := lab.CodecMatrix(benchModel, benchRig.CodecCaptures(benchItems, []int{1, 3}), formatCodecs())
-	if stability.Compute(recs).Unstable == 0 {
+	if instability(recs).Unstable == 0 {
 		t.Error("format instability is zero — codecs too benign")
 	}
 	var min, max float64 = 1, 0

@@ -41,13 +41,14 @@ func (s *imageSet) add(im *imaging.Image, id, angle int, it *dataset.Item) {
 }
 
 func (s *imageSet) classify(b nn.Backend, env string) []*stability.Record {
-	return ClassifyImages(b, s.images, s.ids, s.angles, s.labels, env, 3)
+	recs, _ := ClassifyImages(b, s.images, s.ids, s.angles, s.labels, env, 3)
+	return recs
 }
 
 // RepeatShots photographs each item n times with one phone and classifies
 // every shot: Figure 1 and Figure 3(d). Captures and records are aligned,
-// item-major with n per item; Env is the repeat index, so stability.Compute
-// over the records is the within-phone instability.
+// item-major with n per item; Env is the repeat index, so the instability of
+// the records is the within-phone instability.
 func RepeatShots(b nn.Backend, rig *Rig, phoneIdx int, items []*dataset.Item, angle, n int) ([]*Capture, []*stability.Record) {
 	var caps []*Capture
 	for _, it := range items {
@@ -83,8 +84,8 @@ type CodecRow struct {
 
 // CodecMatrix compresses every capture with every codec and classifies the
 // reconstructions: Table 2 (JPEG qualities), Table 3 (formats) and the
-// Figure 5 records. Environments are the codecs, so stability.Compute over
-// the records is the cross-codec instability.
+// Figure 5 records. Environments are the codecs, so the instability of the
+// records is the cross-codec instability.
 func CodecMatrix(b nn.Backend, captures []*Capture, codecs []codec.Codec) ([]CodecRow, []*stability.Record) {
 	rows := make([]CodecRow, len(codecs))
 	var all []*stability.Record
@@ -97,7 +98,7 @@ func CodecMatrix(b nn.Backend, captures []*Capture, codecs []codec.Codec) ([]Cod
 			s.add(enc.Decode(codec.DecodeOptions{}), cp.Item.ID*SourceStride+cp.PhoneIdx, cp.Angle, cp.Item)
 		}
 		recs := s.classify(b, c.Name())
-		rows[ci] = CodecRow{Codec: c.Name(), AvgKB: size / float64(len(captures)) / 1024, Accuracy: stability.Accuracy(recs, c.Name())}
+		rows[ci] = CodecRow{Codec: c.Name(), AvgKB: size / float64(len(captures)) / 1024, Accuracy: stability.NewAccumulator(recs...).Snapshot().Accuracy}
 		all = append(all, recs...)
 	}
 	return rows, all
@@ -155,7 +156,7 @@ func ISPConversion(b nn.Backend, shots []RawShot, pipelines []*isp.Pipeline) ([]
 			s.add(p.Process(sh.DNG).Quantize8(), sh.Item.ID*SourceStride+sh.Phone, sh.Angle, sh.Item)
 		}
 		recs := s.classify(b, p.Name)
-		accs[pi] = stability.Accuracy(recs, p.Name)
+		accs[pi] = stability.NewAccumulator(recs...).Snapshot().Accuracy
 		all = append(all, recs...)
 	}
 	return accs, all
@@ -214,7 +215,7 @@ func OSDecode(b nn.Backend, files []*dataset.FixedFile) ([]OSRow, []*stability.R
 			s.add(im, f.Item.ID, 0, f.Item)
 		}
 		recs := s.classify(b, ph.Name)
-		rows[di] = OSRow{Phone: ph, Accuracy: stability.Accuracy(recs, ph.Name), HashMatches: match}
+		rows[di] = OSRow{Phone: ph, Accuracy: stability.NewAccumulator(recs...).Snapshot().Accuracy, HashMatches: match}
 		all = append(all, recs...)
 	}
 	return rows, all

@@ -96,10 +96,16 @@ func TestClassifyEmitsOneRecordPerCapture(t *testing.T) {
 func TestClassifyImagesEnv(t *testing.T) {
 	m := tinyModel(11)
 	images := []*imaging.Image{imaging.New(16, 16), imaging.New(16, 16)}
-	recs := ClassifyImages(m, images, []int{0, 1}, []int{0, 0}, []int{2, 3}, "jpeg-q50", 2)
-	for _, r := range recs {
+	recs, probs := ClassifyImages(m, images, []int{0, 1}, []int{0, 0}, []int{2, 3}, "jpeg-q50", 2)
+	if len(probs) != len(recs) {
+		t.Fatalf("%d probability rows for %d records", len(probs), len(recs))
+	}
+	for i, r := range recs {
 		if r.Env != "jpeg-q50" {
 			t.Fatalf("env %q", r.Env)
+		}
+		if len(probs[i]) != int(dataset.NumClasses) || probs[i][r.Pred] != r.Score || r.TopK[0] != r.Pred {
+			t.Fatalf("record %d: pred %d score %v top-k %v, probabilities %v", i, r.Pred, r.Score, r.TopK, probs[i])
 		}
 	}
 	if recs[0].TrueClass != 2 || recs[1].TrueClass != 3 {
@@ -197,7 +203,7 @@ func TestLoadOrTrainBaseModelRoundTrip(t *testing.T) {
 }
 
 func evalOne(m *nn.Model, im *imaging.Image) (int, float64, []float64) {
-	recs := ClassifyImages(m, []*imaging.Image{im}, []int{0}, []int{0}, []int{0}, "x", 1)
+	recs, _ := ClassifyImages(m, []*imaging.Image{im}, []int{0}, []int{0}, []int{0}, "x", 1)
 	return recs[0].Pred, recs[0].Score, nil
 }
 
@@ -250,7 +256,7 @@ func TestClassifyConsistentWithStability(t *testing.T) {
 	items := dataset.Generate(4, 17).Items
 	caps := rig.CaptureAll(items, []int{1, 3})
 	recs := Classify(tinyModel(18), caps, 3)
-	s := stability.Compute(recs)
+	s := stability.NewAccumulator(recs...).Snapshot().Top1
 	if s.Groups != 8 { // 4 items × 2 angles
 		t.Fatalf("groups = %d, want 8", s.Groups)
 	}
@@ -336,7 +342,7 @@ func TestStageExperimentShapes(t *testing.T) {
 			}
 		}
 		// One group per stored photo, each seen once by every codec.
-		if s := stability.Compute(recs); s.Groups != len(caps) {
+		if s := stability.NewAccumulator(recs...).Snapshot().Top1; s.Groups != len(caps) {
 			t.Fatalf("%d groups, want %d", s.Groups, len(caps))
 		}
 	})
@@ -347,7 +353,7 @@ func TestStageExperimentShapes(t *testing.T) {
 		if len(accs) != len(pipelines) || len(recs) != shots*len(pipelines) {
 			t.Fatalf("%d accuracies, %d records", len(accs), len(recs))
 		}
-		if s := stability.Compute(recs); s.Groups != shots {
+		if s := stability.NewAccumulator(recs...).Snapshot().Top1; s.Groups != shots {
 			t.Fatalf("%d groups, want %d", s.Groups, shots)
 		}
 	})
@@ -363,7 +369,7 @@ func TestStageExperimentShapes(t *testing.T) {
 				t.Fatalf("record %d: jpeg %+v and png %+v are different shots", i, j, p)
 			}
 		}
-		if envs := stability.Envs(jpeg); len(envs) != 2 {
+		if envs := stability.NewAccumulator(jpeg...).Snapshot().ByEnv; len(envs) != 2 {
 			t.Fatalf("environments %v, want the two raw-capable phones", envs)
 		}
 	})
@@ -373,7 +379,7 @@ func TestStageExperimentShapes(t *testing.T) {
 		if len(caps) != len(items)*4 || len(recs) != len(caps) {
 			t.Fatalf("%d captures, %d records", len(caps), len(recs))
 		}
-		if s := stability.Compute(recs); s.Groups != len(items) {
+		if s := stability.NewAccumulator(recs...).Snapshot().Top1; s.Groups != len(items) {
 			t.Fatalf("%d groups, want one per item", s.Groups)
 		}
 	})
@@ -395,7 +401,7 @@ func TestStageExperimentShapes(t *testing.T) {
 			if identical != tc.identical {
 				t.Fatalf("%s: decodes identical everywhere = %v, want %v", tc.codec.Name(), identical, tc.identical)
 			}
-			if s := stability.Compute(recs); tc.identical && s.Unstable != 0 {
+			if s := stability.NewAccumulator(recs...).Snapshot().Top1; tc.identical && s.Unstable != 0 {
 				t.Fatalf("%s: identical pixels yet %s", tc.codec.Name(), s)
 			}
 		}

@@ -3,8 +3,6 @@ package lab
 import (
 	"fmt"
 
-	"repro/internal/tensor"
-
 	"repro/internal/dataset"
 	"repro/internal/imaging"
 	"repro/internal/metrics"
@@ -204,43 +202,18 @@ func GridSearchAlpha(model *nn.Model, loss train.StabilityLoss, cfg StabilityExp
 
 func evaluateScheme(model *nn.Model, spec SchemeSpec, loss train.StabilityLoss, eval *PairedCaptures, ids, angles []int) SchemeResult {
 	labels := eval.Labels
-	sRecs, sProbs := classifyWithProbs(model, eval.Clean, ids, angles, labels, "samsung")
-	iRecs, iProbs := classifyWithProbs(model, eval.Companion, ids, angles, labels, "iphone")
-	all := append(append([]*stability.Record(nil), sRecs...), iRecs...)
+	sRecs, sProbs := ClassifyImages(model, eval.Clean, ids, angles, labels, "samsung", 3)
+	iRecs, iProbs := ClassifyImages(model, eval.Companion, ids, angles, labels, "iphone", 3)
 	classes := int(dataset.NumClasses)
 	return SchemeResult{
 		Label:       spec.Label,
 		Loss:        loss,
 		Alpha:       spec.Alpha,
 		Hyper:       spec.Hyper,
-		Instability: stability.Compute(all),
-		SamsungAcc:  stability.Accuracy(all, "samsung"),
-		IPhoneAcc:   stability.Accuracy(all, "iphone"),
+		Instability: stability.NewAccumulator(append(sRecs, iRecs...)...).Snapshot().Top1,
+		SamsungAcc:  stability.NewAccumulator(sRecs...).Snapshot().Accuracy,
+		IPhoneAcc:   stability.NewAccumulator(iRecs...).Snapshot().Accuracy,
 		PRSamsung:   metrics.PrecisionRecallCurve(sProbs, labels, classes, nil),
 		PRIPhone:    metrics.PrecisionRecallCurve(iProbs, labels, classes, nil),
 	}
-}
-
-// classifyWithProbs evaluates once and returns both stability records and
-// the probability rows the precision/recall curves need.
-func classifyWithProbs(b nn.Backend, images []*imaging.Image, ids, angles, labels []int, env string) ([]*stability.Record, [][]float64) {
-	preds, scores, probs := train.Evaluate(b, images, 64)
-	recs := make([]*stability.Record, len(images))
-	for i := range images {
-		t := tensor.New(1, len(probs[i]))
-		for j, v := range probs[i] {
-			t.Data()[j] = float32(v)
-		}
-		recs[i] = &stability.Record{
-			ItemID:    ids[i],
-			Angle:     angles[i],
-			TrueClass: labels[i],
-			Env:       env,
-			Runtime:   b.Name(),
-			Pred:      preds[i],
-			Score:     scores[i],
-			TopK:      nn.TopK(t, 0, 3),
-		}
-	}
-	return recs, probs
 }

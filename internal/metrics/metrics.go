@@ -24,9 +24,9 @@ func PrecisionRecallCurve(probs [][]float64, labels []int, classes int, threshol
 	if len(probs) != len(labels) {
 		panic("metrics: PrecisionRecallCurve length mismatch")
 	}
-	if thresholds == nil {
-		for t := 0.0; t <= 0.95; t += 0.05 {
-			thresholds = append(thresholds, t)
+	if thresholds == nil { // 0, 0.05, ..., 0.95, each the nearest float64 to i/20
+		for i := range 20 {
+			thresholds = append(thresholds, float64(i)/20)
 		}
 	}
 	points := make([]PRPoint, 0, len(thresholds))
@@ -152,7 +152,7 @@ func Stddev(values []float64) float64 {
 	var s float64
 	for _, v := range values {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(values)))
 }

@@ -35,11 +35,13 @@ func TestPrecisionRecallThresholdMonotoneRecall(t *testing.T) {
 
 func TestPrecisionRecallDefaultThresholds(t *testing.T) {
 	pts := PrecisionRecallCurve([][]float64{{1, 0}}, []int{0}, 2, nil)
-	if len(pts) < 15 {
-		t.Fatalf("default threshold sweep too short: %d", len(pts))
+	if len(pts) != 20 {
+		t.Fatalf("default threshold sweep has %d points, want 20", len(pts))
 	}
-	if pts[0].Threshold != 0 {
-		t.Fatalf("first threshold %v", pts[0].Threshold)
+	for i, p := range pts {
+		if p.Threshold != float64(i)/20 {
+			t.Fatalf("threshold %d = %v, want %v", i, p.Threshold, float64(i)/20)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func (o *Online) Observe(v float64) {
 	o.N++
 	delta := v - o.MeanVal
 	o.MeanVal += delta / float64(o.N)
-	o.m2 += delta * (v - o.MeanVal)
+	o.m2 += float64(delta * (v - o.MeanVal))
 }
 
 // Merge folds another summary into this one (parallel shards combine with

@@ -7,18 +7,18 @@ import (
 	"sync"
 )
 
-// Accumulator measures instability incrementally. Where Compute re-groups
-// the full record slice on every call, an Accumulator folds each Record into
-// per-group, per-environment and per-runtime counters as it arrives, so a
-// live fleet run can publish up-to-date summaries without retaining or
-// re-scanning its record stream. Snapshot at any point equals the batch
-// functions applied to the records added so far.
+// Accumulator is the one implementation of the instability metric and of
+// accuracy. It folds each Record into per-group, per-environment and
+// per-runtime counters as it arrives, so a live fleet run can publish
+// up-to-date summaries without retaining or re-scanning its record stream,
+// and a table over a finished record slice is NewAccumulator(records...)
+// read once through Snapshot.
 //
 // The accumulator is safe for concurrent Add and Snapshot, and its state is
 // order-independent: any interleaving of the same multiset of records yields
 // the same Snapshot, which is what makes sharded fleet runs reproducible
 // regardless of worker count. Merge folds another accumulator's state in
-// (merge of shards == one batch accumulator), and MarshalState /
+// (merged shards equal one accumulator fed every record), and MarshalState /
 // UnmarshalState move that state across processes for distributed shards.
 type Accumulator struct {
 	mu       sync.Mutex
@@ -111,15 +111,17 @@ type envCounts struct {
 	total, correct, correctK int
 }
 
-// NewAccumulator returns an empty accumulator.
-func NewAccumulator() *Accumulator {
-	return &Accumulator{
+// NewAccumulator returns an accumulator holding the given records.
+func NewAccumulator(records ...*Record) *Accumulator {
+	a := &Accumulator{
 		groups:   map[GroupKey]*groupCounts{},
 		envs:     map[string]*envCounts{},
 		runtimes: map[string]*envCounts{},
 		cells:    map[cellKey]uint64{},
 		laneOf:   map[string]int{},
 	}
+	a.AddAll(records)
+	return a
 }
 
 // Add folds one record into the running summaries.
@@ -183,6 +185,16 @@ func (a *Accumulator) AddAll(rs []*Record) {
 	for _, r := range rs {
 		a.Add(r)
 	}
+}
+
+// Unstable reports the paper's top-1 predicate for one group: at least one
+// of its records is correct and at least one is not. A group never added is
+// not unstable.
+func (a *Accumulator) Unstable(k GroupKey) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	g := a.groups[k]
+	return g != nil && g.correct > 0 && g.incorrect > 0
 }
 
 // mergeMu serializes cross-accumulator lock acquisition in Merge: with only
@@ -315,16 +327,19 @@ type AccumulatorSnapshot struct {
 	// CrossRuntime counts, over (item, angle, env) cells seen by ≥2
 	// runtimes — the same device, same scene, different stacks — those
 	// where correctness flips across runtimes while each runtime is
-	// internally consistent. Matches the batch CrossRuntime function; 0/0
-	// in mixed fleets where every device runs a single runtime.
+	// internally consistent. Device optics, noise, ISP and codec are all
+	// held fixed inside a cell, so such a flip can only be explained by the
+	// runtime axis. It is 0/0 in mixed fleets, where every device runs a
+	// single runtime; it becomes meaningful when the same devices are swept
+	// under forced runtimes and the states merged, as the runtime axis of an
+	// experiment does (examples/specs/runtime.experiment.json).
 	CrossRuntime Summary `json:"cross_runtime"`
 }
 
-// Snapshot summarizes the records added so far. It matches the batch
-// functions exactly: Top1 == Compute(records), TopK == ComputeTopK(records),
-// Accuracy == Accuracy(records, ""), ByClass == ByClass(records), ByRuntime
-// == ByRuntime(records) + per-runtime accuracies, CrossRuntime ==
-// CrossRuntime(records).
+// Snapshot summarizes the records added so far: top-1 and top-k
+// instability over the (item, angle) groups, accuracy overall and per
+// environment, instability per class, per-runtime accuracy and
+// within-runtime instability, and the cross-runtime attribution.
 func (a *Accumulator) Snapshot() AccumulatorSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -2,6 +2,7 @@ package stability
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -33,8 +34,8 @@ func randomRecords(rng *rand.Rand, n int) []*Record {
 }
 
 // TestAccumulatorMatchesBatch is the streaming/batch equivalence property:
-// for random record streams, Snapshot must agree with every batch function
-// over the same records.
+// for random record streams, Snapshot must agree with the reference
+// (reference_test.go) applied to the whole slice.
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -45,19 +46,19 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 		}
 		snap := acc.Snapshot()
 
-		if want := Compute(records); snap.Top1 != want {
+		if want := refCompute(records, false); snap.Top1 != want {
 			t.Fatalf("trial %d: top1 %+v, batch %+v", trial, snap.Top1, want)
 		}
-		if want := ComputeTopK(records); snap.TopK != want {
+		if want := refCompute(records, true); snap.TopK != want {
 			t.Fatalf("trial %d: topk %+v, batch %+v", trial, snap.TopK, want)
 		}
-		if want := Accuracy(records, ""); snap.Accuracy != want {
+		if want := refAccuracy(records, "", false); snap.Accuracy != want {
 			t.Fatalf("trial %d: accuracy %v, batch %v", trial, snap.Accuracy, want)
 		}
-		if want := TopKAccuracy(records, ""); snap.TopKAccuracy != want {
+		if want := refAccuracy(records, "", true); snap.TopKAccuracy != want {
 			t.Fatalf("trial %d: topk accuracy %v, batch %v", trial, snap.TopKAccuracy, want)
 		}
-		byClass := ByClass(records)
+		byClass := refByClass(records)
 		if len(snap.ByClass) != len(byClass) {
 			t.Fatalf("trial %d: %d classes, batch %d", trial, len(snap.ByClass), len(byClass))
 		}
@@ -66,7 +67,7 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 				t.Fatalf("trial %d class %d: %+v, batch %+v", trial, c, snap.ByClass[c], want)
 			}
 		}
-		envs := Envs(records)
+		envs := refEnvs(records)
 		if len(snap.ByEnv) != len(envs) {
 			t.Fatalf("trial %d: %d envs, batch %d", trial, len(snap.ByEnv), len(envs))
 		}
@@ -74,9 +75,23 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 			if e.Env != envs[i] {
 				t.Fatalf("trial %d: env[%d] = %q, want sorted %q", trial, i, e.Env, envs[i])
 			}
-			if want := Accuracy(records, e.Env); e.Accuracy != want {
+			if want := refAccuracy(records, e.Env, false); e.Accuracy != want {
 				t.Fatalf("trial %d env %s: accuracy %v, batch %v", trial, e.Env, e.Accuracy, want)
 			}
+			if want := refAccuracy(records, e.Env, true); e.TopKAccuracy != want {
+				t.Fatalf("trial %d env %s: topk accuracy %v, batch %v", trial, e.Env, e.TopKAccuracy, want)
+			}
+		}
+		for k, g := range refGroups(records) {
+			if got, want := acc.Unstable(k), refUnstable(g, false); got != want {
+				t.Fatalf("trial %d group %+v: Unstable %v, batch %v", trial, k, got, want)
+			}
+		}
+		if acc.Unstable(GroupKey{ItemID: -1}) {
+			t.Fatalf("trial %d: a group never added is unstable", trial)
+		}
+		if got := NewAccumulator(records...).Snapshot(); !reflect.DeepEqual(got, snap) {
+			t.Fatalf("trial %d: NewAccumulator(records...) %+v, Add one by one %+v", trial, got, snap)
 		}
 	}
 }
@@ -123,12 +138,12 @@ func TestAccumulatorConcurrentAdd(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got, want := acc.Snapshot().Top1, Compute(records); got != want {
+	if got, want := acc.Snapshot().Top1, refCompute(records, false); got != want {
 		t.Fatalf("concurrent snapshot %+v, batch %+v", got, want)
 	}
 }
 
-// TestAccumulatorConflictingLabelPanics mirrors GroupRecords' label check.
+// TestAccumulatorConflictingLabelPanics checks that a group keeps one label.
 func TestAccumulatorConflictingLabelPanics(t *testing.T) {
 	acc := NewAccumulator()
 	acc.Add(&Record{ItemID: 1, TrueClass: 2, Env: "a"})

@@ -81,7 +81,7 @@ func DetectDrift(values []float64, cfg DriftConfig) []DriftPoint {
 			p.Flagged = math.Abs(p.Z) >= cfg.MinZ
 			// One-sided CUSUM with slack MinDelta/2, reset while it stays
 			// non-positive.
-			cusum = math.Max(0, cusum+math.Abs(v-mean)-cfg.MinDelta/2)
+			cusum = math.Max(0, cusum+math.Abs(v-mean)-float64(cfg.MinDelta/2))
 		}
 		p.CUSUM = cusum
 		points[w] = p
@@ -100,7 +100,7 @@ func meanStddev(vals []float64) (mean, stddev float64) {
 	var m2 float64
 	for _, v := range vals {
 		d := v - mean
-		m2 += d * d
+		m2 += float64(d * d)
 	}
 	return mean, math.Sqrt(m2 / float64(len(vals)))
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestAccumulatorRuntimeMatchesBatch pins the runtime breakdowns of the
-// streaming snapshot to the batch functions: ByRuntime and CrossRuntime must
-// agree with ByRuntime(records) / CrossRuntime(records) for random streams.
+// streaming snapshot to the reference: ByRuntime and CrossRuntime must agree
+// with refByRuntime(records) / refCrossRuntime(records) for random streams.
 func TestAccumulatorRuntimeMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 50; trial++ {
@@ -19,7 +19,7 @@ func TestAccumulatorRuntimeMatchesBatch(t *testing.T) {
 		acc.AddAll(records)
 		snap := acc.Snapshot()
 
-		byRuntime := ByRuntime(records)
+		byRuntime := refByRuntime(records)
 		if len(snap.ByRuntime) != len(byRuntime) {
 			t.Fatalf("trial %d: %d runtimes, batch %d", trial, len(snap.ByRuntime), len(byRuntime))
 		}
@@ -36,11 +36,11 @@ func TestAccumulatorRuntimeMatchesBatch(t *testing.T) {
 			if ra.Records != len(recs) {
 				t.Fatalf("trial %d runtime %s: %d records, want %d", trial, ra.Runtime, ra.Records, len(recs))
 			}
-			if want := Accuracy(recs, ""); ra.Accuracy != want {
+			if want := refAccuracy(recs, "", false); ra.Accuracy != want {
 				t.Fatalf("trial %d runtime %s: accuracy %v, batch %v", trial, ra.Runtime, ra.Accuracy, want)
 			}
 		}
-		if want := CrossRuntime(records); snap.CrossRuntime != want {
+		if want := refCrossRuntime(records); snap.CrossRuntime != want {
 			t.Fatalf("trial %d: cross-runtime %+v, batch %+v", trial, snap.CrossRuntime, want)
 		}
 	}
@@ -68,7 +68,7 @@ func TestCrossRuntimeAttribution(t *testing.T) {
 		rec(4, "int8", true), rec(4, "int8", false),
 	}
 	want := Summary{Groups: 3, Unstable: 1}
-	if got := CrossRuntime(records); got != want {
+	if got := refCrossRuntime(records); got != want {
 		t.Fatalf("cross-runtime %+v, want %+v", got, want)
 	}
 	acc := NewAccumulator()

@@ -2,6 +2,7 @@ package stability
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,11 @@ import (
 // rec builds a test record compactly.
 func rec(item, angle, trueClass int, env string, pred int, score float64) *Record {
 	return &Record{ItemID: item, Angle: angle, TrueClass: trueClass, Env: env, Pred: pred, Score: score}
+}
+
+// snapshot accumulates the records and summarizes them.
+func snapshot(records ...*Record) AccumulatorSnapshot {
+	return NewAccumulator(records...).Snapshot()
 }
 
 func TestRecordCorrect(t *testing.T) {
@@ -50,8 +56,8 @@ func TestInstabilityDefinition(t *testing.T) {
 		rec(1, 0, 0, "A", 0, 0.9),
 		rec(1, 0, 0, "B", 1, 0.8),
 	}
-	if got := Compute(records); got.Unstable != 1 || got.Groups != 1 {
-		t.Fatalf("Compute = %+v", got)
+	if got := snapshot(records...).Top1; got.Unstable != 1 || got.Groups != 1 {
+		t.Fatalf("Top1 = %+v", got)
 	}
 }
 
@@ -62,7 +68,7 @@ func TestAllWrongIsStable(t *testing.T) {
 		rec(1, 0, 0, "A", 1, 0.9),
 		rec(1, 0, 0, "B", 2, 0.8), // different wrong answer
 	}
-	if got := Compute(records); got.Unstable != 0 {
+	if got := snapshot(records...).Top1; got.Unstable != 0 {
 		t.Fatalf("all-incorrect group counted unstable: %+v", got)
 	}
 }
@@ -73,7 +79,7 @@ func TestAllCorrectIsStable(t *testing.T) {
 		rec(1, 0, 3, "B", 3, 0.8),
 		rec(1, 0, 3, "C", 3, 0.7),
 	}
-	if got := Compute(records); got.Unstable != 0 {
+	if got := snapshot(records...).Top1; got.Unstable != 0 {
 		t.Fatalf("all-correct group counted unstable: %+v", got)
 	}
 }
@@ -87,9 +93,9 @@ func TestGroupingByItemAndAngle(t *testing.T) {
 		rec(2, 0, 0, "A", 1, 0.9), // group (2,0): stable incorrect
 		rec(2, 0, 0, "B", 2, 0.9),
 	}
-	s := Compute(records)
+	s := snapshot(records...).Top1
 	if s.Groups != 3 || s.Unstable != 1 {
-		t.Fatalf("Compute = %+v, want 3 groups 1 unstable", s)
+		t.Fatalf("Top1 = %+v, want 3 groups 1 unstable", s)
 	}
 }
 
@@ -103,7 +109,7 @@ func TestConflictingLabelsPanic(t *testing.T) {
 			t.Fatal("conflicting labels must panic")
 		}
 	}()
-	Compute(records)
+	NewAccumulator(records...)
 }
 
 func TestTopKInstability(t *testing.T) {
@@ -112,10 +118,11 @@ func TestTopKInstability(t *testing.T) {
 	b := rec(1, 0, 0, "B", 1, 0.9)
 	b.TopK = []int{1, 0, 2} // top-1 wrong, but label in top-3
 	records := []*Record{a, b}
-	if got := Compute(records); got.Unstable != 1 {
+	snap := snapshot(records...)
+	if got := snap.Top1; got.Unstable != 1 {
 		t.Fatalf("top-1 instability = %+v", got)
 	}
-	if got := ComputeTopK(records); got.Unstable != 0 {
+	if got := snap.TopK; got.Unstable != 0 {
 		t.Fatalf("top-3 instability = %+v, want stable", got)
 	}
 }
@@ -142,26 +149,12 @@ func TestByClass(t *testing.T) {
 		rec(1, 0, 0, "A", 0, 0.9), rec(1, 0, 0, "B", 1, 0.9), // class 0 unstable
 		rec(2, 0, 1, "A", 1, 0.9), rec(2, 0, 1, "B", 1, 0.9), // class 1 stable
 	}
-	by := ByClass(records)
+	by := snapshot(records...).ByClass
 	if by[0].Unstable != 1 || by[0].Groups != 1 {
 		t.Fatalf("class 0: %+v", by[0])
 	}
 	if by[1].Unstable != 0 || by[1].Groups != 1 {
 		t.Fatalf("class 1: %+v", by[1])
-	}
-}
-
-func TestByAngle(t *testing.T) {
-	records := []*Record{
-		rec(1, 0, 0, "A", 0, 0.9), rec(1, 0, 0, "B", 1, 0.9),
-		rec(1, 4, 0, "A", 0, 0.9), rec(1, 4, 0, "B", 0, 0.9),
-	}
-	by := ByAngle(records)
-	if by[0].Unstable != 1 {
-		t.Fatalf("angle 0: %+v", by[0])
-	}
-	if by[4].Unstable != 0 {
-		t.Fatalf("angle 4: %+v", by[4])
 	}
 }
 
@@ -171,16 +164,17 @@ func TestAccuracyPerEnv(t *testing.T) {
 		rec(2, 0, 1, "A", 0, 0.9),
 		rec(1, 0, 0, "B", 0, 0.9),
 	}
-	if got := Accuracy(records, "A"); got != 0.5 {
-		t.Fatalf("Accuracy(A) = %v", got)
+	snap := snapshot(records...)
+	if got := snap.ByEnv[0]; got.Env != "A" || got.Records != 2 || got.Accuracy != 0.5 {
+		t.Fatalf("ByEnv[0] = %+v, want A at 0.5", got)
 	}
-	if got := Accuracy(records, "B"); got != 1 {
-		t.Fatalf("Accuracy(B) = %v", got)
+	if got := snap.ByEnv[1]; got.Env != "B" || got.Records != 1 || got.Accuracy != 1 {
+		t.Fatalf("ByEnv[1] = %+v, want B at 1", got)
 	}
-	if got := Accuracy(records, ""); got < 0.66 || got > 0.67 {
-		t.Fatalf("Accuracy(all) = %v", got)
+	if got := snap.Accuracy; got < 0.66 || got > 0.67 {
+		t.Fatalf("Accuracy = %v", got)
 	}
-	if Accuracy(nil, "") != 0 {
+	if snapshot().Accuracy != 0 {
 		t.Fatal("empty accuracy must be 0")
 	}
 }
@@ -188,11 +182,11 @@ func TestAccuracyPerEnv(t *testing.T) {
 func TestTopKAccuracy(t *testing.T) {
 	a := rec(1, 0, 2, "A", 0, 0.9)
 	a.TopK = []int{0, 2}
-	records := []*Record{a}
-	if TopKAccuracy(records, "") != 1 {
+	snap := snapshot(a)
+	if snap.TopKAccuracy != 1 || snap.ByEnv[0].TopKAccuracy != 1 {
 		t.Fatal("top-k accuracy should count label in list")
 	}
-	if Accuracy(records, "") != 0 {
+	if snap.Accuracy != 0 || snap.ByEnv[0].Accuracy != 0 {
 		t.Fatal("top-1 accuracy should not")
 	}
 }
@@ -203,9 +197,9 @@ func TestEnvs(t *testing.T) {
 		rec(1, 0, 0, "alpha", 0, 0.9),
 		rec(2, 0, 0, "zeta", 0, 0.9),
 	}
-	envs := Envs(records)
-	if len(envs) != 2 || envs[0] != "alpha" || envs[1] != "zeta" {
-		t.Fatalf("Envs = %v", envs)
+	envs := snapshot(records...).ByEnv
+	if len(envs) != 2 || envs[0].Env != "alpha" || envs[1].Env != "zeta" {
+		t.Fatalf("ByEnv = %+v", envs)
 	}
 }
 
@@ -216,13 +210,13 @@ func TestSplitScores(t *testing.T) {
 		rec(3, 0, 0, "A", 1, 0.6), rec(3, 0, 0, "B", 2, 0.5), // stable incorrect
 	}
 	s := SplitScores(records)
-	if len(s.UnstableCorrect) != 1 || s.UnstableCorrect[0] != 0.9 {
+	if !slices.Equal(s.UnstableCorrect, []float64{0.9}) {
 		t.Fatalf("UnstableCorrect = %v", s.UnstableCorrect)
 	}
-	if len(s.UnstableIncorrect) != 1 || s.UnstableIncorrect[0] != 0.4 {
+	if !slices.Equal(s.UnstableIncorrect, []float64{0.4}) {
 		t.Fatalf("UnstableIncorrect = %v", s.UnstableIncorrect)
 	}
-	if len(s.StableCorrect) != 2 || len(s.StableIncorrect) != 2 {
+	if !slices.Equal(s.StableCorrect, []float64{0.8, 0.7}) || !slices.Equal(s.StableIncorrect, []float64{0.6, 0.5}) {
 		t.Fatalf("stable splits: %v / %v", s.StableCorrect, s.StableIncorrect)
 	}
 }
@@ -237,9 +231,9 @@ func TestInstabilityOrderInvariance(t *testing.T) {
 				records = append(records, rec(item, rng.Intn(2), item%3, env, rng.Intn(3), rng.Float64()))
 			}
 		}
-		want := Compute(records)
+		want := snapshot(records...).Top1
 		rng.Shuffle(len(records), func(i, j int) { records[i], records[j] = records[j], records[i] })
-		got := Compute(records)
+		got := snapshot(records...).Top1
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -262,7 +256,7 @@ func TestInstabilityMonotoneInEnvironments(t *testing.T) {
 			twoEnv = append(twoEnv, a, b)
 			threeEnv = append(threeEnv, a, b, c)
 		}
-		return Compute(threeEnv).Unstable >= Compute(twoEnv).Unstable
+		return snapshot(threeEnv...).Top1.Unstable >= snapshot(twoEnv...).Top1.Unstable
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -276,25 +270,9 @@ func TestSingleEnvironmentIsAlwaysStable(t *testing.T) {
 		for item := 0; item < 20; item++ {
 			records = append(records, rec(item, 0, item%5, "only", rng.Intn(5), rng.Float64()))
 		}
-		return Compute(records).Unstable == 0
+		return snapshot(records...).Top1.Unstable == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGroupRecordsDeterministicOrder(t *testing.T) {
-	records := []*Record{
-		rec(2, 1, 0, "A", 0, 0.9),
-		rec(1, 0, 0, "A", 0, 0.9),
-		rec(1, 1, 0, "A", 0, 0.9),
-		rec(2, 0, 0, "A", 0, 0.9),
-	}
-	groups := GroupRecords(records)
-	want := []GroupKey{{1, 0}, {1, 1}, {2, 0}, {2, 1}}
-	for i, g := range groups {
-		if g.Key != want[i] {
-			t.Fatalf("group %d key %+v, want %+v", i, g.Key, want[i])
-		}
 	}
 }

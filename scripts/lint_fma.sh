@@ -5,7 +5,8 @@
 # Go kernels of the capture→infer path and of training therefore round every
 # product explicitly, float32(x*y) + z, which forbids the fusion. Nothing here can
 # execute arm64; what it can do is read the compiler's listing and fail on
-# any fused instruction attributed to a line of that path.
+# any fused instruction attributed to a line of that path, or of the report
+# path that summarizes the cells.
 #
 #   ./scripts/lint_fma.sh              # build the arm64 listing and lint it
 #   ./scripts/lint_fma.sh --selftest   # lint the linter (CI runs this too)
@@ -15,11 +16,14 @@ set -euo pipefail
 # draws each fleet member's parameters from its seed, of dataset, which draws
 # the scene a cell photographs, of nn, which runs the inference plan and
 # trains the model on the same kernels, and of tensor and train, which finish
-# the training that produces the weights a cell runs.
-PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train)/[a-z0-9_]+\.go'
+# the training that produces the weights a cell runs. The report path:
+# metrics, whose Welford state a shard ships and whose standard deviations
+# the run stats render, and stability, whose drift z-scores and CUSUM the
+# fleet drift report renders.
+PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train|metrics|stability)/[a-z0-9_]+\.go'
 
 # fused prints the fused multiply-adds of the listing on stdin that lie on the
-# cell path, and fails if there is one.
+# cell or report path, and fails if there is one.
 fused() {
   ! grep -E "\((/[^():]*/)?(${PATH_RE}):[0-9]+\)[[:space:]]+(FMADD|FMSUB|FNMADD|FNMSUB)"
 }
@@ -29,7 +33,7 @@ if [ "${1:-}" = "--selftest" ]; then
 	0x0014 00020 (/src/internal/imaging/filter.go:70)	FADDS	F0, F2, F2
 	0x0020 00032 (/src/internal/fleet/engine.go:88)	FMADDS	F4, F0, F2, F0'
   if ! printf '%s\n' "$clean" | fused >/dev/null; then
-    echo "lint_fma selftest: flagged a listing whose only fused line is off the cell path" >&2
+    echo "lint_fma selftest: flagged a listing whose only fused line is off the cell and report paths" >&2
     exit 1
   fi
   for line in \
@@ -40,7 +44,9 @@ if [ "${1:-}" = "--selftest" ]; then
     '	0x0060 00096 (/src/internal/dataset/classes.go:206)	FNMSUBD	F3, F2, F1, F0' \
     '	0x0020 00032 (/src/internal/nn/conv.go:88)	FMADDS	F4, F0, F2, F0' \
     '	0x0024 00036 (/src/internal/tensor/matmul.go:31)	FMADDS	F4, F0, F2, F0' \
-    '	0x0028 00040 (/src/internal/train/noise.go:87)	FMSUBD	F1, F2, F0, F1'; do
+    '	0x0028 00040 (/src/internal/train/noise.go:87)	FMSUBD	F1, F2, F0, F1' \
+    '	0x002c 00044 (/src/internal/metrics/online.go:32)	FMADDD	F2, F3, F0, F0' \
+    '	0x0030 00048 (/src/internal/stability/drift.go:84)	FMSUBD	F3, F1, F0, F0'; do
     if printf '%s\n%s\n' "$clean" "$line" | fused >/dev/null; then
       echo "lint_fma selftest: missed$line" >&2
       exit 1
@@ -53,7 +59,7 @@ fi
 cd "$(dirname "$0")/.."
 listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train >"$listing" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train ./internal/metrics ./internal/stability >"$listing" 2>&1; then
   grep -v '^	0x' "$listing" | tail -n 20 >&2
   echo "lint_fma: the arm64 build failed" >&2
   exit 1
@@ -62,4 +68,4 @@ if ! fused <"$listing"; then
   echo "lint_fma: the arm64 build fuses the multiply-adds above; round the product, float32(x*y) + z" >&2
   exit 1
 fi
-echo "lint_fma: no fused multiply-add on the cell path of the arm64 build"
+echo "lint_fma: no fused multiply-add on the cell or report path of the arm64 build"
