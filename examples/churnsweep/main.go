@@ -125,11 +125,7 @@ func main() {
 			log.Fatal(err)
 		}
 		shard.Run()
-		st, err := shard.State()
-		if err != nil {
-			log.Fatal(err)
-		}
-		states = append(states, st)
+		states = append(states, shard.State())
 	}
 	merged, err := fleet.MergedFleetReport(cfg, states...)
 	if err != nil {

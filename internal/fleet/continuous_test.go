@@ -98,10 +98,7 @@ func TestContinuousLifecycleShapesReport(t *testing.T) {
 		t.Errorf("window 1 paired stats missing or empty: %+v", rep.Windows[1].Paired)
 	}
 
-	st, err := r.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := r.State()
 	var dev1 *ContDeviceState
 	for i := range st.Devices {
 		if st.Devices[i].ID == 1 {

@@ -44,6 +44,17 @@ func FuzzShardState(f *testing.F) {
 		flipped[len(flipped)/2] ^= 1
 		f.Add(data)
 		f.Add(flipped)
+		// Honest but for its capture count, which merged unchecked and
+		// printed in the stats.
+		for _, captures := range []int{-7, 8000} {
+			lying := *st
+			lying.Captures = captures
+			mutant, err := json.Marshal(&lying)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(mutant)
+		}
 		// The mutant that used to reach the render: one device's mean at the
 		// edge of float64, so that merging it with its neighbours overflows.
 		st.Devices[0].Windows[0].Score.Mean = 1e308

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/lifecycle"
+	"repro/internal/stability"
 )
 
 // Config parameterizes one fleet run. The zero value of any field selects a
@@ -149,8 +150,11 @@ func (r *Runner) Run() Stats {
 // Stats snapshots the run's aggregates. Safe to call while the run is in
 // flight; after completion the result is final and deterministic.
 func (r *Runner) Stats() Stats {
-	return renderStats(r.cfg.Fleet, int(r.capturesDone.Load()), r.windowed.Window(0), r.views())
+	return renderStats(r.cfg.Fleet, int(r.capturesDone.Load()), r.Accumulator(), r.views())
 }
+
+// Accumulator is the run's stability accumulator, the one Stats reads.
+func (r *Runner) Accumulator() *stability.Accumulator { return r.windowed.Window(0) }
 
 // Config returns the (defaulted) run configuration.
 func (r *Runner) Config() Config { return r.cfg.Fleet }

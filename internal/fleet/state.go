@@ -16,17 +16,18 @@ import (
 // order-independent; per-cohort splits are derived from it at render time,
 // not shipped) plus per-(device, window) value summaries with their exact
 // Welford state, so MergedStats and MergedFleetReport can replay the same
-// device-ID-ordered float merges a single process runs.
+// device-ID-ordered float merges a single process runs. It is one typed
+// document, decoded whole where each shard's reply lands.
 type ContinuousState struct {
 	Version int `json:"version"`
 	// DeviceLo and DeviceHi are the device-id range this state covers.
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
-	// Captures is the shard's realized capture count (absent windows skip).
+	// Captures is the shard's realized capture count: items × angles for
+	// each window a listed device was present for.
 	Captures int `json:"captures"`
-	// Windowed is the stability windowed wire state
-	// (stability.(*Windowed).MarshalState).
-	Windowed json.RawMessage `json:"windowed"`
+	// Windowed is the sweep's stability state, window by window.
+	Windowed stability.WindowedState `json:"windowed"`
 	// Devices lists finished device timelines in ascending ID order, each
 	// with its observed windows in ascending window order.
 	Devices []ContDeviceState `json:"devices"`
@@ -54,17 +55,13 @@ const continuousStateVersion = 1
 // State exports the sweep's state for coordinator-side merging. Call after
 // the run completes (or after cancellation — only finished timelines are
 // included).
-func (s *sweep) State() (*ContinuousState, error) {
-	winState, err := s.windowed.MarshalState()
-	if err != nil {
-		return nil, err
-	}
+func (s *sweep) State() *ContinuousState {
 	st := &ContinuousState{
 		Version:  continuousStateVersion,
 		DeviceLo: s.cfg.Fleet.DeviceLo,
 		DeviceHi: s.cfg.Fleet.DeviceHi,
 		Captures: int(s.capturesDone.Load()),
-		Windowed: winState,
+		Windowed: s.windowed.State(),
 	}
 	for _, v := range s.views() {
 		ds := ContDeviceState{ID: v.id, Cohort: v.cohort}
@@ -82,19 +79,14 @@ func (s *sweep) State() (*ContinuousState, error) {
 		}
 		st.Devices = append(st.Devices, ds)
 	}
-	return st, nil
+	return st
 }
 
 // MarshalState is State serialized to JSON.
-func (s *sweep) MarshalState() ([]byte, error) {
-	st, err := s.State()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
+func (s *sweep) MarshalState() ([]byte, error) { return json.Marshal(s.State()) }
 
-// UnmarshalContinuousState parses bytes produced by MarshalState.
+// UnmarshalContinuousState decodes bytes produced by MarshalState — the
+// whole shard, stability state included.
 func UnmarshalContinuousState(data []byte) (*ContinuousState, error) {
 	var st ContinuousState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -133,16 +125,19 @@ func checkSummary(s metrics.OnlineState, hi float64) error {
 	return fmt.Errorf("summary %+v is not one of 1 to %d values in [0, %g]", s, maxSummarySamples, hi)
 }
 
-// mergeStates folds the shard states of one sweep of the given window count
-// back into the parts a live sweep renders from: the windowed accumulator,
-// the device views in ascending ID order and the capture total. It is the
-// one decoder of peer bytes, so it refuses what no honest runner ships — a
-// device outside the range its own state declares, out of ascending order
+// mergeStates folds the shard states of one sweep of cfg's fleet over the
+// given window count back into the parts a live sweep renders from: the
+// windowed accumulator, the device views in ascending ID order and the
+// capture total. The states were decoded whole where each shard landed; this
+// is where peer bytes are judged, so it refuses what no honest runner ships —
+// a device outside the range its own state declares, out of ascending order
 // within it (so none twice, and none costs a slot array before it is
 // refused) or listed by two shards, a window outside [0, windows) or listed
-// twice, a summary checkSummary refuses — instead of rendering a snapshot
-// whose counts and records disagree or cannot be rendered at all.
-func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, []deviceView, int, error) {
+// twice, a summary checkSummary refuses, a capture count its device windows
+// do not account for — instead of rendering a snapshot whose counts and
+// records disagree or cannot be rendered at all.
+func mergeStates(cfg Config, windows int, states []*ContinuousState) (*stability.Windowed, []deviceView, int, error) {
+	cells := mulSat(cfg.Items, len(cfg.Angles))
 	windowed := stability.NewWindowed()
 	var views []deviceView
 	captures := 0
@@ -150,16 +145,16 @@ func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, [
 		if st == nil {
 			continue
 		}
-		if err := windowed.UnmarshalState(st.Windowed); err != nil {
+		for _, e := range st.Windowed.Windows {
+			if e.Window >= windows {
+				return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) carries records of window %d outside [0, %d)",
+					st.DeviceLo, st.DeviceHi, e.Window, windows)
+			}
+		}
+		if err := windowed.MergeState(&st.Windowed); err != nil {
 			return nil, nil, 0, err
 		}
-		// Windows() ascends and UnmarshalState refuses negative indices, so
-		// the last entry decides.
-		if ws := windowed.Windows(); len(ws) > 0 && ws[len(ws)-1] >= windows {
-			return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) carries records of window %d outside [0, %d)",
-				st.DeviceLo, st.DeviceHi, ws[len(ws)-1], windows)
-		}
-		captures += st.Captures
+		ran := 0
 		for i, ds := range st.Devices {
 			if i > 0 && ds.ID <= st.Devices[i-1].ID {
 				return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) lists device %d out of ascending order", st.DeviceLo, st.DeviceHi, ds.ID)
@@ -183,8 +178,14 @@ func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, [
 				}
 				v.windows[ws.Window] = shardSlot(ws.Runtime, ws.Score, ws.Bytes)
 			}
+			ran += len(ds.Windows)
 			views = append(views, v)
 		}
+		if want := mulSat(ran, cells); st.Captures != want {
+			return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) counts %d captures, but its %d device windows of %d cells take %d",
+				st.DeviceLo, st.DeviceHi, st.Captures, ran, cells, want)
+		}
+		captures += st.Captures
 	}
 	if err := orderViews(views); err != nil {
 		return nil, nil, 0, err
@@ -198,12 +199,20 @@ func mergeStates(windows int, states []*ContinuousState) (*stability.Windowed, [
 // whole run; with a partial set it is the same kind of valid snapshot an
 // in-flight runner serves. Shards whose device sets overlap are rejected.
 func MergedStats(cfg Config, states ...*ContinuousState) (Stats, error) {
+	st, _, err := MergedRun(cfg, states...)
+	return st, err
+}
+
+// MergedRun is MergedStats that also hands back the merged accumulator the
+// stats are rendered from, as Runner.Accumulator does for a local run.
+func MergedRun(cfg Config, states ...*ContinuousState) (Stats, *stability.Accumulator, error) {
 	cfg = cfg.WithDefaults()
-	windowed, views, captures, err := mergeStates(1, states)
+	windowed, views, captures, err := mergeStates(cfg, 1, states)
 	if err != nil {
-		return Stats{}, err
+		return Stats{}, nil, err
 	}
-	return renderStats(cfg, captures, windowed.Window(0), views), nil
+	acc := windowed.Window(0)
+	return renderStats(cfg, captures, acc, views), acc, nil
 }
 
 // MergedFleetReport reconstructs the full continuous run's report from
@@ -217,7 +226,7 @@ func MergedFleetReport(cfg ContinuousConfig, states ...*ContinuousState) (FleetR
 	if err != nil {
 		return FleetReport{}, err
 	}
-	windowed, views, captures, err := mergeStates(cfg.Windows, states)
+	windowed, views, captures, err := mergeStates(cfg.Fleet, cfg.Windows, states)
 	if err != nil {
 		return FleetReport{}, err
 	}

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -118,10 +120,7 @@ func TestShardRunnerRangeScoping(t *testing.T) {
 	if s.Config.Devices != 20 {
 		t.Fatalf("shard stats config devices %d, want the full fleet's 20", s.Config.Devices)
 	}
-	st, err := r.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := r.State()
 	if len(st.Devices) != 7 || st.Devices[0].ID != 5 || st.Devices[6].ID != 11 {
 		t.Fatalf("shard device ids %+v", st.Devices)
 	}
@@ -165,7 +164,50 @@ func TestRunnerCancel(t *testing.T) {
 	if s.DevicesDone != 0 || s.Records != 0 {
 		t.Fatalf("cancelled run produced records: %+v", s)
 	}
-	if _, err := r.State(); err != nil {
-		t.Fatalf("cancelled run state: %v", err)
+	if st := r.State(); len(st.Devices) != 0 || st.Captures != 0 {
+		t.Fatalf("cancelled run state lists %d devices and %d captures", len(st.Devices), st.Captures)
+	}
+}
+
+// shardStateGoldenBytes is what testdata/shard_state.golden holds: the shard
+// state of a one-shot run's devices [1, 3) and of a continuous fleet's
+// devices [2, 5) on the test model, one line each.
+func shardStateGoldenBytes(t *testing.T) []byte {
+	t.Helper()
+	run := NewRunner(Config{Devices: 4, Items: 2, Angles: []int{0, 2}, Seed: 19, Workers: 2, DeviceLo: 1, DeviceHi: 3}, testFactory())
+	run.Run()
+	cfg := contTestConfig(2)
+	cfg.Fleet.DeviceLo, cfg.Fleet.DeviceHi = 2, 5
+	var out []byte
+	for _, r := range []interface{ MarshalState() ([]byte, error) }{run, runContinuous(t, cfg)} {
+		data, err := r.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, data...), '\n')
+	}
+	return out
+}
+
+// TestShardStateGolden pins the bytes a peer ships its coordinator, which
+// are the wire contract between two processes of one build: the golden was
+// written before the state became one typed document and must not move. Each
+// line also decodes and re-encodes to itself.
+func TestShardStateGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/shard_state.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shardStateGoldenBytes(t); !bytes.Equal(got, want) {
+		t.Fatalf("shard state bytes moved:\n%s\nwant\n%s", got, want)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(want, []byte("\n")), []byte("\n")) {
+		st, err := UnmarshalContinuousState(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := json.Marshal(st); err != nil || !bytes.Equal(again, line) {
+			t.Fatalf("golden state does not re-encode to itself (err %v):\n%s", err, again)
+		}
 	}
 }

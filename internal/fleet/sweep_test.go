@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -90,16 +89,8 @@ func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 		}
 	}
 
-	winState, err := r.windowed.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire windowedWire
-	if err := json.Unmarshal(winState, &wire); err != nil {
-		t.Fatal(err)
-	}
-	if len(wire.Windows) != 1 || wire.Windows[0].Window != 0 {
-		t.Fatalf("the one-shot run's windowed state is not window 0 alone:\n%s", winState)
+	if wire := r.windowed.State(); len(wire.Windows) != 1 || wire.Windows[0].Window != 0 {
+		t.Fatalf("the one-shot run's windowed state is not window 0 alone: %+v", wire.Windows)
 	}
 	// The shard state a run ships is the one-window ContinuousState.
 	if data, err := r.MarshalState(); err != nil || !bytes.HasPrefix(data, []byte(`{"version":1,`)) || bytes.Contains(data, []byte(`"accumulator"`)) {
@@ -118,29 +109,10 @@ func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 	}
 }
 
-// windowedWire reads and rewrites stability's windowed wire state.
-type windowedWire struct {
-	Version int `json:"version"`
-	Windows []struct {
-		Window int             `json:"window"`
-		State  json.RawMessage `json:"state"`
-	} `json:"windows"`
-}
-
 // rewindow moves the last entry of a shard state's windowed wire state to
-// window w — bytes no honest runner ships but a peer can spell.
-func rewindow(t *testing.T, st *ContinuousState, w int) {
-	t.Helper()
-	var wire windowedWire
-	if err := json.Unmarshal(st.Windowed, &wire); err != nil {
-		t.Fatal(err)
-	}
-	wire.Windows[len(wire.Windows)-1].Window = w
-	b, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Windowed = b
+// window w — a state no honest runner ships but a peer can spell.
+func rewindow(st *ContinuousState, w int) {
+	st.Windowed.Windows[len(st.Windowed.Windows)-1].Window = w
 }
 
 // TestMergedRejectsHostileShardState covers, for both kinds of sweep, shard
@@ -149,7 +121,9 @@ func rewindow(t *testing.T, st *ContinuousState, w int) {
 // twice (the later entry used to overwrite the earlier silently) or a window
 // the sweep does not have, stability records filed under such a window (they
 // used to be dropped from the snapshot while captures and devices still
-// counted them), and two shards listing the same device.
+// counted them), a capture count the listed device windows do not account
+// for (it used to be added unchecked and printed in the stats), and two
+// shards listing the same device.
 func TestMergedRejectsHostileShardState(t *testing.T) {
 	cfg := contTestConfig(2)
 	cfg.Churn.JoinRate, cfg.Churn.LeaveRate = 0, 0
@@ -172,7 +146,7 @@ func TestMergedRejectsHostileShardState(t *testing.T) {
 				return nil
 			}, fmt.Sprintf("device 3 reports window %d %s", k.windows, outside)},
 			{"windowed entry past the last window", func(t *testing.T, st *ContinuousState) []*ContinuousState {
-				rewindow(t, st, k.windows+5)
+				rewindow(st, k.windows+5)
 				return nil
 			}, fmt.Sprintf("[2, 5) carries records of window %d %s", k.windows+5, outside)},
 			{"id below range", func(t *testing.T, st *ContinuousState) []*ContinuousState {
@@ -232,6 +206,14 @@ func TestMergedRejectsHostileShardState(t *testing.T) {
 				st.Devices[1].Windows[0].Bytes.Max = 1e300
 				return nil
 			}, "device 3 window 0: capture size summary"},
+			{"negative capture count", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Captures = -7
+				return nil
+			}, "[2, 5) counts -7 captures"},
+			{"capture count past its device windows", func(t *testing.T, st *ContinuousState) []*ContinuousState {
+				st.Captures += 8000
+				return nil
+			}, "captures, but its"},
 			{"overlapping shards", func(t *testing.T, st *ContinuousState) []*ContinuousState {
 				_, other := k.run(t, 4, 6)
 				return []*ContinuousState{other}

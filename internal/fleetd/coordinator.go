@@ -10,6 +10,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/obs"
+	"repro/internal/stability"
 )
 
 // fanOut executes one device sweep by splitting its device range into
@@ -142,30 +143,47 @@ func (f *fanOut[Out]) progress() (done, total, captures int) {
 }
 
 // coordExec is a run's fan-out, plus the two things only runs ask of one:
-// partial stats while in flight and the shards' states after.
+// partial stats while in flight and the merged accumulator after.
 type coordExec struct {
 	*fanOut[fleet.Stats]
 	cfg fleet.Config
 
-	// cached is the merged snapshot computed from the first cachedN
-	// states, so snapshot polling (streams tick twice a second) re-merges
-	// only when a new shard has landed. Guarded by fanOut.mu.
+	// cached and acc are the merge of the first cachedN states, so snapshot
+	// polling (streams tick twice a second) re-merges only when a new shard
+	// has landed. Guarded by fanOut.mu.
 	cached  *fleet.Stats
+	acc     *stability.Accumulator
 	cachedN int
 }
 
 // newCoordExec plans one run's shard split. trace may be empty (no span
 // recording).
 func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordExec {
-	f := &fanOut[fleet.Stats]{
+	c := &coordExec{cfg: cfg}
+	c.fanOut = &fanOut[fleet.Stats]{
 		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, logf: logf,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
 		},
-		merge: func(states []*fleet.ContinuousState) (fleet.Stats, error) { return fleet.MergedStats(cfg, states...) },
+		merge: c.mergeRun,
 	}
-	f.plan(peers)
-	return &coordExec{fanOut: f, cfg: cfg}
+	c.plan(peers)
+	return c
+}
+
+// mergeRun merges states and keeps the result unless a merge of more
+// states is already kept.
+func (c *coordExec) mergeRun(states []*fleet.ContinuousState) (fleet.Stats, error) {
+	st, acc, err := fleet.MergedRun(c.cfg, states...)
+	if err != nil {
+		return st, err
+	}
+	c.mu.Lock()
+	if len(states) >= c.cachedN {
+		c.cached, c.acc, c.cachedN = &st, acc, len(states)
+	}
+	c.mu.Unlock()
+	return st, nil
 }
 
 // stats merges the shard states collected so far — the same kind of partial
@@ -178,20 +196,18 @@ func (c *coordExec) stats() fleet.Stats {
 		return st
 	}
 	c.mu.Unlock()
-	states := c.collected()
-	st, err := c.merge(states)
+	st, err := c.mergeRun(c.collected())
 	if err != nil {
 		return fleet.Stats{Config: c.cfg}
 	}
-	c.mu.Lock()
-	if len(states) >= c.cachedN {
-		c.cached, c.cachedN = &st, len(states)
-	}
-	c.mu.Unlock()
 	return st
 }
 
-func (c *coordExec) shardStates() ([]*fleet.ContinuousState, error) { return c.collected(), nil }
+func (c *coordExec) accumulator() *stability.Accumulator {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.acc
+}
 
 // newCoordFleetExec plans one continuous fleet's shard split. Devices
 // recompute their lifecycle schedules locally from the spec's seed, so the

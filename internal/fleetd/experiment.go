@@ -101,10 +101,6 @@ func (e *experiment) execute(s *Server) {
 		if e.cancelOnly(err) {
 			st, err = exec.stats(), nil
 		}
-		var acc *stability.Accumulator
-		if err == nil {
-			acc, err = foldAccumStates(exec)
-		}
 		done, _, captures := exec.progress()
 		e.mu.Lock()
 		e.live = nil
@@ -115,7 +111,7 @@ func (e *experiment) execute(s *Server) {
 			arm.errMsg = err.Error()
 			failure = fmt.Sprintf("arm %s: %v", arm.name, err)
 		case fleetapi.StateDone:
-			stats[i], accs[i] = st, acc
+			stats[i], accs[i] = st, exec.accumulator()
 		}
 		state := arm.state
 		e.mu.Unlock()
@@ -146,24 +142,6 @@ func (e *experiment) execute(s *Server) {
 	e.finish(final, failure, 0, 0, docs)
 	s.reg.Counter(metricExpsFinished, "state", final).Inc()
 	logf("experiment %d %s", e.id, final)
-}
-
-// foldAccumStates rebuilds an arm's stability accumulator from its
-// execution's shard states. Local and coordinated arms go through the same
-// wire path, and the fold is order-independent, so the result — and every
-// report stat derived from it — is identical however the arm was sharded.
-func foldAccumStates(exec execution) (*stability.Accumulator, error) {
-	states, err := exec.shardStates()
-	if err != nil {
-		return nil, err
-	}
-	windowed := stability.NewWindowed()
-	for _, st := range states {
-		if err := windowed.UnmarshalState(st.Windowed); err != nil {
-			return nil, err
-		}
-	}
-	return windowed.Window(0), nil
 }
 
 // buildReport assembles and marshals the deterministic experiment report:

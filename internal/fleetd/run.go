@@ -9,6 +9,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/obs"
+	"repro/internal/stability"
 )
 
 // execution is one way of carrying a run out: on this instance's own
@@ -19,11 +20,11 @@ type execution interface {
 	execute() (fleet.Stats, error)
 	// stats snapshots in-flight progress.
 	stats() fleet.Stats
-	// shardStates returns the execution's shard states after execute
-	// returns — one per shard, a single element for local runs. The
-	// experiment report layer folds their stability states back into a
-	// per-arm accumulator for paired cross-arm comparison.
-	shardStates() ([]*fleet.ContinuousState, error)
+	// accumulator returns, after execute succeeds, the stability
+	// accumulator its stats were rendered from: the runner's own, or the
+	// one the shards' states merged into. The experiment report pairs arms
+	// by its cell outcomes.
+	accumulator() *stability.Accumulator
 }
 
 // localExec runs the fleet in-process.
@@ -40,10 +41,7 @@ func (e *localExec) stats() fleet.Stats                    { return e.runner.Sta
 func (e *localExec) progress() (done, total, captures int) { return e.runner.Progress() }
 func (e *localExec) cancel()                               { e.runner.Cancel() }
 
-func (e *localExec) shardStates() ([]*fleet.ContinuousState, error) {
-	st, err := e.runner.State()
-	return []*fleet.ContinuousState{st}, err
-}
+func (e *localExec) accumulator() *stability.Accumulator { return e.runner.Accumulator() }
 
 // newExecution builds the execution of one run spec — a run's own, or one
 // experiment arm's: fanned out when the instance has peers, local otherwise.

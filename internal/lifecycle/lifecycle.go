@@ -229,7 +229,8 @@ func churnEvents(s Spec, i int) []Event {
 	}
 	if rng.Float64() < c.ThermalRate {
 		// Severity in [0.25, 0.75): a meaningful but never total degradation.
-		sev := 0.25 + rng.Float64()/2
+		// The halving is a product, rounded so that arm64 cannot fuse it.
+		sev := 0.25 + float64(rng.Float64()/2)
 		out = append(out, Event{Window: lateWindow(), Device: i, Kind: KindThermalDrift, Severity: sev})
 	}
 	return out

@@ -214,7 +214,7 @@ func (a *Accumulator) Merge(other *Accumulator) {
 }
 
 // merge is Merge with the Add-path contracts reported as an error instead of
-// a panic — what UnmarshalState needs, since its other side is built from
+// a panic — what mergeState needs, since its other side is built from
 // peer bytes. Both contracts are checked under the locks before anything is
 // written, so a rejected merge leaves a untouched.
 func (a *Accumulator) merge(other *Accumulator) error {

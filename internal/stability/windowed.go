@@ -86,24 +86,9 @@ func (w *Windowed) Outcomes(i int) map[Cell]Outcome {
 // Merge folds other into w window-by-window. Like Accumulator.Merge, other
 // must not be written concurrently and must not share windows with w.
 func (w *Windowed) Merge(other *Windowed) {
-	other.mu.Lock()
-	src := make(map[int]*Accumulator, len(other.wins))
-	for i, acc := range other.wins {
-		src[i] = acc
+	for _, i := range other.Windows() {
+		w.Window(i).Merge(other.Window(i))
 	}
-	other.mu.Unlock()
-	for _, i := range sortedKeys(src) {
-		w.Window(i).Merge(src[i])
-	}
-}
-
-func sortedKeys(m map[int]*Accumulator) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // windowedWireVersion is bumped on any incompatible change to the windowed
@@ -111,47 +96,36 @@ func sortedKeys(m map[int]*Accumulator) []int {
 // (the Accumulator wire format).
 const windowedWireVersion = 1
 
-type windowedWireState struct {
-	Version int                 `json:"version"`
-	Windows []windowedWireEntry `json:"windows"`
+// WindowedState is a Windowed's wire state, the stability part of the state
+// a shard ships its coordinator: the windows in ascending order, each with
+// its accumulator's wire state. It is one typed document, decoded in one
+// pass with the rest of a shard's state; equal contents give equal values
+// and so equal JSON.
+type WindowedState struct {
+	Version int           `json:"version"`
+	Windows []WindowEntry `json:"windows"`
 }
 
-type windowedWireEntry struct {
-	Window int             `json:"window"`
-	State  json.RawMessage `json:"state"`
+// WindowEntry is one window of a WindowedState.
+type WindowEntry struct {
+	Window int       `json:"window"`
+	State  wireState `json:"state"`
 }
 
-// MarshalState serializes the windowed state for shard transport: windows in
-// ascending order, each carrying its accumulator's own wire state. Output is
-// deterministic — byte-identical states for equal contents.
-func (w *Windowed) MarshalState() ([]byte, error) {
-	w.mu.Lock()
-	wins := make(map[int]*Accumulator, len(w.wins))
-	for i, acc := range w.wins {
-		wins[i] = acc
+// State returns w's wire state.
+func (w *Windowed) State() WindowedState {
+	st := WindowedState{Version: windowedWireVersion}
+	for _, i := range w.Windows() {
+		st.Windows = append(st.Windows, WindowEntry{Window: i, State: w.Window(i).state()})
 	}
-	w.mu.Unlock()
-	st := windowedWireState{Version: windowedWireVersion}
-	for _, i := range sortedKeys(wins) {
-		b, err := wins[i].MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("stability: marshal window %d: %w", i, err)
-		}
-		st.Windows = append(st.Windows, windowedWireEntry{Window: i, State: b})
-	}
-	return json.Marshal(st)
+	return st
 }
 
-// UnmarshalState validates a windowed wire state and merges it into w,
-// window by window — the shard-merge entry point. Like
-// Accumulator.UnmarshalState it merges rather than replaces, so folding N
-// shard states into one fresh Windowed reproduces single-process windowed
-// accumulation.
-func (w *Windowed) UnmarshalState(data []byte) error {
-	var st windowedWireState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("stability: bad windowed state: %w", err)
-	}
+// MergeState validates a windowed wire state and merges it into w, window
+// by window — the shard-merge entry point. Like Accumulator.UnmarshalState
+// it merges rather than replaces, so folding N shard states into one fresh
+// Windowed reproduces single-process windowed accumulation.
+func (w *Windowed) MergeState(st *WindowedState) error {
 	if st.Version != windowedWireVersion {
 		return fmt.Errorf("stability: windowed state version %d, want %d", st.Version, windowedWireVersion)
 	}
@@ -166,9 +140,23 @@ func (w *Windowed) UnmarshalState(data []byte) error {
 		seen[e.Window] = true
 	}
 	for _, e := range st.Windows {
-		if err := w.Window(e.Window).UnmarshalState(e.State); err != nil {
+		if err := w.Window(e.Window).mergeState(&e.State); err != nil {
 			return fmt.Errorf("stability: window %d: %w", e.Window, err)
 		}
 	}
 	return nil
+}
+
+// MarshalState is State as JSON, windows ascending: byte-identical states
+// for equal contents.
+func (w *Windowed) MarshalState() ([]byte, error) { return json.Marshal(w.State()) }
+
+// UnmarshalState decodes a windowed wire state and merges it into w through
+// MergeState.
+func (w *Windowed) UnmarshalState(data []byte) error {
+	var st WindowedState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("stability: bad windowed state: %w", err)
+	}
+	return w.MergeState(&st)
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // The wire format is the portable form of an Accumulator's internal state:
-// one shard of a distributed fleet marshals its counters, ships the bytes,
-// and the coordinator unmarshals and Merges them. It is deliberately plain
-// JSON — small (counters, not records), deterministic (sorted keys), and
-// diffable in flight recorders.
+// one shard of a distributed fleet ships its counters, one wireState a
+// window inside its WindowedState, and the coordinator merges them. It is
+// deliberately plain JSON — small (counters, not records), deterministic
+// (sorted keys), and diffable in flight recorders.
 
 // wireState is the serialized accumulator.
 type wireState struct {
@@ -65,7 +65,10 @@ const wireVersion = 1
 // MarshalState serializes the accumulator's counters. The bytes are
 // deterministic: the same multiset of added records yields identical output
 // regardless of insertion order or worker count.
-func (a *Accumulator) MarshalState() ([]byte, error) {
+func (a *Accumulator) MarshalState() ([]byte, error) { return json.Marshal(a.state()) }
+
+// state is the accumulator's wire state, every list in its canonical order.
+func (a *Accumulator) state() wireState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	w := wireState{Version: wireVersion}
@@ -140,7 +143,7 @@ func (a *Accumulator) MarshalState() ([]byte, error) {
 		}
 		w.Cells = append(w.Cells, wc)
 	}
-	return json.Marshal(w)
+	return w
 }
 
 func marshalCounts(m map[string]*envCounts) []wireCount {
@@ -166,6 +169,12 @@ func (a *Accumulator) UnmarshalState(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("stability: accumulator state: %w", err)
 	}
+	return a.mergeState(&w)
+}
+
+// mergeState validates a decoded wire state and merges it into the
+// accumulator, refusing what no honest accumulator marshals.
+func (a *Accumulator) mergeState(w *wireState) error {
 	if w.Version != wireVersion {
 		return fmt.Errorf("stability: accumulator state version %d, want %d", w.Version, wireVersion)
 	}
