@@ -8,13 +8,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/device"
+	"repro/internal/fmath"
+	"repro/internal/imaging"
 	"repro/internal/isp"
 	"repro/internal/lab"
 	"repro/internal/nn"
 	"repro/internal/sensor"
+	"repro/internal/stability"
 	"repro/internal/train"
 )
 
@@ -23,12 +25,11 @@ import (
 // quantizes more differently and should flip more predictions.
 func BenchmarkAblationQuantSteepness(b *testing.B) {
 	benchSetup(b)
-	caps := benchRig.CodecCaptures(benchItems, []int{1, 3})
 	var narrow, wide float64
 	for i := 0; i < b.N; i++ {
-		_, n := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(85), codec.NewJPEG(75)})
-		_, w := lab.CodecMatrix(benchModel, caps, []codec.Codec{codec.NewJPEG(95), codec.NewJPEG(60), codec.NewJPEG(25)})
-		narrow, wide = instability(n).Percent(), instability(w).Percent()
+		_, n := formatRuns(len(benchItems), []int{1, 3}, "jpeg:95", "jpeg:85", "jpeg:75")
+		_, w := formatRuns(len(benchItems), []int{1, 3}, "jpeg:95", "jpeg:60", "jpeg:25")
+		narrow, wide = crossFormat(n).Percent(), crossFormat(w).Percent()
 	}
 	b.ReportMetric(narrow, "narrow_spread_instability_pct")
 	b.ReportMetric(wide, "wide_spread_instability_pct")
@@ -65,10 +66,11 @@ func device0WithNoiseScale(scale float64) *device.Profile {
 }
 
 // BenchmarkAblationDemosaic: the instability contribution of the demosaic
-// algorithm alone — two pipelines identical except for the interpolator.
+// algorithm alone — two pipelines identical except for the interpolator,
+// developing the same raw files of the two raw-capable phones. The
+// pipelines are no format value, so this one loop captures for itself.
 func BenchmarkAblationDemosaic(b *testing.B) {
 	benchSetup(b)
-	shots := benchRig.CaptureRaw(benchItems[:20], []int{2})
 	mk := func(algo isp.DemosaicAlgorithm) *isp.Pipeline {
 		return &isp.Pipeline{
 			Name:     fmt.Sprintf("demosaic-%d", algo),
@@ -81,9 +83,31 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 			},
 		}
 	}
+	var dngs []*sensor.RawImage
+	var ids, labels []int
+	for pi, phone := range benchRig.Phones {
+		if !phone.RawCapable {
+			continue
+		}
+		for _, it := range benchItems[:20] {
+			rng := rand.New(rand.NewSource(fmath.Mix(benchRig.Seed, int64(it.ID), 2, int64(pi))))
+			frame := phone.Sensor.Capture(benchRig.Screen.Display(it.Render(2), rng), rng)
+			dngs = append(dngs, phone.DevelopRaw(frame))
+			ids, labels = append(ids, it.ID*len(benchRig.Phones)+pi), append(labels, int(it.Class))
+		}
+	}
+	angles := make([]int, len(dngs))
 	var inst float64
 	for i := 0; i < b.N; i++ {
-		_, recs := lab.ISPConversion(benchModel, shots, []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)})
+		var recs []*stability.Record
+		for _, p := range []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)} {
+			images := make([]*imaging.Image, len(dngs))
+			for j, dng := range dngs {
+				images[j] = p.Process(dng).Quantize8()
+			}
+			r, _ := lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)
+			recs = append(recs, r...)
+		}
 		inst = instability(recs).Percent()
 	}
 	b.ReportMetric(inst, "demosaic_only_instability_pct")

@@ -7,9 +7,11 @@
 //
 // prints the rows the paper reports. The shared base model is trained once
 // per process; experiment sizes are scaled down so the full suite completes
-// in minutes on one core (cmd/paper runs the full-scale versions). Every
-// measurement is an internal/lab call shared with that binary; this file
-// only reduces what comes back to metrics.
+// in minutes on one core (cmd/paper and the fleetd specs run the full-scale
+// versions). Every measurement is an internal/lab call shared with that
+// binary, or — for the stage swaps of Tables 2–4 and Figure 8 — a fleet run
+// with a format, the path the experiment specs take; this file only reduces
+// what comes back to metrics.
 package repro
 
 import (
@@ -19,8 +21,8 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/imaging"
-	"repro/internal/isp"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -30,6 +32,7 @@ import (
 
 var (
 	benchOnce    sync.Once
+	benchConfig  = lab.BaseModelConfig{Seed: 7, TrainItems: 220, Epochs: 5, Width: 1}
 	benchModel   *nn.Model
 	benchRig     *lab.Rig
 	benchItems   []*dataset.Item
@@ -41,7 +44,7 @@ var (
 func benchSetup(tb testing.TB) {
 	tb.Helper()
 	benchOnce.Do(func() {
-		benchModel = lab.TrainBaseModel(lab.BaseModelConfig{Seed: 7, TrainItems: 220, Epochs: 5, Width: 1})
+		benchModel = lab.TrainBaseModel(benchConfig)
 		benchRig = lab.NewRig(42)
 		benchItems = dataset.GenerateHard(30, 142).Items
 		benchRecords = lab.Classify(benchModel, benchRig.CaptureAll(benchItems, []int{1, 2, 3}), 3)
@@ -174,19 +177,59 @@ func BenchmarkFig4ScoreDensities(b *testing.B) {
 	b.ReportMetric(metrics.Mean(split.UnstableIncorrect), "unstable_incorrect_mean")
 }
 
-// benchCodecMatrix reports one of Tables 2–3 over the samsung+iphone
-// ISP-processed photos: cross-codec instability, mean accuracy, mean size.
-func benchCodecMatrix(b *testing.B, codecs ...codec.Codec) {
+// formatRuns runs one fleet run per format on the bench model's float32
+// runtime: devices 0 and 1 (the samsung and iphone cohorts, the raw-capable
+// phones of §5–6 and §9.2) photograph items at full resolution. Every run
+// draws the same sensor noise, so the runs differ only in the stages their
+// format swaps. It returns each run's stats and accumulator.
+func formatRuns(items int, angles []int, formats ...string) ([]fleet.Stats, []*stability.Accumulator) {
+	stats := make([]fleet.Stats, len(formats))
+	accs := make([]*stability.Accumulator, len(formats))
+	for i, f := range formats {
+		r := fleet.NewRunner(fleet.Config{
+			Devices: 2, Items: items, Angles: angles, Seed: 42, Scale: 1,
+			Runtime: nn.RuntimeFloat32, Format: f,
+		}, fleet.BackendReplicator(benchConfig.Arch, benchModel))
+		stats[i], accs[i] = r.Run(), r.Accumulator()
+	}
+	return stats, accs
+}
+
+// crossFormat is the instability across formats: the paper's metric with
+// the formats as environments, over one group per photo (device, item,
+// angle), unstable when one format classifies the photo correctly and
+// another does not.
+func crossFormat(accs []*stability.Accumulator) stability.Summary {
+	seen := map[stability.Cell][2]bool{}
+	for _, acc := range accs {
+		for c, o := range acc.Outcomes() {
+			v := seen[c]
+			v[0] = v[0] || o == stability.OutcomeCorrect
+			v[1] = v[1] || o == stability.OutcomeIncorrect
+			seen[c] = v
+		}
+	}
+	s := stability.Summary{Groups: len(seen)}
+	for _, v := range seen {
+		if v[0] && v[1] {
+			s.Unstable++
+		}
+	}
+	return s
+}
+
+// benchCodecFormats reports one of Tables 2–3 over the samsung+iphone
+// photos: cross-codec instability, mean accuracy, mean size.
+func benchCodecFormats(b *testing.B, formats ...string) {
 	benchSetup(b)
-	caps := benchRig.CodecCaptures(benchItems, []int{1, 3})
 	var inst stability.Summary
 	var acc, kb float64
 	for i := 0; i < b.N; i++ {
-		rows, recs := lab.CodecMatrix(benchModel, caps, codecs)
-		inst, acc, kb = instability(recs), 0, 0
-		for _, r := range rows {
-			acc += r.Accuracy / float64(len(rows))
-			kb += r.AvgKB / float64(len(rows))
+		runs, accs := formatRuns(len(benchItems), []int{1, 3}, formats...)
+		inst, acc, kb = crossFormat(accs), 0, 0
+		for _, st := range runs {
+			acc += st.Accuracy / float64(len(runs))
+			kb += st.CaptureBytes.Mean / 1024 / float64(len(runs))
 		}
 	}
 	b.ReportMetric(inst.Percent(), "instability_pct")
@@ -197,34 +240,32 @@ func benchCodecMatrix(b *testing.B, codecs ...codec.Codec) {
 // BenchmarkTable2CompressionQuality: JPEG q100/85/50 (paper: instability
 // 7.6%, accuracy flat).
 func BenchmarkTable2CompressionQuality(b *testing.B) {
-	benchCodecMatrix(b, codec.NewJPEG(100), codec.NewJPEG(85), codec.NewJPEG(50))
+	benchCodecFormats(b, "jpeg:100", "jpeg:85", "jpeg:50")
 }
 
 // BenchmarkTable3CompressionFormats: JPEG/PNG/WebP/HEIF (paper: instability
 // 9.66% — more than quality alone).
 func BenchmarkTable3CompressionFormats(b *testing.B) {
-	benchCodecMatrix(b, formatCodecs()...)
+	benchCodecFormats(b, codecFormats...)
 }
 
-func formatCodecs() []codec.Codec {
-	return []codec.Codec{codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75)}
-}
+// codecFormats are Table 3's four formats.
+var codecFormats = []string{"jpeg:75", "png", "webp:75", "heif:75"}
 
 // BenchmarkTable4ISP: ImageMagick-like vs Adobe-like software ISP (paper:
 // 14.11% instability, Adobe less accurate).
 func BenchmarkTable4ISP(b *testing.B) {
 	benchSetup(b)
-	shots := benchRig.CaptureRaw(benchItems[:20], []int{2})
 	var inst stability.Summary
-	var accs []float64
+	var runs []fleet.Stats
 	for i := 0; i < b.N; i++ {
-		var recs []*stability.Record
-		accs, recs = lab.ISPConversion(benchModel, shots, []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()})
-		inst = instability(recs)
+		var accs []*stability.Accumulator
+		runs, accs = formatRuns(20, []int{2}, "raw:imagemagick", "raw:adobe")
+		inst = crossFormat(accs)
 	}
 	b.ReportMetric(inst.Percent(), "instability_pct")
-	b.ReportMetric(accs[0]*100, "imagemagick_accuracy_pct")
-	b.ReportMetric(accs[1]*100, "adobe_accuracy_pct")
+	b.ReportMetric(runs[0].Accuracy*100, "imagemagick_accuracy_pct")
+	b.ReportMetric(runs[1].Accuracy*100, "adobe_accuracy_pct")
 }
 
 // BenchmarkTable5ProcessorOS: byte-identical files decoded by five SoC
@@ -311,8 +352,8 @@ func BenchmarkFig8RawImages(b *testing.B) {
 	benchSetup(b)
 	var jpegInst, pngInst float64
 	for i := 0; i < b.N; i++ {
-		jpeg, png := lab.RawVsJPEG(benchModel, benchRig, benchItems[:20], []int{2})
-		jpegInst, pngInst = instability(jpeg).Percent(), instability(png).Percent()
+		runs, _ := formatRuns(20, []int{2}, "native", "raw:dng")
+		jpegInst, pngInst = runs[0].Top1.Percent, runs[1].Top1.Percent
 	}
 	b.ReportMetric(jpegInst, "jpeg_instability_pct")
 	b.ReportMetric(pngInst, "raw_png_instability_pct")

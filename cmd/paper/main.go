@@ -4,17 +4,19 @@
 //	paper [flags] <experiment>...
 //
 //	endtoend   §4    Figures 3–4: five phones photograph the same screen
-//	compress   §5    Tables 2–3 (+ Figure 5 with -gallery): codecs
-//	isp        §6    Table 4: two software ISPs on the same raw files
 //	os         §7    Table 5: byte-identical files, five OS decoders
-//	raw        §9.2  Figure 8: native JPEG vs raw + one converter
-//	topk       §9.3  Figure 9: the end-to-end run re-scored top-3
 //	stability  §9.1  Table 6 (+ Figure 7 with -pr): stability training
 //
 // The measurements are internal/lab functions; this binary renders what
 // they return. The base model is loaded (or trained and saved, -model) once
-// per process, and topk re-scores the capture matrix of endtoend when both
-// are named.
+// per process.
+//
+// The other studies are fleetd specs, not experiments of this binary: the
+// codec (§5, Tables 2–3), software-ISP (§6, Table 4) and raw-capture (§9.2,
+// Figure 8) stage swaps are the format arms of examples/specs/
+// compression.experiment.json, isp.experiment.json and raw.experiment.json
+// (per-arm tables at /v1/experiments/{id}/arms), and Figure 9's top-3 rows
+// are the top1/topk/topk_accuracy fields of every run's stats.
 package main
 
 import (
@@ -31,7 +33,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/lab"
 	"repro/internal/nn"
-	"repro/internal/stability"
 )
 
 // session is what the experiments of one process share.
@@ -42,27 +43,21 @@ type session struct {
 	seed  int64
 	items int // 0: each experiment's paper-scale default
 
-	gallery, pr                   bool
+	pr                            bool
 	repeats, repeatItems          int
 	trainItems, testItems, epochs int
 	alphas                        []float64 // -grid candidates
-
-	endToEnd []*stability.Record // memo of endToEndRecords
 }
 
 // experiments maps each argument to its report; usage lists them in the
 // paper's order.
 var experiments = map[string]func(*session){
 	"endtoend":  (*session).endtoend,
-	"compress":  (*session).compress,
-	"isp":       (*session).isp,
 	"os":        (*session).os,
-	"raw":       (*session).raw,
-	"topk":      (*session).topk,
 	"stability": (*session).stability,
 }
 
-const usage = "usage: paper [flags] <experiment>...  (endtoend compress isp os raw topk stability)"
+const usage = "usage: paper [flags] <experiment>...  (endtoend os stability)"
 
 func main() {
 	log.SetFlags(0)
@@ -82,7 +77,6 @@ func run(args []string, out io.Writer) error {
 	fs.Int64Var(&s.seed, "seed", 42, "experiment seed")
 	modelPath := fs.String("model", "", "base-model snapshot path (trains if missing)")
 	workers := fs.Int("workers", 0, "capture concurrency (0 = GOMAXPROCS); results are identical for any value")
-	fs.BoolVar(&s.gallery, "gallery", false, "compress: print the Figure 5 gallery of format-divergent images")
 	fs.IntVar(&s.repeats, "repeats", 6, "endtoend: repeat shots per object for the within-phone experiment")
 	fs.IntVar(&s.repeatItems, "repeat-items", 30, "endtoend: objects used in the within-phone experiment")
 	fs.IntVar(&s.trainItems, "train-items", 100, "stability: objects in the fine-tuning set")
@@ -143,16 +137,4 @@ func (s *session) objects() []*dataset.Item {
 		n = 120
 	}
 	return dataset.GenerateHard(n, s.seed+100).Items
-}
-
-// endToEndRecords captures and classifies the §4 matrix (every object, five
-// angles, five phones) once per process; endtoend and topk both read it.
-func (s *session) endToEndRecords() []*stability.Record {
-	if s.endToEnd == nil {
-		angles := []int{0, 1, 2, 3, 4}
-		items := s.objects()
-		log.Printf("capturing %d objects x %d angles x %d phones...", len(items), len(angles), len(s.rig.Phones))
-		s.endToEnd = lab.Classify(s.model, s.rig.CaptureAll(items, angles), 3)
-	}
-	return s.endToEnd
 }

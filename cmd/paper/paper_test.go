@@ -45,24 +45,15 @@ func TestGolden(t *testing.T) {
 		return string(b)
 	}
 
-	endtoend := []string{"-repeats", "2", "-repeat-items", "2", "endtoend"}
 	for _, args := range [][]string{
-		endtoend,
-		{"-gallery", "compress"},
-		{"isp"},
+		{"-repeats", "2", "-repeat-items", "2", "endtoend"},
 		{"os"},
-		{"raw"},
-		{"topk"},
 		{"-train-items", "8", "-test-items", "8", "-epochs", "1", "-pr", "stability"},
 	} {
 		name := args[len(args)-1]
 		if got, want := report(args...), golden(name); got != want {
 			t.Errorf("paper %s:\n%s\nwant:\n%s", strings.Join(args, " "), got, want)
 		}
-	}
-	// topk after endtoend re-scores the same capture matrix.
-	if got, want := report(append(endtoend, "topk")...), golden("endtoend")+golden("topk"); got != want {
-		t.Errorf("paper endtoend topk differs from the two reports run apart:\n%s", got)
 	}
 }
 

@@ -1,23 +1,16 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"log"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
-	"repro/internal/isp"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/stability"
 	"repro/internal/train"
 )
-
-// stageAngles are the three central camera angles the single-stage
-// experiments (compress, isp, raw) photograph.
-var stageAngles = []int{1, 2, 3}
 
 func (s *session) bar(label string, value, max float64) {
 	fmt.Fprintln(s.out, lab.Bar(label, value, max, 40))
@@ -27,7 +20,10 @@ func (s *session) bar(label string, value, max float64) {
 // angle / within-phone) and Figure 4 (prediction-score distributions for
 // stable vs unstable photos).
 func (s *session) endtoend() {
-	records := s.endToEndRecords()
+	angles := []int{0, 1, 2, 3, 4}
+	items := s.objects()
+	log.Printf("capturing %d objects x %d angles x %d phones...", len(items), len(angles), len(s.rig.Phones))
+	records := lab.Classify(s.model, s.rig.CaptureAll(items, angles), 3)
 	snap := stability.NewAccumulator(records...).Snapshot()
 
 	fmt.Fprintln(s.out, "\nFigure 3(a) — accuracy by phone")
@@ -57,7 +53,6 @@ func (s *session) endtoend() {
 	}
 
 	fmt.Fprintln(s.out, "\nFigure 3(d) — instability over repeat photos, same phone (%)")
-	items := s.objects()
 	items = items[:min(s.repeatItems, len(items))]
 	for pi, phone := range s.rig.Phones {
 		_, recs := lab.RepeatShots(s.model, s.rig, pi, items, 2, s.repeats)
@@ -89,93 +84,6 @@ func (s *session) endtoend() {
 	fmt.Fprintf(s.out, "Mean score (stable incorrect)   = %.3f\n", metrics.Mean(split.StableIncorrect))
 }
 
-// compress regenerates Table 2 (JPEG qualities 100/85/50), Table 3 (JPEG vs
-// PNG vs WebP vs HEIF) and, with -gallery, the Figure 5 list of photos whose
-// label flips between formats.
-func (s *session) compress() {
-	log.Printf("capturing ISP-processed photos (samsung + iphone)...")
-	captures := s.rig.CodecCaptures(s.objects(), stageAngles)
-
-	table := func(title string, codecs ...codec.Codec) []*stability.Record {
-		rows, records := lab.CodecMatrix(s.model, captures, codecs)
-		t := &lab.Table{Title: title, Headers: []string{"metric"}}
-		sizes, accs := []string{"avg. size [KB]"}, []string{"accuracy"}
-		for _, r := range rows {
-			t.Headers = append(t.Headers, r.Codec)
-			sizes = append(sizes, fmt.Sprintf("%.2f", r.AvgKB))
-			accs = append(accs, fmt.Sprintf("%.1f%%", r.Accuracy*100))
-		}
-		t.AddRow(sizes...)
-		t.AddRow(accs...)
-		inst := stability.NewAccumulator(records...).Snapshot().Top1
-		t.AddRow("instability", fmt.Sprintf("%.2f%% (%d/%d)", inst.Percent(), inst.Unstable, inst.Groups))
-		t.Render(s.out)
-		return records
-	}
-	table("Table 2 — JPEG compression qualities (paper: instability 7.6%)",
-		codec.NewJPEG(100), codec.NewJPEG(85), codec.NewJPEG(50))
-	formats := table("\nTable 3 — compression formats (paper: instability 9.66%)",
-		codec.NewJPEG(75), codec.NewPNG(), codec.NewWebP(75), codec.NewHEIF(75))
-	if !s.gallery {
-		return
-	}
-
-	fmt.Fprintln(s.out, "\nFigure 5 — images with format-divergent labels")
-	acc := stability.NewAccumulator(formats...)
-	byGroup := func(a, b *stability.Record) int {
-		return cmp.Or(cmp.Compare(a.ItemID, b.ItemID), cmp.Compare(a.Angle, b.Angle))
-	}
-	rest := slices.Clone(formats)
-	slices.SortStableFunc(rest, byGroup)
-	shown := 0
-	for len(rest) > 0 && shown < 12 {
-		n := 1
-		for n < len(rest) && byGroup(rest[0], rest[n]) == 0 {
-			n++
-		}
-		group := rest[:n]
-		rest = rest[n:]
-		k := stability.GroupKey{ItemID: group[0].ItemID, Angle: group[0].Angle}
-		if !acc.Unstable(k) {
-			continue
-		}
-		fmt.Fprintf(s.out, "  object %d angle %d (true: %s):\n", k.ItemID/lab.SourceStride, k.Angle, dataset.Class(group[0].TrueClass))
-		for _, r := range group {
-			mark := "✗"
-			if r.Correct() {
-				mark = "✓"
-			}
-			fmt.Fprintf(s.out, "    %-10s → %-14s %s (score %.2f)\n", r.Env, dataset.Class(r.Pred), mark, r.Score)
-		}
-		shown++
-	}
-	if shown == 0 {
-		fmt.Fprintln(s.out, "  (no unstable groups found at this sample size)")
-	}
-}
-
-// isp regenerates Table 4: raw frames from the two raw-capable phones are
-// developed by an ImageMagick-like and an Adobe-like software ISP, and
-// instability is measured between the two converters.
-func (s *session) isp() {
-	log.Printf("capturing raw (DNG-like) photos...")
-	pipelines := []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()}
-	accs, records := lab.ISPConversion(s.model, s.rig.CaptureRaw(s.objects(), stageAngles), pipelines)
-
-	t := &lab.Table{Title: "Table 4 — software ISP conversion (paper: ImageMagick 54.75%, Adobe 49.96%, instability 14.11%)", Headers: []string{"metric", "result"}}
-	for i, p := range pipelines {
-		t.AddRow(p.Name+" accuracy", fmt.Sprintf("%.2f%%", accs[i]*100))
-	}
-	inst := stability.NewAccumulator(records...).Snapshot().Top1
-	t.AddRow("instability", fmt.Sprintf("%.2f%% (%d/%d)", inst.Percent(), inst.Unstable, inst.Groups))
-	t.Render(s.out)
-
-	fmt.Fprintln(s.out, "\nPipelines under test:")
-	for _, p := range pipelines {
-		fmt.Fprintf(s.out, "  %s\n", p.Describe())
-	}
-}
-
 // os regenerates the §7 processor/OS experiment (Table 5's SoCs): per-device
 // accuracy on byte-identical files, the decoded-image MD5 matches that
 // attribute the divergence to JPEG decoding, and the PNG control where
@@ -203,64 +111,6 @@ func (s *session) os() {
 		t.Render(s.out)
 		fmt.Fprintf(s.out, "  %s instability across devices: %s\n", name, stability.NewAccumulator(records...).Snapshot().Top1)
 	}
-}
-
-// raw regenerates Figure 8: cross-phone instability of the native JPEG path
-// against raw capture plus one consistent converter, overall (8a), per
-// class (8b) and alongside accuracy (8c).
-func (s *session) raw() {
-	log.Printf("capturing dual JPEG + raw photos on samsung and iphone...")
-	jpeg, png := lab.RawVsJPEG(s.model, s.rig, s.objects(), stageAngles)
-
-	jpegSnap, pngSnap := stability.NewAccumulator(jpeg...).Snapshot(), stability.NewAccumulator(png...).Snapshot()
-	jpegInst, pngInst := jpegSnap.Top1, pngSnap.Top1
-	fmt.Fprintln(s.out, "\nFigure 8(a) — cross-phone instability by file type (%)")
-	s.bar("JPEG", jpegInst.Percent(), 20)
-	s.bar("Converted PNG", pngInst.Percent(), 20)
-
-	fmt.Fprintln(s.out, "\nFigure 8(b) — instability by class (%)")
-	for c := 0; c < int(dataset.NumClasses); c++ {
-		s.bar(dataset.Class(c).String()+" (JPEG)", jpegSnap.ByClass[c].Percent(), 25)
-		s.bar(dataset.Class(c).String()+" (PNG)", pngSnap.ByClass[c].Percent(), 25)
-	}
-
-	fmt.Fprintln(s.out, "\nFigure 8(c) — accuracy by phone and file type (%)")
-	for i, e := range jpegSnap.ByEnv { // the slices are aligned, so the phones are too
-		s.bar(e.Env+" (JPEG)", e.Accuracy*100, 100)
-		s.bar(e.Env+" (PNG)", pngSnap.ByEnv[i].Accuracy*100, 100)
-	}
-
-	improvement := 0.0
-	if jpegInst.Rate() > 0 {
-		improvement = (jpegInst.Rate() - pngInst.Rate()) / jpegInst.Rate() * 100
-	}
-	fmt.Fprintf(s.out, "\nSummary: raw+consistent conversion changes instability %.2f%% → %.2f%% (%.1f%% relative; paper: ~11.5%%)\n",
-		jpegInst.Percent(), pngInst.Percent(), improvement)
-}
-
-// topk regenerates Figure 9: the end-to-end experiment re-scored with top-3
-// classification instead of top-1, for both accuracy and instability.
-func (s *session) topk() {
-	snap := stability.NewAccumulator(s.endToEndRecords()...).Snapshot()
-
-	fmt.Fprintln(s.out, "\nFigure 9(a) — accuracy, top-3 vs top-1 (%)")
-	for _, env := range []string{"samsung-galaxy-s10", "iphone-xr"} {
-		i := slices.IndexFunc(snap.ByEnv, func(e stability.EnvAccuracy) bool { return e.Env == env })
-		s.bar(env+" top-3", snap.ByEnv[i].TopKAccuracy*100, 100)
-		s.bar(env+" top-1", snap.ByEnv[i].Accuracy*100, 100)
-	}
-
-	top1, top3 := snap.Top1, snap.TopK
-	fmt.Fprintln(s.out, "\nFigure 9(b) — instability, top-3 vs top-1 (%)")
-	s.bar("top-3", top3.Percent(), 20)
-	s.bar("top-1", top1.Percent(), 20)
-
-	accImp := (snap.TopKAccuracy - snap.Accuracy) / snap.Accuracy * 100
-	instImp := 0.0
-	if top1.Rate() > 0 {
-		instImp = (top1.Rate() - top3.Rate()) / top1.Rate() * 100
-	}
-	fmt.Fprintf(s.out, "\nSummary: top-3 improves accuracy by %.1f%% and instability by %.1f%% relative (paper: ~30%% each)\n", accImp, instImp)
 }
 
 // stability regenerates Table 6(a), Table 6(b) and, with -pr, the Figure 7

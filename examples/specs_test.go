@@ -5,7 +5,8 @@
 //	go run ./cmd/fleetd -model bench/testdata/base.model &
 //	curl -d @examples/specs/scale.experiment.json localhost:8470/v1/experiments
 //
-// and TestSpecs pins what each one produces on the committed model.
+// and TestSpecs pins what each one produces on the committed model: an
+// experiment's report and its per-arm stats (/arms), a run's stats.
 package examples
 
 import (
@@ -32,19 +33,26 @@ import (
 const modelPath = "../bench/testdata/base.model"
 
 // specKind is what a spec file's suffix, <name>.<kind>.json, selects: the
-// collection it is POSTed to, the artifact compared with its golden, and the
-// strict decode fleetd applies to the body. A sharded kind is run a second
-// time through a coordinator over two peers, against the same golden.
+// collection it is POSTed to, the artifacts compared with goldens (the
+// first with <name>.golden, any other with <name>.<artifact>.golden), and
+// the strict decode fleetd applies to the body. A sharded kind is run a
+// second time through a coordinator over two peers, against the same
+// goldens.
 type specKind struct {
-	collection, artifact string
-	decode               func([]byte) error
-	sharded              bool
+	collection string
+	artifacts  []string
+	decode     func([]byte) error
+	sharded    bool
 }
 
 var specKinds = map[string]specKind{
-	"experiment": {"/v1/experiments", "report", strictDecode[fleetapi.ExperimentSpec], false},
-	"run":        {"/v1/runs", "stats", strictDecode[fleetapi.RunSpec], true},
+	"experiment": {"/v1/experiments", []string{"report", "arms"}, strictDecode[fleetapi.ExperimentSpec], false},
+	"run":        {"/v1/runs", []string{"stats"}, strictDecode[fleetapi.RunSpec], true},
 }
+
+// shardedSpecs are specs of an unsharded kind that also take the two-peer
+// leg: the compression experiment's format arms cross the shard wire.
+var shardedSpecs = map[string]bool{"compression.experiment": true}
 
 // strictDecode decodes a body as fleetd does: unknown fields refused, then
 // Validate.
@@ -59,10 +67,10 @@ func strictDecode[T interface{ Validate() error }](body []byte) error {
 }
 
 // TestSpecs posts every specs/*.json, byte for byte, to a fresh fleetd
-// serving the committed model and compares its artifact with
-// testdata/<name>.golden. A golden is what curl prints for
+// serving the committed model and compares its artifacts with
+// testdata/<name>[.<artifact>].golden. A golden is what curl prints for
 // /v1/<collection>/0/<artifact> once the spec has run on a freshly started
-// fleetd -model bench/testdata/base.model; a sharded kind's must also be what
+// fleetd -model bench/testdata/base.model; a sharded spec's must also be what
 // a coordinator over two peers prints, since a device's cells do not depend on
 // the instance that computes them. Under -short each file is only decoded and
 // validated.
@@ -92,19 +100,26 @@ func TestSpecs(t *testing.T) {
 			if testing.Short() {
 				return
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
-			if err != nil {
-				t.Fatal(err)
+			want := map[string][]byte{}
+			for i, artifact := range kind.artifacts {
+				golden := name + ".golden"
+				if i > 0 {
+					golden = name + "." + artifact + ".golden"
+				}
+				if want[artifact], err = os.ReadFile(filepath.Join("testdata", golden)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			topologies := map[string][]string{"single instance": nil}
-			if kind.sharded {
+			if kind.sharded || shardedSpecs[name] {
 				topologies["coordinator over two peers"] = []string{serve(t, fleetd.Options{Factory: factory}), serve(t, fleetd.Options{Factory: factory})}
 			}
 			for topology, peers := range topologies {
 				url := serve(t, fleetd.Options{Factory: factory, Peers: peers})
-				got := runSpec(t, url+kind.collection, kind.artifact, body)
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s on a %s: artifact differs from its golden:\n got %s\nwant %s", path, topology, got, want)
+				for artifact, got := range runSpec(t, url+kind.collection, kind.artifacts, body) {
+					if !bytes.Equal(got, want[artifact]) {
+						t.Errorf("%s on a %s: %s differs from its golden:\n got %s\nwant %s", path, topology, artifact, got, want[artifact])
+					}
 				}
 			}
 		})
@@ -138,8 +153,8 @@ func loadModel(t *testing.T) fleet.BackendFactory {
 }
 
 // runSpec POSTs body to collection, waits for the resource to finish and
-// returns its artifact.
-func runSpec(t *testing.T, collection, artifact string, body []byte) []byte {
+// returns its artifacts.
+func runSpec(t *testing.T, collection string, artifacts []string, body []byte) map[string][]byte {
 	t.Helper()
 	// fetch reads a reply's body and fails the test unless the request
 	// succeeded.
@@ -177,5 +192,9 @@ func runSpec(t *testing.T, collection, artifact string, body []byte) []byte {
 	if st.State != fleetapi.StateDone {
 		t.Fatalf("%s ended %s: %s", resource, st.State, st.Error)
 	}
-	return fetch(http.Get(resource + "/" + artifact))
+	got := map[string][]byte{}
+	for _, artifact := range artifacts {
+		got[artifact] = fetch(http.Get(resource + "/" + artifact))
+	}
+	return got
 }

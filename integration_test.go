@@ -116,12 +116,12 @@ func TestIntegrationCompressionAccuracyFlat(t *testing.T) {
 
 	// Paper Tables 2-3: codec choice barely moves accuracy yet creates
 	// instability. Compare per-codec accuracies and the joint instability.
-	rows, recs := lab.CodecMatrix(benchModel, benchRig.CodecCaptures(benchItems, []int{1, 3}), formatCodecs())
-	if instability(recs).Unstable == 0 {
+	runs, accs := formatRuns(len(benchItems), []int{1, 3}, codecFormats...)
+	if crossFormat(accs).Unstable == 0 {
 		t.Error("format instability is zero — codecs too benign")
 	}
 	var min, max float64 = 1, 0
-	for _, r := range rows {
+	for _, r := range runs {
 		if r.Accuracy < min {
 			min = r.Accuracy
 		}

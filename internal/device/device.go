@@ -70,13 +70,6 @@ func (p *Profile) Capture(scene *imaging.Image, rng *rand.Rand) *Photo {
 	return &Photo{Device: p.Name, Encoded: enc, Image: enc.Decode(p.Decode)}
 }
 
-// CaptureProcessed stops after the ISP, returning the uncompressed processed
-// image (what the codec experiments start from).
-func (p *Profile) CaptureProcessed(scene *imaging.Image, rng *rand.Rand) *imaging.Image {
-	raw := p.Sensor.Capture(scene, rng)
-	return p.ISP.Process(raw).Clamp()
-}
-
 // CaptureRaw returns the DNG-style raw file for raw-capable devices, and an
 // error otherwise (three of the paper's five phones could not shoot raw).
 // The file is the sensor frame after the vendor's baked-in raw development.

@@ -114,18 +114,6 @@ func TestPhonesCaptureSameSceneDifferently(t *testing.T) {
 	}
 }
 
-func TestCaptureProcessedSkipsCodec(t *testing.T) {
-	phone := LabPhones()[0]
-	scene := testScene()
-	processed := phone.CaptureProcessed(scene, rand.New(rand.NewSource(3)))
-	full := phone.Capture(scene, rand.New(rand.NewSource(3))).Image
-	// The codec round trip must change something relative to the ISP
-	// output.
-	if imaging.MSE(processed, full) == 0 {
-		t.Fatal("codec round trip had no effect")
-	}
-}
-
 func TestCaptureRawRequiresCapability(t *testing.T) {
 	var nonRaw, raw *Profile
 	for _, p := range LabPhones() {

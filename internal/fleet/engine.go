@@ -31,6 +31,7 @@ type Engine struct {
 
 	scenes *LRU[sceneKey, *imaging.Image]
 	tele   *Telemetry // nil → no timing; set via Runner.SetTelemetry
+	swap   *stageSwap // the run's format; nil → each device's own pipeline
 }
 
 type sceneKey struct{ item, angle int }
@@ -68,7 +69,8 @@ func (e *Engine) Displayed(it *dataset.Item, angle int) *imaging.Image {
 }
 
 // Capture photographs one cell: shared displayed frame → device sensor →
-// fused ISP → native codec → OS decode. It returns the decoded pixels (what
+// fused ISP → native codec → OS decode (or the stages the run's format swaps
+// in; see Config.Format). It returns the decoded pixels (what
 // the device hands its model) and the compressed size in bytes.
 //
 // Every intermediate lives in a pooled arena: the cell RNG is a re-seeded
@@ -112,7 +114,8 @@ func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.
 
 // captureSeeded is the one capture body: cell seed in, decoded image, size
 // and stage times out. Capture and CaptureEpoch discard the times; the four
-// clock reads are noise against a 130–800 µs capture.
+// clock reads are noise against a 130–800 µs capture. The sensor is the
+// only consumer of the cell RNG, so every format draws the same noise.
 func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
 	displayed := e.Displayed(it, angle)
 	a := arenaPool.Get().(*captureArena)
@@ -120,12 +123,19 @@ func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int6
 	t0 := time.Now()
 	raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
 	t1 := time.Now()
-	processed := d.ISP.Process(raw) // pool-owned by this frame; Clamp in place is safe
+	pipeline, c, opts := d.ISP, d.Profile.Codec, d.Profile.Decode
+	if sw := e.swap; sw != nil {
+		c, opts = sw.codec, codec.DecodeOptions{}
+		if sw.isp != nil {
+			pipeline, raw = sw.isp, d.Profile.DevelopRaw(raw)
+		}
+	}
+	processed := pipeline.Process(raw) // pool-owned by this frame; Clamp in place is safe
 	t2 := time.Now()
-	enc := d.Profile.Codec.Encode(processed.Clamp())
+	enc := c.Encode(processed.Clamp())
 	imaging.PutImage(processed)
 	size := enc.Size
-	img := enc.DecodeInto(d.Profile.Decode, imaging.GetImage(enc.W, enc.H))
+	img := enc.DecodeInto(opts, imaging.GetImage(enc.W, enc.H))
 	codec.Release(enc)
 	arenaPool.Put(a)
 	t3 := time.Now()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
@@ -51,6 +53,57 @@ func TestLRUGetOrCompute(t *testing.T) {
 	}
 	if v := c.GetOrCompute(1, f); v != 7 || calls != 1 {
 		t.Fatalf("recompute: v=%d calls=%d", v, calls)
+	}
+}
+
+// TestLRUGetOrComputeOnce: N goroutines miss one key at once; the
+// computation runs once, every caller gets the one value it returned, and a
+// computation that panics releases its waiters to compute again.
+func TestLRUGetOrComputeOnce(t *testing.T) {
+	const n = 16
+	c := NewLRU[int, *int](4)
+	var calls atomic.Int32
+	release := make(chan struct{})
+	compute := func() *int {
+		calls.Add(1)
+		<-release // hold the computation until every caller has missed
+		v := 7
+		return &v
+	}
+	got := make([]*int, n)
+	var started, done sync.WaitGroup
+	for i := 0; i < n; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			started.Done()
+			got[i] = c.GetOrCompute(1, compute)
+		}()
+	}
+	started.Wait()
+	time.Sleep(20 * time.Millisecond) // let the goroutines reach the cache
+	close(release)
+	done.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("compute ran %d times for one key", calls.Load())
+	}
+	for i, p := range got {
+		if p != got[0] || *p != 7 {
+			t.Fatalf("caller %d got %p (%v), caller 0 got %p", i, p, *p, got[0])
+		}
+	}
+
+	entered := make(chan struct{})
+	var retried atomic.Bool
+	go func() {
+		defer func() { recover() }()
+		c.GetOrCompute(2, func() *int { close(entered); time.Sleep(20 * time.Millisecond); panic("boom") })
+	}()
+	<-entered
+	v := c.GetOrCompute(2, func() *int { retried.Store(true); v := 3; return &v })
+	if *v != 3 || !retried.Load() {
+		t.Fatalf("after a panicking computation: got %d, retried %v", *v, retried.Load())
 	}
 }
 

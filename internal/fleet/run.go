@@ -30,6 +30,14 @@ type Config struct {
 	// runtime (one of nn.Runtimes()), overriding the per-device assignment
 	// synthesized into the profiles. Empty runs the mixed fleet.
 	Runtime string `json:"runtime,omitempty"`
+	// Format swaps one stage of every capture (see CanonicalFormat): a codec
+	// value re-encodes the device's ISP output with that codec and decodes
+	// it with the reference decoder (§5); raw:<converter> develops the
+	// device's raw file with that software ISP and stores it as PNG (§6,
+	// §9.2). Empty, or "native", is each device's own pipeline. Every format
+	// draws the same sensor noise per cell, so arms differing only in format
+	// pair cell for cell.
+	Format string `json:"format,omitempty"`
 	// DeviceLo and DeviceHi bound the device-id range [DeviceLo, DeviceHi)
 	// this runner executes (defaults 0..Devices). Device i's profile and
 	// runtime depend only on (Seed, i), so a range shard computes exactly
@@ -80,7 +88,8 @@ func (c Config) rangeSize() int {
 
 // WithDefaults returns the config with every zero-valued field replaced by
 // its default — the exact config a Runner built from c would report. The
-// device range is clamped into [0, Devices].
+// device range is clamped into [0, Devices], and a valid format takes its
+// canonical spelling (native is omitted).
 func (c Config) WithDefaults() Config {
 	if c.Devices <= 0 {
 		c.Devices = 100
@@ -107,6 +116,7 @@ func (c Config) WithDefaults() Config {
 		}
 		c.Angles = angles
 	}
+	c.Format, _ = CanonicalFormat(c.Format)
 	if c.TopK <= 0 {
 		c.TopK = 3
 	}

@@ -112,6 +112,11 @@ func newSweep(cfg ContinuousConfig, sched *lifecycle.Schedule, continuous bool, 
 		slots:      make([]deviceSlot, fc.rangeSize()),
 		done:       make(chan struct{}),
 	}
+	swap, _, err := parseFormat(fc.Format)
+	if err != nil { // the API validates specs; a direct caller passed a bad one
+		panic("fleet: " + err.Error())
+	}
+	s.engine.swap = swap
 	windows := make([]windowSlot, len(s.slots)*cfg.Windows)
 	for i := range s.slots {
 		s.slots[i].id = fc.DeviceLo + i

@@ -387,6 +387,13 @@ func (c *Client) ExperimentReport(ctx context.Context, id int) ([]byte, error) {
 	return c.artifact(ctx, experimentsPath, id, "report")
 }
 
+// ExperimentArms fetches a finished experiment's per-arm stats: a JSON
+// array, in arm order, of what /v1/runs/{id}/stats serves for each arm's
+// spec.
+func (c *Client) ExperimentArms(ctx context.Context, id int) ([]byte, error) {
+	return c.artifact(ctx, experimentsPath, id, "arms")
+}
+
 // CreateFleet starts an async continuous fleet resource.
 func (c *Client) CreateFleet(ctx context.Context, spec FleetSpec) (FleetStatus, error) {
 	return createResource[FleetStatus](ctx, c, fleetsPath, spec)

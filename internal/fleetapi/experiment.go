@@ -26,11 +26,13 @@ const MaxArms = 32
 
 // SweepAxes is the sweep matrix of an experiment: every non-empty field
 // sweeps one RunSpec field over its listed values. Arms expand as the cross
-// product of the axes in canonical order (runtime, scale, devices, items,
-// seed), so the arm list — and every report derived from it — is
-// deterministic in the spec alone.
+// product of the axes in canonical order (runtime, format, scale, devices,
+// items, seed), so the arm list — and every report derived from it — is
+// deterministic in the spec alone. A format value is stamped into its arm,
+// and names it, in its canonical spelling.
 type SweepAxes struct {
 	Runtime []string `json:"runtime,omitempty"`
+	Format  []string `json:"format,omitempty"`
 	Scale   []int    `json:"scale,omitempty"`
 	Devices []int    `json:"devices,omitempty"`
 	Items   []int    `json:"items,omitempty"`
@@ -50,6 +52,15 @@ func (a SweepAxes) axes() []axis {
 	var out []axis
 	if v := a.Runtime; len(v) > 0 {
 		out = append(out, axis{"runtime", len(v), func(s *RunSpec, i int) string { s.Runtime = v[i]; return v[i] }})
+	}
+	if v := a.Format; len(v) > 0 {
+		out = append(out, axis{"format", len(v), func(s *RunSpec, i int) string {
+			s.Format, _ = fleet.CanonicalFormat(v[i]) // a bad value stays, for Validate to name
+			if s.Format == "" {
+				return "native"
+			}
+			return s.Format
+		}})
 	}
 	if v := a.Scale; len(v) > 0 {
 		out = append(out, axis{"scale", len(v), func(s *RunSpec, i int) string { s.Scale = v[i]; return strconv.Itoa(v[i]) }})
@@ -148,6 +159,13 @@ func (s ExperimentSpec) BaselineArm() string {
 // the whole sweep.
 func (s ExperimentSpec) Validate() error {
 	if err := dupErr("runtime", s.Axes.Runtime); err != nil {
+		return err
+	}
+	formats := make([]string, len(s.Axes.Format))
+	for i, v := range s.Axes.Format {
+		formats[i], _ = fleet.CanonicalFormat(v)
+	}
+	if err := dupErr("format", formats); err != nil {
 		return err
 	}
 	if err := dupErr("scale", s.Axes.Scale); err != nil {

@@ -112,3 +112,49 @@ func TestExperimentSpecValidate(t *testing.T) {
 		t.Fatalf("arm error not attributed: %v", err)
 	}
 }
+
+// TestFormatValidate: a format is outside input. A run spec takes any
+// spelling that canonicalises; an axis refuses two spellings of one format
+// as a duplicate, and names and stamps each arm by the canonical one.
+func TestFormatValidate(t *testing.T) {
+	for _, f := range []string{"", "native", "png", "jpeg:85", "JPEG:85", "webp:1", "heif:100", "raw:dng", "raw:DNG", "raw:imagemagick", "raw:adobe"} {
+		if err := (RunSpec{Format: f}).Validate(); err != nil {
+			t.Errorf("format %q refused: %v", f, err)
+		}
+	}
+	for _, f := range []string{"jpeg:085", "jpeg:0", "jpeg:101", "raw:", "png:1", "jpeg:85 ", "raw:dng ", " png", "tiff"} {
+		if err := (RunSpec{Format: f}).Validate(); err == nil || !strings.Contains(err.Error(), "format") {
+			t.Errorf("format %q: error %v, want a refusal naming the format", f, err)
+		}
+	}
+
+	for _, axis := range [][]string{
+		{"jpeg:85", "JPEG:85"},
+		{"raw:dng", "raw:DNG"},
+		{"native", ""},
+		{"png", "native", "PNG"},
+	} {
+		err := ExperimentSpec{Axes: SweepAxes{Format: axis}}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "duplicate format") {
+			t.Errorf("axis %q: error %v, want a duplicate", axis, err)
+		}
+	}
+	if err := (ExperimentSpec{Axes: SweepAxes{Format: []string{"jpeg:85", "jpeg:085"}}}).Validate(); err == nil || !strings.Contains(err.Error(), "arm format=jpeg:085") {
+		t.Errorf("axis with a bad spelling: error %v, want the arm named", err)
+	}
+
+	spec := ExperimentSpec{Axes: SweepAxes{Runtime: []string{nn.RuntimeInt8}, Format: []string{"Native", "JPEG:50", "raw:Adobe"}}, Baseline: "runtime=int8,format=jpeg:50"}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var names, formats []string
+	for _, arm := range spec.Arms() {
+		names, formats = append(names, arm.Name), append(formats, arm.Spec.Format)
+	}
+	if want := []string{"runtime=int8,format=native", "runtime=int8,format=jpeg:50", "runtime=int8,format=raw:adobe"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("arm names %q, want %q", names, want)
+	}
+	if want := []string{"", "jpeg:50", "raw:adobe"}; !reflect.DeepEqual(formats, want) {
+		t.Errorf("arm formats %q, want %q", formats, want)
+	}
+}

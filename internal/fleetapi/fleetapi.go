@@ -44,6 +44,11 @@ type RunSpec struct {
 	TopK    int    `json:"topk,omitempty"`
 	Scale   int    `json:"scale,omitempty"`
 	Runtime string `json:"runtime,omitempty"`
+	// Format swaps one capture stage on every cell (fleet.Config.Format):
+	// png, jpeg:Q, webp:Q or heif:Q re-encode each device's ISP output,
+	// raw:dng, raw:imagemagick or raw:adobe develop its raw file. Omitted
+	// means native.
+	Format  string `json:"format,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 }
 
@@ -57,6 +62,7 @@ func (s RunSpec) FleetConfig() fleet.Config {
 		TopK:    s.TopK,
 		Scale:   s.Scale,
 		Runtime: s.Runtime,
+		Format:  s.Format,
 		Workers: s.Workers,
 	}
 }
@@ -117,6 +123,9 @@ func (s RunSpec) validateFields() error {
 	}
 	if s.Runtime != "" && !nn.ValidRuntime(s.Runtime) {
 		return fmt.Errorf("bad runtime %q (want one of %v)", s.Runtime, nn.Runtimes())
+	}
+	if _, err := fleet.CanonicalFormat(s.Format); err != nil {
+		return err
 	}
 	seen := map[int]bool{}
 	for _, a := range s.Angles {

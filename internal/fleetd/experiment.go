@@ -27,7 +27,8 @@ type armRun struct {
 // instance transparently shards every arm across its peers. Arms run
 // sequentially in expansion order, so an experiment occupies the same
 // single admission slot a run does, never multiplying the instance's peak
-// memory by the arm count. Its one artifact is the "report".
+// memory by the arm count. Its artifacts are the "report" and the "arms"
+// (every arm's full stats).
 type experiment struct {
 	core     // live is the running arm's execution
 	spec     fleetapi.ExperimentSpec
@@ -136,7 +137,10 @@ func (e *experiment) execute(s *Server) {
 		if err != nil {
 			final, failure = fleetapi.StateFailed, fmt.Sprintf("report: %v", err)
 		} else {
-			docs = map[string][]byte{"report": b}
+			// Each arm's whole stats, in arm order: every entry is the bytes
+			// /v1/runs/{id}/stats serves for that arm's spec.
+			arms, _ := json.Marshal(stats)
+			docs = map[string][]byte{"report": b, "arms": arms}
 		}
 	}
 	e.finish(final, failure, 0, 0, docs)

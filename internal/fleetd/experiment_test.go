@@ -225,6 +225,78 @@ func TestExperimentCoordinatorByteIdentity(t *testing.T) {
 	}
 }
 
+// TestExperimentArmsAreRunStats: each entry of /arms is byte for byte what
+// /v1/runs/{id}/stats serves for that arm's spec, on a single instance and
+// through a coordinator; and a format arm pairs with the native one on
+// every cell, because the format swaps stages after the sensor draw.
+func TestExperimentArmsAreRunStats(t *testing.T) {
+	spec := fleetapi.ExperimentSpec{
+		Base: fleetapi.RunSpec{Devices: 5, Items: 2, Angles: []int{0, 2}, Seed: 9, Workers: 2, Runtime: nn.RuntimeInt8},
+		Axes: fleetapi.SweepAxes{Format: []string{"native", "JPEG:50", "raw:dng"}},
+	}
+	ctx := context.Background()
+	_, single := v1Fixture(t, 8)
+	arms := func(c *fleetapi.Client) (fleetapi.ExperimentStatus, []byte) {
+		t.Helper()
+		st, err := c.CreateExperiment(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.WaitExperiment(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != fleetapi.StateDone {
+			t.Fatalf("experiment %+v: %v", st, err)
+		}
+		data, err := c.ExperimentArms(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, data
+	}
+	st, data := arms(single)
+	if _, sharded := arms(coordinatorFixture(t, 2)); !bytes.Equal(sharded, data) {
+		t.Fatalf("coordinator arms diverged from single process:\n%s\nvs\n%s", sharded, data)
+	}
+	var entries []json.RawMessage
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(st.Arms) {
+		t.Fatalf("%d arms entries for %d arms", len(entries), len(st.Arms))
+	}
+	for i, arm := range st.Arms {
+		if want := []string{"format=native", "format=jpeg:50", "format=raw:dng"}[i]; arm.Name != want {
+			t.Fatalf("arm %d named %q, want %q", i, arm.Name, want)
+		}
+		run, err := single.CreateRun(ctx, arm.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := single.WaitRun(ctx, run.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := single.RunStats(ctx, run.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(entries[i], stats) {
+			t.Errorf("arm %s: /arms entry\n%s\nis not its run's stats\n%s", arm.Name, entries[i], stats)
+		}
+	}
+
+	data, err := single.ExperimentReport(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep fleetapi.ExperimentReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range rep.Arms[1:] {
+		if arm.Paired.Cells != arm.Captures || arm.Captures != 5*2*2 {
+			t.Errorf("arm %s pairs %d cells of %d captures, want all 20", arm.Name, arm.Paired.Cells, arm.Captures)
+		}
+	}
+}
+
 // TestCoordinatorProbeFailsFast: a dead peer fails the run during the
 // pre-dispatch health probe — named, immediate, and with zero shards ever
 // dispatched to the surviving peers.

@@ -216,6 +216,14 @@ func FuzzStrictDecode(f *testing.F) {
 	for _, body := range serveBodies {
 		f.Add([]byte(body))
 	}
+	// Format strings: accepted spellings, refused ones, and an axis that
+	// names one format twice.
+	for _, format := range []string{"JPEG:85", "jpeg:085", "jpeg:0", "jpeg:101", "raw:", "raw:DNG", "png:1", "jpeg:85 ", "native", "webp:75", "heif:1", "raw:adobe"} {
+		f.Add([]byte(`{"devices":2,"format":"` + format + `"}`))
+		f.Add([]byte(`{"base":{"devices":2},"axes":{"format":["png","` + format + `"]}}`))
+	}
+	f.Add([]byte(`{"base":{"devices":2},"axes":{"format":["jpeg:85","JPEG:85"]}}`))
+	f.Add([]byte(`{"devices":2,"windows":2,"format":"raw:imagemagick"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkServeDecode(t, func() io.Reader { return bytes.NewReader(data) })
 		for _, decode := range fuzzBodies {

@@ -179,7 +179,9 @@ func (s *Server) Handler() http.Handler {
 	handle("/v1/shards", s.handleShard)
 	handle("/v1/experiments", s.experiments.handleCollection)
 	handle("/v1/experiments/{id}", s.experiments.handleResource)
-	handle("/v1/experiments/{id}/report", s.experiments.artifact("report"))
+	for _, leaf := range []string{"report", "arms"} {
+		handle("/v1/experiments/{id}/"+leaf, s.experiments.artifact(leaf))
+	}
 	handle("/v1/fleets", s.fleets.handleCollection)
 	handle("/v1/fleets/{id}", s.fleets.handleResource)
 	for _, leaf := range []string{"report", "windows", "drift"} {

@@ -53,7 +53,7 @@ var surfaceKinds = []surfaceKind{
 		long:       `{"base":{"devices":1500,"items":1,"angles":[0],"seed":3,"workers":1},"axes":{"runtime":["float32","int8"]}}`,
 		invalid:    `{"base":{"devices":-1},"axes":{"runtime":["int8"]}}`,
 		invalidMsg: "arm runtime=int8: devices=-1 is negative",
-		leaves:     []string{"report"},
+		leaves:     []string{"report", "arms"},
 	},
 	{
 		plural: "fleets", name: "fleet",

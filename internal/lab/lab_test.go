@@ -13,7 +13,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/imaging"
-	"repro/internal/isp"
 	"repro/internal/nn"
 	"repro/internal/stability"
 )
@@ -275,12 +274,6 @@ func TestRigCaptureAllWorkerInvariant(t *testing.T) {
 			}
 			return out
 		},
-		"CaptureRaw": func(rig *Rig) (out [][]byte) {
-			for _, s := range rig.CaptureRaw(items, angles) {
-				out = append(out, fmt.Append(nil, s.Phone, s.Angle, s.Item.ID, s.Frame.Plane, s.DNG.Plane))
-			}
-			return out
-		},
 	}
 	for name, sweep := range sweeps {
 		var ref [][]byte
@@ -326,53 +319,6 @@ func TestStageExperimentShapes(t *testing.T) {
 	m := tinyModel(22)
 	rig := NewRig(23)
 	items := dataset.Generate(3, 24).Items
-	angles := []int{1, 3}
-	shots := len(items) * len(angles) * 2 // two raw-capable phones
-
-	t.Run("CodecMatrix", func(t *testing.T) {
-		caps := rig.CodecCaptures(items, angles)
-		codecs := []codec.Codec{codec.NewJPEG(90), codec.NewPNG(), codec.NewWebP(75)}
-		rows, recs := CodecMatrix(m, caps, codecs)
-		if len(caps) != shots || len(rows) != len(codecs) || len(recs) != len(caps)*len(codecs) {
-			t.Fatalf("%d captures, %d rows, %d records", len(caps), len(rows), len(recs))
-		}
-		for i, r := range rows {
-			if r.Codec != codecs[i].Name() || r.AvgKB <= 0 {
-				t.Fatalf("row %d: %+v", i, r)
-			}
-		}
-		// One group per stored photo, each seen once by every codec.
-		if s := stability.NewAccumulator(recs...).Snapshot().Top1; s.Groups != len(caps) {
-			t.Fatalf("%d groups, want %d", s.Groups, len(caps))
-		}
-	})
-
-	t.Run("ISPConversion", func(t *testing.T) {
-		pipelines := []*isp.Pipeline{isp.SoftwareImageMagick(), isp.SoftwareAdobe()}
-		accs, recs := ISPConversion(m, rig.CaptureRaw(items, angles), pipelines)
-		if len(accs) != len(pipelines) || len(recs) != shots*len(pipelines) {
-			t.Fatalf("%d accuracies, %d records", len(accs), len(recs))
-		}
-		if s := stability.NewAccumulator(recs...).Snapshot().Top1; s.Groups != shots {
-			t.Fatalf("%d groups, want %d", s.Groups, shots)
-		}
-	})
-
-	t.Run("RawVsJPEG", func(t *testing.T) {
-		jpeg, png := RawVsJPEG(m, rig, items, angles)
-		if len(jpeg) != shots || len(png) != shots {
-			t.Fatalf("%d jpeg, %d png records, want %d each", len(jpeg), len(png), shots)
-		}
-		for i := range jpeg {
-			j, p := jpeg[i], png[i]
-			if j.ItemID != p.ItemID || j.Angle != p.Angle || j.Env != p.Env || j.TrueClass != p.TrueClass {
-				t.Fatalf("record %d: jpeg %+v and png %+v are different shots", i, j, p)
-			}
-		}
-		if envs := stability.NewAccumulator(jpeg...).Snapshot().ByEnv; len(envs) != 2 {
-			t.Fatalf("environments %v, want the two raw-capable phones", envs)
-		}
-	})
 
 	t.Run("RepeatShots", func(t *testing.T) {
 		caps, recs := RepeatShots(m, rig, 1, items, 2, 4)
