@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md §5:
-// each isolates one knob of the simulation or the mitigation and reports how
-// the instability metric responds.
+// Ablation benchmarks for the design choices of the simulation and the
+// mitigation: each isolates one knob and reports how the instability metric
+// responds.
 package repro
 
 import (
@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/device"
+	"repro/internal/fleet"
 	"repro/internal/fmath"
 	"repro/internal/imaging"
 	"repro/internal/isp"
@@ -105,7 +106,7 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 			for j, dng := range dngs {
 				images[j] = p.Process(dng).Quantize8()
 			}
-			r, _ := lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)
+			r := lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)
 			recs = append(recs, r...)
 		}
 		inst = instability(recs).Percent()
@@ -114,85 +115,39 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 }
 
 // BenchmarkAblationAlphaSweep: cross-device instability after two-images
-// fine-tuning as a function of the stability-loss weight α. α=0 is the
-// no-stability baseline; the useful range should beat it.
+// fine-tuning as a function of the stability-loss weight α, the @α of the
+// model. α=0 is the no-stability baseline; the useful range should beat it.
 func BenchmarkAblationAlphaSweep(b *testing.B) {
 	benchSetup(b)
-	rig := lab.NewRig(42)
-	trainSet := dataset.GenerateHard(20, 4300)
-	testSet := dataset.GenerateHard(30, 4400)
-	pairs := lab.CollectPairs(rig, trainSet.Items, []int{2})
-	eval := lab.CollectPairs(rig, testSet.Items, []int{2})
-	ids := make([]int, len(eval.Labels))
-	anglesOf := make([]int, len(eval.Labels))
-	for i := range ids {
-		ids[i] = i
-	}
-	alphas := []float64{0, 0.1, 0.4}
-	results := make([]float64, len(alphas))
-	base := benchModel.TakeSnapshot()
-	defer benchModel.Restore(base)
+	var runs []fleet.Stats
 	for i := 0; i < b.N; i++ {
-		for ai, alpha := range alphas {
-			benchModel.Restore(base)
-			train.FinetuneStability(benchModel, pairs.Clean, pairs.Labels, train.StabilityConfig{
-				Config: train.Config{Epochs: 1, BatchSize: 8, LR: 0.012, Momentum: 0.9, ClipNorm: 5, Seed: 500},
-				Alpha:  alpha,
-				Loss:   train.LossEmbedding,
-				Scheme: train.TwoImages{Companions: pairs.Companion},
-			})
-			s, _ := lab.ClassifyImages(benchModel, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
-			ip, _ := lab.ClassifyImages(benchModel, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
-			results[ai] = instability(append(s, ip...)).Percent()
-		}
+		runs = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), "stable:two-images@0", "stable:two-images@0.1", "stable:two-images@0.4")
 	}
-	b.ReportMetric(results[0], "alpha_0_instability_pct")
-	b.ReportMetric(results[1], "alpha_0.1_instability_pct")
-	b.ReportMetric(results[2], "alpha_0.4_instability_pct")
+	b.ReportMetric(runs[0].Top1.Percent, "alpha_0_instability_pct")
+	b.ReportMetric(runs[1].Top1.Percent, "alpha_0.1_instability_pct")
+	b.ReportMetric(runs[2].Top1.Percent, "alpha_0.4_instability_pct")
 }
 
 // BenchmarkAblationEmbeddingWidth: does the width of the embedding layer
 // change how well the embedding-distance loss stabilizes? Trains a narrow-
 // embedding variant of the base model and compares post-fine-tune
-// instability against the standard width.
+// instability against the standard width: the same stable:two-images model
+// arm over each model's replicator.
 func BenchmarkAblationEmbeddingWidth(b *testing.B) {
 	benchSetup(b)
-	rig := lab.NewRig(42)
-	trainSet := dataset.GenerateHard(20, 4500)
-	testSet := dataset.GenerateHard(30, 4600)
-	pairs := lab.CollectPairs(rig, trainSet.Items, []int{2})
-	eval := lab.CollectPairs(rig, testSet.Items, []int{2})
-	ids := make([]int, len(eval.Labels))
-	anglesOf := make([]int, len(eval.Labels))
-	for i := range ids {
-		ids[i] = i
-	}
-	measure := func(m *nn.Model) float64 {
-		train.FinetuneStability(m, pairs.Clean, pairs.Labels, train.StabilityConfig{
-			Config: train.Config{Epochs: 1, BatchSize: 8, LR: 0.012, Momentum: 0.9, ClipNorm: 5, Seed: 500},
-			Alpha:  0.1,
-			Loss:   train.LossEmbedding,
-			Scheme: train.TwoImages{Companions: pairs.Companion},
-		})
-		s, _ := lab.ClassifyImages(m, eval.Clean, ids, anglesOf, eval.Labels, "samsung", 1)
-		ip, _ := lab.ClassifyImages(m, eval.Companion, ids, anglesOf, eval.Labels, "iphone", 1)
-		return instability(append(s, ip...)).Percent()
-	}
+	cfg := nn.DefaultConfig(int(dataset.NumClasses))
+	cfg.EmbedDim = 12
+	narrowArch := func() *nn.Model { return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(7)), cfg) }
 	var wide, narrow float64
-	base := benchModel.TakeSnapshot()
-	defer benchModel.Restore(base)
 	for i := 0; i < b.N; i++ {
-		benchModel.Restore(base)
-		wide = measure(benchModel)
+		wide = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), "stable:two-images")[0].Top1.Percent
 
 		rng := rand.New(rand.NewSource(7))
-		cfg := nn.DefaultConfig(int(dataset.NumClasses))
-		cfg.EmbedDim = 12
 		narrowModel := nn.NewMobileNetV2Micro(rng, cfg)
 		set := dataset.Generate(60, 8)
 		images, labels := dataset.TrainingImages(set, []int{0, 2, 4}, rng, true)
 		train.Classifier(narrowModel, images, labels, train.Config{Epochs: 2, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 9})
-		narrow = measure(narrowModel)
+		narrow = modelRuns(fleet.BackendReplicator(narrowArch, narrowModel), "stable:two-images")[0].Top1.Percent
 	}
 	b.ReportMetric(wide, "embed48_instability_pct")
 	b.ReportMetric(narrow, "embed12_instability_pct")

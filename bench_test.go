@@ -1,6 +1,6 @@
 // Package repro's benchmark harness regenerates every table and figure of
 // the paper at reduced scale: one benchmark per table/figure plus the
-// ablations called out in DESIGN.md. Key results are attached as custom
+// ablations of ablation_bench_test.go. Key results are attached as custom
 // benchmark metrics (instability_pct, accuracy_pct, ...), so
 //
 //	go test -bench=. -benchmem
@@ -9,9 +9,9 @@
 // per process; experiment sizes are scaled down so the full suite completes
 // in minutes on one core (cmd/paper and the fleetd specs run the full-scale
 // versions). Every measurement is an internal/lab call shared with that
-// binary, or — for the stage swaps of Tables 2–4 and Figure 8 — a fleet run
-// with a format, the path the experiment specs take; this file only reduces
-// what comes back to metrics.
+// binary, or — for the stage swaps of Tables 2–4 and Figure 8 and the
+// fine-tunes of Table 6 — a fleet run with a format or a model, the path the
+// experiment specs take; this file only reduces what comes back to metrics.
 package repro
 
 import (
@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/stability"
-	"repro/internal/train"
 )
 
 var (
@@ -291,59 +290,49 @@ func osInstability(c codec.Codec) float64 {
 // BenchmarkTable6aEmbeddingLoss: stability fine-tuning with the embedding
 // distance loss (paper ordering: two-images best, no-noise worst).
 func BenchmarkTable6aEmbeddingLoss(b *testing.B) {
-	benchTable6(b, train.LossEmbedding)
+	benchTable6(b, "")
 }
 
 // BenchmarkTable6bKLLoss: stability fine-tuning with the relative entropy
 // loss.
 func BenchmarkTable6bKLLoss(b *testing.B) {
-	benchTable6(b, train.LossKL)
+	benchTable6(b, ":kl")
 }
 
-// table6Cfg is the reduced-scale §9.1 run of the Table 6 and Figure 7
-// benchmarks.
-var table6Cfg = lab.StabilityExpConfig{
-	Seed: 42, TrainItems: 20, TestItems: 30, Angles: []int{2},
-	Epochs: 1, BatchSize: 8, LR: 0.012, PerClass: 4,
+// modelRuns runs one fleet run per model over factory's float32 runtime:
+// devices 0 and 1 (the samsung and iphone cohorts, the pair a stable model
+// is fine-tuned to agree on) photograph the bench items at angles 1–3. Every
+// run photographs the same cells, so the runs differ only in their weights.
+// A run's top-1 instability is the cross-phone instability of Table 6.
+func modelRuns(factory fleet.BackendFactory, models ...string) []fleet.Stats {
+	stats := make([]fleet.Stats, len(models))
+	for i, m := range models {
+		stats[i] = fleet.NewRunner(fleet.Config{
+			Devices: 2, Items: len(benchItems), Angles: []int{1, 2, 3}, Seed: 42,
+			Runtime: nn.RuntimeFloat32, Model: m,
+		}, factory).Run()
+	}
+	return stats
 }
 
-func benchTable6(b *testing.B, loss train.StabilityLoss) {
+// benchTable6 reports one Table 6 column: the bench model fine-tuned under
+// every noise scheme with one loss (loss is the model suffix, "" or ":kl"),
+// each scheme at its Table 6 α, and plain fine-tuning.
+func benchTable6(b *testing.B, loss string) {
 	benchSetup(b)
-	var results []lab.SchemeResult
+	schemes := []string{"two-images", "subsample", "distortion", "gaussian"}
+	models := []string{"stable:none"}
+	for _, s := range schemes {
+		models = append(models, "stable:"+s+loss)
+	}
+	var runs []fleet.Stats
 	for i := 0; i < b.N; i++ {
-		results = lab.GridSearchAlpha(benchModel, loss, table6Cfg, nil, nil)
+		runs = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), models...)
 	}
-	for _, r := range results {
-		b.ReportMetric(r.Instability.Percent(), strings.ReplaceAll(r.Label, " ", "_")+"_instability_pct")
+	b.ReportMetric(runs[0].Top1.Percent, "no_noise_instability_pct")
+	for i, s := range schemes {
+		b.ReportMetric(runs[i+1].Top1.Percent, strings.ReplaceAll(s, "-", "_")+"_instability_pct")
 	}
-}
-
-// BenchmarkFig7PrecisionRecall: PR curves of the fine-tuned models (paper:
-// stability training slightly improves accuracy too).
-func BenchmarkFig7PrecisionRecall(b *testing.B) {
-	benchSetup(b)
-	var twoImagesP, noNoiseP float64
-	for i := 0; i < b.N; i++ {
-		results := lab.GridSearchAlpha(benchModel, train.LossEmbedding, table6Cfg, nil, nil)
-		for _, r := range results {
-			// precision at the 0.6-threshold operating point
-			var p float64
-			for _, pt := range r.PRSamsung {
-				if pt.Threshold >= 0.6 {
-					p = pt.Precision
-					break
-				}
-			}
-			switch r.Label {
-			case "two images":
-				twoImagesP = p
-			case "no noise":
-				noNoiseP = p
-			}
-		}
-	}
-	b.ReportMetric(twoImagesP, "two_images_precision_at_0.6")
-	b.ReportMetric(noNoiseP, "no_noise_precision_at_0.6")
 }
 
 // BenchmarkFig8RawImages: native JPEG pipeline vs raw + consistent

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/stability"
-	"repro/internal/train"
 )
 
 func (s *session) bar(label string, value, max float64) {
@@ -110,44 +109,5 @@ func (s *session) os() {
 		}
 		t.Render(s.out)
 		fmt.Fprintf(s.out, "  %s instability across devices: %s\n", name, stability.NewAccumulator(records...).Snapshot().Top1)
-	}
-}
-
-// stability regenerates Table 6(a), Table 6(b) and, with -pr, the Figure 7
-// precision-recall curves: the base model fine-tuned on Samsung photos
-// under every noise scheme and both stability losses, cross-phone
-// instability measured on held-out objects.
-func (s *session) stability() {
-	cfg := lab.DefaultStabilityExp(s.seed)
-	cfg.TrainItems, cfg.TestItems, cfg.Epochs = s.trainItems, s.testItems, s.epochs
-
-	for _, loss := range []train.StabilityLoss{train.LossEmbedding, train.LossKL} {
-		results := lab.GridSearchAlpha(s.model, loss, cfg, s.alphas, log.Printf) // no -grid: each scheme's own α
-		title := "Table 6(a) — embedding distance loss (paper: 3.91/4.22/5.12/5.12/7.22%)"
-		if loss == train.LossKL {
-			title = "\nTable 6(b) — relative entropy loss (paper: 6.32/5.72/4.52/4.82/6.62%)"
-		}
-		t := &lab.Table{Title: title, Headers: []string{"noise", "hyper parameters", "instability", "samsung acc", "iphone acc"}}
-		for _, r := range results {
-			t.AddRow(r.Label,
-				fmt.Sprintf("α=%g %s", r.Alpha, r.Hyper),
-				fmt.Sprintf("%.2f%%", r.Instability.Percent()),
-				fmt.Sprintf("%.1f%%", r.SamsungAcc*100),
-				fmt.Sprintf("%.1f%%", r.IPhoneAcc*100))
-		}
-		t.Render(s.out)
-		if !s.pr {
-			continue
-		}
-
-		fmt.Fprintf(s.out, "\nFigure 7 — precision/recall (%s loss)\n", loss)
-		for _, r := range results {
-			fmt.Fprintf(s.out, "  %s:\n", r.Label)
-			for i := 0; i < len(r.PRSamsung); i += 4 {
-				sp, ip := r.PRSamsung[i], r.PRIPhone[i]
-				fmt.Fprintf(s.out, "    thr %.2f  samsung P=%.3f R=%.3f   iphone P=%.3f R=%.3f\n",
-					sp.Threshold, sp.Precision, sp.Recall, ip.Precision, ip.Recall)
-			}
-		}
 	}
 }

@@ -51,8 +51,10 @@ var specKinds = map[string]specKind{
 }
 
 // shardedSpecs are specs of an unsharded kind that also take the two-peer
-// leg: the compression experiment's format arms cross the shard wire.
-var shardedSpecs = map[string]bool{"compression.experiment": true}
+// leg: the compression experiment's format arms and the stability
+// experiment's model arms cross the shard wire (each peer resolves a model
+// for itself; in one process they share the fine-tune cache).
+var shardedSpecs = map[string]bool{"compression.experiment": true, "stability.experiment": true}
 
 // strictDecode decodes a body as fleetd does: unknown fields refused, then
 // Validate.

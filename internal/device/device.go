@@ -8,7 +8,6 @@ package device
 
 import (
 	"crypto/md5"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/codec"
@@ -68,16 +67,6 @@ func (p *Profile) Capture(scene *imaging.Image, rng *rand.Rand) *Photo {
 	processed := p.ISP.Process(raw)
 	enc := p.Codec.Encode(processed.Clamp())
 	return &Photo{Device: p.Name, Encoded: enc, Image: enc.Decode(p.Decode)}
-}
-
-// CaptureRaw returns the DNG-style raw file for raw-capable devices, and an
-// error otherwise (three of the paper's five phones could not shoot raw).
-// The file is the sensor frame after the vendor's baked-in raw development.
-func (p *Profile) CaptureRaw(scene *imaging.Image, rng *rand.Rand) (*sensor.RawImage, error) {
-	if !p.RawCapable {
-		return nil, fmt.Errorf("device %s: raw capture not supported", p.Name)
-	}
-	return p.DevelopRaw(p.Sensor.Capture(scene, rng)), nil
 }
 
 // DevelopRaw applies the device-specific processing that vendors bake into

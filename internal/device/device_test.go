@@ -114,28 +114,6 @@ func TestPhonesCaptureSameSceneDifferently(t *testing.T) {
 	}
 }
 
-func TestCaptureRawRequiresCapability(t *testing.T) {
-	var nonRaw, raw *Profile
-	for _, p := range LabPhones() {
-		if p.RawCapable && raw == nil {
-			raw = p
-		}
-		if !p.RawCapable && nonRaw == nil {
-			nonRaw = p
-		}
-	}
-	if _, err := nonRaw.CaptureRaw(testScene(), rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("non-raw-capable phone must refuse raw capture")
-	}
-	frame, err := raw.CaptureRaw(testScene(), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame.W != 32 || frame.H != 32 {
-		t.Fatalf("raw frame %dx%d", frame.W, frame.H)
-	}
-}
-
 func TestDevelopRawNoOpWithoutParams(t *testing.T) {
 	p := &Profile{Name: "x"}
 	raw := &sensor.RawImage{W: 2, H: 2, Plane: []float32{0.1, 0.2, 0.3, 0.4}, Bits: 10}

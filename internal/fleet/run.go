@@ -38,6 +38,12 @@ type Config struct {
 	// draws the same sensor noise per cell, so arms differing only in format
 	// pair cell for cell.
 	Format string `json:"format,omitempty"`
+	// Model names the weights every device runs (see CanonicalModel): empty,
+	// or "base", is the factory's own; stable:<scheme> is the §9.1
+	// stability fine-tune of them under that Table 6 noise scheme, trained
+	// on a fixed paired corpus when the run starts and cached, so runs,
+	// arms and shards naming one model over one base fine-tune it once.
+	Model string `json:"model,omitempty"`
 	// DeviceLo and DeviceHi bound the device-id range [DeviceLo, DeviceHi)
 	// this runner executes (defaults 0..Devices). Device i's profile and
 	// runtime depend only on (Seed, i), so a range shard computes exactly
@@ -88,8 +94,8 @@ func (c Config) rangeSize() int {
 
 // WithDefaults returns the config with every zero-valued field replaced by
 // its default — the exact config a Runner built from c would report. The
-// device range is clamped into [0, Devices], and a valid format takes its
-// canonical spelling (native is omitted).
+// device range is clamped into [0, Devices], and a valid format and model
+// take their canonical spellings (native and base are omitted).
 func (c Config) WithDefaults() Config {
 	if c.Devices <= 0 {
 		c.Devices = 100
@@ -117,6 +123,7 @@ func (c Config) WithDefaults() Config {
 		c.Angles = angles
 	}
 	c.Format, _ = CanonicalFormat(c.Format)
+	c.Model, _ = CanonicalModel(c.Model)
 	if c.TopK <= 0 {
 		c.TopK = 3
 	}

@@ -67,10 +67,12 @@ type sweep struct {
 	// (active devices, device-windows) alone.
 	continuous bool
 	sched      *lifecycle.Schedule
-	factory    BackendFactory
-	gen        *Generator
-	engine     *Engine
-	pool       *Pool
+	// factory is the caller's until Start resolves the run's model into it.
+	factory BackendFactory
+	model   *stableModel // nil: the factory's own weights
+	gen     *Generator
+	engine  *Engine
+	pool    *Pool
 	// backends holds one LRU of runtime→backend per pool worker; worker
 	// ids are a dense range and each id is a single goroutine, so the
 	// outer slice needs no locking. Compiling a backend (restore +
@@ -113,6 +115,9 @@ func newSweep(cfg ContinuousConfig, sched *lifecycle.Schedule, continuous bool, 
 		done:       make(chan struct{}),
 	}
 	swap, _, err := parseFormat(fc.Format)
+	if err == nil {
+		s.model, err = parseModel(fc.Model)
+	}
 	if err != nil { // the API validates specs; a direct caller passed a bad one
 		panic("fleet: " + err.Error())
 	}
@@ -135,12 +140,17 @@ func (s *sweep) SetTelemetry(t *Telemetry) {
 }
 
 // Start launches the run in the background, returning a channel closed on
-// completion. Snapshots may be taken at any time while it is in flight.
+// completion. Snapshots may be taken at any time while it is in flight. A
+// run with a model first fine-tunes it (or waits for the cache) in the
+// run's own goroutine; a Cancel meanwhile takes effect when that returns.
 func (s *sweep) Start() <-chan struct{} {
 	s.startOnce.Do(func() {
 		s.started = time.Now()
 		go func() {
 			defer close(s.done)
+			if s.model != nil {
+				s.factory = s.model.factory(s.factory)
+			}
 			s.pool.RunWorker(len(s.slots), func(worker, i int) {
 				s.runDevice(worker, s.cfg.Fleet.DeviceLo+i)
 			})

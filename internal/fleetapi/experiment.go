@@ -26,13 +26,14 @@ const MaxArms = 32
 
 // SweepAxes is the sweep matrix of an experiment: every non-empty field
 // sweeps one RunSpec field over its listed values. Arms expand as the cross
-// product of the axes in canonical order (runtime, format, scale, devices,
-// items, seed), so the arm list — and every report derived from it — is
-// deterministic in the spec alone. A format value is stamped into its arm,
-// and names it, in its canonical spelling.
+// product of the axes in canonical order (runtime, format, model, scale,
+// devices, items, seed), so the arm list — and every report derived from it
+// — is deterministic in the spec alone. A format or model value is stamped
+// into its arm, and names it, in its canonical spelling.
 type SweepAxes struct {
 	Runtime []string `json:"runtime,omitempty"`
 	Format  []string `json:"format,omitempty"`
+	Model   []string `json:"model,omitempty"`
 	Scale   []int    `json:"scale,omitempty"`
 	Devices []int    `json:"devices,omitempty"`
 	Items   []int    `json:"items,omitempty"`
@@ -62,6 +63,15 @@ func (a SweepAxes) axes() []axis {
 			return s.Format
 		}})
 	}
+	if v := a.Model; len(v) > 0 {
+		out = append(out, axis{"model", len(v), func(s *RunSpec, i int) string {
+			s.Model, _ = fleet.CanonicalModel(v[i]) // a bad value stays, for Validate to name
+			if s.Model == "" {
+				return "base"
+			}
+			return s.Model
+		}})
+	}
 	if v := a.Scale; len(v) > 0 {
 		out = append(out, axis{"scale", len(v), func(s *RunSpec, i int) string { s.Scale = v[i]; return strconv.Itoa(v[i]) }})
 	}
@@ -88,6 +98,16 @@ func dupErr[T comparable](name string, vals []T) error {
 		seen[v] = true
 	}
 	return nil
+}
+
+// canonical spells every value of an axis canonically, so two spellings of
+// one value are a duplicate; a bad value stays, for Validate to name.
+func canonical(vals []string, canon func(string) (string, error)) []string {
+	out := make([]string, len(vals))
+	for i, v := range vals {
+		out[i], _ = canon(v)
+	}
+	return out
 }
 
 // ExperimentSpec is the client-provided description of a multi-arm sweep —
@@ -161,11 +181,10 @@ func (s ExperimentSpec) Validate() error {
 	if err := dupErr("runtime", s.Axes.Runtime); err != nil {
 		return err
 	}
-	formats := make([]string, len(s.Axes.Format))
-	for i, v := range s.Axes.Format {
-		formats[i], _ = fleet.CanonicalFormat(v)
+	if err := dupErr("format", canonical(s.Axes.Format, fleet.CanonicalFormat)); err != nil {
+		return err
 	}
-	if err := dupErr("format", formats); err != nil {
+	if err := dupErr("model", canonical(s.Axes.Model, fleet.CanonicalModel)); err != nil {
 		return err
 	}
 	if err := dupErr("scale", s.Axes.Scale); err != nil {

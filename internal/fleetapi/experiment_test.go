@@ -158,3 +158,49 @@ func TestFormatValidate(t *testing.T) {
 		t.Errorf("arm formats %q, want %q", formats, want)
 	}
 }
+
+// TestModelValidate: a run or arm takes a model in any case and canonical
+// spelling, refuses a bad one by name (a NaN, infinite or negative α among
+// them), and an axis refuses two spellings of one model as a duplicate.
+func TestModelValidate(t *testing.T) {
+	for _, m := range []string{"", "base", "stable:none", "STABLE:Two-Images", "stable:subsample:kl", "stable:gaussian@0.40", "stable:distortion:kl@0"} {
+		if err := (RunSpec{Model: m}).Validate(); err != nil {
+			t.Errorf("model %q refused: %v", m, err)
+		}
+	}
+	for _, m := range []string{"stable:gaussian@NaN", "stable:gaussian@+Inf", "stable:gaussian@-1", "stable:gaussian@1e999", "stable:none@0.1", "stable:none:kl", "stable:", "stable:two-images ", "float32"} {
+		if err := (RunSpec{Model: m}).Validate(); err == nil || !strings.Contains(err.Error(), "model") {
+			t.Errorf("model %q: error %v, want a refusal naming the model", m, err)
+		}
+	}
+
+	for _, axis := range [][]string{
+		{"stable:gaussian@0.40", "stable:gaussian@0.4"},
+		{"stable:two-images", "STABLE:Two-Images@0.1"},
+		{"base", ""},
+		{"stable:none", "base", "Stable:None"},
+	} {
+		err := ExperimentSpec{Axes: SweepAxes{Model: axis}}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "duplicate model") {
+			t.Errorf("axis %q: error %v, want a duplicate", axis, err)
+		}
+	}
+	if err := (ExperimentSpec{Axes: SweepAxes{Model: []string{"base", "stable:gaussian@NaN"}}}).Validate(); err == nil || !strings.Contains(err.Error(), "arm model=stable:gaussian@NaN") {
+		t.Errorf("axis with a bad α: error %v, want the arm named", err)
+	}
+
+	spec := ExperimentSpec{Axes: SweepAxes{Format: []string{"png"}, Model: []string{"Base", "STABLE:Two-Images:KL"}}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var names, models []string
+	for _, arm := range spec.Arms() {
+		names, models = append(names, arm.Name), append(models, arm.Spec.Model)
+	}
+	if want := []string{"format=png,model=base", "format=png,model=stable:two-images:kl@0.4"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("arm names %q, want %q", names, want)
+	}
+	if want := []string{"", "stable:two-images:kl@0.4"}; !reflect.DeepEqual(models, want) {
+		t.Errorf("arm models %q, want %q", models, want)
+	}
+}

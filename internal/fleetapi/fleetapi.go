@@ -48,7 +48,11 @@ type RunSpec struct {
 	// png, jpeg:Q, webp:Q or heif:Q re-encode each device's ISP output,
 	// raw:dng, raw:imagemagick or raw:adobe develop its raw file. Omitted
 	// means native.
-	Format  string `json:"format,omitempty"`
+	Format string `json:"format,omitempty"`
+	// Model names the weights (fleet.Config.Model): stable:none or
+	// stable:<scheme>[:kl][@α] fine-tunes the daemon's model once, when the
+	// first run naming it starts. Omitted means base.
+	Model   string `json:"model,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 }
 
@@ -63,6 +67,7 @@ func (s RunSpec) FleetConfig() fleet.Config {
 		Scale:   s.Scale,
 		Runtime: s.Runtime,
 		Format:  s.Format,
+		Model:   s.Model,
 		Workers: s.Workers,
 	}
 }
@@ -125,6 +130,9 @@ func (s RunSpec) validateFields() error {
 		return fmt.Errorf("bad runtime %q (want one of %v)", s.Runtime, nn.Runtimes())
 	}
 	if _, err := fleet.CanonicalFormat(s.Format); err != nil {
+		return err
+	}
+	if _, err := fleet.CanonicalModel(s.Model); err != nil {
 		return err
 	}
 	seen := map[int]bool{}

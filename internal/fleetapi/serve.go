@@ -338,7 +338,8 @@ type SLOClassReport struct {
 // 1 when all are equal, 1/n when one value holds everything. All-zero input
 // is perfectly equal and reports 1; an empty input reports 0 (no data is
 // not fairness). Both the live /v1/slo report and loadgen's trace report
-// apply it to per-class SLO attainment.
+// apply it to per-class SLO attainment. Each square is rounded before it is
+// summed, so no target fuses them.
 func JainIndex(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -346,7 +347,7 @@ func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 1

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/nn"
 )
@@ -293,6 +294,102 @@ func TestExperimentArmsAreRunStats(t *testing.T) {
 	for _, arm := range rep.Arms[1:] {
 		if arm.Paired.Cells != arm.Captures || arm.Captures != 5*2*2 {
 			t.Errorf("arm %s pairs %d cells of %d captures, want all 20", arm.Name, arm.Paired.Cells, arm.Captures)
+		}
+	}
+}
+
+// TestModelArms: a model arm runs its fine-tune on every path. A base vs
+// stable:two-images experiment serves the same report and /arms bytes on one
+// instance and through a coordinator over two peers (each peer resolves the
+// model for itself), and on /v1/runs, /v1/shards and /v1/fleets a spec
+// naming stable:none measures something other than the same spec without
+// it, so no path can run the base weights under a model's name.
+func TestModelArms(t *testing.T) {
+	ctx := context.Background()
+	plain := fleetapi.RunSpec{Devices: 4, Items: 2, Angles: []int{1, 2}, Seed: 5, Workers: 2}
+	spec := fleetapi.ExperimentSpec{Base: plain, Axes: fleetapi.SweepAxes{Model: []string{"base", "stable:two-images"}}}
+	fetch := func(c *fleetapi.Client) (report, arms []byte) {
+		t.Helper()
+		st, err := c.CreateExperiment(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.WaitExperiment(ctx, st.ID, 5*time.Millisecond); err != nil || st.State != fleetapi.StateDone {
+			t.Fatalf("experiment %+v: %v", st, err)
+		}
+		if report, err = c.ExperimentReport(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if arms, err = c.ExperimentArms(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		return report, arms
+	}
+	_, single := v1Fixture(t, 8)
+	report, arms := fetch(single)
+	if r, a := fetch(coordinatorFixture(t, 2)); !bytes.Equal(r, report) || !bytes.Equal(a, arms) {
+		t.Fatalf("coordinator diverged from single process:\n%s\n%s\nvs\n%s\n%s", r, a, report, arms)
+	}
+	if !bytes.Contains(report, []byte(`"model=stable:two-images@0.1"`)) {
+		t.Errorf("report names no canonical model arm:\n%s", report)
+	}
+
+	// measured is an artifact without its config, which names the model.
+	measured := func(data []byte) string {
+		t.Helper()
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "config")
+		b, _ := json.Marshal(m)
+		return string(b)
+	}
+	tuned := plain
+	tuned.Model = "stable:none"
+	for path, get := range map[string]func(fleetapi.RunSpec) []byte{
+		"/v1/runs": func(s fleetapi.RunSpec) []byte {
+			st, err := single.CreateRun(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := single.WaitRun(ctx, st.ID, 5*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			data, err := single.RunStats(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		},
+		"/v1/shards": func(s fleetapi.RunSpec) []byte {
+			st, err := single.RunShard(ctx, fleetapi.ShardSpec{RunSpec: s, DeviceLo: 0, DeviceHi: s.Devices})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := fleet.MergedStats(s.FleetConfig(), st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats.JSON()
+		},
+		"/v1/fleets": func(s fleetapi.RunSpec) []byte {
+			st, err := single.CreateFleet(ctx, fleetapi.FleetSpec{RunSpec: s, Windows: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := single.WaitFleet(ctx, st.ID, 5*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			data, err := single.FleetReport(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		},
+	} {
+		if base, stable := measured(get(plain)), measured(get(tuned)); base == stable {
+			t.Errorf("%s: model stable:none measured the base weights:\n%s", path, stable)
 		}
 	}
 }

@@ -224,6 +224,13 @@ func FuzzStrictDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"base":{"devices":2},"axes":{"format":["jpeg:85","JPEG:85"]}}`))
 	f.Add([]byte(`{"devices":2,"windows":2,"format":"raw:imagemagick"}`))
+	// Model strings: the same, and an α written two ways.
+	for _, model := range []string{"STABLE:Two-Images", "stable:gaussian@NaN", "stable:gaussian@+Inf", "stable:gaussian@-1", "stable:gaussian@1e999", "stable:none@0.1", "stable:none:kl", "stable:", "stable:two-images ", "base", "stable:subsample:kl@0"} {
+		f.Add([]byte(`{"devices":2,"model":"` + model + `"}`))
+		f.Add([]byte(`{"base":{"devices":2},"axes":{"model":["stable:none","` + model + `"]}}`))
+	}
+	f.Add([]byte(`{"base":{"devices":2},"axes":{"model":["stable:gaussian@0.4","stable:gaussian@0.40"]}}`))
+	f.Add([]byte(`{"devices":2,"windows":2,"model":"stable:distortion:kl"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkServeDecode(t, func() io.Reader { return bytes.NewReader(data) })
 		for _, decode := range fuzzBodies {

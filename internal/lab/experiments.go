@@ -32,7 +32,7 @@ func (s *imageSet) add(im *imaging.Image, id, angle int, it *dataset.Item) {
 }
 
 func (s *imageSet) classify(b nn.Backend, env string) []*stability.Record {
-	recs, _ := ClassifyImages(b, s.images, s.ids, s.angles, s.labels, env, 3)
+	recs := ClassifyImages(b, s.images, s.ids, s.angles, s.labels, env, 3)
 	return recs
 }
 

@@ -125,9 +125,8 @@ func Classify(b nn.Backend, captures []*Capture, topK int) []*stability.Record {
 
 // ClassifyImages is the generic variant for experiments whose environments
 // are not phones (codecs, ISPs, decoders): the caller supplies one
-// environment name and the item/angle identities. It also returns each
-// image's class probabilities, which the precision/recall curves read.
-func ClassifyImages(b nn.Backend, images []*imaging.Image, itemIDs, angles, labels []int, env string, topK int) ([]*stability.Record, [][]float64) {
+// environment name and the item/angle identities.
+func ClassifyImages(b nn.Backend, images []*imaging.Image, itemIDs, angles, labels []int, env string, topK int) []*stability.Record {
 	preds, scores, probs := train.Evaluate(b, images, 64)
 	topks := train.TopKOf(probs, topK)
 	out := make([]*stability.Record, len(images))
@@ -143,5 +142,5 @@ func ClassifyImages(b nn.Backend, images []*imaging.Image, itemIDs, angles, labe
 			TopK:      topks[i],
 		}
 	}
-	return out, probs
+	return out
 }

@@ -95,38 +95,20 @@ func TestClassifyEmitsOneRecordPerCapture(t *testing.T) {
 func TestClassifyImagesEnv(t *testing.T) {
 	m := tinyModel(11)
 	images := []*imaging.Image{imaging.New(16, 16), imaging.New(16, 16)}
-	recs, probs := ClassifyImages(m, images, []int{0, 1}, []int{0, 0}, []int{2, 3}, "jpeg-q50", 2)
-	if len(probs) != len(recs) {
-		t.Fatalf("%d probability rows for %d records", len(probs), len(recs))
+	recs := ClassifyImages(m, images, []int{0, 1}, []int{0, 0}, []int{2, 3}, "jpeg-q50", 2)
+	if len(recs) != len(images) {
+		t.Fatalf("%d records for %d images", len(recs), len(images))
 	}
 	for i, r := range recs {
 		if r.Env != "jpeg-q50" {
 			t.Fatalf("env %q", r.Env)
 		}
-		if len(probs[i]) != int(dataset.NumClasses) || probs[i][r.Pred] != r.Score || r.TopK[0] != r.Pred {
-			t.Fatalf("record %d: pred %d score %v top-k %v, probabilities %v", i, r.Pred, r.Score, r.TopK, probs[i])
+		if len(r.TopK) != 2 || r.TopK[0] != r.Pred || r.ItemID != i {
+			t.Fatalf("record %d: item %d pred %d top-k %v", i, r.ItemID, r.Pred, r.TopK)
 		}
 	}
 	if recs[0].TrueClass != 2 || recs[1].TrueClass != 3 {
 		t.Fatal("labels not propagated")
-	}
-}
-
-func TestCollectPairsAlignment(t *testing.T) {
-	rig := NewRig(12)
-	items := dataset.Generate(2, 13).Items
-	pairs := CollectPairs(rig, items, []int{1, 2})
-	if len(pairs.Clean) != 4 || len(pairs.Companion) != 4 || len(pairs.Labels) != 4 {
-		t.Fatalf("pair counts %d/%d/%d", len(pairs.Clean), len(pairs.Companion), len(pairs.Labels))
-	}
-	for i := range pairs.Clean {
-		// Same displayed scene, different devices: similar but not equal.
-		if imaging.MSE(pairs.Clean[i], pairs.Companion[i]) == 0 {
-			t.Fatal("samsung and iphone captures identical")
-		}
-		if pairs.Labels[i] != int(items[i/2].Class) {
-			t.Fatal("pair labels misaligned")
-		}
 	}
 }
 
@@ -202,7 +184,7 @@ func TestLoadOrTrainBaseModelRoundTrip(t *testing.T) {
 }
 
 func evalOne(m *nn.Model, im *imaging.Image) (int, float64, []float64) {
-	recs, _ := ClassifyImages(m, []*imaging.Image{im}, []int{0}, []int{0}, []int{0}, "x", 1)
+	recs := ClassifyImages(m, []*imaging.Image{im}, []int{0}, []int{0}, []int{0}, "x", 1)
 	return recs[0].Pred, recs[0].Score, nil
 }
 
@@ -215,36 +197,6 @@ func TestLoadOrTrainRejectsCorruptSnapshot(t *testing.T) {
 	cfg := BaseModelConfig{Seed: 3, TrainItems: 5, Epochs: 1, Width: 0.5}
 	if _, err := LoadOrTrainBaseModel(cfg, path, nil); err == nil {
 		t.Fatal("corrupt snapshot accepted")
-	}
-}
-
-func TestStabilityExperimentTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fine-tuning matrix")
-	}
-	m := tinyModel(14)
-	cfg := StabilityExpConfig{
-		Seed: 15, TrainItems: 6, TestItems: 6, Angles: []int{2},
-		Epochs: 1, BatchSize: 4, LR: 0.01, PerClass: 2,
-	}
-	results := GridSearchAlpha(m, 1 /* LossEmbedding */, cfg, nil, nil)
-	if len(results) != 5 {
-		t.Fatalf("got %d scheme results", len(results))
-	}
-	labels := map[string]bool{}
-	for _, r := range results {
-		labels[r.Label] = true
-		if r.Instability.Groups == 0 {
-			t.Fatalf("%s: no evaluation groups", r.Label)
-		}
-		if len(r.PRSamsung) == 0 || len(r.PRIPhone) == 0 {
-			t.Fatalf("%s: missing PR curves", r.Label)
-		}
-	}
-	for _, want := range []string{"two images", "subsample", "distortion", "gaussian", "no noise"} {
-		if !labels[want] {
-			t.Fatalf("missing scheme %q", want)
-		}
 	}
 }
 

@@ -116,26 +116,28 @@ func gapNanos(rng *rand.Rand, c Cohort) int64 {
 }
 
 // sampleGamma draws Gamma(k, 1) by Marsaglia–Tsang squeeze for k ≥ 1, with
-// the standard boost through Gamma(k+1)·U^(1/k) for k < 1.
+// the standard boost through Gamma(k+1)·U^(1/k) for k < 1. Every product,
+// the inlined uniform draw's too, is rounded before it is added, so no
+// target fuses them and a seed schedules the same arrivals everywhere.
 func sampleGamma(rng *rand.Rand, k float64) float64 {
 	if k < 1 {
-		u := 1 - rng.Float64() // (0, 1]
+		u := 1 - float64(rng.Float64()) // (0, 1]
 		return sampleGamma(rng, k+1) * math.Pow(u, 1/k)
 	}
 	d := k - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
-		u := 1 - rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		v = float64(v * v * v)
+		u := 1 - float64(rng.Float64())
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -1,79 +1,12 @@
 // Package metrics provides the classical evaluation metrics the paper
-// contrasts instability against: per-class precision/recall curves, the
-// histogram/density estimates behind the score-distribution figures, and
-// one-pass value summaries.
+// contrasts instability against: the histogram/density estimates behind the
+// score-distribution figures, and one-pass value summaries.
 package metrics
 
 import (
 	"math"
 	"sort"
 )
-
-// PRPoint is one precision/recall operating point.
-type PRPoint struct {
-	Threshold float64
-	Precision float64
-	Recall    float64
-}
-
-// PrecisionRecallCurve sweeps a confidence threshold over per-example class
-// probabilities and returns macro-averaged precision/recall points, the
-// curve family of Figure 7. probs[i][c] is the model's probability of class
-// c for example i.
-func PrecisionRecallCurve(probs [][]float64, labels []int, classes int, thresholds []float64) []PRPoint {
-	if len(probs) != len(labels) {
-		panic("metrics: PrecisionRecallCurve length mismatch")
-	}
-	if thresholds == nil { // 0, 0.05, ..., 0.95, each the nearest float64 to i/20
-		for i := range 20 {
-			thresholds = append(thresholds, float64(i)/20)
-		}
-	}
-	points := make([]PRPoint, 0, len(thresholds))
-	for _, th := range thresholds {
-		var sumP, sumR float64
-		validP := 0
-		for c := 0; c < classes; c++ {
-			tp, fp, fn := 0, 0, 0
-			for i, pr := range probs {
-				pred := argmax(pr)
-				positive := pred == c && pr[pred] >= th
-				actual := labels[i] == c
-				switch {
-				case positive && actual:
-					tp++
-				case positive && !actual:
-					fp++
-				case !positive && actual:
-					fn++
-				}
-			}
-			if tp+fp > 0 {
-				sumP += float64(tp) / float64(tp+fp)
-				validP++
-			}
-			if tp+fn > 0 {
-				sumR += float64(tp) / float64(tp+fn)
-			}
-		}
-		p := 0.0
-		if validP > 0 {
-			p = sumP / float64(validP)
-		}
-		points = append(points, PRPoint{Threshold: th, Precision: p, Recall: sumR / float64(classes)})
-	}
-	return points
-}
-
-func argmax(v []float64) int {
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
-}
 
 // Histogram is a fixed-range equal-width histogram.
 type Histogram struct {

@@ -7,44 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestPrecisionRecallPerfectClassifier(t *testing.T) {
-	probs := [][]float64{{0.9, 0.1}, {0.1, 0.9}, {0.8, 0.2}}
-	labels := []int{0, 1, 0}
-	pts := PrecisionRecallCurve(probs, labels, 2, []float64{0})
-	if pts[0].Precision != 1 || pts[0].Recall != 1 {
-		t.Fatalf("perfect classifier: %+v", pts[0])
-	}
-}
-
-func TestPrecisionRecallThresholdMonotoneRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var probs [][]float64
-	var labels []int
-	for i := 0; i < 200; i++ {
-		p := rng.Float64()
-		probs = append(probs, []float64{p, 1 - p})
-		labels = append(labels, rng.Intn(2))
-	}
-	pts := PrecisionRecallCurve(probs, labels, 2, nil)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Recall > pts[i-1].Recall+1e-9 {
-			t.Fatalf("recall increased with threshold: %v → %v", pts[i-1], pts[i])
-		}
-	}
-}
-
-func TestPrecisionRecallDefaultThresholds(t *testing.T) {
-	pts := PrecisionRecallCurve([][]float64{{1, 0}}, []int{0}, 2, nil)
-	if len(pts) != 20 {
-		t.Fatalf("default threshold sweep has %d points, want 20", len(pts))
-	}
-	for i, p := range pts {
-		if p.Threshold != float64(i)/20 {
-			t.Fatalf("threshold %d = %v, want %v", i, p.Threshold, float64(i)/20)
-		}
-	}
-}
-
 func TestHistogramCountsAndClamping(t *testing.T) {
 	h := NewHistogram([]float64{-1, 0.05, 0.55, 0.95, 2}, 0, 1, 10)
 	if h.Total != 5 {

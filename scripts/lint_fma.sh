@@ -19,9 +19,11 @@ set -euo pipefail
 # the training that produces the weights a cell runs. The report path:
 # metrics, whose Welford state a shard ships and whose standard deviations
 # the run stats render, stability, whose drift z-scores and CUSUM the
-# fleet drift report renders, and lifecycle, whose schedule every peer and
-# the coordinator expand on their own from the spec's seed.
-PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train|metrics|stability|lifecycle)/[a-z0-9_]+\.go'
+# fleet drift report renders, lifecycle, whose schedule every peer and the
+# coordinator expand on their own from the spec's seed, loadgen, whose
+# arrival draws a replayed trace schedules from its seed, and fleetapi, whose
+# fairness index the SLO reports render.
+PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train|metrics|stability|lifecycle|loadgen|fleetapi)/[a-z0-9_]+\.go'
 
 # fused prints the fused multiply-adds of the listing on stdin that lie on the
 # cell or report path, and fails if there is one.
@@ -48,7 +50,9 @@ if [ "${1:-}" = "--selftest" ]; then
     '	0x0028 00040 (/src/internal/train/noise.go:87)	FMSUBD	F1, F2, F0, F1' \
     '	0x002c 00044 (/src/internal/metrics/online.go:32)	FMADDD	F2, F3, F0, F0' \
     '	0x0030 00048 (/src/internal/stability/drift.go:84)	FMSUBD	F3, F1, F0, F0' \
-    '	0x0034 00052 (/src/internal/lifecycle/lifecycle.go:232)	FMADDD	F2, F1, F0, F0'; do
+    '	0x0034 00052 (/src/internal/lifecycle/lifecycle.go:232)	FMADDD	F2, F1, F0, F0' \
+    '	0x0038 00056 (/src/internal/loadgen/arrival.go:129)	FMADDD	F1, F2, F0, F1' \
+    '	0x003c 00060 (/src/internal/fleetapi/serve.go:349)	FMADDD	F0, F1, F0, F1'; do
     if printf '%s\n%s\n' "$clean" "$line" | fused >/dev/null; then
       echo "lint_fma selftest: missed$line" >&2
       exit 1
@@ -61,7 +65,7 @@ fi
 cd "$(dirname "$0")/.."
 listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train ./internal/metrics ./internal/stability ./internal/lifecycle >"$listing" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train ./internal/metrics ./internal/stability ./internal/lifecycle ./internal/loadgen ./internal/fleetapi >"$listing" 2>&1; then
   grep -v '^	0x' "$listing" | tail -n 20 >&2
   echo "lint_fma: the arm64 build failed" >&2
   exit 1
