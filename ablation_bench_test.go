@@ -9,12 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fmath"
 	"repro/internal/imaging"
 	"repro/internal/isp"
-	"repro/internal/lab"
 	"repro/internal/nn"
 	"repro/internal/sensor"
 	"repro/internal/stability"
@@ -28,8 +26,8 @@ func BenchmarkAblationQuantSteepness(b *testing.B) {
 	benchSetup(b)
 	var narrow, wide float64
 	for i := 0; i < b.N; i++ {
-		_, n := formatRuns(len(benchItems), []int{1, 3}, "jpeg:95", "jpeg:85", "jpeg:75")
-		_, w := formatRuns(len(benchItems), []int{1, 3}, "jpeg:95", "jpeg:60", "jpeg:25")
+		_, n := formatRuns(studyItems, []int{1, 3}, "jpeg:95", "jpeg:85", "jpeg:75")
+		_, w := formatRuns(studyItems, []int{1, 3}, "jpeg:95", "jpeg:60", "jpeg:25")
 		narrow, wide = crossFormat(n).Percent(), crossFormat(w).Percent()
 	}
 	b.ReportMetric(narrow, "narrow_spread_instability_pct")
@@ -44,9 +42,7 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 	results := make([]float64, len(levels))
 	for i := 0; i < b.N; i++ {
 		for li, scale := range levels {
-			rig := lab.NewRig(42)
-			rig.Phones[0] = device0WithNoiseScale(scale)
-			_, recs := lab.RepeatShots(benchModel, rig, 0, benchItems[:15], 2, 6)
+			_, recs := repeatShots(device0WithNoiseScale(scale), benchItems[:15], 6)
 			results[li] = instability(recs).Percent()
 		}
 	}
@@ -55,21 +51,21 @@ func BenchmarkAblationSensorNoise(b *testing.B) {
 	b.ReportMetric(results[2], "noise_x2_instability_pct")
 }
 
-// device0WithNoiseScale clones the Samsung profile with scaled sensor noise.
-func device0WithNoiseScale(scale float64) *device.Profile {
-	phones := device.LabPhones()
-	p := phones[0]
-	params := p.Sensor.Params
+// device0WithNoiseScale copies the run's device 0 (the Samsung cohort) with
+// its sensor noise scaled.
+func device0WithNoiseScale(scale float64) *fleet.Device {
+	d := *benchDevices[0]
+	params := d.Sensor.Params
 	params.ShotNoise *= scale
 	params.ReadNoise *= scale
-	p.Sensor = sensor.New(params)
-	return p
+	d.Sensor = sensor.New(params)
+	return &d
 }
 
 // BenchmarkAblationDemosaic: the instability contribution of the demosaic
 // algorithm alone — two pipelines identical except for the interpolator,
 // developing the same raw files of the two raw-capable phones. The
-// pipelines are no format value, so this one loop captures for itself.
+// pipelines are no format value, so this one benchmark develops for itself.
 func BenchmarkAblationDemosaic(b *testing.B) {
 	benchSetup(b)
 	mk := func(algo isp.DemosaicAlgorithm) *isp.Pipeline {
@@ -84,29 +80,27 @@ func BenchmarkAblationDemosaic(b *testing.B) {
 			},
 		}
 	}
-	var dngs []*sensor.RawImage
-	var ids, labels []int
-	for pi, phone := range benchRig.Phones {
-		if !phone.RawCapable {
-			continue
-		}
-		for _, it := range benchItems[:20] {
-			rng := rand.New(rand.NewSource(fmath.Mix(benchRig.Seed, int64(it.ID), 2, int64(pi))))
-			frame := phone.Sensor.Capture(benchRig.Screen.Display(it.Render(2), rng), rng)
-			dngs = append(dngs, phone.DevelopRaw(frame))
-			ids, labels = append(ids, it.ID*len(benchRig.Phones)+pi), append(labels, int(it.Class))
+	// Each raw-capable device's photo of a cell is developed from the sensor
+	// frame the run's own capture of that cell draws; each photo is its own
+	// group and each pipeline an environment.
+	var raw []*fleet.Device
+	for _, d := range benchDevices {
+		if d.Profile.RawCapable {
+			raw = append(raw, d)
 		}
 	}
-	angles := make([]int, len(dngs))
 	var inst float64
 	for i := 0; i < b.N; i++ {
 		var recs []*stability.Record
 		for _, p := range []*isp.Pipeline{mk(isp.DemosaicBilinear), mk(isp.DemosaicEdgeAware)} {
-			images := make([]*imaging.Image, len(dngs))
-			for j, dng := range dngs {
-				images[j] = p.Process(dng).Quantize8()
+			develop := func(e *fleet.Engine, d *fleet.Device, it *dataset.Item, a int) (*imaging.Image, int) {
+				rng := rand.New(rand.NewSource(fmath.Mix(benchRun.Seed, 2, int64(d.ID), int64(it.ID), int64(a))))
+				return p.Process(d.Profile.DevelopRaw(d.Sensor.Capture(e.Displayed(it, a), rng))).Quantize8(), 0
 			}
-			r := lab.ClassifyImages(benchModel, images, ids, angles, labels, p.Name, 3)
+			_, r := shoot(raw, benchItems[:20], []int{2}, develop)
+			for j, rec := range r {
+				rec.ItemID, rec.Env = j, p.Name
+			}
 			recs = append(recs, r...)
 		}
 		inst = instability(recs).Percent()
@@ -121,7 +115,7 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 	benchSetup(b)
 	var runs []fleet.Stats
 	for i := 0; i < b.N; i++ {
-		runs = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), "stable:two-images@0", "stable:two-images@0.1", "stable:two-images@0.4")
+		runs = modelRuns(benchFactory, "stable:two-images@0", "stable:two-images@0.1", "stable:two-images@0.4")
 	}
 	b.ReportMetric(runs[0].Top1.Percent, "alpha_0_instability_pct")
 	b.ReportMetric(runs[1].Top1.Percent, "alpha_0.1_instability_pct")
@@ -140,7 +134,7 @@ func BenchmarkAblationEmbeddingWidth(b *testing.B) {
 	narrowArch := func() *nn.Model { return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(7)), cfg) }
 	var wide, narrow float64
 	for i := 0; i < b.N; i++ {
-		wide = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), "stable:two-images")[0].Top1.Percent
+		wide = modelRuns(benchFactory, "stable:two-images")[0].Top1.Percent
 
 		rng := rand.New(rand.NewSource(7))
 		narrowModel := nn.NewMobileNetV2Micro(rng, cfg)

@@ -6,48 +6,147 @@
 //	go test -bench=. -benchmem
 //
 // prints the rows the paper reports. The shared base model is trained once
-// per process; experiment sizes are scaled down so the full suite completes
-// in minutes on one core (cmd/paper and the fleetd specs run the full-scale
-// versions). Every measurement is an internal/lab call shared with that
-// binary, or — for the stage swaps of Tables 2–4 and Figure 8 and the
-// fine-tunes of Table 6 — a fleet run with a format or a model, the path the
-// experiment specs take; this file only reduces what comes back to metrics.
+// per process; the end-to-end figures and Table 5 run the configs of
+// examples/specs/endtoend.run.json and os.experiment.json on it, the other
+// studies are scaled down so the full suite completes in minutes on one core
+// (the fleetd specs run the full-scale versions). Every measurement is a
+// fleet run — the path the experiment specs take — or, for the figures that
+// read single photos (Figure 4's score split, the repeat shots of Figures 1
+// and 3(d)), a short replay of a run's own captures that is held to the run;
+// this file only reduces what comes back to metrics.
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/fleet"
+	"repro/internal/fleetapi"
 	"repro/internal/imaging"
 	"repro/internal/lab"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/stability"
+	"repro/internal/train"
 )
 
 var (
 	benchOnce    sync.Once
 	benchConfig  = lab.BaseModelConfig{Seed: 7, TrainItems: 220, Epochs: 5, Width: 1}
 	benchModel   *nn.Model
-	benchRig     *lab.Rig
+	benchFactory fleet.BackendFactory
+	benchRun     fleet.Config // endtoend.run.json's run, defaulted
 	benchItems   []*dataset.Item
+	benchDevices []*fleet.Device
 	benchRecords []*stability.Record
 )
 
-// benchSetup trains the shared model and captures the shared end-to-end
-// photo matrix once per process.
+// benchSetup trains the shared model and takes the shared end-to-end photo
+// matrix once per process: endtoend.run.json's run, replayed by hand so the
+// figures can read its records, and held to the run's own accumulator.
 func benchSetup(tb testing.TB) {
 	tb.Helper()
 	benchOnce.Do(func() {
 		benchModel = lab.TrainBaseModel(benchConfig)
-		benchRig = lab.NewRig(42)
-		benchItems = dataset.GenerateHard(30, 142).Items
-		benchRecords = lab.Classify(benchModel, benchRig.CaptureAll(benchItems, []int{1, 2, 3}), 3)
+		benchFactory = fleet.BackendReplicator(benchConfig.Arch, benchModel)
+		var spec fleetapi.RunSpec
+		readSpec(tb, "endtoend.run.json", &spec)
+		benchRun = spec.FleetConfig().WithDefaults()
+		benchItems = fleet.Items(benchRun.Seed, benchRun.Items)
+		gen := fleet.NewGenerator(benchRun.Seed, benchRun.Scale, 0)
+		for i := 0; i < benchRun.Devices; i++ {
+			benchDevices = append(benchDevices, gen.Device(i))
+		}
+		run := fleet.NewRunner(benchRun, benchFactory)
+		run.Run()
+		_, benchRecords = shoot(benchDevices, benchItems, benchRun.Angles, (*fleet.Engine).Capture)
+		if got, want := stability.NewAccumulator(benchRecords...).Snapshot(), run.Accumulator().Snapshot(); !reflect.DeepEqual(got, want) {
+			tb.Fatalf("the replay of endtoend.run.json is not its run:\n got %+v\nwant %+v", got, want)
+		}
 	})
+}
+
+// readSpec decodes examples/specs/<name> as fleetd does: unknown fields
+// refused.
+func readSpec(tb testing.TB, name string, v any) {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("examples", "specs", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+}
+
+// capture takes one photo of a cell: (*fleet.Engine).Capture is a one-shot
+// run's, Engine.CaptureEpoch a later shot of the same cell.
+type capture func(e *fleet.Engine, d *fleet.Device, it *dataset.Item, angle int) (*imaging.Image, int)
+
+// shoot photographs items at angles with every device and classifies the
+// photos as benchRun's sweep does — on the run's engine, each device's cells
+// in item-major order through one train.Evaluate on a backend of its
+// runtime — and returns the photos beside one record per photo, in the same
+// device-major order. A record's Env is its device's name.
+func shoot(devices []*fleet.Device, items []*dataset.Item, angles []int, take capture) ([]*imaging.Image, []*stability.Record) {
+	engine := fleet.NewEngine(benchRun.Seed, benchRun.Scale, 0)
+	var images []*imaging.Image
+	var records []*stability.Record
+	for _, d := range devices {
+		runtime := benchRun.Runtime
+		if runtime == "" {
+			runtime = d.Profile.RuntimeName()
+		}
+		var photos []*imaging.Image
+		for _, it := range items {
+			for _, a := range angles {
+				img, _ := take(engine, d, it, a)
+				photos = append(photos, img)
+			}
+		}
+		preds, scores, probs := train.Evaluate(benchFactory(runtime), photos, benchRun.BatchSize)
+		topks := train.TopKOf(probs, benchRun.TopK)
+		for i := range photos {
+			it, a := items[i/len(angles)], angles[i%len(angles)]
+			records = append(records, &stability.Record{
+				ItemID: it.ID, Angle: a, TrueClass: int(it.Class), Env: d.Profile.Name, Runtime: runtime,
+				Pred: preds[i], Score: scores[i], TopK: topks[i],
+			})
+		}
+		images = append(images, photos...)
+	}
+	return images, records
+}
+
+// repeatShots photographs items at angle 2 with one device n times, shutter
+// presses seconds apart (Figure 1, Figure 3(d)): shot k is the cell's
+// CaptureEpoch at epoch k, so only the sensor noise is drawn afresh. Shot k's
+// photos and records are item-ordered, and its records' Env is "shot-k", so
+// the instability of all n shots' records is the within-phone instability.
+func repeatShots(d *fleet.Device, items []*dataset.Item, n int) ([][]*imaging.Image, []*stability.Record) {
+	var shots [][]*imaging.Image
+	var records []*stability.Record
+	for k := 0; k < n; k++ {
+		epoch := func(e *fleet.Engine, d *fleet.Device, it *dataset.Item, angle int) (*imaging.Image, int) {
+			return e.CaptureEpoch(d, it, angle, k)
+		}
+		photos, recs := shoot([]*fleet.Device{d}, items, []int{2}, epoch)
+		for _, r := range recs {
+			r.Env = fmt.Sprintf("shot-%d", k)
+		}
+		shots, records = append(shots, photos), append(records, recs...)
+	}
+	return shots, records
 }
 
 // instability is the top-1 instability of the records.
@@ -62,17 +161,18 @@ func BenchmarkFig1RepeatShot(b *testing.B) {
 	benchSetup(b)
 	var flipRate, diffFrac float64
 	for i := 0; i < b.N; i++ {
-		shots, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems, 2, 2)
+		shots, recs := repeatShots(benchDevices[0], benchItems, 2)
+		n := len(benchItems)
 		flips, fracSum := 0, 0.0
-		for j := 0; j < len(shots); j += 2 {
-			if recs[j].Pred != recs[j+1].Pred {
+		for j := 0; j < n; j++ {
+			if recs[j].Pred != recs[n+j].Pred {
 				flips++
 			}
-			_, f := imaging.DiffMask(shots[j].Image, shots[j+1].Image, 0.05)
+			_, f := imaging.DiffMask(shots[0][j], shots[1][j], 0.05)
 			fracSum += f
 		}
-		flipRate = float64(flips) / float64(len(benchItems))
-		diffFrac = fracSum / float64(len(benchItems))
+		flipRate = float64(flips) / float64(n)
+		diffFrac = fracSum / float64(n)
 	}
 	b.ReportMetric(flipRate*100, "flip_pct")
 	b.ReportMetric(diffFrac*100, "pixels_diff_pct")
@@ -155,7 +255,7 @@ func BenchmarkFig3dWithinPhone(b *testing.B) {
 	benchSetup(b)
 	var within float64
 	for i := 0; i < b.N; i++ {
-		_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 6)
+		_, recs := repeatShots(benchDevices[0], benchItems[:15], 6)
 		within = instability(recs).Percent()
 	}
 	b.ReportMetric(within, "within_phone_instability_pct")
@@ -176,6 +276,9 @@ func BenchmarkFig4ScoreDensities(b *testing.B) {
 	b.ReportMetric(metrics.Mean(split.UnstableIncorrect), "unstable_incorrect_mean")
 }
 
+// studyItems is the item count of the format and model runs.
+const studyItems = 30
+
 // formatRuns runs one fleet run per format on the bench model's float32
 // runtime: devices 0 and 1 (the samsung and iphone cohorts, the raw-capable
 // phones of §5–6 and §9.2) photograph items at full resolution. Every run
@@ -188,7 +291,7 @@ func formatRuns(items int, angles []int, formats ...string) ([]fleet.Stats, []*s
 		r := fleet.NewRunner(fleet.Config{
 			Devices: 2, Items: items, Angles: angles, Seed: 42, Scale: 1,
 			Runtime: nn.RuntimeFloat32, Format: f,
-		}, fleet.BackendReplicator(benchConfig.Arch, benchModel))
+		}, benchFactory)
 		stats[i], accs[i] = r.Run(), r.Accumulator()
 	}
 	return stats, accs
@@ -224,7 +327,7 @@ func benchCodecFormats(b *testing.B, formats ...string) {
 	var inst stability.Summary
 	var acc, kb float64
 	for i := 0; i < b.N; i++ {
-		runs, accs := formatRuns(len(benchItems), []int{1, 3}, formats...)
+		runs, accs := formatRuns(studyItems, []int{1, 3}, formats...)
 		inst, acc, kb = crossFormat(accs), 0, 0
 		for _, st := range runs {
 			acc += st.Accuracy / float64(len(runs))
@@ -267,24 +370,32 @@ func BenchmarkTable4ISP(b *testing.B) {
 	b.ReportMetric(runs[1].Accuracy*100, "adobe_accuracy_pct")
 }
 
-// BenchmarkTable5ProcessorOS: byte-identical files decoded by five SoC
-// profiles (paper: 0.64% on JPEG, 0% on PNG, Huawei/Xiaomi hashes differ).
+// BenchmarkTable5ProcessorOS: byte-identical files decoded by five devices
+// whose only difference left is the OS decoder (paper: 0.64% on JPEG, 0% on
+// PNG).
 func BenchmarkTable5ProcessorOS(b *testing.B) {
 	benchSetup(b)
 	var jpegInst, pngInst float64
 	for i := 0; i < b.N; i++ {
-		jpegInst = osInstability(codec.NewJPEG(90))
-		pngInst = osInstability(codec.NewPNG())
+		jpegInst = osInstability(b, "file:jpeg:90")
+		pngInst = osInstability(b, "file:png")
 	}
 	b.ReportMetric(jpegInst, "jpeg_instability_pct")
 	b.ReportMetric(pngInst, "png_instability_pct")
 }
 
-// osInstability is the §7 cross-device instability, in percent, on 60 fixed
-// files stored with c.
-func osInstability(c codec.Codec) float64 {
-	_, recs := lab.OSDecode(benchModel, dataset.FixedSet(60, 242, c))
-	return instability(recs).Percent()
+// osInstability is the §7 cross-device instability, in percent, of
+// os.experiment.json's arm with the given format, run on the bench model.
+func osInstability(tb testing.TB, format string) float64 {
+	var spec fleetapi.ExperimentSpec
+	readSpec(tb, "os.experiment.json", &spec)
+	for _, arm := range spec.Arms() {
+		if arm.Spec.Format == format {
+			return fleet.NewRunner(arm.Spec.FleetConfig(), benchFactory).Run().Top1.Percent
+		}
+	}
+	tb.Fatalf("os.experiment.json has no %s arm", format)
+	return 0
 }
 
 // BenchmarkTable6aEmbeddingLoss: stability fine-tuning with the embedding
@@ -301,14 +412,14 @@ func BenchmarkTable6bKLLoss(b *testing.B) {
 
 // modelRuns runs one fleet run per model over factory's float32 runtime:
 // devices 0 and 1 (the samsung and iphone cohorts, the pair a stable model
-// is fine-tuned to agree on) photograph the bench items at angles 1–3. Every
+// is fine-tuned to agree on) photograph studyItems items at angles 1–3. Every
 // run photographs the same cells, so the runs differ only in their weights.
 // A run's top-1 instability is the cross-phone instability of Table 6.
 func modelRuns(factory fleet.BackendFactory, models ...string) []fleet.Stats {
 	stats := make([]fleet.Stats, len(models))
 	for i, m := range models {
 		stats[i] = fleet.NewRunner(fleet.Config{
-			Devices: 2, Items: len(benchItems), Angles: []int{1, 2, 3}, Seed: 42,
+			Devices: 2, Items: studyItems, Angles: []int{1, 2, 3}, Seed: 42,
 			Runtime: nn.RuntimeFloat32, Model: m,
 		}, factory).Run()
 	}
@@ -327,7 +438,7 @@ func benchTable6(b *testing.B, loss string) {
 	}
 	var runs []fleet.Stats
 	for i := 0; i < b.N; i++ {
-		runs = modelRuns(fleet.BackendReplicator(benchConfig.Arch, benchModel), models...)
+		runs = modelRuns(benchFactory, models...)
 	}
 	b.ReportMetric(runs[0].Top1.Percent, "no_noise_instability_pct")
 	for i, s := range schemes {

@@ -13,9 +13,11 @@ import (
 	"log"
 
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/imaging"
 	"repro/internal/lab"
-	"repro/internal/stability"
+	"repro/internal/nn"
+	"repro/internal/train"
 )
 
 func main() {
@@ -25,53 +27,51 @@ func main() {
 	//    clean renders; a stand-in for "pre-trained on ImageNet"). A small
 	//    configuration keeps the example fast.
 	log.Println("training a small base model (~30s on one core)...")
-	model, err := lab.LoadOrTrainBaseModel(lab.BaseModelConfig{
-		Seed: 7, TrainItems: 150, Epochs: 4, Width: 1,
-	}, "", nil)
+	mcfg := lab.BaseModelConfig{Seed: 7, TrainItems: 150, Epochs: 4, Width: 1}
+	model, err := lab.LoadOrTrainBaseModel(mcfg, "", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	factory := fleet.BackendReplicator(mcfg.Arch, model)
 
-	// 2. Build the lab rig: a monitor in a dark room plus phone profiles.
-	rig := lab.NewRig(42)
-	samsung, iphone := rig.Phones[0], rig.Phones[1]
+	// 2. A two-phone fleet in front of one monitor: device 0 is synthesized
+	//    from the Samsung Galaxy S10, device 1 from the iPhone XR. Both
+	//    photograph the same 30 test objects at full resolution and run the
+	//    same float32 model.
+	cfg := fleet.Config{Devices: 2, Items: 30, Angles: []int{2}, Seed: 42, Scale: 1, Runtime: nn.RuntimeFloat32}
+	st := fleet.NewRunner(cfg, factory).Run()
 
-	// 3. Photograph 30 test objects with every phone and classify.
-	test := dataset.GenerateHard(30, 1234)
-	caps := rig.CaptureAll(test.Items, []int{2})
-	records := lab.Classify(model, caps, 3)
-
-	// Keep only the two phones of interest for a clean pairwise report.
-	var pair []*stability.Record
-	for _, r := range records {
-		if r.Env == samsung.Name || r.Env == iphone.Name {
-			pair = append(pair, r)
+	fmt.Println("\n=== Cross-device instability (samsung vs iphone) ===")
+	for _, c := range st.ByCohort {
+		if c.Devices > 0 {
+			fmt.Printf("%-20s accuracy: %.1f%%\n", c.Cohort, c.Accuracy*100)
 		}
 	}
+	fmt.Printf("instability: %d/%d unstable (%.2f%%)\n", st.Top1.Unstable, st.Top1.Groups, st.Top1.Percent)
 
-	snap := stability.NewAccumulator(pair...).Snapshot()
-	accuracy := map[string]float64{}
-	for _, e := range snap.ByEnv {
-		accuracy[e.Env] = e.Accuracy
-	}
-	fmt.Println("\n=== Cross-device instability (samsung vs iphone) ===")
-	fmt.Printf("samsung accuracy: %.1f%%\n", accuracy[samsung.Name]*100)
-	fmt.Printf("iphone accuracy:  %.1f%%\n", accuracy[iphone.Name]*100)
-	fmt.Printf("instability:      %s\n", snap.Top1)
-
-	// 4. The Figure 1 experiment: two shots with the same phone, one
-	//    second apart. The images are nearly identical; the predictions
-	//    sometimes are not.
+	// 3. The Figure 1 experiment: two shots with the same phone, one
+	//    second apart — the same cell captured in two epochs, so only the
+	//    sensor noise is drawn afresh. The images are nearly identical; the
+	//    predictions sometimes are not.
 	fmt.Println("\n=== Figure 1: repeat shots on one phone ===")
+	engine := fleet.NewEngine(cfg.Seed, cfg.Scale, 0)
+	samsung := fleet.NewGenerator(cfg.Seed, cfg.Scale, 0).Device(0)
+	backend := factory(nn.RuntimeFloat32)
+	items := fleet.Items(cfg.Seed, cfg.Items)
+	shots := func(it *dataset.Item) [2]*imaging.Image {
+		a, _ := engine.CaptureEpoch(samsung, it, 2, 0)
+		b, _ := engine.CaptureEpoch(samsung, it, 2, 1)
+		return [2]*imaging.Image{a, b}
+	}
 	flips := 0
-	for _, it := range test.Items {
-		shots := rig.CaptureRepeats(samsung, 0, it, 2, 2)
-		recs := lab.Classify(model, shots, 1)
-		if recs[0].Pred != recs[1].Pred {
-			_, fraction := imaging.DiffMask(shots[0].Image, shots[1].Image, 0.05)
+	for _, it := range items {
+		shot := shots(it)
+		preds, _, _ := train.Evaluate(backend, shot[:], 2)
+		if preds[0] != preds[1] {
+			_, fraction := imaging.DiffMask(shot[0], shot[1], 0.05)
 			fmt.Printf("object %d (%s): shot1 → %s, shot2 → %s; %.1f%% of pixels differ by >5%%\n",
 				it.ID, it.Class,
-				dataset.Class(recs[0].Pred), dataset.Class(recs[1].Pred),
+				dataset.Class(preds[0]), dataset.Class(preds[1]),
 				fraction*100)
 			flips++
 		}
@@ -80,9 +80,9 @@ func main() {
 		fmt.Println("(no repeat-shot flips at this sample size — rerun with more objects)")
 	}
 
-	// 5. Show how little the underlying photos differ for one object.
-	it := test.Items[0]
-	shots := rig.CaptureRepeats(samsung, 0, it, 2, 2)
+	// 4. Show how little the underlying photos differ for one object.
+	it := items[0]
+	shot := shots(it)
 	fmt.Printf("\nFor object %d, two consecutive shots have PSNR %.1f dB — visually identical.\n",
-		it.ID, imaging.PSNR(shots[0].Image, shots[1].Image))
+		it.ID, imaging.PSNR(shot[0], shot[1]))
 }

@@ -6,7 +6,8 @@
 //	curl -d @examples/specs/scale.experiment.json localhost:8470/v1/experiments
 //
 // and TestSpecs pins what each one produces on the committed model: an
-// experiment's report and its per-arm stats (/arms), a run's stats.
+// experiment's report and its per-arm stats (/arms), a run's stats, a
+// continuous fleet's report and drift.
 package examples
 
 import (
@@ -48,13 +49,14 @@ type specKind struct {
 var specKinds = map[string]specKind{
 	"experiment": {"/v1/experiments", []string{"report", "arms"}, strictDecode[fleetapi.ExperimentSpec], false},
 	"run":        {"/v1/runs", []string{"stats"}, strictDecode[fleetapi.RunSpec], true},
+	"fleet":      {"/v1/fleets", []string{"report", "drift"}, strictDecode[fleetapi.FleetSpec], true},
 }
 
 // shardedSpecs are specs of an unsharded kind that also take the two-peer
-// leg: the compression experiment's format arms and the stability
+// leg: the compression and OS experiments' format arms and the stability
 // experiment's model arms cross the shard wire (each peer resolves a model
 // for itself; in one process they share the fine-tune cache).
-var shardedSpecs = map[string]bool{"compression.experiment": true, "stability.experiment": true}
+var shardedSpecs = map[string]bool{"compression.experiment": true, "os.experiment": true, "stability.experiment": true}
 
 // strictDecode decodes a body as fleetd does: unknown fields refused, then
 // Validate.

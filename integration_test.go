@@ -7,9 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/dataset"
 	"repro/internal/device"
-	"repro/internal/lab"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/stability"
 )
@@ -65,11 +64,11 @@ func TestIntegrationOSExperimentShape(t *testing.T) {
 	benchSetup(t)
 
 	// PNG decodes identically everywhere → zero instability (paper §7).
-	if png := osInstability(codec.NewPNG()); png != 0 {
+	if png := osInstability(t, "file:png"); png != 0 {
 		t.Errorf("PNG OS instability %.2f%%, want exactly 0", png)
 	}
 	// JPEG decoder divergence is real but tiny compared to end-to-end.
-	jpeg := osInstability(codec.NewJPEG(90))
+	jpeg := osInstability(t, "file:jpeg:90")
 	e2e := instability(benchRecords).Percent()
 	if jpeg >= e2e {
 		t.Errorf("OS-only instability %.2f%% not ≪ end-to-end %.2f%%", jpeg, e2e)
@@ -77,17 +76,19 @@ func TestIntegrationOSExperimentShape(t *testing.T) {
 }
 
 func TestIntegrationDecoderHashDivergence(t *testing.T) {
-	// The §7 MD5 methodology: Huawei/Xiaomi (nearest-neighbour chroma)
-	// hash differently from the other three on JPEG, identically on PNG.
-	files := dataset.FixedSet(5, 99, codec.NewJPEG(90))
-	phones := device.FirebasePhones()
-	ref := &device.Profile{Name: "ref", Decode: phones[0].Decode}
-	for _, ph := range phones {
-		p := &device.Profile{Name: ph.Name, Decode: ph.Decode}
-		same := p.DecodeHash(files[0].Encoded) == ref.DecodeHash(files[0].Encoded)
-		wantSame := ph.Decode == phones[0].Decode
-		if same != wantSame {
-			t.Errorf("%s: hash match = %v, want %v", ph.Name, same, wantSame)
+	// The §7 MD5 methodology: the two phones on the nearest-neighbour chroma
+	// path hash one JPEG file differently from the other three, and every
+	// phone hashes one PNG file identically.
+	scene := fleet.Items(99, 1)[0].Render(2)
+	phones := device.LabPhones()
+	for _, c := range []codec.Codec{codec.NewJPEG(90), codec.NewPNG()} {
+		file := c.Encode(scene)
+		for _, ph := range phones {
+			same := ph.DecodeHash(file) == phones[0].DecodeHash(file)
+			wantSame := ph.Decode == phones[0].Decode || c.Name() == "png"
+			if same != wantSame {
+				t.Errorf("%s on %s: hash match = %v, want %v", c.Name(), ph.Name, same, wantSame)
+			}
 		}
 	}
 }
@@ -100,7 +101,7 @@ func TestIntegrationWithinPhoneBelowCrossPhone(t *testing.T) {
 
 	// Paper Fig 3(d): repeat-shot instability on one phone is much lower
 	// than cross-phone instability.
-	_, recs := lab.RepeatShots(benchModel, benchRig, 0, benchItems[:15], 2, 4)
+	_, recs := repeatShots(benchDevices[0], benchItems[:15], 4)
 	within := instability(recs).Rate()
 	cross := instability(benchRecords).Rate()
 	if within >= cross {
@@ -116,7 +117,7 @@ func TestIntegrationCompressionAccuracyFlat(t *testing.T) {
 
 	// Paper Tables 2-3: codec choice barely moves accuracy yet creates
 	// instability. Compare per-codec accuracies and the joint instability.
-	runs, accs := formatRuns(len(benchItems), []int{1, 3}, codecFormats...)
+	runs, accs := formatRuns(studyItems, []int{1, 3}, codecFormats...)
 	if crossFormat(accs).Unstable == 0 {
 		t.Error("format instability is zero — codecs too benign")
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/codec"
 	"repro/internal/imaging"
 )
 
@@ -228,32 +227,6 @@ func TestScreenOutputInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFixedSetByteIdentical(t *testing.T) {
-	// The §7 premise: the fixed set is byte-identical however many times
-	// it is generated.
-	a := FixedSet(6, 77, codec.NewJPEG(90))
-	b := FixedSet(6, 77, codec.NewJPEG(90))
-	for i := range a {
-		da := a[i].Encoded.Decode(codec.DecodeOptions{})
-		db := b[i].Encoded.Decode(codec.DecodeOptions{})
-		if imaging.MSE(da, db) != 0 {
-			t.Fatalf("fixed file %d differs between generations", i)
-		}
-	}
-}
-
-func TestFixedSetLabels(t *testing.T) {
-	files := FixedSet(10, 78, codec.NewPNG())
-	if len(files) != 10 {
-		t.Fatalf("got %d files", len(files))
-	}
-	for i, f := range files {
-		if f.Item.Class != Class(i%int(NumClasses)) {
-			t.Fatalf("file %d class %v", i, f.Item.Class)
-		}
 	}
 }
 

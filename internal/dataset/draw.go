@@ -1,8 +1,8 @@
 // Package dataset procedurally renders the labeled scenes that stand in for
 // the paper's data collection: the five ImageNet classes (water bottle, beer
 // bottle, wine bottle, purse, backpack) photographed from five angles, plus
-// the screen-display simulation of the lab rig and the fixed image set used
-// by the processor/OS experiment. Every render is deterministic in its seed,
+// the screen-display simulation of the lab rig and the training images of
+// the base model. Every render is deterministic in its seed,
 // so "the same image on the monitor" is exactly reproducible across phones.
 // Every product that is added to or subtracted from is rounded first,
 // float64(x*y) + z: a compiler that may fuse the two (arm64's) would

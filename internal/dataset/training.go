@@ -3,35 +3,8 @@ package dataset
 import (
 	"math/rand"
 
-	"repro/internal/codec"
 	"repro/internal/imaging"
 )
-
-// FixedFile is one byte-identical input file of the processor/OS experiment
-// (§7): the paper side-loaded a fixed Caltech101 subset onto every Firebase
-// phone, so the only per-device degree of freedom is the OS decoder.
-// Caltech101 itself is not redistributable here; the files are drawn from
-// the same procedural renderer with an independent seed, which preserves
-// the property that matters — every device decodes the exact same bytes.
-type FixedFile struct {
-	Item    *Item
-	Encoded *codec.Encoded
-}
-
-// FixedSet generates n fixed files compressed with the given codec. The
-// scenes pass through a mild, deterministic "photograph" (blur + quantize)
-// rather than a sensor simulation: these stand in for ordinary dataset
-// photos, not lab captures, and must be identical for every device.
-func FixedSet(n int, seed int64, c codec.Codec) []*FixedFile {
-	set := GenerateHard(n, seed)
-	files := make([]*FixedFile, n)
-	for i, it := range set.Items {
-		im := it.Render(2) // center angle
-		im = imaging.GaussianBlur(im, 0.5).Clamp().Quantize8()
-		files[i] = &FixedFile{Item: it, Encoded: c.Encode(im)}
-	}
-	return files
-}
 
 // TrainingImages renders every item at the given angles and returns images
 // plus labels, the raw material for model pre-training. A light photometric

@@ -192,26 +192,3 @@ func LabPhones() []*Profile {
 		},
 	}
 }
-
-// SoCPhone is a device in the §7 processor/OS experiment: inference runs on
-// byte-identical input files, so only the OS decoder matters.
-type SoCPhone struct {
-	Name   string
-	SoC    string
-	Decode codec.DecodeOptions
-}
-
-// FirebasePhones returns the five §7 devices. Huawei and Xiaomi share the
-// fast (nearest-neighbour) chroma path, diverging from the other three —
-// the configuration the paper inferred from MD5 hashes.
-func FirebasePhones() []*SoCPhone {
-	bilinear := codec.DecodeOptions{ChromaUpsample: codec.UpsampleBilinear}
-	nearest := codec.DecodeOptions{ChromaUpsample: codec.UpsampleNearest}
-	return []*SoCPhone{
-		{Name: "samsung-galaxy-note8", SoC: "Exynos 9 Octa 8895", Decode: bilinear},
-		{Name: "huawei-mate-rs", SoC: "HiSilicon Kirin 970", Decode: nearest},
-		{Name: "pixel-2", SoC: "Snapdragon 835", Decode: bilinear},
-		{Name: "sony-xz3", SoC: "Snapdragon 845", Decode: bilinear},
-		{Name: "xiaomi-mi-8-pro", SoC: "Helio G90T (MT6785T)", Decode: nearest},
-	}
-}

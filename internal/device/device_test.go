@@ -45,20 +45,17 @@ func TestLabPhonesInventory(t *testing.T) {
 	}
 }
 
-func TestFirebasePhonesDecoderSplit(t *testing.T) {
-	phones := FirebasePhones()
-	if len(phones) != 5 {
-		t.Fatalf("want 5 firebase phones, got %d", len(phones))
-	}
+// TestLabPhonesDecoderSplit: the lab cohorts carry the §7 decoder split
+// the paper inferred from MD5 hashes — three phones on the bilinear chroma
+// path, two on the fast nearest-neighbour one.
+func TestLabPhonesDecoderSplit(t *testing.T) {
 	nearest := map[string]bool{}
-	for _, p := range phones {
+	for _, p := range LabPhones() {
 		if p.Decode.ChromaUpsample == codec.UpsampleNearest {
 			nearest[p.Name] = true
 		}
 	}
-	// The paper's finding: exactly Huawei and Xiaomi share the divergent
-	// decoder.
-	if len(nearest) != 2 || !nearest["huawei-mate-rs"] || !nearest["xiaomi-mi-8-pro"] {
+	if len(nearest) != 2 || !nearest["htc-desire-10"] || !nearest["motorola-moto-g5"] {
 		t.Fatalf("nearest-decoder set = %v", nearest)
 	}
 }
@@ -157,7 +154,7 @@ func TestDevelopRawNRSmooths(t *testing.T) {
 }
 
 func TestDecodeHashMatchesForSameOptions(t *testing.T) {
-	phones := FirebasePhones()
+	phones := LabPhones()
 	enc := codec.NewJPEG(90).Encode(testScene())
 	prof := func(d codec.DecodeOptions) *Profile { return &Profile{Name: "p", Decode: d} }
 	var bilinear, nearest [16]byte

@@ -27,16 +27,15 @@ const (
 	benchAngles = 3
 )
 
-// BenchmarkSequentialRigCapture reproduces the per-capture cost of the
-// five-phone rig: scene rendered once per cell (as Rig.CaptureAll does),
-// display + full-resolution capture per photograph.
+// BenchmarkSequentialRigCapture reproduces the per-capture cost of a
+// sequential five-phone rig: scene rendered once per cell, display +
+// full-resolution device.Profile.Capture per photograph.
 func BenchmarkSequentialRigCapture(b *testing.B) {
 	items := dataset.GenerateHard(benchItems, 3).Items
 	phones := device.LabPhones()
 	screen := dataset.DefaultScreen()
-	// Pre-render scenes: CaptureAll renders each (item, angle) once and
-	// reuses it across phones, so rendering is not part of the per-capture
-	// cost there either.
+	// Pre-render scenes: a rig renders each (item, angle) once and reuses
+	// it across phones, so rendering is not part of the per-capture cost.
 	scenes := map[[2]int]*imaging.Image{}
 	for _, it := range items {
 		for a := 0; a < benchAngles; a++ {

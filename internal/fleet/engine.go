@@ -10,8 +10,8 @@ import (
 )
 
 // Engine is the fleet capture hot path: it turns (device, item, angle)
-// cells into decoded photos the way the lab rig does, with the
-// scale-critical differences:
+// cells into decoded photos the way a phone in front of the lab monitor
+// takes them (device.Profile.Capture), with the scale-critical differences:
 //
 //   - Captures run at SceneSize/Scale resolution (default half, which is
 //     exactly the model's input size, so inference skips its resize too).
@@ -115,25 +115,35 @@ func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.
 // captureSeeded is the one capture body: cell seed in, decoded image, size
 // and stage times out. Capture and CaptureEpoch discard the times; the four
 // clock reads are noise against a 130–800 µs capture. The sensor is the
-// only consumer of the cell RNG, so every format draws the same noise.
+// only consumer of the cell RNG, so every format that photographs draws the
+// same noise; a file format photographs nothing and draws none.
 func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
 	displayed := e.Displayed(it, angle)
 	a := arenaPool.Get().(*captureArena)
 	rng := a.seed(seed)
 	t0 := time.Now()
-	raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
-	t1 := time.Now()
-	pipeline, c, opts := d.ISP, d.Profile.Codec, d.Profile.Decode
-	if sw := e.swap; sw != nil {
-		c, opts = sw.codec, codec.DecodeOptions{}
-		if sw.isp != nil {
-			pipeline, raw = sw.isp, d.Profile.DevelopRaw(raw)
+	var enc *codec.Encoded
+	t1, t2, opts := t0, t0, d.Profile.Decode
+	if sw := e.swap; sw != nil && sw.file {
+		// The displayed frame is clamped, cached and the same for every
+		// device: stored as is, it is one byte-identical file per cell, and
+		// only the device's own decoder differs (§7).
+		enc = sw.codec.Encode(displayed)
+	} else {
+		raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
+		t1 = time.Now()
+		pipeline, c := d.ISP, d.Profile.Codec
+		if sw != nil {
+			c, opts = sw.codec, codec.DecodeOptions{}
+			if sw.isp != nil {
+				pipeline, raw = sw.isp, d.Profile.DevelopRaw(raw)
+			}
 		}
+		processed := pipeline.Process(raw) // pool-owned by this frame; Clamp in place is safe
+		t2 = time.Now()
+		enc = c.Encode(processed.Clamp())
+		imaging.PutImage(processed)
 	}
-	processed := pipeline.Process(raw) // pool-owned by this frame; Clamp in place is safe
-	t2 := time.Now()
-	enc := c.Encode(processed.Clamp())
-	imaging.PutImage(processed)
 	size := enc.Size
 	img := enc.DecodeInto(opts, imaging.GetImage(enc.W, enc.H))
 	codec.Release(enc)

@@ -12,10 +12,13 @@ import (
 // stageSwap is a run's format resolved into what it swaps in every cell:
 // the codec that stores the photo, decoded by the reference decoder, and,
 // for a raw format, the software ISP that develops the device's raw file in
-// place of the device's own ISP. A nil *stageSwap is the native path.
+// place of the device's own ISP. A file format stores the displayed frame
+// itself with the codec, no photo taken, and each device decodes it with its
+// own decoder. A nil *stageSwap is the native path.
 type stageSwap struct {
 	isp   *isp.Pipeline // nil: the device's own ISP
 	codec codec.Codec
+	file  bool
 }
 
 // rawConverters are the software ISPs a raw format may name (§6, §9.2).
@@ -30,6 +33,7 @@ var rawConverters = map[string]func() *isp.Pipeline{
 // native path, canonically "". The grammar is
 //
 //	native | png | jpeg:Q | webp:Q | heif:Q | raw:dng | raw:imagemagick | raw:adobe
+//	       | file:png | file:jpeg:Q | file:webp:Q | file:heif:Q
 //
 // with names case-insensitive and Q a quality from 1 to 100 written without
 // sign or leading zeros. Nothing is trimmed: a value with spaces is refused.
@@ -55,6 +59,12 @@ func parseFormat(s string) (*stageSwap, string, error) {
 		return &stageSwap{isp: rawConverters[arg](), codec: codec.NewPNG()}, v, nil
 	case name == "raw":
 		return nil, "", fmt.Errorf("bad format %q: raw takes one of dng, imagemagick, adobe", s)
+	case name == "file":
+		sw, canon, err := parseFormat(arg)
+		if err != nil || sw == nil || sw.isp != nil || sw.file {
+			return nil, "", fmt.Errorf("bad format %q: file takes a codec (png, jpeg:Q, webp:Q or heif:Q)", s)
+		}
+		return &stageSwap{codec: sw.codec, file: true}, "file:" + canon, nil
 	case hasArg && (name == "jpeg" || name == "webp" || name == "heif"):
 		q, err := strconv.Atoi(arg)
 		if err != nil || q < 1 || q > 100 || strconv.Itoa(q) != arg {
@@ -71,5 +81,5 @@ func parseFormat(s string) (*stageSwap, string, error) {
 		}
 		return &stageSwap{codec: c}, v, nil
 	}
-	return nil, "", fmt.Errorf("bad format %q (want native, png, jpeg:Q, webp:Q, heif:Q or raw:dng|imagemagick|adobe)", s)
+	return nil, "", fmt.Errorf("bad format %q (want native, png, jpeg:Q, webp:Q, heif:Q, raw:dng|imagemagick|adobe or file:<codec>)", s)
 }

@@ -21,6 +21,7 @@ func TestFormatGrammar(t *testing.T) {
 		"jpeg:85": "jpeg:85", "JPEG:85": "jpeg:85", "jpeg:1": "jpeg:1", "jpeg:100": "jpeg:100",
 		"webp:75": "webp:75", "heif:75": "heif:75", "HeIf:9": "heif:9",
 		"raw:dng": "raw:dng", "raw:DNG": "raw:dng", "RAW:Adobe": "raw:adobe", "raw:imagemagick": "raw:imagemagick",
+		"file:png": "file:png", "FILE:JPEG:90": "file:jpeg:90", "file:webp:75": "file:webp:75", "File:HEIF:60": "file:heif:60",
 	} {
 		if got, err := CanonicalFormat(in); err != nil || got != want {
 			t.Errorf("CanonicalFormat(%q) = %q, %v; want %q", in, got, err, want)
@@ -30,6 +31,8 @@ func TestFormatGrammar(t *testing.T) {
 		"jpeg:085", "jpeg:0", "jpeg:101", "jpeg:+85", "jpeg:-5", "jpeg:", "jpeg", "jpeg:85:1", "jpeg:8.5",
 		"raw:", "raw", "raw:dcraw", "raw:dng ", "png:1", "png:", "gif", "jpeg:85 ", " jpeg:85", "native ", "jpeg: 85",
 		"jpeg:99999999999999999999",
+		"file:", "file", "file:native", "FILE:NATIVE", "file:raw:dng", "file:RAW:adobe", "file:file:png", "file:file:jpeg:90",
+		"file:jpeg:0", "file:jpeg", "file:gif", "file: png", "file:png ",
 	} {
 		if got, err := CanonicalFormat(in); err == nil {
 			t.Errorf("CanonicalFormat(%q) = %q, want an error", in, got)
@@ -109,5 +112,54 @@ func TestFormatRunStatsCanonical(t *testing.T) {
 	a, b := run("jpeg:40"), run("JPEG:40")
 	if !bytes.Equal(a, b) || !bytes.Contains(a, []byte(`"format":"jpeg:40"`)) {
 		t.Fatalf("jpeg:40 stats:\n%s\nJPEG:40 stats:\n%s", a, b)
+	}
+}
+
+// TestFileFormatSharesBytes: a file format stores the cell's displayed frame
+// itself, so every device is handed the same bytes and only its own decoder
+// tells them apart: PNG decodes identically everywhere, JPEG identically on
+// devices that share a decoder and differently on devices that do not.
+func TestFileFormatSharesBytes(t *testing.T) {
+	const seed = 11
+	gen := NewGenerator(seed, 2, 0)
+	items := Items(seed, 2)
+	for _, tc := range []struct {
+		format string
+		codec  codec.Codec
+	}{{"file:png", codec.NewPNG()}, {"file:jpeg:90", codec.NewJPEG(90)}} {
+		swap, _, err := parseFormat(tc.format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(seed, 2, 0)
+		e.swap = swap
+		for _, it := range items {
+			for _, a := range []int{0, 3} {
+				enc := tc.codec.Encode(e.Displayed(it, a))
+				byDecoder := map[codec.DecodeOptions][]float32{}
+				for id := 0; id < 10; id++ { // two devices of every cohort
+					d := gen.Device(id)
+					got, size := e.Capture(d, it, a)
+					want := enc.Decode(d.Profile.Decode)
+					if size != enc.Size || !slices.Equal(got.Pix, want.Pix) {
+						t.Fatalf("%s: device %d item %d angle %d: capture is not the displayed frame's file through the device's decoder", tc.format, id, it.ID, a)
+					}
+					if prev, ok := byDecoder[d.Profile.Decode]; ok && !slices.Equal(prev, got.Pix) {
+						t.Fatalf("%s: device %d decodes the shared file unlike another device with its decoder", tc.format, id)
+					}
+					byDecoder[d.Profile.Decode] = got.Pix
+				}
+				if len(byDecoder) != 2 {
+					t.Fatalf("devices 0..9 use %d decoders, want both chroma paths", len(byDecoder))
+				}
+				var images [][]float32
+				for _, pix := range byDecoder {
+					images = append(images, pix)
+				}
+				if same := slices.Equal(images[0], images[1]); same != (tc.format == "file:png") {
+					t.Fatalf("%s: the two decoders agree = %v", tc.format, same)
+				}
+			}
+		}
 	}
 }

@@ -34,9 +34,11 @@ type Config struct {
 	// value re-encodes the device's ISP output with that codec and decodes
 	// it with the reference decoder (§5); raw:<converter> develops the
 	// device's raw file with that software ISP and stores it as PNG (§6,
-	// §9.2). Empty, or "native", is each device's own pipeline. Every format
-	// draws the same sensor noise per cell, so arms differing only in format
-	// pair cell for cell.
+	// §9.2); file:<codec> stores the cell's displayed frame, one
+	// byte-identical file for every device, which each device decodes with
+	// its own decoder (§7). Empty, or "native", is each device's own
+	// pipeline. Every format that photographs draws the same sensor noise per
+	// cell, so arms differing only in format pair cell for cell.
 	Format string `json:"format,omitempty"`
 	// Model names the weights every device runs (see CanonicalModel): empty,
 	// or "base", is the factory's own; stable:<scheme> is the §9.1

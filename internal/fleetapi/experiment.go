@@ -27,9 +27,12 @@ const MaxArms = 32
 // SweepAxes is the sweep matrix of an experiment: every non-empty field
 // sweeps one RunSpec field over its listed values. Arms expand as the cross
 // product of the axes in canonical order (runtime, format, model, scale,
-// devices, items, seed), so the arm list — and every report derived from it
-// — is deterministic in the spec alone. A format or model value is stamped
-// into its arm, and names it, in its canonical spelling.
+// devices, items, angle, seed), so the arm list — and every report derived
+// from it — is deterministic in the spec alone. A format or model value is
+// stamped into its arm, and names it, in its canonical spelling; arm
+// angle=a photographs angle a alone. A cell's capture does not depend on
+// the other angles of its run, so the angle arms partition the base run's
+// cells exactly.
 type SweepAxes struct {
 	Runtime []string `json:"runtime,omitempty"`
 	Format  []string `json:"format,omitempty"`
@@ -37,6 +40,7 @@ type SweepAxes struct {
 	Scale   []int    `json:"scale,omitempty"`
 	Devices []int    `json:"devices,omitempty"`
 	Items   []int    `json:"items,omitempty"`
+	Angle   []int    `json:"angle,omitempty"`
 	Seed    []int64  `json:"seed,omitempty"`
 }
 
@@ -80,6 +84,9 @@ func (a SweepAxes) axes() []axis {
 	}
 	if v := a.Items; len(v) > 0 {
 		out = append(out, axis{"items", len(v), func(s *RunSpec, i int) string { s.Items = v[i]; return strconv.Itoa(v[i]) }})
+	}
+	if v := a.Angle; len(v) > 0 {
+		out = append(out, axis{"angle", len(v), func(s *RunSpec, i int) string { s.Angles = []int{v[i]}; return strconv.Itoa(v[i]) }})
 	}
 	if v := a.Seed; len(v) > 0 {
 		out = append(out, axis{"seed", len(v), func(s *RunSpec, i int) string { s.Seed = v[i]; return strconv.FormatInt(v[i], 10) }})
@@ -194,6 +201,9 @@ func (s ExperimentSpec) Validate() error {
 		return err
 	}
 	if err := dupErr("items", s.Axes.Items); err != nil {
+		return err
+	}
+	if err := dupErr("angle", s.Axes.Angle); err != nil {
 		return err
 	}
 	if err := dupErr("seed", s.Axes.Seed); err != nil {

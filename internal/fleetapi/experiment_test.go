@@ -117,12 +117,12 @@ func TestExperimentSpecValidate(t *testing.T) {
 // spelling that canonicalises; an axis refuses two spellings of one format
 // as a duplicate, and names and stamps each arm by the canonical one.
 func TestFormatValidate(t *testing.T) {
-	for _, f := range []string{"", "native", "png", "jpeg:85", "JPEG:85", "webp:1", "heif:100", "raw:dng", "raw:DNG", "raw:imagemagick", "raw:adobe"} {
+	for _, f := range []string{"", "native", "png", "jpeg:85", "JPEG:85", "webp:1", "heif:100", "raw:dng", "raw:DNG", "raw:imagemagick", "raw:adobe", "file:png", "FILE:JPEG:90"} {
 		if err := (RunSpec{Format: f}).Validate(); err != nil {
 			t.Errorf("format %q refused: %v", f, err)
 		}
 	}
-	for _, f := range []string{"jpeg:085", "jpeg:0", "jpeg:101", "raw:", "png:1", "jpeg:85 ", "raw:dng ", " png", "tiff"} {
+	for _, f := range []string{"jpeg:085", "jpeg:0", "jpeg:101", "raw:", "png:1", "jpeg:85 ", "raw:dng ", " png", "tiff", "file:", "file:native", "file:raw:dng", "file:file:png"} {
 		if err := (RunSpec{Format: f}).Validate(); err == nil || !strings.Contains(err.Error(), "format") {
 			t.Errorf("format %q: error %v, want a refusal naming the format", f, err)
 		}
@@ -133,6 +133,7 @@ func TestFormatValidate(t *testing.T) {
 		{"raw:dng", "raw:DNG"},
 		{"native", ""},
 		{"png", "native", "PNG"},
+		{"file:png", "FILE:PNG"},
 	} {
 		err := ExperimentSpec{Axes: SweepAxes{Format: axis}}.Validate()
 		if err == nil || !strings.Contains(err.Error(), "duplicate format") {
@@ -202,5 +203,42 @@ func TestModelValidate(t *testing.T) {
 	}
 	if want := []string{"", "stable:two-images:kl@0.4"}; !reflect.DeepEqual(models, want) {
 		t.Errorf("arm models %q, want %q", models, want)
+	}
+}
+
+// TestAngleValidate: arm angle=a photographs angle a alone. An axis refuses
+// an angle outside 0..NumAngles-1 by arm and a repeated angle as a
+// duplicate, and sits between items and seed in the canonical order.
+func TestAngleValidate(t *testing.T) {
+	for _, axis := range [][]int{{5}, {-1}, {0, 9}} {
+		err := ExperimentSpec{Axes: SweepAxes{Angle: axis}}.Validate()
+		if err == nil || !strings.Contains(err.Error(), "arm angle=") || !strings.Contains(err.Error(), "bad angle") {
+			t.Errorf("axis %v: error %v, want the out-of-range arm named", axis, err)
+		}
+	}
+	if err := (ExperimentSpec{Axes: SweepAxes{Angle: []int{0, 2, 0}}}).Validate(); err == nil || !strings.Contains(err.Error(), "duplicate angle") {
+		t.Errorf("repeated angle: error %v, want a duplicate", err)
+	}
+
+	spec := ExperimentSpec{
+		Base: RunSpec{Devices: 5, Items: 3, Angles: []int{0, 1, 2, 3, 4}},
+		Axes: SweepAxes{Seed: []int64{1}, Angle: []int{3, 0}, Items: []int{2}},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var angles [][]int
+	for _, arm := range spec.Arms() {
+		names, angles = append(names, arm.Name), append(angles, arm.Spec.Angles)
+	}
+	if want := []string{"items=2,angle=3,seed=1", "items=2,angle=0,seed=1"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("arm names %q, want %q", names, want)
+	}
+	if want := [][]int{{3}, {0}}; !reflect.DeepEqual(angles, want) {
+		t.Errorf("arm angles %v, want %v", angles, want)
+	}
+	if len(spec.Base.Angles) != 5 {
+		t.Errorf("expansion changed the base angles: %v", spec.Base.Angles)
 	}
 }

@@ -46,8 +46,9 @@ type RunSpec struct {
 	Runtime string `json:"runtime,omitempty"`
 	// Format swaps one capture stage on every cell (fleet.Config.Format):
 	// png, jpeg:Q, webp:Q or heif:Q re-encode each device's ISP output,
-	// raw:dng, raw:imagemagick or raw:adobe develop its raw file. Omitted
-	// means native.
+	// raw:dng, raw:imagemagick or raw:adobe develop its raw file, and
+	// file:<codec> hands every device the same file of the displayed frame
+	// to decode. Omitted means native.
 	Format string `json:"format,omitempty"`
 	// Model names the weights (fleet.Config.Model): stable:none or
 	// stable:<scheme>[:kl][@α] fine-tunes the daemon's model once, when the

@@ -447,3 +447,74 @@ func TestCoordinatorProbeFailsFast(t *testing.T) {
 		t.Fatalf("healthy probe failed: %v", err)
 	}
 }
+
+// TestAngleArmsPartitionRun: a cell's capture does not depend on the other
+// angles of its run, so the angle arms split the all-angle run's cells
+// exactly — their top-1 groups, unstable groups and per-class counts sum to
+// the run's — and, sharing no cell, pair on none.
+func TestAngleArmsPartitionRun(t *testing.T) {
+	base := fleetapi.RunSpec{Devices: 5, Items: 4, Angles: []int{0, 1, 2, 3, 4}, Seed: 9, Workers: 2}
+	spec := fleetapi.ExperimentSpec{Base: base, Axes: fleetapi.SweepAxes{Angle: []int{0, 1, 2, 3, 4}}}
+	ctx := context.Background()
+	_, c := v1Fixture(t, 8)
+	exp, err := c.CreateExperiment(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp, err = c.WaitExperiment(ctx, exp.ID, 5*time.Millisecond); err != nil || exp.State != fleetapi.StateDone {
+		t.Fatalf("experiment %+v: %v", exp, err)
+	}
+	run, err := c.CreateRun(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitRun(ctx, run.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var whole fleet.Stats
+	var arms []fleet.Stats
+	var rep fleetapi.ExperimentReport
+	for _, doc := range []struct {
+		fetch func(context.Context, int) ([]byte, error)
+		id    int
+		into  any
+	}{{c.RunStats, run.ID, &whole}, {c.ExperimentArms, exp.ID, &arms}, {c.ExperimentReport, exp.ID, &rep}} {
+		data, err := doc.fetch(ctx, doc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, doc.into); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var sum fleet.InstabilityStats
+	records := 0
+	byClass := make([]fleet.InstabilityStats, len(whole.ByClass))
+	for i, arm := range arms {
+		if got := arm.Config.Angles; len(got) != 1 || got[0] != i {
+			t.Fatalf("arm %d photographs angles %v", i, got)
+		}
+		sum.Groups += arm.Top1.Groups
+		sum.Unstable += arm.Top1.Unstable
+		records += arm.Records
+		for k, cl := range arm.ByClass {
+			byClass[k].Groups += cl.Top1.Groups
+			byClass[k].Unstable += cl.Top1.Unstable
+		}
+	}
+	if sum.Groups != whole.Top1.Groups || sum.Unstable != whole.Top1.Unstable || records != whole.Records {
+		t.Errorf("angle arms sum to %d/%d unstable over %d records, the run has %d/%d over %d",
+			sum.Unstable, sum.Groups, records, whole.Top1.Unstable, whole.Top1.Groups, whole.Records)
+	}
+	for k, cl := range whole.ByClass {
+		if byClass[k].Groups != cl.Top1.Groups || byClass[k].Unstable != cl.Top1.Unstable {
+			t.Errorf("class %d: angle arms sum to %d/%d, the run has %d/%d", cl.Class, byClass[k].Unstable, byClass[k].Groups, cl.Top1.Unstable, cl.Top1.Groups)
+		}
+	}
+	for i, arm := range rep.Arms[1:] {
+		if arm.Paired.Cells != 0 || arm.Paired.Agreement != 0 || rep.Agreement.Rates[0][i+1] != 0 {
+			t.Errorf("arm %s shares cells with angle 0: %+v", arm.Name, arm.Paired)
+		}
+	}
+}

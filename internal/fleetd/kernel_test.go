@@ -218,12 +218,17 @@ func FuzzStrictDecode(f *testing.F) {
 	}
 	// Format strings: accepted spellings, refused ones, and an axis that
 	// names one format twice.
-	for _, format := range []string{"JPEG:85", "jpeg:085", "jpeg:0", "jpeg:101", "raw:", "raw:DNG", "png:1", "jpeg:85 ", "native", "webp:75", "heif:1", "raw:adobe"} {
+	for _, format := range []string{"JPEG:85", "jpeg:085", "jpeg:0", "jpeg:101", "raw:", "raw:DNG", "png:1", "jpeg:85 ", "native", "webp:75", "heif:1", "raw:adobe",
+		"file:png", "FILE:JPEG:90", "file:", "file:native", "file:raw:dng", "file:file:png"} {
 		f.Add([]byte(`{"devices":2,"format":"` + format + `"}`))
 		f.Add([]byte(`{"base":{"devices":2},"axes":{"format":["png","` + format + `"]}}`))
 	}
 	f.Add([]byte(`{"base":{"devices":2},"axes":{"format":["jpeg:85","JPEG:85"]}}`))
 	f.Add([]byte(`{"devices":2,"windows":2,"format":"raw:imagemagick"}`))
+	// Angle axes: in range, out of range, repeated.
+	for _, axis := range []string{"[0,1,2,3,4]", "[5]", "[-1]", "[2,2]"} {
+		f.Add([]byte(`{"base":{"devices":2,"angles":[0,2]},"axes":{"angle":` + axis + `}}`))
+	}
 	// Model strings: the same, and an α written two ways.
 	for _, model := range []string{"STABLE:Two-Images", "stable:gaussian@NaN", "stable:gaussian@+Inf", "stable:gaussian@-1", "stable:gaussian@1e999", "stable:none@0.1", "stable:none:kl", "stable:", "stable:two-images ", "base", "stable:subsample:kl@0"} {
 		f.Add([]byte(`{"devices":2,"model":"` + model + `"}`))

@@ -40,10 +40,10 @@ func BenchmarkDemosaic(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineProcess runs each vendor's pipeline as written — what
-// cmd/paper and internal/lab execute — on the same 64×64 raw frame, so the
-// cost of the lab path shows beside the fleet's. As there, the result is kept
-// rather than handed back to the pool.
+// BenchmarkPipelineProcess runs each vendor's pipeline as written, unfused —
+// what device.Profile.Capture executes — on the same 64×64 raw frame, so the
+// cost of the unfused path shows beside the fleet's. As there, the result is
+// kept rather than handed back to the pool.
 func BenchmarkPipelineProcess(b *testing.B) {
 	raw := noisyRaw(2, 64, 64)
 	for _, p := range []*Pipeline{VendorSamsung(), VendorApple(), VendorHTC(), VendorLG(), VendorMotorola()} {

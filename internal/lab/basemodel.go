@@ -1,3 +1,7 @@
+// Package lab holds the paper's shared base classifier: the stand-in for
+// "MobileNetV2 pre-trained on ImageNet" every experiment classifies with,
+// its architecture factory, and the snapshot cache that lets a binary load
+// it instead of training it again.
 package lab
 
 import (

@@ -1,5 +1,5 @@
 // Package metrics provides the classical evaluation metrics the paper
-// contrasts instability against: the histogram/density estimates behind the
+// contrasts instability against: the means and medians behind the
 // score-distribution figures, and one-pass value summaries.
 package metrics
 
@@ -7,48 +7,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Histogram is a fixed-range equal-width histogram.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram bins values into n equal-width buckets over [min,max].
-// Values outside the range clamp into the boundary buckets.
-func NewHistogram(values []float64, min, max float64, n int) *Histogram {
-	if n <= 0 || max <= min {
-		panic("metrics: invalid histogram parameters")
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, n)}
-	for _, v := range values {
-		i := int((v - min) / (max - min) * float64(n))
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h
-}
-
-// Density returns the normalized bucket densities (integrating to 1 over
-// the range), the y-axis of Figure 4.
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return out
-	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / (float64(h.Total) * width)
-	}
-	return out
-}
 
 // Mean returns the arithmetic mean of values (0 for empty input).
 func Mean(values []float64) float64 {

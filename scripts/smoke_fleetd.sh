@@ -5,7 +5,8 @@
 # and the removed pre-/v1 /stats is a plain JSON 404, post the checked-in
 # runtime spec (examples/specs/runtime.experiment.json, the README's own
 # curl line) to the coordinator and check its paired report, post the
-# checked-in run spec too, and cmp both artifacts with their goldens in
+# checked-in OS experiment (Table 5: its PNG arm must be exactly stable) and
+# run spec too, and cmp the three artifacts with their goldens in
 # examples/testdata (the two-process form of TestSpecs' sharded leg), run a
 # continuous fleet (churn + injected OS upgrade) twice and check the drift
 # report recomputes byte-identically, then fire a seeded
@@ -191,6 +192,24 @@ assert all(rates[i][j] == rates[j][i] for i in range(3) for j in range(3)), rate
 ' <"$WORKDIR/experiment.report"
 cmp "$WORKDIR/experiment.report" "$REPO_DIR/examples/testdata/runtime.experiment.golden"
 echo "report is runtime.experiment.golden byte for byte"
+
+echo "== the checked-in OS experiment (Table 5) through the coordinator"
+curl -fsS -d @"$REPO_DIR/examples/specs/os.experiment.json" "$BASE/v1/experiments" | tee "$WORKDIR/os.json"
+OS_ID=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$WORKDIR/os.json")
+wait_done "v1/experiments/$OS_ID" 180
+curl -fsS "$BASE/v1/experiments/$OS_ID/report" >"$WORKDIR/os.report"
+python3 -c '
+import json, sys
+arms = {a["name"]: a for a in json.load(sys.stdin)["arms"]}
+png = arms["format=file:png"]
+assert png["baseline"] and png["top1"]["unstable"] == 0, png
+jpeg = arms["format=file:jpeg:90"]
+print("os ok: file:png 0/%d unstable, file:jpeg:90 %d/%d" % (png["top1"]["groups"], jpeg["top1"]["unstable"], jpeg["top1"]["groups"]))
+' <"$WORKDIR/os.report"
+# The golden is a daemon's first experiment (id 0); this one follows the
+# runtime experiment.
+sed "s/^{\"id\":$OS_ID,/{\"id\":0,/" "$WORKDIR/os.report" | cmp - "$REPO_DIR/examples/testdata/os.experiment.golden"
+echo "report is os.experiment.golden byte for byte"
 
 echo "== the checked-in run spec through the coordinator"
 curl -fsS -d @"$REPO_DIR/examples/specs/fleet.run.json" "$BASE/v1/runs" | tee "$WORKDIR/spec-run.json"
