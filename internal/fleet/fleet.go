@@ -35,19 +35,21 @@ func cellRNG(seed int64, vals ...int64) *rand.Rand {
 	return rand.New(rand.NewSource(fmath.Mix(seed, vals...)))
 }
 
-// BackendFactory builds one private inference backend for the named runtime
-// variant (one of nn.Runtimes()). Every backend owns inference scratch that
-// Infer overwrites (see nn.Backend), so concurrent workers cannot share one;
-// the pool calls the factory per (worker, runtime) and LRU-caches the
-// replicas, each of which retains its weights and that scratch. Factories
-// typically rebuild the architecture, restore a snapshot of the trained
-// weights, and compile it into the requested runtime.
+// BackendFactory compiles the trained model into the named runtime variant
+// (one of nn.Runtimes()). A backend is read-only once built and serves
+// concurrent callers, each inferring in a scratch of its own (see
+// nn.Backend), so a run calls the factory once per runtime and shares the
+// result across all its workers, each of which keeps one nn.Scratch.
+// Factories typically rebuild the architecture, restore a snapshot of the
+// trained weights, and compile it into the requested runtime. They may be
+// called concurrently, for different runtimes.
 type BackendFactory func(runtime string) nn.Backend
 
 // BackendReplicator adapts a trained model into a BackendFactory: it
 // snapshots the weights once and, per call, stamps them into a fresh
-// architecture and compiles that replica into the requested runtime
-// (float32 reference, int8 quantized, or magnitude-pruned).
+// architecture and compiles that copy into the requested runtime (float32
+// reference, int8 quantized, or magnitude-pruned), so no backend shares
+// weights with the trained model or with another runtime.
 func BackendReplicator(arch func() *nn.Model, trained *nn.Model) BackendFactory {
 	snap := trained.TakeSnapshot()
 	return func(runtime string) nn.Backend {

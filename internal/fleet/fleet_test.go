@@ -254,6 +254,46 @@ func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestFactoryRunsOncePerRuntimePerRun pins the sharing of compiled backends:
+// whatever the worker count, a mixed-runtime run calls the factory exactly
+// once for each runtime its devices use, and every worker infers through
+// that one backend in its own scratch — with the stats still the bytes a
+// one-worker run gives.
+func TestFactoryRunsOncePerRuntimePerRun(t *testing.T) {
+	base := Config{Devices: 36, Items: 2, Angles: []int{1}, Seed: 99, TopK: 3}
+	var first []byte
+	for _, workers := range []int{1, 2, 8} {
+		var mu sync.Mutex
+		calls := map[string]int{}
+		factory := testFactory()
+		counting := func(runtime string) nn.Backend {
+			mu.Lock()
+			calls[runtime]++
+			mu.Unlock()
+			return factory(runtime)
+		}
+		cfg := base
+		cfg.Workers = workers
+		stats := NewRunner(cfg, counting).Run()
+		if len(stats.ByRuntime) != len(nn.Runtimes()) {
+			t.Fatalf("workers=%d: the fleet ran %d runtimes, want all %d", workers, len(stats.ByRuntime), len(nn.Runtimes()))
+		}
+		for _, rs := range stats.ByRuntime {
+			if calls[rs.Runtime] != 1 {
+				t.Errorf("workers=%d: factory ran %d times for %s, want once", workers, calls[rs.Runtime], rs.Runtime)
+			}
+		}
+		if len(calls) != len(stats.ByRuntime) {
+			t.Errorf("workers=%d: factory calls %v for runtimes %+v", workers, calls, stats.ByRuntime)
+		}
+		if got := stats.JSON(); first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("workers=%d stats diverged:\n%s\nvs\n%s", workers, got, first)
+		}
+	}
+}
+
 // TestFleetThousandDevicesDeterministic is the acceptance-scale run: ≥1000
 // synthesized devices, byte-identical stats for 1 and 16 workers. Skipped
 // in -short mode (it is the suite's slowest test).

@@ -8,7 +8,8 @@ import (
 // LRU is a small thread-safe least-recently-used cache. The fleet uses it
 // for synthesized device profiles (rebuild on miss is deterministic, so
 // eviction only costs time), displayed scene frames shared across devices,
-// and per-worker backend replicas keyed by runtime variant.
+// and a run's compiled backends keyed by runtime variant, shared by all its
+// workers.
 type LRU[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int

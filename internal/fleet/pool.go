@@ -29,7 +29,7 @@ func (p *Pool) workers() int {
 
 // WorkersFor returns the number of workers a Run over n tasks will actually
 // use: the configured count (or GOMAXPROCS) clamped to n. Callers sizing
-// per-worker state (model replicas) must use this, not the raw field.
+// per-worker state (inference scratches) must use this, not the raw field.
 func (p *Pool) WorkersFor(n int) int {
 	w := p.workers()
 	if w > n {
@@ -48,7 +48,8 @@ func (p *Pool) Run(n int, fn func(i int)) {
 }
 
 // RunWorker is Run with the executing worker's id (0..Workers-1) passed to
-// each call, for tasks that keep per-worker state such as model replicas.
+// each call, for tasks that keep per-worker state such as an inference
+// scratch.
 // The mapping of indices to workers is load-dependent; correctness must not
 // rely on it.
 func (p *Pool) RunWorker(n int, fn func(worker, i int)) {

@@ -47,8 +47,8 @@ type deviceSlot struct {
 	deviceView
 }
 
-// backendCacheCap bounds each worker's backend LRU. Three variants exist
-// today; the headroom keeps a future longer variant list from thrashing.
+// backendCacheCap bounds a run's backend LRU. Three variants exist today;
+// the headroom keeps a future longer variant list from thrashing.
 const backendCacheCap = 8
 
 // sweep is the fleet's one executor: every device of the range runs its
@@ -73,12 +73,15 @@ type sweep struct {
 	gen     *Generator
 	engine  *Engine
 	pool    *Pool
-	// backends holds one LRU of runtime→backend per pool worker; worker
-	// ids are a dense range and each id is a single goroutine, so the
-	// outer slice needs no locking. Compiling a backend (restore +
-	// quantize/prune) is paid once per (worker, variant).
-	backends []*LRU[string, nn.Backend]
-	items    []*dataset.Item
+	// backends holds the run's compiled runtimes, shared by every worker:
+	// a backend is read-only once built, and GetOrCompute is single-flight,
+	// so the factory runs once per runtime per run.
+	backends *LRU[string, nn.Backend]
+	// scratch holds one inference scratch per pool worker, lent to whichever
+	// runtime the worker's current device runs; worker ids are a dense range
+	// and each id is a single goroutine, so the slice needs no locking.
+	scratch []*nn.Scratch
+	items   []*dataset.Item
 
 	windowed *stability.Windowed
 	// slots[i] belongs to device Fleet.DeviceLo+i.
@@ -108,7 +111,8 @@ func newSweep(cfg ContinuousConfig, sched *lifecycle.Schedule, continuous bool, 
 		gen:        NewGenerator(fc.Seed, fc.Scale, 0),
 		engine:     NewEngine(fc.Seed, fc.Scale, 0),
 		pool:       pool,
-		backends:   make([]*LRU[string, nn.Backend], pool.WorkersFor(fc.rangeSize())),
+		backends:   NewLRU[string, nn.Backend](backendCacheCap),
+		scratch:    make([]*nn.Scratch, pool.WorkersFor(fc.rangeSize())),
 		items:      Items(fc.Seed, fc.Items),
 		windowed:   stability.NewWindowed(),
 		slots:      make([]deviceSlot, fc.rangeSize()),
@@ -205,10 +209,10 @@ func (s *sweep) runDevice(worker, id int) {
 	}
 	fc := s.cfg.Fleet
 	d := s.gen.Device(id)
-	cache := s.backends[worker]
-	if cache == nil {
-		cache = NewLRU[string, nn.Backend](backendCacheCap)
-		s.backends[worker] = cache
+	sc := s.scratch[worker]
+	if sc == nil {
+		sc = new(nn.Scratch)
+		s.scratch[worker] = sc
 	}
 	slot := &s.slots[id-fc.DeviceLo]
 	slot.cohort = d.Cohort
@@ -263,7 +267,7 @@ func (s *sweep) runDevice(worker, id int) {
 		if runtime == "" {
 			runtime = dev.Profile.RuntimeName()
 		}
-		backend := cache.GetOrCompute(runtime, func() nn.Backend { return s.factory(runtime) })
+		backend := s.backends.GetOrCompute(runtime, func() nn.Backend { return s.factory(runtime) })
 
 		images, sizes = images[:0], sizes[:0]
 		for _, it := range s.items {
@@ -285,7 +289,7 @@ func (s *sweep) runDevice(worker, id int) {
 		if s.tele != nil {
 			inferStart = time.Now()
 		}
-		preds, scores, probs := train.Evaluate(backend, images, fc.BatchSize)
+		preds, scores, probs := train.EvaluateIn(sc, backend, images, fc.BatchSize)
 		if s.tele != nil {
 			s.tele.Inference.ObserveSince(inferStart)
 		}

@@ -21,10 +21,11 @@ import (
 
 // Admission caps, shared by every instance: devices bounds a run's length,
 // items bounds the synchronous dataset generation at run creation, workers
-// bounds goroutines and per-worker backend replicas, and MaxCaptures bounds
-// the composite devices×items×angles cell count (the per-field caps do not
-// compose — a run at several caps at once would take hours and hold
-// per-capture accumulator state).
+// bounds goroutines and their inference scratches (~0.5 MB a worker; a run
+// compiles one backend per runtime whatever its worker count), and
+// MaxCaptures bounds the composite devices×items×angles cell count (the
+// per-field caps do not compose — a run at several caps at once would take
+// hours and hold per-capture accumulator state).
 const (
 	MaxDevices  = 1_000_000
 	MaxItems    = 100_000

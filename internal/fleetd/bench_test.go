@@ -30,7 +30,7 @@ func BenchmarkServeBatch(b *testing.B) {
 			s.serve.wg.Wait()
 
 			class := s.serve.classes[0]
-			w := newCellWorker()
+			w := new(cellWorker)
 			jobs := make([]*serveJob, stream)
 			for i := range jobs {
 				jobs[i] = &serveJob{

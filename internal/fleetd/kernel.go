@@ -110,9 +110,9 @@ type liveExec interface {
 // core is the lifecycle state of one resource. States are monotonic:
 // "running" until finish records the outcome, then exactly one immutable
 // terminal state. A cancel therefore shows "running" while the job drains
-// (it still is). Finished resources drop their execution (worker backend
-// replicas, scene caches), so a history ring full of them costs only their
-// recorded bytes.
+// (it still is). Finished resources drop their execution (the run's compiled
+// backends and worker scratches, scene caches), so a history ring full of
+// them costs only their recorded bytes.
 type core struct {
 	kind string // "run", "experiment", "fleet": names the resource in messages
 	id   int

@@ -139,13 +139,17 @@ type serveClass struct {
 }
 
 // serveState is the Server's request-serving leg: the classes, the
-// channels workers block on, the in-flight table of cells and the LRU of
-// (seed, items, scale) serving bundles.
+// channels workers block on, the in-flight table of cells, the LRU of
+// (seed, items, scale) serving bundles and the compiled backends.
 type serveState struct {
 	classes []*serveClass
 	names   []string // the classes' names, in priority order
 	byName  map[string]*serveClass
 	bundles *fleet.LRU[bundleKey, *serveBundle]
+	// backends holds one compiled backend per runtime, built by the
+	// factory on first use and shared by every worker, each inferring in
+	// its own cellWorker scratch.
+	backends *fleet.LRU[string, nn.Backend]
 	// wake wakes idle workers: a handler posts to it after queueing a job,
 	// and a worker after registering cells it wants help with. A token is a
 	// hint, not a count — it holds at most one a worker, and a worker looks
@@ -200,12 +204,13 @@ func (s *Server) initServe(o ServeOptions) {
 		}
 	}
 	st := &serveState{
-		byName:  map[string]*serveClass{},
-		bundles: fleet.NewLRU[bundleKey, *serveBundle](4),
-		wake:    make(chan struct{}, workers),
-		flights: map[flightKey]*flight{},
-		stop:    make(chan struct{}),
-		workers: workers,
+		byName:   map[string]*serveClass{},
+		bundles:  fleet.NewLRU[bundleKey, *serveBundle](4),
+		backends: fleet.NewLRU[string, nn.Backend](8),
+		wake:     make(chan struct{}, workers),
+		flights:  map[flightKey]*flight{},
+		stop:     make(chan struct{}),
+		workers:  workers,
 	}
 	s.reg.Describe(metricServeRequests, "Serve requests by class and status code.")
 	s.reg.Describe(metricServeShed, "Serve requests shed by admission control, by class and reason.")
@@ -389,7 +394,7 @@ func (s *Server) countServe(class string, code int) {
 // table, and with nothing queued either it sleeps until woken.
 func (s *Server) serveWorker() {
 	defer s.serve.wg.Done()
-	w := newCellWorker()
+	w := new(cellWorker)
 	for {
 		select {
 		case <-s.serve.stop:
@@ -715,27 +720,24 @@ func (s *Server) computeFlight(f *flight, w *cellWorker) {
 	f.recycle()
 }
 
-// cellWorker is what one serve worker owns: a backend LRU (a backend owns its
-// inference scratch and cannot be shared) and the one-image model input every
-// cell it computes is packed into.
+// cellWorker is what one serve worker owns: the inference scratch it lends
+// to whichever runtime a cell runs (the compiled backends are the serve
+// leg's, shared by every worker) and the one-image model input every cell it
+// computes is packed into.
 type cellWorker struct {
-	backends *fleet.LRU[string, nn.Backend]
-	input    *tensor.Tensor
-}
-
-func newCellWorker() *cellWorker {
-	return &cellWorker{backends: fleet.NewLRU[string, nn.Backend](8)}
+	sc    nn.Scratch
+	input *tensor.Tensor
 }
 
 // infer runs one captured image through the runtime's backend and returns
 // its top-1 class and confidence: what train.Evaluate reports for the image
 // in any batch, since activations quantize per sample.
 func (w *cellWorker) infer(s *Server, rt string, img *imaging.Image) (pred int, score float64) {
-	backend := w.backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
+	backend := s.serve.backends.GetOrCompute(rt, func() nn.Backend { return s.factory(rt) })
 	if in := backend.InputSize(); w.input == nil || w.input.Dim(2) != in {
 		w.input = tensor.New(1, 3, in, in)
 	}
-	return train.Top1(backend.Infer(imaging.BatchTensorInto(w.input, []*imaging.Image{img})))
+	return train.Top1(backend.InferIn(&w.sc, imaging.BatchTensorInto(w.input, []*imaging.Image{img})))
 }
 
 // handleSLO serves GET /v1/slo: the serving path's live SLO report, built

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/nn"
 )
@@ -229,7 +230,7 @@ func TestServeBatchCoalescing(t *testing.T) {
 	cellAScale2 := cellA
 	cellAScale2.Scale = 2
 	jobs := testJobs(s.serve.classes[0], context.Background(), cellA, cellB, cellA, cellB, cellAScale2)
-	executeBatch(s, jobs, newCellWorker())
+	executeBatch(s, jobs, new(cellWorker))
 	results := answers(t, jobs)
 	if got := s.tele.Captures.Value(); got != 2 {
 		t.Fatalf("batch of 5 jobs over 2 cells made %d captures, want 2", got)
@@ -316,7 +317,7 @@ func TestServeCoalescesAcrossWorkers(t *testing.T) {
 	if again := s.takeFlight(); again != nil {
 		t.Fatalf("the running cell was queued again with %d jobs", len(again.jobs))
 	}
-	s.computeFlight(running, newCellWorker())
+	s.computeFlight(running, new(cellWorker))
 
 	results := answers(t, append(first, second...))
 	if got := s.tele.Captures.Value(); got != 1 {
@@ -417,7 +418,7 @@ func TestServeClientGoneCostsNoCapture(t *testing.T) {
 	cellB := fleetapi.ServeRequest{Device: 3, Item: 4, Seed: 42, Runtime: nn.RuntimeInt8}
 	dead := testJobs(class, gone, cellA, cellA)
 	live := testJobs(class, context.Background(), cellB)
-	executeBatch(s, append(dead, live...), newCellWorker())
+	executeBatch(s, append(dead, live...), new(cellWorker))
 	for i, job := range dead {
 		if res := <-job.done; res.err == nil || res.err.Status != http.StatusServiceUnavailable {
 			t.Fatalf("hung-up job %d: got %+v, want a 503", i, res)
@@ -501,6 +502,67 @@ func TestServeCoalescingStress(t *testing.T) {
 	}
 }
 
+// TestServeCompilesOneBackendPerRuntime pins the serve leg's sharing: four
+// workers answering concurrent requests on all three runtimes call the
+// factory once per runtime, each inferring through the one backend in its
+// own scratch, and every reply is the one the cell gets served alone.
+func TestServeCompilesOneBackendPerRuntime(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	open := fleetapi.SLOClass{Name: "open", TargetNanos: 10_000_000_000, RatePerSec: 1e6, Burst: 1 << 20, QueueDepth: 256}
+	s := serveTestServerWith(ServeOptions{Workers: 4, Classes: []fleetapi.SLOClass{open}}, func(base fleet.BackendFactory) fleet.BackendFactory {
+		return func(runtime string) nn.Backend {
+			mu.Lock()
+			calls[runtime]++
+			mu.Unlock()
+			return base(runtime)
+		}
+	})
+	defer s.CancelRuns()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := fleetapi.NewClient(ts.URL)
+	ctx := context.Background()
+
+	const callers, cells = 12, 6
+	replies := make([]fleetapi.ServeResponse, callers*cells)
+	errs := make([]error, len(replies))
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cells; i++ {
+				k := g*cells + i
+				replies[k], errs[k] = c.Serve(ctx, fleetapi.ServeRequest{Device: k % 9, Item: i, Seed: 42, Runtime: nn.Runtimes()[k%3]})
+			}
+		}()
+	}
+	wg.Wait()
+	for k, r := range replies {
+		if errs[k] != nil {
+			t.Fatalf("request %d: %v", k, errs[k])
+		}
+		alone, err := c.Serve(ctx, fleetapi.ServeRequest{Device: k % 9, Item: k % cells, Seed: 42, Runtime: nn.Runtimes()[k%3]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := payloadLessTimes(r), payloadLessTimes(alone); got != want {
+			t.Fatalf("request %d diverges from the cell served alone:\n  %s\n  %s", k, got, want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, rt := range nn.Runtimes() {
+		if calls[rt] != 1 {
+			t.Errorf("factory ran %d times for %s, want once for the serve leg", calls[rt], rt)
+		}
+	}
+	if len(calls) != len(nn.Runtimes()) {
+		t.Errorf("factory calls %v", calls)
+	}
+}
+
 // payloadLessTimes is a reply less everything measured: what must be equal
 // however the cell's computation was shared.
 func payloadLessTimes(r fleetapi.ServeResponse) string {
@@ -569,7 +631,7 @@ func TestServeBatchAllocCeiling(t *testing.T) {
 	s.serve.wg.Wait()
 
 	class := s.serve.classes[0]
-	w := newCellWorker()
+	w := new(cellWorker)
 	jobs := make([]*serveJob, 8)
 	for i := range jobs {
 		jobs[i] = &serveJob{

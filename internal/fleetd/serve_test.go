@@ -21,13 +21,18 @@ import (
 // serveTestServer is testServer with a custom serving configuration — serve
 // tests pinch rates and queues to force admission decisions deterministically.
 func serveTestServer(opts ServeOptions) *Server {
+	return serveTestServerWith(opts, func(f fleet.BackendFactory) fleet.BackendFactory { return f })
+}
+
+// serveTestServerWith is serveTestServer with the backend factory wrapped.
+func serveTestServerWith(opts ServeOptions, wrap func(fleet.BackendFactory) fleet.BackendFactory) *Server {
 	arch := func() *nn.Model {
 		cfg := nn.DefaultConfig(int(dataset.NumClasses))
 		cfg.Width = 0.4
 		return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(5)), cfg)
 	}
 	m := arch()
-	return New(Options{Factory: fleet.BackendReplicator(arch, m), ModelParams: m.NumParams(), Serve: opts})
+	return New(Options{Factory: wrap(fleet.BackendReplicator(arch, m)), ModelParams: m.NumParams(), Serve: opts})
 }
 
 func postServe(t *testing.T, ts *httptest.Server, req fleetapi.ServeRequest) *http.Response {

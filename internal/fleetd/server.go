@@ -27,7 +27,8 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// Factory builds per-worker inference backends for the shared model.
+	// Factory compiles the shared model into each runtime's backend, once
+	// per run and once per serve leg.
 	Factory fleet.BackendFactory
 	// ModelParams is reported by /healthz.
 	ModelParams int

@@ -31,7 +31,7 @@ func DefaultBaseModel() BaseModelConfig {
 
 // Arch builds the untrained architecture this configuration trains:
 // weight-initialization-identical on every call, which is what snapshot
-// restores and fleet backend replicas require. Every binary that needs an
+// restores and the fleet's compiled backends require. Every binary that needs an
 // architecture factory for the base model must use this — a hand-rolled
 // copy that drifts from it silently stops matching trained snapshots.
 func (cfg BaseModelConfig) Arch() *nn.Model {

@@ -21,17 +21,26 @@ import (
 // as Infer returns (train.Evaluate pools it), so implementations must not
 // retain it or return views of it.
 // Implementations are deterministic: the same input yields the same bytes on
-// every call and at any worker count. Every backend owns inference scratch
-// that Infer overwrites — a one-image activation arena (about 0.7 MB at the
-// default width), to which Int8Backend adds one quantized panel — so none is
-// safe for concurrent Infer calls; the fleet keeps one replica per worker. Infer never fills the layers'
-// training caches (im2col panels, cached inputs and outputs): a
-// replica that is only inferred on retains its weights and that scratch.
+// every call, in any scratch and at any worker count.
+//
+// A backend is a compiled program, read-only once built: everything a call
+// writes — the one-image activation arena, the im2col and quantized panels,
+// the head tensors — is an nn.Scratch (about 0.5 MB warm at the default
+// width, whichever runtimes it has served). InferIn runs in the caller's
+// scratch and is safe for any number of concurrent callers, each with its
+// own, so one backend per runtime serves a whole fleet of workers; Infer runs
+// in a scratch the backend allocates on first use and, like that scratch, is
+// for one caller at a time. Neither fills the layers' training caches (im2col
+// panels, cached inputs and outputs): a backend that is only inferred on
+// retains its weights and, if Infer was called, its own scratch.
 type Backend interface {
 	// Name identifies the runtime variant (e.g. "float32", "int8").
 	Name() string
-	// Infer returns row-major softmax probabilities for the batch.
+	// Infer returns row-major softmax probabilities for the batch, computed
+	// in the backend's own scratch.
 	Infer(x *tensor.Tensor) []float64
+	// InferIn is Infer in the caller's scratch.
+	InferIn(sc *Scratch, x *tensor.Tensor) []float64
 	// NumClasses is the width of one probability row.
 	NumClasses() int
 	// InputSize is the square input resolution the backend expects.
@@ -73,7 +82,7 @@ func RuntimeOrDefault(name string) string {
 
 // NewRuntimeBackend compiles a model into the named runtime variant. The
 // model is consumed: float32 wraps it directly, int8 reads its weights, and
-// pruned rewrites them in place — callers hand over a private replica (see
+// pruned rewrites them in place — callers hand over a model of their own (see
 // fleet.BackendReplicator). It panics on unknown variants; validate with
 // ValidRuntime at configuration boundaries.
 func NewRuntimeBackend(runtime string, m *Model) Backend {
@@ -98,21 +107,23 @@ func (m *Model) NumClasses() int { return m.Classes }
 // InputSize implements Backend.
 func (m *Model) InputSize() int { return m.InputHW }
 
-// Infer implements Backend: the fused inference plan of the backbone, the
+// Infer implements Backend.
+func (m *Model) Infer(x *tensor.Tensor) []float64 { return m.InferIn(&m.own, x) }
+
+// InferIn implements Backend: the fused inference plan of the backbone, the
 // embedding and head without their training caches, and softmax, flattened
-// row-major. It is bit-identical to the softmax of the eval-mode Forward.
-func (m *Model) Infer(x *tensor.Tensor) []float64 {
-	p := m.inferPlan()
-	p.embed = denseInfer(p.embed, p.features(x), m.Embed)
-	p.logits = denseInfer(p.logits, p.embed, m.Head)
-	return p.probs()
+// row-major. It is bit-identical to the softmax of the eval-mode Forward, and
+// reads the live weights, so it may follow training steps — but not run
+// concurrently with one.
+func (m *Model) InferIn(sc *Scratch, x *tensor.Tensor) []float64 {
+	sc.embed = denseInfer(sc.embed, m.inferPlan().features(sc, x), m.Embed)
+	sc.logits = denseInfer(sc.logits, sc.embed, m.Head)
+	return sc.probs()
 }
 
 // inferPlan returns the backbone's inference plan, compiled on first use.
 func (m *Model) inferPlan() *inferPlan {
-	if m.plan == nil {
-		m.plan = newInferPlan(m.Backbone.Layers, false)
-	}
+	m.planOnce.Do(func() { m.plan = newInferPlan(m.Backbone.Layers, false) })
 	return m.plan
 }
 

@@ -228,14 +228,21 @@ func TestRuntimeRegistry(t *testing.T) {
 // TestInferAllocCeilings pins what one Infer call may allocate on every
 // runtime once its scratch is warm: the probabilities it returns and
 // Softmax's tensor, nothing that grows with the layers or the batch's images.
+// InferIn in a caller's warm scratch is held to the same ceiling.
 func TestInferAllocCeilings(t *testing.T) {
 	const ceiling = 8 // allocations per call, at any batch size
 	x := fixedBatch(24, 3)
 	for _, runtime := range Runtimes() {
 		b := NewRuntimeBackend(runtime, backendTestModel(t))
-		b.Infer(x)
-		if got := testing.AllocsPerRun(5, func() { b.Infer(x) }); got > ceiling {
-			t.Errorf("%s: %v allocations per Infer, ceiling %d", runtime, got, ceiling)
+		sc := new(Scratch)
+		for name, infer := range map[string]func(){
+			"Infer":   func() { b.Infer(x) },
+			"InferIn": func() { b.InferIn(sc, x) },
+		} {
+			infer()
+			if got := testing.AllocsPerRun(5, infer); got > ceiling {
+				t.Errorf("%s: %v allocations per %s, ceiling %d", runtime, got, name, ceiling)
+			}
 		}
 	}
 }

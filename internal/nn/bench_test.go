@@ -49,23 +49,25 @@ func BenchmarkPlanSteps(b *testing.B) {
 		name string
 		p    *inferPlan
 	}{{"float32", m.inferPlan()}, {"int8", NewInt8Backend(m).plan}} {
-		p := plan.p
-		p.features(x) // sizes the arena and sets every step's geometry
-		run := func(s planStep) {
+		p, sc := plan.p, new(Scratch)
+		p.features(sc, x) // sizes the arena and sets every step's geometry
+		run := func(i int) {
+			s, g := p.steps[i], sc.geom[i]
 			src := x.Data()
 			if s.src >= 0 {
-				src = p.bufs[s.src][:s.c*s.h*s.w]
+				src = sc.bufs[s.src][:g.c*g.h*g.w]
 			}
-			s.op.run(p, p.bufs[s.dst][:s.outLen], src, s.c, s.h, s.w)
+			s.op.run(sc, sc.bufs[s.dst][:g.outLen], src, g.c, g.h, g.w)
 		}
 		for i, s := range p.steps {
-			b.Run(fmt.Sprintf("%s/%02d/%s/%dx%dx%d", plan.name, i, stepName(s.op), s.c, s.h, s.w), func(b *testing.B) {
-				for _, before := range p.steps[:i] {
+			g := sc.geom[i]
+			b.Run(fmt.Sprintf("%s/%02d/%s/%dx%dx%d", plan.name, i, stepName(s.op), g.c, g.h, g.w), func(b *testing.B) {
+				for before := range i {
 					run(before)
 				}
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					run(s)
+					run(i)
 				}
 			})
 		}

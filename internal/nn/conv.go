@@ -159,11 +159,11 @@ func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := tensor.New(n, l.ch, l.outH, l.outW)
 	imgIn := l.ch * l.inH * l.inW
 	imgOut := l.ch * l.outH * l.outW
-	op := &planDepthwise{l: l, bnAffine: identityAffine(l.ch)}
+	op := &planDepthwise{l: l, epilogue: epilogue{fixed: identityAffine(l.ch)}}
 	parallelFor(n, func(i int) {
-		// A plan of its own per image: the vector kernel's load masks are
-		// the only scratch it keeps.
-		op.run(new(inferPlan), y.Data()[i*imgOut:(i+1)*imgOut], x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
+		// A scratch of its own per image: the vector kernel's load masks are
+		// all it keeps there.
+		op.run(new(Scratch), y.Data()[i*imgOut:(i+1)*imgOut], x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
 	return y
 }
@@ -203,11 +203,11 @@ func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				dst[ox*l.stride] = v
 			}
 		}
-		p := new(inferPlan)
-		dxOp.run(p, dx.Data()[i*imgIn:(i+1)*imgIn], grid, l.ch, gh, gw)
+		sc := new(Scratch)
+		dxOp.run(sc, dx.Data()[i*imgIn:(i+1)*imgIn], grid, l.ch, gh, gw)
 		dws[i] = tensor.New(l.ch, kk)
 		dwOp := correlation(tensor.NewFrom(grid, l.ch, gh*gw), gh, gw, l.pad)
-		dwOp.run(p, dws[i].Data(), l.x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
+		dwOp.run(sc, dws[i].Data(), l.x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
 	for _, dw := range dws {
 		l.Weight.G.AddScaled(1, dw)
@@ -219,5 +219,5 @@ func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // the kernels w, (ch, kh·kw): Backward's two gradients.
 func correlation(w *tensor.Tensor, kh, kw, pad int) *planDepthwise {
 	ch := w.Dim(0)
-	return &planDepthwise{l: &DepthwiseConv2D{Weight: &Param{W: w}, ch: ch, kh: kh, kw: kw, stride: 1, pad: pad}, bnAffine: identityAffine(ch)}
+	return &planDepthwise{l: &DepthwiseConv2D{Weight: &Param{W: w}, ch: ch, kh: kh, kw: kw, stride: 1, pad: pad}, epilogue: epilogue{fixed: identityAffine(ch)}}
 }

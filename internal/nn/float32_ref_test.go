@@ -128,7 +128,7 @@ func TestInferIsBatchInvariant(t *testing.T) {
 func planVsForward(t *testing.T, name string, x *tensor.Tensor, layers ...Layer) {
 	t.Helper()
 	want := refForward(NewSequential(layers...), x)
-	got := newInferPlan(layers, false).features(x)
+	got := newInferPlan(layers, false).features(new(Scratch), x)
 	sameBits32(t, name, got.Data(), want.Data())
 }
 

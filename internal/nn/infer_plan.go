@@ -2,42 +2,39 @@ package nn
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
-// inferPlan is the inference-only execution plan of a backbone: the fused
-// Conv→BN[+ReLU6] / Residual / GlobalAvgPool ops walkFused finds, run one
-// image at a time over a small arena of ping-pong buffers sized for the
-// largest single-image activation. Nothing is allocated per layer and no
-// layer's training cache (im2col panels, inputs, cached outputs) is touched, so
-// an inference-only replica holds its weights, the arena and nothing else.
-// A quantized plan runs the int8 kernels of quantize.go in place of the
-// float32 convolutions, dequantizing into the same float32 arena, and shares
-// the executor, the residual add and the pool.
+// inferPlan is the compiled, read-only inference program of a backbone: the
+// fused Conv→BN[+ReLU6] / Residual / GlobalAvgPool ops walkFused finds, each
+// wired to the ping-pong buffers of a one-image activation arena, run one
+// image at a time. The plan holds only what compilation decides — the ops and
+// their weights, the buffer wiring, and which BatchNorm each float32 op's
+// epilogue reads — and an Infer call writes nothing in it: everything a call
+// writes is the caller's Scratch. One plan therefore serves any number of
+// concurrent callers, each with its own scratch, and a compiled runtime holds
+// its weights and nothing that grows with its callers. A quantized plan runs
+// the int8 kernels of quantize.go in place of the float32 convolutions,
+// dequantizing into the same float32 arena, and shares the executor, the
+// residual add and the pool.
 //
 // The plan's kernels are the only float32 forward arithmetic there is: the
 // layers' own Forward runs gemmBN, im2colPlanar, the depthwise op, the pool
 // and denseInfer too, with an identity epilogue, and eval-mode BatchNorm finishes
 // through bnAct. A fused op therefore computes bit for bit what the eval-mode
 // Forward of its layers does; layer_ref_test.go keeps the scalar reference
-// both are diffed against. Weights and BatchNorm statistics are read from the
-// live layers on every call, so training between two calls is never stale.
+// both are diffed against. Weights are read from the live layers, and every
+// call evaluates the BatchNorm transforms from them into its scratch, so
+// training between two calls is never stale.
 type inferPlan struct {
 	quantized bool // convolutions compile to the int8 ops of quantize.go
 	steps     []planStep
-	affines   []*bnAffine // every float32 step's BatchNorm transform, refreshed per call
-	bufs      [][]float32 // activation arena, one image deep
-	held      []bool      // compile time only: buffers pinned as a residual's skip input
-	cur       int         // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
-	col       []float32   // im2col panel of the non-pointwise convolutions; a quantized plan's depthwise planes
-	dwMasks   []uint32    // lane masks of the vector depthwise kernel's loads,
-	dwGeom    [4]int      // for rows of this geometry (dwLoadMasks)
-	qpanel    []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
-
-	feat          *tensor.Tensor // (N, features) backbone output, reused across calls
-	embed, logits *tensor.Tensor // dense-head outputs of every backend's Infer, reused across calls
-	prob          *tensor.Tensor // softmax of logits, reused across calls
+	bns       []*BatchNorm // the BatchNorm of epilogue slot i, evaluated into Scratch.affines[i] per call
+	nbufs     int          // activation buffers the steps are wired to
+	held      []bool       // compile time only: buffers pinned as a residual's skip input
+	cur       int          // buffer holding the latest output: the next op's input while compiling (-1: the image), the backbone's result afterwards
 }
 
 // planStep is one op with its arena wiring. src -1 reads the input image;
@@ -45,17 +42,40 @@ type inferPlan struct {
 type planStep struct {
 	op       planOp
 	src, dst int
-
-	// geometry at the current input resolution, set by features
-	c, h, w int // input shape
-	outLen  int
 }
 
-// planOp computes one image's output for an input of shape (c, h, w).
+// planOp computes one image's output for an input of shape (c, h, w), with
+// whatever it writes besides dst in the caller's scratch.
 type planOp interface {
 	outShape(c, h, w int) (int, int, int)
-	run(p *inferPlan, dst, src []float32, c, h, w int)
+	run(sc *Scratch, dst, src []float32, c, h, w int)
 }
+
+// Scratch is everything an Infer call writes: the activation arena and each
+// step's geometry at the current input resolution, the im2col and quantized
+// panels and the depthwise load masks, the per-call BatchNorm transforms, and
+// the (N, width) head tensors. A compiled backend writes nothing else, so a
+// scratch is what makes a call private: any number of goroutines may infer
+// through one backend at once, each in a scratch of its own. A scratch is not
+// tied to a backend — one serves every runtime and input resolution in turn,
+// growing to the largest it has run — but it is for one call at a time. The
+// zero value is ready to use; it allocates on first use.
+type Scratch struct {
+	bufs    [][]float32 // activation arena, one image deep; buffer i holds the largest output wired to it
+	geom    []stepGeom  // each step's geometry at the current input resolution
+	affines []bnAffine  // the float32 plan's BatchNorm transforms, evaluated from the live layers per call
+	col     []float32   // im2col panel of the non-pointwise convolutions; a quantized plan's depthwise planes
+	dwMasks []uint32    // lane masks of the vector depthwise kernel's loads,
+	dwGeom  [4]int      // for rows of this geometry (dwLoadMasks)
+	qpanel  []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
+
+	feat          *tensor.Tensor // (N, features) backbone output
+	embed, logits *tensor.Tensor // dense-head outputs
+	prob          *tensor.Tensor // softmax of logits
+}
+
+// stepGeom is one step's input shape and output length.
+type stepGeom struct{ c, h, w, outLen int }
 
 // newInferPlan compiles a backbone layer graph, to the int8 kernels when
 // quantized is set.
@@ -72,15 +92,21 @@ func newInferPlan(layers []Layer, quantized bool) *inferPlan {
 // emit appends an op reading the current buffer and writing a free one.
 func (p *inferPlan) emit(op planOp) {
 	dst := 0
-	for dst < len(p.bufs) && (dst == p.cur || p.held[dst]) {
+	for dst < p.nbufs && (dst == p.cur || p.held[dst]) {
 		dst++
 	}
-	if dst == len(p.bufs) {
-		p.bufs = append(p.bufs, nil)
+	if dst == p.nbufs {
+		p.nbufs++
 		p.held = append(p.held, false)
 	}
 	p.steps = append(p.steps, planStep{op: op, src: p.cur, dst: dst})
 	p.cur = dst
+}
+
+// epilogue assigns bn the next per-call transform slot.
+func (p *inferPlan) epilogue(bn *BatchNorm) epilogue {
+	p.bns = append(p.bns, bn)
+	return epilogue{slot: len(p.bns) - 1}
 }
 
 func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm) {
@@ -88,9 +114,7 @@ func (p *inferPlan) conv(c *Conv2D, bn *BatchNorm) {
 		p.emit(newQConv(c, bn, bn.ReLU6))
 		return
 	}
-	op := &planConv{l: c, bnAffine: newBNAffine(bn, bn.ReLU6)}
-	p.affines = append(p.affines, &op.bnAffine)
-	p.emit(op)
+	p.emit(&planConv{l: c, epilogue: p.epilogue(bn)})
 }
 
 func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm) {
@@ -98,9 +122,7 @@ func (p *inferPlan) depthwise(l *DepthwiseConv2D, bn *BatchNorm) {
 		p.emit(newQDepthwise(l, bn, bn.ReLU6))
 		return
 	}
-	op := &planDepthwise{l: l, bnAffine: newBNAffine(bn, bn.ReLU6)}
-	p.affines = append(p.affines, &op.bnAffine)
-	p.emit(op)
+	p.emit(&planDepthwise{l: l, epilogue: p.epilogue(bn)})
 }
 
 // residual pins the block's input while the body runs, then adds it into the
@@ -118,65 +140,84 @@ func (p *inferPlan) residual(body []Layer) {
 
 func (p *inferPlan) pool() { p.emit(planPool{}) }
 
-// features runs the backbone over a batch (N, C, H, W) and returns its
-// per-image outputs as an (N, features) tensor owned by the plan.
-func (p *inferPlan) features(x *tensor.Tensor) *tensor.Tensor {
+// features runs the backbone over a batch (N, C, H, W) in sc and returns its
+// per-image outputs as an (N, features) tensor owned by sc.
+func (p *inferPlan) features(sc *Scratch, x *tensor.Tensor) *tensor.Tensor {
 	checkRank(x, 4, "Infer")
 	n, inC, inH, inW := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	for _, a := range p.affines {
-		a.refresh()
+	sc.affines = resize(sc.affines, len(p.bns))
+	for i, bn := range p.bns {
+		sc.affines[i].eval(bn, bn.ReLU6)
 	}
-
-	// Size the arena for this input resolution. Every kernel writes its full
-	// output, so buffers carried over from another resolution cannot leak.
-	maxLen := 0
-	c, h, w := inC, inH, inW
-	for i := range p.steps {
-		s := &p.steps[i]
-		s.c, s.h, s.w = c, h, w
-		c, h, w = s.op.outShape(c, h, w)
-		s.outLen = c * h * w
-		if s.outLen > maxLen {
-			maxLen = s.outLen
-		}
-	}
-	outLen := c * h * w
-	for i, b := range p.bufs {
-		if cap(b) < maxLen {
-			p.bufs[i] = make([]float32, maxLen)
-		}
-	}
-	p.feat = reuseTensor(p.feat, n, outLen)
+	outLen := sc.size(p, inC, inH, inW)
+	sc.feat = reuseTensor(sc.feat, n, outLen)
 
 	imgLen := inC * inH * inW
 	for i := 0; i < n; i++ {
 		img := x.Data()[i*imgLen : (i+1)*imgLen]
-		for _, s := range p.steps {
+		for j, s := range p.steps {
+			g := &sc.geom[j]
 			src := img
 			if s.src >= 0 {
-				src = p.bufs[s.src][:s.c*s.h*s.w]
+				src = sc.bufs[s.src][:g.c*g.h*g.w]
 			}
-			s.op.run(p, p.bufs[s.dst][:s.outLen], src, s.c, s.h, s.w)
+			s.op.run(sc, sc.bufs[s.dst][:g.outLen], src, g.c, g.h, g.w)
 		}
-		copy(p.feat.Data()[i*outLen:(i+1)*outLen], p.bufs[p.cur])
+		copy(sc.feat.Data()[i*outLen:(i+1)*outLen], sc.bufs[p.cur][:outLen])
 	}
-	return p.feat
+	return sc.feat
+}
+
+// size sets every step's geometry for an input of shape (c, h, w), grows each
+// arena buffer to the largest output wired to it, and returns the backbone's
+// output length. Every kernel writes its full output, so what a buffer held at
+// another resolution or for another plan cannot leak.
+func (sc *Scratch) size(p *inferPlan, c, h, w int) int {
+	sc.geom = resize(sc.geom, len(p.steps))
+	for i, s := range p.steps {
+		g := &sc.geom[i]
+		g.c, g.h, g.w = c, h, w
+		c, h, w = s.op.outShape(c, h, w)
+		g.outLen = c * h * w
+	}
+	sc.bufs = resize(sc.bufs, p.nbufs)
+	for b := range sc.bufs {
+		need := 0
+		for i, s := range p.steps {
+			if s.dst == b {
+				need = max(need, sc.geom[i].outLen)
+			}
+		}
+		if len(sc.bufs[b]) < need {
+			sc.bufs[b] = make([]float32, need)
+		}
+	}
+	return c * h * w
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; elements past the old length keep what they held.
+func resize[T any](s []T, n int) []T {
+	if s = s[:cap(s)]; len(s) < n {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
 }
 
 // colBuf returns the im2col scratch, grown to hold n values.
-func (p *inferPlan) colBuf(n int) []float32 {
-	if cap(p.col) < n {
-		p.col = make([]float32, n)
+func (sc *Scratch) colBuf(n int) []float32 {
+	if cap(sc.col) < n {
+		sc.col = make([]float32, n)
 	}
-	return p.col[:n]
+	return sc.col[:n]
 }
 
 // panel returns the quantized scratch, grown to hold n values.
-func (p *inferPlan) panel(n int) []int8 {
-	if cap(p.qpanel) < n {
-		p.qpanel = make([]int8, n)
+func (sc *Scratch) panel(n int) []int8 {
+	if cap(sc.qpanel) < n {
+		sc.qpanel = make([]int8, n)
 	}
-	return p.qpanel[:n]
+	return sc.qpanel[:n]
 }
 
 // reuseTensor returns t when it already has shape (n, width), otherwise a
@@ -189,11 +230,11 @@ func reuseTensor(t *tensor.Tensor, n, width int) *tensor.Tensor {
 	return tensor.New(n, width)
 }
 
-// probs returns the softmax of the plan's logits in the Backend wire shape,
-// the one slice an Infer call allocates.
-func (p *inferPlan) probs() []float64 {
-	p.prob = softmaxInto(reuseTensor(p.prob, p.logits.Dim(0), p.logits.Dim(1)), p.logits)
-	return flatProbs(p.prob)
+// probs returns the softmax of the scratch's logits in the Backend wire
+// shape, the one slice an Infer call allocates.
+func (sc *Scratch) probs() []float64 {
+	sc.prob = softmaxInto(reuseTensor(sc.prob, sc.logits.Dim(0), sc.logits.Dim(1)), sc.logits)
+	return flatProbs(sc.prob)
 }
 
 // convDimsAt is a convolution's geometry at input resolution (h, w).
@@ -208,16 +249,27 @@ func pointwise(d tensor.ConvDims) bool {
 	return d.KH == 1 && d.KW == 1 && d.StrideH == 1 && d.StrideW == 1 && d.PadH == 0 && d.PadW == 0
 }
 
-// bnAffine is the fused epilogue of a convolution: the following BatchNorm's
-// eval-mode transform and its ReLU6, if it has one.
+// bnAffine is a fused epilogue's transform: y = x*scale + shift per channel,
+// then ReLU6's clamp when relu6 is set.
 type bnAffine struct {
-	bn           *BatchNorm
 	relu6        bool
 	scale, shift []float32
 }
 
-func newBNAffine(bn *BatchNorm, relu6 bool) bnAffine {
-	return bnAffine{bn: bn, relu6: relu6, scale: make([]float32, bn.ch), shift: make([]float32, bn.ch)}
+// newBNAffine returns bn's eval-mode transform as it stands now.
+func newBNAffine(bn *BatchNorm, relu6 bool) *bnAffine {
+	a := new(bnAffine)
+	a.eval(bn, relu6)
+	return a
+}
+
+// eval evaluates bn's eval-mode transform into a, reusing its slices.
+func (a *bnAffine) eval(bn *BatchNorm, relu6 bool) {
+	a.relu6 = relu6
+	a.scale, a.shift = resize(a.scale, bn.ch), resize(a.shift, bn.ch)
+	for c := range a.scale {
+		a.scale[c], a.shift[c] = bn.evalAffine(c)
+	}
 }
 
 // evalAffine returns channel c's eval-mode transform y = x*scale + shift
@@ -230,22 +282,30 @@ func (bn *BatchNorm) evalAffine(c int) (scale, shift float32) {
 	return g * inv, b - float32(g*inv*mean)
 }
 
-// refresh re-derives the per-channel transform from the live layer.
-func (a *bnAffine) refresh() {
-	for c := range a.scale {
-		a.scale[c], a.shift[c] = a.bn.evalAffine(c)
-	}
-}
-
 // identityAffine is the epilogue of a bare layer's Forward: bnAct(s, 1, 0,
 // false) is s for every sum a kernel produces, because a sum started from +0
 // is never -0.
-func identityAffine(ch int) bnAffine {
-	a := bnAffine{scale: make([]float32, ch), shift: make([]float32, ch)}
+func identityAffine(ch int) *bnAffine {
+	a := &bnAffine{scale: make([]float32, ch), shift: make([]float32, ch)}
 	for c := range a.scale {
 		a.scale[c] = 1
 	}
 	return a
+}
+
+// epilogue is where a convolution op finds its transform: fixed on the op
+// (training's identity), or else the one each call evaluates into slot of its
+// scratch from the live BatchNorm the plan compiled in.
+type epilogue struct {
+	fixed *bnAffine
+	slot  int
+}
+
+func (e epilogue) in(sc *Scratch) *bnAffine {
+	if e.fixed != nil {
+		return e.fixed
+	}
+	return &sc.affines[e.slot]
 }
 
 // bnAct finishes one accumulator: BatchNorm.Forward's eval expression, then,
@@ -261,7 +321,7 @@ func bnAct(s, scale, shift float32, relu6 bool) float32 {
 // planConv is a fused Conv2D+BatchNorm(+ReLU6).
 type planConv struct {
 	l *Conv2D
-	bnAffine
+	epilogue
 }
 
 func (o *planConv) outShape(_, h, w int) (int, int, int) {
@@ -269,24 +329,25 @@ func (o *planConv) outShape(_, h, w int) (int, int, int) {
 	return o.l.outC, d.OutH(), d.OutW()
 }
 
-func (o *planConv) run(p *inferPlan, dst, src []float32, c, h, w int) {
+func (o *planConv) run(sc *Scratch, dst, src []float32, c, h, w int) {
 	d := convDimsAt(o.l.dims, h, w)
 	if c != d.InC {
 		panic("nn: Infer: " + o.l.Weight.Name + ": input channel mismatch")
 	}
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
-	gemmBN(dst, o.l.Weight.W.Data(), p.planes(src, d), o.l.outC, np, k, o.scale, o.shift, o.relu6)
+	a := o.in(sc)
+	gemmBN(dst, o.l.Weight.W.Data(), sc.planes(src, d), o.l.outC, np, k, a.scale, a.shift, a.relu6)
 }
 
 // planes returns a convolution's input as the GEMM kernels read it, one
 // channel-major plane of output pixels per tap: a 1×1 convolution's input as
-// it stands, any other's im2colPlanar panel in the plan's scratch.
-func (p *inferPlan) planes(src []float32, d tensor.ConvDims) []float32 {
+// it stands, any other's im2colPlanar panel in the scratch.
+func (sc *Scratch) planes(src []float32, d tensor.ConvDims) []float32 {
 	if pointwise(d) {
 		return src
 	}
-	col := p.colBuf(d.InC * d.KH * d.KW * d.OutH() * d.OutW())
+	col := sc.colBuf(d.InC * d.KH * d.KW * d.OutH() * d.OutW())
 	im2colPlanar(col, src, d)
 	return col
 }
@@ -460,7 +521,7 @@ func gemmBNGo(dst, w, a []float32, c0, c1, p0, p, k int, scale, shift []float32,
 // planDepthwise is a fused DepthwiseConv2D+BatchNorm(+ReLU6).
 type planDepthwise struct {
 	l *DepthwiseConv2D
-	bnAffine
+	epilogue
 }
 
 func (o *planDepthwise) outShape(c, h, w int) (int, int, int) {
@@ -484,8 +545,8 @@ func dwPixel(plane, ker []float32, inH, inW, kh, kw, stride, pad, oy, ox int) fl
 
 // run hands a 3×3 layer to the vector kernel where there is one; the Go loop
 // is dwPixel over every output.
-func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
-	l := o.l
+func (o *planDepthwise) run(sc *Scratch, dst, src []float32, ch, inH, inW int) {
+	l, a := o.l, o.in(sc)
 	if ch != l.ch {
 		panic("nn: Infer: " + l.Weight.Name + ": input channel mismatch")
 	}
@@ -495,7 +556,7 @@ func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) 
 		if l.kh == 3 && l.kw == 3 {
 			// The vector kernel takes the channels from c on that it can;
 			// the one it stopped at, if any, is the Go loop's.
-			c += dw3x3Vector(p, dst[c*outH*outW:], src[c*inH*inW:], wt[c*9:], o.scale[c:], o.shift[c:], ch-c, inH, inW, outH, outW, l.stride, l.pad, o.relu6)
+			c += dw3x3Vector(sc, dst[c*outH*outW:], src[c*inH*inW:], wt[c*9:], a.scale[c:], a.shift[c:], ch-c, inH, inW, outH, outW, l.stride, l.pad, a.relu6)
 			if c == ch {
 				break
 			}
@@ -505,7 +566,7 @@ func (o *planDepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) 
 		ker := wt[c*l.kh*l.kw : (c+1)*l.kh*l.kw]
 		for i := range out {
 			s := dwPixel(plane, ker, inH, inW, l.kh, l.kw, l.stride, l.pad, i/outW, i%outW)
-			out[i] = bnAct(s, o.scale[c], o.shift[c], o.relu6)
+			out[i] = bnAct(s, a.scale[c], a.shift[c], a.relu6)
 		}
 	}
 }
@@ -515,8 +576,8 @@ type planAdd struct{ skip int }
 
 func (planAdd) outShape(c, h, w int) (int, int, int) { return c, h, w }
 
-func (o planAdd) run(p *inferPlan, dst, _ []float32, _, _, _ int) {
-	for i, v := range p.bufs[o.skip][:len(dst)] {
+func (o planAdd) run(sc *Scratch, dst, _ []float32, _, _, _ int) {
+	for i, v := range sc.bufs[o.skip][:len(dst)] {
 		dst[i] += v
 	}
 }
@@ -529,7 +590,7 @@ type planPool struct{}
 
 func (planPool) outShape(c, _, _ int) (int, int, int) { return c, 1, 1 }
 
-func (planPool) run(_ *inferPlan, dst, src []float32, _, h, w int) {
+func (planPool) run(_ *Scratch, dst, src []float32, _, h, w int) {
 	hw := h * w
 	inv := 1 / float32(hw)
 	for j := range dst {

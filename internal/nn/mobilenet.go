@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -52,7 +53,9 @@ type Model struct {
 	EmbedDim int
 	InputHW  int
 
-	plan *inferPlan // inference-only execution plan of Backbone, see Infer
+	planOnce sync.Once
+	plan     *inferPlan // inference-only execution plan of Backbone, see InferIn
+	own      Scratch    // Infer's
 }
 
 // ModelConfig selects the micro-architecture size.

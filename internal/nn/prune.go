@@ -26,11 +26,12 @@ type PrunedBackend struct {
 	m           *Model
 	embed, head *sparseDense
 	keep        float64
+	own         Scratch // Infer's
 }
 
 // NewPrunedBackend prunes the model's weights in place to the top-keep
 // fraction and packs the dense layers. The backend takes ownership of the
-// model; callers hand over a private replica (see fleet.BackendReplicator).
+// model; callers hand over a model of their own (see fleet.BackendReplicator).
 func NewPrunedBackend(m *Model, keep float64) *PrunedBackend {
 	if keep <= 0 || keep > 1 {
 		keep = DefaultPruneKeep
@@ -60,13 +61,15 @@ func (b *PrunedBackend) InputSize() int { return b.m.InputHW }
 // Keep returns the kept weight fraction.
 func (b *PrunedBackend) Keep() float64 { return b.keep }
 
-// Infer implements Backend: pruned-dense backbone, then the sparse-packed
+// Infer implements Backend.
+func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 { return b.InferIn(&b.own, x) }
+
+// InferIn implements Backend: pruned-dense backbone, then the sparse-packed
 // embedding and head.
-func (b *PrunedBackend) Infer(x *tensor.Tensor) []float64 {
-	p := b.m.inferPlan()
-	p.embed = b.embed.apply(p.embed, p.features(x))
-	p.logits = b.head.apply(p.logits, p.embed)
-	return p.probs()
+func (b *PrunedBackend) InferIn(sc *Scratch, x *tensor.Tensor) []float64 {
+	sc.embed = b.embed.apply(sc.embed, b.m.inferPlan().features(sc, x))
+	sc.logits = b.head.apply(sc.logits, sc.embed)
+	return sc.probs()
 }
 
 // pruneToKeep zeroes every entry whose magnitude falls below the value at

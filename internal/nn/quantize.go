@@ -30,17 +30,16 @@ import (
 // quantize_ref_test.go compute and every logit has the same bits, whether the
 // vector tiles or the Go kernel produced it.
 //
-// A replica owns its weights (2 bytes a weight) and the plan's scratch: a
-// one-image float32 activation arena, the stem's im2col panel (in which the
-// depthwise layers also quantize their planes, a run of channels at a time)
-// and one quantized panel, about 0.8 MB at the default width whatever the
-// batch size.
-// Infer overwrites all of it, so a replica serves one call at a time.
+// The compiled program is read-only: 2 bytes a weight and the folded biases.
+// A call's activations, im2col panel (in which the depthwise layers also
+// quantize their planes, a run of channels at a time) and quantized panel are
+// its Scratch, so the backend serves concurrent callers, each with its own.
 type Int8Backend struct {
 	plan        *inferPlan
 	embed, head *qdense
 	classes     int
 	inputHW     int
+	own         Scratch // Infer's
 }
 
 // NewInt8Backend quantizes the model's current weights. The model is only
@@ -65,11 +64,13 @@ func (b *Int8Backend) NumClasses() int { return b.classes }
 func (b *Int8Backend) InputSize() int { return b.inputHW }
 
 // Infer implements Backend.
-func (b *Int8Backend) Infer(x *tensor.Tensor) []float64 {
-	p := b.plan
-	p.embed = b.embed.apply(p, p.embed, p.features(x))
-	p.logits = b.head.apply(p, p.logits, p.embed)
-	return p.probs()
+func (b *Int8Backend) Infer(x *tensor.Tensor) []float64 { return b.InferIn(&b.own, x) }
+
+// InferIn implements Backend.
+func (b *Int8Backend) InferIn(sc *Scratch, x *tensor.Tensor) []float64 {
+	sc.embed = b.embed.apply(sc, sc.embed, b.plan.features(sc, x))
+	sc.logits = b.head.apply(sc, sc.logits, sc.embed)
+	return sc.probs()
 }
 
 // maxReduction is the deepest reduction the GEMM kernels take: k·127² < 2³¹
@@ -322,13 +323,13 @@ func (o *qconv) outShape(_, h, w int) (int, int, int) {
 	return o.w.rows, d.OutH(), d.OutW()
 }
 
-func (o *qconv) run(p *inferPlan, dst, src []float32, _, h, w int) {
+func (o *qconv) run(sc *Scratch, dst, src []float32, _, h, w int) {
 	d := convDimsAt(o.dims, h, w)
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
-	src = p.planes(src, d)[:k*np]
+	src = sc.planes(src, d)[:k*np]
 	ax := absMaxScale(src)
-	panel := p.panel(o.w.k2 * np)
+	panel := sc.panel(o.w.k2 * np)
 	quantizePanel(panel, src, np, k, ax)
 	qgemm(dst, o.w, panel, np, ax, o.bias, o.clamp)
 }
@@ -362,12 +363,12 @@ func (o *qdepthwise) outShape(c, h, w int) (int, int, int) {
 // run hands a 3×3 layer to the vector kernel where there is one. The Go loop
 // quantizes a channel's plane once and sums each output's taps in int32,
 // skipping those that fall in the padding.
-func (o *qdepthwise) run(p *inferPlan, dst, src []float32, ch, inH, inW int) {
+func (o *qdepthwise) run(sc *Scratch, dst, src []float32, ch, inH, inW int) {
 	_, outH, outW := o.outShape(ch, inH, inW)
-	if o.kh == 3 && o.kw == 3 && qdw3x3Vector(p, o, dst, src, ch, inH, inW, outH, outW) {
+	if o.kh == 3 && o.kw == 3 && qdw3x3Vector(sc, o, dst, src, ch, inH, inW, outH, outW) {
 		return
 	}
-	q := p.panel(inH * inW)
+	q := sc.panel(inH * inW)
 	for c := 0; c < ch; c++ {
 		plane := src[c*inH*inW : (c+1)*inH*inW]
 		ax := absMaxScale(plane)
@@ -409,10 +410,10 @@ func newQDense(d *Dense) *qdense {
 
 // apply runs the layer over an (N, in) batch one row at a time — a row is a
 // one-pixel GEMM — into y, reused when it already has the right shape.
-func (l *qdense) apply(p *inferPlan, y, x *tensor.Tensor) *tensor.Tensor {
+func (l *qdense) apply(sc *Scratch, y, x *tensor.Tensor) *tensor.Tensor {
 	n, out := x.Dim(0), l.w.rows
 	y = reuseTensor(y, n, out)
-	qrow := p.panel(l.w.k2)
+	qrow := sc.panel(l.w.k2)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*l.in : (i+1)*l.in]
 		ax := absMaxScale(row)

@@ -337,13 +337,13 @@ func sameBits(t *testing.T, name string, got, want *tensor.Tensor) {
 
 // runPlanOp runs one op of a plan over a whole batch, one image at a time as
 // the executor does.
-func runPlanOp(p *inferPlan, op planOp, x *tensor.Tensor) *tensor.Tensor {
+func runPlanOp(sc *Scratch, op planOp, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oc, oh, ow := op.outShape(c, h, w)
 	y := tensor.New(n, oc, oh, ow)
 	in, out := c*h*w, oc*oh*ow
 	for i := 0; i < n; i++ {
-		op.run(p, y.Data()[i*out:(i+1)*out], x.Data()[i*in:(i+1)*in], c, h, w)
+		op.run(sc, y.Data()[i*out:(i+1)*out], x.Data()[i*in:(i+1)*in], c, h, w)
 	}
 	return y
 }
@@ -364,6 +364,7 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 			}
 		}
 		ref := newRefInt8(m)
+		sc := new(Scratch)
 		rng := rand.New(rand.NewSource(13))
 		for _, n := range []int{1, 3} {
 			next := 0
@@ -372,16 +373,16 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 					return // float op, shared with the float32 plan
 				}
 				name := fmt.Sprintf("input %d batch %d conv %d (%T)", hw, n, next, convs[next])
-				sameBits(t, name, runPlanOp(b.plan, convs[next], in), want)
+				sameBits(t, name, runPlanOp(sc, convs[next], in), want)
 				next++
 			}
 			f := ref.run(ref.ops, randInput(rng, n, 3, hw))
 			if next != len(convs) {
 				t.Fatalf("reference ran %d convolutions, the plan has %d", next, len(convs))
 			}
-			e := b.embed.apply(b.plan, nil, f)
+			e := b.embed.apply(sc, nil, f)
 			sameBits(t, "embed", e, ref.embed.apply(f))
-			sameBits(t, "head", b.head.apply(b.plan, nil, e), ref.head.apply(e))
+			sameBits(t, "head", b.head.apply(sc, nil, e), ref.head.apply(e))
 		}
 	}
 }
@@ -717,7 +718,7 @@ func TestQuantizePanelMatchesIm2ColQuantize(t *testing.T) {
 // non-unrolled path, against the border-checked reference loop.
 func TestQDepthwiseGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	p := &inferPlan{}
+	p := new(Scratch)
 	for _, geo := range [][3]int{{3, 1, 1}, {3, 2, 1}, {3, 1, 0}, {5, 1, 2}, {5, 2, 1}, {2, 1, 1}} {
 		k, stride, pad := geo[0], geo[1], geo[2]
 		for h := 1; h <= 9; h++ {

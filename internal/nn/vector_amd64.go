@@ -59,26 +59,26 @@ func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias
 // that fall inside the row. A load starts at input column v·8·stride - pad
 // plus its offset (0, 1, 2 at stride 1; 0, 8, 2, 10 at stride 2) and lane i
 // of it is the element i further on; a lane left or right of the row is the
-// zero padding. The plan keeps the masks of the last geometry asked for, which
-// a quantized layer asks for once a run of channels.
-func (p *inferPlan) dwLoadMasks(inW, outW, stride, pad int) []uint32 {
-	if geom := [4]int{inW, outW, stride, pad}; geom != p.dwGeom {
-		p.dwGeom = geom
+// zero padding. The scratch keeps the masks of the last geometry asked for,
+// which a quantized layer asks for once a run of channels.
+func (sc *Scratch) dwLoadMasks(inW, outW, stride, pad int) []uint32 {
+	if geom := [4]int{inW, outW, stride, pad}; geom != sc.dwGeom {
+		sc.dwGeom = geom
 		offsets := [4]int{0, 1, 2, 2}
 		if stride == 2 {
 			offsets = [4]int{0, 8, 2, 10}
 		}
-		p.dwMasks = p.dwMasks[:0]
+		sc.dwMasks = sc.dwMasks[:0]
 		for i := 0; i < (outW+7)/8*32; i++ {
 			ix := i/32*8*stride - pad + offsets[i/8%4] + i%8
 			mask := uint32(0)
 			if 0 <= ix && ix < inW {
 				mask = ^uint32(0)
 			}
-			p.dwMasks = append(p.dwMasks, mask)
+			sc.dwMasks = append(sc.dwMasks, mask)
 		}
 	}
-	return p.dwMasks
+	return sc.dwMasks
 }
 
 // dwVectorTakes reports a geometry the depthwise kernel computes: stride 1 or
@@ -94,11 +94,11 @@ func dwVectorTakes(inH, inW, stride, pad int) bool {
 // skips a padding tap the kernel adds ker·0, an exact ±0 for a finite tap,
 // and a sum that started from +0 is never -0, so adding ±0 to it changes
 // nothing.
-func dw3x3Vector(p *inferPlan, dst, src, ker, scale, shift []float32, ch, inH, inW, outH, outW, stride, pad int, relu6 bool) int {
+func dw3x3Vector(sc *Scratch, dst, src, ker, scale, shift []float32, ch, inH, inW, outH, outW, stride, pad int, relu6 bool) int {
 	if !dwVectorTakes(inH, inW, stride, pad) {
 		return 0
 	}
-	masks := p.dwLoadMasks(inW, outW, stride, pad)
+	masks := sc.dwLoadMasks(inW, outW, stride, pad)
 	_, _, _, _, _ = dst[ch*outH*outW-1], src[ch*inH*inW-1], ker[ch*9-1], scale[ch-1], shift[ch-1]
 	return dw3x3AVX2(&dst[0], &src[0], ch, inH, inW, outH, outW, stride, pad, &ker[0], &scale[0], &shift[0], &masks[0], relu6)
 }
@@ -106,7 +106,7 @@ func dw3x3Vector(p *inferPlan, dst, src, ker, scale, shift []float32, ch, inH, i
 // qdwRun is how many activations qdw3x3Vector quantizes before the kernel
 // consumes them, a run of whole channels: few enough that the planes, their
 // quantized copies and the outputs pass through the first-level cache, and
-// that a replica's scratch stays the size the stem's im2col panel made it.
+// that a scratch stays the size the stem's im2col panel made it.
 const qdwRun = 1 << 12
 
 // qdw3x3Vector is dw3x3Vector for qdepthwise, and takes a whole layer or
@@ -114,7 +114,7 @@ const qdwRun = 1 << 12
 // every int8 tap product and every sum of nine (at most 9·127² < 2²⁴) is
 // exact, so the float32 kernel's sums are the integers the Go loop
 // accumulates and its epilogue is qfinish with ReLU6's clamp.
-func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
+func qdw3x3Vector(sc *Scratch, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
 	if !dwVectorTakes(inH, inW, o.stride, o.pad) {
 		return false
 	}
@@ -122,7 +122,7 @@ func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW,
 	run := max(1, qdwRun/hw)
 	for c := 0; c < ch; c += run {
 		n := min(run, ch-c)
-		scratch := p.colBuf(n*hw + 2*n)
+		scratch := sc.colBuf(n*hw + 2*n)
 		q, inv, deq := scratch[:n*hw], scratch[n*hw:n*hw+n], scratch[n*hw+n:]
 		planes := src[c*hw : (c+n)*hw]
 		for i := range inv {
@@ -130,7 +130,7 @@ func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW,
 			inv[i], deq[i] = 1/ax, o.ws[c+i]*ax
 		}
 		quantizePlanesAVX2(&q[0], &planes[0], n, hw, &inv[0])
-		dw3x3Vector(p, dst[c*outHW:], q, o.taps[c*9:], deq, o.bias[c:], n, inH, inW, outH, outW, o.stride, o.pad, o.clamp != 0)
+		dw3x3Vector(sc, dst[c*outHW:], q, o.taps[c*9:], deq, o.bias[c:], n, inH, inW, outH, outW, o.stride, o.pad, o.clamp != 0)
 	}
 	return true
 }

@@ -18,14 +18,16 @@ func TestTwinsTakeTheDefaultModel(t *testing.T) {
 		name string
 		p    *inferPlan
 	}{{"float32", m.inferPlan()}, {"int8", NewInt8Backend(m).plan}} {
-		plan.p.features(x) // sets every step's geometry
-		for i, s := range plan.p.steps {
+		sc := new(Scratch)
+		plan.p.features(sc, x) // sets every step's geometry
+		for i, step := range plan.p.steps {
+			s := sc.geom[i]
 			depthwise := func(kh, kw, stride, pad int) {
 				if kh != 3 || kw != 3 || !dwVectorTakes(s.h, s.w, stride, pad) {
 					t.Errorf("%s step %d: the vector kernel does not take this %dx%d depthwise layer (%dx%d input)", plan.name, i, kh, kw, s.h, s.w)
 				}
 			}
-			switch op := s.op.(type) {
+			switch op := step.op.(type) {
 			case *planConv, *qconv:
 				if outC, outH, outW := op.outShape(s.c, s.h, s.w); outC%4 != 0 || outH*outW%16 != 0 {
 					t.Errorf("%s step %d: a convolution to %d channels × %d pixels leaves the Go kernel a remainder", plan.name, i, outC, outH*outW)

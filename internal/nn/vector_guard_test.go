@@ -50,8 +50,7 @@ func TestVectorDepthwiseStaysInsidePlanes(t *testing.T) {
 				l := NewDepthwiseConv2D(rng, "dw", ch, 3, stride, pad)
 				bn := NewBatchNorm("bn", ch)
 				randomizeBN(rng, bn)
-				f := &planDepthwise{l: l, bnAffine: newBNAffine(bn, true)}
-				f.refresh()
+				f := &planDepthwise{l: l, epilogue: epilogue{fixed: newBNAffine(bn, true)}}
 				q := newQDepthwise(l, bn, true)
 				for _, hw := range [][2]int{{1, 1}, {2, 7}, {3, 3}, {4, 8}, {8, 9}, {9, 15}, {16, 16}, {7, 17}, {32, 32}, {5, 33}} {
 					h, w := hw[0], hw[1]
@@ -66,7 +65,7 @@ func TestVectorDepthwiseStaysInsidePlanes(t *testing.T) {
 						}
 						want := make([]float32, len(dst))
 						for _, op := range []planOp{f, q} {
-							plan := &inferPlan{}
+							plan := new(Scratch)
 							op.run(plan, dst, src, ch, h, w)
 							portable(func() { op.run(plan, want, src, ch, h, w) })
 							sameBits32(t, fmt.Sprintf("%T: %d channels of %dx%d, stride %d pad %d, at the end %v", op, ch, h, w, stride, pad, atEnd), dst, want)

@@ -15,11 +15,11 @@ func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias
 	return 0, 0
 }
 
-func dw3x3Vector(p *inferPlan, dst, src, ker, scale, shift []float32, ch, inH, inW, outH, outW, stride, pad int, relu6 bool) int {
+func dw3x3Vector(sc *Scratch, dst, src, ker, scale, shift []float32, ch, inH, inW, outH, outW, stride, pad int, relu6 bool) int {
 	return 0
 }
 
-func qdw3x3Vector(p *inferPlan, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
+func qdw3x3Vector(sc *Scratch, o *qdepthwise, dst, src []float32, ch, inH, inW, outH, outW int) bool {
 	return false
 }
 

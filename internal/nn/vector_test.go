@@ -67,7 +67,7 @@ func TestPortableClaimsNothing(t *testing.T) {
 	f := make([]float32, outC*p)
 	q := make([]int8, k*p)
 	m := packQMatrix(make([]int8, outC*k), f[:outC], outC, k)
-	plan := &inferPlan{}
+	plan := new(Scratch)
 	qdw := &qdepthwise{taps: f[:9], ws: f[:1], bias: f[:1], kh: 3, kw: 3, stride: 1, pad: 1}
 	count := func(done bool) int {
 		if done {
@@ -209,7 +209,7 @@ func TestVectorEpilogueSpecialValues(t *testing.T) {
 			copy(l.Weight.W.Data()[c*9:], []float32{0, 0, 0, 0, 1, 0, 0, 0, 0})
 		}
 		for _, relu6 := range []bool{false, true} {
-			op := &planDepthwise{l: l, bnAffine: bnAffine{relu6: relu6, scale: scale, shift: shift}}
+			op := &planDepthwise{l: l, epilogue: epilogue{fixed: &bnAffine{relu6: relu6, scale: scale, shift: shift}}}
 			// Even channels see the finite specials and math.NaN, odd ones
 			// the infinities and the NaN that 0·Inf makes, so that no sum
 			// ever meets two different NaNs.
@@ -223,7 +223,7 @@ func TestVectorEpilogueSpecialValues(t *testing.T) {
 				set := sets[i/95%2]
 				x.Data()[i] = set[(i+i/95)%len(set)]
 			}
-			plan := &inferPlan{}
+			plan := new(Scratch)
 			got := runPlanOp(plan, op, x)
 			var want *tensor.Tensor
 			portable(func() { want = runPlanOp(plan, op, x) })
@@ -261,10 +261,9 @@ func TestVectorDepthwiseMatchesGo(t *testing.T) {
 					}
 					relu6 := (h+w)%2 == 0
 					name := fmt.Sprintf("%dx%d stride %d pad %d relu6 %v", h, w, stride, pad, relu6)
-					plan := &inferPlan{}
+					plan := new(Scratch)
 
-					f := &planDepthwise{l: l, bnAffine: newBNAffine(bn, relu6)}
-					f.refresh()
+					f := &planDepthwise{l: l, epilogue: epilogue{fixed: newBNAffine(bn, relu6)}}
 					got := runPlanOp(plan, f, x)
 					var want *tensor.Tensor
 					portable(func() { want = runPlanOp(plan, f, x) })
@@ -305,10 +304,9 @@ func TestVectorDepthwiseChannelRuns(t *testing.T) {
 						x := tensor.New(2, ch, h, w)
 						x.RandNormal(rng, 3)
 						name := fmt.Sprintf("%d channels, tap of channel %d not finite, %dx%d stride %d pad %d", ch, bad, h, w, stride, pad)
-						plan := &inferPlan{}
+						plan := new(Scratch)
 
-						f := &planDepthwise{l: l, bnAffine: newBNAffine(bn, true)}
-						f.refresh()
+						f := &planDepthwise{l: l, epilogue: epilogue{fixed: newBNAffine(bn, true)}}
 						got := runPlanOp(plan, f, x)
 						var want *tensor.Tensor
 						portable(func() { want = runPlanOp(plan, f, x) })
@@ -319,7 +317,7 @@ func TestVectorDepthwiseChannelRuns(t *testing.T) {
 							if bad >= 0 {
 								stop = bad
 							}
-							if took := dw3x3Vector(plan, got.Data(), x.Data(), l.Weight.W.Data(), f.scale, f.shift, ch, h, w, outH, outW, stride, pad, true); took != stop {
+							if took := dw3x3Vector(plan, got.Data(), x.Data(), l.Weight.W.Data(), f.fixed.scale, f.fixed.shift, ch, h, w, outH, outW, stride, pad, true); took != stop {
 								t.Fatalf("%s: the vector kernel took %d channels, want %d", name, took, stop)
 							}
 						}

@@ -69,22 +69,31 @@ func Classifier(m *nn.Model, images []*imaging.Image, labels []int, cfg Config) 
 }
 
 // inputBuf is a recycled model-input buffer. Evaluate draws one from a pool
-// rather than keeping it on the backend: a worker's cached backend would hold
-// 150 KB at fleet batch sizes for as long as it lives, a pool gives it up at
-// the next collection.
+// rather than keeping it with the caller: a fleet worker would hold 150 KB at
+// fleet batch sizes for as long as it lives, a pool gives it up at the next
+// collection.
 type inputBuf struct{ data []float32 }
 
 var inputPool = sync.Pool{New: func() any { return new(inputBuf) }}
 
 // Evaluate runs an inference backend over images (resized as needed) and
 // returns top-1 predictions, their confidences, and full probability rows.
-// Any nn.Backend works here; *nn.Model is the float32 reference.
+// Any nn.Backend works here; *nn.Model is the float32 reference. It infers in
+// the backend's own scratch, so it is for one caller of b at a time; EvaluateIn
+// is the concurrent form.
+func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int, scores []float64, probs [][]float64) {
+	return EvaluateIn(nil, b, images, batchSize)
+}
+
+// EvaluateIn is Evaluate inferring in the caller's scratch — nil is the
+// backend's own — so goroutines sharing one backend each evaluate in a scratch
+// of their own.
 //
 // Each batch is resampled and normalized straight into a pooled input tensor
 // (imaging.BatchTensorInto), so images of another resolution cost no
 // intermediate image and no batch a fresh tensor; the buffer goes back once
 // the last Infer has returned, which is why backends must not retain x.
-func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int, scores []float64, probs [][]float64) {
+func EvaluateIn(sc *nn.Scratch, b nn.Backend, images []*imaging.Image, batchSize int) (preds []int, scores []float64, probs [][]float64) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
@@ -101,8 +110,13 @@ func Evaluate(b nn.Backend, images []*imaging.Image, batchSize int) (preds []int
 		if cap(buf.data) < n {
 			buf.data = make([]float32, n)
 		}
-		x := tensor.NewFrom(buf.data[:n], end-start, 3, in, in)
-		p := b.Infer(imaging.BatchTensorInto(x, images[start:end]))
+		x := imaging.BatchTensorInto(tensor.NewFrom(buf.data[:n], end-start, 3, in, in), images[start:end])
+		var p []float64
+		if sc != nil {
+			p = b.InferIn(sc, x)
+		} else {
+			p = b.Infer(x)
+		}
 		for i := start; i < end; i++ {
 			row := p[(i-start)*classes : (i-start+1)*classes]
 			preds[i], scores[i] = Top1(row)
