@@ -5,8 +5,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// prints the rows the paper reports. The shared base model is trained once
-// per process; the end-to-end figures and Table 5 run the configs of
+// prints the rows the paper reports. Every study classifies on the committed
+// base model, bench/testdata/base.model, loaded once per process; the
+// end-to-end figures and Table 5 run the configs of
 // examples/specs/endtoend.run.json and os.experiment.json on it, the other
 // studies are scaled down so the full suite completes in minutes on one core
 // (the fleetd specs run the full-scale versions). Every measurement is a
@@ -40,8 +41,6 @@ import (
 
 var (
 	benchOnce    sync.Once
-	benchConfig  = lab.BaseModelConfig{Seed: 7, TrainItems: 220, Epochs: 5, Width: 1}
-	benchModel   *nn.Model
 	benchFactory fleet.BackendFactory
 	benchRun     fleet.Config // endtoend.run.json's run, defaulted
 	benchItems   []*dataset.Item
@@ -49,14 +48,18 @@ var (
 	benchRecords []*stability.Record
 )
 
-// benchSetup trains the shared model and takes the shared end-to-end photo
-// matrix once per process: endtoend.run.json's run, replayed by hand so the
-// figures can read its records, and held to the run's own accumulator.
+// benchSetup loads the committed model and takes the shared end-to-end photo
+// matrix once per process: endtoend.run.json's run, held byte for byte to the
+// stats its golden pins, and replayed by hand so the figures can read its
+// records, held to the run's own accumulator.
 func benchSetup(tb testing.TB) {
 	tb.Helper()
 	benchOnce.Do(func() {
-		benchModel = lab.TrainBaseModel(benchConfig)
-		benchFactory = fleet.BackendReplicator(benchConfig.Arch, benchModel)
+		model, err := lab.LoadBaseModel(filepath.Join("bench", "testdata", "base.model"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		benchFactory = fleet.BackendReplicator(lab.DefaultBaseModel().Arch, model)
 		var spec fleetapi.RunSpec
 		readSpec(tb, "endtoend.run.json", &spec)
 		benchRun = spec.FleetConfig().WithDefaults()
@@ -66,7 +69,13 @@ func benchSetup(tb testing.TB) {
 			benchDevices = append(benchDevices, gen.Device(i))
 		}
 		run := fleet.NewRunner(benchRun, benchFactory)
-		run.Run()
+		golden, err := os.ReadFile(filepath.Join("examples", "testdata", "endtoend.run.golden"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if got := run.Run().JSON(); !bytes.Equal(got, golden) {
+			tb.Fatalf("endtoend.run.json's run is not its golden:\n got %s\nwant %s", got, golden)
+		}
 		_, benchRecords = shoot(benchDevices, benchItems, benchRun.Angles, (*fleet.Engine).Capture)
 		if got, want := stability.NewAccumulator(benchRecords...).Snapshot(), run.Accumulator().Snapshot(); !reflect.DeepEqual(got, want) {
 			tb.Fatalf("the replay of endtoend.run.json is not its run:\n got %+v\nwant %+v", got, want)

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/fleetapi"
 	"repro/internal/imaging"
+	"repro/internal/lifecycle"
 	"repro/internal/stability"
 	"repro/internal/train"
 )
@@ -106,4 +108,56 @@ func TestRepeatsFlipRateIsWithinPhoneInstability(t *testing.T) {
 		}
 	}
 	t.Fatalf("drift golden has no %s cohort", d.Cohort)
+}
+
+// TestChurnFlagsTheOSUpgrade: §7 as a mid-run event. churn.fleet upgrades
+// the OS of every device of one cohort at one window, under background
+// join/leave churn; the drift golden must flag that cohort at or after the
+// upgrade window, attribute every one of the upgrade events to the flag, and
+// flag the cohort at no earlier window.
+func TestChurnFlagsTheOSUpgrade(t *testing.T) {
+	var spec fleetapi.FleetSpec
+	readJSON(t, filepath.Join("specs", "churn.fleet.json"), &spec)
+	var drift fleet.DriftReport
+	readJSON(t, filepath.Join("testdata", "churn.fleet.drift.golden"), &drift)
+	cfg := spec.ContinuousConfig().WithDefaults()
+
+	gen := fleet.NewGenerator(cfg.Fleet.Seed, cfg.Fleet.Scale, 0)
+	var upgrades []lifecycle.Event
+	cohort, window := "", 0
+	for _, e := range cfg.Events {
+		if e.Kind != lifecycle.KindOSUpgrade {
+			continue
+		}
+		c := gen.Device(e.Device).Cohort
+		if len(upgrades) > 0 && (c != cohort || e.Window != window) {
+			t.Fatalf("churn.fleet's upgrades span cohorts %s and %s or windows %d and %d", cohort, c, window, e.Window)
+		}
+		cohort, window = c, e.Window
+		upgrades = append(upgrades, e)
+	}
+	if len(upgrades) == 0 {
+		t.Fatal("churn.fleet upgrades no OS")
+	}
+
+	flagged := false
+	for _, f := range drift.Flags {
+		if f.Cohort != cohort {
+			continue
+		}
+		if f.Window < window {
+			t.Errorf("%s flagged at window %d, before its upgrade at window %d", cohort, f.Window, window)
+			continue
+		}
+		attributed := 0
+		for _, e := range f.Events {
+			if slices.Contains(upgrades, e) {
+				attributed++
+			}
+		}
+		flagged = flagged || attributed == len(upgrades)
+	}
+	if !flagged {
+		t.Errorf("no flag of %s at or after window %d carries its %d OS upgrades: %+v", cohort, window, len(upgrades), drift.Flags)
+	}
 }

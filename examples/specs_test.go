@@ -1,6 +1,5 @@
-// Package examples holds the demo programs (one directory each) and, in
-// specs/, the studies that are data instead of programs: each file is the
-// exact body a user POSTs to fleetd,
+// Package examples holds, in specs/, the paper's studies as data instead of
+// programs: each file is the exact body a user POSTs to fleetd,
 //
 //	go run ./cmd/fleetd -model bench/testdata/base.model &
 //	curl -d @examples/specs/scale.experiment.json localhost:8470/v1/experiments
@@ -27,7 +26,6 @@ import (
 	"repro/internal/fleetapi"
 	"repro/internal/fleetd"
 	"repro/internal/lab"
-	"repro/internal/nn"
 )
 
 // modelPath is the committed snapshot of lab.DefaultBaseModel().
@@ -77,11 +75,28 @@ func strictDecode[T interface{ Validate() error }](body []byte) error {
 // fleetd -model bench/testdata/base.model; a sharded spec's must also be what
 // a coordinator over two peers prints, since a device's cells do not depend on
 // the instance that computes them. Under -short each file is only decoded and
-// validated.
+// validated. A golden that is no spec's artifact fails the test, so a
+// renamed or deleted spec cannot leave a stale one behind.
 func TestSpecs(t *testing.T) {
 	files, err := filepath.Glob("specs/*.json")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no specs: %v", err)
+	}
+	ours := map[string]bool{}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		for i, artifact := range specKinds[strings.TrimPrefix(filepath.Ext(name), ".")].artifacts {
+			ours[goldenName(name, i, artifact)] = true
+		}
+	}
+	goldens, err := filepath.Glob("testdata/*.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, golden := range goldens {
+		if !ours[filepath.Base(golden)] {
+			t.Errorf("%s is the golden of no artifact of a spec in specs/", golden)
+		}
 	}
 	var factory fleet.BackendFactory
 	if !testing.Short() {
@@ -106,11 +121,7 @@ func TestSpecs(t *testing.T) {
 			}
 			want := map[string][]byte{}
 			for i, artifact := range kind.artifacts {
-				golden := name + ".golden"
-				if i > 0 {
-					golden = name + "." + artifact + ".golden"
-				}
-				if want[artifact], err = os.ReadFile(filepath.Join("testdata", golden)); err != nil {
+				if want[artifact], err = os.ReadFile(filepath.Join("testdata", goldenName(name, i, artifact))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -130,6 +141,15 @@ func TestSpecs(t *testing.T) {
 	}
 }
 
+// goldenName is the golden file of a spec's i-th artifact: <name>.golden for
+// the first, <name>.<artifact>.golden for any other.
+func goldenName(name string, i int, artifact string) string {
+	if i == 0 {
+		return name + ".golden"
+	}
+	return name + "." + artifact + ".golden"
+}
+
 // serve starts a fleetd instance for the rest of the test and returns its URL.
 func serve(t *testing.T, opts fleetd.Options) string {
 	t.Helper()
@@ -141,19 +161,11 @@ func serve(t *testing.T, opts fleetd.Options) string {
 // loadModel reads the committed snapshot; it never trains.
 func loadModel(t *testing.T) fleet.BackendFactory {
 	t.Helper()
-	f, err := os.Open(modelPath)
+	m, err := lab.LoadBaseModel(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	snap, err := nn.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := lab.DefaultBaseModel()
-	m := cfg.Arch()
-	m.Restore(snap)
-	return fleet.BackendReplicator(cfg.Arch, m)
+	return fleet.BackendReplicator(lab.DefaultBaseModel().Arch, m)
 }
 
 // runSpec POSTs body to collection, waits for the resource to finish and

@@ -15,7 +15,7 @@ import (
 
 func TestIntegrationEndToEndShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains the base model")
+		t.Skip("runs endtoend.run.json on the committed model")
 	}
 	benchSetup(t)
 
@@ -59,7 +59,7 @@ func TestIntegrationEndToEndShape(t *testing.T) {
 
 func TestIntegrationOSExperimentShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains the base model")
+		t.Skip("runs endtoend.run.json on the committed model")
 	}
 	benchSetup(t)
 
@@ -95,7 +95,7 @@ func TestIntegrationDecoderHashDivergence(t *testing.T) {
 
 func TestIntegrationWithinPhoneBelowCrossPhone(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains the base model")
+		t.Skip("runs endtoend.run.json on the committed model")
 	}
 	benchSetup(t)
 
@@ -111,7 +111,7 @@ func TestIntegrationWithinPhoneBelowCrossPhone(t *testing.T) {
 
 func TestIntegrationCompressionAccuracyFlat(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains the base model")
+		t.Skip("runs endtoend.run.json on the committed model")
 	}
 	benchSetup(t)
 

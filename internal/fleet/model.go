@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
@@ -109,35 +110,44 @@ var (
 // finetuneConfig is the fine-tune every stable model runs.
 var finetuneConfig = train.Config{Epochs: 2, BatchSize: 16, LR: 0.012, Momentum: 0.9, ClipNorm: 5, Seed: corpusSeed}
 
-// finetuned caches fine-tuned snapshots by (sha256 of the base snapshot,
+// finetuned caches fine-tuned snapshots by (ModelSHA of the base factory,
 // canonical name): arms of one experiment, or runs and shards arriving at
 // once, fine-tune each model once.
 var finetuned = NewLRU[[2]string, *nn.Snapshot](16)
 
 // factory returns the backend factory of the fine-tuned model: every
 // replica is the base factory's float32 replica with the fine-tuned weights
-// restored, compiled into the requested runtime. The base factory's float32
-// replica must be an *nn.Model.
+// restored, compiled into the requested runtime.
 func (m *stableModel) factory(base BackendFactory) BackendFactory {
-	replica := func() *nn.Model {
-		r, ok := base(nn.RuntimeFloat32).(*nn.Model)
-		if !ok {
-			panic("fleet: model " + m.name + " needs a factory whose float32 replica is an *nn.Model")
-		}
-		return r
-	}
-	start := replica()
-	sum := sha256.New()
-	start.TakeSnapshot().WriteTo(sum)
-	snap := finetuned.GetOrCompute([2]string{string(sum.Sum(nil)), m.name}, func() *nn.Snapshot {
+	snap := finetuned.GetOrCompute([2]string{ModelSHA(base), m.name}, func() *nn.Snapshot {
+		start := float32Replica(base)
 		m.finetune(start)
 		return start.TakeSnapshot()
 	})
 	return func(runtime string) nn.Backend {
-		r := replica()
+		r := float32Replica(base)
 		r.Restore(snap)
 		return nn.NewRuntimeBackend(runtime, r)
 	}
+}
+
+// ModelSHA fingerprints the weights a factory compiles: the hex sha256 of
+// its float32 replica's serialized snapshot. Two instances compute the same
+// cells for a spec only if their factories' ModelSHAs agree.
+func ModelSHA(factory BackendFactory) string {
+	sum := sha256.New()
+	float32Replica(factory).TakeSnapshot().WriteTo(sum)
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// float32Replica is the factory's float32 replica, which must be an
+// *nn.Model (BackendReplicator's is).
+func float32Replica(factory BackendFactory) *nn.Model {
+	r, ok := factory(nn.RuntimeFloat32).(*nn.Model)
+	if !ok {
+		panic("fleet: the factory's float32 replica is not an *nn.Model")
+	}
+	return r
 }
 
 // finetune fine-tunes the model in place on the corpus: the samsung photos

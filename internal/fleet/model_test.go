@@ -1,14 +1,10 @@
 package fleet_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/lab"
-	"repro/internal/nn"
 )
 
 // TestModelGrammar pins the canonical spelling of every accepted model and
@@ -57,22 +53,12 @@ func TestFinetunedSnapshotDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fine-tunes the committed model")
 	}
-	f, err := os.Open("../../bench/testdata/base.model")
+	base, err := lab.LoadBaseModel("../../bench/testdata/base.model")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	snap, err := nn.ReadSnapshot(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := lab.DefaultBaseModel()
-	base := cfg.Arch()
-	base.Restore(snap)
-	factory := fleet.ModelFactory(fleet.BackendReplicator(cfg.Arch, base), "stable:two-images")
-	sum := sha256.New()
-	factory(nn.RuntimeFloat32).(*nn.Model).TakeSnapshot().WriteTo(sum)
-	if got := hex.EncodeToString(sum.Sum(nil)); got != finetunedDigest {
+	factory := fleet.ModelFactory(fleet.BackendReplicator(lab.DefaultBaseModel().Arch, base), "stable:two-images")
+	if got := fleet.ModelSHA(factory); got != finetunedDigest {
 		t.Errorf("stable:two-images fine-tuned from base.model: sha256 %s, want %s", got, finetunedDigest)
 	}
 }

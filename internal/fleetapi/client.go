@@ -143,9 +143,11 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Healthz checks liveness.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil)
+// Healthz checks liveness and returns the instance's health document.
+func (c *Client) Healthz(ctx context.Context) (Health, error) {
+	var h Health
+	err := c.doJSON(ctx, http.MethodGet, "/healthz", nil, &h)
+	return h, err
 }
 
 // The three async resource kinds share one lifecycle — POST the collection,

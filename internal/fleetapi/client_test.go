@@ -195,7 +195,7 @@ func TestDefaultTimeoutAgainstSilentPeer(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	start := time.Now()
-	err := c.Healthz(context.Background())
+	_, err := c.Healthz(context.Background())
 	var netErr interface{ Timeout() bool }
 	if !errors.As(err, &netErr) || !netErr.Timeout() {
 		t.Fatalf("Healthz against a silent peer: %v, want a timeout", err)

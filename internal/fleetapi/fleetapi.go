@@ -217,6 +217,25 @@ type RunStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
+// Health is the body of GET /healthz. Its keys are in lexical order, as a
+// map of them would marshal.
+type Health struct {
+	Experiments int    `json:"experiments"`
+	Fleets      int    `json:"fleets"`
+	GoVersion   string `json:"go_version"`
+	ModelParams int    `json:"model_params"`
+	// ModelSHA fingerprints the weights the instance computes with (see
+	// fleet.ModelSHA); a coordinator refuses a peer whose ModelSHA is not its
+	// own.
+	ModelSHA    string   `json:"model_sha"`
+	Peers       int      `json:"peers"`
+	Runs        int      `json:"runs"`
+	Runtimes    []string `json:"runtimes"`
+	Status      string   `json:"status"`
+	UptimeSec   int64    `json:"uptime_sec"`
+	VCSRevision string   `json:"vcs_revision,omitempty"`
+}
+
 // Error is the JSON error envelope payload every fleetd endpoint returns:
 // {"error": {"code": ..., "message": ...}}. It implements error, so the
 // client surfaces server-side failures directly.

@@ -34,11 +34,11 @@ type fanOut[Out any] struct {
 
 	// tracer/trace/parent record the coordinator-side lifecycle spans under
 	// the resource's trace. An empty trace (experiment arms) disables span
-	// recording. logf gets the per-dispatch re-probe lines.
+	// recording. probe is the pre-dispatch health and weights check.
 	tracer *obs.Tracer
 	trace  string
 	parent string
-	logf   func(string, ...any)
+	probe  func(context.Context, []*fleetapi.Client) error
 
 	ctx  context.Context
 	stop context.CancelFunc
@@ -75,7 +75,7 @@ func (f *fanOut[Out]) execute() (Out, error) {
 	// a connection error buried inside a shard failure. The probe covers
 	// exactly the peers this sweep would dispatch to.
 	probe := f.tracer.Start(f.trace, f.parent, f.kind+".probe")
-	err := probePeers(f.ctx, f.peers, f.logf)
+	err := f.probe(f.ctx, f.peers)
 	probe.End()
 	if err != nil {
 		return none, err
@@ -158,10 +158,10 @@ type coordExec struct {
 
 // newCoordExec plans one run's shard split. trace may be empty (no span
 // recording).
-func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *coordExec {
+func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *coordExec {
 	c := &coordExec{cfg: cfg}
 	c.fanOut = &fanOut[fleet.Stats]{
-		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, logf: logf,
+		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
 		},
@@ -212,9 +212,9 @@ func (c *coordExec) accumulator() *stability.Accumulator {
 // newCoordFleetExec plans one continuous fleet's shard split. Devices
 // recompute their lifecycle schedules locally from the spec's seed, so the
 // merged report — windows and drift included — needs nothing but the states.
-func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, logf func(string, ...any)) *fanOut[fleet.FleetReport] {
+func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *fanOut[fleet.FleetReport] {
 	f := &fanOut[fleet.FleetReport]{
-		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, tracer: tracer, trace: trace, logf: logf,
+		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, Trace: trace, Parent: parent})
 		},

@@ -76,6 +76,9 @@ type Server struct {
 	// version skew.
 	goVersion   string
 	vcsRevision string
+	// modelSHA is fleet.ModelSHA(factory), computed once, by the first
+	// /healthz or peer probe: never on the New path.
+	modelSHA func() string
 
 	// mu guards the kinds' rings and everything below it.
 	mu          sync.Mutex
@@ -116,6 +119,7 @@ func New(o Options) *Server {
 	s := &Server{
 		factory:      o.Factory,
 		params:       o.ModelParams,
+		modelSHA:     sync.OnceValue(func() string { return fleet.ModelSHA(o.Factory) }),
 		history:      o.History,
 		log:          o.Log,
 		reg:          o.Registry,
@@ -221,25 +225,37 @@ func (s *Server) CancelRuns() {
 }
 
 // ProbePeers checks every peer's /healthz, returning the first failure
-// attributed to its peer by name. A no-op for non-coordinators. cmd/fleetd
-// calls it at startup so a mistyped -peers entry fails fast instead of
-// surfacing minutes later as a mid-run shard error; the coordinator
-// execution path re-probes before every dispatch.
+// attributed to its peer by name: an unhealthy peer, or one whose model_sha
+// is not this instance's. A no-op for non-coordinators. cmd/fleetd calls it
+// at startup so a mistyped -peers entry fails fast instead of surfacing
+// minutes later as a mid-run shard error; the coordinator execution path
+// re-probes before every dispatch.
 func (s *Server) ProbePeers(ctx context.Context) error {
 	// Startup probes log at info (one line per peer with its round-trip
 	// latency — a slow-but-healthy peer is worth noticing before sharding a
 	// fleet onto it); per-run re-probes log at debug to stay out of the way.
-	return probePeers(ctx, s.peers, s.log.Infof)
+	return s.probePeers(ctx, s.peers, s.log.Infof)
 }
 
-// probePeers is the shared health probe behind ProbePeers and the
-// coordinator's pre-dispatch check. logf (never nil; pass a no-op) gets one
-// line per healthy peer with the probe's round-trip latency.
-func probePeers(ctx context.Context, peers []*fleetapi.Client, logf func(string, ...any)) error {
+// reprobe is the coordinator's pre-dispatch check of the peers it is about
+// to dispatch to.
+func (s *Server) reprobe(ctx context.Context, peers []*fleetapi.Client) error {
+	return s.probePeers(ctx, peers, s.log.Debugf)
+}
+
+// probePeers is the health probe behind ProbePeers and reprobe. A peer that
+// computes with other weights would merge its cells into a result that
+// finishes done and is wrong, so it is refused like a dead one. logf gets one
+// line per accepted peer with the probe's round-trip latency.
+func (s *Server) probePeers(ctx context.Context, peers []*fleetapi.Client, logf func(string, ...any)) error {
 	for _, p := range peers {
 		t0 := time.Now()
-		if err := p.Healthz(ctx); err != nil {
+		h, err := p.Healthz(ctx)
+		if err != nil {
 			return fmt.Errorf("peer %s failed health probe: %w", p.BaseURL, err)
+		}
+		if want := s.modelSHA(); h.ModelSHA != want {
+			return fmt.Errorf("peer %s computes with other weights: model_sha %s, this instance's %s", p.BaseURL, h.ModelSHA, want)
 		}
 		logf("peer %s healthy (probe %s)", p.BaseURL, time.Since(t0).Round(time.Microsecond))
 	}
@@ -258,19 +274,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	runs, exps, fleets := len(s.runs.ring), len(s.experiments.ring), len(s.fleets.ring)
 	s.mu.Unlock()
-	body := map[string]any{
-		"status":       "ok",
-		"model_params": s.params,
-		"runtimes":     nn.Runtimes(),
-		"peers":        len(s.peers),
-		"uptime_sec":   int64(time.Since(s.started).Seconds()),
-		"go_version":   s.goVersion,
-		"runs":         runs,
-		"experiments":  exps,
-		"fleets":       fleets,
-	}
-	if s.vcsRevision != "" {
-		body["vcs_revision"] = s.vcsRevision
-	}
-	fleetapi.WriteJSON(w, http.StatusOK, body)
+	fleetapi.WriteJSON(w, http.StatusOK, fleetapi.Health{
+		Status:      "ok",
+		ModelParams: s.params,
+		ModelSHA:    s.modelSHA(),
+		Runtimes:    nn.Runtimes(),
+		Peers:       len(s.peers),
+		UptimeSec:   int64(time.Since(s.started).Seconds()),
+		GoVersion:   s.goVersion,
+		Runs:        runs,
+		Experiments: exps,
+		Fleets:      fleets,
+		VCSRevision: s.vcsRevision,
+	})
 }

@@ -19,11 +19,14 @@ import (
 
 // testServer builds a server around a tiny untrained model; endpoint tests
 // care about the HTTP contract, not accuracy.
-func testServer(history int) *Server {
+func testServer(history int) *Server { return initSeedServer(history, 5) }
+
+// initSeedServer is testServer with the model's weights drawn from seed.
+func initSeedServer(history int, seed int64) *Server {
 	arch := func() *nn.Model {
 		cfg := nn.DefaultConfig(int(dataset.NumClasses))
 		cfg.Width = 0.4
-		return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(5)), cfg)
+		return nn.NewMobileNetV2Micro(rand.New(rand.NewSource(seed)), cfg)
 	}
 	m := arch()
 	return New(Options{Factory: fleet.BackendReplicator(arch, m), ModelParams: m.NumParams(), History: history})
@@ -80,7 +83,7 @@ func TestV1RunLifecycle(t *testing.T) {
 	_, c := v1Fixture(t, 4)
 	ctx := context.Background()
 
-	if err := c.Healthz(ctx); err != nil {
+	if _, err := c.Healthz(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,6 +359,62 @@ func TestCoordinatorPeerFailure(t *testing.T) {
 		t.Fatalf("failed run stats error %+v", e)
 	}
 
+}
+
+// TestPeerWithOtherWeightsIsRefused: one of a coordinator's two peers
+// computes with weights drawn from init seed 6 instead of 5 — the same
+// architecture and parameter count, so nothing but the weights tells it
+// apart. Its cells would merge into a result that ends done and is wrong, so
+// the probe refuses it: a run and a fleet both end failed, and the error
+// names the peer and both digests.
+func TestPeerWithOtherWeightsIsRefused(t *testing.T) {
+	good := httptest.NewServer(testServer(4).Handler())
+	t.Cleanup(good.Close)
+	other := initSeedServer(4, 6)
+	bad := httptest.NewServer(other.Handler())
+	t.Cleanup(bad.Close)
+
+	coord := testServer(4)
+	coord.peers = []*fleetapi.Client{fleetapi.NewClient(good.URL), fleetapi.NewClient(bad.URL)}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	c := fleetapi.NewClient(ts.URL)
+	ours, theirs := coord.modelSHA(), other.modelSHA()
+	if ours == theirs || coord.params != other.params {
+		t.Fatalf("the peers must differ in weights alone: model_sha %s and %s, %d and %d params", ours, theirs, coord.params, other.params)
+	}
+	if h, err := fleetapi.NewClient(bad.URL).Healthz(context.Background()); err != nil || h.ModelSHA != theirs {
+		t.Fatalf("/healthz model_sha %q, %v; want %s", h.ModelSHA, err, theirs)
+	}
+	refused := func(kind, state, msg string) {
+		t.Helper()
+		if state != fleetapi.StateFailed {
+			t.Fatalf("%s over a peer with other weights ended %s: %q", kind, state, msg)
+		}
+		for _, want := range []string{bad.URL, ours, theirs} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s error %q does not name %s", kind, msg, want)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	st, err := c.CreateRun(ctx, testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.WaitRun(ctx, st.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	refused("run", st.State, st.Error)
+	fst, err := c.CreateFleet(ctx, testFleetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fst, err = c.WaitFleet(ctx, fst.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	refused("fleet", fst.State, fst.Error)
 }
 
 // TestCoordinatorCancel checks cancellation parity between execution modes:

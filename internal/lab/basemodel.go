@@ -24,7 +24,9 @@ type BaseModelConfig struct {
 	Width      float64
 }
 
-// DefaultBaseModel is the configuration used by all experiment binaries.
+// DefaultBaseModel is the configuration of the committed snapshot,
+// bench/testdata/base.model, which fleetd, the benchmark and every test that
+// classifies load.
 func DefaultBaseModel() BaseModelConfig {
 	return BaseModelConfig{Seed: 7, TrainItems: 300, Epochs: 6, Width: 1.0}
 }
@@ -46,7 +48,7 @@ func (cfg BaseModelConfig) arch(rng *rand.Rand) *nn.Model {
 	return nn.NewMobileNetV2Micro(rng, mcfg)
 }
 
-// TrainBaseModel trains the stand-in for "MobileNetV2 pre-trained on
+// trainBaseModel trains the stand-in for "MobileNetV2 pre-trained on
 // ImageNet": a micro MobileNetV2 trained on clean renders with photometric
 // augmentation. The returned model is deterministic in cfg.Seed.
 //
@@ -54,7 +56,7 @@ func (cfg BaseModelConfig) arch(rng *rand.Rand) *nn.Model {
 // (splitting it would change every documented result); Arch() reproduces
 // only the initialization prefix of that stream, which is all a snapshot
 // restore needs.
-func TrainBaseModel(cfg BaseModelConfig) *nn.Model {
+func trainBaseModel(cfg BaseModelConfig) *nn.Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := cfg.arch(rng)
 

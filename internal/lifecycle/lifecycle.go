@@ -120,8 +120,9 @@ type Spec struct {
 	Windows int   `json:"windows"`
 	Seed    int64 `json:"seed"`
 	Churn   Churn `json:"churn"`
-	// Events are injected on top of the generated churn — the drift fixtures
-	// of churnsweep and the smoke tests ("upgrade cohort 0's OS at window k").
+	// Events are injected on top of the generated churn — e.g. the drift
+	// fixture of examples/specs/churn.fleet.json ("upgrade cohort 0's OS at
+	// window k").
 	Events []Event `json:"events,omitempty"`
 }
 
