@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fmath"
 	"repro/internal/imaging"
+	"repro/internal/lab"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -19,8 +20,8 @@ import (
 // + pixel buffer when the pool is cold), the recycled codec roundtrip 0, and
 // inference through nn's per-image plan 8 (float32, int8) and 14 (pruned)
 // objects, under 8 KB, whatever the batch — 17 objects when the batch size
-// changes from call to call — where the training forward allocates three
-// batch-sized tensors per layer. The ceilings leave slack only for
+// changes from call to call — where a training step writes batch-sized
+// buffers of every layer's (kept by the layers for the next step). The ceilings leave slack only for
 // pool-refill noise under concurrent GC, so any new per-op allocation — a
 // dropped Into-variant, a fresh rand.Rand, an un-pooled scratch buffer —
 // trips the guard immediately.
@@ -210,6 +211,45 @@ func TestArenaRNGMatchesCellRNG(t *testing.T) {
 			if f, r := fresh.Intn(1<<20), reused.Intn(1<<20); f != r {
 				t.Fatalf("seed %d draw %d: fresh Intn %v, arena %v", seed, i, f, r)
 			}
+		}
+	}
+}
+
+// compileBytesCeiling is what one BackendReplicator call may allocate per
+// runtime at the committed model's width: the architecture with its weights
+// and the compiled program. A model that has never trained carries no
+// gradient storage, about 108 KB of it at this width; the calls measure
+// about 137, 239 and 210 KB.
+var compileBytesCeiling = map[string]uint64{
+	nn.RuntimeFloat32: 160 << 10,
+	nn.RuntimeInt8:    260 << 10,
+	nn.RuntimePruned:  260 << 10,
+}
+
+// TestCompileAllocCeiling pins the bytes a run pays for each runtime it
+// compiles (every run and serve leg compiles its own): the replica of the
+// committed model that BackendReplicator stamps and compiles holds weights
+// only.
+func TestCompileAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	base, err := lab.LoadBaseModel("../../bench/testdata/base.model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := BackendReplicator(lab.DefaultBaseModel().Arch, base)
+	for _, rt := range nn.Runtimes() {
+		factory(rt)
+		const calls = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			factory(rt)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / calls; got > compileBytesCeiling[rt] {
+			t.Errorf("%s: a BackendReplicator call allocates %d KB, ceiling %d KB", rt, got>>10, compileBytesCeiling[rt]>>10)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/device"
 	"repro/internal/imaging"
+	"repro/internal/lab"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/stability"
@@ -253,5 +254,27 @@ func BenchmarkFleetCaptureByCohort(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFinetune times one stable:two-images fine-tune of the committed
+// base model: the corpus capture and two epochs of training on a fresh float32
+// replica, the work a run with a `stable:*` model waits for before its first
+// cell. It is the training yardstick; B/op is what the training step arena is
+// held to.
+func BenchmarkFinetune(b *testing.B) {
+	base, err := lab.LoadBaseModel("../../bench/testdata/base.model")
+	if err != nil {
+		b.Fatal(err)
+	}
+	factory := BackendReplicator(lab.DefaultBaseModel().Arch, base)
+	m, err := parseModel("stable:two-images")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.finetune(float32Replica(factory))
 	}
 }

@@ -49,7 +49,10 @@ type BackendFactory func(runtime string) nn.Backend
 // snapshots the weights once and, per call, stamps them into a fresh
 // architecture and compiles that copy into the requested runtime (float32
 // reference, int8 quantized, or magnitude-pruned), so no backend shares
-// weights with the trained model or with another runtime.
+// weights with the trained model or with another runtime. A replica is
+// weights only: it has never trained, so it carries no gradient and no step
+// buffers, unless it is fine-tuned (a stable model's float32 replica), which
+// gives it its own.
 func BackendReplicator(arch func() *nn.Model, trained *nn.Model) BackendFactory {
 	snap := trained.TakeSnapshot()
 	return func(runtime string) nn.Backend {

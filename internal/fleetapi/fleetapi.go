@@ -158,6 +158,11 @@ type ShardSpec struct {
 	RunSpec
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
+	// ModelSHA is the coordinator's model_sha (see Health.ModelSHA): an
+	// instance whose own differs refuses the shard, whose cells would merge
+	// into a wrong result that ends done. The coordinator always sends it;
+	// empty skips the check.
+	ModelSHA string `json:"model_sha,omitempty"`
 	// Trace and Parent carry the coordinator run's trace context: the
 	// executing instance records its shard.execute span under this trace,
 	// parented onto the coordinator's dispatch span, so a sharded run yields

@@ -78,6 +78,8 @@ type FleetShardSpec struct {
 	FleetSpec
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
+	// ModelSHA is the coordinator's model_sha, checked as in ShardSpec.
+	ModelSHA string `json:"model_sha,omitempty"`
 	// Trace and Parent carry the coordinator's trace context, as in
 	// ShardSpec.
 	Trace  string `json:"trace,omitempty"`

@@ -368,10 +368,40 @@ func TestCoordinatorPeerFailure(t *testing.T) {
 // the probe refuses it: a run and a fleet both end failed, and the error
 // names the peer and both digests.
 func TestPeerWithOtherWeightsIsRefused(t *testing.T) {
+	other := initSeedServer(4, 6)
+	ts := httptest.NewServer(other.Handler())
+	t.Cleanup(ts.Close)
+	if h, err := fleetapi.NewClient(ts.URL).Healthz(context.Background()); err != nil || h.ModelSHA != other.modelSHA() {
+		t.Fatalf("/healthz model_sha %q, %v; want %s", h.ModelSHA, err, other.modelSHA())
+	}
+	refusesPeer(t, other, other.Handler())
+}
+
+// TestPeerSwappedAfterProbeIsRefused: a peer passes the probe and is then
+// swapped for one with other weights — its /healthz answers from a
+// same-weights instance, every other path from an init-seed-6 one. The shard
+// specs carry the coordinator's model_sha, so the swapped peer refuses each
+// shard before admitting it: a run and a fleet both end failed, the error
+// names the peer and both digests, and the other weights start no shard.
+func TestPeerSwappedAfterProbeIsRefused(t *testing.T) {
+	other := initSeedServer(4, 6)
+	swapped := http.NewServeMux()
+	swapped.Handle("/healthz", testServer(4).Handler())
+	swapped.Handle("/", other.Handler())
+	refusesPeer(t, other, swapped)
+	if n := other.reg.Counter(metricShardsStarted).Value(); n != 0 {
+		t.Errorf("the swapped peer admitted %d shards", n)
+	}
+}
+
+// refusesPeer runs a run and a fleet on a coordinator over a same-weights peer
+// and bad, served by handler, and checks that both end failed with an error
+// naming bad's URL, the coordinator's model_sha and other's.
+func refusesPeer(t *testing.T, other *Server, handler http.Handler) {
+	t.Helper()
 	good := httptest.NewServer(testServer(4).Handler())
 	t.Cleanup(good.Close)
-	other := initSeedServer(4, 6)
-	bad := httptest.NewServer(other.Handler())
+	bad := httptest.NewServer(handler)
 	t.Cleanup(bad.Close)
 
 	coord := testServer(4)
@@ -382,9 +412,6 @@ func TestPeerWithOtherWeightsIsRefused(t *testing.T) {
 	ours, theirs := coord.modelSHA(), other.modelSHA()
 	if ours == theirs || coord.params != other.params {
 		t.Fatalf("the peers must differ in weights alone: model_sha %s and %s, %d and %d params", ours, theirs, coord.params, other.params)
-	}
-	if h, err := fleetapi.NewClient(bad.URL).Healthz(context.Background()); err != nil || h.ModelSHA != theirs {
-		t.Fatalf("/healthz model_sha %q, %v; want %s", h.ModelSHA, err, theirs)
 	}
 	refused := func(kind, state, msg string) {
 		t.Helper()

@@ -23,10 +23,12 @@ type BatchNorm struct {
 
 	ch int
 
-	// forward caches (train mode)
+	// training step buffers (see the package comment): train mode's
+	// forward caches, the output and the input gradient
 	xhat    *tensor.Tensor
 	y       *tensor.Tensor // the output, whose clamped entries stop the gradient
 	invStd  []float32
+	dx      *tensor.Tensor
 	n       int
 	hw      int
 	trained bool
@@ -61,7 +63,8 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
-	y := tensor.New(n, bn.ch, h, w)
+	y := tensor.Reuse(bn.y, n, bn.ch, h, w)
+	bn.y = y
 	g := bn.Gamma.W.Data()
 	b := bn.Beta.W.Data()
 
@@ -82,9 +85,8 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	bn.n, bn.hw = n, hw
-	bn.y = y
-	bn.xhat = tensor.New(n, bn.ch, h, w)
-	bn.invStd = make([]float32, bn.ch)
+	bn.xhat = tensor.Reuse(bn.xhat, n, bn.ch, h, w)
+	bn.invStd = resize(bn.invStd, bn.ch)
 	count := float64(n * hw)
 	parallelFor(bn.ch, func(c int) {
 		var sum, sumSq float64
@@ -133,10 +135,11 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	n, hw := bn.n, bn.hw
 	m := float32(n * hw)
-	dx := tensor.New(dy.Shape()...)
+	dx := tensor.Reuse(bn.dx, dy.Shape()...)
+	bn.dx = dx
 	g := bn.Gamma.W.Data()
-	dg := bn.Gamma.G.Data()
-	db := bn.Beta.G.Data()
+	dg := bn.Gamma.Grad().Data()
+	db := bn.Beta.Grad().Data()
 	parallelFor(bn.ch, func(c int) {
 		var sumDy, sumDyXhat float64
 		for i := 0; i < n; i++ {

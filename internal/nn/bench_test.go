@@ -105,7 +105,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m.ZeroGrad()
 			logits, _ := m.Forward(x, true)
-			_, grad := CrossEntropy(logits, labels)
+			_, grad := CrossEntropy(nil, logits, labels)
 			m.Backward(grad, nil)
 		}
 	}

@@ -16,9 +16,19 @@ type Conv2D struct {
 	dims   tensor.ConvDims
 	outC   int
 
-	// forward caches
-	x     *tensor.Tensor
-	panel []float32 // the batch's im2colPlanar panels, one an image; unused by a pointwise layer
+	// training step buffers (see the package comment)
+	x      *tensor.Tensor // forward cache: the input
+	panel  []float32      // forward cache: the batch's im2colPlanar panels, one an image; unused by a pointwise layer
+	y, dx  *tensor.Tensor
+	wt     []float32   // Backward's transposed weights, (k, outC)
+	images []convImage // Backward's per-image transients
+}
+
+// convImage is one image's share of Conv2D.Backward: its transposed panel,
+// then its input gradient before Col2Im, and its weight-gradient partial.
+type convImage struct {
+	buf []float32
+	dw  *tensor.Tensor
 }
 
 // NewConv2D creates a convolution layer. Weights are He-initialized from rng.
@@ -51,7 +61,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		c.panel = make([]float32, n*k*p)
 	}
 
-	y := tensor.New(n, c.outC, outH, outW)
+	y := tensor.Reuse(c.y, n, c.outC, outH, outW)
+	c.y = y
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
 	parallelFor(n, func(i int) {
@@ -90,30 +101,35 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
 
-	dx := tensor.New(n, d.InC, d.InH, d.InW)
-	wt := make([]float32, k*c.outC)
-	transpose(wt, c.Weight.W.Data(), c.outC, k)
-	dws := make([]*tensor.Tensor, n)
+	dx := tensor.Reuse(c.dx, n, d.InC, d.InH, d.InW)
+	c.dx = dx
+	c.wt = resize(c.wt, k*c.outC)
+	transpose(c.wt, c.Weight.W.Data(), c.outC, k)
+	c.images = resize(c.images, n)
 	parallelFor(n, func(i int) {
+		im := &c.images[i]
 		dyi := dy.Data()[i*imgOut : (i+1)*imgOut]
 		// dW_i (outC,k) = dY (outC,p) · panelᵀ (p,k)
-		buf := make([]float32, p*k)
-		transpose(buf, c.planes(i), k, p)
-		dws[i] = tensor.New(c.outC, k)
-		gemm(dws[i].Data(), dyi, buf, c.outC, k, p)
+		im.buf = resize(im.buf, p*k)
+		transpose(im.buf, c.planes(i), k, p)
+		im.dw = tensor.Reuse(im.dw, c.outC, k)
+		gemm(im.dw.Data(), dyi, im.buf, c.outC, k, p)
 		// dcol (k,p) = Wᵀ (k,outC) · dY (outC,p), in im2colPlanar's layout:
 		// a pointwise layer's input gradient as it stands, any other's
-		// scattered back through Col2Im from buf, whose panelᵀ is spent.
+		// scattered back through Col2Im from buf, whose panelᵀ is spent,
+		// onto a cleared image.
 		dxi := dx.Data()[i*imgIn : (i+1)*imgIn]
 		if pointwise(d) {
-			gemm(dxi, wt, dyi, k, p, c.outC)
+			gemm(dxi, c.wt, dyi, k, p, c.outC)
 			return
 		}
-		gemm(buf, wt, dyi, k, p, c.outC)
-		tensor.Col2Im(dxi, buf, d)
+		gemm(im.buf, c.wt, dyi, k, p, c.outC)
+		clear(dxi)
+		tensor.Col2Im(dxi, im.buf, d)
 	})
-	for _, dw := range dws {
-		c.Weight.G.AddScaled(1, dw)
+	g := c.Weight.Grad()
+	for i := range n {
+		g.AddScaled(1, c.images[i].dw)
 	}
 	return dx
 }
@@ -127,11 +143,25 @@ type DepthwiseConv2D struct {
 	stride int
 	pad    int
 
-	x    *tensor.Tensor
-	inH  int
-	inW  int
-	outH int
-	outW int
+	// training step buffers (see the package comment)
+	x          *tensor.Tensor // forward cache: the input
+	inH, inW   int
+	outH, outW int
+	y, dx      *tensor.Tensor
+	fwd, dxOp  *planDepthwise // Forward's op; Backward's input-gradient correlation over turned
+	turned     *tensor.Tensor // the kernels turned 180°, (ch, kh·kw)
+	images     []dwImage      // per-image scratch and Backward transients
+}
+
+// dwImage is one image's share of a DepthwiseConv2D step: the scratch its
+// depthwise ops run in, and Backward's zero-stuffed output gradient with the
+// correlation that reads it as kernels and the weight-gradient partial that
+// correlation writes.
+type dwImage struct {
+	sc   Scratch
+	grid *tensor.Tensor
+	dwOp *planDepthwise
+	dw   *tensor.Tensor
 }
 
 // NewDepthwiseConv2D creates a depthwise convolution with He init.
@@ -156,14 +186,18 @@ func (l *DepthwiseConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.outH = (l.inH+2*l.pad-l.kh)/l.stride + 1
 	l.outW = (l.inW+2*l.pad-l.kw)/l.stride + 1
 
-	y := tensor.New(n, l.ch, l.outH, l.outW)
+	y := tensor.Reuse(l.y, n, l.ch, l.outH, l.outW)
+	l.y = y
 	imgIn := l.ch * l.inH * l.inW
 	imgOut := l.ch * l.outH * l.outW
-	op := &planDepthwise{l: l, epilogue: epilogue{fixed: identityAffine(l.ch)}}
+	if l.fwd == nil {
+		l.fwd = &planDepthwise{l: l, epilogue: epilogue{fixed: identityAffine(l.ch)}}
+	}
+	l.images = resize(l.images, n)
 	parallelFor(n, func(i int) {
 		// A scratch of its own per image: the vector kernel's load masks are
 		// all it keeps there.
-		op.run(new(Scratch), y.Data()[i*imgOut:(i+1)*imgOut], x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
+		l.fwd.run(&l.images[i].sc, y.Data()[i*imgOut:(i+1)*imgOut], x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
 	return y
 }
@@ -184,18 +218,28 @@ func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	n := dy.Dim(0)
 	gh, gw := l.inH+2*l.pad-l.kh+1, l.inW+2*l.pad-l.kw+1
-	imgIn, imgOut, imgGrid := l.ch*l.inH*l.inW, l.ch*l.outH*l.outW, l.ch*gh*gw
+	imgIn, imgOut := l.ch*l.inH*l.inW, l.ch*l.outH*l.outW
 	kk := l.kh * l.kw
-	turned := l.Weight.W.Clone()
-	for c := 0; c < l.ch; c++ {
-		slices.Reverse(turned.Data()[c*kk : (c+1)*kk])
+	if l.turned == nil {
+		l.turned = tensor.New(l.ch, kk)
+		l.dxOp = correlation(l.turned, l.kh, l.kw, l.kh-1-l.pad)
 	}
-	dxOp := correlation(turned, l.kh, l.kw, l.kh-1-l.pad)
-	dx := tensor.New(n, l.ch, l.inH, l.inW)
-	grids := make([]float32, n*imgGrid)
-	dws := make([]*tensor.Tensor, n)
+	turned := l.turned.Data()
+	copy(turned, l.Weight.W.Data())
+	for c := 0; c < l.ch; c++ {
+		slices.Reverse(turned[c*kk : (c+1)*kk])
+	}
+	dx := tensor.Reuse(l.dx, n, l.ch, l.inH, l.inW)
+	l.dx = dx
+	l.images = resize(l.images, n)
 	parallelFor(n, func(i int) {
-		grid := grids[i*imgGrid : (i+1)*imgGrid]
+		im := &l.images[i]
+		if im.dwOp == nil || im.dwOp.l.kh != gh || im.dwOp.l.kw != gw {
+			im.grid = tensor.New(l.ch, gh*gw)
+			im.dwOp = correlation(im.grid, gh, gw, l.pad)
+		}
+		grid := im.grid.Data()
+		clear(grid)
 		g := dy.Data()[i*imgOut:]
 		for row := 0; row < l.ch*l.outH; row++ {
 			dst := grid[(row/l.outH*gh+row%l.outH*l.stride)*gw:]
@@ -203,14 +247,13 @@ func (l *DepthwiseConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				dst[ox*l.stride] = v
 			}
 		}
-		sc := new(Scratch)
-		dxOp.run(sc, dx.Data()[i*imgIn:(i+1)*imgIn], grid, l.ch, gh, gw)
-		dws[i] = tensor.New(l.ch, kk)
-		dwOp := correlation(tensor.NewFrom(grid, l.ch, gh*gw), gh, gw, l.pad)
-		dwOp.run(sc, dws[i].Data(), l.x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
+		l.dxOp.run(&im.sc, dx.Data()[i*imgIn:(i+1)*imgIn], grid, l.ch, gh, gw)
+		im.dw = tensor.Reuse(im.dw, l.ch, kk)
+		im.dwOp.run(&im.sc, im.dw.Data(), l.x.Data()[i*imgIn:(i+1)*imgIn], l.ch, l.inH, l.inW)
 	})
-	for _, dw := range dws {
-		l.Weight.G.AddScaled(1, dw)
+	g := l.Weight.Grad()
+	for i := range n {
+		g.AddScaled(1, l.images[i].dw)
 	}
 	return dx
 }

@@ -14,7 +14,12 @@ type Dense struct {
 	ReLU         bool
 	in, out      int
 
+	// training step buffers (see the package comment)
 	x, y *tensor.Tensor // forward caches: the input, and the output the rectifier masks by
+	dyr  *tensor.Tensor // the output gradient through the rectifier
+	dyT  []float32
+	dw   *tensor.Tensor // the weight gradient before it is added to Weight's
+	dx   *tensor.Tensor
 }
 
 // NewDense creates a dense layer with He-initialized weights and zero bias.
@@ -39,7 +44,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense %s: input width %d want %d", d.Weight.Name, x.Dim(1), d.in))
 	}
 	d.x = x
-	d.y = denseInfer(nil, x, d)
+	d.y = denseInfer(d.y, x, d)
 	return d.y
 }
 
@@ -53,7 +58,9 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if d.ReLU {
 		// The rectifier passes the gradient only where the output is
 		// positive.
-		dy = dy.Clone()
+		d.dyr = tensor.Reuse(d.dyr, dy.Shape()...)
+		d.dyr.Copy(dy)
+		dy = d.dyr
 		for i, o := range d.y.Data() {
 			if o <= 0 {
 				dy.Data()[i] = 0
@@ -61,13 +68,13 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dW (out,in) = dYᵀ (out,N) · X (N,in)
-	dyT := make([]float32, d.out*n)
-	transpose(dyT, dy.Data(), n, d.out)
-	dw := tensor.New(d.out, d.in)
-	gemm(dw.Data(), dyT, d.x.Data(), d.out, d.in, n)
-	d.Weight.G.AddScaled(1, dw)
+	d.dyT = resize(d.dyT, d.out*n)
+	transpose(d.dyT, dy.Data(), n, d.out)
+	d.dw = tensor.Reuse(d.dw, d.out, d.in)
+	gemm(d.dw.Data(), d.dyT, d.x.Data(), d.out, d.in, n)
+	d.Weight.Grad().AddScaled(1, d.dw)
 	// db = column sums of dY
-	db := d.Bias.G.Data()
+	db := d.Bias.Grad().Data()
 	for i := 0; i < n; i++ {
 		row := dy.Data()[i*d.out : (i+1)*d.out]
 		for j, v := range row {
@@ -75,7 +82,7 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dX (N,in) = dY (N,out) · W (out,in)
-	dx := tensor.New(n, d.in)
-	gemm(dx.Data(), dy.Data(), d.Weight.W.Data(), n, d.in, d.out)
-	return dx
+	d.dx = tensor.Reuse(d.dx, n, d.in)
+	gemm(d.dx.Data(), dy.Data(), d.Weight.W.Data(), n, d.in, d.out)
+	return d.dx
 }

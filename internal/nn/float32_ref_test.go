@@ -221,7 +221,7 @@ func TestInferNeverStale(t *testing.T) {
 	sameBits64(t, "before training", before, refModelInfer(m, x))
 
 	logits, _ := m.Forward(fixedBatch(6, 53), true)
-	_, grad := CrossEntropy(logits, []int{0, 1, 2, 3, 4, 5})
+	_, grad := CrossEntropy(nil, logits, []int{0, 1, 2, 3, 4, 5})
 	m.ZeroGrad()
 	m.Backward(grad, nil)
 	NewSGD(0.05, 0, 0).Step(m.Params())

@@ -59,8 +59,8 @@ func checkLayerGrad(t *testing.T, name string, layer Layer, x *tensor.Tensor, to
 	compareGrads(t, name+" input", dx.Data(), numDX, tol)
 
 	for pi, p := range layer.Params() {
-		analytic := make([]float32, p.G.Len())
-		copy(analytic, p.G.Data())
+		analytic := make([]float32, p.Grad().Len())
+		copy(analytic, p.Grad().Data())
 		numeric := numericalGrad(func(*tensor.Tensor) *tensor.Tensor {
 			return layer.Forward(x, true)
 		}, p.W, w, 1e-2)
@@ -207,14 +207,14 @@ func TestCrossEntropyGradient(t *testing.T) {
 	logits := tensor.New(4, 5)
 	logits.RandNormal(rng, 1.5)
 	labels := []int{0, 3, 2, 4}
-	_, grad := CrossEntropy(logits, labels)
+	_, grad := CrossEntropy(nil, logits, labels)
 	eps := float32(1e-2)
 	for i := 0; i < logits.Len(); i++ {
 		orig := logits.Data()[i]
 		logits.Data()[i] = orig + eps
-		up, _ := CrossEntropy(logits, labels)
+		up, _ := CrossEntropy(nil, logits, labels)
 		logits.Data()[i] = orig - eps
-		down, _ := CrossEntropy(logits, labels)
+		down, _ := CrossEntropy(nil, logits, labels)
 		logits.Data()[i] = orig
 		numeric := float32((up - down) / (2 * float64(eps)))
 		if absf32(grad.Data()[i]-numeric) > 5e-3 {
@@ -229,15 +229,15 @@ func TestKLStabilityGradient(t *testing.T) {
 	zp := tensor.New(3, 4)
 	z.RandNormal(rng, 1)
 	zp.RandNormal(rng, 1)
-	_, dz, dzp := KLStability(z, zp)
+	_, dz, dzp := KLStability(nil, nil, z, zp)
 	eps := float32(1e-2)
 	check := func(target *tensor.Tensor, analytic *tensor.Tensor, name string) {
 		for i := 0; i < target.Len(); i++ {
 			orig := target.Data()[i]
 			target.Data()[i] = orig + eps
-			up, _, _ := KLStability(z, zp)
+			up, _, _ := KLStability(nil, nil, z, zp)
 			target.Data()[i] = orig - eps
-			down, _, _ := KLStability(z, zp)
+			down, _, _ := KLStability(nil, nil, z, zp)
 			target.Data()[i] = orig
 			numeric := float32((up - down) / (2 * float64(eps)))
 			if absf32(analytic.Data()[i]-numeric) > 5e-3 {
@@ -255,15 +255,15 @@ func TestEmbeddingL2Gradient(t *testing.T) {
 	ep := tensor.New(3, 5)
 	e.RandNormal(rng, 1)
 	ep.RandNormal(rng, 1)
-	_, de, dep := EmbeddingL2(e, ep)
+	_, de, dep := EmbeddingL2(nil, nil, e, ep)
 	eps := float32(1e-3)
 	check := func(target, analytic *tensor.Tensor, name string) {
 		for i := 0; i < target.Len(); i++ {
 			orig := target.Data()[i]
 			target.Data()[i] = orig + eps
-			up, _, _ := EmbeddingL2(e, ep)
+			up, _, _ := EmbeddingL2(nil, nil, e, ep)
 			target.Data()[i] = orig - eps
-			down, _, _ := EmbeddingL2(e, ep)
+			down, _, _ := EmbeddingL2(nil, nil, e, ep)
 			target.Data()[i] = orig
 			numeric := float32((up - down) / (2 * float64(eps)))
 			if absf32(analytic.Data()[i]-numeric) > 1e-2 {
@@ -285,14 +285,14 @@ func TestModelEndToEndGradientDirection(t *testing.T) {
 	labels := []int{0, 1, 2, 0, 1, 2}
 
 	logits, _ := m.Forward(x, true)
-	before, grad := CrossEntropy(logits, labels)
+	before, grad := CrossEntropy(nil, logits, labels)
 	m.ZeroGrad()
 	m.Backward(grad, nil)
 	opt := NewSGD(0.05, 0, 0)
 	opt.Step(m.Params())
 
 	logits2, _ := m.Forward(x, true)
-	after, _ := CrossEntropy(logits2, labels)
+	after, _ := CrossEntropy(nil, logits2, labels)
 	if !(after < before) {
 		t.Fatalf("SGD step did not reduce loss: before %v after %v", before, after)
 	}

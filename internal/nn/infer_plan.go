@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -150,7 +151,7 @@ func (p *inferPlan) features(sc *Scratch, x *tensor.Tensor) *tensor.Tensor {
 		sc.affines[i].eval(bn, bn.ReLU6)
 	}
 	outLen := sc.size(p, inC, inH, inW)
-	sc.feat = reuseTensor(sc.feat, n, outLen)
+	sc.feat = tensor.Reuse(sc.feat, n, outLen)
 
 	imgLen := inC * inH * inW
 	for i := 0; i < n; i++ {
@@ -220,20 +221,10 @@ func (sc *Scratch) panel(n int) []int8 {
 	return sc.qpanel[:n]
 }
 
-// reuseTensor returns t when it already has shape (n, width), otherwise a
-// freshly allocated tensor: the (N, width) head tensors are rewritten in full
-// on every call, so the previous call's can be reused.
-func reuseTensor(t *tensor.Tensor, n, width int) *tensor.Tensor {
-	if t != nil && t.Rank() == 2 && t.Dim(0) == n && t.Dim(1) == width {
-		return t
-	}
-	return tensor.New(n, width)
-}
-
 // probs returns the softmax of the scratch's logits in the Backend wire
 // shape, the one slice an Infer call allocates.
 func (sc *Scratch) probs() []float64 {
-	sc.prob = softmaxInto(reuseTensor(sc.prob, sc.logits.Dim(0), sc.logits.Dim(1)), sc.logits)
+	sc.prob = softmaxInto(tensor.Reuse(sc.prob, sc.logits.Dim(0), sc.logits.Dim(1)), sc.logits)
 	return flatProbs(sc.prob)
 }
 
@@ -422,9 +413,19 @@ func gemmBN(dst, w, a []float32, outC, p, k int, scale, shift []float32, relu6 b
 // sum is never -0, so a ±0 product leaves it unchanged: skipping zero
 // operands could not change a bit, and gemm does not.
 func gemm(dst, w, a []float32, m, p, k int) {
-	id := identityAffine(m)
-	gemmBN(dst, w, a, m, p, k, id.scale, id.shift, false)
+	id := identities.Load()
+	if id == nil || len(id.scale) < m {
+		id = identityAffine(m)
+		identities.Store(id)
+	}
+	gemmBN(dst, w, a, m, p, k, id.scale[:m], id.shift[:m], false)
 }
+
+// identities is the widest identity epilogue gemm has built, read-only once
+// stored, so a training step's thousands of products build none. Two callers
+// that grow it at once each run on their own; the narrower store is grown
+// again by the next caller that needs more.
+var identities atomic.Pointer[bnAffine]
 
 // transpose writes the (cols, rows) transpose of the row-major (rows, cols)
 // matrix src into dst.
@@ -611,7 +612,7 @@ func denseInfer(y, x *tensor.Tensor, d *Dense) *tensor.Tensor {
 	if x.Dim(1) != d.in {
 		panic("nn: Infer: " + d.Weight.Name + ": input width mismatch")
 	}
-	y = reuseTensor(y, n, d.out)
+	y = tensor.Reuse(y, n, d.out)
 	wt, b := d.Weight.W.Data(), d.Bias.W.Data()
 	for i := 0; i < n; i++ {
 		xi := x.Data()[i*d.in : (i+1)*d.in]

@@ -4,17 +4,26 @@
 // embedding tap, optimizers, and the classification / stability losses used
 // by the paper's fine-tuning experiments.
 //
-// Layers operate on batched NCHW tensors, cache their forward activations
-// internally, and expose explicit Backward passes; there is no tape-based
-// autograd. No layer is an activation on its own: a BatchNorm ends in ReLU6
-// and a Dense in ReLU when its flag is set, in training as in the fused
-// inference ops. Training is single-model, with batch-level parallelism inside
-// the heavy layers. There is one set of float32 kernels: the layers' Forward
-// and the inference plan (infer_plan.go) both run gemmBN, im2colPlanar, the
-// depthwise op, the pool and denseInfer, and every convolution and pooling
-// product of backward runs on them too (gemmBN for Conv2D and Dense, the
-// depthwise op for DepthwiseConv2D). Their Go bodies round every product
-// before adding it so that no architecture fuses the two.
+// Layers operate on batched NCHW tensors and expose explicit Backward passes;
+// there is no tape-based autograd. What a training step writes lives in the
+// layers that write it, as what an Infer call writes lives in its Scratch:
+// each layer keeps its output, the forward caches its Backward reads, its
+// input gradient and its backward transients in buffers of its own, which
+// the first step allocates and every later step rewrites (tensor.Reuse
+// re-slices them for a smaller batch). A tensor a layer returns is its own,
+// valid until the layer's next Forward (an output) or Backward (an input
+// gradient); a caller that keeps one longer clones it. A parameter's gradient
+// is training state too: a model that has never run Backward owns none, so a
+// compiled runtime carries weights only. No layer is an activation on its
+// own: a BatchNorm ends in ReLU6 and a Dense in ReLU when its flag is set, in
+// training as in the fused inference ops. Training is single-model, with
+// batch-level parallelism inside the heavy layers; models train concurrently,
+// each in its own buffers. There is one set of float32 kernels: the layers'
+// Forward and the inference plan (infer_plan.go) both run gemmBN,
+// im2colPlanar, the depthwise op, the pool and denseInfer, and every
+// convolution and pooling product of backward runs on them too (gemmBN for
+// Conv2D and Dense, the depthwise op for DepthwiseConv2D). Their Go bodies
+// round every product before adding it so that no architecture fuses the two.
 package nn
 
 import (
@@ -27,22 +36,39 @@ import (
 	"repro/internal/tensor"
 )
 
-// Param is a trainable parameter with its gradient accumulator.
+// Param is a trainable parameter: its weights and, once it has trained, its
+// gradient accumulator. The accumulator is allocated by the first Grad call —
+// the first Backward or optimizer step — and nothing else allocates it:
+// construction, Restore, ZeroGrad and TakeSnapshot leave a parameter that
+// never trained with weights only.
 type Param struct {
 	Name string
 	W    *tensor.Tensor // weights
-	G    *tensor.Tensor // gradient, same shape as W
+	g    *tensor.Tensor // gradient, W's shape; nil until the first Grad
 }
 
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: tensor.New(shape...), G: tensor.New(shape...)}
+	return &Param{Name: name, W: tensor.New(shape...)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// Grad returns the gradient accumulator, allocated zeroed on first use.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.g == nil {
+		p.g = tensor.New(p.W.Shape()...)
+	}
+	return p.g
+}
+
+// ZeroGrad clears the gradient accumulator, if the parameter has one.
+func (p *Param) ZeroGrad() {
+	if p.g != nil {
+		p.g.Zero()
+	}
+}
 
 // Layer is a differentiable module. Forward caches whatever Backward needs;
-// calling Backward before Forward is a programming error and panics.
+// calling Backward before Forward is a programming error and panics. Both
+// return a tensor of the layer's own (see the package comment).
 type Layer interface {
 	// Forward computes the layer output for a batch. train selects
 	// training-time behaviour (e.g. batch statistics in BatchNorm).

@@ -430,9 +430,9 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 							want, cols := refConv(c, x)
 							sameBits32(t, fmt.Sprintf("conv %s train %v", name, train), c.Forward(x, train).Data(), want.Data())
 							dy := refLayerInput(rng, want.Shape()...)
-							c.Weight.G.Zero()
+							c.Weight.ZeroGrad()
 							dx := c.Backward(dy)
-							sameBits32(t, fmt.Sprintf("conv dW %s train %v", name, train), c.Weight.G.Data(), refConvGrad(c, cols, dy))
+							sameBits32(t, fmt.Sprintf("conv dW %s train %v", name, train), c.Weight.Grad().Data(), refConvGrad(c, cols, dy))
 							sameBits32(t, fmt.Sprintf("conv dx %s train %v", name, train), dx.Data(), refConvInputGrad(c, x, dy))
 
 							dw := NewDepthwiseConv2D(rng, "dw", 5, k, stride, pad)
@@ -441,9 +441,9 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 							sameBits32(t, fmt.Sprintf("depthwise %s train %v", name, train), dw.Forward(xd, train).Data(), yd.Data())
 							dyd := refLayerInput(rng, yd.Shape()...)
 							wantDW, wantDX := refDepthwiseGrads(dw, xd, dyd)
-							dw.Weight.G.Zero()
+							dw.Weight.ZeroGrad()
 							dxd := dw.Backward(dyd)
-							sameBits32(t, fmt.Sprintf("depthwise dW %s train %v", name, train), dw.Weight.G.Data(), wantDW)
+							sameBits32(t, fmt.Sprintf("depthwise dW %s train %v", name, train), dw.Weight.Grad().Data(), wantDW)
 							sameBits32(t, fmt.Sprintf("depthwise dx %s train %v", name, train), dxd.Data(), wantDX)
 						}
 					}
@@ -463,9 +463,9 @@ func TestLayerForwardMatchesReference(t *testing.T) {
 				want, cols := refConv(c, x)
 				sameBits32(t, fmt.Sprintf("%s conv tiles %dx%d", path, k, k), c.Forward(x, true).Data(), want.Data())
 				dy := refLayerInput(rng, want.Shape()...)
-				c.Weight.G.Zero()
+				c.Weight.ZeroGrad()
 				dx := c.Backward(dy)
-				sameBits32(t, fmt.Sprintf("%s conv tiles dW %dx%d", path, k, k), c.Weight.G.Data(), refConvGrad(c, cols, dy))
+				sameBits32(t, fmt.Sprintf("%s conv tiles dW %dx%d", path, k, k), c.Weight.Grad().Data(), refConvGrad(c, cols, dy))
 				sameBits32(t, fmt.Sprintf("%s conv tiles dx %dx%d", path, k, k), dx.Data(), refConvInputGrad(c, x, dy))
 			}
 		})
@@ -491,9 +491,9 @@ func checkDenseLayer(t *testing.T, name string, rng *rand.Rand, n, in, out int, 
 	sameBits32(t, name, d.Forward(x, train).Data(), refDense(d, x).Data())
 	dy := refLayerInput(rng, n, out)
 	wantDW, wantDX := refDenseGrads(d, x, dy)
-	d.Weight.G.Zero()
+	d.Weight.ZeroGrad()
 	dx := d.Backward(dy)
-	sameBits32(t, name+" dW", d.Weight.G.Data(), wantDW)
+	sameBits32(t, name+" dW", d.Weight.Grad().Data(), wantDW)
 	sameBits32(t, name+" dx", dx.Data(), wantDX)
 }
 
@@ -556,8 +556,8 @@ func TestBatchNormTrainMatchesReference(t *testing.T) {
 					bn.Gamma.ZeroGrad()
 					bn.Beta.ZeroGrad()
 					sameBits32(t, name+" dx", bn.Backward(dy).Data(), wantDX)
-					sameBits32(t, name+" dgamma", bn.Gamma.G.Data(), wantDG)
-					sameBits32(t, name+" dbeta", bn.Beta.G.Data(), wantDB)
+					sameBits32(t, name+" dgamma", bn.Gamma.Grad().Data(), wantDG)
+					sameBits32(t, name+" dbeta", bn.Beta.Grad().Data(), wantDB)
 				}
 			}
 		})

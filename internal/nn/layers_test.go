@@ -35,7 +35,7 @@ func TestReLU6Clipping(t *testing.T) {
 	}
 	bn.Beta.ZeroGrad()
 	bn.Backward(tensor.NewFrom([]float32{1, 1, 1, 1, 1}, 5, 1, 1, 1))
-	if db := bn.Beta.G.Data()[0]; db != 2 {
+	if db := bn.Beta.Grad().Data()[0]; db != 2 {
 		t.Fatalf("dbeta = %v, want 2: the gradient passes at the two unclamped outputs only", db)
 	}
 }
@@ -57,8 +57,8 @@ func TestReLUBasic(t *testing.T) {
 		t.Fatalf("ReLU input grad %v, want 5 (the one passing output's weight)", dx.Data())
 	}
 	for i, want := range []float32{0, 0, 1} {
-		if d.Weight.G.Data()[i] != want || d.Bias.G.Data()[i] != want {
-			t.Fatalf("ReLU grad %d: weight %v bias %v, want %v", i, d.Weight.G.Data()[i], d.Bias.G.Data()[i], want)
+		if d.Weight.Grad().Data()[i] != want || d.Bias.Grad().Data()[i] != want {
+			t.Fatalf("ReLU grad %d: weight %v bias %v, want %v", i, d.Weight.Grad().Data()[i], d.Bias.Grad().Data()[i], want)
 		}
 	}
 }
@@ -214,7 +214,7 @@ func TestKLStabilityZeroForIdenticalInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	z := tensor.New(3, 4)
 	z.RandNormal(rng, 1)
-	loss, dz, dzp := KLStability(z, z.Clone())
+	loss, dz, dzp := KLStability(nil, nil, z, z.Clone())
 	if loss > 1e-8 {
 		t.Fatalf("KL(p‖p) = %v, want 0", loss)
 	}
@@ -230,7 +230,7 @@ func TestKLStabilityNonNegative(t *testing.T) {
 		zp := tensor.New(2, 5)
 		z.RandNormal(rng, 2)
 		zp.RandNormal(rng, 2)
-		loss, _, _ := KLStability(z, zp)
+		loss, _, _ := KLStability(nil, nil, z, zp)
 		return loss >= -1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -242,7 +242,7 @@ func TestEmbeddingL2ZeroForIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	e := tensor.New(2, 4)
 	e.RandNormal(rng, 1)
-	loss, _, _ := EmbeddingL2(e, e.Clone())
+	loss, _, _ := EmbeddingL2(nil, nil, e, e.Clone())
 	if loss != 0 {
 		t.Fatalf("‖e−e‖² = %v, want 0", loss)
 	}
@@ -273,7 +273,7 @@ func TestCrossEntropyPanics(t *testing.T) {
 				t.Fatal("label count mismatch must panic")
 			}
 		}()
-		CrossEntropy(z, []int{0})
+		CrossEntropy(nil, z, []int{0})
 	}()
 	func() {
 		defer func() {
@@ -281,16 +281,16 @@ func TestCrossEntropyPanics(t *testing.T) {
 				t.Fatal("label out of range must panic")
 			}
 		}()
-		CrossEntropy(z, []int{0, 5})
+		CrossEntropy(nil, z, []int{0, 5})
 	}()
 }
 
 func TestSGDMomentumConverges(t *testing.T) {
 	// Minimize f(w) = (w-3)² with momentum SGD.
-	p := &Param{Name: "w", W: tensor.New(1), G: tensor.New(1)}
+	p := &Param{Name: "w", W: tensor.New(1)}
 	opt := NewSGD(0.1, 0.9, 0)
 	for i := 0; i < 200; i++ {
-		p.G.Data()[0] = 2 * (p.W.Data()[0] - 3)
+		p.Grad().Data()[0] = 2 * (p.W.Data()[0] - 3)
 		opt.Step([]*Param{p})
 	}
 	if math.Abs(float64(p.W.Data()[0])-3) > 1e-3 {
@@ -299,7 +299,7 @@ func TestSGDMomentumConverges(t *testing.T) {
 }
 
 func TestWeightDecayShrinksWeights(t *testing.T) {
-	p := &Param{Name: "w", W: tensor.New(1), G: tensor.New(1)}
+	p := &Param{Name: "w", W: tensor.New(1)}
 	p.W.Data()[0] = 1
 	opt := NewSGD(0.1, 0, 0.5)
 	opt.Step([]*Param{p}) // grad 0, decay pulls toward 0
@@ -309,22 +309,22 @@ func TestWeightDecayShrinksWeights(t *testing.T) {
 }
 
 func TestClipGradNorm(t *testing.T) {
-	p := &Param{Name: "w", W: tensor.New(2), G: tensor.NewFrom([]float32{3, 4}, 2)}
+	p := &Param{Name: "w", W: tensor.New(2), g: tensor.NewFrom([]float32{3, 4}, 2)}
 	norm := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-6 {
 		t.Fatalf("pre-clip norm %v, want 5", norm)
 	}
 	var after float64
-	for _, g := range p.G.Data() {
+	for _, g := range p.Grad().Data() {
 		after += float64(g) * float64(g)
 	}
 	if math.Abs(math.Sqrt(after)-1) > 1e-4 {
 		t.Fatalf("post-clip norm %v, want 1", math.Sqrt(after))
 	}
 	// Below-threshold gradients untouched.
-	p2 := &Param{Name: "w", W: tensor.New(1), G: tensor.NewFrom([]float32{0.5}, 1)}
+	p2 := &Param{Name: "w", W: tensor.New(1), g: tensor.NewFrom([]float32{0.5}, 1)}
 	ClipGradNorm([]*Param{p2}, 1)
-	if p2.G.Data()[0] != 0.5 {
+	if p2.Grad().Data()[0] != 0.5 {
 		t.Fatal("clip modified an in-budget gradient")
 	}
 }
@@ -383,6 +383,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	x := tensor.New(2, 3, 16, 16)
 	x.RandNormal(rng, 0.5)
 	before, _ := m.Forward(x, false)
+	before = before.Clone() // the next Forward rewrites the head's output
 	snap := m.TakeSnapshot()
 
 	// Perturb everything.
@@ -452,11 +453,11 @@ func TestZeroGrad(t *testing.T) {
 	x := tensor.New(2, 3, 16, 16)
 	x.RandNormal(rng, 0.5)
 	logits, _ := m.Forward(x, true)
-	_, grad := CrossEntropy(logits, []int{0, 1})
+	_, grad := CrossEntropy(nil, logits, []int{0, 1})
 	m.Backward(grad, nil)
 	var nonzero bool
 	for _, p := range m.Params() {
-		if p.G.MaxAbs() > 0 {
+		if p.Grad().MaxAbs() > 0 {
 			nonzero = true
 		}
 	}
@@ -465,7 +466,7 @@ func TestZeroGrad(t *testing.T) {
 	}
 	m.ZeroGrad()
 	for _, p := range m.Params() {
-		if p.G.MaxAbs() != 0 {
+		if p.Grad().MaxAbs() != 0 {
 			t.Fatalf("ZeroGrad left gradient in %s", p.Name)
 		}
 	}

@@ -42,24 +42,24 @@ func softmaxInto(p, logits *tensor.Tensor) *tensor.Tensor {
 // CrossEntropy computes the mean cross-entropy loss over a batch of logits
 // (N,K) with integer labels, and the gradient with respect to the logits
 // ((softmax − onehot)/N), which is what the classification head backpropagates.
-func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
+// The gradient is written into grad's storage (tensor.Reuse; nil allocates),
+// where the softmax is computed first.
+func CrossEntropy(grad, logits *tensor.Tensor, labels []int) (loss float64, _ *tensor.Tensor) {
 	checkRank(logits, 2, "CrossEntropy")
 	n, k := logits.Dim(0), logits.Dim(1)
 	if len(labels) != n {
 		panic("nn: CrossEntropy labels length mismatch")
 	}
-	p := Softmax(logits)
-	grad = tensor.New(n, k)
+	grad = softmaxInto(tensor.Reuse(grad, n, k), logits)
 	invN := 1 / float32(n)
 	for i := 0; i < n; i++ {
-		row := p.Data()[i*k : (i+1)*k]
 		g := grad.Data()[i*k : (i+1)*k]
 		y := labels[i]
 		if y < 0 || y >= k {
 			panic("nn: CrossEntropy label out of range")
 		}
-		loss += -math.Log(math.Max(float64(row[y]), 1e-12))
-		for j, v := range row {
+		loss += -math.Log(math.Max(float64(g[y]), 1e-12))
+		for j, v := range g {
 			g[j] = v * invN
 		}
 		g[y] -= invN
@@ -74,28 +74,27 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tens
 //	Ls = mean_i KL(P(y|x_i) ‖ P(y|x'_i))
 //
 // It returns the mean loss and gradients with respect to both logit tensors
-// (already divided by the batch size). Gradients flow through both branches,
-// matching the paper's training setup where the noisy image is a second
-// input to the same weights.
-func KLStability(z, zp *tensor.Tensor) (loss float64, dz, dzp *tensor.Tensor) {
+// (already divided by the batch size), written into dz's and dzp's storage
+// (tensor.Reuse; nil allocates), where the two softmaxes are computed first.
+// Gradients flow through both branches, matching the paper's training setup
+// where the noisy image is a second input to the same weights.
+func KLStability(dz, dzp, z, zp *tensor.Tensor) (loss float64, _, _ *tensor.Tensor) {
 	checkRank(z, 2, "KLStability")
 	n, k := z.Dim(0), z.Dim(1)
 	if zp.Dim(0) != n || zp.Dim(1) != k {
 		panic("nn: KLStability shape mismatch")
 	}
-	p := Softmax(z)
-	q := Softmax(zp)
-	dz = tensor.New(n, k)
-	dzp = tensor.New(n, k)
+	dz = softmaxInto(tensor.Reuse(dz, n, k), z)
+	dzp = softmaxInto(tensor.Reuse(dzp, n, k), zp)
 	invN := 1 / float32(n)
+	lr := make([]float32, k)
 	for i := 0; i < n; i++ {
-		pr := p.Data()[i*k : (i+1)*k]
-		qr := q.Data()[i*k : (i+1)*k]
-		gz := dz.Data()[i*k : (i+1)*k]
-		gzp := dzp.Data()[i*k : (i+1)*k]
+		// pr and qr are the row's probabilities until the gradients
+		// overwrite them, each entry after its last read.
+		pr, gz := dz.Data()[i*k:(i+1)*k], dz.Data()[i*k:(i+1)*k]
+		qr, gzp := dzp.Data()[i*k:(i+1)*k], dzp.Data()[i*k:(i+1)*k]
 		// log-ratio terms and the row loss
 		var rowLoss float64
-		lr := make([]float32, k)
 		for j := range pr {
 			pj := math.Max(float64(pr[j]), 1e-12)
 			qj := math.Max(float64(qr[j]), 1e-12)
@@ -123,15 +122,15 @@ func KLStability(z, zp *tensor.Tensor) (loss float64, dz, dzp *tensor.Tensor) {
 
 // EmbeddingL2 computes the squared Euclidean embedding-distance stability
 // loss mean_i ‖f(x_i) − f(x'_i)‖² and its gradients with respect to both
-// embedding tensors (shape (N,D)).
-func EmbeddingL2(e, ep *tensor.Tensor) (loss float64, de, dep *tensor.Tensor) {
+// embedding tensors (shape (N,D)), written into de's and dep's storage
+// (tensor.Reuse; nil allocates).
+func EmbeddingL2(de, dep, e, ep *tensor.Tensor) (loss float64, _, _ *tensor.Tensor) {
 	checkRank(e, 2, "EmbeddingL2")
 	n, d := e.Dim(0), e.Dim(1)
 	if ep.Dim(0) != n || ep.Dim(1) != d {
 		panic("nn: EmbeddingL2 shape mismatch")
 	}
-	de = tensor.New(n, d)
-	dep = tensor.New(n, d)
+	de, dep = tensor.Reuse(de, n, d), tensor.Reuse(dep, n, d)
 	invN := 1 / float32(n)
 	for i := 0; i < n*d; i++ {
 		diff := e.Data()[i] - ep.Data()[i]

@@ -30,7 +30,7 @@ func (s *SGD) Step(params []*Param) {
 			s.velocity[p] = v
 		}
 		w := p.W.Data()
-		g := p.G.Data()
+		g := p.Grad().Data()
 		for i := range w {
 			grad := g[i] + float32(wd*w[i])
 			v[i] = float32(mu*v[i]) + grad
@@ -45,13 +45,13 @@ func (s *SGD) Step(params []*Param) {
 func ClipGradNorm(params []*Param, max float64) float64 {
 	var ss float64
 	for _, p := range params {
-		ss += p.G.SumSquares()
+		ss += p.Grad().SumSquares()
 	}
 	norm := math.Sqrt(ss)
 	if norm > max && norm > 0 {
 		scale := float32(max / norm)
 		for _, p := range params {
-			p.G.Scale(scale)
+			p.Grad().Scale(scale)
 		}
 	}
 	return norm

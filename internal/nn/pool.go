@@ -6,7 +6,8 @@ import (
 
 // GlobalAvgPool reduces (N,C,H,W) to (N,C) by spatial averaging.
 type GlobalAvgPool struct {
-	h, w int
+	h, w  int
+	y, dx *tensor.Tensor // training step buffers (see the package comment)
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -21,9 +22,9 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	checkRank(x, 4, "GlobalAvgPool")
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g.h, g.w = h, w
-	y := tensor.New(n, c)
-	planPool{}.run(nil, y.Data(), x.Data(), n*c, h, w)
-	return y
+	g.y = tensor.Reuse(g.y, n, c)
+	planPool{}.run(nil, g.y.Data(), x.Data(), n*c, h, w)
+	return g.y
 }
 
 // Backward implements Layer.
@@ -32,7 +33,8 @@ func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c := dy.Dim(0), dy.Dim(1)
 	hw := g.h * g.w
 	inv := 1 / float32(hw)
-	dx := tensor.New(n, c, g.h, g.w)
+	dx := tensor.Reuse(g.dx, n, c, g.h, g.w)
+	g.dx = dx
 	for i := 0; i < n; i++ {
 		for j := 0; j < c; j++ {
 			gv := dy.Data()[i*c+j] * inv

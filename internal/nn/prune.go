@@ -31,7 +31,9 @@ type PrunedBackend struct {
 
 // NewPrunedBackend prunes the model's weights in place to the top-keep
 // fraction and packs the dense layers. The backend takes ownership of the
-// model; callers hand over a model of their own (see fleet.BackendReplicator).
+// model, whose weights it keeps and reads (the backbone's, pruned, through
+// the inference plan); callers hand over a model of their own that has not
+// trained, so it carries weights only (see fleet.BackendReplicator).
 func NewPrunedBackend(m *Model, keep float64) *PrunedBackend {
 	if keep <= 0 || keep > 1 {
 		keep = DefaultPruneKeep
@@ -146,7 +148,7 @@ func newSparseDense(d *Dense) *sparseDense {
 // has the right shape.
 func (s *sparseDense) apply(y, x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
-	y = reuseTensor(y, n, s.out)
+	y = tensor.Reuse(y, n, s.out)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*s.in : (i+1)*s.in]
 		out := y.Data()[i*s.out : (i+1)*s.out]

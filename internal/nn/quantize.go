@@ -412,7 +412,7 @@ func newQDense(d *Dense) *qdense {
 // one-pixel GEMM — into y, reused when it already has the right shape.
 func (l *qdense) apply(sc *Scratch, y, x *tensor.Tensor) *tensor.Tensor {
 	n, out := x.Dim(0), l.w.rows
-	y = reuseTensor(y, n, out)
+	y = tensor.Reuse(y, n, out)
 	qrow := sc.panel(l.w.k2)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*l.in : (i+1)*l.in]

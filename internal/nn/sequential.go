@@ -42,6 +42,8 @@ func (s *Sequential) Params() []*Param {
 // The body must preserve the input shape.
 type Residual struct {
 	Body Layer
+
+	y *tensor.Tensor // training step buffer (see the package comment)
 }
 
 // NewResidual wraps body in an identity skip connection.
@@ -52,17 +54,16 @@ func (r *Residual) Params() []*Param { return r.Body.Params() }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := r.Body.Forward(x, train)
-	out := y.Clone()
-	out.AddScaled(1, x)
-	return out
+	r.y = tensor.Reuse(r.y, x.Shape()...)
+	r.y.Copy(r.Body.Forward(x, train))
+	r.y.AddScaled(1, x)
+	return r.y
 }
 
 // Backward implements Layer: gradient flows through both the body and the
 // skip path.
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := r.Body.Backward(dy)
-	out := dx.Clone()
-	out.AddScaled(1, dy)
-	return out
+	dx.AddScaled(1, dy) // in the body's buffer, which nothing reads after this
+	return dx
 }

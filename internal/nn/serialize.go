@@ -64,7 +64,7 @@ func (m *Model) Restore(s *Snapshot) {
 			panic("nn: Restore: parameter size mismatch")
 		}
 		copy(p.W.Data(), s.weights[i])
-		p.G.Zero()
+		p.ZeroGrad()
 	}
 	bns := collectBN(m.Backbone)
 	if len(bns) != len(s.bnMean) {

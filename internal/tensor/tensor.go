@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Tensor is a dense row-major float32 tensor. The zero value is an empty
@@ -34,6 +35,26 @@ func NewFrom(data []float32, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
+}
+
+// Reuse returns a tensor of the given shape on t's storage, so a buffer that
+// is rewritten every step is allocated once: t itself when its shape already
+// matches, a new header over t's data when its capacity holds the shape (a
+// smaller batch re-slices it, and a larger one up to the capacity gets it
+// back), and New's zeroed tensor otherwise, t nil included. A reused tensor
+// holds whatever was last written to it; callers overwrite or clear it.
+func Reuse(t *Tensor, shape ...int) *Tensor {
+	if t != nil && slices.Equal(t.shape, shape) {
+		return t
+	}
+	// Only the copy reaches checkShape's panic message, so the caller's
+	// shape does not escape and a matching call allocates nothing.
+	s := append([]int(nil), shape...)
+	n := checkShape(s)
+	if t != nil && n <= cap(t.data) {
+		return &Tensor{shape: s, data: t.data[:n]}
+	}
+	return &Tensor{shape: s, data: make([]float32, n)}
 }
 
 func checkShape(shape []int) int {

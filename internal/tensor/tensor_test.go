@@ -164,3 +164,27 @@ func assertPanics(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+func TestReuse(t *testing.T) {
+	a := Reuse(nil, 4, 3)
+	if a.Dim(0) != 4 || a.Dim(1) != 3 || a.MaxAbs() != 0 {
+		t.Fatalf("Reuse(nil) = %v %v, want a zeroed (4, 3)", a.Shape(), a.Data())
+	}
+	a.Fill(7)
+	if Reuse(a, 4, 3) != a {
+		t.Fatal("a matching shape must return the tensor itself")
+	}
+	small := Reuse(a, 2, 3)
+	if small.Len() != 6 || &small.Data()[0] != &a.Data()[0] || small.Data()[5] != 7 {
+		t.Fatal("a smaller shape must re-slice the storage, contents kept")
+	}
+	if back := Reuse(small, 3, 4); back.Len() != 12 || &back.Data()[0] != &a.Data()[0] {
+		t.Fatal("a shape within the capacity must get the storage back")
+	}
+	if big := Reuse(a, 5, 3); big.Len() != 15 || &big.Data()[0] == &a.Data()[0] || big.MaxAbs() != 0 {
+		t.Fatal("a shape beyond the capacity must allocate a zeroed tensor")
+	}
+	if n := testing.AllocsPerRun(10, func() { Reuse(a, 4, 3) }); n != 0 {
+		t.Fatalf("a matching Reuse allocates %v times", n)
+	}
+}

@@ -53,6 +53,7 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	var st step
 	idx := make([]int, len(images))
 	for i := range idx {
 		idx[i] = i
@@ -75,8 +76,9 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 				}
 			}
 			m.ZeroGrad()
-			logits, embed := m.Forward(modelInput(m, batchImages), true)
-			loss, dLogits, dEmbed := cfg.objective(m, logits, embed, batchLabels)
+			st.input = modelInput(st.input, m, batchImages)
+			logits, embed := m.Forward(st.input, true)
+			loss, dLogits, dEmbed := cfg.objective(&st, logits, embed, batchLabels)
 			m.Backward(dLogits, dEmbed)
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
@@ -95,43 +97,58 @@ func FinetuneStability(m *nn.Model, images []*imaging.Image, labels []int, cfg S
 	return lastLoss
 }
 
+// step is what a fine-tune's steps write outside the model's layers: the
+// input batch, the losses' gradients and the two gradients Model.Backward
+// takes. The first step allocates them and every later step rewrites them
+// (tensor.Reuse re-slices them for a smaller last batch). The zero value is
+// ready.
+type step struct {
+	input                *tensor.Tensor
+	ce, dz, dzp, de, dep *tensor.Tensor
+	dLogits, dEmbed      *tensor.Tensor
+}
+
 // objective returns a batch's loss and its gradients with respect to the
-// logits and the embedding (nil when Ls does not read it). The first
-// len(labels) rows are the clean images; with a scheme, as many noisy
+// logits and the embedding (nil when Ls does not read it), all in st. The
+// first len(labels) rows are the clean images; with a scheme, as many noisy
 // companions follow.
-func (cfg StabilityConfig) objective(m *nn.Model, logits, embed *tensor.Tensor, labels []int) (float64, *tensor.Tensor, *tensor.Tensor) {
+func (cfg StabilityConfig) objective(st *step, logits, embed *tensor.Tensor, labels []int) (float64, *tensor.Tensor, *tensor.Tensor) {
 	n := len(labels)
 	if cfg.Scheme == nil {
-		loss, grad := nn.CrossEntropy(logits, labels)
-		return loss, grad, nil
+		var loss float64
+		loss, st.ce = nn.CrossEntropy(st.ce, logits, labels)
+		return loss, st.ce, nil
 	}
 	zClean, zNoisy := splitRows(logits, n)
 	eClean, eNoisy := splitRows(embed, n)
 
-	ceLoss, ceGrad := nn.CrossEntropy(zClean, labels)
-	dLogits := tensor.New(2*n, m.Classes)
-	copyRows(dLogits, ceGrad, 0)
+	ceLoss, ceGrad := nn.CrossEntropy(st.ce, zClean, labels)
+	st.ce = ceGrad
+	// Cleared: the buffer holds the last step's, and without the KL term
+	// the noisy rows' logit gradient is +0.
+	st.dLogits = tensor.Reuse(st.dLogits, 2*n, logits.Dim(1))
+	st.dLogits.Zero()
+	copyRows(st.dLogits, ceGrad, 0)
 
 	var sLoss float64
 	var dEmbed *tensor.Tensor
 	switch cfg.Loss {
 	case LossEmbedding:
-		loss, de, dep := nn.EmbeddingL2(eClean, eNoisy)
-		sLoss = loss
-		de.Scale(float32(cfg.Alpha))
-		dep.Scale(float32(cfg.Alpha))
-		dEmbed = tensor.New(2*n, m.EmbedDim)
-		copyRows(dEmbed, de, 0)
-		copyRows(dEmbed, dep, n)
+		sLoss, st.de, st.dep = nn.EmbeddingL2(st.de, st.dep, eClean, eNoisy)
+		st.de.Scale(float32(cfg.Alpha))
+		st.dep.Scale(float32(cfg.Alpha))
+		st.dEmbed = tensor.Reuse(st.dEmbed, 2*n, embed.Dim(1))
+		copyRows(st.dEmbed, st.de, 0)
+		copyRows(st.dEmbed, st.dep, n)
+		dEmbed = st.dEmbed
 	default:
-		loss, dz, dzp := nn.KLStability(zClean, zNoisy)
-		sLoss = loss
-		dz.Scale(float32(cfg.Alpha))
-		dzp.Scale(float32(cfg.Alpha))
-		addRows(dLogits, dz, 0)
-		addRows(dLogits, dzp, n)
+		sLoss, st.dz, st.dzp = nn.KLStability(st.dz, st.dzp, zClean, zNoisy)
+		st.dz.Scale(float32(cfg.Alpha))
+		st.dzp.Scale(float32(cfg.Alpha))
+		addRows(st.dLogits, st.dz, 0)
+		addRows(st.dLogits, st.dzp, n)
 	}
-	return ceLoss + float64(cfg.Alpha*sLoss), dLogits, dEmbed
+	return ceLoss + float64(cfg.Alpha*sLoss), st.dLogits, dEmbed
 }
 
 // splitRows views a (2n, k) tensor as two (n, k) tensors without copying.

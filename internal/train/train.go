@@ -51,13 +51,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// modelInput resizes and normalizes a training batch into a fresh input
-// tensor through imaging.BatchTensorInto, the call Evaluate makes, so train-
-// and eval-time preprocessing cannot diverge. Fresh, not pooled: a training
-// Forward caches its input for the backward pass.
-func modelInput(m *nn.Model, images []*imaging.Image) *tensor.Tensor {
+// modelInput resizes and normalizes a training batch into x's storage
+// (tensor.Reuse) through imaging.BatchTensorInto, the call Evaluate makes, so
+// train- and eval-time preprocessing cannot diverge. Not pooled: a training
+// Forward caches its input for the backward pass, so the input is the
+// fine-tune's own until the step is over.
+func modelInput(x *tensor.Tensor, m *nn.Model, images []*imaging.Image) *tensor.Tensor {
 	in := m.InputSize()
-	return imaging.BatchTensorInto(tensor.New(len(images), 3, in, in), images)
+	return imaging.BatchTensorInto(tensor.Reuse(x, len(images), 3, in, in), images)
 }
 
 // Classifier trains the model with plain cross-entropy on the given images,

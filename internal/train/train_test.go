@@ -300,8 +300,9 @@ func TestFinetuneStabilityReducesDivergence(t *testing.T) {
 		x := imaging.BatchTensor(clean)
 		xp := imaging.BatchTensor(companions)
 		_, e := m.Forward(x, false)
+		e = e.Clone() // the next Forward rewrites the layer's output
 		_, ep := m.Forward(xp, false)
-		d, _, _ := nn.EmbeddingL2(e, ep)
+		d, _, _ := nn.EmbeddingL2(nil, nil, e, ep)
 		return d
 	}
 	// brief CE pretrain so embeddings are meaningful
