@@ -55,6 +55,14 @@ func FuzzShardState(f *testing.F) {
 			}
 			f.Add(mutant)
 		}
+		// Honest but for the weights it names: a state of another model.
+		foreign := *st
+		foreign.ModelSHA = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+		mutant, err := json.Marshal(&foreign)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(mutant)
 		// The mutant that used to reach the render: one device's mean at the
 		// edge of float64, so that merging it with its neighbours overflows.
 		st.Devices[0].Windows[0].Score.Mean = 1e308

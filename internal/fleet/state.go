@@ -20,6 +20,10 @@ import (
 // document, decoded whole where each shard's reply lands.
 type ContinuousState struct {
 	Version int `json:"version"`
+	// ModelSHA is the sha256 of the weights the shard ran (fleet.ModelSHA),
+	// stamped by the instance that ships the state; states of one merge must
+	// agree on it.
+	ModelSHA string `json:"model_sha"`
 	// DeviceLo and DeviceHi are the device-id range this state covers.
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
@@ -49,8 +53,8 @@ type ContWindowState struct {
 }
 
 // continuousStateVersion: shards and coordinator are one build, so other
-// versions are rejected, not translated.
-const continuousStateVersion = 1
+// versions are rejected, not translated. Version 2 added model_sha.
+const continuousStateVersion = 2
 
 // State exports the sweep's state for coordinator-side merging. Call after
 // the run completes (or after cancellation — only finished timelines are
@@ -130,7 +134,7 @@ func checkSummary(s metrics.OnlineState, hi float64) error {
 // windowed accumulator, the device views in ascending ID order and the
 // capture total. The states were decoded whole where each shard landed; this
 // is where peer bytes are judged, so it refuses what no honest runner ships —
-// a device outside the range its own state declares, out of ascending order
+// states of different weights (model_sha), a device outside the range its own state declares, out of ascending order
 // within it (so none twice, and none costs a slot array before it is
 // refused) or listed by two shards, a window outside [0, windows) or listed
 // twice, a summary checkSummary refuses, a capture count its device windows
@@ -141,9 +145,16 @@ func mergeStates(cfg Config, windows int, states []*ContinuousState) (*stability
 	windowed := stability.NewWindowed()
 	var views []deviceView
 	captures := 0
+	var first *ContinuousState
 	for _, st := range states {
 		if st == nil {
 			continue
+		}
+		if first == nil {
+			first = st
+		} else if st.ModelSHA != first.ModelSHA {
+			return nil, nil, 0, fmt.Errorf("fleet: shard state for devices [%d, %d) ran model_sha %q, the one for devices [%d, %d) %q",
+				st.DeviceLo, st.DeviceHi, st.ModelSHA, first.DeviceLo, first.DeviceHi, first.ModelSHA)
 		}
 		for _, e := range st.Windowed.Windows {
 			if e.Window >= windows {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -179,14 +180,41 @@ func shardStateGoldenBytes(t *testing.T) []byte {
 	cfg := contTestConfig(2)
 	cfg.Fleet.DeviceLo, cfg.Fleet.DeviceHi = 2, 5
 	var out []byte
-	for _, r := range []interface{ MarshalState() ([]byte, error) }{run, runContinuous(t, cfg)} {
-		data, err := r.MarshalState()
+	for _, r := range []interface{ State() *ContinuousState }{run, runContinuous(t, cfg)} {
+		st := r.State()
+		st.ModelSHA = ModelSHA(testFactory()) // as the shipping instance stamps it
+		data, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(append(out, data...), '\n')
 	}
 	return out
+}
+
+// TestMergeRefusesForeignModel holds a merge to one set of weights: two
+// halves of one run that ran different model_sha are refused, the error
+// naming both digests.
+func TestMergeRefusesForeignModel(t *testing.T) {
+	cfg := Config{Devices: 4, Items: 1, Angles: []int{0}, Seed: 5, Workers: 1}
+	var states []*ContinuousState
+	for i, sha := range []string{"aaaa", "bbbb"} {
+		half := cfg
+		half.DeviceLo, half.DeviceHi = 2*i, 2*i+2
+		r := NewRunner(half, testFactory())
+		r.Run()
+		st := r.State()
+		st.ModelSHA = sha
+		states = append(states, st)
+	}
+	_, err := MergedStats(cfg, states...)
+	if err == nil || !strings.Contains(err.Error(), `"aaaa"`) || !strings.Contains(err.Error(), `"bbbb"`) {
+		t.Fatalf("merge of two weights' states: err %v, want one naming both digests", err)
+	}
+	states[1].ModelSHA = "aaaa"
+	if _, err := MergedStats(cfg, states...); err != nil {
+		t.Fatalf("merge of one weights' states: %v", err)
+	}
 }
 
 // TestShardStateGolden pins the bytes a peer ships its coordinator, which

@@ -93,7 +93,7 @@ func TestOneShotIsWindowZeroOfTheSweep(t *testing.T) {
 		t.Fatalf("the one-shot run's windowed state is not window 0 alone: %+v", wire.Windows)
 	}
 	// The shard state a run ships is the one-window ContinuousState.
-	if data, err := r.MarshalState(); err != nil || !bytes.HasPrefix(data, []byte(`{"version":1,`)) || bytes.Contains(data, []byte(`"accumulator"`)) {
+	if data, err := r.MarshalState(); err != nil || !bytes.HasPrefix(data, []byte(`{"version":2,`)) || bytes.Contains(data, []byte(`"accumulator"`)) {
 		t.Fatalf("run shard state is not a version 1 ContinuousState (err %v): %.80s", err, data)
 	}
 

@@ -21,11 +21,14 @@ import (
 // would run, the merged result is byte-identical to an unsharded execution
 // of the same spec.
 type fanOut[Out any] struct {
-	kind   string // "run" or "fleet": names the probe and merge spans
-	shard  string // "shard" or "fleet shard": names dispatch spans and peer errors
-	total  int    // devices in the whole sweep
-	peers  []*fleetapi.Client
-	ranges [][2]int // ranges[i] is the [lo, hi) dispatched to peers[i]
+	kind  string // "run" or "fleet": names the probe and merge spans
+	shard string // "shard" or "fleet shard": names dispatch spans and peer errors
+	total int    // devices in the whole sweep
+	// modelSHA is the coordinator's weights digest: a shard state that ran
+	// other weights is refused.
+	modelSHA string
+	peers    []*fleetapi.Client
+	ranges   [][2]int // ranges[i] is the [lo, hi) dispatched to peers[i]
 
 	// dispatch runs one shard on a peer; trace and parent go into its spec so
 	// the peer's execute span joins the coordinator's trace.
@@ -90,6 +93,9 @@ func (f *fanOut[Out]) execute() (Out, error) {
 				SetAttr("peer", peer.BaseURL)
 			state, err := f.dispatch(f.ctx, peer, lo, hi, f.trace, span.SpanID())
 			span.End()
+			if err == nil && state.ModelSHA != f.modelSHA {
+				err = fmt.Errorf("state of model_sha %q, not the coordinator's %q", state.ModelSHA, f.modelSHA)
+			}
 			if err != nil {
 				f.stop()
 				errs <- fmt.Errorf("peer %s %s %d..%d: %w", peer.BaseURL, f.shard, lo, hi, err)
@@ -161,7 +167,7 @@ type coordExec struct {
 func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, modelSHA string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *coordExec {
 	c := &coordExec{cfg: cfg}
 	c.fanOut = &fanOut[fleet.Stats]{
-		kind: "run", shard: "shard", total: cfg.Devices, tracer: tracer, trace: trace, probe: probe,
+		kind: "run", shard: "shard", total: cfg.Devices, modelSHA: modelSHA, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, Trace: trace, Parent: parent})
 		},
@@ -214,7 +220,7 @@ func (c *coordExec) accumulator() *stability.Accumulator {
 // merged report — windows and drift included — needs nothing but the states.
 func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, modelSHA string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *fanOut[fleet.FleetReport] {
 	f := &fanOut[fleet.FleetReport]{
-		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, tracer: tracer, trace: trace, probe: probe,
+		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, modelSHA: modelSHA, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
 			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, Trace: trace, Parent: parent})
 		},

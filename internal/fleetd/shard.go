@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -15,8 +16,8 @@ type shardRunner interface {
 	Cancel()
 	Progress() (done, total, captures int)
 	SetTelemetry(*fleet.Telemetry)
-	// MarshalState renders the finished shard's wire state.
-	MarshalState() ([]byte, error)
+	// State is the finished shard's wire state.
+	State() *fleet.ContinuousState
 }
 
 // shardJob is one decoded shard request as the handler sees it: the device
@@ -141,7 +142,11 @@ func serveShard[Spec validator](s *Server, w http.ResponseWriter, req *http.Requ
 		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeRunFailed, "%s cancelled before completion", shard))
 		return
 	}
-	data, err := runner.MarshalState()
+	// The weights' digest is the server's cached one: computing it per shard
+	// would hash the whole snapshot on every request.
+	st := runner.State()
+	st.ModelSHA = s.modelSHA()
+	data, err := json.Marshal(st)
 	if err != nil {
 		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeInternal, "marshal %s state: %v", shard, err))
 		return

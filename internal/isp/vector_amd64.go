@@ -55,3 +55,66 @@ func unsharpVector(pix, blur []float32, amount float32) int {
 	unsharpAVX2(&pix[0], &blur[0], n, amount)
 	return n
 }
+
+//go:noescape
+func bilinearChanAVX2(dst, src, init *float32, w int, pl *lanePlan)
+
+//go:noescape
+func edgeGreenRowAVX2(dst, src *float32, w, stride, gp int)
+
+//go:noescape
+func edgeRBChanAVX2(dst, src, green, init *float32, w int, pl *lanePlan)
+
+// The demosaic kernels load whole vectors: the last one of a row reaches
+// loaded(w)-1 past the row's first centre, and a tap a plan's offset further.
+// Their wrappers index the lowest and highest element each operand reaches.
+func loaded(w int) int { return (w + demosaicSlack - 1) &^ (demosaicSlack - 1) }
+
+// reach is the largest magnitude among the offsets of a pair of plans.
+func reach(pl *[2]lanePlan) int {
+	r := 0
+	for q := range pl {
+		for _, o := range pl[q].offs[:pl[q].ntap] {
+			r = max(r, int(o), -int(o))
+		}
+	}
+	return r
+}
+
+// bilinearChanVector is bilinearChan on the vector kernel, and reports
+// whether it ran.
+func bilinearChanVector(dst, src []float32, base int, init []float32, pl *[2]lanePlan) bool {
+	w := len(dst)
+	if !useVector || w == 0 {
+		return false
+	}
+	r, l := reach(pl), loaded(w)
+	_, _, _ = src[base-r], src[base+l-1+r], init[l-1]
+	bilinearChanAVX2(&dst[0], &src[base], &init[0], w, &pl[0])
+	return true
+}
+
+// edgeGreenRowVector is edgeGreenRow on the vector kernel, and reports
+// whether it ran.
+func edgeGreenRowVector(dst, src []float32, base, stride, gp int) bool {
+	w := len(dst)
+	if !useVector || w == 0 {
+		return false
+	}
+	_, _ = src[base-2*stride], src[base+loaded(w)-1+2*stride]
+	edgeGreenRowAVX2(&dst[0], &src[base], w, stride, gp&1)
+	return true
+}
+
+// edgeRBChanVector is edgeRBChan on the vector kernel, and reports whether it
+// ran.
+func edgeRBChanVector(dst, src, green []float32, base int, init []float32, pl *[2]lanePlan) bool {
+	w := len(dst)
+	if !useVector || w == 0 {
+		return false
+	}
+	r, l := reach(pl), loaded(w)
+	_, _, _, _, _ = src[base-r], src[base+l-1+r], green[base-r], green[base+l-1+r], init[l-1]
+	edgeRBChanAVX2(&dst[0], &src[base], &green[base], &init[0], w, &pl[0])
+	return true
+}

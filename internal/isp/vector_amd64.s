@@ -139,3 +139,253 @@ unsharpLoop:
 	JNE  unsharpLoop
 	VZEROUPPER
 	RET
+
+// tailMask<>+32-4k is the VMASKMOVPS mask of the first k lanes, k ≤ 8.
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+DATA tailMask<>+56(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// parityMask<>+32q selects the lanes of x parity q in a vector that starts at
+// an even x.
+DATA parityMask<>+0(SB)/8, $0x00000000ffffffff
+DATA parityMask<>+8(SB)/8, $0x00000000ffffffff
+DATA parityMask<>+16(SB)/8, $0x00000000ffffffff
+DATA parityMask<>+24(SB)/8, $0x00000000ffffffff
+DATA parityMask<>+32(SB)/8, $0xffffffff00000000
+DATA parityMask<>+40(SB)/8, $0xffffffff00000000
+DATA parityMask<>+48(SB)/8, $0xffffffff00000000
+DATA parityMask<>+56(SB)/8, $0xffffffff00000000
+GLOBL parityMask<>(SB), RODATA|NOPTR, $64
+
+DATA signBit<>+0(SB)/4, $0x80000000
+GLOBL signBit<>(SB), RODATA|NOPTR, $4
+
+DATA half<>+0(SB)/4, $0x3f000000
+GLOBL half<>(SB), RODATA|NOPTR, $4
+
+DATA quarter<>+0(SB)/4, $0x3e800000
+GLOBL quarter<>(SB), RODATA|NOPTR, $4
+
+// STORE writes Y0 to the 8 outputs at (DI)(BX*1), or, with CX < 8 outputs
+// left in the row, to the first CX of them under a lane mask; it then
+// advances BX and CX and loops to vec while outputs remain.
+#define STORE(vec, tail, done) \
+	CMPQ CX, $8; \
+	JLT  tail; \
+	VMOVUPS Y0, (DI)(BX*1); \
+	ADDQ $32, BX; \
+	SUBQ $8, CX; \
+	JNE  vec; \
+	JMP  done; \
+tail: \
+	NEGQ CX; \
+	LEAQ tailMask<>+32(SB), AX; \
+	VMOVDQU (AX)(CX*4), Y1; \
+	LEAQ (DI)(BX*1), AX; \
+	VMASKMOVPS Y0, Y1, (AX); \
+done: \
+	VZEROUPPER; \
+	RET
+
+// TAPS adds the taps of the lanePlan at plan to out, a tap at a time: each
+// loaded from (AX) plus the tap's offset, less the sample at (DX) plus that
+// offset when green is set. The plan's ntap is in R9, 2 or 4.
+#define TAP(plan, off, out, green) \
+	MOVLQSX off(plan), R11; \
+	VMOVUPS (AX)(R11*4), Y4; \
+	green; \
+	VADDPS Y4, out, out
+
+#define NOGREEN
+#define LESSGREEN VSUBPS (DX)(R11*4), Y4, Y4
+
+// func bilinearChanAVX2(dst, src, init *float32, w int, pl *lanePlan)
+//
+// bilinearChan over one row of w > 0 outputs: src is the padded centre of
+// output 0, pl the two plans of even and odd x. Each vector computes both
+// plans in every lane, starting each sum from the init row, and keeps the
+// one of the lane's parity. A quotient by 2 or 4 is the product with the
+// exact reciprocal, as in Go.
+TEXT ·bilinearChanAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ init+16(FP), R10
+	MOVQ w+24(FP), CX
+	MOVQ pl+32(FP), R8
+	XORQ BX, BX
+
+bilinearVec:
+	LEAQ (SI)(BX*1), AX
+	MOVL 0(R8), R9
+	TESTL R9, R9
+	JNE  bilinearEvenTaps
+	VMOVUPS (AX), Y2
+	JMP  bilinearOdd
+
+bilinearEvenTaps:
+	VMOVUPS (R10)(BX*1), Y2
+	TAP(R8, 8, Y2, NOGREEN)
+	TAP(R8, 12, Y2, NOGREEN)
+	CMPL R9, $2
+	JEQ  bilinearEvenScale
+	TAP(R8, 16, Y2, NOGREEN)
+	TAP(R8, 20, Y2, NOGREEN)
+
+bilinearEvenScale:
+	VBROADCASTSS 4(R8), Y5
+	VMULPS Y5, Y2, Y2
+
+bilinearOdd:
+	MOVL 24(R8), R9
+	TESTL R9, R9
+	JNE  bilinearOddTaps
+	VMOVUPS (AX), Y3
+	JMP  bilinearBlend
+
+bilinearOddTaps:
+	VMOVUPS (R10)(BX*1), Y3
+	TAP(R8, 32, Y3, NOGREEN)
+	TAP(R8, 36, Y3, NOGREEN)
+	CMPL R9, $2
+	JEQ  bilinearOddScale
+	TAP(R8, 40, Y3, NOGREEN)
+	TAP(R8, 44, Y3, NOGREEN)
+
+bilinearOddScale:
+	VBROADCASTSS 28(R8), Y5
+	VMULPS Y5, Y3, Y3
+
+bilinearBlend:
+	VBLENDPS $0xaa, Y3, Y2, Y0
+	STORE(bilinearVec, bilinearTail, bilinearDone)
+
+// ABS is fmath.Abs of v in place, t a temporary: -v where v < 0, else v.
+// VMAXPS returns its second source when it is a NaN or both are zeros, so
+// with v second a NaN and a -0 come out as they went in.
+#define ABS(v, t) \
+	VXORPS Y15, v, t; \
+	VMAXPS v, t, v
+
+// func edgeGreenRowAVX2(dst, src *float32, w, stride, gp int)
+//
+// edgeGreenRow over one row of w > 0 outputs: src is the padded centre of
+// output 0 on a plane of the given stride, gp the row's green parity. Every
+// lane computes the interpolation and the lanes of parity gp take the copy.
+TEXT ·edgeGreenRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), CX
+	MOVQ stride+24(FP), R9
+	MOVQ gp+32(FP), AX
+	SHLQ $2, R9                // stride in bytes
+	MOVQ R9, R10
+	NEGQ R10
+	SHLQ $5, AX
+	LEAQ parityMask<>(SB), DX
+	VMOVDQU (DX)(AX*1), Y12    // the green lanes
+	VBROADCASTSS signBit<>(SB), Y15
+	VBROADCASTSS half<>(SB), Y14
+	VBROADCASTSS quarter<>(SB), Y13
+	XORQ BX, BX
+
+greenVec:
+	LEAQ (SI)(BX*1), AX
+	VMOVUPS -4(AX), Y0         // left
+	VMOVUPS 4(AX), Y1          // right
+	VMOVUPS (AX)(R10*1), Y2    // up
+	VMOVUPS (AX)(R9*1), Y3     // down
+	VMOVUPS (AX), Y4           // centre
+	VADDPS Y4, Y4, Y5          // 2·centre
+	VSUBPS Y1, Y0, Y6
+	ABS(Y6, Y7)
+	VSUBPS -8(AX), Y5, Y7
+	VSUBPS 8(AX), Y7, Y7
+	ABS(Y7, Y8)
+	VADDPS Y7, Y6, Y6          // gh
+	VSUBPS Y3, Y2, Y7
+	ABS(Y7, Y8)
+	VSUBPS (AX)(R10*2), Y5, Y8
+	VSUBPS (AX)(R9*2), Y8, Y8
+	ABS(Y8, Y9)
+	VADDPS Y8, Y7, Y7          // gv
+	VADDPS Y1, Y0, Y0          // left + right
+	VADDPS Y3, Y2, Y8          // up + down
+	VADDPS Y2, Y0, Y9
+	VADDPS Y3, Y9, Y9
+	VMULPS Y13, Y9, Y9         // (left + right + up + down) / 4
+	VMULPS Y14, Y0, Y0         // (left + right) / 2
+	VMULPS Y14, Y8, Y8         // (up + down) / 2
+	VCMPPS $0x11, Y7, Y6, Y10  // gh < gv
+	VCMPPS $0x11, Y6, Y7, Y11  // gv < gh
+	VBLENDVPS Y11, Y8, Y9, Y9
+	VBLENDVPS Y10, Y0, Y9, Y9
+	VBLENDVPS Y12, Y4, Y9, Y0
+	STORE(greenVec, greenTail, greenDone)
+
+// func edgeRBChanAVX2(dst, src, green, init *float32, w int, pl *lanePlan)
+//
+// edgeRBChan over one row of w > 0 outputs: src and green are the padded
+// centres of output 0 on two planes of one stride, pl the plans of even and
+// odd x, each computed in every lane as in bilinearChanAVX2.
+TEXT ·edgeRBChanAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ green+16(FP), R12
+	MOVQ init+24(FP), R10
+	MOVQ w+32(FP), CX
+	MOVQ pl+40(FP), R8
+	XORQ BX, BX
+
+rbVec:
+	LEAQ (SI)(BX*1), AX
+	LEAQ (R12)(BX*1), DX
+	MOVL 0(R8), R9
+	TESTL R9, R9
+	JNE  rbEvenTaps
+	VMOVUPS (AX), Y2
+	JMP  rbOdd
+
+rbEvenTaps:
+	VMOVUPS (R10)(BX*1), Y2
+	TAP(R8, 8, Y2, LESSGREEN)
+	TAP(R8, 12, Y2, LESSGREEN)
+	CMPL R9, $2
+	JEQ  rbEvenScale
+	TAP(R8, 16, Y2, LESSGREEN)
+	TAP(R8, 20, Y2, LESSGREEN)
+
+rbEvenScale:
+	VBROADCASTSS 4(R8), Y5
+	VMULPS Y5, Y2, Y2
+	VADDPS (DX), Y2, Y2
+
+rbOdd:
+	MOVL 24(R8), R9
+	TESTL R9, R9
+	JNE  rbOddTaps
+	VMOVUPS (AX), Y3
+	JMP  rbBlend
+
+rbOddTaps:
+	VMOVUPS (R10)(BX*1), Y3
+	TAP(R8, 32, Y3, LESSGREEN)
+	TAP(R8, 36, Y3, LESSGREEN)
+	CMPL R9, $2
+	JEQ  rbOddScale
+	TAP(R8, 40, Y3, LESSGREEN)
+	TAP(R8, 44, Y3, LESSGREEN)
+
+rbOddScale:
+	VBROADCASTSS 28(R8), Y5
+	VMULPS Y5, Y3, Y3
+	VADDPS (DX), Y3, Y3
+
+rbBlend:
+	VBLENDPS $0xaa, Y3, Y2, Y0
+	STORE(rbVec, rbTail, rbDone)

@@ -12,3 +12,13 @@ func applyLUTVector(pix, lut []float32, scale float32) int { return 0 }
 func applyMatrixVector(pix []float32, n int, m *[9]float32) int { return 0 }
 
 func unsharpVector(pix, blur []float32, amount float32) int { return 0 }
+
+func bilinearChanVector(dst, src []float32, base int, init []float32, pl *[2]lanePlan) bool {
+	return false
+}
+
+func edgeGreenRowVector(dst, src []float32, base, stride, gp int) bool { return false }
+
+func edgeRBChanVector(dst, src, green []float32, base int, init []float32, pl *[2]lanePlan) bool {
+	return false
+}

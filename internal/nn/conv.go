@@ -88,7 +88,12 @@ func (c *Conv2D) planes(i int) []float32 {
 }
 
 // Backward implements Layer. dy has shape (N, outC, outH, outW).
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
+
+// backward is Backward, computing the input gradient only when inputGrad is
+// set; without it the result is nil and only the weight gradient is added.
+// A model's first layer needs no input gradient: nothing reads it.
+func (c *Conv2D) backward(dy *tensor.Tensor, inputGrad bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
@@ -101,10 +106,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	imgIn := d.InC * d.InH * d.InW
 	imgOut := c.outC * p
 
-	dx := tensor.Reuse(c.dx, n, d.InC, d.InH, d.InW)
-	c.dx = dx
-	c.wt = resize(c.wt, k*c.outC)
-	transpose(c.wt, c.Weight.W.Data(), c.outC, k)
+	var dx *tensor.Tensor
+	if inputGrad {
+		dx = tensor.Reuse(c.dx, n, d.InC, d.InH, d.InW)
+		c.dx = dx
+		c.wt = resize(c.wt, k*c.outC)
+		transpose(c.wt, c.Weight.W.Data(), c.outC, k)
+	}
 	c.images = resize(c.images, n)
 	parallelFor(n, func(i int) {
 		im := &c.images[i]
@@ -114,6 +122,9 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		transpose(im.buf, c.planes(i), k, p)
 		im.dw = tensor.Reuse(im.dw, c.outC, k)
 		gemm(im.dw.Data(), dyi, im.buf, c.outC, k, p)
+		if !inputGrad {
+			return
+		}
 		// dcol (k,p) = Wᵀ (k,outC) · dY (outC,p), in im2colPlanar's layout:
 		// a pointwise layer's input gradient as it stands, any other's
 		// scattered back through Col2Im from buf, whose panelᵀ is spent,

@@ -138,7 +138,7 @@ func (m *Model) Backward(dLogits, dEmbed *tensor.Tensor) {
 		de.AddScaled(1, dEmbed)
 	}
 	df := m.Embed.Backward(de)
-	m.Backbone.Backward(df)
+	m.Backbone.backwardParams(df)
 }
 
 // Params returns every trainable parameter in the model.

@@ -29,6 +29,23 @@ func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dy
 }
 
+// backwardParams is Backward for a caller that discards the input gradient:
+// a first layer that is a Conv2D adds its weight gradient and computes no
+// input gradient (the column GEMM and Col2Im of every image).
+func (s *Sequential) backwardParams(dy *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i >= 1; i-- {
+		dy = s.Layers[i].Backward(dy)
+	}
+	if c, ok := s.Layers[0].(*Conv2D); ok {
+		c.backward(dy, false)
+		return
+	}
+	s.Layers[0].Backward(dy)
+}
+
 // Params implements Layer, concatenating all child parameters.
 func (s *Sequential) Params() []*Param {
 	var ps []*Param

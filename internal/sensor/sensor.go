@@ -100,7 +100,9 @@ func New(p Params) *Sensor { return &Sensor{Params: p, Pattern: RGGB} }
 // than on the Sensor; every buffer is fully rewritten before it is read, so
 // reuse cannot leak state between captures.
 type captureScratch struct {
-	dx2 []float64 // (x-cx)² per column, shared by every row's vignette
+	dx2        []float64 // (x-cx)² per column, shared by every row's vignette
+	shot, read []float64 // the row's two normal draws a pixel
+	sample     []float32 // the row's samples, chromatic shift applied
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(captureScratch) }}
@@ -108,20 +110,25 @@ var scratchPool = sync.Pool{New: func() any { return new(captureScratch) }}
 func (s *captureScratch) grow(w int) {
 	if cap(s.dx2) < w {
 		s.dx2 = make([]float64, w)
+		s.shot = make([]float64, w)
+		s.read = make([]float64, w)
+		s.sample = make([]float32, w)
 	}
-	s.dx2 = s.dx2[:w]
+	s.dx2, s.shot, s.read, s.sample = s.dx2[:w], s.shot[:w], s.read[:w], s.sample[:w]
 }
 
 // Capture exposes the sensor to a scene and returns the raw Bayer frame.
 // The scene is the irradiance arriving at the lens (linear RGB in [0,1]).
 //
-// The mosaic loop stays fused — one pass per pixel, Gaussian draws consumed
-// inline in shot-then-read order — because that measured fastest: batching
-// the draws into a scratch row (tried here first) costs an extra 16 B/pixel
-// round trip through L1 with no vectorization payoff to amortize it, ~10%
-// end to end. What is hoisted instead: the vignette's dy² per row and dx²
-// per column, and clamp-free interior chromatic-aberration sampling via
-// caSampleFast. Every remaining operation matches the staged reference in
+// The mosaic runs a row at a time in two passes. The first draws the row's
+// two normals a pixel, shot then read, in pixel order, and reads each
+// pixel's channel through the chromatic-aberration sampler; the second
+// (mosaicRow) does the per-pixel float arithmetic — vignette, gain, black
+// clamp, noise, clamp, ADC — on the vector unit where the machine has one.
+// No draw depends on a sample, so drawing a row ahead consumes the rng
+// stream the fused loop did, pair by pair. Hoisted: the vignette's dy² per
+// row and dx² per column, and clamp-free interior chromatic-aberration
+// sampling via caSampleFast. Every operation matches the staged reference in
 // fused_test.go bit for bit.
 func (s *Sensor) Capture(scene *imaging.Image, rng *rand.Rand) *RawImage {
 	return s.CaptureInto(new(RawImage), scene, rng)
@@ -152,7 +159,6 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 	}
 	raw.W, raw.H, raw.Pattern, raw.Plane, raw.Bits = w, h, s.Pattern, raw.Plane[:n], p.BitDepth
 	gains := [3]float64{p.GainR * p.Exposure, p.GainG * p.Exposure, p.GainB * p.Exposure}
-	levels := float64(int(1)<<p.BitDepth - 1)
 	// The Bayer color only depends on pixel parity; a 2×2 table replaces a
 	// per-pixel pattern switch.
 	var ctab [2][2]int
@@ -164,21 +170,27 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 	shift := float32(p.ChromaticShift)
 	cx := float64(float64(w-1) / 2)
 	cy := float64(float64(h-1) / 2)
-	maxR2 := float64(cx*cx) + float64(cy*cy)
+	k := mosaicConsts{
+		vig:    p.Vignette,
+		maxR2:  float64(cx*cx) + float64(cy*cy),
+		shot:   p.ShotNoise,
+		read:   p.ReadNoise,
+		levels: float64(int(1)<<p.BitDepth - 1),
+	}
+	if p.Vignette > 0 {
+		k.flags |= vignetted
+	}
+	if p.ShotNoise != 0 || p.ReadNoise != 0 {
+		k.flags |= noisy
+	}
 
 	sc := scratchPool.Get().(*captureScratch)
 	sc.grow(w)
-	// Local slice header: the loop below interleaves function calls
-	// (NormFloat64, Sqrt, Round) with loads, and a field access would be
-	// reloaded around every call.
-	dx2 := sc.dx2
+	dx2, shotN, readN, sample := sc.dx2, sc.shot, sc.read, sc.sample
 	for x := 0; x < w; x++ {
 		dx := float64(x) - cx
 		dx2[x] = float64(dx * dx)
 	}
-	noiseless := p.ShotNoise == 0 && p.ReadNoise == 0
-	shot, read := p.ShotNoise, p.ReadNoise
-	vig := p.Vignette
 
 	pix := img.Pix
 	// Interior column ranges where the chromatic-aberration taps are
@@ -190,62 +202,92 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 	for y := 0; y < h; y++ {
 		crow := ctab[y&1]
 		rowOff := y * w
-		dst := raw.Plane[rowOff : rowOff+w]
-		dy := float64(y) - cy
-		dy2 := float64(dy * dy)
+		// Every capture consumes the same two draws a pixel whatever the
+		// parameters (a noiseless one ignores them), so callers that reuse
+		// one rng across captures stay aligned.
 		for x := 0; x < w; x++ {
-			c := crow[x&1]
-			var sample float32
+			shotN[x] = rng.NormFloat64()
+			readN[x] = rng.NormFloat64()
+		}
+		for xp := 0; xp < 2 && xp < w; xp++ {
+			c := crow[xp]
+			plane := pix[c*n+rowOff : c*n+rowOff+w]
 			switch {
 			case shift != 0 && c == 0:
-				sample = caSampleFast(pix[rowOff:rowOff+w], x, w, shift, caLoR, caHiR)
+				for x := xp; x < w; x += 2 {
+					sample[x] = caSampleFast(plane, x, w, shift, caLoR, caHiR)
+				}
 			case shift != 0 && c == 2:
-				sample = caSampleFast(pix[2*n+rowOff:2*n+rowOff+w], x, w, -shift, caLoB, caHiB)
+				for x := xp; x < w; x += 2 {
+					sample[x] = caSampleFast(plane, x, w, -shift, caLoB, caHiB)
+				}
 			default:
-				sample = pix[c*n+rowOff+x]
-			}
-			if vig > 0 {
-				// dy² is hoisted per row and dx² per column; the original
-				// expression is otherwise untouched.
-				sample *= float32(1 - vig*(dx2[x]+dy2)/maxR2)
-			}
-			v := float64(float64(sample) * gains[c])
-			if v < 0 {
-				v = 0
-			}
-			if !noiseless {
-				// Photon shot noise scales with sqrt(signal); read noise
-				// is signal-independent. Gaussian approximations to the
-				// Poisson and thermal processes. The two draws stay inline
-				// and in order — every capture consumes the same rng
-				// stream whatever the parameters.
-				v += float64(rng.NormFloat64()*shot*math.Sqrt(v)) + float64(rng.NormFloat64()*read)
-				if v < 0 {
-					v = 0
-				} else if v > 1 {
-					v = 1
-				}
-			} else {
-				// The reference still draws the (zero-amplitude) noise so
-				// the rng stream stays aligned for callers that reuse it
-				// across captures; v ≥ 0 after the black clamp and adding
-				// the exactly-zero terms is the identity, so only the
-				// upper clamp can still fire.
-				rng.NormFloat64()
-				rng.NormFloat64()
-				if v > 1 {
-					v = 1
+				for x := xp; x < w; x += 2 {
+					sample[x] = plane[x]
 				}
 			}
-			// ADC quantization.
-			dst[x] = float32(math.Round(v*levels) / levels)
+			k.gains[xp], k.gains[xp+2] = gains[c], gains[c]
 		}
+		dy := float64(y) - cy
+		k.dy2 = float64(dy * dy)
+		mosaicRow(raw.Plane[rowOff:rowOff+w], sample, shotN, readN, dx2, &k)
 	}
 	scratchPool.Put(sc)
 	if blurred != nil {
 		imaging.PutImage(blurred)
 	}
 	return raw
+}
+
+// mosaicConsts is what mosaicRow needs besides the row: its layout is read
+// by the vector kernel (vector_amd64.s).
+type mosaicConsts struct {
+	gains                               [4]float64 // by x mod 4: even, odd, even, odd
+	dy2, vig, maxR2, shot, read, levels float64
+	flags                               uint64
+}
+
+// mosaicConsts.flags.
+const (
+	vignetted = 1 << iota // Vignette > 0
+	noisy                 // ShotNoise or ReadNoise non-zero
+)
+
+// mosaicRow is the per-pixel arithmetic of one row: dst[x] is the ADC level
+// of sample[x] after the vignette, the channel gain, the black clamp, the
+// shot and read noise of draws shotN[x] and readN[x], and the clamp to 1.
+// The vector kernel takes the whole vectors of 4 it reports, the Go loop the
+// rest. Each product is rounded before it is added.
+func mosaicRow(dst, sample []float32, shotN, readN, dx2 []float64, k *mosaicConsts) {
+	for x := mosaicRowVector(dst, sample, shotN, readN, dx2, k); x < len(dst); x++ {
+		s := sample[x]
+		if k.flags&vignetted != 0 {
+			// dy² is hoisted per row and dx² per column; the original
+			// expression is otherwise untouched.
+			s *= float32(1 - k.vig*(dx2[x]+k.dy2)/k.maxR2)
+		}
+		v := float64(float64(s) * k.gains[x&3])
+		if v < 0 {
+			v = 0
+		}
+		if k.flags&noisy != 0 {
+			// Photon shot noise scales with sqrt(signal); read noise is
+			// signal-independent. Gaussian approximations to the Poisson
+			// and thermal processes.
+			v += float64(shotN[x]*k.shot*math.Sqrt(v)) + float64(readN[x]*k.read)
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+		} else if v > 1 {
+			// v ≥ 0 after the black clamp and adding the exactly-zero noise
+			// terms would be the identity, so only the upper clamp can fire.
+			v = 1
+		}
+		// ADC quantization.
+		dst[x] = float32(math.Round(v*k.levels) / k.levels)
+	}
 }
 
 // caInterior returns the inclusive column range where floor(x−s) and its
