@@ -60,8 +60,8 @@ func Demosaic(raw *sensor.RawImage, algo DemosaicAlgorithm) *imaging.Image {
 	}
 }
 
-// colorTable precomputes the Bayer color of each (x parity, y parity) cell
-// so the per-pixel loops avoid a function call per tap.
+// colorTable is the Bayer color of each (y parity, x parity) cell, which is
+// all the plans need of the pattern.
 func colorTable(raw *sensor.RawImage) (ctab [2][2]int) {
 	for y := 0; y < 2; y++ {
 		for x := 0; x < 2; x++ {
