@@ -24,17 +24,18 @@ func benchImage(w, h int) *imaging.Image {
 	return im.Clamp()
 }
 
-// BenchmarkEncode covers the quant/DCT hot path per format; the pooled
-// block scratch this package uses shows up directly in allocs/op. ref runs
-// the Go transforms, which new does too on a machine without the vector ones
-// (and for WebP's 4×4 blocks everywhere).
+// BenchmarkEncode covers the quant/DCT hot path per format; the frame goes
+// back to the codec's pool as the fleet hands it back, so allocs/op counts
+// only what an encode itself allocates. ref runs the Go kernels, which new
+// does too on a machine without the vector ones (and for WebP's 4×4
+// transforms everywhere).
 func BenchmarkEncode(b *testing.B) {
 	im := benchImage(112, 112)
 	for _, c := range []Codec{NewJPEG(85), NewWebP(75), NewHEIF(85)} {
 		run := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = c.Encode(im)
+				Release(c.Encode(im))
 			}
 		}
 		b.Run(c.Name()+"/new", run)
@@ -43,7 +44,8 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 // BenchmarkDecode covers the dequant/IDCT + chroma upsampling path for both
-// decoder variants (the paper's §7 divergence source), new and ref as above.
+// decoder variants (the paper's §7 divergence source), new and ref as above,
+// into a pooled image as the fleet decodes.
 func BenchmarkDecode(b *testing.B) {
 	enc := NewJPEG(85).Encode(benchImage(112, 112))
 	for _, c := range []struct {
@@ -53,7 +55,7 @@ func BenchmarkDecode(b *testing.B) {
 		run := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = enc.Decode(DecodeOptions{ChromaUpsample: c.mode})
+				imaging.PutImage(enc.DecodeInto(DecodeOptions{ChromaUpsample: c.mode}, imaging.GetImage(enc.W, enc.H)))
 			}
 		}
 		b.Run(c.name+"/new", run)

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/imaging"
@@ -117,12 +119,16 @@ func encodePlaneInto(p *planeData, samples []float32, w, h, blockSize int, quant
 	coeffs := growInt32(&p.coeffs, bw*bh*n2)
 	block := grow(&s.block, n2)
 	freq := grow(&s.freq, n2)
+	scanQuant := grow(&s.scanQuant, n2)
+	for i, z := range zz {
+		scanQuant[i] = quant[z]
+	}
 	bi := 0
 	for by := 0; by < bh; by++ {
 		for bx := 0; bx < bw; bx++ {
 			loadBlock(block, samples, w, h, bx*blockSize, by*blockSize, blockSize, mid)
 			forward2D(blockSize, freq, block)
-			quantizeScan(coeffs[bi*n2:(bi+1)*n2], freq, quant, zz)
+			quantizeScan(coeffs[bi*n2:(bi+1)*n2], freq, scanQuant, zz)
 			bi++
 		}
 	}
@@ -132,10 +138,14 @@ func encodePlaneInto(p *planeData, samples []float32, w, h, blockSize int, quant
 
 // loadBlock copies an n×n block at (x0,y0) into block, level-shifted by mid.
 // Interior blocks take the row-sliced path (no per-sample clamps — identical
-// values, the clamp never fires inside the image); edge blocks pad by
-// clamping to the last row/column exactly as the reference loop did.
+// values, the clamp never fires inside the image), on the vector kernel where
+// there is one; edge blocks pad by clamping to the last row/column exactly as
+// the reference loop did.
 func loadBlock(block, samples []float32, w, h, x0, y0, n int, mid float32) {
 	if x0+n <= w && y0+n <= h {
+		if loadBlockVector(block, samples[y0*w+x0:], w, n, mid) {
+			return
+		}
 		for yy := 0; yy < n; yy++ {
 			src := samples[(y0+yy)*w+x0 : (y0+yy)*w+x0+n]
 			dst := block[yy*n : yy*n+n]
@@ -183,9 +193,12 @@ func decodePlane(p *planeData, out []float32, s *scratch) []float32 {
 
 // storeBlock writes an n×n spatial block at (x0,y0) into out, adding the
 // level shift back; samples past the image edge are dropped. Interior blocks
-// take the row-sliced path.
+// take the row-sliced path, on the vector kernel where there is one.
 func storeBlock(out, spatial []float32, w, h, x0, y0, n int, mid float32) {
 	if x0+n <= w && y0+n <= h {
+		if storeBlockVector(out[y0*w+x0:], spatial, w, n, mid) {
+			return
+		}
 		for yy := 0; yy < n; yy++ {
 			src := spatial[yy*n : yy*n+n]
 			dst := out[(y0+yy)*w+x0 : (y0+yy)*w+x0+n]
@@ -216,7 +229,8 @@ func storeBlock(out, spatial []float32, w, h, x0, y0, n int, mid float32) {
 // bottom-left, bottom-right) matches the reference dy/dx loop exactly, and
 // s/4 is the same division the reference's s/c performs with c == 4 — so
 // the fast path is bit-identical; ragged right/bottom edges fall back to
-// the counting loop.
+// the counting loop. The vector kernel, where there is one, computes the full
+// cells of the full rows.
 func downsample2x(dst, src []float32, w, h int) ([]float32, int, int) {
 	dw := (w + 1) / 2
 	dh := (h + 1) / 2
@@ -225,12 +239,13 @@ func downsample2x(dst, src []float32, w, h int) ([]float32, int, int) {
 	}
 	dst = dst[:dw*dh]
 	fw := w / 2 // full 2×2 columns
+	vx := downsample2xVector(dst, src, h/2, fw, dw, w)
 	for y := 0; y < dh; y++ {
 		if 2*y+1 < h {
 			top := src[2*y*w : 2*y*w+w]
 			bot := src[(2*y+1)*w : (2*y+1)*w+w]
 			out := dst[y*dw : y*dw+dw]
-			for x := 0; x < fw; x++ {
+			for x := vx; x < fw; x++ {
 				s := top[2*x] + top[2*x+1] + bot[2*x] + bot[2*x+1]
 				out[x] = s / 4
 			}
@@ -270,7 +285,7 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 			}
 			row := src[sy*sw : sy*sw+sw]
 			out := dst[y*w : y*w+w]
-			for x := 0; x < w; x++ {
+			for x := nearestRowVector(out, row); x < w; x++ {
 				sx := x / 2
 				if sx >= sw {
 					sx = sw - 1
@@ -312,20 +327,11 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 		}
 		x0s[x], x1s[x], wxs[x] = x0, x1, wx
 	}
+	if upsampleFancyVector(dst, src, sw, sh, w, h, x0s, x1s, wxs, s) {
+		return dst
+	}
 	for y := 0; y < h; y++ {
-		fy := float32((float32(y)+0.5)/2) - 0.5
-		y0 := int(fy)
-		if fy < 0 {
-			y0 = 0
-		}
-		y1 := y0 + 1
-		if y1 >= sh {
-			y1 = sh - 1
-		}
-		wy := fy - float32(y0)
-		if wy < 0 {
-			wy = 0
-		}
+		y0, y1, wy := fancyRowTaps(y, sh)
 		rowT := src[y0*sw : y0*sw+sw]
 		rowB := src[y1*sw : y1*sw+sw]
 		out := dst[y*w : y*w+w]
@@ -341,6 +347,26 @@ func upsample2x(dst, src []float32, sw, sh, w, h int, mode UpsampleMode, s *scra
 		}
 	}
 	return dst
+}
+
+// fancyRowTaps are the source rows and weight of output row y of
+// triangle-filter upsampling from sh source rows: the blend of rows y0 and y1,
+// 3:1 or 1:3, or row 0 alone at the top.
+func fancyRowTaps(y, sh int) (y0, y1 int, wy float32) {
+	fy := float32((float32(y)+0.5)/2) - 0.5
+	y0 = int(fy)
+	if fy < 0 {
+		y0 = 0
+	}
+	y1 = y0 + 1
+	if y1 >= sh {
+		y1 = sh - 1
+	}
+	wy = fy - float32(y0)
+	if wy < 0 {
+		wy = 0
+	}
+	return y0, y1, wy
 }
 
 // entropyBits estimates the coded size of a quantized plane with a
@@ -383,14 +409,16 @@ func entropyBits(p *planeData) int {
 	return bits
 }
 
+// magnitudeBits is the bit length of |v|: the magnitude category of a
+// coefficient. MinInt32, whose magnitude no int32 holds, costs 0 bits; it is
+// the coefficient amd64 makes of a NaN or out-of-range quotient (quantRound),
+// and the negation loop this replaced overflowed on it to the same 0.
 func magnitudeBits(v int32) int {
+	if v == math.MinInt32 {
+		return 0
+	}
 	if v < 0 {
 		v = -v
 	}
-	b := 0
-	for v > 0 {
-		b++
-		v >>= 1
-	}
-	return b
+	return bits.Len32(uint32(v))
 }

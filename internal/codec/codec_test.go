@@ -311,8 +311,16 @@ func TestEntropyBitsPositiveAndMonotonic(t *testing.T) {
 	}
 }
 
+// TestMagnitudeBits pins the magnitude category on both sides of every
+// power of two, of either sign, and at the int32 limits. MinInt32 — what a
+// NaN or out-of-range quotient quantizes to on amd64 — costs 0 bits, as it
+// did when the negation overflowed.
 func TestMagnitudeBits(t *testing.T) {
-	cases := map[int32]int{0: 0, 1: 1, -1: 1, 2: 2, 3: 2, 4: 3, -7: 3, 255: 8}
+	cases := map[int32]int{0: 0, 1: 1, -1: 1, 3: 2, -7: 3, 255: 8, math.MaxInt32: 31, -math.MaxInt32: 31, math.MinInt32: 0}
+	for k := 1; k < 31; k++ {
+		cases[1<<k], cases[-1<<k] = k+1, k+1
+		cases[1<<k-1], cases[-(1<<k-1)] = k, k
+	}
 	for v, want := range cases {
 		if got := magnitudeBits(v); got != want {
 			t.Fatalf("magnitudeBits(%d) = %d, want %d", v, got, want)

@@ -123,22 +123,26 @@ func matmul(n int, dst, a, b []float32) {
 }
 
 // quantizeScan divides the frequency block by the quant table in scan order
-// and rounds half away from zero, writing zigzag-ordered coefficients. The
-// 4-wide unroll keeps table and coefficient loads flowing around the divide
-// latency; n² is a multiple of four for every supported block size, and the
-// remainder loop covers any other table.
-func quantizeScan(out []int32, freq, quant []float32, zz []int) {
+// and rounds half away from zero, writing zigzag-ordered coefficients:
+// out[i] = quantRound(freq[zz[i]] / quant[zz[i]]). scanQuant is the table
+// already in scan order (scanQuant[i] = quant[zz[i]]), permuted once a plane,
+// so the only indirection left is the one into the block, which the vector
+// kernel gathers. The 4-wide unroll keeps table and coefficient loads
+// flowing around the divide latency; n² is a multiple of four for every
+// supported block size, and the remainder loop covers any other table.
+func quantizeScan(out []int32, freq, scanQuant []float32, zz []int) {
+	if quantizeScanVector(out, freq, scanQuant) {
+		return
+	}
 	i := 0
 	for ; i+4 <= len(zz); i += 4 {
-		z0, z1, z2, z3 := zz[i], zz[i+1], zz[i+2], zz[i+3]
-		out[i] = quantRound(freq[z0] / quant[z0])
-		out[i+1] = quantRound(freq[z1] / quant[z1])
-		out[i+2] = quantRound(freq[z2] / quant[z2])
-		out[i+3] = quantRound(freq[z3] / quant[z3])
+		out[i] = quantRound(freq[zz[i]] / scanQuant[i])
+		out[i+1] = quantRound(freq[zz[i+1]] / scanQuant[i+1])
+		out[i+2] = quantRound(freq[zz[i+2]] / scanQuant[i+2])
+		out[i+3] = quantRound(freq[zz[i+3]] / scanQuant[i+3])
 	}
 	for ; i < len(zz); i++ {
-		zi := zz[i]
-		out[i] = quantRound(freq[zi] / quant[zi])
+		out[i] = quantRound(freq[zz[i]] / scanQuant[i])
 	}
 }
 
@@ -153,8 +157,13 @@ func quantRound(q float32) int32 {
 // dequantizeScan scatters zigzag-ordered coefficients back to the frequency
 // block, multiplied by the quant table. The scan covers every index exactly
 // once (zigzagOrder is a permutation — property-tested), so the block needs
-// no zeroing pass: every entry is overwritten.
+// no zeroing pass: every entry is overwritten. The vector kernel computes
+// the same products in frequency order instead, gathering each one's
+// coefficient through the inverse scan, so it needs no scatter.
 func dequantizeScan(freq []float32, cf []int32, quant []float32, zz []int) {
+	if dequantizeScanVector(freq, cf, quant) {
+		return
+	}
 	i := 0
 	for ; i+4 <= len(zz); i += 4 {
 		z0, z1, z2, z3 := zz[i], zz[i+1], zz[i+2], zz[i+3]

@@ -10,6 +10,8 @@ import "sync"
 // because every buffer is fully overwritten before it is read.
 type scratch struct {
 	block, freq, spatial []float32
+	// scanQuant is an encode's quant table in scan order.
+	scanQuant []float32
 	// planes are the dequantized Y/Cb/Cr buffers of a decode, or the
 	// downsampled chroma of an encode.
 	planes [3][]float32
@@ -22,6 +24,9 @@ type scratch struct {
 	// chroma upsampling.
 	upx0, upx1 []int
 	upwx       []float32
+	// upRows are the horizontally blended source rows of the vector
+	// kernels' triangle-filter upsampling.
+	upRows []float32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -98,3 +98,314 @@ matmul16Row:
 	JNE  matmul16Row
 	VZEROUPPER
 	RET
+
+DATA signBit<>+0(SB)/4, $0x80000000
+GLOBL signBit<>(SB), RODATA|NOPTR, $4
+
+DATA half<>+0(SB)/4, $0x3f000000
+GLOBL half<>(SB), RODATA|NOPTR, $4
+
+DATA quarter<>+0(SB)/4, $0x3e800000
+GLOBL quarter<>(SB), RODATA|NOPTR, $4
+
+DATA threeQuarters<>+0(SB)/4, $0x3f400000
+GLOBL threeQuarters<>(SB), RODATA|NOPTR, $4
+
+// func quantizeScanAVX2(out *int32, freq, scanQuant *float32, zz *int32, n int)
+//
+// quantizeScan over one block of n > 0 samples, a multiple of 8: out[i] =
+// quantRound(freq[zz[i]] / scanQuant[i]). The block is gathered in scan
+// order; the quotient gets 0.5 with its own sign added and is truncated, and
+// VCVTTPS2DQ, like amd64's int32(float32), makes 0x80000000 of a NaN or of a
+// sum outside int32.
+TEXT ·quantizeScanAVX2(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ freq+8(FP), SI
+	MOVQ scanQuant+16(FP), DX
+	MOVQ zz+24(FP), R8
+	MOVQ n+32(FP), CX
+	VPBROADCASTD signBit<>(SB), Y5
+	VBROADCASTSS half<>(SB), Y6
+	SHLQ $2, CX
+	XORQ BX, BX
+
+quantLoop:
+	VMOVDQU (R8)(BX*1), Y1         // scan positions
+	VPCMPEQD Y2, Y2, Y2            // gather every lane
+	VGATHERDPS Y2, (SI)(Y1*4), Y0  // freq[zz[i]]
+	VDIVPS (DX)(BX*1), Y0, Y0      // q = freq[zz[i]] / scanQuant[i]
+	VANDPS Y5, Y0, Y3              // q's sign
+	VORPS Y6, Y3, Y3               // ±0.5
+	VADDPS Y3, Y0, Y0              // q ± 0.5
+	VCVTTPS2DQ Y0, Y0
+	VMOVDQU Y0, (DI)(BX*1)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   quantLoop
+	VZEROUPPER
+	RET
+
+// func dequantizeScanAVX2(freq *float32, cf *int32, quant *float32, unzz *int32, n int)
+//
+// dequantizeScan over one block of n > 0 samples, a multiple of 8, in
+// frequency order: freq[j] = float32(cf[unzz[j]]) · quant[j], the coefficient
+// of each frequency gathered from its place in the scan.
+TEXT ·dequantizeScanAVX2(SB), NOSPLIT, $0-40
+	MOVQ freq+0(FP), DI
+	MOVQ cf+8(FP), SI
+	MOVQ quant+16(FP), DX
+	MOVQ unzz+24(FP), R8
+	MOVQ n+32(FP), CX
+	SHLQ $2, CX
+	XORQ BX, BX
+
+dequantLoop:
+	VMOVDQU (R8)(BX*1), Y1         // scan places
+	VPCMPEQD Y2, Y2, Y2            // gather every lane
+	VPGATHERDD Y2, (SI)(Y1*4), Y0  // cf[unzz[j]]
+	VCVTDQ2PS Y0, Y0
+	VMULPS (DX)(BX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   dequantLoop
+	VZEROUPPER
+	RET
+
+// func loadBlockAVX2(block, src *float32, stride, n int, mid float32)
+//
+// The interior branch of loadBlock: block[y·n+x] = src[y·stride+x] - mid for
+// an n×n block, n = 4 or a multiple of 8.
+TEXT ·loadBlockAVX2(SB), NOSPLIT, $0-36
+	MOVQ block+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ stride+16(FP), DX
+	MOVQ n+24(FP), R8
+	VBROADCASTSS mid+32(FP), Y1
+	SHLQ $2, DX
+	MOVQ R8, CX
+	SHLQ $2, CX                    // bytes a block row
+	CMPQ CX, $16
+	JEQ  loadNarrow
+
+loadRow:
+	XORQ BX, BX
+
+loadVector:
+	VMOVUPS (SI)(BX*1), Y0
+	VSUBPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   loadVector
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R8
+	JNE  loadRow
+	VZEROUPPER
+	RET
+
+loadNarrow:
+	VMOVUPS (SI), X0
+	VSUBPS X1, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ $16, DI
+	ADDQ DX, SI
+	DECQ R8
+	JNE  loadNarrow
+	VZEROUPPER
+	RET
+
+// func storeBlockAVX2(dst, spatial *float32, stride, n int, mid float32)
+//
+// The interior branch of storeBlock: dst[y·stride+x] = spatial[y·n+x] + mid
+// for an n×n block, n = 4 or a multiple of 8.
+TEXT ·storeBlockAVX2(SB), NOSPLIT, $0-36
+	MOVQ dst+0(FP), DI
+	MOVQ spatial+8(FP), SI
+	MOVQ stride+16(FP), DX
+	MOVQ n+24(FP), R8
+	VBROADCASTSS mid+32(FP), Y1
+	SHLQ $2, DX
+	MOVQ R8, CX
+	SHLQ $2, CX                    // bytes a block row
+	CMPQ CX, $16
+	JEQ  storeNarrow
+
+storeRow:
+	XORQ BX, BX
+
+storeVector:
+	VMOVUPS (SI)(BX*1), Y0
+	VADDPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	ADDQ $32, BX
+	CMPQ BX, CX
+	JB   storeVector
+	ADDQ CX, SI
+	ADDQ DX, DI
+	DECQ R8
+	JNE  storeRow
+	VZEROUPPER
+	RET
+
+storeNarrow:
+	VMOVUPS (SI), X0
+	VADDPS X1, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ $16, SI
+	ADDQ DX, DI
+	DECQ R8
+	JNE  storeNarrow
+	VZEROUPPER
+	RET
+
+// The row kernels below take n ≥ 8 outputs and cover a row with whole
+// vectors: when n is not a multiple of 8 the last vector is the one ending at
+// n, so it recomputes a few outputs of the one before it, from the same
+// inputs, to the same values. None of them writes what it reads.
+//
+// NEXT advances the byte offset BX of the vector just done towards last, the
+// offset of the final one, and jumps to loop unless that one is done.
+#define NEXT(last, loop, done) \
+	CMPQ BX, last; \
+	JEQ  done; \
+	ADDQ $32, BX; \
+	CMPQ BX, last; \
+	JBE  loop; \
+	MOVQ last, BX; \
+	JMP  loop
+
+// func downsample2xAVX2(dst, src *float32, rows, cells, dstStride, srcStride int)
+//
+// The full cells of downsample2x: for rows output rows of cells ≥ 8 outputs,
+// dst[y·dstStride+x] = (t[2x] + t[2x+1] + b[2x] + b[2x+1]) / 4, where t and b
+// are source rows 2y and 2y+1, added left to right. Four is a power of two,
+// so the quotient is the product with ¼. VSHUFPS splits sixteen source
+// samples into the even and odd ones, in the order 0 1 4 5 2 3 6 7 of the
+// outputs, which VPERMPD puts right.
+TEXT ·downsample2xAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cells+24(FP), R9
+	MOVQ dstStride+32(FP), R10
+	MOVQ srcStride+40(FP), R11
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ -32(R9*4), R9             // offset of the last vector of a row
+	VBROADCASTSS quarter<>(SB), Y7
+
+downRow:
+	LEAQ (SI)(R11*1), DX           // the bottom source row
+	XORQ BX, BX
+
+downVector:
+	VMOVUPS (SI)(BX*2), Y0
+	VMOVUPS 32(SI)(BX*2), Y1
+	VSHUFPS $0x88, Y1, Y0, Y2      // top, even samples
+	VSHUFPS $0xdd, Y1, Y0, Y3      // top, odd samples
+	VMOVUPS (DX)(BX*2), Y0
+	VMOVUPS 32(DX)(BX*2), Y1
+	VSHUFPS $0x88, Y1, Y0, Y4      // bottom, even samples
+	VSHUFPS $0xdd, Y1, Y0, Y5      // bottom, odd samples
+	VADDPS Y3, Y2, Y2
+	VADDPS Y4, Y2, Y2
+	VADDPS Y5, Y2, Y2
+	VMULPS Y7, Y2, Y2
+	VPERMPD $0xd8, Y2, Y2
+	VMOVUPS Y2, (DI)(BX*1)
+	NEXT(R9, downVector, downNext)
+
+downNext:
+	ADDQ R10, DI
+	LEAQ (SI)(R11*2), SI
+	DECQ R8
+	JNE  downRow
+	VZEROUPPER
+	RET
+
+// func nearestRowAVX2(dst, src *float32, n int)
+//
+// Nearest-neighbour chroma upsampling of a row: dst[2j] = dst[2j+1] = src[j]
+// for j < n, n ≥ 8.
+TEXT ·nearestRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), R9
+	LEAQ -32(R9*4), R9
+	XORQ BX, BX
+
+nearestVector:
+	VMOVUPS (SI)(BX*1), Y0
+	VUNPCKLPS Y0, Y0, Y1           // 0 0 1 1 | 4 4 5 5
+	VUNPCKHPS Y0, Y0, Y2           // 2 2 3 3 | 6 6 7 7
+	VPERM2F128 $0x20, Y2, Y1, Y3
+	VPERM2F128 $0x31, Y2, Y1, Y4
+	VMOVUPS Y3, (DI)(BX*2)
+	VMOVUPS Y4, 32(DI)(BX*2)
+	NEXT(R9, nearestVector, nearestDone)
+
+nearestDone:
+	VZEROUPPER
+	RET
+
+// func fancyRowAVX2(dst, src *float32, n int)
+//
+// The horizontal pass of triangle-filter upsampling between source samples j
+// and j+1, j < n, n ≥ 8: with d = src[j+1] - src[j], dst[2j] = src[j] + d·¼
+// and dst[2j+1] = src[j] + d·¾ (dst is output x = 1 of the row).
+TEXT ·fancyRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), R9
+	LEAQ -32(R9*4), R9
+	VBROADCASTSS quarter<>(SB), Y6
+	VBROADCASTSS threeQuarters<>(SB), Y7
+	XORQ BX, BX
+
+fancyVector:
+	VMOVUPS (SI)(BX*1), Y0         // src[j]
+	VMOVUPS 4(SI)(BX*1), Y1        // src[j+1]
+	VSUBPS Y0, Y1, Y1              // d
+	VMULPS Y6, Y1, Y2
+	VADDPS Y2, Y0, Y2              // src[j] + d·¼
+	VMULPS Y7, Y1, Y3
+	VADDPS Y3, Y0, Y3              // src[j] + d·¾
+	VUNPCKLPS Y3, Y2, Y4
+	VUNPCKHPS Y3, Y2, Y5
+	VPERM2F128 $0x20, Y5, Y4, Y0
+	VPERM2F128 $0x31, Y5, Y4, Y1
+	VMOVUPS Y0, (DI)(BX*2)
+	VMOVUPS Y1, 32(DI)(BX*2)
+	NEXT(R9, fancyVector, fancyDone)
+
+fancyDone:
+	VZEROUPPER
+	RET
+
+// func lerpRowAVX2(dst, top, bot *float32, n int, wy float32)
+//
+// The vertical pass of triangle-filter upsampling: dst[x] = top[x] +
+// (bot[x] - top[x])·wy for x < n, n ≥ 8.
+TEXT ·lerpRowAVX2(SB), NOSPLIT, $0-36
+	MOVQ dst+0(FP), DI
+	MOVQ top+8(FP), SI
+	MOVQ bot+16(FP), DX
+	MOVQ n+24(FP), R9
+	VBROADCASTSS wy+32(FP), Y7
+	LEAQ -32(R9*4), R9
+	XORQ BX, BX
+
+lerpVector:
+	VMOVUPS (SI)(BX*1), Y0
+	VMOVUPS (DX)(BX*1), Y1
+	VSUBPS Y0, Y1, Y1
+	VMULPS Y7, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	NEXT(R9, lerpVector, lerpDone)
+
+lerpDone:
+	VZEROUPPER
+	RET

@@ -163,6 +163,9 @@ type ShardSpec struct {
 	// into a wrong result that ends done. The coordinator always sends it;
 	// empty skips the check.
 	ModelSHA string `json:"model_sha,omitempty"`
+	// CellDigest is the coordinator's cell_digest (see Health.CellDigest),
+	// checked as ModelSHA is.
+	CellDigest string `json:"cell_digest,omitempty"`
 	// Trace and Parent carry the coordinator run's trace context: the
 	// executing instance records its shard.execute span under this trace,
 	// parented onto the coordinator's dispatch span, so a sharded run yields
@@ -225,6 +228,10 @@ type RunStatus struct {
 // Health is the body of GET /healthz. Its keys are in lexical order, as a
 // map of them would marshal.
 type Health struct {
+	// CellDigest fingerprints the cells the instance computes from its
+	// weights: the sha256 of a fixed canary of captures and inferences. A
+	// coordinator refuses a peer whose CellDigest is not its own.
+	CellDigest  string `json:"cell_digest"`
 	Experiments int    `json:"experiments"`
 	Fleets      int    `json:"fleets"`
 	GoVersion   string `json:"go_version"`

@@ -78,8 +78,10 @@ type FleetShardSpec struct {
 	FleetSpec
 	DeviceLo int `json:"device_lo"`
 	DeviceHi int `json:"device_hi"`
-	// ModelSHA is the coordinator's model_sha, checked as in ShardSpec.
-	ModelSHA string `json:"model_sha,omitempty"`
+	// ModelSHA and CellDigest are the coordinator's, checked as in
+	// ShardSpec.
+	ModelSHA   string `json:"model_sha,omitempty"`
+	CellDigest string `json:"cell_digest,omitempty"`
 	// Trace and Parent carry the coordinator's trace context, as in
 	// ShardSpec.
 	Trace  string `json:"trace,omitempty"`

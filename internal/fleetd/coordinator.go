@@ -164,12 +164,12 @@ type coordExec struct {
 
 // newCoordExec plans one run's shard split. trace may be empty (no span
 // recording).
-func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, modelSHA string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *coordExec {
+func newCoordExec(spec fleetapi.RunSpec, cfg fleet.Config, modelSHA string, cellDigest func() string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *coordExec {
 	c := &coordExec{cfg: cfg}
 	c.fanOut = &fanOut[fleet.Stats]{
 		kind: "run", shard: "shard", total: cfg.Devices, modelSHA: modelSHA, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
-			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, Trace: trace, Parent: parent})
+			return peer.RunShard(ctx, fleetapi.ShardSpec{RunSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, CellDigest: cellDigest(), Trace: trace, Parent: parent})
 		},
 		merge: c.mergeRun,
 	}
@@ -218,11 +218,11 @@ func (c *coordExec) accumulator() *stability.Accumulator {
 // newCoordFleetExec plans one continuous fleet's shard split. Devices
 // recompute their lifecycle schedules locally from the spec's seed, so the
 // merged report — windows and drift included — needs nothing but the states.
-func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, modelSHA string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *fanOut[fleet.FleetReport] {
+func newCoordFleetExec(spec fleetapi.FleetSpec, cfg fleet.ContinuousConfig, modelSHA string, cellDigest func() string, peers []*fleetapi.Client, tracer *obs.Tracer, trace string, probe func(context.Context, []*fleetapi.Client) error) *fanOut[fleet.FleetReport] {
 	f := &fanOut[fleet.FleetReport]{
 		kind: "fleet", shard: "fleet shard", total: cfg.Fleet.Devices, modelSHA: modelSHA, tracer: tracer, trace: trace, probe: probe,
 		dispatch: func(ctx context.Context, peer *fleetapi.Client, lo, hi int, trace, parent string) (*fleet.ContinuousState, error) {
-			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, Trace: trace, Parent: parent})
+			return peer.RunFleetShard(ctx, fleetapi.FleetShardSpec{FleetSpec: spec, DeviceLo: lo, DeviceHi: hi, ModelSHA: modelSHA, CellDigest: cellDigest(), Trace: trace, Parent: parent})
 		},
 		merge: func(states []*fleet.ContinuousState) (fleet.FleetReport, error) {
 			return fleet.MergedFleetReport(cfg, states...)

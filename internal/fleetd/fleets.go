@@ -55,7 +55,7 @@ func (s *Server) createFleet(spec fleetapi.FleetSpec) (*contFleet, *fleetapi.Err
 			SetAttr("fleet", strconv.Itoa(id))
 		defer admit.End()
 		if len(s.peers) > 0 {
-			coord := newCoordFleetExec(spec, cfg, s.modelSHA(), s.peers, s.tracer, f.trace, s.reprobe)
+			coord := newCoordFleetExec(spec, cfg, s.modelSHA(), s.cellDigest, s.peers, s.tracer, f.trace, s.reprobe)
 			exec, f.shards = coord, len(coord.ranges)
 		} else {
 			runner, err := fleet.NewContinuousRunner(cfg, s.factory)

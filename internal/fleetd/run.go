@@ -49,7 +49,7 @@ func (e *localExec) accumulator() *stability.Accumulator { return e.runner.Accum
 // a local execution.
 func (s *Server) newExecution(spec fleetapi.RunSpec, cfg fleet.Config, trace string) (exec execution, shards int) {
 	if len(s.peers) > 0 {
-		coord := newCoordExec(spec, cfg, s.modelSHA(), s.peers, s.tracer, trace, s.reprobe)
+		coord := newCoordExec(spec, cfg, s.modelSHA(), s.cellDigest, s.peers, s.tracer, trace, s.reprobe)
 		return coord, len(coord.ranges)
 	}
 	runner := fleet.NewRunner(cfg, s.factory)

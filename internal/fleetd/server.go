@@ -79,6 +79,10 @@ type Server struct {
 	// modelSHA is fleet.ModelSHA(factory), computed once, by the first
 	// /healthz or peer probe: never on the New path.
 	modelSHA func() string
+	// cellDigest is the sha256 of the canary cells this instance computes
+	// (canary.go), computed once, lazily, as modelSHA is, and shared with the
+	// process's other instances of the same weights (cellDigests).
+	cellDigest func() string
 
 	// mu guards the kinds' rings and everything below it.
 	mu          sync.Mutex
@@ -129,6 +133,9 @@ func New(o Options) *Server {
 		shardRunners: map[shardRunner]struct{}{},
 		shardSlots:   4,
 	}
+	s.cellDigest = sync.OnceValue(func() string {
+		return cellDigests.GetOrCompute(s.modelSHA(), func() string { return cellDigest(o.Factory) })
+	})
 	s.runs = &kind[fleetapi.RunSpec, *run]{s: s, name: "run", create: s.createRun}
 	s.experiments = &kind[fleetapi.ExperimentSpec, *experiment]{s: s, name: "experiment", create: s.createExperiment}
 	s.fleets = &kind[fleetapi.FleetSpec, *contFleet]{s: s, name: "fleet", create: s.createFleet}
@@ -226,10 +233,10 @@ func (s *Server) CancelRuns() {
 
 // ProbePeers checks every peer's /healthz, returning the first failure
 // attributed to its peer by name: an unhealthy peer, or one whose model_sha
-// is not this instance's. A no-op for non-coordinators. cmd/fleetd calls it
-// at startup so a mistyped -peers entry fails fast instead of surfacing
-// minutes later as a mid-run shard error; the coordinator execution path
-// re-probes before every dispatch.
+// or cell_digest is not this instance's. A no-op for non-coordinators.
+// cmd/fleetd calls it at startup so a mistyped -peers entry fails fast
+// instead of surfacing minutes later as a mid-run shard error; the
+// coordinator execution path re-probes before every dispatch.
 func (s *Server) ProbePeers(ctx context.Context) error {
 	// Startup probes log at info (one line per peer with its round-trip
 	// latency — a slow-but-healthy peer is worth noticing before sharding a
@@ -245,7 +252,8 @@ func (s *Server) reprobe(ctx context.Context, peers []*fleetapi.Client) error {
 
 // probePeers is the health probe behind ProbePeers and reprobe. A peer that
 // computes with other weights would merge its cells into a result that
-// finishes done and is wrong, so it is refused like a dead one. logf gets one
+// finishes done and is wrong, so it is refused like a dead one; so is a peer
+// that computes other canary cells from the same weights. logf gets one
 // line per accepted peer with the probe's round-trip latency.
 func (s *Server) probePeers(ctx context.Context, peers []*fleetapi.Client, logf func(string, ...any)) error {
 	for _, p := range peers {
@@ -256,6 +264,9 @@ func (s *Server) probePeers(ctx context.Context, peers []*fleetapi.Client, logf 
 		}
 		if want := s.modelSHA(); h.ModelSHA != want {
 			return fmt.Errorf("peer %s computes with other weights: model_sha %s, this instance's %s", p.BaseURL, h.ModelSHA, want)
+		}
+		if want := s.cellDigest(); h.CellDigest != want {
+			return fmt.Errorf("peer %s computes other cells from the same weights: cell_digest %s, this instance's %s", p.BaseURL, h.CellDigest, want)
 		}
 		logf("peer %s healthy (probe %s)", p.BaseURL, time.Since(t0).Round(time.Microsecond))
 	}
@@ -275,6 +286,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	runs, exps, fleets := len(s.runs.ring), len(s.experiments.ring), len(s.fleets.ring)
 	s.mu.Unlock()
 	fleetapi.WriteJSON(w, http.StatusOK, fleetapi.Health{
+		CellDigest:  s.cellDigest(),
 		Status:      "ok",
 		ModelParams: s.params,
 		ModelSHA:    s.modelSHA(),

@@ -374,7 +374,7 @@ func TestPeerWithOtherWeightsIsRefused(t *testing.T) {
 	if h, err := fleetapi.NewClient(ts.URL).Healthz(context.Background()); err != nil || h.ModelSHA != other.modelSHA() {
 		t.Fatalf("/healthz model_sha %q, %v; want %s", h.ModelSHA, err, other.modelSHA())
 	}
-	refusesPeer(t, other, other.Handler())
+	refusesPeer(t, other, other.Handler(), peerModelSHA)
 }
 
 // TestPeerSwappedAfterProbeIsRefused: a peer passes the probe and is then
@@ -388,16 +388,60 @@ func TestPeerSwappedAfterProbeIsRefused(t *testing.T) {
 	swapped := http.NewServeMux()
 	swapped.Handle("/healthz", testServer(4).Handler())
 	swapped.Handle("/", other.Handler())
-	refusesPeer(t, other, swapped)
+	refusesPeer(t, other, swapped, peerModelSHA)
 	if n := other.reg.Counter(metricShardsStarted).Value(); n != 0 {
 		t.Errorf("the swapped peer admitted %d shards", n)
 	}
 }
 
+// TestPeerWithOtherCellsIsRefused: a peer with the same weights whose canary
+// cells come out otherwise — its cell_digest forced to differ, as a sensor,
+// codec or kernel computing other bits would make it — is refused by the
+// probe, the error naming the peer and both cell digests. Swapped in after a
+// same-cells peer answered the probe, it refuses the shard specs, which carry
+// the coordinator's cell_digest, and starts no shard.
+func TestPeerWithOtherCellsIsRefused(t *testing.T) {
+	other := testServer(4)
+	forced := strings.Repeat("0", 64)
+	other.cellDigest = func() string { return forced }
+	if ours := testServer(4); other.modelSHA() != ours.modelSHA() || ours.cellDigest() == forced {
+		t.Fatal("the peers must have the same weights and differ in cell_digest")
+	}
+	ts := httptest.NewServer(other.Handler())
+	t.Cleanup(ts.Close)
+	if h, err := fleetapi.NewClient(ts.URL).Healthz(context.Background()); err != nil || h.CellDigest != forced {
+		t.Fatalf("/healthz cell_digest %q, %v; want %s", h.CellDigest, err, forced)
+	}
+	refusesPeer(t, other, other.Handler(), peerCellDigest)
+	swapped := http.NewServeMux()
+	swapped.Handle("/healthz", testServer(4).Handler())
+	swapped.Handle("/", other.Handler())
+	refusesPeer(t, other, swapped, peerCellDigest)
+	if n := other.reg.Counter(metricShardsStarted).Value(); n != 0 {
+		t.Errorf("the swapped peer admitted %d shards", n)
+	}
+}
+
+// TestCellDigest: the canary digest is a sha256 that a second computation on
+// the same weights repeats — the instances of a process share one — and
+// other weights change.
+func TestCellDigest(t *testing.T) {
+	s := testServer(4)
+	a, again, other := s.cellDigest(), cellDigest(s.factory), initSeedServer(4, 6).cellDigest()
+	if len(a) != 64 || a != again || a == other {
+		t.Fatalf("cell_digest %s, recomputed %s, on other weights %s", a, again, other)
+	}
+}
+
+// The digests a peer is refused on, read from a server.
+func peerModelSHA(s *Server) string   { return s.modelSHA() }
+func peerCellDigest(s *Server) string { return s.cellDigest() }
+
 // refusesPeer runs a run and a fleet on a coordinator over a same-weights peer
 // and bad, served by handler, and checks that both end failed with an error
-// naming bad's URL, the coordinator's model_sha and other's.
-func refusesPeer(t *testing.T, other *Server, handler http.Handler) {
+// naming bad's URL and the coordinator's and other's values of digest, which
+// must differ.
+func refusesPeer(t *testing.T, other *Server, handler http.Handler, digest func(*Server) string) {
 	t.Helper()
 	good := httptest.NewServer(testServer(4).Handler())
 	t.Cleanup(good.Close)
@@ -409,14 +453,14 @@ func refusesPeer(t *testing.T, other *Server, handler http.Handler) {
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 	c := fleetapi.NewClient(ts.URL)
-	ours, theirs := coord.modelSHA(), other.modelSHA()
+	ours, theirs := digest(coord), digest(other)
 	if ours == theirs || coord.params != other.params {
-		t.Fatalf("the peers must differ in weights alone: model_sha %s and %s, %d and %d params", ours, theirs, coord.params, other.params)
+		t.Fatalf("the peers must differ in the digest alone: %s and %s, %d and %d params", ours, theirs, coord.params, other.params)
 	}
 	refused := func(kind, state, msg string) {
 		t.Helper()
 		if state != fleetapi.StateFailed {
-			t.Fatalf("%s over a peer with other weights ended %s: %q", kind, state, msg)
+			t.Fatalf("%s over a foreign peer ended %s: %q", kind, state, msg)
 		}
 		for _, want := range []string{bad.URL, ours, theirs} {
 			if !strings.Contains(msg, want) {

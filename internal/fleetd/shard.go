@@ -21,19 +21,20 @@ type shardRunner interface {
 }
 
 // shardJob is one decoded shard request as the handler sees it: the device
-// range, model digest and trace context both shard specs carry, and the
-// runner build that differs.
+// range, model and cell digests and trace context both shard specs carry, and
+// the runner build that differs.
 type shardJob struct {
 	lo, hi        int
 	seed          int64
 	modelSHA      string
+	cellDigest    string
 	trace, parent string
 	build         func() (shardRunner, error)
 }
 
 func (s *Server) handleShard(w http.ResponseWriter, req *http.Request) {
 	serveShard(s, w, req, "shard", func(spec fleetapi.ShardSpec) shardJob {
-		return shardJob{lo: spec.DeviceLo, hi: spec.DeviceHi, seed: spec.Seed, modelSHA: spec.ModelSHA, trace: spec.Trace, parent: spec.Parent,
+		return shardJob{lo: spec.DeviceLo, hi: spec.DeviceHi, seed: spec.Seed, modelSHA: spec.ModelSHA, cellDigest: spec.CellDigest, trace: spec.Trace, parent: spec.Parent,
 			build: func() (shardRunner, error) {
 				return fleet.NewRunner(spec.FleetConfig(), s.factory), nil
 			}}
@@ -42,7 +43,7 @@ func (s *Server) handleShard(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleFleetShard(w http.ResponseWriter, req *http.Request) {
 	serveShard(s, w, req, "fleet shard", func(spec fleetapi.FleetShardSpec) shardJob {
-		return shardJob{lo: spec.DeviceLo, hi: spec.DeviceHi, seed: spec.Seed, modelSHA: spec.ModelSHA, trace: spec.Trace, parent: spec.Parent,
+		return shardJob{lo: spec.DeviceLo, hi: spec.DeviceHi, seed: spec.Seed, modelSHA: spec.ModelSHA, cellDigest: spec.CellDigest, trace: spec.Trace, parent: spec.Parent,
 			build: func() (shardRunner, error) {
 				return fleet.NewContinuousRunner(spec.ContinuousConfig(), s.factory)
 			}}
@@ -53,8 +54,9 @@ func (s *Server) handleFleetShard(w http.ResponseWriter, req *http.Request) {
 // wire state. Shards deliberately bypass the resource kinds and their
 // admission slot: they are subordinate work owned by some coordinator's
 // single run, experiment arm or fleet. A shard whose spec names another
-// model_sha than this instance's is refused before it is admitted: the
-// coordinator's probe saw weights that are no longer the ones answering.
+// model_sha or cell_digest than this instance's is refused before it is
+// admitted: the coordinator's probe saw weights, or cells, that are no longer
+// the ones answering.
 // shard labels the request in messages and, spaces dropped, in span names.
 func serveShard[Spec validator](s *Server, w http.ResponseWriter, req *http.Request, shard string, plan func(Spec) shardJob) {
 	if !allow(w, req, http.MethodPost) {
@@ -68,6 +70,10 @@ func serveShard[Spec validator](s *Server, w http.ResponseWriter, req *http.Requ
 	job := plan(spec)
 	if job.modelSHA != "" && job.modelSHA != s.modelSHA() {
 		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeConflict, "%s refused: spec model_sha %s is not this instance's %s", shard, job.modelSHA, s.modelSHA()))
+		return
+	}
+	if job.cellDigest != "" && job.cellDigest != s.cellDigest() {
+		fleetapi.WriteError(w, fleetapi.Errorf(fleetapi.CodeConflict, "%s refused: spec cell_digest %s is not this instance's %s", shard, job.cellDigest, s.cellDigest()))
 		return
 	}
 	// Reserve the slot before the runner build: admission must precede the

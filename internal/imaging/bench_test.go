@@ -11,7 +11,9 @@ import (
 // The filter benchmarks run each kernel beside the retired body it is
 // diffed against (the ref* functions of the *_ref_test.go files) on a 64×64
 // frame, the fleet's full-resolution capture size, so one
-// `go test -bench . ./internal/imaging` prints both sides of every rewrite.
+// `go test -bench . ./internal/imaging` prints both sides of every rewrite;
+// where the kernel has a vector twin, portable is the same kernel on the Go
+// loops.
 
 func benchImage(w, h int) *Image {
 	rng := rand.New(rand.NewSource(1))
@@ -24,11 +26,13 @@ func benchImage(w, h int) *Image {
 
 func BenchmarkMedianDenoise3(b *testing.B) {
 	im, dst := benchImage(64, 64), New(64, 64)
-	b.Run("new", func(b *testing.B) {
+	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MedianDenoise3Into(dst, im)
 		}
-	})
+	}
+	b.Run("new", run)
+	b.Run("portable", func(b *testing.B) { portable(func() { run(b) }) })
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refMedianDenoise3Into(dst, im)
@@ -38,11 +42,13 @@ func BenchmarkMedianDenoise3(b *testing.B) {
 
 func BenchmarkBoxBlur(b *testing.B) {
 	im, dst := benchImage(64, 64), New(64, 64)
-	b.Run("new", func(b *testing.B) {
+	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BoxBlurInto(dst, im, 1)
 		}
-	})
+	}
+	b.Run("new", run)
+	b.Run("portable", func(b *testing.B) { portable(func() { run(b) }) })
 	b.Run("ref", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refBoxBlurInto(dst, im, 1)
@@ -93,7 +99,8 @@ func BenchmarkColourConversion(b *testing.B) {
 }
 
 // BenchmarkModelInput times a 12-image batch into the model's input tensor,
-// from captures at model resolution (32) and at full resolution (64).
+// from captures at model resolution (32) and at full resolution (64, the
+// exact 2:1 downscale).
 func BenchmarkModelInput(b *testing.B) {
 	for _, size := range []int{32, 64} {
 		images := make([]*Image, 12)
@@ -101,12 +108,14 @@ func BenchmarkModelInput(b *testing.B) {
 			images[i] = benchImage(size, size)
 		}
 		x := tensor.New(len(images), 3, 32, 32)
-		b.Run(fmt.Sprintf("new/%d", size), func(b *testing.B) {
+		run := func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				BatchTensorInto(x, images)
 			}
-		})
+		}
+		b.Run(fmt.Sprintf("new/%d", size), run)
+		b.Run(fmt.Sprintf("portable/%d", size), func(b *testing.B) { portable(func() { run(b) }) })
 		b.Run(fmt.Sprintf("ref/%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			resized := make([]*Image, len(images))

@@ -146,8 +146,9 @@ func blurRows(dst, src []float32, rows, n, dstStride, srcStride, tapStride int, 
 // Radius 1 is the only one a vendor pipeline uses, and there every interior
 // sample is the nine taps summed in the generic loop's order (rows top to
 // bottom, left to right within a row, starting from zero) over 9 — the same
-// adds in the same order without the four bounds tests and the tap counter.
-// Border samples and other radii take the generic clipped window.
+// adds in the same order without the four bounds tests and the tap counter,
+// on the vector kernel where there is one. Border samples and other radii
+// take the generic clipped window.
 func BoxBlurInto(dst, im *Image, r int) *Image {
 	if r <= 0 {
 		copy(dst.Pix, im.Pix)
@@ -164,7 +165,7 @@ func BoxBlurInto(dst, im *Image, r int) *Image {
 			if r == 1 && y >= 1 && y < h-1 && w >= 3 {
 				drow[0] = boxTapClipped(src, 0, y, 1, w, h)
 				r0, r1, r2 := src[(y-1)*w:y*w], src[y*w:(y+1)*w], src[(y+1)*w:(y+2)*w]
-				for x = 1; x < w-1; x++ {
+				for x = 1 + box3RowVector(drow[1:w-1], r0, r1, r2); x < w-1; x++ {
 					var s float32 // 0 + v is not v for v = −0; the generic loop starts here too
 					s += r0[x-1]
 					s += r0[x]
@@ -217,7 +218,9 @@ func boxTapClipped(src []float32, x, y, r, w, h int) float32 {
 // horizontally adjacent windows: sort a column once as it slides in, then
 // the window's median is med3(max of the column minima, med3 of the column
 // medians, min of the column maxima) — 18 min/max a sample, none a branch on
-// pixel data. Edge clamping repeats the outermost row or column, so a border
+// pixel data. The vector kernel sorts a row's columns in one pass and takes
+// the medians in a second, from the sorted columns at x-1, x and x+1. Edge
+// clamping repeats the outermost row or column, so a border
 // window is the same expression with a repeated row or column and there is no
 // separate border path. Samples are compared through orderKey so that every
 // exchange is an integer compare and conditional move.
@@ -232,6 +235,8 @@ func boxTapClipped(src []float32, x, y, r, w, h int) float32 {
 func MedianDenoise3Into(dst, im *Image) *Image {
 	w, h := im.W, im.H
 	n := w * h
+	keys := medianKeys(w)
+	defer releaseMedianKeys(keys)
 	for p := 0; p < 3; p++ {
 		src := im.Pix[p*n : (p+1)*n]
 		out := dst.Pix[p*n : (p+1)*n]
@@ -245,6 +250,9 @@ func MedianDenoise3Into(dst, im *Image) *Image {
 				r2 = src[(y+1)*w : (y+2)*w]
 			}
 			drow := out[y*w : (y+1)*w]
+			if median3RowVector(drow, r0, r1, r2, keys) {
+				continue
+			}
 			// (lo0,mid0,hi0), (lo1,…), (lo2,…) are the sorted columns x-1, x
 			// and x+1; column 0 is its own left neighbour and column w-1 its
 			// own right one.

@@ -30,9 +30,13 @@ func boxDown(dst []float32, src *Image, w, h int) {
 		// Exactly 2:1 — a full-resolution capture to the model input, a
 		// scene to the half-resolution display: the cell bounds below come
 		// out as 2x, 2x+2 and 2y, 2y+2, so this is the same four adds in the
-		// same row-major order from +0, without float index math per pixel.
+		// same row-major order from +0, without float index math per pixel,
+		// on the vector kernel where there is one.
 		for p := 0; p < 3; p++ {
 			plane := src.Pix[p*sn : (p+1)*sn]
+			if halve2x2Vector(dst[p*dn:(p+1)*dn], plane, w, h) {
+				continue
+			}
 			for y := 0; y < h; y++ {
 				r0 := plane[2*y*src.W : (2*y+1)*src.W]
 				r1 := plane[(2*y+1)*src.W : (2*y+2)*src.W]

@@ -250,3 +250,195 @@ rgbDone:
 	MOVQ BX, ret+64(FP)
 	VZEROUPPER
 	RET
+
+DATA nine<>+0(SB)/4, $0x41100000
+GLOBL nine<>(SB), RODATA|NOPTR, $4
+
+DATA quarter<>+0(SB)/4, $0x3e800000
+GLOBL quarter<>(SB), RODATA|NOPTR, $4
+
+DATA magnitude<>+0(SB)/4, $0x7fffffff
+GLOBL magnitude<>(SB), RODATA|NOPTR, $4
+
+// The row kernels below take n ≥ 8 outputs and cover a row with whole
+// vectors: when n is not a multiple of 8 the last vector is the one ending at
+// n, so it recomputes a few outputs of the one before it, from the same
+// inputs, to the same values. None of them writes what it reads.
+//
+// NEXT advances the byte offset BX of the vector just done towards last, the
+// offset of the final one, and jumps to loop unless that one is done.
+#define NEXT(last, loop, done) \
+	CMPQ BX, last; \
+	JEQ  done; \
+	ADDQ $32, BX; \
+	CMPQ BX, last; \
+	JBE  loop; \
+	MOVQ last, BX; \
+	JMP  loop
+
+// func box3RowAVX2(dst, r0, r1, r2 *float32, n int)
+//
+// The radius-1 interior of BoxBlurInto: for x < n, dst[x] is the sum from +0
+// of r0[x], r0[x+1], r0[x+2], then r1's and r2's three, divided by 9.
+TEXT ·box3RowAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ r0+8(FP), SI
+	MOVQ r1+16(FP), DX
+	MOVQ r2+24(FP), R8
+	MOVQ n+32(FP), R9
+	LEAQ -32(R9*4), R9
+	VBROADCASTSS nine<>(SB), Y7
+	XORQ BX, BX
+
+boxVector:
+	VXORPS Y0, Y0, Y0
+	VADDPS (SI)(BX*1), Y0, Y0
+	VADDPS 4(SI)(BX*1), Y0, Y0
+	VADDPS 8(SI)(BX*1), Y0, Y0
+	VADDPS (DX)(BX*1), Y0, Y0
+	VADDPS 4(DX)(BX*1), Y0, Y0
+	VADDPS 8(DX)(BX*1), Y0, Y0
+	VADDPS (R8)(BX*1), Y0, Y0
+	VADDPS 4(R8)(BX*1), Y0, Y0
+	VADDPS 8(R8)(BX*1), Y0, Y0
+	VDIVPS Y7, Y0, Y0
+	VMOVUPS Y0, (DI)(BX*1)
+	NEXT(R9, boxVector, boxDone)
+
+boxDone:
+	VZEROUPPER
+	RET
+
+// ORDERKEY turns the float32 bit patterns in v into orderKey's integers, or
+// back (the map is its own inverse); Y15 holds 0x7fffffff and t is scratch.
+#define ORDERKEY(v, t) \
+	VPSRAD $31, v, t; \
+	VPAND Y15, t, t; \
+	VPXOR t, v, v
+
+// PADCOLUMNS repeats the first and last of the w sorted columns at keys
+// (the row from offset 4) into offsets 0 and 4(w+1); R13 holds w.
+#define PADCOLUMNS(keys) \
+	MOVL 4(keys), AX; \
+	MOVL AX, (keys); \
+	MOVL (keys)(R13*4), AX; \
+	MOVL AX, 4(keys)(R13*4)
+
+// func median3RowAVX2(dst, r0, r1, r2 *float32, keys *int32, w int)
+//
+// One output row of MedianDenoise3Into, w ≥ 8, from the rows above, at and
+// below it (already clamped). Pass 1 sorts every column's three keys into
+// the lo, mid and hi rows of keys (3·(w+2) integers, each row with the
+// clamped column repeated at either end); pass 2 takes, for every x,
+// med3(max of the lo of columns x-1, x, x+1, med3 of their mids, min of
+// their his). The comparisons are on integers, so their order is free.
+TEXT ·median3RowAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ r0+8(FP), SI
+	MOVQ r1+16(FP), DX
+	MOVQ r2+24(FP), R8
+	MOVQ keys+32(FP), R10
+	MOVQ w+40(FP), R13
+	LEAQ 8(R13*4), R11
+	LEAQ (R10)(R11*1), R12         // mid row
+	LEAQ (R12)(R11*1), R11         // hi row
+	LEAQ -32(R13*4), R9
+	VPBROADCASTD magnitude<>(SB), Y15
+	XORQ BX, BX
+
+sortColumns:
+	VMOVDQU (SI)(BX*1), Y0
+	VMOVDQU (DX)(BX*1), Y1
+	VMOVDQU (R8)(BX*1), Y2
+	ORDERKEY(Y0, Y3)
+	ORDERKEY(Y1, Y3)
+	ORDERKEY(Y2, Y3)
+	VPMINSD Y1, Y0, Y3             // a, b = min, max
+	VPMAXSD Y1, Y0, Y4
+	VPMINSD Y2, Y4, Y5             // b, c = min, max
+	VPMAXSD Y2, Y4, Y6
+	VPMINSD Y5, Y3, Y0             // lo, mid = min(a, b), max(a, b)
+	VPMAXSD Y5, Y3, Y1
+	VMOVDQU Y0, 4(R10)(BX*1)
+	VMOVDQU Y1, 4(R12)(BX*1)
+	VMOVDQU Y6, 4(R11)(BX*1)
+	NEXT(R9, sortColumns, sorted)
+
+sorted:
+	PADCOLUMNS(R10)
+	PADCOLUMNS(R12)
+	PADCOLUMNS(R11)
+	XORQ BX, BX
+
+medians:
+	VMOVDQU (R10)(BX*1), Y0        // max of the minima
+	VPMAXSD 4(R10)(BX*1), Y0, Y0
+	VPMAXSD 8(R10)(BX*1), Y0, Y0
+	VMOVDQU (R12)(BX*1), Y1        // med3 of the medians
+	VMOVDQU 4(R12)(BX*1), Y2
+	VPMINSD Y2, Y1, Y3
+	VPMAXSD Y2, Y1, Y4
+	VPMINSD 8(R12)(BX*1), Y4, Y4
+	VPMAXSD Y4, Y3, Y1
+	VMOVDQU (R11)(BX*1), Y2        // min of the maxima
+	VPMINSD 4(R11)(BX*1), Y2, Y2
+	VPMINSD 8(R11)(BX*1), Y2, Y2
+	VPMINSD Y1, Y0, Y3             // med3 of the three
+	VPMAXSD Y1, Y0, Y4
+	VPMINSD Y2, Y4, Y4
+	VPMAXSD Y4, Y3, Y0
+	ORDERKEY(Y0, Y3)
+	VMOVDQU Y0, (DI)(BX*1)
+	NEXT(R9, medians, mediansDone)
+
+mediansDone:
+	VZEROUPPER
+	RET
+
+// func halve2x2AVX2(dst, src *float32, rows, cells int)
+//
+// The exact 2:1 branch of boxDown on one plane of rows × cells outputs,
+// cells ≥ 8: dst[y·cells+x] is the sum from +0 of t[2x], t[2x+1], b[2x] and
+// b[2x+1], where t and b are source rows 2y and 2y+1, times ¼. VSHUFPS splits
+// sixteen source samples into the even and odd ones, in the order
+// 0 1 4 5 2 3 6 7 of the outputs, which VPERMPD puts right.
+TEXT ·halve2x2AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), R8
+	MOVQ cells+24(FP), R10
+	LEAQ -32(R10*4), R9            // offset of the last vector of a row
+	SHLQ $3, R10                   // bytes a source row
+	VBROADCASTSS quarter<>(SB), Y7
+
+halveRow:
+	LEAQ (SI)(R10*1), DX           // the bottom source row
+	XORQ BX, BX
+
+halveVector:
+	VMOVUPS (SI)(BX*2), Y0
+	VMOVUPS 32(SI)(BX*2), Y1
+	VSHUFPS $0x88, Y1, Y0, Y2      // top, even samples
+	VSHUFPS $0xdd, Y1, Y0, Y3      // top, odd samples
+	VMOVUPS (DX)(BX*2), Y0
+	VMOVUPS 32(DX)(BX*2), Y1
+	VSHUFPS $0x88, Y1, Y0, Y4      // bottom, even samples
+	VSHUFPS $0xdd, Y1, Y0, Y5      // bottom, odd samples
+	VXORPS Y6, Y6, Y6
+	VADDPS Y2, Y6, Y6
+	VADDPS Y3, Y6, Y6
+	VADDPS Y4, Y6, Y6
+	VADDPS Y5, Y6, Y6
+	VMULPS Y7, Y6, Y6
+	VPERMPD $0xd8, Y6, Y6
+	VMOVUPS Y6, (DI)(BX*1)
+	NEXT(R9, halveVector, halveNext)
+
+halveNext:
+	LEAQ 32(R9), AX                // bytes a destination row
+	ADDQ AX, DI
+	LEAQ (SI)(R10*2), SI
+	DECQ R8
+	JNE  halveRow
+	VZEROUPPER
+	RET

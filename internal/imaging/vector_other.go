@@ -16,3 +16,13 @@ func clamp01Vector(pix []float32) int { return 0 }
 func rgbToYCbCrVector(yp, cbp, crp, r, g, b []float32) int { return 0 }
 
 func rgbQuant8Vector(r, g, b, y, cb, cr []float32) int { return 0 }
+
+func box3RowVector(dst, r0, r1, r2 []float32) int { return 0 }
+
+func medianKeys(w int) *[]int32 { return nil }
+
+func releaseMedianKeys(keys *[]int32) {}
+
+func median3RowVector(dst, r0, r1, r2 []float32, keys *[]int32) bool { return false }
+
+func halve2x2Vector(dst, src []float32, w, h int) bool { return false }

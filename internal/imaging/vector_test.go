@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // Every vector kernel has a Go twin it must match bit for bit. The tests
@@ -22,13 +24,21 @@ func portable(f func()) {
 	f()
 }
 
-// TestReferenceSuitesOnPortableKernels re-runs the blur's reference diff on
-// the Go loops of a machine whose first run of it took the vector kernel.
+// TestReferenceSuitesOnPortableKernels re-runs the filters' and the resize's
+// reference diffs on the Go loops of a machine whose first run of them took
+// the vector kernels.
 func TestReferenceSuitesOnPortableKernels(t *testing.T) {
 	if !useVector {
 		t.Skip("no vector kernels here: every other test already ran the Go loops")
 	}
-	portable(func() { t.Run("GaussianBlurMatchesReference", TestGaussianBlurMatchesReference) })
+	portable(func() {
+		t.Run("GaussianBlurMatchesReference", TestGaussianBlurMatchesReference)
+		t.Run("BoxBlurMatchesReference", TestBoxBlurMatchesReference)
+		t.Run("MedianDenoise3MatchesReference", TestMedianDenoise3MatchesReference)
+		t.Run("MedianDenoise3SignedZeros", TestMedianDenoise3SignedZeros)
+		t.Run("ResizeMatchesReference", TestResizeMatchesReference)
+		t.Run("BatchTensorIntoMatchesResizeThenBatchTensor", TestBatchTensorIntoMatchesResizeThenBatchTensor)
+	})
 }
 
 var (
@@ -179,4 +189,101 @@ func TestVectorQuant8HandBack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVectorFiltersMatchGo runs the 3×3 median and box filters over every
+// width from 1 to 70 and heights from 1 to 40, and the exact 2:1 downscale
+// — through Resize and into the model's input tensor — over every even size
+// among them: rows shorter than a vector, row lengths with every vector
+// remainder, one- and two-row frames where the clamped rows coincide. The
+// second image of each size holds odd samples; the median orders them by
+// their bits, so NaNs of either sign, ±Inf and zeros of both signs sort
+// exactly, and the box sums turn +Inf beside -Inf into the processor's NaN.
+// The third is zeros, mostly negative: a window of -0 alone is where a sum
+// started from +0, as both box sums are, and one opened by its first tap part.
+func TestVectorFiltersMatchGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(204))
+	for w := 1; w <= 70; w++ {
+		for h := 1; h <= 40; h += 1 + (w+h)%3 {
+			for kind, odd := range []bool{false, true, false} {
+				im := randomImage(rng, w, h, odd)
+				if kind == 2 {
+					for i := range im.Pix {
+						im.Pix[i] = []float32{negZero32, negZero32, negZero32, 0}[rng.Intn(4)]
+					}
+				}
+				what := fmt.Sprintf("%dx%d image kind %d", w, h, kind)
+				for _, f := range []struct {
+					name string
+					run  func(dst *Image)
+				}{
+					{"MedianDenoise3Into", func(dst *Image) { MedianDenoise3Into(dst, im) }},
+					{"BoxBlurInto r=1", func(dst *Image) { BoxBlurInto(dst, im, 1) }},
+					{"BoxBlurInto r=2", func(dst *Image) { BoxBlurInto(dst, im, 2) }},
+				} {
+					got, want := &Image{W: w, H: h, Pix: unaligned(3*w*h, 2)}, New(w, h)
+					f.run(got)
+					portable(func() { f.run(want) })
+					sameBits(t, f.name+" "+what, got.Pix, want.Pix)
+				}
+				if w%2 != 0 || h%2 != 0 {
+					continue
+				}
+				got, want := Resize(im, w/2, h/2), New(w/2, h/2)
+				portable(func() { want = Resize(im, w/2, h/2) })
+				sameBits(t, "Resize 2:1 "+what, got.Pix, want.Pix)
+				batch := []*Image{im, im}
+				gotT := BatchTensorInto(tensor.New(2, 3, h/2, w/2), batch)
+				wantT := tensor.New(2, 3, h/2, w/2)
+				portable(func() { BatchTensorInto(wantT, batch) })
+				sameBits(t, "BatchTensorInto 2:1 "+what, gotT.Data(), wantT.Data())
+			}
+		}
+	}
+}
+
+// FuzzVectorFilters reads fuzzed bytes as an image — its width and height
+// from the first two bytes, its samples the rest taken four bytes a float32,
+// repeated as far as the image needs — and runs the median and box filters
+// and the 2:1 downscale of it on both paths. On arbitrary bits an image holds
+// NaNs of many payloads, and which of two a sum returns is the operand order
+// the compiler chose, so the box and the downscale may differ only in which
+// NaN they return where both return one; the median compares integers and
+// must agree on every bit.
+func FuzzVectorFilters(f *testing.F) {
+	f.Add([]byte{64, 64, 0, 0, 0, 0x3f})
+	f.Add([]byte{17, 9, 0, 0, 0xc0, 0xff, 0, 0, 0x80, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0})
+	f.Add([]byte{70, 40, 0x10, 0x20, 0x30, 0x40, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0x5f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		w, h := 1+int(data[0])%70, 1+int(data[1])%40
+		raw := data[2:]
+		im := New(w, h)
+		for i := range im.Pix {
+			j := 4 * (i % (len(raw) / 4))
+			im.Pix[i] = math.Float32frombits(uint32(raw[j]) | uint32(raw[j+1])<<8 | uint32(raw[j+2])<<16 | uint32(raw[j+3])<<24)
+		}
+		run := func() (median, box, half *Image) {
+			median = MedianDenoise3Into(New(w, h), im)
+			box = BoxBlurInto(New(w, h), im, 1)
+			half = Resize(im, max(1, w/2), max(1, h/2))
+			return median, box, half
+		}
+		median, box, half := run()
+		var wantMedian, wantBox, wantHalf *Image
+		portable(func() { wantMedian, wantBox, wantHalf = run() })
+		sameBits(t, fmt.Sprintf("median %dx%d", w, h), median.Pix, wantMedian.Pix)
+		for _, c := range []struct {
+			name      string
+			got, want []float32
+		}{{"box", box.Pix, wantBox.Pix}, {"2:1", half.Pix, wantHalf.Pix}} {
+			for i, v := range c.got {
+				if u := c.want[i]; math.Float32bits(v) != math.Float32bits(u) && !(v != v && u != u) {
+					t.Fatalf("%s %dx%d: sample %d = %v (%#x), the Go loop gives %v (%#x)", c.name, w, h, i, v, math.Float32bits(v), u, math.Float32bits(u))
+				}
+			}
+		}
+	})
 }
