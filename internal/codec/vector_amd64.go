@@ -1,3 +1,5 @@
+//go:build !purego
+
 package codec
 
 import "repro/internal/cpu"

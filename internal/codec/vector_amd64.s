@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 twins of the 8×8 and 16×16 transforms. A separable pass of either

@@ -1,36 +1,32 @@
 package fleet
 
 import (
-	"math/rand"
 	"sync"
 
 	"repro/internal/sensor"
 )
 
 // captureArena bundles the per-capture state the engine reuses across cells:
-// the cell RNG (re-seeded, never re-allocated) and the raw Bayer frame the
-// sensor writes into. Arenas live in a pool rather than per worker so the
-// engine's public Capture stays free of worker plumbing; a Get/Put pair per
-// capture is two pointer swaps.
+// the cell's noise source (re-seeded, never re-allocated) and the raw Bayer
+// frame the sensor writes into. Arenas live in a pool rather than per worker
+// so the engine's public Capture stays free of worker plumbing; a Get/Put
+// pair per capture is two pointer swaps.
 type captureArena struct {
-	src rand.Source
-	rng *rand.Rand
-	raw *sensor.RawImage
+	noise sensor.Noise
+	raw   *sensor.RawImage
 }
 
 var arenaPool = sync.Pool{New: func() any {
-	src := rand.NewSource(0)
-	return &captureArena{src: src, rng: rand.New(src), raw: new(sensor.RawImage)}
+	return &captureArena{raw: new(sensor.RawImage)}
 }}
 
-// seed re-points the arena's RNG at one cell's stream and returns it.
-// rand.NewSource(s) is "allocate, then Seed(s)", so re-seeding the pooled
-// source yields exactly the stream a fresh rand.New(rand.NewSource(s))
-// would — the capture path draws only NormFloat64/Float64/Intn, which carry
-// no rand.Rand-level state across seeds (only Read does, and it is never
-// used here). Capture determinism therefore survives arena reuse by
-// construction; TestArenaRNGMatchesCellRNG pins it.
-func (a *captureArena) seed(s int64) *rand.Rand {
-	a.src.Seed(s)
-	return a.rng
+// seed re-points the arena's source at one cell's stream and returns it.
+// sensor.Noise draws the stream of rand.New(rand.NewSource(s)) bit for bit,
+// and Seed leaves no state of an earlier cell behind, so a pooled source
+// yields exactly what a fresh cellRNG(s) would: capture determinism survives
+// arena reuse by construction, and TestArenaRNGMatchesCellRNG pins it. The
+// sensor fills each mosaic row's normals from it a block at a time.
+func (a *captureArena) seed(s int64) *sensor.Noise {
+	a.noise.Seed(s)
+	return &a.noise
 }

@@ -73,12 +73,12 @@ func (e *Engine) Displayed(it *dataset.Item, angle int) *imaging.Image {
 // in; see Config.Format). It returns the decoded pixels (what
 // the device hands its model) and the compressed size in bytes.
 //
-// Every intermediate lives in a pooled arena: the cell RNG is a re-seeded
-// pooled rand.Rand (stream-identical to a fresh one), the raw frame and ISP
-// output recycle, and the codec's Encoded returns to its pool once the size
-// is read. The returned image comes from imaging.GetImage; callers on the
-// hot path hand it back with imaging.PutImage when done, other callers may
-// simply keep it.
+// Every intermediate lives in a pooled arena: the cell's noise is a
+// re-seeded pooled sensor.Noise (math/rand's stream, bit for bit), the raw
+// frame and ISP output recycle, and the codec's Encoded returns to its pool
+// once the size is read. The returned image comes from imaging.GetImage;
+// callers on the hot path hand it back with imaging.PutImage when done,
+// other callers may simply keep it.
 func (e *Engine) Capture(d *Device, it *dataset.Item, angle int) (*imaging.Image, int) {
 	img, size, _ := e.CaptureTimed(d, it, angle)
 	return img, size
@@ -120,7 +120,7 @@ func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.
 func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
 	displayed := e.Displayed(it, angle)
 	a := arenaPool.Get().(*captureArena)
-	rng := a.seed(seed)
+	noise := a.seed(seed)
 	t0 := time.Now()
 	var enc *codec.Encoded
 	t1, t2, opts := t0, t0, d.Profile.Decode
@@ -130,7 +130,7 @@ func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int6
 		// only the device's own decoder differs (§7).
 		enc = sw.codec.Encode(displayed)
 	} else {
-		raw := d.Sensor.CaptureInto(a.raw, displayed, rng)
+		raw := d.Sensor.CaptureInto(a.raw, displayed, noise)
 		t1 = time.Now()
 		pipeline, c := d.ISP, d.Profile.Codec
 		if sw != nil {

@@ -46,18 +46,22 @@ func cellRNG(seed int64, vals ...int64) *rand.Rand {
 type BackendFactory func(runtime string) nn.Backend
 
 // BackendReplicator adapts a trained model into a BackendFactory: it
-// snapshots the weights once and, per call, stamps them into a fresh
-// architecture and compiles that copy into the requested runtime (float32
-// reference, int8 quantized, or magnitude-pruned), so no backend shares
-// weights with the trained model or with another runtime. A replica is
-// weights only: it has never trained, so it carries no gradient and no step
-// buffers, unless it is fine-tuned (a stable model's float32 replica), which
-// gives it its own.
+// copies the weights once and, per call, clones that copy (nn.Model.Clone,
+// which draws no initialisation) and compiles the clone into the requested
+// runtime (float32 reference, int8 quantized, or magnitude-pruned), so no
+// backend shares weights with the trained model or with another runtime. A
+// replica is weights only: it has never trained, so it carries no gradient
+// and no step buffers, unless it is fine-tuned (a stable model's float32
+// replica), which gives it its own. arch, the architecture's constructor, is
+// not needed to build a clone; the parameter stays for existing callers.
 func BackendReplicator(arch func() *nn.Model, trained *nn.Model) BackendFactory {
-	snap := trained.TakeSnapshot()
+	return replicator(trained.Clone())
+}
+
+// replicator is the BackendFactory of a model no one else holds: each call
+// compiles a clone of it.
+func replicator(m *nn.Model) BackendFactory {
 	return func(runtime string) nn.Backend {
-		m := arch()
-		m.Restore(snap)
-		return nn.NewRuntimeBackend(runtime, m)
+		return nn.NewRuntimeBackend(runtime, m.Clone())
 	}
 }

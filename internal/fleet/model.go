@@ -110,30 +110,27 @@ var (
 // finetuneConfig is the fine-tune every stable model runs.
 var finetuneConfig = train.Config{Epochs: 2, BatchSize: 16, LR: 0.012, Momentum: 0.9, ClipNorm: 5, Seed: corpusSeed}
 
-// finetuned caches fine-tuned snapshots by (ModelSHA of the base factory,
-// canonical name): arms of one experiment, or runs and shards arriving at
-// once, fine-tune each model once.
-var finetuned = NewLRU[[2]string, *nn.Snapshot](16)
+// finetuned caches fine-tuned models, weights only, by (ModelSHA of the
+// base factory, canonical name): arms of one experiment, or runs and shards
+// arriving at once, fine-tune each model once.
+var finetuned = NewLRU[[2]string, *nn.Model](16)
 
 // factory returns the backend factory of the fine-tuned model: every
-// replica is the base factory's float32 replica with the fine-tuned weights
-// restored, compiled into the requested runtime.
+// replica is a clone of the fine-tuned weights, compiled into the requested
+// runtime.
 func (m *stableModel) factory(base BackendFactory) BackendFactory {
-	snap := finetuned.GetOrCompute([2]string{ModelSHA(base), m.name}, func() *nn.Snapshot {
+	return replicator(finetuned.GetOrCompute([2]string{ModelSHA(base), m.name}, func() *nn.Model {
 		start := float32Replica(base)
 		m.finetune(start)
-		return start.TakeSnapshot()
-	})
-	return func(runtime string) nn.Backend {
-		r := float32Replica(base)
-		r.Restore(snap)
-		return nn.NewRuntimeBackend(runtime, r)
-	}
+		return start.Clone()
+	}))
 }
 
 // ModelSHA fingerprints the weights a factory compiles: the hex sha256 of
-// its float32 replica's serialized snapshot. Two instances compute the same
-// cells for a spec only if their factories' ModelSHAs agree.
+// its float32 replica's serialized snapshot. A float32 replica is a clone
+// that nothing compiles, so this costs one copy of the weights and the
+// hash. Two instances compute the same cells for a spec only if their
+// factories' ModelSHAs agree.
 func ModelSHA(factory BackendFactory) string {
 	sum := sha256.New()
 	float32Replica(factory).TakeSnapshot().WriteTo(sum)

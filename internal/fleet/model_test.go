@@ -1,10 +1,15 @@
 package fleet_test
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/lab"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // TestModelGrammar pins the canonical spelling of every accepted model and
@@ -60,5 +65,37 @@ func TestFinetunedSnapshotDigest(t *testing.T) {
 	factory := fleet.ModelFactory(fleet.BackendReplicator(lab.DefaultBaseModel().Arch, base), "stable:two-images")
 	if got := fleet.ModelSHA(factory); got != finetunedDigest {
 		t.Errorf("stable:two-images fine-tuned from base.model: sha256 %s, want %s", got, finetunedDigest)
+	}
+}
+
+// TestReplicasMatchTrainedModel holds BackendReplicator's clones to the
+// recipe they replace, a fresh architecture with the trained snapshot
+// restored: the float32 replica's snapshot is byte-equal to the trained
+// model's, and every runtime compiled from a clone infers the same bits as
+// that runtime compiled from the restored architecture.
+func TestReplicasMatchTrainedModel(t *testing.T) {
+	base, err := lab.LoadBaseModel("../../bench/testdata/base.model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := lab.DefaultBaseModel().Arch
+	factory := fleet.BackendReplicator(arch, base)
+	var want, got bytes.Buffer
+	base.TakeSnapshot().WriteTo(&want)
+	factory(nn.RuntimeFloat32).(*nn.Model).TakeSnapshot().WriteTo(&got)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the float32 replica's snapshot differs from the trained model's")
+	}
+	x := tensor.New(3, 3, base.InputHW, base.InputHW)
+	x.RandNormal(rand.New(rand.NewSource(12)), 0.5)
+	for _, rt := range nn.Runtimes() {
+		restored := arch()
+		restored.Restore(base.TakeSnapshot())
+		a, b := factory(rt).Infer(x), nn.NewRuntimeBackend(rt, restored).Infer(x)
+		for i := range b {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s output %d: replica %v, restored architecture %v", rt, i, a[i], b[i])
+			}
+		}
 	}
 }

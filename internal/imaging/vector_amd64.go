@@ -1,3 +1,5 @@
+//go:build !purego
+
 package imaging
 
 import (

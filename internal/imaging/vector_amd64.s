@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 twins of the capture path's imaging loops. Each computes, one output

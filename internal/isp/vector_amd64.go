@@ -1,3 +1,5 @@
+//go:build !purego
+
 package isp
 
 import "repro/internal/cpu"

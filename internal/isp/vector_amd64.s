@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 twins of the fused pipeline's in-place pointwise passes. Each

@@ -1,8 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package isp
 
-// The portable build has no vector kernels: the Go loops compute everything.
+// The portable build, for every GOARCH but amd64 and for amd64 under
+// -tags purego, has no vector kernels: the Go loops compute everything.
 // useVector exists so that the tests that clear it build on every
 // architecture.
 var useVector = false

@@ -487,3 +487,52 @@ func TestInvertedResidualSkipConnection(t *testing.T) {
 		t.Fatal("channel-changing block must not have a skip connection")
 	}
 }
+
+// TestCloneIsAWeightsOnlyReplica holds Clone to the replica a fresh
+// architecture with the snapshot restored would be: the same snapshot
+// bytes and the same eval-mode outputs, bit for bit, from a model that has
+// trained (so it has gradients, step buffers and a compiled plan) and has
+// BatchNorm statistics of its own. The clone has no gradient and shares no
+// storage with the original.
+func TestCloneIsAWeightsOnlyReplica(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	cfg := ModelConfig{InputHW: 16, Classes: 3, EmbedDim: 8, Width: 0.5}
+	m := NewMobileNetV2Micro(rng, cfg)
+	x := tensor.New(4, 3, 16, 16)
+	x.RandNormal(rng, 0.5)
+	logits, _ := m.Forward(x, true)
+	dl := logits.Clone()
+	dl.RandNormal(rng, 0.1)
+	m.Backward(dl, nil)
+	NewSGD(0.05, 0.9, 0).Step(m.Params())
+	m.Infer(x) // a compiled plan
+
+	c := m.Clone()
+	var want, got bytes.Buffer
+	m.TakeSnapshot().WriteTo(&want)
+	c.TakeSnapshot().WriteTo(&got)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("the clone's snapshot differs from the model's")
+	}
+	restored := NewMobileNetV2Micro(rand.New(rand.NewSource(11)), cfg)
+	restored.Restore(m.TakeSnapshot())
+	a, b := c.Infer(x), restored.Infer(x)
+	for i := range b {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("output %d: clone %v, restored architecture %v", i, a[i], b[i])
+		}
+	}
+	for i, p := range c.Params() {
+		if p.g != nil {
+			t.Fatalf("the clone's %s carries a gradient", p.Name)
+		}
+		if &p.W.Data()[0] == &m.Params()[i].W.Data()[0] {
+			t.Fatalf("the clone's %s shares the model's weights", p.Name)
+		}
+	}
+	for i, bn := range collectBN(c.Backbone) {
+		if &bn.RunningMean[0] == &collectBN(m.Backbone)[i].RunningMean[0] {
+			t.Fatal("the clone shares a BatchNorm's running mean")
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Snapshot captures a model's trainable weights and BatchNorm running
@@ -74,6 +75,53 @@ func (m *Model) Restore(s *Snapshot) {
 		copy(bn.RunningMean, s.bnMean[i])
 		copy(bn.RunningVar, s.bnVar[i])
 	}
+}
+
+// Clone returns a replica of the model: the same layers with their weights
+// and BatchNorm statistics copied, as Restore would leave a fresh
+// architecture after TakeSnapshot, but built without drawing an
+// initialisation that the copy would overwrite. The replica carries weights
+// only: no gradient, no step buffer, no compiled plan.
+func (m *Model) Clone() *Model {
+	return &Model{
+		Backbone: cloneLayer(m.Backbone).(*Sequential),
+		Embed:    cloneLayer(m.Embed).(*Dense),
+		Head:     cloneLayer(m.Head).(*Dense),
+		Classes:  m.Classes,
+		EmbedDim: m.EmbedDim,
+		InputHW:  m.InputHW,
+	}
+}
+
+func (p *Param) clone() *Param { return &Param{Name: p.Name, W: p.W.Clone()} }
+
+// cloneLayer is Clone for one layer tree.
+func cloneLayer(l Layer) Layer {
+	switch v := l.(type) {
+	case *Sequential:
+		s := &Sequential{Layers: make([]Layer, len(v.Layers))}
+		for i, c := range v.Layers {
+			s.Layers[i] = cloneLayer(c)
+		}
+		return s
+	case *Residual:
+		return &Residual{Body: cloneLayer(v.Body)}
+	case *Conv2D:
+		return &Conv2D{Weight: v.Weight.clone(), dims: v.dims, outC: v.outC}
+	case *DepthwiseConv2D:
+		return &DepthwiseConv2D{Weight: v.Weight.clone(), ch: v.ch, kh: v.kh, kw: v.kw, stride: v.stride, pad: v.pad}
+	case *Dense:
+		return &Dense{Weight: v.Weight.clone(), Bias: v.Bias.clone(), ReLU: v.ReLU, in: v.in, out: v.out}
+	case *BatchNorm:
+		return &BatchNorm{
+			Gamma: v.Gamma.clone(), Beta: v.Beta.clone(), ReLU6: v.ReLU6,
+			RunningMean: slices.Clone(v.RunningMean), RunningVar: slices.Clone(v.RunningVar),
+			Momentum: v.Momentum, Eps: v.Eps, ch: v.ch,
+		}
+	case *GlobalAvgPool:
+		return NewGlobalAvgPool()
+	}
+	panic(fmt.Sprintf("nn: Clone: no replica for layer %T", l))
 }
 
 const snapshotMagic = "EDGESTAB01"

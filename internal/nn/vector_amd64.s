@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 twins of the inference kernels. Each computes, one output pixel to a

@@ -1,9 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package nn
 
-// The portable build has no vector kernels: the Go kernels compute
-// everything. useVector exists so that the tests that clear it build on every
+// The portable build, for every GOARCH but amd64 and for amd64 under
+// -tags purego, has no vector kernels: the Go kernels compute everything.
+// useVector exists so that the tests that clear it build on every
 // architecture.
 var useVector = false
 

@@ -37,13 +37,45 @@ func BenchmarkSensorCapture(b *testing.B) {
 			p := base
 			c.mod(&p)
 			s := New(p)
-			rng := rand.New(rand.NewSource(7))
+			var noise Noise // the fleet's source
+			noise.Seed(7)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.Capture(scene, rng)
+				_ = s.Capture(scene, &noise)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "captures/sec")
 		})
 	}
+}
+
+// BenchmarkNoiseFrame draws one 64×64 frame's noise from a fresh seed, as a
+// capture does: a Seed, then 64 rows of 128 normals, from math/rand one
+// call at a time and from Noise a row fill at a time, dispatched and on the
+// Go loops.
+func BenchmarkNoiseFrame(b *testing.B) {
+	row := make([]float64, 128)
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(0)
+		rng := rand.New(src)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+			for y := 0; y < 64; y++ {
+				for x := range row {
+					row[x] = rng.NormFloat64()
+				}
+			}
+		}
+	})
+	var n Noise
+	frame := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			n.Seed(int64(i))
+			for y := 0; y < 64; y++ {
+				n.NormFloat64s(row)
+			}
+		}
+	}
+	b.Run("noise", frame)
+	b.Run("noise-portable", func(b *testing.B) { portable(func() { frame(b) }) })
 }

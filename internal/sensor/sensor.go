@@ -7,7 +7,6 @@ package sensor
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/imaging"
@@ -84,8 +83,8 @@ func bayerColor(p BayerPattern, x, y int) int {
 }
 
 // Sensor captures scenes according to its parameters. It is stateless; all
-// randomness comes from the rng passed to Capture, so captures are
-// reproducible and two captures with different rng draws model two shutter
+// randomness comes from the source passed to Capture, so captures are
+// reproducible and two captures with different draws model two shutter
 // presses (the paper's Figure 1 situation).
 type Sensor struct {
 	Params  Params
@@ -100,9 +99,9 @@ func New(p Params) *Sensor { return &Sensor{Params: p, Pattern: RGGB} }
 // than on the Sensor; every buffer is fully rewritten before it is read, so
 // reuse cannot leak state between captures.
 type captureScratch struct {
-	dx2        []float64 // (x-cx)² per column, shared by every row's vignette
-	shot, read []float64 // the row's two normal draws a pixel
-	sample     []float32 // the row's samples, chromatic shift applied
+	dx2    []float64 // (x-cx)² per column, shared by every row's vignette
+	noise  []float64 // the row's two normal draws a pixel, shot then read
+	sample []float32 // the row's samples, chromatic shift applied
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(captureScratch) }}
@@ -110,12 +109,17 @@ var scratchPool = sync.Pool{New: func() any { return new(captureScratch) }}
 func (s *captureScratch) grow(w int) {
 	if cap(s.dx2) < w {
 		s.dx2 = make([]float64, w)
-		s.shot = make([]float64, w)
-		s.read = make([]float64, w)
+		s.noise = make([]float64, 2*w)
 		s.sample = make([]float32, w)
 	}
-	s.dx2, s.shot, s.read, s.sample = s.dx2[:w], s.shot[:w], s.read[:w], s.sample[:w]
+	s.dx2, s.noise, s.sample = s.dx2[:w], s.noise[:2*w], s.sample[:w]
 }
+
+// Normals is the source a capture draws its noise from: *Noise, whose row
+// fill draws a row's normals a block at a time, or any other, such as a
+// *rand.Rand, drawn one NormFloat64 call at a time. Both draw the same
+// values from the same seed.
+type Normals interface{ NormFloat64() float64 }
 
 // Capture exposes the sensor to a scene and returns the raw Bayer frame.
 // The scene is the irradiance arriving at the lens (linear RGB in [0,1]).
@@ -125,19 +129,21 @@ func (s *captureScratch) grow(w int) {
 // pixel's channel through the chromatic-aberration sampler; the second
 // (mosaicRow) does the per-pixel float arithmetic — vignette, gain, black
 // clamp, noise, clamp, ADC — on the vector unit where the machine has one.
-// No draw depends on a sample, so drawing a row ahead consumes the rng
-// stream the fused loop did, pair by pair. Hoisted: the vignette's dy² per
-// row and dx² per column, and clamp-free interior chromatic-aberration
-// sampling via caSampleFast. Every operation matches the staged reference in
+// No draw depends on a sample, so drawing a row ahead consumes the stream
+// the fused loop did, pair by pair. Hoisted: the vignette's dy² per row and
+// dx² per column, and clamp-free interior chromatic-aberration sampling via
+// caSampleFast. Every operation matches the staged reference in
 // fused_test.go bit for bit.
-func (s *Sensor) Capture(scene *imaging.Image, rng *rand.Rand) *RawImage {
+func (s *Sensor) Capture(scene *imaging.Image, rng Normals) *RawImage {
 	return s.CaptureInto(new(RawImage), scene, rng)
 }
 
 // CaptureInto is Capture with a caller-provided frame whose plane buffer is
 // reused when large enough — the allocation-free form the fleet's capture
-// arenas use. Every header field and plane sample is overwritten.
-func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand) *RawImage {
+// arenas use. Every header field and plane sample is overwritten. A *Noise
+// source fills each row's 2w normals in one NormFloat64s call; any other
+// source is called once a normal, which is the row fill's reference.
+func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng Normals) *RawImage {
 	p := s.Params
 	img := scene
 
@@ -186,7 +192,8 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 
 	sc := scratchPool.Get().(*captureScratch)
 	sc.grow(w)
-	dx2, shotN, readN, sample := sc.dx2, sc.shot, sc.read, sc.sample
+	dx2, noise, sample := sc.dx2, sc.noise, sc.sample
+	fill, _ := rng.(*Noise)
 	for x := 0; x < w; x++ {
 		dx := float64(x) - cx
 		dx2[x] = float64(dx * dx)
@@ -204,10 +211,13 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 		rowOff := y * w
 		// Every capture consumes the same two draws a pixel whatever the
 		// parameters (a noiseless one ignores them), so callers that reuse
-		// one rng across captures stay aligned.
-		for x := 0; x < w; x++ {
-			shotN[x] = rng.NormFloat64()
-			readN[x] = rng.NormFloat64()
+		// one source across captures stay aligned.
+		if fill != nil {
+			fill.NormFloat64s(noise)
+		} else {
+			for x := range noise {
+				noise[x] = rng.NormFloat64()
+			}
 		}
 		for xp := 0; xp < 2 && xp < w; xp++ {
 			c := crow[xp]
@@ -230,7 +240,7 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng *rand.Rand
 		}
 		dy := float64(y) - cy
 		k.dy2 = float64(dy * dy)
-		mosaicRow(raw.Plane[rowOff:rowOff+w], sample, shotN, readN, dx2, &k)
+		mosaicRow(raw.Plane[rowOff:rowOff+w], sample, noise, dx2, &k)
 	}
 	scratchPool.Put(sc)
 	if blurred != nil {
@@ -255,11 +265,11 @@ const (
 
 // mosaicRow is the per-pixel arithmetic of one row: dst[x] is the ADC level
 // of sample[x] after the vignette, the channel gain, the black clamp, the
-// shot and read noise of draws shotN[x] and readN[x], and the clamp to 1.
-// The vector kernel takes the whole vectors of 4 it reports, the Go loop the
-// rest. Each product is rounded before it is added.
-func mosaicRow(dst, sample []float32, shotN, readN, dx2 []float64, k *mosaicConsts) {
-	for x := mosaicRowVector(dst, sample, shotN, readN, dx2, k); x < len(dst); x++ {
+// shot and read noise of draws noise[2x] and noise[2x+1], and the clamp to
+// 1. The vector kernel takes the whole vectors of 4 it reports, the Go loop
+// the rest. Each product is rounded before it is added.
+func mosaicRow(dst, sample []float32, noise, dx2 []float64, k *mosaicConsts) {
+	for x := mosaicRowVector(dst, sample, noise, dx2, k); x < len(dst); x++ {
 		s := sample[x]
 		if k.flags&vignetted != 0 {
 			// dy² is hoisted per row and dx² per column; the original
@@ -274,7 +284,7 @@ func mosaicRow(dst, sample []float32, shotN, readN, dx2 []float64, k *mosaicCons
 			// Photon shot noise scales with sqrt(signal); read noise is
 			// signal-independent. Gaussian approximations to the Poisson
 			// and thermal processes.
-			v += float64(shotN[x]*k.shot*math.Sqrt(v)) + float64(readN[x]*k.read)
+			v += float64(noise[2*x]*k.shot*math.Sqrt(v)) + float64(noise[2*x+1]*k.read)
 			if v < 0 {
 				v = 0
 			} else if v > 1 {

@@ -6,8 +6,9 @@
 
 The table sits between the two marker comments below. A row is the newest
 entry (last line) of a workload in BENCH_pairs.ndjson — the change side of
-that paired run, median [q1–q3] of each end-to-end metric — in the workload
-order of BENCHMARK.json, so appending a run with scripts/bench_pair.sh and
+that paired run, median [q1–q3] of each end-to-end metric, pooled over its
+code layouts where it ran more than one (lines written before the
+"layouts" field ran one) — in the workload order of BENCHMARK.json, so appending a run with scripts/bench_pair.sh and
 re-rendering is all it takes to keep the README current, and CI's --check
 fails when that was forgotten.
 """
@@ -42,9 +43,11 @@ def render(root):
         if e is None:
             continue
         m = e["metrics"]
-        lines.append("| `%s` | %s | %s | %s | %s | `%s` (`%s`), %d × %g, %s |" % (
+        layouts = e.get("layouts", 1)
+        lines.append("| `%s` | %s | %s | %s | %s | `%s` (`%s`), %d × %g%s, %s |" % (
             name, cell(m["ops_per_s"], 0), cell(m["alloc_kb_per_op"], 1), cell(m["retained_mem_mb"], 2),
-            cell(m["setup_s"], 3), e["change"], e["parent"], e["pairs"], e["seconds"], e["date"][:10]))
+            cell(m["setup_s"], 3), e["change"], e["parent"], e["pairs"], e["seconds"],
+            " over %d layouts" % layouts if layouts > 1 else "", e["date"][:10]))
     return "\n".join(lines) + "\n"
 
 
