@@ -3,6 +3,8 @@ package device
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/isp"
 )
 
 func TestSynthesizeDeterministic(t *testing.T) {
@@ -64,5 +66,19 @@ func TestSynthesizeKeepsStructure(t *testing.T) {
 		if p.RawCapable != base.RawCapable {
 			t.Fatalf("%s: raw capability changed", base.Name)
 		}
+	}
+}
+
+// BenchmarkFuse compiles one synthesized device of each cohort into its
+// fused ISP, the part of a fleet device's synthesis that bakes every curve
+// stage into a table, one gamma power a table entry.
+func BenchmarkFuse(b *testing.B) {
+	for i, base := range LabPhones() {
+		p := Synthesize(base, base.Name+"/bench", rand.New(rand.NewSource(int64(i))))
+		b.Run(base.Name, func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				isp.Fuse(p.ISP)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -19,7 +20,9 @@ import (
 //     shared by every device through an LRU — physically, the fleet's
 //     phones photograph the same screen refresh simultaneously, so they
 //     see the same flicker state; computationally, the per-pixel display
-//     transfer is amortized over the whole fleet.
+//     transfer is amortized over the whole fleet. A run sizes the LRU to
+//     its whole scene set when that fits sceneCacheBytes and renders the
+//     set before its devices start (sweep.Start).
 //   - Each device's ISP runs through its fused (compiled) form.
 //
 // All randomness is cell-seeded, so captures are bit-identical regardless
@@ -30,15 +33,33 @@ type Engine struct {
 	Scale  int // resolution divisor relative to dataset.SceneSize
 
 	scenes *LRU[sceneKey, *imaging.Image]
-	tele   *Telemetry // nil → no timing; set via Runner.SetTelemetry
-	swap   *stageSwap // the run's format; nil → each device's own pipeline
+	fills  atomic.Int64 // displayed frames rendered, for tests
+	tele   *Telemetry   // nil → no timing; set via Runner.SetTelemetry
+	swap   *stageSwap   // the run's format; nil → each device's own pipeline
 }
 
 type sceneKey struct{ item, angle int }
 
+// sceneCacheBytes bounds the displayed frames a run keeps of its own scene
+// set: 1,365 frames at scale 1, 5,461 at scale 2. A larger set keeps the
+// default LRU.
+const sceneCacheBytes = 64 << 20
+
+// sceneSetCap returns the cache capacity that holds a run's whole scene set
+// of frames (items × angles) at the given scale, or 0 when those frames
+// exceed sceneCacheBytes.
+func sceneSetCap(frames, scale int) int {
+	side := max(dataset.SceneSize/max(scale, 1), 1)
+	if frames*side*side*3*4 > sceneCacheBytes {
+		return 0
+	}
+	return frames
+}
+
 // NewEngine returns an engine with the default screen, the given capture
 // scale divisor (0 → 2), and a displayed-frame cache of cacheCap entries
-// (0 → 512).
+// (0 → 512, the serving path's and one-off callers' default; a run sizes
+// its own from its scene set).
 func NewEngine(seed int64, scale, cacheCap int) *Engine {
 	if scale <= 0 {
 		scale = 2
@@ -59,6 +80,7 @@ func NewEngine(seed int64, scale, cacheCap int) *Engine {
 // mutate the result.
 func (e *Engine) Displayed(it *dataset.Item, angle int) *imaging.Image {
 	return e.scenes.GetOrCompute(sceneKey{it.ID, angle}, func() *imaging.Image {
+		e.fills.Add(1)
 		scene := it.Render(angle)
 		if e.Scale > 1 {
 			scene = imaging.Resize(scene, scene.W/e.Scale, scene.H/e.Scale)

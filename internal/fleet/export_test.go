@@ -9,3 +9,6 @@ func ModelFactory(base BackendFactory, model string) BackendFactory {
 	}
 	return m.factory(base)
 }
+
+// SceneFills counts the displayed frames the run's engine has rendered.
+func (r *Runner) SceneFills() int64 { return r.engine.fills.Load() }

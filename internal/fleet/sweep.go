@@ -82,6 +82,9 @@ type sweep struct {
 	// and each id is a single goroutine, so the slice needs no locking.
 	scratch []*nn.Scratch
 	items   []*dataset.Item
+	// prefetch: the run's whole scene set fits the engine's cache, and
+	// Start renders it before the devices start.
+	prefetch bool
 
 	windowed *stability.Windowed
 	// slots[i] belongs to device Fleet.DeviceLo+i.
@@ -103,17 +106,20 @@ type sweep struct {
 func newSweep(cfg ContinuousConfig, sched *lifecycle.Schedule, continuous bool, factory BackendFactory) *sweep {
 	fc := cfg.Fleet
 	pool := NewPool(fc.Workers)
+	items := Items(fc.Seed, fc.Items)
+	scenes := sceneSetCap(len(items)*len(fc.Angles), fc.Scale)
 	s := &sweep{
 		cfg:        cfg,
 		continuous: continuous,
 		sched:      sched,
 		factory:    factory,
 		gen:        NewGenerator(fc.Seed, fc.Scale, 0),
-		engine:     NewEngine(fc.Seed, fc.Scale, 0),
+		engine:     NewEngine(fc.Seed, fc.Scale, scenes),
 		pool:       pool,
 		backends:   NewLRU[string, nn.Backend](backendCacheCap),
 		scratch:    make([]*nn.Scratch, pool.WorkersFor(fc.rangeSize())),
-		items:      Items(fc.Seed, fc.Items),
+		items:      items,
+		prefetch:   scenes > 0,
 		windowed:   stability.NewWindowed(),
 		slots:      make([]deviceSlot, fc.rangeSize()),
 		done:       make(chan struct{}),
@@ -152,15 +158,39 @@ func (s *sweep) Start() <-chan struct{} {
 		s.started = time.Now()
 		go func() {
 			defer close(s.done)
-			if s.model != nil {
-				s.factory = s.model.factory(s.factory)
-			}
+			s.prepare()
 			s.pool.RunWorker(len(s.slots), func(worker, i int) {
 				s.runDevice(worker, s.cfg.Fleet.DeviceLo+i)
 			})
 		}()
 	})
 	return s.done
+}
+
+// prepare is a run's fixed work before its devices start: the model's
+// fine-tune (or a wait for the cache) and, when it fits, the scene set.
+func (s *sweep) prepare() {
+	if s.model != nil {
+		s.factory = s.model.factory(s.factory)
+	}
+	if s.prefetch {
+		s.renderScenes()
+	}
+}
+
+// renderScenes fills the engine's cache with the run's whole scene set, one
+// frame a pool task. Every device photographs every frame, so rendered up
+// front they are drawn once each and on every worker at once, where on first
+// use the workers' first devices would wait together on each frame's one
+// render. A frame is a pure function of (seed, item, angle), so the cells do
+// not move.
+func (s *sweep) renderScenes() {
+	angles := s.cfg.Fleet.Angles
+	s.pool.Run(len(s.items)*len(angles), func(i int) {
+		if !s.cancelled.Load() {
+			s.engine.Displayed(s.items[i/len(angles)], angles[i%len(angles)])
+		}
+	})
 }
 
 // Cancel asks the run to stop: devices not yet started are skipped (a
@@ -209,65 +239,28 @@ func (s *sweep) runDevice(worker, id int) {
 	}
 	fc := s.cfg.Fleet
 	d := s.gen.Device(id)
-	sc := s.scratch[worker]
-	if sc == nil {
-		sc = new(nn.Scratch)
-		s.scratch[worker] = sc
-	}
+	sc := s.scratchFor(worker)
 	slot := &s.slots[id-fc.DeviceLo]
 	slot.cohort = d.Cohort
 
-	// dev is the device as the lifecycle events so far have left it: the
-	// synthesized identity (ID, cohort, fused ISP — no transition touches
-	// ISP stages) with the current profile and, after a thermal event, a
-	// rebuilt capture-resolution sensor. The profile name never changes,
-	// which is what lets consecutive windows pair cell-for-cell in
-	// ComparePair.
+	// dev is the device as the lifecycle events so far have left it
+	// (applyEvent).
 	dev := *d
 	evs := s.sched.DeviceEvents(id)
-	present := true
-	for _, ev := range evs {
-		if ev.Kind == lifecycle.KindJoin {
-			present = false // joins late; absent until its join window
-			break
-		}
-	}
+	present := presentAtStart(evs)
 
 	cells := len(s.items) * len(fc.Angles)
 	images := make([]*imaging.Image, 0, cells)
 	sizes := make([]int, 0, cells)
 	for w := 0; w < s.cfg.Windows; w++ {
 		for ; len(evs) > 0 && evs[0].Window <= w; evs = evs[1:] {
-			switch ev := evs[0]; ev.Kind {
-			case lifecycle.KindJoin:
-				present = true
-			case lifecycle.KindLeave:
-				present = false
-			case lifecycle.KindOSUpgrade:
-				dev.Profile = device.UpgradeOS(dev.Profile)
-			case lifecycle.KindRuntimeUpgrade:
-				dev.Profile = device.UpgradeRuntime(dev.Profile, ev.Runtime)
-			case lifecycle.KindThermalDrift:
-				// The throttle jitter seed is (run seed, stream 6, device,
-				// event window): deterministic, and distinct per event.
-				dev.Profile = device.Throttle(dev.Profile, ev.Severity, fmath.Mix(s.gen.Seed, 6, int64(id), int64(ev.Window)))
-				params := dev.Profile.Sensor.Params
-				params.BlurSigma /= float64(s.gen.Scale)
-				params.ChromaticShift /= float64(s.gen.Scale)
-				dev.Sensor = sensor.New(params)
-			}
+			present = s.gen.applyEvent(&dev, evs[0], present)
 		}
 		if !present {
 			continue
 		}
 
-		// The forced Config.Runtime when set, otherwise the variant in the
-		// device's current profile.
-		runtime := fc.Runtime
-		if runtime == "" {
-			runtime = dev.Profile.RuntimeName()
-		}
-		backend := s.backends.GetOrCompute(runtime, func() nn.Backend { return s.factory(runtime) })
+		runtime, backend := s.backendFor(&dev)
 
 		images, sizes = images[:0], sizes[:0]
 		for _, it := range s.items {
@@ -329,6 +322,67 @@ func (s *sweep) runDevice(worker, id int) {
 	}
 	slot.done.Store(true)
 	s.devicesDone.Add(1)
+}
+
+// presentAtStart reports whether a device with these events is in the
+// population at window 0: one that joins late is absent until its join
+// window.
+func presentAtStart(evs []lifecycle.Event) bool {
+	for _, ev := range evs {
+		if ev.Kind == lifecycle.KindJoin {
+			return false
+		}
+	}
+	return true
+}
+
+// applyEvent folds one lifecycle event into dev, the device as the events
+// before it left it, and returns whether the device is present after it
+// (present: before it). dev keeps the synthesized identity (ID, cohort,
+// fused ISP — no transition touches ISP stages); its profile changes, and
+// after a thermal event its capture-resolution sensor is rebuilt. The
+// profile name never changes, which is what lets consecutive windows pair
+// cell for cell in ComparePair. The sweep and EventCauses' replay both fold
+// events here.
+func (g *Generator) applyEvent(dev *Device, ev lifecycle.Event, present bool) bool {
+	switch ev.Kind {
+	case lifecycle.KindJoin:
+		return true
+	case lifecycle.KindLeave:
+		return false
+	case lifecycle.KindOSUpgrade:
+		dev.Profile = device.UpgradeOS(dev.Profile)
+	case lifecycle.KindRuntimeUpgrade:
+		dev.Profile = device.UpgradeRuntime(dev.Profile, ev.Runtime)
+	case lifecycle.KindThermalDrift:
+		// The throttle jitter seed is (run seed, stream 6, device, event
+		// window): deterministic, and distinct per event.
+		dev.Profile = device.Throttle(dev.Profile, ev.Severity, fmath.Mix(g.Seed, 6, int64(dev.ID), int64(ev.Window)))
+		params := dev.Profile.Sensor.Params
+		params.BlurSigma /= float64(g.Scale)
+		params.ChromaticShift /= float64(g.Scale)
+		dev.Sensor = sensor.New(params)
+	}
+	return present
+}
+
+// scratchFor returns a pool worker's inference scratch, made on first use.
+func (s *sweep) scratchFor(worker int) *nn.Scratch {
+	if s.scratch[worker] == nil {
+		s.scratch[worker] = new(nn.Scratch)
+	}
+	return s.scratch[worker]
+}
+
+// backendFor returns the runtime dev classifies with — the forced
+// Config.Runtime when set, otherwise the variant in its current profile —
+// and that runtime's backend from the run's shared cache.
+func (s *sweep) backendFor(dev *Device) (string, nn.Backend) {
+	runtime := s.cfg.Fleet.Runtime
+	if runtime == "" {
+		runtime = dev.Profile.RuntimeName()
+	}
+	return runtime, s.backends.GetOrCompute(runtime, func() nn.Backend { return s.factory(runtime) })
 }
 
 // shardView is one shard-shipped device as a view, rejected when its ID

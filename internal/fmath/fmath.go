@@ -1,8 +1,9 @@
 // Package fmath holds the tiny numeric helpers the whole tree shares:
 // absolute value and clamping for float32 samples, which the hot-path
 // kernels (isp, imaging, nn) all funnel through so the compiler inlines one
-// definition everywhere, and Mix, the one seed-derivation function of the
-// determinism contract.
+// definition everywhere, Mix, the one seed-derivation function of the
+// determinism contract, and PowBracket, the fast power that the display and
+// the gamma curves round through to math.Pow's bits.
 package fmath
 
 // Mix derives a well-distributed sub-seed from a base seed and coordinate

@@ -169,15 +169,31 @@ func (s Gamma) curve() curveFn {
 		return func(v float32) float32 { return srgbEncode(fmath.Clamp01(v)) }
 	}
 	invG := 1 / s.G
-	return func(v float32) float32 { return float32(math.Pow(float64(fmath.Clamp01(v)), invG)) }
+	return func(v float32) float32 {
+		x := float64(fmath.Clamp01(v))
+		lo, hi := fmath.PowBracket(x, invG)
+		if p := float32(lo); p == float32(hi) {
+			return p
+		}
+		return float32(math.Pow(x, invG))
+	}
 }
 
+// srgbEncode is the sRGB transfer function, its power arm pushed through
+// fmath.PowBracket: the arm's expression is monotone in the power, so ends
+// that agree are its value and math.Pow runs only when they do not.
 func srgbEncode(v float32) float32 {
 	if v <= 0.0031308 {
 		return 12.92 * v
 	}
-	return float32(float64(1.055*math.Pow(float64(v), 1/2.4)) - 0.055)
+	lo, hi := fmath.PowBracket(float64(v), 1/2.4)
+	if e := srgbArm(lo); e == srgbArm(hi) {
+		return e
+	}
+	return srgbArm(math.Pow(float64(v), 1/2.4))
 }
+
+func srgbArm(p float64) float32 { return float32(float64(1.055*p) - 0.055) }
 
 // ToneCurve applies a smooth S-curve of the given strength around mid-gray,
 // modelling vendor "pop" tone mapping. Strength 0 is identity.

@@ -14,7 +14,8 @@ set -euo pipefail
 
 # The cell path: every file of the four capture packages, of device, which
 # draws each fleet member's parameters from its seed, of dataset, which draws
-# the scene a cell photographs, of nn, which runs the inference plan and
+# the scene a cell photographs, of fmath, whose power bracket the display and
+# the gamma curves round through, of nn, which runs the inference plan and
 # trains the model on the same kernels, and of tensor and train, which finish
 # the training that produces the weights a cell runs. The report path:
 # metrics, whose Welford state a shard ships and whose standard deviations
@@ -23,7 +24,7 @@ set -euo pipefail
 # coordinator expand on their own from the spec's seed, loadgen, whose
 # arrival draws a replayed trace schedules from its seed, and fleetapi, whose
 # fairness index the SLO reports render.
-PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|nn|tensor|train|metrics|stability|lifecycle|loadgen|fleetapi)/[a-z0-9_]+\.go'
+PATH_RE='internal/(imaging|isp|codec|sensor|device|dataset|fmath|nn|tensor|train|metrics|stability|lifecycle|loadgen|fleetapi)/[a-z0-9_]+\.go'
 
 # fused prints the fused multiply-adds of the listing on stdin that lie on the
 # cell or report path, and fails if there is one.
@@ -45,6 +46,7 @@ if [ "${1:-}" = "--selftest" ]; then
     '	0x001c 00028 (internal/sensor/sensor.go:120)	FMSUBD	F4, F0, F2, F0' \
     '	0x0054 00084 (/src/internal/device/synth.go:75)	FMADDD	F1, F2, F0, F1' \
     '	0x0060 00096 (/src/internal/dataset/classes.go:206)	FNMSUBD	F3, F2, F1, F0' \
+    '	0x0064 00100 (/src/internal/fmath/pow.go:40)	FMADDD	F1, F2, F0, F1' \
     '	0x0020 00032 (/src/internal/nn/conv.go:88)	FMADDS	F4, F0, F2, F0' \
     '	0x0024 00036 (/src/internal/tensor/matmul.go:31)	FMADDS	F4, F0, F2, F0' \
     '	0x0028 00040 (/src/internal/train/noise.go:87)	FMSUBD	F1, F2, F0, F1' \
@@ -65,7 +67,7 @@ fi
 cd "$(dirname "$0")/.."
 listing=$(mktemp)
 trap 'rm -f "$listing"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/nn ./internal/tensor ./internal/train ./internal/metrics ./internal/stability ./internal/lifecycle ./internal/loadgen ./internal/fleetapi >"$listing" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/imaging ./internal/isp ./internal/codec ./internal/sensor ./internal/device ./internal/dataset ./internal/fmath ./internal/nn ./internal/tensor ./internal/train ./internal/metrics ./internal/stability ./internal/lifecycle ./internal/loadgen ./internal/fleetapi >"$listing" 2>&1; then
   grep -v '^	0x' "$listing" | tail -n 20 >&2
   echo "lint_fma: the arm64 build failed" >&2
   exit 1
