@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/fmath"
@@ -117,16 +116,9 @@ func (sp ScreenParams) Display(im *imaging.Image, rng *rand.Rand) *imaging.Image
 	return out.Clamp()
 }
 
-// powf is float32(math.Pow(v, g)) for v > 0 and 0 below, bit for bit:
-// math.Pow runs only for the inputs whose bracket straddles a float32
-// rounding boundary (fmath.PowBracket).
 func powf(v float32, g float64) float32 {
 	if v <= 0 {
 		return 0
 	}
-	lo, hi := fmath.PowBracket(float64(v), g)
-	if p := float32(lo); p == float32(hi) {
-		return p
-	}
-	return float32(math.Pow(float64(v), g))
+	return fmath.PowFloat32(float64(v), g)
 }

@@ -9,8 +9,9 @@ import "math"
 // monotone, agreement proves the result, since math.Pow(x, y) lies between
 // the ends; it disagrees on about one input in 10⁴.
 //
-// The fast path covers 0 < x ≤ 1 (x normal) and 0 < y ≤ 8, the range of
-// every gamma curve in the tree. It computes xʸ = 2^(y·log₂x) to a relative
+// The fast path covers 0 < x < 1 (x normal) and 0 < y ≤ 8, the range of
+// every gamma curve in the tree; x = 1, where a curve saturates (half the
+// entries of an ISP table), is math.Pow's exact 1 at the cost of a branch. It computes xʸ = 2^(y·log₂x) to a relative
 // error under 2⁻⁴⁶ (TestPowBracketError), from the exponent bits, a
 // 128-entry table and a degree-5 series for log₂, and a 64-entry table and a
 // degree-5 series for the power of two, and widens that by 2⁻³⁸ each way.
@@ -26,7 +27,7 @@ import "math"
 // nothing.
 func PowBracket(x, y float64) (lo, hi float64) {
 	b := math.Float64bits(x)
-	if !(y > 0 && y <= 8) || b-minNormal > oneBits-minNormal {
+	if !(y > 0 && y <= 8) || b-minNormal >= oneBits-minNormal {
 		p := math.Pow(x, y)
 		return p, p
 	}
@@ -57,6 +58,16 @@ func PowBracket(x, y float64) (lo, hi float64) {
 	q := float64(g * (powE1 + float64(g*(powE2+float64(g*(powE3+float64(g*(powE4+float64(g*powE5)))))))))
 	p := float64((s + float64(s*q)) * math.Float64frombits(uint64(n+1023)<<52))
 	return float64(p * (1 - powSlack)), float64(p * (1 + powSlack))
+}
+
+// PowFloat32 is float32(math.Pow(x, y)), bit for bit: math.Pow runs only
+// for the inputs whose bracket straddles a float32 rounding boundary.
+func PowFloat32(x, y float64) float32 {
+	lo, hi := PowBracket(x, y)
+	if p := float32(lo); p == float32(hi) {
+		return p
+	}
+	return float32(math.Pow(x, y))
 }
 
 const (

@@ -114,8 +114,8 @@ func TestPowBracketMatchesMathPow(t *testing.T) {
 
 // TestPowBracketSpecialValues: outside the fast path the bracket is math.Pow
 // itself, zeros, infinities, NaN and y ≤ 0 or y > 8 included, and so it is
-// for results under 2⁻¹⁰²⁰; at the fast path's edges (x = 1, the smallest
-// float32, y = 8) it holds math.Pow.
+// for results under 2⁻¹⁰²⁰; at the fast path's edges (the smallest
+// float32, y = 8) it holds math.Pow, and x = 1 is math.Pow's exact 1.
 func TestPowBracketSpecialValues(t *testing.T) {
 	xs := []float64{0, math.Copysign(0, -1), 1, float64(math.SmallestNonzeroFloat32), math.SmallestNonzeroFloat64,
 		0x1p-1022, math.MaxFloat32, math.Inf(1), math.Inf(-1), math.NaN(), -0.5, 1.5}
@@ -124,7 +124,7 @@ func TestPowBracketSpecialValues(t *testing.T) {
 		for _, y := range ys {
 			p := math.Pow(x, y)
 			lo, hi := PowBracket(x, y)
-			fast := x >= 0x1p-1022 && x <= 1 && y > 0 && y <= 8
+			fast := x >= 0x1p-1022 && x < 1 && y > 0 && y <= 8
 			switch {
 			case math.IsNaN(p):
 				if !math.IsNaN(lo) || !math.IsNaN(hi) {
@@ -136,6 +136,9 @@ func TestPowBracketSpecialValues(t *testing.T) {
 				t.Errorf("PowBracket(%v, %v) = [%v, %v]: a fast path outside its domain", x, y, lo, hi)
 			case lo == hi && fast && p > 0x1p-1000:
 				t.Errorf("PowBracket(%v, %v) = [%v, %v]: no fast path inside its domain", x, y, lo, hi)
+			}
+			if got := PowFloat32(x, y); math.Float32bits(got) != math.Float32bits(float32(p)) {
+				t.Errorf("PowFloat32(%v, %v) = %v, want %v", x, y, got, float32(p))
 			}
 		}
 	}

@@ -169,14 +169,7 @@ func (s Gamma) curve() curveFn {
 		return func(v float32) float32 { return srgbEncode(fmath.Clamp01(v)) }
 	}
 	invG := 1 / s.G
-	return func(v float32) float32 {
-		x := float64(fmath.Clamp01(v))
-		lo, hi := fmath.PowBracket(x, invG)
-		if p := float32(lo); p == float32(hi) {
-			return p
-		}
-		return float32(math.Pow(x, invG))
-	}
+	return func(v float32) float32 { return fmath.PowFloat32(float64(fmath.Clamp01(v)), invG) }
 }
 
 // srgbEncode is the sRGB transfer function, its power arm pushed through
