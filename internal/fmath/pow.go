@@ -10,24 +10,24 @@ import "math"
 // the ends; it disagrees on about one input in 10⁴.
 //
 // The fast path covers 0 < x < 1 (x normal) and 0 < y ≤ 8, the range of
-// every gamma curve in the tree; x = 1, where a curve saturates (half the
-// entries of an ISP table), is math.Pow's exact 1 at the cost of a branch. It computes xʸ = 2^(y·log₂x) to a relative
+// every gamma curve in the tree. It computes xʸ = 2^(y·log₂x) to a relative
 // error under 2⁻⁴⁶ (TestPowBracketError), from the exponent bits, a
-// 128-entry table and a degree-5 series for log₂, and a 64-entry table and a
-// degree-5 series for the power of two, and widens that by 2⁻³⁸ each way.
+// 128-entry table and a degree-5 series for log₂, and a 64-entry table and
+// a degree-5 series for the power of two, and widens that by 2⁻³⁸ each way.
 // math.Pow's own error is far smaller than the widening over this range
-// (about 2⁻⁴⁴ at worst, near x = 2⁻¹⁰²², where |log x| is largest), on every
-// architecture and with or
-// without its FMA body of Exp, so the interval holds the value math.Pow
-// returns wherever the program runs. Any other input returns the
-// degenerate interval [math.Pow(x, y), math.Pow(x, y)].
+// (about 2⁻⁴⁴ at worst, near x = 2⁻¹⁰²², where |log x| is largest), on
+// every architecture and with or without its FMA body of Exp, so the
+// interval holds the value math.Pow returns wherever the program runs. Any
+// other input returns the degenerate interval [math.Pow(x, y),
+// math.Pow(x, y)]; that includes x = 1, where a curve saturates (half the
+// entries of an ISP table) and math.Pow returns an exact 1 at once.
 //
 // Every product is rounded before it is added, float64(a*b) + c, so that no
 // compiler may fuse the two (scripts/lint_fma.sh); PowBracket allocates
 // nothing.
 func PowBracket(x, y float64) (lo, hi float64) {
 	b := math.Float64bits(x)
-	if !(y > 0 && y <= 8) || b-minNormal >= oneBits-minNormal {
+	if !(y > 0 && y <= 8) || b-powMinBits >= powOneBits-powMinBits {
 		p := math.Pow(x, y)
 		return p, p
 	}
@@ -74,8 +74,8 @@ const (
 	// powSlack is the interval's half-width relative to the approximation.
 	powSlack = 0x1p-38
 
-	minNormal = 0x0010000000000000 // bits of 2⁻¹⁰²²
-	oneBits   = 0x3FF0000000000000 // bits of 1
+	powMinBits = 0x0010000000000000 // bits of 2⁻¹⁰²², the least normal float64
+	powOneBits = 0x3FF0000000000000 // bits of 1
 
 	// powRound rounds a float64 under 2⁵¹ in magnitude to the nearest
 	// integer when added and subtracted again.
