@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/device"
+	"repro/internal/fmath"
 	"repro/internal/imaging"
 	"repro/internal/lifecycle"
 	"repro/internal/nn"
@@ -65,7 +67,7 @@ func TestContinuousWorkerCountByteIdentical(t *testing.T) {
 }
 
 // TestContinuousLifecycleShapesReport checks the events actually act on the
-// run: churned-out devices shrink window populations, and the runtime
+// run: a leave and a late join move window populations, and the runtime
 // upgrade shows in the device states.
 func TestContinuousLifecycleShapesReport(t *testing.T) {
 	cfg := ContinuousConfig{
@@ -74,6 +76,8 @@ func TestContinuousLifecycleShapesReport(t *testing.T) {
 		Events: []lifecycle.Event{
 			{Window: 1, Device: 0, Kind: lifecycle.KindLeave},
 			{Window: 1, Device: 1, Kind: lifecycle.KindRuntimeUpgrade, Runtime: nn.RuntimePruned},
+			{Window: 1, Device: 2, Kind: lifecycle.KindJoin},
+			{Window: 2, Device: 2, Kind: lifecycle.KindLeave},
 		},
 	}
 	r := runContinuous(t, cfg)
@@ -81,14 +85,14 @@ func TestContinuousLifecycleShapesReport(t *testing.T) {
 	if len(rep.Windows) != 3 {
 		t.Fatalf("got %d windows, want 3", len(rep.Windows))
 	}
-	if rep.Windows[0].Devices != 4 {
-		t.Errorf("window 0 devices = %d, want 4", rep.Windows[0].Devices)
+	// Device 2 joins at window 1 and leaves at window 2; device 0 leaves at 1.
+	for w, want := range []int{3, 3, 2} {
+		if got := rep.Windows[w].Devices; got != want {
+			t.Errorf("window %d devices = %d, want %d", w, got, want)
+		}
 	}
-	if rep.Windows[1].Devices != 3 {
-		t.Errorf("window 1 devices = %d, want 3 after leave", rep.Windows[1].Devices)
-	}
-	if len(rep.Windows[1].Events) != 2 {
-		t.Errorf("window 1 events = %v, want the leave and runtime upgrade", rep.Windows[1].Events)
+	if len(rep.Windows[1].Events) != 3 {
+		t.Errorf("window 1 events = %v, want the leave, runtime upgrade and join", rep.Windows[1].Events)
 	}
 	// Window 0 has no paired stats; later windows do.
 	if rep.Windows[0].Paired != nil {
@@ -119,13 +123,104 @@ func TestContinuousLifecycleShapesReport(t *testing.T) {
 		}
 	}
 
-	// Device 0 left at window 1: its state lists only window 0.
+	// Device 0 left at window 1: its state lists only window 0. Device 2 was
+	// present in window 1 alone.
 	for _, ds := range st.Devices {
-		if ds.ID != 0 {
+		want := map[int]int{0: 0, 2: 1}
+		w, ok := want[ds.ID]
+		if !ok {
 			continue
 		}
-		if len(ds.Windows) != 1 || ds.Windows[0].Window != 0 {
-			t.Errorf("device 0 windows = %+v, want only window 0", ds.Windows)
+		if len(ds.Windows) != 1 || ds.Windows[0].Window != w {
+			t.Errorf("device %d windows = %+v, want only window %d", ds.ID, ds.Windows, w)
+		}
+	}
+}
+
+// TestEventFold folds devices' events window by window as runDevice does
+// (presentAtStart, then applyEvent at each event's window): a late join and
+// a leave bound the presence, each OS upgrade flips the decode path, the
+// latest runtime upgrade stands, and thermal events compound, one jittered
+// throttle each.
+func TestEventFold(t *testing.T) {
+	spec := lifecycle.Spec{Devices: 3, Windows: 8, Seed: 1, Events: []lifecycle.Event{
+		{Window: 2, Device: 0, Kind: lifecycle.KindJoin},
+		{Window: 6, Device: 0, Kind: lifecycle.KindLeave},
+		{Window: 3, Device: 0, Kind: lifecycle.KindOSUpgrade},
+		{Window: 5, Device: 0, Kind: lifecycle.KindOSUpgrade},
+		{Window: 4, Device: 0, Kind: lifecycle.KindRuntimeUpgrade, Runtime: nn.RuntimePruned},
+		{Window: 3, Device: 1, Kind: lifecycle.KindThermalDrift, Severity: 0.7},
+		{Window: 5, Device: 1, Kind: lifecycle.KindThermalDrift, Severity: 0.7},
+	}}
+	sched, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := NewGenerator(spec.Seed, 2, spec.Devices) // caches every device
+	// fold returns device i's profile in each window, nil where it is absent.
+	fold := func(i int) []*device.Profile {
+		dev := *gen.Device(i)
+		evs := sched.DeviceEvents(i)
+		present := presentAtStart(evs)
+		out := make([]*device.Profile, spec.Windows)
+		for w := range out {
+			for ; len(evs) > 0 && evs[0].Window <= w; evs = evs[1:] {
+				present = gen.applyEvent(&dev, evs[0], present)
+			}
+			if present {
+				out[w] = dev.Profile
+			}
+		}
+		return out
+	}
+
+	base := gen.Device(0).Profile
+	flipped := device.UpgradeOS(base).Decode
+	for w, p := range fold(0) {
+		if present := w >= 2 && w < 6; (p != nil) != present {
+			t.Fatalf("device 0 window %d present = %v, want %v", w, p != nil, present)
+		}
+		if p == nil {
+			continue
+		}
+		decode, runtime := base.Decode, base.RuntimeName()
+		if w == 3 || w == 4 {
+			decode = flipped
+		}
+		if w >= 4 {
+			runtime = nn.RuntimePruned
+		}
+		if p.Decode != decode || p.RuntimeName() != runtime {
+			t.Errorf("device 0 window %d: decode %+v runtime %q, want %+v and %q", w, p.Decode, p.RuntimeName(), decode, runtime)
+		}
+	}
+
+	hot := gen.Device(1).Profile
+	throttle := func(p *device.Profile, w int) *device.Profile {
+		return device.Throttle(p, 0.7, fmath.Mix(spec.Seed, 6, 1, int64(w)))
+	}
+	once := throttle(hot, 3)
+	twice := throttle(once, 5)
+	if twice.Sensor.Params == device.Throttle(hot, 1, fmath.Mix(spec.Seed, 6, 1, 5)).Sensor.Params {
+		t.Fatal("two throttles equal one of the capped summed severity; the test cannot tell the folds apart")
+	}
+	for w, p := range fold(1) {
+		want := hot
+		switch {
+		case w >= 5:
+			want = twice
+		case w >= 3:
+			want = once
+		}
+		if p == nil || p.Sensor.Params != want.Sensor.Params {
+			t.Errorf("device 1 window %d sensor = %+v, want %+v", w, p, want.Sensor.Params)
+		}
+	}
+
+	// Device 2 has no events: present everywhere, its profile untouched.
+	for w, p := range fold(2) {
+		if p != gen.Device(2).Profile {
+			t.Errorf("device 2 window %d profile = %p, want the synthesized %p", w, p, gen.Device(2).Profile)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (e *Engine) Capture(d *Device, it *dataset.Item, angle int) (*imaging.Image
 // epoch 0 of a continuous run is a distinct observation, not a replay of
 // the one-shot capture.
 func (e *Engine) CaptureEpoch(d *Device, it *dataset.Item, angle, epoch int) (*imaging.Image, int) {
-	img, size, _ := e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)))
+	img, size, _ := e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 5, int64(epoch), int64(d.ID), int64(it.ID), int64(angle)), nil)
 	return img, size
 }
 
@@ -131,15 +131,27 @@ type StageTimes struct {
 // reads the clock for either way. When telemetry is attached the times also
 // land in the stage histograms.
 func (e *Engine) CaptureTimed(d *Device, it *dataset.Item, angle int) (*imaging.Image, int, StageTimes) {
-	return e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)))
+	return e.captureObserved(d, it, angle, nil)
 }
+
+// captureObserved is CaptureTimed with an observer.
+func (e *Engine) captureObserved(d *Device, it *dataset.Item, angle int, obs captureObserver) (*imaging.Image, int, StageTimes) {
+	return e.captureSeeded(d, it, angle, fmath.Mix(e.Seed, 2, int64(d.ID), int64(it.ID), int64(angle)), obs)
+}
+
+// captureObserver borrows a capture's pooled pixels at a stage boundary —
+// "sensor", the raw mosaic, and "isp", the clamped frame the codec encodes —
+// before they go back to the pool; it may read them during the call only. A
+// file format skips both stages and calls it for neither. Every capture path
+// but Explain's passes nil.
+type captureObserver func(boundary string, pix []float32)
 
 // captureSeeded is the one capture body: cell seed in, decoded image, size
 // and stage times out. Capture and CaptureEpoch discard the times; the four
 // clock reads are noise against a 130–800 µs capture. The sensor is the
 // only consumer of the cell RNG, so every format that photographs draws the
 // same noise; a file format photographs nothing and draws none.
-func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64) (*imaging.Image, int, StageTimes) {
+func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int64, obs captureObserver) (*imaging.Image, int, StageTimes) {
 	displayed := e.Displayed(it, angle)
 	a := arenaPool.Get().(*captureArena)
 	noise := a.seed(seed)
@@ -154,6 +166,9 @@ func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int6
 	} else {
 		raw := d.Sensor.CaptureInto(a.raw, displayed, noise)
 		t1 = time.Now()
+		if obs != nil {
+			obs("sensor", raw.Plane)
+		}
 		pipeline, c := d.ISP, d.Profile.Codec
 		if sw != nil {
 			c, opts = sw.codec, codec.DecodeOptions{}
@@ -163,7 +178,11 @@ func (e *Engine) captureSeeded(d *Device, it *dataset.Item, angle int, seed int6
 		}
 		processed := pipeline.Process(raw) // pool-owned by this frame; Clamp in place is safe
 		t2 = time.Now()
-		enc = c.Encode(processed.Clamp())
+		processed.Clamp()
+		if obs != nil {
+			obs("isp", processed.Pix)
+		}
+		enc = c.Encode(processed)
 		imaging.PutImage(processed)
 	}
 	size := enc.Size

@@ -25,22 +25,29 @@ func testFactory() BackendFactory {
 	}
 }
 
+// TestLRUBasics: a hit refreshes an entry, and a miss past capacity evicts
+// the least recently used one, which shows as a second computation.
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU[int, string](2)
-	c.Put(1, "a")
-	c.Put(2, "b")
-	if v, ok := c.Get(1); !ok || v != "a" {
-		t.Fatalf("get 1 = %q, %v", v, ok)
+	computed := map[int]int{}
+	get := func(k int) {
+		t.Helper()
+		want := string(rune('a' + k))
+		if v := c.GetOrCompute(k, func() string { computed[k]++; return want }); v != want {
+			t.Fatalf("key %d = %q, want %q", k, v, want)
+		}
 	}
-	c.Put(3, "c") // evicts 2 (least recently used after the Get of 1)
-	if _, ok := c.Get(2); ok {
-		t.Fatal("2 not evicted")
+	get(1)
+	get(2)
+	get(1)
+	get(3) // evicts 2 (least recently used after the hit on 1)
+	get(1)
+	if computed[1] != 1 {
+		t.Fatalf("1 computed %d times, want once: evicted despite being recently used", computed[1])
 	}
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("1 evicted despite being recently used")
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d", c.Len())
+	get(2)
+	if computed[2] != 2 {
+		t.Fatalf("2 computed %d times, want twice: not evicted", computed[2])
 	}
 }
 

@@ -92,7 +92,7 @@ func FuzzShardState(f *testing.F) {
 		}
 		// Most mutants are refused; the property is that refusal is an
 		// error and that whatever is not refused renders.
-		if stats, err := MergedStats(runCfg, st); err == nil {
+		if stats, _, err := MergedRun(runCfg, st); err == nil {
 			stats.JSON()
 		}
 		if rep, err := MergedFleetReport(fleetCfg, st); err == nil {

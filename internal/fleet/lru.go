@@ -40,27 +40,8 @@ func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
 	return &LRU[K, V]{capacity: capacity, order: list.New(), items: map[K]*list.Element{}, pending: map[K]*lruFlight[V]{}}
 }
 
-// Get returns the cached value and marks it most recently used.
-func (c *LRU[K, V]) Get(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*lruEntry[K, V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put inserts or refreshes a value, evicting the least recently used entry
-// when over capacity.
-func (c *LRU[K, V]) Put(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(k, v)
-}
-
-// putLocked is Put for callers holding c.mu.
+// putLocked inserts or refreshes a value, evicting the least recently used
+// entry when over capacity. The caller holds c.mu.
 func (c *LRU[K, V]) putLocked(k K, v V) {
 	if el, ok := c.items[k]; ok {
 		el.Value.(*lruEntry[K, V]).val = v
@@ -118,11 +99,4 @@ func (c *LRU[K, V]) fill(k K, f *lruFlight[V], compute func() V) V {
 	f.val = compute()
 	f.ok = true
 	return f.val
-}
-
-// Len returns the current entry count.
-func (c *LRU[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

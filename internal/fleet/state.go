@@ -15,7 +15,7 @@ import (
 // produced: the windowed stability wire state (integer counters,
 // order-independent; per-cohort splits are derived from it at render time,
 // not shipped) plus per-(device, window) value summaries with their exact
-// Welford state, so MergedStats and MergedFleetReport can replay the same
+// Welford state, so MergedRun and MergedFleetReport can replay the same
 // device-ID-ordered float merges a single process runs. It is one typed
 // document, decoded whole where each shard's reply lands.
 type ContinuousState struct {
@@ -204,18 +204,13 @@ func mergeStates(cfg Config, windows int, states []*ContinuousState) (*stability
 	return windowed, views, captures, nil
 }
 
-// MergedStats reconstructs the full run's Stats from shard states. For a
-// complete, non-overlapping set of shards of cfg's device range, the result
-// is byte-identical (as JSON) to the Stats of a single Runner executing the
-// whole run; with a partial set it is the same kind of valid snapshot an
-// in-flight runner serves. Shards whose device sets overlap are rejected.
-func MergedStats(cfg Config, states ...*ContinuousState) (Stats, error) {
-	st, _, err := MergedRun(cfg, states...)
-	return st, err
-}
-
-// MergedRun is MergedStats that also hands back the merged accumulator the
-// stats are rendered from, as Runner.Accumulator does for a local run.
+// MergedRun reconstructs the full run's Stats from shard states, and hands
+// back the merged accumulator they are rendered from, as Runner.Accumulator
+// does for a local run. For a complete, non-overlapping set of shards of
+// cfg's device range, the Stats are byte-identical (as JSON) to those of a
+// single Runner executing the whole run; with a partial set they are the
+// same kind of valid snapshot an in-flight runner serves. Shards whose
+// device sets overlap are rejected.
 func MergedRun(cfg Config, states ...*ContinuousState) (Stats, *stability.Accumulator, error) {
 	cfg = cfg.WithDefaults()
 	windowed, views, captures, err := mergeStates(cfg, 1, states)

@@ -50,7 +50,7 @@ func shardKinds(runCfg Config, fleetCfg ContinuousConfig) []shardKind {
 				return r.Run().JSON(), shipped(t, r)
 			},
 			merged: func(states ...*ContinuousState) ([]byte, error) {
-				s, err := MergedStats(runCfg, states...)
+				s, _, err := MergedRun(runCfg, states...)
 				return s.JSON(), err
 			},
 		},
@@ -207,12 +207,12 @@ func TestMergeRefusesForeignModel(t *testing.T) {
 		st.ModelSHA = sha
 		states = append(states, st)
 	}
-	_, err := MergedStats(cfg, states...)
+	_, _, err := MergedRun(cfg, states...)
 	if err == nil || !strings.Contains(err.Error(), `"aaaa"`) || !strings.Contains(err.Error(), `"bbbb"`) {
 		t.Fatalf("merge of two weights' states: err %v, want one naming both digests", err)
 	}
 	states[1].ModelSHA = "aaaa"
-	if _, err := MergedStats(cfg, states...); err != nil {
+	if _, _, err := MergedRun(cfg, states...); err != nil {
 		t.Fatalf("merge of one weights' states: %v", err)
 	}
 }

@@ -399,7 +399,7 @@ func shardSlot(runtime string, score, bytes metrics.OnlineState) windowSlot {
 	return windowSlot{ran: true, runtime: runtime, score: metrics.FromState(score), bytes: metrics.FromState(bytes)}
 }
 
-// orderViews is the merge step of MergedStats and MergedFleetReport: device
+// orderViews is the merge step of MergedRun and MergedFleetReport: device
 // ID order is the float accumulation order of a single-instance run, so
 // shard arrival order must not leak into the merged snapshot; a device two
 // shards both list would be double-counted and is rejected.

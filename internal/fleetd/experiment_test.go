@@ -367,7 +367,7 @@ func TestModelArms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats, err := fleet.MergedStats(s.FleetConfig(), st)
+			stats, _, err := fleet.MergedRun(s.FleetConfig(), st)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -235,8 +235,14 @@ func TestServeBatchCoalescing(t *testing.T) {
 	if got := s.tele.Captures.Value(); got != 2 {
 		t.Fatalf("batch of 5 jobs over 2 cells made %d captures, want 2", got)
 	}
-	if got := s.serve.bundles.Len(); got != 1 {
-		t.Fatalf("scale 0 and scale 2 built %d bundles, want 1", got)
+	// One bundle: the scale-2 key hits, and no scale-0 key was made.
+	missed := map[int]bool{}
+	for _, scale := range []int{2, 0} {
+		key := bundleKey{seed: cellA.Seed, items: itemsOrDefault(0), scale: scale}
+		s.serve.bundles.GetOrCompute(key, func() *serveBundle { missed[scale] = true; return nil })
+	}
+	if missed[2] || !missed[0] {
+		t.Fatalf("bundle cache missed scale 2: %v, scale 0: %v; want one bundle, at scale 2", missed[2], missed[0])
 	}
 	for _, pair := range [][2]int{{0, 2}, {1, 3}, {0, 4}} {
 		if a, b := payload(results[pair[0]]), payload(results[pair[1]]); a != b {

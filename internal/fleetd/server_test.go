@@ -238,7 +238,7 @@ func TestShardEndpoint(t *testing.T) {
 		}
 		states = append(states, st)
 	}
-	merged, err := fleet.MergedStats(spec.FleetConfig(), states...)
+	merged, _, err := fleet.MergedRun(spec.FleetConfig(), states...)
 	if err != nil {
 		t.Fatal(err)
 	}

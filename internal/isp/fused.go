@@ -91,8 +91,6 @@ type lut struct{ table []float32 }
 
 func (lut) Name() string { return "lut" }
 
-func (s lut) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
-
 func (s lut) run(im *imaging.Image) *imaging.Image {
 	applyLUT(im.Pix, s.table)
 	return im
@@ -106,8 +104,6 @@ type autoWBMatrix struct {
 }
 
 func (autoWBMatrix) Name() string { return "white_balance+color_matrix" }
-
-func (s autoWBMatrix) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
 
 func (s autoWBMatrix) run(im *imaging.Image) *imaging.Image {
 	m := matmul3(s.next, s.wb.gains(im))

@@ -7,15 +7,13 @@ import (
 	"repro/internal/imaging"
 )
 
-// Stage is one RGB step of a pipeline. Apply returns a new image and does not
-// mutate its input. run is the stage's one body, and what a pipeline
-// executes: it works on an image the caller owns, in place where the stage
-// can, and returns the image that now holds the result — the same one, or a
-// pooled one taken in exchange for it. Being unexported, it also says that
-// every Stage is one of this package's types.
+// Stage is one RGB step of a pipeline. run is the stage's one body, and what
+// a pipeline executes: it works on an image the caller owns, in place where
+// the stage can, and returns the image that now holds the result — the same
+// one, or a pooled one taken in exchange for it. Being unexported, it also
+// says that every Stage is one of this package's types.
 type Stage interface {
 	Name() string
-	Apply(*imaging.Image) *imaging.Image
 	run(*imaging.Image) *imaging.Image
 }
 
@@ -50,9 +48,6 @@ type BlackLevel struct{ Level float32 }
 // Name implements Stage.
 func (s BlackLevel) Name() string { return "black_level" }
 
-// Apply implements Stage.
-func (s BlackLevel) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
-
 func (s BlackLevel) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
 
 func (s BlackLevel) curve() curveFn {
@@ -83,9 +78,6 @@ type WhiteBalance struct {
 
 // Name implements Stage.
 func (s WhiteBalance) Name() string { return "white_balance" }
-
-// Apply implements Stage.
-func (s WhiteBalance) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
 
 func (s WhiteBalance) run(im *imaging.Image) *imaging.Image {
 	m := s.gains(im)
@@ -125,9 +117,6 @@ type ColorMatrix struct{ M [9]float32 }
 // Name implements Stage.
 func (s ColorMatrix) Name() string { return "color_matrix" }
 
-// Apply implements Stage.
-func (s ColorMatrix) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
-
 func (s ColorMatrix) run(im *imaging.Image) *imaging.Image {
 	applyMatrix(im, &s.M)
 	return im
@@ -158,9 +147,6 @@ type Gamma struct {
 
 // Name implements Stage.
 func (s Gamma) Name() string { return "gamma" }
-
-// Apply implements Stage.
-func (s Gamma) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
 
 func (s Gamma) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
 
@@ -195,9 +181,6 @@ type ToneCurve struct{ Strength float64 }
 // Name implements Stage.
 func (s ToneCurve) Name() string { return "tone_curve" }
 
-// Apply implements Stage.
-func (s ToneCurve) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
-
 func (s ToneCurve) run(im *imaging.Image) *imaging.Image { return mapCurve(im, s.curve()) }
 
 func (s ToneCurve) curve() curveFn {
@@ -223,9 +206,6 @@ type Denoise struct {
 
 // Name implements Stage.
 func (s Denoise) Name() string { return "denoise" }
-
-// Apply implements Stage.
-func (s Denoise) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
 
 // run cannot write in place (each output sample reads a neighbourhood of
 // inputs), so it filters into a pooled image and gives im to the pool in
@@ -253,9 +233,6 @@ type Sharpen struct {
 // Name implements Stage.
 func (s Sharpen) Name() string { return "sharpen" }
 
-// Apply implements Stage.
-func (s Sharpen) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
-
 // run keeps the blurred frame in a pooled image for the pass.
 func (s Sharpen) run(im *imaging.Image) *imaging.Image {
 	blur := imaging.GaussianBlurInto(imaging.GetImage(im.W, im.H), im, s.Sigma)
@@ -269,9 +246,6 @@ type ClampStage struct{}
 
 // Name implements Stage.
 func (ClampStage) Name() string { return "clamp" }
-
-// Apply implements Stage.
-func (s ClampStage) Apply(im *imaging.Image) *imaging.Image { return s.run(im.Clone()) }
 
 func (ClampStage) run(im *imaging.Image) *imaging.Image { return im.Clamp() }
 

@@ -297,66 +297,3 @@ func (s *Schedule) DeviceEvents(i int) []Event { return s.byDevice[i] }
 // (device, kind) order. The returned slice is shared; callers must not
 // mutate it.
 func (s *Schedule) WindowEvents(w int) []Event { return s.byWindow[w] }
-
-// State is a device's folded lifecycle condition at one window: which
-// transitions have applied by the start of that window.
-type State struct {
-	// Present reports whether the device is in the population this window.
-	Present bool
-	// OSUpgrades counts os_upgrade events applied so far; each flips the
-	// decode chroma path, so parity decides the current one.
-	OSUpgrades int
-	// Runtime is the latest runtime_upgrade target, or "" when the profile's
-	// own assignment still stands.
-	Runtime string
-	// ThermalSeverity is the accumulated thermal degradation, capped at 1.
-	ThermalSeverity float64
-}
-
-// StateAt folds device i's events through the start of window w. It is a
-// pure function of the schedule — the per-window profile variant every
-// worker derives locally.
-func (s *Schedule) StateAt(i, w int) State {
-	st := State{Present: true}
-	for _, ev := range s.byDevice[i] {
-		if ev.Kind == KindJoin {
-			// A join event anywhere means the device is absent before it.
-			st.Present = false
-			break
-		}
-	}
-	for _, ev := range s.byDevice[i] {
-		if ev.Window > w {
-			break
-		}
-		switch ev.Kind {
-		case KindJoin:
-			st.Present = true
-		case KindLeave:
-			st.Present = false
-		case KindOSUpgrade:
-			st.OSUpgrades++
-		case KindRuntimeUpgrade:
-			st.Runtime = ev.Runtime
-		case KindThermalDrift:
-			if st.ThermalSeverity += ev.Severity; st.ThermalSeverity > 1 {
-				st.ThermalSeverity = 1
-			}
-		}
-	}
-	return st
-}
-
-// Active reports whether device i is in the population at window w.
-func (s *Schedule) Active(i, w int) bool { return s.StateAt(i, w).Present }
-
-// ActiveCount returns the population size at window w.
-func (s *Schedule) ActiveCount(w int) int {
-	n := 0
-	for i := 0; i < s.Spec.Devices; i++ {
-		if s.Active(i, w) {
-			n++
-		}
-	}
-	return n
-}

@@ -161,58 +161,6 @@ func TestEventDefaults(t *testing.T) {
 	}
 }
 
-func TestStateAtFolding(t *testing.T) {
-	spec := Spec{Devices: 3, Windows: 8, Seed: 1, Events: []Event{
-		{Window: 2, Device: 0, Kind: KindJoin},
-		{Window: 6, Device: 0, Kind: KindLeave},
-		{Window: 3, Device: 0, Kind: KindOSUpgrade},
-		{Window: 5, Device: 0, Kind: KindOSUpgrade},
-		{Window: 4, Device: 0, Kind: KindRuntimeUpgrade, Runtime: nn.RuntimePruned},
-		{Window: 3, Device: 1, Kind: KindThermalDrift, Severity: 0.7},
-		{Window: 5, Device: 1, Kind: KindThermalDrift, Severity: 0.7},
-	}}
-	sched, err := spec.Expand()
-	if err != nil {
-		t.Fatalf("Expand: %v", err)
-	}
-
-	// Device 0: late join at 2, leave at 6, OS upgrades at 3 and 5,
-	// runtime upgrade at 4.
-	wantPresent := []bool{false, false, true, true, true, true, false, false}
-	for w, want := range wantPresent {
-		if got := sched.Active(0, w); got != want {
-			t.Errorf("Active(0, %d) = %v, want %v", w, got, want)
-		}
-	}
-	if st := sched.StateAt(0, 3); st.OSUpgrades != 1 || st.Runtime != "" {
-		t.Errorf("StateAt(0, 3) = %+v, want 1 OS upgrade and profile runtime", st)
-	}
-	if st := sched.StateAt(0, 5); st.OSUpgrades != 2 || st.Runtime != nn.RuntimePruned {
-		t.Errorf("StateAt(0, 5) = %+v, want 2 OS upgrades and pruned runtime", st)
-	}
-
-	// Device 1: thermal severity accumulates and caps at 1.
-	if st := sched.StateAt(1, 4); st.ThermalSeverity != 0.7 {
-		t.Errorf("StateAt(1, 4).ThermalSeverity = %v, want 0.7", st.ThermalSeverity)
-	}
-	if st := sched.StateAt(1, 7); st.ThermalSeverity != 1 {
-		t.Errorf("StateAt(1, 7).ThermalSeverity = %v, want capped at 1", st.ThermalSeverity)
-	}
-
-	// Device 2 has no events: present everywhere, zero state.
-	if st := sched.StateAt(2, 7); !st.Present || st.OSUpgrades != 0 || st.Runtime != "" || st.ThermalSeverity != 0 {
-		t.Errorf("StateAt(2, 7) = %+v, want pristine present state", st)
-	}
-
-	// ActiveCount at window 0: devices 1 and 2 (device 0 joins late).
-	if got := sched.ActiveCount(0); got != 2 {
-		t.Errorf("ActiveCount(0) = %d, want 2", got)
-	}
-	if got := sched.ActiveCount(3); got != 3 {
-		t.Errorf("ActiveCount(3) = %d, want 3", got)
-	}
-}
-
 func TestLeaveAfterJoin(t *testing.T) {
 	// Generated leave events always land strictly after the device's join.
 	spec := Spec{Devices: 200, Windows: 6, Seed: 17, Churn: Churn{JoinRate: 0.8, LeaveRate: 0.8}}

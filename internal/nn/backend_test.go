@@ -145,10 +145,9 @@ func TestInt8Deterministic(t *testing.T) {
 	}
 }
 
-// TestPrunedBackend checks the magnitude pruning and the CSR packing: about
-// half the conv/dense weights survive, the sparse dense layers reproduce the
-// pruned model's own forward pass, and the output still diverges from the
-// unpruned reference.
+// TestPrunedBackend checks the magnitude pruning: about half the conv/dense
+// weights survive, and the output diverges from the unpruned reference.
+// TestInferPlanMatchesForward holds the outputs to the reference loops.
 func TestPrunedBackend(t *testing.T) {
 	ref := backendTestModel(t)
 	p := NewPrunedBackend(backendTestModel(t), 0.5)
@@ -174,14 +173,6 @@ func TestPrunedBackend(t *testing.T) {
 
 	x := fixedBatch(6, 23)
 	got := p.Infer(x)
-	// The pruned model itself (dense kernels with zeros) is the ground
-	// truth the CSR packing must reproduce, modulo accumulation order.
-	want := p.m.Infer(x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-5 {
-			t.Fatalf("sparse packing diverged at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
 	refProbs := ref.Infer(x)
 	same := true
 	for i := range got {

@@ -73,19 +73,12 @@ func refModelInfer(m *Model, x *tensor.Tensor) []float64 {
 	return flatProbs(Softmax(refDense(m.Head, e)))
 }
 
-// refPrunedInfer is PrunedBackend.Infer with the backbone on the reference
-// loops.
-func refPrunedInfer(b *PrunedBackend, x *tensor.Tensor) []float64 {
-	f := refForward(b.m.Backbone, x)
-	return flatProbs(Softmax(b.head.apply(nil, b.embed.apply(nil, f))))
-}
-
 // TestInferPlanMatchesForward sweeps widths (1.0, and 0.4 whose channel
 // counts 5/6/10/13/26 leave every remainder of the 4-channel tile), batch
 // sizes and input resolutions (odd pixel counts, stride-2 borders). The
 // shapes are visited in an interleaved order on one model, and each twice,
 // so scratch carried over from a larger or differently-shaped call would
-// show.
+// show. The pruned runtime is held to the same loops over its pruned weights.
 func TestInferPlanMatchesForward(t *testing.T) {
 	for _, width := range []float64{0.4, 1.0} {
 		m := refTestModel(21, width)
@@ -100,7 +93,7 @@ func TestInferPlanMatchesForward(t *testing.T) {
 			x := tensor.New(s.n, 3, s.hw, s.hw)
 			x.RandUniform(rng, 0, 1)
 			name := fmt.Sprintf("width %.1f batch %d input %d", width, s.n, s.hw)
-			wantM, wantP := refModelInfer(m, x), refPrunedInfer(pruned, x)
+			wantM, wantP := refModelInfer(m, x), refModelInfer(pruned.m, x)
 			for rep := 0; rep < 2; rep++ {
 				sameBits64(t, name+" float32", m.Infer(x), wantM)
 				sameBits64(t, name+" pruned", pruned.Infer(x), wantP)
