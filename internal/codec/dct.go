@@ -149,9 +149,16 @@ func quantizeScan(out []int32, freq, scanQuant []float32, zz []int) {
 // quantRound rounds half away from zero by adding 0.5 with q's sign bit
 // copied onto it and truncating. AC quotients change sign unpredictably, so
 // choosing between q+0.5 and q−0.5 with a branch mispredicts on most of them.
+// A NaN or a sum outside int32 is MinInt32 on every GOARCH, the value amd64's
+// conversion (and VCVTTPS2DQ) makes of it; Go leaves such a conversion to the
+// architecture, and arm64's saturates instead.
 func quantRound(q float32) int32 {
 	const signBit, half = 1 << 31, 0x3f000000
-	return int32(q + math.Float32frombits(half|math.Float32bits(q)&signBit))
+	r := q + math.Float32frombits(half|math.Float32bits(q)&signBit)
+	if !(r >= -0x1p31 && r < 0x1p31) {
+		return math.MinInt32
+	}
+	return int32(r)
 }
 
 // dequantizeScan scatters zigzag-ordered coefficients back to the frequency

@@ -159,14 +159,22 @@ func FromBytesInto(dst *Image, data []byte, w, h int) (*Image, error) {
 	return dst, nil
 }
 
+// quant8 is v's 8-bit level: v·255 + 0.5 truncated and clamped to [0, 255].
+// A NaN, and a sum of 2⁶³ or more, is level 0 on every GOARCH: that is what
+// amd64 computed when this truncated to a 64-bit int, whose conversion makes
+// MinInt64 of both, and Go leaves such a conversion to the architecture (386
+// overflowed at 2³¹, arm64 saturates).
 func quant8(v float32) byte {
-	x := int(float32(v*255) + 0.5)
-	if x < 0 {
-		x = 0
-	} else if x > 255 {
-		x = 255
+	x := float32(v*255) + 0.5
+	switch {
+	case x >= 0x1p63:
+		return 0
+	case x >= 256:
+		return 255
+	case x >= 1:
+		return byte(int32(x))
 	}
-	return byte(x)
+	return 0 // below 1, or NaN
 }
 
 // Quantize8 rounds every sample to the nearest 8-bit level in place,

@@ -44,6 +44,11 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 // it starts from that product. Whole vectors are loaded even for the last
 // n%8 outputs of a row, which are stored under a lane mask; the loads past
 // them stay inside the caller's slack.
+//
+// A row is taken 32 outputs at a time while it has them, four accumulators
+// a tap, so that the four add chains overlap instead of each vector waiting
+// on its own; the rest, eight at a time. Each output's sum is the same
+// either way.
 TEXT ·blurRowsAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -65,6 +70,39 @@ TEXT ·blurRowsAVX2(SB), NOSPLIT, $0-80
 blurRow:
 	XORQ BX, BX                // x in bytes
 	MOVQ R9, CX                // outputs left in the row
+
+blurBlock:
+	CMPQ CX, $32
+	JLT  blurVector
+	VMOVUPS (R15)(BX*1), Y0
+	VMOVUPS 32(R15)(BX*1), Y2
+	VMOVUPS 64(R15)(BX*1), Y3
+	VMOVUPS 96(R15)(BX*1), Y4
+	LEAQ (SI)(BX*1), AX        // tap 0 of output x
+	MOVQ R14, DX
+
+blurBlockTap:
+	VBROADCASTSS (R13)(DX*1), Y1
+	VMULPS (AX), Y1, Y5
+	VMULPS 32(AX), Y1, Y6
+	VMULPS 64(AX), Y1, Y7
+	VMULPS 96(AX), Y1, Y8
+	VADDPS Y5, Y0, Y0
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	VADDPS Y8, Y4, Y4
+	ADDQ R12, AX
+	ADDQ $4, DX
+	JNE  blurBlockTap
+
+	VMOVUPS Y0, (DI)(BX*1)
+	VMOVUPS Y2, 32(DI)(BX*1)
+	VMOVUPS Y3, 64(DI)(BX*1)
+	VMOVUPS Y4, 96(DI)(BX*1)
+	ADDQ $128, BX
+	SUBQ $32, CX
+	JNE  blurBlock
+	JMP  blurNext
 
 blurVector:
 	VMOVUPS (R15)(BX*1), Y0

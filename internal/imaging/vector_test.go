@@ -93,8 +93,9 @@ func randomImage(rng *rand.Rand, w, h int, odd bool) *Image {
 }
 
 // TestVectorGaussianBlurMatchesGo sweeps the blur over every width from 1 to
-// 67 and height from 1 to 19 at radii 1 to 6: row tails of every length,
-// frames narrower than a vector and narrower or shorter than the kernel, the
+// 131 and height from 1 to 19 at radii 1 to 6: rows of none to four blocks of
+// four vectors, the rest of every length after them, frames narrower than a
+// vector and narrower or shorter than the kernel, the
 // four kernel widths whose interior sums start from their first product and
 // two whose sums start from +0. The second image of each size holds odd
 // samples, zeros of both signs among them: a window of -0 alone is where a
@@ -102,7 +103,7 @@ func randomImage(rng *rand.Rand, w, h int, odd bool) *Image {
 func TestVectorGaussianBlurMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	sigmas := []float64{0.3, 0.6, 0.9, 1.2, 1.5, 1.9} // radii 1 to 6
-	for w := 1; w <= 67; w++ {
+	for w := 1; w <= 131; w++ {
 		for h := 1; h <= 19; h += 1 + w%3 {
 			for _, odd := range []bool{false, true} {
 				im := randomImage(rng, w, h, odd)
@@ -169,8 +170,8 @@ func TestVectorColourConversionsMatchGo(t *testing.T) {
 
 // TestVectorQuant8HandBack pins the one input class the colour kernel must
 // not convert itself: a luma whose scaled sum is 2³¹ or more, in one lane of
-// an otherwise ordinary plane. Go's 64-bit truncation makes level 255 of it
-// up to 2⁶³ and level 0 beyond; the samples before that vector come from the
+// an otherwise ordinary plane. quant8 makes level 255 of it up to 2⁶³ and
+// level 0 beyond, on every GOARCH; the samples before that vector come from the
 // kernel, the rest from the Go loop, and all of them match.
 func TestVectorQuant8HandBack(t *testing.T) {
 	const w, h = 40, 1
@@ -184,7 +185,7 @@ func TestVectorQuant8HandBack(t *testing.T) {
 			got, want := yc.ToRGBQuant8Into(New(w, h)), New(w, h)
 			portable(func() { yc.ToRGBQuant8Into(want) })
 			sameBits(t, fmt.Sprintf("luma %v at %d", c.luma, at), got.Pix, want.Pix)
-			if math.MaxInt == math.MaxInt64 && got.Pix[at] != c.level { // quant8 truncates to int
+			if got.Pix[at] != c.level {
 				t.Fatalf("luma %v at %d converts to %v, want %v", c.luma, at, got.Pix[at], c.level)
 			}
 		}

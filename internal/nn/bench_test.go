@@ -51,14 +51,7 @@ func BenchmarkPlanSteps(b *testing.B) {
 	}{{"float32", m.inferPlan()}, {"int8", NewInt8Backend(m).plan}} {
 		p, sc := plan.p, new(Scratch)
 		p.features(sc, x) // sizes the arena and sets every step's geometry
-		run := func(i int) {
-			s, g := p.steps[i], sc.geom[i]
-			src := x.Data()
-			if s.src >= 0 {
-				src = sc.bufs[s.src][:g.c*g.h*g.w]
-			}
-			s.op.run(sc, sc.bufs[s.dst][:g.outLen], src, g.c, g.h, g.w)
-		}
+		run := func(i int) { p.step(sc, i, x.Data()) }
 		for i, s := range p.steps {
 			g := sc.geom[i]
 			b.Run(fmt.Sprintf("%s/%02d/%s/%dx%dx%d", plan.name, i, stepName(s.op), g.c, g.h, g.w), func(b *testing.B) {

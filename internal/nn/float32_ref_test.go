@@ -278,3 +278,57 @@ func TestInferLeavesTrainingCachesEmpty(t *testing.T) {
 	pruned.Infer(x)
 	check("pruned", pm)
 }
+
+// TestIm2colSameMatchesPlanar holds im2colPlanar's shifted-plane path for a
+// stride-1 convolution whose output is its input's size to the row loop it
+// takes for every other geometry: every channel count from 1 to 4, every
+// input from 1×1 to 9×9, kernels of 1 to 5 each way and pads of 0 to 2 — a
+// tap plane shifted past the whole input among them — on samples holding -0
+// and NaN, into panels first filled with a NaN neither writes, so a value
+// left unwritten or a zero of the wrong sign shows.
+func TestIm2colSameMatchesPlanar(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	stale := math.Float32frombits(0x7fc0dead)
+	same := 0
+	for inC := 1; inC <= 4; inC++ {
+		for h := 1; h <= 9; h++ {
+			for w := 1; w <= 9; w++ {
+				src := make([]float32, inC*h*w)
+				for i := range src {
+					src[i] = []float32{float32(rng.NormFloat64()), negZero, float32(math.NaN()), 0}[rng.Intn(4)]
+				}
+				for kh := 1; kh <= 5; kh++ {
+					for kw := 1; kw <= 5; kw++ {
+						for ph := 0; ph <= 2; ph++ {
+							for pw := 0; pw <= 2; pw++ {
+								d := tensor.ConvDims{InC: inC, InH: h, InW: w, KH: kh, KW: kw, StrideH: 1, StrideW: 1, PadH: ph, PadW: pw}
+								if d.OutH() < 1 || d.OutW() < 1 {
+									continue
+								}
+								if d.OutH() == h && d.OutW() == w {
+									same++
+								}
+								n := inC * kh * kw * d.OutH() * d.OutW()
+								got, want := make([]float32, n), make([]float32, n)
+								for i := range got {
+									got[i], want[i] = stale, stale
+								}
+								im2colPlanar(got, src, d)
+								im2colGeneric(want, src, d)
+								for i := range got {
+									if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+										t.Fatalf("%+v: panel value %d = %v (%#x), the row loop gives %v (%#x)", d, i,
+											got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if same == 0 {
+		t.Fatal("no geometry took the shifted-plane path")
+	}
+}

@@ -69,14 +69,25 @@ type Scratch struct {
 	dwMasks []uint32    // lane masks of the vector depthwise kernel's loads,
 	dwGeom  [4]int      // for rows of this geometry (dwLoadMasks)
 	qpanel  []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
+	// Quantized plan only: for each buffer, each channel's absMaxBits, which
+	// the step that writes the buffer records while its output is in cache;
+	// and the records of the running step's input (nil for the image, which
+	// nothing records) and output.
+	amax          [][]uint32
+	inMax, outMax []uint32
 
 	feat          *tensor.Tensor // (N, features) backbone output
 	embed, logits *tensor.Tensor // dense-head outputs
 	prob          *tensor.Tensor // softmax of logits
 }
 
-// stepGeom is one step's input shape and output length.
-type stepGeom struct{ c, h, w, outLen int }
+// recordStripe is how many outputs a quantized step computes before it
+// records their planes: few enough that they are still in the first-level
+// cache when it reads them back.
+const recordStripe = 1 << 12
+
+// stepGeom is one step's input shape and output channels and length.
+type stepGeom struct{ c, h, w, outC, outLen int }
 
 // newInferPlan compiles a backbone layer graph, to the int8 kernels when
 // quantized is set.
@@ -156,41 +167,63 @@ func (p *inferPlan) features(sc *Scratch, x *tensor.Tensor) *tensor.Tensor {
 	imgLen := inC * inH * inW
 	for i := 0; i < n; i++ {
 		img := x.Data()[i*imgLen : (i+1)*imgLen]
-		for j, s := range p.steps {
-			g := &sc.geom[j]
-			src := img
-			if s.src >= 0 {
-				src = sc.bufs[s.src][:g.c*g.h*g.w]
-			}
-			s.op.run(sc, sc.bufs[s.dst][:g.outLen], src, g.c, g.h, g.w)
+		for j := range p.steps {
+			p.step(sc, j, img)
 		}
 		copy(sc.feat.Data()[i*outLen:(i+1)*outLen], sc.bufs[p.cur][:outLen])
 	}
+	sc.inMax, sc.outMax = nil, nil
 	return sc.feat
 }
 
+// step runs step j on the image img (when it reads the image) in sc, whose
+// geometry is set for it. A quantized plan's step gets the records of the
+// buffers it reads and writes.
+func (p *inferPlan) step(sc *Scratch, j int, img []float32) {
+	s, g := p.steps[j], &sc.geom[j]
+	sc.inMax, sc.outMax = nil, nil
+	if p.quantized {
+		sc.outMax = sc.amax[s.dst]
+	}
+	src := img
+	if s.src >= 0 {
+		src = sc.bufs[s.src][:g.c*g.h*g.w]
+		if p.quantized {
+			sc.inMax = sc.amax[s.src]
+		}
+	}
+	s.op.run(sc, sc.bufs[s.dst][:g.outLen], src, g.c, g.h, g.w)
+}
+
 // size sets every step's geometry for an input of shape (c, h, w), grows each
-// arena buffer to the largest output wired to it, and returns the backbone's
-// output length. Every kernel writes its full output, so what a buffer held at
-// another resolution or for another plan cannot leak.
+// arena buffer to the largest output wired to it (and, for a quantized plan,
+// its record to the most channels), and returns the backbone's output length.
+// Every kernel writes its full output and every quantized step its record, so
+// what a buffer held at another resolution or for another plan cannot leak.
 func (sc *Scratch) size(p *inferPlan, c, h, w int) int {
 	sc.geom = resize(sc.geom, len(p.steps))
 	for i, s := range p.steps {
 		g := &sc.geom[i]
 		g.c, g.h, g.w = c, h, w
 		c, h, w = s.op.outShape(c, h, w)
-		g.outLen = c * h * w
+		g.outC, g.outLen = c, c*h*w
 	}
 	sc.bufs = resize(sc.bufs, p.nbufs)
+	if p.quantized {
+		sc.amax = resize(sc.amax, p.nbufs)
+	}
 	for b := range sc.bufs {
-		need := 0
+		need, channels := 0, 0
 		for i, s := range p.steps {
 			if s.dst == b {
-				need = max(need, sc.geom[i].outLen)
+				need, channels = max(need, sc.geom[i].outLen), max(channels, sc.geom[i].outC)
 			}
 		}
 		if len(sc.bufs[b]) < need {
 			sc.bufs[b] = make([]float32, need)
+		}
+		if p.quantized && len(sc.amax[b]) < channels {
+			sc.amax[b] = make([]uint32, channels)
 		}
 	}
 	return c * h * w
@@ -211,6 +244,15 @@ func (sc *Scratch) colBuf(n int) []float32 {
 		sc.col = make([]float32, n)
 	}
 	return sc.col[:n]
+}
+
+// inScale is absMaxScale of plane c of the running step's input, taken from
+// its record when there is one.
+func (sc *Scratch) inScale(c int, plane []float32) float32 {
+	if sc.inMax != nil {
+		return scaleOf(sc.inMax[c])
+	}
+	return absMaxScale(plane)
 }
 
 // panel returns the quantized scratch, grown to hold n values.
@@ -350,6 +392,62 @@ func (sc *Scratch) planes(src []float32, d tensor.ConvDims) []float32 {
 // matrix is the same tap, and Conv2D.Backward's weight gradient reads the
 // panel back.
 func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
+	if d.StrideH == 1 && d.StrideW == 1 && d.OutH() == d.InH && d.OutW() == d.InW {
+		im2colSame(dst, src, d)
+		return
+	}
+	im2colGeneric(dst, src, d)
+}
+
+// im2colSame is im2colPlanar of a stride-1 convolution whose output is its
+// input's size. Tap (c, ky, kx)'s plane is then input plane c shifted by
+// (ky-PadH, kx-PadW): one copy of the rows that stay inside the input, then
+// +0 over the rows outside it and over the columns the shift wrapped into
+// the neighbouring row.
+func im2colSame(dst, src []float32, d tensor.ConvDims) {
+	h, w := d.InH, d.InW
+	hw := h * w
+	dst = dst[:d.InC*d.KH*d.KW*hw]
+	for c := 0; c < d.InC; c++ {
+		plane := src[c*hw : (c+1)*hw]
+		for ky := 0; ky < d.KH; ky++ {
+			dy := ky - d.PadH
+			// Output rows [top, bottom) read inside the input.
+			top, bottom := max(0, -dy), min(h, h-dy)
+			for kx := 0; kx < d.KW; kx++ {
+				dx := kx - d.PadW
+				out := dst[:hw]
+				dst = dst[hw:]
+				// out[i] = plane[i+off] for the outputs [lo, hi) of the rows
+				// inside that read inside the plane: every tap that is not
+				// padding, and the wrapped columns.
+				off := dy*w + dx
+				lo, hi := max(top*w, -off), min(bottom*w, hw-off)
+				if lo >= hi {
+					clear(out)
+					continue
+				}
+				clear(out[:lo])
+				copy(out[lo:hi], plane[lo+off:])
+				clear(out[hi:])
+				if dx == 0 {
+					continue
+				}
+				for y := top; y < bottom; y++ {
+					row := out[y*w : (y+1)*w]
+					if dx > 0 {
+						clear(row[max(0, w-dx):])
+					} else {
+						clear(row[:min(w, -dx)])
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2colGeneric is im2colPlanar of any geometry, a row of taps at a time.
+func im2colGeneric(dst, src []float32, d tensor.ConvDims) {
 	outH, outW := d.OutH(), d.OutW()
 	dst = dst[:d.InC*d.KH*d.KW*outH*outW]
 	for c := 0; c < d.InC; c++ {
@@ -373,6 +471,9 @@ func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
 					}
 					clear(orow[:lo])
 					clear(orow[hi:])
+					if lo == hi { // every column of this tap is padding
+						continue
+					}
 					row := plane[iy*d.InW : (iy+1)*d.InW]
 					ix := lo*d.StrideW - d.PadW + kx
 					if d.StrideW == 1 {
@@ -577,8 +678,26 @@ type planAdd struct{ skip int }
 
 func (planAdd) outShape(c, h, w int) (int, int, int) { return c, h, w }
 
-func (o planAdd) run(sc *Scratch, dst, _ []float32, _, _, _ int) {
-	for i, v := range sc.bufs[o.skip][:len(dst)] {
+// run records the sums' planes in a quantized plan, a stripe of them at a
+// time.
+func (o planAdd) run(sc *Scratch, dst, _ []float32, c, h, w int) {
+	skip := sc.bufs[o.skip][:len(dst)]
+	if sc.outMax == nil {
+		addInto(dst, skip)
+		return
+	}
+	hw := h * w
+	stripe := max(1, recordStripe/hw)
+	for j := 0; j < c; j += stripe {
+		j1 := min(j+stripe, c)
+		addInto(dst[j*hw:j1*hw], skip[j*hw:])
+		recordPlanes(sc.outMax[j:j1], dst[j*hw:], hw)
+	}
+}
+
+// addInto adds src[:len(dst)] into dst.
+func addInto(dst, src []float32) {
+	for i, v := range src[:len(dst)] {
 		dst[i] += v
 	}
 }
@@ -586,7 +705,7 @@ func (o planAdd) run(sc *Scratch, dst, _ []float32, _, _, _ int) {
 // planPool is GlobalAvgPool.Forward for one image: dst[j] is the mean of
 // plane j of src, summed in order and scaled by 1/hw. The quantized plan pools
 // in float32 too: a handful of adds per channel is not worth a quantization
-// error.
+// error. It records nothing: the dense head it feeds finds its own scales.
 type planPool struct{}
 
 func (planPool) outShape(c, _, _ int) (int, int, int) { return c, 1, 1 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -110,15 +111,36 @@ func quantizeTo(dst []int8, src []float32, scale float32) {
 // Magnitudes are compared as integers — with the sign bit cleared, float32
 // bit patterns order as their values do — so a NaN, which the float
 // comparison would skip, is the largest value and becomes the scale.
-func absMaxScale(src []float32) float32 {
+func absMaxScale(src []float32) float32 { return scaleOf(absMaxBits(src)) }
+
+// absMaxBits is the largest sign-cleared bit pattern of src, 0 when it is
+// empty. A maximum of integers does not depend on the order it is taken in,
+// so the largest of a tensor's planes' is the tensor's, NaN and -0 included.
+func absMaxBits(src []float32) uint32 {
 	m, n := absMaxVector(src)
 	for _, v := range src[n:] {
 		m = max(m, math.Float32bits(v)&^(1<<31))
 	}
+	return m
+}
+
+// scaleOf is absMaxScale of a tensor whose absMaxBits is m.
+func scaleOf(m uint32) float32 {
 	if m == 0 {
 		return 1
 	}
 	return math.Float32frombits(m) / 127
+}
+
+// recordPlanes sets rec[i] to the absMaxBits of plane i of the hw-long planes
+// of dst, each just written and still in cache.
+func recordPlanes(rec []uint32, dst []float32, hw int) {
+	if absMaxPlanesVector(rec, dst, hw) {
+		return
+	}
+	for i := range rec {
+		rec[i] = absMaxBits(dst[i*hw : (i+1)*hw])
+	}
 }
 
 // foldBN returns the per-channel scale a_c = γ_c/√(σ²_c+ε) and shift
@@ -235,9 +257,14 @@ func quantizePanel(dst []int8, src []float32, p, k int, scale float32) {
 // 16-pixel tiles and the Go kernel the pixels and channels it leaves. Every
 // sum is exact in integers, so which one ran shows in no bit.
 func qgemm(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) {
-	cs, ps := qgemmTiles(dst, w, panel, p, ax, bias, clamp)
-	qgemmBlock(dst, w, panel, 0, cs, ps, p, ax, bias, clamp)
-	qgemmBlock(dst, w, panel, cs, w.rows, 0, p, ax, bias, clamp)
+	qgemmRows(dst, w, 0, w.rows, panel, p, ax, bias, clamp)
+}
+
+// qgemmRows is qgemm over output channels [c0, c1) of it.
+func qgemmRows(dst []float32, w *qmatrix, c0, c1 int, panel []int8, p int, ax float32, bias []float32, clamp float32) {
+	cs, ps := qgemmTiles(dst, w, c0, c1, panel, p, ax, bias, clamp)
+	qgemmBlock(dst, w, panel, c0, cs, ps, p, ax, bias, clamp)
+	qgemmBlock(dst, w, panel, cs, c1, 0, p, ax, bias, clamp)
 }
 
 // qgemmBlock is the portable kernel of qgemm, over channels [c0, c1) and
@@ -323,15 +350,32 @@ func (o *qconv) outShape(_, h, w int) (int, int, int) {
 	return o.w.rows, d.OutH(), d.OutW()
 }
 
+// run takes a 1×1 convolution's activation scale from the record of its
+// input; any other quantizes its im2col panel, whose scale it finds itself.
+// It records its output a stripe of channels at a time.
 func (o *qconv) run(sc *Scratch, dst, src []float32, _, h, w int) {
 	d := convDimsAt(o.dims, h, w)
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
 	src = sc.planes(src, d)[:k*np]
-	ax := absMaxScale(src)
+	var ax float32
+	if sc.inMax != nil && pointwise(d) {
+		ax = scaleOf(slices.Max(sc.inMax[:d.InC]))
+	} else {
+		ax = absMaxScale(src)
+	}
 	panel := sc.panel(o.w.k2 * np)
 	quantizePanel(panel, src, np, k, ax)
-	qgemm(dst, o.w, panel, np, ax, o.bias, o.clamp)
+	if sc.outMax == nil {
+		qgemm(dst, o.w, panel, np, ax, o.bias, o.clamp)
+		return
+	}
+	stripe := max(4, recordStripe/np&^3) // whole tiles
+	for c := 0; c < o.w.rows; c += stripe {
+		c1 := min(c+stripe, o.w.rows)
+		qgemmRows(dst, o.w, c, c1, panel, np, ax, o.bias, o.clamp)
+		recordPlanes(sc.outMax[c:c1], dst[c*np:], np)
+	}
 }
 
 // qdepthwise is a fused DepthwiseConv2D+BatchNorm(+ReLU6) with int8 weights.
@@ -371,7 +415,7 @@ func (o *qdepthwise) run(sc *Scratch, dst, src []float32, ch, inH, inW int) {
 	q := sc.panel(inH * inW)
 	for c := 0; c < ch; c++ {
 		plane := src[c*inH*inW : (c+1)*inH*inW]
-		ax := absMaxScale(plane)
+		ax := sc.inScale(c, plane)
 		quantizeTo(q, plane, ax)
 		ker := o.w[c*o.kh*o.kw : (c+1)*o.kh*o.kw]
 		deq, bias := o.ws[c]*ax, o.bias[c]
@@ -386,6 +430,9 @@ func (o *qdepthwise) run(sc *Scratch, dst, src []float32, ch, inH, inW int) {
 				}
 			}
 			out[i] = qfinish(acc, deq, bias, o.clamp)
+		}
+		if sc.outMax != nil {
+			sc.outMax[c] = absMaxBits(out)
 		}
 	}
 }

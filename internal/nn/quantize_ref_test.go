@@ -767,3 +767,105 @@ func BenchmarkQGemm(b *testing.B) {
 	b.Run("dispatched", run)
 	b.Run("go", func(b *testing.B) { portable(func() { run(b) }) })
 }
+
+// TestInt8RecordedMaxMatchesAbsMax holds the int8 plan's activation records
+// to the buffers they stand for. Each step of the test model's plan is run on
+// inputs of six kinds — random planes, random planes whose largest value is in
+// the first or in the last plane, planes of +0, planes of zeros of both signs,
+// random planes holding a NaN — written into the buffers it reads and
+// recorded as their writers would record them. The step must then leave (the
+// pool aside, which records nothing), for each plane of its output, the largest sign-cleared bit pattern a plain loop
+// over the plane finds, and the output it computes from the records must have
+// the bits of the one it computes when it finds every scale itself.
+func TestInt8RecordedMaxMatchesAbsMax(t *testing.T) {
+	p := NewInt8Backend(backendTestModel(t)).plan
+	x := fixedBatch(1, 3)
+	sc := new(Scratch)
+	p.features(sc, x)
+	absMaxBitsRef := func(plane []float32) uint32 {
+		var m uint32
+		for _, v := range plane {
+			if b := math.Float32bits(v) &^ (1 << 31); b > m {
+				m = b
+			}
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(49))
+	random := func(plane []float32) {
+		for i := range plane {
+			plane[i] = float32(rng.NormFloat64()) * 2
+		}
+	}
+	peak := func(plane []float32) { plane[rng.Intn(len(plane))] = -1e3 }
+	fills := []struct {
+		name string
+		fill func(c, n int, plane []float32) // plane c of n
+	}{
+		{"random", func(_, _ int, plane []float32) { random(plane) }},
+		{"first-plane peak", func(c, _ int, plane []float32) {
+			if random(plane); c == 0 {
+				peak(plane)
+			}
+		}},
+		{"last-plane peak", func(c, n int, plane []float32) {
+			if random(plane); c == n-1 {
+				peak(plane)
+			}
+		}},
+		{"zero", func(_, _ int, plane []float32) { clear(plane) }},
+		{"signed zeros", func(_, _ int, plane []float32) {
+			for i := range plane {
+				plane[i] = []float32{0, negZero}[rng.Intn(2)]
+			}
+		}},
+		{"NaN", func(_, _ int, plane []float32) {
+			random(plane)
+			plane[rng.Intn(len(plane))] = float32(math.NaN())
+		}},
+	}
+	for _, f := range fills {
+		for j, s := range p.steps {
+			g := sc.geom[j]
+			hw := g.h * g.w
+			img := make([]float32, len(x.Data()))
+			inputs := [][]float32{img}
+			if s.src >= 0 {
+				inputs = [][]float32{sc.bufs[s.src][:g.c*hw]}
+			}
+			if add, ok := s.op.(planAdd); ok {
+				inputs = append(inputs, sc.bufs[add.skip][:g.c*hw])
+			}
+			for _, in := range inputs {
+				for c := 0; c < g.c; c++ {
+					f.fill(c, g.c, in[c*hw:(c+1)*hw])
+				}
+			}
+			if s.src >= 0 {
+				for c := 0; c < g.c; c++ {
+					sc.amax[s.src][c] = absMaxBitsRef(inputs[0][c*hw : (c+1)*hw])
+				}
+			}
+			in := append([]float32(nil), inputs[0]...)
+			p.step(sc, j, img)
+			out := sc.bufs[s.dst][:g.outLen]
+			outHW := g.outLen / g.outC
+			what := fmt.Sprintf("%s input, step %d (%s)", f.name, j, stepName(s.op))
+			_, isPool := s.op.(planPool) // its output feeds the head, which finds its own scales
+			for c := 0; c < g.outC && !isPool; c++ {
+				if got, want := sc.amax[s.dst][c], absMaxBitsRef(out[c*outHW:(c+1)*outHW]); got != want {
+					t.Fatalf("%s: channel %d recorded %#x, its plane's largest magnitude is %#x", what, c, got, want)
+				}
+			}
+			recorded := append([]float32(nil), out...)
+			copy(inputs[0], in) // an add wrote its sum over its input
+			sc.inMax, sc.outMax = nil, nil
+			s.op.run(sc, out, inputs[0], g.c, g.h, g.w)
+			for i := range out {
+				if math.Float32bits(out[i]) != math.Float32bits(recorded[i]) {
+					t.Fatalf("%s: output %d = %v from the records, %v from its own scales", what, i, recorded[i], out[i])
+				}
+			}
+		}
+	}
+}

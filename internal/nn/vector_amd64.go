@@ -24,7 +24,7 @@ func dw3x3AVX2(dst, src *float32, ch, inH, inW, outH, outW, stride, pad int, ker
 func qgemmTilesAVX2(dst *float32, w *int16, panel *int8, outC, p, ps, kp int, ws, bias *float32, ax, clamp float32)
 
 //go:noescape
-func absMaxAVX2(src *float32, n int) uint32
+func absMaxPlanesAVX2(dst *uint32, src *float32, planes, n int)
 
 //go:noescape
 func quantizePlanesAVX2(dst, src *float32, planes, n int, inv *float32)
@@ -45,14 +45,16 @@ func gemmBNVector(dst, w, a []float32, outC, p, k int, scale, shift []float32, r
 	return cs, ps
 }
 
-// qgemmTiles is gemmBNVector for qgemm.
-func qgemmTiles(dst []float32, w *qmatrix, panel []int8, p int, ax float32, bias []float32, clamp float32) (cs, ps int) {
-	cs, ps = w.rows&^3, p&^15
-	if !useVector || cs == 0 || ps == 0 || w.k2 == 0 {
-		return 0, 0
+// qgemmTiles is gemmBNVector for qgemmRows over channels [c0, c1): it
+// returns cs = c0 when it ran no tile.
+func qgemmTiles(dst []float32, w *qmatrix, c0, c1 int, panel []int8, p int, ax float32, bias []float32, clamp float32) (cs, ps int) {
+	n, ps := (c1-c0)&^3, p&^15
+	if !useVector || n == 0 || ps == 0 || w.k2 == 0 {
+		return c0, 0
 	}
+	cs = c0 + n
 	_, _, _, _, _ = dst[cs*p-1], w.wide[cs*w.k2-1], panel[w.k2*p-1], w.scale[cs-1], bias[cs-1]
-	qgemmTilesAVX2(&dst[0], &w.wide[0], &panel[0], cs, p, ps, w.k2/2, &w.scale[0], &bias[0], ax, clamp)
+	qgemmTilesAVX2(&dst[c0*p], &w.wide[c0*w.k2], &panel[0], n, p, ps, w.k2/2, &w.scale[c0], &bias[c0], ax, clamp)
 	return cs, ps
 }
 
@@ -128,11 +130,14 @@ func qdw3x3Vector(sc *Scratch, o *qdepthwise, dst, src []float32, ch, inH, inW, 
 		q, inv, deq := scratch[:n*hw], scratch[n*hw:n*hw+n], scratch[n*hw+n:]
 		planes := src[c*hw : (c+n)*hw]
 		for i := range inv {
-			ax := absMaxScale(planes[i*hw : (i+1)*hw])
+			ax := sc.inScale(c+i, planes[i*hw:(i+1)*hw])
 			inv[i], deq[i] = 1/ax, o.ws[c+i]*ax
 		}
 		quantizePlanesAVX2(&q[0], &planes[0], n, hw, &inv[0])
 		dw3x3Vector(sc, dst[c*outHW:], q, o.taps[c*9:], deq, o.bias[c:], n, inH, inW, outH, outW, o.stride, o.pad, o.clamp != 0)
+		if sc.outMax != nil {
+			recordPlanes(sc.outMax[c:c+n], dst[c*outHW:], outHW)
+		}
 	}
 	return true
 }
@@ -144,7 +149,20 @@ func absMaxVector(src []float32) (m uint32, n int) {
 	if !useVector || n == 0 {
 		return 0, 0
 	}
-	return absMaxAVX2(&src[0], n), n
+	absMaxPlanesAVX2(&m, &src[0], 1, n)
+	return m, n
+}
+
+// absMaxPlanesVector sets rec[i] to the absMaxBits of plane i of the hw-long
+// planes of src, and reports whether it did: the kernel takes planes of whole
+// vectors.
+func absMaxPlanesVector(rec []uint32, src []float32, hw int) bool {
+	if !useVector || len(rec) == 0 || hw == 0 || hw%8 != 0 {
+		return false
+	}
+	_ = src[len(rec)*hw-1]
+	absMaxPlanesAVX2(&rec[0], &src[0], len(rec), hw)
+	return true
 }
 
 // quantizePanelVector runs quantizePanel over pixels [0, ps) of every tap and

@@ -569,15 +569,20 @@ dwDone:
 	VZEROUPPER
 	RET
 
-// func absMaxAVX2(src *float32, n int) uint32
+// func absMaxPlanesAVX2(dst *uint32, src *float32, planes, n int)
 //
-// The largest bit pattern of src[:n] with the sign bit cleared, n > 0 a
-// multiple of 8.
-TEXT ·absMaxAVX2(SB), NOSPLIT, $0-20
-	MOVQ src+0(FP), SI
-	MOVQ n+8(FP), CX
+// dst[c] is the largest bit pattern of src[c·n:(c+1)·n] with the sign bit
+// cleared, for planes planes of n values, n > 0 a multiple of 8.
+TEXT ·absMaxPlanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ planes+16(FP), R8
+	MOVQ n+24(FP), R9
 	VMOVDQU absMask<>(SB), Y1
+
+absMaxPlane:
 	VPXOR Y0, Y0, Y0
+	MOVQ R9, CX
 
 absMaxLoop:
 	VPAND (SI), Y1, Y2
@@ -585,14 +590,16 @@ absMaxLoop:
 	ADDQ $32, SI
 	SUBQ $8, CX
 	JNE  absMaxLoop
-	VEXTRACTI128 $1, Y0, X1
-	VPMAXUD X1, X0, X0
-	VPSHUFD $0x4e, X0, X1
-	VPMAXUD X1, X0, X0
-	VPSHUFD $0xb1, X0, X1
-	VPMAXUD X1, X0, X0
-	VMOVD X0, AX
-	MOVL AX, ret+16(FP)
+	VEXTRACTI128 $1, Y0, X2
+	VPMAXUD X2, X0, X0
+	VPSHUFD $0x4e, X0, X2
+	VPMAXUD X2, X0, X0
+	VPSHUFD $0xb1, X0, X2
+	VPMAXUD X2, X0, X0
+	VMOVD X0, (DI)
+	ADDQ $4, DI
+	DECQ R8
+	JNE  absMaxPlane
 	VZEROUPPER
 	RET
 

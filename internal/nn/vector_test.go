@@ -49,6 +49,7 @@ func TestReferenceSuitesOnPortableKernels(t *testing.T) {
 		{"QuantizePanelMatchesIm2ColQuantize", TestQuantizePanelMatchesIm2ColQuantize},
 		{"QDepthwiseGeometries", TestQDepthwiseGeometries},
 		{"Int8PerSampleQuantization", TestInt8PerSampleQuantization},
+		{"Int8RecordedMaxMatchesAbsMax", TestInt8RecordedMaxMatchesAbsMax},
 	}
 	portable(func() {
 		for _, s := range suites {
@@ -84,7 +85,7 @@ func TestPortableClaimsNothing(t *testing.T) {
 			return cs * ps
 		}},
 		{"qgemmTiles", func() int {
-			cs, ps := qgemmTiles(f, m, q, p, 1, f[:outC], 0)
+			cs, ps := qgemmTiles(f, m, 0, outC, q, p, 1, f[:outC], 0)
 			return cs * ps
 		}},
 		{"dw3x3Vector", func() int {
@@ -92,6 +93,7 @@ func TestPortableClaimsNothing(t *testing.T) {
 		}},
 		{"qdw3x3Vector", func() int { return count(qdw3x3Vector(plan, qdw, f[:16], f[16:32], 1, 4, 4, 4, 4)) }},
 		{"absMaxVector", func() int { _, n := absMaxVector(f); return n }},
+		{"absMaxPlanesVector", func() int { return count(absMaxPlanesVector(make([]uint32, 2), f, len(f)/2)) }},
 		{"quantizePanelVector", func() int { return quantizePanelVector(q, f[:k*p], p, k, 1) }},
 	} {
 		if useVector && w.claimed() == 0 {
@@ -400,6 +402,16 @@ func TestVectorQuantizeMatchesGo(t *testing.T) {
 				portable(func() { want = absMaxScale(src[:n]) })
 				if math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("absMaxScale of %d values = %v (%#x), Go kernel %v (%#x)", n, got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+			for hw := 1; hw <= p; hw++ { // the planes of k·p values, hw apiece
+				got, want := make([]uint32, len(src)/hw), make([]uint32, len(src)/hw)
+				recordPlanes(got, src, hw)
+				portable(func() { recordPlanes(want, src, hw) })
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("recordPlanes of %d-value planes: plane %d = %#x, Go kernel %#x", hw, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -36,16 +36,28 @@
 # and serve_hotcell by 6–11%, as large as the claims a table judges
 # (Mytkowicz et al., ASPLOS 2009). With k > 1 both sides are exported k
 # times, the working tree as it stands (untracked files included) like the
-# parent, and build j adds to each package on the cell path (fleet, fleetd,
-# nn, isp, codec, imaging, sensor) a generated file, named to sort first,
-# of j empty functions that its init calls: amd64 aligns functions to 32
-# bytes, so every function after them in the package moves by 32·j bytes.
-# `go tool nm -n` checks that the padding was linked ahead of the package's
-# functions and that they moved; nothing in the repository is edited. Pair i
-# runs layout (i−1) mod k on both sides, the table adds each layout's
-# medians and verdict, and the pooled verdict is a gain (or worse) only if
-# every layout's is too. The JSON lines gain "layouts" and, with k > 1,
-# "by_layout".
+# parent, and layout j places the code of every package on the cell path
+# (fleet, fleetd, nn, isp, codec, imaging, sensor, and the harness, package
+# main) 32·j bytes mod 64 from where layout 0 has it. amd64 aligns functions
+# to 32 bytes, so a package moves by 32 bytes for each empty function put
+# ahead of it, and by whatever moved the packages linked before it: each
+# package gets a generated file, named to sort first, of as many such
+# functions as that takes and an init that calls them. A first build with
+# none reads every package's shift from `go tool nm -n`, the counts follow in
+# link order, and every layout's build is read back the same way: the script
+# fails unless each function of each package sits where its layout says,
+# mod 64. Only the exported trees are padded; nothing in the repository is
+# edited. Pair i runs layout (i−1) mod k on both sides, the table adds each
+# layout's medians and verdict, and the pooled verdict is a gain (or worse)
+# only if every layout's is too. The JSON lines gain "layouts" and, with
+# k > 1, "by_layout".
+#
+# SHIFT="<package>..." (of those eight) compares code placement, not code:
+# both sides are the parent, and for each package named, in turn, the change
+# side is a build with that package's code 32 bytes mod 64 from where the
+# parent side has it and every other one where it was; each gets its own
+# tables, its "change" column the shifted build. Its lines are appended to
+# PAIRS_FILE only when that is set.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,12 +83,33 @@ if ! [[ "$layouts" =~ ^[1-9][0-9]*$ ]]; then
 	echo "bench_pair: LAYOUTS must be a positive whole number, not '$layouts'" >&2
 	exit 2
 fi
-pad_pkgs=(fleet fleetd nn isp codec imaging sensor)
+# The padded packages, and the directory each one's source is in.
+pad_pkgs=(fleet fleetd nn isp codec imaging sensor main)
+pkg_dir() { if [ "$1" = main ]; then echo bench; else echo "internal/$1"; fi; }
+read -ra shift_pkgs <<<"${SHIFT:-}"
+shift_pkg="" # the package the running comparison shifts, in SHIFT mode
+if ((${#shift_pkgs[@]})); then
+	for pkg in "${shift_pkgs[@]}"; do
+		if ! [[ " ${pad_pkgs[*]} " == *" $pkg "* ]]; then
+			echo "bench_pair: SHIFT must name packages of ${pad_pkgs[*]}, not '$pkg'" >&2
+			exit 2
+		fi
+	done
+	if ((layouts != 1)); then
+		echo "bench_pair: SHIFT compares one placement with another; it takes no LAYOUTS" >&2
+		exit 2
+	fi
+fi
 seed="${SEED:-$(($(date +%s) % 9000 + 1000))}"
 seconds="${SECONDS_PER_RUN:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
 parent_commit="$(git rev-parse --short "$parent_ref^{commit}")"
 change_commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)"
 pairs_file="${PAIRS_FILE-BENCH_pairs.ndjson}"
+if ((${#shift_pkgs[@]})); then
+	# A placement sweep is no figure of the tree: it goes to BENCH_pairs.ndjson,
+	# whose newest line per workload is README's table, only when named.
+	pairs_file="${PAIRS_FILE-}"
+fi
 
 root="$PWD"
 work="$root/.bench_build/pair"
@@ -85,30 +118,38 @@ mkdir -p "$work"
 trap 'rm -rf "$work"' EXIT
 
 # tree <side> <layout> prints the directory that runs a side's layout: with
-# one layout the exported parent and the working tree itself.
+# one layout the exported parent and the working tree itself, and in SHIFT
+# mode the parent and its build that moves shift_pkg.
 tree() {
-	if ((layouts == 1)); then
+	if [ -n "$shift_pkg" ]; then
+		if [ "$1" = parent ]; then echo "$work/parent.0"; else echo "$work/shift.$shift_pkg"; fi
+	elif ((layouts == 1)); then
 		if [ "$1" = parent ]; then echo "$work/parent"; else echo "$root"; fi
 	else
 		echo "$work/$1.$2"
 	fi
 }
 
-# pad <dir> <j> writes layout j's padding file into each package of pad_pkgs.
+# pad <dir> <pkg>=<count>... writes each package's padding file into dir: count
+# empty functions, ahead of everything else the package compiles to, and an
+# init of the same size whatever the count that calls them.
 pad() {
-	local pkg k
-	for pkg in "${pad_pkgs[@]}"; do
+	local dir="$1" spec pkg count k
+	shift
+	for spec in "$@"; do
+		pkg="${spec%=*}"
+		count="${spec#*=}"
 		{
-			printf '// Code generated by scripts/bench_pair.sh for layout %d; DO NOT EDIT.\n\npackage %s\n' "$2" "$pkg"
-			for ((k = 1; k <= $2; k++)); do
+			printf '// Code generated by scripts/bench_pair.sh; DO NOT EDIT.\n\npackage %s\n' "$pkg"
+			for ((k = 1; k <= count; k++)); do
 				printf '\n//go:noinline\nfunc layoutPad%d() {}\n' "$k"
 			done
-			printf '\nfunc init() {\n'
-			for ((k = 1; k <= $2; k++)); do
-				printf '\tlayoutPad%d()\n' "$k"
+			printf '\nvar layoutPads = [...]func(){'
+			for ((k = 1; k <= count; k++)); do
+				printf 'layoutPad%d, ' "$k"
 			done
-			printf '}\n'
-		} >"$1/internal/$pkg/000_layout_pad.go"
+			printf '}\n\nfunc init() {\n\tfor _, f := range layoutPads {\n\t\tf()\n\t}\n}\n'
+		} >"$dir/$(pkg_dir "$pkg")/000_layout_pad.go"
 	done
 }
 
@@ -120,30 +161,39 @@ export_working_tree() {
 		tar --null -T - -cf - | tar -x -C "$1"
 }
 
-if ((layouts == 1)); then
-	mkdir -p "$work/parent"
-	git archive "$parent_commit" | tar -x -C "$work/parent"
-else
-	for ((j = 0; j < layouts; j++)); do
-		mkdir -p "$work/parent.$j" "$work/change.$j"
-		git archive "$parent_commit" | tar -x -C "$work/parent.$j"
-		export_working_tree "$work/change.$j"
-		if ((j > 0)); then
-			pad "$work/parent.$j" "$j"
-			pad "$work/change.$j" "$j"
-		fi
-	done
-fi
+# build <dir> [<from>] builds dir's benchmark binary the way bench/run.sh
+# does (a one-second run it discards), starting from a copy of the Go cache
+# of the tree from, when given: only the padded packages and what imports
+# them recompile.
+build() {
+	if [ $# -gt 1 ]; then
+		mkdir -p "$1/.bench_build"
+		rm -rf "$1/.bench_build/gocache"
+		cp -r "$2/.bench_build/gocache" "$1/.bench_build/"
+	fi
+	run "$1" "${workloads[0]}" 1 >/dev/null
+}
 
-# check_layout <dir> <j> fails unless the binary built in dir (layout j > 0)
-# links each package's padding ahead of the package's functions (its
-# initialiser aside), and its first function sits elsewhere than in layout
-# 0's binary.
-check_layout() {
-	go tool nm -n "$1/.bench_build/bench" >"$work/nm.padded"
-	go tool nm -n "$(dirname "$1")/$(basename "$1" ".$2").0/.bench_build/bench" >"$work/nm.base"
-	python3 - "$work/nm.base" "$work/nm.padded" "$2" "${pad_pkgs[@]}" <<'PY' || exit 1
+# placement <mode> <base-binary> <binary> [args] reads, with `go tool nm -n`,
+# where each padded package's functions sit in binary against base-binary:
+#   shifts          prints each package's shift, in link order, as pkg=bytes
+#   counts <j> [<pkg>]          from a build padded with no functions, prints
+#                   the pkg=count arguments of pad that put each package at
+#                   its target shift mod 64: 32·j for every package, or,
+#                   when j is "shift", 32 for pkg and 0 for the others
+#   check <j> [<pkg>]           fails unless every package sits at that target
+# A package's shift is the one every function of it moved by, mod 64 (its
+# padding and its initialisers aside); functions that moved by different
+# amounts fail any mode.
+placement() {
+	go tool nm -n "$2" >"$work/nm.base"
+	go tool nm -n "$3" >"$work/nm.padded"
+	python3 - "$1" "$work/nm.base" "$work/nm.padded" "${@:4}" -- "${pad_pkgs[@]}" <<'PY'
 import sys
+
+mode, base_nm, padded_nm = sys.argv[1:4]
+sep = sys.argv.index("--")
+args, pkgs = sys.argv[4:sep], sys.argv[sep + 1:]
 
 def text(path):
     syms = {}
@@ -153,21 +203,37 @@ def text(path):
             syms[f[2]] = int(f[0], 16)
     return syms
 
-base, padded, j = text(sys.argv[1]), text(sys.argv[2]), int(sys.argv[3])
-for pkg in sys.argv[4:]:
-    pre = "repro/internal/%s." % pkg
-    pads = [a for s, a in padded.items() if s.startswith(pre + "layoutPad")]
-    # The package's own functions: not the padding, not the package
-    # initialiser and the closures it is compiled with (init, init.func*,
-    # map.init.*), which the linker places first, not generic instances.
-    own = sorted((a, s) for s, a in padded.items() if s.startswith(pre) and "[" not in s
-                 and not s[len(pre):].startswith(("layoutPad", "init", "map.init")))
-    if len(pads) != j or not own:
-        sys.exit("bench_pair: layout %d: %d padding functions of %s linked, want %d" % (j, len(pads), pkg, j))
-    if max(pads) > own[0][0]:
-        sys.exit("bench_pair: layout %d: %s's padding is not ahead of %s" % (j, pkg, own[0][1]))
-    if base.get(own[0][1]) == own[0][0]:
-        sys.exit("bench_pair: layout %d: %s did not move" % (j, own[0][1]))
+def prefix(pkg):
+    return "main." if pkg == "main" else "repro/internal/%s." % pkg
+
+base, padded = text(base_nm), text(padded_nm)
+shifts, first = {}, {}
+for pkg in pkgs:
+    pre = prefix(pkg)
+    own = [(a, s) for s, a in padded.items() if s.startswith(pre) and s in base and "[" not in s
+           and not s[len(pre):].startswith(("layoutPad", "init", "map.init"))]
+    moved = {(a - base[s]) % 64 for a, s in own}
+    if len(moved) != 1:
+        sys.exit("bench_pair: %s's functions moved by %s bytes mod 64, not by one amount" % (pkg, sorted(moved) or "no"))
+    shifts[pkg], first[pkg] = moved.pop(), min(own)[0]
+order = sorted(pkgs, key=first.get)
+if mode == "shifts":
+    print(" ".join("%s=%d" % (p, shifts[p]) for p in order))
+    sys.exit(0)
+j, target = args[0], {}
+for p in pkgs:
+    target[p] = 32 * int(j) % 64 if j != "shift" else (32 if p == args[1] else 0)
+if mode == "counts":
+    added, out = 0, []
+    for p in order:
+        n = (target[p] - shifts[p] - added) % 64 // 32
+        added += 32 * n
+        out.append("%s=%d" % (p, n))
+    print(" ".join(out))
+else:
+    bad = ["%s at +%d, want +%d" % (p, shifts[p], target[p]) for p in order if shifts[p] != target[p]]
+    if bad:
+        sys.exit("bench_pair: misplaced: " + "; ".join(bad))
 PY
 }
 
@@ -181,39 +247,86 @@ run() {
 	tail -n 1 "$work/run.out" | sed "s/}\$/,\"calib_mops\":${calib:-null}}/"
 }
 
-echo "bench_pair: ${workloads[*]}, parent $parent_commit vs working tree ($change_commit), seed $seed, $pairs pairs of ${seconds}s a workload, $layouts layout(s)"
+change_label="working tree ($change_commit)"
+if ((${#shift_pkgs[@]})); then change_label="itself with each of ${shift_pkgs[*]} moved 32 bytes"; fi
+echo "bench_pair: ${workloads[*]}, parent $parent_commit vs $change_label, seed $seed, $pairs pairs of ${seconds}s a workload, $layouts layout(s)"
 echo "bench_pair: building both sides"
-for ((j = 0; j < layouts; j++)); do
+bin=.bench_build/bench
+probe=() # pad's arguments for no functions in any package
+for pkg in "${pad_pkgs[@]}"; do probe+=("$pkg=0"); done
+if ((${#shift_pkgs[@]})); then
+	# Both sides are the parent; each change side moves one package.
+	for dir in parent.0 probe "${shift_pkgs[@]/#/shift.}"; do
+		mkdir -p "$work/$dir"
+		git archive "$parent_commit" | tar -x -C "$work/$dir"
+	done
+	base="$work/parent.0/$bin"
+	build "$work/parent.0"
+	pad "$work/probe" "${probe[@]}"
+	build "$work/probe" "$work/parent.0"
+	for shift_pkg in "${shift_pkgs[@]}"; do
+		dir="$work/shift.$shift_pkg"
+		read -ra counts <<<"$(placement counts "$base" "$work/probe/$bin" shift "$shift_pkg")"
+		pad "$dir" "${counts[@]}"
+		build "$dir" "$work/parent.0"
+		placement check "$base" "$dir/$bin" shift "$shift_pkg"
+		echo "bench_pair: $shift_pkg moved: $(placement shifts "$base" "$dir/$bin")"
+	done
+	rm -rf "$work/probe"
+elif ((layouts == 1)); then
+	mkdir -p "$work/parent"
+	git archive "$parent_commit" | tar -x -C "$work/parent"
+	for side in parent change; do build "$(tree "$side" 0)"; done
+else
 	for side in parent change; do
-		dir="$(tree "$side" "$j")"
-		if ((j > 0)); then
-			# Only the padded packages and what imports them recompile.
-			mkdir -p "$dir/.bench_build"
-			cp -r "$(tree "$side" 0)/.bench_build/gocache" "$dir/.bench_build/"
-		fi
-		run "$dir" "${workloads[0]}" 1 >/dev/null
-		((j == 0)) || check_layout "$dir" "$j"
-	done
-done
-
-for workload in "${workloads[@]}"; do
-	for ((i = 1; i <= pairs; i++)); do
-		if ((i % 2)); then order="parent change"; else order="change parent"; fi
-		layout=$(((i - 1) % layouts))
-		for side in $order; do
-			run "$(tree "$side" "$layout")" "$workload" "$seconds" >>"$work/$workload.$side.ndjson"
+		for ((j = 0; j < layouts; j++)); do
+			mkdir -p "$work/$side.$j"
+			if [ "$side" = parent ]; then
+				git archive "$parent_commit" | tar -x -C "$work/$side.$j"
+			else
+				export_working_tree "$work/$side.$j"
+			fi
 		done
-		echo "$layout" >>"$work/$workload.layout"
-		echo "bench_pair: $workload pair $i/$pairs ($order, layout $layout): $(tail -qn 1 "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" |
-			python3 -c 'import json,sys; print(" vs ".join("%.1f" % json.loads(l)["metrics"]["ops_per_s"]["value"] for l in sys.stdin), "ops/s")')"
+		base="$work/$side.0/$bin"
+		build "$work/$side.0"
+		# Layout 1's tree, padded with no functions, is the probe every
+		# layout's counts are read from; then each layout is padded and built.
+		pad "$work/$side.1" "${probe[@]}"
+		build "$work/$side.1" "$work/$side.0"
+		for ((j = 1; j < layouts; j++)); do
+			read -ra counts <<<"$(placement counts "$base" "$work/$side.1/$bin" "$j")"
+			pad "$work/$side.$j" "${counts[@]}"
+		done
+		for ((j = 1; j < layouts; j++)); do
+			build "$work/$side.$j" "$work/$side.0"
+			placement check "$base" "$work/$side.$j/$bin" "$j"
+			echo "bench_pair: $side layout $j: $(placement shifts "$base" "$work/$side.$j/$bin")"
+		done
 	done
-done
+fi
 
-for workload in "${workloads[@]}"; do
-	echo
-	echo "== $workload"
-	python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" "$work/$workload.layout" \
-		"$pairs_file" "$parent_commit" "$change_commit" "$seed" "$workload" "$seconds" "$layouts" <<'PY'
+# compare runs the pairs of every workload and prints (and appends) their
+# tables: once, or in SHIFT mode once for each package moved.
+compare() {
+	rm -f "$work"/*.ndjson "$work"/*.layout
+	for workload in "${workloads[@]}"; do
+		for ((i = 1; i <= pairs; i++)); do
+			if ((i % 2)); then order="parent change"; else order="change parent"; fi
+			layout=$(((i - 1) % layouts))
+			for side in $order; do
+				run "$(tree "$side" "$layout")" "$workload" "$seconds" >>"$work/$workload.$side.ndjson"
+			done
+			echo "$layout" >>"$work/$workload.layout"
+			echo "bench_pair: $workload pair $i/$pairs ($order, layout $layout): $(tail -qn 1 "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" |
+				python3 -c 'import json,sys; print(" vs ".join("%.1f" % json.loads(l)["metrics"]["ops_per_s"]["value"] for l in sys.stdin), "ops/s")')"
+		done
+	done
+	
+	for workload in "${workloads[@]}"; do
+		echo
+		echo "== $workload"
+		python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" "$work/$workload.layout" \
+			"$pairs_file" "$parent_commit" "$change_commit" "$seed" "$workload" "$seconds" "$layouts" <<'PY'
 import datetime, json, math, sys
 
 def load(path):
@@ -310,4 +423,16 @@ if pairs_file:
     with open(pairs_file, "a") as f:
         f.write(json.dumps(record, sort_keys=True) + "\n")
 PY
-done
+	done
+}
+
+if ((${#shift_pkgs[@]})); then
+	for shift_pkg in "${shift_pkgs[@]}"; do
+		echo
+		echo "== $shift_pkg moved"
+		change_commit="$parent_commit+shift:$shift_pkg"
+		compare
+	done
+else
+	compare
+fi
