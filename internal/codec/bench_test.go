@@ -62,3 +62,21 @@ func BenchmarkDecode(b *testing.B) {
 		b.Run(c.name+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
 	}
 }
+
+// BenchmarkEntropyBits times the size model alone on the three planes of
+// each format's encode of the benchmark image, new and ref as above.
+func BenchmarkEntropyBits(b *testing.B) {
+	im := benchImage(112, 112)
+	for _, c := range []Codec{NewJPEG(85), NewWebP(75), NewHEIF(85)} {
+		e := c.Encode(im)
+		run := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for p := range e.planes {
+					entropyBits(&e.planes[p])
+				}
+			}
+		}
+		b.Run(c.Name()+"/new", run)
+		b.Run(c.Name()+"/ref", func(b *testing.B) { portable(func() { run(b) }) })
+	}
+}

@@ -372,41 +372,67 @@ func fancyRowTaps(y, sh int) (y0, y1 int, wy float32) {
 // entropyBits estimates the coded size of a quantized plane with a
 // JPEG-style model: DC coefficients are difference-coded with a magnitude
 // category, AC coefficients cost a run/size prefix (≈4 bits) plus their
-// magnitude bits, and end-of-block costs 4 bits.
+// magnitude bits, a run of 16 zeros before one costs an 11-bit ZRL, and
+// end-of-block costs 4 bits. The zeros after a block's last nonzero
+// coefficient cost nothing. The plane's nonzero coefficients are found a
+// chunk of whole blocks at a time as a bit mask (nonzeroMask), and only they
+// are visited. Block sizes up to 64 fit a chunk.
 func entropyBits(p *planeData) int {
 	n2 := p.blockSize * p.blockSize
-	bits := 0
+	var mask [entropyChunk / 64]uint64
+	chunk := entropyChunk / n2 * n2
+	n := 0
 	var prevDC int32
-	for bi := 0; bi*n2 < len(p.coeffs); bi++ {
-		cf := p.coeffs[bi*n2 : (bi+1)*n2]
-		dcDiff := cf[0] - prevDC
-		prevDC = cf[0]
-		bits += 3 + magnitudeBits(dcDiff)
-		run := 0
-		// Quantized AC blocks end in a long zero tail; scanning backward
-		// finds the last nonzero in a handful of steps instead of n².
-		lastNZ := 0
-		for i := n2 - 1; i >= 1; i-- {
-			if cf[i] != 0 {
-				lastNZ = i
-				break
-			}
+	for c0 := 0; c0 < len(p.coeffs); c0 += chunk {
+		cf := p.coeffs[c0:min(c0+chunk, len(p.coeffs))]
+		nonzeroMask(mask[:], cf)
+		for b := 0; b < len(cf); b += n2 {
+			n += 3 + magnitudeBits(cf[b]-prevDC) + acBits(cf, mask[:], b, b+n2) + 4 // EOB
+			prevDC = cf[b]
 		}
-		for i := 1; i <= lastNZ; i++ {
-			if cf[i] == 0 {
-				run++
-				if run == 16 {
-					bits += 11 // ZRL
-					run = 0
-				}
-				continue
-			}
-			bits += 4 + magnitudeBits(cf[i])
-			run = 0
-		}
-		bits += 4 // EOB
 	}
-	return bits
+	return n
+}
+
+// entropyChunk is how many coefficients entropyBits masks at a time: whole
+// blocks of every size up to 64, and 512 bytes of mask.
+const entropyChunk = 1 << 12
+
+// nonzeroMask sets bit i%64 of mask[i/64] to cf[i] != 0 for every i <
+// len(cf), and clears the bits past len(cf) of the last word: the vector
+// kernel takes the whole words, the Go loop the rest.
+func nonzeroMask(mask []uint64, cf []int32) {
+	for w := nonzeroMaskVector(mask, cf); w*64 < len(cf); w++ {
+		var word uint64
+		for j, v := range cf[w*64 : min(w*64+64, len(cf))] {
+			if v != 0 {
+				word |= 1 << j
+			}
+		}
+		mask[w] = word
+	}
+}
+
+// acBits is the AC cost of block cf[lo:hi]: 4 bits plus the magnitude for
+// each nonzero coefficient after the first, and 11 for each whole 16 zeros
+// before it, read off mask's set bits.
+func acBits(cf []int32, mask []uint64, lo, hi int) int {
+	n, last := 0, uint(lo)
+	for w := uint(lo) / 64; w*64 < uint(hi); w++ {
+		word := mask[w]
+		if w == uint(lo)/64 {
+			word &= ^uint64(1) << (uint(lo) % 64) // the DC coefficient and what precedes it
+		}
+		if uint(hi) < (w+1)*64 {
+			word &= 1<<(uint(hi)%64) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + uint(bits.TrailingZeros64(word))
+			n += int((i-last-1)/16*11) + 4 + magnitudeBits(cf[i])
+			last = i
+		}
+	}
+	return n
 }
 
 // magnitudeBits is the bit length of |v|: the magnitude category of a

@@ -6,8 +6,9 @@ import "repro/internal/cpu"
 
 // The amd64 build of the codec's vector half: the 8×8 and 16×16 matrix
 // products of matmul (dct.go), the scans that quantize and dequantize a
-// block, the level-shifted block load and store, and the 4:2:0 chroma
-// resampling of both directions. vector_other.go is the portable build.
+// block, the level-shifted block load and store, the 4:2:0 chroma
+// resampling of both directions; and the size model's nonzero mask.
+// vector_other.go is the portable build.
 
 // useVector reports that the AVX2 kernels may run: set once from CPUID, and
 // cleared only by tests that want the Go kernel on this machine.
@@ -42,6 +43,9 @@ func fancyRowAVX2(dst, src *float32, n int)
 
 //go:noescape
 func lerpRowAVX2(dst, top, bot *float32, n int, wy float32)
+
+//go:noescape
+func nonzeroMaskAVX2(mask *uint64, cf *int32, words int)
 
 // The scan orders of the three block sizes as the 32-bit indices the gathers
 // take: the zigzag order (quantize reads the block in scan order) and its
@@ -208,4 +212,16 @@ func upsampleFancyVector(dst, src []float32, sw, sh, w, h int, x0s, x1s []int, w
 		lerpRowAVX2(&out[0], &top[0], &bot[0], w, wy)
 	}
 	return true
+}
+
+// nonzeroMaskVector runs nonzeroMask over the whole words of cf, 64
+// coefficients each, and returns how many words that was.
+func nonzeroMaskVector(mask []uint64, cf []int32) int {
+	words := len(cf) / 64
+	if !useVector || words == 0 {
+		return 0
+	}
+	_ = mask[words-1]
+	nonzeroMaskAVX2(&mask[0], &cf[0], words)
+	return words
 }

@@ -411,3 +411,39 @@ lerpVector:
 lerpDone:
 	VZEROUPPER
 	RET
+
+// NZ8(k) ORs the zero flags of coefficients [8k, 8k+8) of the word at SI
+// into bits [8k, 8k+8) of AX; Y15 is zero.
+#define NZ8(k) \
+	VPCMPEQD (32*k)(SI), Y15, Y0; \
+	VMOVMSKPS Y0, BX; \
+	SHLQ $(8*k), BX; \
+	ORQ  BX, AX
+
+// func nonzeroMaskAVX2(mask *uint64, cf *int32, words int)
+//
+// Bit j of mask[w] is cf[64w+j] != 0, for words whole words.
+TEXT ·nonzeroMaskAVX2(SB), NOSPLIT, $0-24
+	MOVQ mask+0(FP), DI
+	MOVQ cf+8(FP), SI
+	MOVQ words+16(FP), CX
+	VPXOR Y15, Y15, Y15
+
+nzWord:
+	XORQ AX, AX
+	NZ8(0)
+	NZ8(1)
+	NZ8(2)
+	NZ8(3)
+	NZ8(4)
+	NZ8(5)
+	NZ8(6)
+	NZ8(7)
+	NOTQ AX
+	MOVQ AX, (DI)
+	ADDQ $256, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNE  nzWord
+	VZEROUPPER
+	RET

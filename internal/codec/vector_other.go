@@ -25,3 +25,5 @@ func nearestRowVector(out, row []float32) int { return 0 }
 func upsampleFancyVector(dst, src []float32, sw, sh, w, h int, x0s, x1s []int, wxs []float32, s *scratch) bool {
 	return false
 }
+
+func nonzeroMaskVector(mask []uint64, cf []int32) int { return 0 }

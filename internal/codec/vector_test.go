@@ -313,6 +313,7 @@ func FuzzVectorPlane(f *testing.F) {
 		}
 		type result struct {
 			coeffs   [3][]int32
+			size     [3]int
 			decoded  [3][]float32
 			down, up []float32
 			near     []float32
@@ -324,6 +325,7 @@ func FuzzVectorPlane(f *testing.F) {
 				quant := refChromaTable(jpegLumaQ8[:], n, 0.35, 50+20*b)
 				encodePlaneInto(&p, plane, w, h, n, quant, 0.5, s)
 				r.coeffs[b] = p.coeffs
+				r.size[b] = entropyBits(&p)
 				r.decoded[b] = decodePlane(&p, make([]float32, w*h), s)
 			}
 			dw, dh := (w+1)/2, (h+1)/2
@@ -341,6 +343,9 @@ func FuzzVectorPlane(f *testing.F) {
 					t.Fatalf("%dx%d block size %d: coefficient %d = %d, the Go loops give %d", w, h, 4<<b, i, c, want.coeffs[b][i])
 				}
 			}
+			if got.size[b] != want.size[b] {
+				t.Fatalf("%dx%d block size %d: entropyBits = %d, the Go loops give %d", w, h, 4<<b, got.size[b], want.size[b])
+			}
 			if !sameOrBothNaN(got.decoded[b], want.decoded[b]) {
 				t.Fatalf("%dx%d block size %d: decoded planes differ", w, h, 4<<b)
 			}
@@ -349,4 +354,56 @@ func FuzzVectorPlane(f *testing.F) {
 			t.Fatalf("%dx%d: resampled planes differ", w, h)
 		}
 	})
+}
+
+// TestVectorEntropyBitsMatchesGo sizes planes of crafted blocks at block
+// sizes 4, 8 and 16 on the nonzero-mask kernel, on the Go loop and with the
+// retired coefficient-by-coefficient model: blocks all zero, with a nonzero
+// only at the last coefficient or the first AC one, with zero runs either side
+// of the 16 a ZRL codes, and with MinInt32 and ±(2³¹−1), which no magnitude
+// category or DC difference may wrap on. Plane lengths put masks on and off
+// whole words and chunks.
+func TestVectorEntropyBitsMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, n := range []int{4, 8, 16} {
+		n2 := n * n
+		var blocks [][]int32
+		block := func(set map[int]int32) {
+			cf := make([]int32, n2)
+			for i, v := range set {
+				cf[i] = v
+			}
+			blocks = append(blocks, cf)
+		}
+		block(nil)
+		block(map[int]int32{n2 - 1: 1})
+		block(map[int]int32{0: 5, n2 - 1: -3})
+		block(map[int]int32{1: 1})
+		for _, run := range []int{15, 16, 17, 31, 32, 48} {
+			if run+2 < n2 {
+				block(map[int]int32{1: 2, run + 2: -7})
+				block(map[int]int32{run + 1: 9})
+			}
+		}
+		block(map[int]int32{0: math.MinInt32, 1: math.MinInt32, n2 - 1: math.MaxInt32})
+		block(map[int]int32{0: math.MaxInt32, 2: -math.MaxInt32})
+		block(map[int]int32{0: -math.MaxInt32, n2 / 2: math.MinInt32})
+		dense := make(map[int]int32)
+		for i := range n2 {
+			dense[i] = int32(rng.Intn(7) - 3)
+		}
+		block(dense)
+		for _, count := range []int{1, 3, 4, 17, 64, 4096/n2 + 1, 2*4096/n2 + 5} {
+			p := planeData{blockSize: n}
+			for i := range count {
+				p.coeffs = append(p.coeffs, blocks[(i*7+count)%len(blocks)]...)
+			}
+			got, ref := entropyBits(&p), refEntropyBits(&p)
+			var want int
+			portable(func() { want = entropyBits(&p) })
+			if got != want || got != ref {
+				t.Fatalf("block size %d, %d blocks: entropyBits = %d, Go loop %d, reference %d", n, count, got, want, ref)
+			}
+		}
+	}
 }

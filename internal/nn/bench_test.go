@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // The inference benchmarks run the default-width model at batch 24 — the
@@ -40,17 +42,35 @@ func BenchmarkInferPruned(b *testing.B) {
 
 // BenchmarkPlanSteps is the per-step table of one image: a sub-benchmark for
 // each step of the float32 and of the int8 plan, named
-// <plan>/<idx>/<op>/<c>x<h>x<w> by the step's input shape. Each first runs the
-// steps before it, so it reads what its predecessor wrote.
+// <plan>/<idx>/<op>/<c>x<h>x<w> by the step's input shape, and one for the
+// dense head (embed and classifier) on the backbone's features, <plan>/head.
+// Each step first runs the steps before it, so it reads what its predecessor
+// wrote.
 func BenchmarkPlanSteps(b *testing.B) {
 	m := backendTestModel(b)
+	q := NewInt8Backend(m)
 	x := fixedBatch(1, 3)
 	for _, plan := range []struct {
 		name string
 		p    *inferPlan
-	}{{"float32", m.inferPlan()}, {"int8", NewInt8Backend(m).plan}} {
+		head func(sc *Scratch, feat *tensor.Tensor)
+	}{
+		{"float32", m.inferPlan(), func(sc *Scratch, feat *tensor.Tensor) {
+			sc.embed = denseInfer(sc.embed, feat, m.Embed)
+			sc.logits = denseInfer(sc.logits, sc.embed, m.Head)
+		}},
+		{"int8", q.plan, func(sc *Scratch, feat *tensor.Tensor) {
+			sc.embed = q.embed.apply(sc, sc.embed, feat)
+			sc.logits = q.head.apply(sc, sc.logits, sc.embed)
+		}},
+	} {
 		p, sc := plan.p, new(Scratch)
-		p.features(sc, x) // sizes the arena and sets every step's geometry
+		feat := p.features(sc, x) // sizes the arena and sets every step's geometry
+		b.Run(plan.name+"/head", func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				plan.head(sc, feat)
+			}
+		})
 		run := func(i int) { p.step(sc, i, x.Data()) }
 		for i, s := range p.steps {
 			g := sc.geom[i]

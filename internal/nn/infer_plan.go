@@ -69,6 +69,7 @@ type Scratch struct {
 	dwMasks []uint32    // lane masks of the vector depthwise kernel's loads,
 	dwGeom  [4]int      // for rows of this geometry (dwLoadMasks)
 	qpanel  []int8      // quantized plan only: the quantized panel, plane or row a kernel reads
+	qacc    []int32     // quantized plan only: a dense row's int32 sums (qgemv)
 	// Quantized plan only: for each buffer, each channel's absMaxBits, which
 	// the step that writes the buffer records while its output is in cache;
 	// and the records of the running step's input (nil for the image, which
@@ -263,6 +264,14 @@ func (sc *Scratch) panel(n int) []int8 {
 	return sc.qpanel[:n]
 }
 
+// acc returns the int32 scratch, grown to hold n values.
+func (sc *Scratch) acc(n int) []int32 {
+	if cap(sc.qacc) < n {
+		sc.qacc = make([]int32, n)
+	}
+	return sc.qacc[:n]
+}
+
 // probs returns the softmax of the scratch's logits in the Backend wire
 // shape, the one slice an Infer call allocates.
 func (sc *Scratch) probs() []float64 {
@@ -392,11 +401,17 @@ func (sc *Scratch) planes(src []float32, d tensor.ConvDims) []float32 {
 // matrix is the same tap, and Conv2D.Backward's weight gradient reads the
 // panel back.
 func im2colPlanar(dst, src []float32, d tensor.ConvDims) {
-	if d.StrideH == 1 && d.StrideW == 1 && d.OutH() == d.InH && d.OutW() == d.InW {
+	if sameGeometry(d) {
 		im2colSame(dst, src, d)
 		return
 	}
 	im2colGeneric(dst, src, d)
+}
+
+// sameGeometry reports a stride-1 convolution whose output is its input's
+// size, whose panel im2colSame lays out.
+func sameGeometry(d tensor.ConvDims) bool {
+	return d.StrideH == 1 && d.StrideW == 1 && d.OutH() == d.InH && d.OutW() == d.InW
 }
 
 // im2colSame is im2colPlanar of a stride-1 convolution whose output is its
@@ -695,10 +710,12 @@ func (o planAdd) run(sc *Scratch, dst, _ []float32, c, h, w int) {
 	}
 }
 
-// addInto adds src[:len(dst)] into dst.
+// addInto adds src[:len(dst)] into dst: the vector kernel takes the whole
+// vectors, the Go loop the rest.
 func addInto(dst, src []float32) {
-	for i, v := range src[:len(dst)] {
-		dst[i] += v
+	src = src[:len(dst)]
+	for i := addVector(dst, src); i < len(dst); i++ {
+		dst[i] += src[i]
 	}
 }
 

@@ -97,12 +97,13 @@ func quantize(v, inv float32) int8 {
 	return int8(min(max(qround(float32(v*inv)), -127), 127))
 }
 
-// quantizeTo fills dst with round(src/scale) clamped to [-127, 127].
+// quantizeTo fills dst with round(src/scale) clamped to [-127, 127]: the
+// vector kernel takes the whole vectors, the Go loop the rest.
 func quantizeTo(dst []int8, src []float32, scale float32) {
 	inv := 1 / scale
 	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = quantize(v, inv)
+	for i := quantizeRowVector(dst, src, inv); i < len(src); i++ {
+		dst[i] = quantize(src[i], inv)
 	}
 }
 
@@ -228,14 +229,18 @@ func reluClamp(relu6 bool) float32 {
 }
 
 // quantizePanel quantizes a (k, p) channel-major activation image — a 1×1
-// convolution's input, any other's im2colPlanar panel, a dense layer's row at
-// p = 1 — into the pair-interleaved panel qgemm reads: taps 2j and 2j+1 of
-// pixel pi are the adjacent bytes at (j·p + pi)·2, the partner of an odd last
-// tap is zero, and so one 16-byte load is eight pixels' pair.
+// convolution's input or any other's im2colPlanar panel — into the
+// pair-interleaved panel qgemm reads: taps 2j and 2j+1 of pixel pi are the
+// adjacent bytes at (j·p + pi)·2, the partner of an odd last tap is zero, and
+// so one 16-byte load is eight pixels' pair. At p = 1 that is the quantized
+// row itself, which is how qdense builds a dense layer's.
 func quantizePanel(dst []int8, src []float32, p, k int, scale float32) {
 	inv := 1 / scale
 	dst = dst[:(k+1)&^1*p]
 	ps := quantizePanelVector(dst, src, p, k, inv) // the vector kernel's pixels
+	if ps == p {
+		return
+	}
 	for j := 0; j < k; j++ {
 		out := dst[j/2*2*p+j%2:]
 		row := src[j*p : (j+1)*p]
@@ -314,6 +319,26 @@ func qgemmBlock(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax f
 	qgemmEdge(dst, w, panel, c, c1, p0, p, ax, bias, clamp)
 }
 
+// qgemv is qgemm of a one-pixel panel, x, which is a dense layer's quantized
+// row: the vector kernel sums every channel's taps of whole vectors of 16
+// into acc and the Go loop adds the rest and finishes the channel; without
+// the kernel it is qgemm's own Go loop.
+func qgemv(dst []float32, w *qmatrix, x []int8, ax float32, bias []float32, clamp float32, acc []int32) {
+	kv := qgemvVector(acc, w, x)
+	if kv == 0 {
+		qgemm(dst, w, x, 1, ax, bias, clamp)
+		return
+	}
+	for c := range w.rows {
+		s := acc[c]
+		row := w.wide[c*w.k2 : (c+1)*w.k2]
+		for j := kv; j < len(row); j++ {
+			s += int32(row[j]) * int32(x[j])
+		}
+		dst[c] = qfinish(s, w.scale[c]*ax, bias[c], clamp)
+	}
+}
+
 // qgemmEdge is the plain loop over channels [c0, c1) and pixels [p0, p).
 func qgemmEdge(dst []float32, w *qmatrix, panel []int8, c0, c1, p0, p int, ax float32, bias []float32, clamp float32) {
 	for c := c0; c < c1; c++ {
@@ -352,16 +377,24 @@ func (o *qconv) outShape(_, h, w int) (int, int, int) {
 
 // run takes a 1×1 convolution's activation scale from the record of its
 // input; any other quantizes its im2col panel, whose scale it finds itself.
-// It records its output a stripe of channels at a time.
+// An im2colSame panel's values are copies of the input's and +0, and its tap
+// (PadH, PadW) is the whole input (KH = 2·PadH + 1 at stride 1), so the two
+// have the same absMaxBits and the scan reads the input, a ninth of the
+// stem's panel; any other panel is scanned whole. It records its output a
+// stripe of channels at a time.
 func (o *qconv) run(sc *Scratch, dst, src []float32, _, h, w int) {
 	d := convDimsAt(o.dims, h, w)
 	np := d.OutH() * d.OutW()
 	k := d.InC * d.KH * d.KW
+	in := src
 	src = sc.planes(src, d)[:k*np]
 	var ax float32
-	if sc.inMax != nil && pointwise(d) {
+	switch {
+	case sc.inMax != nil && pointwise(d):
 		ax = scaleOf(slices.Max(sc.inMax[:d.InC]))
-	} else {
+	case sameGeometry(d):
+		ax = absMaxScale(in[:d.InC*d.InH*d.InW])
+	default:
 		ax = absMaxScale(src)
 	}
 	panel := sc.panel(o.w.k2 * np)
@@ -460,12 +493,15 @@ func newQDense(d *Dense) *qdense {
 func (l *qdense) apply(sc *Scratch, y, x *tensor.Tensor) *tensor.Tensor {
 	n, out := x.Dim(0), l.w.rows
 	y = tensor.Reuse(y, n, out)
-	qrow := sc.panel(l.w.k2)
+	qrow, acc := sc.panel(l.w.k2), sc.acc(out)
 	for i := 0; i < n; i++ {
 		row := x.Data()[i*l.in : (i+1)*l.in]
 		ax := absMaxScale(row)
-		quantizePanel(qrow, row, 1, l.in, ax)
-		qgemm(y.Data()[i*out:(i+1)*out], l.w, qrow, 1, ax, l.bias, l.clamp)
+		// A one-pixel quantizePanel: the quantized row, and a zero partner
+		// for an odd last tap.
+		quantizeTo(qrow, row, ax)
+		clear(qrow[l.in:])
+		qgemv(y.Data()[i*out:(i+1)*out], l.w, qrow, ax, l.bias, l.clamp, acc)
 	}
 	return y
 }

@@ -5,10 +5,10 @@ package nn
 import "repro/internal/cpu"
 
 // The amd64 build of the inference kernels' vector half: assembly twins of
-// gemmBNGo, of the 3×3 depthwise loops, of qgemmBlock and of the quantization
-// passes, behind wrappers that decide what the assembly takes and
-// bounds-check every element it will touch. vector_other.go is the portable
-// build.
+// gemmBNGo, of the 3×3 depthwise loops, of qgemmBlock and its one-pixel case,
+// of the quantization passes and of the residual add, behind wrappers that
+// decide what the assembly takes and bounds-check every element it will
+// touch. vector_other.go is the portable build.
 
 // useVector reports that the AVX2 kernels may run: set once from CPUID, and
 // cleared only by tests that want the portable kernels on this machine.
@@ -31,6 +31,15 @@ func quantizePlanesAVX2(dst, src *float32, planes, n int, inv *float32)
 
 //go:noescape
 func quantizePanelAVX2(dst *int8, src *float32, p, ps, k int, inv float32)
+
+//go:noescape
+func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32)
+
+//go:noescape
+func qgemvAVX2(acc *int32, w *int16, x *int8, rows, k2, kv int)
+
+//go:noescape
+func addAVX2(dst, src *float32, n int)
 
 // gemmBNVector runs the whole 4-channel × 16-pixel tiles of gemmBN and
 // returns the channels and pixels they cover: dst[c*p+pi] is done for c < cs
@@ -175,4 +184,40 @@ func quantizePanelVector(dst []int8, src []float32, p, k int, inv float32) (ps i
 	_, _ = dst[(k+1)&^1*p-1], src[k*p-1]
 	quantizePanelAVX2(&dst[0], &src[0], p, ps, k, inv)
 	return ps
+}
+
+// quantizeRowVector runs quantizeTo's loop, with inv, over the whole vectors
+// of 8 values of src and returns how many values that was.
+func quantizeRowVector(dst []int8, src []float32, inv float32) int {
+	n := len(src) &^ 7
+	if !useVector || n == 0 {
+		return 0
+	}
+	_ = dst[n-1]
+	quantizeRowAVX2(&dst[0], &src[0], n, inv)
+	return n
+}
+
+// qgemvVector sets acc[c] to row c of w times x over the taps of whole
+// vectors of 16 and returns how many taps that was.
+func qgemvVector(acc []int32, w *qmatrix, x []int8) int {
+	kv := w.k2 &^ 15
+	if !useVector || kv == 0 || w.rows == 0 {
+		return 0
+	}
+	_, _, _ = acc[w.rows-1], x[kv-1], w.wide[w.rows*w.k2-1]
+	qgemvAVX2(&acc[0], &w.wide[0], &x[0], w.rows, w.k2, kv)
+	return kv
+}
+
+// addVector runs addInto over the whole vectors of 8 values of dst and
+// returns how many values that was.
+func addVector(dst, src []float32) int {
+	n := len(dst) &^ 7
+	if !useVector || n == 0 {
+		return 0
+	}
+	_ = src[n-1]
+	addAVX2(&dst[0], &src[0], n)
+	return n
 }

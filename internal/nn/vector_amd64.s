@@ -750,3 +750,166 @@ qpanelOdd:                     // an odd last tap: its partner is zero
 qpanelDone:
 	VZEROUPPER
 	RET
+
+// func quantizeRowAVX2(dst *int8, src *float32, n int, inv float32)
+//
+// dst[i] = quantize(src[i], inv) for n values, n a multiple of 8: a dense
+// layer's row as the one-pixel panel qgemv reads.
+TEXT ·quantizeRowAVX2(SB), NOSPLIT, $0-28
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y10
+	QUANTCONSTS
+
+qrowVector:
+	VMOVUPS (SI), Y0
+	QUANT(Y0, Y1)
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW X1, X0, X0       // the eight values as int16, in order
+	VPACKSSWB X0, X0, X0       // and as bytes
+	VMOVQ X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	SUBQ $8, CX
+	JNE  qrowVector
+	VZEROUPPER
+	RET
+
+// QGEMV4(off) adds taps [j, j+16) of the four weight rows at SI, R11 bytes
+// apart, times the taps in Y8 into Y0–Y3.
+#define QGEMV4(off) \
+	VPMADDWD off(SI), Y8, Y9; \
+	VPADDD Y9, Y0, Y0; \
+	VPMADDWD off(SI)(R11*1), Y8, Y9; \
+	VPADDD Y9, Y1, Y1; \
+	VPMADDWD off(SI)(R11*2), Y8, Y9; \
+	VPADDD Y9, Y2, Y2; \
+	VPMADDWD off(SI)(R12*1), Y8, Y9; \
+	VPADDD Y9, Y3, Y3
+
+// func qgemvAVX2(acc *int32, w *int16, x *int8, rows, k2, kv int)
+//
+// acc[c] = Σ_{j<kv} w[c][j]·x[j] for the rows rows of the (rows, k2) int16
+// matrix w, kv > 0 a multiple of 16: a one-pixel qgemm, whose panel is the
+// quantized row itself. Sixteen taps of x are widened once for four rows,
+// each row's eight int32 lanes summed at the end; integer addition is exact,
+// so the association changes no sum.
+TEXT ·qgemvAVX2(SB), NOSPLIT, $0-48
+	MOVQ acc+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ rows+24(FP), R8
+	MOVQ k2+32(FP), R11
+	MOVQ kv+40(FP), R10
+	SHLQ $1, R11               // weight row stride in bytes
+	LEAQ (R11)(R11*2), R12
+	CMPQ R8, $4
+	JLT  qgemvOne
+
+qgemvFour:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	XORQ BX, BX                // tap index
+
+qgemvFourTaps:
+	VPMOVSXBW (DX)(BX*1), Y8
+	QGEMV4(0)
+	ADDQ $16, BX
+	ADDQ $32, SI
+	CMPQ BX, R10
+	JB   qgemvFourTaps
+	SUBQ R10, SI
+	SUBQ R10, SI               // back to tap 0
+	VPHADDD Y1, Y0, Y0
+	VPHADDD Y3, Y2, Y2
+	VPHADDD Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD X1, X0, X0
+	VMOVDQU X0, (DI)
+	ADDQ $16, DI
+	LEAQ (SI)(R11*4), SI
+	SUBQ $4, R8
+	CMPQ R8, $4
+	JGE  qgemvFour
+
+qgemvOne:
+	TESTQ R8, R8
+	JEQ  qgemvDone
+
+qgemvRow:
+	VPXOR Y0, Y0, Y0
+	XORQ BX, BX
+
+qgemvRowTaps:
+	VPMOVSXBW (DX)(BX*1), Y8
+	VPMADDWD (SI)(BX*2), Y8, Y9
+	VPADDD Y9, Y0, Y0
+	ADDQ $16, BX
+	CMPQ BX, R10
+	JB   qgemvRowTaps
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD X1, X0, X0
+	VPSHUFD $0x4e, X0, X1
+	VPADDD X1, X0, X0
+	VPSHUFD $0xb1, X0, X1
+	VPADDD X1, X0, X0
+	VMOVD X0, (DI)
+	ADDQ $4, DI
+	ADDQ R11, SI
+	DECQ R8
+	JNE  qgemvRow
+
+qgemvDone:
+	VZEROUPPER
+	RET
+
+// func addAVX2(dst, src *float32, n int)
+//
+// dst[i] += src[i] for n values, n a multiple of 8, four vectors a step while
+// there are four. dst is VADDPS's first source, as it is ADDSS's in the Go
+// loop, so where both values are NaNs the sum is dst's, quieted.
+TEXT ·addAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	CMPQ CX, $32
+	JB   addOne
+
+addFour:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VADDPS (SI), Y0, Y0
+	VADDPS 32(SI), Y1, Y1
+	VADDPS 64(SI), Y2, Y2
+	VADDPS 96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JAE  addFour
+
+addOne:
+	TESTQ CX, CX
+	JEQ  addDone
+
+addLoop:
+	VMOVUPS (DI), Y0
+	VADDPS (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JNE  addLoop
+
+addDone:
+	VZEROUPPER
+	RET

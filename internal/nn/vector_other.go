@@ -29,3 +29,9 @@ func absMaxVector(src []float32) (m uint32, n int) { return 0, 0 }
 func absMaxPlanesVector(rec []uint32, src []float32, hw int) bool { return false }
 
 func quantizePanelVector(dst []int8, src []float32, p, k int, inv float32) (ps int) { return 0 }
+
+func quantizeRowVector(dst []int8, src []float32, inv float32) int { return 0 }
+
+func qgemvVector(acc []int32, w *qmatrix, x []int8) int { return 0 }
+
+func addVector(dst, src []float32) int { return 0 }

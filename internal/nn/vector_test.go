@@ -95,6 +95,12 @@ func TestPortableClaimsNothing(t *testing.T) {
 		{"absMaxVector", func() int { _, n := absMaxVector(f); return n }},
 		{"absMaxPlanesVector", func() int { return count(absMaxPlanesVector(make([]uint32, 2), f, len(f)/2)) }},
 		{"quantizePanelVector", func() int { return quantizePanelVector(q, f[:k*p], p, k, 1) }},
+		{"quantizeRowVector", func() int { return quantizeRowVector(q, f[:len(q)], 1) }},
+		{"qgemvVector", func() int {
+			wide := packQMatrix(make([]int8, outC*p), f[:outC], outC, p)
+			return qgemvVector(make([]int32, outC), wide, q)
+		}},
+		{"addVector", func() int { return addVector(f[:8], f[8:16]) }},
 	} {
 		if useVector && w.claimed() == 0 {
 			t.Errorf("%s claims nothing of a whole tile on the vector dispatch", w.name)
@@ -413,6 +419,133 @@ func TestVectorQuantizeMatchesGo(t *testing.T) {
 						t.Fatalf("recordPlanes of %d-value planes: plane %d = %#x, Go kernel %#x", hw, i, got[i], want[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestVectorAddMatchesGo runs the residual add at every length from 0 to 67,
+// either side of the 8- and 32-value steps, over values where the operand
+// order of the add shows: NaNs of distinct payloads and signs on either side
+// and on both, signaling NaNs, signed zeros and infinities.
+func TestVectorAddMatchesGo(t *testing.T) {
+	vals := []float32{0, negZero, 1, -1, posInf, -posInf, 3e38, -3e38, 1e-45,
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), negNaN,
+		math.Float32frombits(0x7f800003), math.Float32frombits(0xff800004)} // the last two signaling
+	for n := 0; n <= 67; n++ {
+		dst, src := unaligned(n, 1), unaligned(n, 3)
+		for i := range dst {
+			dst[i] = vals[(i*5+n)%len(vals)]
+			src[i] = vals[(i*3+n/len(vals))%len(vals)]
+		}
+		got, want := slices.Clone(dst), slices.Clone(dst)
+		addInto(got, src)
+		portable(func() { addInto(want, src) })
+		sameBits32(t, fmt.Sprintf("n=%d", n), got, want)
+	}
+}
+
+// TestVectorQGemvMatchesGo runs a dense layer's one-pixel GEMM at every
+// reduction depth from 1 to 70, odd ones included, on channel counts with
+// every remainder of 4, over random, ±127-saturated and all-zero rows, and on
+// one row maxReduction taps deep, whose sums reach int32's limit.
+func TestVectorQGemvMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	check := func(name string, w, x []int8, ws, bias []float32, outC, k int) {
+		t.Helper()
+		m := packQMatrix(w, ws, outC, k)
+		row := make([]int8, m.k2)
+		copy(row, x)
+		for _, clamp := range []float32{0, 6, posInf} {
+			got, want := unaligned(outC, 1), make([]float32, outC)
+			qgemv(got, m, row, 0.02, bias, clamp, make([]int32, outC))
+			portable(func() { qgemv(want, m, row, 0.02, bias, clamp, nil) })
+			sameBits32(t, fmt.Sprintf("%s clamp=%v", name, clamp), got, want)
+		}
+	}
+	for k := 1; k <= 70; k++ {
+		for _, outC := range []int{1, 3, 4, 5, 6, 7, 10, 48} {
+			w, x, ws, bias := randQGemm(rng, outC, 1, k)
+			check(fmt.Sprintf("k=%d outC=%d random", k, outC), w, x, ws, bias, outC, k)
+			for i := range w {
+				w[i] = int8(127 - 254*(i%3%2))
+			}
+			for i := range x {
+				x[i] = int8(127 - 254*(i/5%2))
+			}
+			check(fmt.Sprintf("k=%d outC=%d saturated", k, outC), w, x, ws, bias, outC, k)
+			clear(w)
+			check(fmt.Sprintf("k=%d outC=%d zero weights", k, outC), w, x, ws, bias, outC, k)
+			clear(x)
+			check(fmt.Sprintf("k=%d outC=%d zero", k, outC), w, x, ws, bias, outC, k)
+		}
+	}
+	deep := maxReduction
+	w, x := make([]int8, 5*deep), make([]int8, deep)
+	for i := range w {
+		w[i] = int8(127 - 254*(i/deep%2)) // rows of +127 and of -127
+	}
+	for i := range x {
+		x[i] = 127
+	}
+	check("maxReduction", w, x, []float32{1e-9, 1e-9, 1e-9, 1e-9, 1e-9}, make([]float32, 5), 5, deep)
+}
+
+// TestVectorQuantizeRowMatchesGo quantizes a dense layer's row, as qdense
+// does, over edgeFloats and NaNs at every length from 0 to 70.
+func TestVectorQuantizeRowMatchesGo(t *testing.T) {
+	vals := append(edgeFloats(), float32(math.NaN()), negNaN)
+	for n := 0; n <= 70; n++ {
+		src := unaligned(n, 3)
+		for i := range src {
+			src[i] = vals[(i*11+n)%len(vals)]
+		}
+		for _, scale := range []float32{1, 1.0 / 127, 0.0123, 3e38, 1e-45} {
+			got, want := make([]int8, n), make([]int8, n)
+			quantizeTo(got, src, scale)
+			portable(func() { quantizeTo(want, src, scale) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d scale %v: quantizeTo = %v, Go kernel %v", n, scale, got, want)
+			}
+		}
+	}
+}
+
+// TestStemScaleMatchesPanelScan holds qconv's shortcut for im2colSame panels to
+// the scan it replaces: the image's absMaxScale is its panel's, with a NaN of
+// either sign, a -0, infinities or nothing but zeros in the image.
+func TestStemScaleMatchesPanelScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	images := map[string]func(i int) float32{
+		"random":   func(int) float32 { return float32(rng.NormFloat64()) },
+		"-0":       func(int) float32 { return negZero },
+		"zeros":    func(i int) float32 { return [2]float32{0, negZero}[i%2] },
+		"NaN":      func(i int) float32 { return [3]float32{1, float32(math.NaN()), -2}[i%3] },
+		"-NaN":     func(i int) float32 { return [3]float32{negNaN, -5, negZero}[i%3] },
+		"-Inf":     func(i int) float32 { return [2]float32{-posInf, 3}[i%2] },
+		"one NaN":  func(i int) float32 { return [7]float32{negNaN, -1, 2, 0, negZero, 1e-45, 7}[min(i, 6)] },
+		"last -7":  func(i int) float32 { return [2]float32{1, -7}[min(i/50, 1)] },
+		"subnorms": func(i int) float32 { return math.Float32frombits(uint32(i) | uint32(i%2)<<31) },
+	}
+	for _, d := range []tensor.ConvDims{
+		{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		{InC: 2, InH: 5, InW: 7, KH: 5, KW: 3, StrideH: 1, StrideW: 1, PadH: 2, PadW: 1},
+		{InC: 1, InH: 1, InW: 9, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 0},
+	} {
+		if !sameGeometry(d) {
+			t.Fatalf("%+v is no im2colSame geometry", d)
+		}
+		hw := d.InH * d.InW
+		panel := make([]float32, d.InC*d.KH*d.KW*hw)
+		for name, value := range images {
+			image := make([]float32, d.InC*hw)
+			for i := range image {
+				image[i] = value(i)
+			}
+			im2colPlanar(panel, image, d)
+			got, want := absMaxScale(image), absMaxScale(panel)
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Errorf("%+v %s: image scale %v (%#x), panel scale %v (%#x)", d, name, got, math.Float32bits(got), want, math.Float32bits(want))
 			}
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // combination, so a regression is attributable to a specific row kernel
 // (CA lanes, vignette pass, noise pass) rather than the end-to-end number.
 // BlurSigma is zero throughout: Gaussian blur is imaging's benchmark, not
-// the mosaic loop's.
+// the mosaic loop's. ca-row/new and ca-row/ref time the chromatic-aberration
+// resample alone, a frame's R and B samples, dispatched and on the Go loop.
 func BenchmarkSensorCapture(b *testing.B) {
 	scene := imaging.New(64, 64)
 	prng := rand.New(rand.NewSource(1))
@@ -32,6 +33,24 @@ func BenchmarkSensorCapture(b *testing.B) {
 			p.ChromaticShift, p.Vignette, p.ShotNoise, p.ReadNoise = 0, 0, 0, 0
 		}},
 	}
+	caRows := func(b *testing.B) {
+		w, n := scene.W, scene.W*scene.H
+		sample := make([]float32, w)
+		s := float32(base.ChromaticShift)
+		loR, hiR := caInterior(w, s)
+		loB, hiB := caInterior(w, -s)
+		for i := 0; i < b.N; i++ {
+			for y := 0; y < scene.H; y++ {
+				if y%2 == 0 {
+					caRow(sample, scene.Pix[y*w:(y+1)*w], 0, s, loR, hiR)
+				} else {
+					caRow(sample, scene.Pix[2*n+y*w:2*n+(y+1)*w], 1, -s, loB, hiB)
+				}
+			}
+		}
+	}
+	b.Run("ca-row/new", caRows)
+	b.Run("ca-row/ref", func(b *testing.B) { portable(func() { caRows(b) }) })
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			p := base

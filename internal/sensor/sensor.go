@@ -224,13 +224,9 @@ func (s *Sensor) CaptureInto(raw *RawImage, scene *imaging.Image, rng Normals) *
 			plane := pix[c*n+rowOff : c*n+rowOff+w]
 			switch {
 			case shift != 0 && c == 0:
-				for x := xp; x < w; x += 2 {
-					sample[x] = caSampleFast(plane, x, w, shift, caLoR, caHiR)
-				}
+				caRow(sample, plane, xp, shift, caLoR, caHiR)
 			case shift != 0 && c == 2:
-				for x := xp; x < w; x += 2 {
-					sample[x] = caSampleFast(plane, x, w, -shift, caLoB, caHiB)
-				}
+				caRow(sample, plane, xp, -shift, caLoB, caHiB)
 			default:
 				for x := xp; x < w; x += 2 {
 					sample[x] = plane[x]
@@ -315,6 +311,20 @@ func caInterior(w int, s float32) (lo, hi int) {
 	}
 	hi = w - 3 + int(math.Floor(float64(s)))
 	return lo, hi
+}
+
+// caRow sets sample[x] to caSampleFast(row, x, w, s, lo, hi) for the columns
+// x of parity xp of a w-wide row: the vector kernel takes a run of them
+// inside [lo, hi], caSampleFast the rest.
+func caRow(sample, row []float32, xp int, s float32, lo, hi int) {
+	w := len(row)
+	v0, v1 := caRowVector(sample, row, xp, s, lo, hi)
+	for x := xp; x < v0; x += 2 {
+		sample[x] = caSampleFast(row, x, w, s, lo, hi)
+	}
+	for x := v1; x < w; x += 2 {
+		sample[x] = caSampleFast(row, x, w, s, lo, hi)
+	}
 }
 
 // caSampleFast is caSample with the clamp-free interior path: inside

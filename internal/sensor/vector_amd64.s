@@ -255,3 +255,77 @@ normOff:
 	MOVQ BX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// caLanes are a step's columns from its first, caLo and caHi the samples
+// VPERMPS spreads over the even lanes of the step's first and second eight
+// columns.
+DATA caLanes<>+0(SB)/8, $0x0000000200000000
+DATA caLanes<>+8(SB)/8, $0x0000000600000004
+DATA caLanes<>+16(SB)/8, $0x0000000a00000008
+DATA caLanes<>+24(SB)/8, $0x0000000e0000000c
+GLOBL caLanes<>(SB), RODATA|NOPTR, $32
+
+DATA caLo<>+0(SB)/8, $0x0000000000000000
+DATA caLo<>+8(SB)/8, $0x0000000100000001
+DATA caLo<>+16(SB)/8, $0x0000000200000002
+DATA caLo<>+24(SB)/8, $0x0000000300000003
+GLOBL caLo<>(SB), RODATA|NOPTR, $32
+
+DATA caHi<>+0(SB)/8, $0x0000000400000004
+DATA caHi<>+8(SB)/8, $0x0000000500000005
+DATA caHi<>+16(SB)/8, $0x0000000600000006
+DATA caHi<>+24(SB)/8, $0x0000000700000007
+GLOBL caHi<>(SB), RODATA|NOPTR, $32
+
+DATA oneF32<>+0(SB)/4, $1.0
+GLOBL oneF32<>(SB), RODATA|NOPTR, $4
+
+// func caRowAVX2(sample, row *float32, x, n int, s float32)
+//
+// caSampleFast's interior path for the columns x, x+2, …, x+16n-2 of a row,
+// eight a step, one to a lane: fx = float32(x) - s, x0 = int(fx) (truncation,
+// fx ≥ 0), frac = fx - float32(x0), then the two taps gathered from row[x0]
+// and row[x0+1], each product rounded before the first is added to the
+// second. A step's samples go to the even columns of sample[x:x+16] by blend;
+// the odd ones keep what they hold.
+TEXT ·caRowAVX2(SB), NOSPLIT, $0-36
+	MOVQ sample+0(FP), DI
+	MOVQ row+8(FP), SI
+	MOVQ x+16(FP), AX
+	MOVQ n+24(FP), CX
+	VBROADCASTSS s+32(FP), Y10
+	VMOVDQU caLanes<>(SB), Y11
+	VBROADCASTSS oneF32<>(SB), Y12
+	VMOVDQU caLo<>(SB), Y13
+	VMOVDQU caHi<>(SB), Y14
+	LEAQ (DI)(AX*4), DI        // sample[x]
+
+caStep:
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y0
+	VPADDD Y11, Y0, Y0         // the step's columns
+	VCVTDQ2PS Y0, Y0
+	VSUBPS Y10, Y0, Y0         // fx
+	VCVTTPS2DQ Y0, Y1          // x0
+	VCVTDQ2PS Y1, Y2
+	VSUBPS Y2, Y0, Y2          // frac
+	VSUBPS Y2, Y12, Y3         // 1 - frac
+	VPCMPEQD Y4, Y4, Y4        // gather every lane
+	VGATHERDPS Y4, (SI)(Y1*4), Y5  // row[x0]
+	VPCMPEQD Y4, Y4, Y4
+	VGATHERDPS Y4, 4(SI)(Y1*4), Y6 // row[x0+1]
+	VMULPS Y3, Y5, Y5
+	VMULPS Y2, Y6, Y6
+	VADDPS Y6, Y5, Y5
+	VPERMPS Y5, Y13, Y7        // samples 0-3 to the first eight columns' even lanes
+	VBLENDPS $0xaa, (DI), Y7, Y7
+	VMOVUPS Y7, (DI)
+	VPERMPS Y5, Y14, Y7        // samples 4-7 to the second eight's
+	VBLENDPS $0xaa, 32(DI), Y7, Y7
+	VMOVUPS Y7, 32(DI)
+	ADDQ $16, AX
+	ADDQ $64, DI
+	DECQ CX
+	JNE  caStep
+	VZEROUPPER
+	RET

@@ -17,3 +17,7 @@ func seedVector(vec *[rngLen]uint64, x uint64) int { return 0 }
 func addBlockVector(dst, src []uint64) int { return 0 }
 
 func normFastVector(dst []float64, src []uint64) int { return 0 }
+
+func caRowVector(sample, row []float32, xp int, s float32, lo, hi int) (v0, v1 int) {
+	return xp, xp
+}

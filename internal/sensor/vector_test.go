@@ -118,3 +118,38 @@ func TestVectorMosaicRowTies(t *testing.T) {
 		sameBits(t, fmt.Sprintf("flags %d", flags), got, want)
 	}
 }
+
+// TestVectorCARowMatchesGo resamples rows of widths 1 to 40, odd samples
+// included, at shifts of ±0.3, ±1.7 and ±2.5 and at shifts whose interior is
+// empty (caLo > caHi), for both column parities, on both paths: every sample
+// of the parity is caSampleFast's, and every other keeps what it held.
+func TestVectorCARowMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(409))
+	odd := []float32{0, negZero, 1e-45, 1, 0.5, posInf, -posInf, cpuNaN, 1e30, -1e30}
+	for w := 1; w <= 40; w++ {
+		row := make([]float32, w)
+		for i := range row {
+			row[i] = rng.Float32()*1.5 - 0.25
+			if rng.Intn(3) == 0 {
+				row[i] = odd[rng.Intn(len(odd))]
+			}
+		}
+		for _, s := range []float32{0.3, -0.3, 1.7, -1.7, 2.5, -2.5, float32(w), -float32(w) - 0.5, 1e7} {
+			lo, hi := caInterior(w, s)
+			for xp := 0; xp < 2; xp++ {
+				got, want := make([]float32, w), make([]float32, w)
+				for i := range got {
+					got[i], want[i] = -7, -7
+				}
+				caRow(got, row, xp, s, lo, hi)
+				portable(func() { caRow(want, row, xp, s, lo, hi) })
+				sameBits(t, fmt.Sprintf("w=%d shift %v parity %d [%d, %d]", w, s, xp, lo, hi), got, want)
+				for x := range want {
+					if x%2 != xp && math.Float32bits(want[x]) != math.Float32bits(-7) {
+						t.Fatalf("w=%d shift %v parity %d: column %d of the other parity was written", w, s, xp, x)
+					}
+				}
+			}
+		}
+	}
+}

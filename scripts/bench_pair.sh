@@ -20,11 +20,19 @@
 #   worse       the same test, mirrored
 #   unresolved  anything else: say so, do not claim it
 #
+# Beside the end-to-end table it prints, for the record and not as a verdict
+# on the change, the same comparison of the workload's raw rate: the unscaled
+# cells_per_s (batch workloads and sharded_windows) or sat_rps (serve
+# workloads) an untraced run prints as "(not reported)". ops_per_s is that
+# rate divided by the benchmark's own yardstick, so where the two tables
+# disagree the yardstick moved the verdict.
+#
 # Each table is also appended to BENCH_pairs.ndjson, one JSON object a line:
 # both commits, seed, workload, pairs, seconds, and per metric both sides'
 # median and quartiles, the wins and the verdict, plus the box-speed yardstick
-# (box.calib_mops) each side's runs read — the trajectory of the repository's
-# paired claims. PAIRS_FILE names another file; an empty PAIRS_FILE none.
+# (box.calib_mops) each side's runs read and, under "raw", the raw rate's
+# comparison — the trajectory of the repository's paired claims. PAIRS_FILE
+# names another file; an empty PAIRS_FILE none.
 #
 # SEED picks the seed (default: a fresh one from the clock, printed, so a
 # table can be re-run); SECONDS_PER_RUN the timed section (default: the
@@ -38,19 +46,27 @@
 # times, the working tree as it stands (untracked files included) like the
 # parent, and layout j places the code of every package on the cell path
 # (fleet, fleetd, nn, isp, codec, imaging, sensor, and the harness, package
-# main) 32·j bytes mod 64 from where layout 0 has it. amd64 aligns functions
-# to 32 bytes, so a package moves by 32 bytes for each empty function put
-# ahead of it, and by whatever moved the packages linked before it: each
-# package gets a generated file, named to sort first, of as many such
-# functions as that takes and an init that calls them. A first build with
-# none reads every package's shift from `go tool nm -n`, the counts follow in
+# main) 32·j bytes mod 64 from where the parent's unpadded build has it, on
+# both sides: a package the change does not touch then sits at the same
+# place in both builds of a layout, whatever the change did to the length of
+# the code linked before it, and only the inner layout of the packages it
+# edits differs. amd64 aligns functions to 32 bytes, so a package moves by
+# 32 bytes for each empty function put ahead of it, and by whatever moved the
+# packages linked before it: each package gets a generated file, named to
+# sort first, of as many such functions as that takes and an init that calls
+# them. A build of each side with none reads every package's shift from
+# `go tool nm -n` against the parent's unpadded build, the counts follow in
 # link order, and every layout's build is read back the same way: the script
 # fails unless each function of each package sits where its layout says,
-# mod 64. Only the exported trees are padded; nothing in the repository is
-# edited. Pair i runs layout (i−1) mod k on both sides, the table adds each
-# layout's medians and verdict, and the pooled verdict is a gain (or worse)
-# only if every layout's is too. The JSON lines gain "layouts" and, with
-# k > 1, "by_layout".
+# mod 64. On the change side a package whose functions moved by different
+# amounts (one the change edits, or one that inlines what it edits) is
+# placed and checked by its first function the parent's build also has, and
+# is named in the table and in the JSON line's "moved_unequally". Only the
+# exported trees are padded; nothing in the repository is edited. Pair i runs
+# layout (i−1) mod k on both sides, the table adds each layout's medians and
+# verdict, and the pooled verdict is a gain (or worse) only if every
+# layout's is too. The JSON lines gain "layouts" and, with k > 1,
+# "by_layout".
 #
 # SHIFT="<package>..." (of those eight) compares code placement, not code:
 # both sides are the parent, and for each package named, in turn, the change
@@ -101,6 +117,8 @@ if ((${#shift_pkgs[@]})); then
 	fi
 fi
 seed="${SEED:-$(($(date +%s) % 9000 + 1000))}"
+unequal=0         # placement's leniency (see placement)
+moved_unequally="" # the change side's packages placed by their first function
 seconds="${SECONDS_PER_RUN:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
 parent_commit="$(git rev-parse --short "$parent_ref^{commit}")"
 change_commit="$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)"
@@ -177,23 +195,28 @@ build() {
 # placement <mode> <base-binary> <binary> [args] reads, with `go tool nm -n`,
 # where each padded package's functions sit in binary against base-binary:
 #   shifts          prints each package's shift, in link order, as pkg=bytes
+#   unequal         prints the packages whose functions moved by different
+#                   amounts
 #   counts <j> [<pkg>]          from a build padded with no functions, prints
 #                   the pkg=count arguments of pad that put each package at
 #                   its target shift mod 64: 32·j for every package, or,
 #                   when j is "shift", 32 for pkg and 0 for the others
 #   check <j> [<pkg>]           fails unless every package sits at that target
 # A package's shift is the one every function of it moved by, mod 64 (its
-# padding and its initialisers aside); functions that moved by different
-# amounts fail any mode.
+# padding and its initialisers aside, and only functions both binaries
+# have). Functions that moved by different amounts fail any mode, unless
+# unequal=1 (the change side against the parent's build): then the package's
+# first function is its shift.
 placement() {
 	go tool nm -n "$2" >"$work/nm.base"
 	go tool nm -n "$3" >"$work/nm.padded"
-	python3 - "$1" "$work/nm.base" "$work/nm.padded" "${@:4}" -- "${pad_pkgs[@]}" <<'PY'
-import sys
+	UNEQUAL="$unequal" python3 - "$1" "$work/nm.base" "$work/nm.padded" "${@:4}" -- "${pad_pkgs[@]}" <<'PY'
+import os, sys
 
 mode, base_nm, padded_nm = sys.argv[1:4]
 sep = sys.argv.index("--")
 args, pkgs = sys.argv[4:sep], sys.argv[sep + 1:]
+lenient = os.environ["UNEQUAL"] == "1"
 
 def text(path):
     syms = {}
@@ -207,18 +230,24 @@ def prefix(pkg):
     return "main." if pkg == "main" else "repro/internal/%s." % pkg
 
 base, padded = text(base_nm), text(padded_nm)
-shifts, first = {}, {}
+shifts, first, unequal = {}, {}, []
 for pkg in pkgs:
     pre = prefix(pkg)
     own = [(a, s) for s, a in padded.items() if s.startswith(pre) and s in base and "[" not in s
            and not s[len(pre):].startswith(("layoutPad", "init", "map.init"))]
     moved = {(a - base[s]) % 64 for a, s in own}
-    if len(moved) != 1:
+    if not own or len(moved) != 1 and not lenient:
         sys.exit("bench_pair: %s's functions moved by %s bytes mod 64, not by one amount" % (pkg, sorted(moved) or "no"))
-    shifts[pkg], first[pkg] = moved.pop(), min(own)[0]
+    a, s = min(own)
+    shifts[pkg], first[pkg] = (a - base[s]) % 64, a
+    if len(moved) != 1:
+        unequal.append(pkg)
 order = sorted(pkgs, key=first.get)
 if mode == "shifts":
-    print(" ".join("%s=%d" % (p, shifts[p]) for p in order))
+    print(" ".join("%s=%d%s" % (p, shifts[p], " (unequal)" if p in unequal else "") for p in order))
+    sys.exit(0)
+if mode == "unequal":
+    print(" ".join(p for p in order if p in unequal))
     sys.exit(0)
 j, target = args[0], {}
 for p in pkgs:
@@ -239,12 +268,13 @@ PY
 
 # run <dir> <workload> <seconds> prints the result object, the last line of a
 # run, with the yardstick reading the run printed above it added as
-# "calib_mops".
+# "calib_mops" and its raw rate as "raw": {"<name>": value}.
 run() {
 	(cd "$1" && bash bench/run.sh --workload "$2" --seed "$seed" --seconds "$3" --trace 0) >"$work/run.out"
-	local calib
+	local calib raw
 	calib="$(sed -n 's/^(not reported) metric box\.calib_mops = \([0-9.e+-]*\) Mops$/\1/p' "$work/run.out" | tail -n 1)"
-	tail -n 1 "$work/run.out" | sed "s/}\$/,\"calib_mops\":${calib:-null}}/"
+	raw="$(sed -n 's/^(not reported) metric \(cells_per_s\|sat_rps\) = \([0-9.e+-]*\) 1\/s.*$/"\1":\2/p' "$work/run.out" | tail -n 1)"
+	tail -n 1 "$work/run.out" | sed "s/}\$/,\"calib_mops\":${calib:-null},\"raw\":{${raw}}}/"
 }
 
 change_label="working tree ($change_commit)"
@@ -287,22 +317,31 @@ else
 				export_working_tree "$work/$side.$j"
 			fi
 		done
-		base="$work/$side.0/$bin"
-		build "$work/$side.0"
+	done
+	# Every placement is read against the parent's unpadded build, which is
+	# the parent's layout 0; every other layout of either side is padded.
+	base="$work/parent.0/$bin"
+	build "$work/parent.0"
+	for side in parent change; do
+		first=1 unequal=0 # the first padded layout; placement's leniency
+		if [ "$side" = change ]; then first=0 unequal=1; fi
 		# Layout 1's tree, padded with no functions, is the probe every
 		# layout's counts are read from; then each layout is padded and built.
 		pad "$work/$side.1" "${probe[@]}"
-		build "$work/$side.1" "$work/$side.0"
-		for ((j = 1; j < layouts; j++)); do
+		build "$work/$side.1" "$work/parent.0"
+		for ((j = first; j < layouts; j++)); do
 			read -ra counts <<<"$(placement counts "$base" "$work/$side.1/$bin" "$j")"
 			pad "$work/$side.$j" "${counts[@]}"
 		done
-		for ((j = 1; j < layouts; j++)); do
-			build "$work/$side.$j" "$work/$side.0"
+		for ((j = first; j < layouts; j++)); do
+			build "$work/$side.$j" "$work/parent.0"
 			placement check "$base" "$work/$side.$j/$bin" "$j"
 			echo "bench_pair: $side layout $j: $(placement shifts "$base" "$work/$side.$j/$bin")"
 		done
 	done
+	moved_unequally="$(placement unequal "$base" "$work/change.0/$bin")"
+	unequal=0
+	echo "bench_pair: moved unequally on the change side (placed by their first function): ${moved_unequally:-none}"
 fi
 
 # compare runs the pairs of every workload and prints (and appends) their
@@ -326,7 +365,7 @@ compare() {
 		echo
 		echo "== $workload"
 		python3 - "$work/$workload.parent.ndjson" "$work/$workload.change.ndjson" "$work/$workload.layout" \
-			"$pairs_file" "$parent_commit" "$change_commit" "$seed" "$workload" "$seconds" "$layouts" <<'PY'
+			"$pairs_file" "$parent_commit" "$change_commit" "$seed" "$workload" "$seconds" "$layouts" "$moved_unequally" <<'PY'
 import datetime, json, math, sys
 
 def load(path):
@@ -348,22 +387,27 @@ def summary(values):
 
 parent, change = load(sys.argv[1]), load(sys.argv[2])
 layout_of = [int(line) for line in open(sys.argv[3])]
-pairs_file, parent_commit, change_commit, seed, workload, seconds, layouts = sys.argv[4:11]
+pairs_file, parent_commit, change_commit, seed, workload, seconds, layouts, moved_unequally = sys.argv[4:12]
 layouts = int(layouts)
 record = {
     "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
     "parent": parent_commit, "change": change_commit, "seed": int(seed), "workload": workload,
     "pairs": len(parent), "seconds": float(seconds), "layouts": layouts, "metrics": {},
 }
+if layouts > 1:
+    record["moved_unequally"] = moved_unequally.split()
 spread = "%.4g [%.4g–%.4g]"
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
+
+def value(run, name):
+    return run["raw"][name] if name in run.get("raw", {}) else run["metrics"][name]["value"]
 
 def compare(metric, pairs):
     """One metric over (parent run, change run) pairs: both sides' median and
     quartiles, the pairs the change won and lost, and the verdict."""
     name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-    p = [x["metrics"][name]["value"] for x, _ in pairs]
-    c = [y["metrics"][name]["value"] for _, y in pairs]
+    p = [value(x, name) for x, _ in pairs]
+    c = [value(y, name) for _, y in pairs]
     pm, pq1, pq3 = summary(p)
     cm, cq1, cq3 = summary(c)
     wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
@@ -410,6 +454,23 @@ if layouts > 1:
                 row(metric["name"], r, len(lp))
                 entry["metrics"][metric["name"]] = r
         record["by_layout"].append(entry)
+# The raw rate, for the record: its verdict judges nothing.
+raw_names = sorted(set(parent[0].get("raw", {})) & set(change[0].get("raw", {})))
+if raw_names:
+    print("raw rate, not scaled by the yardstick (not a verdict on the change):")
+    record["raw"] = {}
+    for name in raw_names:
+        metric = {"name": name, "better": "higher"}
+        r = compare(metric, pairs)
+        row(name, r, len(pairs))
+        record["raw"][name] = r
+        for j, lp in enumerate(by_layout):
+            if layouts > 1 and lp:
+                lr = compare(metric, lp)
+                row("  layout %d" % j, lr, len(lp))
+                record["by_layout"][j].setdefault("raw", {})[name] = lr
+if layouts > 1:
+    print("moved unequally on the change side: %s" % (moved_unequally or "none"))
 calib = {}
 for side, runs in (("parent", parent), ("change", change)):
     readings = [r["calib_mops"] for r in runs if r.get("calib_mops") is not None]
